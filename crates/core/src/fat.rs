@@ -13,7 +13,8 @@
 //! (or counterproductive) when accesses alternate among regions.
 
 use crate::repr::PtrRepr;
-use nvmsim::{registry, NvSpace};
+use crate::riv::rid_and_offset;
+use nvmsim::registry;
 
 /// PMEM.IO-style `{region_id, offset}` persistent pointer (16 bytes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,12 +47,7 @@ impl FatPtr {
         if target == 0 {
             return FatPtr::default();
         }
-        let space = NvSpace::global();
-        // One RID-table load gives both the ID and the region offset;
-        // masking the address would be wrong now that region bases are
-        // chunk-aligned rather than 2^l3-aligned.
-        let (rid, off) = space.rid_off_of_addr(target);
-        debug_assert!(rid != 0, "address {target:#x} not in any open region");
+        let (rid, off) = rid_and_offset(target);
         FatPtr { rid, _pad: 0, off }
     }
 }

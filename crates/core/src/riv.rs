@@ -26,10 +26,37 @@
 //! live in different NVRegions.
 
 use crate::repr::PtrRepr;
-use nvmsim::NvSpace;
+use nvmsim::{Layout, NvSpace};
 
 /// Flag bit marking a value as an NV pointer (the paper's leading 1s).
 pub const RIV_FLAG: u64 = 1 << 63;
+
+/// Width of the offset field. RIV values always resolve against
+/// [`NvSpace::global`], which is built with [`Layout::DEFAULT`], so the
+/// field split is a compile-time constant and `x2p` shifts by an immediate.
+const OFFSET_BITS: u32 = Layout::DEFAULT.l3;
+const OFFSET_MASK: u64 = (1 << OFFSET_BITS) - 1;
+
+/// The global NV space, whose layout [`OFFSET_BITS`] assumes.
+#[inline]
+fn space() -> &'static NvSpace {
+    let space = NvSpace::global();
+    debug_assert!(space.layout() == Layout::DEFAULT);
+    space
+}
+
+/// `Addr2ID` and `addr - getBase(addr)` for the RIV and fat encoders: bit
+/// transforms + one RID-table load. The entry yields both the ID and the
+/// chunk's position in its region, so the region offset comes out of the
+/// same load — region bases are chunk-aligned, not 2^l3-aligned, so a
+/// plain mask of the address would be wrong for any region whose run does
+/// not start at an l3 boundary.
+#[inline]
+pub(crate) fn rid_and_offset(addr: usize) -> (u32, u64) {
+    let (rid, off) = space().rid_off_of_addr(addr);
+    debug_assert!(rid != 0, "address {addr:#x} not in any open region");
+    (rid, off)
+}
 
 /// Region-ID-in-value cross-region pointer. See the module docs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,26 +71,21 @@ impl Riv {
     /// Debug-asserts that `rid` and `offset` fit the global layout.
     #[inline]
     pub fn from_parts(rid: u32, offset: u64) -> Riv {
-        let l3 = NvSpace::global().layout().l3;
-        debug_assert!(rid as u64 <= NvSpace::global().layout().max_rid() as u64);
-        debug_assert!(offset < (1 << l3));
-        Riv(RIV_FLAG | ((rid as u64) << l3) | offset)
+        debug_assert!(rid <= Layout::DEFAULT.max_rid());
+        debug_assert!(offset <= OFFSET_MASK);
+        Riv(RIV_FLAG | ((rid as u64) << OFFSET_BITS) | offset)
     }
 
     /// The region ID field of this value (0 for null).
     #[inline]
     pub fn rid(&self) -> u32 {
-        if self.0 == 0 {
-            return 0;
-        }
-        let l3 = NvSpace::global().layout().l3;
-        ((self.0 & !RIV_FLAG) >> l3) as u32
+        ((self.0 & !RIV_FLAG) >> OFFSET_BITS) as u32
     }
 
     /// The within-region offset field of this value.
     #[inline]
     pub fn offset(&self) -> u64 {
-        self.0 & NvSpace::global().layout().offset_mask() as u64
+        self.0 & OFFSET_MASK
     }
 
     /// The raw packed value.
@@ -86,16 +108,8 @@ impl Riv {
         if addr == 0 {
             return Riv(0);
         }
-        let space = NvSpace::global();
-        // Addr2ID: bit transforms + one RID-table load. The entry yields
-        // both the ID and the chunk's position in its region, so the
-        // region offset (`addr - getBase(addr)`) comes out of the same
-        // load — region bases are chunk-aligned, not 2^l3-aligned, so a
-        // plain mask of the address would be wrong for any region whose
-        // run does not start at an l3 boundary.
-        let (rid, off) = space.rid_off_of_addr(addr);
-        debug_assert!(rid != 0, "address {addr:#x} not in any open region");
-        Riv(RIV_FLAG | ((rid as u64) << space.layout().l3) | off)
+        let (rid, off) = rid_and_offset(addr);
+        Riv::from_parts(rid, off)
     }
 
     /// `x2p` (Figure 5 (b)): converts this value into an absolute address
@@ -111,11 +125,8 @@ impl Riv {
         if self.0 == 0 {
             return 0;
         }
-        let space = NvSpace::global();
-        let l3 = space.layout().l3;
-        let rid = ((self.0 & !RIV_FLAG) >> l3) as u32; // step 1: extract fields
-        let base = space.base_of_rid(rid); // step 2: ID2Addr (shifted load)
-        base + (self.0 & ((1u64 << l3) - 1)) as usize // step 3: add offset
+        // step 1: extract fields; step 2: ID2Addr (one load); step 3: add.
+        space().base_of_rid(self.rid()) + self.offset() as usize
     }
 
     /// Adjusts the target by `delta` bytes (the paper's `x op v` rule).
@@ -129,14 +140,12 @@ impl Riv {
         if self.0 == 0 {
             return self;
         }
-        let mask = NvSpace::global().layout().offset_mask() as u64;
-        let new_off = (self.0 & mask).wrapping_add(delta as u64) & mask;
         debug_assert!(
-            ((self.0 & mask) as i128 + delta as i128) >= 0
-                && ((self.0 & mask) as i128 + delta as i128) <= mask as i128,
+            (0..=OFFSET_MASK as i128).contains(&(self.offset() as i128 + delta as i128)),
             "offset arithmetic left the region"
         );
-        Riv((self.0 & !mask) | new_off)
+        let new_off = self.offset().wrapping_add(delta as u64) & OFFSET_MASK;
+        Riv((self.0 & !OFFSET_MASK) | new_off)
     }
 }
 

@@ -40,11 +40,6 @@ pub const fn ceil_log2(n: u32) -> u32 {
 // Runtime layout
 // ---------------------------------------------------------------------------
 
-/// Bits indexing base-table entries within one committed base-table page:
-/// pages hold `2^BASE_PAGE_BITS` 8-byte entries (64 KiB) and are committed
-/// on demand the first time a region ID in their range is bound.
-pub const BASE_PAGE_BITS: u32 = 13;
-
 /// Runtime NV-space configuration.
 ///
 /// The data area is a pool of `2^l2` *chunks* of `2^lc` bytes each; a region
@@ -121,7 +116,7 @@ impl Layout {
         }
         if l4 > 28 {
             return Err(NvError::BadLayout(format!(
-                "l4 ({l4}) > 28 would need a base-table directory larger than practical"
+                "l4 ({l4}) > 28 would map a base table of more than 2 GiB of address space"
             )));
         }
         if l4 + l3 > 63 {
@@ -139,11 +134,13 @@ impl Layout {
     }
 
     /// Size of one chunk in bytes.
+    #[inline]
     pub fn chunk_size(&self) -> usize {
         1usize << self.lc
     }
 
     /// Mask extracting the within-chunk offset from an address.
+    #[inline]
     pub fn chunk_mask(&self) -> usize {
         self.chunk_size() - 1
     }
@@ -187,31 +184,15 @@ impl Layout {
         self.chunk_count() * 8
     }
 
-    /// Number of 8-byte entries in one base-table page.
-    pub fn base_page_entries(&self) -> usize {
-        1usize << BASE_PAGE_BITS.min(self.l4)
-    }
-
-    /// Size in bytes of one base-table page.
-    pub fn base_page_size(&self) -> usize {
-        self.base_page_entries() * 8
-    }
-
-    /// Number of first-level directory slots in the two-level base table.
-    pub fn base_l1_len(&self) -> usize {
-        (1usize << self.l4).div_ceil(self.base_page_entries())
-    }
-
     /// Virtual size in bytes of the base table (`2^l4` entries, one per
     /// region ID).
     ///
     /// Entries are 8 bytes and hold the region's absolute base directly
     /// (the paper stores the `nvbase` bits — `⌈l2/8⌉` bytes — which is the
     /// same information modulo the shift; we widen the entry so `ID2Addr`
-    /// is a single load with no recombination). The table is two-level:
-    /// only a small directory is committed up front and 64 KiB pages are
-    /// committed as region IDs in their range are first bound, so `l4` can
-    /// scale far past the old single-level geometry.
+    /// is a single load with no recombination). The size is virtual: the
+    /// table is mapped whole but lazily backed, so only pages holding a
+    /// bound region ID consume memory.
     pub fn base_table_size(&self) -> usize {
         (1usize << self.l4) * 8
     }
@@ -506,18 +487,12 @@ mod tests {
     }
 
     #[test]
-    fn base_table_two_level_geometry() {
-        let l = Layout::DEFAULT;
-        assert_eq!(l.base_page_entries(), 1 << BASE_PAGE_BITS);
-        assert_eq!(l.base_page_size(), 64 << 10);
-        assert_eq!(
-            l.base_l1_len() * l.base_page_entries() * 8,
-            l.base_table_size()
-        );
-        // A tiny l4 collapses to a single partial page.
+    fn table_sizes_are_eight_bytes_per_entry() {
+        assert_eq!(Layout::DEFAULT.rid_table_size(), 128 << 10);
+        assert_eq!(Layout::DEFAULT.base_table_size(), 8 << 20);
         let s = Layout::new(6, 16, 20, 6).unwrap();
-        assert_eq!(s.base_page_entries(), 1 << 6);
-        assert_eq!(s.base_l1_len(), 1);
+        assert_eq!(s.rid_table_size(), 512);
+        assert_eq!(s.base_table_size(), 512);
     }
 
     #[test]
@@ -526,7 +501,7 @@ mod tests {
         assert!(Layout::new(8, 22, 20, 16).is_err(), "l3 < lc");
         assert!(Layout::new(8, 22, 34, 16).is_err(), "l3 past the data area");
         assert!(Layout::new(26, 22, 32, 16).is_err(), "data area too big");
-        assert!(Layout::new(14, 22, 32, 29).is_err(), "base directory cap");
+        assert!(Layout::new(14, 22, 32, 29).is_err(), "base table cap");
         assert!(Layout::new(14, 22, 40, 24).is_err(), "riv overflow");
         assert!(Layout::new(14, 22, 32, 20).is_ok());
         assert!(Layout::new(6, 16, 20, 6).is_ok(), "small test geometry");

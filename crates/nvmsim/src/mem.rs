@@ -98,6 +98,12 @@ impl Reservation {
 
     /// Commits `[addr, addr+len)` as zero-filled read/write anonymous memory.
     ///
+    /// The range is lazily backed and not charged against the overcommit
+    /// limit (`MAP_NORESERVE`): a page takes physical memory when it is
+    /// first written, and reads of a never-written page are served by the
+    /// kernel's shared zero page. The NV space maps its lookup tables whole
+    /// on the strength of this.
+    ///
     /// # Errors
     ///
     /// [`NvError::AddressOutOfRange`] if the range leaves the reservation,
@@ -109,7 +115,7 @@ impl Reservation {
                 addr as *mut libc::c_void,
                 len,
                 libc::PROT_READ | libc::PROT_WRITE,
-                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_FIXED,
+                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_NORESERVE | libc::MAP_FIXED,
                 -1,
                 0,
             )

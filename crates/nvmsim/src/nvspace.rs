@@ -8,10 +8,10 @@
 //! fixed offsets inside one contiguous reservation:
 //!
 //! ```text
-//! +-------------+-----------+------------------+--- gap ---+--------------------------+
-//! |  RID table  |  base L1  | base-table pages |           |  data area (2^l2 chunks) |
-//! +-------------+-----------+------------------+-----------+--------------------------+
-//! ^ reservation base         ^ committed on demand          ^ aligned to 2^lc
+//! +-------------+------------------------+--- gap ---+--------------------------+
+//! |  RID table  |  base table (2^l4 * 8) |           |  data area (2^l2 chunks) |
+//! +-------------+------------------------+-----------+--------------------------+
+//! ^ reservation base                                  ^ aligned to 2^lc
 //! ```
 //!
 //! * The **RID table** has one 8-byte entry per chunk; entry `c` packs the
@@ -24,10 +24,11 @@
 //!   `chunk_in_region << lc`).
 //! * The **base table** has one 8-byte entry per region ID; entry `r` holds
 //!   the absolute base of region `r`'s chunk run (0 = region not open), so
-//!   `ID2Addr` is a shifted load. The table is two-level: a small directory
-//!   (the **base L1**) is committed up front and 64 KiB entry pages are
-//!   committed the first time a region ID in their range is bound, so the
-//!   ID space scales far past the old single-level geometry.
+//!   `ID2Addr` is one load at `base_table + r * 8` (Figure 5 (b)). The
+//!   whole table is mapped once as lazily backed anonymous memory: a page
+//!   no bind has written reads as the kernel's shared zero page, so an
+//!   unbound ID reads 0 and costs no physical memory however large `l4`
+//!   is.
 //!
 //! Table entries are written under the pool lock when regions open, close,
 //! or grow, but read lock-free on the pointer-dereference fast path via
@@ -80,10 +81,7 @@ pub struct NvSpace {
     layout: Layout,
     reservation: Reservation,
     rid_table: usize,
-    base_l1: usize,
-    base_pages: usize,
-    base_page_stride: usize,
-    base_page_shift: u32,
+    base_table: usize,
     data_base: usize,
     pool: Mutex<ChunkPool>,
 }
@@ -217,13 +215,20 @@ impl ChunkPool {
 
 static GLOBAL: OnceLock<NvSpace> = OnceLock::new();
 
+/// Counts a typed translation miss. Out of line so the conversion
+/// functions inline as their hit path alone.
+#[cold]
+fn translation_miss() {
+    metrics::incr(Counter::NvTranslationMisses);
+}
+
 impl NvSpace {
     /// Creates a new NV space with the given layout.
     ///
     /// Reserves `2^(l2+lc)` bytes of virtual address space for the data
-    /// area plus the table areas. Only the RID table and the base-table
-    /// directory consume physical memory up front; base-table pages commit
-    /// as region IDs are bound and chunks commit as regions grow.
+    /// area plus the two tables. Both tables are mapped up front but
+    /// lazily backed: a table page consumes physical memory once a bind
+    /// writes to it, and chunks commit as regions grow.
     ///
     /// # Errors
     ///
@@ -233,26 +238,18 @@ impl NvSpace {
         layout.validate()?;
         let page = page_size();
         let rid_size = align_up(layout.rid_table_size(), page);
-        let l1_size = align_up(layout.base_l1_len() * 8, page);
-        let page_stride = align_up(layout.base_page_size(), page);
-        let pages_size = layout.base_l1_len() * page_stride;
-        let table_total = rid_size + l1_size + pages_size;
+        let tables_size = rid_size + align_up(layout.base_table_size(), page);
         // Over-reserve by one chunk so the data base can be aligned.
-        let total = table_total + layout.data_area_size() + layout.chunk_size();
+        let total = tables_size + layout.data_area_size() + layout.chunk_size();
         let reservation = Reservation::new(total)?;
         let rid_table = reservation.base();
-        let base_l1 = rid_table + rid_size;
-        let base_pages = base_l1 + l1_size;
-        let data_base = align_up(base_pages + pages_size, layout.chunk_size());
-        reservation.commit_anon(rid_table, rid_size + l1_size)?;
+        let data_base = align_up(rid_table + tables_size, layout.chunk_size());
+        reservation.commit_anon(rid_table, tables_size)?;
         Ok(NvSpace {
             layout,
             reservation,
             rid_table,
-            base_l1,
-            base_pages,
-            base_page_stride: page_stride,
-            base_page_shift: crate::layout::BASE_PAGE_BITS.min(layout.l4),
+            base_table: rid_table + rid_size,
             data_base,
             pool: Mutex::new(ChunkPool::new(layout.chunk_count())),
         })
@@ -437,34 +434,32 @@ impl NvSpace {
 
     // -- table maintenance (region open/close/grow path, pool-locked) ------
 
-    fn rid_entry(&self, chunk: usize) -> *const AtomicU64 {
-        debug_assert!(chunk < self.layout.chunk_count());
-        (self.rid_table + chunk * 8) as *const AtomicU64
-    }
-
-    fn base_l1_entry(&self, pidx: usize) -> *const AtomicUsize {
-        debug_assert!(pidx < self.layout.base_l1_len());
-        (self.base_l1 + pidx * 8) as *const AtomicUsize
-    }
-
-    /// Base-table entry pointer for an in-range `rid`, or `None` when the
-    /// rid's base-table page has never been committed.
-    fn base_entry(&self, rid: u32) -> Option<*const AtomicUsize> {
-        let pidx = (rid >> self.base_page_shift) as usize;
-        if pidx >= self.layout.base_l1_len() {
+    /// RID-table entry of `chunk`, or `None` when `chunk` does not fit in
+    /// `l2` bits.
+    #[inline]
+    fn rid_slot(&self, chunk: usize) -> Option<&AtomicU64> {
+        if chunk >> self.layout.l2 != 0 {
             return None;
         }
-        // SAFETY: the L1 directory is committed for the space's lifetime.
-        let page = unsafe { (*self.base_l1_entry(pidx)).load(Ordering::Relaxed) };
-        if page == 0 {
-            return None;
-        }
-        let slot = (rid as usize) & (self.layout.base_page_entries() - 1);
-        Some((page + slot * 8) as *const AtomicUsize)
+        // SAFETY: the RID table is mapped for the space's lifetime and
+        // holds `2^l2` entries; `chunk` was bounds-checked just above.
+        Some(unsafe { &*(self.rid_table as *const AtomicU64).add(chunk) })
     }
 
-    /// Publishes the `rid <-> chunk run` association in both tables,
-    /// committing the rid's base-table page on first use.
+    /// Base-table entry of `rid`, or `None` when `rid` does not fit in
+    /// `l4` bits — the bounds check that keeps a corrupted region ID from
+    /// reading outside the table.
+    #[inline]
+    fn base_slot(&self, rid: u32) -> Option<&AtomicUsize> {
+        if rid >> self.layout.l4 != 0 {
+            return None;
+        }
+        // SAFETY: the base table is mapped for the space's lifetime and
+        // holds `2^l4` entries; `rid` was bounds-checked just above.
+        Some(unsafe { &*(self.base_table as *const AtomicUsize).add(rid as usize) })
+    }
+
+    /// Publishes the `rid <-> chunk run` association in both tables.
     ///
     /// Called by the region manager when a region is opened into a run and
     /// again (for the new chunks) when a region grows.
@@ -481,30 +476,14 @@ impl NvSpace {
         }
         debug_assert!(run.start != 0 && run.chunks().end <= self.layout.chunk_count());
         let _guard = self.pool.lock();
-        let pidx = (rid >> self.base_page_shift) as usize;
-        // SAFETY: pidx is in range for an in-range rid; the L1 is committed.
-        let page = unsafe { (*self.base_l1_entry(pidx)).load(Ordering::Relaxed) };
-        if page == 0 {
-            let addr = self.base_pages + pidx * self.base_page_stride;
-            self.reservation
-                .commit_anon(addr, align_up(self.layout.base_page_size(), page_size()))?;
-            // SAFETY: same entry as above; publish after the commit so the
-            // fast path never dereferences an uncommitted page.
-            unsafe { (*self.base_l1_entry(pidx)).store(addr, Ordering::Release) };
+        let slot = self.base_slot(rid).expect("rid range-checked above");
+        if slot.load(Ordering::Relaxed) != 0 {
+            return Err(NvError::InvalidRid {
+                rid,
+                reason: "already bound",
+            });
         }
-        let entry = self
-            .base_entry(rid)
-            .expect("base page committed just above");
-        // SAFETY: entry points into the committed base-table page.
-        unsafe {
-            if (*entry).load(Ordering::Relaxed) != 0 {
-                return Err(NvError::InvalidRid {
-                    rid,
-                    reason: "already bound",
-                });
-            }
-            (*entry).store(self.chunk_base(run.start), Ordering::Release);
-        }
+        slot.store(self.chunk_base(run.start), Ordering::Release);
         self.bind_chunks(rid, run, 0);
         Ok(())
     }
@@ -515,10 +494,9 @@ impl NvSpace {
     pub fn bind_chunks(&self, rid: u32, run: ChunkRun, first_in_region: u32) {
         for (k, chunk) in run.chunks().enumerate() {
             let in_region = first_in_region as u64 + k as u64;
-            // SAFETY: entry pointers are inside the committed RID table.
-            unsafe {
-                (*self.rid_entry(chunk)).store(in_region << 32 | rid as u64, Ordering::Release);
-            }
+            self.rid_slot(chunk)
+                .expect("chunk run lies inside the pool")
+                .store(in_region << 32 | rid as u64, Ordering::Release);
         }
     }
 
@@ -526,12 +504,12 @@ impl NvSpace {
     pub fn unbind(&self, rid: u32, run: ChunkRun) {
         let _guard = self.pool.lock();
         for chunk in run.chunks() {
-            // SAFETY: entry pointers are inside the committed RID table.
-            unsafe { (*self.rid_entry(chunk)).store(0, Ordering::Release) };
+            self.rid_slot(chunk)
+                .expect("chunk run lies inside the pool")
+                .store(0, Ordering::Release);
         }
-        if let Some(entry) = self.base_entry(rid) {
-            // SAFETY: entry points into a committed base-table page.
-            unsafe { (*entry).store(0, Ordering::Release) };
+        if let Some(slot) = self.base_slot(rid) {
+            slot.store(0, Ordering::Release);
         }
     }
 
@@ -542,12 +520,13 @@ impl NvSpace {
     #[inline]
     fn rid_entry_of_addr(&self, addr: usize) -> Option<u64> {
         let chunk = addr.wrapping_sub(self.data_base) >> self.layout.lc;
-        if chunk >= self.layout.chunk_count() {
-            metrics::incr(Counter::NvTranslationMisses);
-            return None;
+        match self.rid_slot(chunk) {
+            Some(slot) => Some(slot.load(Ordering::Relaxed)),
+            None => {
+                translation_miss();
+                None
+            }
         }
-        // SAFETY: chunk indexes the committed RID table (bounds-checked).
-        Some(unsafe { (*self.rid_entry(chunk)).load(Ordering::Relaxed) })
     }
 
     /// `Addr2ID` (Figure 5 (c)): region ID of the region containing `addr`.
@@ -599,15 +578,14 @@ impl NvSpace {
     /// Returns 0 if the region is not open *or* `rid` is out of range for
     /// the layout (a corrupted fat pointer fails translation instead of
     /// reading outside the table) — callers that cannot tolerate that must
-    /// check [`NvSpace::is_bound`] first. Cost: a bounds check plus the
-    /// directory and entry loads.
+    /// check [`NvSpace::is_bound`] first. Cost: one predicted bounds
+    /// branch and one load; a never-bound ID reads 0 off the zero page.
     #[inline]
     pub fn base_of_rid(&self, rid: u32) -> usize {
-        match self.base_entry(rid) {
-            // SAFETY: base_entry only returns pointers into committed pages.
-            Some(entry) => unsafe { (*entry).load(Ordering::Relaxed) },
+        match self.base_slot(rid) {
+            Some(slot) => slot.load(Ordering::Relaxed),
             None => {
-                metrics::incr(Counter::NvTranslationMisses);
+                translation_miss();
                 0
             }
         }
@@ -751,8 +729,8 @@ mod tests {
         assert_eq!(s.base_of_rid(9999), 0);
         assert_eq!(s.base_of_rid(u32::MAX), 0);
         assert_eq!(s.try_base_of_rid(u32::MAX), None);
-        // In-range but never-bound rid: its base page may not even be
-        // committed yet — still a typed miss.
+        // In-range but never-bound rid: its table page was never written
+        // and reads as zeros — still a typed miss.
         assert_eq!(s.base_of_rid(7), 0);
         assert!(!s.is_bound(7));
     }

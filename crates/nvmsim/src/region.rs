@@ -420,44 +420,25 @@ impl Region {
     /// position independence rather than accidentally landing back at the
     /// old base.
     ///
-    /// If the first mapping collides with `avoid`, it is torn down with
-    /// [`Region::crash`] (never [`Region::close`] — a pending recovery
-    /// must keep its dirty flag), the exact chunk run just vacated is
-    /// pinned directly in the pool so the retry cannot land there, and
-    /// the open is retried.
+    /// The chunk containing `avoid` is pinned in the pool for the duration
+    /// of the open, so the placement cannot start there; the image is
+    /// opened exactly once, and a cleanly closed image stays clean. An
+    /// `avoid` that is 0, outside the data area, or inside a chunk some
+    /// region still holds needs no pin: no new mapping can land on it.
     ///
     /// # Errors
     ///
-    /// As [`Region::open_file`], plus [`NvError::BadImage`] if no distinct
-    /// base could be found after a bounded number of attempts.
+    /// As [`Region::open_file`].
     pub fn open_file_avoiding<P: AsRef<Path>>(path: P, avoid: usize) -> Result<Region> {
-        let path = path.as_ref();
         let space = NvSpace::global();
-        let mut pinned = Vec::new();
-        let mut result = None;
-        for _ in 0..8 {
-            let r = Self::open_impl(path, true)?;
-            if r.base() != avoid {
-                result = Some(r);
-                break;
-            }
-            let run = r.inner.run;
-            // Tear down without clearing the dirty flag, then pin the
-            // run we just vacated so the next attempt lands elsewhere.
-            r.crash();
-            if let Ok(pin) = space.acquire_chunks_at(run.start, run.count) {
-                pinned.push(pin);
-            }
-        }
-        for pin in pinned {
+        let pin = space
+            .chunk_of(avoid)
+            .and_then(|chunk| space.acquire_chunks_at(chunk, 1));
+        let opened = Self::open_impl(path.as_ref(), true);
+        if let Ok(pin) = pin {
             space.release_chunks(pin);
         }
-        result.ok_or_else(|| {
-            NvError::BadImage(format!(
-                "could not map {} away from base {avoid:#x} after 8 attempts",
-                path.display()
-            ))
-        })
+        opened
     }
 
     /// Opens an existing region image copy-on-write (`MAP_PRIVATE`): all
@@ -2070,6 +2051,33 @@ mod tests {
         r.close().unwrap();
         let r = Region::open_file(&path).unwrap();
         assert!(!r.was_dirty(), "clean close resets the flag");
+        r.close().unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn avoiding_reopen_keeps_clean_images_clean() {
+        // Regression: a first placement that landed on `avoid` used to be
+        // torn down as a crash, which left a cleanly closed image dirty.
+        // Reseeding before every open makes the placement draw the start
+        // it drew last time — the chunk just vacated — on every cycle.
+        let path = tmpdir().join("avoid.nvr");
+        let space = NvSpace::global();
+        let mut r = Region::create_file(&path, 1 << 20).unwrap();
+        for cycle in 0..200 {
+            let prev = r.base();
+            r.close().unwrap();
+            space.reseed_placement(0xA701D);
+            r = Region::open_file_avoiding(&path, prev).unwrap();
+            assert_ne!(r.base(), prev, "cycle {cycle} landed on the old base");
+            assert!(!r.was_dirty(), "cycle {cycle} dirtied a clean image");
+        }
+        let prev = r.base();
+        r.crash();
+        space.reseed_placement(0xA701D);
+        let r = Region::open_file_avoiding(&path, prev).unwrap();
+        assert_ne!(r.base(), prev);
+        assert!(r.was_dirty(), "a crash image still opens dirty");
         r.close().unwrap();
         std::fs::remove_file(&path).ok();
     }

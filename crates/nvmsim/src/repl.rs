@@ -570,8 +570,7 @@ pub fn promote<P: AsRef<Path>, Q: AsRef<Path>>(stream: P, image_out: Q) -> Resul
 ///
 /// # Errors
 ///
-/// As [`promote`], plus [`NvError::BadImage`] if no distinct base can be
-/// found (see [`Region::open_file_avoiding`]).
+/// As [`promote`] (see [`Region::open_file_avoiding`]).
 pub fn promote_avoiding<P: AsRef<Path>, Q: AsRef<Path>>(
     stream: P,
     image_out: Q,

@@ -23,14 +23,23 @@
 //!    with a boundary-straddling write surviving close and a reopen
 //!    forced to a different base.
 //!
+//! 5. The flat base table: random bind/unbind/rebind sequences over
+//!    spaces with 6- to 28-bit region IDs agree with a `HashMap` model,
+//!    out-of-range IDs are typed misses counted once, and a 2 GiB table
+//!    stays virtual (unbound IDs read 0 off the shared zero page).
+//!
 //! Chunk *placement* is randomized like ASLR; `reseed_placement` (or the
 //! `NVMSIM_PLACEMENT_SEED` environment variable, which CI pins in one
 //! arm and randomizes in another) makes it reproducible, which the last
 //! test locks in.
 
 use nvm_pi::nvmsim::layout::Area;
+use nvm_pi::nvmsim::mem::page_size;
+use nvm_pi::nvmsim::metrics::{snapshot, Counter};
+use nvm_pi::nvmsim::nvspace::ChunkRun;
 use nvm_pi::{ExactLayout, Layout, NvError, NvSpace, Region};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
@@ -351,4 +360,95 @@ fn placement_seed_reproduces_chunk_bases() {
     assert_eq!(a, b, "same seed, same pool state => same placement");
     let c = bases(seed ^ 0xFFFF_0000);
     assert_ne!(a, c, "a different seed moves the placement sequence");
+}
+
+/// `VmRSS` of this process in bytes (`/proc/self/statm`, second field).
+fn resident_bytes() -> usize {
+    let statm = std::fs::read_to_string("/proc/self/statm").unwrap();
+    let pages: usize = statm.split_whitespace().nth(1).unwrap().parse().unwrap();
+    pages * page_size()
+}
+
+/// The flat base table against a `HashMap` model, for region-ID widths
+/// from one partial page of table (`l4 = 6`) to 2 GiB of it (`l4 = 28`).
+/// The table is mapped whole, so what keeps a wide ID space affordable is
+/// that never-written pages stay virtual — checked here through `VmRSS`
+/// (the other tests of this binary are parked on the serial lock).
+#[test]
+fn flat_base_table_matches_a_map_model_and_stays_virtual() {
+    let _serial = lock();
+    let seed = util::env_seed("NVMSIM_PLACEMENT_SEED", 0xC41B_5EED);
+    for l4 in [6, 13, 20, 28] {
+        let ctx = format!("l4={l4} {}", util::seed_tag("NVMSIM_PLACEMENT_SEED", seed));
+        let before = resident_bytes();
+        let s = NvSpace::new(Layout::new(6, 16, 20, l4).unwrap()).unwrap();
+        let built = resident_bytes();
+        let max_rid = s.layout().max_rid() as u64;
+        for i in 0..1000 {
+            assert_eq!(s.base_of_rid((i * max_rid / 1000) as u32), 0, "{ctx}");
+        }
+        let read = resident_bytes();
+        assert!(
+            built.saturating_sub(before) < 1 << 20,
+            "{ctx}: mapping the table cost {before} -> {built} bytes of RSS"
+        );
+        assert!(
+            read.saturating_sub(built) < 1 << 20,
+            "{ctx}: reading unbound rids cost {built} -> {read} bytes of RSS"
+        );
+
+        let mut rng = seed ^ l4 as u64;
+        let mut next = move || {
+            rng = util::splitmix64(rng);
+            rng
+        };
+        // A few rids (both ends of the range among them) toggled between
+        // bound and unbound, so every one is bound, unbound and rebound.
+        let mut rids: Vec<u32> = (0..22).map(|_| 1 + (next() % max_rid) as u32).collect();
+        rids.extend([1, max_rid as u32]);
+        let mut model: HashMap<u32, usize> = HashMap::new();
+        for step in 0..2000 {
+            let rid = rids[(next() % rids.len() as u64) as usize];
+            if let Some(base) = model.remove(&rid) {
+                let run = ChunkRun {
+                    start: s.chunk_of(base).unwrap(),
+                    count: 1,
+                };
+                s.unbind(rid, run);
+                s.release_chunks(run);
+            } else {
+                let run = s.acquire_chunks(1).unwrap();
+                s.bind(rid, run).unwrap();
+                model.insert(rid, s.chunk_base(run.start));
+            }
+            for &r in &rids {
+                assert_eq!(
+                    s.base_of_rid(r),
+                    model.get(&r).copied().unwrap_or(0),
+                    "{ctx} step {step} rid {r}"
+                );
+                assert_eq!(
+                    s.is_bound(r),
+                    model.contains_key(&r),
+                    "{ctx} step {step} rid {r}"
+                );
+            }
+            let untouched = 1 + (next() % max_rid) as u32;
+            if !rids.contains(&untouched) {
+                assert_eq!(
+                    s.try_base_of_rid(untouched),
+                    None,
+                    "{ctx} step {step} rid {untouched}"
+                );
+            }
+            let wild = (max_rid + 1 + next() % (u32::MAX as u64 - max_rid)) as u32;
+            let misses = snapshot().get(Counter::NvTranslationMisses);
+            assert_eq!(s.base_of_rid(wild), 0, "{ctx} step {step} rid {wild}");
+            assert_eq!(
+                snapshot().get(Counter::NvTranslationMisses) - misses,
+                1,
+                "{ctx} step {step} rid {wild}: a typed miss counts once"
+            );
+        }
+    }
 }
