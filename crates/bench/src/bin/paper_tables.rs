@@ -104,8 +104,7 @@ fn main() {
     let all = selected.iter().any(|s| s == "all");
     let want = |name: &str| all || selected.iter().any(|s| s == name);
 
-    // Install the model before any timing: set_model(nonzero) eagerly
-    // calibrates, so the first measured barrier pays no calibration cost.
+    // Install the model before any timing, so every section runs under it.
     latency::set_model(latency_model);
 
     let mut sections: Vec<Section> = Vec::new();

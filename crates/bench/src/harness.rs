@@ -182,7 +182,6 @@ impl Drop for Env {
 /// **median** nanoseconds per call. The returned checksums are black-boxed
 /// so the measured work cannot be optimized away.
 pub fn time_avg<F: FnMut() -> u64>(mut f: F, reps: usize) -> f64 {
-    nvmsim::latency::calibrate();
     let mut sink = f(); // warmup
     let mut samples = Vec::with_capacity(reps.max(1));
     for _ in 0..reps.max(1) {
@@ -533,9 +532,6 @@ pub fn group_times(
     transactional: bool,
 ) -> Vec<(ReprKind, OpTimes)> {
     let _based_guard = BASED_LOCK.lock();
-    // Pay the spin calibration before any timed repetition, not inside
-    // the first latency-model delay of the first trial.
-    nvmsim::latency::calibrate();
     // Three independent builds: each gets fresh segments and physical
     // pages, and the per-kind minimum of the medians cancels the
     // page-layout luck a single build is stuck with.

@@ -10,24 +10,40 @@
 //! dependency-free API:
 //!
 //! * a fixed inventory of named counters ([`Counter`]);
-//! * **sharded** relaxed atomics — each thread lands on one of
-//!   [`NUM_SHARDS`] cache-line-padded shards, so hot-path increments never
-//!   contend on a shared line;
+//! * **owner-written** storage — every thread bumps a counter block that
+//!   only it writes, so an increment is a plain load and store on the
+//!   thread's own cache lines, never a `lock`-prefixed read-modify-write;
 //! * [`snapshot`]/[`Snapshot::delta`] for capturing what a code section
 //!   did, exact under concurrency (sums are monotone, deltas saturate).
 //!
+//! # Storage
+//!
+//! A thread's first bump allocates its block and registers it in a locked
+//! list; a const-initialised thread-local pointer then names it, so
+//! [`add`] is that pointer read, a null test and `load(Relaxed)` +
+//! `store(Relaxed)`. When the thread exits, a TLS destructor folds the
+//! block into the retired-totals block and unregisters it under the same
+//! lock [`snapshot`] sums under, so a count is in exactly one of the two
+//! places whenever a snapshot looks. Bumps that arrive after the fold
+//! (from TLS destructors that run later, e.g. a magazine cache retiring)
+//! go to the retired block with `fetch_add`.
+//!
 //! # Overhead policy
 //!
-//! A counter bump is one thread-sharded `fetch_add(Relaxed)` (~1 ns) and
-//! rides only paths that already cross a call or lock boundary: emulated
-//! flush/barrier latency injection, the fat-pointer hashtable (modeled as
-//! a library call per the paper), magazine refill/flush critical sections,
+//! A counter bump measured ~6 ns while it was a `try_with` TLS lookup and
+//! a `lock xadd` on one of 16 shards, which made the counters most of an
+//! un-delayed flush; owner-written it is ~1 ns (EXPERIMENTS.md
+//! `HOOK-FAST`). Counters still ride only paths that cross a call or lock
+//! boundary: persistence points, the fat-pointer hashtable (modeled as a
+//! library call per the paper), magazine refill/flush critical sections,
 //! region and transaction lifecycle edges. The RIV `x2p`/`p2x` hot path is
 //! a handful of inline instructions and stays **branch-free by default**:
 //! its counters only exist under the `pi-core` crate's `riv-metrics`
 //! feature. See DESIGN.md "Observability".
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 macro_rules! counters {
     ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
@@ -185,36 +201,97 @@ counters! {
     NvTranslationMisses => "nv_translation_misses",
 }
 
-/// Number of counter shards. Power of two; threads are assigned
-/// round-robin, so contention on any one cache line is bounded by
-/// `threads / NUM_SHARDS`.
-pub const NUM_SHARDS: usize = 16;
-
+/// One thread's counters (or the retired totals). Aligned so two blocks
+/// never share a cache line.
 #[repr(align(128))]
-struct Shard {
+struct Block {
     vals: [AtomicU64; NUM_COUNTERS],
 }
 
-static SHARDS: [Shard; NUM_SHARDS] = [const {
-    Shard {
-        vals: [const { AtomicU64::new(0) }; NUM_COUNTERS],
+impl Block {
+    const fn new() -> Block {
+        Block {
+            vals: [const { AtomicU64::new(0) }; NUM_COUNTERS],
+        }
     }
-}; NUM_SHARDS];
-
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static MY_SHARD: usize =
-        NEXT_SHARD.fetch_add(1, Ordering::Relaxed) & (NUM_SHARDS - 1);
 }
 
-/// Adds `n` to counter `c` on the calling thread's shard.
+/// Totals of exited threads, plus bumps made after a thread's own block
+/// was folded. The only block written with `fetch_add`.
+static RETIRED: Block = Block::new();
+
+/// The blocks of running threads, boxed because each thread keeps a
+/// pointer to its block while the list grows and shrinks around it. The
+/// list owns them; a block leaves it (and is freed) only in its thread's
+/// [`Owner`] destructor.
+#[allow(clippy::vec_box)]
+type LiveBlocks = Vec<Box<Block>>;
+
+static LIVE: Mutex<LiveBlocks> = Mutex::new(Vec::new());
+
+fn live() -> MutexGuard<'static, LiveBlocks> {
+    // Every critical section leaves the list and the totals consistent.
+    LIVE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Unregisters the thread's block when the thread exits.
+struct Owner;
+
+thread_local! {
+    /// This thread's block in [`LIVE`]; null before its first bump and
+    /// after [`Owner`] folded it. No destructor, so reading it never
+    /// goes through the lazy-initialisation state check.
+    static MINE: Cell<*const Block> = const { Cell::new(std::ptr::null()) };
+    /// Touched (which registers its destructor) when `MINE` is set.
+    static OWNER: Owner = const { Owner };
+}
+
+impl Drop for Owner {
+    fn drop(&mut self) {
+        let mine = MINE.replace(std::ptr::null());
+        let mut live = live();
+        if let Some(i) = live.iter().position(|b| std::ptr::eq(&**b, mine)) {
+            let block = live.swap_remove(i);
+            for (total, v) in RETIRED.vals.iter().zip(&block.vals) {
+                total.fetch_add(v.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// Adds `n` to counter `c`.
 #[inline]
 pub fn add(c: Counter, n: u64) {
-    // Threads being torn down fall back to shard 0 rather than dropping
-    // the count.
-    let shard = MY_SHARD.try_with(|s| *s).unwrap_or(0);
-    SHARDS[shard].vals[c as usize].fetch_add(n, Ordering::Relaxed);
+    let mine = MINE.with(Cell::get);
+    if mine.is_null() {
+        return add_unregistered(c, n);
+    }
+    // SAFETY: `MINE` is non-null only from this thread's registration to
+    // its `Owner` destructor, and `LIVE` keeps the block allocated for
+    // exactly that span.
+    let slot = unsafe { &(*mine).vals[c as usize] };
+    // Only this thread writes the block, so load + store loses nothing.
+    slot.store(
+        slot.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
+}
+
+/// First bump of a thread (registers its block), or a bump from a TLS
+/// destructor that runs after [`Owner`]'s (counted on the retired block).
+#[cold]
+#[inline(never)]
+fn add_unregistered(c: Counter, n: u64) {
+    if OWNER.try_with(|_| ()).is_err() {
+        RETIRED.vals[c as usize].fetch_add(n, Ordering::Relaxed);
+        return;
+    }
+    let block = Box::new(Block::new());
+    block.vals[c as usize].store(n, Ordering::Relaxed);
+    // The box's heap address survives the move into the list.
+    let mine: *const Block = &*block;
+    live().push(block);
+    MINE.set(mine);
 }
 
 /// Increments counter `c` by one.
@@ -223,7 +300,7 @@ pub fn incr(c: Counter) {
     add(c, 1);
 }
 
-/// A point-in-time reading of every counter (shards summed).
+/// A point-in-time reading of every counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Snapshot {
     values: [u64; NUM_COUNTERS],
@@ -265,13 +342,17 @@ impl Default for Snapshot {
     }
 }
 
-/// Reads every counter (summing the shards). Concurrent increments may or
-/// may not be included — each counter is individually exact and monotone.
+/// Reads every counter (retired totals plus every running thread's
+/// block). Concurrent increments may or may not be included — each
+/// counter is individually exact and monotone.
 pub fn snapshot() -> Snapshot {
     let mut values = [0u64; NUM_COUNTERS];
-    for shard in &SHARDS {
-        for (i, v) in values.iter_mut().enumerate() {
-            *v += shard.vals[i].load(Ordering::Relaxed);
+    // Under the lock a block cannot move to the retired totals between
+    // the two reads, so no count is seen twice or missed.
+    let live = live();
+    for block in std::iter::once(&RETIRED).chain(live.iter().map(|b| &**b)) {
+        for (v, slot) in values.iter_mut().zip(&block.vals) {
+            *v += slot.load(Ordering::Relaxed);
         }
     }
     Snapshot { values }
@@ -280,6 +361,8 @@ pub fn snapshot() -> Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn add_is_visible_in_snapshot() {
@@ -330,22 +413,121 @@ mod tests {
         );
     }
 
+    /// How many running threads' blocks hold a non-zero `c`.
+    fn live_blocks_counting(c: Counter) -> usize {
+        let live = live();
+        live.iter()
+            .filter(|b| b.vals[c as usize].load(Ordering::Relaxed) != 0)
+            .count()
+    }
+
+    // The three tests below each use a counter nothing else in this
+    // crate's unit tests bumps, so their deltas are exact although other
+    // tests run on parallel threads.
+
     #[test]
-    fn counts_from_many_threads_all_land() {
+    fn exiting_threads_lose_nothing_while_snapshots_stay_monotone() {
+        const C: Counter = Counter::SrvFailovers;
+        const THREADS: usize = 8;
+        const BUMPS: u64 = 10_000;
         let before = snapshot();
-        let threads: Vec<_> = (0..8)
+        let go = Arc::new(Barrier::new(THREADS + 1));
+        let done = Arc::new(AtomicBool::new(false));
+        let workers: Vec<_> = (0..THREADS)
             .map(|_| {
-                std::thread::spawn(|| {
-                    for _ in 0..1000 {
-                        incr(Counter::TxBegins);
+                let go = Arc::clone(&go);
+                std::thread::spawn(move || {
+                    go.wait();
+                    for _ in 0..BUMPS {
+                        incr(C);
                     }
                 })
             })
             .collect();
-        for t in threads {
-            t.join().unwrap();
+        let watcher = {
+            let go = Arc::clone(&go);
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let mut prev = snapshot();
+                go.wait();
+                let mut taken = 0u64;
+                // Snapshots race the bumps, the folds and the frees.
+                while !done.load(Ordering::SeqCst) {
+                    let now = snapshot();
+                    for &c in &Counter::ALL {
+                        assert!(now.get(c) >= prev.get(c), "{} went backwards", c.name());
+                    }
+                    prev = now;
+                    taken += 1;
+                }
+                taken
+            })
+        };
+        for w in workers {
+            w.join().unwrap();
         }
-        let d = snapshot().delta(&before);
-        assert!(d.get(Counter::TxBegins) >= 8000);
+        done.store(true, Ordering::SeqCst);
+        assert!(watcher.join().unwrap() > 0);
+        assert_eq!(snapshot().delta(&before).get(C), THREADS as u64 * BUMPS);
+        // join() returns after the TLS destructors: every block that
+        // counted has been folded and unregistered, none is leaked.
+        assert_eq!(live_blocks_counting(C), 0);
+    }
+
+    #[test]
+    fn bump_from_a_later_tls_destructor_is_counted_once() {
+        const C: Counter = Counter::SrvEvictions;
+        /// Bumps `C` when the thread's TLS is torn down and reports
+        /// whether the thread's own block was already gone by then.
+        struct BumpOnExit(Arc<AtomicBool>);
+        impl Drop for BumpOnExit {
+            fn drop(&mut self) {
+                self.0
+                    .store(MINE.with(Cell::get).is_null(), Ordering::SeqCst);
+                incr(C);
+            }
+        }
+        thread_local! {
+            static LATE: std::cell::RefCell<Option<BumpOnExit>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        let before = snapshot();
+        let after_fold = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&after_fold);
+        std::thread::spawn(move || {
+            // Destructors run in reverse order of registration: LATE's is
+            // registered first, `Owner`'s by the first bump after it.
+            LATE.with(|l| *l.borrow_mut() = Some(BumpOnExit(flag)));
+            add(C, 5);
+        })
+        .join()
+        .unwrap();
+        assert!(
+            after_fold.load(Ordering::SeqCst),
+            "the destructor under test ran before the block was folded"
+        );
+        assert_eq!(snapshot().delta(&before).get(C), 6);
+        assert_eq!(live_blocks_counting(C), 0);
+    }
+
+    #[test]
+    fn first_bump_inside_a_tls_destructor_registers_and_folds() {
+        const C: Counter = Counter::SrvRemapReopens;
+        struct BumpOnExit;
+        impl Drop for BumpOnExit {
+            fn drop(&mut self) {
+                add(C, 3);
+            }
+        }
+        thread_local! {
+            static ONLY: BumpOnExit = const { BumpOnExit };
+        }
+        let before = snapshot();
+        // The thread never bumps while it runs; its only bump comes from
+        // a destructor, which registers a block whose own destructor must
+        // still run before the thread is gone.
+        std::thread::spawn(|| ONLY.with(|_| ())).join().unwrap();
+        assert_eq!(snapshot().delta(&before).get(C), 3);
+        assert_eq!(live_blocks_counting(C), 0);
     }
 }

@@ -29,7 +29,10 @@
 //!
 //! Threads not registered with a scheduler (the main thread, or any
 //! workload outside a scheduled section) pass through yield points
-//! untouched — the single-threaded crash matrices are unaffected.
+//! untouched — the single-threaded crash matrices are unaffected. While
+//! no thread at all is inside [`Scheduler::run`], persistence points do
+//! not even call [`yield_point`]: `run` keeps a count of its threads in
+//! the armed word of [`crate::latency`], the one word they test.
 //!
 //! # Yield suppression
 //!
@@ -213,12 +216,17 @@ impl Scheduler {
             );
             *c = Some((Arc::clone(inner), tid));
         });
-        // Clear the thread-local even if `f` (or a wait) panics, so the
-        // OS thread can be reused by an unrelated schedule.
+        // From here this thread's persistence points must reach
+        // `yield_point`: count it in the armed word they test.
+        crate::latency::arm_scheduled_thread();
+        // Clear the thread-local and the count even if `f` (or a wait)
+        // panics, so the OS thread can be reused by an unrelated schedule
+        // and unscheduled flushes go back to the idle path.
         struct CtxGuard;
         impl Drop for CtxGuard {
             fn drop(&mut self) {
                 CTX.with(|c| *c.borrow_mut() = None);
+                crate::latency::disarm_scheduled_thread();
             }
         }
         let _ctx = CtxGuard;

@@ -39,9 +39,10 @@
 //! Injected images carry a [`FaultStamp`] in the region header recording
 //! what was done to them, which `nvr_inspect` reports.
 
+use crate::latency::ARMED_SHADOW;
 use crate::region::Region;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Cache-line size assumed by the tracker (matches `clflush_range`).
@@ -328,9 +329,13 @@ struct Tracker {
     state: Mutex<TrackState>,
 }
 
-/// Cheap gate consulted by the latency hooks; true while any tracker is
-/// registered.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Whether any tracker is registered: the shadow bit of the armed word
+/// the persistence points test (see [`crate::latency`]).
+#[inline]
+fn enabled() -> bool {
+    crate::latency::armed() & ARMED_SHADOW != 0
+}
+
 /// Monotonic count of persistence events (flushes and fences) observed
 /// while tracking is enabled.
 static EVENTS: AtomicU64 = AtomicU64::new(0);
@@ -393,7 +398,7 @@ pub(crate) fn register(rid: u32, base: usize, size: usize, stamp_off: usize) {
     });
     let mut trackers = lock(&TRACKERS);
     trackers.push(tracker);
-    ENABLED.store(true, Ordering::Relaxed);
+    crate::latency::arm(ARMED_SHADOW);
 }
 
 /// Removes the tracker of a region being torn down.
@@ -401,7 +406,7 @@ pub(crate) fn unregister_rid(rid: u32) {
     let mut trackers = lock(&TRACKERS);
     trackers.retain(|t| t.rid != rid);
     if trackers.is_empty() {
-        ENABLED.store(false, Ordering::Relaxed);
+        crate::latency::disarm(ARMED_SHADOW);
     }
 }
 
@@ -512,9 +517,14 @@ fn line_range(t: &Tracker, addr: usize, len: usize) -> std::ops::Range<usize> {
 /// unless tracking is enabled and `addr` falls in a tracked region.
 #[inline]
 pub fn track_store(addr: usize, len: usize) {
-    if len == 0 || !ENABLED.load(Ordering::Relaxed) {
-        return;
+    if len != 0 && enabled() {
+        track_store_enabled(addr, len);
     }
+}
+
+#[cold]
+#[inline(never)]
+fn track_store_enabled(addr: usize, len: usize) {
     let Some(t) = tracker_covering(addr) else {
         return;
     };
@@ -530,9 +540,8 @@ pub fn track_store(addr: usize, len: usize) {
 /// Flush hook (called from [`crate::latency::clflush_range`]): dirty
 /// covered lines stage their current bytes and await the next fence.
 /// Counts one persistence event.
-#[inline]
 pub(crate) fn on_flush(addr: usize, len: usize) {
-    if len == 0 || !ENABLED.load(Ordering::Relaxed) {
+    if len == 0 || !enabled() {
         return;
     }
     crate::metrics::incr(crate::metrics::Counter::ShadowFlushEvents);
@@ -568,9 +577,8 @@ pub(crate) fn on_flush(addr: usize, len: usize) {
 /// Fence hook (called from [`crate::latency::wbarrier`]): every line
 /// flushed since the previous fence commits its staged bytes into the
 /// persisted view. Counts one persistence event.
-#[inline]
 pub(crate) fn on_fence() {
-    if !ENABLED.load(Ordering::Relaxed) {
+    if !enabled() {
         return;
     }
     crate::metrics::incr(crate::metrics::Counter::ShadowFenceEvents);

@@ -204,6 +204,12 @@ impl UndoLog {
     pub fn rollback(&self) -> RecoveryStats {
         let used = self.used();
         let mut stats = RecoveryStats::default();
+        if used == 0 {
+            // Nothing to undo, and nothing to truncate: `used` is only
+            // stored under the transaction lock and every store of it is
+            // flushed and fenced, so a 0 read here is already durable.
+            return stats;
+        }
         // Forward scan to collect entry offsets, then apply in reverse so
         // the oldest snapshot of any doubly-logged range wins.
         let mut offs = Vec::new();

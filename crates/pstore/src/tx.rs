@@ -76,8 +76,9 @@ impl<'s> Tx<'s> {
     /// Logging or allocation failures.
     pub fn alloc(&mut self, type_num: u32, size: usize) -> Result<std::ptr::NonNull<u8>> {
         use crate::object::ObjHeader;
-        let region = self.store.region().clone();
-        let meta_off = self.store.meta_off();
+        let store = self.store;
+        let region = store.region();
+        let meta_off = store.meta_off();
         // Snapshot the two meta words the link-in mutates (obj_head at
         // +8, obj_count at +16)...
         self.add_range(region.ptr_at(meta_off + 8), 16)?;
@@ -88,7 +89,7 @@ impl<'s> Tx<'s> {
         if old_head != 0 {
             self.add_range(region.ptr_at(old_head + ObjHeader::PREV_FIELD_OFFSET), 8)?;
         }
-        self.store.alloc(type_num, size)
+        store.alloc(type_num, size)
     }
 
     /// Commits: all mutations since `begin` become permanent and the undo
