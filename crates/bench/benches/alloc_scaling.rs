@@ -1,21 +1,19 @@
-//! ALLOC-SCALING — multi-thread allocator throughput across the three
+//! ALLOC-SCALING — multi-thread allocator throughput across the two
 //! allocator representations, on two workloads.
 //!
 //! Representations (selected per cell on a fresh shared region):
 //!
-//! * `locked`   — `set_lockfree(false)` + `set_magazines(false)`: every
-//!   operation takes the region lock (the original free-list core).
-//! * `magazine` — `set_lockfree(false)`: per-thread magazines over the
-//!   locked core; refills/flushes still serialize on the lock.
-//! * `llalloc`  — the default lock-free two-level bitmap allocator.
+//! * `locked`  — `set_lockfree(false)`: every operation takes the region
+//!   lock (the free-list core; what `NodeArena::scatter`'s regions run).
+//! * `llalloc` — the default lock-free two-level bitmap allocator.
 //!
 //! Workloads, at 1/2/4/8/16 threads:
 //!
 //! * `churn`    — each thread alloc/frees bursts of mixed size classes
-//!   (same-thread free, the magazine-friendly pattern).
+//!   (same-thread free).
 //! * `prodcons` — thread pairs: producers allocate and hand blocks over
-//!   a channel, consumers free them. Cross-thread dealloc defeats
-//!   magazine reuse and hammers remote subtrees, the llalloc stress case.
+//!   a channel, consumers free them. Cross-thread dealloc hammers remote
+//!   subtrees, the llalloc stress case.
 //!
 //! A third section, `LARGEREGION`, benchmarks single multi-chunk
 //! regions at sizes the old one-segment-per-region geometry could not
@@ -46,24 +44,16 @@ const BURST: usize = 64;
 struct Repr {
     name: &'static str,
     lockfree: bool,
-    magazines: bool,
 }
 
-const REPRS: [Repr; 3] = [
+const REPRS: [Repr; 2] = [
     Repr {
         name: "locked",
         lockfree: false,
-        magazines: false,
-    },
-    Repr {
-        name: "magazine",
-        lockfree: false,
-        magazines: true,
     },
     Repr {
         name: "llalloc",
         lockfree: true,
-        magazines: true,
     },
 ];
 
@@ -76,7 +66,6 @@ struct Cell {
 fn make_region(repr: Repr) -> Region {
     let region = Region::create(64 << 20).expect("create bench region");
     region.set_lockfree(repr.lockfree);
-    region.set_magazines(repr.magazines);
     region
 }
 
@@ -290,13 +279,8 @@ fn main() {
     for (workload, min_threads) in [("churn", 1usize), ("prodcons", 2usize)] {
         println!("\n  [{workload}]");
         println!(
-            "  {:>7} | {:>14} | {:>14} | {:>14} | {:>9} | {:>11}",
-            "threads",
-            "locked ops/s",
-            "magazine ops/s",
-            "llalloc ops/s",
-            "ll/locked",
-            "cas_retries"
+            "  {:>7} | {:>14} | {:>14} | {:>9} | {:>11}",
+            "threads", "locked ops/s", "llalloc ops/s", "ll/locked", "cas_retries"
         );
         let before = metrics::snapshot();
         let mut rows = Vec::new();
@@ -328,13 +312,12 @@ fn main() {
                 line.push((cell.ops_per_sec, cell.cas_retries));
             }
             println!(
-                "  {:>7} | {:>14.0} | {:>14.0} | {:>14.0} | {:>8.2}x | {:>11}",
+                "  {:>7} | {:>14.0} | {:>14.0} | {:>8.2}x | {:>11}",
                 threads,
                 line[0].0,
                 line[1].0,
-                line[2].0,
-                line[2].0 / line[0].0,
-                line[2].1
+                line[1].0 / line[0].0,
+                line[1].1
             );
         }
         sections.push(Section {

@@ -1124,17 +1124,26 @@ mod tests {
     fn tab1_overhead_decreases_with_k() {
         let rows = tab1(&tiny());
         assert_eq!(rows.len(), 4 * 3);
+        assert!(rows.iter().all(|r| r.slowdown.is_some_and(|s| s > 0.0)));
+        // One swizzle + unswizzle pass is amortised over k traversals, so
+        // the slowdown at k = 1 exceeds the one at k = 100. This is a
+        // wall-clock comparison and the test runs beside the rest of the
+        // workspace: take medians of 9 interleaved samples (a descheduled
+        // sample or two cannot move them) and retry the comparison.
+        let cfg = Config { reps: 9, ..tiny() };
         for s in STRUCTURES {
-            let per: Vec<f64> = rows
-                .iter()
-                .filter(|r| r.structure == s)
-                .map(|r| r.slowdown.unwrap())
-                .collect();
+            let slowdown = |k| {
+                let (protocol, base_k) = tab1_point(s, &cfg, k);
+                protocol / base_k
+            };
+            let mut seen = Vec::new();
+            let ok = (0..5).any(|_| {
+                seen.push((slowdown(1), slowdown(100)));
+                seen.last().is_some_and(|&(k1, k100)| k1 > k100)
+            });
             assert!(
-                per[0] > per[2],
-                "{s}: swizzle overhead at k=1 ({:.2}) must exceed k=100 ({:.2})",
-                per[0],
-                per[2]
+                ok,
+                "{s}: swizzle overhead at k=1 must exceed k=100; (k1, k100) seen: {seen:.2?}"
             );
         }
     }

@@ -39,8 +39,8 @@ pub fn class_for(size: usize) -> Option<usize> {
     if size > MAX_CLASS_SIZE {
         return None;
     }
-    // Branchless binary search (4 compares on 16 entries): this sits on the
-    // magazine fast path, so it runs on every alloc/free.
+    // Branchless binary search (4 compares on 16 entries): this runs on
+    // every alloc/free.
     Some(CLASS_SIZES.partition_point(|&c| c < size))
 }
 
@@ -286,64 +286,10 @@ impl AllocHeader {
         }
     }
 
-    /// Unlinks up to `out.len()` blocks of class `class` in one pass,
-    /// serving from the class free list first and carving the remainder
-    /// from the bump frontier. Returns how many offsets were written to
-    /// `out` (possibly zero when the region is exhausted).
-    ///
-    /// Statistics counters are *not* touched: batch-carved blocks belong
-    /// to a volatile magazine, not to the application, and the region
-    /// layer folds its own counters into the header separately (see
-    /// `nvmsim::magazine`).
-    ///
-    /// # Safety
-    ///
-    /// As [`AllocHeader::alloc`]: `base` must be the base of the mapped
-    /// region containing `self`.
-    pub unsafe fn carve_batch(&mut self, base: usize, class: usize, out: &mut [u64]) -> usize {
-        let bsize = CLASS_SIZES[class];
-        let mut n = 0;
-        let mut head = self.free_heads[class];
-        while n < out.len() && head != 0 {
-            out[n] = head;
-            head = Self::read_u64(base, head);
-            n += 1;
-        }
-        self.free_heads[class] = head;
-        while n < out.len() {
-            match self.bump_alloc(bsize) {
-                Ok(off) => {
-                    out[n] = off;
-                    n += 1;
-                }
-                Err(_) => break,
-            }
-        }
-        n
-    }
-
-    /// Pushes a batch of class-`class` blocks back onto the persistent
-    /// free list (LIFO, so `blocks` ends up popped in reverse order).
-    /// Statistics counters are *not* touched; see [`AllocHeader::carve_batch`].
-    ///
-    /// # Safety
-    ///
-    /// `base` must be the region base; every offset in `blocks` must be a
-    /// class-`class` block previously carved from this header and not
-    /// currently on any free list or in use.
-    pub unsafe fn restore_batch(&mut self, base: usize, class: usize, blocks: &[u64]) {
-        for &off in blocks {
-            debug_assert!(off.is_multiple_of(MIN_ALIGN as u64));
-            debug_assert!(off + CLASS_SIZES[class] as u64 <= self.end);
-            Self::write_u64(base, off, self.free_heads[class]);
-            self.free_heads[class] = off;
-        }
-    }
-
     /// Overwrites the persisted statistics counters. The region layer
-    /// tracks the live counters in volatile atomics (so the magazine fast
-    /// path never touches the shared header) and folds them in here at
-    /// every refill, flush, sync, and close.
+    /// tracks the live counters in volatile state (the bitmap core never
+    /// touches the shared header) and folds them in here at every sync,
+    /// `update_meta_slots`, and close.
     pub fn set_stat_counters(
         &mut self,
         live_bytes: u64,
@@ -395,9 +341,7 @@ impl AllocHeader {
         }
         let in_bounds = |off: u64| off >= data_start && off < self.end && off.is_multiple_of(16);
         // Structural cycle bound: a region of this size cannot hold more
-        // than `max_blocks` distinct blocks, whatever the op history. (The
-        // op counters are no bound at all once magazine flushes push
-        // batches that were never individually `dealloc`ed.)
+        // than `max_blocks` distinct blocks, whatever the op history.
         let max_blocks = (self.end - data_start) / MIN_ALIGN as u64 + 1;
         for (class, &head) in self.free_heads.iter().enumerate() {
             Self::walk_list(
@@ -512,82 +456,6 @@ mod tests {
         assert_eq!(class_for(MAX_CLASS_SIZE), Some(NUM_CLASSES - 1));
         assert_eq!(class_for(MAX_CLASS_SIZE + 1), None);
         assert_eq!(class_for(usize::MAX), None);
-    }
-
-    #[test]
-    fn carve_batch_drains_free_list_then_bump() {
-        let mut a = Arena::new(1 << 14);
-        let class = class_for(64).unwrap();
-        // Two frees so the list holds two blocks; batch of 4 must take
-        // both plus two fresh bump carves.
-        let o1 = a.alloc(64).unwrap();
-        let o2 = a.alloc(64).unwrap();
-        a.free(o1, 64);
-        a.free(o2, 64);
-        let bump_before = a.hdr.stats().bump;
-        let base = a.base();
-        let mut out = [0u64; 4];
-        let n = unsafe { a.hdr.carve_batch(base, class, &mut out) };
-        assert_eq!(n, 4);
-        // LIFO: most recently freed first.
-        assert_eq!(out[0], o2);
-        assert_eq!(out[1], o1);
-        assert_eq!(a.hdr.free_heads[class], 0, "free list fully drained");
-        assert_eq!(a.hdr.stats().bump, bump_before + 2 * 64, "two bump carves");
-        // All four distinct.
-        let mut sorted = out;
-        sorted.sort_unstable();
-        assert!(sorted.windows(2).all(|w| w[0] != w[1]));
-    }
-
-    #[test]
-    fn carve_batch_returns_partial_when_exhausted() {
-        let mut a = Arena::new(16 + 3 * 4096);
-        let class = class_for(4096).unwrap();
-        let base = a.base();
-        let mut out = [0u64; 8];
-        let n = unsafe { a.hdr.carve_batch(base, class, &mut out) };
-        assert_eq!(n, 3, "only three 4 KiB blocks fit");
-        let n2 = unsafe { a.hdr.carve_batch(base, class, &mut out) };
-        assert_eq!(n2, 0, "exhausted region carves nothing");
-    }
-
-    #[test]
-    fn restore_batch_roundtrips_through_carve() {
-        let mut a = Arena::new(1 << 14);
-        let class = class_for(128).unwrap();
-        let base = a.base();
-        let mut out = [0u64; 6];
-        let n = unsafe { a.hdr.carve_batch(base, class, &mut out) };
-        assert_eq!(n, 6);
-        unsafe { a.hdr.restore_batch(base, class, &out[..n]) };
-        // Carving again returns exactly the restored blocks (in reverse,
-        // LIFO), with no new bump movement.
-        let bump = a.hdr.stats().bump;
-        let mut again = [0u64; 6];
-        let m = unsafe { a.hdr.carve_batch(base, class, &mut again) };
-        assert_eq!(m, 6);
-        assert_eq!(a.hdr.stats().bump, bump, "served from list, not bump");
-        let mut want: Vec<u64> = out[..n].to_vec();
-        want.reverse();
-        assert_eq!(again.to_vec(), want);
-        // Counters were never touched by the batch paths.
-        assert_eq!(a.hdr.stats().alloc_calls, 0);
-        assert_eq!(a.hdr.stats().live_allocs, 0);
-    }
-
-    #[test]
-    fn batch_carved_image_passes_check() {
-        let mut a = Arena::new(1 << 14);
-        let class = class_for(32).unwrap();
-        let base = a.base();
-        let mut out = [0u64; 16];
-        let n = unsafe { a.hdr.carve_batch(base, class, &mut out) };
-        // Restore without any dealloc() calls: list length exceeds
-        // free_calls, which the structural cycle bound must tolerate.
-        unsafe { a.hdr.restore_batch(base, class, &out[..n]) };
-        assert_eq!(a.hdr.stats().free_calls, 0);
-        unsafe { a.hdr.check(base, 16).unwrap() };
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub mod inspect;
 pub mod latency;
 pub mod layout;
 pub mod llalloc;
-pub mod magazine;
 pub mod mem;
 pub mod metrics;
 pub mod nvspace;
@@ -60,7 +59,6 @@ pub mod registry;
 pub mod repl;
 pub mod sched;
 pub mod shadow;
-pub mod twolevel;
 pub mod verify;
 
 pub use dlin::{CheckReport, History, OpRecord, Recorder, SetOp, Violation};
@@ -79,5 +77,4 @@ pub use sched::{SchedEvent, ScheduleAborted, Scheduler};
 pub use shadow::{
     CapturedCrash, CrashPointReached, FaultPlan, FaultPolicy, FaultReport, FaultStamp, ShadowError,
 };
-pub use twolevel::{Level, TwoLevelLayout};
 pub use verify::{LogCheck, RootIssue, SlotState, SlotStatus, VerifyReport};

@@ -1,10 +1,12 @@
 //! Two-level lock-free persistent allocator (the `llalloc` core).
 //!
-//! This module replaces the free-list-under-a-mutex core for class-sized
-//! blocks with the design of LLFree ("Understanding and Optimizing
-//! Persistent Memory Allocation", see PAPERS.md): all *persistent* state
-//! is a set of atomic bitmap words, and all *volatile* state can be
-//! rebuilt by a bounded scan — no undo log, no recovery ambiguity.
+//! This module serves class-sized blocks — in place of the
+//! free-list-under-a-mutex core of [`crate::alloc`], which keeps large
+//! sizes and regions without bitmap pages — with the design of LLFree
+//! ("Understanding and Optimizing Persistent Memory Allocation", see
+//! PAPERS.md): all *persistent* state is a set of atomic bitmap words,
+//! and all *volatile* state can be rebuilt by a bounded scan — no undo
+//! log, no recovery ambiguity.
 //!
 //! # Lower level (on media)
 //!
@@ -43,10 +45,9 @@
 //! descriptor it CASes without contention); exhaustion is handled by
 //! reserving another subtree (`owner` CAS), stealing a crowded one, or
 //! growing a new subtree under the region lock (rare, amortized over 64
-//! blocks). The reservation *replaces* the magazine cache on this path:
-//! since blocks are only marked allocated when actually handed to the
-//! application, a crash leaks **zero** blocks — the magazines' bounded
-//! `threads x 64` crash leak disappears.
+//! blocks). The reservation is the only per-thread state and it holds
+//! no blocks: a block is marked allocated only when actually handed to
+//! the application, so a crash leaks **zero** blocks.
 //!
 //! # Recovery
 //!
@@ -54,8 +55,8 @@
 //! size), validates every descriptor, rebuilds `free` from
 //! `capacity - popcount(bitmap)`, clears `owner`, and rebuilds the
 //! volatile granule map used to route frees. Structural damage degrades
-//! the region to the legacy allocator instead of failing the open; the
-//! corruption walk (`verify`) reports it.
+//! the region to the free-list allocator instead of failing the open;
+//! the corruption walk (`verify`) reports it.
 
 use crate::alloc::{AllocHeader, CLASS_SIZES, NUM_CLASSES};
 use crate::error::{NvError, Result};
@@ -63,7 +64,7 @@ use crate::latency;
 use crate::metrics::{self, Counter};
 use crate::shadow;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 /// Magic number identifying a bitmap page ("NVPILLP1").
 pub const LL_PAGE_MAGIC: u64 = u64::from_le_bytes(*b"NVPILLP1");
@@ -259,14 +260,6 @@ pub(crate) struct LlState {
     next_token: AtomicU64,
     /// Set when growth must stop (region closing); reads/frees continue.
     frozen: AtomicBool,
-    /// Blocks (and their bytes) currently delegated to magazine caches:
-    /// carved via [`LlState::carve_batch`] but not yet restored. Their
-    /// bits are set, yet the caches' statistics shards account for them,
-    /// so [`LlState::stat_live`] subtracts this balance to keep the
-    /// region aggregate exact. Signed: mode switches can strand the
-    /// balance on either side (see `Region::dealloc` routing).
-    delegated: AtomicI64,
-    delegated_bytes: AtomicI64,
 }
 
 impl std::fmt::Debug for LlState {
@@ -325,8 +318,6 @@ impl LlState {
             shards,
             next_token: AtomicU64::new(2),
             frozen: AtomicBool::new(false),
-            delegated: AtomicI64::new(0),
-            delegated_bytes: AtomicI64::new(0),
         }
     }
 
@@ -633,86 +624,9 @@ impl LlState {
         Reserve::Exhausted
     }
 
-    /// Lock-free batch claim for magazine refills: claims up to
-    /// `out.len()` blocks of `class` in whole-word CAS steps against the
-    /// reserved subtree, routing the refill through subtree reservation
-    /// instead of the region mutex. Returns the number of offsets
-    /// written (0 when the bitmaps have nothing for this class — the
-    /// caller then falls back to the legacy carve).
-    ///
-    /// Op counters are *not* touched: claimed blocks belong to a
-    /// volatile magazine, mirroring `AllocHeader::carve_batch`.
-    pub(crate) fn carve_batch(&self, class: usize, out: &mut [u64]) -> usize {
-        let mut n = 0;
-        while n < out.len() {
-            let id = match self.reserve(class) {
-                Reserve::Reserved(id) => id,
-                Reserve::Direct(off) => {
-                    out[n] = off;
-                    n += 1;
-                    continue;
-                }
-                Reserve::Exhausted => break,
-            };
-            let d = self.desc(id);
-            let mask = d.mask();
-            let mut cur = d.bitmap().load(Ordering::Acquire);
-            loop {
-                let want = out.len() - n;
-                let mut claim = 0u64;
-                let mut avail = !cur & mask;
-                for _ in 0..want.min(avail.count_ones() as usize) {
-                    let bit = avail.trailing_zeros();
-                    claim |= 1 << bit;
-                    avail &= avail - 1;
-                }
-                if claim == 0 {
-                    break;
-                }
-                match d.bitmap().compare_exchange_weak(
-                    cur,
-                    cur | claim,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        persist_word(d.bitmap_addr());
-                        d.free()
-                            .fetch_sub(claim.count_ones() as u64, Ordering::Relaxed);
-                        let mut c = claim;
-                        while c != 0 {
-                            let bit = c.trailing_zeros();
-                            out[n] = d.base() + bit as u64 * CLASS_SIZES[class] as u64;
-                            n += 1;
-                            c &= c - 1;
-                        }
-                        break;
-                    }
-                    Err(seen) => {
-                        metrics::incr(Counter::LlallocCasRetries);
-                        cur = seen;
-                    }
-                }
-            }
-            if n < out.len() && d.free().load(Ordering::Relaxed) == 0 {
-                // Subtree drained mid-batch; reserve another.
-                continue;
-            }
-            break;
-        }
-        if n > 0 {
-            self.delegated.fetch_add(n as i64, Ordering::Relaxed);
-            self.delegated_bytes
-                .fetch_add((n * CLASS_SIZES[class]) as i64, Ordering::Relaxed);
-        }
-        n
-    }
-
     /// Routes a free back into its bitmap. Returns the block's class, or
-    /// `None` when `off` is not bitmap-owned (legacy block). `counted`
-    /// distinguishes an application free (true) from a magazine restore
-    /// (false, not an op-count event).
-    pub(crate) fn free_block(&self, off: u64, counted: bool) -> Option<usize> {
+    /// `None` when `off` is not bitmap-owned (free-list block).
+    pub(crate) fn free_block(&self, off: u64) -> Option<usize> {
         let g = (off / GRANULE) as usize;
         if g >= self.granules.len() {
             return None;
@@ -739,16 +653,9 @@ impl LlState {
         // space.
         persist_word(d.bitmap_addr());
         d.free().fetch_add(1, Ordering::Relaxed);
-        if counted {
-            self.shards[my_shard()]
-                .frees
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            // A magazine restore ends the block's delegation.
-            self.delegated.fetch_sub(1, Ordering::Relaxed);
-            self.delegated_bytes
-                .fetch_sub(CLASS_SIZES[class] as i64, Ordering::Relaxed);
-        }
+        self.shards[my_shard()]
+            .frees
+            .fetch_add(1, Ordering::Relaxed);
         Some(class)
     }
 
@@ -888,20 +795,6 @@ impl LlState {
             bytes += used * CLASS_SIZES[d.class()] as u64;
         }
         (blocks, bytes)
-    }
-
-    /// Live (blocks, bytes) for the statistics aggregate: the bitmap
-    /// popcount minus the delegated balance, so blocks circulating in
-    /// magazine caches — which the caches' own shards account for — are
-    /// not counted twice. Signed because direct frees of delegated
-    /// blocks strand offsetting balances on both sides; the *sum* with
-    /// the cache shards stays exact.
-    pub(crate) fn stat_live(&self) -> (i64, i64) {
-        let (blocks, bytes) = self.live();
-        (
-            blocks as i64 - self.delegated.load(Ordering::Relaxed),
-            bytes as i64 - self.delegated_bytes.load(Ordering::Relaxed),
-        )
     }
 
     /// Persists the current bitmap popcount into the first page's header
@@ -1053,7 +946,7 @@ mod tests {
         }
         // Free half, reallocate, still distinct.
         for off in offs.drain(..100) {
-            assert_eq!(a.ll.free_block(off, true), Some(c));
+            assert_eq!(a.ll.free_block(off), Some(c));
         }
         for _ in 0..100 {
             offs.push(a.alloc(c));
@@ -1077,8 +970,8 @@ mod tests {
         assert!(a.ll.owns(off));
         // The region header area is never bitmap-owned.
         assert!(!a.ll.owns(0));
-        assert_eq!(a.ll.free_block(8, true), None);
-        assert_eq!(a.ll.free_block(off, true), Some(c));
+        assert_eq!(a.ll.free_block(8), None);
+        assert_eq!(a.ll.free_block(off), Some(c));
     }
 
     #[test]
@@ -1087,7 +980,7 @@ mod tests {
         let c = crate::alloc::class_for(128).unwrap();
         let offs: Vec<u64> = (0..77).map(|_| a.alloc(c)).collect();
         for &off in &offs[..7] {
-            a.ll.free_block(off, true);
+            a.ll.free_block(off);
         }
         // Simulated crash: rebuild volatile state from the media bytes.
         let instance = TEST_INSTANCE.fetch_add(1, Ordering::Relaxed);
@@ -1127,28 +1020,6 @@ mod tests {
     }
 
     #[test]
-    fn carve_batch_claims_whole_words() {
-        let mut a = Arena::new(1 << 18);
-        let c = crate::alloc::class_for(32).unwrap();
-        unsafe { a.ll.grow(&mut a.hdr, c) }.unwrap();
-        let mut out = [0u64; 48];
-        let n = a.ll.carve_batch(c, &mut out);
-        assert_eq!(n, 48);
-        let mut sorted = out.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 48, "batch blocks distinct");
-        // Restores go back one by one (magazine drain path).
-        for &off in &out {
-            assert_eq!(a.ll.free_block(off, false), Some(c));
-        }
-        let (blocks, _) = a.ll.live();
-        assert_eq!(blocks, 0);
-        let (allocs, frees) = a.ll.op_counts();
-        assert_eq!((allocs, frees), (0, 0), "batch paths bypass op counters");
-    }
-
-    #[test]
     fn concurrent_churn_is_exact_and_never_double_serves() {
         const THREADS: usize = 4;
         const OPS: usize = 2000;
@@ -1170,7 +1041,7 @@ mod tests {
                     for i in 0..OPS {
                         if i % 3 == 0 && !live.is_empty() {
                             let off = live.swap_remove((t + i) % live.len());
-                            assert_eq!(a.ll.free_block(off, true), Some(c));
+                            assert_eq!(a.ll.free_block(off), Some(c));
                         } else {
                             let off = a.ll.alloc(c).expect("pre-grown capacity");
                             // Stamp and verify: a double-served block
@@ -1187,7 +1058,7 @@ mod tests {
                         }
                     }
                     for off in live {
-                        a.ll.free_block(off, true);
+                        a.ll.free_block(off);
                     }
                 })
             })

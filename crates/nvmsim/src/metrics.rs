@@ -25,7 +25,7 @@
 //! block into the retired-totals block and unregisters it under the same
 //! lock [`snapshot`] sums under, so a count is in exactly one of the two
 //! places whenever a snapshot looks. Bumps that arrive after the fold
-//! (from TLS destructors that run later, e.g. a magazine cache retiring)
+//! (from TLS destructors that run later, e.g. one that frees a block)
 //! go to the retired block with `fetch_add`.
 //!
 //! # Overhead policy
@@ -35,8 +35,8 @@
 //! un-delayed flush; owner-written it is ~1 ns (EXPERIMENTS.md
 //! `HOOK-FAST`). Counters still ride only paths that cross a call or lock
 //! boundary: persistence points, the fat-pointer hashtable (modeled as a
-//! library call per the paper), magazine refill/flush critical sections,
-//! region and transaction lifecycle edges. The RIV `x2p`/`p2x` hot path is
+//! library call per the paper), region allocator calls, region and
+//! transaction lifecycle edges. The RIV `x2p`/`p2x` hot path is
 //! a handful of inline instructions and stays **branch-free by default**:
 //! its counters only exist under the `pi-core` crate's `riv-metrics`
 //! feature. See DESIGN.md "Observability".
@@ -99,16 +99,11 @@ counters! {
     RivX2p => "riv_x2p",
     /// RIV `p2x` translations (zero unless `pi-core/riv-metrics` is on).
     RivP2x => "riv_p2x",
-    /// Magazine refills from the shared per-class free lists.
-    MagazineRefills => "magazine_refills",
-    /// Magazine flushes back to the shared free lists (explicit flush,
-    /// overflow cold-half restore, or thread-exit retirement).
-    MagazineFlushes => "magazine_flushes",
     /// Regions registered (create or open).
     RegionOpens => "region_opens",
     /// Regions unregistered (close, crash teardown, or drop).
     RegionCloses => "region_closes",
-    /// Region allocator allocations (magazine and locked paths).
+    /// Region allocator allocations (bitmap and locked paths).
     RegionAllocs => "region_allocs",
     /// Region allocator frees.
     RegionFrees => "region_frees",
@@ -367,11 +362,11 @@ mod tests {
     #[test]
     fn add_is_visible_in_snapshot() {
         let before = snapshot();
-        add(Counter::MagazineRefills, 3);
-        incr(Counter::MagazineRefills);
+        add(Counter::RegionGrows, 3);
+        incr(Counter::RegionGrows);
         let after = snapshot();
         let d = after.delta(&before);
-        assert!(d.get(Counter::MagazineRefills) >= 4);
+        assert!(d.get(Counter::RegionGrows) >= 4);
     }
 
     #[test]

@@ -15,17 +15,16 @@
 //! allocator's frontier is extended, and the translation tables never
 //! change — RIV values keep resolving across the growth.
 
-use crate::alloc::{class_for, AllocHeader, AllocStats, CLASS_SIZES, NUM_CLASSES};
+use crate::alloc::{class_for, AllocHeader, AllocStats, NUM_CLASSES};
 use crate::error::{NvError, Result};
 use crate::latency;
 use crate::llalloc::{ClassOccupancy, LlState};
-use crate::magazine::{self, LocalStats, ThreadCache, REFILL_BATCH};
 use crate::mem::{align_up, page_size};
 use crate::nvspace::{ChunkRun, NvSpace};
 use crate::registry;
 use crate::shadow::{self, FaultPolicy, FaultReport, FaultStamp};
 use crate::verify::{self, VerifyReport};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::fs::{File, OpenOptions};
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -125,18 +124,20 @@ enum Backing {
 }
 
 /// Source of unique per-open-session ids: region ids are reused across
-/// close/reopen, so thread-local caches key on these instead.
+/// close/reopen, so the bitmap core's thread-local subtree reservations
+/// key on these instead.
 static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
 
-fn seed_stats(s: &AllocStats) -> LocalStats {
-    LocalStats {
-        live_bytes: s.live_bytes as i64,
-        live_allocs: s.live_allocs as i64,
-        alloc_calls: s.alloc_calls,
-        free_calls: s.free_calls,
-        cached_bytes: 0,
-        cached_blocks: 0,
-    }
+/// Statistics of the locked free-list path (and, after a reopen, of
+/// everything the persisted counters recorded outside the bitmaps);
+/// guarded by `Inner::alloc_lock`. Signed: the persisted counters this is
+/// seeded from are untrusted.
+#[derive(Debug, Default, Clone, Copy)]
+struct FreeListStats {
+    live_bytes: i64,
+    live_allocs: i64,
+    alloc_calls: u64,
+    free_calls: u64,
 }
 
 #[derive(Debug)]
@@ -154,27 +155,19 @@ pub(crate) struct Inner {
     capacity: usize,
     was_dirty: bool,
     backing: Backing,
-    alloc_lock: Mutex<()>,
+    /// The region lock: serializes header mutation (free lists, roots,
+    /// growth, metadata slots) and guards the free-list path's
+    /// statistics; the bitmap popcount is added on top for the region
+    /// totals.
+    alloc_lock: Mutex<FreeListStats>,
     closed: AtomicBool,
-    /// Unique id of this open session (see [`NEXT_INSTANCE`]).
-    instance: u64,
-    /// Whether class-sized allocations may use per-thread magazines.
-    magazines: AtomicBool,
     /// Whether class-sized allocations use the lock-free two-level
     /// allocator (the default whenever `ll` is present).
     lockfree: AtomicBool,
     /// Volatile state of the two-level bitmap allocator; `None` for
-    /// legacy images (no bitmap directory) and regions too small to
-    /// host a bitmap page.
+    /// legacy images (no bitmap directory), images whose bitmap pages
+    /// are damaged, and regions too small to host a bitmap page.
     ll: Option<LlState>,
-    /// Every live thread cache of this region, so close can drain them,
-    /// statistics can aggregate them, and out-of-memory refills can
-    /// reclaim cached blocks.
-    caches: Mutex<Vec<Arc<ThreadCache>>>,
-    /// Statistics of exited threads and of locked slow-path operations —
-    /// the aggregation base the per-thread shards are summed onto. Only
-    /// touched under `alloc_lock`.
-    retired: Mutex<LocalStats>,
 }
 
 /// Handle to an open NVRegion.
@@ -365,7 +358,6 @@ impl Region {
             hdr.alloc.init(RegionHeader::data_start(), size as u64);
             hdr.fault = FaultStamp::default();
         }
-        let instance = NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed);
         // Format the first bitmap page of the two-level allocator before
         // the slot-A seed below, so even the seed snapshot carries the
         // directory offset. Volatile maps are sized for `capacity` so the
@@ -374,33 +366,92 @@ impl Region {
         // just initialized for this base/size.
         let ll = unsafe {
             let hdr = &mut *(base as *mut RegionHeader);
-            LlState::create(base, capacity, instance, &mut hdr.alloc)
+            LlState::create(base, capacity, next_instance(), &mut hdr.alloc)
         };
+        let backing = backing.unwrap_or(Backing::Anonymous);
+        let region = Self::assemble(
+            space,
+            rid,
+            run,
+            size,
+            false,
+            backing,
+            (ll, FreeListStats::default()),
+        );
+        // Seed slot A so even a never-synced image has one valid
+        // checksummed snapshot to recover from.
+        region.inner.write_meta_slot();
+        Ok(region)
+    }
+
+    /// The one place an [`Inner`] is put together — shared tail of
+    /// create, open and salvage: the run is committed, bound and holds a
+    /// valid header; this publishes it.
+    fn assemble(
+        space: &'static NvSpace,
+        rid: u32,
+        run: ChunkRun,
+        size: usize,
+        was_dirty: bool,
+        backing: Backing,
+        (ll, free_list): (Option<LlState>, FreeListStats),
+    ) -> Region {
+        let base = space.chunk_base(run.start);
         let inner = Inner {
             space,
             rid,
             run,
             base,
             size: AtomicUsize::new(size),
-            capacity,
-            was_dirty: false,
-            backing: backing.unwrap_or(Backing::Anonymous),
-            alloc_lock: Mutex::new(()),
+            capacity: run.count as usize * space.layout().chunk_size(),
+            was_dirty,
+            backing,
+            alloc_lock: Mutex::new(free_list),
             closed: AtomicBool::new(false),
-            instance,
-            magazines: AtomicBool::new(true),
             lockfree: AtomicBool::new(ll.is_some()),
             ll,
-            caches: Mutex::new(Vec::new()),
-            retired: Mutex::new(LocalStats::default()),
         };
-        // Seed slot A so even a never-synced image has one valid
-        // checksummed snapshot to recover from.
-        inner.write_meta_slot();
         registry::register(rid, base, size);
-        Ok(Region {
+        Region {
             inner: Arc::new(inner),
-        })
+        }
+    }
+
+    /// Rebuilds the volatile allocator state of a reopened image whose
+    /// header was just validated: the recovery scan of the bitmap pages
+    /// plus the free-list statistics base.
+    ///
+    /// # Safety
+    ///
+    /// `base` must be the image's mapping, read/write for `size` bytes of
+    /// a `capacity`-byte run, and owned exclusively by the caller.
+    unsafe fn recover_allocator(
+        base: usize,
+        capacity: usize,
+        size: usize,
+    ) -> (Option<LlState>, FreeListStats) {
+        let alloc = &(*(base as *const RegionHeader)).alloc;
+        // One bounded pass over the bitmap pages rebuilds the free
+        // counters and granule map. Structural damage degrades to the
+        // free-list allocator — the open still succeeds, and `verify()`
+        // reports what is wrong.
+        let ll = LlState::open(base, capacity, size, next_instance(), alloc).unwrap_or(None);
+        // The persisted counters include the bitmap contribution *as of
+        // the fold that wrote them*; that snapshot (not the open-time
+        // popcount — after a crash the two differ by the unfolded ops)
+        // is what gets backed out, leaving the free-list remainder. The
+        // live totals then re-add the open-time bitmap truth via
+        // `LlState::live`, so blocks allocated or freed after the last
+        // fold are accounted exactly.
+        let persisted = alloc.stats();
+        let (ll_blocks, ll_bytes) = ll.as_ref().map_or((0, 0), LlState::folded_live);
+        let free_list = FreeListStats {
+            live_bytes: persisted.live_bytes as i64 - ll_bytes as i64,
+            live_allocs: persisted.live_allocs as i64 - ll_blocks as i64,
+            alloc_calls: persisted.alloc_calls,
+            free_calls: persisted.free_calls,
+        };
+        (ll, free_list)
     }
 
     /// Opens an existing region image, mapping it writably (`MAP_SHARED`)
@@ -601,67 +652,24 @@ impl Region {
         unsafe {
             (*(base as *mut RegionHeader)).flags |= FLAG_DIRTY;
         }
-        // Seed the volatile counters from the persisted image; blocks a
-        // previous session leaked in magazines are simply live (and thus
-        // reclaimable only by their owner structure, as for any leak).
-        // SAFETY: the image is mapped and its header was just validated.
-        let persisted = unsafe { (*(base as *const RegionHeader)).alloc.stats() };
-        let instance = NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed);
-        // Recovery scan of the two-level allocator: one bounded pass over
-        // the bitmap pages rebuilds the free counters and granule map.
-        // Structural damage degrades to the legacy allocator — the open
-        // still succeeds, and `verify()` reports what is wrong.
-        // SAFETY: the image is mapped read/write and owned exclusively
-        // until the handle is shared.
-        let ll = unsafe {
-            LlState::open(
-                base,
-                capacity,
-                size,
-                instance,
-                &(*(base as *const RegionHeader)).alloc,
-            )
-            .unwrap_or(None)
+        // SAFETY: the image is mapped read/write, its header was just
+        // validated, and it is owned exclusively until the handle is
+        // shared.
+        let alloc_state = unsafe { Self::recover_allocator(base, capacity, size) };
+        let backing = Backing::File {
+            file,
+            path: path.to_path_buf(),
+            shared,
         };
-        // The persisted counters include the bitmap contribution *as of
-        // the fold that wrote them*; that snapshot (not the open-time
-        // popcount — after a crash the two differ by the unfolded ops)
-        // is what gets backed out, leaving the legacy remainder as the
-        // retired base. The live aggregate then re-adds the open-time
-        // bitmap truth via `LlState::stat_live`, so blocks allocated or
-        // freed after the last fold are accounted exactly.
-        let mut seeded = seed_stats(&persisted);
-        if let Some(ll) = &ll {
-            let (blocks, bytes) = ll.folded_live();
-            seeded.live_allocs -= blocks as i64;
-            seeded.live_bytes -= bytes as i64;
-        }
-        let inner = Inner {
+        Ok(Self::assemble(
             space,
             rid,
             run,
-            base,
-            size: AtomicUsize::new(size),
-            capacity,
+            size,
             was_dirty,
-            backing: Backing::File {
-                file,
-                path: path.to_path_buf(),
-                shared,
-            },
-            alloc_lock: Mutex::new(()),
-            closed: AtomicBool::new(false),
-            instance,
-            magazines: AtomicBool::new(true),
-            lockfree: AtomicBool::new(ll.is_some()),
-            ll,
-            caches: Mutex::new(Vec::new()),
-            retired: Mutex::new(seeded),
-        };
-        registry::register(rid, base, size);
-        Ok(Region {
-            inner: Arc::new(inner),
-        })
+            backing,
+            alloc_state,
+        ))
     }
 
     /// This region's ID.
@@ -721,13 +729,7 @@ impl Region {
     /// stream format pins the region size per session),
     /// [`NvError::RegionClosed`] after close, plus commit/file I/O errors.
     pub fn grow(&self, new_size: usize) -> Result<usize> {
-        self.check_open()?;
-        let _g = self.inner.alloc_lock.lock();
-        if self.inner.closed.load(Ordering::Acquire) {
-            return Err(NvError::RegionClosed {
-                rid: self.inner.rid,
-            });
-        }
+        let _g = self.lock_open()?;
         let old = self.inner.len();
         if new_size <= old {
             return Ok(old);
@@ -809,6 +811,16 @@ impl Region {
         Ok(())
     }
 
+    /// Takes the region lock and re-checks `closed` under it: a clean
+    /// teardown sets the flag and then takes this lock before unmapping,
+    /// so a holder that saw the region open keeps the mapping alive until
+    /// the guard drops.
+    fn lock_open(&self) -> Result<MutexGuard<'_, FreeListStats>> {
+        let guard = self.inner.alloc_lock.lock();
+        self.check_open()?;
+        Ok(guard)
+    }
+
     #[allow(clippy::mut_from_ref)]
     unsafe fn header_mut(&self) -> &mut RegionHeader {
         &mut *(self.inner.base as *mut RegionHeader)
@@ -834,10 +846,11 @@ impl Region {
 
     /// Like [`Region::alloc`] but returns the position-independent offset.
     ///
-    /// Class-sized requests are served from the calling thread's magazine
-    /// (see [`crate::magazine`]) and normally never touch the region lock;
-    /// large requests and threads without usable thread-local storage fall
-    /// back to the locked allocator.
+    /// Class-sized requests are served lock-free by the bitmap core (see
+    /// [`crate::llalloc`]) when the region has one and
+    /// [`Region::set_lockfree`] has not turned it off; everything else —
+    /// large sizes, regions without a usable bitmap directory — goes
+    /// through the locked free-list allocator (see [`crate::alloc`]).
     ///
     /// # Errors
     ///
@@ -869,13 +882,6 @@ impl Region {
                     return self.alloc_lockfree(ll, class, size, align, rounded);
                 }
             }
-            if self.inner.magazines.load(Ordering::Relaxed) {
-                if let Some(res) =
-                    magazine::with_cache(&self.inner, |cache| self.alloc_cached(cache, class))
-                {
-                    return res;
-                }
-            }
         }
         self.alloc_slow(size, align, rounded)
     }
@@ -883,8 +889,8 @@ impl Region {
     /// Lock-free fast path: CAS a bit in the thread's reserved subtree
     /// (see [`crate::llalloc`]). Exhaustion grows a fresh subtree from
     /// the bump frontier under the region lock; when the frontier is dry
-    /// too, the legacy free lists (pre-bitmap blocks, reclaimed
-    /// magazines) are the last resort before out-of-memory.
+    /// too, the free lists (blocks freed while the bitmap core was off
+    /// or absent) are the last resort before out-of-memory.
     fn alloc_lockfree(
         &self,
         ll: &LlState,
@@ -898,12 +904,7 @@ impl Region {
                 return Ok(off);
             }
             {
-                let _g = self.inner.alloc_lock.lock();
-                if self.inner.closed.load(Ordering::Acquire) {
-                    return Err(NvError::RegionClosed {
-                        rid: self.inner.rid,
-                    });
-                }
+                let _g = self.lock_open()?;
                 // SAFETY: lock held; region mapped while the handle exists.
                 let hdr = unsafe { self.header_mut() };
                 // SAFETY: as above; `ll` belongs to this region.
@@ -918,80 +919,18 @@ impl Region {
         }
     }
 
-    /// Magazine fast path: pop the thread's cache, refilling on miss. The
-    /// hit path takes exactly one uncontended per-thread lock.
-    fn alloc_cached(&self, cache: &ThreadCache, class: usize) -> Result<u64> {
-        if let Some(off) = cache.inner.lock().take(class) {
-            return Ok(off);
-        }
-        self.refill(cache, class)
-    }
-
-    /// Refills an empty magazine: one short critical section unlinks up to
-    /// [`REFILL_BATCH`] blocks from the shared free list (bump frontier as
-    /// fallback), serves the first and caches the rest.
-    fn refill(&self, cache: &ThreadCache, class: usize) -> Result<u64> {
-        crate::metrics::incr(crate::metrics::Counter::MagazineRefills);
-        // Regions with bitmap pages refill from subtree reservations
-        // first — whole-word CAS claims, no lock — and only fall back to
-        // the mutex-guarded free lists when the bitmaps are dry.
-        if let Some(ll) = &self.inner.ll {
-            let mut batch = [0u64; REFILL_BATCH];
-            let n = ll.carve_batch(class, &mut batch);
-            if n > 0 {
-                cache.inner.lock().stock(class, &batch[1..n]);
-                return Ok(batch[0]);
-            }
-        }
-        let _g = self.inner.alloc_lock.lock();
-        if self.inner.closed.load(Ordering::Acquire) {
-            return Err(NvError::RegionClosed {
-                rid: self.inner.rid,
-            });
-        }
-        // SAFETY: lock held, region mapped while the handle exists.
-        let hdr = unsafe { self.header_mut() };
-        let mut batch = [0u64; REFILL_BATCH];
-        // SAFETY: base/header pair is this region's; see above.
-        let mut n = unsafe { hdr.alloc.carve_batch(self.inner.base, class, &mut batch) };
-        if n == 0 {
-            // The shared allocator is dry, but other threads' magazines may
-            // hold cached blocks: pull everything back and retry once.
-            self.inner.reclaim_caches(&mut hdr.alloc);
-            // SAFETY: as above.
-            n = unsafe { hdr.alloc.carve_batch(self.inner.base, class, &mut batch) };
-            if n == 0 {
-                return Err(NvError::OutOfMemory {
-                    region: self.inner.rid,
-                    requested: CLASS_SIZES[class],
-                });
-            }
-        }
-        cache.inner.lock().stock(class, &batch[1..n]);
-        self.inner.fold_counters(&mut hdr.alloc);
-        Ok(batch[0])
-    }
-
-    /// Locked slow path: large sizes, magazines disabled, or no TLS.
+    /// Locked path over the free lists: large sizes, and class sizes when
+    /// the bitmap core is absent, switched off, or out of frontier.
     fn alloc_slow(&self, size: usize, align: usize, rounded: usize) -> Result<u64> {
-        let _g = self.inner.alloc_lock.lock();
-        // SAFETY: base is this region's base; the region stays mapped while
-        // the handle exists.
+        let mut stats = self.lock_open()?;
+        // SAFETY: lock held; region mapped while the handle exists.
         let hdr = unsafe { self.header_mut() };
-        // SAFETY: as above.
-        let mut res = unsafe { hdr.alloc.alloc(self.inner.base, size, align) };
-        if res.is_err() {
-            // Cached blocks of a suitable class may satisfy the request.
-            self.inner.reclaim_caches(&mut hdr.alloc);
-            // SAFETY: as above.
-            res = unsafe { hdr.alloc.alloc(self.inner.base, size, align) };
-        }
-        match res {
+        // SAFETY: base is this region's base; see above.
+        match unsafe { hdr.alloc.alloc(self.inner.base, size, align) } {
             Ok(off) => {
-                let mut retired = self.inner.retired.lock();
-                retired.live_bytes += rounded as i64;
-                retired.live_allocs += 1;
-                retired.alloc_calls += 1;
+                stats.live_bytes += rounded as i64;
+                stats.live_allocs += 1;
+                stats.alloc_calls += 1;
                 Ok(off)
             }
             Err(NvError::OutOfMemory { requested, .. }) => Err(NvError::OutOfMemory {
@@ -1002,11 +941,10 @@ impl Region {
         }
     }
 
-    /// Returns a block to the allocator.
-    ///
-    /// Class-sized blocks go onto the calling thread's magazine; when a
-    /// magazine overflows, its cold half is restored to the shared free
-    /// list under one short critical section.
+    /// Returns a block to the allocator that served it: a bitmap-owned
+    /// block is cleared in place with one CAS + flush, whatever
+    /// [`Region::set_lockfree`] currently says; any other block goes back
+    /// on its free list under the region lock.
     ///
     /// # Safety
     ///
@@ -1024,46 +962,20 @@ impl Region {
     unsafe fn dealloc_inner(&self, ptr: NonNull<u8>, size: usize) {
         crate::metrics::incr(crate::metrics::Counter::RegionFrees);
         let off = (ptr.as_ptr() as usize - self.inner.base) as u64;
-        let rounded = AllocHeader::rounded_size(size);
-        // In lock-free mode, bitmap-owned blocks are cleared in place
-        // with one CAS + flush: their spans never mix with free-list
-        // blocks, so routing by granule is exact. In magazine mode the
-        // block goes back on the thread's magazine instead (keeping the
-        // reuse fast path and its accounting); drains restore it to the
-        // bitmap later.
-        if self.inner.lockfree.load(Ordering::Relaxed) {
-            if let Some(ll) = &self.inner.ll {
-                if ll.owns(off) && ll.free_block(off, true).is_some() {
-                    return;
-                }
-            }
-        }
-        if let Some(class) = class_for(rounded) {
-            if self.inner.magazines.load(Ordering::Relaxed) {
-                let pushed =
-                    magazine::with_cache(&self.inner, |cache| cache.inner.lock().put(class, off));
-                if let Some(overflow) = pushed {
-                    if let Some(cold) = overflow {
-                        self.inner.restore_overflow(class, &cold);
-                    }
-                    return;
-                }
-            }
-        }
-        // Slow path (magazines off or no TLS): a bitmap-owned block
-        // still must never reach the legacy free lists.
+        // Bitmap spans never mix with free-list blocks, so routing by
+        // granule is exact.
         if let Some(ll) = &self.inner.ll {
-            if ll.owns(off) && ll.free_block(off, true).is_some() {
+            if ll.owns(off) && ll.free_block(off).is_some() {
                 return;
             }
         }
-        let _g = self.inner.alloc_lock.lock();
+        let rounded = AllocHeader::rounded_size(size);
+        let mut stats = self.inner.alloc_lock.lock();
         let hdr = self.header_mut();
         hdr.alloc.dealloc(self.inner.base, off, size);
-        let mut retired = self.inner.retired.lock();
-        retired.live_bytes -= rounded as i64;
-        retired.live_allocs -= 1;
-        retired.free_calls += 1;
+        stats.live_bytes -= rounded as i64;
+        stats.live_allocs -= 1;
+        stats.free_calls += 1;
     }
 
     /// Converts an absolute address inside this region to its offset.
@@ -1088,29 +1000,28 @@ impl Region {
         self.inner.base + off as usize
     }
 
-    /// Allocator statistics, from the application's perspective: blocks
-    /// cached in thread magazines count as free, not live. (The on-media
-    /// header counts them as live until flushed — see [`crate::magazine`].)
+    /// Allocator statistics: the free-list path's counters plus the
+    /// bitmap popcount and op counts, exact at any quiescent point.
     pub fn stats(&self) -> AllocStats {
-        let _g = self.inner.alloc_lock.lock();
+        let free_list = self.inner.alloc_lock.lock();
         let s = self.header().alloc.stats();
-        let t = self.inner.aggregate_stats();
-        let (ll_allocs, ll_frees, ll_blocks, ll_bytes) = self.inner.ll_totals();
+        let (live_bytes, live_allocs, alloc_calls, free_calls) = self.inner.stat_totals(&free_list);
         AllocStats {
-            live_bytes: (t.live_bytes + ll_bytes).max(0) as u64,
-            live_allocs: (t.live_allocs + ll_blocks).max(0) as u64,
-            alloc_calls: t.alloc_calls + ll_allocs,
-            free_calls: t.free_calls + ll_frees,
+            live_bytes,
+            live_allocs,
+            alloc_calls,
+            free_calls,
             bump: s.bump,
             end: s.end,
         }
     }
 
     /// Switches class-sized allocation between the lock-free two-level
-    /// path (the default on regions that carry bitmap pages) and the
-    /// legacy magazine/mutex path — the benchmark baseline. Frees of
-    /// bitmap-owned blocks keep routing through the bitmaps regardless
-    /// of the mode. No-op on legacy images.
+    /// path (the default on regions that carry bitmap pages: zero crash
+    /// leak) and the locked free lists, which reuse blocks in free order
+    /// — what `NodeArena::scatter` needs for shuffled placement. Frees
+    /// of bitmap-owned blocks keep routing through the bitmaps regardless
+    /// of the mode. No-op on regions without bitmap pages.
     pub fn set_lockfree(&self, enabled: bool) {
         if self.inner.ll.is_some() {
             self.inner.lockfree.store(enabled, Ordering::Relaxed);
@@ -1127,49 +1038,6 @@ impl Region {
     /// for legacy images without bitmap pages.
     pub fn llalloc_occupancy(&self) -> Option<[ClassOccupancy; NUM_CLASSES]> {
         self.inner.ll.as_ref().map(|ll| ll.occupancy())
-    }
-
-    /// Enables or disables the per-thread magazine fast path for this
-    /// region (enabled by default). Disabling flushes every thread's
-    /// cached blocks back to the shared free lists, so the region behaves
-    /// exactly like the single-lock allocator — the benchmark baseline.
-    pub fn set_magazines(&self, enabled: bool) {
-        self.inner.magazines.store(enabled, Ordering::Relaxed);
-        if !enabled {
-            let _ = self.flush_magazines();
-        }
-    }
-
-    /// Whether the magazine fast path is enabled for this region.
-    pub fn magazines_enabled(&self) -> bool {
-        self.inner.magazines.load(Ordering::Relaxed)
-    }
-
-    /// Flushes every thread's magazines back to the shared free lists and
-    /// folds the statistics counters into the persistent header. After
-    /// this (and before further allocation), the on-media image has no
-    /// blocks parked in volatile caches — a crash right now leaks nothing.
-    ///
-    /// # Errors
-    ///
-    /// [`NvError::RegionClosed`] after close.
-    pub fn flush_magazines(&self) -> Result<()> {
-        self.check_open()?;
-        crate::metrics::incr(crate::metrics::Counter::MagazineFlushes);
-        let _g = self.inner.alloc_lock.lock();
-        if self.inner.closed.load(Ordering::Acquire) {
-            return Err(NvError::RegionClosed {
-                rid: self.inner.rid,
-            });
-        }
-        // SAFETY: lock held; region mapped while the handle exists.
-        let hdr = unsafe { self.header_mut() };
-        self.inner.reclaim_caches(&mut hdr.alloc);
-        self.inner.fold_counters(&mut hdr.alloc);
-        // The fold changed durable allocator state: flip a metadata slot
-        // so the checksummed snapshot keeps up with the primary.
-        self.inner.write_meta_slot();
-        Ok(())
     }
 
     /// An application-defined tag stored in the header (e.g. a schema id).
@@ -1344,13 +1212,12 @@ impl Region {
         self.check_open()?;
         {
             // Fold the volatile counters so the flushed image carries
-            // accurate statistics (magazine contents stay cached: sync is
-            // a durability point, not a quiescent point).
-            let _g = self.inner.alloc_lock.lock();
+            // accurate statistics.
+            let free_list = self.inner.alloc_lock.lock();
             if !self.inner.closed.load(Ordering::Acquire) {
                 // SAFETY: lock held; region mapped while the handle exists.
                 let hdr = unsafe { self.header_mut() };
-                self.inner.fold_counters(&mut hdr.alloc);
+                self.inner.fold_counters(&free_list, &mut hdr.alloc);
                 self.inner.write_meta_slot();
             }
         }
@@ -1461,25 +1328,19 @@ impl Region {
     /// Writes the current header snapshot (identity words, root
     /// directory, allocator state) into the inactive metadata slot and
     /// flips it active via its sequence number. Called automatically at
-    /// every durability point ([`Region::sync`],
-    /// [`Region::flush_magazines`], close); exposed so checkpoint-style
-    /// callers and fault-injection harnesses can force a flip.
+    /// every durability point ([`Region::sync`], close); exposed so
+    /// checkpoint-style callers and fault-injection harnesses can force a
+    /// flip.
     ///
     /// # Errors
     ///
     /// [`NvError::RegionClosed`] after close.
     pub fn update_meta_slots(&self) -> Result<()> {
-        self.check_open()?;
         {
-            let _g = self.inner.alloc_lock.lock();
-            if self.inner.closed.load(Ordering::Acquire) {
-                return Err(NvError::RegionClosed {
-                    rid: self.inner.rid,
-                });
-            }
+            let free_list = self.lock_open()?;
             // SAFETY: lock held; region mapped while the handle exists.
             let hdr = unsafe { self.header_mut() };
-            self.inner.fold_counters(&mut hdr.alloc);
+            self.inner.fold_counters(&free_list, &mut hdr.alloc);
             self.inner.write_meta_slot();
         }
         // A slot flip is a durability point: ship it (outside the
@@ -1584,59 +1445,19 @@ impl Region {
             cleanup(run);
             return Err(e);
         }
-        // SAFETY: as above.
-        let persisted = unsafe { (*(base as *const RegionHeader)).alloc.stats() };
-        let instance = NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed);
         // Salvage keeps whatever bitmap pages still verify; unverifiable
-        // ones degrade the session to the (frozen) legacy allocator, so
+        // ones degrade the session to the (frozen) free-list allocator, so
         // frees still route correctly and allocation fails cleanly.
-        // SAFETY: mapped copy-on-write and owned exclusively.
-        let ll = unsafe {
-            LlState::open(
-                base,
-                capacity,
-                size,
-                instance,
-                &(*(base as *const RegionHeader)).alloc,
-            )
-            .unwrap_or(None)
+        // SAFETY: mapped copy-on-write, made structurally valid by the
+        // salvage above, and owned exclusively.
+        let alloc_state = unsafe { Self::recover_allocator(base, capacity, size) };
+        let backing = Backing::File {
+            file,
+            path: path.to_path_buf(),
+            shared: false,
         };
-        let mut seeded = seed_stats(&persisted);
-        if let Some(ll) = &ll {
-            // Fold-time snapshot, as in `open_impl`.
-            let (blocks, bytes) = ll.folded_live();
-            seeded.live_allocs -= blocks as i64;
-            seeded.live_bytes -= bytes as i64;
-        }
-        let inner = Inner {
-            space,
-            rid,
-            run,
-            base,
-            size: AtomicUsize::new(size),
-            capacity,
-            was_dirty: true,
-            backing: Backing::File {
-                file,
-                path: path.to_path_buf(),
-                shared: false,
-            },
-            alloc_lock: Mutex::new(()),
-            closed: AtomicBool::new(false),
-            instance,
-            magazines: AtomicBool::new(true),
-            lockfree: AtomicBool::new(ll.is_some()),
-            ll,
-            caches: Mutex::new(Vec::new()),
-            retired: Mutex::new(seeded),
-        };
-        registry::register(rid, base, size);
-        Ok((
-            Region {
-                inner: Arc::new(inner),
-            },
-            report,
-        ))
+        let region = Self::assemble(space, rid, run, size, true, backing, alloc_state);
+        Ok((region, report))
     }
 }
 
@@ -1659,11 +1480,6 @@ fn entry_matches(entry: &RootEntry, name: &str) -> bool {
 }
 
 impl Inner {
-    /// Unique id of this open session (not the reusable region id).
-    pub(crate) fn instance(&self) -> u64 {
-        self.instance
-    }
-
     /// Current committed size. `Acquire` pairs with the `Release` store
     /// in [`Region::grow`]: a thread that observes a grown size also
     /// observes the newly committed memory behind it.
@@ -1672,43 +1488,20 @@ impl Inner {
         self.size.load(Ordering::Acquire)
     }
 
-    /// Two-level allocator contributions to the aggregate statistics:
-    /// `(alloc_calls, free_calls, live_blocks, live_bytes)`, all zero
-    /// for legacy regions. Live counts are bitmap popcounts minus the
-    /// blocks delegated to magazine caches (the caches' own shards
-    /// account for those), so the sum with [`Inner::aggregate_stats`]
-    /// is exact in every allocation mode.
-    fn ll_totals(&self) -> (u64, u64, i64, i64) {
-        match &self.ll {
-            Some(ll) => {
-                let (allocs, frees) = ll.op_counts();
-                let (blocks, bytes) = ll.stat_live();
-                (allocs, frees, blocks, bytes)
-            }
-            None => (0, 0, 0, 0),
-        }
-    }
-
-    /// Returns drained blocks to their owning allocator: bitmap-owned
-    /// offsets are CAS-cleared in place (uncounted — the blocks were
-    /// never handed to the application), the rest go back to the legacy
-    /// class free list. Caller holds `alloc_lock`.
-    fn restore_blocks(&self, alloc: &mut AllocHeader, class: usize, blocks: &[u64]) {
-        let mut legacy = Vec::new();
-        for &off in blocks {
-            let routed = self
-                .ll
-                .as_ref()
-                .is_some_and(|ll| ll.owns(off) && ll.free_block(off, false).is_some());
-            if !routed {
-                legacy.push(off);
-            }
-        }
-        if !legacy.is_empty() {
-            // SAFETY: every offset was carved from this region's
-            // allocator and is unreferenced; the region is mapped.
-            unsafe { alloc.restore_batch(self.base, class, &legacy) };
-        }
+    /// Region totals `(live_bytes, live_allocs, alloc_calls, free_calls)`:
+    /// the free-list path's counters plus the bitmap core's popcount and
+    /// op counts. `t` is what `alloc_lock` guards.
+    fn stat_totals(&self, t: &FreeListStats) -> (u64, u64, u64, u64) {
+        let ((ll_blocks, ll_bytes), (ll_allocs, ll_frees)) = match &self.ll {
+            Some(ll) => (ll.live(), ll.op_counts()),
+            None => ((0, 0), (0, 0)),
+        };
+        (
+            (t.live_bytes + ll_bytes as i64).max(0) as u64,
+            (t.live_allocs + ll_blocks as i64).max(0) as u64,
+            t.alloc_calls + ll_allocs,
+            t.free_calls + ll_frees,
+        )
     }
 
     /// Composes the current header snapshot and writes it — with the next
@@ -1729,62 +1522,11 @@ impl Inner {
         }
     }
 
-    /// Records a thread cache so close-time drain and out-of-memory
-    /// reclaim can reach it.
-    pub(crate) fn register_cache(&self, cache: Arc<ThreadCache>) {
-        self.caches.lock().push(cache);
-    }
-
-    /// Thread-exit hook: restores one thread's cached blocks to the
-    /// shared free lists, merges its statistics shard into the retired
-    /// base, and unregisters the cache. No-op once the region is closed —
-    /// teardown already drained the blocks.
-    pub(crate) fn retire_thread_cache(&self, cache: &Arc<ThreadCache>) {
-        crate::metrics::incr(crate::metrics::Counter::MagazineFlushes);
-        let _g = self.alloc_lock.lock();
-        if self.closed.load(Ordering::Acquire) {
-            return;
-        }
-        // SAFETY: lock held and the mapping is still live (closed=false).
-        let hdr = unsafe { &mut *(self.base as *mut RegionHeader) };
-        {
-            let mut c = cache.inner.lock();
-            for class in 0..NUM_CLASSES {
-                let blocks = c.drain_class(class);
-                if blocks.is_empty() {
-                    continue;
-                }
-                self.restore_blocks(&mut hdr.alloc, class, &blocks);
-            }
-            self.retired.lock().merge(&c.stats);
-        }
-        self.caches.lock().retain(|c| !Arc::ptr_eq(c, cache));
-        self.fold_counters(&mut hdr.alloc);
-    }
-
-    /// Sums the retired base and every live thread's shard. Caller holds
-    /// `alloc_lock` (lock order is always region lock → cache lock).
-    fn aggregate_stats(&self) -> LocalStats {
-        let mut t = *self.retired.lock();
-        for cache in self.caches.lock().iter() {
-            t.merge(&cache.inner.lock().stats);
-        }
-        t
-    }
-
-    /// Writes the aggregated counters into the persistent header.
-    /// Magazine contents are accounted as live on media: a crash makes
-    /// them leaks, a flush turns them back into free-list blocks. Caller
-    /// holds `alloc_lock`.
-    fn fold_counters(&self, alloc: &mut AllocHeader) {
-        let t = self.aggregate_stats();
-        let (ll_allocs, ll_frees, ll_blocks, ll_bytes) = self.ll_totals();
-        alloc.set_stat_counters(
-            (t.live_bytes + t.cached_bytes as i64 + ll_bytes).max(0) as u64,
-            (t.live_allocs + t.cached_blocks as i64 + ll_blocks).max(0) as u64,
-            t.alloc_calls + ll_allocs,
-            t.free_calls + ll_frees,
-        );
+    /// Writes the region totals into the persistent header.
+    /// `free_list` is what `alloc_lock` guards.
+    fn fold_counters(&self, free_list: &FreeListStats, alloc: &mut AllocHeader) {
+        let (live_bytes, live_allocs, alloc_calls, free_calls) = self.stat_totals(free_list);
+        alloc.set_stat_counters(live_bytes, live_allocs, alloc_calls, free_calls);
         // Snapshot the bitmap popcount alongside, so the next open can
         // back the fold-time bitmap contribution out of these counters
         // and re-add the (authoritative) open-time popcount. Lock-free
@@ -1793,39 +1535,6 @@ impl Inner {
         if let Some(ll) = &self.ll {
             ll.record_fold();
         }
-    }
-
-    /// Drains every registered thread cache into the shared free lists
-    /// (statistics shards stay with their caches: the blocks merely move
-    /// from cached back to free). Caller holds `alloc_lock`.
-    fn reclaim_caches(&self, alloc: &mut AllocHeader) {
-        let caches = self.caches.lock();
-        for cache in caches.iter() {
-            let mut c = cache.inner.lock();
-            for class in 0..NUM_CLASSES {
-                let blocks = c.drain_class(class);
-                if blocks.is_empty() {
-                    continue;
-                }
-                self.restore_blocks(alloc, class, &blocks);
-            }
-        }
-    }
-
-    /// Restores an overflow batch popped off a full magazine. The blocks
-    /// are already out of the magazine (and out of cached accounting), so
-    /// on a lost race with close they become (bounded) leaks rather than
-    /// writes into an unmapped page.
-    fn restore_overflow(&self, class: usize, blocks: &[u64]) {
-        crate::metrics::incr(crate::metrics::Counter::MagazineFlushes);
-        let _g = self.alloc_lock.lock();
-        if self.closed.load(Ordering::Acquire) {
-            return;
-        }
-        // SAFETY: lock held and the mapping is still live (closed=false).
-        let hdr = unsafe { &mut *(self.base as *mut RegionHeader) };
-        self.restore_blocks(&mut hdr.alloc, class, blocks);
-        self.fold_counters(&mut hdr.alloc);
     }
 
     fn teardown(&self, clean: bool) -> Result<()> {
@@ -1838,15 +1547,13 @@ impl Inner {
         }
         if clean {
             {
-                // Serialize with in-flight refills/flushes, then drain
-                // every magazine back to the persistent free lists and
-                // fold the counters before declaring the image clean.
-                let _g = self.alloc_lock.lock();
+                // Serialize with in-flight locked operations, then fold
+                // the counters before declaring the image clean.
+                let free_list = self.alloc_lock.lock();
                 // SAFETY: still mapped; we are the unique closer and the
                 // lock excludes concurrent allocator access.
                 let hdr = unsafe { &mut *(self.base as *mut RegionHeader) };
-                self.reclaim_caches(&mut hdr.alloc);
-                self.fold_counters(&mut hdr.alloc);
+                self.fold_counters(&free_list, &mut hdr.alloc);
                 if let Some(ll) = &self.ll {
                     // SAFETY: lock held, unique closer: quiescent.
                     unsafe { ll.seal() };
@@ -1862,10 +1569,6 @@ impl Inner {
                 result = self.space.sync_range(self.base, self.len());
             }
         }
-        // A crash teardown (clean=false) deliberately skips the drain:
-        // magazine contents are volatile, so whatever the last fold wrote
-        // is what recovery sees — cached blocks become bounded leaks.
-        //
         // A clean close is the final durability point: converge an
         // attached replication source on the closed image (including the
         // cleared dirty flag) before the tracker disappears. A crash
@@ -1888,6 +1591,10 @@ impl Drop for Inner {
     fn drop(&mut self) {
         let _ = self.teardown(true);
     }
+}
+
+fn next_instance() -> u64 {
+    NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed)
 }
 
 fn auto_rid(space: &NvSpace) -> Result<u32> {
@@ -2157,103 +1864,33 @@ mod tests {
     }
 
     #[test]
-    fn close_drains_magazines_into_clean_image() {
-        let path = tmpdir().join("magdrain.nvr");
-        {
-            let r = Region::create_file(&path, 1 << 20).unwrap();
-            let ptrs: Vec<_> = (0..100).map(|_| r.alloc(64, 8).unwrap()).collect();
-            for p in ptrs {
-                unsafe { r.dealloc(p, 64) };
+    fn closed_image_records_no_live_allocs_in_either_mode() {
+        for lockfree in [true, false] {
+            let path = tmpdir().join(format!("cleanclose-{lockfree}.nvr"));
+            {
+                let r = Region::create_file(&path, 1 << 20).unwrap();
+                r.set_lockfree(lockfree);
+                let ptrs: Vec<_> = (0..100).map(|_| r.alloc(64, 8).unwrap()).collect();
+                for p in ptrs {
+                    unsafe { r.dealloc(p, 64) };
+                }
+                let s = r.stats();
+                assert_eq!(s.live_allocs, 0, "lockfree={lockfree}: all freed");
+                assert_eq!(s.live_bytes, 0);
+                r.close().unwrap();
             }
+            // The persisted image records no live blocks and validates
+            // cleanly on reopen.
+            let r = Region::open_file(&path).unwrap();
+            assert!(!r.was_dirty());
             let s = r.stats();
-            assert_eq!(s.live_allocs, 0, "user perspective: all freed");
+            assert_eq!(s.live_allocs, 0, "lockfree={lockfree}: nothing stranded");
             assert_eq!(s.live_bytes, 0);
+            assert_eq!(s.alloc_calls, 100);
+            assert_eq!(s.free_calls, 100);
             r.close().unwrap();
+            std::fs::remove_file(&path).ok();
         }
-        // The close drained every magazine: the persisted image records no
-        // live blocks and validates cleanly on reopen.
-        let r = Region::open_file(&path).unwrap();
-        assert!(!r.was_dirty());
-        let s = r.stats();
-        assert_eq!(s.live_allocs, 0, "no blocks stranded in magazines");
-        assert_eq!(s.live_bytes, 0);
-        assert_eq!(s.alloc_calls, 100);
-        assert_eq!(s.free_calls, 100);
-        r.close().unwrap();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn crash_leaks_at_most_one_magazine_per_class_per_thread() {
-        let path = tmpdir().join("magleak.nvr");
-        {
-            let r = Region::create_file(&path, 1 << 20).unwrap();
-            let ptrs: Vec<_> = (0..100).map(|_| r.alloc(64, 8).unwrap()).collect();
-            for p in ptrs {
-                unsafe { r.dealloc(p, 64) };
-            }
-            // Make the fold durable, then die with the magazines loaded.
-            r.sync().unwrap();
-            r.crash();
-        }
-        let r = Region::open_file(&path).unwrap();
-        assert!(r.was_dirty());
-        let s = r.stats();
-        assert!(
-            s.live_allocs <= crate::magazine::MAGAZINE_CAP as u64,
-            "crash leaks at most one magazine of blocks, got {}",
-            s.live_allocs
-        );
-        // The image is still a working region after the bounded leak.
-        let p = r.alloc(64, 8).unwrap();
-        unsafe { r.dealloc(p, 64) };
-        r.close().unwrap();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn flush_magazines_parks_nothing() {
-        let r = Region::create(1 << 20).unwrap();
-        let p = r.alloc(128, 8).unwrap();
-        unsafe { r.dealloc(p, 128) };
-        r.flush_magazines().unwrap();
-        // The freed block is back on the shared free list, not cached:
-        // a fresh refill re-carves it (LIFO) without moving the bump.
-        let bump_before = r.stats().bump;
-        let p2 = r.alloc(128, 8).unwrap();
-        assert_eq!(p, p2, "flushed block is first in the shared free list");
-        assert_eq!(r.stats().bump, bump_before);
-        r.close().unwrap();
-    }
-
-    #[test]
-    fn magazines_can_be_disabled_per_region() {
-        let r = Region::create(1 << 20).unwrap();
-        assert!(r.magazines_enabled());
-        let p = r.alloc(64, 8).unwrap();
-        unsafe { r.dealloc(p, 64) };
-        r.set_magazines(false);
-        assert!(!r.magazines_enabled());
-        // Locked path still recycles through the shared free list.
-        let p1 = r.alloc(64, 8).unwrap();
-        unsafe { r.dealloc(p1, 64) };
-        let p2 = r.alloc(64, 8).unwrap();
-        assert_eq!(p1, p2);
-        let s = r.stats();
-        assert_eq!(s.live_allocs, 1);
-        r.set_magazines(true);
-        r.close().unwrap();
-    }
-
-    #[test]
-    fn closed_region_rejects_magazine_flush() {
-        let r = Region::create(1 << 20).unwrap();
-        let r2 = r.clone();
-        r.close().unwrap();
-        assert!(matches!(
-            r2.flush_magazines(),
-            Err(NvError::RegionClosed { .. })
-        ));
     }
 
     #[test]

@@ -285,7 +285,7 @@ impl Scheduler {
 #[inline]
 pub fn yield_point() {
     // try_with: persistence points can fire from other TLS destructors
-    // (e.g. a magazine cache folding its stats on thread exit) after this
+    // (e.g. one that frees a block on thread exit) after this
     // module's slots are gone; a dead slot means "unregistered thread".
     let Some((inner, tid)) = CTX.try_with(|c| c.borrow().clone()).ok().flatten() else {
         return;

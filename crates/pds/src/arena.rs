@@ -158,11 +158,11 @@ impl NodeArena {
     /// Scattering restores the latency-bound traversal regime the paper's
     /// measurements ran in (see DESIGN.md, substitution S2).
     ///
-    /// Shuffled placement is a property of the free-list/magazine
-    /// representation (blocks come back in free order); the lock-free
-    /// bitmap core hands blocks back lowest-address-first, which would
-    /// re-sequentialize the layout. Scatter therefore switches its
-    /// regions to the legacy representation — a deliberate trade of the
+    /// Shuffled placement is a property of the locked free lists (blocks
+    /// come back in reverse free order); the lock-free bitmap core hands
+    /// blocks back lowest-address-first, which would re-sequentialize
+    /// the layout. Scatter therefore switches its regions to the free
+    /// lists with [`Region::set_lockfree`] — a deliberate trade of the
     /// bitmap core's crash contract for layout control, which is what
     /// latency benches want.
     ///

@@ -5,9 +5,8 @@
 //! so a crash — even a fault-injected one that drops or tears every
 //! unflushed line — loses nothing and strands nothing. After reopening,
 //! `Region::stats` must equal the application's surviving live set
-//! *exactly*: zero leaked blocks, zero lost blocks. This is the
-//! qualitative difference from the magazine path, whose crash contract
-//! is a bounded leak (`tests/stress.rs`).
+//! *exactly*: zero leaked blocks, zero lost blocks. (The locked free-list
+//! path's crash behaviour is pinned in `tests/stress.rs`.)
 //!
 //! The churn is seeded; `ALLOC_MATRIX_SEED` overrides the seed so CI can
 //! run both a pinned and a randomized arm (see `.github/workflows/ci.yml`).

@@ -2,10 +2,19 @@
 //! concurrent region lifecycles vs. concurrent fat-pointer lookups, and
 //! parallel allocation in one region.
 
+mod util;
+
 use nvm_pi::pi_core::{FatPtr, PtrRepr};
 use nvm_pi::{NvSpace, Region};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// A per-process scratch path for a file-backed test region.
+fn image_path(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("nvmsim-stress-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(name)
+}
 
 // These tests contend on the shared segment pool (one even exhausts it);
 // serialize them so they cannot starve each other.
@@ -137,7 +146,7 @@ fn concurrent_churn_conserves_alloc_stats_and_never_double_serves() {
     // Four threads churn alloc/free cycles on one shared region across a
     // mix of size classes. Every live block is stamped with a unique tag;
     // if two threads were ever handed the same block (a double-serve from
-    // a magazine or free list), the stamp check fails. At the end the
+    // a bitmap or free list), the stamp check fails. At the end the
     // user-visible statistics must balance exactly.
     const THREADS: usize = 4;
     const OPS: usize = 2_000;
@@ -198,8 +207,8 @@ fn concurrent_churn_conserves_alloc_stats_and_never_double_serves() {
     assert_eq!(s.free_calls, total_frees, "free calls conserved");
     assert_eq!(s.live_allocs, 0, "no live blocks remain");
     assert_eq!(s.live_bytes, 0, "no live bytes remain");
-    // After draining the magazines, the persistent image agrees too.
-    region.flush_magazines().unwrap();
+    // After a fold into the persistent header, the totals agree too.
+    region.update_meta_slots().unwrap();
     let s = region.stats();
     assert_eq!(s.live_allocs, 0);
     assert_eq!(s.live_bytes, 0);
@@ -207,60 +216,37 @@ fn concurrent_churn_conserves_alloc_stats_and_never_double_serves() {
 }
 
 #[test]
-fn crash_with_loaded_magazines_leaks_boundedly_and_recovers() {
+fn crash_on_the_free_list_path_strands_nothing_and_recovers() {
     let _serial = SERIAL.lock().unwrap();
     const THREADS: usize = 4;
-    let dir = std::env::temp_dir().join(format!("nvmsim-stress-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("magcrash.nvr");
+    let path = image_path("listcrash.nvr");
     {
         let region = Region::create_file(&path, 32 << 20).unwrap();
-        // The default lock-free bitmap path leaks *zero* blocks at a
-        // crash (see tests/alloc_recovery.rs); this test pins the
-        // magazine path's bounded-leak contract, so force it.
+        // The default lock-free bitmap path leaks zero blocks at a crash
+        // (see tests/alloc_recovery.rs). `NodeArena::scatter` runs its
+        // regions on the locked free lists instead; every free there is
+        // on the persistent list before `dealloc` returns, so a crash
+        // after a sync strands nothing either.
         region.set_lockfree(false);
-        // Threads must stay alive across the crash: joining them earlier
-        // would run their thread-exit hooks and flush the magazines we
-        // want to lose.
-        let barrier = Arc::new(std::sync::Barrier::new(THREADS + 1));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let r = region.clone();
-                let b = barrier.clone();
-                std::thread::spawn(move || {
-                    // Load this thread's 64-byte magazine by freeing a burst
-                    // of blocks, leaving them cached (not flushed).
-                    let ptrs: Vec<_> = (0..100).map(|_| r.alloc(64, 8).unwrap()).collect();
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    let ptrs: Vec<_> = (0..100).map(|_| region.alloc(64, 8).unwrap()).collect();
                     for p in ptrs {
-                        unsafe { r.dealloc(p, 64) };
+                        unsafe { region.dealloc(p, 64) };
                     }
-                    b.wait(); // magazines loaded
-                    b.wait(); // crash happened; exit hook sees a dead region
-                })
-            })
-            .collect();
-        barrier.wait();
-        // Fold counters durably, then crash with the magazines loaded.
+                });
+            }
+        });
+        // Fold counters durably, then crash.
         region.sync().unwrap();
         region.crash();
-        barrier.wait();
-        for h in handles {
-            h.join().unwrap();
-        }
     }
     let region = Region::open_file(&path).unwrap();
     assert!(region.was_dirty(), "crash left the image dirty");
     let s = region.stats();
-    let bound = (THREADS * nvm_pi::nvmsim::magazine::MAGAZINE_CAP) as u64;
-    assert!(
-        s.live_allocs > 0,
-        "the crash really did strand magazine-cached blocks"
-    );
-    assert!(
-        s.live_allocs <= bound,
-        "crash leaked {} blocks, bound is {bound}",
-        s.live_allocs
-    );
+    assert_eq!(s.live_allocs, 0, "the crash stranded no block");
+    assert_eq!(s.live_bytes, 0);
     // The recovered image is fully usable: allocate, free, close cleanly.
     let p = region.alloc(64, 8).unwrap();
     unsafe { region.dealloc(p, 64) };
@@ -272,19 +258,73 @@ fn crash_with_loaded_magazines_leaks_boundedly_and_recovers() {
 }
 
 #[test]
-fn fault_injected_magazine_crash_never_double_serves_blocks() {
+fn mode_switch_mid_run_routes_every_free_home() {
     let _serial = SERIAL.lock().unwrap();
+    const N: usize = 300;
+    const SIZES: [usize; 4] = [16, 64, 256, 1024];
+    let path = image_path("modeswitch.nvr");
+    let region = Region::create_file(&path, 8 << 20).unwrap();
+    assert!(region.lockfree_enabled());
+    let mut blocks: Vec<(std::ptr::NonNull<u8>, usize)> = Vec::new();
+    // First half from the bitmap core, second half from the free lists.
+    for lockfree in [true, false] {
+        region.set_lockfree(lockfree);
+        for i in 0..N {
+            let size = SIZES[i % SIZES.len()];
+            blocks.push((region.alloc(size, 8).unwrap(), size));
+        }
+    }
+    let s = region.stats();
+    assert_eq!(s.live_allocs, 2 * N as u64);
+    assert_eq!(s.alloc_calls, 2 * N as u64);
+    // Free everything in shuffled order, flipping the switch as we go:
+    // each block must find its own allocator whatever the mode says.
+    let mut rng = 0x5EED_u64;
+    for i in (1..blocks.len()).rev() {
+        rng = util::splitmix64(rng);
+        blocks.swap(i, (rng as usize) % (i + 1));
+    }
+    for (i, (p, size)) in blocks.into_iter().enumerate() {
+        region.set_lockfree(i % 3 == 0);
+        unsafe { region.dealloc(p, size) };
+    }
+    let s = region.stats();
+    assert_eq!(s.live_allocs, 0, "every block went home");
+    assert_eq!(s.live_bytes, 0);
+    assert_eq!(s.free_calls, 2 * N as u64);
+    let report = region.verify().unwrap();
+    assert!(report.healthy(), "{}", report.damage_summary());
+    let old_base = region.base();
+    region.close().unwrap();
+    let region = Region::open_file_avoiding(&path, old_base).unwrap();
+    assert_ne!(region.base(), old_base);
+    assert!(!region.was_dirty());
+    let s = region.stats();
+    assert_eq!(s.live_allocs, 0);
+    assert_eq!(s.live_bytes, 0);
+    region.close().unwrap();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn fault_injected_crash_never_double_serves_blocks() {
+    let _serial = SERIAL.lock().unwrap();
+    for lockfree in [true, false] {
+        fault_injected_crash_never_double_serves(lockfree);
+    }
+}
+
+fn fault_injected_crash_never_double_serves(lockfree: bool) {
     use nvm_pi::nvmsim::shadow;
     const THREADS: usize = 4;
     const SIGNED: usize = 200;
     const BLOCK: usize = 64;
-    let dir = std::env::temp_dir().join(format!("nvmsim-stress-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("faultcrash.nvr");
+    let path = image_path("faultcrash.nvr");
     let mut signed_offs: Vec<u64> = Vec::new();
     let report;
     {
         let region = Region::create_file(&path, 32 << 20).unwrap();
+        region.set_lockfree(lockfree);
         // Long-lived signed blocks, made durable before the fault window
         // opens. Each is filled with a distinct byte pattern; any block
         // later double-served would smear it.
@@ -297,47 +337,36 @@ fn fault_injected_magazine_crash_never_double_serves_blocks() {
         region.enable_shadow().unwrap();
         // Churn threads allocate fresh blocks, scribble tags into them
         // without flushing (tracked, so the writes are *lost* at the
-        // faulted crash), and free every other one to load their
-        // per-thread magazines. As in the test above, the threads stay
-        // alive across the crash so their exit hooks cannot flush the
-        // magazines we want to strand.
-        let barrier = Arc::new(std::sync::Barrier::new(THREADS + 1));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let r = region.clone();
-                let b = barrier.clone();
-                std::thread::spawn(move || {
-                    let mut live = Vec::new();
+        // faulted crash), and free every other one, so the crash lands
+        // on an allocator with both live and recycled blocks.
+        std::thread::scope(|s| {
+            for t in 0..THREADS as u64 {
+                let r = &region;
+                s.spawn(move || {
                     for i in 0..120u64 {
                         let p = r.alloc(BLOCK, 8).unwrap();
-                        unsafe { (p.as_ptr() as *mut u64).write(((t as u64) << 32) | i) };
+                        unsafe { (p.as_ptr() as *mut u64).write((t << 32) | i) };
                         shadow::track_store(p.as_ptr() as usize, 8);
                         if i % 2 == 0 {
                             unsafe { r.dealloc(p, BLOCK) };
-                        } else {
-                            live.push(p);
                         }
                     }
-                    b.wait(); // magazines loaded, live blocks stranded
-                    b.wait(); // crash happened; exit hook sees a dead region
-                })
-            })
-            .collect();
-        barrier.wait();
+                });
+            }
+        });
         report = region
             .crash_with_faults(nvm_pi::FaultPolicy::DropUnflushed)
             .unwrap();
-        barrier.wait();
-        for h in handles {
-            h.join().unwrap();
-        }
     }
     assert!(
         report.dropped_lines > 0,
         "the unflushed churn writes must be dropped by the fault policy"
     );
     let region = Region::open_file(&path).unwrap();
-    assert!(region.was_dirty(), "faulted crash left the image dirty");
+    assert!(
+        region.was_dirty(),
+        "lockfree={lockfree}: faulted crash left the image dirty"
+    );
     let stamp = region.fault_stamp().expect("faulted image carries a stamp");
     assert_eq!(stamp.dropped_lines, report.dropped_lines);
     // Every signed block survived the faulted crash intact.
