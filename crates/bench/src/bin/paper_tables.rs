@@ -14,33 +14,112 @@
 //! `--validate FILE` schema-checks such a report and exits nonzero on any
 //! violation — CI's bench-smoke gate.
 
-use bench::{experiments, json, render, render_json, render_markdown, Config, ReportConfig, Row};
+use bench::{
+    experiments, json, render, render_json, render_markdown, Config, ReportConfig, Row, Section,
+};
 use nvmsim::latency::{self, LatencyModel};
 use nvmsim::metrics;
 use std::env;
 
+/// A section's runner: the configuration and FIG15's word counts in, the
+/// rows and the schema-v3 `bytes_per_key` side table out.
+type Runner = fn(&Config, &[usize]) -> (Vec<Row>, Vec<(String, f64)>);
+
+/// Every section, in report order: command-line id, report id, title, runner.
+const SECTIONS: [(&str, &str, &str, Runner); 13] = [
+    (
+        "fig12",
+        "FIG12",
+        "Figure 12 — slowdown, non-transactional, single region",
+        |cfg, _| (experiments::fig12(cfg), Vec::new()),
+    ),
+    (
+        "pay256",
+        "PAY256",
+        "Section 6.2 — 256 B payload sweep",
+        |cfg, _| (experiments::pay256(cfg), Vec::new()),
+    ),
+    (
+        "tab1",
+        "TAB1",
+        "Table 1 — swizzling overhead vs number of traversals",
+        |cfg, _| (experiments::tab1(cfg), Vec::new()),
+    ),
+    (
+        "fig13",
+        "FIG13",
+        "Figure 13 — slowdown, transactional, single NVRegion",
+        |cfg, _| (experiments::fig13(cfg), Vec::new()),
+    ),
+    (
+        "fig14",
+        "FIG14",
+        "Figure 14 — slowdown, transactional, 10 NVRegions",
+        |cfg, _| (experiments::fig14(cfg, 10), Vec::new()),
+    ),
+    (
+        "regs",
+        "REGS",
+        "Section 6.3 — region-count sweep",
+        |cfg, _| (experiments::region_sweep(cfg), Vec::new()),
+    ),
+    (
+        "fig15",
+        "FIG15",
+        "Figure 15 — wordcount execution times",
+        |cfg, words| (experiments::fig15(cfg, words), Vec::new()),
+    ),
+    (
+        "rivbrk",
+        "RIVBRK",
+        "Section 6.2 — RIV dereference cost breakdown",
+        |cfg, _| (experiments::riv_breakdown(cfg), Vec::new()),
+    ),
+    ("abl", "ABL", "Ablations (DESIGN.md)", |cfg, _| {
+        (experiments::ablations(cfg), Vec::new())
+    }),
+    (
+        "repl",
+        "REPLLAG",
+        "Replication lag — backpressure policies (EXPERIMENTS.md)",
+        |cfg, _| (experiments::repl_lag(cfg), Vec::new()),
+    ),
+    (
+        "conc",
+        "CONC",
+        "Concurrent lock-free hashset throughput (EXPERIMENTS.md)",
+        |cfg, _| (experiments::conc(cfg), Vec::new()),
+    ),
+    (
+        "srv",
+        "SERVERTAIL",
+        "Region-server tail latency — hot/cold tenant classes (EXPERIMENTS.md)",
+        |cfg, _| (experiments::server_tail(cfg), Vec::new()),
+    ),
+    (
+        "suggest",
+        "SUGGEST",
+        "Suggestion-serving index — ART vs trie, bytes per key (EXPERIMENTS.md)",
+        |cfg, _| experiments::suggest(cfg),
+    ),
+];
+
 fn usage() -> ! {
+    let ids: Vec<&str> = SECTIONS.iter().map(|s| s.0).collect();
     eprintln!(
-        "usage: paper_tables [fig12|pay256|tab1|fig13|fig14|regs|fig15|rivbrk|abl|repl|conc|srv|suggest|all ...] \
+        "usage: paper_tables [{}|all ...] \
          [--quick] [--markdown] [--n N] [--reps R] [--words N[,N...]] \
-         [--latency paper|off] [--json FILE]\n       paper_tables --validate FILE"
+         [--latency paper|off] [--json FILE]\n       paper_tables --validate FILE",
+        ids.join("|")
     );
     std::process::exit(2);
-}
-
-struct Section {
-    id: &'static str,
-    title: &'static str,
-    rows: Vec<Row>,
-    bytes_per_key: Vec<(String, f64)>,
-    metrics: metrics::Snapshot,
 }
 
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
     let mut cfg = Config::paper();
     let mut markdown = false;
-    let mut selected: Vec<String> = Vec::new();
+    let mut selected: Vec<&str> = Vec::new();
     let mut word_sizes: Vec<usize> = vec![1_000_000, 2_000_000];
     let mut latency_model = LatencyModel::OFF;
     let mut json_out: Option<String> = None;
@@ -94,161 +173,35 @@ fn main() {
                 return;
             }
             flag if flag.starts_with('-') => usage(),
-            exp => selected.push(exp.to_string()),
+            exp if exp == "all" || SECTIONS.iter().any(|s| s.0 == exp) => selected.push(exp),
+            unknown => {
+                eprintln!("error: unknown experiment id `{unknown}`");
+                usage();
+            }
         }
         i += 1;
     }
-    if selected.is_empty() {
-        selected.push("all".to_string());
-    }
-    let all = selected.iter().any(|s| s == "all");
-    let want = |name: &str| all || selected.iter().any(|s| s == name);
+    let all = selected.is_empty() || selected.contains(&"all");
 
     // Install the model before any timing, so every section runs under it.
     latency::set_model(latency_model);
 
     let mut sections: Vec<Section> = Vec::new();
-    fn run_section(
-        sections: &mut Vec<Section>,
-        cfg: &Config,
-        id: &'static str,
-        title: &'static str,
-        f: &dyn Fn(&Config) -> Vec<Row>,
-    ) {
+    for (cli_id, id, title, run) in SECTIONS {
+        if !(all || selected.contains(&cli_id)) {
+            continue;
+        }
         eprintln!("running {id} ({title})...");
         let before = metrics::snapshot();
-        let rows = f(cfg);
-        let delta = metrics::snapshot().delta(&before);
+        let (rows, bytes_per_key) = run(&cfg, &word_sizes);
+        let metrics = metrics::snapshot().delta(&before);
         sections.push(Section {
-            id,
-            title,
-            rows,
-            bytes_per_key: Vec::new(),
-            metrics: delta,
-        });
-    }
-    let run =
-        |sections: &mut Vec<Section>,
-         id: &'static str,
-         title: &'static str,
-         f: &dyn Fn(&Config) -> Vec<Row>| { run_section(sections, &cfg, id, title, f) };
-    if want("fig12") {
-        run(
-            &mut sections,
-            "FIG12",
-            "Figure 12 — slowdown, non-transactional, single region",
-            &|cfg| experiments::fig12(cfg),
-        );
-    }
-    if want("pay256") {
-        run(
-            &mut sections,
-            "PAY256",
-            "Section 6.2 — 256 B payload sweep",
-            &|cfg| experiments::pay256(cfg),
-        );
-    }
-    if want("tab1") {
-        run(
-            &mut sections,
-            "TAB1",
-            "Table 1 — swizzling overhead vs number of traversals",
-            &|cfg| experiments::tab1(cfg),
-        );
-    }
-    if want("fig13") {
-        run(
-            &mut sections,
-            "FIG13",
-            "Figure 13 — slowdown, transactional, single NVRegion",
-            &|cfg| experiments::fig13(cfg),
-        );
-    }
-    if want("fig14") {
-        run(
-            &mut sections,
-            "FIG14",
-            "Figure 14 — slowdown, transactional, 10 NVRegions",
-            &|cfg| experiments::fig14(cfg, 10),
-        );
-    }
-    if want("regs") {
-        run(
-            &mut sections,
-            "REGS",
-            "Section 6.3 — region-count sweep",
-            &|cfg| experiments::region_sweep(cfg),
-        );
-    }
-    if want("fig15") {
-        let sizes = word_sizes.clone();
-        eprintln!("running FIG15 (wordcount, {sizes:?} words)...");
-        let before = metrics::snapshot();
-        let rows = experiments::fig15(&cfg, &sizes);
-        let delta = metrics::snapshot().delta(&before);
-        sections.push(Section {
-            id: "FIG15",
-            title: "Figure 15 — wordcount execution times",
-            rows,
-            bytes_per_key: Vec::new(),
-            metrics: delta,
-        });
-    }
-    if want("rivbrk") {
-        run(
-            &mut sections,
-            "RIVBRK",
-            "Section 6.2 — RIV dereference cost breakdown",
-            &|cfg| experiments::riv_breakdown(cfg),
-        );
-    }
-    if want("abl") {
-        run(&mut sections, "ABL", "Ablations (DESIGN.md)", &|cfg| {
-            experiments::ablations(cfg)
-        });
-    }
-    if want("repl") {
-        run(
-            &mut sections,
-            "REPLLAG",
-            "Replication lag — backpressure policies (EXPERIMENTS.md)",
-            &|cfg| experiments::repl_lag(cfg),
-        );
-    }
-    if want("conc") {
-        run(
-            &mut sections,
-            "CONC",
-            "Concurrent lock-free hashset throughput (EXPERIMENTS.md)",
-            &|cfg| experiments::conc(cfg),
-        );
-    }
-    if want("srv") {
-        run(
-            &mut sections,
-            "SERVERTAIL",
-            "Region-server tail latency — hot/cold tenant classes (EXPERIMENTS.md)",
-            &|cfg| experiments::server_tail(cfg),
-        );
-    }
-    if want("suggest") {
-        eprintln!(
-            "running SUGGEST (suggestion-serving index, {} keys)...",
-            cfg.n * 10
-        );
-        let before = metrics::snapshot();
-        let (rows, bytes_per_key) = experiments::suggest(&cfg);
-        let delta = metrics::snapshot().delta(&before);
-        sections.push(Section {
-            id: "SUGGEST",
-            title: "Suggestion-serving index — ART vs trie, bytes per key (EXPERIMENTS.md)",
+            id: id.to_string(),
+            title: title.to_string(),
             rows,
             bytes_per_key,
-            metrics: delta,
+            metrics,
         });
-    }
-    if sections.is_empty() {
-        usage();
     }
 
     for s in &sections {
@@ -262,16 +215,6 @@ fn main() {
     }
 
     if let Some(path) = json_out {
-        let report_sections: Vec<bench::Section> = sections
-            .iter()
-            .map(|s| bench::Section {
-                id: s.id.to_string(),
-                title: s.title.to_string(),
-                rows: s.rows.clone(),
-                bytes_per_key: s.bytes_per_key.clone(),
-                metrics: s.metrics,
-            })
-            .collect();
         let rc = ReportConfig {
             n: cfg.n,
             reps: cfg.reps,
@@ -282,12 +225,12 @@ fn main() {
             // paper_tables has no hardware-dependent pass/fail gates.
             gates_relaxed: false,
         };
-        let text = render_json(&report_sections, &rc);
+        let text = render_json(&sections, &rc);
         if let Err(e) = std::fs::write(&path, &text) {
             eprintln!("error: cannot write {path}: {e}");
             std::process::exit(1);
         }
-        eprintln!("wrote {path} ({} sections)", report_sections.len());
+        eprintln!("wrote {path} ({} sections)", sections.len());
     }
 }
 

@@ -8,15 +8,34 @@
 //! respectively — those runners follow suit).
 
 use crate::harness::{
-    group_times, structure_times, tab1_point, time_avg, wordcount_time, Config, ReprKind,
+    group_times, structure_times, tab1_point, time_avg, wordcount_time, Config, OpTimes, ReprKind,
 };
 use crate::report::{normalize, Row};
-use crate::workloads;
+use crate::workloads::{self, mix};
 use nvmsim::{registry, NvSpace, Region};
 use pi_core::Riv;
 
 /// The four structures of Section 6.1, in the paper's order.
 pub const STRUCTURES: [&str; 4] = ["list", "btree", "hashset", "trie"];
+
+/// Appends one comparison group's times as rows: a `traverse` row per
+/// representation, each followed by a `search` row when `search` is set.
+fn push_group(
+    rows: &mut Vec<Row>,
+    exp: &'static str,
+    structure: &str,
+    note: &str,
+    search: bool,
+    times: Vec<(ReprKind, OpTimes)>,
+) {
+    for (kind, t) in times {
+        let mut push = |op, ns| rows.push(Row::new(exp, structure, op, kind.name(), ns, note));
+        push("traverse", t.traverse_ns);
+        if search {
+            push("search", t.search_ns);
+        }
+    }
+}
 
 /// FIG12 — slowdowns of the non-transactional implementations, single
 /// region, 32-byte payloads, full traversals.
@@ -42,16 +61,8 @@ fn payload_rows(exp: &'static str, cfg: &Config, payload: usize) -> Vec<Row> {
     ];
     let mut rows = Vec::new();
     for s in STRUCTURES {
-        for (kind, t) in group_times(s, &kinds, payload, cfg, 1, false) {
-            rows.push(Row::new(
-                exp,
-                s,
-                "traverse",
-                kind.name(),
-                t.traverse_ns,
-                note.clone(),
-            ));
-        }
+        let times = group_times(s, &kinds, payload, cfg, 1, false);
+        push_group(&mut rows, exp, s, &note, false, times);
     }
     normalize(&mut rows, "normal");
     rows
@@ -96,60 +107,30 @@ pub fn fig13(cfg: &Config) -> Vec<Row> {
     ];
     let mut rows = Vec::new();
     for s in STRUCTURES {
-        for (kind, t) in group_times(s, &kinds, 32, cfg, 1, true) {
-            rows.push(Row::new(
-                "FIG13",
-                s,
-                "traverse",
-                kind.name(),
-                t.traverse_ns,
-                "tx,1 region",
-            ));
-            rows.push(Row::new(
-                "FIG13",
-                s,
-                "search",
-                kind.name(),
-                t.search_ns,
-                "tx,1 region",
-            ));
-        }
+        let times = group_times(s, &kinds, 32, cfg, 1, true);
+        push_group(&mut rows, "FIG13", s, "tx,1 region", true, times);
     }
     normalize(&mut rows, "normal");
     rows
 }
+
+/// The representations that can link across regions.
+const CROSS_REGION: [ReprKind; 4] = [
+    ReprKind::Normal,
+    ReprKind::Fat,
+    ReprKind::FatCached,
+    ReprKind::Riv,
+];
 
 /// FIG14 — slowdowns with the structure spread round-robin over `k`
 /// NVRegions (transactional). Off-holder and based pointers are not
 /// applicable cross-region and are omitted, as in the paper.
 pub fn fig14(cfg: &Config, k: usize) -> Vec<Row> {
     let note = format!("tx,{k} regions");
-    let kinds = [
-        ReprKind::Normal,
-        ReprKind::Fat,
-        ReprKind::FatCached,
-        ReprKind::Riv,
-    ];
     let mut rows = Vec::new();
     for s in STRUCTURES {
-        for (kind, t) in group_times(s, &kinds, 32, cfg, k, true) {
-            rows.push(Row::new(
-                "FIG14",
-                s,
-                "traverse",
-                kind.name(),
-                t.traverse_ns,
-                note.clone(),
-            ));
-            rows.push(Row::new(
-                "FIG14",
-                s,
-                "search",
-                kind.name(),
-                t.search_ns,
-                note.clone(),
-            ));
-        }
+        let times = group_times(s, &CROSS_REGION, 32, cfg, k, true);
+        push_group(&mut rows, "FIG14", s, &note, true, times);
     }
     normalize(&mut rows, "normal");
     rows
@@ -159,25 +140,11 @@ pub fn fig14(cfg: &Config, k: usize) -> Vec<Row> {
 /// (traversals only, list and btree, to keep the sweep affordable).
 pub fn region_sweep(cfg: &Config) -> Vec<Row> {
     let mut rows = Vec::new();
-    let kinds = [
-        ReprKind::Normal,
-        ReprKind::Fat,
-        ReprKind::FatCached,
-        ReprKind::Riv,
-    ];
     for k in [2usize, 4, 8] {
         let note = format!("tx,{k} regions");
         for s in ["list", "btree"] {
-            for (kind, t) in group_times(s, &kinds, 32, cfg, k, true) {
-                rows.push(Row::new(
-                    "REGS",
-                    s,
-                    "traverse",
-                    kind.name(),
-                    t.traverse_ns,
-                    note.clone(),
-                ));
-            }
+            let times = group_times(s, &CROSS_REGION, 32, cfg, k, true);
+            push_group(&mut rows, "REGS", s, &note, false, times);
         }
     }
     normalize(&mut rows, "normal");
@@ -307,51 +274,29 @@ pub fn ablations(cfg: &Config) -> Vec<Row> {
     let mut rows = Vec::new();
 
     // ABL-TBL: same packed format, different translation structure.
-    for (kind, t) in group_times(
-        "list",
-        &[
-            ReprKind::Normal,
-            ReprKind::Riv,
-            ReprKind::RivHash,
-            ReprKind::Fat,
-        ],
-        32,
-        cfg,
-        1,
-        false,
-    ) {
-        rows.push(Row::new(
-            "ABL-TBL",
-            "list",
-            "traverse",
-            kind.name(),
-            t.traverse_ns,
-            "1 region",
-        ));
-    }
-
     // ABL-SELF: self-relative vs masked-region-base vs global-base offsets.
-    for (kind, t) in group_times(
-        "list",
-        &[
-            ReprKind::Normal,
-            ReprKind::OffHolder,
-            ReprKind::SegBase,
-            ReprKind::Based,
-        ],
-        32,
-        cfg,
-        1,
-        false,
-    ) {
-        rows.push(Row::new(
+    for (exp, kinds) in [
+        (
+            "ABL-TBL",
+            [
+                ReprKind::Normal,
+                ReprKind::Riv,
+                ReprKind::RivHash,
+                ReprKind::Fat,
+            ],
+        ),
+        (
             "ABL-SELF",
-            "list",
-            "traverse",
-            kind.name(),
-            t.traverse_ns,
-            "1 region",
-        ));
+            [
+                ReprKind::Normal,
+                ReprKind::OffHolder,
+                ReprKind::SegBase,
+                ReprKind::Based,
+            ],
+        ),
+    ] {
+        let times = group_times("list", &kinds, 32, cfg, 1, false);
+        push_group(&mut rows, exp, "list", "1 region", false, times);
     }
 
     // ABL-CACHE: fat-with-cache hit rate vs number of regions.
@@ -603,13 +548,6 @@ pub fn conc(cfg: &Config) -> Vec<Row> {
     use pds::{NodeArena, PHashSet};
     use pi_core::{NormalPtr, OffHolder, PtrRepr};
 
-    fn mix(x: u64) -> u64 {
-        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     fn one<R: PtrRepr>(cfg: &Config, nthreads: usize) -> Row {
         let per_thread = (cfg.n * cfg.reps / nthreads).max(1);
         let total = per_thread * nthreads;
@@ -706,13 +644,6 @@ pub fn server_tail(cfg: &Config) -> Vec<Row> {
     use nvserver::{Client, Priority, ReprKind, Server, ServerConfig, ServerFaultPlan, TenantSpec};
     use std::sync::Arc;
     use std::time::Instant;
-
-    fn mix(x: u64) -> u64 {
-        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
 
     const CLASSES: [(&str, Priority, ReprKind, [u32; 2]); 2] = [
         ("hot", Priority::High, ReprKind::OffHolder, [0, 1]),

@@ -24,6 +24,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Instant;
 
+mod subject;
+use subject::Subject;
+
 /// Pointer representations selectable at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReprKind {
@@ -47,20 +50,28 @@ pub enum ReprKind {
     SegBase,
 }
 
+/// Evaluates `$body` with `$R` naming the representation type of `$kind`.
+macro_rules! by_repr {
+    ($kind:expr, $R:ident => $body:expr) => {
+        by_repr!(@arms $kind, $R, $body;
+            Normal NormalPtr, OffHolder OffHolder, Riv Riv, Fat FatPtr,
+            FatCached FatPtrCached, Based BasedPtr, Swizzled SwizzledPtr,
+            RivHash RivHash, SegBase SegBasePtr)
+    };
+    (@arms $kind:expr, $R:ident, $body:expr; $($K:ident $T:ty),*) => {
+        match $kind {
+            $(ReprKind::$K => {
+                type $R = $T;
+                $body
+            })*
+        }
+    };
+}
+
 impl ReprKind {
     /// Display name matching the paper's legends.
     pub fn name(&self) -> &'static str {
-        match self {
-            ReprKind::Normal => NormalPtr::NAME,
-            ReprKind::OffHolder => OffHolder::NAME,
-            ReprKind::Riv => Riv::NAME,
-            ReprKind::Fat => FatPtr::NAME,
-            ReprKind::FatCached => FatPtrCached::NAME,
-            ReprKind::Based => BasedPtr::NAME,
-            ReprKind::Swizzled => SwizzledPtr::NAME,
-            ReprKind::RivHash => RivHash::NAME,
-            ReprKind::SegBase => SegBasePtr::NAME,
-        }
+        by_repr!(self, R => R::NAME)
     }
 
     /// Whether the representation supports cross-region structures.
@@ -100,7 +111,7 @@ impl Config {
         }
     }
 
-    /// A scaled-down configuration for CI and `cargo bench` smoke runs.
+    /// A scaled-down configuration for CI smoke runs (`--quick`).
     pub fn quick() -> Config {
         Config {
             n: 2_000,
@@ -206,25 +217,38 @@ fn region_size(structure: &str) -> usize {
     }
 }
 
+/// Evaluates `$body` with `$S<R, P>` naming the structure called `$name`.
+macro_rules! by_structure {
+    ($name:expr, $S:ident => $body:expr) => {
+        by_structure!(@arms $name, $S, $body;
+            "list" PList, "btree" PBst, "hashset" PHashSet, "trie" PTrie)
+    };
+    (@arms $name:expr, $S:ident, $body:expr; $($n:literal $T:ident),*) => {
+        match $name {
+            $($n => {
+                type $S<R, const P: usize> = $T<R, P>;
+                $body
+            })*
+            other => panic!("unknown structure {other}"),
+        }
+    };
+}
+
 /// A timed operation: returns a checksum to defeat dead-code elimination.
 type OpThunk = Box<dyn FnMut() -> u64>;
 
-/// One buildable+timeable structure instance under some representation.
-/// The regions it lives in are owned by the caller's [`Env`].
+/// One built structure instance and its two timed operations. The
+/// regions it lives in are owned by the caller's [`Env`].
 struct Probe {
     traverse: OpThunk,
     search: OpThunk,
 }
 
-/// Builds a probe for a non-swizzled representation inside `env`.
-fn build_probe<R: PtrRepr, const P: usize>(structure: &str, cfg: &Config, env: &Env) -> Probe {
-    let arena = env.arena();
+/// Builds a probe inside `env` whose operations run on the structure as
+/// stored.
+fn build_probe<S: Subject>(cfg: &Config, env: &Env) -> Probe {
     let home_base = env.home().base();
-    let is_based = R::NAME == BasedPtr::NAME;
-    if is_based {
-        pi_core::based::set_base(home_base);
-    }
-    let keys = workloads::keys(cfg.n, cfg.seed);
+    let is_based = S::Repr::NAME == BasedPtr::NAME;
     // Each probe's closures re-install the global base (one atomic store)
     // so interleaved measurements of different probes stay correct.
     let rebase = move || {
@@ -232,272 +256,48 @@ fn build_probe<R: PtrRepr, const P: usize>(structure: &str, cfg: &Config, env: &
             pi_core::based::set_base(home_base);
         }
     };
-    let (traverse, search): (OpThunk, OpThunk) = match structure {
-        "list" => {
-            let mut l: PList<R, P> = PList::new(arena).expect("list");
-            l.arena()
-                .scatter(
-                    cfg.n * 2,
-                    std::mem::size_of::<pds::ListNode<R, P>>(),
-                    cfg.seed,
-                )
-                .expect("scatter");
-            l.extend(keys.iter().copied()).expect("populate");
-            let searches = workloads::search_sample(&keys, (cfg.searches / 100).max(10), cfg.seed);
-            let l = Rc::new(l);
-            let l2 = l.clone();
-            (
-                Box::new(move || {
-                    rebase();
-                    l.traverse()
-                }),
-                Box::new(move || {
-                    rebase();
-                    searches.iter().filter(|&&k| l2.contains(k)).count() as u64
-                }),
-            )
-        }
-        "btree" => {
-            let mut t: PBst<R, P> = PBst::new(arena).expect("bst");
-            t.arena()
-                .scatter(
-                    cfg.n * 2,
-                    std::mem::size_of::<pds::BstNode<R, P>>(),
-                    cfg.seed,
-                )
-                .expect("scatter");
-            t.extend(keys.iter().copied()).expect("populate");
-            let searches = workloads::search_sample(&keys, cfg.searches, cfg.seed);
-            let t = Rc::new(t);
-            let t2 = t.clone();
-            (
-                Box::new(move || {
-                    rebase();
-                    t.traverse()
-                }),
-                Box::new(move || {
-                    rebase();
-                    searches.iter().filter(|&&k| t2.contains(k)).count() as u64
-                }),
-            )
-        }
-        "hashset" => {
-            let mut s: PHashSet<R, P> =
-                PHashSet::new(arena, (cfg.n as u64 / 8).max(8)).expect("hashset");
-            s.arena()
-                .scatter(
-                    cfg.n * 2,
-                    std::mem::size_of::<pds::HsNode<R, P>>(),
-                    cfg.seed,
-                )
-                .expect("scatter");
-            s.extend(keys.iter().copied()).expect("populate");
-            let searches = workloads::search_sample(&keys, cfg.searches, cfg.seed);
-            let s = Rc::new(s);
-            let s2 = s.clone();
-            (
-                Box::new(move || {
-                    rebase();
-                    s.traverse()
-                }),
-                Box::new(move || {
-                    rebase();
-                    searches.iter().filter(|&&k| s2.contains(k)).count() as u64
-                }),
-            )
-        }
-        "trie" => {
-            let vocab = workloads::vocabulary(cfg.n, cfg.seed);
-            let mut t: PTrie<R, P> = PTrie::new(arena).expect("trie");
-            t.arena()
-                .scatter(
-                    cfg.n * 2,
-                    std::mem::size_of::<pds::TrieNode<R, P>>(),
-                    cfg.seed,
-                )
-                .expect("scatter");
-            t.extend(vocab.iter().map(|s| s.as_str()))
-                .expect("populate");
-            let idx = workloads::word_stream(cfg.searches, vocab.len(), cfg.seed);
-            let sample: Vec<String> = idx.into_iter().map(|i| vocab[i].clone()).collect();
-            let t = Rc::new(t);
-            let t2 = t.clone();
-            (
-                Box::new(move || {
-                    rebase();
-                    t.traverse()
-                }),
-                Box::new(move || {
-                    rebase();
-                    sample.iter().filter(|w| t2.contains(w)).count() as u64
-                }),
-            )
-        }
-        other => panic!("unknown structure {other}"),
-    };
-    Probe { traverse, search }
+    rebase();
+    let s = Rc::new(S::build(env.arena(), cfg));
+    let (s2, sample) = (s.clone(), S::sample(cfg));
+    Probe {
+        traverse: Box::new(move || {
+            rebase();
+            s.traverse()
+        }),
+        search: Box::new(move || {
+            rebase();
+            s2.hits(&sample)
+        }),
+    }
 }
 
-/// Builds the swizzling-protocol probe inside `env`: each timed traversal
+/// Builds the swizzling-protocol probe inside `env`: each timed operation
 /// is the full load-use-store cycle (swizzle + use + unswizzle).
-fn build_probe_swizzled<const P: usize>(structure: &str, cfg: &Config, env: &Env) -> Probe {
-    let arena = env.arena();
-    let keys = workloads::keys(cfg.n, cfg.seed);
-    let (traverse, search): (OpThunk, OpThunk) = match structure {
-        "list" => {
-            let mut l: PList<SwizzledPtr, P> = PList::new(arena).expect("list");
-            l.arena()
-                .scatter(
-                    cfg.n * 2,
-                    std::mem::size_of::<pds::ListNode<SwizzledPtr, P>>(),
-                    cfg.seed,
-                )
-                .expect("scatter");
-            l.extend(keys.iter().copied()).expect("populate");
-            let searches = workloads::search_sample(&keys, (cfg.searches / 100).max(10), cfg.seed);
-            let l = Rc::new(RefCell::new(l));
-            let l2 = l.clone();
-            (
-                Box::new(move || {
-                    let mut l = l.borrow_mut();
-                    l.swizzle();
-                    let s = l.traverse();
-                    l.unswizzle();
-                    s
-                }),
-                Box::new(move || {
-                    let mut l = l2.borrow_mut();
-                    l.swizzle();
-                    let s = searches.iter().filter(|&&k| l.contains(k)).count() as u64;
-                    l.unswizzle();
-                    s
-                }),
-            )
-        }
-        "btree" => {
-            let mut t: PBst<SwizzledPtr, P> = PBst::new(arena).expect("bst");
-            t.arena()
-                .scatter(
-                    cfg.n * 2,
-                    std::mem::size_of::<pds::BstNode<SwizzledPtr, P>>(),
-                    cfg.seed,
-                )
-                .expect("scatter");
-            t.extend(keys.iter().copied()).expect("populate");
-            let searches = workloads::search_sample(&keys, cfg.searches, cfg.seed);
-            let t = Rc::new(RefCell::new(t));
-            let t2 = t.clone();
-            (
-                Box::new(move || {
-                    let mut t = t.borrow_mut();
-                    t.swizzle();
-                    let s = t.traverse();
-                    t.unswizzle();
-                    s
-                }),
-                Box::new(move || {
-                    let mut t = t2.borrow_mut();
-                    t.swizzle();
-                    let s = searches.iter().filter(|&&k| t.contains(k)).count() as u64;
-                    t.unswizzle();
-                    s
-                }),
-            )
-        }
-        "hashset" => {
-            let mut s: PHashSet<SwizzledPtr, P> =
-                PHashSet::new(arena, (cfg.n as u64 / 8).max(8)).expect("hashset");
-            s.arena()
-                .scatter(
-                    cfg.n * 2,
-                    std::mem::size_of::<pds::HsNode<SwizzledPtr, P>>(),
-                    cfg.seed,
-                )
-                .expect("scatter");
-            s.extend(keys.iter().copied()).expect("populate");
-            let searches = workloads::search_sample(&keys, cfg.searches, cfg.seed);
-            let s = Rc::new(RefCell::new(s));
-            let s2 = s.clone();
-            (
-                Box::new(move || {
-                    let mut s = s.borrow_mut();
-                    s.swizzle();
-                    let r = s.traverse();
-                    s.unswizzle();
-                    r
-                }),
-                Box::new(move || {
-                    let mut s = s2.borrow_mut();
-                    s.swizzle();
-                    let r = searches.iter().filter(|&&k| s.contains(k)).count() as u64;
-                    s.unswizzle();
-                    r
-                }),
-            )
-        }
-        "trie" => {
-            let vocab = workloads::vocabulary(cfg.n, cfg.seed);
-            let mut t: PTrie<SwizzledPtr, P> = PTrie::new(arena).expect("trie");
-            t.arena()
-                .scatter(
-                    cfg.n * 2,
-                    std::mem::size_of::<pds::TrieNode<SwizzledPtr, P>>(),
-                    cfg.seed,
-                )
-                .expect("scatter");
-            t.extend(vocab.iter().map(|s| s.as_str()))
-                .expect("populate");
-            let idx = workloads::word_stream(cfg.searches, vocab.len(), cfg.seed);
-            let sample: Vec<String> = idx.into_iter().map(|i| vocab[i].clone()).collect();
-            let t = Rc::new(RefCell::new(t));
-            let t2 = t.clone();
-            (
-                Box::new(move || {
-                    let mut t = t.borrow_mut();
-                    t.swizzle();
-                    let s = t.traverse();
-                    t.unswizzle();
-                    s
-                }),
-                Box::new(move || {
-                    let mut t = t2.borrow_mut();
-                    t.swizzle();
-                    let s = sample.iter().filter(|w| t.contains(w)).count() as u64;
-                    t.unswizzle();
-                    s
-                }),
-            )
-        }
-        other => panic!("unknown structure {other}"),
-    };
-    Probe { traverse, search }
+fn build_probe_swizzled<S: Subject>(cfg: &Config, env: &Env) -> Probe {
+    fn cycle<S: Subject>(s: &RefCell<S>, op: impl FnOnce(&S) -> u64) -> u64 {
+        let mut s = s.borrow_mut();
+        s.swizzle();
+        let sum = op(&s);
+        s.unswizzle();
+        sum
+    }
+    let s = Rc::new(RefCell::new(S::build(env.arena(), cfg)));
+    let (s2, sample) = (s.clone(), S::sample(cfg));
+    Probe {
+        traverse: Box::new(move || cycle(&s, |s| s.traverse())),
+        search: Box::new(move || cycle(&s2, |s| s.hits(&sample))),
+    }
 }
 
 fn make_probe(structure: &str, kind: ReprKind, payload: usize, cfg: &Config, env: &Env) -> Probe {
-    macro_rules! go {
-        ($R:ty) => {
-            match payload {
-                32 => build_probe::<$R, 32>(structure, cfg, env),
-                256 => build_probe::<$R, 256>(structure, cfg, env),
-                other => panic!("unsupported payload {other}; use 32 or 256"),
-            }
-        };
-    }
-    match kind {
-        ReprKind::Normal => go!(NormalPtr),
-        ReprKind::OffHolder => go!(OffHolder),
-        ReprKind::Riv => go!(Riv),
-        ReprKind::Fat => go!(FatPtr),
-        ReprKind::FatCached => go!(FatPtrCached),
-        ReprKind::Based => go!(BasedPtr),
-        ReprKind::RivHash => go!(RivHash),
-        ReprKind::SegBase => go!(SegBasePtr),
-        ReprKind::Swizzled => match payload {
-            32 => build_probe_swizzled::<32>(structure, cfg, env),
-            256 => build_probe_swizzled::<256>(structure, cfg, env),
-            other => panic!("unsupported payload {other}; use 32 or 256"),
-        },
-    }
+    let build = by_structure!(structure, S => by_repr!(kind, R => match (payload, kind) {
+        (32, ReprKind::Swizzled) => build_probe_swizzled::<S<R, 32>>,
+        (256, ReprKind::Swizzled) => build_probe_swizzled::<S<R, 256>>,
+        (32, _) => build_probe::<S<R, 32>>,
+        (256, _) => build_probe::<S<R, 256>>,
+        (other, _) => panic!("unsupported payload {other}; use 32 or 256"),
+    }));
+    build(cfg, env)
 }
 
 /// Environments for one comparison group. Small structures share one
@@ -505,13 +305,10 @@ fn make_probe(structure: &str, kind: ReprKind, payload: usize, cfg: &Config, env
 /// page luck); the trie is too large for several instances to share a
 /// segment, so each probe gets its own.
 fn group_envs(structure: &str, nkinds: usize, regions: usize, transactional: bool) -> Vec<Env> {
-    if structure == "trie" {
-        (0..nkinds)
-            .map(|_| Env::new(regions, 60 << 20, transactional))
-            .collect()
-    } else {
-        vec![Env::new(regions, region_size(structure), transactional)]
-    }
+    let n = if structure == "trie" { nkinds } else { 1 };
+    (0..n)
+        .map(|_| Env::new(regions, region_size(structure), transactional))
+        .collect()
 }
 
 /// Builds one structure per representation in `kinds` and measures them
@@ -535,7 +332,11 @@ pub fn group_times(
     // Three independent builds: each gets fresh segments and physical
     // pages, and the per-kind minimum of the medians cancels the
     // page-layout luck a single build is stuck with.
-    let mut best: Vec<Option<OpTimes>> = vec![None; kinds.len()];
+    let unmeasured = OpTimes {
+        traverse_ns: f64::INFINITY,
+        search_ns: f64::INFINITY,
+    };
+    let mut best = vec![unmeasured; kinds.len()];
     for trial in 0..3 {
         let envs = group_envs(structure, kinds.len(), regions, transactional);
         let mut probes: Vec<Probe> = kinds
@@ -564,25 +365,12 @@ pub fn group_times(
             }
         }
         std::hint::black_box(sink);
-        for i in 0..probes.len() {
-            let t = OpTimes {
-                traverse_ns: median(tsamp[i].clone()),
-                search_ns: median(ssamp[i].clone()),
-            };
-            best[i] = Some(match best[i] {
-                None => t,
-                Some(prev) => OpTimes {
-                    traverse_ns: prev.traverse_ns.min(t.traverse_ns),
-                    search_ns: prev.search_ns.min(t.search_ns),
-                },
-            });
+        for (best, (t, s)) in best.iter_mut().zip(tsamp.into_iter().zip(ssamp)) {
+            best.traverse_ns = best.traverse_ns.min(median(t));
+            best.search_ns = best.search_ns.min(median(s));
         }
     }
-    kinds
-        .iter()
-        .zip(best)
-        .map(|(&k, t)| (k, t.expect("measured")))
-        .collect()
+    kinds.iter().copied().zip(best).collect()
 }
 
 /// Times one structure under one representation (convenience wrapper over
@@ -606,124 +394,6 @@ pub fn structure_times(
 // Swizzling k-traversal protocol (Table 1)
 // ---------------------------------------------------------------------------
 
-macro_rules! swizzled_protocol {
-    ($build:expr, $cfg:expr, $k:expr, $structure:expr) => {{
-        let env = Env::new(1, region_size($structure), false);
-        let mut s = $build(env.arena(), $cfg);
-        let k = $k;
-        time_avg(
-            || {
-                s.swizzle();
-                let mut sum = 0u64;
-                for _ in 0..k {
-                    sum = sum.wrapping_add(s.traverse());
-                }
-                s.unswizzle();
-                sum
-            },
-            $cfg.reps,
-        )
-    }};
-}
-
-/// Times the exact swizzling protocol — swizzle + `k` traversals +
-/// unswizzle — for one structure; Table 1 sweeps `k` over {1, 10, 100}.
-///
-/// # Panics
-///
-/// Panics on unknown structure names or substrate failures.
-pub fn structure_times_swizzled(structure: &str, payload: usize, cfg: &Config, k: usize) -> f64 {
-    assert!(
-        payload == 32 || payload == 256,
-        "unsupported payload {payload}"
-    );
-    macro_rules! by_structure {
-        ($P:literal) => {
-            match structure {
-                "list" => swizzled_protocol!(
-                    |arena, cfg: &Config| {
-                        let mut l: PList<SwizzledPtr, $P> = PList::new(arena).expect("list");
-                        l.arena()
-                            .scatter(
-                                cfg.n * 2,
-                                std::mem::size_of::<pds::ListNode<SwizzledPtr, $P>>(),
-                                cfg.seed,
-                            )
-                            .expect("scatter");
-                        l.extend(workloads::keys(cfg.n, cfg.seed))
-                            .expect("populate");
-                        l
-                    },
-                    cfg,
-                    k,
-                    structure
-                ),
-                "btree" => swizzled_protocol!(
-                    |arena, cfg: &Config| {
-                        let mut t: PBst<SwizzledPtr, $P> = PBst::new(arena).expect("bst");
-                        t.arena()
-                            .scatter(
-                                cfg.n * 2,
-                                std::mem::size_of::<pds::BstNode<SwizzledPtr, $P>>(),
-                                cfg.seed,
-                            )
-                            .expect("scatter");
-                        t.extend(workloads::keys(cfg.n, cfg.seed))
-                            .expect("populate");
-                        t
-                    },
-                    cfg,
-                    k,
-                    structure
-                ),
-                "hashset" => swizzled_protocol!(
-                    |arena, cfg: &Config| {
-                        let mut s: PHashSet<SwizzledPtr, $P> =
-                            PHashSet::new(arena, (cfg.n as u64 / 8).max(8)).expect("hashset");
-                        s.arena()
-                            .scatter(
-                                cfg.n * 2,
-                                std::mem::size_of::<pds::HsNode<SwizzledPtr, $P>>(),
-                                cfg.seed,
-                            )
-                            .expect("scatter");
-                        s.extend(workloads::keys(cfg.n, cfg.seed))
-                            .expect("populate");
-                        s
-                    },
-                    cfg,
-                    k,
-                    structure
-                ),
-                "trie" => swizzled_protocol!(
-                    |arena, cfg: &Config| {
-                        let mut t: PTrie<SwizzledPtr, $P> = PTrie::new(arena).expect("trie");
-                        let vocab = workloads::vocabulary(cfg.n, cfg.seed);
-                        t.arena()
-                            .scatter(
-                                cfg.n * 2,
-                                std::mem::size_of::<pds::TrieNode<SwizzledPtr, $P>>(),
-                                cfg.seed,
-                            )
-                            .expect("scatter");
-                        t.extend(vocab.iter().map(|s| s.as_str()))
-                            .expect("populate");
-                        t
-                    },
-                    cfg,
-                    k,
-                    structure
-                ),
-                other => panic!("unknown structure {other}"),
-            }
-        };
-    }
-    match payload {
-        32 => by_structure!(32),
-        _ => by_structure!(256),
-    }
-}
-
 /// TAB1 measurement point: builds a normal-pointer structure and a
 /// swizzled twin **in the same environment**, and times — interleaved —
 /// `k` consecutive plain traversals of the former against one full
@@ -734,152 +404,32 @@ pub fn structure_times_swizzled(structure: &str, payload: usize, cfg: &Config, k
 ///
 /// Panics on unknown structures or substrate failures.
 pub fn tab1_point(structure: &str, cfg: &Config, k: usize) -> (f64, f64) {
-    macro_rules! run {
-        ($build_n:expr, $build_s:expr) => {{
-            let env = Env::new(1, region_size(structure), false);
-            let base_struct = $build_n(env.arena(), cfg);
-            let mut swz_struct = $build_s(env.arena(), cfg);
-            let reps = cfg.reps.max(1);
-            let mut sink = base_struct.traverse();
-            let mut base_samples = Vec::with_capacity(reps);
-            let mut proto_samples = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                let t = Instant::now();
-                for _ in 0..k {
-                    sink = sink.wrapping_add(base_struct.traverse());
-                }
-                base_samples.push(t.elapsed().as_nanos() as f64);
-                let t = Instant::now();
-                swz_struct.swizzle();
-                for _ in 0..k {
-                    sink = sink.wrapping_add(swz_struct.traverse());
-                }
-                swz_struct.unswizzle();
-                proto_samples.push(t.elapsed().as_nanos() as f64);
+    fn run<N: Subject, S: Subject>(env: &Env, cfg: &Config, k: usize) -> (f64, f64) {
+        let base = N::build(env.arena(), cfg);
+        let mut swz = S::build(env.arena(), cfg);
+        let reps = cfg.reps.max(1);
+        let mut sink = base.traverse();
+        let mut base_samples = Vec::with_capacity(reps);
+        let mut proto_samples = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            let t = Instant::now();
+            for _ in 0..k {
+                sink = sink.wrapping_add(base.traverse());
             }
-            std::hint::black_box(sink);
-            (median(proto_samples), median(base_samples))
-        }};
+            base_samples.push(t.elapsed().as_nanos() as f64);
+            let t = Instant::now();
+            swz.swizzle();
+            for _ in 0..k {
+                sink = sink.wrapping_add(swz.traverse());
+            }
+            swz.unswizzle();
+            proto_samples.push(t.elapsed().as_nanos() as f64);
+        }
+        std::hint::black_box(sink);
+        (median(proto_samples), median(base_samples))
     }
-    match structure {
-        "list" => run!(
-            |arena, cfg: &Config| {
-                let mut l: PList<NormalPtr, 32> = PList::new(arena).expect("list");
-                l.arena()
-                    .scatter(
-                        cfg.n * 2,
-                        std::mem::size_of::<pds::ListNode<NormalPtr, 32>>(),
-                        cfg.seed,
-                    )
-                    .expect("scatter");
-                l.extend(workloads::keys(cfg.n, cfg.seed))
-                    .expect("populate");
-                l
-            },
-            |arena, cfg: &Config| {
-                let mut l: PList<SwizzledPtr, 32> = PList::new(arena).expect("list");
-                l.arena()
-                    .scatter(
-                        cfg.n * 2,
-                        std::mem::size_of::<pds::ListNode<SwizzledPtr, 32>>(),
-                        cfg.seed,
-                    )
-                    .expect("scatter");
-                l.extend(workloads::keys(cfg.n, cfg.seed))
-                    .expect("populate");
-                l
-            }
-        ),
-        "btree" => run!(
-            |arena, cfg: &Config| {
-                let mut t: PBst<NormalPtr, 32> = PBst::new(arena).expect("bst");
-                t.arena()
-                    .scatter(
-                        cfg.n * 2,
-                        std::mem::size_of::<pds::BstNode<NormalPtr, 32>>(),
-                        cfg.seed,
-                    )
-                    .expect("scatter");
-                t.extend(workloads::keys(cfg.n, cfg.seed))
-                    .expect("populate");
-                t
-            },
-            |arena, cfg: &Config| {
-                let mut t: PBst<SwizzledPtr, 32> = PBst::new(arena).expect("bst");
-                t.arena()
-                    .scatter(
-                        cfg.n * 2,
-                        std::mem::size_of::<pds::BstNode<SwizzledPtr, 32>>(),
-                        cfg.seed,
-                    )
-                    .expect("scatter");
-                t.extend(workloads::keys(cfg.n, cfg.seed))
-                    .expect("populate");
-                t
-            }
-        ),
-        "hashset" => run!(
-            |arena, cfg: &Config| {
-                let mut h: PHashSet<NormalPtr, 32> =
-                    PHashSet::new(arena, (cfg.n as u64 / 8).max(8)).expect("hashset");
-                h.arena()
-                    .scatter(
-                        cfg.n * 2,
-                        std::mem::size_of::<pds::HsNode<NormalPtr, 32>>(),
-                        cfg.seed,
-                    )
-                    .expect("scatter");
-                h.extend(workloads::keys(cfg.n, cfg.seed))
-                    .expect("populate");
-                h
-            },
-            |arena, cfg: &Config| {
-                let mut h: PHashSet<SwizzledPtr, 32> =
-                    PHashSet::new(arena, (cfg.n as u64 / 8).max(8)).expect("hashset");
-                h.arena()
-                    .scatter(
-                        cfg.n * 2,
-                        std::mem::size_of::<pds::HsNode<SwizzledPtr, 32>>(),
-                        cfg.seed,
-                    )
-                    .expect("scatter");
-                h.extend(workloads::keys(cfg.n, cfg.seed))
-                    .expect("populate");
-                h
-            }
-        ),
-        "trie" => run!(
-            |arena, cfg: &Config| {
-                let mut t: PTrie<NormalPtr, 32> = PTrie::new(arena).expect("trie");
-                t.arena()
-                    .scatter(
-                        cfg.n * 2,
-                        std::mem::size_of::<pds::TrieNode<NormalPtr, 32>>(),
-                        cfg.seed,
-                    )
-                    .expect("scatter");
-                let vocab = workloads::vocabulary(cfg.n, cfg.seed);
-                t.extend(vocab.iter().map(|s| s.as_str()))
-                    .expect("populate");
-                t
-            },
-            |arena, cfg: &Config| {
-                let mut t: PTrie<SwizzledPtr, 32> = PTrie::new(arena).expect("trie");
-                t.arena()
-                    .scatter(
-                        cfg.n * 2,
-                        std::mem::size_of::<pds::TrieNode<SwizzledPtr, 32>>(),
-                        cfg.seed,
-                    )
-                    .expect("scatter");
-                let vocab = workloads::vocabulary(cfg.n, cfg.seed);
-                t.extend(vocab.iter().map(|s| s.as_str()))
-                    .expect("populate");
-                t
-            }
-        ),
-        other => panic!("unknown structure {other}"),
-    }
+    let env = Env::new(1, region_size(structure), false);
+    by_structure!(structure, S => run::<S<NormalPtr, 32>, S<SwizzledPtr, 32>>(&env, cfg, k))
 }
 
 // ---------------------------------------------------------------------------
@@ -910,17 +460,11 @@ fn wordcount_impl<R: PtrRepr>(words: &[&str], reps: usize) -> f64 {
 /// Panics for [`ReprKind::Swizzled`] (the paper does not evaluate
 /// wordcount with swizzling) or on substrate failures.
 pub fn wordcount_time(kind: ReprKind, words: &[&str], reps: usize) -> f64 {
-    match kind {
-        ReprKind::Normal => wordcount_impl::<NormalPtr>(words, reps),
-        ReprKind::OffHolder => wordcount_impl::<OffHolder>(words, reps),
-        ReprKind::Riv => wordcount_impl::<Riv>(words, reps),
-        ReprKind::Fat => wordcount_impl::<FatPtr>(words, reps),
-        ReprKind::FatCached => wordcount_impl::<FatPtrCached>(words, reps),
-        ReprKind::Based => wordcount_impl::<BasedPtr>(words, reps),
-        ReprKind::RivHash => wordcount_impl::<RivHash>(words, reps),
-        ReprKind::SegBase => wordcount_impl::<SegBasePtr>(words, reps),
-        ReprKind::Swizzled => panic!("wordcount is not defined for the swizzling repr"),
-    }
+    assert!(
+        kind != ReprKind::Swizzled,
+        "wordcount is not defined for the swizzling repr"
+    );
+    by_repr!(kind, R => wordcount_impl::<R>(words, reps))
 }
 
 #[cfg(test)]
@@ -945,32 +489,80 @@ mod tests {
         }
     }
 
+    const ALL_KINDS: [ReprKind; 9] = [
+        ReprKind::Normal,
+        ReprKind::OffHolder,
+        ReprKind::Riv,
+        ReprKind::Fat,
+        ReprKind::FatCached,
+        ReprKind::Based,
+        ReprKind::Swizzled,
+        ReprKind::RivHash,
+        ReprKind::SegBase,
+    ];
+
     #[test]
     fn group_times_covers_all_reprs() {
-        let kinds = [
-            ReprKind::Normal,
-            ReprKind::OffHolder,
-            ReprKind::Riv,
-            ReprKind::Fat,
-            ReprKind::FatCached,
-            ReprKind::Based,
-            ReprKind::Swizzled,
-            ReprKind::RivHash,
-            ReprKind::SegBase,
-        ];
-        let out = group_times("list", &kinds, 32, &tiny(), 1, false);
-        assert_eq!(out.len(), kinds.len());
+        let out = group_times("list", &ALL_KINDS, 32, &tiny(), 1, false);
+        assert_eq!(out.len(), ALL_KINDS.len());
         for (kind, t) in out {
             assert!(t.traverse_ns > 0.0 && t.search_ns > 0.0, "{}", kind.name());
         }
     }
 
     #[test]
-    fn swizzled_protocol_scales_with_k() {
+    fn every_probe_agrees_with_normal() {
+        let _based_guard = BASED_LOCK.lock();
         let cfg = tiny();
-        let t1 = structure_times_swizzled("list", 32, &cfg, 1);
-        let t20 = structure_times_swizzled("list", 32, &cfg, 20);
-        assert!(t20 > t1, "20 traversals must cost more than 1");
+        for s in ["list", "btree", "hashset", "trie"] {
+            let lookups = if s == "list" {
+                (cfg.searches / 100).max(10)
+            } else {
+                cfg.searches
+            } as u64;
+            // Both payloads in a plain region, and one transactional
+            // 3-region cell for the kinds that can link across regions.
+            for (payload, regions, tx) in [(32, 1, false), (256, 1, false), (32, 3, true)] {
+                let env = Env::new(regions, region_size(s), tx);
+                let want = (make_probe(s, ReprKind::Normal, payload, &cfg, &env).traverse)();
+                for kind in ALL_KINDS {
+                    if regions > 1 && !kind.supports_multi_region() {
+                        continue;
+                    }
+                    let mut p = make_probe(s, kind, payload, &cfg, &env);
+                    // Twice: the swizzled probe's operations are whole
+                    // swizzle -> use -> unswizzle cycles, and the second
+                    // must find the structure as the first left it.
+                    for cycle in 0..2 {
+                        let cell = format!(
+                            "{s} {} payload={payload} regions={regions} cycle={cycle}",
+                            kind.name()
+                        );
+                        assert_eq!((p.traverse)(), want, "{cell}: checksum");
+                        assert_eq!((p.search)(), lookups, "{cell}: every sampled key hits");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swizzled_protocol_scales_with_k() {
+        // Wall-clock beside the rest of the workspace: medians of 9
+        // samples, comparison retried.
+        let cfg = Config { reps: 9, ..tiny() };
+        let mut seen = Vec::new();
+        let ok = (0..5).any(|_| {
+            seen.push((
+                tab1_point("list", &cfg, 1).0,
+                tab1_point("list", &cfg, 20).0,
+            ));
+            seen.last().is_some_and(|&(t1, t20)| t20 > t1)
+        });
+        assert!(
+            ok,
+            "20 traversals must cost more than 1; (t1, t20) seen: {seen:.0?}"
+        );
     }
 
     #[test]

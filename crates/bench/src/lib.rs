@@ -8,9 +8,6 @@
 //! cargo run --release -p bench --bin paper_tables -- all
 //! cargo run --release -p bench --bin paper_tables -- fig12 fig14 --quick
 //! ```
-//!
-//! Criterion benches (`cargo bench`) cover the same experiments with
-//! statistical timing.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -11,6 +11,15 @@ use rand::{Rng, SeedableRng};
 /// Default element count used throughout the paper's evaluation.
 pub const PAPER_N: usize = 10_000;
 
+/// One splitmix64 step: the op-stream generator of the multi-threaded
+/// experiments (each thread iterates it from its own seed).
+pub(crate) fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// `n` distinct pseudo-random `u64` keys.
 pub fn keys(n: usize, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
