@@ -24,25 +24,22 @@ pub struct RootInfo {
     pub type_tag: u64,
 }
 
-/// State of a `pstore` undo-log head as found in an image (via the
-/// `"pstore.meta"` root).
+/// State of a `pstore` undo log as found in an image (via the
+/// `"pstore.meta"` root; format in [`crate::undolog`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogInfo {
     /// Offset of the undo-log area within the region.
     pub log_off: u64,
     /// Capacity of the log area in bytes.
     pub log_cap: u64,
-    /// Bytes of entries currently in the log (nonzero on a dirty image
-    /// means recovery will roll back on the next attach).
-    pub used: u64,
-    /// Entries counted by a bounded, validated scan of the log.
+    /// The log's current generation (bumped by every truncation).
+    pub generation: u64,
+    /// Entries of that generation that pass their seeded CRC-64, counted
+    /// from the start of the area up to the first that does not.
     pub entries: u64,
-    /// Of the scanned entries, how many fail their CRC-64 (recovery will
-    /// skip these).
-    pub bad_entries: u64,
-    /// Whether the scan stopped early on a malformed entry (torn or
-    /// corrupted log bytes).
-    pub truncated_scan: bool,
+    /// Bytes of the area those entries occupy (nonzero means the next
+    /// attach will roll back).
+    pub used: u64,
 }
 
 /// Everything [`inspect`] learns about an image.
@@ -130,22 +127,13 @@ impl fmt::Display for ImageReport {
         if let Some(log) = &self.log {
             writeln!(
                 f,
-                "undo log:     {} bytes used of {} at {:#x}, {} entries{}{}{}",
+                "undo log:     generation {}, {} entries in {} bytes of {} at {:#x}{}",
+                log.generation,
+                log.entries,
                 log.used,
                 log.log_cap,
                 log.log_off,
-                log.entries,
-                if log.bad_entries != 0 {
-                    format!(" ({} fail their CRC)", log.bad_entries)
-                } else {
-                    String::new()
-                },
-                if log.truncated_scan {
-                    " (scan stopped on malformed entry)"
-                } else {
-                    ""
-                },
-                if log.used != 0 && !self.clean {
+                if log.used != 0 {
                     " — recovery pending"
                 } else {
                     ""
@@ -396,70 +384,19 @@ pub fn inspect_llalloc<P: AsRef<Path>>(path: P) -> Result<Option<LlallocReport>>
     inspect_llalloc_bytes(&bytes)
 }
 
-/// Reads the `pstore` undo-log head through the `"pstore.meta"` root, if
-/// present and sane. The entry scan is bounded and validated so torn or
-/// corrupted log bytes cannot run the parser out of the image.
+/// Walks the `pstore` undo log through the `"pstore.meta"` root, if
+/// present and sane; [`crate::undolog::scan_image`] bounds the walk, so
+/// torn or corrupted log bytes cannot run it out of the image.
 fn peek_log(bytes: &[u8], roots: &[RootInfo]) -> Option<LogInfo> {
-    const PSTORE_MAGIC: u64 = u64::from_le_bytes(*b"PSTOREV1");
-    const LOG_HEADER: u64 = 16;
-    // Entry header: { off, len, crc64, reserved } — see `pstore::log`.
-    const ENTRY_HEADER: u64 = 32;
-    let meta_off = roots.iter().find(|r| r.name == "pstore.meta")?.offset as usize;
-    if meta_off.checked_add(40)? > bytes.len() {
-        return None;
-    }
-    if read_u64(bytes, meta_off) != PSTORE_MAGIC {
-        return None;
-    }
-    let log_off = read_u64(bytes, meta_off + 24);
-    let log_cap = read_u64(bytes, meta_off + 32);
-    let log_end = log_off.checked_add(log_cap)?;
-    if log_off < LOG_HEADER || log_end > bytes.len() as u64 {
-        return None;
-    }
-    let used = read_u64(bytes, log_off as usize);
-    let mut entries = 0u64;
-    let mut bad_entries = 0u64;
-    let mut truncated_scan = false;
-    if LOG_HEADER + used > log_cap {
-        // `used` itself is implausible (torn?): report it, scan nothing.
-        truncated_scan = true;
-    } else {
-        let mut pos = 0u64;
-        while pos + ENTRY_HEADER <= used {
-            let entry = (log_off + LOG_HEADER + pos) as usize;
-            let data_off = read_u64(bytes, entry);
-            let len = read_u64(bytes, entry + 8);
-            let crc = read_u64(bytes, entry + 16);
-            let span = ENTRY_HEADER + ((len + 15) & !15);
-            let in_bounds = pos.checked_add(span).is_some_and(|end| end <= used)
-                && data_off
-                    .checked_add(len)
-                    .is_some_and(|end| end <= bytes.len() as u64);
-            if !in_bounds {
-                truncated_scan = true;
-                break;
-            }
-            let mut state = crate::crc::crc64_update(!0, &data_off.to_le_bytes());
-            state = crate::crc::crc64_update(state, &len.to_le_bytes());
-            state = crate::crc::crc64_update(
-                state,
-                &bytes[entry + ENTRY_HEADER as usize..entry + ENTRY_HEADER as usize + len as usize],
-            );
-            if state ^ !0 != crc {
-                bad_entries += 1;
-            }
-            entries += 1;
-            pos += span;
-        }
-    }
+    let meta_off = roots.iter().find(|r| r.name == "pstore.meta")?.offset;
+    let log = crate::undolog::scan_image(bytes, meta_off)?;
+    let scan = log.scan?;
     Some(LogInfo {
-        log_off,
-        log_cap,
-        used,
-        entries,
-        bad_entries,
-        truncated_scan,
+        log_off: log.log_off,
+        log_cap: log.log_cap,
+        generation: scan.generation,
+        entries: scan.entries.len() as u64,
+        used: scan.bytes,
     })
 }
 

@@ -59,6 +59,7 @@ pub mod registry;
 pub mod repl;
 pub mod sched;
 pub mod shadow;
+pub mod undolog;
 pub mod verify;
 
 pub use dlin::{CheckReport, History, OpRecord, Recorder, SetOp, Violation};

@@ -49,6 +49,15 @@
 //! no blocks: a block is marked allocated only when actually handed to
 //! the application, so a crash leaks **zero** blocks.
 //!
+//! Exhaustion is O(1): a scan that finds no subtree of a class with a
+//! free block leaves a per-class **dry stamp** — the class's free epoch
+//! (bumped by every `free_block` of that class) and the subtree count it
+//! covered, in one atomic word. While the epoch still matches, the next
+//! scan looks only at subtrees grown since, so a grow-only workload never
+//! rescans. The stamp is volatile and advisory: a stale or false "dry"
+//! costs one grow, never an out-of-memory — `LlState::alloc_rescan`
+//! ignores it, and the region calls that before leaving the bitmaps.
+//!
 //! # Recovery
 //!
 //! Opening an image walks the page chain once (bounded by the region
@@ -258,8 +267,17 @@ pub(crate) struct LlState {
     /// Cache-line-sharded op counters (application-level calls only).
     shards: Box<[OpShard]>,
     next_token: AtomicU64,
+    /// Per class: frees since open (low 32 bits are the *free epoch*).
+    free_epoch: [AtomicU64; NUM_CLASSES],
+    /// Per class dry stamp, `epoch << 32 | subtrees`: a scan begun at
+    /// free epoch `epoch` found no free block of the class in subtrees
+    /// `0..subtrees`. Void as soon as the class's epoch moves on.
+    dry: [AtomicU64; NUM_CLASSES],
     /// Set when growth must stop (region closing); reads/frees continue.
     frozen: AtomicBool,
+    /// Descriptors examined by `reserve` scans.
+    #[cfg(test)]
+    visits: AtomicU64,
 }
 
 impl std::fmt::Debug for LlState {
@@ -317,7 +335,11 @@ impl LlState {
             granules,
             shards,
             next_token: AtomicU64::new(2),
+            free_epoch: [const { AtomicU64::new(0) }; NUM_CLASSES],
+            dry: [const { AtomicU64::new(0) }; NUM_CLASSES],
             frozen: AtomicBool::new(false),
+            #[cfg(test)]
+            visits: AtomicU64::new(0),
         }
     }
 
@@ -537,6 +559,14 @@ impl LlState {
         }
     }
 
+    /// [`LlState::alloc`] with the class's dry stamp voided first, so
+    /// every subtree is looked at again: the last resort before the
+    /// caller gives up on the bitmaps.
+    pub(crate) fn alloc_rescan(&self, class: usize) -> Option<u64> {
+        self.dry[class].store(0, Ordering::Relaxed);
+        self.alloc(class)
+    }
+
     /// One CAS attempt loop on subtree `id`. `None` when it is full.
     #[inline]
     fn alloc_in(&self, id: u32, class: usize) -> Option<u64> {
@@ -573,22 +603,39 @@ impl LlState {
 
     /// Scans for a subtree of `class` with free blocks and reserves it
     /// for this thread (owner CAS). Crowded subtrees are stolen from
-    /// their reserving thread when nothing unreserved remains.
+    /// their reserving thread when nothing unreserved remains. Subtrees
+    /// the class's dry stamp covers are not looked at; a scan that sees
+    /// no free block at all extends the stamp to the current count.
     fn reserve(&self, class: usize) -> Reserve {
         let n = self.count();
-        if n == 0 {
+        // Acquire pairs with `free_block`'s Release bump: a scan that
+        // reads the bumped epoch also sees the freed block's counter.
+        let epoch = self.free_epoch[class].load(Ordering::Acquire) << 32;
+        let dry = self.dry[class].load(Ordering::Relaxed);
+        let first = if dry & !0xFFFF_FFFF == epoch {
+            (dry as u32).min(n)
+        } else {
+            0
+        };
+        let span = n - first;
+        if span == 0 {
             return Reserve::Exhausted;
         }
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let start = (token % n as u64) as u32;
-        // Pass 1: unreserved subtrees; pass 2: steal a reservation.
+        let start = (token % span as u64) as u32;
+        // Pass 1: unreserved subtrees; pass 2 (only when pass 1 saw free
+        // blocks it could not have): steal a reservation.
+        let mut saw_free = false;
         for steal in [false, true] {
-            for i in 0..n {
-                let id = (start + i) % n;
+            for i in 0..span {
+                let id = first + (start + i) % span;
                 let d = self.desc(id);
+                #[cfg(test)]
+                self.visits.fetch_add(1, Ordering::Relaxed);
                 if d.class() != class || d.free().load(Ordering::Relaxed) == 0 {
                     continue;
                 }
+                saw_free = true;
                 let cur = d.owner().load(Ordering::Relaxed);
                 if (cur != 0) != steal {
                     continue;
@@ -619,6 +666,12 @@ impl LlState {
                 if let Some(off) = got {
                     return Reserve::Direct(off);
                 }
+            }
+            if !saw_free {
+                // Stamped with the epoch read *before* the scan: a free
+                // that raced it has already moved the epoch on.
+                self.dry[class].store(epoch | n as u64, Ordering::Relaxed);
+                break;
             }
         }
         Reserve::Exhausted
@@ -653,6 +706,8 @@ impl LlState {
         // space.
         persist_word(d.bitmap_addr());
         d.free().fetch_add(1, Ordering::Relaxed);
+        // After the counter, so a scan that sees the new epoch sees it.
+        self.free_epoch[class].fetch_add(1, Ordering::Release);
         self.shards[my_shard()]
             .frees
             .fetch_add(1, Ordering::Relaxed);
@@ -960,6 +1015,57 @@ mod tests {
         let (blocks, bytes) = a.ll.live();
         assert_eq!(blocks, 200);
         assert_eq!(bytes, 200 * 64);
+    }
+
+    #[test]
+    fn grow_only_allocation_never_rescans() {
+        const GROWS: usize = 2048;
+        let c = crate::alloc::class_for(64).unwrap();
+        let mut a = Arena::new(GROWS * BLOCKS_PER_SUBTREE * 64 + (1 << 20));
+        for _ in 0..GROWS * BLOCKS_PER_SUBTREE {
+            a.alloc(c);
+        }
+        let grows = a.ll.count() as u64;
+        assert_eq!(grows, GROWS as u64);
+        let visits = a.ll.visits.load(Ordering::Relaxed);
+        assert!(
+            visits <= 2 * grows,
+            "{visits} descriptors examined over {grows} grows"
+        );
+    }
+
+    #[test]
+    fn free_in_the_oldest_subtree_is_reused_before_growing() {
+        let c = crate::alloc::class_for(64).unwrap();
+        let mut a = Arena::new(1 << 20);
+        let offs: Vec<u64> = (0..5 * BLOCKS_PER_SUBTREE - 1)
+            .map(|_| a.alloc(c))
+            .collect();
+        assert_eq!(a.ll.count(), 5);
+        // One block left in the current (fifth) subtree; every older one
+        // is full and stamped dry.
+        assert_eq!(a.ll.free_block(offs[3]), Some(c));
+        let last = a.alloc(c);
+        assert!(last > offs[4 * BLOCKS_PER_SUBTREE], "current subtree first");
+        assert_eq!(a.alloc(c), offs[3], "then the freed block, not a grow");
+        assert_eq!(a.ll.count(), 5, "no subtree was created");
+        // Only now is the class really dry.
+        a.alloc(c);
+        assert_eq!(a.ll.count(), 6);
+    }
+
+    #[test]
+    fn rescan_finds_what_a_false_dry_stamp_hides() {
+        let c = crate::alloc::class_for(64).unwrap();
+        let mut a = Arena::new(1 << 20);
+        let offs: Vec<u64> = (0..2 * BLOCKS_PER_SUBTREE).map(|_| a.alloc(c)).collect();
+        assert_eq!(a.ll.alloc(c), None, "both subtrees full: stamped dry");
+        // A free the stamp never hears of (epoch forced back): the
+        // stamped scan misses the block, the rescan does not.
+        assert_eq!(a.ll.free_block(offs[1]), Some(c));
+        a.ll.free_epoch[c].store(0, Ordering::Relaxed);
+        assert_eq!(a.ll.alloc(c), None, "false dry");
+        assert_eq!(a.ll.alloc_rescan(c), Some(offs[1]));
     }
 
     #[test]

@@ -914,6 +914,13 @@ impl Region {
                     // lands or growth itself fails.
                     continue;
                 }
+                // The frontier is dry. The class's dry stamp is advisory,
+                // so look at every subtree once more before giving up on
+                // the bitmaps: a false "dry" may cost a grow, never an
+                // out-of-memory.
+                if let Some(off) = ll.alloc_rescan(class) {
+                    return Ok(off);
+                }
             }
             return self.alloc_slow(size, align, rounded);
         }

@@ -1,0 +1,272 @@
+//! On-media format of the `pstore` undo log, and the one walk over it.
+//!
+//! `pstore::log` writes this format and recovers through [`scan`];
+//! [`crate::verify`] and [`crate::inspect`] read images through the same
+//! walk ([`scan_image`]), so the format lives here, below all three.
+//!
+//! ```text
+//! log area  [log_off, log_off + log_cap)
+//! +------------+-------+---------------------------------------+
+//! | generation | (pad) | entry | entry | entry | ...           |
+//! +------------+-------+---------------------------------------+
+//!    u64          u64    each: { off, len, crc64, generation, bytes…, pad to 16 }
+//! ```
+//!
+//! There is no persistent entry count. An entry is its own commit record:
+//! it belongs to the log iff it carries the log's current generation and
+//! its CRC-64 — whose register is *seeded* with that generation — checks
+//! out, and the log is the longest run of such entries from the start of
+//! the area. Truncation is one 8-byte store: bump the generation, and
+//! every entry written before it stops validating.
+//!
+//! Why a seeded CRC cannot validate across generations: CRC-64 is affine
+//! in its initial register, so for one message of one length two
+//! different seeds always give two different checksums. A stale entry's
+//! stored checksum was computed under seed `!g₀`; recomputing it under
+//! `!g₁` over the same bytes cannot land on the same value. (The header's
+//! generation word already tells the two apart; the seed makes a rotted
+//! or torn generation word harmless as well.)
+
+use crate::crc::crc64_update;
+
+/// The `pstore` store magic. `PSTOREV2`: the v1 log kept a persistent
+/// `used` word where the generation now lives, so a v1 image must read as
+/// not formatted rather than be misparsed.
+pub const STORE_MAGIC: u64 = u64::from_le_bytes(*b"PSTOREV2");
+/// Size of the store metadata block (magic, object list, log geometry).
+const STORE_META_SIZE: u64 = 40;
+/// Byte overhead of the log-area header (`generation` + padding).
+pub const LOG_HEADER_SIZE: u64 = 16;
+/// Byte overhead of one entry's header (`off`, `len`, `crc64`,
+/// `generation`).
+pub const ENTRY_HEADER_SIZE: u64 = 32;
+
+fn read_u64(bytes: &[u8], off: usize) -> u64 {
+    u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8-byte slice"))
+}
+
+/// `(log_off, log_cap)` from the store metadata block at `meta_off` of a
+/// region image, or `None` when the block is out of bounds or does not
+/// carry [`STORE_MAGIC`]. The pair is *not* validated against the image.
+fn locate(image: &[u8], meta_off: u64) -> Option<(u64, u64)> {
+    let end = meta_off.checked_add(STORE_META_SIZE)?;
+    if end > image.len() as u64 {
+        return None;
+    }
+    let meta = meta_off as usize;
+    (read_u64(image, meta) == STORE_MAGIC)
+        .then(|| (read_u64(image, meta + 24), read_u64(image, meta + 32)))
+}
+
+/// The undo log of a store found in a region image by [`scan_image`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ImageLog {
+    /// Region offset of the log area, as the store metadata gives it.
+    pub log_off: u64,
+    /// Capacity of the log area in bytes, likewise.
+    pub log_cap: u64,
+    /// The walk over the area; `None` when the metadata points the area
+    /// outside the image (or leaves it no room for a header).
+    pub scan: Option<LogScan>,
+}
+
+/// Finds and walks the undo log of the store whose metadata block sits at
+/// `meta_off` of `image` — the offline readers' entry point. `None` when
+/// no store is there (block out of bounds, or not [`STORE_MAGIC`]).
+pub fn scan_image(image: &[u8], meta_off: u64) -> Option<ImageLog> {
+    let (log_off, log_cap) = locate(image, meta_off)?;
+    let len = image.len() as u64;
+    let scan = log_off
+        .checked_add(log_cap)
+        .filter(|&end| end <= len && log_cap >= LOG_HEADER_SIZE)
+        .map(|end| scan(&image[log_off as usize..end as usize], len));
+    Some(ImageLog {
+        log_off,
+        log_cap,
+        scan,
+    })
+}
+
+/// Bytes an entry with a `len`-byte payload occupies (header + payload
+/// padded to 16); `None` on overflow.
+pub fn entry_span(len: u64) -> Option<u64> {
+    (len.checked_add(15)? & !15).checked_add(ENTRY_HEADER_SIZE)
+}
+
+/// CRC-64 sealing one entry of a log at `generation`: covers the `off`
+/// and `len` header words and the payload, with the generation as the
+/// register's seed rather than as eight more bytes. Generation 0 is the
+/// plain CRC-64/XZ of those bytes (what `pstore`'s redo log stores).
+pub fn entry_crc(generation: u64, data_off: u64, len: u64, payload: &[u8]) -> u64 {
+    let mut head = [0u8; 16];
+    head[..8].copy_from_slice(&data_off.to_le_bytes());
+    head[8..].copy_from_slice(&len.to_le_bytes());
+    crc64_update(crc64_update(!generation, &head), payload) ^ !0
+}
+
+/// One validated entry found by [`scan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogEntry {
+    /// Offset of the entry's payload within the log area.
+    pub payload: u64,
+    /// Region offset of the range the payload snapshots.
+    pub data_off: u64,
+    /// Length of that range (and of the payload) in bytes.
+    pub len: u64,
+}
+
+/// What [`scan`] found in a log area.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogScan {
+    /// The log's current generation.
+    pub generation: u64,
+    /// The valid entries, oldest first.
+    pub entries: Vec<LogEntry>,
+    /// Bytes of the area those entries occupy (header excluded).
+    pub bytes: u64,
+}
+
+/// Walks the log in `area` (the whole area, header included): every entry
+/// from the start that carries the area's generation, stays inside the
+/// area, targets a range inside `[0, region_len)` and passes its seeded
+/// CRC. The first entry that fails any of these ends the log — after a
+/// crash that is the torn or never-written tail; mid-log rot looks the
+/// same and costs the entries behind it, never a replay of damaged bytes.
+pub fn scan(area: &[u8], region_len: u64) -> LogScan {
+    let mut out = LogScan {
+        generation: 0,
+        entries: Vec::new(),
+        bytes: 0,
+    };
+    if (area.len() as u64) < LOG_HEADER_SIZE {
+        return out;
+    }
+    out.generation = read_u64(area, 0);
+    let mut pos = LOG_HEADER_SIZE;
+    while pos + ENTRY_HEADER_SIZE <= area.len() as u64 {
+        let at = pos as usize;
+        let (data_off, len) = (read_u64(area, at), read_u64(area, at + 8));
+        let payload = pos + ENTRY_HEADER_SIZE;
+        let fits = read_u64(area, at + 24) == out.generation
+            && entry_span(len).is_some_and(|span| span <= area.len() as u64 - pos)
+            && data_off
+                .checked_add(len)
+                .is_some_and(|end| end <= region_len);
+        if !fits {
+            break;
+        }
+        let bytes = &area[payload as usize..(payload + len) as usize];
+        if entry_crc(out.generation, data_off, len, bytes) != read_u64(area, at + 16) {
+            break;
+        }
+        out.entries.push(LogEntry {
+            payload,
+            data_off,
+            len,
+        });
+        pos += entry_span(len).expect("checked above");
+    }
+    out.bytes = pos - LOG_HEADER_SIZE;
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn put(area: &mut [u8], pos: usize, generation: u64, data_off: u64, payload: &[u8]) -> usize {
+        let len = payload.len() as u64;
+        area[pos..pos + 8].copy_from_slice(&data_off.to_le_bytes());
+        area[pos + 8..pos + 16].copy_from_slice(&len.to_le_bytes());
+        let crc = entry_crc(generation, data_off, len, payload);
+        area[pos + 16..pos + 24].copy_from_slice(&crc.to_le_bytes());
+        area[pos + 24..pos + 32].copy_from_slice(&generation.to_le_bytes());
+        area[pos + 32..pos + 32 + payload.len()].copy_from_slice(payload);
+        pos + entry_span(len).unwrap() as usize
+    }
+
+    fn area_at(generation: u64) -> Vec<u8> {
+        let mut area = vec![0u8; 512];
+        area[..8].copy_from_slice(&generation.to_le_bytes());
+        area
+    }
+
+    #[test]
+    fn scan_stops_at_the_first_entry_that_does_not_validate() {
+        let mut area = area_at(5);
+        let p1 = put(&mut area, 16, 5, 1000, &[1; 8]);
+        let p2 = put(&mut area, p1, 5, 2000, &[2; 24]);
+        put(&mut area, p2, 5, 3000, &[3; 8]);
+        let s = scan(&area, 1 << 20);
+        assert_eq!(s.generation, 5);
+        assert_eq!(s.entries.len(), 3);
+        assert_eq!(s.entries[1].data_off, 2000);
+        assert_eq!(s.entries[1].payload, p1 as u64 + 32);
+        assert_eq!(s.bytes, 48 + 64 + 48);
+        // Rot in the second entry ends the log there: the third, intact
+        // and of this generation, is not reached.
+        area[p1 + 40] ^= 1;
+        let s = scan(&area, 1 << 20);
+        assert_eq!(s.entries.len(), 1);
+        assert_eq!(s.bytes, 48);
+    }
+
+    #[test]
+    fn entries_of_another_generation_never_validate() {
+        let mut area = area_at(7);
+        put(&mut area, 16, 6, 1000, &[9; 8]);
+        assert!(scan(&area, 1 << 20).entries.is_empty());
+        // Not by the generation word alone: relabel the stale entry and
+        // its checksum, computed under the old seed, still refuses.
+        area[16 + 24..16 + 32].copy_from_slice(&7u64.to_le_bytes());
+        assert!(scan(&area, 1 << 20).entries.is_empty());
+        for (a, b) in [(0u64, 1u64), (6, 7), (u64::MAX, 0)] {
+            assert_ne!(
+                entry_crc(a, 1000, 8, &[9; 8]),
+                entry_crc(b, 1000, 8, &[9; 8])
+            );
+        }
+    }
+
+    #[test]
+    fn implausible_headers_end_the_scan_without_reading_out_of_bounds() {
+        for (data_off, len) in [(0, u64::MAX), (0, 4096), (u64::MAX, 8), (1 << 20, 8)] {
+            let mut area = area_at(1);
+            area[16..24].copy_from_slice(&data_off.to_le_bytes());
+            area[24..32].copy_from_slice(&len.to_le_bytes());
+            area[40..48].copy_from_slice(&1u64.to_le_bytes());
+            assert!(scan(&area, 1 << 20).entries.is_empty());
+        }
+        assert_eq!(scan(&[0u8; 8], 64).bytes, 0);
+    }
+
+    #[test]
+    fn generation_zero_is_the_plain_crc() {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&77u64.to_le_bytes());
+        bytes.extend_from_slice(&3u64.to_le_bytes());
+        bytes.extend_from_slice(b"abc");
+        assert_eq!(entry_crc(0, 77, 3, b"abc"), crate::crc::crc64(&bytes));
+    }
+
+    #[test]
+    fn scan_image_checks_magic_and_bounds() {
+        let mut img = vec![0u8; 1024];
+        img[8..16].copy_from_slice(&STORE_MAGIC.to_le_bytes());
+        img[32..40].copy_from_slice(&512u64.to_le_bytes());
+        img[40..48].copy_from_slice(&256u64.to_le_bytes());
+        img[512..520].copy_from_slice(&3u64.to_le_bytes());
+        put(&mut img[512..768], 16, 3, 64, &[7; 8]);
+        let log = scan_image(&img, 8).unwrap();
+        assert_eq!((log.log_off, log.log_cap), (512, 256));
+        let scan = log.scan.unwrap();
+        assert_eq!((scan.generation, scan.entries.len()), (3, 1));
+        // No store at these offsets.
+        assert_eq!(scan_image(&img, 0), None);
+        assert_eq!(scan_image(&img, 1000), None);
+        assert_eq!(scan_image(&img, u64::MAX), None);
+        // A store whose log area leaves the image: found, not walked.
+        img[40..48].copy_from_slice(&4096u64.to_le_bytes());
+        assert_eq!(scan_image(&img, 8).unwrap().scan, None);
+    }
+}

@@ -36,6 +36,7 @@ use crate::region::{
     RegionHeader, HEADER_VERSION, MAX_ROOTS, META_SLOT_COUNT, META_SLOT_SIZE, REGION_MAGIC,
     ROOT_NAME_CAP,
 };
+use crate::undolog;
 use std::fmt;
 use std::path::Path;
 
@@ -58,16 +59,8 @@ const ALLOC_LISTS_LEN: usize = (NUM_CLASSES + 1) * 8;
 /// and the four stat counters; see `AllocHeader` in `alloc.rs`.
 const OFF_ALLOC_LL_DIR: usize = OFF_ALLOC_LISTS + ALLOC_LISTS_LEN + 4 * 8;
 
-/// The `pstore` store magic ("PSTOREV1"); duplicated here because the
-/// dependency points the other way (`pstore` builds on `nvmsim`). The
-/// undo-log walk below and `pstore::log` must agree on the entry format.
-const PSTORE_MAGIC: u64 = u64::from_le_bytes(*b"PSTOREV1");
 /// Region root under which a `pstore` store keeps its metadata.
 const PSTORE_META_ROOT: &[u8] = b"pstore.meta";
-/// Undo-log area header (`used` word + padding).
-const LOG_HEADER_SIZE: u64 = 16;
-/// Undo-log entry header: `{ data_off, len, crc64, reserved }`.
-const LOG_ENTRY_HEADER_SIZE: u64 = 32;
 
 fn read_u64(bytes: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap())
@@ -139,22 +132,24 @@ pub struct RootIssue {
     pub reason: String,
 }
 
-/// Result of walking a `pstore` undo log's entry checksums.
+/// Result of walking a `pstore` undo log (see [`crate::undolog`]).
 #[derive(Debug, Clone, Copy)]
 pub struct LogCheck {
     /// Region offset of the log area.
     pub log_off: u64,
     /// Capacity of the log area in bytes.
     pub log_cap: u64,
-    /// The log's `used` word (bytes of entries the commit point covers).
+    /// The log's current generation.
+    pub generation: u64,
+    /// Entries of that generation whose seeded CRC-64 checks out — what
+    /// the next attach would roll back.
+    pub entries: u64,
+    /// Bytes of the area those entries occupy.
     pub used: u64,
-    /// Entries whose CRC-64 checks out.
-    pub entries_ok: u64,
-    /// Entries with a structurally plausible header but a failing CRC.
-    pub entries_bad: u64,
-    /// Whether the scan ended early on an implausible entry header (span
-    /// or target out of bounds) — entries past that point are unreadable.
-    pub truncated: bool,
+    /// Whether the store metadata points the log area outside the image,
+    /// so nothing could be walked. (A damaged *entry* is not reported: it
+    /// ends the log exactly like the torn tail of a crash.)
+    pub out_of_bounds: bool,
 }
 
 /// Structured result of the corruption walk over one region image.
@@ -242,16 +237,14 @@ impl VerifyReport {
 
     /// Whether the image shows no damage at all: valid primary, no
     /// corrupt slot, an active slot present, a clean image's primary in
-    /// agreement with it, and no bad or unreadable log entries.
+    /// agreement with it, and a log area inside the image.
     pub fn healthy(&self) -> bool {
         self.primary_ok()
             && self.llalloc_errors.is_empty()
             && self.slots.iter().all(|s| s.state != SlotState::Corrupt)
             && self.active_slot.is_some()
             && (!self.clean || self.primary_matches_active == Some(true))
-            && self
-                .undo_log
-                .is_none_or(|l| l.entries_bad == 0 && !l.truncated)
+            && self.undo_log.is_none_or(|l| !l.out_of_bounds)
             && self.quarantined_roots.is_empty()
     }
 
@@ -269,13 +262,8 @@ impl VerifyReport {
                 parts.push(format!("metadata slot {} corrupt", slot_name(i)));
             }
         }
-        if let Some(l) = self.undo_log {
-            if l.entries_bad > 0 {
-                parts.push(format!("{} undo-log entries fail their CRC", l.entries_bad));
-            }
-            if l.truncated {
-                parts.push("undo-log scan ended on an implausible entry".to_string());
-            }
+        if self.undo_log.is_some_and(|l| l.out_of_bounds) {
+            parts.push("undo-log area lies outside the image".to_string());
         }
         if parts.is_empty() {
             "no damage".to_string()
@@ -340,11 +328,15 @@ impl fmt::Display for VerifyReport {
         match self.undo_log {
             Some(l) => writeln!(
                 f,
-                "undo log:   {} bytes used, {} entries ok, {} bad{}",
+                "undo log:   generation {}, {} entries in {} bytes{}",
+                l.generation,
+                l.entries,
                 l.used,
-                l.entries_ok,
-                l.entries_bad,
-                if l.truncated { ", scan truncated" } else { "" }
+                if l.out_of_bounds {
+                    ", AREA OUT OF BOUNDS"
+                } else {
+                    ""
+                }
             )?,
             None => writeln!(f, "undo log:   none (no pstore store reachable)")?,
         }
@@ -577,12 +569,11 @@ fn check_llalloc(bytes: &[u8], clean: bool, errors: &mut Vec<String>) {
     }
 }
 
-/// Walks the `pstore` undo log's entry checksums, when a store is
-/// present. Returns `None` when no intact `pstore.meta` root leads to a
-/// plausible store (including when the region simply has no store).
+/// Walks the `pstore` undo log by generation + seeded CRC, when a store
+/// is present. Returns `None` when no intact `pstore.meta` root leads to
+/// a plausible store (including when the region simply has no store).
 fn check_undo_log(bytes: &[u8]) -> Option<LogCheck> {
     let data_start = RegionHeader::data_start();
-    let file_len = bytes.len() as u64;
     let mut meta_off = None;
     for i in 0..MAX_ROOTS {
         let off = OFF_ROOTS + i * ROOT_ENTRY_SIZE;
@@ -593,73 +584,19 @@ fn check_undo_log(bytes: &[u8]) -> Option<LogCheck> {
             }
         }
     }
-    let meta = meta_off?;
-    if meta < data_start || meta.checked_add(40)? > file_len {
-        return None;
-    }
-    let meta = meta as usize;
-    if read_u64(bytes, meta) != PSTORE_MAGIC {
-        return None;
-    }
-    let log_off = read_u64(bytes, meta + 24);
-    let log_cap = read_u64(bytes, meta + 32);
-    let mut check = LogCheck {
-        log_off,
-        log_cap,
-        used: 0,
-        entries_ok: 0,
-        entries_bad: 0,
-        truncated: false,
-    };
-    if log_off < data_start
-        || log_cap < LOG_HEADER_SIZE
-        || log_off
-            .checked_add(log_cap)
-            .is_none_or(|end| end > file_len)
-    {
-        check.truncated = true;
-        return Some(check);
-    }
-    let used = read_u64(bytes, log_off as usize);
-    check.used = used;
-    if used > log_cap - LOG_HEADER_SIZE {
-        check.truncated = true;
-        return Some(check);
-    }
-    let entries = log_off + LOG_HEADER_SIZE;
-    let mut pos = 0u64;
-    while pos + LOG_ENTRY_HEADER_SIZE <= used {
-        let ent = (entries + pos) as usize;
-        let data_off = read_u64(bytes, ent);
-        let len = read_u64(bytes, ent + 8);
-        let crc = read_u64(bytes, ent + 16);
-        let span = len
-            .checked_add(15)
-            .map(|v| v & !15)
-            .and_then(|v| v.checked_add(LOG_ENTRY_HEADER_SIZE));
-        let intact = span.is_some_and(|s| {
-            pos.checked_add(s).is_some_and(|end| end <= used)
-                && data_off.checked_add(len).is_some_and(|end| end <= file_len)
-        });
-        if !intact {
-            check.truncated = true;
-            break;
-        }
-        let mut state = crc64_update(!0, &data_off.to_le_bytes());
-        state = crc64_update(state, &len.to_le_bytes());
-        state = crc64_update(
-            state,
-            &bytes[ent + LOG_ENTRY_HEADER_SIZE as usize
-                ..ent + LOG_ENTRY_HEADER_SIZE as usize + len as usize],
-        );
-        if state ^ !0 == crc {
-            check.entries_ok += 1;
-        } else {
-            check.entries_bad += 1;
-        }
-        pos += span.unwrap();
-    }
-    Some(check)
+    let meta = meta_off.filter(|&m| m >= data_start)?;
+    let log = undolog::scan_image(bytes, meta)?;
+    // A log area that overlaps the region header is as implausible as
+    // one that leaves the image.
+    let scan = log.scan.filter(|_| log.log_off >= data_start);
+    Some(LogCheck {
+        log_off: log.log_off,
+        log_cap: log.log_cap,
+        generation: scan.as_ref().map_or(0, |s| s.generation),
+        entries: scan.as_ref().map_or(0, |s| s.entries.len() as u64),
+        used: scan.as_ref().map_or(0, |s| s.bytes),
+        out_of_bounds: scan.is_none(),
+    })
 }
 
 /// Runs the full corruption walk over a region image. Never panics and

@@ -31,7 +31,7 @@ use nvmsim::shadow::FaultPolicy;
 use nvmsim::Region;
 use pds::{NodeArena, PArt, PHashSet};
 use pi_core::{FatPtrCached, OffHolder, Riv};
-use pstore::{ObjectStore, StoreHealth};
+use pstore::ObjectStore;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -592,7 +592,7 @@ impl Tenant {
         let avoid = self.bases.last().copied().unwrap_or(0);
         let region = Region::open_file_avoiding(&self.path, avoid).map_err(err)?;
         let store = ObjectStore::attach(&region).map_err(err)?;
-        let health = store.health();
+        let rolled_back = store.recovered();
         let set = TenantSet::attach(NodeArena::transactional(store.clone()), self.spec.repr)?;
         let idx = TenantIndex::attach(NodeArena::transactional(store.clone()), self.spec.repr)?;
         if let Err(e) = set.check_invariants().and_then(|()| idx.check_invariants()) {
@@ -611,7 +611,7 @@ impl Tenant {
             self.metrics.remaps.fetch_add(1, Ordering::Relaxed);
             metrics::incr(Counter::SrvRemapReopens);
         }
-        let came_from_crash = region.was_dirty() || health != StoreHealth::Clean;
+        let came_from_crash = region.was_dirty() || rolled_back;
         self.bases.push(region.base());
         self.region = Some(region);
         self.store = Some(store);
@@ -622,8 +622,6 @@ impl Tenant {
         }
         // A dirty image (crash teardown) or an actual rollback marks the
         // tenant `Recovered`; a clean eviction reopen stays `Healthy`.
-        // `StoreHealth::Damaged` also lands here: the invariant check
-        // above passed, so the tenant serves, visibly post-crash.
         self.set_state(if came_from_crash {
             TenantState::Recovered
         } else {

@@ -23,9 +23,10 @@
 //!    flushed after the write;
 //! 3. in-place node edits (adding a child to a non-full node, trimming a
 //!    prefix during a split, bumping a leaf counter) snapshot the node
-//!    via [`pstore::Tx::add_range`] first, so a crash at any
-//!    shadow-tracked point either replays the commit or rolls the node
-//!    back byte-exact.
+//!    via [`pstore::Tx::log_range`] first — every range of the operation
+//!    in one batch, fenced once before the first edit — so a crash at
+//!    any shadow-tracked point either replays the commit or rolls the
+//!    node back byte-exact.
 //!
 //! A grown node (Node4 → Node16 → Node48 → Node256) is replaced, not
 //! edited: the successor is built beside it, persisted, and published by
@@ -195,9 +196,14 @@ fn key_bytes(key: &str) -> Result<&[u8]> {
 /// The two mutation modes share one insertion body; the context supplies
 /// allocation, undo logging, and the flush half of the destination-flush
 /// discipline (raw mode skips both log and flush, like `PTrie::insert`).
+///
+/// Logging is batched: `log` snapshots a range without making the
+/// snapshot durable, and `fence` — or `alloc`, which fences on its way —
+/// must run before the first store to any range logged so far.
 trait Ctx {
     fn alloc(&mut self, arena: &NodeArena, size: usize) -> Result<*mut u8>;
     fn log(&mut self, addr: usize, len: usize) -> Result<()>;
+    fn fence(&mut self);
     fn persist(&self, addr: usize, len: usize);
 }
 
@@ -210,6 +216,7 @@ impl Ctx for RawCtx {
     fn log(&mut self, _addr: usize, _len: usize) -> Result<()> {
         Ok(())
     }
+    fn fence(&mut self) {}
     fn persist(&self, _addr: usize, _len: usize) {}
 }
 
@@ -222,7 +229,10 @@ impl Ctx for TxCtx<'_, '_> {
         Ok(self.tx.alloc(NODE_TYPE, size)?.as_ptr())
     }
     fn log(&mut self, addr: usize, len: usize) -> Result<()> {
-        Ok(self.tx.add_range(addr, len)?)
+        Ok(self.tx.log_range(addr, len)?)
+    }
+    fn fence(&mut self) {
+        self.tx.barrier();
     }
     fn persist(&self, addr: usize, len: usize) {
         persist_range(addr, len);
@@ -523,9 +533,12 @@ impl<R: PtrRepr> PArt<R> {
     }
 
     /// Shared insertion body; see the module docs for the crash steps.
+    /// Read-only descent first; each terminal case then logs every range
+    /// it will edit — the header counters included — before it allocates,
+    /// so the whole write set shares the fence of the first allocation
+    /// (or one explicit fence when nothing is allocated).
     unsafe fn insert_inner<C: Ctx>(&mut self, ctx: &mut C, key: &[u8]) -> Result<u64> {
         let (counters, clen) = self.counters_span();
-        ctx.log(counters, clen)?;
         let mut parent: *mut R = std::ptr::addr_of_mut!((*self.header).root);
         let mut depth = 0usize;
         let rsize = std::mem::size_of::<R>();
@@ -533,8 +546,10 @@ impl<R: PtrRepr> PArt<R> {
             let cur = (*parent).load_at_rest() as *mut NodeHead;
             if cur.is_null() {
                 // Empty slot (only ever the root): publish a fresh leaf.
-                let leaf = self.new_leaf(ctx, key)?;
+                ctx.log(counters, clen)?;
                 ctx.log(parent as usize, rsize)?;
+                let leaf = self.new_leaf(ctx, key)?;
+                ctx.fence();
                 (*parent).store(leaf as usize);
                 ctx.persist(parent as usize, rsize);
                 (*self.header).keys += 1;
@@ -548,7 +563,9 @@ impl<R: PtrRepr> PArt<R> {
                 if lk == key {
                     // Lazy-expanded hit: bump the occurrence count.
                     let caddr = std::ptr::addr_of_mut!((*leaf).count);
+                    ctx.log(counters, clen)?;
                     ctx.log(caddr as usize, 8)?;
+                    ctx.fence();
                     if *caddr == 0 {
                         (*self.header).keys += 1;
                     }
@@ -560,12 +577,14 @@ impl<R: PtrRepr> PArt<R> {
                 // Leaf split: a Node4 over the diverging byte, the old
                 // leaf untouched (it already stores its full key).
                 let m = lcp(&lk[depth..], &key[depth..]);
+                ctx.log(counters, clen)?;
+                ctx.log(parent as usize, rsize)?;
                 let split = self.new_inner(ctx, KIND_NODE4, &key[depth..depth + m])?;
                 let fresh = self.new_leaf(ctx, key)?;
                 Self::add_child_raw(split, branch_byte(&lk, depth + m), cur as usize);
                 Self::add_child_raw(split, branch_byte(key, depth + m), fresh as usize);
                 ctx.persist(split as usize, node_size::<R>(KIND_NODE4));
-                ctx.log(parent as usize, rsize)?;
+                ctx.fence();
                 (*parent).store(split as usize);
                 ctx.persist(parent as usize, rsize);
                 (*self.header).keys += 1;
@@ -580,19 +599,21 @@ impl<R: PtrRepr> PArt<R> {
                 // Prefix split: new Node4 over the shared head; the
                 // existing node keeps its tail (trimmed in place, undo
                 // logged) and is re-linked under its diverging byte.
+                ctx.log(counters, clen)?;
+                ctx.log(cur as usize, std::mem::size_of::<NodeHead>())?;
+                ctx.log(parent as usize, rsize)?;
                 let split = self.new_inner(ctx, KIND_NODE4, &prefix[..m])?;
                 let fresh = self.new_leaf(ctx, key)?;
                 Self::add_child_raw(split, prefix[m], cur as usize);
                 Self::add_child_raw(split, branch_byte(key, depth + m), fresh as usize);
                 ctx.persist(split as usize, node_size::<R>(KIND_NODE4));
-                ctx.log(cur as usize, std::mem::size_of::<NodeHead>())?;
+                ctx.fence();
                 let rest = plen - m - 1;
                 for i in 0..rest {
                     (*cur).kbytes[i] = prefix[m + 1 + i];
                 }
                 (*cur).klen = rest as u8;
                 ctx.persist(cur as usize, std::mem::size_of::<NodeHead>());
-                ctx.log(parent as usize, rsize)?;
                 (*parent).store(split as usize);
                 ctx.persist(parent as usize, rsize);
                 (*self.header).keys += 1;
@@ -607,16 +628,20 @@ impl<R: PtrRepr> PArt<R> {
                     depth += 1;
                 }
                 None => {
-                    let fresh = self.new_leaf(ctx, key)?;
+                    ctx.log(counters, clen)?;
                     if ((*cur).nkeys as usize) < node_capacity((*cur).kind) {
                         ctx.log(cur as usize, node_size::<R>((*cur).kind))?;
+                        let fresh = self.new_leaf(ctx, key)?;
+                        ctx.fence();
                         Self::add_child_raw(cur, b, fresh as usize);
                         ctx.persist(cur as usize, node_size::<R>((*cur).kind));
                     } else {
+                        ctx.log(parent as usize, rsize)?;
+                        let fresh = self.new_leaf(ctx, key)?;
                         let grown = self.grow(ctx, cur)?;
                         Self::add_child_raw(grown, b, fresh as usize);
                         ctx.persist(grown as usize, node_size::<R>((*grown).kind));
-                        ctx.log(parent as usize, rsize)?;
+                        ctx.fence();
                         (*parent).store(grown as usize);
                         ctx.persist(parent as usize, rsize);
                     }
@@ -664,7 +689,7 @@ impl<R: PtrRepr> PArt<R> {
     pub fn insert_tx(&mut self, store: &ObjectStore, key: &str) -> Result<u64> {
         let k = key_bytes(key)?;
         let mut tx = store.begin();
-        // SAFETY: see insert_inner; the tx serializes mutation.
+        // SAFETY: see insert_inner; `&mut self` serializes mutation.
         let n = unsafe { self.insert_inner(&mut TxCtx { tx: &mut tx }, k) }?;
         tx.commit();
         Ok(n)
@@ -673,7 +698,7 @@ impl<R: PtrRepr> PArt<R> {
     /// Transactionally removes one occurrence of `key` (decrements its
     /// leaf counter; structure nodes stay allocated — the tree never
     /// prunes, like the letter trie). Returns whether an occurrence was
-    /// removed.
+    /// removed; a key with no occurrence begins no transaction.
     ///
     /// # Errors
     ///
@@ -682,27 +707,33 @@ impl<R: PtrRepr> PArt<R> {
         let Ok(k) = key_bytes(key) else {
             return Ok(false);
         };
-        let mut tx = store.begin();
-        // SAFETY: read-only descent at rest; counter edits undo-logged.
+        // SAFETY: read-only descent at rest (`&mut self` excludes other
+        // writers of the structure); counter edits undo-logged as one
+        // batch before the first of them.
         unsafe {
             let Some(leaf) = self.find_leaf_at_rest(k) else {
-                return Ok(false); // tx drops with an empty log
+                return Ok(false);
             };
             if (*leaf).count == 0 {
                 return Ok(false);
             }
             let caddr = std::ptr::addr_of_mut!((*leaf).count);
-            tx.add_range(caddr as usize, 8)?;
+            let (counters, clen) = self.counters_span();
+            let last = *caddr == 1;
+            let mut tx = store.begin();
+            tx.log_range(caddr as usize, 8)?;
+            if last {
+                tx.log_range(counters, clen)?;
+            }
+            tx.barrier();
             *caddr -= 1;
             persist_range(caddr as usize, 8);
-            if *caddr == 0 {
-                let (counters, clen) = self.counters_span();
-                tx.add_range(counters, clen)?;
+            if last {
                 (*self.header).keys -= 1;
                 persist_range(counters, clen);
             }
+            tx.commit();
         }
-        tx.commit();
         Ok(true)
     }
 

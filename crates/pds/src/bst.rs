@@ -301,15 +301,16 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
 
     /// Transactional insert through `store`'s undo log: a crash either
     /// keeps the whole insertion or reverts it at the next attach.
-    /// Returns whether the key was new.
+    /// Returns whether the key was new. A key that is already present
+    /// changes nothing and begins no transaction.
     ///
     /// # Errors
     ///
     /// Allocation or logging failures.
     pub fn insert_tx(&mut self, store: &ObjectStore, key: u64) -> Result<bool> {
-        let mut tx = store.begin();
-        // SAFETY: slots navigated in place; the fresh node is unreachable
-        // until the slot publish, which is undo-logged.
+        // SAFETY: slots navigated in place (`&mut self` excludes other
+        // writers of the structure); the fresh node is unreachable until
+        // the slot publish, which is undo-logged.
         unsafe {
             let mut slot: *mut R = &mut (*self.header).root;
             loop {
@@ -318,7 +319,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
                     break;
                 }
                 if key == (*cur).key {
-                    return Ok(false); // tx drops with an empty log
+                    return Ok(false);
                 }
                 slot = if key < (*cur).key {
                     &mut (*cur).left
@@ -326,44 +327,49 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
                     &mut (*cur).right
                 };
             }
+            // The whole write set joins one batch — `alloc` adds its own
+            // two ranges — and is fenced once, before the first store.
+            let mut tx = store.begin();
+            let len_addr = std::ptr::addr_of_mut!((*self.header).len);
+            tx.log_range(slot as usize, std::mem::size_of::<R>())?;
+            tx.log_range(len_addr as usize, 8)?;
             let node = tx
                 .alloc(NODE_TYPE, std::mem::size_of::<BstNode<R, P>>())?
                 .as_ptr() as *mut BstNode<R, P>;
+            tx.barrier();
             (*node).left = R::null();
             (*node).right = R::null();
             (*node).key = key;
             (*node).payload = fill_payload::<P>(key);
             persist_range(node as usize, std::mem::size_of::<BstNode<R, P>>());
-            tx.add_range(slot as usize, std::mem::size_of::<R>())?;
             (*slot).store(node as usize);
             persist_range(slot as usize, std::mem::size_of::<R>());
-            let len_addr = std::ptr::addr_of_mut!((*self.header).len);
-            tx.add_range(len_addr as usize, 8)?;
             *len_addr += 1;
             persist_range(len_addr as usize, 8);
+            tx.commit();
         }
-        tx.commit();
         Ok(true)
     }
 
     /// Transactional BST delete. Two-children nodes are handled by copying
     /// the in-order successor's key and payload into place and unlinking
-    /// the successor. Returns whether the key was present. The removed
-    /// node's block is not reclaimed (see [`crate::PList::remove_tx`]).
+    /// the successor. Returns whether the key was present; an absent key
+    /// begins no transaction. The removed node's block is not reclaimed
+    /// (see [`crate::PList::remove_tx`]).
     ///
     /// # Errors
     ///
     /// Logging failures.
     pub fn remove_tx(&mut self, store: &ObjectStore, key: u64) -> Result<bool> {
-        let mut tx = store.begin();
         // SAFETY: slots navigated in place; every mutated range is
-        // undo-logged before the write and flushed after it.
+        // undo-logged (one batch, one fence) before the first write and
+        // flushed after its own.
         unsafe {
             let mut slot: *mut R = &mut (*self.header).root;
             let cur = loop {
                 let cur = (*slot).load_at_rest() as *mut BstNode<R, P>;
                 if cur.is_null() {
-                    return Ok(false); // tx drops with an empty log
+                    return Ok(false);
                 }
                 if key == (*cur).key {
                     break cur;
@@ -376,10 +382,14 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
             };
             let l = (*cur).left.load_at_rest();
             let r = (*cur).right.load_at_rest();
+            let len_addr = std::ptr::addr_of_mut!((*self.header).len);
+            let mut tx = store.begin();
+            tx.log_range(len_addr as usize, 8)?;
             if l == 0 || r == 0 {
                 // At most one child: splice it into the parent slot.
                 let child = if l == 0 { r } else { l };
-                tx.add_range(slot as usize, std::mem::size_of::<R>())?;
+                tx.log_range(slot as usize, std::mem::size_of::<R>())?;
+                tx.barrier();
                 (*slot).store(child);
                 persist_range(slot as usize, std::mem::size_of::<R>());
             } else {
@@ -396,21 +406,20 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
                 }
                 let succ = (*succ_slot).load_at_rest() as *mut BstNode<R, P>;
                 let key_addr = std::ptr::addr_of_mut!((*cur).key);
-                tx.add_range(key_addr as usize, 8 + P)?;
+                tx.log_range(key_addr as usize, 8 + P)?;
+                tx.log_range(succ_slot as usize, std::mem::size_of::<R>())?;
+                tx.barrier();
                 (*cur).key = (*succ).key;
                 (*cur).payload = (*succ).payload;
                 persist_range(key_addr as usize, 8 + P);
                 let succ_right = (*succ).right.load_at_rest();
-                tx.add_range(succ_slot as usize, std::mem::size_of::<R>())?;
                 (*succ_slot).store(succ_right);
                 persist_range(succ_slot as usize, std::mem::size_of::<R>());
             }
-            let len_addr = std::ptr::addr_of_mut!((*self.header).len);
-            tx.add_range(len_addr as usize, 8)?;
             *len_addr -= 1;
             persist_range(len_addr as usize, 8);
+            tx.commit();
         }
-        tx.commit();
         Ok(true)
     }
 

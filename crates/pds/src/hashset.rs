@@ -282,15 +282,16 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     }
 
     /// Transactional insert through `store`'s undo log (tail append, as
-    /// the paper specifies). Returns whether the key was new.
+    /// the paper specifies). Returns whether the key was new. A key that
+    /// is already present changes nothing and begins no transaction.
     ///
     /// # Errors
     ///
     /// Allocation or logging failures.
     pub fn insert_tx(&mut self, store: &ObjectStore, key: u64) -> Result<bool> {
-        let mut tx = store.begin();
-        // SAFETY: slots navigated in place; the fresh node is unreachable
-        // until the slot publish, which is undo-logged.
+        // SAFETY: slots navigated in place (`&mut self` excludes other
+        // writers of the structure); the fresh node is unreachable until
+        // the slot publish, which is undo-logged.
         unsafe {
             let b = bucket_of(key, (*self.header).nbuckets) as usize;
             let mut slot: *mut R = self.buckets.add(b);
@@ -300,56 +301,61 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
                     break;
                 }
                 if (*cur).key == key {
-                    return Ok(false); // tx drops with an empty log
+                    return Ok(false);
                 }
                 slot = &mut (*cur).next;
             }
+            // The whole write set joins one batch — `alloc` adds its own
+            // two ranges — and is fenced once, before the first store.
+            let mut tx = store.begin();
+            let len_addr = std::ptr::addr_of_mut!((*self.header).len);
+            tx.log_range(slot as usize, std::mem::size_of::<R>())?;
+            tx.log_range(len_addr as usize, 8)?;
             let node = tx
                 .alloc(NODE_TYPE, std::mem::size_of::<HsNode<R, P>>())?
                 .as_ptr() as *mut HsNode<R, P>;
+            tx.barrier();
             (*node).next = R::null();
             (*node).key = key;
             (*node).mark = 0;
             (*node).payload = fill_payload::<P>(key);
             persist_range(node as usize, std::mem::size_of::<HsNode<R, P>>());
-            tx.add_range(slot as usize, std::mem::size_of::<R>())?;
             (*slot).store(node as usize);
             persist_range(slot as usize, std::mem::size_of::<R>());
-            let len_addr = std::ptr::addr_of_mut!((*self.header).len);
-            tx.add_range(len_addr as usize, 8)?;
             *len_addr += 1;
             persist_range(len_addr as usize, 8);
+            tx.commit();
         }
-        tx.commit();
         Ok(true)
     }
 
     /// Transactionally unlinks `key` from its bucket chain. Returns
-    /// whether it was present. The node's block is not reclaimed (see
-    /// [`crate::PList::remove_tx`]).
+    /// whether it was present; an absent key begins no transaction. The
+    /// node's block is not reclaimed (see [`crate::PList::remove_tx`]).
     ///
     /// # Errors
     ///
     /// Logging failures.
     pub fn remove_tx(&mut self, store: &ObjectStore, key: u64) -> Result<bool> {
-        let mut tx = store.begin();
-        // SAFETY: slots navigated in place; mutations undo-logged before
-        // the write and flushed after it.
+        // SAFETY: slots navigated in place; mutations undo-logged (one
+        // batch, one fence) before the writes and flushed after them.
         unsafe {
             let b = bucket_of(key, (*self.header).nbuckets) as usize;
             let mut slot: *mut R = self.buckets.add(b);
             loop {
                 let cur = (*slot).load_at_rest() as *mut HsNode<R, P>;
                 if cur.is_null() {
-                    return Ok(false); // tx drops with an empty log
+                    return Ok(false);
                 }
                 if (*cur).key == key {
                     let next = (*cur).next.load_at_rest();
-                    tx.add_range(slot as usize, std::mem::size_of::<R>())?;
+                    let len_addr = std::ptr::addr_of_mut!((*self.header).len);
+                    let mut tx = store.begin();
+                    tx.log_range(slot as usize, std::mem::size_of::<R>())?;
+                    tx.log_range(len_addr as usize, 8)?;
+                    tx.barrier();
                     (*slot).store(next);
                     persist_range(slot as usize, std::mem::size_of::<R>());
-                    let len_addr = std::ptr::addr_of_mut!((*self.header).len);
-                    tx.add_range(len_addr as usize, 8)?;
                     *len_addr -= 1;
                     persist_range(len_addr as usize, 8);
                     tx.commit();

@@ -248,16 +248,18 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
         // SAFETY: node is fresh (unreachable until the header publish,
         // which the undo log covers); header mapped while regions open.
         unsafe {
+            // The header joins the batch `alloc` fences.
+            tx.log_range(self.header as usize, std::mem::size_of::<ListHeader<R>>())?;
             let node = tx
                 .alloc(NODE_TYPE, std::mem::size_of::<ListNode<R, P>>())?
                 .as_ptr() as *mut ListNode<R, P>;
+            tx.barrier();
             (*node).key = key;
             (*node).payload = fill_payload::<P>(key);
             (*node).next = R::null();
             let old_head = (*self.header).head.load_at_rest();
             (*node).next.store(old_head);
             persist_range(node as usize, std::mem::size_of::<ListNode<R, P>>());
-            tx.add_range(self.header as usize, std::mem::size_of::<ListHeader<R>>())?;
             (*self.header).head.store(node as usize);
             (*self.header).len += 1;
             persist_range(self.header as usize, std::mem::size_of::<ListHeader<R>>());
@@ -267,32 +269,34 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
     }
 
     /// Transactionally unlinks the first node with `key`. Returns whether
-    /// a node was removed. The node's block is *not* reclaimed (freeing
-    /// is not undo-logged, so reclamation inside a transaction could
-    /// double-serve the block after a crash); it leaks like an aborted
-    /// [`pstore::Tx::alloc`].
+    /// a node was removed; an absent key begins no transaction. The
+    /// node's block is *not* reclaimed (freeing is not undo-logged, so
+    /// reclamation inside a transaction could double-serve the block
+    /// after a crash); it leaks like an aborted [`pstore::Tx::alloc`].
     ///
     /// # Errors
     ///
     /// Logging failures.
     pub fn remove_tx(&mut self, store: &ObjectStore, key: u64) -> Result<bool> {
-        let mut tx = store.begin();
-        // SAFETY: slots navigated in place; mutations are undo-logged
-        // before the write and flushed after it.
+        // SAFETY: slots navigated in place (`&mut self` excludes other
+        // writers of the structure); mutations are undo-logged (one
+        // batch, one fence) before the writes and flushed after them.
         unsafe {
             let mut slot: *mut R = &mut (*self.header).head;
             loop {
                 let cur = (*slot).load_at_rest() as *mut ListNode<R, P>;
                 if cur.is_null() {
-                    return Ok(false); // tx drops with an empty log
+                    return Ok(false);
                 }
                 if (*cur).key == key {
                     let next = (*cur).next.load_at_rest();
-                    tx.add_range(slot as usize, std::mem::size_of::<R>())?;
+                    let len_addr = std::ptr::addr_of_mut!((*self.header).len);
+                    let mut tx = store.begin();
+                    tx.log_range(slot as usize, std::mem::size_of::<R>())?;
+                    tx.log_range(len_addr as usize, 8)?;
+                    tx.barrier();
                     (*slot).store(next);
                     persist_range(slot as usize, std::mem::size_of::<R>());
-                    let len_addr = std::ptr::addr_of_mut!((*self.header).len);
-                    tx.add_range(len_addr as usize, 8)?;
                     *len_addr -= 1;
                     persist_range(len_addr as usize, 8);
                     tx.commit();

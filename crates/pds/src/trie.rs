@@ -75,6 +75,20 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         Ok(node)
     }
 
+    /// A zeroed node allocated inside `tx`; unreachable (and not counted
+    /// in the header) until the caller publishes it.
+    unsafe fn fresh_node_tx(&self, tx: &mut pstore::Tx<'_>) -> Result<*mut TrieNode<R, P>> {
+        let n = tx
+            .alloc(NODE_TYPE, std::mem::size_of::<TrieNode<R, P>>())?
+            .as_ptr() as *mut TrieNode<R, P>;
+        for j in 0..ALPHABET {
+            (*n).children[j] = R::null();
+        }
+        (*n).count = 0;
+        (*n).payload = [0; P];
+        Ok(n)
+    }
+
     /// Creates an empty trie whose header lives in the home region.
     ///
     /// # Errors
@@ -299,6 +313,11 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     /// keeps the whole insertion (new path nodes, counters) or reverts it
     /// at the next attach. Returns the word's new occurrence count.
     ///
+    /// The missing tail of the word's path is built beside the trie and
+    /// published by one store into the deepest existing node, so the
+    /// write set — the counters and that slot, or the terminal count when
+    /// the whole path exists — is logged before the first store.
+    ///
     /// # Errors
     ///
     /// [`PdsError::BadCharacter`], allocation or logging failures.
@@ -306,46 +325,59 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         if word.is_empty() {
             return Err(PdsError::WordTooLong(String::new()));
         }
-        let mut tx = store.begin();
-        // SAFETY: slots navigated in place; fresh path nodes are
-        // unreachable until their parent slot publish, which is
-        // undo-logged; counters snapshotted before mutation.
+        let path = word.bytes().map(index_of).collect::<Result<Vec<usize>>>()?;
+        // SAFETY: slots navigated in place (`&mut self` excludes other
+        // writers of the structure); fresh path nodes are unreachable
+        // until the one slot publish, which is undo-logged; counters
+        // snapshotted before mutation.
         unsafe {
+            let mut cur = (*self.header).root.load_at_rest() as *mut TrieNode<R, P>;
+            let mut depth = 0;
+            while depth < path.len() {
+                let next = (*cur).children[path[depth]].load_at_rest() as *mut TrieNode<R, P>;
+                if next.is_null() {
+                    break;
+                }
+                cur = next;
+                depth += 1;
+            }
+            let mut tx = store.begin();
             // words and nodes are adjacent header fields: one snapshot
             // covers every counter this insert touches.
             let counters = std::ptr::addr_of_mut!((*self.header).words);
-            tx.add_range(counters as usize, 16)?;
-            let mut cur = (*self.header).root.load_at_rest() as *mut TrieNode<R, P>;
-            for &c in word.as_bytes() {
-                let i = index_of(c)?;
-                let slot: *mut R = &mut (*cur).children[i];
-                let next = (*slot).load_at_rest() as *mut TrieNode<R, P>;
-                cur = if next.is_null() {
-                    let n = tx
-                        .alloc(NODE_TYPE, std::mem::size_of::<TrieNode<R, P>>())?
-                        .as_ptr() as *mut TrieNode<R, P>;
-                    for j in 0..ALPHABET {
-                        (*n).children[j] = R::null();
-                    }
-                    (*n).count = 0;
-                    (*n).payload = [0; P];
-                    persist_range(n as usize, std::mem::size_of::<TrieNode<R, P>>());
-                    (*self.header).nodes += 1;
-                    tx.add_range(slot as usize, std::mem::size_of::<R>())?;
-                    (*slot).store(n as usize);
-                    persist_range(slot as usize, std::mem::size_of::<R>());
-                    n
-                } else {
-                    next
-                };
-            }
-            let count_addr = std::ptr::addr_of_mut!((*cur).count);
-            tx.add_range(count_addr as usize, 8)?;
-            *count_addr += 1;
-            persist_range(count_addr as usize, 8);
+            tx.log_range(counters as usize, 16)?;
+            let new_count = if depth == path.len() {
+                let count_addr = std::ptr::addr_of_mut!((*cur).count);
+                tx.log_range(count_addr as usize, 8)?;
+                tx.barrier();
+                *count_addr += 1;
+                persist_range(count_addr as usize, 8);
+                *count_addr
+            } else {
+                let slot: *mut R = &mut (*cur).children[path[depth]];
+                tx.log_range(slot as usize, std::mem::size_of::<R>())?;
+                // Each fresh node is linked into its (still unreachable)
+                // parent, which is then persisted; the last one is the
+                // word's terminal.
+                let node_size = std::mem::size_of::<TrieNode<R, P>>();
+                let first = self.fresh_node_tx(&mut tx)?;
+                let mut last = first;
+                for &i in &path[depth + 1..] {
+                    let n = self.fresh_node_tx(&mut tx)?;
+                    (*last).children[i].store(n as usize);
+                    persist_range(last as usize, node_size);
+                    last = n;
+                }
+                (*last).count = 1;
+                persist_range(last as usize, node_size);
+                tx.barrier();
+                (*slot).store(first as usize);
+                persist_range(slot as usize, std::mem::size_of::<R>());
+                (*self.header).nodes += (path.len() - depth) as u64;
+                1
+            };
             (*self.header).words += 1;
             persist_range(counters as usize, 16);
-            let new_count = *count_addr;
             tx.commit();
             Ok(new_count)
         }
@@ -353,15 +385,15 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
 
     /// Transactionally removes one occurrence of `word` (decrements its
     /// terminal counter and the word total). Path nodes stay allocated —
-    /// the trie never prunes. Returns whether an occurrence was removed.
+    /// the trie never prunes. Returns whether an occurrence was removed;
+    /// a word that is not present begins no transaction.
     ///
     /// # Errors
     ///
     /// Logging failures.
     pub fn remove_tx(&mut self, store: &ObjectStore, word: &str) -> Result<bool> {
-        let mut tx = store.begin();
-        // SAFETY: navigation as in count; counters snapshotted before
-        // mutation and flushed after.
+        // SAFETY: navigation as in count; counters snapshotted (one
+        // batch, one fence) before mutation and flushed after.
         unsafe {
             let mut cur = (*self.header).root.load_at_rest() as *mut TrieNode<R, P>;
             for &c in word.as_bytes() {
@@ -370,22 +402,24 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
                 };
                 cur = (*cur).children[i].load_at_rest() as *mut TrieNode<R, P>;
                 if cur.is_null() {
-                    return Ok(false); // tx drops with an empty log
+                    return Ok(false);
                 }
             }
             if (*cur).count == 0 {
                 return Ok(false);
             }
             let count_addr = std::ptr::addr_of_mut!((*cur).count);
-            tx.add_range(count_addr as usize, 8)?;
+            let words_addr = std::ptr::addr_of_mut!((*self.header).words);
+            let mut tx = store.begin();
+            tx.log_range(count_addr as usize, 8)?;
+            tx.log_range(words_addr as usize, 8)?;
+            tx.barrier();
             *count_addr -= 1;
             persist_range(count_addr as usize, 8);
-            let words_addr = std::ptr::addr_of_mut!((*self.header).words);
-            tx.add_range(words_addr as usize, 8)?;
             *words_addr -= 1;
             persist_range(words_addr as usize, 8);
+            tx.commit();
         }
-        tx.commit();
         Ok(true)
     }
 

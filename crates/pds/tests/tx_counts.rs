@@ -1,0 +1,132 @@
+//! Exact persistence traffic of the transactional structure operations.
+//! The counters are process-wide, so this file is its own test process
+//! with a single `#[test]`: the deltas below are exact because nothing
+//! else is flushing.
+
+use nvmsim::metrics::{self, Counter, Snapshot};
+use nvmsim::Region;
+use pds::{NodeArena, PArt, PBst, PHashSet, PList, PTrie};
+use pi_core::OffHolder;
+use pstore::ObjectStore;
+
+fn delta(f: impl FnOnce()) -> Snapshot {
+    let before = metrics::snapshot();
+    f();
+    metrics::snapshot().delta(&before)
+}
+
+/// An operation that changes nothing begins no transaction and causes no
+/// persistence traffic at all.
+fn assert_untouched(what: &str, d: &Snapshot) {
+    for c in [
+        Counter::TxBegins,
+        Counter::TxAborts,
+        Counter::UndoEntries,
+        Counter::ClflushCalls,
+        Counter::WbarrierCalls,
+    ] {
+        assert_eq!(d.get(c), 0, "{what}: {} moved", c.name());
+    }
+}
+
+#[test]
+fn tx_ops_cost_one_batch_fence_and_noops_cost_nothing() {
+    let region = Region::create(8 << 20).unwrap();
+    let store = ObjectStore::format(&region).unwrap();
+    let arena = || NodeArena::transactional(store.clone());
+    let mut set: PHashSet<OffHolder> = PHashSet::new(arena(), 64).unwrap();
+    let mut bst: PBst<OffHolder> = PBst::new(arena()).unwrap();
+    let mut list: PList<OffHolder> = PList::new(arena()).unwrap();
+    let mut trie: PTrie<OffHolder> = PTrie::new(arena()).unwrap();
+    let mut art: PArt<OffHolder> = PArt::new(arena()).unwrap();
+    // Warm up: the size classes these nodes use have a subtree with room,
+    // so no allocation below grows one (a grow is two more fences).
+    for k in [1u64, 2, 3] {
+        set.insert_tx(&store, k).unwrap();
+        bst.insert_tx(&store, k).unwrap();
+        list.push_front_tx(&store, k).unwrap();
+    }
+    trie.insert_tx(&store, "ab").unwrap();
+    art.insert_tx(&store, "ab").unwrap();
+    art.insert_tx(&store, "ac").unwrap();
+
+    // hashset/bst insert: the bitmap bit, the one batch (slot, len and
+    // the allocation's two list ranges), the commit fence, the truncate.
+    // Parent: two fences per logged range (8) + the same 4.
+    let d = delta(|| assert!(set.insert_tx(&store, 10).unwrap()));
+    assert_eq!(d.get(Counter::TxBegins), 1);
+    assert_eq!(d.get(Counter::UndoEntries), 4);
+    assert_eq!(d.get(Counter::WbarrierCalls), 4);
+    // bitmap word, batch span, object header, old head's link, list-head
+    // words, node, slot, len, generation (parent: + 4 entries, 4 `used`).
+    assert_eq!(d.get(Counter::ClflushCalls), 9);
+    let d = delta(|| assert!(bst.insert_tx(&store, 10).unwrap()));
+    assert_eq!(d.get(Counter::WbarrierCalls), 4);
+    assert_eq!(d.get(Counter::ClflushCalls), 9);
+
+    // remove: batch (slot, len), commit, truncate. Parent: 2 × 2 + 2.
+    let d = delta(|| assert!(set.remove_tx(&store, 10).unwrap()));
+    assert_eq!(d.get(Counter::UndoEntries), 2);
+    assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    assert_eq!(d.get(Counter::ClflushCalls), 4);
+    let d = delta(|| assert!(bst.remove_tx(&store, 10).unwrap()));
+    assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    let d = delta(|| assert!(list.remove_tx(&store, 2).unwrap()));
+    assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    let d = delta(|| assert!(trie.remove_tx(&store, "ab").unwrap()));
+    assert_eq!(d.get(Counter::WbarrierCalls), 3);
+
+    // ART: an occurrence bump and a removal are one batch each; a new
+    // key under a node with room is one batch around one allocation.
+    let d = delta(|| assert_eq!(art.insert_tx(&store, "ab").unwrap(), 2));
+    assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    let d = delta(|| assert!(art.remove_tx(&store, "ab").unwrap()));
+    assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    let d = delta(|| assert_eq!(art.insert_tx(&store, "ad").unwrap(), 1));
+    assert_eq!(d.get(Counter::WbarrierCalls), 4);
+
+    // Nothing to change: no lock, no begin, no abort, no traffic.
+    assert_untouched(
+        "hashset insert of a present key",
+        &delta(|| assert!(!set.insert_tx(&store, 1).unwrap())),
+    );
+    assert_untouched(
+        "bst insert of a present key",
+        &delta(|| assert!(!bst.insert_tx(&store, 1).unwrap())),
+    );
+    assert_untouched(
+        "hashset remove of an absent key",
+        &delta(|| assert!(!set.remove_tx(&store, 99).unwrap())),
+    );
+    assert_untouched(
+        "bst remove of an absent key",
+        &delta(|| assert!(!bst.remove_tx(&store, 99).unwrap())),
+    );
+    assert_untouched(
+        "list remove of an absent key",
+        &delta(|| assert!(!list.remove_tx(&store, 99).unwrap())),
+    );
+    assert_untouched(
+        "trie remove of an absent word",
+        &delta(|| assert!(!trie.remove_tx(&store, "zz").unwrap())),
+    );
+    assert_untouched(
+        "trie remove of a word with no occurrence left",
+        &delta(|| assert!(!trie.remove_tx(&store, "ab").unwrap())),
+    );
+    assert_untouched(
+        "art remove of an absent key",
+        &delta(|| assert!(!art.remove_tx(&store, "zz").unwrap())),
+    );
+
+    for (what, ok) in [
+        ("hashset", set.check_invariants()),
+        ("bst", bst.check_invariants()),
+        ("list", list.check_invariants()),
+        ("trie", trie.check_invariants()),
+        ("art", art.check_invariants()),
+    ] {
+        ok.unwrap_or_else(|e| panic!("{what}: {e}"));
+    }
+    region.close().unwrap();
+}

@@ -44,5 +44,5 @@ pub use error::{Result, StoreError};
 pub use log::{RecoveryStats, UndoLog};
 pub use object::{ObjHeader, OBJ_HEADER_SIZE};
 pub use redo::RedoLog;
-pub use store::{ObjectStore, StoreHealth, StoreStats, DEFAULT_LOG_CAPACITY};
+pub use store::{ObjectStore, StoreStats, DEFAULT_LOG_CAPACITY};
 pub use tx::Tx;

@@ -2,48 +2,51 @@
 //!
 //! The store's crash-consistency mechanism: before a transaction mutates a
 //! range of persistent memory, the *old* contents are appended to this log
-//! and flushed. On commit the log is truncated; on abort — or during
+//! and made durable. On commit the log is truncated; on abort — or during
 //! recovery after a crash — entries are applied in reverse, restoring the
 //! pre-transaction image.
 //!
-//! Layout of the log area (all offsets region-relative):
+//! The on-media format and the walk over it live in [`nvmsim::undolog`]
+//! (shared with `nvmsim::verify` and `nvmsim::inspect`): a generation
+//! word, then entries that each carry that generation and a CRC-64 seeded
+//! with it. An entry is its own commit record, so the protocol has no
+//! persistent entry count to keep in step:
 //!
-//! ```text
-//! +--------+---------+-----------------------------------+
-//! |  used  |  (pad)  |  entry | entry | entry | ...      |
-//! +--------+---------+-----------------------------------+
-//!   u64       u64       each entry: { off, len, crc64, rsvd, bytes…, pad to 16 }
-//! ```
+//! | step | persistence traffic | durable afterwards |
+//! |---|---|---|
+//! | [`UndoLog::append`] | none (the entry is written and tracked) | nothing yet — the entry may be whole, torn or absent |
+//! | [`UndoLog::barrier`] | the batch's span flushed once, one fence | every entry appended so far; their ranges may now be written |
+//! | commit fence | one fence | every flushed store of the transaction |
+//! | [`UndoLog::truncate`] | generation line flushed, one fence | the commit: no entry validates any more |
 //!
-//! The `used` word is the commit point: an entry only becomes part of the
-//! log once `used` covers it, and `used` is only advanced after the entry
-//! bytes are flushed (write-ahead ordering, paid for with the emulated
-//! `clflush`/`wbarrier` latencies of [`nvmsim::latency`]).
+//! Recovery never trusts a count. It takes the longest run of entries
+//! from the start of the area that carry the current generation and pass
+//! their seeded CRC: a torn or never-written entry ends the log, which is
+//! exact because ranges are only written after a barrier that made every
+//! earlier entry whole. The append cursor ([`UndoLog::used`]) and the
+//! barrier's high-water mark are therefore volatile — they live in the
+//! handle, not in the region.
 //!
-//! Each entry carries a CRC-64 over its header words and payload, so
-//! recovery on a *corrupted* image (media bit rot, not just a crash)
-//! skips damaged snapshots — counted in [`RecoveryStats`] — instead of
-//! replaying garbage over live data.
+//! The price: an entry damaged by media rot ends the log exactly like a
+//! torn tail, so rot costs the entries behind it and is not reported
+//! separately. It is still never *replayed* — the CRC sees to that.
 
 use crate::error::{Result, StoreError};
-use nvmsim::crc::crc64_update;
 use nvmsim::latency;
 use nvmsim::shadow;
+use nvmsim::undolog::{self, entry_crc, entry_span};
 use nvmsim::Region;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// Byte overhead of the log-area header (`used` + padding).
-pub const LOG_HEADER_SIZE: u64 = 16;
-/// Byte overhead of one entry's header (`off` + `len` + `crc64` +
-/// reserved).
-pub const ENTRY_HEADER_SIZE: u64 = 32;
+pub use nvmsim::undolog::{ENTRY_HEADER_SIZE, LOG_HEADER_SIZE};
 
-/// What a log recovery pass did — how many entries were applied, how many
-/// were skipped for failing their checksum, and whether the scan ended
-/// early on a structurally implausible entry.
+/// What a log recovery pass did.
 ///
-/// `skipped > 0 || truncated` means the image was damaged beyond what the
-/// crash protocol alone explains: recovery degraded gracefully rather
-/// than replaying garbage, but the affected ranges hold post-crash bytes.
+/// The undo log only ever fills `applied`: its scan ends at the first
+/// entry that does not validate, whatever the reason. The redo log keeps
+/// a persistent commit point, so it can tell damage inside the committed
+/// prefix apart and reports it in `skipped` / `truncated`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Entries whose checksums verified and whose snapshots were applied.
@@ -64,69 +67,100 @@ impl RecoveryStats {
     }
 }
 
-/// CRC-64 sealing one log entry: covers the `off` and `len` header words
-/// and the payload, so neither a rotted header nor a rotted snapshot can
-/// be replayed undetected. Must match `nvmsim::verify`'s undo-log walk.
-pub(crate) fn entry_crc(data_off: u64, len: u64, payload: &[u8]) -> u64 {
-    let mut state = crc64_update(!0, &data_off.to_le_bytes());
-    state = crc64_update(state, &len.to_le_bytes());
-    crc64_update(state, payload) ^ !0
-}
-
 /// Handle to a region's undo-log area.
 ///
-/// The handle itself is volatile; all logged state lives in the region at
-/// `[log_off, log_off + capacity)`.
+/// All logged state lives in the region at `[log_off, log_off +
+/// capacity)`; the handle adds the volatile cursors, shared by its
+/// clones.
 #[derive(Debug, Clone)]
 pub struct UndoLog {
     region: Region,
     log_off: u64,
     capacity: u64,
+    cursors: Arc<Cursors>,
+}
+
+/// Volatile positions in the entry area, in bytes since the last
+/// truncation. Recovery never reads them.
+#[derive(Debug, Default)]
+struct Cursors {
+    /// End of the appended entries.
+    used: AtomicU64,
+    /// End of the entries a barrier has made durable; `[durable, used)`
+    /// is the current batch.
+    durable: AtomicU64,
 }
 
 impl UndoLog {
-    /// Attaches to an existing (or freshly allocated, zeroed) log area.
+    /// Attaches to an existing (or freshly allocated) log area. A fresh
+    /// area must be [`UndoLog::format`]ted, an area that may hold an
+    /// interrupted transaction [`UndoLog::recover`]ed, before the first
+    /// append.
     pub fn new(region: Region, log_off: u64, capacity: u64) -> UndoLog {
         debug_assert!(capacity > LOG_HEADER_SIZE + ENTRY_HEADER_SIZE);
         UndoLog {
             region,
             log_off,
             capacity,
+            cursors: Arc::default(),
         }
     }
 
-    fn used_ptr(&self) -> *mut u64 {
+    fn generation_ptr(&self) -> *mut u64 {
         self.region.ptr_at(self.log_off) as *mut u64
     }
 
-    /// Bytes of entries currently in the log.
+    /// The log's current generation: what an entry must carry, and be
+    /// checksummed under, to belong to the log.
+    pub fn generation(&self) -> u64 {
+        // SAFETY: log area is inside the mapped region.
+        unsafe { *self.generation_ptr() }
+    }
+
+    /// Bytes of entries appended since the last truncation (the volatile
+    /// append cursor).
     pub fn used(&self) -> u64 {
-        // SAFETY: log area is inside the mapped region.
-        unsafe { *self.used_ptr() }
+        self.cursors.used.load(Ordering::Relaxed)
     }
 
-    /// Whether the log holds any entries (nonempty after a crash means
-    /// recovery must run).
-    pub fn is_dirty(&self) -> bool {
-        self.used() != 0
+    fn reset_cursors(&self) {
+        self.cursors.used.store(0, Ordering::Relaxed);
+        self.cursors.durable.store(0, Ordering::Relaxed);
     }
 
-    /// Initializes the log area (formats `used = 0`).
+    fn scan(&self) -> undolog::LogScan {
+        // SAFETY: the log area is inside the mapped region, and the
+        // transaction lock (or exclusive ownership during attach) keeps
+        // appends away while the slice is alive.
+        let area = unsafe {
+            std::slice::from_raw_parts(
+                self.region.ptr_at(self.log_off) as *const u8,
+                self.capacity as usize,
+            )
+        };
+        undolog::scan(area, self.region.size() as u64)
+    }
+
+    /// Initializes the log area: generation 1, and a first entry header
+    /// that cannot validate whatever the recycled block held before.
     pub fn format(&self) {
-        // SAFETY: log area is inside the mapped region.
-        unsafe { self.used_ptr().write(0) };
-        shadow::track_store(self.used_ptr() as usize, 8);
-        latency::clflush_range(self.used_ptr() as usize, 8);
+        let head = self.generation_ptr();
+        let bytes = (LOG_HEADER_SIZE + ENTRY_HEADER_SIZE) as usize;
+        // SAFETY: `new` requires the area to hold a header and an entry.
+        unsafe {
+            std::ptr::write_bytes(head as *mut u8, 0, bytes);
+            head.write(1);
+        }
+        self.reset_cursors();
+        shadow::track_store(head as usize, bytes);
+        latency::clflush_range(head as usize, bytes);
         latency::wbarrier();
     }
 
-    fn entry_span(len: u64) -> u64 {
-        ENTRY_HEADER_SIZE + ((len + 15) & !15)
-    }
-
     /// Appends an undo entry snapshotting `[addr, addr + len)` (an address
-    /// inside this log's region), following write-ahead ordering: entry
-    /// bytes are flushed before `used` is advanced and flushed.
+    /// inside this log's region). The entry is **not durable**: one
+    /// [`UndoLog::barrier`] — covering any number of appends — must run
+    /// before the first write to a logged range.
     ///
     /// # Errors
     ///
@@ -135,155 +169,120 @@ impl UndoLog {
     pub fn append(&self, addr: usize, len: usize) -> Result<()> {
         let data_off = self.region.offset_of(addr).map_err(StoreError::Nv)?;
         let used = self.used();
-        let span = Self::entry_span(len as u64);
-        if LOG_HEADER_SIZE + used + span > self.capacity {
+        let span = entry_span(len as u64).unwrap_or(u64::MAX);
+        if (LOG_HEADER_SIZE + used)
+            .checked_add(span)
+            .is_none_or(|end| end > self.capacity)
+        {
             return Err(StoreError::LogFull {
                 capacity: self.capacity,
                 requested: span,
             });
         }
-        let entry_off = self.log_off + LOG_HEADER_SIZE + used;
-        let entry = self.region.ptr_at(entry_off) as *mut u64;
+        let generation = self.generation();
+        let entry = self.region.ptr_at(self.log_off + LOG_HEADER_SIZE + used) as *mut u64;
         // SAFETY: bounds checked against capacity above; source range is
         // inside the region per offset_of.
         unsafe {
             entry.write(data_off);
             entry.add(1).write(len as u64);
             entry.add(2).write(entry_crc(
+                generation,
                 data_off,
                 len as u64,
                 std::slice::from_raw_parts(addr as *const u8, len),
             ));
-            entry.add(3).write(0);
+            entry.add(3).write(generation);
             std::ptr::copy_nonoverlapping(
                 addr as *const u8,
                 (entry as *mut u8).add(ENTRY_HEADER_SIZE as usize),
                 len,
             );
         }
-        // Write-ahead: flush the entry, barrier, then publish via `used`.
         shadow::track_store(entry as usize, span as usize);
-        latency::clflush_range(entry as usize, span as usize);
-        latency::wbarrier();
-        // SAFETY: used word is inside the mapped region.
-        unsafe { self.used_ptr().write(used + span) };
-        shadow::track_store(self.used_ptr() as usize, 8);
-        latency::clflush_range(self.used_ptr() as usize, 8);
-        latency::wbarrier();
+        self.cursors.used.store(used + span, Ordering::Relaxed);
         nvmsim::metrics::incr(nvmsim::metrics::Counter::UndoEntries);
         Ok(())
     }
 
-    /// Whether a scanned entry at `pos` with header `(data_off, len)` is
-    /// intact: its span stays within `used` and its target range stays
-    /// within the region. Violations mean the image is corrupted (the log
-    /// was not the victim of the crash — `used` only covers flushed,
-    /// fenced entries — so this is defense against damaged inputs, not a
-    /// normal recovery path).
-    fn entry_intact(&self, pos: u64, data_off: u64, len: u64) -> bool {
+    /// Makes the current batch — every entry appended since the last
+    /// barrier — durable: its span is flushed once (entries straddle
+    /// cache lines, so one range costs fewer lines than one per entry)
+    /// and fenced. Does nothing when the batch is empty.
+    pub fn barrier(&self) {
         let used = self.used();
-        let span_ok = Self::entry_span(len)
-            .checked_add(pos)
-            .is_some_and(|end| end <= used);
-        let target_ok = data_off
-            .checked_add(len)
-            .is_some_and(|end| end <= self.region.size() as u64);
-        span_ok && target_ok
+        let durable = self.cursors.durable.load(Ordering::Relaxed);
+        if durable == used {
+            return;
+        }
+        let batch = self.region.ptr_at(self.log_off + LOG_HEADER_SIZE + durable);
+        latency::clflush_range(batch, (used - durable) as usize);
+        latency::wbarrier();
+        self.cursors.durable.store(used, Ordering::Relaxed);
     }
 
-    /// Applies all entries in reverse order (newest first), restoring the
-    /// pre-transaction bytes, then truncates the log. Used by abort and by
-    /// recovery after a crash.
-    ///
-    /// The forward scan validates each entry header before trusting it; a
-    /// malformed entry (corrupted image) ends the scan there, and only
-    /// the intact prefix is considered. Within that prefix, entries whose
-    /// CRC-64 fails are *skipped* — restoring a rotted snapshot would
-    /// trade known-new bytes for garbage — and counted in the returned
-    /// [`RecoveryStats`].
+    /// Applies all valid entries in reverse order (newest first, so the
+    /// oldest snapshot of any doubly-logged range wins), restoring the
+    /// pre-transaction bytes, then truncates the log. Used by abort and
+    /// by recovery. A log with no valid entry is left untouched: no
+    /// store, no flush, no fence.
     pub fn rollback(&self) -> RecoveryStats {
-        let used = self.used();
-        let mut stats = RecoveryStats::default();
-        if used == 0 {
-            // Nothing to undo, and nothing to truncate: `used` is only
-            // stored under the transaction lock and every store of it is
-            // flushed and fenced, so a 0 read here is already durable.
-            return stats;
-        }
-        // Forward scan to collect entry offsets, then apply in reverse so
-        // the oldest snapshot of any doubly-logged range wins.
-        let mut offs = Vec::new();
-        let mut pos = 0u64;
-        while pos + ENTRY_HEADER_SIZE <= used {
-            let entry = self.region.ptr_at(self.log_off + LOG_HEADER_SIZE + pos) as *const u64;
-            // SAFETY: pos + header <= used <= capacity.
-            let (data_off, len, crc) = unsafe { (*entry, *entry.add(1), *entry.add(2)) };
-            if !self.entry_intact(pos, data_off, len) {
-                stats.truncated = true;
-                break;
-            }
-            // SAFETY: span validated against `used` by entry_intact.
-            let payload = unsafe {
-                std::slice::from_raw_parts(
-                    (entry as *const u8).add(ENTRY_HEADER_SIZE as usize),
-                    len as usize,
-                )
-            };
-            if entry_crc(data_off, len, payload) == crc {
-                offs.push(pos);
-            } else {
-                stats.skipped += 1;
-            }
-            pos += Self::entry_span(len);
-        }
-        for &pos in offs.iter().rev() {
-            let entry = self.region.ptr_at(self.log_off + LOG_HEADER_SIZE + pos) as *const u64;
-            // SAFETY: entry header and target range validated by the scan.
+        let scan = self.scan();
+        for e in scan.entries.iter().rev() {
+            let target = self.region.ptr_at(e.data_off);
+            // SAFETY: the scan validated the entry's span against the
+            // area and its target range against the region.
             unsafe {
-                let data_off = *entry;
-                let len = *entry.add(1);
                 std::ptr::copy_nonoverlapping(
-                    (entry as *const u8).add(ENTRY_HEADER_SIZE as usize),
-                    self.region.ptr_at(data_off) as *mut u8,
-                    len as usize,
+                    self.region.ptr_at(self.log_off + e.payload) as *const u8,
+                    target as *mut u8,
+                    e.len as usize,
                 );
-                shadow::track_store(self.region.ptr_at(data_off), len as usize);
-                latency::clflush_range(self.region.ptr_at(data_off), len as usize);
             }
+            shadow::track_store(target, e.len as usize);
+            latency::clflush_range(target, e.len as usize);
         }
-        stats.applied = offs.len() as u64;
-        nvmsim::metrics::add(nvmsim::metrics::Counter::RecoverySkips, stats.skipped);
-        latency::wbarrier();
-        self.truncate();
+        if !scan.entries.is_empty() {
+            latency::wbarrier();
+            self.truncate();
+        }
+        RecoveryStats {
+            applied: scan.entries.len() as u64,
+            ..RecoveryStats::default()
+        }
+    }
+
+    /// [`UndoLog::rollback`] for a log found in a reopened region. After
+    /// a crash, entries of the current generation may sit *behind* a torn
+    /// one — written back, never fenced, their ranges never written. They are
+    /// not rolled back, and they must not outlive this call either, or a
+    /// later transaction's shorter log could run into them: a crashed
+    /// image always leaves with a fresh generation.
+    pub fn recover(&self) -> RecoveryStats {
+        let stats = self.rollback();
+        if stats.applied == 0 && self.region.was_dirty() {
+            self.truncate();
+        }
         stats
     }
 
-    /// Truncates the log (the commit point of a transaction).
+    /// Truncates the log (the commit point of a transaction): bumps the
+    /// generation, so no entry written so far validates again. One
+    /// flushed line, one fence.
     pub fn truncate(&self) {
-        // SAFETY: used word is inside the mapped region.
-        unsafe { self.used_ptr().write(0) };
-        shadow::track_store(self.used_ptr() as usize, 8);
-        latency::clflush_range(self.used_ptr() as usize, 8);
+        let generation = self.generation_ptr();
+        // SAFETY: generation word is inside the mapped region.
+        unsafe { generation.write(generation.read().wrapping_add(1)) };
+        self.reset_cursors();
+        shadow::track_store(generation as usize, 8);
+        latency::clflush_range(generation as usize, 8);
         latency::wbarrier();
     }
 
-    /// Number of intact entries currently logged (diagnostic). As in
-    /// [`UndoLog::rollback`], the scan stops at the first malformed entry.
+    /// Number of valid entries currently logged (diagnostic; nonzero in a
+    /// reopened region means an interrupted transaction to roll back).
     pub fn entry_count(&self) -> usize {
-        let used = self.used();
-        let mut n = 0;
-        let mut pos = 0u64;
-        while pos + ENTRY_HEADER_SIZE <= used {
-            let entry = self.region.ptr_at(self.log_off + LOG_HEADER_SIZE + pos) as *const u64;
-            // SAFETY: as in rollback.
-            let (data_off, len) = unsafe { (*entry, *entry.add(1)) };
-            if !self.entry_intact(pos, data_off, len) {
-                break;
-            }
-            pos += Self::entry_span(len);
-            n += 1;
-        }
-        n
+        self.scan().entries.len()
     }
 }
 
@@ -311,7 +310,7 @@ mod tests {
             log.rollback();
             assert_eq!(data.read(), 111);
         }
-        assert!(!log.is_dirty());
+        assert_eq!(log.entry_count(), 0);
         region.close().unwrap();
     }
 
@@ -352,8 +351,10 @@ mod tests {
         log.append(data as usize, 24).unwrap();
         assert_eq!(log.entry_count(), 2);
         assert_eq!(log.used(), (32 + 16) + (32 + 32));
+        assert_eq!(log.clone().used(), log.used(), "clones share the cursor");
         log.truncate();
         assert_eq!(log.entry_count(), 0);
+        assert_eq!(log.used(), 0);
         region.close().unwrap();
     }
 
@@ -370,30 +371,86 @@ mod tests {
         region.close().unwrap();
     }
 
+    /// Entry `i`'s header words, for tests that damage the log in place.
+    fn entry_words(region: &Region, log: &UndoLog, pos: u64) -> *mut u64 {
+        region.ptr_at(log.log_off + LOG_HEADER_SIZE + pos) as *mut u64
+    }
+
     #[test]
-    fn rollback_skips_checksum_failing_entries() {
+    fn a_checksum_failing_entry_ends_the_log() {
         let (region, log, data) = setup();
         let data2 = region.alloc(64, 8).unwrap().as_ptr() as *mut u64;
+        let data3 = region.alloc(64, 8).unwrap().as_ptr() as *mut u64;
         unsafe {
             data.write(1);
             data2.write(2);
+            data3.write(3);
             log.append(data as usize, 8).unwrap();
             log.append(data2 as usize, 8).unwrap();
+            log.append(data3 as usize, 8).unwrap();
             data.write(91);
             data2.write(92);
-            // Rot the first entry's payload byte: its snapshot can no
-            // longer be trusted and must not be replayed.
-            let payload0 = region.ptr_at(log.log_off + LOG_HEADER_SIZE + ENTRY_HEADER_SIZE);
-            *(payload0 as *mut u8) ^= 0xFF;
+            data3.write(93);
+            // Rot the second entry's payload: neither it nor the intact
+            // entry behind it is replayed; the one before it is.
+            *(entry_words(&region, &log, 48).add(4) as *mut u8) ^= 0xFF;
             let stats = log.rollback();
             assert_eq!(stats.applied, 1);
-            assert_eq!(stats.skipped, 1);
-            assert!(!stats.truncated);
-            assert!(stats.degraded());
-            assert_eq!(data.read(), 91, "rotted snapshot not replayed");
-            assert_eq!(data2.read(), 2, "intact snapshot restored");
+            assert!(!stats.degraded(), "indistinguishable from a torn tail");
+            assert_eq!(data.read(), 1, "intact prefix restored");
+            assert_eq!(data2.read(), 92, "rotted snapshot not replayed");
+            assert_eq!(data3.read(), 93, "entries behind it are out of reach");
         }
-        assert!(!log.is_dirty());
+        assert_eq!(log.entry_count(), 0);
+        region.close().unwrap();
+    }
+
+    #[test]
+    fn stale_entries_never_validate_under_the_next_generation() {
+        let (region, log, data) = setup();
+        unsafe {
+            data.write(7);
+            log.append(data as usize, 8).unwrap();
+            log.append(data as usize, 8).unwrap();
+            let g = log.generation();
+            log.truncate();
+            assert_eq!(log.generation(), g + 1);
+            assert_eq!(log.entry_count(), 0, "g entries are dead under g + 1");
+            // Relabelling one does not revive it: its checksum was
+            // computed under the old seed.
+            entry_words(&region, &log, 0).add(3).write(g + 1);
+            assert_eq!(log.entry_count(), 0);
+            // A shorter log of the new generation does not run into the
+            // old one's second entry either.
+            data.write(8);
+            log.append(data as usize, 8).unwrap();
+            assert_eq!(log.entry_count(), 1);
+            data.write(9);
+            assert_eq!(log.rollback().applied, 1);
+            assert_eq!(data.read(), 8);
+        }
+        region.close().unwrap();
+    }
+
+    #[test]
+    fn a_torn_entry_followed_by_a_persisted_one_is_nothing_logged() {
+        let (region, log, data) = setup();
+        let big = region.alloc(128, 8).unwrap().as_ptr() as *mut u64;
+        unsafe {
+            data.write(5);
+            // A multi-line entry (32 + 96 bytes) and a later one, both
+            // flushed, neither fenced — so neither range was written.
+            log.append(big as usize, 96).unwrap();
+            log.append(data as usize, 8).unwrap();
+            assert_eq!(log.entry_count(), 2);
+            // The crash keeps the later entry and the first line of the
+            // big one, and loses the big one's second line.
+            let second_line = (entry_words(&region, &log, 0) as *mut u8).add(64);
+            std::ptr::write_bytes(second_line, 0xEE, 64);
+            assert_eq!(log.entry_count(), 0);
+            assert_eq!(log.rollback(), RecoveryStats::default());
+            assert_eq!(data.read(), 5);
+        }
         region.close().unwrap();
     }
 
@@ -408,6 +465,18 @@ mod tests {
         let stats = log.rollback();
         assert_eq!(stats.applied, 1);
         assert!(!stats.degraded());
+        region.close().unwrap();
+    }
+
+    #[test]
+    fn format_kills_whatever_the_block_held() {
+        let (region, log, data) = setup();
+        log.append(data as usize, 8).unwrap();
+        assert_eq!(log.entry_count(), 1);
+        // Re-formatting a block that holds a valid generation-1 log.
+        log.format();
+        assert_eq!(log.generation(), 1);
+        assert_eq!(log.entry_count(), 0);
         region.close().unwrap();
     }
 

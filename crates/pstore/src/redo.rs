@@ -26,12 +26,15 @@
 //!    u64      u64      each entry: { off, len, crc64, rsvd, new bytes…, pad to 16 }
 //! ```
 //!
-//! As with the undo log, every entry carries a CRC-64 over its header
-//! words and payload: recovery of a sealed log on a corrupted image skips
-//! (and counts) rotted entries instead of applying garbage.
+//! Every entry carries a CRC-64 over its header words and payload:
+//! recovery of a sealed log on a corrupted image skips (and counts)
+//! rotted entries instead of applying garbage. Unlike the undo log, the
+//! `used` + `sealed` words are a persistent commit point, so the CRC is
+//! un-seeded and damage inside the sealed prefix is told apart from a
+//! torn tail.
 
 use crate::error::{Result, StoreError};
-use crate::log::{entry_crc, RecoveryStats};
+use crate::log::RecoveryStats;
 use nvmsim::latency;
 use nvmsim::shadow;
 use nvmsim::Region;
@@ -41,6 +44,11 @@ pub const REDO_HEADER_SIZE: u64 = 16;
 /// Byte overhead of one entry's header (`off` + `len` + `crc64` +
 /// reserved).
 pub const REDO_ENTRY_HEADER_SIZE: u64 = 32;
+
+/// CRC-64/XZ over an entry's `off` and `len` words and its payload.
+fn entry_crc(data_off: u64, len: u64, payload: &[u8]) -> u64 {
+    nvmsim::undolog::entry_crc(0, data_off, len, payload)
+}
 
 /// Handle to a region's redo-log area. See the module docs.
 #[derive(Debug, Clone)]

@@ -18,17 +18,19 @@ use crate::error::{Result, StoreError};
 use crate::log::{RecoveryStats, UndoLog};
 use crate::object::{header_off, payload_off, ObjHeader, OBJ_HEADER_SIZE};
 use crate::tx::Tx;
+use nvmsim::undolog::STORE_MAGIC;
 use nvmsim::{latency, shadow, Region};
 use parking_lot::Mutex;
 use std::ptr::NonNull;
 use std::sync::Arc;
 
-const STORE_MAGIC: u64 = u64::from_le_bytes(*b"PSTOREV1");
 const META_ROOT: &str = "pstore.meta";
 
 /// Default undo-log capacity when formatting.
 pub const DEFAULT_LOG_CAPACITY: u64 = 256 * 1024;
 
+/// Layout shared with `nvmsim::undolog::scan_image` (magic at 0, log
+/// geometry at 24 and 32).
 #[repr(C)]
 struct StoreMeta {
     magic: u64,
@@ -36,21 +38,6 @@ struct StoreMeta {
     obj_count: u64,
     log_off: u64,
     log_cap: u64,
-}
-
-/// Attach-time health of a store, summarizing [`ObjectStore::recovered`]
-/// and [`RecoveryStats::degraded`] into the three cases a serving layer
-/// actually branches on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreHealth {
-    /// Clean attach: no interrupted transaction, no rollback.
-    Clean,
-    /// An interrupted transaction was rolled back completely — the store
-    /// is consistent and fully serviceable.
-    Recovered,
-    /// Rollback skipped corrupt log entries or hit a truncated scan: the
-    /// store opened, but some ranges hold post-crash bytes.
-    Damaged,
 }
 
 /// A transactional object store over one region. Cheap to clone.
@@ -64,8 +51,6 @@ pub struct ObjectStore {
     /// lock-free, so two `alloc`s can otherwise race on `obj_head`; the
     /// block allocation itself stays outside this lock.
     list_lock: Arc<Mutex<()>>,
-    /// Whether attach had to roll back an interrupted transaction.
-    recovered: bool,
     /// How the attach-time rollback went (all-zero when no recovery ran).
     recovery: RecoveryStats,
 }
@@ -113,7 +98,6 @@ impl ObjectStore {
             log,
             tx_lock: Arc::new(Mutex::new(())),
             list_lock: Arc::new(Mutex::new(())),
-            recovered: false,
             recovery: RecoveryStats::default(),
         })
     }
@@ -136,22 +120,15 @@ impl ObjectStore {
             ((*meta).log_off, (*meta).log_cap)
         };
         let log = UndoLog::new(region.clone(), log_off, log_cap);
-        let mut recovered = false;
-        let mut recovery = RecoveryStats::default();
-        if log.is_dirty() {
-            // Interrupted transaction: restore the pre-transaction image.
-            // On a corrupted image the rollback may skip checksum-failing
-            // entries; the stats report that degradation.
-            recovery = log.rollback();
-            recovered = true;
-        }
+        // An interrupted transaction left valid entries: restore the
+        // pre-transaction image.
+        let recovery = log.recover();
         Ok(ObjectStore {
             region: region.clone(),
             meta_off,
             log,
             tx_lock: Arc::new(Mutex::new(())),
             list_lock: Arc::new(Mutex::new(())),
-            recovered,
             recovery,
         })
     }
@@ -159,32 +136,14 @@ impl ObjectStore {
     /// Whether [`ObjectStore::attach`] rolled back an interrupted
     /// transaction.
     pub fn recovered(&self) -> bool {
-        self.recovered
+        self.recovery.applied > 0
     }
 
-    /// How the attach-time rollback went: entries applied, entries
-    /// skipped for failing checksums, and whether the log scan was cut
-    /// short by an implausible entry. All-zero when no recovery ran;
-    /// [`RecoveryStats::degraded`] flags a corrupted (not merely crashed)
-    /// image.
+    /// How the attach-time rollback went; all-zero when no recovery ran.
+    /// Only `applied` is ever set: the undo log cannot tell a damaged
+    /// entry from the torn tail of a crash (see [`crate::log`]).
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery
-    }
-
-    /// One-word health classification for serving layers deciding whether
-    /// a freshly attached tenant should serve normally, note a recovery,
-    /// or degrade: [`StoreHealth::Clean`] (no rollback ran),
-    /// [`StoreHealth::Recovered`] (rollback ran and every entry applied),
-    /// or [`StoreHealth::Damaged`] (entries were skipped or the scan was
-    /// truncated — some ranges hold post-crash bytes).
-    pub fn health(&self) -> StoreHealth {
-        if self.recovery.degraded() {
-            StoreHealth::Damaged
-        } else if self.recovered {
-            StoreHealth::Recovered
-        } else {
-            StoreHealth::Clean
-        }
     }
 
     /// The underlying region.
@@ -210,6 +169,24 @@ impl ObjectStore {
     /// Allocation failures from the region allocator.
     pub fn alloc(&self, type_num: u32, size: usize) -> Result<NonNull<u8>> {
         let hdr_offset = self.region.alloc_off(ObjHeader::footprint(size), 16)?;
+        // The links must persist with the header: a crash that keeps the
+        // header but loses the links (or vice versa) would corrupt the
+        // object list outside any transaction.
+        Ok(self.link_object(hdr_offset, type_num, size, true))
+    }
+
+    /// Initializes the object header in the fresh block at `hdr_offset`,
+    /// links it at the head of the object list and flushes every line it
+    /// wrote. With `fence` the link is durable on return; without, the
+    /// caller is a transaction that undo-logged the list-head words and
+    /// the old head's back-link, and its commit fence covers the flushes.
+    pub(crate) fn link_object(
+        &self,
+        hdr_offset: u64,
+        type_num: u32,
+        size: usize,
+        fence: bool,
+    ) -> NonNull<u8> {
         let _list = self.list_lock.lock();
         // SAFETY: freshly allocated block inside the region.
         unsafe {
@@ -228,17 +205,16 @@ impl ObjectStore {
             (*meta).obj_count += 1;
             shadow::track_store(hdr as usize, OBJ_HEADER_SIZE);
             latency::clflush_range(hdr as usize, OBJ_HEADER_SIZE);
-            // The list-head words must persist with the header: a crash
-            // that keeps the header but loses the links (or vice versa)
-            // would corrupt the object list outside any transaction.
             let head_words = self.region.ptr_at(self.meta_off + 8);
             shadow::track_store(head_words, 16);
             latency::clflush_range(head_words, 16);
-            latency::wbarrier();
+            if fence {
+                latency::wbarrier();
+            }
         }
         let payload = self.region.ptr_at(payload_off(hdr_offset)) as *mut u8;
         // SAFETY: nonzero offset inside the region.
-        Ok(unsafe { NonNull::new_unchecked(payload) })
+        unsafe { NonNull::new_unchecked(payload) }
     }
 
     /// Frees a wrapped object by its payload address, unlinking it from
@@ -406,6 +382,21 @@ mod tests {
     #[test]
     fn attach_unformatted_rejected() {
         let region = Region::create(1 << 20).unwrap();
+        assert!(matches!(
+            ObjectStore::attach(&region),
+            Err(StoreError::NotFormatted)
+        ));
+        region.close().unwrap();
+    }
+
+    #[test]
+    fn v1_image_reads_as_not_formatted() {
+        // A v1 store kept a persistent `used` word where the generation
+        // now lives; its dirty log must not be misread as a v2 one.
+        let region = Region::create(1 << 20).unwrap();
+        let s = ObjectStore::format(&region).unwrap();
+        unsafe { (*s.meta()).magic = u64::from_le_bytes(*b"PSTOREV1") };
+        drop(s);
         assert!(matches!(
             ObjectStore::attach(&region),
             Err(StoreError::NotFormatted)

@@ -2,7 +2,8 @@
 //!
 //! A [`Tx`] provides undo-logged mutation of store memory with the
 //! PMEM.IO discipline: snapshot a range *before* writing it
-//! ([`Tx::add_range`] / [`Tx::set`]), then [`Tx::commit`]. Dropping an
+//! ([`Tx::add_range`] / [`Tx::set`], or a batch of [`Tx::log_range`]s
+//! under one [`Tx::barrier`]), then [`Tx::commit`]. Dropping an
 //! uncommitted transaction aborts it, restoring every snapshotted range —
 //! and a crash mid-transaction is handled identically by recovery at the
 //! next [`crate::ObjectStore::attach`].
@@ -33,15 +34,37 @@ impl<'s> Tx<'s> {
         }
     }
 
-    /// Snapshots `[addr, addr + len)` into the undo log so the range may
-    /// be freely mutated until commit. Must be called *before* the first
-    /// mutation of the range within this transaction.
+    /// Snapshots `[addr, addr + len)` into the undo log *without* making
+    /// the snapshot durable: the range must not be written until
+    /// [`Tx::barrier`] has run. An operation that knows its write set
+    /// logs all of it, pays one barrier, then writes.
     ///
     /// # Errors
     ///
     /// [`crate::StoreError::LogFull`] or address-range errors.
-    pub fn add_range(&mut self, addr: usize, len: usize) -> Result<()> {
+    pub fn log_range(&mut self, addr: usize, len: usize) -> Result<()> {
         self.store.log_ref().append(addr, len)
+    }
+
+    /// Makes every range logged so far durable — one flush and one fence
+    /// for the whole batch, nothing when no range was logged since the
+    /// last one.
+    pub fn barrier(&mut self) {
+        self.store.log_ref().barrier();
+    }
+
+    /// Snapshots `[addr, addr + len)` into the undo log so the range may
+    /// be freely mutated until commit ([`Tx::log_range`] +
+    /// [`Tx::barrier`]: durable on return). Must be called *before* the
+    /// first mutation of the range within this transaction.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tx::log_range`].
+    pub fn add_range(&mut self, addr: usize, len: usize) -> Result<()> {
+        self.log_range(addr, len)?;
+        self.barrier();
+        Ok(())
     }
 
     /// Transactionally stores `value` at `ptr`: snapshots the old bytes,
@@ -67,6 +90,10 @@ impl<'s> Tx<'s> {
     /// rolled back to exactly its prior state, so the object never becomes
     /// visible.
     ///
+    /// The two ranges the link-in mutates join the caller's batch (ranges
+    /// logged just before this call share its one barrier), and the link
+    /// itself is not fenced — the commit fence covers it.
+    ///
     /// The allocator block itself is *not* reclaimed on rollback (it leaks
     /// until the region is reformatted) — the same trade-off early PMDK
     /// releases made; data consistency is preserved either way.
@@ -81,20 +108,24 @@ impl<'s> Tx<'s> {
         let meta_off = store.meta_off();
         // Snapshot the two meta words the link-in mutates (obj_head at
         // +8, obj_count at +16)...
-        self.add_range(region.ptr_at(meta_off + 8), 16)?;
+        self.log_range(region.ptr_at(meta_off + 8), 16)?;
         // ...and the current head's back-link, which will point at the
         // new object.
         // SAFETY: meta is mapped; obj_head is a valid header offset or 0.
         let old_head = unsafe { *(region.ptr_at(meta_off + 8) as *const u64) };
         if old_head != 0 {
-            self.add_range(region.ptr_at(old_head + ObjHeader::PREV_FIELD_OFFSET), 8)?;
+            self.log_range(region.ptr_at(old_head + ObjHeader::PREV_FIELD_OFFSET), 8)?;
         }
-        store.alloc(type_num, size)
+        let hdr_offset = region.alloc_off(ObjHeader::footprint(size), 16)?;
+        self.barrier();
+        Ok(store.link_object(hdr_offset, type_num, size, false))
     }
 
     /// Commits: all mutations since `begin` become permanent and the undo
     /// log is truncated.
     pub fn commit(mut self) {
+        // The commit fence: every flushed store of the transaction is
+        // durable before the log goes.
         latency::wbarrier();
         self.store.log_ref().truncate();
         self.committed = true;

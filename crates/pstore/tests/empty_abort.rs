@@ -47,10 +47,32 @@ fn empty_log_abort_issues_no_flush_and_no_fence() {
     // SAFETY: as above.
     assert_eq!(unsafe { cell.read() }, 1);
     assert_eq!(d.get(Counter::UndoEntries), 1);
-    // set: entry + used + value; rollback: restored range + used.
-    assert_eq!(d.get(Counter::ClflushCalls), 5);
-    // append's two, rollback's, truncate's.
-    assert_eq!(d.get(Counter::WbarrierCalls), 4);
+    // set: batch + value; rollback: restored range + generation. The
+    // flush of `used` after each append is gone: the entry is its own
+    // commit record.
+    assert_eq!(d.get(Counter::ClflushCalls), 4);
+    // add_range's one batch fence, rollback's, truncate's. The fence
+    // between the entry and `used` went with `used`.
+    assert_eq!(d.get(Counter::WbarrierCalls), 3);
+
+    // A committed transaction that logs its write set as one batch pays
+    // one fence for the batch, whatever its size, plus commit's two.
+    let before = metrics::snapshot();
+    let mut tx = store.begin();
+    for i in 0..3 {
+        // SAFETY: words of the same 32-byte object.
+        tx.log_range(unsafe { cell.add(i) } as usize, 8).unwrap();
+    }
+    tx.barrier();
+    tx.barrier(); // nothing logged since: no second fence
+    tx.commit();
+    let d = metrics::snapshot().delta(&before);
+    assert_eq!(d.get(Counter::UndoEntries), 3);
+    // The batch as one span (parent: three entries + three `used`
+    // flushes), the generation at truncate.
+    assert_eq!(d.get(Counter::ClflushCalls), 2);
+    // Batch, commit, truncate (parent: 3 × 2 + 2).
+    assert_eq!(d.get(Counter::WbarrierCalls), 3);
     let image = shadow::persisted_view(region.base()).unwrap();
     let off = region.offset_of(cell as usize).unwrap() as usize;
     assert_eq!(

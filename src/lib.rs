@@ -79,4 +79,4 @@ pub use pi_core::{
     is_persistent, AtomicPPtr, BasedPtr, FatPtr, FatPtrCached, NormalPtr, NvRef, OffHolder, PPtr,
     PersistentI, PersistentX, PtrRepr, Riv, SwizzledPtr, TypeError,
 };
-pub use pstore::{ObjectStore, RecoveryStats, StoreError, StoreHealth, Tx};
+pub use pstore::{ObjectStore, RecoveryStats, StoreError, Tx};

@@ -25,6 +25,13 @@
 //!    the pre-update or the post-update snapshot — never a blend.
 //! 4. [`FaultPolicy::BitRot`] composes with the crash pipeline:
 //!    `crash_with_faults` followed by reopen-or-salvage never panics.
+//! 5. The CRC-terminated undo log: a transaction crashed with a fenced
+//!    batch behind it and an unfenced batch at its tail recovers, under
+//!    drop and under a sweep of tear seeds, to exactly the
+//!    pre-transaction cells with no damage reported; and a bit flipped
+//!    in any checksummed word of any fenced entry ends the log there —
+//!    the entries before it are rolled back, nothing damaged is ever
+//!    replayed.
 //!
 //! The shadow tracker is process-global, so tests serialize on `SERIAL`.
 //! The rot seed comes from `CORRUPTION_MATRIX_SEED` (decimal or 0x-hex)
@@ -32,7 +39,7 @@
 
 use nvm_pi::nvmsim::region::RegionHeader;
 use nvm_pi::nvmsim::{shadow, verify};
-use nvm_pi::{FaultPlan, FaultPolicy, Region};
+use nvm_pi::{FaultPlan, FaultPolicy, ObjectStore, Region};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -332,6 +339,150 @@ fn bit_rot_policy_composes_with_crash_reopen_and_salvage() {
             Err(_) => check_salvage(&path, &ctx),
         }
         std::fs::remove_file(&path).ok();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Cells of the torn-tail workload: the first `FENCED` are logged, fenced
+/// and overwritten; the rest are logged but never fenced nor written.
+const FENCED: usize = 4;
+const UNFENCED: usize = 3;
+
+fn log_cell_old(i: usize) -> u64 {
+    0x01D_0000 + i as u64
+}
+
+fn log_cell_new(i: usize) -> u64 {
+    0x4E3_0000 + i as u64
+}
+
+/// Reopens `img`, attaches the store (running log recovery) and returns
+/// the cells with the number of entries recovery applied.
+fn recover_log_cells(img_path: &Path, ctx: &str) -> (Vec<u64>, u64) {
+    let r = Region::open_file(img_path).unwrap_or_else(|e| panic!("[{ctx}] open: {e}"));
+    let store = ObjectStore::attach(&r).unwrap_or_else(|e| panic!("[{ctx}] attach: {e}"));
+    let stats = store.recovery_stats();
+    assert!(
+        !stats.degraded(),
+        "[{ctx}] undo recovery never reads damaged"
+    );
+    assert_eq!(
+        store.log().entry_count(),
+        0,
+        "[{ctx}] log empty after attach"
+    );
+    let cells = r.root("cells").unwrap();
+    let got = (0..FENCED + UNFENCED)
+        // SAFETY: the root names FENCED + UNFENCED u64 cells.
+        .map(|i| unsafe { ((cells + i * 8) as *const u64).read() })
+        .collect();
+    drop(store);
+    r.crash();
+    (got, stats.applied)
+}
+
+#[test]
+fn torn_log_tail_and_mid_log_rot_never_replay_damage() {
+    let _g = lock();
+    let dir = tdir("logtail");
+    let path = dir.join("log.nvr");
+    nvm_pi::NvSpace::global().reseed_placement(seed());
+    let region = Region::create_file(&path, 1 << 20).unwrap();
+    let store = ObjectStore::format_with_log(&region, 4096).unwrap();
+    let cells = store.alloc(7, (FENCED + UNFENCED) * 8).unwrap().as_ptr() as usize;
+    for i in 0..FENCED + UNFENCED {
+        // SAFETY: inside the object just allocated, 8-aligned.
+        unsafe { ((cells + i * 8) as *mut u64).write(log_cell_old(i)) };
+    }
+    region.set_root("cells", cells).unwrap();
+    region.sync().unwrap();
+    region.enable_shadow().unwrap();
+
+    let mut tx = store.begin();
+    for i in 0..FENCED {
+        tx.log_range(cells + i * 8, 8).unwrap();
+    }
+    tx.barrier();
+    for i in 0..FENCED {
+        // SAFETY: as above.
+        unsafe { ((cells + i * 8) as *mut u64).write(log_cell_new(i)) };
+        shadow::track_store(cells + i * 8, 8);
+        nvm_pi::nvmsim::latency::clflush_range(cells + i * 8, 8);
+    }
+    // The new values reach media (as behind a later allocation's fence).
+    nvm_pi::nvmsim::latency::wbarrier();
+    // The tail batch: appended, never made durable, ranges untouched.
+    for i in FENCED..FENCED + UNFENCED {
+        tx.log_range(cells + i * 8, 8).unwrap();
+    }
+    std::mem::forget(tx);
+
+    let old: Vec<u64> = (0..FENCED + UNFENCED).map(log_cell_old).collect();
+    let img_path = dir.join("crash.nvr");
+    let mut policies = vec![FaultPolicy::DropUnflushed];
+    let mut rng = seed();
+    policies.extend((0..32).map(|_| FaultPolicy::TearWords {
+        seed: splitmix(&mut rng),
+    }));
+    // Capture every image first: the crashed copies share the live
+    // region's id, so it must be gone before they reopen.
+    let images: Vec<(FaultPolicy, Vec<u8>)> = policies
+        .into_iter()
+        .map(|p| (p, shadow::capture_crash_image(region.base(), p).unwrap().0))
+        .collect();
+    drop(store);
+    region.crash();
+    for (policy, img) in &images {
+        let ctx = format!("logtail {policy:?} {}", tag());
+        let check = verify::verify_bytes(img).undo_log.expect("store present");
+        assert!(
+            check.entries >= FENCED as u64,
+            "[{ctx}] the fenced batch is durable whatever the tail did: {check:?}"
+        );
+        std::fs::write(&img_path, img).unwrap();
+        let (got, applied) = recover_log_cells(&img_path, &ctx);
+        assert_eq!(
+            got, old,
+            "[{ctx}] crash recovery is the pre-transaction image"
+        );
+        assert!(applied >= FENCED as u64, "[{ctx}] applied {applied}");
+    }
+    let dropped = &images[0].1;
+
+    // Rot on top of the drop image: one bit in each checksummed word
+    // (off, len, crc, generation, payload) of each fenced entry.
+    let log = verify::verify_bytes(dropped).undo_log.unwrap();
+    assert_eq!(
+        log.entries, FENCED as u64,
+        "drop image keeps the fenced batch only"
+    );
+    for entry in 0..FENCED {
+        for word in 0..5 {
+            let bit = (splitmix(&mut rng) % 64) as usize;
+            let ctx = format!("logtail rot entry {entry} word {word} bit {bit} {}", tag());
+            let mut img = dropped.clone();
+            let at = log.log_off as usize + 16 + entry * 48 + word * 8;
+            img[at + bit / 8] ^= 1 << (bit % 8);
+            let seen = verify::verify_bytes(&img).undo_log.unwrap();
+            assert_eq!(
+                seen.entries, entry as u64,
+                "[{ctx}] the log ends at the rot"
+            );
+            std::fs::write(&img_path, &img).unwrap();
+            let (got, applied) = recover_log_cells(&img_path, &ctx);
+            assert_eq!(applied, entry as u64, "[{ctx}]");
+            for (i, &v) in got.iter().enumerate() {
+                // Before the rot: rolled back. From it on: out of the
+                // log's reach, so the transaction's bytes stay — never a
+                // third value. The unfenced cells were never written.
+                let want = if i < entry || i >= FENCED {
+                    log_cell_old(i)
+                } else {
+                    log_cell_new(i)
+                };
+                assert_eq!(v, want, "[{ctx}] cell {i}");
+            }
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

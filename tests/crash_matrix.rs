@@ -132,6 +132,10 @@ fn run_cell<S>(
         assert_eq!(stamp.event, c.event, "[{ctx}] stamp event");
         assert_eq!(stamp.seed, c.report.seed, "[{ctx}] stamp seed");
         let store2 = ObjectStore::attach(&r2).unwrap();
+        assert!(
+            !store2.recovery_stats().degraded(),
+            "[{ctx}] a pure crash image must not read as damaged"
+        );
         let s2 = attach(NodeArena::transactional(store2.clone()));
         let committed = commit_events.iter().filter(|&&e| e < c.event).count();
         let got = contents(&s2, &ctx);
@@ -392,6 +396,9 @@ fn run_parity(label: &str, use_redo: bool, policy: FaultPolicy) -> (BTreeSet<usi
         } else {
             let log = UndoLog::new(region.clone(), log_off, PARITY_LOG);
             log.append(addr, 8).unwrap();
+            // `append` no longer makes the entry durable: the batch
+            // barrier is the caller's, and must precede the store.
+            log.barrier();
             // SAFETY: addr is a valid u64 cell inside the region.
             unsafe { (addr as *mut u64).write(val) };
             shadow::track_store(addr, 8);
@@ -423,10 +430,7 @@ fn run_parity(label: &str, use_redo: bool, policy: FaultPolicy) -> (BTreeSet<usi
         if use_redo {
             RedoLog::new(r2.clone(), l_off, PARITY_LOG).recover();
         } else {
-            let log = UndoLog::new(r2.clone(), l_off, PARITY_LOG);
-            if log.is_dirty() {
-                log.rollback();
-            }
+            UndoLog::new(r2.clone(), l_off, PARITY_LOG).recover();
         }
         let committed = durability.iter().filter(|&&e| e < c.event).count();
         let got: Vec<u64> = (0..CELLS)
@@ -435,7 +439,7 @@ fn run_parity(label: &str, use_redo: bool, policy: FaultPolicy) -> (BTreeSet<usi
             .collect();
         // The recovered state must be a committed-prefix state no earlier
         // than the conservative count. Tearing can leak a *dirty* commit
-        // record (undo's `used = 0`, redo's `sealed = 1`) ahead of its
+        // record (undo's generation bump, redo's `sealed = 1`) ahead of its
         // flush, making a transaction durable before its fence — which is
         // safe, because both disciplines order the commit record after
         // the data it covers is recoverable.
