@@ -366,57 +366,6 @@ pub fn ablations(cfg: &Config) -> Vec<Row> {
         rows.push(b);
     }
 
-    // ABL-LOG: undo vs redo logging discipline, single-word transactions.
-    {
-        use nvmsim::Region;
-        let region = Region::create(4 << 20).expect("region");
-        let store = pstore::ObjectStore::format(&region).expect("store");
-        let cell = store.alloc(1, 8).expect("cell").as_ptr() as *mut u64;
-        let n = (cfg.n / 10).max(100) as u64;
-        let undo = time_avg(
-            || {
-                for i in 0..n {
-                    // SAFETY: cell is a live store object.
-                    unsafe {
-                        let mut tx = store.begin();
-                        tx.set(cell, i).expect("set");
-                        tx.commit();
-                    }
-                }
-                n
-            },
-            cfg.reps,
-        );
-        let redo_off = region.alloc_off(64 << 10, 16).expect("log area");
-        let redo = pstore::RedoLog::new(region.clone(), redo_off, 64 << 10);
-        redo.format();
-        let redo_ns = time_avg(
-            || {
-                for i in 0..n {
-                    redo.record(cell as usize, &i.to_le_bytes())
-                        .expect("record");
-                    redo.commit();
-                }
-                n
-            },
-            cfg.reps,
-        );
-        let mut a = Row::new("ABL-LOG", "store", format!("{n} tx"), "undo log", undo, "");
-        let mut b = Row::new(
-            "ABL-LOG",
-            "store",
-            format!("{n} tx"),
-            "redo log",
-            redo_ns,
-            "",
-        );
-        a.slowdown = Some(1.0);
-        b.slowdown = Some(redo_ns / undo.max(1.0));
-        rows.push(a);
-        rows.push(b);
-        region.close().expect("close");
-    }
-
     // Normalize the traversal ablations against normal.
     normalize(&mut rows, "normal");
     rows

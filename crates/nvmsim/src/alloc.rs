@@ -18,6 +18,7 @@
 //! large free blocks additionally store their size in the next 8 bytes.
 
 use crate::error::{NvError, Result};
+use std::mem::offset_of;
 
 /// Allocation size classes in bytes. All are multiples of [`MIN_ALIGN`].
 pub const CLASS_SIZES: [usize; 16] = [
@@ -83,6 +84,43 @@ pub struct AllocHeader {
     ll_dir: u64,
 }
 
+/// Byte offsets within the on-media header, for the repairs that edit an
+/// image's bytes in place (see [`crate::verify`]). Readers decode the
+/// whole header with [`AllocHeader::from_bytes`] instead.
+impl AllocHeader {
+    /// Offset of the bump-frontier word.
+    pub const OFF_BUMP: usize = offset_of!(AllocHeader, bump);
+    /// Offset of the end-of-range word.
+    pub const OFF_END: usize = offset_of!(AllocHeader, end);
+    /// The free-list heads: one word per size class, then the large list.
+    pub const LISTS: std::ops::Range<usize> =
+        offset_of!(AllocHeader, free_heads)..offset_of!(AllocHeader, large_head) + 8;
+    /// Offset of the bitmap-page directory word.
+    pub const OFF_LL_DIR: usize = offset_of!(AllocHeader, ll_dir);
+
+    /// Decodes a header from the bytes of an image (little-endian words
+    /// at the `repr(C)` offsets), so offline readers go through the same
+    /// accessors as a mapped region.
+    ///
+    /// # Panics
+    ///
+    /// If `bytes` is shorter than the header.
+    pub fn from_bytes(bytes: &[u8]) -> AllocHeader {
+        let word = |off: usize| crate::read_u64(bytes, off);
+        AllocHeader {
+            bump: word(Self::OFF_BUMP),
+            end: word(Self::OFF_END),
+            free_heads: std::array::from_fn(|i| word(Self::LISTS.start + 8 * i)),
+            large_head: word(offset_of!(AllocHeader, large_head)),
+            live_bytes: word(offset_of!(AllocHeader, live_bytes)),
+            live_allocs: word(offset_of!(AllocHeader, live_allocs)),
+            alloc_calls: word(offset_of!(AllocHeader, alloc_calls)),
+            free_calls: word(offset_of!(AllocHeader, free_calls)),
+            ll_dir: word(Self::OFF_LL_DIR),
+        }
+    }
+}
+
 impl AllocHeader {
     /// Initializes the allocator to manage `[data_start, end)` offsets.
     pub fn init(&mut self, data_start: u64, end: u64) {
@@ -113,17 +151,7 @@ impl AllocHeader {
     /// [`AllocHeader::init`] before use.
     #[cfg(test)]
     pub(crate) fn zeroed() -> AllocHeader {
-        AllocHeader {
-            bump: 0,
-            end: 0,
-            free_heads: [0; NUM_CLASSES],
-            large_head: 0,
-            live_bytes: 0,
-            live_allocs: 0,
-            alloc_calls: 0,
-            free_calls: 0,
-            ll_dir: 0,
-        }
+        Self::from_bytes(&[0; std::mem::size_of::<AllocHeader>()])
     }
 
     /// Offset of the first `llalloc` bitmap page (0 = legacy-only).
@@ -321,31 +349,35 @@ impl AllocHeader {
         }
     }
 
-    /// Cheap structural sanity check of free lists (used after reopening a
-    /// persisted image). Walks each list and verifies every link stays in
-    /// bounds and 16-aligned.
+    /// Cheap structural sanity check of the free lists of `image` (offset
+    /// 0 = region base; used after reopening a persisted image). Walks
+    /// each list and verifies every link stays in bounds and 16-aligned.
+    /// Links are read by bounds-checked indexing of `image`: nothing the
+    /// image says is dereferenced.
     ///
     /// # Errors
     ///
     /// [`NvError::BadImage`] describing the first broken invariant found.
-    ///
-    /// # Safety
-    ///
-    /// `base` must be the base of the mapped region containing `self`.
-    pub unsafe fn check(&self, base: usize, data_start: u64) -> Result<()> {
-        if self.bump > self.end || self.bump < data_start {
+    pub fn check(&self, image: &[u8], data_start: u64) -> Result<()> {
+        if self.end > image.len() as u64 || self.bump > self.end || self.bump < data_start {
             return Err(NvError::BadImage(format!(
-                "bump {} outside [{}, {}]",
-                self.bump, data_start, self.end
+                "bump {} outside [{}, {}] (image of {} bytes)",
+                self.bump,
+                data_start,
+                self.end,
+                image.len()
             )));
         }
-        let in_bounds = |off: u64| off >= data_start && off < self.end && off.is_multiple_of(16);
+        // `end - off >= 8`: the link word itself must lie inside the range.
+        let in_bounds = |off: u64| {
+            off >= data_start && off < self.end && self.end - off >= 8 && off.is_multiple_of(16)
+        };
         // Structural cycle bound: a region of this size cannot hold more
         // than `max_blocks` distinct blocks, whatever the op history.
         let max_blocks = (self.end - data_start) / MIN_ALIGN as u64 + 1;
         for (class, &head) in self.free_heads.iter().enumerate() {
             Self::walk_list(
-                base,
+                image,
                 head,
                 max_blocks,
                 &in_bounds,
@@ -353,7 +385,7 @@ impl AllocHeader {
             )?;
         }
         Self::walk_list(
-            base,
+            image,
             self.large_head,
             max_blocks,
             &in_bounds,
@@ -368,8 +400,8 @@ impl AllocHeader {
     /// instead of grinding through the worst-case block count of the
     /// region — with the structural `max_blocks` bound kept as a
     /// belt-and-braces limit.
-    unsafe fn walk_list(
-        base: usize,
+    fn walk_list(
+        image: &[u8],
         head: u64,
         max_blocks: u64,
         in_bounds: &dyn Fn(u64) -> bool,
@@ -385,7 +417,7 @@ impl AllocHeader {
                     "{what} link {cur:#x} out of bounds"
                 )));
             }
-            cur = Self::read_u64(base, cur);
+            cur = crate::read_u64(image, cur as usize);
             steps += 1;
             if cur != 0 && cur == anchor {
                 return Err(NvError::BadImage(format!("{what} cycle")));
@@ -548,11 +580,10 @@ mod tests {
         let mut a = Arena::new(1 << 14);
         let o = a.alloc(64).unwrap();
         a.free(o, 64);
-        let base = a.base();
-        unsafe { a.hdr.check(base, 16).unwrap() };
+        a.hdr.check(&a.mem, 16).unwrap();
         // Corrupt the free head to point out of bounds.
         a.hdr.free_heads[class_for(64).unwrap()] = (1 << 20) as u64;
-        assert!(unsafe { a.hdr.check(base, 16) }.is_err());
+        assert!(a.hdr.check(&a.mem, 16).is_err());
     }
 
     #[test]
@@ -571,7 +602,7 @@ mod tests {
         let base = a.base();
         // List is o3 -> o2 -> o1 -> 0; corrupt o1's link back to o3.
         unsafe { *((base + o1 as usize) as *mut u64) = o3 };
-        let err = unsafe { a.hdr.check(base, 16) }.unwrap_err();
+        let err = a.hdr.check(&a.mem, 16).unwrap_err();
         assert!(
             err.to_string().contains("cycle"),
             "expected a cycle report, got: {err}"
@@ -587,7 +618,7 @@ mod tests {
         let base = a.base();
         // Self-loop: the block's next pointer names itself.
         unsafe { *((base + o as usize) as *mut u64) = o };
-        let err = unsafe { a.hdr.check(base, 16) }.unwrap_err();
+        let err = a.hdr.check(&a.mem, 16).unwrap_err();
         assert!(err.to_string().contains("large free list cycle"));
     }
 

@@ -62,6 +62,13 @@ pub mod shadow;
 pub mod undolog;
 pub mod verify;
 
+/// The little-endian `u64` at byte `off` of an image: how every on-media
+/// format of this crate stores its words. Panics past the end of `bytes`
+/// — callers bounds-check what an image told them first.
+pub(crate) fn read_u64(bytes: &[u8], off: usize) -> u64 {
+    u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8-byte slice"))
+}
+
 pub use dlin::{CheckReport, History, OpRecord, Recorder, SetOp, Violation};
 pub use error::{NvError, Result};
 pub use latency::LatencyModel;
@@ -78,4 +85,5 @@ pub use sched::{SchedEvent, ScheduleAborted, Scheduler};
 pub use shadow::{
     CapturedCrash, CrashPointReached, FaultPlan, FaultPolicy, FaultReport, FaultStamp, ShadowError,
 };
-pub use verify::{LogCheck, RootIssue, SlotState, SlotStatus, VerifyReport};
+pub use undolog::LogSummary;
+pub use verify::{RootIssue, SlotState, SlotStatus, VerifyReport};

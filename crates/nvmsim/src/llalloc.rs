@@ -68,9 +68,11 @@
 //! the corruption walk (`verify`) reports it.
 
 use crate::alloc::{AllocHeader, CLASS_SIZES, NUM_CLASSES};
+use crate::crc::crc64_update;
 use crate::error::{NvError, Result};
 use crate::latency;
 use crate::metrics::{self, Counter};
+use crate::read_u64;
 use crate::shadow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -93,26 +95,191 @@ pub(crate) const DESC_SIZE: usize = 64;
 const TLS_REGIONS: usize = 8;
 
 // Page-header field offsets.
-pub(crate) const PAGE_MAGIC: usize = 0;
-pub(crate) const PAGE_NEXT: usize = 8;
-pub(crate) const PAGE_COUNT: usize = 16;
-pub(crate) const PAGE_SEQ: usize = 24;
-pub(crate) const PAGE_CRC: usize = 32;
+const PAGE_MAGIC: usize = 0;
+const PAGE_NEXT: usize = 8;
+const PAGE_COUNT: usize = 16;
+const PAGE_SEQ: usize = 24;
+const PAGE_CRC: usize = 32;
 /// First page only: bitmap popcount (blocks, then bytes) snapshotted at
 /// the last statistics fold. `Region` seeds its retired-statistics base
 /// with `header live - this snapshot` at open, so the fold-time bitmap
 /// contribution — not the open-time one — is what gets backed out; after
 /// a crash the two differ by exactly the ops since the last durability
 /// point, which the bitmap itself accounts for.
-pub(crate) const PAGE_FOLD_BLOCKS: usize = 40;
-pub(crate) const PAGE_FOLD_BYTES: usize = 48;
+const PAGE_FOLD_BLOCKS: usize = 40;
+const PAGE_FOLD_BYTES: usize = 48;
 
 // Descriptor field offsets.
-pub(crate) const D_BASE: usize = 0;
+const D_BASE: usize = 0;
 pub(crate) const D_META: usize = 8;
 pub(crate) const D_BITMAP: usize = 16;
-pub(crate) const D_FREE: usize = 24;
-pub(crate) const D_OWNER: usize = 32;
+const D_FREE: usize = 24;
+const D_OWNER: usize = 32;
+
+/// Upper bound on the bitmap pages a region of `bytes` bytes can chain:
+/// every subtree but the last spans at least one granule, and a page is
+/// only chained once the one before it is full.
+fn max_pages(bytes: usize) -> usize {
+    (bytes / GRANULE as usize + 1) / SUBTREES_PER_PAGE + 2
+}
+
+/// Bitmask of the bits of a `capacity`-block subtree's bitmap word that
+/// correspond to real blocks.
+#[inline]
+fn block_mask(capacity: u32) -> u64 {
+    if capacity >= 64 {
+        !0
+    } else {
+        (1u64 << capacity) - 1
+    }
+}
+
+/// One subtree descriptor that passed every structural check of the page
+/// walk, as persisted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SubtreeInfo {
+    /// Offset of the bitmap page holding the descriptor.
+    pub page_off: u64,
+    /// Index of the descriptor within its page.
+    pub slot: usize,
+    /// Size-class index.
+    pub class: usize,
+    /// Blocks the subtree covers (≤ 64).
+    pub capacity: u32,
+    /// Offset of block 0 of the subtree's span.
+    pub base: u64,
+    /// Allocated blocks (bitmap popcount — the persistent truth).
+    pub allocated: u32,
+    /// The advisory free counter as persisted. May lag the bitmap on a
+    /// crashed image; the recovery scan rebuilds it on open.
+    pub free_counter: u64,
+}
+
+impl SubtreeInfo {
+    /// Block size in bytes (the size class).
+    pub fn class_size(&self) -> usize {
+        CLASS_SIZES[self.class]
+    }
+
+    /// The free counter a clean close seals: `capacity - allocated`.
+    pub fn sealed_free(&self) -> u64 {
+        (self.capacity - self.allocated) as u64
+    }
+}
+
+/// What [`walk_chain`] hands its visitor, in chain order.
+pub(crate) enum Walked<'a> {
+    /// A bitmap page whose header checked out; `bytes` is the whole page.
+    /// Its descriptors follow.
+    Page { off: u64, bytes: &'a [u8] },
+    /// A descriptor that passed every structural check.
+    Subtree(SubtreeInfo),
+    /// Structural damage. A damaged chain or page header ends the walk
+    /// (nothing behind it can be trusted); a damaged descriptor is
+    /// skipped. Any issue means an open degrades to the free-list
+    /// allocator.
+    Issue(String),
+}
+
+/// The one decoder of the bitmap-page chain: walks the chain rooted at
+/// `ll_dir` through `image` (offset 0 = region base) and checks every
+/// structural predicate — chain length and page bounds, page magic,
+/// descriptor count, class/capacity, span bounds, padding bits — which
+/// hold on every image, crashed or clean: `llalloc` flushes each bitmap
+/// word before an allocation returns, so a crash can only lose whole
+/// operations, never tear a page's structure. Recovery
+/// ([`LlState::open`]), the corruption walk and offline inspection all
+/// consume this walk, so they cannot disagree on what is damaged.
+///
+/// Every word is read by bounds-checked indexing of `image`; nothing the
+/// image says is dereferenced.
+pub(crate) fn walk_chain(image: &[u8], ll_dir: u64, mut visit: impl FnMut(Walked<'_>)) {
+    let len = image.len() as u64;
+    let mut page_off = ll_dir;
+    for _ in 0..max_pages(image.len()) {
+        if page_off == 0 {
+            return;
+        }
+        if !page_off.is_multiple_of(64)
+            || page_off
+                .checked_add(LL_PAGE_SIZE as u64)
+                .is_none_or(|end| end > len)
+        {
+            return visit(Walked::Issue(format!(
+                "bitmap page offset {page_off:#x} out of bounds"
+            )));
+        }
+        let page = &image[page_off as usize..page_off as usize + LL_PAGE_SIZE];
+        if read_u64(page, PAGE_MAGIC) != LL_PAGE_MAGIC {
+            return visit(Walked::Issue(format!(
+                "bitmap page at {page_off:#x} has a bad magic"
+            )));
+        }
+        let count = read_u64(page, PAGE_COUNT);
+        if count > SUBTREES_PER_PAGE as u64 {
+            return visit(Walked::Issue(format!(
+                "bitmap page at {page_off:#x} claims {count} descriptors"
+            )));
+        }
+        visit(Walked::Page {
+            off: page_off,
+            bytes: page,
+        });
+        for slot in 0..count as usize {
+            let desc = &page[DESC_SIZE + slot * DESC_SIZE..][..DESC_SIZE];
+            let meta = read_u64(desc, D_META);
+            let class = (meta & 0xff) as usize;
+            let capacity = ((meta >> 8) & 0xff) as u32;
+            let bad = |what: &str| Walked::Issue(format!("subtree {slot}@{page_off:#x}: {what}"));
+            if class >= NUM_CLASSES || capacity == 0 || capacity as usize > BLOCKS_PER_SUBTREE {
+                visit(bad(&format!("bad class {class} / capacity {capacity}")));
+                continue;
+            }
+            let base = read_u64(desc, D_BASE);
+            let span = capacity as u64 * CLASS_SIZES[class] as u64;
+            if !base.is_multiple_of(GRANULE) || base.checked_add(span).is_none_or(|end| end > len) {
+                visit(bad(&format!("span [{base:#x}, +{span}) out of bounds")));
+                continue;
+            }
+            let bitmap = read_u64(desc, D_BITMAP);
+            let mask = block_mask(capacity);
+            if bitmap & !mask != !mask {
+                // Bits beyond capacity are written as 1 at creation and
+                // never touched again; anything else is rot.
+                visit(bad("padding bits corrupt"));
+                continue;
+            }
+            visit(Walked::Subtree(SubtreeInfo {
+                page_off,
+                slot,
+                class,
+                capacity,
+                base,
+                allocated: (bitmap & mask).count_ones(),
+                free_counter: read_u64(desc, D_FREE),
+            }));
+        }
+        page_off = read_u64(page, PAGE_NEXT);
+    }
+    if page_off != 0 {
+        visit(Walked::Issue("bitmap page chain cycle".to_string()));
+    }
+}
+
+/// CRC-64 of a bitmap page with its CRC field read as zero: what a clean
+/// close stores in that field.
+fn page_crc(page: &[u8]) -> u64 {
+    let state = crc64_update(!0, &page[..PAGE_CRC]);
+    let state = crc64_update(state, &[0; 8]);
+    crc64_update(state, &page[PAGE_CRC + 8..]) ^ !0
+}
+
+/// Whether a bitmap page still carries the seal its last clean close
+/// wrote. Meaningful on clean images only: a running region mutates its
+/// pages without resealing them.
+pub(crate) fn page_sealed(page: &[u8]) -> bool {
+    page_crc(page) == read_u64(page, PAGE_CRC)
+}
 
 #[derive(Clone, Copy)]
 struct TlsSlot {
@@ -185,12 +352,7 @@ impl Desc {
     /// Bitmask of the bits that correspond to real blocks.
     #[inline]
     fn mask(self) -> u64 {
-        let cap = self.capacity();
-        if cap >= 64 {
-            !0
-        } else {
-            (1u64 << cap) - 1
-        }
+        block_mask(self.capacity())
     }
     #[inline]
     fn bitmap(self) -> &'static AtomicU64 {
@@ -312,13 +474,11 @@ fn my_shard() -> usize {
 
 impl LlState {
     fn new_empty(base: usize, size: usize, instance: u64, end: u64) -> LlState {
-        let max_subtrees = (size as u64 / GRANULE) as usize + 1;
-        let max_pages = max_subtrees / SUBTREES_PER_PAGE + 2;
         let granules = (0..size.div_ceil(GRANULE as usize))
             .map(|_| AtomicU32::new(0))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        let page_offs = (0..max_pages)
+        let page_offs = (0..max_pages(size))
             .map(|_| AtomicU64::new(0))
             .collect::<Vec<_>>()
             .into_boxed_slice();
@@ -400,80 +560,41 @@ impl LlState {
                 st.end
             )));
         }
-        let mut page_off = ll_dir;
-        let mut pages = 0usize;
-        let mut subtrees = 0u32;
-        let mut lines = 0u64;
-        while page_off != 0 {
-            if pages >= st.page_offs.len() {
-                return Err(NvError::BadImage("bitmap page chain cycle".into()));
+        // SAFETY: `end <= committed` bytes are mapped readable from
+        // `base`; nothing writes them until the walk has returned.
+        let image = std::slice::from_raw_parts(base as *const u8, st.end as usize);
+        let (mut pages, mut subtrees) = (0usize, 0u32);
+        let mut damage = None;
+        walk_chain(image, ll_dir, |walked| match walked {
+            _ if damage.is_some() => {}
+            Walked::Issue(issue) => damage = Some(issue),
+            Walked::Page { off, .. } => {
+                // In range: the walk allows `max_pages(end)` pages and
+                // `page_offs` holds `max_pages(size)`, `size >= end`.
+                st.page_offs[pages].store(off, Ordering::Relaxed);
+                pages += 1;
             }
-            if !page_off.is_multiple_of(64) || page_off as usize + LL_PAGE_SIZE > committed {
-                return Err(NvError::BadImage(format!(
-                    "bitmap page offset {page_off:#x} out of bounds"
-                )));
-            }
-            if page_u64(base, page_off, PAGE_MAGIC) != LL_PAGE_MAGIC {
-                return Err(NvError::BadImage(format!(
-                    "bitmap page at {page_off:#x} has a bad magic"
-                )));
-            }
-            let count = page_u64(base, page_off, PAGE_COUNT);
-            if count > SUBTREES_PER_PAGE as u64 {
-                return Err(NvError::BadImage(format!(
-                    "bitmap page at {page_off:#x} claims {count} descriptors"
-                )));
-            }
-            st.page_offs[pages].store(page_off, Ordering::Relaxed);
-            lines += 1;
-            for slot in 0..count {
-                let d = Desc {
-                    addr: base + page_off as usize + DESC_SIZE + slot as usize * DESC_SIZE,
-                };
-                lines += 1;
-                let class = d.class();
-                let cap = d.capacity();
-                if class >= NUM_CLASSES || cap == 0 || cap as usize > BLOCKS_PER_SUBTREE {
-                    return Err(NvError::BadImage(format!(
-                        "subtree {subtrees}: bad class {class} / capacity {cap}"
-                    )));
-                }
-                let span = cap as u64 * CLASS_SIZES[class] as u64;
-                let b = d.base();
-                if !b.is_multiple_of(GRANULE) || b + span > st.end {
-                    return Err(NvError::BadImage(format!(
-                        "subtree {subtrees}: span [{b:#x}, +{span}) out of bounds"
-                    )));
-                }
-                let bm = d.bitmap().load(Ordering::Relaxed);
-                if bm & !d.mask() != !d.mask() {
-                    // Bits beyond capacity are written as 1 at creation
-                    // and never touched again; anything else is rot.
-                    return Err(NvError::BadImage(format!(
-                        "subtree {subtrees}: padding bits corrupt"
-                    )));
-                }
+            Walked::Subtree(t) => {
                 // Claim the span in the granule map, refusing overlap.
-                let g0 = (b / GRANULE) as usize;
-                let g1 = (b + span).div_ceil(GRANULE) as usize;
+                let span = t.capacity as u64 * t.class_size() as u64;
+                let g0 = (t.base / GRANULE) as usize;
+                let g1 = (t.base + span).div_ceil(GRANULE) as usize;
                 for g in g0..g1 {
                     if st.granules[g].swap(subtrees + 1, Ordering::Relaxed) != 0 {
-                        return Err(NvError::BadImage(format!(
-                            "subtree {subtrees}: span overlaps another subtree"
-                        )));
+                        damage = Some(format!("subtree {subtrees}: span overlaps another subtree"));
                     }
                 }
-                // Rebuild the advisory words from the persistent truth.
-                d.free().store(
-                    cap as u64 - (bm & d.mask()).count_ones() as u64,
-                    Ordering::Relaxed,
-                );
-                d.owner().store(0, Ordering::Relaxed);
                 subtrees += 1;
             }
-            page_off = page_u64(base, page_off, PAGE_NEXT);
-            pages += 1;
+        });
+        if let Some(damage) = damage {
+            return Err(NvError::BadImage(damage));
         }
+        // Rebuild the advisory words from the persistent truth.
+        for id in 0..subtrees {
+            st.reset_advisory(id);
+        }
+        let lines = pages as u64 + subtrees as u64;
         metrics::add(Counter::LlallocRecoveryLines, lines);
         st.num_subtrees.store(subtrees, Ordering::Release);
         Ok(Some(st))
@@ -493,6 +614,17 @@ impl LlState {
                 + DESC_SIZE
                 + (id as usize % SUBTREES_PER_PAGE) * DESC_SIZE,
         }
+    }
+
+    /// Recomputes subtree `id`'s advisory words from its bitmap: `free`
+    /// from the popcount, `owner` cleared. Caller excludes allocation
+    /// traffic (open, clean close).
+    fn reset_advisory(&self, id: u32) {
+        let d = self.desc(id);
+        let used = (d.bitmap().load(Ordering::Relaxed) & d.mask()).count_ones() as u64;
+        d.free()
+            .store(d.capacity() as u64 - used, Ordering::Relaxed);
+        d.owner().store(0, Ordering::Relaxed);
     }
 
     /// Whether `off` falls inside a bitmap-owned span (its frees must be
@@ -779,10 +911,7 @@ impl LlState {
         let daddr = d.addr as *mut u64;
         daddr.add(D_BASE / 8).write(b);
         daddr.add(D_META / 8).write(class as u64 | (cap << 8));
-        d.bitmap().store(
-            if cap >= 64 { 0 } else { !((1u64 << cap) - 1) },
-            Ordering::Relaxed,
-        );
+        d.bitmap().store(!block_mask(cap as u32), Ordering::Relaxed);
         d.free().store(cap, Ordering::Relaxed);
         d.owner().store(0, Ordering::Relaxed);
         shadow::track_store(d.addr, DESC_SIZE);
@@ -909,33 +1038,20 @@ impl LlState {
     ///
     /// The region must be mapped and quiescent.
     pub(crate) unsafe fn seal(&self) {
-        let n = self.count();
-        let mut pages = 0usize;
-        while pages < self.page_offs.len() {
-            let off = self.page_offs[pages].load(Ordering::Relaxed);
+        for id in 0..self.count() {
+            self.reset_advisory(id);
+        }
+        for page in self.page_offs.iter() {
+            let off = page.load(Ordering::Relaxed);
             if off == 0 {
                 break;
             }
-            let first = pages as u32 * SUBTREES_PER_PAGE as u32;
-            for slot in 0..SUBTREES_PER_PAGE as u32 {
-                let id = first + slot;
-                if id >= n {
-                    break;
-                }
-                let d = self.desc(id);
-                let used = (d.bitmap().load(Ordering::Relaxed) & d.mask()).count_ones() as u64;
-                d.free()
-                    .store(d.capacity() as u64 - used, Ordering::Relaxed);
-                d.owner().store(0, Ordering::Relaxed);
-            }
             let seq = page_u64(self.base, off, PAGE_SEQ) + 1;
             page_u64_write(self.base, off, PAGE_SEQ, seq);
-            page_u64_write(self.base, off, PAGE_CRC, 0);
             let bytes =
                 std::slice::from_raw_parts((self.base + off as usize) as *const u8, LL_PAGE_SIZE);
-            let crc = crate::crc::crc64(bytes);
+            let crc = page_crc(bytes);
             page_u64_write(self.base, off, PAGE_CRC, crc);
-            pages += 1;
         }
     }
 }
@@ -1123,6 +1239,158 @@ mod tests {
         let instance = TEST_INSTANCE.fetch_add(1, Ordering::Relaxed);
         let res = unsafe { LlState::open(a.base(), a.mem.len(), a.mem.len(), instance, &a.hdr) };
         assert!(res.is_err(), "corrupt class must fail the scan");
+    }
+
+    /// A cleanly closed 64 KiB file image with two subtrees in its one
+    /// bitmap page: 64 blocks of 64 B, and a 4 KiB-class subtree clipped
+    /// by the region's end to fewer than 64 blocks, so its bitmap word
+    /// carries padding bits.
+    fn two_subtree_image(dir: &std::path::Path) -> (Vec<u8>, usize) {
+        use crate::region::{Region, RegionHeader};
+        let path = dir.join("pristine.nvr");
+        let r = Region::create_file(&path, 64 << 10).unwrap();
+        for size in [64, 64, 64, 4096] {
+            r.alloc(size, 8).unwrap();
+        }
+        r.close().unwrap();
+        let img = std::fs::read(&path).unwrap();
+        let page = AllocHeader::from_bytes(&img[RegionHeader::OFF_ALLOC..]).ll_dir() as usize;
+        assert_eq!(read_u64(&img[page..], PAGE_COUNT), 2);
+        assert!(read_u64(&img[page + 2 * DESC_SIZE..], D_META) >> 8 < 64);
+        (img, page)
+    }
+
+    /// What the three consumers of [`walk_chain`] make of one image:
+    /// `(verify's llalloc errors, inspect's report, the reopened region's
+    /// lock-free flag and occupancy)`.
+    fn consume(
+        img: &[u8],
+        path: &std::path::Path,
+    ) -> (
+        Vec<String>,
+        crate::inspect::LlallocReport,
+        (bool, [ClassOccupancy; NUM_CLASSES]),
+    ) {
+        let errors = crate::verify::verify_bytes(img).llalloc_errors;
+        let report = crate::inspect::inspect_llalloc_bytes(img)
+            .expect("a region image")
+            .expect("with a bitmap directory");
+        std::fs::write(path, img).unwrap();
+        let r = crate::region::Region::open_file(path).expect("bitmap damage never fails the open");
+        let opened = (
+            r.lockfree_enabled(),
+            r.llalloc_occupancy().unwrap_or_default(),
+        );
+        r.crash();
+        (errors, report, opened)
+    }
+
+    #[test]
+    fn open_verify_and_inspect_agree_on_every_damage() {
+        use crate::region::RegionHeader;
+        let dir = std::env::temp_dir().join(format!("nvmsim-llwalk-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (pristine, page) = two_subtree_image(&dir);
+        let path = dir.join("damaged.nvr");
+        let len = pristine.len() as u64;
+        let (d0, d1) = (page + DESC_SIZE, page + 2 * DESC_SIZE);
+        let put = |img: &mut [u8], off: usize, v: u64| {
+            img[off..off + 8].copy_from_slice(&v.to_le_bytes());
+        };
+
+        // Structural damage: flagged by all three, on a cleanly closed
+        // image and on a crashed one (where verify's sealed-only checks
+        // are off, so what it reports is the walk's finding alone).
+        type Damage = (&'static str, Box<dyn Fn(&mut [u8])>);
+        let structural: Vec<Damage> = vec![
+            (
+                "bad page magic",
+                Box::new(move |i| i[page + PAGE_MAGIC] ^= 0xff),
+            ),
+            (
+                "chain cycle",
+                Box::new(move |i| put(i, page + PAGE_NEXT, page as u64)),
+            ),
+            (
+                "page out of bounds",
+                Box::new(move |i| put(i, page + PAGE_NEXT, len)),
+            ),
+            (
+                "page misaligned",
+                Box::new(move |i| put(i, page + PAGE_NEXT, page as u64 + 8)),
+            ),
+            (
+                "count > 63",
+                Box::new(move |i| put(i, page + PAGE_COUNT, 64)),
+            ),
+            ("bad class", Box::new(move |i| i[d0 + D_META] = 0xff)),
+            ("zero capacity", Box::new(move |i| i[d0 + D_META + 1] = 0)),
+            ("capacity > 64", Box::new(move |i| i[d0 + D_META + 1] = 65)),
+            (
+                "span out of bounds",
+                Box::new(move |i| put(i, d0 + D_BASE, len)),
+            ),
+            ("span misaligned", Box::new(move |i| i[d0 + D_BASE] ^= 0x10)),
+            (
+                "padding bits",
+                Box::new(move |i| i[d1 + D_BITMAP + 7] &= 0x7f),
+            ),
+        ];
+        for dirty in [false, true] {
+            let mut base = pristine.clone();
+            base[RegionHeader::OFF_FLAGS] |= dirty as u8;
+            let (errors, report, (lockfree, _)) = consume(&base, &path);
+            assert!(errors.is_empty(), "undamaged, dirty={dirty}: {errors:?}");
+            assert!(
+                report.consistent(!dirty),
+                "undamaged, dirty={dirty}: {report}"
+            );
+            assert!(lockfree, "undamaged, dirty={dirty}");
+            for (what, damage) in &structural {
+                let mut img = base.clone();
+                damage(&mut img);
+                let (errors, report, (lockfree, _)) = consume(&img, &path);
+                let ctx = format!("{what}, dirty={dirty}: {errors:?} / {:?}", report.issues);
+                assert!(!errors.is_empty(), "verify misses {ctx}");
+                assert!(!report.issues.is_empty(), "inspect misses {ctx}");
+                assert!(!lockfree, "open does not degrade on {ctx}");
+                // One decoder: verify adds nothing structural of its own.
+                assert!(
+                    report.issues.iter().all(|i| errors.contains(i)),
+                    "verify and inspect word the damage differently: {ctx}"
+                );
+            }
+        }
+
+        // Damage only a clean close's seal can show: verify flags it on a
+        // clean image and not on a crashed one, inspect counts a stale
+        // counter either way, and the open rebuilds the advisory words
+        // without degrading.
+        let sealed_only: Vec<(Damage, u64)> = vec![
+            (("page CRC", Box::new(move |i| i[page + PAGE_SEQ] ^= 1)), 0),
+            (
+                ("stale free counter", Box::new(move |i| i[d0 + D_FREE] ^= 1)),
+                1,
+            ),
+        ];
+        let class = crate::alloc::class_for(64).unwrap();
+        for ((what, damage), stale) in &sealed_only {
+            for dirty in [false, true] {
+                let mut img = pristine.clone();
+                img[RegionHeader::OFF_FLAGS] |= dirty as u8;
+                damage(&mut img);
+                let (errors, report, (lockfree, occupancy)) = consume(&img, &path);
+                let ctx = format!("{what}, dirty={dirty}: {errors:?}");
+                assert_eq!(errors.is_empty(), dirty, "{ctx}");
+                assert!(report.issues.is_empty(), "{ctx}: {:?}", report.issues);
+                assert_eq!(report.stale_counters, *stale, "{ctx}");
+                assert!(lockfree, "{ctx}: the open must not degrade");
+                let o = occupancy[class];
+                assert_eq!((o.capacity, o.allocated), (64, 3), "{ctx}");
+                assert_eq!(o.free_counter, 61, "{ctx}: advisory words rebuilt");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

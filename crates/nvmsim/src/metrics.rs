@@ -115,10 +115,6 @@ counters! {
     TxAborts => "tx_aborts",
     /// Undo-log entries appended.
     UndoEntries => "undo_entries",
-    /// Redo-log entries recorded.
-    RedoEntries => "redo_entries",
-    /// Log entries skipped during recovery for failing their CRC.
-    RecoverySkips => "recovery_skips",
     /// Replication deltas captured at durability points and enqueued.
     ReplDeltasEmitted => "repl_deltas_emitted",
     /// Replication deltas merged into a queued delta under coalescing
@@ -372,10 +368,10 @@ mod tests {
     #[test]
     fn delta_saturates_and_default_is_zero() {
         let before = snapshot();
-        add(Counter::RedoEntries, 7);
+        add(Counter::UndoEntries, 7);
         let after = snapshot();
         // Swapped arguments saturate to zero rather than wrapping.
-        assert_eq!(before.delta(&after).get(Counter::RedoEntries), 0);
+        assert_eq!(before.delta(&after).get(Counter::UndoEntries), 0);
         assert!(Snapshot::default().is_zero());
     }
 

@@ -27,6 +27,7 @@ use crate::verify::{self, VerifyReport};
 use parking_lot::{Mutex, MutexGuard};
 use std::fs::{File, OpenOptions};
 use std::io::Read;
+use std::mem::offset_of;
 use std::path::{Path, PathBuf};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -79,6 +80,41 @@ pub struct RegionHeader {
     pub(crate) fault: FaultStamp,
 }
 
+/// Byte offsets of the on-media fields — the one table every reader that
+/// works on image bytes rather than a mapped header takes them from (the
+/// boot-block check, the corruption walk and salvage in
+/// [`crate::verify`], offline inspection, the corruption tests).
+impl RegionHeader {
+    /// Offset of the magic word.
+    pub const OFF_MAGIC: usize = offset_of!(RegionHeader, magic);
+    /// Offset of the format version (`u32`).
+    pub const OFF_VERSION: usize = offset_of!(RegionHeader, version);
+    /// Offset of the region id (`u32`).
+    pub const OFF_RID: usize = offset_of!(RegionHeader, rid);
+    /// Offset of the size word.
+    pub const OFF_SIZE: usize = offset_of!(RegionHeader, size);
+    /// Offset of the flags word (bit 0 = dirty).
+    pub const OFF_FLAGS: usize = offset_of!(RegionHeader, flags);
+    /// Offset of the application tag.
+    pub const OFF_USER_TAG: usize = offset_of!(RegionHeader, user_tag);
+    /// Offset of the reserved-capacity word.
+    pub const OFF_CAPACITY: usize = offset_of!(RegionHeader, capacity);
+    /// Offset of the root directory; everything before it is the boot
+    /// block.
+    pub const OFF_ROOTS: usize = offset_of!(RegionHeader, roots);
+    /// Bytes per root-directory entry.
+    pub const ROOT_ENTRY_SIZE: usize = std::mem::size_of::<RootEntry>();
+    /// Offset of the target offset within a root entry (the name field
+    /// comes first).
+    pub const ROOT_OFF_OFFSET: usize = offset_of!(RootEntry, offset);
+    /// Offset of the type tag within a root entry.
+    pub const ROOT_OFF_TAG: usize = offset_of!(RootEntry, type_tag);
+    /// Offset of the embedded [`AllocHeader`] (which has its own table).
+    pub const OFF_ALLOC: usize = offset_of!(RegionHeader, alloc);
+    /// Offset of the [`FaultStamp`] (the header's last field).
+    pub const OFF_FAULT: usize = offset_of!(RegionHeader, fault);
+}
+
 impl RegionHeader {
     /// Offset of the first A/B metadata slot (just past the header,
     /// cache-line aligned). Slot `i` lives at
@@ -93,25 +129,67 @@ impl RegionHeader {
         Self::meta_slots_off() + (META_SLOT_COUNT * META_SLOT_SIZE) as u64
     }
 
+    /// Smallest file that can hold a region: the metadata and one cache
+    /// line of data.
+    pub fn min_image_len() -> u64 {
+        Self::data_start() + 64
+    }
+
     /// Bytes of the header covered by a metadata-slot snapshot: magic
     /// through allocator state. The trailing [`FaultStamp`] is diagnostic
     /// only and deliberately excluded, so this equals
-    /// [`RegionHeader::fault_stamp_offset`].
+    /// [`RegionHeader::OFF_FAULT`].
     pub fn snapshot_len() -> usize {
-        Self::fault_stamp_offset() as usize
-    }
-
-    /// Offset of the [`FaultStamp`] within the header (it is the last
-    /// field, and every field is 8-aligned, so there is no tail padding).
-    pub fn fault_stamp_offset() -> u64 {
-        (std::mem::size_of::<RegionHeader>() - std::mem::size_of::<FaultStamp>()) as u64
+        Self::OFF_FAULT
     }
 }
 
 // A slot must hold the snapshot plus its trailing {seq, crc} pair.
-const _: () = assert!(
-    std::mem::size_of::<RegionHeader>() - std::mem::size_of::<FaultStamp>() + 16 <= META_SLOT_SIZE
-);
+const _: () = assert!(RegionHeader::OFF_FAULT + 16 <= META_SLOT_SIZE);
+
+/// A chunk run reserved for a region being created or opened, given back
+/// (decommitted and released) on drop unless the open completes with
+/// [`Reserved::keep`]. Error paths just return: the guard is dropped after
+/// the error value is built, so no message can be formatted out of a
+/// header that was already unmapped.
+struct Reserved {
+    space: &'static NvSpace,
+    run: ChunkRun,
+    base: usize,
+    /// Bytes the run covers (whole chunks).
+    capacity: usize,
+}
+
+impl Reserved {
+    /// Reserves a run covering at least `capacity` bytes.
+    fn acquire(space: &'static NvSpace, capacity: usize) -> Result<Reserved> {
+        let layout = space.layout();
+        let chunks = layout.chunks_for(capacity) as u32;
+        let run = space.acquire_chunks(chunks)?;
+        Ok(Reserved {
+            space,
+            run,
+            base: space.chunk_base(run.start),
+            capacity: chunks as usize * layout.chunk_size(),
+        })
+    }
+
+    /// The open succeeded: the run now belongs to the region.
+    fn keep(self) -> ChunkRun {
+        let run = self.run;
+        std::mem::forget(self);
+        run
+    }
+}
+
+impl Drop for Reserved {
+    fn drop(&mut self) {
+        // Decommitting what was never committed is harmless (still
+        // PROT_NONE), so one path serves every failure point.
+        let _ = self.space.decommit_range(self.base, self.capacity);
+        self.space.release_chunks(self.run);
+    }
+}
 
 #[derive(Debug)]
 enum Backing {
@@ -121,6 +199,24 @@ enum Backing {
         path: PathBuf,
         shared: bool,
     },
+}
+
+impl Backing {
+    /// Creates (truncating) the image file at `path`, `size` bytes long.
+    fn create(path: &Path, size: usize) -> Result<Backing> {
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(path)?;
+        file.set_len(size as u64)?;
+        Ok(Backing::File {
+            file,
+            path: path.to_path_buf(),
+            shared: true,
+        })
+    }
 }
 
 /// Source of unique per-open-session ids: region ids are reused across
@@ -256,18 +352,7 @@ impl Region {
     ) -> Result<Region> {
         let space = NvSpace::global();
         let rid = auto_rid(space)?;
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path.as_ref())?;
-        file.set_len(size as u64)?;
-        let backing = Backing::File {
-            file,
-            path: path.as_ref().to_path_buf(),
-            shared: true,
-        };
+        let backing = Backing::create(path.as_ref(), size)?;
         Self::build(space, rid, size, capacity, Some(backing))
     }
 
@@ -277,18 +362,7 @@ impl Region {
     ///
     /// As [`Region::create_file`].
     pub fn create_file_with_rid<P: AsRef<Path>>(path: P, rid: u32, size: usize) -> Result<Region> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path.as_ref())?;
-        file.set_len(size as u64)?;
-        let backing = Backing::File {
-            file,
-            path: path.as_ref().to_path_buf(),
-            shared: true,
-        };
+        let backing = Backing::create(path.as_ref(), size)?;
         Self::build(NvSpace::global(), rid, size, size, Some(backing))
     }
 
@@ -300,45 +374,28 @@ impl Region {
         backing: Option<Backing>,
     ) -> Result<Region> {
         let layout = space.layout();
-        if !layout.rid_in_range(rid) {
-            return Err(NvError::InvalidRid {
-                rid,
-                reason: "out of range for layout",
-            });
-        }
+        rid_in_range(space, rid)?;
         let capacity = capacity.max(size);
-        if size < RegionHeader::data_start() as usize + 64 || capacity > layout.max_region_size() {
+        if (size as u64) < RegionHeader::min_image_len() || capacity > layout.max_region_size() {
             return Err(NvError::BadImage(format!(
                 "region geometry size {size} / capacity {capacity} outside [{}, {}]",
-                RegionHeader::data_start() as usize + 64,
+                RegionHeader::min_image_len(),
                 layout.max_region_size()
             )));
         }
-        let chunks = layout.chunks_for(capacity) as u32;
-        let run = space.acquire_chunks(chunks)?;
+        let reserved = Reserved::acquire(space, capacity)?;
         // The reserved ceiling is the whole run: capacity rounds up to
         // chunk granularity so the header never promises less than the
         // address space actually held.
-        let capacity = chunks as usize * layout.chunk_size();
-        let base = space.chunk_base(run.start);
-        let commit = match &backing {
+        let (base, capacity) = (reserved.base, reserved.capacity);
+        match &backing {
             Some(Backing::File { file, shared, .. }) => {
-                space.commit_range_file(base, size, file, 0, *shared)
+                space.commit_range_file(base, size, file, 0, *shared)?
             }
-            _ => space.commit_range_anon(base, size),
-        };
-        if let Err(e) = commit {
-            space.release_chunks(run);
-            return Err(e);
+            _ => space.commit_range_anon(base, size)?,
         }
-        let cleanup = || {
-            let _ = space.decommit_range(base, capacity);
-            space.release_chunks(run);
-        };
-        if let Err(e) = space.bind(rid, run) {
-            cleanup();
-            return Err(e);
-        }
+        space.bind(rid, reserved.run)?;
+        let run = reserved.keep();
         // SAFETY: the run is committed read/write for at least `size`
         // bytes; we own it exclusively until the handle is shared.
         unsafe {
@@ -512,31 +569,17 @@ impl Region {
         // Pre-validate the declared geometry against the actual file
         // length *before* mapping: a truncated or size-lying image must
         // yield a typed error, never an out-of-bounds mapping.
-        let min_len = RegionHeader::data_start() + 64;
-        if flen < min_len {
-            return Err(NvError::BadImage(format!(
-                "file of {flen} bytes is too small for a v{HEADER_VERSION} region (minimum {min_len})"
-            )));
+        let mut head = Vec::with_capacity(RegionHeader::OFF_ROOTS);
+        (&mut file)
+            .take(RegionHeader::OFF_ROOTS as u64)
+            .read_to_end(&mut head)?;
+        let boot = verify::read_boot(&head, flen).map_err(NvError::BadImage)?;
+        if let Some(e) = boot.errors.first() {
+            return Err(NvError::BadImage(e.clone()));
         }
-        let mut head = [0u8; 48];
-        file.read_exact(&mut head)?;
-        let magic = u64::from_le_bytes(head[0..8].try_into().unwrap());
-        let version = u32::from_le_bytes(head[8..12].try_into().unwrap());
-        let rid = u32::from_le_bytes(head[12..16].try_into().unwrap());
-        let size = u64::from_le_bytes(head[16..24].try_into().unwrap());
-        let capacity = u64::from_le_bytes(head[40..48].try_into().unwrap());
-        if magic != REGION_MAGIC {
-            return Err(NvError::BadImage(format!("bad magic {magic:#x}")));
-        }
-        if version != HEADER_VERSION {
-            return Err(NvError::BadImage(format!("unsupported version {version}")));
-        }
-        if size != flen {
-            return Err(NvError::BadImage(format!(
-                "header size {size} != file length {flen}"
-            )));
-        }
-        let capacity = if capacity < size || capacity > layout.max_region_size() as u64 {
+        let (rid, size) = (boot.rid, boot.size);
+        let max_capacity = layout.max_region_size() as u64;
+        let capacity = if boot.capacity_error().is_some() || boot.capacity > max_capacity {
             // The primary capacity word is implausible — rotted or torn,
             // like any other header byte. The checksummed slots carry the
             // authoritative copy; a region that never grew its reservation
@@ -547,18 +590,13 @@ impl Region {
             file.seek(std::io::SeekFrom::Start(0))?;
             file.read_exact(&mut area)?;
             match verify::slot_capacity(&area) {
-                Some(c) if c >= size && c <= layout.max_region_size() as u64 => c,
+                Some(c) if c >= size && c <= max_capacity => c,
                 _ => size,
             }
         } else {
-            capacity
+            boot.capacity
         };
-        if !layout.rid_in_range(rid) {
-            return Err(NvError::InvalidRid {
-                rid,
-                reason: "out of range for layout",
-            });
-        }
+        rid_in_range(space, rid)?;
         if space.is_bound(rid) {
             return Err(NvError::InvalidRid {
                 rid,
@@ -567,18 +605,9 @@ impl Region {
         }
 
         let size = size as usize;
-        let chunks = layout.chunks_for(capacity as usize) as u32;
-        let run = space.acquire_chunks(chunks)?;
-        let capacity = chunks as usize * layout.chunk_size();
-        let base = space.chunk_base(run.start);
-        let cleanup = |run| {
-            let _ = space.decommit_range(base, capacity);
-            space.release_chunks(run);
-        };
-        if let Err(e) = space.commit_range_file(base, size, &file, 0, shared) {
-            space.release_chunks(run);
-            return Err(e);
-        }
+        let reserved = Reserved::acquire(space, capacity as usize)?;
+        let (base, capacity) = (reserved.base, reserved.capacity);
+        space.commit_range_file(base, size, &file, 0, shared)?;
         // Full corruption walk: primary metadata (roots, allocator free
         // lists) plus both checksummed slots. A damaged primary is
         // restored from the newest valid slot; if that still does not
@@ -587,26 +616,23 @@ impl Region {
         let bytes = unsafe { std::slice::from_raw_parts_mut(base as *mut u8, size) };
         let report = verify::verify_bytes(bytes);
         let primary_was_ok = report.primary_ok();
+        // Clean close converges both slots onto the final snapshot, so
+        // agreeing slots that differ from a clean, structurally-valid
+        // primary mean the primary rotted after the close: restore the
+        // checksummed copy. (On a dirty image the primary may
+        // legitimately be newer than the last slot write, so no such
+        // repair is attempted.)
+        let rotted_after_close =
+            report.clean && report.slots_agree && report.primary_matches_active == Some(false);
         let mut usable = primary_was_ok;
-        if primary_was_ok {
-            if report.clean && report.slots_agree && report.primary_matches_active == Some(false) {
-                // Clean close converges both slots onto the final
-                // snapshot, so agreeing slots that differ from a clean,
-                // structurally-valid primary mean the primary rotted
-                // after the close: restore the checksummed copy. (On a
-                // dirty image the primary may legitimately be newer than
-                // the last slot write, so no such repair is attempted.)
-                if let Some(s) = report.active_slot {
-                    verify::restore_slot(bytes, s);
-                    usable = verify::verify_bytes(bytes).primary_ok();
-                }
-            }
-        } else if let Some(s) = report.active_slot {
+        if let Some(s) = report
+            .active_slot
+            .filter(|_| !primary_was_ok || rotted_after_close)
+        {
             verify::restore_slot(bytes, s);
             usable = verify::verify_bytes(bytes).primary_ok();
         }
         if !usable {
-            cleanup(run);
             return Err(NvError::BadImage(format!(
                 "unrecoverable image: {}",
                 report.damage_summary()
@@ -617,14 +643,12 @@ impl Region {
         // SAFETY: header is mapped read/write and still owned exclusively.
         let hdr_now = unsafe { &mut *(base as *mut RegionHeader) };
         if hdr_now.rid != rid || hdr_now.size != flen {
-            cleanup(run);
             return Err(NvError::BadImage(format!(
                 "metadata slot disagrees with the boot block (rid {} vs {rid}, size {} vs {flen})",
                 hdr_now.rid, hdr_now.size
             )));
         }
-        if (hdr_now.capacity as u64) < flen || hdr_now.capacity as usize > layout.max_region_size()
-        {
+        if hdr_now.capacity < flen || hdr_now.capacity as usize > layout.max_region_size() {
             // The capacity word is still rot (a dirty image keeps its
             // primary even when a slot exists): pin it to the run that was
             // actually reserved from the sanitized pre-map value.
@@ -633,16 +657,13 @@ impl Region {
         if hdr_now.capacity as usize > capacity {
             // A restored slot must not promise more growth room than the
             // run acquired from the boot block actually reserves.
-            cleanup(run);
             return Err(NvError::BadImage(format!(
                 "metadata slot claims capacity {} beyond the reserved run ({capacity})",
                 hdr_now.capacity
             )));
         }
-        if let Err(e) = space.bind(rid, run) {
-            cleanup(run);
-            return Err(e);
-        }
+        space.bind(rid, reserved.run)?;
+        let run = reserved.keep();
         // A primary that had to be rebuilt from a slot counts as dirty:
         // the snapshot may predate the damage, so recovery layers must
         // run regardless of what the restored flags claim.
@@ -1142,7 +1163,8 @@ impl Region {
             } else {
                 // A corrupt entry must not be silently shadowed or
                 // clobbered: surface the damage instead.
-                let existing = decode_root_name(entry)?;
+                let existing =
+                    decode_root_name(&entry.name).map_err(|why| NvError::BadImage(why.into()))?;
                 if existing == name {
                     hdr.roots[i].offset = off;
                     return Ok(());
@@ -1203,7 +1225,10 @@ impl Region {
             .roots
             .iter()
             .filter(|e| e.name[0] != 0)
-            .map(|e| decode_root_name(e).map(str::to_string))
+            .map(|e| match decode_root_name(&e.name) {
+                Ok(name) => Ok(name.to_string()),
+                Err(why) => Err(NvError::BadImage(why.into())),
+            })
             .collect()
     }
 
@@ -1285,7 +1310,7 @@ impl Region {
             self.inner.rid,
             self.inner.base,
             self.inner.len(),
-            RegionHeader::fault_stamp_offset() as usize,
+            RegionHeader::OFF_FAULT,
         );
         Ok(())
     }
@@ -1400,10 +1425,10 @@ impl Region {
             Err(_) => OpenOptions::new().read(true).open(path)?,
         };
         let flen = file.metadata()?.len();
-        let min_len = RegionHeader::data_start() + 64;
-        if flen < min_len {
+        if flen < RegionHeader::min_image_len() {
             return Err(NvError::BadImage(format!(
-                "file of {flen} bytes is too small to salvage (minimum {min_len})"
+                "file of {flen} bytes is too small to salvage (minimum {})",
+                RegionHeader::min_image_len()
             )));
         }
         if flen as usize > layout.max_region_size() {
@@ -1417,41 +1442,18 @@ impl Region {
         // claimed capacity is equally untrusted: the salvage run is sized
         // from the file, so a salvaged session simply cannot grow.
         let size = flen as usize;
-        let chunks = layout.chunks_for(size) as u32;
-        let run = space.acquire_chunks(chunks)?;
-        let capacity = chunks as usize * layout.chunk_size();
-        let base = space.chunk_base(run.start);
-        let cleanup = |run| {
-            let _ = space.decommit_range(base, capacity);
-            space.release_chunks(run);
-        };
-        if let Err(e) = space.commit_range_file(base, size, &file, 0, false) {
-            space.release_chunks(run);
-            return Err(e);
-        }
+        let reserved = Reserved::acquire(space, size)?;
+        let (base, capacity) = (reserved.base, reserved.capacity);
+        space.commit_range_file(base, size, &file, 0, false)?;
         // SAFETY: mapped copy-on-write and `size` bytes long; repairs land
         // in the private mapping only.
         let bytes = unsafe { std::slice::from_raw_parts_mut(base as *mut u8, size) };
-        let report = match verify::salvage_in_place(bytes) {
-            Ok(r) => r,
-            Err(e) => {
-                cleanup(run);
-                return Err(e);
-            }
-        };
+        let report = verify::salvage_in_place(bytes)?;
         // SAFETY: header is mapped; salvage made it structurally valid.
         let rid = unsafe { (*(base as *const RegionHeader)).rid };
-        if !layout.rid_in_range(rid) {
-            cleanup(run);
-            return Err(NvError::InvalidRid {
-                rid,
-                reason: "out of range for layout",
-            });
-        }
-        if let Err(e) = space.bind(rid, run) {
-            cleanup(run);
-            return Err(e);
-        }
+        rid_in_range(space, rid)?;
+        space.bind(rid, reserved.run)?;
+        let run = reserved.keep();
         // Salvage keeps whatever bitmap pages still verify; unverifiable
         // ones degrade the session to the (frozen) free-list allocator, so
         // frees still route correctly and allocation fails cleanly.
@@ -1468,22 +1470,26 @@ impl Region {
     }
 }
 
-/// Decodes a root entry's name with bounded, error-returning parsing: a
-/// name without a NUL terminator inside the fixed-size field, or one that
-/// is not valid UTF-8, is a corrupt directory entry and surfaces as
-/// [`NvError::BadImage`] — never a panic, never a silently-empty name.
-pub(crate) fn decode_root_name(entry: &RootEntry) -> Result<&str> {
-    let len = entry.name.iter().position(|&b| b == 0).ok_or_else(|| {
-        NvError::BadImage("root name is not NUL-terminated within its field".to_string())
-    })?;
-    std::str::from_utf8(&entry.name[..len])
-        .map_err(|_| NvError::BadImage("root name is not valid UTF-8".to_string()))
+/// Decodes a root entry's name field with bounded, error-returning
+/// parsing — the one decoder behind the mapped directory and the
+/// byte-level walk in [`crate::verify`] alike. A name without a NUL
+/// terminator inside the fixed-size field, or one that is not valid
+/// UTF-8, is a corrupt directory entry: the error says which — never a
+/// panic, never a silently-empty name.
+pub(crate) fn decode_root_name(
+    name: &[u8; ROOT_NAME_CAP + 1],
+) -> std::result::Result<&str, &'static str> {
+    let len = name
+        .iter()
+        .position(|&b| b == 0)
+        .ok_or("root name is not NUL-terminated within its field")?;
+    std::str::from_utf8(&name[..len]).map_err(|_| "root name is not valid UTF-8")
 }
 
 /// Whether a (used) entry decodes cleanly to `name`. Corrupt entries
 /// match nothing.
 fn entry_matches(entry: &RootEntry, name: &str) -> bool {
-    entry.name[0] != 0 && decode_root_name(entry).is_ok_and(|n| n == name)
+    entry.name[0] != 0 && decode_root_name(&entry.name) == Ok(name)
 }
 
 impl Inner {
@@ -1598,6 +1604,16 @@ impl Drop for Inner {
     fn drop(&mut self) {
         let _ = self.teardown(true);
     }
+}
+
+fn rid_in_range(space: &NvSpace, rid: u32) -> Result<()> {
+    if space.layout().rid_in_range(rid) {
+        return Ok(());
+    }
+    Err(NvError::InvalidRid {
+        rid,
+        reason: "out of range for layout",
+    })
 }
 
 fn next_instance() -> u64 {

@@ -1004,7 +1004,7 @@ mod tests {
     // the tracked address range can move a dirty line onward.
 
     fn stamp_off() -> usize {
-        crate::region::RegionHeader::fault_stamp_offset() as usize
+        crate::region::RegionHeader::OFF_FAULT
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! `pstore::log` writes this format and recovers through [`scan`];
 //! [`crate::verify`] and [`crate::inspect`] read images through the same
-//! walk ([`scan_image`]), so the format lives here, below all three.
+//! walk ([`scan_image`]) and report its one summary ([`LogSummary`]), so
+//! the format lives here, below all three.
 //!
 //! ```text
 //! log area  [log_off, log_off + log_cap)
@@ -28,6 +29,7 @@
 //! or torn generation word harmless as well.)
 
 use crate::crc::crc64_update;
+use crate::read_u64;
 
 /// The `pstore` store magic. `PSTOREV2`: the v1 log kept a persistent
 /// `used` word where the generation now lives, so a v1 image must read as
@@ -40,10 +42,6 @@ pub const LOG_HEADER_SIZE: u64 = 16;
 /// Byte overhead of one entry's header (`off`, `len`, `crc64`,
 /// `generation`).
 pub const ENTRY_HEADER_SIZE: u64 = 32;
-
-fn read_u64(bytes: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8-byte slice"))
-}
 
 /// `(log_off, log_cap)` from the store metadata block at `meta_off` of a
 /// region image, or `None` when the block is out of bounds or does not
@@ -58,32 +56,71 @@ fn locate(image: &[u8], meta_off: u64) -> Option<(u64, u64)> {
         .then(|| (read_u64(image, meta + 24), read_u64(image, meta + 32)))
 }
 
-/// The undo log of a store found in a region image by [`scan_image`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ImageLog {
+/// The undo log of a store found in a region image by [`scan_image`]:
+/// the one summary the corruption walk, offline inspection and their
+/// reports share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogSummary {
     /// Region offset of the log area, as the store metadata gives it.
     pub log_off: u64,
     /// Capacity of the log area in bytes, likewise.
     pub log_cap: u64,
-    /// The walk over the area; `None` when the metadata points the area
-    /// outside the image (or leaves it no room for a header).
-    pub scan: Option<LogScan>,
+    /// The log's current generation (bumped by every truncation).
+    pub generation: u64,
+    /// Entries of that generation whose seeded CRC-64 checks out, counted
+    /// from the start of the area up to the first that does not — what
+    /// the next attach would roll back. (A damaged *entry* is not
+    /// reported: it ends the log exactly like the torn tail of a crash.)
+    pub entries: u64,
+    /// Bytes of the area those entries occupy.
+    pub used: u64,
+    /// Whether the store metadata points the log area outside the image's
+    /// data area (or leaves it no room for a header), so nothing could be
+    /// walked.
+    pub out_of_bounds: bool,
+}
+
+impl std::fmt::Display for LogSummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "generation {}, {} entries in {} bytes of {} at {:#x}{}",
+            self.generation,
+            self.entries,
+            self.used,
+            self.log_cap,
+            self.log_off,
+            if self.out_of_bounds {
+                " — AREA OUT OF BOUNDS"
+            } else if self.used != 0 {
+                " — recovery pending"
+            } else {
+                ""
+            }
+        )
+    }
 }
 
 /// Finds and walks the undo log of the store whose metadata block sits at
-/// `meta_off` of `image` — the offline readers' entry point. `None` when
-/// no store is there (block out of bounds, or not [`STORE_MAGIC`]).
-pub fn scan_image(image: &[u8], meta_off: u64) -> Option<ImageLog> {
-    let (log_off, log_cap) = locate(image, meta_off)?;
+/// `meta_off` of `image` — the offline readers' entry point. `data_start`
+/// is the lowest offset application data can occupy: a store or a log
+/// area that overlaps the region metadata below it is as implausible as
+/// one that leaves the image. `None` when no store is there (block out of
+/// bounds, or not [`STORE_MAGIC`]).
+pub fn scan_image(image: &[u8], meta_off: u64, data_start: u64) -> Option<LogSummary> {
+    let (log_off, log_cap) = locate(image, meta_off).filter(|_| meta_off >= data_start)?;
     let len = image.len() as u64;
     let scan = log_off
         .checked_add(log_cap)
-        .filter(|&end| end <= len && log_cap >= LOG_HEADER_SIZE)
+        .filter(|&end| log_off >= data_start && end <= len && log_cap >= LOG_HEADER_SIZE)
         .map(|end| scan(&image[log_off as usize..end as usize], len));
-    Some(ImageLog {
+    Some(LogSummary {
         log_off,
         log_cap,
-        scan,
+        generation: scan.as_ref().map_or(0, |s| s.generation),
+        entries: scan.as_ref().map_or(0, |s| s.entries.len() as u64),
+        used: scan.as_ref().map_or(0, |s| s.bytes),
+        out_of_bounds: scan.is_none(),
     })
 }
 
@@ -95,8 +132,7 @@ pub fn entry_span(len: u64) -> Option<u64> {
 
 /// CRC-64 sealing one entry of a log at `generation`: covers the `off`
 /// and `len` header words and the payload, with the generation as the
-/// register's seed rather than as eight more bytes. Generation 0 is the
-/// plain CRC-64/XZ of those bytes (what `pstore`'s redo log stores).
+/// register's seed rather than as eight more bytes.
 pub fn entry_crc(generation: u64, data_off: u64, len: u64, payload: &[u8]) -> u64 {
     let mut head = [0u8; 16];
     head[..8].copy_from_slice(&data_off.to_le_bytes());
@@ -257,16 +293,23 @@ mod tests {
         img[40..48].copy_from_slice(&256u64.to_le_bytes());
         img[512..520].copy_from_slice(&3u64.to_le_bytes());
         put(&mut img[512..768], 16, 3, 64, &[7; 8]);
-        let log = scan_image(&img, 8).unwrap();
+        let log = scan_image(&img, 8, 0).unwrap();
         assert_eq!((log.log_off, log.log_cap), (512, 256));
-        let scan = log.scan.unwrap();
-        assert_eq!((scan.generation, scan.entries.len()), (3, 1));
+        assert_eq!((log.generation, log.entries, log.used), (3, 1, 48));
+        assert!(!log.out_of_bounds);
         // No store at these offsets.
-        assert_eq!(scan_image(&img, 0), None);
-        assert_eq!(scan_image(&img, 1000), None);
-        assert_eq!(scan_image(&img, u64::MAX), None);
-        // A store whose log area leaves the image: found, not walked.
+        assert_eq!(scan_image(&img, 0, 0), None);
+        assert_eq!(scan_image(&img, 1000, 0), None);
+        assert_eq!(scan_image(&img, u64::MAX, 0), None);
+        // Nor one that sits in the region metadata.
+        assert_eq!(scan_image(&img, 8, 64), None);
+        // A second store block behind the log, naming the same area: a
+        // log area below `data_start` is found, not walked.
+        img.copy_within(8..48, 800);
+        assert!(!scan_image(&img, 800, 512).unwrap().out_of_bounds);
+        assert!(scan_image(&img, 800, 513).unwrap().out_of_bounds);
+        // Likewise a log area that leaves the image.
         img[40..48].copy_from_slice(&4096u64.to_le_bytes());
-        assert_eq!(scan_image(&img, 8).unwrap().scan, None);
+        assert!(scan_image(&img, 8, 0).unwrap().out_of_bounds);
     }
 }

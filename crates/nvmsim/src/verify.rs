@@ -24,47 +24,29 @@
 //!   unverifiable allocator so further allocation fails cleanly instead of
 //!   double-serving memory.
 //!
-//! All byte offsets here mirror the `#[repr(C)]` layout of
-//! [`RegionHeader`]; a compile-time assertion in `region.rs` plus the
-//! layout tests in `inspect.rs` keep them honest.
+//! Every byte offset comes from the `offset_of!` tables next to
+//! [`RegionHeader`] and [`AllocHeader`]; every other on-media format met
+//! on the way is read by the decoder of the module that writes it
+//! (`llalloc::walk_chain`, [`undolog::scan_image`]).
 
-use crate::alloc::{CLASS_SIZES, NUM_CLASSES};
-use crate::crc::{crc64, crc64_update};
+use crate::alloc::AllocHeader;
+use crate::crc::crc64_update;
 use crate::error::{NvError, Result};
-use crate::llalloc;
+use crate::llalloc::{self, Walked};
+use crate::read_u64;
 use crate::region::{
-    RegionHeader, HEADER_VERSION, MAX_ROOTS, META_SLOT_COUNT, META_SLOT_SIZE, REGION_MAGIC,
-    ROOT_NAME_CAP,
+    decode_root_name, RegionHeader, HEADER_VERSION, MAX_ROOTS, META_SLOT_COUNT, META_SLOT_SIZE,
+    REGION_MAGIC, ROOT_NAME_CAP,
 };
-use crate::undolog;
+use crate::undolog::{self, LogSummary};
 use std::fmt;
 use std::path::Path;
 
-// Byte offsets of the `#[repr(C)]` RegionHeader fields.
-const OFF_MAGIC: usize = 0;
-const OFF_VERSION: usize = 8;
-const OFF_RID: usize = 12;
-const OFF_SIZE: usize = 16;
-const OFF_FLAGS: usize = 24;
-const OFF_CAPACITY: usize = 40;
-const OFF_ROOTS: usize = 48;
-const ROOT_ENTRY_SIZE: usize = ROOT_NAME_CAP + 1 + 16;
-const OFF_ALLOC: usize = OFF_ROOTS + MAX_ROOTS * ROOT_ENTRY_SIZE;
-/// `AllocHeader`: bump, end, free_heads[NUM_CLASSES], large_head, counters.
-const OFF_ALLOC_BUMP: usize = OFF_ALLOC;
-const OFF_ALLOC_END: usize = OFF_ALLOC + 8;
-const OFF_ALLOC_LISTS: usize = OFF_ALLOC + 16;
-const ALLOC_LISTS_LEN: usize = (NUM_CLASSES + 1) * 8;
-/// The `ll_dir` word (bitmap-page directory head) trails the free lists
-/// and the four stat counters; see `AllocHeader` in `alloc.rs`.
-const OFF_ALLOC_LL_DIR: usize = OFF_ALLOC_LISTS + ALLOC_LISTS_LEN + 4 * 8;
+const OFF_FLAGS: usize = RegionHeader::OFF_FLAGS;
+const OFF_ALLOC: usize = RegionHeader::OFF_ALLOC;
 
 /// Region root under which a `pstore` store keeps its metadata.
-const PSTORE_META_ROOT: &[u8] = b"pstore.meta";
-
-fn read_u64(bytes: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap())
-}
+const PSTORE_META_ROOT: &str = "pstore.meta";
 
 fn read_u32(bytes: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap())
@@ -132,32 +114,12 @@ pub struct RootIssue {
     pub reason: String,
 }
 
-/// Result of walking a `pstore` undo log (see [`crate::undolog`]).
-#[derive(Debug, Clone, Copy)]
-pub struct LogCheck {
-    /// Region offset of the log area.
-    pub log_off: u64,
-    /// Capacity of the log area in bytes.
-    pub log_cap: u64,
-    /// The log's current generation.
-    pub generation: u64,
-    /// Entries of that generation whose seeded CRC-64 checks out — what
-    /// the next attach would roll back.
-    pub entries: u64,
-    /// Bytes of the area those entries occupy.
-    pub used: u64,
-    /// Whether the store metadata points the log area outside the image,
-    /// so nothing could be walked. (A damaged *entry* is not reported: it
-    /// ends the log exactly like the torn tail of a crash.)
-    pub out_of_bounds: bool,
-}
-
 /// Structured result of the corruption walk over one region image.
 ///
 /// Produced by [`verify_bytes`] / [`verify_file`] / `Region::verify`, and
 /// (with `repairs` and `quarantined_roots` filled in) by
 /// `Region::open_file_salvage`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
     /// Length of the image in bytes.
     pub file_len: u64,
@@ -191,7 +153,7 @@ pub struct VerifyReport {
     pub primary_matches_active: Option<bool>,
     /// Undo-log entry checksums, when a `pstore` store is present and its
     /// metadata is reachable.
-    pub undo_log: Option<LogCheck>,
+    pub undo_log: Option<LogSummary>,
     /// Repairs applied (salvage only; empty for the diagnostic walk).
     pub repairs: Vec<String>,
     /// Root entries dropped as unverifiable (salvage only).
@@ -199,25 +161,6 @@ pub struct VerifyReport {
 }
 
 impl VerifyReport {
-    fn new(file_len: u64) -> VerifyReport {
-        VerifyReport {
-            file_len,
-            rid: None,
-            clean: false,
-            boot_errors: Vec::new(),
-            alloc_errors: Vec::new(),
-            llalloc_errors: Vec::new(),
-            root_errors: Vec::new(),
-            slots: Vec::new(),
-            active_slot: None,
-            slots_agree: false,
-            primary_matches_active: None,
-            undo_log: None,
-            repairs: Vec::new(),
-            quarantined_roots: Vec::new(),
-        }
-    }
-
     /// Whether the boot block (magic, version, geometry) checks out.
     pub fn boot_ok(&self) -> bool {
         self.boot_errors.is_empty()
@@ -326,18 +269,7 @@ impl fmt::Display for VerifyReport {
             writeln!(f, "slot {}:     {state}", slot_name(i))?;
         }
         match self.undo_log {
-            Some(l) => writeln!(
-                f,
-                "undo log:   generation {}, {} entries in {} bytes{}",
-                l.generation,
-                l.entries,
-                l.used,
-                if l.out_of_bounds {
-                    ", AREA OUT OF BOUNDS"
-                } else {
-                    ""
-                }
-            )?,
+            Some(l) => writeln!(f, "undo log:   {l}")?,
             None => writeln!(f, "undo log:   none (no pstore store reachable)")?,
         }
         for r in &self.repairs {
@@ -376,272 +308,239 @@ fn parse_slot(bytes: &[u8], i: usize) -> (SlotState, u64) {
     }
 }
 
-/// Byte-level root-directory walk shared by verify and salvage: calls
-/// `issue` for every used entry that fails to decode or points outside
-/// the data area.
-fn walk_roots(bytes: &[u8], mut issue: impl FnMut(RootIssue)) {
-    let data_start = RegionHeader::data_start();
-    let file_len = bytes.len() as u64;
-    for i in 0..MAX_ROOTS {
-        let off = OFF_ROOTS + i * ROOT_ENTRY_SIZE;
-        let name = &bytes[off..off + ROOT_NAME_CAP + 1];
-        if name[0] == 0 {
-            continue;
+/// The active slot among parsed slots (in slot order): the valid one with
+/// the highest sequence number, as `(index, seq)`.
+fn newest_valid(slots: impl IntoIterator<Item = (SlotState, u64)>) -> Option<(usize, u64)> {
+    let valid = slots
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, (state, _))| state == SlotState::Valid);
+    valid.fold(None, |best: Option<(usize, u64)>, (i, (_, seq))| {
+        if best.is_none_or(|(_, newest)| seq > newest) {
+            Some((i, seq))
+        } else {
+            best
         }
-        let nul = name.iter().position(|&b| b == 0);
-        let label = match nul {
-            Some(n) => String::from_utf8_lossy(&name[..n]).into_owned(),
-            None => format!("{}…", String::from_utf8_lossy(&name[..8])),
-        };
-        let reason = match nul {
-            None => Some("name is not NUL-terminated within its field".to_string()),
-            Some(n) if std::str::from_utf8(&name[..n]).is_err() => {
-                Some("name is not valid UTF-8".to_string())
-            }
-            Some(_) => {
-                let target = read_u64(bytes, off + ROOT_NAME_CAP + 1);
-                if target < data_start || target >= file_len {
-                    Some(format!(
-                        "offset {target} outside the data area [{data_start}, {file_len})"
-                    ))
-                } else {
-                    None
-                }
-            }
-        };
-        if let Some(reason) = reason {
-            issue(RootIssue {
-                index: i,
-                name: label,
-                reason,
-            });
+    })
+}
+
+/// The boot words of an image — everything in front of the root
+/// directory — and what is wrong with them.
+#[derive(Debug, Clone)]
+pub(crate) struct BootBlock {
+    pub version: u32,
+    pub rid: u32,
+    pub size: u64,
+    pub flags: u64,
+    pub user_tag: u64,
+    pub capacity: u64,
+    /// Magic, version and size-vs-file-length problems: with any of
+    /// these the primary cannot say how to map the image.
+    pub errors: Vec<String>,
+}
+
+impl BootBlock {
+    /// Whether the image was cleanly closed (dirty flag clear).
+    pub fn clean(&self) -> bool {
+        self.flags & 1 == 0
+    }
+
+    /// A capacity word below the size. Kept apart from `errors` because
+    /// the open path survives it (the slots carry a checksummed copy).
+    pub fn capacity_error(&self) -> Option<String> {
+        (self.capacity < self.size).then(|| {
+            format!(
+                "header capacity {} below its size {}",
+                self.capacity, self.size
+            )
+        })
+    }
+}
+
+/// The one boot-block check, shared by the pre-map validation of
+/// `Region::open_file`, the corruption walk and offline inspection.
+/// `head` holds the first bytes of a `file_len`-byte image; it is only
+/// read once `file_len` is known to be large enough for a region, so a
+/// short file never indexes out of it.
+///
+/// # Errors
+///
+/// The message for a file too small to be a region image at all.
+pub(crate) fn read_boot(head: &[u8], file_len: u64) -> std::result::Result<BootBlock, String> {
+    let min_len = RegionHeader::min_image_len();
+    if file_len < min_len {
+        return Err(format!(
+            "file of {file_len} bytes is too small for a v{HEADER_VERSION} region (minimum {min_len})"
+        ));
+    }
+    let mut boot = BootBlock {
+        version: read_u32(head, RegionHeader::OFF_VERSION),
+        rid: read_u32(head, RegionHeader::OFF_RID),
+        size: read_u64(head, RegionHeader::OFF_SIZE),
+        flags: read_u64(head, OFF_FLAGS),
+        user_tag: read_u64(head, RegionHeader::OFF_USER_TAG),
+        capacity: read_u64(head, RegionHeader::OFF_CAPACITY),
+        errors: Vec::new(),
+    };
+    let magic = read_u64(head, RegionHeader::OFF_MAGIC);
+    if magic != REGION_MAGIC {
+        boot.errors.push(format!("bad magic {magic:#x}"));
+    }
+    if boot.version != HEADER_VERSION {
+        boot.errors
+            .push(format!("unsupported version {}", boot.version));
+    }
+    if boot.size != file_len {
+        boot.errors.push(format!(
+            "header size {} != file length {file_len}",
+            boot.size
+        ));
+    }
+    Ok(boot)
+}
+
+/// One used entry of an image's root directory.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RootRecord<'a> {
+    /// Index of the entry in the directory.
+    pub index: usize,
+    raw_name: &'a [u8; ROOT_NAME_CAP + 1],
+    /// Offset the root points at.
+    pub offset: u64,
+    /// Application type tag (0 = untagged).
+    pub type_tag: u64,
+}
+
+impl<'a> RootRecord<'a> {
+    /// The entry's name, or why it does not decode.
+    pub fn name(&self) -> std::result::Result<&'a str, &'static str> {
+        decode_root_name(self.raw_name)
+    }
+
+    /// Best-effort (lossy) rendering of the name bytes, for reports.
+    pub fn label(&self) -> String {
+        match self.raw_name.iter().position(|&b| b == 0) {
+            Some(n) => String::from_utf8_lossy(&self.raw_name[..n]).into_owned(),
+            None => format!("{}…", String::from_utf8_lossy(&self.raw_name[..8])),
         }
     }
 }
 
-/// Structural allocator check. The free-list walk dereferences offsets,
-/// so it needs an 8-aligned base and an `end` that does not exceed the
-/// buffer — both are established here before any pointer is chased.
-fn check_alloc(bytes: &[u8], errors: &mut Vec<String>) {
+/// The one byte-level walk of the root directory: every used entry of
+/// the image in `bytes` (at least a header long), decodable or not.
+pub(crate) fn root_entries(bytes: &[u8]) -> impl Iterator<Item = RootRecord<'_>> {
+    (0..MAX_ROOTS).filter_map(move |index| {
+        let off = RegionHeader::OFF_ROOTS + index * RegionHeader::ROOT_ENTRY_SIZE;
+        let raw_name: &[u8; ROOT_NAME_CAP + 1] = bytes[off..off + ROOT_NAME_CAP + 1]
+            .try_into()
+            .expect("name field");
+        (raw_name[0] != 0).then(|| RootRecord {
+            index,
+            raw_name,
+            offset: read_u64(bytes, off + RegionHeader::ROOT_OFF_OFFSET),
+            type_tag: read_u64(bytes, off + RegionHeader::ROOT_OFF_TAG),
+        })
+    })
+}
+
+/// Every used root entry that fails to decode or points outside the
+/// data area.
+fn check_roots(bytes: &[u8], issues: &mut Vec<RootIssue>) {
     let data_start = RegionHeader::data_start();
-    let end = read_u64(bytes, OFF_ALLOC_END);
+    let file_len = bytes.len() as u64;
+    for root in root_entries(bytes) {
+        let reason = match root.name() {
+            Err(why) => why.to_string(),
+            Ok(_) if root.offset < data_start || root.offset >= file_len => format!(
+                "offset {} outside the data area [{data_start}, {file_len})",
+                root.offset
+            ),
+            Ok(_) => continue,
+        };
+        issues.push(RootIssue {
+            index: root.index,
+            name: root.label(),
+            reason,
+        });
+    }
+}
+
+/// Structural allocator check: the managed range must end where the image
+/// does, and every free list must walk cleanly (see
+/// [`AllocHeader::check`]).
+fn check_alloc(bytes: &[u8], errors: &mut Vec<String>) {
+    let alloc = AllocHeader::from_bytes(&bytes[OFF_ALLOC..]);
+    let end = alloc.stats().end;
     if end != bytes.len() as u64 {
         errors.push(format!(
-            "allocator end {end} != file length {}",
+            "allocator end {end} is not the image length {}",
             bytes.len()
         ));
-        // An out-of-range end makes the free-list bounds predicate
-        // meaningless (links up to `end` would be chased off the buffer).
-        return;
-    }
-    let run = |base: usize| {
-        // SAFETY: base is 8-aligned, the buffer is `end` bytes long, and
-        // `check` only dereferences offsets it has bounds-checked against
-        // `[data_start, end)`.
-        unsafe {
-            (*(base as *const RegionHeader))
-                .alloc
-                .check(base, data_start)
-        }
-    };
-    let res = if (bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<RegionHeader>()) {
-        run(bytes.as_ptr() as usize)
-    } else {
-        // A plain `fs::read` buffer has no alignment guarantee: rehost the
-        // image in an 8-aligned scratch buffer for the walk.
-        let mut scratch: Vec<u64> = vec![0; bytes.len().div_ceil(8)];
-        // SAFETY: scratch holds at least bytes.len() bytes.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                bytes.as_ptr(),
-                scratch.as_mut_ptr() as *mut u8,
-                bytes.len(),
-            );
-        }
-        run(scratch.as_ptr() as usize)
-    };
-    if let Err(e) = res {
+    } else if let Err(e) = alloc.check(bytes, RegionHeader::data_start()) {
         errors.push(e.to_string());
     }
 }
 
-/// Corruption walk over the two-level bitmap allocator's on-media pages.
-///
-/// Structural predicates (chain bounds, page magic, descriptor
-/// class/capacity/span/padding bits) hold on every image, crashed or
-/// clean — `llalloc` flushes each bitmap word before an allocation
-/// returns, so a crash can only lose whole operations, never tear a
-/// page's structure. The page CRC-64 and the `free == capacity -
-/// popcount(bitmap)` cross-check are sealed only by a clean close, so
-/// they run only when the dirty flag is clear.
-///
-/// Never dereferences anything: the walk is bounds-checked byte reads,
-/// mirroring the layout in `llalloc.rs`.
+/// Corruption walk over the two-level bitmap allocator's on-media pages:
+/// the structural findings of [`llalloc::walk_chain`], plus — on clean
+/// images only, because only a clean close seals them — each page's
+/// CRC-64 and the `free == capacity - popcount(bitmap)` cross-check.
 fn check_llalloc(bytes: &[u8], clean: bool, errors: &mut Vec<String>) {
-    if bytes.len() < OFF_ALLOC_LL_DIR + 8 {
-        return;
-    }
-    let ll_dir = read_u64(bytes, OFF_ALLOC_LL_DIR);
-    if ll_dir == 0 {
-        return; // Legacy image: no bitmap directory, nothing to check.
-    }
-    let max_pages = bytes.len() / llalloc::LL_PAGE_SIZE + 1;
-    let mut pages = 0usize;
-    let mut page_off = ll_dir;
-    while page_off != 0 {
-        if pages >= max_pages {
-            errors.push("bitmap page chain cycle".to_string());
-            return;
-        }
-        if !page_off.is_multiple_of(64) || page_off as usize + llalloc::LL_PAGE_SIZE > bytes.len() {
-            errors.push(format!("bitmap page offset {page_off:#x} out of bounds"));
-            return;
-        }
-        let p = page_off as usize;
-        if read_u64(bytes, p + llalloc::PAGE_MAGIC) != llalloc::LL_PAGE_MAGIC {
-            errors.push(format!("bitmap page at {page_off:#x} has a bad magic"));
-            return;
-        }
-        let count = read_u64(bytes, p + llalloc::PAGE_COUNT);
-        if count > llalloc::SUBTREES_PER_PAGE as u64 {
+    let ll_dir = AllocHeader::from_bytes(&bytes[OFF_ALLOC..]).ll_dir();
+    llalloc::walk_chain(bytes, ll_dir, |walked| match walked {
+        Walked::Issue(issue) => errors.push(issue),
+        Walked::Page { off, bytes } if clean && !llalloc::page_sealed(bytes) => {
             errors.push(format!(
-                "bitmap page at {page_off:#x} claims {count} descriptors"
+                "bitmap page at {off:#x} fails its CRC (clean image)"
             ));
-            return;
         }
-        if clean {
-            // A clean close seals every page under a CRC-64 computed
-            // with the CRC field itself zeroed.
-            let mut page = bytes[p..p + llalloc::LL_PAGE_SIZE].to_vec();
-            let stored = read_u64(&page, llalloc::PAGE_CRC);
-            write_u64(&mut page, llalloc::PAGE_CRC, 0);
-            if crc64(&page) != stored {
-                errors.push(format!(
-                    "bitmap page at {page_off:#x} fails its CRC (clean image)"
-                ));
-            }
+        Walked::Subtree(t) if clean && t.free_counter != t.sealed_free() => {
+            errors.push(format!(
+                "subtree {}@{:#x}: free counter {} != {} on a clean image",
+                t.slot,
+                t.page_off,
+                t.free_counter,
+                t.sealed_free()
+            ));
         }
-        for slot in 0..count as usize {
-            let d = p + llalloc::DESC_SIZE + slot * llalloc::DESC_SIZE;
-            let meta = read_u64(bytes, d + llalloc::D_META);
-            let class = (meta & 0xff) as usize;
-            let cap = ((meta >> 8) & 0xff) as u32;
-            if class >= NUM_CLASSES || cap == 0 || cap as usize > llalloc::BLOCKS_PER_SUBTREE {
-                errors.push(format!(
-                    "bitmap descriptor {slot}@{page_off:#x}: bad class/capacity"
-                ));
-                continue;
-            }
-            let base = read_u64(bytes, d + llalloc::D_BASE);
-            let span = cap as u64 * CLASS_SIZES[class] as u64;
-            if !base.is_multiple_of(llalloc::GRANULE)
-                || base
-                    .checked_add(span)
-                    .is_none_or(|e| e > bytes.len() as u64)
-            {
-                errors.push(format!(
-                    "bitmap descriptor {slot}@{page_off:#x}: span out of bounds"
-                ));
-                continue;
-            }
-            let bm = read_u64(bytes, d + llalloc::D_BITMAP);
-            let mask = if cap >= 64 { !0u64 } else { (1u64 << cap) - 1 };
-            if bm & !mask != !mask {
-                errors.push(format!(
-                    "bitmap descriptor {slot}@{page_off:#x}: padding bits corrupt"
-                ));
-                continue;
-            }
-            if clean {
-                let free = read_u64(bytes, d + llalloc::D_FREE);
-                let allocated = (bm & mask).count_ones() as u64;
-                if free != cap as u64 - allocated {
-                    errors.push(format!(
-                        "bitmap descriptor {slot}@{page_off:#x}: free counter {free} != \
-                         {} on a clean image",
-                        cap as u64 - allocated
-                    ));
-                }
-            }
-        }
-        page_off = read_u64(bytes, p + llalloc::PAGE_NEXT);
-        pages += 1;
-    }
+        Walked::Page { .. } | Walked::Subtree(_) => {}
+    });
 }
 
-/// Walks the `pstore` undo log by generation + seeded CRC, when a store
-/// is present. Returns `None` when no intact `pstore.meta` root leads to
-/// a plausible store (including when the region simply has no store).
-fn check_undo_log(bytes: &[u8]) -> Option<LogCheck> {
-    let data_start = RegionHeader::data_start();
-    let mut meta_off = None;
-    for i in 0..MAX_ROOTS {
-        let off = OFF_ROOTS + i * ROOT_ENTRY_SIZE;
-        let name = &bytes[off..off + ROOT_NAME_CAP + 1];
-        if let Some(n) = name.iter().position(|&b| b == 0) {
-            if &name[..n] == PSTORE_META_ROOT {
-                meta_off = Some(read_u64(bytes, off + ROOT_NAME_CAP + 1));
-            }
-        }
-    }
-    let meta = meta_off.filter(|&m| m >= data_start)?;
-    let log = undolog::scan_image(bytes, meta)?;
-    // A log area that overlaps the region header is as implausible as
-    // one that leaves the image.
-    let scan = log.scan.filter(|_| log.log_off >= data_start);
-    Some(LogCheck {
-        log_off: log.log_off,
-        log_cap: log.log_cap,
-        generation: scan.as_ref().map_or(0, |s| s.generation),
-        entries: scan.as_ref().map_or(0, |s| s.entries.len() as u64),
-        used: scan.as_ref().map_or(0, |s| s.bytes),
-        out_of_bounds: scan.is_none(),
-    })
+/// The undo log of the image's `pstore` store, found through the
+/// `pstore.meta` root and walked by [`undolog::scan_image`]. `None` when
+/// no intact `pstore.meta` root leads to a plausible store (including
+/// when the region simply has no store).
+pub(crate) fn image_log(bytes: &[u8]) -> Option<LogSummary> {
+    let meta = root_entries(bytes).find(|r| r.name() == Ok(PSTORE_META_ROOT))?;
+    undolog::scan_image(bytes, meta.offset, RegionHeader::data_start())
 }
 
 /// Runs the full corruption walk over a region image. Never panics and
 /// never modifies `bytes`; every problem lands in the returned report.
 pub fn verify_bytes(bytes: &[u8]) -> VerifyReport {
-    let mut report = VerifyReport::new(bytes.len() as u64);
-    let min_len = RegionHeader::data_start() as usize + 64;
-    if bytes.len() < min_len {
-        report.boot_errors.push(format!(
-            "file of {} bytes is too small for a v{HEADER_VERSION} region (minimum {min_len})",
-            bytes.len()
-        ));
-        return report;
-    }
-    let magic = read_u64(bytes, OFF_MAGIC);
-    if magic != REGION_MAGIC {
-        report.boot_errors.push(format!("bad magic {magic:#x}"));
-    }
-    let version = read_u32(bytes, OFF_VERSION);
-    if version != HEADER_VERSION {
-        report
-            .boot_errors
-            .push(format!("unsupported version {version}"));
-    }
-    let size = read_u64(bytes, OFF_SIZE);
-    if size != bytes.len() as u64 {
-        report
-            .boot_errors
-            .push(format!("header size {size} != file length {}", bytes.len()));
-    }
-    let capacity = read_u64(bytes, OFF_CAPACITY);
-    if capacity < size {
-        report
-            .boot_errors
-            .push(format!("header capacity {capacity} below its size {size}"));
-    }
-    report.rid = Some(read_u32(bytes, OFF_RID));
-    report.clean = read_u64(bytes, OFF_FLAGS) & 1 == 0;
-    walk_roots(bytes, |issue| report.root_errors.push(issue));
+    let mut report = VerifyReport {
+        file_len: bytes.len() as u64,
+        ..VerifyReport::default()
+    };
+    let boot = match read_boot(bytes, bytes.len() as u64) {
+        Ok(boot) => boot,
+        Err(too_small) => {
+            report.boot_errors.push(too_small);
+            return report;
+        }
+    };
+    report.rid = Some(boot.rid);
+    report.clean = boot.clean();
+    let capacity_error = boot.capacity_error();
+    report.boot_errors = boot.errors;
+    report.boot_errors.extend(capacity_error);
+    check_roots(bytes, &mut report.root_errors);
     check_alloc(bytes, &mut report.alloc_errors);
     check_llalloc(bytes, report.clean, &mut report.llalloc_errors);
 
     let primary = normalized_primary(bytes);
     let snap = RegionHeader::snapshot_len();
-    let mut best: Option<(usize, u64)> = None;
     for i in 0..META_SLOT_COUNT {
         let (state, seq) = parse_slot(bytes, i);
         let off = slot_off(i);
@@ -651,11 +550,9 @@ pub fn verify_bytes(bytes: &[u8]) -> VerifyReport {
             seq,
             matches_primary,
         });
-        if state == SlotState::Valid && best.is_none_or(|(_, s)| seq > s) {
-            best = Some((i, seq));
-        }
     }
-    report.active_slot = best.map(|(i, _)| i);
+    report.active_slot =
+        newest_valid(report.slots.iter().map(|s| (s.state, s.seq))).map(|(i, _)| i);
     report.slots_agree =
         report.slots.iter().all(|s| s.state == SlotState::Valid) && META_SLOT_COUNT >= 2 && {
             let a = slot_off(0);
@@ -663,7 +560,7 @@ pub fn verify_bytes(bytes: &[u8]) -> VerifyReport {
             bytes[a..a + snap] == bytes[b..b + snap]
         };
     report.primary_matches_active = report.active_slot.map(|i| report.slots[i].matches_primary);
-    report.undo_log = check_undo_log(bytes);
+    report.undo_log = image_log(bytes);
     report
 }
 
@@ -682,16 +579,11 @@ pub fn verify_file<P: AsRef<Path>>(path: P) -> Result<VerifyReport> {
 /// open path whose primary capacity word is implausible. `bytes` must
 /// hold at least the full slot area (`RegionHeader::data_start()` bytes).
 pub(crate) fn slot_capacity(bytes: &[u8]) -> Option<u64> {
-    let mut best: Option<(u64, u64)> = None;
-    for i in 0..META_SLOT_COUNT {
-        if let (SlotState::Valid, seq) = parse_slot(bytes, i) {
-            let cap = read_u64(bytes, slot_off(i) + OFF_CAPACITY);
-            if best.is_none_or(|(s, _)| seq > s) {
-                best = Some((seq, cap));
-            }
-        }
-    }
-    best.map(|(_, c)| c)
+    let (active, _) = newest_valid((0..META_SLOT_COUNT).map(|i| parse_slot(bytes, i)))?;
+    Some(read_u64(
+        bytes,
+        slot_off(active) + RegionHeader::OFF_CAPACITY,
+    ))
 }
 
 /// Composes the current header snapshot into the *inactive* metadata slot
@@ -707,15 +599,7 @@ pub(crate) fn stage_next_slot(bytes: &mut [u8]) -> Option<(usize, usize)> {
     if bytes.len() < RegionHeader::data_start() as usize {
         return None;
     }
-    let mut best: Option<(usize, u64)> = None;
-    for i in 0..META_SLOT_COUNT {
-        if let (SlotState::Valid, seq) = parse_slot(bytes, i) {
-            if best.is_none_or(|(_, s)| seq > s) {
-                best = Some((i, seq));
-            }
-        }
-    }
-    let (target, seq) = match best {
+    let (target, seq) = match newest_valid((0..META_SLOT_COUNT).map(|i| parse_slot(bytes, i))) {
         Some((i, s)) => ((i + 1) % META_SLOT_COUNT, s + 1),
         None => (0, 1),
     };
@@ -770,15 +654,15 @@ pub(crate) fn salvage_in_place(bytes: &mut [u8]) -> Result<VerifyReport> {
     }
     // The mapped length is the one geometry fact that cannot lie; a
     // size-lying (or truncated) header is pinned to it.
-    if read_u64(bytes, OFF_SIZE) != bytes.len() as u64 {
-        write_u64(bytes, OFF_SIZE, bytes.len() as u64);
+    if read_u64(bytes, RegionHeader::OFF_SIZE) != bytes.len() as u64 {
+        write_u64(bytes, RegionHeader::OFF_SIZE, bytes.len() as u64);
         repairs.push(format!(
             "header size pinned to mapped length {}",
             bytes.len()
         ));
     }
-    if read_u64(bytes, OFF_CAPACITY) < bytes.len() as u64 {
-        write_u64(bytes, OFF_CAPACITY, bytes.len() as u64);
+    if read_u64(bytes, RegionHeader::OFF_CAPACITY) < bytes.len() as u64 {
+        write_u64(bytes, RegionHeader::OFF_CAPACITY, bytes.len() as u64);
         repairs.push(format!(
             "header capacity pinned to mapped length {}",
             bytes.len()
@@ -787,8 +671,8 @@ pub(crate) fn salvage_in_place(bytes: &mut [u8]) -> Result<VerifyReport> {
     let mid = verify_bytes(bytes);
     let mut quarantined = Vec::new();
     for issue in &mid.root_errors {
-        let off = OFF_ROOTS + issue.index * ROOT_ENTRY_SIZE;
-        bytes[off..off + ROOT_ENTRY_SIZE].fill(0);
+        let off = RegionHeader::OFF_ROOTS + issue.index * RegionHeader::ROOT_ENTRY_SIZE;
+        bytes[off..off + RegionHeader::ROOT_ENTRY_SIZE].fill(0);
         quarantined.push(format!(
             "root {} ({:?}): {}",
             issue.index, issue.name, issue.reason
@@ -806,9 +690,9 @@ pub(crate) fn salvage_in_place(bytes: &mut [u8]) -> Result<VerifyReport> {
         // allocation fails with OutOfMemory instead of double-serving
         // memory through a rotted free-list link.
         let end = bytes.len() as u64;
-        write_u64(bytes, OFF_ALLOC_BUMP, end);
-        write_u64(bytes, OFF_ALLOC_END, end);
-        bytes[OFF_ALLOC_LISTS..OFF_ALLOC_LISTS + ALLOC_LISTS_LEN].fill(0);
+        write_u64(bytes, OFF_ALLOC + AllocHeader::OFF_BUMP, end);
+        write_u64(bytes, OFF_ALLOC + AllocHeader::OFF_END, end);
+        bytes[OFF_ALLOC..][AllocHeader::LISTS].fill(0);
         repairs.push(
             "allocator metadata unverifiable: allocation frozen (free lists cleared, \
              bump pinned to end)"
@@ -820,7 +704,7 @@ pub(crate) fn salvage_in_place(bytes: &mut [u8]) -> Result<VerifyReport> {
         // `bump`, so the legacy allocator can never re-serve them, and
         // live blocks freed later are simply recycled through the legacy
         // free lists. Allocation continues without the bitmap fast path.
-        write_u64(bytes, OFF_ALLOC_LL_DIR, 0);
+        write_u64(bytes, OFF_ALLOC + AllocHeader::OFF_LL_DIR, 0);
         repairs.push(format!(
             "bitmap allocator unverifiable ({}): directory detached, region \
              falls back to the legacy allocator",
@@ -847,6 +731,11 @@ mod tests {
     use super::*;
     use crate::region::Region;
     use std::path::PathBuf;
+
+    const OFF_ROOTS: usize = RegionHeader::OFF_ROOTS;
+    const OFF_ALLOC_END: usize = OFF_ALLOC + AllocHeader::OFF_END;
+    const OFF_ALLOC_LISTS: usize = OFF_ALLOC + AllocHeader::LISTS.start;
+    const OFF_ALLOC_LL_DIR: usize = OFF_ALLOC + AllocHeader::OFF_LL_DIR;
 
     fn tmpfile(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(

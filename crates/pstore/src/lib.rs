@@ -36,13 +36,11 @@
 pub mod error;
 pub mod log;
 pub mod object;
-pub mod redo;
 pub mod store;
 pub mod tx;
 
 pub use error::{Result, StoreError};
 pub use log::{RecoveryStats, UndoLog};
 pub use object::{ObjHeader, OBJ_HEADER_SIZE};
-pub use redo::RedoLog;
 pub use store::{ObjectStore, StoreStats, DEFAULT_LOG_CAPACITY};
 pub use tx::Tx;

@@ -41,30 +41,13 @@ use std::sync::Arc;
 
 pub use nvmsim::undolog::{ENTRY_HEADER_SIZE, LOG_HEADER_SIZE};
 
-/// What a log recovery pass did.
-///
-/// The undo log only ever fills `applied`: its scan ends at the first
-/// entry that does not validate, whatever the reason. The redo log keeps
-/// a persistent commit point, so it can tell damage inside the committed
-/// prefix apart and reports it in `skipped` / `truncated`.
+/// What a log recovery pass did. The scan ends at the first entry that
+/// does not validate, whatever the reason, so there is nothing to report
+/// but what was rolled back.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Entries whose checksums verified and whose snapshots were applied.
     pub applied: u64,
-    /// Entries with plausible headers but failing CRCs — not applied.
-    pub skipped: u64,
-    /// Whether the forward scan stopped early on an implausible entry
-    /// header (span or target out of bounds); later entries are
-    /// unreachable.
-    pub truncated: bool,
-}
-
-impl RecoveryStats {
-    /// Whether recovery saw any damage (skipped entries or a truncated
-    /// scan).
-    pub fn degraded(&self) -> bool {
-        self.skipped > 0 || self.truncated
-    }
 }
 
 /// Handle to a region's undo-log area.
@@ -248,7 +231,6 @@ impl UndoLog {
         }
         RecoveryStats {
             applied: scan.entries.len() as u64,
-            ..RecoveryStats::default()
         }
     }
 
@@ -396,7 +378,6 @@ mod tests {
             *(entry_words(&region, &log, 48).add(4) as *mut u8) ^= 0xFF;
             let stats = log.rollback();
             assert_eq!(stats.applied, 1);
-            assert!(!stats.degraded(), "indistinguishable from a torn tail");
             assert_eq!(data.read(), 1, "intact prefix restored");
             assert_eq!(data2.read(), 92, "rotted snapshot not replayed");
             assert_eq!(data3.read(), 93, "entries behind it are out of reach");
@@ -464,7 +445,6 @@ mod tests {
         }
         let stats = log.rollback();
         assert_eq!(stats.applied, 1);
-        assert!(!stats.degraded());
         region.close().unwrap();
     }
 

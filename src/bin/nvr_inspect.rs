@@ -44,6 +44,7 @@
 //! violation (or when an explicitly named root is absent), 2 on
 //! usage/IO trouble.
 
+use std::fmt::Display;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -53,558 +54,420 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// A step that failed on one path: the exit code it earns and the message
+/// for stderr.
+struct Failed(u8, String);
+
+/// Damage found (exit code 1).
+fn damaged(e: impl Display) -> Failed {
+    Failed(1, e.to_string())
+}
+
+/// Usage or I/O trouble (exit code 2).
+fn trouble(e: impl Display) -> Failed {
+    Failed(2, e.to_string())
+}
+
+/// What a subcommand made of one path: `Ok(true)` every check passed,
+/// `Ok(false)` damage found and reported on stdout, `Err` a failed step.
+type Outcome = Result<bool, Failed>;
+
+/// The one per-path driver behind every subcommand: banner, run, report
+/// a failed step, fold the exit code. The last path that did not pass
+/// decides the code; a passing path never clears it.
+fn each_path(paths: &[String], cmd: impl Fn(&str) -> Outcome) -> ExitCode {
+    if paths.is_empty() {
+        return usage();
+    }
+    let mut status = 0;
+    for path in paths {
+        println!("=== {path}");
+        match cmd(path) {
+            Ok(true) => {}
+            Ok(false) => status = 1,
+            Err(Failed(code, why)) => {
+                eprintln!("error: {why}");
+                status = code;
+            }
+        }
+    }
+    ExitCode::from(status)
+}
+
+/// Header, root directory and allocator summary of one image.
+fn summary(path: &str) -> Outcome {
+    print!("{}", nvmsim::inspect::inspect(path).map_err(damaged)?);
+    Ok(true)
+}
+
 /// Decodes persistent adaptive-radix-tree indexes offline. Every named
 /// root in the image is probed (the ART root tag plus the representation
 /// fingerprint arbitrate, so no repr flag is needed); `--root NAME`
 /// restricts the walk to one root and fails when it is not an ART.
 fn index(args: &[String]) -> ExitCode {
-    let mut root_filter: Option<String> = None;
+    let mut root_filter: Option<&str> = None;
     let mut paths: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--root" {
             match it.next() {
-                Some(r) => root_filter = Some(r.clone()),
+                Some(r) => root_filter = Some(r),
                 None => return usage(),
             }
         } else {
             paths.push(a.clone());
         }
     }
-    if paths.is_empty() {
-        return usage();
-    }
-    let mut status = ExitCode::SUCCESS;
-    for path in &paths {
-        println!("=== {path}");
-        let region = match nvmsim::Region::open_file(path) {
+    each_path(&paths, |path| index_one(path, root_filter))
+}
+
+fn index_one(path: &str, root_filter: Option<&str>) -> Outcome {
+    let region = nvmsim::Region::open_file(path).map_err(trouble)?;
+    let roots = match root_filter {
+        Some(r) => vec![r.to_string()],
+        None => region.roots().map_err(trouble)?,
+    };
+    let mut sound = true;
+    let mut found = 0;
+    for root in &roots {
+        let report = match pds::inspect_index(&region, root) {
             Ok(r) => r,
+            // An unfiltered walk skips non-ART roots silently; an
+            // explicitly named root must decode.
+            Err(_) if root_filter.is_none() => continue,
             Err(e) => {
-                eprintln!("error: {e}");
-                status = ExitCode::from(2);
+                eprintln!("error: root {root}: {e}");
+                sound = false;
                 continue;
             }
         };
-        let roots = match &root_filter {
-            Some(r) => vec![r.clone()],
-            None => match region.roots() {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    status = ExitCode::from(2);
-                    let _ = region.close();
-                    continue;
-                }
-            },
-        };
-        let mut found = 0;
-        for root in &roots {
-            let report = match pds::inspect_index(&region, root) {
-                Ok(r) => r,
-                // An unfiltered walk skips non-ART roots silently; an
-                // explicitly named root must decode.
-                Err(_) if root_filter.is_none() => continue,
-                Err(e) => {
-                    eprintln!("error: root {root}: {e}");
-                    status = ExitCode::FAILURE;
-                    continue;
-                }
-            };
-            found += 1;
-            println!("root:        {root}");
-            println!("repr:        {}", report.repr);
-            println!("keys:        {}", report.keys);
-            println!("nodes:       {} ({} bytes)", report.nodes, report.bytes);
-            for (kind, count) in pds::ART_KIND_NAMES.iter().zip(report.kinds.iter()) {
-                println!("  {kind:<8} {count}");
-            }
-            let hist: Vec<String> = report
-                .depth_hist
-                .iter()
-                .enumerate()
-                .map(|(depth, leaves)| format!("{depth}:{leaves}"))
-                .collect();
-            println!("depth:       {}", hist.join(" "));
-            match &report.problem {
-                None => println!("verdict:     consistent"),
-                Some(p) => {
-                    println!("verdict:     INCONSISTENT — {p}");
-                    status = ExitCode::FAILURE;
-                }
-            }
+        found += 1;
+        println!("root:        {root}");
+        println!("repr:        {}", report.repr);
+        println!("keys:        {}", report.keys);
+        println!("nodes:       {} ({} bytes)", report.nodes, report.bytes);
+        for (kind, count) in pds::ART_KIND_NAMES.iter().zip(report.kinds.iter()) {
+            println!("  {kind:<8} {count}");
         }
-        if found == 0 {
-            println!("(no ART index roots)");
-            if root_filter.is_some() {
-                status = ExitCode::FAILURE;
+        let hist: Vec<String> = report
+            .depth_hist
+            .iter()
+            .enumerate()
+            .map(|(depth, leaves)| format!("{depth}:{leaves}"))
+            .collect();
+        println!("depth:       {}", hist.join(" "));
+        match &report.problem {
+            None => println!("verdict:     consistent"),
+            Some(p) => {
+                println!("verdict:     INCONSISTENT — {p}");
+                sound = false;
             }
-        }
-        if let Err(e) = region.close() {
-            eprintln!("error: {e}");
-            status = ExitCode::FAILURE;
         }
     }
-    status
+    if found == 0 {
+        println!("(no ART index roots)");
+        sound &= root_filter.is_none();
+    }
+    region.close().map_err(damaged)?;
+    Ok(sound)
 }
 
-/// Walks each image's two-level bitmap allocator offline and dumps
+/// Walks the image's two-level bitmap allocator offline and dumps
 /// per-class and per-subtree occupancy. Consistency is judged against
 /// the image's dirty flag: a cleanly closed image must also have every
 /// advisory free counter sealed to its bitmap (`consistent(true)`), a
 /// crashed one only has to be structurally sound.
-fn alloc(paths: &[String]) -> ExitCode {
-    let mut status = ExitCode::SUCCESS;
-    for path in paths {
-        println!("=== {path}");
-        let clean = match nvmsim::verify::verify_file(path) {
-            Ok(r) => r.clean,
-            Err(e) => {
-                eprintln!("error: {e}");
-                status = ExitCode::from(2);
-                continue;
-            }
-        };
-        match nvmsim::inspect::inspect_llalloc(path) {
-            Ok(Some(report)) => {
-                print!("{report}");
-                let (blocks, bytes): (u64, u64) =
-                    report
-                        .per_class
-                        .iter()
-                        .enumerate()
-                        .fold((0, 0), |(b, y), (class, o)| {
-                            (
-                                b + o.allocated,
-                                y + o.allocated * nvmsim::alloc::CLASS_SIZES[class] as u64,
-                            )
-                        });
-                println!("allocated:    {blocks} blocks, {bytes} bytes");
-                println!("image:        {}", if clean { "clean" } else { "dirty" });
-                if !report.consistent(clean) {
-                    println!("verdict:      INCONSISTENT");
-                    status = ExitCode::FAILURE;
-                } else {
-                    println!("verdict:      consistent");
-                }
-            }
-            Ok(None) => {
-                println!("legacy image: no bitmap allocator directory");
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                status = ExitCode::from(2);
-            }
+fn alloc(path: &str) -> Outcome {
+    let bytes = std::fs::read(path).map_err(trouble)?;
+    let Some(report) = nvmsim::inspect::inspect_llalloc_bytes(&bytes).map_err(trouble)? else {
+        println!("legacy image: no bitmap allocator directory");
+        return Ok(true);
+    };
+    print!("{report}");
+    let (blocks, live) = report.subtrees.iter().fold((0, 0), |(b, y), t| {
+        let allocated = t.allocated as u64;
+        (b + allocated, y + allocated * t.class_size() as u64)
+    });
+    println!("allocated:    {blocks} blocks, {live} bytes");
+    let state = if report.clean { "clean" } else { "dirty" };
+    println!("image:        {state}");
+    let consistent = report.consistent(report.clean);
+    println!(
+        "verdict:      {}",
+        if consistent {
+            "consistent"
+        } else {
+            "INCONSISTENT"
         }
-    }
-    status
+    );
+    Ok(consistent)
 }
 
-/// Opens each image and dumps its allocator counters and named roots,
+/// Opens the image and dumps its allocator counters and named roots,
 /// followed by the process-wide [`nvmsim::metrics`] delta the open/walk
 /// itself generated (every nonzero counter) — a quick way to see what a
 /// region open costs in instrumented events.
-fn stats(paths: &[String]) -> ExitCode {
-    let mut status = ExitCode::SUCCESS;
-    for path in paths {
-        println!("=== {path}");
-        let before = nvmsim::metrics::snapshot();
-        match nvmsim::Region::open_file(path) {
-            Ok(region) => {
-                let s = region.stats();
-                println!("rid:         {}", region.rid());
-                println!("size:        {} bytes", region.size());
-                println!("live_bytes:  {}", s.live_bytes);
-                println!("live_allocs: {}", s.live_allocs);
-                println!("alloc_calls: {}", s.alloc_calls);
-                println!("free_calls:  {}", s.free_calls);
-                println!("bump/end:    {}/{}", s.bump, s.end);
-                match region.roots() {
-                    Ok(roots) if roots.is_empty() => println!("roots:       (none)"),
-                    Ok(roots) => println!("roots:       {}", roots.join(", ")),
-                    Err(e) => println!("roots:       error: {e}"),
-                }
-                if let Err(e) = region.close() {
-                    eprintln!("error: {e}");
-                    status = ExitCode::FAILURE;
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                status = ExitCode::FAILURE;
-                continue;
-            }
-        }
-        let delta = nvmsim::metrics::snapshot().delta(&before);
-        println!("metrics delta for this open:");
-        let mut any = false;
-        for (name, value) in delta.iter() {
-            if value != 0 {
-                println!("  {name}: {value}");
-                any = true;
-            }
-        }
-        if !any {
-            println!("  (all zero)");
+fn stats(path: &str) -> Outcome {
+    let before = nvmsim::metrics::snapshot();
+    let region = nvmsim::Region::open_file(path).map_err(damaged)?;
+    let s = region.stats();
+    println!("rid:         {}", region.rid());
+    println!("size:        {} bytes", region.size());
+    println!("live_bytes:  {}", s.live_bytes);
+    println!("live_allocs: {}", s.live_allocs);
+    println!("alloc_calls: {}", s.alloc_calls);
+    println!("free_calls:  {}", s.free_calls);
+    println!("bump/end:    {}/{}", s.bump, s.end);
+    match region.roots() {
+        Ok(roots) if roots.is_empty() => println!("roots:       (none)"),
+        Ok(roots) => println!("roots:       {}", roots.join(", ")),
+        Err(e) => println!("roots:       error: {e}"),
+    }
+    let closed = region.close();
+    let delta = nvmsim::metrics::snapshot().delta(&before);
+    println!("metrics delta for this open:");
+    let mut any = false;
+    for (name, value) in delta.iter() {
+        if value != 0 {
+            println!("  {name}: {value}");
+            any = true;
         }
     }
-    status
-}
-
-/// Runs the corruption walk over each image, printing the report. Returns
-/// failure if any image is damaged or unreadable.
-fn verify(paths: &[String]) -> ExitCode {
-    let mut status = ExitCode::SUCCESS;
-    for path in paths {
-        println!("=== {path}");
-        match nvmsim::verify::verify_file(path) {
-            Ok(report) => {
-                println!("{report}");
-                if !report.healthy() {
-                    status = ExitCode::FAILURE;
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                status = ExitCode::from(2);
-            }
-        }
+    if !any {
+        println!("  (all zero)");
     }
-    status
+    closed.map_err(damaged)?;
+    Ok(true)
 }
 
-/// Scrub pass: verify each image; when healthy, open it and rewrite the
+/// Runs the corruption walk over the image and prints the report.
+fn verify(path: &str) -> Outcome {
+    let report = nvmsim::verify::verify_file(path).map_err(trouble)?;
+    println!("{report}");
+    Ok(report.healthy())
+}
+
+/// Scrub pass: verify the image; when healthy, open it and rewrite the
 /// inactive metadata slot so both checksummed snapshots are fresh (a
 /// defense against slot-side rot accumulating while an image sits cold).
-/// Damaged images are reported and left untouched — salvage is a
+/// A damaged image is reported and left untouched — salvage is a
 /// deliberate, separate step via `Region::open_file_salvage`.
-fn scrub(paths: &[String]) -> ExitCode {
-    let mut status = ExitCode::SUCCESS;
-    for path in paths {
-        println!("=== {path}");
-        let report = match nvmsim::verify::verify_file(path) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                status = ExitCode::from(2);
-                continue;
-            }
-        };
-        if !report.healthy() {
-            println!("{report}");
-            println!("scrub:      damaged image left untouched (use salvage)");
-            status = ExitCode::FAILURE;
-            continue;
-        }
-        match nvmsim::Region::open_file(path).and_then(|r| r.update_meta_slots().and(r.close())) {
-            Ok(()) => println!("scrub:      ok (metadata slot refreshed)"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                status = ExitCode::FAILURE;
-            }
-        }
+fn scrub(path: &str) -> Outcome {
+    let report = nvmsim::verify::verify_file(path).map_err(trouble)?;
+    if !report.healthy() {
+        println!("{report}");
+        println!("scrub:      damaged image left untouched (use salvage)");
+        return Ok(false);
     }
-    status
+    nvmsim::Region::open_file(path)
+        .and_then(|r| r.update_meta_slots().and(r.close()))
+        .map_err(damaged)?;
+    println!("scrub:      ok (metadata slot refreshed)");
+    Ok(true)
 }
 
-/// Dumps each replication delta stream: identity header, one line per
+/// Dumps a replication delta stream: identity header, one line per
 /// record (kind, epoch range, lines, payload size), whether the stream is
 /// sealed, and the replica lag a promotion from this stream would carry.
-fn repl(paths: &[String]) -> ExitCode {
-    let mut status = ExitCode::SUCCESS;
-    for path in paths {
-        println!("=== {path}");
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {e}");
-                status = ExitCode::from(2);
-                continue;
-            }
-        };
-        let dump = nvmsim::repl::inspect_stream(&bytes);
-        match dump.meta {
-            Some(meta) => {
-                println!("stream:      v{} for rid {}", meta.version, meta.rid);
-                println!("region_size: {} bytes", meta.region_size);
-            }
-            None => println!("stream:      (header unreadable)"),
+fn repl(path: &str) -> Outcome {
+    let bytes = std::fs::read(path).map_err(trouble)?;
+    let dump = nvmsim::repl::inspect_stream(&bytes);
+    match dump.meta {
+        Some(meta) => {
+            println!("stream:      v{} for rid {}", meta.version, meta.rid);
+            println!("region_size: {} bytes", meta.region_size);
         }
-        println!("bytes:       {}", dump.total_bytes);
-        for r in &dump.records {
-            match r.kind {
-                "base" => println!(
-                    "  base   epoch 0            {:>8} bytes  @{}",
-                    r.payload_bytes, r.offset
-                ),
-                "delta" => println!(
-                    "  delta  epoch {:>3} <- {:<3} {:>5} lines ({} bytes)  @{}",
-                    r.epoch, r.prev_epoch, r.lines, r.payload_bytes, r.offset
-                ),
-                _ => println!("  seal   epoch {:>3}  @{}", r.epoch, r.offset),
-            }
-        }
-        let deltas = dump.records.iter().filter(|r| r.kind == "delta").count();
-        println!("deltas:      {deltas}");
-        println!("last_epoch:  {}", dump.last_epoch);
-        println!("sealed:      {}", dump.sealed);
-        if let Some(p) = &dump.problem {
-            println!("problem:     {p}");
-        }
-        // Lag of a replica promoted from this stream, in epochs: zero for
-        // a sealed stream, unknowable-but-nonzero otherwise (the primary
-        // was still emitting when the stream stopped).
-        if dump.sealed && dump.problem.is_none() {
-            println!("lag:         0 epochs (sealed, promotable)");
-        } else {
-            println!(
-                "lag:         >= 1 epoch (unsealed; replica stops at {})",
-                dump.last_epoch
-            );
-            status = ExitCode::FAILURE;
+        None => println!("stream:      (header unreadable)"),
+    }
+    println!("bytes:       {}", dump.total_bytes);
+    for r in &dump.records {
+        match r.kind {
+            "base" => println!(
+                "  base   epoch 0            {:>8} bytes  @{}",
+                r.payload_bytes, r.offset
+            ),
+            "delta" => println!(
+                "  delta  epoch {:>3} <- {:<3} {:>5} lines ({} bytes)  @{}",
+                r.epoch, r.prev_epoch, r.lines, r.payload_bytes, r.offset
+            ),
+            _ => println!("  seal   epoch {:>3}  @{}", r.epoch, r.offset),
         }
     }
-    status
+    let deltas = dump.records.iter().filter(|r| r.kind == "delta").count();
+    println!("deltas:      {deltas}");
+    println!("last_epoch:  {}", dump.last_epoch);
+    println!("sealed:      {}", dump.sealed);
+    if let Some(p) = &dump.problem {
+        println!("problem:     {p}");
+    }
+    // Lag of a replica promoted from this stream, in epochs: zero for
+    // a sealed stream, unknowable-but-nonzero otherwise (the primary
+    // was still emitting when the stream stopped).
+    let promotable = dump.sealed && dump.problem.is_none();
+    if promotable {
+        println!("lag:         0 epochs (sealed, promotable)");
+    } else {
+        println!(
+            "lag:         >= 1 epoch (unsealed; replica stops at {})",
+            dump.last_epoch
+        );
+    }
+    Ok(promotable)
 }
 
-/// Dumps each `NVPIHIS1` history file saved by a failed concurrent
+/// Dumps an `NVPIHIS1` history file saved by a failed concurrent
 /// matrix cell: the crash event it was checked against, the initial
 /// membership, and one line per op record (thread, op, key, result,
 /// linearization stamp, invoke/durable events). A record whose durable
 /// event precedes the crash event is marked `durable` — those are the
 /// ops the recovered image must explain.
-fn history(paths: &[String]) -> ExitCode {
-    let mut status = ExitCode::SUCCESS;
-    for path in paths {
-        println!("=== {path}");
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {e}");
-                status = ExitCode::from(2);
-                continue;
-            }
-        };
-        let (h, crash_event) = match nvmsim::dlin::decode_history(&bytes) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("error: {e}");
-                status = ExitCode::FAILURE;
-                continue;
-            }
-        };
-        println!("crash_event: {crash_event}");
-        if h.initial.is_empty() {
-            println!("initial:     (empty)");
-        } else {
-            let keys: Vec<String> = h.initial.iter().map(u64::to_string).collect();
-            println!("initial:     {}", keys.join(", "));
-        }
-        println!("ops:         {}", h.ops.len());
-        let mut ops: Vec<&nvmsim::OpRecord> = h.ops.iter().collect();
-        ops.sort_by_key(|o| o.stamp);
-        let mut durable = 0;
-        for o in ops {
-            let result = match o.result {
-                None => "in-flight",
-                Some(true) => "true",
-                Some(false) => "false",
-            };
-            let when = if o.result.is_some() && o.durable_event < crash_event {
-                durable += 1;
-                "durable"
-            } else if o.invoke_event >= crash_event {
-                "post-crash"
-            } else {
-                "optional"
-            };
-            let durable_event = if o.durable_event == u64::MAX {
-                "-".to_string()
-            } else {
-                o.durable_event.to_string()
-            };
-            println!(
-                "  stamp {:>4}  t{} {:>8}({:<4}) -> {:<9} events {}..{}  {}",
-                o.stamp,
-                o.thread,
-                o.op.name(),
-                o.key,
-                result,
-                o.invoke_event,
-                durable_event,
-                when
-            );
-        }
-        println!("durable:     {durable} ops the image must explain");
+fn history(path: &str) -> Outcome {
+    let bytes = std::fs::read(path).map_err(trouble)?;
+    let (h, crash_event) = nvmsim::dlin::decode_history(&bytes).map_err(damaged)?;
+    println!("crash_event: {crash_event}");
+    if h.initial.is_empty() {
+        println!("initial:     (empty)");
+    } else {
+        let keys: Vec<String> = h.initial.iter().map(u64::to_string).collect();
+        println!("initial:     {}", keys.join(", "));
     }
-    status
+    println!("ops:         {}", h.ops.len());
+    let mut ops: Vec<&nvmsim::OpRecord> = h.ops.iter().collect();
+    ops.sort_by_key(|o| o.stamp);
+    let mut durable = 0;
+    for o in ops {
+        let result = match o.result {
+            None => "in-flight",
+            Some(true) => "true",
+            Some(false) => "false",
+        };
+        let when = if o.result.is_some() && o.durable_event < crash_event {
+            durable += 1;
+            "durable"
+        } else if o.invoke_event >= crash_event {
+            "post-crash"
+        } else {
+            "optional"
+        };
+        let durable_event = if o.durable_event == u64::MAX {
+            "-".to_string()
+        } else {
+            o.durable_event.to_string()
+        };
+        println!(
+            "  stamp {:>4}  t{} {:>8}({:<4}) -> {:<9} events {}..{}  {}",
+            o.stamp,
+            o.thread,
+            o.op.name(),
+            o.key,
+            result,
+            o.invoke_event,
+            durable_event,
+            when
+        );
+    }
+    println!("durable:     {durable} ops the image must explain");
+    Ok(true)
 }
 
-/// Triages region-server data directories: every `tenant-*.nvr` image
+/// Triages a region-server data directory: every `tenant-*.nvr` image
 /// goes through the full corruption walk and every `tenant-*.nvd`
 /// replication stream is decoded and summarized. Damaged images and torn
 /// streams fail the run; an unsealed-but-intact stream (a crashed
 /// primary's leftovers) is reported but does not.
-fn server(dirs: &[String]) -> ExitCode {
-    let mut status = ExitCode::SUCCESS;
-    for dir in dirs {
-        println!("=== {dir}");
-        let mut entries: Vec<std::path::PathBuf> = match std::fs::read_dir(dir) {
-            Ok(rd) => rd.filter_map(|e| e.ok()).map(|e| e.path()).collect(),
+fn server(dir: &str) -> Outcome {
+    let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| trouble(format!("{dir}: {e}")))?
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .collect();
+    entries.sort();
+    let (mut images, mut streams, mut damaged, mut torn, mut unsealed) = (0, 0, 0, 0, 0);
+    let mut unreadable = 0;
+    for path in entries {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if !name.starts_with("tenant-") {
+            continue;
+        }
+        let is_image = name.ends_with(".nvr");
+        if !is_image && !name.ends_with(".nvd") {
+            continue;
+        }
+        let bytes = match std::fs::read(&path) {
+            Ok(b) => b,
             Err(e) => {
-                eprintln!("error: {dir}: {e}");
-                status = ExitCode::from(2);
+                eprintln!("error: {name}: {e}");
+                unreadable += 1;
                 continue;
             }
         };
-        entries.sort();
-        let (mut images, mut streams, mut damaged, mut torn, mut unsealed) = (0, 0, 0, 0, 0);
-        for path in entries {
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if !name.starts_with("tenant-") {
-                continue;
-            }
-            let Some(path_str) = path.to_str() else {
-                continue;
-            };
-            if name.ends_with(".nvr") {
-                images += 1;
-                match nvmsim::verify::verify_file(path_str) {
-                    Ok(report) if report.healthy() => {
-                        println!(
-                            "  {name}: image {} (rid {})",
-                            if report.clean { "clean" } else { "dirty" },
-                            report.rid.map_or("?".to_string(), |r| r.to_string())
-                        );
-                    }
-                    Ok(report) => {
-                        damaged += 1;
-                        println!("  {name}: DAMAGED");
-                        for line in format!("{report}").lines() {
-                            println!("    {line}");
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("error: {name}: {e}");
-                        status = ExitCode::from(2);
-                    }
-                }
-            } else if name.ends_with(".nvd") {
-                streams += 1;
-                let bytes = match std::fs::read(&path) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("error: {name}: {e}");
-                        status = ExitCode::from(2);
-                        continue;
-                    }
-                };
-                let dump = nvmsim::repl::inspect_stream(&bytes);
-                let deltas = dump.records.iter().filter(|r| r.kind == "delta").count();
-                match &dump.problem {
-                    Some(p) => {
-                        torn += 1;
-                        println!("  {name}: TORN — {p}");
-                    }
-                    None if dump.sealed => {
-                        println!(
-                            "  {name}: sealed, {deltas} deltas, last epoch {}",
-                            dump.last_epoch
-                        );
-                    }
-                    None => {
-                        unsealed += 1;
-                        println!(
-                            "  {name}: unsealed (promotion stops at epoch {}), {deltas} deltas",
-                            dump.last_epoch
-                        );
-                    }
+        if is_image {
+            images += 1;
+            let report = nvmsim::verify::verify_bytes(&bytes);
+            if report.healthy() {
+                println!(
+                    "  {name}: image {} (rid {})",
+                    if report.clean { "clean" } else { "dirty" },
+                    report.rid.map_or("?".to_string(), |r| r.to_string())
+                );
+            } else {
+                damaged += 1;
+                println!("  {name}: DAMAGED");
+                for line in format!("{report}").lines() {
+                    println!("    {line}");
                 }
             }
-        }
-        println!(
-            "summary:     {images} images ({damaged} damaged), {streams} streams \
-             ({torn} torn, {unsealed} unsealed)"
-        );
-        if damaged > 0 || torn > 0 {
-            status = ExitCode::FAILURE;
+        } else {
+            streams += 1;
+            let dump = nvmsim::repl::inspect_stream(&bytes);
+            let deltas = dump.records.iter().filter(|r| r.kind == "delta").count();
+            match &dump.problem {
+                Some(p) => {
+                    torn += 1;
+                    println!("  {name}: TORN — {p}");
+                }
+                None if dump.sealed => {
+                    println!(
+                        "  {name}: sealed, {deltas} deltas, last epoch {}",
+                        dump.last_epoch
+                    );
+                }
+                None => {
+                    unsealed += 1;
+                    println!(
+                        "  {name}: unsealed (promotion stops at epoch {}), {deltas} deltas",
+                        dump.last_epoch
+                    );
+                }
+            }
         }
     }
-    status
+    println!(
+        "summary:     {images} images ({damaged} damaged), {streams} streams \
+         ({torn} torn, {unsealed} unsealed)"
+    );
+    if damaged > 0 || torn > 0 {
+        Ok(false)
+    } else if unreadable > 0 {
+        Err(trouble(format!("{unreadable} unreadable tenant file(s)")))
+    } else {
+        Ok(true)
+    }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.split_first() {
-        None => usage(),
-        Some((cmd, rest)) if cmd == "verify" => {
-            if rest.is_empty() {
-                usage()
-            } else {
-                verify(rest)
-            }
-        }
-        Some((cmd, rest)) if cmd == "scrub" => {
-            if rest.is_empty() {
-                usage()
-            } else {
-                scrub(rest)
-            }
-        }
-        Some((cmd, rest)) if cmd == "stats" => {
-            if rest.is_empty() {
-                usage()
-            } else {
-                stats(rest)
-            }
-        }
-        Some((cmd, rest)) if cmd == "repl" => {
-            if rest.is_empty() {
-                usage()
-            } else {
-                repl(rest)
-            }
-        }
-        Some((cmd, rest)) if cmd == "alloc" => {
-            if rest.is_empty() {
-                usage()
-            } else {
-                alloc(rest)
-            }
-        }
-        Some((cmd, rest)) if cmd == "history" => {
-            if rest.is_empty() {
-                usage()
-            } else {
-                history(rest)
-            }
-        }
-        Some((cmd, rest)) if cmd == "server" => {
-            if rest.is_empty() {
-                usage()
-            } else {
-                server(rest)
-            }
-        }
-        Some((cmd, rest)) if cmd == "index" => {
-            if rest.is_empty() {
-                usage()
-            } else {
-                index(rest)
-            }
-        }
-        _ => {
-            let mut status = ExitCode::SUCCESS;
-            for path in &args {
-                println!("=== {path}");
-                match nvmsim::inspect::inspect(path) {
-                    Ok(report) => print!("{report}"),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        status = ExitCode::FAILURE;
-                    }
-                }
-            }
-            status
-        }
-    }
+    let cmd: fn(&str) -> Outcome = match args.first().map(String::as_str) {
+        Some("verify") => verify,
+        Some("scrub") => scrub,
+        Some("stats") => stats,
+        Some("repl") => repl,
+        Some("alloc") => alloc,
+        Some("history") => history,
+        Some("server") => server,
+        Some("index") => return index(&args[1..]),
+        // No subcommand: every argument is an image to summarize.
+        _ => return each_path(&args, summary),
+    };
+    each_path(&args[1..], cmd)
 }

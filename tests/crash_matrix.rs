@@ -9,8 +9,8 @@
 //! the committed-prefix model: a transaction is durable in the image at
 //! event `n` iff its commit fence is an event `< n`. Both fault policies
 //! (drop-unflushed and word-granularity tearing) are exercised, plus
-//! undo- vs redo-log parity over a raw-cell workload, abort-mode crash
-//! points, flush-omission detection, and re-interrupted recovery.
+//! the raw undo log over a plain-cell workload (no `Tx`), abort-mode
+//! crash points, flush-omission detection, and re-interrupted recovery.
 //!
 //! The shadow tracker and its event counter are process-global, so every
 //! test in this binary serializes on `SERIAL`. The tear seed comes from
@@ -18,7 +18,7 @@
 //! failure context so CI failures reproduce.
 
 use nvm_pi::nvmsim::{inspect, latency, shadow};
-use nvm_pi::pstore::{ObjectStore, RedoLog, UndoLog};
+use nvm_pi::pstore::{ObjectStore, UndoLog};
 use nvm_pi::{
     CrashPointReached, FaultPlan, FaultPolicy, NodeArena, OffHolder, PBst, PHashSet, PList, PTrie,
     Region,
@@ -132,10 +132,6 @@ fn run_cell<S>(
         assert_eq!(stamp.event, c.event, "[{ctx}] stamp event");
         assert_eq!(stamp.seed, c.report.seed, "[{ctx}] stamp seed");
         let store2 = ObjectStore::attach(&r2).unwrap();
-        assert!(
-            !store2.recovery_stats().degraded(),
-            "[{ctx}] a pure crash image must not read as damaged"
-        );
         let s2 = attach(NodeArena::transactional(store2.clone()));
         let committed = commit_events.iter().filter(|&&e| e < c.event).count();
         let got = contents(&s2, &ctx);
@@ -345,13 +341,14 @@ fn crash_matrix_trie() {
 }
 
 // ---------------------------------------------------------------------
-// Undo- vs redo-log parity over a raw-cell workload.
+// The raw undo log over a plain-cell workload: the one cell that drives
+// `UndoLog` without `Tx`.
 // ---------------------------------------------------------------------
 
 const CELLS: u64 = 4;
-const PARITY_LOG: u64 = 8 << 10;
+const RAW_LOG: u64 = 8 << 10;
 
-fn parity_expected(committed: usize) -> [u64; CELLS as usize] {
+fn raw_expected(committed: usize) -> [u64; CELLS as usize] {
     let mut cells = [0u64; CELLS as usize];
     for k in 0..committed {
         cells[k % CELLS as usize] = 1000 + k as u64;
@@ -359,61 +356,49 @@ fn parity_expected(committed: usize) -> [u64; CELLS as usize] {
     cells
 }
 
-/// Runs the parity workload under one log discipline; returns the set of
-/// committed prefixes observed among the recovered crash images and the
-/// number of crash points.
-fn run_parity(label: &str, use_redo: bool, policy: FaultPolicy) -> (BTreeSet<usize>, usize) {
+/// Runs `N_OPS` single-cell transactions through raw
+/// `append`/`barrier`/`truncate`, crashing at every event; returns the
+/// set of committed prefixes observed among the recovered images.
+fn run_raw_log(policy: FaultPolicy) -> BTreeSet<usize> {
+    let label = "rawlog";
     let dir = tdir(label);
     let orig = dir.join("orig.nvr");
     let region = Region::create_file(&orig, 256 << 10).unwrap();
-    let log_off = region.alloc_off(PARITY_LOG as usize, 16).unwrap();
+    let log_off = region.alloc_off(RAW_LOG as usize, 16).unwrap();
     let cells_off = region.alloc_off(CELLS as usize * 8, 16).unwrap();
-    region.set_root_off("parity.log", log_off).unwrap();
-    region.set_root_off("parity.cells", cells_off).unwrap();
-    if use_redo {
-        RedoLog::new(region.clone(), log_off, PARITY_LOG).format();
-    } else {
-        UndoLog::new(region.clone(), log_off, PARITY_LOG).format();
-    }
+    region.set_root_off("raw.log", log_off).unwrap();
+    region.set_root_off("raw.cells", cells_off).unwrap();
+    UndoLog::new(region.clone(), log_off, RAW_LOG).format();
     region.sync().unwrap();
     region.enable_shadow().unwrap();
     shadow::reset_events_for(region.base());
     let plan = FaultPlan::capture_all(&region, policy);
-    // Per-tx durability event: the fence after which the tx survives any
-    // crash. Undo: the truncate fence (commit point). Redo: the seal
-    // fence — commit() seals (flush + fence = 2 events) then applies, and
-    // a sealed log re-applies idempotently during recovery.
+    // Per-tx durability event: the truncate fence (the commit point),
+    // after which the tx survives any crash.
     let mut durability = Vec::with_capacity(N_OPS);
     for k in 0..N_OPS {
         let addr = region.ptr_at(cells_off + 8 * (k as u64 % CELLS));
         let val = 1000 + k as u64;
-        if use_redo {
-            let log = RedoLog::new(region.clone(), log_off, PARITY_LOG);
-            log.record(addr, &val.to_le_bytes()).unwrap();
-            let pre = shadow::event_count_for(region.base());
-            log.commit();
-            durability.push(pre + 2);
-        } else {
-            let log = UndoLog::new(region.clone(), log_off, PARITY_LOG);
-            log.append(addr, 8).unwrap();
-            // `append` no longer makes the entry durable: the batch
-            // barrier is the caller's, and must precede the store.
-            log.barrier();
-            // SAFETY: addr is a valid u64 cell inside the region.
-            unsafe { (addr as *mut u64).write(val) };
-            shadow::track_store(addr, 8);
-            latency::clflush_range(addr, 8);
-            latency::wbarrier();
-            log.truncate();
-            durability.push(shadow::event_count_for(region.base()));
-        }
+        let log = UndoLog::new(region.clone(), log_off, RAW_LOG);
+        log.append(addr, 8).unwrap();
+        // `append` does not make the entry durable: the batch barrier is
+        // the caller's, and must precede the store.
+        log.barrier();
+        // SAFETY: addr is a valid u64 cell inside the region.
+        unsafe { (addr as *mut u64).write(val) };
+        shadow::track_store(addr, 8);
+        latency::clflush_range(addr, 8);
+        latency::wbarrier();
+        log.truncate();
+        durability.push(shadow::event_count_for(region.base()));
     }
     let crashes = plan.disarm();
     region.crash();
-    assert!(
-        crashes.len() >= 20,
-        "[{label} {policy:?}] expected >= 20 crash points, got {}",
-        crashes.len()
+    // Barrier, data line and truncate: one flush and one fence each.
+    assert_eq!(
+        crashes.len(),
+        6 * N_OPS,
+        "[{label} {policy:?}] crash points per transaction"
     );
 
     let img = dir.join("crash.nvr");
@@ -425,13 +410,9 @@ fn run_parity(label: &str, use_redo: bool, policy: FaultPolicy) -> (BTreeSet<usi
         let r2 = Region::open_file(&img).unwrap();
         assert!(r2.was_dirty(), "[{ctx}] crash image must reopen dirty");
         assert!(r2.fault_stamp().is_some(), "[{ctx}] missing fault stamp");
-        let l_off = r2.root_off("parity.log").unwrap();
-        let c_off = r2.root_off("parity.cells").unwrap();
-        if use_redo {
-            RedoLog::new(r2.clone(), l_off, PARITY_LOG).recover();
-        } else {
-            UndoLog::new(r2.clone(), l_off, PARITY_LOG).recover();
-        }
+        let l_off = r2.root_off("raw.log").unwrap();
+        let c_off = r2.root_off("raw.cells").unwrap();
+        UndoLog::new(r2.clone(), l_off, RAW_LOG).recover();
         let committed = durability.iter().filter(|&&e| e < c.event).count();
         let got: Vec<u64> = (0..CELLS)
             // SAFETY: the cells root points at CELLS u64 slots.
@@ -439,12 +420,12 @@ fn run_parity(label: &str, use_redo: bool, policy: FaultPolicy) -> (BTreeSet<usi
             .collect();
         // The recovered state must be a committed-prefix state no earlier
         // than the conservative count. Tearing can leak a *dirty* commit
-        // record (undo's generation bump, redo's `sealed = 1`) ahead of its
-        // flush, making a transaction durable before its fence — which is
-        // safe, because both disciplines order the commit record after
-        // the data it covers is recoverable.
+        // record (the generation bump) ahead of its flush, making a
+        // transaction durable before its fence — which is safe, because
+        // the commit record is ordered after the data it covers is
+        // recoverable.
         let p = (committed..=N_OPS)
-            .find(|&p| parity_expected(p)[..] == got[..])
+            .find(|&p| raw_expected(p)[..] == got[..])
             .unwrap_or_else(|| {
                 panic!(
                     "[{ctx}] recovered cells {got:?} are not a committed-prefix state at or \
@@ -460,50 +441,41 @@ fn run_parity(label: &str, use_redo: bool, policy: FaultPolicy) -> (BTreeSet<usi
         prefixes.insert(p);
         r2.crash();
     }
-    let n = crashes.len();
-    eprintln!("[{label} {policy:?}] enumerated {n} crash points, prefixes {prefixes:?}");
+    eprintln!(
+        "[{label} {policy:?}] enumerated {} crash points, prefixes {prefixes:?}",
+        crashes.len()
+    );
     std::fs::remove_dir_all(&dir).ok();
-    (prefixes, n)
+    prefixes
 }
 
 #[test]
-fn undo_and_redo_logs_recover_identical_prefix_states() {
+fn raw_undo_log_recovers_exact_committed_prefixes() {
     let _g = lock();
     for policy in policies() {
-        let (undo_prefixes, _) = run_parity("parity-undo", false, policy);
-        let (redo_prefixes, _) = run_parity("parity-redo", true, policy);
-        // Both disciplines recover only committed-prefix states (checked
-        // per image inside run_parity). Without tearing the observed
-        // prefix sets are exact, and differ by one in a precise way:
-        // undo's durability point is the last event of a transaction
+        let prefixes = run_raw_log(policy);
+        // Only committed-prefix states are ever recovered (checked per
+        // image inside run_raw_log). Without tearing the observed set is
+        // exact: the durability point is the last event of a transaction
         // (the truncate fence), so the full 6-op prefix only exists
-        // uncrashed; redo seals *before* applying in place, so crash
-        // points during the final apply already recover the full prefix.
-        // Under tearing a dirty commit record can leak ahead of its
-        // fence, so prefixes may only shift later, never produce a
-        // non-prefix state.
+        // uncrashed. Under tearing a dirty commit record can leak ahead
+        // of its fence, so prefixes may only shift later, never produce
+        // a non-prefix state.
         if matches!(policy, FaultPolicy::DropUnflushed) {
             assert_eq!(
-                undo_prefixes,
+                prefixes,
                 (0..N_OPS).collect::<BTreeSet<usize>>(),
-                "[{policy:?}] undo discipline must expose every proper committed prefix"
-            );
-            assert_eq!(
-                redo_prefixes,
-                (0..=N_OPS).collect::<BTreeSet<usize>>(),
-                "[{policy:?}] redo discipline seals before applying, reaching the full prefix"
+                "[{policy:?}] every proper committed prefix must be exposed"
             );
         } else {
-            for (name, set) in [("undo", &undo_prefixes), ("redo", &redo_prefixes)] {
-                assert!(
-                    set.contains(&0),
-                    "[{policy:?}] {name}: the empty prefix is always reachable"
-                );
-                assert!(
-                    set.iter().all(|&p| p <= N_OPS),
-                    "[{policy:?}] {name}: prefixes bounded by the op count"
-                );
-            }
+            assert!(
+                prefixes.contains(&0),
+                "[{policy:?}] the empty prefix is always reachable"
+            );
+            assert!(
+                prefixes.iter().all(|&p| p <= N_OPS),
+                "[{policy:?}] prefixes bounded by the op count"
+            );
         }
     }
 }

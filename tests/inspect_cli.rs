@@ -1,0 +1,194 @@
+//! `nvr_inspect` command line: the 0/1/2 exit-code contract.
+//!
+//! The binary's module doc promises: 0 = every check passed, 1 = damage
+//! found, 2 = usage/IO trouble. This file runs the binary over five image
+//! kinds and pins the exit code of every (subcommand, image) cell — what
+//! the doc promises where it speaks, and what the binary has always
+//! exited with where the doc is silent (noted per row). Only the exit
+//! code and, where one is printed, the `verdict:` line are asserted, so
+//! message wording stays free to change.
+
+use nvm_pi::nvmsim::llalloc::LL_PAGE_MAGIC;
+use nvm_pi::Region;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn nvr_inspect(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_nvr_inspect"))
+        .args(args)
+        .output()
+        .expect("run nvr_inspect")
+}
+
+/// The text after `verdict:` on the last such line of stdout, if any.
+fn verdict(out: &Output) -> Option<String> {
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("verdict:"))
+        .next_back()
+        .map(|v| v.trim().to_string())
+}
+
+const IMAGES: [&str; 5] = ["clean", "crashed", "rotted", "zeros", "missing"];
+
+/// Builds the image kinds under `dir` (the fifth, `missing`, is a path
+/// that is never created).
+fn build_images(dir: &Path) {
+    let populate = |r: &Region| {
+        let ptrs: Vec<_> = (0..10).map(|_| r.alloc(64, 8).unwrap()).collect();
+        r.set_root("head", ptrs[0].as_ptr() as usize).unwrap();
+        // SAFETY: allocated above with this size, not yet freed.
+        unsafe { r.dealloc(ptrs[9], 64) };
+    };
+    let clean = Region::create_file(dir.join("clean"), 1 << 20).unwrap();
+    populate(&clean);
+    clean.close().unwrap();
+
+    let crashed = Region::create_file(dir.join("crashed"), 1 << 20).unwrap();
+    populate(&crashed);
+    crashed.sync().unwrap();
+    crashed.crash();
+
+    // One rotted bitmap-descriptor class byte on an otherwise clean
+    // image. The first bitmap page is found by its magic; descriptor 0
+    // follows the 64-byte page header and keeps its class in the low
+    // byte of its second word.
+    let mut bytes = std::fs::read(dir.join("clean")).unwrap();
+    let page = bytes
+        .chunks_exact(8)
+        .position(|w| w == LL_PAGE_MAGIC.to_le_bytes())
+        .expect("a default-created image carries a bitmap page")
+        * 8;
+    bytes[page + 64 + 8] = 0xff;
+    std::fs::write(dir.join("rotted"), bytes).unwrap();
+
+    std::fs::write(dir.join("zeros"), [0u8; 64]).unwrap();
+}
+
+/// Expected `(exit code, verdict line)` per image kind, in [`IMAGES`]
+/// order.
+type Row = [(i32, Option<&'static str>); 5];
+
+/// The contract. `verify`, `alloc` and the usage error are what the
+/// module doc promises; the rest is the behaviour of the binary as it
+/// has shipped, written down here.
+const CONTRACT: [(&str, Row); 5] = [
+    // Header summary. The doc is silent on exit codes: anything that is
+    // not a readable region header — garbage and unreadable alike — is 1;
+    // bitmap rot does not show in a header summary.
+    ("", [(0, None), (0, None), (0, None), (1, None), (1, None)]),
+    // Doc: 0 = every check passed, 1 = damage found, 2 = usage/IO trouble.
+    // A crashed image is dirty, not damaged.
+    (
+        "verify",
+        [
+            (0, Some("healthy")),
+            (0, Some("healthy")),
+            (1, Some("damaged (recoverable)")),
+            (1, Some("damaged (unrecoverable)")),
+            (2, None),
+        ],
+    ),
+    // Doc: 0 consistent, 1 inconsistent; stale counters fail only a clean
+    // image. Not a region image at all is IO/usage trouble: 2.
+    (
+        "alloc",
+        [
+            (0, Some("consistent")),
+            (0, Some("consistent")),
+            (1, Some("INCONSISTENT")),
+            (2, None),
+            (2, None),
+        ],
+    ),
+    // Doc silent: a region that opens is 0 (a rotted bitmap degrades the
+    // open to the free lists, it does not fail it); one that does not
+    // open, for whatever reason, is 1.
+    (
+        "stats",
+        [(0, None), (0, None), (0, None), (1, None), (1, None)],
+    ),
+    // Doc silent: scrub is verify (same codes, damaged images left
+    // untouched and their report printed) plus a slot refresh of healthy
+    // images, which prints no verdict.
+    (
+        "scrub",
+        [
+            (0, None),
+            (0, None),
+            (1, Some("damaged (recoverable)")),
+            (1, Some("damaged (unrecoverable)")),
+            (2, None),
+        ],
+    ),
+];
+
+fn tmpdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("nvr-inspect-cli-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn exit_codes_and_verdicts_per_subcommand_and_image_kind() {
+    let dir = tmpdir("matrix");
+    build_images(&dir);
+    let cell = dir.join("cell.nvr");
+    for (cmd, row) in CONTRACT {
+        for (image, (code, want_verdict)) in IMAGES.iter().zip(row) {
+            // `stats` and `scrub` open the image writably: every cell
+            // runs on its own copy.
+            std::fs::remove_file(&cell).ok();
+            if *image != "missing" {
+                std::fs::copy(dir.join(image), &cell).unwrap();
+            }
+            let path = cell.to_str().unwrap();
+            let out = if cmd.is_empty() {
+                nvr_inspect(&[path])
+            } else {
+                nvr_inspect(&[cmd, path])
+            };
+            let ctx = format!("nvr_inspect {cmd} <{image}>: {out:?}");
+            assert_eq!(out.status.code(), Some(code), "{ctx}");
+            assert_eq!(verdict(&out).as_deref(), want_verdict, "{ctx}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn later_paths_are_still_examined_after_a_failing_one() {
+    let dir = tmpdir("multi");
+    build_images(&dir);
+    let (zeros, clean) = (dir.join("zeros"), dir.join("clean"));
+    let out = nvr_inspect(&["verify", zeros.to_str().unwrap(), clean.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(verdict(&out).as_deref(), Some("healthy"), "{out:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn alloc_on_a_region_without_a_bitmap_page_is_consistent() {
+    // 4 KiB holds the header and both metadata slots but leaves no room
+    // for a 4 KiB bitmap page: the region runs on the free lists alone,
+    // which the doc counts as consistent.
+    let dir = tmpdir("small");
+    let path = dir.join("small.nvr");
+    let r = Region::create_file(&path, 4096).unwrap();
+    assert!(!r.lockfree_enabled(), "no bitmap page fits");
+    r.close().unwrap();
+    let out = nvr_inspect(&["alloc", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(verdict(&out), None, "{out:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn usage_errors_exit_2() {
+    for args in [&[][..], &["verify"], &["alloc"], &["index", "--root"]] {
+        let out = nvr_inspect(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+    }
+}
