@@ -164,6 +164,21 @@ impl AllocHeader {
         self.ll_dir = off;
     }
 
+    /// Address of the bump-frontier word, for the `llalloc` grow path
+    /// that tracks and flushes it with the span it just carved.
+    pub(crate) fn bump_addr(&self) -> usize {
+        &self.bump as *const u64 as usize
+    }
+
+    /// Raises the bump frontier to `to` (recovery: the frontier must
+    /// cover every carved span a reopened image holds). Never lowers it
+    /// and never passes the end of the managed range.
+    pub(crate) fn raise_bump(&mut self, to: u64) {
+        if to <= self.end {
+            self.bump = self.bump.max(to);
+        }
+    }
+
     /// Bytes available at the bump frontier once it is rounded up to
     /// `align`.
     pub(crate) fn remaining_aligned(&self, align: u64) -> u64 {

@@ -221,6 +221,15 @@ pub(crate) fn walk_chain(image: &[u8], ll_dir: u64, mut visit: impl FnMut(Walked
                 "bitmap page at {page_off:#x} claims {count} descriptors"
             )));
         }
+        let next = read_u64(page, PAGE_NEXT);
+        if next != 0 && count < SUBTREES_PER_PAGE as u64 {
+            // `LlState::desc` maps ids to pages by `id / 63`: only the
+            // last page may be short (an *empty* last page is legal — the
+            // crash window between chaining it and its first descriptor).
+            return visit(Walked::Issue(format!(
+                "bitmap page at {page_off:#x} is chained past with only {count} descriptors"
+            )));
+        }
         visit(Walked::Page {
             off: page_off,
             bytes: page,
@@ -259,7 +268,7 @@ pub(crate) fn walk_chain(image: &[u8], ll_dir: u64, mut visit: impl FnMut(Walked
                 free_counter: read_u64(desc, D_FREE),
             }));
         }
-        page_off = read_u64(page, PAGE_NEXT);
+        page_off = next;
     }
     if page_off != 0 {
         visit(Walked::Issue("bitmap page chain cycle".to_string()));
@@ -399,6 +408,16 @@ fn persist_word(addr: usize) {
     latency::wbarrier();
 }
 
+/// Stages the bump-frontier word for the caller's next fence. The
+/// frontier is as durable as what it guards: tracked and flushed with the
+/// page or descriptor just carved, so a replica's delta stream carries it
+/// and the fault injector can drop or tear it like any other store.
+#[inline]
+fn stage_frontier(hdr: &AllocHeader) {
+    shadow::track_store(hdr.bump_addr(), 8);
+    latency::clflush_range(hdr.bump_addr(), 8);
+}
+
 /// Point-in-time summary of one size class across all its subtrees.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassOccupancy {
@@ -533,6 +552,12 @@ impl LlState {
     /// (legacy image). Structural damage returns `Err` — the caller is
     /// expected to degrade to the legacy allocator, not fail the open.
     ///
+    /// The bump frontier is *recovered*, not trusted: it is raised to the
+    /// end of the furthest page and subtree span the walk saw, so a
+    /// frontier word torn away from the descriptor it was flushed with
+    /// (or a slot-restored header older than its descriptors) can never
+    /// carve a second span over a live one.
+    ///
     /// # Safety
     ///
     /// `base`/`size` must describe the region's reserved run (`size` is
@@ -547,7 +572,7 @@ impl LlState {
         size: usize,
         committed: usize,
         instance: u64,
-        hdr: &AllocHeader,
+        hdr: &mut AllocHeader,
     ) -> Result<Option<LlState>> {
         let ll_dir = hdr.ll_dir();
         if ll_dir == 0 {
@@ -563,7 +588,7 @@ impl LlState {
         // SAFETY: `end <= committed` bytes are mapped readable from
         // `base`; nothing writes them until the walk has returned.
         let image = std::slice::from_raw_parts(base as *const u8, st.end as usize);
-        let (mut pages, mut subtrees) = (0usize, 0u32);
+        let (mut pages, mut subtrees, mut frontier) = (0usize, 0u32, 0u64);
         let mut damage = None;
         walk_chain(image, ll_dir, |walked| match walked {
             _ if damage.is_some() => {}
@@ -573,10 +598,12 @@ impl LlState {
                 // `page_offs` holds `max_pages(size)`, `size >= end`.
                 st.page_offs[pages].store(off, Ordering::Relaxed);
                 pages += 1;
+                frontier = frontier.max(off + LL_PAGE_SIZE as u64);
             }
             Walked::Subtree(t) => {
                 // Claim the span in the granule map, refusing overlap.
                 let span = t.capacity as u64 * t.class_size() as u64;
+                frontier = frontier.max(t.base + span);
                 let g0 = (t.base / GRANULE) as usize;
                 let g1 = (t.base + span).div_ceil(GRANULE) as usize;
                 for g in g0..g1 {
@@ -587,6 +614,7 @@ impl LlState {
                 subtrees += 1;
             }
         });
+        hdr.raise_bump(frontier);
         if let Some(damage) = damage {
             return Err(NvError::BadImage(damage));
         }
@@ -864,15 +892,17 @@ impl LlState {
         let n = self.count();
         let page_idx = n as usize / SUBTREES_PER_PAGE;
         let slot = n as usize % SUBTREES_PER_PAGE;
-        if slot == 0 && n > 0 || self.page_offs[0].load(Ordering::Relaxed) == 0 {
-            // Current page is full (or no page exists yet in a unit-test
-            // arena): chain a fresh one before placing the descriptor.
-            if page_idx >= self.page_offs.len() {
-                return Err(NvError::OutOfMemory {
-                    region: 0,
-                    requested: LL_PAGE_SIZE,
-                });
-            }
+        if page_idx >= self.page_offs.len() {
+            return Err(NvError::OutOfMemory {
+                region: 0,
+                requested: LL_PAGE_SIZE,
+            });
+        }
+        if self.page_offs[page_idx].load(Ordering::Relaxed) == 0 {
+            // Every chained page is full: chain a fresh one before
+            // placing the descriptor. A chain that already ends in an
+            // empty page (a crash between the link below and that page's
+            // first descriptor) reuses it instead of relinking past it.
             let off = self.format_page(hdr)?;
             if page_idx > 0 {
                 let prev = self.page_offs[page_idx - 1].load(Ordering::Relaxed);
@@ -900,11 +930,12 @@ impl LlState {
         let span = (cap * cs).next_multiple_of(GRANULE).min(avail);
         let b = hdr.carve_aligned(span, GRANULE)?;
 
-        // Write the descriptor, then persist it and the page count in
-        // one fenced step: the descriptor only exists once `count`
-        // covers it, and both lines are staged before the fence so a
-        // torn crash drops the whole creation (losing at most this
-        // span, never a block).
+        // Write the descriptor, then persist it, the page count and the
+        // frontier that keeps its span reserved in one fenced step: the
+        // descriptor only exists once `count` covers it, and all three
+        // lines are staged before the fence so a torn crash drops the
+        // whole creation (losing at most this span, never a block) or
+        // keeps a descriptor whose frontier `open` re-derives.
         let d = Desc {
             addr: self.base + page_off as usize + DESC_SIZE + slot * DESC_SIZE,
         };
@@ -920,6 +951,7 @@ impl LlState {
         let count_addr = self.base + page_off as usize + PAGE_COUNT;
         shadow::track_store(count_addr, 8);
         latency::clflush_range(count_addr, 8);
+        stage_frontier(hdr);
         latency::wbarrier();
 
         // Publish: granule map first, then the subtree count (Release)
@@ -943,6 +975,7 @@ impl LlState {
         page_u64_write(self.base, off, PAGE_MAGIC, LL_PAGE_MAGIC);
         shadow::track_store(addr, 64);
         latency::clflush_range(addr, 64);
+        stage_frontier(hdr);
         latency::wbarrier();
         let idx = (0..self.page_offs.len())
             .find(|&i| self.page_offs[i].load(Ordering::Relaxed) == 0)
@@ -1206,9 +1239,10 @@ mod tests {
         }
         // Simulated crash: rebuild volatile state from the media bytes.
         let instance = TEST_INSTANCE.fetch_add(1, Ordering::Relaxed);
-        let ll2 = unsafe { LlState::open(a.base(), a.mem.len(), a.mem.len(), instance, &a.hdr) }
-            .unwrap()
-            .expect("image has a bitmap directory");
+        let ll2 =
+            unsafe { LlState::open(a.base(), a.mem.len(), a.mem.len(), instance, &mut a.hdr) }
+                .unwrap()
+                .expect("image has a bitmap directory");
         let (blocks, bytes) = ll2.live();
         assert_eq!(blocks, 70);
         assert_eq!(bytes, 70 * 128);
@@ -1237,7 +1271,8 @@ mod tests {
         let meta_addr = a.base() + page as usize + DESC_SIZE + D_META;
         unsafe { *(meta_addr as *mut u64) = 0xff };
         let instance = TEST_INSTANCE.fetch_add(1, Ordering::Relaxed);
-        let res = unsafe { LlState::open(a.base(), a.mem.len(), a.mem.len(), instance, &a.hdr) };
+        let res =
+            unsafe { LlState::open(a.base(), a.mem.len(), a.mem.len(), instance, &mut a.hdr) };
         assert!(res.is_err(), "corrupt class must fail the scan");
     }
 
@@ -1322,6 +1357,17 @@ mod tests {
             (
                 "count > 63",
                 Box::new(move |i| put(i, page + PAGE_COUNT, 64)),
+            ),
+            (
+                // A well-formed empty page chained behind the two-descriptor
+                // page: ids would map past the short page's descriptors.
+                "short non-final page",
+                Box::new(move |i| {
+                    let forged = i.len() - LL_PAGE_SIZE;
+                    i[forged..].fill(0);
+                    put(i, forged + PAGE_MAGIC, LL_PAGE_MAGIC);
+                    put(i, page + PAGE_NEXT, forged as u64);
+                }),
             ),
             ("bad class", Box::new(move |i| i[d0 + D_META] = 0xff)),
             ("zero capacity", Box::new(move |i| i[d0 + D_META + 1] = 0)),

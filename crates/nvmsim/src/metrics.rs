@@ -5,7 +5,7 @@
 //! being faster needs counters that can be snapshotted, diffed across
 //! timed sections, and serialized into the benchmark reports. Before this
 //! module, each subsystem grew its own one-off counters
-//! ([`crate::registry::cache_stats`], [`crate::shadow::event_count`],
+//! ([`crate::registry::cache_stats`], [`crate::shadow::event_count_for`],
 //! per-region allocator stats); this registry unifies them behind one
 //! dependency-free API:
 //!

@@ -487,7 +487,7 @@ impl Region {
         capacity: usize,
         size: usize,
     ) -> (Option<LlState>, FreeListStats) {
-        let alloc = &(*(base as *const RegionHeader)).alloc;
+        let alloc = &mut (*(base as *mut RegionHeader)).alloc;
         // One bounded pass over the bitmap pages rebuilds the free
         // counters and granule map. Structural damage degrades to the
         // free-list allocator — the open still succeeds, and `verify()`

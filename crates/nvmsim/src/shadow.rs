@@ -336,9 +336,6 @@ fn enabled() -> bool {
     crate::latency::armed() & ARMED_SHADOW != 0
 }
 
-/// Monotonic count of persistence events (flushes and fences) observed
-/// while tracking is enabled.
-static EVENTS: AtomicU64 = AtomicU64::new(0);
 static TRACKERS: Mutex<Vec<Arc<Tracker>>> = Mutex::new(Vec::new());
 static PLAN: Mutex<Option<PlanState>> = Mutex::new(None);
 
@@ -545,7 +542,6 @@ pub(crate) fn on_flush(addr: usize, len: usize) {
         return;
     }
     crate::metrics::incr(crate::metrics::Counter::ShadowFlushEvents);
-    EVENTS.fetch_add(1, Ordering::Relaxed);
     let Some(t) = tracker_covering(addr) else {
         return;
     };
@@ -582,7 +578,6 @@ pub(crate) fn on_fence() {
         return;
     }
     crate::metrics::incr(crate::metrics::Counter::ShadowFenceEvents);
-    EVENTS.fetch_add(1, Ordering::Relaxed);
     let trackers: Vec<Arc<Tracker>> = lock(&TRACKERS).clone();
     // A fence is ambient: it is an event of *every* tracked region. The
     // plan (if armed) sees its own region's event number, before the
@@ -642,26 +637,6 @@ pub fn event_count_for(base: usize) -> u64 {
 /// workload-relative). A no-op when the region is not tracked.
 pub fn reset_events_for(base: usize) {
     if let Some(t) = tracker_for_base(base) {
-        t.events.store(0, Ordering::Relaxed);
-    }
-}
-
-/// The process-global count of persistence events (flushes + fences)
-/// observed while tracking was enabled, in any region or none.
-///
-/// Deprecated alias: with more than one shadowed region the global count
-/// interleaves unrelated workloads — prefer [`event_count_for`].
-pub fn event_count() -> u64 {
-    EVENTS.load(Ordering::Relaxed)
-}
-
-/// Resets the global event counter *and* every per-region counter.
-///
-/// Deprecated alias of [`reset_events_for`]; kept for single-region
-/// callers.
-pub fn reset_events() {
-    EVENTS.store(0, Ordering::Relaxed);
-    for t in lock(&TRACKERS).iter() {
         t.events.store(0, Ordering::Relaxed);
     }
 }

@@ -521,10 +521,12 @@ fn worker(core: Arc<Core>, shard_idx: usize) {
                 eprintln!("nvserver: tenant {} reopen at shutdown: {e}", t.spec.id);
             }
         }
-        let keys = if t.is_open() { t.keys() } else { Vec::new() };
-        if let Err(e) = t.check_invariants() {
-            eprintln!("nvserver: tenant {} invariants at shutdown: {e}", t.spec.id);
+        // Checked before anything walks the set: a tenant that fails
+        // closes itself and is reported with no keys.
+        if let Err(e) = t.audit("at shutdown") {
+            eprintln!("nvserver: tenant {}: {e}", t.spec.id);
         }
+        let keys = if t.is_open() { t.keys() } else { Vec::new() };
         if let Err(e) = t.shutdown() {
             // Keep the report; the failure is visible in the metrics.
             eprintln!("nvserver: tenant {} shutdown: {e}", t.spec.id);

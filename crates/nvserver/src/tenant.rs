@@ -595,28 +595,18 @@ impl Tenant {
         let rolled_back = store.recovered();
         let set = TenantSet::attach(NodeArena::transactional(store.clone()), self.spec.repr)?;
         let idx = TenantIndex::attach(NodeArena::transactional(store.clone()), self.spec.repr)?;
-        if let Err(e) = set.check_invariants().and_then(|()| idx.check_invariants()) {
-            self.metrics
-                .invariant_failures
-                .fetch_add(1, Ordering::Relaxed);
-            // Leave everything in place for post-mortem inspection.
-            self.region = Some(region);
-            self.store = Some(store);
-            self.set = Some(set);
-            self.idx = Some(idx);
-            return Err(format!("invariants violated after reopen: {e}"));
-        }
-        let remapped = region.base() != avoid;
-        if remapped {
-            self.metrics.remaps.fetch_add(1, Ordering::Relaxed);
-            metrics::incr(Counter::SrvRemapReopens);
-        }
-        let came_from_crash = region.was_dirty() || rolled_back;
-        self.bases.push(region.base());
+        let (base, was_dirty) = (region.base(), region.was_dirty());
         self.region = Some(region);
         self.store = Some(store);
         self.set = Some(set);
         self.idx = Some(idx);
+        self.audit("after reopen")?;
+        if base != avoid {
+            self.metrics.remaps.fetch_add(1, Ordering::Relaxed);
+            metrics::incr(Counter::SrvRemapReopens);
+        }
+        let came_from_crash = was_dirty || rolled_back;
+        self.bases.push(base);
         if came_from_crash {
             self.reconcile_index()?;
         }
@@ -637,12 +627,7 @@ impl Tenant {
         if !self.is_open() {
             return Ok(());
         }
-        if let Err(e) = self.check_invariants() {
-            self.metrics
-                .invariant_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(format!("invariants violated at eviction: {e}"));
-        }
+        self.audit("at eviction")?;
         self.set = None;
         self.idx = None;
         self.store = None;
@@ -707,22 +692,18 @@ impl Tenant {
         let store = ObjectStore::attach(&region).map_err(err)?;
         let set = TenantSet::attach(NodeArena::transactional(store.clone()), self.spec.repr)?;
         let idx = TenantIndex::attach(NodeArena::transactional(store.clone()), self.spec.repr)?;
-        if let Err(e) = set.check_invariants().and_then(|()| idx.check_invariants()) {
-            self.metrics
-                .invariant_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(format!("invariants violated after failover: {e}"));
-        }
-        assert_ne!(region.base(), old_base, "promotion must remap");
-        self.metrics.remaps.fetch_add(1, Ordering::Relaxed);
-        self.metrics.failovers.fetch_add(1, Ordering::Relaxed);
-        metrics::incr(Counter::SrvRemapReopens);
-        metrics::incr(Counter::SrvFailovers);
-        self.bases.push(region.base());
+        let base = region.base();
+        assert_ne!(base, old_base, "promotion must remap");
         self.region = Some(region);
         self.store = Some(store);
         self.set = Some(set);
         self.idx = Some(idx);
+        self.audit("after failover")?;
+        self.bases.push(base);
+        self.metrics.remaps.fetch_add(1, Ordering::Relaxed);
+        self.metrics.failovers.fetch_add(1, Ordering::Relaxed);
+        metrics::incr(Counter::SrvRemapReopens);
+        metrics::incr(Counter::SrvFailovers);
         self.reconcile_index()?;
         self.set_state(TenantState::DegradedReadOnly);
         self.degraded_left = self.tuning.degraded_window;
@@ -876,15 +857,25 @@ impl Tenant {
         Ok(())
     }
 
-    /// Structure invariants of the live set and suggestion index.
-    pub(crate) fn check_invariants(&self) -> Result<(), String> {
-        if let Some(s) = &self.set {
-            s.check_invariants()?;
-        }
-        match &self.idx {
-            Some(i) => i.check_invariants(),
-            None => Ok(()),
-        }
+    /// Structure invariants of the open set and suggestion index. A
+    /// tenant that fails them does not stay open: the failure is counted
+    /// and the handles are dropped without a clean close (the image file
+    /// is the post-mortem), so nothing serves or walks the structure
+    /// again — the next request reopens, re-checks and answers `Failed`.
+    pub(crate) fn audit(&mut self, when: &str) -> Result<(), String> {
+        let (Some(set), Some(idx)) = (&self.set, &self.idx) else {
+            return Ok(());
+        };
+        let Err(e) = set.check_invariants().and_then(|()| idx.check_invariants()) else {
+            return Ok(());
+        };
+        self.metrics
+            .invariant_failures
+            .fetch_add(1, Ordering::Relaxed);
+        (self.set, self.idx, self.store, self.repl) = (None, None, None, None);
+        self.region.take().expect("open region").crash();
+        self.set_state(TenantState::Closed);
+        Err(format!("invariants violated {when}: {e}"))
     }
 
     /// Final teardown at server shutdown: like eviction but keeps the

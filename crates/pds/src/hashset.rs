@@ -575,11 +575,13 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
                 let head = slot.load(Ordering::Acquire);
                 // First node with the key decides membership (module docs).
                 let mut cur = head;
-                let mut live = None;
+                let (mut live, mut dead) = (None, None);
                 while !cur.is_null() {
                     if (*cur).key == key {
                         if Self::amark(cur).load(Ordering::Acquire) == 0 {
                             live = Some(cur);
+                        } else {
+                            dead = Some(cur);
                         }
                         break;
                     }
@@ -604,6 +606,13 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
                 Self::anext(spare).store(head, Ordering::Relaxed);
                 metrics::incr(Counter::PdsLinkPersists);
                 persist_range(spare as usize, size);
+                if let Some(d) = dead {
+                    // The key counts as absent because of this mark, and
+                    // its remover may not have flushed it yet: make it
+                    // durable under the same fence, or a crash could keep
+                    // the new link and lose the removal it depends on.
+                    persist_range(std::ptr::addr_of!((*d).mark) as usize, 8);
+                }
                 nvmsim::latency::wbarrier();
                 match slot.compare_exchange(head, spare, Ordering::AcqRel, Ordering::Acquire) {
                     Ok(_) => {

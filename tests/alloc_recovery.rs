@@ -1,58 +1,50 @@
-//! Multi-threaded crash recovery of the lock-free two-level allocator.
+//! Crash recovery of the lock-free two-level allocator.
 //!
 //! The contract under test: every `alloc`/`dealloc` that *returned*
 //! persisted its bitmap transition (CAS, flush, fence) before returning,
 //! so a crash — even a fault-injected one that drops or tears every
-//! unflushed line — loses nothing and strands nothing. After reopening,
-//! `Region::stats` must equal the application's surviving live set
-//! *exactly*: zero leaked blocks, zero lost blocks. (The locked free-list
-//! path's crash behaviour is pinned in `tests/stress.rs`.)
+//! unflushed line — loses nothing and strands nothing. After reopening
+//! (remapped), `Region::stats` must equal the application's surviving
+//! live set *exactly*: zero leaked blocks, zero lost blocks. (The locked
+//! free-list path's crash behaviour is pinned in `tests/stress.rs`.)
 //!
-//! The churn is seeded; `ALLOC_MATRIX_SEED` overrides the seed so CI can
-//! run both a pinned and a randomized arm (see `.github/workflows/ci.yml`).
+//! Two single-threaded cells pin what the chain of bitmap pages itself
+//! must survive: a frontier word torn away from the descriptor it was
+//! flushed with, and a crash between chaining a page and its first
+//! descriptor.
+//!
+//! Seed, replay tag, serial lock and scratch directories come from the
+//! shared [`util::Matrix`] (`MATRIX_SEED`, `MATRIX_ARTIFACT_DIR`).
 
-use nvm_pi::nvmsim::shadow;
-use nvm_pi::{FaultPolicy, Region};
+use nvm_pi::nvmsim::alloc::AllocHeader;
+use nvm_pi::nvmsim::region::RegionHeader;
+use nvm_pi::nvmsim::{inspect, shadow};
+use nvm_pi::{CapturedCrash, FaultPlan, FaultPolicy, Region};
 use std::ptr::NonNull;
 use std::sync::{Arc, Barrier, Mutex};
 
 mod util;
 
-// These tests contend on the shared segment pool; serialize them.
-static SERIAL: Mutex<()> = Mutex::new(());
+// These tests contend on the shared segment pool; `M` serializes them.
+static M: util::Matrix = util::Matrix::new("alloc_recovery", 0x5EED_0001);
 
 const THREADS: usize = 4;
 const OPS: usize = 600;
 /// Class sizes the churn draws from (all served by the bitmap level).
 const SIZES: [usize; 4] = [16, 64, 256, 1024];
 
-fn seed_from_env(default: u64) -> u64 {
-    util::env_seed("ALLOC_MATRIX_SEED", default)
-}
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
 /// Seeded N-thread churn, a fault-injected crash with every thread's
 /// live set in hand, and an exactness audit of the reopened image.
-fn churn_crash_audit(name: &str, policy: FaultPolicy, seed: u64) {
-    let _serial = util::serial_guard(&SERIAL);
-    let tag = util::seed_tag("ALLOC_MATRIX_SEED", seed);
-    let dir = std::env::temp_dir().join(format!("nvmsim-allocrec-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    std::fs::remove_file(&path).ok();
+fn churn_crash_audit(name: &str, policy: FaultPolicy) {
+    let _serial = M.lock();
+    let tag = M.tag();
+    let cell = M.cell(name);
+    let path = cell.path("churn.nvr");
 
     // (offset, size) of every block the application still held when the
     // region crashed — the ground truth the reopened stats must match.
     let held: Arc<Mutex<Vec<(u64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
-    let report;
+    let (report, mut prev);
     {
         let region = Region::create_file(&path, 32 << 20).unwrap();
         assert!(
@@ -86,22 +78,22 @@ fn churn_crash_audit(name: &str, policy: FaultPolicy, seed: u64) {
                 let r = region.clone();
                 let b = barrier.clone();
                 let held = held.clone();
+                let mut rng = M.stream(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1));
                 std::thread::spawn(move || {
-                    let mut rng = seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1));
                     let mut live: Vec<(NonNull<u8>, usize)> = Vec::new();
                     for _ in 0..OPS {
-                        if !xorshift(&mut rng).is_multiple_of(3) || live.is_empty() {
-                            let size = SIZES[(xorshift(&mut rng) % 4) as usize];
+                        if !rng.next().is_multiple_of(3) || live.is_empty() {
+                            let size = SIZES[(rng.next() % 4) as usize];
                             let p = r.alloc(size, 8).unwrap();
                             // Scribble without flushing — tracked, so the
                             // fault policy drops or tears this line; the
                             // bitmap transition it rides on is fenced and
                             // must survive regardless.
-                            unsafe { (p.as_ptr() as *mut u64).write(rng) };
+                            unsafe { (p.as_ptr() as *mut u64).write(rng.0) };
                             shadow::track_store(p.as_ptr() as usize, 8);
                             live.push((p, size));
                         } else {
-                            let i = (xorshift(&mut rng) as usize) % live.len();
+                            let i = (rng.next() as usize) % live.len();
                             let (p, size) = live.swap_remove(i);
                             unsafe { r.dealloc(p, size) };
                         }
@@ -117,6 +109,7 @@ fn churn_crash_audit(name: &str, policy: FaultPolicy, seed: u64) {
             })
             .collect();
         barrier.wait();
+        prev = region.base();
         report = region.crash_with_faults(policy).unwrap();
         barrier.wait();
         for h in handles {
@@ -133,11 +126,8 @@ fn churn_crash_audit(name: &str, policy: FaultPolicy, seed: u64) {
     let want_blocks = held.len() as u64;
     let want_bytes: u64 = held.iter().map(|&(_, s)| s as u64).sum();
 
-    let region = Region::open_file(&path).unwrap();
-    assert!(
-        region.was_dirty(),
-        "[{name} {tag}] faulted crash left the image dirty"
-    );
+    let region = cell.remap(&path, &mut prev).unwrap();
+    util::check_faulted(&region, &report, &format!("{name} {tag}"));
     let s = region.stats();
     assert_eq!(
         s.live_allocs, want_blocks,
@@ -178,7 +168,7 @@ fn churn_crash_audit(name: &str, policy: FaultPolicy, seed: u64) {
     assert_eq!(s.live_bytes, 0);
     region.close().unwrap();
 
-    let region = Region::open_file(&path).unwrap();
+    let region = cell.remap(&path, &mut prev).unwrap();
     assert!(!region.was_dirty(), "clean close after recovery");
     let s = region.stats();
     assert_eq!(
@@ -186,20 +176,151 @@ fn churn_crash_audit(name: &str, policy: FaultPolicy, seed: u64) {
         "[{name} {tag}] clean image agrees: nothing live"
     );
     region.close().unwrap();
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn multithread_crash_drop_unflushed_leaks_nothing() {
-    churn_crash_audit(
-        "drop.nvr",
-        FaultPolicy::DropUnflushed,
-        seed_from_env(0x5EED_0001),
-    );
+    churn_crash_audit("drop", FaultPolicy::DropUnflushed);
 }
 
 #[test]
 fn multithread_crash_tear_words_leaks_nothing() {
-    let seed = seed_from_env(0xC0FF_EE42);
-    churn_crash_audit("tear.nvr", FaultPolicy::TearWords { seed }, seed);
+    churn_crash_audit("tear", FaultPolicy::TearWords { seed: M.seed() });
+}
+
+/// Sorted block offsets of one class must be pairwise disjoint.
+fn assert_disjoint(mut offs: Vec<u64>, size: u64, ctx: &str) {
+    offs.sort_unstable();
+    for w in offs.windows(2) {
+        assert!(
+            w[0] + size <= w[1],
+            "[{ctx}] blocks at {:#x} and {:#x} overlap",
+            w[0],
+            w[1]
+        );
+    }
+}
+
+/// `grow` stages a subtree's descriptor, its page's count and the bump
+/// frontier under one fence, so a tear can keep the first two lines and
+/// lose the third. The open must then re-derive the frontier from the
+/// chain: the next subtree may never be carved over the kept one.
+#[test]
+fn torn_frontier_is_rederived_from_the_chain_at_open() {
+    let _serial = M.lock();
+    let cell = M.cell("frontier");
+    let ctx = format!("frontier {}", M.tag());
+    const BUMP: usize = RegionHeader::OFF_ALLOC + AllocHeader::OFF_BUMP;
+    let bump_of = |img: &[u8]| u64::from_le_bytes(img[BUMP..BUMP + 8].try_into().unwrap());
+
+    let region = Region::create_file(cell.path("orig.nvr"), 2 << 20).unwrap();
+    region.alloc_off(64, 8).unwrap();
+    region.sync().unwrap();
+    let before = region.stats().bump;
+    region.enable_shadow().unwrap();
+    let plan = FaultPlan::capture_all(&region, FaultPolicy::DropUnflushed);
+    // The first block of another class: one grow, then its bitmap word.
+    region.alloc_off(256, 8).unwrap();
+    let crashes = plan.disarm();
+    assert!(
+        region.stats().bump > before,
+        "[{ctx}] the grow carved a span"
+    );
+    let mut prev = region.base();
+    region.crash();
+
+    // The frontier is a store like any other: at the grow's fence the
+    // drop policy loses it together with the descriptor.
+    let lost = crashes
+        .iter()
+        .rfind(|c| bump_of(&c.image) == before)
+        .unwrap_or_else(|| panic!("[{ctx}] no crash point loses the frontier: it is not tracked"));
+    // The tear that matters, at word granularity: the image after that
+    // fence (descriptor and count on media) with the frontier word of
+    // the image before it.
+    let last = crashes.last().unwrap();
+    let mut image = last.image.clone();
+    image[BUMP..BUMP + 8].copy_from_slice(&lost.image[BUMP..BUMP + 8]);
+    let ll = inspect::inspect_llalloc_bytes(&image).unwrap().unwrap();
+    assert_eq!(ll.subtrees.len(), 2, "[{ctx}] the descriptor is on media");
+    let kept = ll.subtrees[1];
+    assert!(
+        bump_of(&image) <= kept.base,
+        "[{ctx}] the image's frontier does not cover the kept span"
+    );
+    let torn = CapturedCrash {
+        event: last.event,
+        image,
+        report: last.report,
+    };
+
+    let region = cell.recover(&torn, &mut prev, &ctx);
+    assert!(
+        region.stats().bump >= kept.base + kept.capacity as u64 * kept.class_size() as u64,
+        "[{ctx}] open must raise the frontier past the kept span"
+    );
+    // 64 blocks fill the kept subtree, the 65th grows the next one.
+    let offs: Vec<u64> = (0..65).map(|_| region.alloc_off(256, 8).unwrap()).collect();
+    assert_disjoint(offs, 256, &ctx);
+    region.close().unwrap();
+}
+
+/// A crash between chaining a fresh bitmap page and fencing its first
+/// descriptor leaves the chain ending in an empty page. The next grow
+/// must place its descriptor *in that page*: relinking the predecessor
+/// past it would write descriptors into an unreachable page, and every
+/// block served from them would be gone after the next reopen.
+#[test]
+fn chain_ending_in_an_empty_page_is_reused_by_the_next_grow() {
+    let _serial = M.lock();
+    let cell = M.cell("empty-page");
+    const FULL_PAGE: u64 = 63 * 64;
+    let region = Region::create_file(cell.path("orig.nvr"), 2 << 20).unwrap();
+    for _ in 0..FULL_PAGE {
+        region.alloc_off(64, 8).unwrap();
+    }
+    region.sync().unwrap();
+    region.enable_shadow().unwrap();
+    let plan = FaultPlan::capture_all(&region, FaultPolicy::DropUnflushed);
+    // Subtree 64: chains page 1, then writes its first descriptor.
+    region.alloc_off(64, 8).unwrap();
+    let crashes = plan.disarm();
+    let mut prev = region.base();
+    region.crash();
+
+    let mut windows = 0;
+    for c in &crashes {
+        let ll = inspect::inspect_llalloc_bytes(&c.image).unwrap().unwrap();
+        if (ll.pages, ll.subtrees.len()) != (2, 63) {
+            continue;
+        }
+        windows += 1;
+        let ctx = format!("empty-page {} event {}", M.tag(), c.event);
+        let region = cell.recover(c, &mut prev, &ctx);
+        assert_eq!(region.stats().live_allocs, FULL_PAGE, "[{ctx}] recovered");
+        let offs: Vec<u64> = (0..65).map(|_| region.alloc_off(64, 8).unwrap()).collect();
+        assert_disjoint(offs, 64, &ctx);
+        region.close().unwrap();
+
+        let region = cell.remap(&cell.path("crash.nvr"), &mut prev).unwrap();
+        assert!(!region.was_dirty(), "[{ctx}] clean close");
+        assert_eq!(
+            region.stats().live_allocs,
+            FULL_PAGE + 65,
+            "[{ctx}] blocks served after the reopen survive the next one"
+        );
+        let subtrees: u64 = region
+            .llalloc_occupancy()
+            .unwrap()
+            .iter()
+            .map(|o| o.subtrees)
+            .sum();
+        assert_eq!(subtrees, 65, "[{ctx}] and so do their two subtrees");
+        region.close().unwrap();
+    }
+    assert!(
+        windows >= 1,
+        "[{}] no crash point leaves 2 pages / 63 subtrees",
+        M.tag()
+    );
 }

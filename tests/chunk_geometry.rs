@@ -29,9 +29,11 @@
 //!    stays virtual (unbound IDs read 0 off the shared zero page).
 //!
 //! Chunk *placement* is randomized like ASLR; `reseed_placement` (or the
-//! `NVMSIM_PLACEMENT_SEED` environment variable, which CI pins in one
-//! arm and randomizes in another) makes it reproducible, which the last
-//! test locks in.
+//! product's `NVMSIM_PLACEMENT_SEED` environment variable, which CI pins
+//! in one arm and randomizes in another) makes it reproducible, which the
+//! last test locks in. Test-side seed, replay tag, serial lock and
+//! scratch directories come from the shared [`util::Matrix`]
+//! (`MATRIX_SEED`, `MATRIX_ARTIFACT_DIR`).
 
 use nvm_pi::nvmsim::layout::Area;
 use nvm_pi::nvmsim::mem::page_size;
@@ -40,24 +42,14 @@ use nvm_pi::nvmsim::nvspace::ChunkRun;
 use nvm_pi::{ExactLayout, Layout, NvError, NvSpace, Region};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 mod util;
 
-// The global chunk pool (and registry) is process-wide; serialize the
-// tests that touch it so placement and rid assertions cannot interleave.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    util::serial_guard(&SERIAL)
-}
-
-fn tdir(label: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("chunk-geometry-{}-{label}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
+// The global chunk pool (and registry) is process-wide; `M.lock()`
+// serializes the tests that touch it so placement and rid assertions
+// cannot interleave.
+static M: util::Matrix = util::Matrix::new("chunk_geometry", 0xC41B_5EED);
 
 /// A dedicated small space for table-level proptests: 64 chunks of
 /// 64 KiB, regions up to 1 MiB (16 chunks), 6-bit region IDs. Kept off
@@ -80,7 +72,7 @@ proptest! {
         raw_specs in prop::collection::vec((1u32..64, 1u32..5), 1..6),
         offs in prop::collection::vec(0u64..(4u64 << 16), 1..8),
     ) {
-        let _serial = lock();
+        let _serial = M.lock();
         let space = model_space();
         let layout = space.layout();
         let lc = layout.lc;
@@ -175,7 +167,7 @@ proptest! {
 
 #[test]
 fn growth_commits_in_place_and_translation_spans_chunks() {
-    let _serial = lock();
+    let _serial = M.lock();
     let space = NvSpace::global();
     let chunk = space.layout().chunk_size();
     let r = Region::create_with_capacity(1 << 20, 2 * chunk + (1 << 20)).unwrap();
@@ -217,15 +209,15 @@ fn growth_commits_in_place_and_translation_spans_chunks() {
 
 #[test]
 fn file_backed_growth_persists_across_remapped_reopen() {
-    let _serial = lock();
-    let dir = tdir("grow-reopen");
-    let path = dir.join("grow.nvr");
+    let _serial = M.lock();
+    let cell = M.cell("grow-reopen");
+    let path = cell.path("grow.nvr");
     let space = NvSpace::global();
     let chunk = space.layout().chunk_size();
     let pattern = 0x5EA7_BE17_0000_0000u64;
 
     let r = Region::create_file_with_capacity(&path, 1 << 20, 2 * chunk).unwrap();
-    let old_base = r.base();
+    let mut prev = r.base();
     r.grow(chunk + (1 << 20)).unwrap();
     // Write a recognizable run straddling the chunk seam.
     for i in 0..8u64 {
@@ -241,8 +233,7 @@ fn file_backed_growth_persists_across_remapped_reopen() {
 
     // Reopen forced away from the old base: position independence means
     // the grown geometry and the seam bytes survive the remap.
-    let r2 = Region::open_file_avoiding(&path, old_base).unwrap();
-    assert_ne!(r2.base(), old_base, "reopen remapped to a fresh run");
+    let r2 = cell.remap(&path, &mut prev).unwrap();
     assert_eq!(r2.size(), chunk + (1 << 20));
     assert_eq!(r2.capacity(), 2 * chunk);
     for i in 0..8u64 {
@@ -252,7 +243,6 @@ fn file_backed_growth_persists_across_remapped_reopen() {
     // And it can keep growing from where it left off.
     assert_eq!(r2.grow(2 * chunk).unwrap(), 2 * chunk);
     r2.close().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The issue's scale acceptance: 256 regions open at once — geometry the
@@ -261,15 +251,15 @@ fn file_backed_growth_persists_across_remapped_reopen() {
 /// boundary-straddling write survives a remapped reopen.
 #[test]
 fn acceptance_256_regions_plus_multi_gb_region() {
-    let _serial = lock();
-    let dir = tdir("acceptance");
+    let _serial = M.lock();
+    let cell = M.cell("acceptance");
     let space = NvSpace::global();
     let chunk = space.layout().chunk_size();
 
     // 3 GiB of reserved capacity (768 chunks) but only 8 MiB committed:
     // growth headroom is virtual address space, not memory. Acquired
     // first, while the pool still has a contiguous gap that long.
-    let path = dir.join("big.nvr");
+    let path = cell.path("big.nvr");
     let big = Region::create_file_with_capacity(&path, 8 << 20, 3 << 30).unwrap();
     assert_eq!(big.capacity(), 3 << 30);
     assert_eq!(big.chunk_run().count as usize, (3 << 30) / chunk);
@@ -296,7 +286,7 @@ fn acceptance_256_regions_plus_multi_gb_region() {
         space.rid_off_of_addr(big.base() + chunk + 8),
         (big.rid(), chunk as u64 + 8)
     );
-    let old_base = big.base();
+    let mut prev = big.base();
     big.close().unwrap();
     // The scattered single-chunk regions would fragment the pool past any
     // 768-chunk gap; release them before asking for the remapped run.
@@ -304,8 +294,7 @@ fn acceptance_256_regions_plus_multi_gb_region() {
         r.close().unwrap();
     }
 
-    let big = Region::open_file_avoiding(&path, old_base).unwrap();
-    assert_ne!(big.base(), old_base);
+    let big = cell.remap(&path, &mut prev).unwrap();
     assert_eq!(big.size(), 8 << 20);
     assert_eq!(big.capacity(), 3 << 30);
     for i in 0..4u64 {
@@ -313,7 +302,6 @@ fn acceptance_256_regions_plus_multi_gb_region() {
         assert_eq!(unsafe { (addr as *const u64).read() }, 0xB16_C0FFEE + i);
     }
     big.close().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The replication stream format pins the region size per session, so
@@ -322,11 +310,11 @@ fn acceptance_256_regions_plus_multi_gb_region() {
 #[test]
 fn growth_is_refused_while_a_replication_source_is_attached() {
     use nvm_pi::nvmsim::repl::{Replicator, ReplicatorConfig};
-    let _serial = lock();
-    let dir = tdir("grow-repl");
-    let r = Region::create_file_with_capacity(dir.join("src.nvr"), 1 << 20, 8 << 20).unwrap();
+    let _serial = M.lock();
+    let cell = M.cell("grow-repl");
+    let r = Region::create_file_with_capacity(cell.path("src.nvr"), 1 << 20, 8 << 20).unwrap();
     r.enable_shadow().unwrap();
-    let repl = Replicator::attach(&r, dir.join("src.nvrs"), ReplicatorConfig::default()).unwrap();
+    let repl = Replicator::attach(&r, cell.path("src.nvrs"), ReplicatorConfig::default()).unwrap();
     match r.grow(2 << 20) {
         Err(NvError::BadImage(msg)) => assert!(msg.contains("replication"), "{msg}"),
         other => panic!("grow under replication must be BadImage, got {other:?}"),
@@ -334,7 +322,6 @@ fn growth_is_refused_while_a_replication_source_is_attached() {
     repl.seal().unwrap();
     assert_eq!(r.grow(2 << 20).unwrap(), 2 << 20);
     r.close().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Placement is randomized by default (reopen lands somewhere new, like
@@ -342,7 +329,7 @@ fn growth_is_refused_while_a_replication_source_is_attached() {
 /// matrix harnesses and the CI chunk-geometry job rely on.
 #[test]
 fn placement_seed_reproduces_chunk_bases() {
-    let _serial = lock();
+    let _serial = M.lock();
     let space = NvSpace::global();
     let seed = 0xC41B_9E0D_5EED_u64;
 
@@ -376,10 +363,9 @@ fn resident_bytes() -> usize {
 /// (the other tests of this binary are parked on the serial lock).
 #[test]
 fn flat_base_table_matches_a_map_model_and_stays_virtual() {
-    let _serial = lock();
-    let seed = util::env_seed("NVMSIM_PLACEMENT_SEED", 0xC41B_5EED);
+    let _serial = M.lock();
     for l4 in [6, 13, 20, 28] {
-        let ctx = format!("l4={l4} {}", util::seed_tag("NVMSIM_PLACEMENT_SEED", seed));
+        let ctx = format!("l4={l4} {}", M.tag());
         let before = resident_bytes();
         let s = NvSpace::new(Layout::new(6, 16, 20, l4).unwrap()).unwrap();
         let built = resident_bytes();
@@ -397,7 +383,7 @@ fn flat_base_table_matches_a_map_model_and_stays_virtual() {
             "{ctx}: reading unbound rids cost {built} -> {read} bytes of RSS"
         );
 
-        let mut rng = seed ^ l4 as u64;
+        let mut rng = M.seed() ^ l4 as u64;
         let mut next = move || {
             rng = util::splitmix64(rng);
             rng

@@ -7,13 +7,13 @@
 //! hands only at instrumented persistence points, so a schedule is a
 //! seed and every cell replays exactly. A [`FaultPlan::capture_all`]
 //! records a faulted image at *every* global flush/fence event; each
-//! image is written out, re-opened, recovered ([`PHashSet::recover`]),
+//! image is recovered through a remapped reopen ([`PHashSet::recover`]),
 //! invariant-checked, and then judged by the durable-linearizability
 //! checker ([`dlin::check`]) against the recorded per-op history
 //! (linearization stamps + invoke/durable event readings). The sweep
 //! covers both 8-byte pointer representations ([`OffHolder`], [`Riv`]),
 //! both fault policies (drop-unflushed, word tearing), and
-//! `NSEEDS` schedule seeds derived from `CONC_MATRIX_SEED`.
+//! `NSEEDS` schedule seeds derived from the matrix seed.
 //!
 //! Beyond the clean sweep the binary proves the checker has teeth: a
 //! known-bad insert variant that skips its post-CAS destination flush
@@ -24,26 +24,26 @@
 //! stop every thread at the crash point and still check clean, with
 //! in-flight ops recovered via [`dlin::take_thread_stamp`].
 //!
-//! The shadow tracker and stamp source are process-global, so every
-//! test serializes on `SERIAL`. Failure contexts embed
-//! `CONC_MATRIX_SEED=0x..`; set `CONC_MATRIX_ARTIFACT_DIR` to save the
-//! offending crash image + `NVPIHIS1` history on a violation (the CI
-//! job uploads them; triage offline with `nvr_inspect history`).
+//! Seed, replay tag, serial lock and scratch directories come from the
+//! shared [`util::Matrix`] (`MATRIX_SEED`, `MATRIX_ARTIFACT_DIR`). A
+//! violating image is saved with its `NVPIHIS1` history in the cell's
+//! directory, which a failing cell keeps (triage offline with
+//! `nvr_inspect history`).
 
 use nvm_pi::nvmsim::sched::EventKind;
 use nvm_pi::nvmsim::{dlin, shadow};
 use nvm_pi::{
-    CrashPointReached, FaultPlan, FaultPolicy, NodeArena, OffHolder, OpRecord, PHashSet, PtrRepr,
-    Recorder, Region, Riv, ScheduleAborted, Scheduler, SetOp, Violation,
+    CapturedCrash, CrashPointReached, FaultPlan, FaultPolicy, NodeArena, OffHolder, OpRecord,
+    PHashSet, PtrRepr, Recorder, Region, Riv, ScheduleAborted, Scheduler, SetOp, Violation,
 };
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+use util::policy_name;
 
 mod util;
 
-static SERIAL: Mutex<()> = Mutex::new(());
+static M: util::Matrix = util::Matrix::new("concurrent_matrix", 0x5EED_C04C);
 
 const REGION_SIZE: usize = 256 << 10;
 const NBUCKETS: u64 = 8;
@@ -55,43 +55,9 @@ const KEYSPACE: u64 = 12;
 /// Keys durably present (and flushed) before the schedule starts.
 const INITIAL: [u64; 4] = [2, 5, 8, 11];
 
-/// Base seed: `CONC_MATRIX_SEED` env (decimal or `0x`-prefixed hex);
-/// per-cell schedule seeds derive from it via [`util::splitmix64`].
-fn base_seed() -> u64 {
-    util::env_seed("CONC_MATRIX_SEED", 0x5EED_C04C)
-}
-
-fn tag() -> String {
-    util::seed_tag("CONC_MATRIX_SEED", base_seed())
-}
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    util::serial_guard(&SERIAL)
-}
-
-fn tdir(label: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("conc-matrix-{}-{label}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
+/// Per-cell schedule seeds derive from the matrix seed.
 fn cell_seed(i: u64) -> u64 {
-    util::splitmix64(base_seed() ^ (0xCE11_0000 + i))
-}
-
-fn policy_name(policy: FaultPolicy) -> &'static str {
-    match policy {
-        FaultPolicy::DropUnflushed => "drop",
-        FaultPolicy::TearWords { .. } => "tear",
-        _ => "other",
-    }
-}
-
-fn policies() -> [FaultPolicy; 2] {
-    [
-        FaultPolicy::DropUnflushed,
-        FaultPolicy::TearWords { seed: base_seed() },
-    ]
+    util::splitmix64(M.seed() ^ (0xCE11_0000 + i))
 }
 
 /// The op stream is a pure function of `(cell_seed, tid, op index)`.
@@ -112,20 +78,114 @@ fn do_op<R: PtrRepr>(s: &PHashSet<R, 32>, kind: u64, key: u64, mutant: bool) -> 
     }
 }
 
-/// Saves the crash image and the CRC-sealed history next to each other
-/// when `CONC_MATRIX_ARTIFACT_DIR` is set, for offline triage.
-fn save_artifacts(name: &str, image: &[u8], history: &dlin::History, crash_event: u64) {
-    let Some(dir) = std::env::var_os("CONC_MATRIX_ARTIFACT_DIR").map(PathBuf::from) else {
-        return;
-    };
-    std::fs::create_dir_all(&dir).ok();
-    std::fs::write(dir.join(format!("{name}.nvr")), image).ok();
-    std::fs::write(
-        dir.join(format!("{name}.history")),
-        dlin::encode_history(history, crash_event),
-    )
-    .ok();
-    eprintln!("saved violation artifacts under {}", dir.display());
+/// A fresh file region whose set `hs` durably holds `initial`: synced,
+/// shadowed, event and stamp counters reset.
+fn fresh_set<R: PtrRepr>(cell: &util::Cell, initial: &[u64], ctx: &str) -> Region {
+    let region = Region::create_file(cell.path("orig.nvr"), REGION_SIZE).unwrap();
+    {
+        let mut s: PHashSet<R, 32> =
+            PHashSet::create_rooted(NodeArena::raw(region.clone()), NBUCKETS, "hs").unwrap();
+        for &k in initial {
+            assert!(s.insert(k).unwrap(), "[{ctx}] prepopulate {k}");
+        }
+    }
+    region.sync().unwrap();
+    region.enable_shadow().unwrap();
+    shadow::reset_events_for(region.base());
+    dlin::reset_stamps();
+    region
+}
+
+/// One worker: `OPS_PER_THREAD` seeded ops, each recorded with its stamp
+/// and its invoke/durable event readings. An op interrupted by a crash
+/// is recorded through [`dlin::take_thread_stamp`] — a nonzero stamp is
+/// its exact linearization point, zero means no volatile effect and the
+/// record is dropped — and the unwind resumes.
+fn work<R: PtrRepr>(region: &Region, rec: &Recorder, seed: u64, tid: usize, mutant: bool) {
+    let s: PHashSet<R, 32> = PHashSet::attach(NodeArena::raw(region.clone()), "hs").unwrap();
+    let mut x = seed ^ (tid as u64).wrapping_mul(0xA24B_AED4_963E_E407);
+    for _ in 0..OPS_PER_THREAD {
+        x = util::splitmix64(x);
+        let (key, kind) = (x % KEYSPACE, x >> 33);
+        dlin::take_thread_stamp(); // clear before the op
+        let invoke_event = shadow::event_count_for(region.base());
+        let outcome = catch_unwind(AssertUnwindSafe(|| do_op(&s, kind, key, mutant)));
+        let (result, stamp, durable_event) = match &outcome {
+            Ok((result, stamp)) => (
+                Some(*result),
+                *stamp,
+                shadow::event_count_for(region.base()),
+            ),
+            Err(_) => (None, dlin::take_thread_stamp(), u64::MAX),
+        };
+        if stamp != 0 {
+            rec.record(OpRecord {
+                thread: tid as u32,
+                op: op_of(kind),
+                key,
+                result,
+                stamp,
+                invoke_event,
+                durable_event,
+            });
+        }
+        if let Err(payload) = outcome {
+            resume_unwind(payload);
+        }
+    }
+}
+
+/// Races `nthreads` [`work`]ers over `region` under `sched` and returns
+/// how each one ended.
+fn race<R: PtrRepr>(
+    region: &Region,
+    sched: &Scheduler,
+    rec: &Arc<Recorder>,
+    (seed, nthreads, mutant): (u64, usize, bool),
+) -> Vec<std::thread::Result<()>> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..nthreads)
+            .map(|tid| {
+                let (sched, rec, region) = (sched.clone(), Arc::clone(rec), region.clone());
+                scope.spawn(move || {
+                    sched.run(tid, move || work::<R>(&region, &rec, seed, tid, mutant))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    })
+}
+
+/// Recovers `crash` through a remapped reopen — [`PHashSet::recover`],
+/// invariants, `len()` against membership — and returns the sorted keys.
+fn recovered_keys<R: PtrRepr>(
+    cell: &util::Cell,
+    crash: &CapturedCrash,
+    prev: &mut usize,
+    ctx: &str,
+) -> Vec<u64> {
+    let r2 = cell.recover(crash, prev, ctx);
+    let mut s2: PHashSet<R, 32> = PHashSet::attach(NodeArena::raw(r2.clone()), "hs").unwrap();
+    s2.recover();
+    util::invariants(s2.check_invariants(), &format!("{ctx} recovered"));
+    let mut keys = s2.keys();
+    keys.sort_unstable();
+    assert_eq!(
+        s2.len() as usize,
+        keys.len(),
+        "[{ctx}] recovered len() must match recovered membership"
+    );
+    drop(s2);
+    r2.crash();
+    keys
+}
+
+/// Saves a violating crash image and the CRC-sealed history next to each
+/// other in the cell's directory, for offline triage.
+fn save_artifacts(cell: &util::Cell, name: &str, image: &[u8], history: &dlin::History, at: u64) {
+    std::fs::write(cell.path(&format!("{name}.nvr")), image).unwrap();
+    let sealed = dlin::encode_history(history, at);
+    std::fs::write(cell.path(&format!("{name}.history")), sealed).unwrap();
 }
 
 /// Everything one cell produced, for determinism comparisons and
@@ -138,6 +198,9 @@ struct CellOutcome {
     crash_points: usize,
     /// `(crash event, violations)` per image the checker rejected.
     violations: Vec<(u64, Vec<Violation>)>,
+    /// The cell's directory: alive until the caller has judged the
+    /// outcome, so a caller that panics over it keeps the artifacts.
+    _cell: util::Cell,
 }
 
 /// Runs one cell: prepopulate, race `nthreads` workers under the seeded
@@ -153,66 +216,25 @@ fn run_cell<R: PtrRepr>(
     nthreads: usize,
     mutant: bool,
 ) -> CellOutcome {
+    let name = format!("{label}-{}-{sched_seed:x}", policy_name(policy));
     let ctx = format!(
         "{label} {} seed {sched_seed:#x} {}",
         policy_name(policy),
-        tag()
+        M.tag()
     );
-    let dir = tdir(&format!("{label}-{}-{sched_seed:x}", policy_name(policy)));
-    let orig = dir.join("orig.nvr");
+    let cell = M.cell(&name);
     // Cells replay exactly: region placement follows the schedule seed,
     // not the process-global SystemTime default.
     nvm_pi::NvSpace::global().reseed_placement(sched_seed);
-    let region = Region::create_file(&orig, REGION_SIZE).unwrap();
-    {
-        let mut s: PHashSet<R, 32> =
-            PHashSet::create_rooted(NodeArena::raw(region.clone()), NBUCKETS, "hs").unwrap();
-        for &k in &INITIAL {
-            assert!(s.insert(k).unwrap(), "[{ctx}] prepopulate {k}");
-        }
-    }
-    region.sync().unwrap();
-    region.enable_shadow().unwrap();
-    shadow::reset_events_for(region.base());
-    dlin::reset_stamps();
+    let region = fresh_set::<R>(&cell, &INITIAL, &ctx);
     let plan = FaultPlan::capture_all(&region, policy);
     let sched = Scheduler::new(sched_seed, nthreads);
     let rec = Arc::new(Recorder::new());
-    std::thread::scope(|scope| {
-        for tid in 0..nthreads {
-            let sched = sched.clone();
-            let rec = Arc::clone(&rec);
-            let region = region.clone();
-            scope.spawn(move || {
-                sched.run(tid, move || {
-                    let s: PHashSet<R, 32> =
-                        PHashSet::attach(NodeArena::raw(region.clone()), "hs").unwrap();
-                    let mut x = sched_seed ^ (tid as u64).wrapping_mul(0xA24B_AED4_963E_E407);
-                    for _ in 0..OPS_PER_THREAD {
-                        x = util::splitmix64(x);
-                        let key = x % KEYSPACE;
-                        let kind = x >> 33;
-                        let invoke = shadow::event_count_for(region.base());
-                        let (result, stamp) = do_op(&s, kind, key, mutant);
-                        let durable = shadow::event_count_for(region.base());
-                        rec.record(OpRecord {
-                            thread: tid as u32,
-                            op: op_of(kind),
-                            key,
-                            result: Some(result),
-                            stamp,
-                            invoke_event: invoke,
-                            durable_event: durable,
-                        });
-                    }
-                })
-            });
-        }
-    });
+    for ended in race::<R>(&region, &sched, &rec, (sched_seed, nthreads, mutant)) {
+        ended.unwrap_or_else(|p| resume_unwind(p));
+    }
     let crashes = plan.disarm();
-    let mut initial = INITIAL.to_vec();
-    initial.sort_unstable();
-    let history = rec.history(initial);
+    let history = rec.history(INITIAL.to_vec());
     let trace: Vec<(usize, u64, bool)> = sched
         .trace()
         .iter()
@@ -283,8 +305,7 @@ fn run_cell<R: PtrRepr>(
         "[{ctx}] exact element accounting: surviving keys vs stamp-order replay"
     );
     let pruned = s.recover();
-    s.check_invariants()
-        .unwrap_or_else(|e| panic!("[{ctx}] live invariants after recover: {e}"));
+    util::invariants(s.check_invariants(), &format!("{ctx} live after recover"));
     let mut after = s.keys();
     after.sort_unstable();
     assert_eq!(
@@ -292,44 +313,23 @@ fn run_cell<R: PtrRepr>(
         "[{ctx}] recover() pruned {pruned} marked nodes but must not change membership"
     );
     drop(s);
+    let mut prev = region.base();
     region.crash();
 
     // Recover and judge every captured image.
-    let img = dir.join("crash.nvr");
     let mut violations = Vec::new();
     for c in &crashes {
         let ictx = format!("{ctx} event {}", c.event);
-        std::fs::write(&img, &c.image).unwrap();
-        let r2 = Region::open_file(&img).unwrap();
-        assert!(r2.was_dirty(), "[{ictx}] crash image must reopen dirty");
-        let mut s2: PHashSet<R, 32> = PHashSet::attach(NodeArena::raw(r2.clone()), "hs").unwrap();
-        s2.recover();
-        s2.check_invariants()
-            .unwrap_or_else(|e| panic!("[{ictx}] recovered invariants: {e}"));
-        let mut keys = s2.keys();
-        keys.sort_unstable();
-        assert_eq!(
-            s2.len() as usize,
-            keys.len(),
-            "[{ictx}] recovered len() must match recovered membership"
-        );
+        let keys = recovered_keys::<R>(&cell, c, &mut prev, &ictx);
         let rep = dlin::check(&history, c.event, &keys);
         assert!(!rep.capped, "[{ictx}] subset search capped: inconclusive");
         if !rep.violations.is_empty() {
-            save_artifacts(
-                &format!(
-                    "{label}-{}-{sched_seed:x}-event{}",
-                    policy_name(policy),
-                    c.event
-                ),
-                &c.image,
-                &history,
-                c.event,
-            );
+            if !mutant {
+                let image = format!("{name}-event{}", c.event);
+                save_artifacts(&cell, &image, &c.image, &history, c.event);
+            }
             violations.push((c.event, rep.violations.clone()));
         }
-        drop(s2);
-        r2.crash();
     }
     let n = crashes.len();
     eprintln!(
@@ -338,13 +338,13 @@ fn run_cell<R: PtrRepr>(
         history.ops.len(),
         violations.len()
     );
-    std::fs::remove_dir_all(&dir).ok();
     CellOutcome {
         trace,
         history,
         final_keys,
         crash_points: n,
         violations,
+        _cell: cell,
     }
 }
 
@@ -353,7 +353,7 @@ fn run_cell<R: PtrRepr>(
 fn sweep<R: PtrRepr>(label: &str) {
     let mut cells = 0;
     let mut images = 0;
-    for policy in policies() {
+    for policy in M.policies() {
         for i in 0..NSEEDS {
             let out = run_cell::<R>(label, policy, cell_seed(i), NTHREADS, false);
             assert!(
@@ -361,7 +361,7 @@ fn sweep<R: PtrRepr>(label: &str) {
                 "[{label} {} seed {:#x} {}] durable-linearizability violations: {:?}",
                 policy_name(policy),
                 cell_seed(i),
-                tag(),
+                M.tag(),
                 out.violations
             );
             cells += 1;
@@ -373,13 +373,13 @@ fn sweep<R: PtrRepr>(label: &str) {
 
 #[test]
 fn concurrent_matrix_hashset_offholder() {
-    let _g = lock();
+    let _g = M.lock();
     sweep::<OffHolder>("hs-off");
 }
 
 #[test]
 fn concurrent_matrix_hashset_riv() {
-    let _g = lock();
+    let _g = M.lock();
     sweep::<Riv>("hs-riv");
 }
 
@@ -388,11 +388,11 @@ fn concurrent_matrix_hashset_riv() {
 /// and at least one other seed must produce a different interleaving.
 #[test]
 fn same_seed_replays_identically() {
-    let _g = lock();
-    let policy = FaultPolicy::TearWords { seed: base_seed() };
+    let _g = M.lock();
+    let policy = M.policies()[1];
     let a = run_cell::<OffHolder>("replay-a", policy, cell_seed(0), 3, false);
     let b = run_cell::<OffHolder>("replay-b", policy, cell_seed(0), 3, false);
-    let ctx = format!("replay seed {:#x} {}", cell_seed(0), tag());
+    let ctx = format!("replay seed {:#x} {}", cell_seed(0), M.tag());
     assert_eq!(a.trace, b.trace, "[{ctx}] schedule traces must replay");
     assert_eq!(a.history, b.history, "[{ctx}] histories must replay");
     assert_eq!(a.final_keys, b.final_keys, "[{ctx}] membership must replay");
@@ -417,7 +417,7 @@ fn same_seed_replays_identically() {
 /// whose destination flush was skipped lost its effect.
 #[test]
 fn mutant_skipflush_is_caught_by_the_sweep() {
-    let _g = lock();
+    let _g = M.lock();
     let mut lost = 0;
     for i in 0..NSEEDS {
         let out = run_cell::<OffHolder>(
@@ -438,7 +438,7 @@ fn mutant_skipflush_is_caught_by_the_sweep() {
         lost >= 1,
         "[{}] the flush-omission mutant must produce at least one LostDurableOp \
          across {NSEEDS} seeds",
-        tag()
+        M.tag()
     );
     eprintln!("mutant sweep: {lost} lost-durable-op detections");
 }
@@ -451,20 +451,11 @@ fn mutant_skipflush_is_caught_by_the_sweep() {
 /// must stay clean on the same workload.
 #[test]
 fn mutant_skipflush_is_caught_deterministically() {
-    let _g = lock();
+    let _g = M.lock();
     for mutant in [true, false] {
-        let ctx = format!("mutant-det {mutant} {}", tag());
-        let dir = tdir(&format!("mutant-det-{mutant}"));
-        let orig = dir.join("orig.nvr");
-        let region = Region::create_file(&orig, REGION_SIZE).unwrap();
-        {
-            let _s: PHashSet<OffHolder, 32> =
-                PHashSet::create_rooted(NodeArena::raw(region.clone()), NBUCKETS, "hs").unwrap();
-        }
-        region.sync().unwrap();
-        region.enable_shadow().unwrap();
-        shadow::reset_events_for(region.base());
-        dlin::reset_stamps();
+        let ctx = format!("mutant-det {mutant} {}", M.tag());
+        let cell = M.cell(&format!("mutant-det-{mutant}"));
+        let region = fresh_set::<OffHolder>(&cell, &[], &ctx);
         let plan = FaultPlan::capture_all(&region, FaultPolicy::DropUnflushed);
         let s: PHashSet<OffHolder, 32> =
             PHashSet::attach(NodeArena::raw(region.clone()), "hs").unwrap();
@@ -490,30 +481,20 @@ fn mutant_skipflush_is_caught_deterministically() {
         let crashes = plan.disarm();
         let history = rec.history(vec![]);
         drop(s);
+        let mut prev = region.base();
         region.crash();
 
-        let img = dir.join("crash.nvr");
         let mut lost_100 = false;
         let mut any = false;
         for c in &crashes {
-            std::fs::write(&img, &c.image).unwrap();
-            let r2 = Region::open_file(&img).unwrap();
-            let mut s2: PHashSet<OffHolder, 32> =
-                PHashSet::attach(NodeArena::raw(r2.clone()), "hs").unwrap();
-            s2.recover();
-            s2.check_invariants()
-                .unwrap_or_else(|e| panic!("[{ctx} event {}] invariants: {e}", c.event));
-            let mut keys = s2.keys();
-            keys.sort_unstable();
-            let rep = dlin::check(&history, c.event, &keys);
-            for v in &rep.violations {
+            let ictx = format!("{ctx} event {}", c.event);
+            let keys = recovered_keys::<OffHolder>(&cell, c, &mut prev, &ictx);
+            for v in &dlin::check(&history, c.event, &keys).violations {
                 any = true;
                 if matches!(v, Violation::LostDurableOp { key: 100, .. }) {
                     lost_100 = true;
                 }
             }
-            drop(s2);
-            r2.crash();
         }
         if mutant {
             assert!(
@@ -524,19 +505,58 @@ fn mutant_skipflush_is_caught_deterministically() {
         } else {
             assert!(!any, "[{ctx}] the disciplined control must check clean");
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// An insert that finds its key logically deleted relies on that mark:
+/// it must make the mark durable before it links, because the remover
+/// may have set it and not flushed it yet. Seed-free: a removal is
+/// stopped at its first persistence event (mark set, never flushed), the
+/// insert of the same key then completes, and the drop image must not
+/// hold the key twice. (`MATRIX_SEED=8` found it through the sweep: the
+/// tear kept the new link and lost the mark.)
+#[test]
+fn insert_over_an_unflushed_removal_persists_the_mark_first() {
+    let _g = M.lock();
+    let ctx = format!("unflushed-mark {}", M.tag());
+    let cell = M.cell("unflushed-mark");
+    let region = fresh_set::<OffHolder>(&cell, &[5], &ctx);
+    let s: PHashSet<OffHolder, 32> =
+        PHashSet::attach(NodeArena::raw(region.clone()), "hs").unwrap();
+    let plan = FaultPlan::abort_at_nth_event(&region, FaultPolicy::DropUnflushed, 1);
+    let stopped = catch_unwind(AssertUnwindSafe(|| s.remove_lf_stamped(5)));
+    assert!(
+        stopped.is_err_and(|p| p.is::<CrashPointReached>()),
+        "[{ctx}] the removal must stop at its mark flush"
+    );
+    drop(plan);
+    let (inserted, _) = s.insert_lf_stamped(5).unwrap();
+    assert!(inserted, "[{ctx}] the marked key counts as absent");
+    let (image, report) =
+        shadow::capture_crash_image(region.base(), FaultPolicy::DropUnflushed).unwrap();
+    drop(s);
+    let mut prev = region.base();
+    region.crash();
+    let crash = CapturedCrash {
+        event: 0,
+        image,
+        report,
+    };
+    // `recovered_keys` runs the invariants: no key twice.
+    assert_eq!(
+        recovered_keys::<OffHolder>(&cell, &crash, &mut prev, &ctx),
+        vec![5]
+    );
 }
 
 /// A real mid-schedule crash: `abort_at_nth_event` panics the thread
 /// issuing global event `n`, the scheduler broadcasts the power loss to
 /// parked siblings, and the single captured image must still satisfy
 /// durable linearizability — with in-flight ops recovered through
-/// [`dlin::take_thread_stamp`] (a zero stamp proves the op never
-/// linearized and its record is dropped).
+/// [`dlin::take_thread_stamp`] (see [`work`]).
 #[test]
 fn crash_mid_schedule_checks_clean() {
-    let _g = lock();
+    let _g = M.lock();
     let seed = cell_seed(3);
     // Measure the cell's total event count with an identical completed
     // run, then replay the same schedule and crash in the middle.
@@ -549,81 +569,14 @@ fn crash_mid_schedule_checks_clean() {
     )
     .crash_points as u64;
     let n = (total / 2).max(1);
-    let ctx = format!("crash-mid seed {seed:#x} event {n} {}", tag());
+    let ctx = format!("crash-mid seed {seed:#x} event {n} {}", M.tag());
 
-    let dir = tdir("crash-mid");
-    let orig = dir.join("orig.nvr");
-    let region = Region::create_file(&orig, REGION_SIZE).unwrap();
-    {
-        let mut s: PHashSet<OffHolder, 32> =
-            PHashSet::create_rooted(NodeArena::raw(region.clone()), NBUCKETS, "hs").unwrap();
-        for &k in &INITIAL {
-            assert!(s.insert(k).unwrap());
-        }
-    }
-    region.sync().unwrap();
-    region.enable_shadow().unwrap();
-    shadow::reset_events_for(region.base());
-    dlin::reset_stamps();
+    let cell = M.cell("crash-mid");
+    let region = fresh_set::<OffHolder>(&cell, &INITIAL, &ctx);
     let mut plan = FaultPlan::abort_at_nth_event(&region, FaultPolicy::DropUnflushed, n);
     let sched = Scheduler::new(seed, NTHREADS);
     let rec = Arc::new(Recorder::new());
-    let results: Vec<std::thread::Result<()>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..NTHREADS)
-            .map(|tid| {
-                let sched = sched.clone();
-                let rec = Arc::clone(&rec);
-                let region = region.clone();
-                scope.spawn(move || {
-                    sched.run(tid, move || {
-                        let s: PHashSet<OffHolder, 32> =
-                            PHashSet::attach(NodeArena::raw(region.clone()), "hs").unwrap();
-                        let mut x = seed ^ (tid as u64).wrapping_mul(0xA24B_AED4_963E_E407);
-                        for _ in 0..OPS_PER_THREAD {
-                            x = util::splitmix64(x);
-                            let key = x % KEYSPACE;
-                            let kind = x >> 33;
-                            dlin::take_thread_stamp(); // clear before the op
-                            let invoke = shadow::event_count_for(region.base());
-                            match catch_unwind(AssertUnwindSafe(|| do_op(&s, kind, key, false))) {
-                                Ok((result, stamp)) => {
-                                    let durable = shadow::event_count_for(region.base());
-                                    rec.record(OpRecord {
-                                        thread: tid as u32,
-                                        op: op_of(kind),
-                                        key,
-                                        result: Some(result),
-                                        stamp,
-                                        invoke_event: invoke,
-                                        durable_event: durable,
-                                    });
-                                }
-                                Err(payload) => {
-                                    // Crashed mid-op: a nonzero stamp is the
-                                    // exact linearization point; zero means
-                                    // no volatile effect — drop the record.
-                                    let stamp = dlin::take_thread_stamp();
-                                    if stamp != 0 {
-                                        rec.record(OpRecord {
-                                            thread: tid as u32,
-                                            op: op_of(kind),
-                                            key,
-                                            result: None,
-                                            stamp,
-                                            invoke_event: invoke,
-                                            durable_event: u64::MAX,
-                                        });
-                                    }
-                                    std::panic::resume_unwind(payload);
-                                }
-                            }
-                        }
-                    })
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
+    let results = race::<OffHolder>(&region, &sched, &rec, (seed, NTHREADS, false));
     assert!(sched.crashed(), "[{ctx}] the schedule must have crashed");
     let mut crash_panics = 0;
     let mut aborted = 0;
@@ -651,34 +604,20 @@ fn crash_mid_schedule_checks_clean() {
         .unwrap_or_else(|| panic!("[{ctx}] the armed plan must capture the crash"));
     assert_eq!(crash.event, n, "[{ctx}] captured at the requested event");
     drop(plan);
-    let mut initial = INITIAL.to_vec();
-    initial.sort_unstable();
-    let history = rec.history(initial);
+    let history = rec.history(INITIAL.to_vec());
+    let mut prev = region.base();
     region.crash();
 
-    let img = dir.join("crash.nvr");
-    std::fs::write(&img, &crash.image).unwrap();
-    let r2 = Region::open_file(&img).unwrap();
-    assert!(r2.was_dirty(), "[{ctx}] crash image must reopen dirty");
-    let mut s2: PHashSet<OffHolder, 32> =
-        PHashSet::attach(NodeArena::raw(r2.clone()), "hs").unwrap();
-    s2.recover();
-    s2.check_invariants()
-        .unwrap_or_else(|e| panic!("[{ctx}] recovered invariants: {e}"));
-    let mut keys = s2.keys();
-    keys.sort_unstable();
+    let keys = recovered_keys::<OffHolder>(&cell, &crash, &mut prev, &ctx);
     let rep = dlin::check(&history, n, &keys);
     if !rep.ok() {
-        save_artifacts("crash-mid", &crash.image, &history, n);
+        save_artifacts(&cell, "crash-mid", &crash.image, &history, n);
         panic!(
             "[{ctx}] mid-schedule crash recovery violates durable \
              linearizability: {:?}",
             rep.violations
         );
     }
-    drop(s2);
-    r2.crash();
-    std::fs::remove_dir_all(&dir).ok();
     eprintln!(
         "[crash-mid] crashed at event {n}/{total}, {} ops recorded",
         history.ops.len()

@@ -33,9 +33,9 @@
 //!    the entries before it are rolled back, nothing damaged is ever
 //!    replayed.
 //!
-//! The shadow tracker is process-global, so tests serialize on `SERIAL`.
-//! The rot seed comes from `CORRUPTION_MATRIX_SEED` (decimal or 0x-hex)
-//! and is printed in every failure context so CI failures reproduce.
+//! Seed, replay tag, serial lock and scratch directories come from the
+//! shared [`util::Matrix`] (`MATRIX_SEED`, `MATRIX_ARTIFACT_DIR`); crash
+//! images reopen remapped through [`util::Cell::remap`].
 
 use nvm_pi::nvmsim::region::RegionHeader;
 use nvm_pi::nvmsim::{shadow, verify};
@@ -43,12 +43,12 @@ use nvm_pi::{FaultPlan, FaultPolicy, NvError, ObjectStore, Region};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
+use std::path::Path;
+use std::sync::OnceLock;
 
 mod util;
 
-static SERIAL: Mutex<()> = Mutex::new(());
+static M: util::Matrix = util::Matrix::new("corruption_matrix", 0x0B17_207D_5EED);
 
 const IMG_SIZE: usize = 64 << 10;
 const LINE: usize = 64;
@@ -56,44 +56,12 @@ const LINE: usize = 64;
 /// on purpose).
 const OFF_ROOTS: usize = RegionHeader::OFF_ROOTS;
 
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    util::serial_guard(&SERIAL)
-}
-
-/// Rot seed: `CORRUPTION_MATRIX_SEED` env (decimal or `0x`-prefixed
-/// hex), defaulting to a fixed value so the default run is fully
-/// deterministic.
-fn seed() -> u64 {
-    util::env_seed("CORRUPTION_MATRIX_SEED", 0x0B17_207D_5EED)
-}
-
-/// Reproduction tag for failure contexts.
-fn tag() -> String {
-    util::seed_tag("CORRUPTION_MATRIX_SEED", seed())
-}
-
-fn tdir(label: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("corruption-matrix-{}-{label}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Builds a cleanly-closed image with two named roots and a recognizable
-/// payload, and returns its bytes. Caller must hold `SERIAL` (region ids
-/// are process-global).
+/// payload, and returns its bytes. Caller must hold the serial lock
+/// (region ids are process-global).
 fn build_pristine_locked(dir: &Path) -> Vec<u8> {
     let path = dir.join("pristine.nvr");
-    // Matrix runs replay exactly: region placement follows the rot seed,
-    // not the process-global SystemTime default.
-    nvm_pi::NvSpace::global().reseed_placement(seed());
+    M.reseed_placement();
     let region = Region::create_file(&path, IMG_SIZE).unwrap();
     let a = region.alloc_off(256, 16).unwrap();
     let b = region.alloc_off(64, 16).unwrap();
@@ -109,21 +77,16 @@ fn build_pristine_locked(dir: &Path) -> Vec<u8> {
 
 fn pristine() -> &'static [u8] {
     static PRISTINE: OnceLock<Vec<u8>> = OnceLock::new();
-    PRISTINE.get_or_init(|| {
-        let dir = tdir("pristine");
-        let img = build_pristine_locked(&dir);
-        std::fs::remove_dir_all(&dir).ok();
-        img
-    })
+    PRISTINE.get_or_init(|| build_pristine_locked(M.cell("pristine").dir()))
 }
 
 /// Flips 1–3 distinct bits inside one cache line (the same fault shape
 /// `FaultPolicy::BitRot` injects).
-fn rot_line(img: &mut [u8], line: usize, rng: &mut u64) {
-    let n = 1 + (splitmix(rng) % 3) as usize;
+fn rot_line(img: &mut [u8], line: usize, rng: &mut util::SplitMix) {
+    let n = 1 + (rng.next() % 3) as usize;
     let mut seen = BTreeSet::new();
     while seen.len() < n {
-        let bit = (splitmix(rng) % (LINE as u64 * 8)) as usize;
+        let bit = (rng.next() % (LINE as u64 * 8)) as usize;
         if seen.insert(bit) {
             img[line * LINE + bit / 8] ^= 1 << (bit % 8);
         }
@@ -162,25 +125,24 @@ fn check_salvage(img_path: &Path, ctx: &str) {
 
 #[test]
 fn single_line_rot_sweep_over_metadata_recovers_or_fails_typed() {
-    let _g = lock();
-    let dir = tdir("sweep");
+    let _g = M.lock();
+    let cell = M.cell("sweep");
     let base = pristine();
     let data_start = RegionHeader::data_start() as usize;
     assert_eq!(data_start % LINE, 0, "metadata prefix must be line-aligned");
     let meta_lines = data_start / LINE;
-    let s = seed();
-    eprintln!("[sweep] {}, {meta_lines} metadata lines", tag());
-    let img_path = dir.join("rot.nvr");
+    eprintln!("[sweep] {}, {meta_lines} metadata lines", M.tag());
+    let img_path = cell.path("rot.nvr");
     let mut recovered = 0usize;
     for line in 0..meta_lines {
         let ctx = format!(
             "line {line} (bytes {}..{}) {}",
             line * LINE,
             (line + 1) * LINE,
-            tag()
+            M.tag()
         );
         let mut img = base.to_vec();
-        let mut rng = s ^ (line as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
+        let mut rng = M.stream((line as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
         rot_line(&mut img, line, &mut rng);
         // The offline walk must classify the damage without panicking.
         let report = catch_unwind(AssertUnwindSafe(|| verify::verify_bytes(&img)))
@@ -227,7 +189,6 @@ fn single_line_rot_sweep_over_metadata_recovers_or_fails_typed() {
         recovered >= meta_lines - 1,
         "every non-boot metadata line must recover ({recovered}/{meta_lines})"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Seed-free regression for a use-after-decommit in `Region::open_file`:
@@ -237,9 +198,9 @@ fn single_line_rot_sweep_over_metadata_recovers_or_fails_typed() {
 /// unmapped, killing the process with a signal instead of returning.
 #[test]
 fn every_bit_of_the_rid_and_capacity_words_opens_or_fails_typed() {
-    let _g = lock();
-    let dir = tdir("idwords");
-    let img_path = dir.join("flip.nvr");
+    let _g = M.lock();
+    let cell = M.cell("idwords");
+    let img_path = cell.path("flip.nvr");
     let base = pristine();
     let (mut opened, mut refused) = (0, 0);
     for (word, off, bits) in [
@@ -279,19 +240,14 @@ fn every_bit_of_the_rid_and_capacity_words_opens_or_fails_typed() {
         opened > 0 && refused > 0,
         "the sweep must reach both outcomes (opened {opened}, refused {refused})"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn torn_slot_flip_always_opens_a_consistent_snapshot() {
-    let _g = lock();
-    for policy in [
-        FaultPolicy::DropUnflushed,
-        FaultPolicy::TearWords { seed: seed() },
-    ] {
-        let dir = tdir("torn");
-        let orig = dir.join("orig.nvr");
-        let region = Region::create_file(&orig, IMG_SIZE).unwrap();
+    let _g = M.lock();
+    for policy in M.policies() {
+        let cell = M.cell("torn");
+        let region = Region::create_file(cell.path("orig.nvr"), IMG_SIZE).unwrap();
         let a = region.alloc_off(128, 16).unwrap();
         region.set_root_off("alpha", a).unwrap();
         region.sync().unwrap(); // slots now hold the {alpha} snapshot
@@ -302,16 +258,17 @@ fn torn_slot_flip_always_opens_a_consistent_snapshot() {
         let plan = FaultPlan::capture_all(&region, policy);
         region.update_meta_slots().unwrap(); // stages the {alpha, beta} snapshot
         let crashes = plan.disarm();
+        let mut prev = region.base();
         region.crash();
         assert!(
             !crashes.is_empty(),
             "[{policy:?}] the slot flip must emit persistence events of its own"
         );
 
-        let img_path = dir.join("crash.nvr");
+        let img_path = cell.path("crash.nvr");
         let (mut saw_old, mut saw_new) = (false, false);
         for c in &crashes {
-            let ctx = format!("torn {policy:?} event {} {}", c.event, tag());
+            let ctx = format!("torn {policy:?} event {} {}", c.event, M.tag());
             let mut img = c.image.clone();
             // The primary header is untracked memory and survives in
             // every captured image; wreck its root directory so the open
@@ -320,7 +277,8 @@ fn torn_slot_flip_always_opens_a_consistent_snapshot() {
                 *byte = 0xFF;
             }
             std::fs::write(&img_path, &img).unwrap();
-            let r2 = Region::open_file(&img_path)
+            let r2 = cell
+                .remap(&img_path, &mut prev)
                 .unwrap_or_else(|e| panic!("[{ctx}] a torn slot flip must still open: {e}"));
             assert!(r2.was_dirty(), "[{ctx}] slot-restored images reopen dirty");
             let roots = r2
@@ -352,19 +310,17 @@ fn torn_slot_flip_always_opens_a_consistent_snapshot() {
             "[torn {policy:?}] {} crash points, pre-update={saw_old} post-update={saw_new}",
             crashes.len()
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 #[test]
 fn bit_rot_policy_composes_with_crash_reopen_and_salvage() {
-    let _g = lock();
-    let dir = tdir("bitrot");
-    let path = dir.join("rot.nvr");
-    let s = seed();
+    let _g = M.lock();
+    let cell = M.cell("bitrot");
+    let path = cell.path("rot.nvr");
     for round in 0..8u64 {
-        let rseed = s ^ round.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        let ctx = format!("bitrot round {round} round-seed {rseed:#x} {}", tag());
+        let rseed = M.seed() ^ round.wrapping_mul(0x2545_F491_4F6C_DD1D);
+        let ctx = format!("bitrot round {round} round-seed {rseed:#x} {}", M.tag());
         let region = Region::create_file(&path, IMG_SIZE).unwrap();
         let a = region.alloc_off(256, 16).unwrap();
         region.set_root_off("alpha", a).unwrap();
@@ -392,7 +348,6 @@ fn bit_rot_policy_composes_with_crash_reopen_and_salvage() {
         }
         std::fs::remove_file(&path).ok();
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Cells of the torn-tail workload: the first `FENCED` are logged, fenced
@@ -408,10 +363,20 @@ fn log_cell_new(i: usize) -> u64 {
     0x4E3_0000 + i as u64
 }
 
-/// Reopens `img`, attaches the store (running log recovery) and returns
-/// the cells with the number of entries recovery applied.
-fn recover_log_cells(img_path: &Path, ctx: &str) -> (Vec<u64>, u64) {
-    let r = Region::open_file(img_path).unwrap_or_else(|e| panic!("[{ctx}] open: {e}"));
+/// Writes `img` into the cell, reopens it remapped, attaches the store
+/// (running log recovery) and returns the cells with the number of
+/// entries recovery applied.
+fn recover_log_cells(
+    cell: &util::Cell,
+    img: &[u8],
+    prev: &mut usize,
+    ctx: &str,
+) -> (Vec<u64>, u64) {
+    let img_path = cell.path("crash.nvr");
+    std::fs::write(&img_path, img).unwrap();
+    let r = cell
+        .remap(&img_path, prev)
+        .unwrap_or_else(|e| panic!("[{ctx}] open: {e}"));
     let store = ObjectStore::attach(&r).unwrap_or_else(|e| panic!("[{ctx}] attach: {e}"));
     let stats = store.recovery_stats();
     assert_eq!(
@@ -431,11 +396,10 @@ fn recover_log_cells(img_path: &Path, ctx: &str) -> (Vec<u64>, u64) {
 
 #[test]
 fn torn_log_tail_and_mid_log_rot_never_replay_damage() {
-    let _g = lock();
-    let dir = tdir("logtail");
-    let path = dir.join("log.nvr");
-    nvm_pi::NvSpace::global().reseed_placement(seed());
-    let region = Region::create_file(&path, 1 << 20).unwrap();
+    let _g = M.lock();
+    let cell = M.cell("logtail");
+    M.reseed_placement();
+    let region = Region::create_file(cell.path("log.nvr"), 1 << 20).unwrap();
     let store = ObjectStore::format_with_log(&region, 4096).unwrap();
     let cells = store.alloc(7, (FENCED + UNFENCED) * 8).unwrap().as_ptr() as usize;
     for i in 0..FENCED + UNFENCED {
@@ -466,12 +430,9 @@ fn torn_log_tail_and_mid_log_rot_never_replay_damage() {
     std::mem::forget(tx);
 
     let old: Vec<u64> = (0..FENCED + UNFENCED).map(log_cell_old).collect();
-    let img_path = dir.join("crash.nvr");
     let mut policies = vec![FaultPolicy::DropUnflushed];
-    let mut rng = seed();
-    policies.extend((0..32).map(|_| FaultPolicy::TearWords {
-        seed: splitmix(&mut rng),
-    }));
+    let mut rng = M.stream(0);
+    policies.extend((0..32).map(|_| FaultPolicy::TearWords { seed: rng.next() }));
     // Capture every image first: the crashed copies share the live
     // region's id, so it must be gone before they reopen.
     let images: Vec<(FaultPolicy, Vec<u8>)> = policies
@@ -479,16 +440,16 @@ fn torn_log_tail_and_mid_log_rot_never_replay_damage() {
         .map(|p| (p, shadow::capture_crash_image(region.base(), p).unwrap().0))
         .collect();
     drop(store);
+    let mut prev = region.base();
     region.crash();
     for (policy, img) in &images {
-        let ctx = format!("logtail {policy:?} {}", tag());
+        let ctx = format!("logtail {policy:?} {}", M.tag());
         let check = verify::verify_bytes(img).undo_log.expect("store present");
         assert!(
             check.entries >= FENCED as u64,
             "[{ctx}] the fenced batch is durable whatever the tail did: {check:?}"
         );
-        std::fs::write(&img_path, img).unwrap();
-        let (got, applied) = recover_log_cells(&img_path, &ctx);
+        let (got, applied) = recover_log_cells(&cell, img, &mut prev, &ctx);
         assert_eq!(
             got, old,
             "[{ctx}] crash recovery is the pre-transaction image"
@@ -506,8 +467,11 @@ fn torn_log_tail_and_mid_log_rot_never_replay_damage() {
     );
     for entry in 0..FENCED {
         for word in 0..5 {
-            let bit = (splitmix(&mut rng) % 64) as usize;
-            let ctx = format!("logtail rot entry {entry} word {word} bit {bit} {}", tag());
+            let bit = (rng.next() % 64) as usize;
+            let ctx = format!(
+                "logtail rot entry {entry} word {word} bit {bit} {}",
+                M.tag()
+            );
             let mut img = dropped.clone();
             let at = log.log_off as usize + 16 + entry * 48 + word * 8;
             img[at + bit / 8] ^= 1 << (bit % 8);
@@ -516,8 +480,7 @@ fn torn_log_tail_and_mid_log_rot_never_replay_damage() {
                 seen.entries, entry as u64,
                 "[{ctx}] the log ends at the rot"
             );
-            std::fs::write(&img_path, &img).unwrap();
-            let (got, applied) = recover_log_cells(&img_path, &ctx);
+            let (got, applied) = recover_log_cells(&cell, &img, &mut prev, &ctx);
             assert_eq!(applied, entry as u64, "[{ctx}]");
             for (i, &v) in got.iter().enumerate() {
                 // Before the rot: rolled back. From it on: out of the
@@ -532,7 +495,6 @@ fn torn_log_tail_and_mid_log_rot_never_replay_damage() {
             }
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
@@ -547,29 +509,29 @@ proptest! {
         nflips in 1u64..16,
         whole_lines in 0u64..3,
     ) {
-        let _g = lock();
-        let dir = tdir("random");
+        let _g = M.lock();
+        let cell = M.cell("random");
         let base = pristine();
         let mut img = base.to_vec();
-        let mut rng = seed() ^ case;
+        let mut rng = M.stream(case);
         let ctx = format!(
             "case {case:#x} nflips {nflips} whole_lines {whole_lines} {}",
-            tag()
+            M.tag()
         );
         for _ in 0..nflips {
-            let bit = (splitmix(&mut rng) % (img.len() as u64 * 8)) as usize;
+            let bit = (rng.next() % (img.len() as u64 * 8)) as usize;
             img[bit / 8] ^= 1 << (bit % 8);
         }
         let lines = img.len() / LINE;
         for _ in 0..whole_lines {
-            let line = (splitmix(&mut rng) % lines as u64) as usize;
+            let line = (rng.next() % lines as u64) as usize;
             for byte in &mut img[line * LINE..(line + 1) * LINE] {
-                *byte = splitmix(&mut rng) as u8;
+                *byte = rng.next() as u8;
             }
         }
         catch_unwind(AssertUnwindSafe(|| verify::verify_bytes(&img)))
             .unwrap_or_else(|_| panic!("[{ctx}] verify_bytes panicked"));
-        let img_path = dir.join("rot.nvr");
+        let img_path = cell.path("rot.nvr");
         std::fs::write(&img_path, &img).unwrap();
         // A typed refusal is always acceptable; whatever *does* open must
         // be structurally usable: the walk passes and the directory
@@ -582,7 +544,6 @@ proptest! {
             r.crash();
         }
         check_salvage(&img_path, &ctx);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -592,7 +553,7 @@ proptest! {
 /// metric, never an out-of-bounds table read and never a panic.
 #[test]
 fn out_of_range_rid_translation_is_a_typed_miss() {
-    let _serial = lock();
+    let _serial = M.lock();
     use nvm_pi::nvmsim::metrics::{snapshot, Counter};
     let space = nvm_pi::NvSpace::global();
     let layout = space.layout();

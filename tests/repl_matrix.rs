@@ -1,135 +1,75 @@
 //! Replication matrix: incremental checkpoint/replication of regions
 //! over dirty-line delta streams (`nvmsim::repl`).
 //!
-//! Each cell runs one persistent structure (list / bst / hashset / trie)
-//! under a position-independent pointer representation with a
-//! [`Replicator`] attached, drives several transactional epochs, seals
-//! the stream, and promotes a replica **at a different mapping address**
-//! than the primary ever had. The replica must pass the corruption walk
-//! (`verify`), the structure's own `check_invariants`, and content
-//! equality with the primary. A control cell repeats the exercise with
-//! raw volatile pointers (`NormalPtr`) and shows the replica is
-//! demonstrably broken — its head pointer still aims at the primary's
-//! old mapping. A crash-composition cell interrupts capture mid-delta
-//! with a [`FaultPlan`] and checks the replica fully has or fully lacks
-//! the interrupted epoch, byte-truncation sweep included.
+//! Each cell runs one persistent structure (list / bst / hashset / trie —
+//! the [`util::Subject`]s the crash matrix enumerates) under a
+//! position-independent pointer representation with a [`Replicator`]
+//! attached, drives several transactional epochs, seals the stream, and
+//! promotes a replica **at a different mapping address** than the primary
+//! ever had. The replica must pass the corruption walk (`verify`), the
+//! structure's own `check_invariants`, and content equality with the
+//! primary. A control cell repeats the exercise with raw volatile
+//! pointers (`NormalPtr`) and shows the replica is demonstrably broken —
+//! its head pointer still aims at the primary's old mapping. A
+//! crash-composition cell interrupts capture mid-delta with a
+//! [`FaultPlan`] and checks the replica fully has or fully lacks the
+//! interrupted epoch, byte-truncation sweep included; and a replica
+//! promoted from a *crashed* primary must keep allocating without
+//! carving over what it inherited.
 //!
-//! The shadow tracker and replication session registry are
-//! process-global, so every test serializes on `SERIAL`. The workload
-//! seed comes from `REPL_MATRIX_SEED` (decimal or 0x-hex); set
-//! `REPL_MATRIX_ARTIFACT_DIR` to keep streams and replica images of
-//! failing runs for upload.
+//! Seed, replay tag, serial lock and scratch directories come from the
+//! shared [`util::Matrix`] (`MATRIX_SEED`, `MATRIX_ARTIFACT_DIR`).
 
 use nvm_pi::nvmsim::repl::{self, Replicator, ReplicatorConfig};
 use nvm_pi::nvmsim::{metrics, shadow, verify};
-use nvm_pi::pstore::ObjectStore;
 use nvm_pi::{
-    CrashPointReached, FaultPlan, FaultPolicy, NodeArena, NormalPtr, OffHolder, PBst, PHashSet,
-    PList, PTrie, Region, Riv,
+    CrashPointReached, FaultPlan, FaultPolicy, NormalPtr, OffHolder, PBst, PHashSet, PList, PTrie,
+    Region, Riv,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::Mutex;
+use util::Op::{self, Insert, Remove};
+use util::{Subject, Tx};
 
 mod util;
 
-static SERIAL: Mutex<()> = Mutex::new(());
+static M: util::Matrix = util::Matrix::new("repl_matrix", 0x5EED_2026);
 
 const REGION_SIZE: usize = 512 << 10;
-const LOG_CAP: u64 = 32 << 10;
-const N_OPS: usize = 6;
 
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    util::serial_guard(&SERIAL)
-}
-
-/// Workload seed: `REPL_MATRIX_SEED` env (decimal or `0x`-prefixed hex),
-/// defaulting to a fixed value so the default run is deterministic.
-fn seed() -> u64 {
-    util::env_seed("REPL_MATRIX_SEED", 0x5EED_2026)
-}
-
-/// Reproduction tag for failure contexts.
-fn tag() -> String {
-    util::seed_tag("REPL_MATRIX_SEED", seed())
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Scratch directory for one cell. With `REPL_MATRIX_ARTIFACT_DIR` set,
-/// files land there (and are left behind for CI artifact upload);
-/// otherwise a temp dir that the caller removes on success.
-fn tdir(label: &str) -> (PathBuf, bool) {
-    match std::env::var("REPL_MATRIX_ARTIFACT_DIR") {
-        Ok(root) => {
-            let d = PathBuf::from(root).join(label);
-            std::fs::create_dir_all(&d).unwrap();
-            (d, true)
-        }
-        Err(_) => {
-            let d =
-                std::env::temp_dir().join(format!("repl-matrix-{}-{label}", std::process::id()));
-            std::fs::create_dir_all(&d).unwrap();
-            (d, false)
-        }
-    }
-}
-
-/// Promotes `stream` to `img`, retrying with placeholder regions pinning
-/// freed segments until the replica maps at a base different from
-/// `avoid` — the different-mapping-address guarantee the cell asserts.
-fn promote_elsewhere(stream: &PathBuf, img: &PathBuf, avoid: usize) -> Region {
-    let mut placeholders = Vec::new();
-    for _ in 0..8 {
-        let replica = repl::promote(stream, img).unwrap();
-        if replica.base() != avoid {
-            return replica;
-        }
-        // Same segment got reused: park a placeholder region on it and
-        // re-open the replica, which must land elsewhere.
-        replica.close().unwrap();
-        placeholders.push(Region::create(REGION_SIZE).unwrap());
-    }
-    panic!("could not map the replica away from {avoid:#x}");
-}
-
-/// One cell: runs `N_OPS` transactional operations with a replicator
-/// attached, seals, promotes at a different address, and checks the
-/// replica against the primary's final contents.
-fn run_repl_cell<S>(
-    label: &str,
-    create: impl Fn(NodeArena) -> S,
-    attach: impl Fn(NodeArena) -> S,
-    apply: impl Fn(&mut S, &ObjectStore, usize),
-    contents: impl Fn(&S, &str) -> Vec<u64>,
-) {
-    let (dir, keep) = tdir(label);
-    let orig = dir.join("orig.nvr");
-    let stream = dir.join("stream.nvd");
-    let img = dir.join("replica.nvr");
-    let before = metrics::snapshot();
-
-    let region = Region::create_file(&orig, REGION_SIZE).unwrap();
-    let primary_base = region.base();
-    let store = ObjectStore::format_with_log(&region, LOG_CAP).unwrap();
-    let mut s = create(NodeArena::transactional(store.clone()));
+/// A fresh file region with `S` in it, synced, shadowed and streaming to
+/// `stream.nvd` in the cell.
+fn replicated<S: Subject>(cell: &util::Cell, size: usize) -> (Region, S, Replicator) {
+    let region = Region::create_file(cell.path("orig.nvr"), size).unwrap();
+    let s = S::create(&region);
     region.sync().unwrap();
     region.enable_shadow().unwrap();
-    let repl = Replicator::attach(&region, &stream, ReplicatorConfig::default()).unwrap();
-    for k in 0..N_OPS {
+    let repl = Replicator::attach(
+        &region,
+        cell.path("stream.nvd"),
+        ReplicatorConfig::default(),
+    )
+    .unwrap();
+    (region, s, repl)
+}
+
+/// One cell: runs `ops` as transactions with a replicator attached,
+/// seals, promotes at a different address, and checks the replica against
+/// the primary's final contents.
+fn run_repl_cell<S: Subject>(label: &str, ops: &[Op<S::Key>]) {
+    let cell = M.cell(label);
+    let (stream, img) = (cell.path("stream.nvd"), cell.path("replica.nvr"));
+    let keys = util::keys_of(ops);
+    let before = metrics::snapshot();
+
+    let (region, mut s, repl) = replicated::<S>(&cell, REGION_SIZE);
+    let primary_base = region.base();
+    for k in 0..ops.len() {
         // Every committed transaction is a durability point and emits
         // one delta epoch.
-        apply(&mut s, &store, k);
+        util::apply_checked(&mut s, ops, k, label);
     }
-    let live = contents(&s, &format!("{label} {} live", tag()));
+    let live = s.contents(&keys, &format!("{label} {} live", M.tag()));
     drop(s);
-    drop(store);
     // Clean close: the final durability point; the replica converges on
     // the closed (clean-flag) image.
     region.close().unwrap();
@@ -152,25 +92,26 @@ fn run_repl_cell<S>(
         .count();
     assert!(n_deltas >= 3, "[{label}] {n_deltas} deltas in stream");
 
-    // Promote at a different mapping address and check health + content.
-    let replica = promote_elsewhere(&stream, &img, primary_base);
+    // The plain entry point promotes wherever a segment is free; the cell
+    // then promotes at a different mapping address and checks health +
+    // content there.
+    repl::promote(&stream, &img).unwrap().close().unwrap();
+    let replica = repl::promote_avoiding(&stream, &img, primary_base).unwrap();
     assert_ne!(replica.base(), primary_base, "[{label}] replica address");
     let report = verify::verify_file(&img).unwrap();
     assert!(
         report.healthy(),
         "[{label}] replica failed verify:\n{report}"
     );
-    let store2 = ObjectStore::attach(&replica).unwrap();
-    let s2 = attach(NodeArena::transactional(store2.clone()));
-    let got = contents(&s2, &format!("{label} {} replica", tag()));
+    let s2 = S::attach(&replica);
+    let got = s2.contents(&keys, &format!("{label} {} replica", M.tag()));
     assert_eq!(
         got,
         live,
         "[{label} {}] replica contents == primary contents",
-        tag()
+        M.tag()
     );
     drop(s2);
-    drop(store2);
     replica.close().unwrap();
 
     // Replication metrics moved.
@@ -186,210 +127,68 @@ fn run_repl_cell<S>(
     assert!(get("repl_deltas_shipped") >= 3, "[{label}] shipped counter");
     assert!(get("repl_deltas_applied") >= 3, "[{label}] applied counter");
     assert!(get("repl_bytes_shipped") > 0, "[{label}] bytes counter");
+}
 
-    if !keep {
-        std::fs::remove_dir_all(&dir).ok();
+/// Five distinct workload keys in `1..=modulus` from the
+/// (CI-randomizable) seed; the cells compare replica against live
+/// primary, so any key set works.
+fn seeded_keys(salt: u64, modulus: u64) -> Vec<u64> {
+    let mut stream = M.stream(salt);
+    let mut keys = Vec::new();
+    while keys.len() < 5 {
+        let k = stream.next() % modulus + 1;
+        if !keys.contains(&k) {
+            keys.push(k);
+        }
     }
+    keys
 }
 
 #[test]
 fn repl_matrix_list() {
-    let _g = lock();
-    // The workload keys come from the (CI-randomizable) seed; the cell's
-    // checks compare replica against live primary, so any key set works.
-    let mut st = seed();
-    let keys: [u64; 5] = std::array::from_fn(|_| splitmix(&mut st) % 1000 + 1);
-    run_repl_cell(
-        "list-offholder",
-        |a| PList::<OffHolder, 32>::create_rooted(a, "s").unwrap(),
-        |a| PList::<OffHolder, 32>::attach(a, "s").unwrap(),
-        move |s, store, k| match k {
-            0 => s.push_front_tx(store, keys[0]).unwrap(),
-            1 => s.push_front_tx(store, keys[1]).unwrap(),
-            2 => s.push_front_tx(store, keys[2]).unwrap(),
-            3 => assert!(s.remove_tx(store, keys[2]).unwrap()),
-            4 => s.push_front_tx(store, keys[3]).unwrap(),
-            _ => s.push_front_tx(store, keys[4]).unwrap(),
-        },
-        |s, ctx| {
-            s.check_invariants()
-                .unwrap_or_else(|e| panic!("[{ctx}] invariants: {e}"));
-            s.keys()
-        },
-    );
-    run_repl_cell(
-        "list-riv",
-        |a| PList::<Riv, 32>::create_rooted(a, "s").unwrap(),
-        |a| PList::<Riv, 32>::attach(a, "s").unwrap(),
-        move |s, store, k| match k {
-            0 => s.push_front_tx(store, keys[0]).unwrap(),
-            1 => s.push_front_tx(store, keys[1]).unwrap(),
-            2 => s.push_front_tx(store, keys[2]).unwrap(),
-            3 => assert!(s.remove_tx(store, keys[2]).unwrap()),
-            4 => s.push_front_tx(store, keys[3]).unwrap(),
-            _ => s.push_front_tx(store, keys[4]).unwrap(),
-        },
-        |s, ctx| {
-            s.check_invariants()
-                .unwrap_or_else(|e| panic!("[{ctx}] invariants: {e}"));
-            s.keys()
-        },
-    );
+    let _g = M.lock();
+    let k = seeded_keys(0, 1000);
+    let ops = [
+        Insert(k[0]),
+        Insert(k[1]),
+        Insert(k[2]),
+        Remove(k[2]),
+        Insert(k[3]),
+        Insert(k[4]),
+    ];
+    run_repl_cell::<Tx<PList<OffHolder, 32>>>("list-offholder", &ops);
+    run_repl_cell::<Tx<PList<Riv, 32>>>("list-riv", &ops);
 }
 
 #[test]
 fn repl_matrix_bst() {
-    let _g = lock();
-    for pi in [true, false] {
-        if pi {
-            run_repl_cell(
-                "bst-offholder",
-                |a| PBst::<OffHolder, 32>::create_rooted(a, "s").unwrap(),
-                |a| PBst::<OffHolder, 32>::attach(a, "s").unwrap(),
-                |s, st, k| match k {
-                    0 => assert!(s.insert_tx(st, 50).unwrap()),
-                    1 => assert!(s.insert_tx(st, 30).unwrap()),
-                    2 => assert!(s.insert_tx(st, 70).unwrap()),
-                    3 => assert!(s.insert_tx(st, 60).unwrap()),
-                    4 => assert!(s.remove_tx(st, 50).unwrap()),
-                    _ => assert!(s.remove_tx(st, 30).unwrap()),
-                },
-                |s, ctx| {
-                    s.check_invariants()
-                        .unwrap_or_else(|e| panic!("[{ctx}] invariants: {e}"));
-                    s.keys_in_order()
-                },
-            );
-        } else {
-            run_repl_cell(
-                "bst-riv",
-                |a| PBst::<Riv, 32>::create_rooted(a, "s").unwrap(),
-                |a| PBst::<Riv, 32>::attach(a, "s").unwrap(),
-                |s, st, k| match k {
-                    0 => assert!(s.insert_tx(st, 50).unwrap()),
-                    1 => assert!(s.insert_tx(st, 30).unwrap()),
-                    2 => assert!(s.insert_tx(st, 70).unwrap()),
-                    3 => assert!(s.insert_tx(st, 60).unwrap()),
-                    4 => assert!(s.remove_tx(st, 50).unwrap()),
-                    _ => assert!(s.remove_tx(st, 30).unwrap()),
-                },
-                |s, ctx| {
-                    s.check_invariants()
-                        .unwrap_or_else(|e| panic!("[{ctx}] invariants: {e}"));
-                    s.keys_in_order()
-                },
-            );
-        }
-    }
+    let _g = M.lock();
+    run_repl_cell::<Tx<PBst<OffHolder, 32>>>("bst-offholder", &util::BST_OPS);
+    run_repl_cell::<Tx<PBst<Riv, 32>>>("bst-riv", &util::BST_OPS);
 }
 
 #[test]
 fn repl_matrix_hashset() {
-    let _g = lock();
-    let mut st = seed() ^ 0xA5A5;
-    let mut distinct = std::collections::BTreeSet::new();
-    while distinct.len() < 5 {
-        distinct.insert(splitmix(&mut st) % 900 + 1);
-    }
-    let keys: Vec<u64> = distinct.into_iter().collect();
-    let k = keys.clone();
-    run_repl_cell(
-        "hashset-offholder",
-        |a| PHashSet::<OffHolder, 32>::create_rooted(a, 8, "s").unwrap(),
-        |a| PHashSet::<OffHolder, 32>::attach(a, "s").unwrap(),
-        move |s, store, op| match op {
-            0 => assert!(s.insert_tx(store, k[0]).unwrap()),
-            1 => assert!(s.insert_tx(store, k[1]).unwrap()),
-            2 => assert!(s.insert_tx(store, k[2]).unwrap()),
-            3 => assert!(s.remove_tx(store, k[1]).unwrap()),
-            4 => assert!(s.insert_tx(store, k[3]).unwrap()),
-            _ => assert!(s.insert_tx(store, k[4]).unwrap()),
-        },
-        |s, ctx| {
-            s.check_invariants()
-                .unwrap_or_else(|e| panic!("[{ctx}] invariants: {e}"));
-            let mut keys = s.keys();
-            keys.sort_unstable();
-            keys
-        },
-    );
-    let k = keys.clone();
-    run_repl_cell(
-        "hashset-riv",
-        |a| PHashSet::<Riv, 32>::create_rooted(a, 8, "s").unwrap(),
-        |a| PHashSet::<Riv, 32>::attach(a, "s").unwrap(),
-        move |s, store, op| match op {
-            0 => assert!(s.insert_tx(store, k[0]).unwrap()),
-            1 => assert!(s.insert_tx(store, k[1]).unwrap()),
-            2 => assert!(s.insert_tx(store, k[2]).unwrap()),
-            3 => assert!(s.remove_tx(store, k[1]).unwrap()),
-            4 => assert!(s.insert_tx(store, k[3]).unwrap()),
-            _ => assert!(s.insert_tx(store, k[4]).unwrap()),
-        },
-        |s, ctx| {
-            s.check_invariants()
-                .unwrap_or_else(|e| panic!("[{ctx}] invariants: {e}"));
-            let mut keys = s.keys();
-            keys.sort_unstable();
-            keys
-        },
-    );
+    let _g = M.lock();
+    let mut k = seeded_keys(0xA5A5, 900);
+    k.sort_unstable();
+    let ops = [
+        Insert(k[0]),
+        Insert(k[1]),
+        Insert(k[2]),
+        Remove(k[1]),
+        Insert(k[3]),
+        Insert(k[4]),
+    ];
+    run_repl_cell::<Tx<PHashSet<OffHolder, 32>>>("hashset-offholder", &ops);
+    run_repl_cell::<Tx<PHashSet<Riv, 32>>>("hashset-riv", &ops);
 }
 
 #[test]
 fn repl_matrix_trie() {
-    let _g = lock();
-    for pi in [true, false] {
-        if pi {
-            run_repl_cell(
-                "trie-offholder",
-                |a| PTrie::<OffHolder, 32>::create_rooted(a, "s").unwrap(),
-                |a| PTrie::<OffHolder, 32>::attach(a, "s").unwrap(),
-                |s, st, k| match k {
-                    0 => assert_eq!(s.insert_tx(st, "cat").unwrap(), 1),
-                    1 => assert_eq!(s.insert_tx(st, "car").unwrap(), 1),
-                    2 => assert_eq!(s.insert_tx(st, "cat").unwrap(), 2),
-                    3 => assert!(s.remove_tx(st, "cat").unwrap()),
-                    4 => assert_eq!(s.insert_tx(st, "do").unwrap(), 1),
-                    _ => assert!(s.remove_tx(st, "car").unwrap()),
-                },
-                |s, ctx| {
-                    s.check_invariants()
-                        .unwrap_or_else(|e| panic!("[{ctx}] invariants: {e}"));
-                    vec![
-                        s.count("cat"),
-                        s.count("car"),
-                        s.count("do"),
-                        s.word_count(),
-                    ]
-                },
-            );
-        } else {
-            run_repl_cell(
-                "trie-riv",
-                |a| PTrie::<Riv, 32>::create_rooted(a, "s").unwrap(),
-                |a| PTrie::<Riv, 32>::attach(a, "s").unwrap(),
-                |s, st, k| match k {
-                    0 => assert_eq!(s.insert_tx(st, "cat").unwrap(), 1),
-                    1 => assert_eq!(s.insert_tx(st, "car").unwrap(), 1),
-                    2 => assert_eq!(s.insert_tx(st, "cat").unwrap(), 2),
-                    3 => assert!(s.remove_tx(st, "cat").unwrap()),
-                    4 => assert_eq!(s.insert_tx(st, "do").unwrap(), 1),
-                    _ => assert!(s.remove_tx(st, "car").unwrap()),
-                },
-                |s, ctx| {
-                    s.check_invariants()
-                        .unwrap_or_else(|e| panic!("[{ctx}] invariants: {e}"));
-                    vec![
-                        s.count("cat"),
-                        s.count("car"),
-                        s.count("do"),
-                        s.word_count(),
-                    ]
-                },
-            );
-        }
-    }
+    let _g = M.lock();
+    run_repl_cell::<Tx<PTrie<OffHolder, 32>>>("trie-offholder", &util::TRIE_OPS);
+    run_repl_cell::<Tx<PTrie<Riv, 32>>>("trie-riv", &util::TRIE_OPS);
 }
 
 /// Control: the same replication pipeline under raw volatile pointers.
@@ -399,30 +198,24 @@ fn repl_matrix_trie() {
 /// head value is inspected raw (never dereferenced: it dangles).
 #[test]
 fn repl_volatile_pointer_control_breaks() {
-    let _g = lock();
-    let (dir, keep) = tdir("control-normalptr");
-    let orig = dir.join("orig.nvr");
-    let stream = dir.join("stream.nvd");
-    let img = dir.join("replica.nvr");
-
-    let region = Region::create_file(&orig, REGION_SIZE).unwrap();
+    let _g = M.lock();
+    let cell = M.cell("control-normalptr");
+    let img = cell.path("replica.nvr");
+    let (region, mut s, repl) = replicated::<Tx<PList<NormalPtr, 32>>>(&cell, REGION_SIZE);
     let primary_base = region.base();
-    let store = ObjectStore::format_with_log(&region, LOG_CAP).unwrap();
-    let mut s = PList::<NormalPtr, 32>::create_rooted(NodeArena::transactional(store.clone()), "s")
-        .unwrap();
-    region.sync().unwrap();
-    region.enable_shadow().unwrap();
-    let repl = Replicator::attach(&region, &stream, ReplicatorConfig::default()).unwrap();
     for key in [10, 20, 30] {
-        s.push_front_tx(&store, key).unwrap();
+        s.apply(Insert(key));
     }
-    assert_eq!(s.keys(), vec![30, 20, 10], "primary list is fine in place");
+    assert_eq!(
+        s.s.keys(),
+        vec![30, 20, 10],
+        "primary list is fine in place"
+    );
     drop(s);
-    drop(store);
     region.close().unwrap();
     repl.seal().unwrap();
 
-    let replica = promote_elsewhere(&stream, &img, primary_base);
+    let replica = repl::promote_avoiding(cell.path("stream.nvd"), &img, primary_base).unwrap();
     let rbase = replica.base();
     assert_ne!(rbase, primary_base);
     // The image replicated byte-for-byte...
@@ -444,9 +237,6 @@ fn repl_volatile_pointer_control_breaks() {
         "volatile head {head:#x} still points at the dead primary mapping {primary_base:#x}"
     );
     replica.close().unwrap();
-    if !keep {
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }
 
 /// Crash-composition: a [`FaultPlan`] interrupts the writer mid-delta
@@ -456,29 +246,18 @@ fn repl_volatile_pointer_control_breaks() {
 /// the shipped stream.
 #[test]
 fn repl_crash_mid_capture_is_atomic() {
-    let _g = lock();
-    let (dir, keep) = tdir("crash-composition");
-    let orig = dir.join("orig.nvr");
-    let stream = dir.join("stream.nvd");
-    let img = dir.join("replica.nvr");
-
-    let region = Region::create_file(&orig, REGION_SIZE).unwrap();
-    let store = ObjectStore::format_with_log(&region, LOG_CAP).unwrap();
-    let mut s = PList::<OffHolder, 32>::create_rooted(NodeArena::transactional(store.clone()), "s")
-        .unwrap();
-    region.sync().unwrap();
-    region.enable_shadow().unwrap();
-    let repl = Replicator::attach(&region, &stream, ReplicatorConfig::default()).unwrap();
+    let _g = M.lock();
+    let cell = M.cell("crash-composition");
+    let img = cell.path("replica.nvr");
+    let (region, mut s, repl) = replicated::<Tx<PList<OffHolder, 32>>>(&cell, REGION_SIZE);
     for key in [10, 20, 30] {
-        s.push_front_tx(&store, key).unwrap();
+        s.apply(Insert(key));
     }
     // Arm a crash two events into the next transaction: mid-delta, after
     // some lines of epoch 4 were flushed but before its commit fence.
     shadow::reset_events_for(region.base());
     let plan = FaultPlan::abort_at_nth_event(&region, FaultPolicy::DropUnflushed, 2);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        s.push_front_tx(&store, 40).unwrap();
-    }));
+    let result = catch_unwind(AssertUnwindSafe(|| s.apply(Insert(40))));
     let err = result.expect_err("the fault plan must interrupt the fourth insert");
     let cp = err
         .downcast_ref::<CrashPointReached>()
@@ -486,12 +265,12 @@ fn repl_crash_mid_capture_is_atomic() {
     assert_eq!(cp.event, 2);
     drop(plan);
     drop(s);
-    drop(store);
     // The primary dies: no clean-close capture, stream stays unsealed.
+    let mut prev = region.base();
     region.crash();
     drop(repl);
 
-    let bytes = std::fs::read(&stream).unwrap();
+    let bytes = std::fs::read(cell.path("stream.nvd")).unwrap();
     let (image, report) = repl::apply_stream(&bytes, false).unwrap();
     assert!(!report.sealed, "a crashed primary leaves no seal");
     assert_eq!(
@@ -500,13 +279,10 @@ fn repl_crash_mid_capture_is_atomic() {
     );
     // The replica at epoch 3 recovers to exactly the three-key prefix.
     std::fs::write(&img, &image).unwrap();
-    let replica = Region::open_file(&img).unwrap();
-    let store2 = ObjectStore::attach(&replica).unwrap();
-    let s2 = PList::<OffHolder, 32>::attach(NodeArena::transactional(store2.clone()), "s").unwrap();
-    s2.check_invariants().unwrap();
-    assert_eq!(s2.keys(), vec![30, 20, 10]);
+    let replica = cell.remap(&img, &mut prev).unwrap();
+    let s2 = Tx::<PList<OffHolder, 32>>::attach(&replica);
+    assert_eq!(s2.contents(&[], "epoch-3 replica"), vec![30, 20, 10]);
     drop(s2);
-    drop(store2);
     replica.close().unwrap();
 
     // Byte-truncation sweep over the tail record: every cut inside the
@@ -520,8 +296,49 @@ fn repl_crash_mid_capture_is_atomic() {
         assert_eq!(r.epoch, 2, "cut at {cut} must drop epoch 3 entirely");
         assert!(r.tail_discarded || cut == last.offset);
     }
+}
 
-    if !keep {
-        std::fs::remove_dir_all(&dir).ok();
+/// A delta stream carries tracked, fenced lines — so the allocator
+/// frontier must be one of them. A primary that grew subtrees between
+/// syncs is crashed (no clean-close checkpoint ships the header); the
+/// promoted replica must then keep allocating without carving a new
+/// subtree over the live nodes it inherited.
+#[test]
+fn repl_promoted_replica_of_a_crashed_primary_keeps_allocating() {
+    let _g = M.lock();
+    let cell = M.cell("crashed-primary");
+    type Set = Tx<PHashSet<OffHolder, 32>>;
+    let (region, mut s, repl) = replicated::<Set>(&cell, 4 << 20);
+    let primary_base = region.base();
+    for k in 0..200 {
+        assert_eq!(s.apply(Insert(k)), 1);
     }
+    drop(s);
+    region
+        .crash_with_faults(FaultPolicy::DropUnflushed)
+        .unwrap();
+    repl.seal().unwrap();
+
+    let replica = repl::promote_avoiding(
+        cell.path("stream.nvd"),
+        cell.path("replica.nvr"),
+        primary_base,
+    )
+    .unwrap();
+    let mut s2 = Set::attach(&replica);
+    let ctx = format!("crashed-primary {}", M.tag());
+    assert_eq!(
+        s2.contents(&[], &format!("{ctx} promoted")),
+        (0..200).collect::<Vec<u64>>(),
+        "[{ctx}] every committed insert reached the replica"
+    );
+    for k in 200..400 {
+        assert_eq!(s2.apply(Insert(k)), 1);
+    }
+    assert_eq!(
+        s2.contents(&[], &format!("{ctx} after 200 more inserts on the replica")),
+        (0..400).collect::<Vec<u64>>()
+    );
+    drop(s2);
+    replica.close().unwrap();
 }

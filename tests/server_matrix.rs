@@ -17,81 +17,61 @@
 //!    different base than the mapping before it (position independence
 //!    under fire).
 //!
-//! The shadow tracker and replication registry are process-global, so
-//! every test serializes on `SERIAL`. The workload seed comes from
-//! `SERVER_MATRIX_SEED` (decimal or 0x-hex); set
-//! `SERVER_MATRIX_ARTIFACT_DIR` to keep tenant images and streams of
-//! failing runs for upload.
+//! 4. **A tenant that fails its invariants is not served** — it answers
+//!    `Failed`, is counted, and does not take its shard down with it.
+//!
+//! Seed, replay tag, serial lock and scratch directories come from the
+//! shared [`util::Matrix`] (`MATRIX_SEED`, `MATRIX_ARTIFACT_DIR`): a
+//! failing cell keeps its tenant images and streams (`nvr_inspect server
+//! <dir>` triages a whole cell at once).
 
 use nvm_pi::nvmsim::dlin;
-use nvm_pi::nvserver::{index_word, BatchOp, Status, TenantState};
+use nvm_pi::nvserver::{index_word, BatchOp, Response, Status, TenantState};
 use nvm_pi::pstore::ObjectStore;
 use nvm_pi::{
     History, NodeArena, OpRecord, PHashSet, Priority, Region, ReprKind, Riv, Server, ServerConfig,
     ServerFaultPlan, ServerReport, SetOp, TenantSpec,
 };
 use nvmsim::shadow::FaultPolicy;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 mod util;
 
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    util::serial_guard(&SERIAL)
-}
-
-fn seed() -> u64 {
-    util::env_seed("SERVER_MATRIX_SEED", 0x5EED_5E21)
-}
-
-fn tag() -> String {
-    util::seed_tag("SERVER_MATRIX_SEED", seed())
-}
-
-/// Scratch directory for one cell (kept when the artifact dir is set).
-fn tdir(label: &str) -> (PathBuf, bool) {
-    match std::env::var("SERVER_MATRIX_ARTIFACT_DIR") {
-        Ok(root) => {
-            let d = PathBuf::from(root).join(label);
-            std::fs::create_dir_all(&d).unwrap();
-            (d, true)
-        }
-        Err(_) => {
-            let d =
-                std::env::temp_dir().join(format!("server-matrix-{}-{label}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&d);
-            std::fs::create_dir_all(&d).unwrap();
-            (d, false)
-        }
-    }
-}
-
-fn cleanup(dir: PathBuf, keep: bool) {
-    if !keep {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-}
+static M: util::Matrix = util::Matrix::new("server_matrix", 0x5EED_5E21);
 
 /// A config tuned for tests: tight retry backoff, generous deadline.
-fn test_config(dir: &std::path::Path) -> ServerConfig {
-    let mut cfg = ServerConfig::new(dir.to_path_buf());
+fn test_config(cell: &util::Cell) -> ServerConfig {
+    let mut cfg = ServerConfig::new(cell.dir().to_path_buf());
     cfg.default_deadline = Duration::from_secs(30);
     cfg.retry_backoff = Duration::from_micros(200);
     cfg.retry_backoff_max = Duration::from_millis(2);
     cfg
 }
 
-/// Records an acked mutation for the dlin check.
-fn acked(op: SetOp, key: u64, applied: bool, stamp: u64) -> OpRecord {
+/// One tenant of each pointer representation: ids 0, 1, 2.
+fn one_of_each_repr() -> Vec<TenantSpec> {
+    vec![
+        TenantSpec::new(0, ReprKind::OffHolder),
+        TenantSpec::new(1, ReprKind::Riv),
+        TenantSpec::new(2, ReprKind::FatCached),
+    ]
+}
+
+fn sorted(keys: &[u64]) -> Vec<u64> {
+    let mut keys = keys.to_vec();
+    keys.sort_unstable();
+    keys
+}
+
+/// Records the mutation `r` acked `Ok` for the dlin check.
+fn acked(op: SetOp, key: u64, r: &Response) -> OpRecord {
     OpRecord {
         thread: 0,
         op,
         key,
-        result: Some(applied),
-        stamp,
+        result: Some(r.found.expect("an acked write reports whether it applied")),
+        stamp: r.stamp,
         // Acked before the (end-of-time) crash event: Required.
         invoke_event: 0,
         durable_event: 0,
@@ -109,7 +89,7 @@ fn check_tenant_history(label: &str, ops: Vec<OpRecord>, recovered: &[u64]) {
     assert!(
         report.ok(),
         "[{label} {}] acked history not explained by recovered keys: {:?}",
-        tag(),
+        M.tag(),
         report.violations
     );
 }
@@ -121,7 +101,7 @@ fn assert_consecutive_bases_differ(label: &str, report: &ServerReport, tenant: u
             w[0],
             w[1],
             "[{label} {}] tenant {tenant} reopened at the same base {:#x}",
-            tag(),
+            M.tag(),
             w[0]
         );
     }
@@ -131,14 +111,10 @@ fn assert_consecutive_bases_differ(label: &str, report: &ServerReport, tenant: u
 
 #[test]
 fn serves_all_reprs_through_the_codec() {
-    let _g = lock();
-    let (dir, keep) = tdir("serve-basic");
-    let tenants = vec![
-        TenantSpec::new(0, ReprKind::OffHolder),
-        TenantSpec::new(1, ReprKind::Riv),
-        TenantSpec::new(2, ReprKind::FatCached),
-    ];
-    let server = Server::start(test_config(&dir), tenants, ServerFaultPlan::none()).unwrap();
+    let _g = M.lock();
+    let cell = M.cell("serve-basic");
+    let plan = ServerFaultPlan::none();
+    let server = Server::start(test_config(&cell), one_of_each_repr(), plan).unwrap();
     let client = server.client();
     for t in 0..3u32 {
         for k in 0..8u64 {
@@ -152,23 +128,8 @@ fn serves_all_reprs_through_the_codec() {
         assert_eq!(client.get(t, 0).found, Some(false));
         assert_eq!(client.get(t, 1).found, Some(true));
         // Batch: one frame, three transactions, three stamps.
-        let r = client.batch(
-            t,
-            vec![
-                BatchOp {
-                    put: true,
-                    key: 100,
-                },
-                BatchOp {
-                    put: true,
-                    key: 100,
-                },
-                BatchOp {
-                    put: false,
-                    key: 100,
-                },
-            ],
-        );
+        let ops = [true, true, false].map(|put| BatchOp { put, key: 100 });
+        let r = client.batch(t, ops.to_vec());
         assert_eq!(r.status, Status::Ok, "{r:?}");
         let applied: Vec<bool> = r.batch.iter().map(|b| b.applied).collect();
         assert_eq!(applied, vec![true, false, true]);
@@ -179,24 +140,21 @@ fn serves_all_reprs_through_the_codec() {
     let report = server.shutdown();
     for t in 0..3u32 {
         let tr = report.tenant(t).unwrap();
-        let mut keys = tr.keys.clone();
-        keys.sort_unstable();
-        assert_eq!(keys, vec![1, 2, 3, 4, 5, 6, 7], "tenant {t} final keys");
+        assert_eq!(
+            sorted(&tr.keys),
+            vec![1, 2, 3, 4, 5, 6, 7],
+            "tenant {t} final keys"
+        );
         assert_eq!(tr.snapshot.invariant_failures, 0);
     }
-    cleanup(dir, keep);
 }
 
 #[test]
 fn prefix_queries_survive_eviction_and_remap() {
-    let _g = lock();
-    let (dir, keep) = tdir("prefix-query");
-    let tenants = vec![
-        TenantSpec::new(0, ReprKind::OffHolder),
-        TenantSpec::new(1, ReprKind::Riv),
-        TenantSpec::new(2, ReprKind::FatCached),
-    ];
-    let server = Server::start(test_config(&dir), tenants, ServerFaultPlan::none()).unwrap();
+    let _g = M.lock();
+    let cell = M.cell("prefix-query");
+    let plan = ServerFaultPlan::none();
+    let server = Server::start(test_config(&cell), one_of_each_repr(), plan).unwrap();
     let client = server.client();
     // Keys 0..26 share the 13-char all-'a' head of their index words;
     // 30 and 700 branch off earlier, so they match "" but not the head.
@@ -250,16 +208,15 @@ fn prefix_queries_survive_eviction_and_remap() {
         assert!(tr.snapshot.remaps >= 1, "tenant {t} never remapped");
         assert_consecutive_bases_differ("prefix-query", &report, t);
     }
-    cleanup(dir, keep);
 }
 
 // -- admission control and deadlines ------------------------------------------
 
 #[test]
 fn admission_sheds_lowest_priority_past_high_water() {
-    let _g = lock();
-    let (dir, keep) = tdir("admission");
-    let mut cfg = test_config(&dir);
+    let _g = M.lock();
+    let cell = M.cell("admission");
+    let mut cfg = test_config(&cell);
     cfg.shards = 1;
     cfg.queue_depth = 2;
     let plan = ServerFaultPlan::none();
@@ -268,13 +225,9 @@ fn admission_sheds_lowest_priority_past_high_water() {
     plan.stall_shard(0, 1, Duration::from_millis(800));
     let server = Server::start(cfg, vec![TenantSpec::new(0, ReprKind::OffHolder)], plan).unwrap();
 
-    let handle = server.handle();
     let first = {
-        let h = handle.clone();
-        std::thread::spawn(move || {
-            let c = nvm_pi::Client::new(Arc::new(h));
-            c.put(0, 1)
-        })
+        let c = server.client();
+        std::thread::spawn(move || c.put(0, 1))
     };
     // Wait for the worker to be inside the stall (its dequeue counter
     // moves before the sleep).
@@ -284,21 +237,15 @@ fn admission_sheds_lowest_priority_past_high_water() {
     // rejected at the gate.
     let mut lows = Vec::new();
     for k in 0..4u64 {
-        let h = handle.clone();
-        lows.push(std::thread::spawn(move || {
-            let c = nvm_pi::Client::new(Arc::new(h)).with_priority(Priority::Low);
-            c.put(0, 10 + k)
-        }));
+        let c = server.client().with_priority(Priority::Low);
+        lows.push(std::thread::spawn(move || c.put(0, 10 + k)));
     }
     std::thread::sleep(Duration::from_millis(200));
     // A high-priority arrival past the high-water mark sheds a queued
     // low instead of being rejected.
     let high = {
-        let h = handle.clone();
-        std::thread::spawn(move || {
-            let c = nvm_pi::Client::new(Arc::new(h)).with_priority(Priority::High);
-            c.put(0, 99)
-        })
+        let c = server.client().with_priority(Priority::High);
+        std::thread::spawn(move || c.put(0, 99))
     };
 
     assert_eq!(first.join().unwrap().status, Status::Ok);
@@ -317,28 +264,25 @@ fn admission_sheds_lowest_priority_past_high_water() {
     let report = server.shutdown();
     let snap = report.tenant(0).unwrap().snapshot;
     assert_eq!(snap.overloaded, 3, "{snap:?}");
-    cleanup(dir, keep);
 }
 
 #[test]
 fn deadlines_expire_behind_a_stalled_shard() {
-    let _g = lock();
-    let (dir, keep) = tdir("deadline");
-    let mut cfg = test_config(&dir);
+    let _g = M.lock();
+    let cell = M.cell("deadline");
+    let mut cfg = test_config(&cell);
     cfg.shards = 1;
     let plan = ServerFaultPlan::none();
     plan.stall_shard(0, 1, Duration::from_millis(500));
     let server = Server::start(cfg, vec![TenantSpec::new(0, ReprKind::Riv)], plan).unwrap();
-    let handle = server.handle();
     let warm = {
-        let h = handle.clone();
-        std::thread::spawn(move || nvm_pi::Client::new(Arc::new(h)).put(0, 1))
+        let c = server.client();
+        std::thread::spawn(move || c.put(0, 1))
     };
     std::thread::sleep(Duration::from_millis(100));
     // Queued behind the stall with a 100 ms deadline: must expire to a
     // terminal response, not wait out the stall.
-    let short =
-        nvm_pi::Client::new(Arc::new(handle.clone())).with_deadline(Duration::from_millis(100));
+    let short = server.client().with_deadline(Duration::from_millis(100));
     let r = short.put(0, 2);
     assert_eq!(r.status, Status::DeadlineExceeded, "{r:?}");
     assert_eq!(warm.join().unwrap().status, Status::Ok);
@@ -347,18 +291,17 @@ fn deadlines_expire_behind_a_stalled_shard() {
     assert_eq!(c.get(0, 2).found, Some(false));
     let report = server.shutdown();
     assert_eq!(report.tenant(0).unwrap().snapshot.deadline_exceeded, 1);
-    cleanup(dir, keep);
 }
 
 // -- transient faults and retry ----------------------------------------------
 
 #[test]
 fn transient_faults_retry_with_capped_backoff() {
-    let _g = lock();
-    let (dir, keep) = tdir("transient");
+    let _g = M.lock();
+    let cell = M.cell("transient");
     let plan = ServerFaultPlan::none();
     let server = Server::start(
-        test_config(&dir),
+        test_config(&cell),
         vec![TenantSpec::new(0, ReprKind::OffHolder)],
         plan.clone(),
     )
@@ -389,22 +332,21 @@ fn transient_faults_retry_with_capped_backoff() {
     let snap = report.tenant(0).unwrap().snapshot;
     assert_eq!(snap.retries, 2 + 3, "{snap:?}");
     assert_eq!(snap.failed, 1);
-    cleanup(dir, keep);
 }
 
 // -- crash + recover in place -------------------------------------------------
 
 #[test]
 fn acked_commits_survive_crash_and_remapped_reopen() {
-    let _g = lock();
-    let (dir, keep) = tdir("crash-reopen");
-    let s = seed();
+    let _g = M.lock();
+    let cell = M.cell("crash-reopen");
+    let s = M.seed();
     let plan = ServerFaultPlan::none();
     // Two crashes mid-run: a torn-word image and a dropped-line image.
     plan.crash_tenant(0, 12, FaultPolicy::TearWords { seed: s }, false);
     plan.crash_tenant(0, 24, FaultPolicy::DropUnflushed, false);
     let server = Server::start(
-        test_config(&dir),
+        test_config(&cell),
         vec![TenantSpec::new(0, ReprKind::Riv).crashable()],
         plan,
     )
@@ -422,9 +364,14 @@ fn acked_commits_survive_crash_and_remapped_reopen() {
         } else {
             client.delete(0, key)
         };
-        assert_eq!(r.status, Status::Ok, "[{}] every write acks: {r:?}", tag());
+        assert_eq!(
+            r.status,
+            Status::Ok,
+            "[{}] every write acks: {r:?}",
+            M.tag()
+        );
         let op = if put { SetOp::Insert } else { SetOp::Remove };
-        history.push(acked(op, key, r.found.unwrap(), r.stamp));
+        history.push(acked(op, key, &r));
     }
     let report = server.shutdown();
     let tr = report.tenant(0).unwrap();
@@ -440,30 +387,29 @@ fn acked_commits_survive_crash_and_remapped_reopen() {
 
     // The closed image is independently attachable and agrees with the
     // report (offline audit of the same bytes a failure would upload).
-    let region = Region::open_file(dir.join("tenant-0.nvr")).unwrap();
+    let region = Region::open_file(cell.path("tenant-0.nvr")).unwrap();
     let store = ObjectStore::attach(&region).unwrap();
     let set: PHashSet<Riv, 32> =
         PHashSet::attach(NodeArena::transactional(store.clone()), "srv.set").unwrap();
-    let mut disk_keys = set.keys();
-    disk_keys.sort_unstable();
-    let mut report_keys = tr.keys.clone();
-    report_keys.sort_unstable();
-    assert_eq!(disk_keys, report_keys, "on-disk set == reported set");
+    assert_eq!(
+        sorted(&set.keys()),
+        sorted(&tr.keys),
+        "on-disk set == reported set"
+    );
     set.check_invariants().unwrap();
     drop(set);
     drop(store);
     region.close().unwrap();
-    cleanup(dir, keep);
 }
 
 // -- failover -----------------------------------------------------------------
 
 #[test]
 fn failover_promotes_replica_and_walks_the_ladder() {
-    let _g = lock();
-    let (dir, keep) = tdir("failover");
+    let _g = M.lock();
+    let cell = M.cell("failover");
     let plan = ServerFaultPlan::none();
-    let mut cfg = test_config(&dir);
+    let mut cfg = test_config(&cell);
     cfg.degraded_window = 1000; // heal explicitly, not by window
     let server = Server::start(
         cfg,
@@ -476,11 +422,11 @@ fn failover_promotes_replica_and_walks_the_ladder() {
     for k in 0..10u64 {
         let r = client.put(0, k);
         assert_eq!(r.status, Status::Ok, "{r:?}");
-        history.push(acked(SetOp::Insert, k, r.found.unwrap(), r.stamp));
+        history.push(acked(SetOp::Insert, k, &r));
     }
     // The 11th write crashes the primary; the server promotes the
     // replica and answers Degraded — the write is NOT acked.
-    plan.crash_tenant(0, 11, FaultPolicy::TearWords { seed: seed() }, true);
+    plan.crash_tenant(0, 11, FaultPolicy::TearWords { seed: M.seed() }, true);
     let r = client.put(0, 100);
     assert_eq!(r.status, Status::Degraded, "{r:?}");
     assert_eq!(r.stamp, 0, "refused write carries no stamp");
@@ -493,7 +439,7 @@ fn failover_promotes_replica_and_walks_the_ladder() {
             (g.status, g.found),
             (Status::Ok, Some(true)),
             "[{}] acked key {k} after failover: {g:?}",
-            tag()
+            M.tag()
         );
     }
     assert_eq!(
@@ -507,7 +453,7 @@ fn failover_promotes_replica_and_walks_the_ladder() {
     assert_eq!(client.heal(0).status, Status::Ok);
     let r = client.put(0, 200);
     assert_eq!(r.status, Status::Ok, "post-heal write: {r:?}");
-    history.push(acked(SetOp::Insert, 200, r.found.unwrap(), r.stamp));
+    history.push(acked(SetOp::Insert, 200, &r));
 
     let report = server.shutdown();
     let tr = report.tenant(0).unwrap();
@@ -520,15 +466,14 @@ fn failover_promotes_replica_and_walks_the_ladder() {
     assert!(tr.bases.len() >= 2, "promotion remapped: {:?}", tr.bases);
     assert_consecutive_bases_differ("failover", &report, 0);
     check_tenant_history("failover", history, &tr.keys);
-    cleanup(dir, keep);
 }
 
 #[test]
 fn dead_sink_walks_repl_lost_ladder() {
-    let _g = lock();
-    let (dir, keep) = tdir("dead-sink");
+    let _g = M.lock();
+    let cell = M.cell("dead-sink");
     let plan = ServerFaultPlan::none();
-    let mut cfg = test_config(&dir);
+    let mut cfg = test_config(&cell);
     cfg.degraded_window = 1000;
     let server = Server::start(
         cfg,
@@ -552,7 +497,7 @@ fn dead_sink_walks_repl_lost_ladder() {
                 degraded_seen = true;
                 break;
             }
-            s => panic!("[{}] unexpected status {s:?}", tag()),
+            s => panic!("[{}] unexpected status {s:?}", M.tag()),
         }
     }
     assert!(degraded_seen, "permanent sink failure must degrade writes");
@@ -568,16 +513,15 @@ fn dead_sink_walks_repl_lost_ladder() {
     assert!(snap.repl_lost >= 1, "{snap:?}");
     assert!(snap.heals >= 1, "{snap:?}");
     assert_eq!(snap.invariant_failures, 0);
-    cleanup(dir, keep);
 }
 
 // -- eviction-remap under concurrent traffic (PR 4 regression net) -----------
 
 #[test]
 fn eviction_remap_under_concurrent_traffic() {
-    let _g = lock();
-    let (dir, keep) = tdir("evict-live");
-    let mut cfg = test_config(&dir);
+    let _g = M.lock();
+    let cell = M.cell("evict-live");
+    let mut cfg = test_config(&cell);
     cfg.shards = 1;
     // FatCached is the representation with the PR 4 stale-base bug
     // class: its lookup cache must rebind on every remapped reopen.
@@ -587,14 +531,12 @@ fn eviction_remap_under_concurrent_traffic() {
         ServerFaultPlan::none(),
     )
     .unwrap();
-    let handle = server.handle();
     const THREADS: u64 = 4;
     const KEYS: u64 = 40;
     let workers: Vec<_> = (0..THREADS)
         .map(|t| {
-            let h = handle.clone();
+            let c = server.client();
             std::thread::spawn(move || {
-                let c = nvm_pi::Client::new(Arc::new(h));
                 for j in 0..KEYS {
                     // Pace the traffic so the evictor genuinely
                     // interleaves with it.
@@ -622,9 +564,8 @@ fn eviction_remap_under_concurrent_traffic() {
         .collect();
     // Meanwhile: keep evicting the tenant out from under the traffic.
     let evictor = {
-        let h = handle.clone();
+        let c = server.client();
         std::thread::spawn(move || {
-            let c = nvm_pi::Client::new(Arc::new(h));
             let mut forced = 0;
             for _ in 0..8 {
                 std::thread::sleep(Duration::from_millis(4));
@@ -651,7 +592,7 @@ fn eviction_remap_under_concurrent_traffic() {
     assert!(
         tr.snapshot.remaps >= 1 && tr.bases.len() >= 2,
         "[{}] traffic must have reopened the tenant remapped: {:?} bases {:?}",
-        tag(),
+        M.tag(),
         tr.snapshot,
         tr.bases
     );
@@ -661,16 +602,15 @@ fn eviction_remap_under_concurrent_traffic() {
         THREADS * KEYS,
         "every acked put present at close"
     );
-    cleanup(dir, keep);
 }
 
 // -- LRU pressure -------------------------------------------------------------
 
 #[test]
 fn lru_pressure_evicts_and_remaps_cold_tenants() {
-    let _g = lock();
-    let (dir, keep) = tdir("lru");
-    let mut cfg = test_config(&dir);
+    let _g = M.lock();
+    let cell = M.cell("lru");
+    let mut cfg = test_config(&cell);
     cfg.shards = 1;
     cfg.max_open_per_shard = 2;
     let tenants = (0..4u32)
@@ -701,11 +641,64 @@ fn lru_pressure_evicts_and_remaps_cold_tenants() {
     assert!(total_remaps >= 4, "evicted tenants reopened remapped");
     for t in &report.tenants {
         assert_eq!(t.snapshot.invariant_failures, 0);
-        let mut keys = t.keys.clone();
-        keys.sort_unstable();
-        assert_eq!(keys, vec![0, 1, 2], "tenant {} keys", t.id);
+        assert_eq!(sorted(&t.keys), vec![0, 1, 2], "tenant {} keys", t.id);
     }
-    cleanup(dir, keep);
+}
+
+// -- a tenant that fails its invariants ---------------------------------------
+
+/// Out-of-band damage no checksum covers — the set header's `len` word
+/// disagreeing with its chains — is caught by the invariant check at
+/// reopen. The tenant must then not stay open: requests answer `Failed`,
+/// the failure is counted, a neighbour on the same shard keeps serving,
+/// and shutdown reports the tenant without walking its set.
+#[test]
+fn tenant_failing_invariants_is_refused_not_served() {
+    let _g = M.lock();
+    let cell = M.cell("bad-tenant");
+    let mut cfg = test_config(&cell);
+    cfg.shards = 1;
+    let tenants = vec![
+        TenantSpec::new(0, ReprKind::OffHolder),
+        TenantSpec::new(1, ReprKind::Riv),
+    ];
+    let server = Server::start(cfg, tenants, ServerFaultPlan::none()).unwrap();
+    let client = server.client();
+    for t in 0..2u32 {
+        for k in 0..4u64 {
+            assert_eq!(client.put(t, k).status, Status::Ok);
+        }
+    }
+    assert_eq!(client.evict(0).status, Status::Ok);
+    {
+        let region = Region::open_file(cell.path("tenant-0.nvr")).unwrap();
+        let header = region.root("srv.set").expect("the tenant's set root");
+        // SAFETY: the root is the set header; `len` is its third word.
+        unsafe { *((header + 16) as *mut u64) += 1 };
+        region.close().unwrap();
+    }
+    let r = client.get(0, 1);
+    assert_eq!(
+        r.status,
+        Status::Failed,
+        "[{}] a tenant that failed its invariants must not be served: {r:?}",
+        M.tag()
+    );
+    assert_eq!(client.put(0, 9).status, Status::Failed);
+    let g = client.get(1, 1);
+    assert_eq!(
+        (g.status, g.found),
+        (Status::Ok, Some(true)),
+        "the neighbour tenant keeps serving: {g:?}"
+    );
+
+    let report = server.shutdown();
+    let bad = report.tenant(0).unwrap();
+    assert!(bad.snapshot.invariant_failures >= 1, "{:?}", bad.snapshot);
+    assert!(bad.keys.is_empty(), "a failed tenant reports no keys");
+    let good = report.tenant(1).unwrap();
+    assert_eq!(good.snapshot.invariant_failures, 0);
+    assert_eq!(sorted(&good.keys), vec![0, 1, 2, 3]);
 }
 
 // -- the full chaos sweep -----------------------------------------------------
@@ -714,9 +707,9 @@ fn lru_pressure_evicts_and_remaps_cold_tenants() {
 /// 3 client threads of seeded traffic. Returns nothing; asserts
 /// everything.
 fn chaos_round(label: &str, s: u64) {
-    let (dir, keep) = tdir(label);
+    let cell = M.cell(label);
     let plan = ServerFaultPlan::none();
-    let mut cfg = test_config(&dir);
+    let mut cfg = test_config(&cell);
     cfg.shards = 2;
     cfg.degraded_window = 12;
     let tenants = vec![
@@ -736,18 +729,16 @@ fn chaos_round(label: &str, s: u64) {
     plan.crash_tenant(5, 11, FaultPolicy::DropUnflushed, false);
     plan.crash_tenant(3, 6, FaultPolicy::TearWords { seed: s ^ 0xABCD }, true);
     let server = Server::start(cfg, tenants, plan.clone()).unwrap();
-    let handle = server.handle();
 
     let histories: Arc<Mutex<Vec<Vec<OpRecord>>>> = Arc::new(Mutex::new(vec![Vec::new(); 6]));
     let status_tally = Arc::new(Mutex::new(std::collections::HashMap::new()));
     let threads: Vec<_> = (0..3u64)
         .map(|tid| {
-            let h = handle.clone();
+            let c = server.client();
             let histories = histories.clone();
             let tally = status_tally.clone();
             let plan = plan.clone();
             std::thread::spawn(move || {
-                let c = nvm_pi::Client::new(Arc::new(h));
                 let mut rng = s ^ (tid.wrapping_mul(0x9E37_79B9));
                 for step in 0..40u64 {
                     let v = util::splitmix64(rng);
@@ -776,8 +767,8 @@ fn chaos_round(label: &str, s: u64) {
                                 | Status::DeadlineExceeded
                                 | Status::Degraded
                         ),
-                        "[{}] tenant {tenant} step {step}: {r:?}",
-                        util::seed_tag("SERVER_MATRIX_SEED", s)
+                        "[{} round seed {s:#x}] tenant {tenant} step {step}: {r:?}",
+                        M.tag()
                     );
                     *tally.lock().unwrap().entry(r.status.name()).or_insert(0u64) += 1;
                     // Invariant 2 bookkeeping: acked mutations only.
@@ -787,12 +778,7 @@ fn chaos_round(label: &str, s: u64) {
                         } else {
                             SetOp::Remove
                         };
-                        histories.lock().unwrap()[tenant as usize].push(acked(
-                            op,
-                            key,
-                            r.found.unwrap(),
-                            r.stamp,
-                        ));
+                        histories.lock().unwrap()[tenant as usize].push(acked(op, key, &r));
                     }
                 }
             })
@@ -806,7 +792,7 @@ fn chaos_round(label: &str, s: u64) {
     // fault fires. Acked writes join the history; the failover tenant's
     // triggering write is refused (`Degraded`) and is not recorded.
     {
-        let c = nvm_pi::Client::new(Arc::new(handle.clone()));
+        let c = server.client();
         for (tenant, key_base) in [(2u32, 300u64), (5, 400), (3, 500)] {
             let m = server.handle().tenant_metrics(tenant).unwrap();
             let mut i = 0u64;
@@ -817,8 +803,7 @@ fn chaos_round(label: &str, s: u64) {
                     Status::Ok => histories.lock().unwrap()[tenant as usize].push(acked(
                         SetOp::Insert,
                         key_base + i,
-                        r.found.unwrap(),
-                        r.stamp,
+                        &r,
                     )),
                     Status::Degraded => {}
                     s => panic!("[{label}] crash tail tenant {tenant}: unexpected {s:?}"),
@@ -832,18 +817,13 @@ fn chaos_round(label: &str, s: u64) {
     // replication failure and the ladder answers `Degraded`. Acked tail
     // writes join the history like any other.
     {
-        let c = nvm_pi::Client::new(Arc::new(handle.clone()));
+        let c = server.client();
         let mut noticed = false;
         for i in 0..60u64 {
             let r = c.put(4, 200 + i);
             match r.status {
                 Status::Ok => {
-                    histories.lock().unwrap()[4].push(acked(
-                        SetOp::Insert,
-                        200 + i,
-                        r.found.unwrap(),
-                        r.stamp,
-                    ));
+                    histories.lock().unwrap()[4].push(acked(SetOp::Insert, 200 + i, &r));
                     std::thread::sleep(Duration::from_millis(5));
                 }
                 Status::Degraded => {
@@ -892,13 +872,12 @@ fn chaos_round(label: &str, s: u64) {
         check_tenant_history(label, ops, &tr.keys);
         assert_consecutive_bases_differ(label, &report, tenant as u32);
     }
-    cleanup(dir, keep);
 }
 
 #[test]
 fn chaos_matrix_sweep() {
-    let _g = lock();
-    let s = seed();
+    let _g = M.lock();
+    let s = M.seed();
     chaos_round("chaos-a", s);
     chaos_round("chaos-b", util::splitmix64(s));
 }

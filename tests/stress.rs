@@ -7,22 +7,16 @@ mod util;
 use nvm_pi::pi_core::{FatPtr, PtrRepr};
 use nvm_pi::{NvSpace, Region};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// A per-process scratch path for a file-backed test region.
-fn image_path(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("nvmsim-stress-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+use std::sync::Arc;
 
 // These tests contend on the shared segment pool (one even exhausts it);
-// serialize them so they cannot starve each other.
-static SERIAL: Mutex<()> = Mutex::new(());
+// `M.lock()` serializes them so they cannot starve each other, and
+// `M.cell(..)` is the scratch directory of a file-backed one.
+static M: util::Matrix = util::Matrix::new("stress", 0x5EED);
 
 #[test]
 fn segment_churn_open_close_many_rounds() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = M.lock();
     // Repeatedly open and close batches of regions; the segment pool and
     // both lookup tables must stay consistent throughout.
     for round in 0..10 {
@@ -45,7 +39,7 @@ fn segment_churn_open_close_many_rounds() {
 
 #[test]
 fn many_segments_can_be_held_simultaneously() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = M.lock();
     // Grab a healthy number of segments at once (leaving headroom for the
     // other tests running in this process).
     let regions: Vec<Region> = (0..64).map(|_| Region::create(1 << 20).unwrap()).collect();
@@ -64,7 +58,7 @@ fn many_segments_can_be_held_simultaneously() {
 
 #[test]
 fn fat_lookups_race_region_lifecycles_safely() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = M.lock();
     // Readers hammer fat-pointer lookups while a writer opens and closes
     // regions. Lookups may miss (region closed) but must never return a
     // stale base for a *live* pointer created after open.
@@ -105,7 +99,7 @@ fn fat_lookups_race_region_lifecycles_safely() {
 
 #[test]
 fn parallel_allocations_in_one_region_do_not_overlap() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = M.lock();
     let region = Region::create(16 << 20).unwrap();
     let handles: Vec<_> = (0..4)
         .map(|t| {
@@ -142,7 +136,7 @@ fn parallel_allocations_in_one_region_do_not_overlap() {
 
 #[test]
 fn concurrent_churn_conserves_alloc_stats_and_never_double_serves() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = M.lock();
     // Four threads churn alloc/free cycles on one shared region across a
     // mix of size classes. Every live block is stamped with a unique tag;
     // if two threads were ever handed the same block (a double-serve from
@@ -217,9 +211,10 @@ fn concurrent_churn_conserves_alloc_stats_and_never_double_serves() {
 
 #[test]
 fn crash_on_the_free_list_path_strands_nothing_and_recovers() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = M.lock();
     const THREADS: usize = 4;
-    let path = image_path("listcrash.nvr");
+    let cell = M.cell("listcrash");
+    let path = cell.path("listcrash.nvr");
     {
         let region = Region::create_file(&path, 32 << 20).unwrap();
         // The default lock-free bitmap path leaks zero blocks at a crash
@@ -254,15 +249,15 @@ fn crash_on_the_free_list_path_strands_nothing_and_recovers() {
     let region = Region::open_file(&path).unwrap();
     assert!(!region.was_dirty(), "clean close after recovery");
     region.close().unwrap();
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn mode_switch_mid_run_routes_every_free_home() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = M.lock();
     const N: usize = 300;
     const SIZES: [usize; 4] = [16, 64, 256, 1024];
-    let path = image_path("modeswitch.nvr");
+    let cell = M.cell("modeswitch");
+    let path = cell.path("modeswitch.nvr");
     let region = Region::create_file(&path, 8 << 20).unwrap();
     assert!(region.lockfree_enabled());
     let mut blocks: Vec<(std::ptr::NonNull<u8>, usize)> = Vec::new();
@@ -279,7 +274,7 @@ fn mode_switch_mid_run_routes_every_free_home() {
     assert_eq!(s.alloc_calls, 2 * N as u64);
     // Free everything in shuffled order, flipping the switch as we go:
     // each block must find its own allocator whatever the mode says.
-    let mut rng = 0x5EED_u64;
+    let mut rng = M.seed();
     for i in (1..blocks.len()).rev() {
         rng = util::splitmix64(rng);
         blocks.swap(i, (rng as usize) % (i + 1));
@@ -303,12 +298,11 @@ fn mode_switch_mid_run_routes_every_free_home() {
     assert_eq!(s.live_allocs, 0);
     assert_eq!(s.live_bytes, 0);
     region.close().unwrap();
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn fault_injected_crash_never_double_serves_blocks() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = M.lock();
     for lockfree in [true, false] {
         fault_injected_crash_never_double_serves(lockfree);
     }
@@ -319,7 +313,8 @@ fn fault_injected_crash_never_double_serves(lockfree: bool) {
     const THREADS: usize = 4;
     const SIGNED: usize = 200;
     const BLOCK: usize = 64;
-    let path = image_path("faultcrash.nvr");
+    let cell = M.cell("faultcrash");
+    let path = cell.path("faultcrash.nvr");
     let mut signed_offs: Vec<u64> = Vec::new();
     let report;
     {
@@ -410,12 +405,11 @@ fn fault_injected_crash_never_double_serves(lockfree: bool) {
     let region = Region::open_file(&path).unwrap();
     assert!(!region.was_dirty(), "clean close after faulted recovery");
     region.close().unwrap();
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn region_out_of_chunk_runs_reports_cleanly() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = M.lock();
     // Blanket the data area in huge virtually-reserved regions (1 GiB of
     // capacity each, only 1 MiB committed): contiguous-run exhaustion
     // must surface as NoFreeSegment, small regions must still fit in the
