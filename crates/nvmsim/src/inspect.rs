@@ -60,8 +60,8 @@ pub struct ImageReport {
     /// The fault stamp of the last injected crash, if the image carries
     /// one (see [`crate::shadow`]).
     pub fault: Option<FaultStamp>,
-    /// Undo-log state (via the `"pstore.meta"` root; format in
-    /// [`crate::undolog`]), if the image holds a `pstore` store.
+    /// Undo-log state (via the [`crate::undolog::STORE_ROOT`] root;
+    /// format in [`crate::undolog`]), if the image holds a `pstore` store.
     pub log: Option<LogSummary>,
 }
 

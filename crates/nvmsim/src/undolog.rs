@@ -1,11 +1,15 @@
-//! On-media format of the `pstore` undo log, and the one walk over it.
+//! On-media format of a `pstore` store — its metadata block and its undo
+//! log — and the one decoder of each.
 //!
-//! `pstore::log` writes this format and recovers through [`scan`];
-//! [`crate::verify`] and [`crate::inspect`] read images through the same
-//! walk ([`scan_image`]) and report its one summary ([`LogSummary`]), so
-//! the format lives here, below all three.
+//! `pstore` writes both formats; it attaches through [`StoreMeta::decode`]
+//! and recovers through [`scan`]. [`crate::verify`] and [`crate::inspect`]
+//! read images through the same decoder and the same walk
+//! ([`scan_image`]) and report its one summary ([`LogSummary`]), so the
+//! formats live here, below all three.
 //!
 //! ```text
+//! root "pstore.meta" → { magic "PSTOREV3", log_off, log_cap }   3 × u64
+//!
 //! log area  [log_off, log_off + log_cap)
 //! +------------+-------+---------------------------------------+
 //! | generation | (pad) | entry | entry | entry | ...           |
@@ -31,29 +35,73 @@
 use crate::crc::crc64_update;
 use crate::read_u64;
 
-/// The `pstore` store magic. `PSTOREV2`: the v1 log kept a persistent
-/// `used` word where the generation now lives, so a v1 image must read as
-/// not formatted rather than be misparsed.
-pub const STORE_MAGIC: u64 = u64::from_le_bytes(*b"PSTOREV2");
-/// Size of the store metadata block (magic, object list, log geometry).
-const STORE_META_SIZE: u64 = 40;
+/// The `pstore` store magic. `PSTOREV3`: a v1 log kept a persistent
+/// `used` word where the generation now lives, and a v2 block kept two
+/// object-list words where the log geometry now lives, so either image
+/// must read as not formatted rather than be misparsed.
+pub const STORE_MAGIC: u64 = u64::from_le_bytes(*b"PSTOREV3");
+/// The region root naming a store's metadata block.
+pub const STORE_ROOT: &str = "pstore.meta";
 /// Byte overhead of the log-area header (`generation` + padding).
 pub const LOG_HEADER_SIZE: u64 = 16;
 /// Byte overhead of one entry's header (`off`, `len`, `crc64`,
 /// `generation`).
 pub const ENTRY_HEADER_SIZE: u64 = 32;
 
-/// `(log_off, log_cap)` from the store metadata block at `meta_off` of a
-/// region image, or `None` when the block is out of bounds or does not
-/// carry [`STORE_MAGIC`]. The pair is *not* validated against the image.
-fn locate(image: &[u8], meta_off: u64) -> Option<(u64, u64)> {
-    let end = meta_off.checked_add(STORE_META_SIZE)?;
-    if end > image.len() as u64 {
-        return None;
+/// The store metadata block [`STORE_ROOT`] points at, as `pstore` writes
+/// it: three little-endian words.
+#[repr(C)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreMeta {
+    /// [`STORE_MAGIC`] in a store of this format.
+    pub magic: u64,
+    /// Region offset of the undo-log area.
+    pub log_off: u64,
+    /// Capacity of the undo-log area in bytes.
+    pub log_cap: u64,
+}
+
+impl StoreMeta {
+    /// Bytes the block occupies.
+    pub const SIZE: u64 = std::mem::size_of::<StoreMeta>() as u64;
+
+    /// The block of a store whose log area is `[log_off, log_off + log_cap)`.
+    pub fn new(log_off: u64, log_cap: u64) -> StoreMeta {
+        StoreMeta {
+            magic: STORE_MAGIC,
+            log_off,
+            log_cap,
+        }
     }
-    let meta = meta_off as usize;
-    (read_u64(image, meta) == STORE_MAGIC)
-        .then(|| (read_u64(image, meta + 24), read_u64(image, meta + 32)))
+
+    /// The block at `meta_off` of a region image, or `None` when it does
+    /// not lie inside `[data_start, image.len())`. Nothing it holds is
+    /// validated: the caller checks `magic` before trusting the rest, and
+    /// the log geometry with [`StoreMeta::log_in_bounds`].
+    pub fn decode(image: &[u8], meta_off: u64, data_start: u64) -> Option<StoreMeta> {
+        let end = meta_off.checked_add(Self::SIZE)?;
+        if meta_off < data_start || end > image.len() as u64 {
+            return None;
+        }
+        let at = meta_off as usize;
+        Some(StoreMeta {
+            magic: read_u64(image, at),
+            log_off: read_u64(image, at + 8),
+            log_cap: read_u64(image, at + 16),
+        })
+    }
+
+    /// Whether the log area is one `pstore` could have written: 16-byte
+    /// aligned, inside `[data_start, len)`, and larger than its header and
+    /// one entry header. Only then may anything read or write through it.
+    pub fn log_in_bounds(&self, data_start: u64, len: u64) -> bool {
+        self.log_off
+            .checked_add(self.log_cap)
+            .is_some_and(|end| end <= len)
+            && self.log_off >= data_start
+            && self.log_off.is_multiple_of(16)
+            && self.log_cap > LOG_HEADER_SIZE + ENTRY_HEADER_SIZE
+    }
 }
 
 /// The undo log of a store found in a region image by [`scan_image`]:
@@ -74,9 +122,8 @@ pub struct LogSummary {
     pub entries: u64,
     /// Bytes of the area those entries occupy.
     pub used: u64,
-    /// Whether the store metadata points the log area outside the image's
-    /// data area (or leaves it no room for a header), so nothing could be
-    /// walked.
+    /// Whether the log area fails [`StoreMeta::log_in_bounds`], so
+    /// nothing could be walked.
     pub out_of_bounds: bool,
 }
 
@@ -108,12 +155,12 @@ impl std::fmt::Display for LogSummary {
 /// one that leaves the image. `None` when no store is there (block out of
 /// bounds, or not [`STORE_MAGIC`]).
 pub fn scan_image(image: &[u8], meta_off: u64, data_start: u64) -> Option<LogSummary> {
-    let (log_off, log_cap) = locate(image, meta_off).filter(|_| meta_off >= data_start)?;
+    let meta = StoreMeta::decode(image, meta_off, data_start).filter(|m| m.magic == STORE_MAGIC)?;
     let len = image.len() as u64;
-    let scan = log_off
-        .checked_add(log_cap)
-        .filter(|&end| log_off >= data_start && end <= len && log_cap >= LOG_HEADER_SIZE)
-        .map(|end| scan(&image[log_off as usize..end as usize], len));
+    let (log_off, log_cap) = (meta.log_off, meta.log_cap);
+    let scan = meta
+        .log_in_bounds(data_start, len)
+        .then(|| scan(&image[log_off as usize..(log_off + log_cap) as usize], len));
     Some(LogSummary {
         log_off,
         log_cap,
@@ -285,31 +332,51 @@ mod tests {
         assert_eq!(entry_crc(0, 77, 3, b"abc"), crate::crc::crc64(&bytes));
     }
 
+    fn put_words(img: &mut [u8], at: usize, words: &[u64]) {
+        for (i, w) in words.iter().enumerate() {
+            img[at + 8 * i..at + 8 * i + 8].copy_from_slice(&w.to_le_bytes());
+        }
+    }
+
     #[test]
     fn scan_image_checks_magic_and_bounds() {
         let mut img = vec![0u8; 1024];
-        img[8..16].copy_from_slice(&STORE_MAGIC.to_le_bytes());
-        img[32..40].copy_from_slice(&512u64.to_le_bytes());
-        img[40..48].copy_from_slice(&256u64.to_le_bytes());
+        put_words(&mut img, 8, &[STORE_MAGIC, 512, 256]);
         img[512..520].copy_from_slice(&3u64.to_le_bytes());
         put(&mut img[512..768], 16, 3, 64, &[7; 8]);
+        assert_eq!(
+            StoreMeta::decode(&img, 8, 0),
+            Some(StoreMeta::new(512, 256))
+        );
         let log = scan_image(&img, 8, 0).unwrap();
         assert_eq!((log.log_off, log.log_cap), (512, 256));
         assert_eq!((log.generation, log.entries, log.used), (3, 1, 48));
         assert!(!log.out_of_bounds);
-        // No store at these offsets.
+        // No store at these offsets: no magic, or a block that runs past
+        // the end of the image.
         assert_eq!(scan_image(&img, 0, 0), None);
-        assert_eq!(scan_image(&img, 1000, 0), None);
+        assert_eq!(scan_image(&img, 1008, 0), None);
         assert_eq!(scan_image(&img, u64::MAX, 0), None);
         // Nor one that sits in the region metadata.
         assert_eq!(scan_image(&img, 8, 64), None);
+        // Nor a v2 block `{magic, obj_head, obj_count, log_off, log_cap}`,
+        // whose object-list words would read as a plausible log area.
+        put_words(
+            &mut img,
+            900,
+            &[u64::from_le_bytes(*b"PSTOREV2"), 512, 256, 512, 256],
+        );
+        assert_eq!(scan_image(&img, 900, 0), None);
         // A second store block behind the log, naming the same area: a
         // log area below `data_start` is found, not walked.
-        img.copy_within(8..48, 800);
+        img.copy_within(8..32, 800);
         assert!(!scan_image(&img, 800, 512).unwrap().out_of_bounds);
         assert!(scan_image(&img, 800, 513).unwrap().out_of_bounds);
-        // Likewise a log area that leaves the image.
-        img[40..48].copy_from_slice(&4096u64.to_le_bytes());
-        assert!(scan_image(&img, 8, 0).unwrap().out_of_bounds);
+        // Likewise a log area that leaves the image, is misaligned, or
+        // has no room for an entry.
+        for (log_off, log_cap) in [(512, 4096), (520, 256), (512, 48)] {
+            put_words(&mut img, 16, &[log_off, log_cap]);
+            assert!(scan_image(&img, 8, 0).unwrap().out_of_bounds);
+        }
     }
 }

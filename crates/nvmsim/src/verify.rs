@@ -45,9 +45,6 @@ use std::path::Path;
 const OFF_FLAGS: usize = RegionHeader::OFF_FLAGS;
 const OFF_ALLOC: usize = RegionHeader::OFF_ALLOC;
 
-/// Region root under which a `pstore` store keeps its metadata.
-const PSTORE_META_ROOT: &str = "pstore.meta";
-
 fn read_u32(bytes: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap())
 }
@@ -508,11 +505,11 @@ fn check_llalloc(bytes: &[u8], clean: bool, errors: &mut Vec<String>) {
 }
 
 /// The undo log of the image's `pstore` store, found through the
-/// `pstore.meta` root and walked by [`undolog::scan_image`]. `None` when
-/// no intact `pstore.meta` root leads to a plausible store (including
-/// when the region simply has no store).
+/// [`undolog::STORE_ROOT`] root and walked by [`undolog::scan_image`].
+/// `None` when no intact root of that name leads to a plausible store
+/// (including when the region simply has no store).
 pub(crate) fn image_log(bytes: &[u8]) -> Option<LogSummary> {
-    let meta = root_entries(bytes).find(|r| r.name() == Ok(PSTORE_META_ROOT))?;
+    let meta = root_entries(bytes).find(|r| r.name() == Ok(undolog::STORE_ROOT))?;
     undolog::scan_image(bytes, meta.offset, RegionHeader::data_start())
 }
 

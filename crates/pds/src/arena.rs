@@ -175,7 +175,7 @@ impl NodeArena {
             region.set_lockfree(false);
         }
         let effective = if self.is_transactional() {
-            pstore::OBJ_HEADER_SIZE + node_size
+            pstore::ObjHeader::footprint(node_size)
         } else {
             node_size
         };
@@ -245,9 +245,13 @@ mod tests {
         let store = ObjectStore::format(&r).unwrap();
         let arena = NodeArena::transactional(store.clone());
         assert!(arena.is_transactional());
-        let _p = arena.alloc(32).unwrap();
-        assert_eq!(store.object_count(), 1);
-        assert_eq!(store.objects_of_type(NODE_TYPE).len(), 1);
+        let before = r.stats().live_allocs;
+        let p = arena.alloc(32).unwrap().as_ptr() as usize;
+        assert_eq!(r.stats().live_allocs, before + 1);
+        // SAFETY: every store payload follows its header.
+        let hdr = unsafe { &*((p - pstore::OBJ_HEADER_SIZE) as *const pstore::ObjHeader) };
+        assert!(hdr.is_live());
+        assert_eq!((hdr.type_num, hdr.size), (NODE_TYPE, 32));
         r.close().unwrap();
     }
 

@@ -198,8 +198,8 @@ fn key_bytes(key: &str) -> Result<&[u8]> {
 /// discipline (raw mode skips both log and flush, like `PTrie::insert`).
 ///
 /// Logging is batched: `log` snapshots a range without making the
-/// snapshot durable, and `fence` — or `alloc`, which fences on its way —
-/// must run before the first store to any range logged so far.
+/// snapshot durable, and `fence` must run before the first store to any
+/// range logged so far. `alloc` neither logs nor fences.
 trait Ctx {
     fn alloc(&mut self, arena: &NodeArena, size: usize) -> Result<*mut u8>;
     fn log(&mut self, addr: usize, len: usize) -> Result<()>;
@@ -534,9 +534,9 @@ impl<R: PtrRepr> PArt<R> {
 
     /// Shared insertion body; see the module docs for the crash steps.
     /// Read-only descent first; each terminal case then logs every range
-    /// it will edit — the header counters included — before it allocates,
-    /// so the whole write set shares the fence of the first allocation
-    /// (or one explicit fence when nothing is allocated).
+    /// it will edit — the header counters included — and fences once
+    /// before it allocates, since building fresh nodes already bumps the
+    /// counters.
     unsafe fn insert_inner<C: Ctx>(&mut self, ctx: &mut C, key: &[u8]) -> Result<u64> {
         let (counters, clen) = self.counters_span();
         let mut parent: *mut R = std::ptr::addr_of_mut!((*self.header).root);
@@ -548,8 +548,8 @@ impl<R: PtrRepr> PArt<R> {
                 // Empty slot (only ever the root): publish a fresh leaf.
                 ctx.log(counters, clen)?;
                 ctx.log(parent as usize, rsize)?;
-                let leaf = self.new_leaf(ctx, key)?;
                 ctx.fence();
+                let leaf = self.new_leaf(ctx, key)?;
                 (*parent).store(leaf as usize);
                 ctx.persist(parent as usize, rsize);
                 (*self.header).keys += 1;
@@ -579,12 +579,12 @@ impl<R: PtrRepr> PArt<R> {
                 let m = lcp(&lk[depth..], &key[depth..]);
                 ctx.log(counters, clen)?;
                 ctx.log(parent as usize, rsize)?;
+                ctx.fence();
                 let split = self.new_inner(ctx, KIND_NODE4, &key[depth..depth + m])?;
                 let fresh = self.new_leaf(ctx, key)?;
                 Self::add_child_raw(split, branch_byte(&lk, depth + m), cur as usize);
                 Self::add_child_raw(split, branch_byte(key, depth + m), fresh as usize);
                 ctx.persist(split as usize, node_size::<R>(KIND_NODE4));
-                ctx.fence();
                 (*parent).store(split as usize);
                 ctx.persist(parent as usize, rsize);
                 (*self.header).keys += 1;
@@ -602,12 +602,12 @@ impl<R: PtrRepr> PArt<R> {
                 ctx.log(counters, clen)?;
                 ctx.log(cur as usize, std::mem::size_of::<NodeHead>())?;
                 ctx.log(parent as usize, rsize)?;
+                ctx.fence();
                 let split = self.new_inner(ctx, KIND_NODE4, &prefix[..m])?;
                 let fresh = self.new_leaf(ctx, key)?;
                 Self::add_child_raw(split, prefix[m], cur as usize);
                 Self::add_child_raw(split, branch_byte(key, depth + m), fresh as usize);
                 ctx.persist(split as usize, node_size::<R>(KIND_NODE4));
-                ctx.fence();
                 let rest = plen - m - 1;
                 for i in 0..rest {
                     (*cur).kbytes[i] = prefix[m + 1 + i];
@@ -631,17 +631,17 @@ impl<R: PtrRepr> PArt<R> {
                     ctx.log(counters, clen)?;
                     if ((*cur).nkeys as usize) < node_capacity((*cur).kind) {
                         ctx.log(cur as usize, node_size::<R>((*cur).kind))?;
-                        let fresh = self.new_leaf(ctx, key)?;
                         ctx.fence();
+                        let fresh = self.new_leaf(ctx, key)?;
                         Self::add_child_raw(cur, b, fresh as usize);
                         ctx.persist(cur as usize, node_size::<R>((*cur).kind));
                     } else {
                         ctx.log(parent as usize, rsize)?;
+                        ctx.fence();
                         let fresh = self.new_leaf(ctx, key)?;
                         let grown = self.grow(ctx, cur)?;
                         Self::add_child_raw(grown, b, fresh as usize);
                         ctx.persist(grown as usize, node_size::<R>((*grown).kind));
-                        ctx.fence();
                         (*parent).store(grown as usize);
                         ctx.persist(parent as usize, rsize);
                     }

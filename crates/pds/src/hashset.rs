@@ -305,8 +305,8 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
                 }
                 slot = &mut (*cur).next;
             }
-            // The whole write set joins one batch — `alloc` adds its own
-            // two ranges — and is fenced once, before the first store.
+            // The whole write set is one batch, fenced once before the
+            // first store; the fresh node is unreachable until then.
             let mut tx = store.begin();
             let len_addr = std::ptr::addr_of_mut!((*self.header).len);
             tx.log_range(slot as usize, std::mem::size_of::<R>())?;

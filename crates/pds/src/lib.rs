@@ -34,9 +34,7 @@
 pub mod arena;
 pub mod art;
 pub mod bst;
-pub mod deque;
 pub mod error;
-pub mod graph;
 pub mod hashset;
 pub mod list;
 pub mod pmap;
@@ -47,9 +45,7 @@ pub mod wordcount;
 pub use arena::{NodeArena, NODE_TYPE};
 pub use art::{inspect_index, ArtIndexReport, PArt, ART_KIND_NAMES, ART_ROOT_TAG, MAX_KEY};
 pub use bst::{BstNode, PBst, BST_ROOT_TAG};
-pub use deque::{DequeNode, PDeque, DEQUE_ROOT_TAG};
 pub use error::{PdsError, Result};
-pub use graph::{NodeId, PGraph, GRAPH_ROOT_TAG};
 pub use hashset::{HsNode, PHashSet, HASHSET_ROOT_TAG};
 pub use list::{fill_payload, ListNode, PList, LIST_ROOT_TAG};
 pub use pmap::{PMap, PMapNode, PMAP_ROOT_TAG};

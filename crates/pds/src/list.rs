@@ -248,7 +248,7 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
         // SAFETY: node is fresh (unreachable until the header publish,
         // which the undo log covers); header mapped while regions open.
         unsafe {
-            // The header joins the batch `alloc` fences.
+            // The header is the whole batch, fenced before the first store.
             tx.log_range(self.header as usize, std::mem::size_of::<ListHeader<R>>())?;
             let node = tx
                 .alloc(NODE_TYPE, std::mem::size_of::<ListNode<R, P>>())?

@@ -50,19 +50,18 @@ fn tx_ops_cost_one_batch_fence_and_noops_cost_nothing() {
     art.insert_tx(&store, "ab").unwrap();
     art.insert_tx(&store, "ac").unwrap();
 
-    // hashset/bst insert: the bitmap bit, the one batch (slot, len and
-    // the allocation's two list ranges), the commit fence, the truncate.
-    // Parent: two fences per logged range (8) + the same 4.
+    // hashset/bst insert: the bitmap bit, the one batch (slot and len —
+    // the allocation logs nothing), the commit fence, the truncate.
     let d = delta(|| assert!(set.insert_tx(&store, 10).unwrap()));
     assert_eq!(d.get(Counter::TxBegins), 1);
-    assert_eq!(d.get(Counter::UndoEntries), 4);
+    assert_eq!(d.get(Counter::UndoEntries), 2);
     assert_eq!(d.get(Counter::WbarrierCalls), 4);
-    // bitmap word, batch span, object header, old head's link, list-head
-    // words, node, slot, len, generation (parent: + 4 entries, 4 `used`).
-    assert_eq!(d.get(Counter::ClflushCalls), 9);
+    // bitmap word, batch span, object header, node, slot, len, generation.
+    assert_eq!(d.get(Counter::ClflushCalls), 7);
     let d = delta(|| assert!(bst.insert_tx(&store, 10).unwrap()));
+    assert_eq!(d.get(Counter::UndoEntries), 2);
     assert_eq!(d.get(Counter::WbarrierCalls), 4);
-    assert_eq!(d.get(Counter::ClflushCalls), 9);
+    assert_eq!(d.get(Counter::ClflushCalls), 7);
 
     // remove: batch (slot, len), commit, truncate. Parent: 2 × 2 + 2.
     let d = delta(|| assert!(set.remove_tx(&store, 10).unwrap()));
@@ -77,7 +76,7 @@ fn tx_ops_cost_one_batch_fence_and_noops_cost_nothing() {
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
 
     // ART: an occurrence bump and a removal are one batch each; a new
-    // key under a node with room is one batch around one allocation.
+    // key under a node with room is one batch, then one allocation.
     let d = delta(|| assert_eq!(art.insert_tx(&store, "ab").unwrap(), 2));
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
     let d = delta(|| assert!(art.remove_tx(&store, "ab").unwrap()));

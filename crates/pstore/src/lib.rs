@@ -4,10 +4,10 @@
 //! build on: wrapped objects with per-item metadata, undo-logged
 //! transactions with the ACID-style write-ahead discipline, and automatic
 //! crash recovery. The "transactional" benchmark configurations allocate
-//! their data-structure nodes through this store, reproducing both the
-//! extra metadata footprint (64-byte wrappers → ~128-byte items for small
-//! payloads) and the tracking operations the paper identifies as the cost
-//! of transactional store semantics.
+//! their data-structure nodes through this store, reproducing both a
+//! per-item metadata footprint (16-byte headers: a 56-byte node fills a
+//! 96-byte block, PMEM.IO's items are 128 bytes) and the tracking
+//! operations the paper identifies as the cost of transactional semantics.
 //!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,5 +42,5 @@ pub mod tx;
 pub use error::{Result, StoreError};
 pub use log::{RecoveryStats, UndoLog};
 pub use object::{ObjHeader, OBJ_HEADER_SIZE};
-pub use store::{ObjectStore, StoreStats, DEFAULT_LOG_CAPACITY};
+pub use store::{ObjectStore, DEFAULT_LOG_CAPACITY};
 pub use tx::Tx;

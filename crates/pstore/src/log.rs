@@ -78,7 +78,7 @@ impl UndoLog {
     /// Attaches to an existing (or freshly allocated) log area. A fresh
     /// area must be [`UndoLog::format`]ted, an area that may hold an
     /// interrupted transaction [`UndoLog::recover`]ed, before the first
-    /// append.
+    /// append. The area must pass [`undolog::StoreMeta::log_in_bounds`].
     pub fn new(region: Region, log_off: u64, capacity: u64) -> UndoLog {
         debug_assert!(capacity > LOG_HEADER_SIZE + ENTRY_HEADER_SIZE);
         UndoLog {

@@ -6,15 +6,16 @@
 //! "each data item, including the metadata, is 128-byte large" for the
 //! 32-byte payloads used in Section 6.3.
 //!
-//! [`ObjHeader`] is that wrapping structure: a 64-byte header carrying a
-//! type number, the payload size, and the links of the store-wide object
-//! list (offsets, so the list is position independent). The header is
-//! followed immediately by the payload; for a 32-byte payload the
-//! allocator's size classes round the pair to 128 bytes, matching the
-//! paper's object footprint.
+//! [`ObjHeader`] is that wrapping structure, cut to what the store still
+//! reads: a 16-byte header carrying a validity magic, a type number and
+//! the payload size ([`crate::ObjectStore::free`] checks the first and
+//! needs the last). Which blocks are live is the region allocator's
+//! record alone. The header is followed immediately by the payload; a
+//! 56-byte structure node (32-byte payload) and its header round to the
+//! allocator's 96-byte class, against PMEM.IO's 128 bytes.
 
 /// Size of the object header preceding every wrapped payload.
-pub const OBJ_HEADER_SIZE: usize = 64;
+pub const OBJ_HEADER_SIZE: usize = 16;
 
 /// Magic stamped into every live object header.
 pub const OBJ_MAGIC: u32 = 0x504f_424a; // "POBJ"
@@ -29,11 +30,6 @@ pub struct ObjHeader {
     pub type_num: u32,
     /// Payload size in bytes (excluding this header).
     pub size: u64,
-    /// Offset of the previous object's header in the store list (0 = none).
-    pub prev: u64,
-    /// Offset of the next object's header in the store list (0 = none).
-    pub next: u64,
-    _reserved: [u64; 4],
 }
 
 const _: () = assert!(std::mem::size_of::<ObjHeader>() == OBJ_HEADER_SIZE);
@@ -44,9 +40,6 @@ impl ObjHeader {
         self.magic = OBJ_MAGIC;
         self.type_num = type_num;
         self.size = size;
-        self.prev = 0;
-        self.next = 0;
-        self._reserved = [0; 4];
     }
 
     /// Marks the header dead (object freed).
@@ -54,8 +47,6 @@ impl ObjHeader {
         self.magic = 0;
         self.type_num = 0;
         self.size = 0;
-        self.prev = 0;
-        self.next = 0;
     }
 
     /// Whether the header describes a live object.
@@ -68,14 +59,6 @@ impl ObjHeader {
     pub fn footprint(size: usize) -> usize {
         OBJ_HEADER_SIZE + size
     }
-}
-
-impl ObjHeader {
-    /// Byte offset of the `prev` link within the header (for undo logging
-    /// of list maintenance).
-    pub const PREV_FIELD_OFFSET: u64 = 16;
-    /// Byte offset of the `next` link within the header.
-    pub const NEXT_FIELD_OFFSET: u64 = 24;
 }
 
 /// Offset of the payload given the header's offset.
@@ -91,20 +74,21 @@ pub fn header_off(payload_off: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvmsim::alloc::AllocHeader;
 
     #[test]
-    fn header_is_exactly_64_bytes() {
-        assert_eq!(std::mem::size_of::<ObjHeader>(), 64);
+    fn header_is_exactly_16_bytes() {
+        assert_eq!(std::mem::size_of::<ObjHeader>(), 16);
     }
 
     #[test]
     fn paper_footprint_for_32_byte_payload() {
-        // 64-byte header + 32-byte payload rounds to the 96-byte class in
-        // the allocator; with the allocator's 16-byte granularity the paper
-        // quotes 128 bytes for its own library — our wrapped object is of
-        // the same order. The *unrounded* footprint:
-        assert_eq!(ObjHeader::footprint(32), 96);
-        assert_eq!(ObjHeader::footprint(64), 128);
+        // A bare 32-byte payload and its header fill a 48-byte block; the
+        // hashset/BST node that carries one (56 bytes) fills a 96-byte
+        // block where PMEM.IO's item is 128 bytes.
+        assert_eq!(ObjHeader::footprint(32), 48);
+        assert_eq!(AllocHeader::rounded_size(ObjHeader::footprint(32)), 48);
+        assert_eq!(AllocHeader::rounded_size(ObjHeader::footprint(56)), 96);
     }
 
     #[test]
@@ -113,9 +97,6 @@ mod tests {
             magic: 0,
             type_num: 0,
             size: 0,
-            prev: 0,
-            next: 0,
-            _reserved: [0; 4],
         };
         h.init(7, 32);
         assert!(h.is_live());
@@ -128,6 +109,6 @@ mod tests {
     #[test]
     fn offset_helpers_are_inverses() {
         assert_eq!(header_off(payload_off(4096)), 4096);
-        assert_eq!(payload_off(0), 64);
+        assert_eq!(payload_off(0), 16);
     }
 }

@@ -43,14 +43,14 @@ impl<'s> Tx<'s> {
     ///
     /// [`crate::StoreError::LogFull`] or address-range errors.
     pub fn log_range(&mut self, addr: usize, len: usize) -> Result<()> {
-        self.store.log_ref().append(addr, len)
+        self.store.log().append(addr, len)
     }
 
     /// Makes every range logged so far durable — one flush and one fence
     /// for the whole batch, nothing when no range was logged since the
     /// last one.
     pub fn barrier(&mut self) {
-        self.store.log_ref().barrier();
+        self.store.log().barrier();
     }
 
     /// Snapshots `[addr, addr + len)` into the undo log so the range may
@@ -85,14 +85,13 @@ impl<'s> Tx<'s> {
         Ok(())
     }
 
-    /// Transactionally allocates a wrapped object: if the transaction
-    /// aborts (or a crash interrupts it), the store's object list is
-    /// rolled back to exactly its prior state, so the object never becomes
-    /// visible.
-    ///
-    /// The two ranges the link-in mutates join the caller's batch (ranges
-    /// logged just before this call share its one barrier), and the link
-    /// itself is not fenced — the commit fence covers it.
+    /// Transactionally allocates a wrapped object for the caller to fill
+    /// and publish inside this transaction. It logs nothing and fences
+    /// nothing: the header is written, tracked and flushed, and the commit
+    /// fence makes it durable with the rest of the transaction. The
+    /// object is reachable only through what the caller publishes — a
+    /// logged write — so an abort or a crash leaves nothing pointing at
+    /// it.
     ///
     /// The allocator block itself is *not* reclaimed on rollback (it leaks
     /// until the region is reformatted) — the same trade-off early PMDK
@@ -100,25 +99,9 @@ impl<'s> Tx<'s> {
     ///
     /// # Errors
     ///
-    /// Logging or allocation failures.
+    /// Allocation failures.
     pub fn alloc(&mut self, type_num: u32, size: usize) -> Result<std::ptr::NonNull<u8>> {
-        use crate::object::ObjHeader;
-        let store = self.store;
-        let region = store.region();
-        let meta_off = store.meta_off();
-        // Snapshot the two meta words the link-in mutates (obj_head at
-        // +8, obj_count at +16)...
-        self.log_range(region.ptr_at(meta_off + 8), 16)?;
-        // ...and the current head's back-link, which will point at the
-        // new object.
-        // SAFETY: meta is mapped; obj_head is a valid header offset or 0.
-        let old_head = unsafe { *(region.ptr_at(meta_off + 8) as *const u64) };
-        if old_head != 0 {
-            self.log_range(region.ptr_at(old_head + ObjHeader::PREV_FIELD_OFFSET), 8)?;
-        }
-        let hdr_offset = region.alloc_off(ObjHeader::footprint(size), 16)?;
-        self.barrier();
-        Ok(store.link_object(hdr_offset, type_num, size, false))
+        self.store.new_object(type_num, size)
     }
 
     /// Commits: all mutations since `begin` become permanent and the undo
@@ -127,7 +110,7 @@ impl<'s> Tx<'s> {
         // The commit fence: every flushed store of the transaction is
         // durable before the log goes.
         latency::wbarrier();
-        self.store.log_ref().truncate();
+        self.store.log().truncate();
         self.committed = true;
         nvmsim::metrics::incr(nvmsim::metrics::Counter::TxCommits);
         // A committed transaction is a durability point: hand the fenced
@@ -146,7 +129,7 @@ impl Drop for Tx<'_> {
     fn drop(&mut self) {
         if !self.committed {
             nvmsim::metrics::incr(nvmsim::metrics::Counter::TxAborts);
-            self.store.log_ref().rollback();
+            self.store.log().rollback();
         }
     }
 }
@@ -161,6 +144,23 @@ mod tests {
         let store = ObjectStore::format(&region).unwrap();
         let obj = store.alloc(1, 32).unwrap().as_ptr() as *mut u64;
         (region, store, obj)
+    }
+
+    /// A fresh file region whose store holds one 32-byte object holding
+    /// 100, published as the root `"obj"`.
+    fn file_store(path: &std::path::Path) -> (Region, ObjectStore, *mut u64) {
+        let region = Region::create_file(path, 1 << 20).unwrap();
+        let store = ObjectStore::format(&region).unwrap();
+        let p = store.alloc(1, 32).unwrap().as_ptr() as *mut u64;
+        // SAFETY: fresh 32-byte object.
+        unsafe { p.write(100) };
+        region.set_root("obj", p as usize).unwrap();
+        (region, store, p)
+    }
+
+    fn root_word(region: &Region) -> u64 {
+        // SAFETY: the root names the object `file_store` allocated.
+        unsafe { *(region.root("obj").unwrap() as *const u64) }
     }
 
     #[test]
@@ -246,12 +246,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("c.nvr");
         {
-            let region = Region::create_file(&path, 1 << 20).unwrap();
-            let store = ObjectStore::format(&region).unwrap();
-            let obj = store.alloc(1, 32).unwrap();
-            let p = obj.as_ptr() as *mut u64;
+            let (region, store, p) = file_store(&path);
             unsafe {
-                p.write(100);
                 region.sync().unwrap();
                 let mut tx = store.begin();
                 tx.set(p, 999).unwrap();
@@ -265,10 +261,7 @@ mod tests {
         assert!(region.was_dirty());
         let store = ObjectStore::attach(&region).unwrap();
         assert!(store.recovered(), "attach must report the rollback");
-        let objs = store.objects_of_type(1);
-        assert_eq!(objs.len(), 1);
-        let v = unsafe { *(objs[0].as_ptr() as *const u64) };
-        assert_eq!(v, 100, "uncommitted write must be undone");
+        assert_eq!(root_word(&region), 100, "uncommitted write must be undone");
         region.close().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -279,11 +272,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("c2.nvr");
         {
-            let region = Region::create_file(&path, 1 << 20).unwrap();
-            let store = ObjectStore::format(&region).unwrap();
-            let p = store.alloc(1, 32).unwrap().as_ptr() as *mut u64;
+            let (region, store, p) = file_store(&path);
             unsafe {
-                p.write(100);
                 let mut tx = store.begin();
                 tx.set(p, 999).unwrap();
                 tx.commit();
@@ -295,8 +285,7 @@ mod tests {
         let region = Region::open_file(&path).unwrap();
         let store = ObjectStore::attach(&region).unwrap();
         assert!(!store.recovered(), "log was truncated at commit");
-        let objs = store.objects_of_type(1);
-        assert_eq!(unsafe { *(objs[0].as_ptr() as *const u64) }, 999);
+        assert_eq!(root_word(&region), 999);
         region.close().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -304,13 +293,20 @@ mod tests {
 
 #[cfg(test)]
 mod tx_alloc_tests {
+    use crate::object::{ObjHeader, OBJ_HEADER_SIZE};
     use crate::store::ObjectStore;
     use nvmsim::Region;
+
+    fn header_of(p: std::ptr::NonNull<u8>) -> &'static ObjHeader {
+        // SAFETY: every store payload follows its header.
+        unsafe { &*((p.as_ptr() as usize - OBJ_HEADER_SIZE) as *const ObjHeader) }
+    }
 
     #[test]
     fn committed_tx_alloc_is_visible() {
         let region = Region::create(1 << 20).unwrap();
         let store = ObjectStore::format(&region).unwrap();
+        let before = region.stats().live_allocs;
         let p = {
             let mut tx = store.begin();
             let p = tx.alloc(5, 32).unwrap();
@@ -318,8 +314,10 @@ mod tx_alloc_tests {
             tx.commit();
             p
         };
-        assert_eq!(store.object_count(), 1);
-        assert_eq!(store.objects_of_type(5), vec![p]);
+        assert_eq!(region.stats().live_allocs, before + 1);
+        let hdr = header_of(p);
+        assert!(hdr.is_live());
+        assert_eq!((hdr.type_num, hdr.size), (5, 32));
         assert_eq!(unsafe { *(p.as_ptr() as *const u64) }, 77);
         region.close().unwrap();
     }
@@ -328,62 +326,67 @@ mod tx_alloc_tests {
     fn aborted_tx_alloc_never_becomes_visible() {
         let region = Region::create(1 << 20).unwrap();
         let store = ObjectStore::format(&region).unwrap();
-        let existing = store.alloc(5, 32).unwrap();
+        // The one place a fresh object could become reachable from.
+        let slot = store.alloc(5, 8).unwrap().as_ptr() as *mut u64;
+        unsafe { slot.write(0) };
+        let before = region.stats().live_allocs;
         {
             let mut tx = store.begin();
-            tx.alloc(5, 32).unwrap();
+            let a = tx.alloc(5, 32).unwrap();
             tx.alloc(6, 16).unwrap();
+            unsafe { tx.set(slot, a.as_ptr() as u64).unwrap() };
             tx.abort();
         }
-        assert_eq!(store.object_count(), 1, "aborted allocations unlinked");
-        assert_eq!(store.objects_of_type(5), vec![existing]);
-        assert!(store.objects_of_type(6).is_empty());
-        // The list is still fully functional after the rollback.
+        assert_eq!(unsafe { slot.read() }, 0, "the publish was rolled back");
+        // The blocks themselves leak, as documented on `Tx::alloc`.
+        assert_eq!(region.stats().live_allocs, before + 2);
+        // Allocation is still fully functional after the rollback.
         let another = store.alloc(5, 32).unwrap();
-        assert_eq!(store.objects_of_type(5), vec![another, existing]);
+        assert!(header_of(another).is_live());
         region.close().unwrap();
     }
 
     #[test]
     fn crashed_tx_alloc_recovers_to_prior_list() {
+        // A one-element list `head → first`, kept as region offsets; the
+        // crashed transaction allocates a second element and pushes it.
         let dir = std::env::temp_dir().join(format!("pstore-txalloc-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("a.nvr");
-        {
+        let first_off = {
             let region = Region::create_file(&path, 1 << 20).unwrap();
             let store = ObjectStore::format(&region).unwrap();
-            let p = store.alloc(9, 8).unwrap().as_ptr() as *mut u64;
-            unsafe { p.write(1) };
+            let head = store.alloc(9, 8).unwrap().as_ptr() as *mut u64;
+            let first = store.alloc(9, 16).unwrap().as_ptr() as *mut u64;
+            let first_off = region.offset_of(first as usize).unwrap();
+            unsafe {
+                first.write(0);
+                first.add(1).write(1);
+                head.write(first_off);
+            }
+            region.set_root("head", head as usize).unwrap();
             region.sync().unwrap();
             let mut tx = store.begin();
-            tx.alloc(9, 8).unwrap();
+            let second = tx.alloc(9, 16).unwrap().as_ptr() as *mut u64;
+            unsafe {
+                second.write(first_off);
+                second.add(1).write(2);
+                let second_off = region.offset_of(second as usize).unwrap();
+                tx.set(head, second_off).unwrap();
+            }
             std::mem::forget(tx);
             drop(store);
             region.crash();
-        }
+            first_off
+        };
         let region = Region::open_file(&path).unwrap();
         let store = ObjectStore::attach(&region).unwrap();
         assert!(store.recovered());
-        assert_eq!(
-            store.object_count(),
-            1,
-            "interrupted allocation rolled back"
-        );
+        let head = unsafe { *(region.root("head").unwrap() as *const u64) };
+        assert_eq!(head, first_off, "interrupted push rolled back");
+        let first = region.ptr_at(head) as *const u64;
+        assert_eq!(unsafe { (first.read(), first.add(1).read()) }, (0, 1));
         region.close().unwrap();
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn stats_summarize_by_type() {
-        let region = Region::create(1 << 20).unwrap();
-        let store = ObjectStore::format(&region).unwrap();
-        store.alloc(1, 32).unwrap();
-        store.alloc(1, 32).unwrap();
-        store.alloc(2, 100).unwrap();
-        let stats = store.stats();
-        assert_eq!(stats.objects, 3);
-        assert_eq!(stats.payload_bytes, 164);
-        assert_eq!(stats.by_type, vec![(1, 2), (2, 1)]);
-        region.close().unwrap();
     }
 }

@@ -9,6 +9,14 @@ use nvm_pi::{ObjectStore, Region};
 
 const ACCOUNT_TYPE: u32 = 7;
 
+/// The balance word of the account published under `account.<name>`.
+fn account(region: &Region, name: &str) -> Result<*mut u64, Box<dyn std::error::Error>> {
+    let addr = region
+        .root(&format!("account.{name}"))
+        .ok_or_else(|| format!("account {name} missing"))?;
+    Ok(addr as *mut u64)
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("nvm-pi-crash-{}", std::process::id()));
     std::fs::create_dir_all(&dir)?;
@@ -20,6 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let store = ObjectStore::format(&region)?;
         let a = store.alloc(ACCOUNT_TYPE, 8)?.as_ptr() as *mut u64;
         let b = store.alloc(ACCOUNT_TYPE, 8)?.as_ptr() as *mut u64;
+        // Named roots are how a later run finds the accounts again.
+        region.set_root("account.a", a as usize)?;
+        region.set_root("account.b", b as usize)?;
         unsafe {
             let mut tx = store.begin();
             tx.set(a, 1000)?;
@@ -34,18 +45,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     {
         let region = Region::open_file(&path)?;
         let store = ObjectStore::attach(&region)?;
-        let accounts = store.objects_of_type(ACCOUNT_TYPE);
-        let (b, a) = (
-            accounts[0].as_ptr() as *mut u64,
-            accounts[1].as_ptr() as *mut u64,
-        );
+        let a = account(&region, "a")?;
         unsafe {
             let mut tx = store.begin();
             tx.set(a, 1000 - 300)?;
             println!("debited a inside a tx (a={}), now crashing...", a.read());
             // Simulated power loss: the tx is neither committed nor aborted.
             std::mem::forget(tx);
-            let _ = b;
         }
         drop(store);
         region.crash();
@@ -60,21 +66,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             store.recovered(),
             "attach rolled back the interrupted transaction"
         );
-        let accounts = store.objects_of_type(ACCOUNT_TYPE);
-        let balances: Vec<u64> = accounts
+        let balances = ["a", "b"]
             .iter()
-            .map(|p| unsafe { *(p.as_ptr() as *const u64) })
-            .collect();
+            .map(|name| Ok(unsafe { *account(&region, name)? }))
+            .collect::<Result<Vec<u64>, Box<dyn std::error::Error>>>()?;
         println!("after recovery: balances = {balances:?}");
         assert_eq!(
             balances.iter().sum::<u64>(),
             1000,
             "no money created or destroyed"
         );
-        assert!(
-            balances.contains(&1000) && balances.contains(&0),
-            "transfer fully undone"
-        );
+        assert_eq!(balances, [1000, 0], "transfer fully undone");
         region.close()?;
     }
 

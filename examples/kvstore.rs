@@ -62,7 +62,16 @@ fn open_db() -> Result<Db, Box<dyn std::error::Error>> {
                 return open_db();
             }
         };
-        let store = ObjectStore::attach(&region)?;
+        let store = match ObjectStore::attach(&region) {
+            Ok(s) => s,
+            Err(e) => {
+                // Likewise a store of an older format.
+                eprintln!("note: discarding unusable store ({e}); starting fresh");
+                region.close()?;
+                std::fs::remove_file(&path)?;
+                return open_db();
+            }
+        };
         if store.recovered() {
             eprintln!("note: recovered from an interrupted transaction");
         }
@@ -139,9 +148,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ["list"] => {
             let entries = map.entries();
             println!(
-                "{} values, {} store objects:",
+                "{} values, {} live allocations:",
                 entries.len(),
-                store.object_count()
+                region.stats().live_allocs
             );
             for (hash, raw) in entries {
                 let v = unsafe { read_value(riv_from_raw(raw).x2p() as *const u8) };

@@ -72,9 +72,7 @@ pub use nvserver::{
     Client, Priority, ReprKind, Server, ServerConfig, ServerFaultPlan, ServerReport, TenantSpec,
     TenantState,
 };
-pub use pds::{
-    NodeArena, PArt, PBst, PGraph, PHashSet, PList, PMap, PTrie, PVec, PdsError, WordCount,
-};
+pub use pds::{NodeArena, PArt, PBst, PHashSet, PList, PMap, PTrie, PVec, PdsError, WordCount};
 pub use pi_core::{
     is_persistent, AtomicPPtr, BasedPtr, FatPtr, FatPtrCached, NormalPtr, NvRef, OffHolder, PPtr,
     PersistentI, PersistentX, PtrRepr, Riv, SwizzledPtr, TypeError,

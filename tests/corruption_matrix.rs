@@ -32,14 +32,18 @@
 //!    in any checksummed word of any fenced entry ends the log there —
 //!    the entries before it are rolled back, nothing damaged is ever
 //!    replayed.
+//! 6. The store block: a bit flipped in any of its three words makes
+//!    `ObjectStore::attach` attach a store whose log area lies inside the
+//!    region or refuse typed, exactly as the offline decoder judges it.
 //!
 //! Seed, replay tag, serial lock and scratch directories come from the
 //! shared [`util::Matrix`] (`MATRIX_SEED`, `MATRIX_ARTIFACT_DIR`); crash
 //! images reopen remapped through [`util::Cell::remap`].
 
 use nvm_pi::nvmsim::region::RegionHeader;
+use nvm_pi::nvmsim::undolog::STORE_ROOT;
 use nvm_pi::nvmsim::{shadow, verify};
-use nvm_pi::{FaultPlan, FaultPolicy, NvError, ObjectStore, Region};
+use nvm_pi::{FaultPlan, FaultPolicy, NvError, ObjectStore, Region, StoreError};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -495,6 +499,63 @@ fn torn_log_tail_and_mid_log_rot_never_replay_damage() {
             }
         }
     }
+}
+
+/// Seed-free regression for `ObjectStore::attach` trusting the store
+/// block: a log area outside the region used to become a slice over
+/// unmapped memory (a signal at the first scan). Every bit of the three
+/// words either attaches a store whose log area `verify` also finds
+/// inside the region, or is refused typed — `NotFormatted` where `verify`
+/// finds no store, `BadImage` where it finds the area out of bounds.
+#[test]
+fn every_bit_of_the_store_block_attaches_or_fails_typed() {
+    let _g = M.lock();
+    let cell = M.cell("storeblock");
+    M.reseed_placement();
+    let path = cell.path("store.nvr");
+    let region = Region::create_file(&path, IMG_SIZE).unwrap();
+    ObjectStore::format_with_log(&region, 4096).unwrap();
+    let meta_off = region.root_off(STORE_ROOT).unwrap() as usize;
+    region.close().unwrap();
+    let base = std::fs::read(&path).unwrap();
+    let img_path = cell.path("flip.nvr");
+    let (mut attached, mut refused) = (0, 0);
+    for (word, name) in ["magic", "log_off", "log_cap"].into_iter().enumerate() {
+        for bit in 0..64 {
+            let ctx = format!("store block {name} bit {bit}");
+            let mut img = base.clone();
+            img[meta_off + word * 8 + bit / 8] ^= 1 << (bit % 8);
+            let offline = verify::verify_bytes(&img).undo_log;
+            std::fs::write(&img_path, &img).unwrap();
+            let r = Region::open_file(&img_path).unwrap_or_else(|e| panic!("[{ctx}] open: {e}"));
+            match ObjectStore::attach(&r) {
+                Ok(_) => {
+                    attached += 1;
+                    assert!(
+                        offline.is_some_and(|l| !l.out_of_bounds),
+                        "[{ctx}] attached, but verify says {offline:?}"
+                    );
+                }
+                Err(StoreError::NotFormatted) => {
+                    refused += 1;
+                    assert_eq!(offline, None, "[{ctx}] no store, but verify found one");
+                }
+                Err(StoreError::Nv(NvError::BadImage(why))) => {
+                    refused += 1;
+                    assert!(
+                        offline.is_some_and(|l| l.out_of_bounds),
+                        "[{ctx}] refused ({why}), but verify says {offline:?}"
+                    );
+                }
+                Err(e) => panic!("[{ctx}] refusal must be typed, got: {e}"),
+            }
+            r.crash();
+        }
+    }
+    assert!(
+        attached > 0 && refused > 0,
+        "the sweep must reach both outcomes (attached {attached}, refused {refused})"
+    );
 }
 
 proptest! {

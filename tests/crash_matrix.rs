@@ -119,29 +119,30 @@ fn raw_undo_log_recovers_exact_committed_prefixes() {
 // ---------------------------------------------------------------------
 
 /// A fresh 1 MiB file region whose store holds one object of type `ty`
-/// with `init` in its first word, synced.
+/// with `init` in its first word, published as the root `"word"`, synced.
 fn one_word(cell: &util::Cell, ty: u32, init: u64) -> (Region, ObjectStore, *mut u64) {
     let region = Region::create_file(cell.path("orig.nvr"), 1 << 20).unwrap();
     let store = ObjectStore::format_with_log(&region, LOG_CAP).unwrap();
     let p = store.alloc(ty, 16).unwrap().as_ptr() as *mut u64;
     // SAFETY: p is a fresh 16-byte store object.
     unsafe { p.write(init) };
+    region.set_root("word", p as usize).unwrap();
     region.sync().unwrap();
     (region, store, p)
 }
 
-/// The first word of the (one) object of type `ty`.
-fn word_of(store: &ObjectStore, ty: u32) -> u64 {
-    let objs = store.objects_of_type(ty);
+/// The first word of the object `one_word` published.
+fn word_of(store: &ObjectStore) -> u64 {
+    let p = store.region().root("word").unwrap();
     // SAFETY: the object `one_word` allocated, recovered.
-    unsafe { *(objs[0].as_ptr() as *const u64) }
+    unsafe { *(p as *const u64) }
 }
 
 /// Recovers `crash` through a remapped reopen and reads the word back.
-fn recovered_word(cell: &util::Cell, crash: &CapturedCrash, prev: &mut usize, ty: u32) -> u64 {
+fn recovered_word(cell: &util::Cell, crash: &CapturedCrash, prev: &mut usize) -> u64 {
     let r2 = cell.recover(crash, prev, "one-word image");
     let store2 = ObjectStore::attach(&r2).unwrap();
-    let v = word_of(&store2, ty);
+    let v = word_of(&store2);
     drop(store2);
     r2.crash();
     v
@@ -198,7 +199,7 @@ fn flush_omission_is_caught_as_durability_violation() {
     let log = rep.log.expect("inspect must surface the undo log head");
     assert_eq!(log.used, 0, "the log was truncated at commit");
     assert_eq!(
-        recovered_word(&cell, &crash, &mut prev, 7),
+        recovered_word(&cell, &crash, &mut prev),
         1,
         "durability violation detected: the transaction committed 999 but the \
          unflushed store did not survive the crash"
@@ -212,7 +213,7 @@ fn flush_omission_is_caught_as_durability_violation() {
         "a disciplined tx leaves nothing unflushed"
     );
     assert_eq!(
-        recovered_word(&cell, &crash, &mut prev, 7),
+        recovered_word(&cell, &crash, &mut prev),
         999,
         "the flushed committed write must survive"
     );
@@ -261,7 +262,7 @@ fn abort_at_nth_event_stops_the_workload_at_the_crash_point() {
 
     // The image at the first event of tx 2 contains exactly tx 1.
     assert_eq!(
-        recovered_word(&cell, &crash, &mut prev, 3),
+        recovered_word(&cell, &crash, &mut prev),
         100,
         "the first loop transaction committed before the abort point"
     );
@@ -294,7 +295,7 @@ fn recovery_is_idempotent_when_reinterrupted() {
         !snapshots.is_empty(),
         "recovery must emit persistence events of its own"
     );
-    assert_eq!(word_of(&store, 4), 100);
+    assert_eq!(word_of(&store), 100);
     drop(store);
     region.crash();
     // Every mid-recovery snapshot must itself recover to the pre-tx
@@ -303,7 +304,7 @@ fn recovery_is_idempotent_when_reinterrupted() {
         let r2 = cell.recover(snap, &mut prev, "mid-recovery snapshot");
         let store2 = ObjectStore::attach(&r2).unwrap();
         assert_eq!(
-            word_of(&store2, 4),
+            word_of(&store2),
             100,
             "re-running recovery interrupted at event {} must converge to the pre-tx state",
             snap.event
@@ -315,7 +316,7 @@ fn recovery_is_idempotent_when_reinterrupted() {
             "a second attach after completed recovery (event {}) must not roll back again",
             snap.event
         );
-        assert_eq!(word_of(&store3, 4), 100);
+        assert_eq!(word_of(&store3), 100);
         drop(store3);
         r2.crash();
     }

@@ -5,14 +5,14 @@ use nvm_pi::pi_core::Riv;
 use nvm_pi::{NodeArena, ObjectStore, PBst, Region, RegionPool, Tx};
 
 #[test]
-fn structure_nodes_are_enumerable_store_objects() {
+fn structure_nodes_are_live_store_allocations() {
     let region = Region::create(8 << 20).unwrap();
     let store = ObjectStore::format(&region).unwrap();
-    let mut t: PBst<Riv, 32> = PBst::new(NodeArena::transactional(store.clone())).unwrap();
+    let before = region.stats().live_allocs;
+    let mut t: PBst<Riv, 32> = PBst::new(NodeArena::transactional(store)).unwrap();
     t.extend(0..500).unwrap();
-    // 500 nodes + 1 header object.
-    assert_eq!(store.object_count(), 501);
-    assert_eq!(store.objects_of_type(nvm_pi::pds::NODE_TYPE).len(), 501);
+    // 500 nodes + 1 header object: the allocator is the one record.
+    assert_eq!(region.stats().live_allocs - before, 501);
     region.close().unwrap();
 }
 
@@ -50,6 +50,7 @@ fn torn_update_is_rolled_back_but_structure_stays_consistent() {
         let store = ObjectStore::format(&region).unwrap();
         // One committed object...
         let obj = store.alloc(1, 64).unwrap().as_ptr() as *mut u64;
+        region.set_root("obj", obj as usize).unwrap();
         unsafe {
             let mut tx = store.begin();
             for i in 0..8 {
@@ -72,9 +73,7 @@ fn torn_update_is_rolled_back_but_structure_stays_consistent() {
     let region = pool.open(rid).unwrap();
     let store = ObjectStore::attach(&region).unwrap();
     assert!(store.recovered());
-    let objs = store.objects_of_type(1);
-    assert_eq!(objs.len(), 1);
-    let obj = objs[0].as_ptr() as *const u64;
+    let obj = region.root("obj").unwrap() as *const u64;
     for i in 0..8 {
         let v = unsafe { *obj.add(i) };
         assert_eq!(
@@ -95,6 +94,7 @@ fn repeated_crashes_converge_to_last_committed_state() {
         let region = pool.create(rid, 4 << 20).unwrap();
         let store = ObjectStore::format(&region).unwrap();
         let obj = store.alloc(1, 8).unwrap().as_ptr() as *mut u64;
+        region.set_root("obj", obj as usize).unwrap();
         unsafe {
             let mut tx = store.begin();
             tx.set(obj, 1).unwrap();
@@ -107,7 +107,7 @@ fn repeated_crashes_converge_to_last_committed_state() {
     for round in 0..3 {
         let region = pool.open(rid).unwrap();
         let store = ObjectStore::attach(&region).unwrap();
-        let obj = store.objects_of_type(1)[0].as_ptr() as *mut u64;
+        let obj = region.root("obj").unwrap() as *mut u64;
         assert_eq!(unsafe { *obj }, 1, "round {round}: committed value intact");
         // Start-and-crash another update each round.
         unsafe {
@@ -121,7 +121,7 @@ fn repeated_crashes_converge_to_last_committed_state() {
     let region = pool.open(rid).unwrap();
     let store = ObjectStore::attach(&region).unwrap();
     assert!(store.recovered());
-    let obj = store.objects_of_type(1)[0].as_ptr() as *const u64;
+    let obj = region.root("obj").unwrap() as *const u64;
     assert_eq!(unsafe { *obj }, 1);
     region.close().unwrap();
     pool.destroy().unwrap();
