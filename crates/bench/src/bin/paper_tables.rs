@@ -6,13 +6,15 @@
 //!              [--latency paper|off] [--json FILE]
 //! paper_tables --validate FILE
 //!
-//! Experiments: fig12 pay256 tab1 fig13 fig14 regs fig15 rivbrk abl repl conc srv suggest all
+//! Experiments: fig12 pay256 tab1 fig13 fig14 regs fig15 rivbrk abl repl conc srv suggest
+//!              alloc largeregion all
 //! ```
 //!
-//! `--json FILE` writes every row plus the `nvmsim::metrics` delta
-//! captured around each experiment section (schema in EXPERIMENTS.md);
-//! `--validate FILE` schema-checks such a report and exits nonzero on any
-//! violation — CI's bench-smoke gate.
+//! `--quick` picks the CI-sized scale and `--n`/`--reps`/`--words`
+//! override it, in any order. `--json FILE` writes every row plus the
+//! `nvmsim::metrics` delta captured around each experiment section
+//! (schema in EXPERIMENTS.md); `--validate FILE` schema-checks such a
+//! report and exits nonzero on any violation — CI's bench-smoke gate.
 
 use bench::{
     experiments, json, render, render_json, render_markdown, Config, ReportConfig, Row, Section,
@@ -21,86 +23,104 @@ use nvmsim::latency::{self, LatencyModel};
 use nvmsim::metrics;
 use std::env;
 
-/// A section's runner: the configuration and FIG15's word counts in, the
-/// rows and the schema-v3 `bytes_per_key` side table out.
-type Runner = fn(&Config, &[usize]) -> (Vec<Row>, Vec<(String, f64)>);
+/// What the sections run at: the harness configuration, FIG15's word
+/// counts, and whether `--quick` chose them (the allocator sections keep
+/// their own quick and full sizes).
+struct Scale {
+    cfg: Config,
+    words: Vec<usize>,
+    quick: bool,
+}
+
+/// A section's runner: the scale in, the rows and the schema-v3
+/// `bytes_per_key` side table out.
+type Runner = fn(&Scale) -> (Vec<Row>, Vec<(String, f64)>);
 
 /// Every section, in report order: command-line id, report id, title, runner.
-const SECTIONS: [(&str, &str, &str, Runner); 13] = [
+const SECTIONS: [(&str, &str, &str, Runner); 15] = [
     (
         "fig12",
         "FIG12",
         "Figure 12 — slowdown, non-transactional, single region",
-        |cfg, _| (experiments::fig12(cfg), Vec::new()),
+        |s| (experiments::fig12(&s.cfg), Vec::new()),
     ),
     (
         "pay256",
         "PAY256",
         "Section 6.2 — 256 B payload sweep",
-        |cfg, _| (experiments::pay256(cfg), Vec::new()),
+        |s| (experiments::pay256(&s.cfg), Vec::new()),
     ),
     (
         "tab1",
         "TAB1",
         "Table 1 — swizzling overhead vs number of traversals",
-        |cfg, _| (experiments::tab1(cfg), Vec::new()),
+        |s| (experiments::tab1(&s.cfg), Vec::new()),
     ),
     (
         "fig13",
         "FIG13",
         "Figure 13 — slowdown, transactional, single NVRegion",
-        |cfg, _| (experiments::fig13(cfg), Vec::new()),
+        |s| (experiments::fig13(&s.cfg), Vec::new()),
     ),
     (
         "fig14",
         "FIG14",
         "Figure 14 — slowdown, transactional, 10 NVRegions",
-        |cfg, _| (experiments::fig14(cfg, 10), Vec::new()),
+        |s| (experiments::fig14(&s.cfg, 10), Vec::new()),
     ),
-    (
-        "regs",
-        "REGS",
-        "Section 6.3 — region-count sweep",
-        |cfg, _| (experiments::region_sweep(cfg), Vec::new()),
-    ),
+    ("regs", "REGS", "Section 6.3 — region-count sweep", |s| {
+        (experiments::region_sweep(&s.cfg), Vec::new())
+    }),
     (
         "fig15",
         "FIG15",
         "Figure 15 — wordcount execution times",
-        |cfg, words| (experiments::fig15(cfg, words), Vec::new()),
+        |s| (experiments::fig15(&s.cfg, &s.words), Vec::new()),
     ),
     (
         "rivbrk",
         "RIVBRK",
         "Section 6.2 — RIV dereference cost breakdown",
-        |cfg, _| (experiments::riv_breakdown(cfg), Vec::new()),
+        |s| (experiments::riv_breakdown(&s.cfg), Vec::new()),
     ),
-    ("abl", "ABL", "Ablations (DESIGN.md)", |cfg, _| {
-        (experiments::ablations(cfg), Vec::new())
+    ("abl", "ABL", "Ablations (DESIGN.md)", |s| {
+        (experiments::ablations(&s.cfg), Vec::new())
     }),
     (
         "repl",
         "REPLLAG",
         "Replication lag — backpressure policies (EXPERIMENTS.md)",
-        |cfg, _| (experiments::repl_lag(cfg), Vec::new()),
+        |s| (experiments::repl_lag(&s.cfg), Vec::new()),
     ),
     (
         "conc",
         "CONC",
         "Concurrent lock-free hashset throughput (EXPERIMENTS.md)",
-        |cfg, _| (experiments::conc(cfg), Vec::new()),
+        |s| (experiments::conc(&s.cfg), Vec::new()),
     ),
     (
         "srv",
         "SERVERTAIL",
         "Region-server tail latency — hot/cold tenant classes (EXPERIMENTS.md)",
-        |cfg, _| (experiments::server_tail(cfg), Vec::new()),
+        |s| (experiments::server_tail(&s.cfg), Vec::new()),
     ),
     (
         "suggest",
         "SUGGEST",
         "Suggestion-serving index — ART vs trie, bytes per key (EXPERIMENTS.md)",
-        |cfg, _| experiments::suggest(cfg),
+        |s| experiments::suggest(&s.cfg),
+    ),
+    (
+        "alloc",
+        "ALLOCSCALE",
+        "Allocator scaling — locked free lists vs lock-free bitmaps (EXPERIMENTS.md)",
+        |s| (experiments::alloc_scale(s.quick), Vec::new()),
+    ),
+    (
+        "largeregion",
+        "LARGEREGION",
+        "Large regions — growth, allocation and translation (EXPERIMENTS.md)",
+        |s| (experiments::large_region(s.quick), Vec::new()),
     ),
 ];
 
@@ -117,42 +137,45 @@ fn usage() -> ! {
 
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
-    let mut cfg = Config::paper();
+    let mut quick = false;
+    let mut n: Option<usize> = None;
+    let mut reps: Option<usize> = None;
+    let mut words: Option<Vec<usize>> = None;
     let mut markdown = false;
     let mut selected: Vec<&str> = Vec::new();
-    let mut word_sizes: Vec<usize> = vec![1_000_000, 2_000_000];
     let mut latency_model = LatencyModel::OFF;
     let mut json_out: Option<String> = None;
 
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--quick" => {
-                cfg = Config::quick();
-                word_sizes = vec![100_000, 200_000];
-            }
+            "--quick" => quick = true,
             "--markdown" => markdown = true,
             "--n" => {
                 i += 1;
-                cfg.n = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                cfg.searches = cfg.n;
+                n = Some(
+                    args.get(i)
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| usage()),
+                );
             }
             "--reps" => {
                 i += 1;
-                cfg.reps = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
+                reps = Some(
+                    args.get(i)
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| usage()),
+                );
             }
             "--words" => {
                 i += 1;
-                word_sizes = args
-                    .get(i)
-                    .map(|s| s.split(',').filter_map(|x| x.parse().ok()).collect())
-                    .unwrap_or_else(|| usage());
+                // Every entry a positive count, or the usage exit.
+                let parsed = args.get(i).and_then(|s| {
+                    s.split(',')
+                        .map(|x| x.parse().ok().filter(|&w: &usize| w > 0))
+                        .collect()
+                });
+                words = Some(parsed.unwrap_or_else(|| usage()));
             }
             "--latency" => {
                 i += 1;
@@ -181,6 +204,24 @@ fn main() {
         }
         i += 1;
     }
+    // The scale first, then the overrides, whatever their position.
+    let (mut cfg, default_words) = if quick {
+        (Config::quick(), vec![100_000, 200_000])
+    } else {
+        (Config::paper(), vec![1_000_000, 2_000_000])
+    };
+    if let Some(n) = n {
+        cfg.n = n;
+        cfg.searches = n;
+    }
+    if let Some(reps) = reps {
+        cfg.reps = reps;
+    }
+    let scale = Scale {
+        cfg,
+        words: words.unwrap_or(default_words),
+        quick,
+    };
     let all = selected.is_empty() || selected.contains(&"all");
 
     // Install the model before any timing, so every section runs under it.
@@ -193,7 +234,7 @@ fn main() {
         }
         eprintln!("running {id} ({title})...");
         let before = metrics::snapshot();
-        let (rows, bytes_per_key) = run(&cfg, &word_sizes);
+        let (rows, bytes_per_key) = run(&scale);
         let metrics = metrics::snapshot().delta(&before);
         sections.push(Section {
             id: id.to_string(),
@@ -222,8 +263,6 @@ fn main() {
             searches: cfg.searches,
             latency: latency_model,
             num_cpus: ReportConfig::detect_cpus(),
-            // paper_tables has no hardware-dependent pass/fail gates.
-            gates_relaxed: false,
         };
         let text = render_json(&sections, &rc);
         if let Err(e) = std::fs::write(&path, &text) {

@@ -12,8 +12,11 @@ use crate::harness::{
 };
 use crate::report::{normalize, Row};
 use crate::workloads::{self, mix};
+use block::Block;
+use nvmsim::metrics::{self, Counter};
 use nvmsim::{registry, NvSpace, Region};
 use pi_core::Riv;
+use std::time::Instant;
 
 /// The four structures of Section 6.1, in the paper's order.
 pub const STRUCTURES: [&str; 4] = ["list", "btree", "hashset", "trie"];
@@ -194,13 +197,9 @@ pub fn riv_breakdown(cfg: &Config) -> Vec<Row> {
     let n = cfg.n.max(1000);
     // A chain of RIV values, each stored at a random-ish allocation, each
     // pointing at a u64 cell.
-    let mut values: Vec<Riv> = Vec::with_capacity(n);
-    for i in 0..n {
-        let cell = region.alloc(8, 8).expect("cell").as_ptr() as *mut u64;
-        // SAFETY: freshly allocated cell.
-        unsafe { cell.write(i as u64) };
-        values.push(Riv::p2x(cell as usize));
-    }
+    let values: Vec<Riv> = (0..n)
+        .map(|i| Riv::p2x(Block::alloc(&region, 8, i as u64).addr()))
+        .collect();
     let space = NvSpace::global();
     let l3 = space.layout().l3;
     let mask = (1u64 << l3) - 1;
@@ -382,9 +381,8 @@ pub fn ablations(cfg: &Config) -> Vec<Row> {
 /// bytes from the run's metrics (the full counters land in the section's
 /// JSON metrics block).
 pub fn repl_lag(cfg: &Config) -> Vec<Row> {
-    use nvmsim::metrics;
     use nvmsim::repl::{Backpressure, MemorySink, ReplSink, Replicator, ReplicatorConfig};
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     /// A sink whose every append costs a fixed delay — a stand-in for a
     /// slow replication link, so the bounded queue actually fills.
@@ -411,10 +409,7 @@ pub fn repl_lag(cfg: &Config) -> Vec<Row> {
         // sink, or the writer is sink-bound under either policy.
         let region = Region::create(1 << 20).expect("region");
         region.enable_shadow().expect("shadow");
-        let buf = region
-            .alloc(lines * 64, 16)
-            .expect("workload buffer")
-            .as_ptr() as usize;
+        let mut buf = Block::alloc(&region, lines * 64, 0);
         let (sink, _bytes) = MemorySink::new();
         let repl = Replicator::attach_sink(
             &region,
@@ -434,11 +429,9 @@ pub fn repl_lag(cfg: &Config) -> Vec<Row> {
         for e in 0..epochs {
             // Dirty every line, make it durable, hit the durability point.
             for l in 0..lines {
-                let p = (buf + l * 64) as *mut u64;
-                // SAFETY: p is inside the freshly allocated buffer.
-                unsafe { p.write((e * lines + l) as u64) };
+                buf.write(l * 8, (e * lines + l) as u64);
             }
-            nvmsim::latency::clflush_range(buf, lines * 64);
+            nvmsim::latency::clflush_range(buf.addr(), lines * 64);
             nvmsim::latency::wbarrier();
             region.sync().expect("sync");
         }
@@ -493,7 +486,6 @@ pub fn repl_lag(cfg: &Config) -> Vec<Row> {
 /// protocol counters (CAS retries, pre-link node persists, destination
 /// flushes). Slowdowns are normal-pointer-relative per thread count.
 pub fn conc(cfg: &Config) -> Vec<Row> {
-    use nvmsim::metrics;
     use pds::{NodeArena, PHashSet};
     use pi_core::{NormalPtr, OffHolder, PtrRepr};
 
@@ -510,7 +502,7 @@ pub fn conc(cfg: &Config) -> Vec<Row> {
                     .expect("create hashset");
         }
         let seed = cfg.seed;
-        let t = std::time::Instant::now();
+        let t = Instant::now();
         std::thread::scope(|scope| {
             for tid in 0..nthreads {
                 let region = region.clone();
@@ -592,7 +584,6 @@ pub fn conc(cfg: &Config) -> Vec<Row> {
 pub fn server_tail(cfg: &Config) -> Vec<Row> {
     use nvserver::{Client, Priority, ReprKind, Server, ServerConfig, ServerFaultPlan, TenantSpec};
     use std::sync::Arc;
-    use std::time::Instant;
 
     const CLASSES: [(&str, Priority, ReprKind, [u32; 2]); 2] = [
         ("hot", Priority::High, ReprKind::OffHolder, [0, 1]),
@@ -726,7 +717,6 @@ pub fn suggest(cfg: &Config) -> (Vec<Row>, Vec<(String, f64)>) {
     use pi_core::{FatPtrCached, OffHolder, PtrRepr};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::time::Instant;
 
     let n = cfg.n * 10;
     let corpus = workloads::suggest_corpus(n, cfg.seed);
@@ -896,6 +886,270 @@ pub fn suggest(cfg: &Config) -> (Vec<Row>, Vec<(String, f64)>) {
         }
     }
     (rows, bytes_per_key)
+}
+
+/// Size classes the allocator workloads cycle through (one small, two
+/// mid, one large).
+const ALLOC_SIZES: [usize; 4] = [16, 64, 256, 1024];
+
+/// Blocks a churn burst allocates before it frees them.
+const BURST: usize = 64;
+
+/// Allocations per thread of an ALLOCSCALE cell, and of LARGEREGION's
+/// churn.
+fn alloc_ops(quick: bool) -> usize {
+    if quick {
+        4_000
+    } else {
+        100_000
+    }
+}
+
+/// The region memory the runners write. [`Block::alloc`] is the only way
+/// to get a block, [`Block::write`] stays inside it, and [`Block::free`]
+/// consumes it, so every block goes back once, with its size, to the
+/// region it came from.
+mod block {
+    use nvmsim::Region;
+    use std::ptr::NonNull;
+
+    /// A live block of a region. Plain data, so it can be handed to
+    /// another thread to free.
+    pub(super) struct Block<'r> {
+        region: &'r Region,
+        addr: usize,
+        size: usize,
+    }
+
+    impl<'r> Block<'r> {
+        /// Allocates `size` (>= 8) bytes of `region` and stores `stamp` in
+        /// the first word, so every measured allocation is memory in use.
+        pub(super) fn alloc(region: &'r Region, size: usize, stamp: u64) -> Block<'r> {
+            let p = region
+                .alloc(size, 8)
+                .expect("bench region sized for its workload");
+            let mut block = Block {
+                region,
+                addr: p.as_ptr() as usize,
+                size,
+            };
+            block.write(0, stamp);
+            block
+        }
+
+        /// The block's address.
+        pub(super) fn addr(&self) -> usize {
+            self.addr
+        }
+
+        /// Stores `value` in the block's `word`-th 8-byte word.
+        pub(super) fn write(&mut self, word: usize, value: u64) {
+            assert!(word * 8 + 8 <= self.size, "word {word} outside the block");
+            // SAFETY: in bounds (asserted) of a live block this value owns;
+            // blocks are 16-byte aligned, so every word is 8-byte aligned.
+            unsafe { ((self.addr + word * 8) as *mut u64).write(value) };
+        }
+
+        /// Returns the block to its region.
+        pub(super) fn free(self) {
+            let p = NonNull::new(self.addr as *mut u8).expect("allocations are non-null");
+            // SAFETY: only `alloc` makes a block and `free` consumes it, so
+            // `p` came from this region with this size and is freed once;
+            // nothing keeps a reference into it.
+            unsafe { self.region.dealloc(p, self.size) };
+        }
+    }
+}
+
+/// Same-thread churn: bursts of mixed-size allocations, each burst freed
+/// newest first. Returns the blocks allocated (each is two ops).
+fn churn(region: &Region, ops: usize, seed: usize) -> usize {
+    let mut burst = Vec::with_capacity(BURST);
+    let mut i = seed;
+    let mut done = 0;
+    while done < ops {
+        let n = BURST.min(ops - done);
+        for _ in 0..n {
+            let size = ALLOC_SIZES[i % ALLOC_SIZES.len()];
+            i = i.wrapping_add(1);
+            burst.push(Block::alloc(region, size, i as u64));
+        }
+        for block in burst.drain(..).rev() {
+            block.free();
+        }
+        done += n;
+    }
+    done
+}
+
+/// One ALLOCSCALE cell on a fresh shared region: aggregate ops/s (an op
+/// is an alloc or a free) and the cell's `llalloc_cas_retries`. Workers
+/// time themselves and the interval runs from the first start to the
+/// last finish: timing from the spawning thread undercounts on few-core
+/// hosts, where workers can finish before it is rescheduled.
+fn alloc_cell(workload: &str, threads: usize, ops: usize, lockfree: bool) -> (f64, u64) {
+    use std::sync::{mpsc, Barrier};
+
+    let region = Region::create(64 << 20).expect("create bench region");
+    region.set_lockfree(lockfree);
+    // Pre-warm so both paths measure steady-state reuse, not first-touch
+    // carving.
+    churn(&region, 2 * BURST * ALLOC_SIZES.len(), 0);
+    let before = metrics::snapshot();
+    let barrier = Barrier::new(threads);
+    let runs: Vec<(Instant, Instant, usize)> = std::thread::scope(|s| {
+        let (region, barrier) = (&region, &barrier);
+        let mut workers = Vec::new();
+        if workload == "churn" {
+            for t in 0..threads {
+                workers.push(s.spawn(move || {
+                    barrier.wait();
+                    let start = Instant::now();
+                    let done = churn(region, ops, t * 7919);
+                    (start, Instant::now(), 2 * done)
+                }));
+            }
+        } else {
+            // Producer/consumer pairs: every block is freed by another
+            // thread than the one that allocated it. The channel is
+            // bounded, so producers cannot outrun consumers by more than a
+            // few bursts.
+            for pair in 0..threads / 2 {
+                let (tx, rx) = mpsc::sync_channel(4 * BURST);
+                workers.push(s.spawn(move || {
+                    barrier.wait();
+                    let start = Instant::now();
+                    let mut i = pair * 7919;
+                    for _ in 0..ops {
+                        let size = ALLOC_SIZES[i % ALLOC_SIZES.len()];
+                        i = i.wrapping_add(1);
+                        tx.send(Block::alloc(region, size, i as u64)).unwrap();
+                    }
+                    drop(tx);
+                    (start, Instant::now(), ops)
+                }));
+                workers.push(s.spawn(move || {
+                    barrier.wait();
+                    let start = Instant::now();
+                    let mut freed = 0;
+                    while let Ok(block) = rx.recv() {
+                        block.free();
+                        freed += 1;
+                    }
+                    (start, Instant::now(), freed)
+                }));
+            }
+        }
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let cas_retries = metrics::snapshot()
+        .delta(&before)
+        .get(Counter::LlallocCasRetries);
+    let first = runs.iter().map(|r| r.0).min().unwrap();
+    let last = runs.iter().map(|r| r.1).max().unwrap();
+    let total: usize = runs.iter().map(|r| r.2).sum();
+    region.close().expect("close bench region");
+    (total as f64 / (last - first).as_secs_f64(), cas_retries)
+}
+
+/// ALLOCSCALE — allocator throughput on one shared region (EXPERIMENTS.md
+/// `ALLOC-SCALING`) for the two allocator paths: `locked`
+/// (`set_lockfree(false)`: the region lock and the free lists, what
+/// `NodeArena::scatter`'s regions run) and `llalloc` (the default
+/// lock-free bitmap core). Workloads, the row's `structure`: `churn`
+/// (each thread alloc/frees bursts of mixed size classes) at 1–16
+/// threads and `prodcons` (producer/consumer pairs) at 2–16. `quick`
+/// runs 4 000 allocations per thread instead of 100 000.
+pub fn alloc_scale(quick: bool) -> Vec<Row> {
+    let ops = alloc_ops(quick);
+    let mut rows = Vec::new();
+    for (workload, min_threads) in [("churn", 1), ("prodcons", 2)] {
+        for threads in [1, 2, 4, 8, 16].into_iter().filter(|&t| t >= min_threads) {
+            for (repr, lockfree) in [("locked", false), ("llalloc", true)] {
+                let (ops_per_sec, cas_retries) = alloc_cell(workload, threads, ops, lockfree);
+                rows.push(Row::new(
+                    "ALLOCSCALE",
+                    workload,
+                    "alloc_free",
+                    repr,
+                    1e9 / ops_per_sec,
+                    format!(
+                        "threads={threads} ops_per_sec={ops_per_sec:.0} \
+                         per_thread_ops_per_sec={:.0} llalloc_cas_retries={cas_retries}",
+                        ops_per_sec / threads as f64
+                    ),
+                ));
+            }
+        }
+    }
+    rows
+}
+
+/// LARGEREGION — single regions far past the old one-segment-per-region
+/// ceiling (EXPERIMENTS.md). Each cell creates an 8 MiB region with its
+/// full size reserved, grows it in 8 steps, runs the churn in the grown
+/// region and probes `Addr2ID` at one stride-scattered address per chunk.
+/// The claims: growth is commit-only, allocation throughput does not
+/// degrade with region size, and `Addr2ID` stays one dependent load however
+/// many chunks back the region. `quick` runs 16 and 64 MiB cells instead
+/// of 64 MiB, 256 MiB and 1 GiB.
+pub fn large_region(quick: bool) -> Vec<Row> {
+    const GROW_STEPS: usize = 8;
+    let sizes: &[usize] = if quick {
+        &[16 << 20, 64 << 20]
+    } else {
+        &[64 << 20, 256 << 20, 1 << 30]
+    };
+    let space = NvSpace::global();
+    let chunk = space.layout().chunk_size();
+    let mut rows = Vec::new();
+    for &size in sizes {
+        let before = metrics::snapshot();
+        let region = Region::create_with_capacity(8 << 20, size).expect("create large region");
+        let t = Instant::now();
+        for step in 1..=GROW_STEPS {
+            let target = (8 << 20).max(size / GROW_STEPS * step);
+            region.grow(target).expect("grow within reserved capacity");
+        }
+        let grow_ms = t.elapsed().as_secs_f64() * 1e3;
+
+        let t = Instant::now();
+        let done = churn(&region, alloc_ops(quick), 1);
+        let alloc_ops_per_sec = (done * 2) as f64 / t.elapsed().as_secs_f64();
+
+        let base = region.base();
+        let chunks = size / chunk;
+        let probes: Vec<usize> = (0..chunks)
+            .map(|i| base + i * chunk + (i * 4099) % (chunk - 8))
+            .collect();
+        let rounds = (1_000_000 / chunks.max(1)).max(1);
+        let t = Instant::now();
+        let mut sink = 0u64;
+        for _ in 0..rounds {
+            for &addr in &probes {
+                let (rid, off) = space.rid_off_of_addr(addr);
+                sink = sink.wrapping_add(rid as u64 ^ off);
+            }
+        }
+        let translate_ns = t.elapsed().as_secs_f64() * 1e9 / (rounds * chunks) as f64;
+        std::hint::black_box(sink);
+
+        let grows = metrics::snapshot().delta(&before).get(Counter::RegionGrows);
+        region.close().expect("close large region");
+        rows.push(Row::new(
+            "LARGEREGION",
+            "grow_churn_translate",
+            "alloc_free",
+            "llalloc",
+            1e9 / alloc_ops_per_sec,
+            format!(
+                "size_mib={} chunks={chunks} grow_ms={grow_ms:.2} region_grows={grows} \
+                 alloc_ops_per_sec={alloc_ops_per_sec:.0} addr2id_ns={translate_ns:.2}",
+                size >> 20
+            ),
+        ));
+    }
+    rows
 }
 
 #[cfg(test)]

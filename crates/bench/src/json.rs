@@ -55,14 +55,6 @@ impl Json {
         }
     }
 
-    /// The value as a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
@@ -319,10 +311,6 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
     if num_cpus == 0 {
         return Err("config.num_cpus must be >= 1".to_string());
     }
-    config
-        .get("gates_relaxed")
-        .and_then(Json::as_bool)
-        .ok_or("missing config.gates_relaxed")?;
     let model = config.get("latency_model").ok_or("missing latency_model")?;
     let wbarrier_ns = model
         .get("wbarrier_ns")
@@ -460,7 +448,6 @@ mod tests {
             searches: 2000,
             latency,
             num_cpus: ReportConfig::detect_cpus(),
-            gates_relaxed: false,
         };
         render_json(&sections, &cfg)
     }
@@ -500,31 +487,31 @@ mod tests {
         assert!(summary.fat_lookups >= 1);
 
         assert!(validate_report("{}").is_err(), "missing everything");
-        let wrong_version = good.replacen(
-            &format!("\"schema_version\": {SCHEMA_VERSION}"),
-            "\"schema_version\": 99",
-            1,
-        );
-        assert!(validate_report(&wrong_version).is_err());
-        // Schema v2: host context is mandatory.
-        let no_cpus = good.replacen("\"num_cpus\"", "\"cpus\"", 1);
-        assert!(
-            validate_report(&no_cpus).unwrap_err().contains("num_cpus"),
-            "v2 reports must record num_cpus"
-        );
-        let no_gates = good.replacen("\"gates_relaxed\"", "\"gates\"", 1);
-        assert!(validate_report(&no_gates)
-            .unwrap_err()
-            .contains("gates_relaxed"));
-        // Schema v3: per-section bytes_per_key is mandatory and typed.
-        let no_bpk = good.replacen("\"bytes_per_key\"", "\"bytes\"", 1);
-        assert!(validate_report(&no_bpk)
-            .unwrap_err()
-            .contains("bytes_per_key"));
-        let bad_bpk = good.replacen("\"riv\": 48.25", "\"riv\": -1", 1);
-        assert!(validate_report(&bad_bpk)
-            .unwrap_err()
-            .contains("bytes_per_key.riv"));
+        let version = format!("\"schema_version\": {SCHEMA_VERSION}");
+        // (text of the good report, replaced by, what the error names)
+        let cases = [
+            (
+                version.as_str(),
+                "\"schema_version\": 99",
+                "schema_version 99",
+            ),
+            // v4 dropped the gate-waiver flag from `config`: v3 is refused.
+            (
+                version.as_str(),
+                "\"schema_version\": 3",
+                "schema_version 3",
+            ),
+            // v2: host context is mandatory.
+            ("\"num_cpus\"", "\"cpus\"", "num_cpus"),
+            // v3: per-section bytes_per_key is mandatory and typed.
+            ("\"bytes_per_key\"", "\"bytes\"", "bytes_per_key"),
+            ("\"riv\": 48.25", "\"riv\": -1", "bytes_per_key.riv"),
+        ];
+        for (from, to, names) in cases {
+            assert!(good.contains(from), "{from} must occur in the report");
+            let err = validate_report(&good.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains(names), "{to}: {err}");
+        }
         // Zeroing the fat-lookup counter must fail the PAPER-model gate.
         let pos = good.find("\"fat_lookups\": ").expect("counter present");
         let end = good[pos..].find(',').unwrap() + pos;

@@ -133,17 +133,21 @@ pub fn render(rows: &[Row]) -> String {
 /// Version of the JSON report schema emitted by [`render_json`]. Bump on
 /// any breaking change to field names or nesting; see EXPERIMENTS.md.
 ///
-/// v2: `config` additionally records the host parallelism (`num_cpus`)
-/// and whether any hardware-dependent pass/fail gate was auto-relaxed
-/// for this run (`gates_relaxed`) — both required for interpreting
-/// scaling and tail-latency numbers across machines.
+/// v2: `config` additionally records the host parallelism (`num_cpus`),
+/// required for interpreting scaling and tail-latency numbers across
+/// machines.
 ///
 /// v3: every section carries a `bytes_per_key` object mapping each
 /// measured representation to its live index bytes per distinct key
 /// (empty for pure-latency sections). The SUGGEST experiment is the
 /// first producer; the field is how space overheads of the pointer
 /// representations are compared across report generations.
-pub const SCHEMA_VERSION: u64 = 3;
+///
+/// v4: `config` no longer records whether a hardware-dependent pass/fail
+/// gate was waived for the run. The one such gate (alloc scaling's 4x at
+/// 8 threads) went with the runner that had it, so the flag could only
+/// ever read `false`.
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// One experiment section of a report: its rows plus the process-wide
 /// metrics delta captured around the section's timed run.
@@ -178,9 +182,6 @@ pub struct ReportConfig {
     /// Host hardware parallelism (`std::thread::available_parallelism`)
     /// at run time.
     pub num_cpus: usize,
-    /// True when a hardware-dependent gate (e.g. the alloc-scaling 4x
-    /// threshold) was auto-relaxed because the host is too small for it.
-    pub gates_relaxed: bool,
 }
 
 impl ReportConfig {
@@ -228,14 +229,13 @@ pub fn render_json(sections: &[Section], cfg: &ReportConfig) -> String {
     let _ = writeln!(
         out,
         "  \"config\": {{\"n\": {}, \"reps\": {}, \"seed\": {}, \"searches\": {}, \
-         \"num_cpus\": {}, \"gates_relaxed\": {}, \
+         \"num_cpus\": {}, \
          \"latency_model\": {{\"wbarrier_ns\": {}, \"clflush_ns\": {}}}}},",
         cfg.n,
         cfg.reps,
         cfg.seed,
         cfg.searches,
         cfg.num_cpus,
-        cfg.gates_relaxed,
         cfg.latency.wbarrier_ns,
         cfg.latency.clflush_ns
     );

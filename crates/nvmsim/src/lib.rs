@@ -53,7 +53,6 @@ pub mod llalloc;
 pub mod mem;
 pub mod metrics;
 pub mod nvspace;
-pub mod persist;
 pub mod region;
 pub mod registry;
 pub mod repl;
@@ -74,7 +73,6 @@ pub use error::{NvError, Result};
 pub use latency::LatencyModel;
 pub use layout::{ExactLayout, Layout};
 pub use nvspace::NvSpace;
-pub use persist::RegionPool;
 pub use region::Region;
 pub use registry::RegionInfo;
 pub use repl::{

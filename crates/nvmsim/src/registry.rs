@@ -374,7 +374,7 @@ pub struct RegionInfo {
 }
 
 // Read-mostly: mutated only at region open/close, read by every
-// `open_regions`/`region_info` query, so readers share the lock.
+// `open_regions` query, so readers share the lock.
 static OPEN: RwLock<Vec<RegionInfo>> = RwLock::new(Vec::new());
 static NEXT_RID: AtomicU32 = AtomicU32::new(1);
 
@@ -416,11 +416,6 @@ pub fn alloc_rid(max_rid: u32, avoid: impl Fn(u32) -> bool) -> Option<u32> {
 /// Snapshot of the regions currently open in this process.
 pub fn open_regions() -> Vec<RegionInfo> {
     OPEN.read().clone()
-}
-
-/// Looks up an open region's info by id.
-pub fn region_info(rid: u32) -> Option<RegionInfo> {
-    OPEN.read().iter().find(|r| r.rid == rid).copied()
 }
 
 #[cfg(test)]
@@ -548,18 +543,17 @@ mod tests {
 
     #[test]
     fn open_regions_lists_registered() {
+        let find = || open_regions().into_iter().find(|r| r.rid == R + 3);
         register(R + 3, 0x5000, 128);
-        let info = region_info(R + 3).unwrap();
         assert_eq!(
-            info,
-            RegionInfo {
+            find(),
+            Some(RegionInfo {
                 rid: R + 3,
                 base: 0x5000,
                 size: 128
-            }
+            })
         );
-        assert!(open_regions().iter().any(|r| r.rid == R + 3));
         unregister(R + 3);
-        assert!(region_info(R + 3).is_none());
+        assert!(find().is_none());
     }
 }

@@ -37,8 +37,6 @@ pub mod bst;
 pub mod error;
 pub mod hashset;
 pub mod list;
-pub mod pmap;
-pub mod pvec;
 pub mod trie;
 pub mod wordcount;
 
@@ -48,7 +46,5 @@ pub use bst::{BstNode, PBst, BST_ROOT_TAG};
 pub use error::{PdsError, Result};
 pub use hashset::{HsNode, PHashSet, HASHSET_ROOT_TAG};
 pub use list::{fill_payload, ListNode, PList, LIST_ROOT_TAG};
-pub use pmap::{PMap, PMapNode, PMAP_ROOT_TAG};
-pub use pvec::{PVec, PlainData, PVEC_ROOT_TAG};
 pub use trie::{PTrie, TrieNode, ALPHABET, TRIE_ROOT_TAG};
 pub use wordcount::{WcNode, WordCount, MAX_WORD, WORDCOUNT_ROOT_TAG};

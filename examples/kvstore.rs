@@ -1,6 +1,8 @@
 //! A tiny persistent key-value store built from the whole stack: a
-//! durable region, the transactional object store, and a `PMap` index of
-//! RIV pointers to store-allocated values. Every update is crash-safe,
+//! durable region, the transactional object store, and a `PArt` index of
+//! RIV pointers whose every entry is one word `key=value`. Each command
+//! that changes the database is exactly one transaction (`set` one
+//! `insert_tx`, `del` one `remove_tx`), so every update is crash-safe,
 //! and the database reopens at whatever address the NV space hands out.
 //!
 //! ```text
@@ -12,11 +14,9 @@
 //!
 //! The database file lives at `$TMPDIR/nvm-pi-kvstore/db.nvr`.
 
-use nvm_pi::{NodeArena, ObjectStore, PMap, Region, Riv};
+use nvm_pi::pds::MAX_KEY;
+use nvm_pi::{NodeArena, ObjectStore, PArt, Region, Riv};
 use std::path::PathBuf;
-
-const VALUE_TYPE: u32 = 0x56414c55; // "VALU"
-const MAX_VALUE: usize = 240;
 
 fn db_path() -> PathBuf {
     let dir = std::env::temp_dir().join("nvm-pi-kvstore");
@@ -24,159 +24,117 @@ fn db_path() -> PathBuf {
     dir.join("db.nvr")
 }
 
-fn key_hash(key: &str) -> u64 {
-    // FNV-1a; good enough for a demo index.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in key.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h | 1 // keep 0 free as "absent"
-}
+type Db = (Region, ObjectStore, PArt<Riv>);
 
-/// Value layout in the store: len byte + bytes (within one small object).
-unsafe fn write_value(p: *mut u8, value: &str) {
-    p.write(value.len() as u8);
-    std::ptr::copy_nonoverlapping(value.as_ptr(), p.add(1), value.len());
+/// Deletes an image that cannot serve as the database and starts over —
+/// for a demo cache in `$TMPDIR`, starting over is fine.
+fn start_fresh(region: Region, why: &str) -> Result<Db, Box<dyn std::error::Error>> {
+    eprintln!("note: discarding unusable {why}; starting fresh");
+    region.close()?;
+    std::fs::remove_file(db_path())?;
+    open_db()
 }
-
-unsafe fn read_value(p: *const u8) -> String {
-    let len = p.read() as usize;
-    let bytes = std::slice::from_raw_parts(p.add(1), len);
-    String::from_utf8_lossy(bytes).into_owned()
-}
-
-type Db = (Region, ObjectStore, PMap<Riv, u64>);
 
 fn open_db() -> Result<Db, Box<dyn std::error::Error>> {
     let path = db_path();
-    let (region, store, map) = if path.exists() {
-        let region = match Region::open_file(&path) {
-            Ok(r) => r,
-            Err(e) => {
-                // A stale image from an older on-media format (or one
-                // damaged beyond slot-assisted repair) fails with a typed
-                // error; for a demo cache in /tmp, starting over is fine.
-                eprintln!("note: discarding unusable image ({e}); starting fresh");
-                std::fs::remove_file(&path)?;
-                return open_db();
-            }
-        };
-        let store = match ObjectStore::attach(&region) {
-            Ok(s) => s,
-            Err(e) => {
-                // Likewise a store of an older format.
-                eprintln!("note: discarding unusable store ({e}); starting fresh");
-                region.close()?;
-                std::fs::remove_file(&path)?;
-                return open_db();
-            }
-        };
-        if store.recovered() {
-            eprintln!("note: recovered from an interrupted transaction");
-        }
-        let map = PMap::attach(NodeArena::transactional(store.clone()), "kv-index")?;
-        (region, store, map)
-    } else {
+    if !path.exists() {
         let region = Region::create_file(&path, 8 << 20)?;
         let store = ObjectStore::format(&region)?;
-        let map = PMap::create_rooted(NodeArena::transactional(store.clone()), "kv-index")?;
-        (region, store, map)
+        let index = PArt::create_rooted(NodeArena::transactional(store.clone()), "kv-index")?;
+        return Ok((region, store, index));
+    }
+    let region = match Region::open_file(&path) {
+        Ok(r) => r,
+        Err(e) => {
+            // A stale image from an older on-media format (or one damaged
+            // beyond slot-assisted repair) fails with a typed error.
+            eprintln!("note: discarding unusable image ({e}); starting fresh");
+            std::fs::remove_file(&path)?;
+            return open_db();
+        }
     };
-    Ok((region, store, map))
+    let store = match ObjectStore::attach(&region) {
+        Ok(s) => s,
+        Err(e) => return start_fresh(region, &format!("store ({e})")),
+    };
+    if store.recovered() {
+        eprintln!("note: rolled back an interrupted transaction");
+    }
+    // A database written by an older version of this example keeps an
+    // index of another type under the same root name.
+    match PArt::attach(NodeArena::transactional(store.clone()), "kv-index") {
+        Ok(index) => Ok((region, store, index)),
+        Err(e) => start_fresh(region, &format!("index ({e})")),
+    }
+}
+
+/// The one entry for `key`, as `key=value`.
+fn entry(index: &PArt<Riv>, key: &str) -> Result<Option<String>, Box<dyn std::error::Error>> {
+    Ok(index.prefix_scan(&format!("{key}="))?.into_iter().next())
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (region, store, mut map) = open_db()?;
-    println!(
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    // A key is one `key=` prefix of the index: non-empty, no `=`.
+    let key_ok = |key: &str| !key.is_empty() && !key.contains('=') && key.len() < MAX_KEY;
+    match args.as_slice() {
+        ["set", key, value] if key_ok(key) && key.len() + 1 + value.len() <= MAX_KEY => {}
+        ["get" | "del", key] if key_ok(key) => {}
+        ["list"] | ["reset"] => {}
+        _ => {
+            eprintln!(
+                "usage: kvstore set <key> <value> | get <key> | del <key> | list | reset\n\
+                 an entry `key=value` is at most {MAX_KEY} bytes and its key holds no `=`"
+            );
+            std::process::exit(2);
+        }
+    }
+
+    let (region, store, mut index) = open_db()?;
+    eprintln!(
         "db mapped at {:#x} (region {})",
         region.base(),
         region.rid()
     );
 
-    match args
-        .iter()
-        .map(|s| s.as_str())
-        .collect::<Vec<_>>()
-        .as_slice()
-    {
+    match args.as_slice() {
         ["set", key, value] => {
-            if value.len() > MAX_VALUE {
-                return Err(format!("value too long (max {MAX_VALUE} bytes)").into());
+            if entry(&index, key)?.is_some() {
+                region.close()?;
+                return Err(format!("{key} already holds a value; del it first").into());
             }
-            // Allocate + fill the value transactionally, then point the
-            // index at it. A crash anywhere leaves the old state intact.
-            let payload = {
-                let mut tx = store.begin();
-                let p = tx.alloc(VALUE_TYPE, 1 + value.len())?;
-                unsafe {
-                    tx.add_range(p.as_ptr() as usize, 1 + value.len())?;
-                    write_value(p.as_ptr(), value);
-                }
-                tx.commit();
-                p
-            };
-            let riv = Riv::p2x(payload.as_ptr() as usize);
-            let old = map.insert(key_hash(key), riv.raw())?;
-            if let Some(old_raw) = old {
-                // Free the replaced value object.
-                let old_ptr = riv_from_raw(old_raw).x2p() as *mut u8;
-                unsafe { store.free(std::ptr::NonNull::new(old_ptr).unwrap())? };
-                println!("updated {key}");
-            } else {
-                println!("inserted {key}");
-            }
-            region.sync()?;
+            index.insert_tx(&store, &format!("{key}={value}"))?;
+            println!("inserted {key}");
         }
-        ["get", key] => match map.get(key_hash(key)) {
-            Some(raw) => {
-                let v = unsafe { read_value(riv_from_raw(raw).x2p() as *const u8) };
-                println!("{v}");
-            }
+        ["get", key] => match entry(&index, key)? {
+            Some(word) => println!("{}", &word[key.len() + 1..]),
             None => println!("(not found)"),
         },
-        ["del", key] => match map.remove(key_hash(key)) {
-            Some(raw) => {
-                let p = riv_from_raw(raw).x2p() as *mut u8;
-                unsafe { store.free(std::ptr::NonNull::new(p).unwrap())? };
-                region.sync()?;
+        ["del", key] => match entry(&index, key)? {
+            Some(word) => {
+                index.remove_tx(&store, &word)?;
                 println!("deleted {key}");
             }
             None => println!("(not found)"),
         },
         ["list"] => {
-            let entries = map.entries();
-            println!(
-                "{} values, {} live allocations:",
-                entries.len(),
-                region.stats().live_allocs
-            );
-            for (hash, raw) in entries {
-                let v = unsafe { read_value(riv_from_raw(raw).x2p() as *const u8) };
-                println!("  {hash:#018x} = {v:?}");
+            let words = index.prefix_scan("")?;
+            println!("{} entries:", words.len());
+            for word in words {
+                let (key, value) = word.split_once('=').unwrap_or((&word, ""));
+                println!("  {key} = {value:?}");
             }
         }
         ["reset"] => {
-            drop(map);
-            drop(store);
             region.close()?;
             std::fs::remove_file(db_path())?;
             println!("database removed");
             return Ok(());
         }
-        _ => {
-            eprintln!("usage: kvstore set <key> <value> | get <key> | del <key> | list | reset");
-            std::process::exit(2);
-        }
+        _ => unreachable!("arguments checked above"),
     }
 
     region.close()?;
     Ok(())
-}
-
-fn riv_from_raw(raw: u64) -> Riv {
-    // SAFETY: Riv is repr(transparent) over u64; the raw bits came from
-    // Riv::raw() stored in the index.
-    unsafe { std::mem::transmute::<u64, Riv>(raw) }
 }

@@ -66,13 +66,13 @@ pub use pstore;
 pub use nvmsim::{
     CapturedCrash, CheckReport, CrashPointReached, ExactLayout, FaultPlan, FaultPolicy,
     FaultReport, FaultStamp, History, LatencyModel, Layout, NvError, NvSpace, OpRecord, Recorder,
-    Region, RegionPool, SchedEvent, ScheduleAborted, Scheduler, SetOp, VerifyReport, Violation,
+    Region, SchedEvent, ScheduleAborted, Scheduler, SetOp, VerifyReport, Violation,
 };
 pub use nvserver::{
     Client, Priority, ReprKind, Server, ServerConfig, ServerFaultPlan, ServerReport, TenantSpec,
     TenantState,
 };
-pub use pds::{NodeArena, PArt, PBst, PHashSet, PList, PMap, PTrie, PVec, PdsError, WordCount};
+pub use pds::{NodeArena, PArt, PBst, PHashSet, PList, PTrie, PdsError, WordCount};
 pub use pi_core::{
     is_persistent, AtomicPPtr, BasedPtr, FatPtr, FatPtrCached, NormalPtr, NvRef, OffHolder, PPtr,
     PersistentI, PersistentX, PtrRepr, Riv, SwizzledPtr, TypeError,

@@ -3,16 +3,22 @@
 //! Section 2.2 (data reachable from one root across regions).
 
 use nvm_pi::pi_core::{PtrRepr, Riv};
-use nvm_pi::{NodeArena, NvSpace, PBst, PList, Region, RegionPool};
+use nvm_pi::{NodeArena, NvSpace, PBst, PList, Region};
+
+mod util;
+
+// `M.cell(..)` is the scratch directory of the file-backed tests.
+static M: util::Matrix = util::Matrix::new("multi_region", 0x5EED);
 
 #[test]
 fn riv_list_spans_regions_and_survives_reopen_in_shuffled_order() {
-    let pool = RegionPool::temp("multi-shuffle").unwrap();
+    let scratch = M.cell("shuffle");
     let rids = [30_001u32, 30_002, 30_003];
+    let path = |rid: u32| scratch.path(&format!("region_{rid}.nvr"));
     let checksum = {
         let regions: Vec<Region> = rids
             .iter()
-            .map(|&rid| pool.create(rid, 4 << 20).unwrap())
+            .map(|&rid| Region::create_file_with_rid(path(rid), rid, 4 << 20).unwrap())
             .collect();
         let mut list: PList<Riv, 32> =
             PList::create_rooted(NodeArena::raw_round_robin(regions.clone()), "l").unwrap();
@@ -27,7 +33,7 @@ fn riv_list_spans_regions_and_survives_reopen_in_shuffled_order() {
     // mapping order (and the fresh random addresses) must not matter.
     let reopened: Vec<Region> = [rids[2], rids[0], rids[1]]
         .iter()
-        .map(|&rid| pool.open(rid).unwrap())
+        .map(|&rid| Region::open_file(path(rid)).unwrap())
         .collect();
     // The arena must present the home region (the one holding the header,
     // rid 30_001) first.
@@ -41,7 +47,6 @@ fn riv_list_spans_regions_and_survives_reopen_in_shuffled_order() {
     for r in reopened {
         r.close().unwrap();
     }
-    pool.destroy().unwrap();
 }
 
 #[test]
@@ -66,10 +71,11 @@ fn nodes_really_are_spread_across_regions() {
 
 #[test]
 fn riv_values_resolve_against_whichever_segment_the_region_occupies() {
-    let pool = RegionPool::temp("riv-segments").unwrap();
+    let scratch = M.cell("riv-segments");
+    let path = scratch.path("region.nvr");
     let rid = 30_010;
     let raw = {
-        let r = pool.create(rid, 1 << 20).unwrap();
+        let r = Region::create_file_with_rid(&path, rid, 1 << 20).unwrap();
         let cell = r.alloc(8, 8).unwrap().as_ptr() as *mut u64;
         unsafe { cell.write(777) };
         r.set_root("cell", cell as usize).unwrap();
@@ -79,7 +85,7 @@ fn riv_values_resolve_against_whichever_segment_the_region_occupies() {
     };
     let mut seen_bases = std::collections::HashSet::new();
     for _ in 0..4 {
-        let r = pool.open(rid).unwrap();
+        let r = Region::open_file(&path).unwrap();
         seen_bases.insert(r.base());
         let x = riv_from_raw(raw);
         let p = x.x2p();
@@ -91,7 +97,6 @@ fn riv_values_resolve_against_whichever_segment_the_region_occupies() {
         seen_bases.len() >= 2,
         "expected the region to move between opens"
     );
-    pool.destroy().unwrap();
 }
 
 /// Rebuild a Riv from its persisted raw bits (as a structure field read
@@ -143,10 +148,11 @@ fn bst_across_ten_regions_matches_single_region_contents() {
 #[test]
 fn fat_pointers_follow_region_remaps_through_the_registry() {
     use nvm_pi::pi_core::FatPtr;
-    let pool = RegionPool::temp("fat-remap").unwrap();
+    let scratch = M.cell("fat-remap");
+    let path = scratch.path("region.nvr");
     let rid = 30_020;
     let (fat_rid, fat_off) = {
-        let r = pool.create(rid, 1 << 20).unwrap();
+        let r = Region::create_file_with_rid(&path, rid, 1 << 20).unwrap();
         let cell = r.alloc(8, 8).unwrap().as_ptr() as *mut u64;
         unsafe { cell.write(99) };
         let mut f = FatPtr::default();
@@ -156,10 +162,9 @@ fn fat_pointers_follow_region_remaps_through_the_registry() {
         (f.rid(), f.offset())
     };
     for _ in 0..3 {
-        let r = pool.open(rid).unwrap();
+        let r = Region::open_file(&path).unwrap();
         let f = FatPtr::from_parts(fat_rid, fat_off);
         assert_eq!(f.load(), r.root("cell").unwrap());
         r.close().unwrap();
     }
-    pool.destroy().unwrap();
 }

@@ -2,9 +2,15 @@
 //! "Invariants").
 
 use nvm_pi::nvmsim::layout::{Area, ExactLayout};
-use nvm_pi::pi_core::{OffHolder, PtrRepr, Riv};
-use nvm_pi::{NodeArena, PList, Region};
+use nvm_pi::pi_core::{FatPtrCached, OffHolder, PtrRepr, Riv};
+use nvm_pi::{NodeArena, ObjectStore, PArt, PList, Region};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+mod util;
+
+// `M.cell(..)` is the scratch directory of the file-backed properties.
+static M: util::Matrix = util::Matrix::new("properties", 0x5EED);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -223,6 +229,82 @@ proptest! {
         }
         region.close().unwrap();
     }
+
+    #[test]
+    fn art_tx_schedule_matches_model_offholder(ops in tx_schedule()) {
+        art_tx_matches_model::<OffHolder>(&ops);
+    }
+
+    #[test]
+    fn art_tx_schedule_matches_model_riv(ops in tx_schedule()) {
+        art_tx_matches_model::<Riv>(&ops);
+    }
+
+    #[test]
+    fn art_tx_schedule_matches_model_fat_cached(ops in tx_schedule()) {
+        art_tx_matches_model::<FatPtrCached>(&ops);
+    }
+}
+
+/// Insert (`true`) or remove one occurrence of a key of 1-3 letters from
+/// a 3-letter alphabet: few enough keys that schedules repeat and remove
+/// them, with prefix relations ("a", "ab") throughout.
+fn tx_schedule() -> impl Strategy<Value = Vec<(Vec<u8>, bool)>> {
+    prop::collection::vec((prop::collection::vec(0u8..3, 1..4), any::<bool>()), 1..120)
+}
+
+/// The index `examples/kvstore.rs` stands on: a random
+/// `insert_tx`/`remove_tx` schedule on a `PArt` over a transactional arena
+/// agrees with a map of occurrence counts after every operation, and again
+/// after a clean close and a reopen at a different base.
+fn art_tx_matches_model<R: PtrRepr>(ops: &[(Vec<u8>, bool)]) {
+    let cell = M.cell(&format!("art-tx-{}", R::NAME));
+    let path = cell.path("art.nvr");
+    let mut model: BTreeMap<String, u64> = BTreeMap::new();
+    let region = Region::create_file(&path, 4 << 20).unwrap();
+    let store = ObjectStore::format(&region).unwrap();
+    let mut art: PArt<R> =
+        PArt::create_rooted(NodeArena::transactional(store.clone()), "kv").unwrap();
+    for (raw, insert) in ops {
+        let key: String = raw.iter().map(|&c| (b'a' + c) as char).collect();
+        let count = model.entry(key.clone()).or_default();
+        if *insert {
+            *count += 1;
+            assert_eq!(art.insert_tx(&store, &key).unwrap(), *count, "insert {key}");
+        } else {
+            let removed = art.remove_tx(&store, &key).unwrap();
+            assert_eq!(removed, *count > 0, "remove {key}");
+            *count = count.saturating_sub(1);
+        }
+    }
+    art_agrees(&art, &model);
+    let mut base = region.base();
+    region.close().unwrap();
+
+    let region = cell.remap(&path, &mut base).unwrap();
+    let store = ObjectStore::attach(&region).unwrap();
+    assert!(
+        !store.recovered(),
+        "a clean close leaves nothing to roll back"
+    );
+    let art: PArt<R> = PArt::attach(NodeArena::transactional(store), "kv").unwrap();
+    art_agrees(&art, &model);
+    region.close().unwrap();
+}
+
+fn art_agrees<R: PtrRepr>(art: &PArt<R>, model: &BTreeMap<String, u64>) {
+    art.check_invariants()
+        .unwrap_or_else(|e| panic!("art invariants: {e}"));
+    for (key, &n) in model {
+        assert_eq!(art.count(key), n, "count of {key}");
+    }
+    let live: Vec<String> = model
+        .iter()
+        .filter(|&(_, &n)| n > 0)
+        .map(|(k, _)| k.clone())
+        .collect();
+    assert_eq!(art.key_count(), live.len() as u64);
+    assert_eq!(art.prefix_scan("").unwrap(), live);
 }
 
 fn round16(s: usize) -> usize {
@@ -237,7 +319,6 @@ fn substrate_handles_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<nvm_pi::Region>();
     assert_send_sync::<nvm_pi::ObjectStore>();
-    assert_send_sync::<nvm_pi::RegionPool>();
     assert_send_sync::<nvm_pi::NvSpace>();
     assert_send_sync::<nvm_pi::NvError>();
     assert_send_sync::<nvm_pi::StoreError>();

@@ -1,8 +1,8 @@
-//! Model-based property tests for the transactional store and the new
-//! container types: random operation sequences are mirrored against
-//! std-library models and must agree at every step.
+//! Model-based property tests for the transactional store: random
+//! operation sequences are mirrored against std-library models and must
+//! agree at every step.
 
-use nvm_pi::{NodeArena, ObjectStore, PVec, Region};
+use nvm_pi::{ObjectStore, Region};
 use proptest::prelude::*;
 
 proptest! {
@@ -55,36 +55,6 @@ proptest! {
                 prop_assert_eq!(c.read(), i as u64 * 10);
             }
         }
-        region.close().unwrap();
-    }
-
-    /// PVec mirrors a std Vec under a random push/pop/set schedule,
-    /// including across growth boundaries.
-    #[test]
-    fn pvec_matches_vec_model(ops in prop::collection::vec((any::<u64>(), 0u8..3), 1..200)) {
-        let region = Region::create(4 << 20).unwrap();
-        let mut v: PVec<u64> = PVec::with_capacity(NodeArena::raw(region.clone()), 4).unwrap();
-        let mut model: Vec<u64> = Vec::new();
-        for (value, op) in ops {
-            match op {
-                0 => {
-                    v.push(value).unwrap();
-                    model.push(value);
-                }
-                1 => {
-                    prop_assert_eq!(v.pop(), model.pop());
-                }
-                _ => {
-                    if !model.is_empty() {
-                        let idx = (value as usize) % model.len();
-                        v.set(idx, value);
-                        model[idx] = value;
-                    }
-                }
-            }
-            prop_assert_eq!(v.len(), model.len());
-        }
-        prop_assert_eq!(v.to_vec(), model);
         region.close().unwrap();
     }
 

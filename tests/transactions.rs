@@ -2,7 +2,12 @@
 //! object store, crash injection at different points, and recovery.
 
 use nvm_pi::pi_core::Riv;
-use nvm_pi::{NodeArena, ObjectStore, PBst, Region, RegionPool, Tx};
+use nvm_pi::{NodeArena, ObjectStore, PBst, Region, Tx};
+
+mod util;
+
+// `M.cell(..)` is the scratch directory of the crash tests' images.
+static M: util::Matrix = util::Matrix::new("transactions", 0x5EED);
 
 #[test]
 fn structure_nodes_are_live_store_allocations() {
@@ -18,10 +23,11 @@ fn structure_nodes_are_live_store_allocations() {
 
 #[test]
 fn committed_structure_survives_crash() {
-    let pool = RegionPool::temp("tx-crash-committed").unwrap();
+    let cell = M.cell("committed");
+    let path = cell.path("region.nvr");
     let rid = 31_001;
     {
-        let region = pool.create(rid, 8 << 20).unwrap();
+        let region = Region::create_file_with_rid(&path, rid, 8 << 20).unwrap();
         let store = ObjectStore::format(&region).unwrap();
         let mut t: PBst<Riv, 32> =
             PBst::create_rooted(NodeArena::transactional(store.clone()), "bst").unwrap();
@@ -30,7 +36,7 @@ fn committed_structure_survives_crash() {
         drop(store);
         region.crash(); // dirty, but no transaction was in flight
     }
-    let region = pool.open(rid).unwrap();
+    let region = Region::open_file(&path).unwrap();
     assert!(region.was_dirty());
     let store = ObjectStore::attach(&region).unwrap();
     assert!(!store.recovered(), "empty log: nothing to roll back");
@@ -38,15 +44,15 @@ fn committed_structure_survives_crash() {
     assert_eq!(t.len(), 800);
     assert!(t.verify());
     region.close().unwrap();
-    pool.destroy().unwrap();
 }
 
 #[test]
 fn torn_update_is_rolled_back_but_structure_stays_consistent() {
-    let pool = RegionPool::temp("tx-crash-torn").unwrap();
+    let cell = M.cell("torn");
+    let path = cell.path("region.nvr");
     let rid = 31_002;
     {
-        let region = pool.create(rid, 8 << 20).unwrap();
+        let region = Region::create_file_with_rid(&path, rid, 8 << 20).unwrap();
         let store = ObjectStore::format(&region).unwrap();
         // One committed object...
         let obj = store.alloc(1, 64).unwrap().as_ptr() as *mut u64;
@@ -70,7 +76,7 @@ fn torn_update_is_rolled_back_but_structure_stays_consistent() {
         drop(store);
         region.crash();
     }
-    let region = pool.open(rid).unwrap();
+    let region = Region::open_file(&path).unwrap();
     let store = ObjectStore::attach(&region).unwrap();
     assert!(store.recovered());
     let obj = region.root("obj").unwrap() as *const u64;
@@ -83,15 +89,15 @@ fn torn_update_is_rolled_back_but_structure_stays_consistent() {
         );
     }
     region.close().unwrap();
-    pool.destroy().unwrap();
 }
 
 #[test]
 fn repeated_crashes_converge_to_last_committed_state() {
-    let pool = RegionPool::temp("tx-crash-repeat").unwrap();
+    let cell = M.cell("repeat");
+    let path = cell.path("region.nvr");
     let rid = 31_003;
     {
-        let region = pool.create(rid, 4 << 20).unwrap();
+        let region = Region::create_file_with_rid(&path, rid, 4 << 20).unwrap();
         let store = ObjectStore::format(&region).unwrap();
         let obj = store.alloc(1, 8).unwrap().as_ptr() as *mut u64;
         region.set_root("obj", obj as usize).unwrap();
@@ -105,7 +111,7 @@ fn repeated_crashes_converge_to_last_committed_state() {
         region.crash();
     }
     for round in 0..3 {
-        let region = pool.open(rid).unwrap();
+        let region = Region::open_file(&path).unwrap();
         let store = ObjectStore::attach(&region).unwrap();
         let obj = region.root("obj").unwrap() as *mut u64;
         assert_eq!(unsafe { *obj }, 1, "round {round}: committed value intact");
@@ -118,13 +124,12 @@ fn repeated_crashes_converge_to_last_committed_state() {
         drop(store);
         region.crash();
     }
-    let region = pool.open(rid).unwrap();
+    let region = Region::open_file(&path).unwrap();
     let store = ObjectStore::attach(&region).unwrap();
     assert!(store.recovered());
     let obj = region.root("obj").unwrap() as *const u64;
     assert_eq!(unsafe { *obj }, 1);
     region.close().unwrap();
-    pool.destroy().unwrap();
 }
 
 #[test]

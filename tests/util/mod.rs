@@ -17,6 +17,9 @@
 //!   the dirty flag and the fault stamp ([`Cell::recover`]).
 //! * [`Subject`] is a structure under test and [`enumerate`] the one
 //!   committed-prefix enumeration over it (see `subject.rs`).
+//!
+//! [`Cell`] is also the one scratch directory of the tests that are not
+//! matrices (`stress`, `transactions`, `multi_region`, `properties`).
 #![allow(dead_code)]
 
 use nvm_pi::{CapturedCrash, FaultPolicy, FaultReport, NvError, NvSpace, Region};
