@@ -52,10 +52,6 @@ pub struct AllocStats {
     pub live_bytes: u64,
     /// Number of live allocations.
     pub live_allocs: u64,
-    /// Total `alloc` calls over the region's lifetime.
-    pub alloc_calls: u64,
-    /// Total `dealloc` calls over the region's lifetime.
-    pub free_calls: u64,
     /// Offset of the bump frontier.
     pub bump: u64,
     /// End offset of the allocatable area.
@@ -73,14 +69,15 @@ pub struct AllocHeader {
     end: u64,
     free_heads: [u64; NUM_CLASSES],
     large_head: u64,
+    /// Live bytes and blocks served by the free lists: the free-list
+    /// path's one record, updated in place by [`AllocHeader::alloc`] and
+    /// [`AllocHeader::dealloc`] under the region lock. Bitmap-served
+    /// blocks are counted by their bitmaps, never here.
     live_bytes: u64,
     live_allocs: u64,
-    alloc_calls: u64,
-    free_calls: u64,
     /// Offset of the first `llalloc` bitmap page (0 = none: the region
-    /// predates the two-level allocator, or is too small to host it, and
-    /// runs on the legacy free lists alone). Appended after the v2
-    /// counters so every pre-existing field keeps its media offset.
+    /// is too small to host one, or salvage detached a damaged chain, and
+    /// runs on the free lists alone).
     ll_dir: u64,
 }
 
@@ -114,8 +111,6 @@ impl AllocHeader {
             large_head: word(offset_of!(AllocHeader, large_head)),
             live_bytes: word(offset_of!(AllocHeader, live_bytes)),
             live_allocs: word(offset_of!(AllocHeader, live_allocs)),
-            alloc_calls: word(offset_of!(AllocHeader, alloc_calls)),
-            free_calls: word(offset_of!(AllocHeader, free_calls)),
             ll_dir: word(Self::OFF_LL_DIR),
         }
     }
@@ -132,8 +127,6 @@ impl AllocHeader {
         self.large_head = 0;
         self.live_bytes = 0;
         self.live_allocs = 0;
-        self.alloc_calls = 0;
-        self.free_calls = 0;
         self.ll_dir = 0;
     }
 
@@ -249,7 +242,6 @@ impl AllocHeader {
             align <= MIN_ALIGN && MIN_ALIGN.is_multiple_of(align.max(1)),
             "alignment beyond {MIN_ALIGN} is not supported"
         );
-        self.alloc_calls += 1;
         let rounded = Self::rounded_size(size);
         let off = if let Some(class) = class_for(rounded) {
             let head = self.free_heads[class];
@@ -265,8 +257,9 @@ impl AllocHeader {
                 None => self.bump_alloc(rounded)?,
             }
         };
-        self.live_bytes += rounded as u64;
-        self.live_allocs += 1;
+        // Saturating: the counters are media words nothing validates.
+        self.live_bytes = self.live_bytes.saturating_add(rounded as u64);
+        self.live_allocs = self.live_allocs.saturating_add(1);
         Ok(off)
     }
 
@@ -316,7 +309,6 @@ impl AllocHeader {
         debug_assert!(off.is_multiple_of(MIN_ALIGN as u64));
         let rounded = Self::rounded_size(size);
         debug_assert!(off + rounded as u64 <= self.end);
-        self.free_calls += 1;
         self.live_bytes = self.live_bytes.saturating_sub(rounded as u64);
         self.live_allocs = self.live_allocs.saturating_sub(1);
         if let Some(class) = class_for(rounded) {
@@ -329,36 +321,18 @@ impl AllocHeader {
         }
     }
 
-    /// Overwrites the persisted statistics counters. The region layer
-    /// tracks the live counters in volatile state (the bitmap core never
-    /// touches the shared header) and folds them in here at every sync,
-    /// `update_meta_slots`, and close.
-    pub fn set_stat_counters(
-        &mut self,
-        live_bytes: u64,
-        live_allocs: u64,
-        alloc_calls: u64,
-        free_calls: u64,
-    ) {
-        self.live_bytes = live_bytes;
-        self.live_allocs = live_allocs;
-        self.alloc_calls = alloc_calls;
-        self.free_calls = free_calls;
-    }
-
     /// Bytes still available at the bump frontier (free-list contents not
     /// included).
     pub fn remaining(&self) -> u64 {
         self.end - self.bump
     }
 
-    /// Current statistics.
+    /// Current statistics of the free-list path (the region adds the
+    /// bitmap popcount on top).
     pub fn stats(&self) -> AllocStats {
         AllocStats {
             live_bytes: self.live_bytes,
             live_allocs: self.live_allocs,
-            alloc_calls: self.alloc_calls,
-            free_calls: self.free_calls,
             bump: self.bump,
             end: self.end,
         }
@@ -582,12 +556,10 @@ mod tests {
         let s = a.hdr.stats();
         assert_eq!(s.live_allocs, 1);
         assert_eq!(s.live_bytes, 64);
-        assert_eq!(s.alloc_calls, 1);
         a.free(o, 64);
         let s = a.hdr.stats();
         assert_eq!(s.live_allocs, 0);
         assert_eq!(s.live_bytes, 0);
-        assert_eq!(s.free_calls, 1);
     }
 
     #[test]

@@ -47,15 +47,17 @@ pub struct ImageReport {
     /// Whether the image was cleanly closed (false = crash; recovery will
     /// run on next open if a store log is present).
     pub clean: bool,
-    /// Application-defined header tag.
-    pub user_tag: u64,
     /// Root directory entries.
     pub roots: Vec<RootInfo>,
     /// Offset of the allocation frontier.
     pub bump: u64,
-    /// Bytes handed out and not freed.
+    /// End offset of the allocatable area.
+    pub end: u64,
+    /// Bytes handed out and not freed: the free-list counters plus the
+    /// popcount of every bitmap subtree the chain walk accepts — what
+    /// `Region::stats` reports after an open.
     pub live_bytes: u64,
-    /// Number of live allocations.
+    /// Number of live allocations, counted the same way.
     pub live_allocs: u64,
     /// The fault stamp of the last injected crash, if the image carries
     /// one (see [`crate::shadow`]).
@@ -89,14 +91,20 @@ impl fmt::Display for ImageReport {
                 "DIRTY (crashed)"
             }
         )?;
-        writeln!(f, "user tag:     {:#x}", self.user_tag)?;
+        // The frontier is a media word nothing has validated here: widen
+        // before scaling so a rotted one cannot overflow.
+        let frontier = if self.bump > self.end {
+            format!("outside the managed range, which ends at {:#x}", self.end)
+        } else {
+            format!(
+                "{}% of region",
+                self.bump as u128 * 100 / self.size.max(1) as u128
+            )
+        };
         writeln!(
             f,
-            "allocator:    {} live allocs, {} live bytes, bump at {:#x} ({}% of region)",
-            self.live_allocs,
-            self.live_bytes,
-            self.bump,
-            self.bump * 100 / self.size.max(1)
+            "allocator:    {} live allocs, {} live bytes, bump at {:#x} ({frontier})",
+            self.live_allocs, self.live_bytes, self.bump,
         )?;
         match &self.fault {
             Some(s) => {
@@ -263,14 +271,21 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<ImageReport> {
     if let Some(e) = boot.errors.first() {
         return Err(NvError::BadImage(e.clone()));
     }
-    let alloc = AllocHeader::from_bytes(&bytes[RegionHeader::OFF_ALLOC..]).stats();
+    let header = AllocHeader::from_bytes(&bytes[RegionHeader::OFF_ALLOC..]);
+    let alloc = header.stats();
+    let (mut ll_blocks, mut ll_bytes) = (0u64, 0u64);
+    llalloc::walk_chain(bytes, header.ll_dir(), |walked| {
+        if let Walked::Subtree(t) = walked {
+            ll_blocks += t.allocated as u64;
+            ll_bytes += t.allocated as u64 * t.class_size() as u64;
+        }
+    });
     Ok(ImageReport {
         rid: boot.rid,
         version: boot.version,
         size: boot.size,
         capacity: boot.capacity,
         clean: boot.clean(),
-        user_tag: boot.user_tag,
         roots: verify::root_entries(bytes)
             .map(|r| RootInfo {
                 name: r.label(),
@@ -279,8 +294,9 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<ImageReport> {
             })
             .collect(),
         bump: alloc.bump,
-        live_bytes: alloc.live_bytes,
-        live_allocs: alloc.live_allocs,
+        end: alloc.end,
+        live_bytes: alloc.live_bytes.saturating_add(ll_bytes),
+        live_allocs: alloc.live_allocs.saturating_add(ll_blocks),
         fault: FaultStamp::parse(&bytes[RegionHeader::OFF_FAULT..]),
         log: verify::image_log(bytes),
     })
@@ -311,7 +327,6 @@ mod tests {
                 u64::from_le_bytes(*b"TAGALPHA"),
             )
             .unwrap();
-            r.set_user_tag(0xDEAD_BEEF);
             live = r.stats().live_allocs;
             r.close().unwrap();
         }
@@ -325,7 +340,6 @@ mod tests {
         );
         assert!(report.capacity >= report.size);
         assert!(report.clean);
-        assert_eq!(report.user_tag, 0xDEAD_BEEF);
         assert_eq!(report.live_allocs, live);
         assert!(report.live_bytes >= 300);
         assert_eq!(report.roots.len(), 1);

@@ -66,6 +66,14 @@
 //! volatile granule map used to route frees. Structural damage degrades
 //! the region to the free-list allocator instead of failing the open;
 //! the corruption walk (`verify`) reports it.
+//!
+//! # Statistics
+//!
+//! The bitmaps are this path's only statistics record: live blocks and
+//! bytes are their popcount (`LlState::live`), which `Region::stats`
+//! adds to the free-list counters in the region header. Nothing is
+//! counted on the alloc/free path and nothing is folded or snapshotted
+//! at a durability point, so no crash can leave two records disagreeing.
 
 use crate::alloc::{AllocHeader, CLASS_SIZES, NUM_CLASSES};
 use crate::crc::crc64_update;
@@ -100,14 +108,7 @@ const PAGE_NEXT: usize = 8;
 const PAGE_COUNT: usize = 16;
 const PAGE_SEQ: usize = 24;
 const PAGE_CRC: usize = 32;
-/// First page only: bitmap popcount (blocks, then bytes) snapshotted at
-/// the last statistics fold. `Region` seeds its retired-statistics base
-/// with `header live - this snapshot` at open, so the fold-time bitmap
-/// contribution — not the open-time one — is what gets backed out; after
-/// a crash the two differ by exactly the ops since the last durability
-/// point, which the bitmap itself accounts for.
-const PAGE_FOLD_BLOCKS: usize = 40;
-const PAGE_FOLD_BYTES: usize = 48;
+// Bytes 40..64 of the page header are padding.
 
 // Descriptor field offsets.
 const D_BASE: usize = 0;
@@ -445,8 +446,6 @@ pub(crate) struct LlState {
     num_subtrees: AtomicU32,
     /// Granule map: offset >> 10 -> subtree id + 1 (0 = not bitmap-owned).
     granules: Box<[AtomicU32]>,
-    /// Cache-line-sharded op counters (application-level calls only).
-    shards: Box<[OpShard]>,
     next_token: AtomicU64,
     /// Per class: frees since open (low 32 bits are the *free epoch*).
     free_epoch: [AtomicU64; NUM_CLASSES],
@@ -470,27 +469,6 @@ impl std::fmt::Debug for LlState {
     }
 }
 
-const OP_SHARDS: usize = 16;
-
-#[repr(align(128))]
-#[derive(Default)]
-struct OpShard {
-    allocs: AtomicU64,
-    frees: AtomicU64,
-}
-
-static NEXT_OP_SHARD: AtomicU32 = AtomicU32::new(0);
-
-thread_local! {
-    static MY_OP_SHARD: usize =
-        (NEXT_OP_SHARD.fetch_add(1, Ordering::Relaxed) as usize) & (OP_SHARDS - 1);
-}
-
-#[inline]
-fn my_shard() -> usize {
-    MY_OP_SHARD.try_with(|s| *s).unwrap_or(0)
-}
-
 impl LlState {
     fn new_empty(base: usize, size: usize, instance: u64, end: u64) -> LlState {
         let granules = (0..size.div_ceil(GRANULE as usize))
@@ -501,10 +479,6 @@ impl LlState {
             .map(|_| AtomicU64::new(0))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        let shards = (0..OP_SHARDS)
-            .map(|_| OpShard::default())
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         LlState {
             base,
             instance,
@@ -512,7 +486,6 @@ impl LlState {
             page_offs,
             num_subtrees: AtomicU32::new(0),
             granules,
-            shards,
             next_token: AtomicU64::new(2),
             free_epoch: [const { AtomicU64::new(0) }; NUM_CLASSES],
             dry: [const { AtomicU64::new(0) }; NUM_CLASSES],
@@ -690,9 +663,6 @@ impl LlState {
                 }
             }
         }) {
-            self.shards[my_shard()]
-                .allocs
-                .fetch_add(1, Ordering::Relaxed);
             return Some(off);
         }
         // Reserve (or steal) a subtree with free blocks, then retry; a
@@ -701,19 +671,11 @@ impl LlState {
             match self.reserve(class) {
                 Reserve::Reserved(id) => {
                     if let Some(off) = self.alloc_in(id, class) {
-                        self.shards[my_shard()]
-                            .allocs
-                            .fetch_add(1, Ordering::Relaxed);
                         return Some(off);
                     }
                     // Raced empty between the scan and the CAS; rescan.
                 }
-                Reserve::Direct(off) => {
-                    self.shards[my_shard()]
-                        .allocs
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Some(off);
-                }
+                Reserve::Direct(off) => return Some(off),
                 Reserve::Exhausted => return None,
             }
         }
@@ -868,9 +830,6 @@ impl LlState {
         d.free().fetch_add(1, Ordering::Relaxed);
         // After the counter, so a scan that sees the new epoch sees it.
         self.free_epoch[class].fetch_add(1, Ordering::Release);
-        self.shards[my_shard()]
-            .frees
-            .fetch_add(1, Ordering::Relaxed);
         Some(class)
     }
 
@@ -989,19 +948,9 @@ impl LlState {
         self.frozen.store(true, Ordering::Release);
     }
 
-    /// Application-level (alloc, free) call counts since open.
-    pub(crate) fn op_counts(&self) -> (u64, u64) {
-        let mut a = 0;
-        let mut f = 0;
-        for s in self.shards.iter() {
-            a += s.allocs.load(Ordering::Relaxed);
-            f += s.frees.load(Ordering::Relaxed);
-        }
-        (a, f)
-    }
-
-    /// Exact live blocks and bytes by bitmap popcount (racy only against
-    /// in-flight ops, exact at any quiescent point).
+    /// Exact live blocks and bytes by bitmap popcount — the bitmap path's
+    /// one statistics record (racy only against in-flight ops, exact at
+    /// any quiescent point).
     pub(crate) fn live(&self) -> (u64, u64) {
         let mut blocks = 0u64;
         let mut bytes = 0u64;
@@ -1012,39 +961,6 @@ impl LlState {
             bytes += used * CLASS_SIZES[d.class()] as u64;
         }
         (blocks, bytes)
-    }
-
-    /// Persists the current bitmap popcount into the first page's header
-    /// (one flushed line) as part of a statistics fold. Paired with
-    /// [`LlState::folded_live`] at the next open; see [`PAGE_FOLD_BLOCKS`].
-    /// Caller holds the region lock (the fold is a durability point).
-    pub(crate) fn record_fold(&self) {
-        let page0 = self.page_offs[0].load(Ordering::Relaxed);
-        if page0 == 0 {
-            return;
-        }
-        let (blocks, bytes) = self.live();
-        // SAFETY: page0 was validated at create/open; both words live in
-        // the page's (mapped) first cache line.
-        unsafe {
-            page_u64_write(self.base, page0, PAGE_FOLD_BLOCKS, blocks);
-            page_u64_write(self.base, page0, PAGE_FOLD_BYTES, bytes);
-        }
-        persist_word(self.base + page0 as usize + PAGE_FOLD_BLOCKS);
-        persist_word(self.base + page0 as usize + PAGE_FOLD_BYTES);
-    }
-
-    /// The bitmap popcount as of the last persisted statistics fold
-    /// (zero for a region that never folded with pages present).
-    pub(crate) fn folded_live(&self) -> (u64, u64) {
-        let page0 = self.page_offs[0].load(Ordering::Relaxed);
-        if page0 == 0 {
-            return (0, 0);
-        }
-        (
-            page_u64(self.base, page0, PAGE_FOLD_BLOCKS),
-            page_u64(self.base, page0, PAGE_FOLD_BYTES),
-        )
     }
 
     /// Per-class occupancy summary (for stats, `verify`, `nvr_inspect`).
@@ -1158,9 +1074,6 @@ mod tests {
         offs.sort_unstable();
         offs.dedup();
         assert_eq!(offs.len(), 200);
-        let (allocs, frees) = a.ll.op_counts();
-        assert_eq!(allocs, 300);
-        assert_eq!(frees, 100);
         let (blocks, bytes) = a.ll.live();
         assert_eq!(blocks, 200);
         assert_eq!(bytes, 200 * 64);
@@ -1488,7 +1401,5 @@ mod tests {
         }
         let (blocks, bytes) = a.ll.live();
         assert_eq!((blocks, bytes), (0, 0), "every block returned");
-        let (allocs, frees) = a.ll.op_counts();
-        assert_eq!(allocs, frees, "op counters conserved");
     }
 }

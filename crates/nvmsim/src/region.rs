@@ -37,8 +37,10 @@ use std::sync::Arc;
 pub const REGION_MAGIC: u64 = u64::from_le_bytes(*b"NVPIRGN1");
 /// Current on-media format version (v2 added the checksummed A/B
 /// metadata slots between the header and the data area; v3 added the
-/// reserved capacity for in-place growth over a chunk run).
-pub const HEADER_VERSION: u32 = 3;
+/// reserved capacity for in-place growth over a chunk run; v4 dropped the
+/// application tag and the allocator's call counters, which moves every
+/// allocator word after them).
+pub const HEADER_VERSION: u32 = 4;
 /// Maximum number of named roots per region.
 pub const MAX_ROOTS: usize = 16;
 /// Maximum root name length in bytes (NUL-padded storage).
@@ -68,7 +70,6 @@ pub struct RegionHeader {
     pub(crate) rid: u32,
     pub(crate) size: u64,
     pub(crate) flags: u64,
-    pub(crate) user_tag: u64,
     /// Reserved (virtual) size in bytes: the region may [`Region::grow`]
     /// in place up to this without remapping. Always a whole number of
     /// chunks, and at least `size`.
@@ -95,8 +96,6 @@ impl RegionHeader {
     pub const OFF_SIZE: usize = offset_of!(RegionHeader, size);
     /// Offset of the flags word (bit 0 = dirty).
     pub const OFF_FLAGS: usize = offset_of!(RegionHeader, flags);
-    /// Offset of the application tag.
-    pub const OFF_USER_TAG: usize = offset_of!(RegionHeader, user_tag);
     /// Offset of the reserved-capacity word.
     pub const OFF_CAPACITY: usize = offset_of!(RegionHeader, capacity);
     /// Offset of the root directory; everything before it is the boot
@@ -224,18 +223,6 @@ impl Backing {
 /// key on these instead.
 static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
 
-/// Statistics of the locked free-list path (and, after a reopen, of
-/// everything the persisted counters recorded outside the bitmaps);
-/// guarded by `Inner::alloc_lock`. Signed: the persisted counters this is
-/// seeded from are untrusted.
-#[derive(Debug, Default, Clone, Copy)]
-struct FreeListStats {
-    live_bytes: i64,
-    live_allocs: i64,
-    alloc_calls: u64,
-    free_calls: u64,
-}
-
 #[derive(Debug)]
 pub(crate) struct Inner {
     space: &'static NvSpace,
@@ -251,11 +238,9 @@ pub(crate) struct Inner {
     capacity: usize,
     was_dirty: bool,
     backing: Backing,
-    /// The region lock: serializes header mutation (free lists, roots,
-    /// growth, metadata slots) and guards the free-list path's
-    /// statistics; the bitmap popcount is added on top for the region
-    /// totals.
-    alloc_lock: Mutex<FreeListStats>,
+    /// The region lock: serializes header mutation (free lists and their
+    /// counters, roots, growth, metadata slots).
+    alloc_lock: Mutex<()>,
     closed: AtomicBool,
     /// Whether class-sized allocations use the lock-free two-level
     /// allocator (the default whenever `ll` is present).
@@ -389,8 +374,8 @@ impl Region {
         // address space actually held.
         let (base, capacity) = (reserved.base, reserved.capacity);
         match &backing {
-            Some(Backing::File { file, shared, .. }) => {
-                space.commit_range_file(base, size, file, 0, *shared)?
+            Some(Backing::File { file, .. }) => {
+                space.commit_range_file(base, size, file, 0, true)?
             }
             _ => space.commit_range_anon(base, size)?,
         }
@@ -405,7 +390,6 @@ impl Region {
             hdr.rid = rid;
             hdr.size = size as u64;
             hdr.flags = FLAG_DIRTY;
-            hdr.user_tag = 0;
             hdr.capacity = capacity as u64;
             hdr.roots = [RootEntry {
                 name: [0; ROOT_NAME_CAP + 1],
@@ -426,15 +410,7 @@ impl Region {
             LlState::create(base, capacity, next_instance(), &mut hdr.alloc)
         };
         let backing = backing.unwrap_or(Backing::Anonymous);
-        let region = Self::assemble(
-            space,
-            rid,
-            run,
-            size,
-            false,
-            backing,
-            (ll, FreeListStats::default()),
-        );
+        let region = Self::assemble(space, rid, run, size, false, backing, ll);
         // Seed slot A so even a never-synced image has one valid
         // checksummed snapshot to recover from.
         region.inner.write_meta_slot();
@@ -451,7 +427,7 @@ impl Region {
         size: usize,
         was_dirty: bool,
         backing: Backing,
-        (ll, free_list): (Option<LlState>, FreeListStats),
+        ll: Option<LlState>,
     ) -> Region {
         let base = space.chunk_base(run.start);
         let inner = Inner {
@@ -463,7 +439,7 @@ impl Region {
             capacity: run.count as usize * space.layout().chunk_size(),
             was_dirty,
             backing,
-            alloc_lock: Mutex::new(free_list),
+            alloc_lock: Mutex::new(()),
             closed: AtomicBool::new(false),
             lockfree: AtomicBool::new(ll.is_some()),
             ll,
@@ -474,41 +450,22 @@ impl Region {
         }
     }
 
-    /// Rebuilds the volatile allocator state of a reopened image whose
-    /// header was just validated: the recovery scan of the bitmap pages
-    /// plus the free-list statistics base.
+    /// Rebuilds the allocator of a reopened image whose header was just
+    /// validated. The managed range is re-derived from the size (`grow`
+    /// fences the size before the end, so a crash between leaves the end
+    /// short); one bounded pass over the bitmap pages rebuilds the free
+    /// counters and granule map. Structural damage degrades to the
+    /// free-list allocator — the open still succeeds, and `verify()`
+    /// reports what is wrong.
     ///
     /// # Safety
     ///
     /// `base` must be the image's mapping, read/write for `size` bytes of
     /// a `capacity`-byte run, and owned exclusively by the caller.
-    unsafe fn recover_allocator(
-        base: usize,
-        capacity: usize,
-        size: usize,
-    ) -> (Option<LlState>, FreeListStats) {
+    unsafe fn recover_allocator(base: usize, capacity: usize, size: usize) -> Option<LlState> {
         let alloc = &mut (*(base as *mut RegionHeader)).alloc;
-        // One bounded pass over the bitmap pages rebuilds the free
-        // counters and granule map. Structural damage degrades to the
-        // free-list allocator — the open still succeeds, and `verify()`
-        // reports what is wrong.
-        let ll = LlState::open(base, capacity, size, next_instance(), alloc).unwrap_or(None);
-        // The persisted counters include the bitmap contribution *as of
-        // the fold that wrote them*; that snapshot (not the open-time
-        // popcount — after a crash the two differ by the unfolded ops)
-        // is what gets backed out, leaving the free-list remainder. The
-        // live totals then re-add the open-time bitmap truth via
-        // `LlState::live`, so blocks allocated or freed after the last
-        // fold are accounted exactly.
-        let persisted = alloc.stats();
-        let (ll_blocks, ll_bytes) = ll.as_ref().map_or((0, 0), LlState::folded_live);
-        let free_list = FreeListStats {
-            live_bytes: persisted.live_bytes as i64 - ll_bytes as i64,
-            live_allocs: persisted.live_allocs as i64 - ll_blocks as i64,
-            alloc_calls: persisted.alloc_calls,
-            free_calls: persisted.free_calls,
-        };
-        (ll, free_list)
+        alloc.extend(size as u64);
+        LlState::open(base, capacity, size, next_instance(), alloc).unwrap_or(None)
     }
 
     /// Opens an existing region image, mapping it writably (`MAP_SHARED`)
@@ -519,7 +476,7 @@ impl Region {
     /// [`NvError::BadImage`] if validation fails, [`NvError::InvalidRid`] if
     /// the image's region ID is already open, plus I/O errors.
     pub fn open_file<P: AsRef<Path>>(path: P) -> Result<Region> {
-        Self::open_impl(path.as_ref(), true)
+        Self::open_impl(path.as_ref())
     }
 
     /// [`Region::open_file`], but guarantees the mapping lands at a base
@@ -542,38 +499,36 @@ impl Region {
         let pin = space
             .chunk_of(avoid)
             .and_then(|chunk| space.acquire_chunks_at(chunk, 1));
-        let opened = Self::open_impl(path.as_ref(), true);
+        let opened = Self::open_impl(path.as_ref());
         if let Ok(pin) = pin {
             space.release_chunks(pin);
         }
         opened
     }
 
-    /// Opens an existing region image copy-on-write (`MAP_PRIVATE`): all
-    /// modifications stay in this session and the file is untouched. Useful
-    /// for read-mostly consumers and repeated benchmark runs.
-    ///
-    /// # Errors
-    ///
-    /// As [`Region::open_file`].
-    pub fn open_file_cow<P: AsRef<Path>>(path: P) -> Result<Region> {
-        Self::open_impl(path.as_ref(), false)
-    }
-
-    fn open_impl(path: &Path, shared: bool) -> Result<Region> {
+    fn open_impl(path: &Path) -> Result<Region> {
         let space = NvSpace::global();
         let layout = space.layout();
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let flen = file.metadata()?.len();
+        let mut flen = file.metadata()?.len();
 
         // Pre-validate the declared geometry against the actual file
         // length *before* mapping: a truncated or size-lying image must
         // yield a typed error, never an out-of-bounds mapping.
-        let mut head = Vec::with_capacity(RegionHeader::OFF_ROOTS);
+        let mut area = Vec::with_capacity(RegionHeader::data_start() as usize);
         (&mut file)
-            .take(RegionHeader::OFF_ROOTS as u64)
-            .read_to_end(&mut head)?;
-        let boot = verify::read_boot(&head, flen).map_err(NvError::BadImage)?;
+            .take(RegionHeader::data_start())
+            .read_to_end(&mut area)?;
+        let mut boot = verify::read_boot(&area, flen).map_err(NvError::BadImage)?;
+        // `grow` extends the file before it fences the header's new size:
+        // a crash between leaves a file longer than the size the header
+        // and the newest metadata slot agree on, with nothing durable past
+        // it. That growth is rolled back (below, once the rid is free).
+        if flen > boot.size && verify::slot_word(&area, RegionHeader::OFF_SIZE) == Some(boot.size) {
+            if let Ok(rolled) = verify::read_boot(&area, boot.size) {
+                boot = rolled;
+            }
+        }
         if let Some(e) = boot.errors.first() {
             return Err(NvError::BadImage(e.clone()));
         }
@@ -585,11 +540,7 @@ impl Region {
             // authoritative copy; a region that never grew its reservation
             // falls back to the file length (capacity == size there). The
             // corruption walk below repairs the primary itself.
-            use std::io::Seek;
-            let mut area = vec![0u8; RegionHeader::data_start() as usize];
-            file.seek(std::io::SeekFrom::Start(0))?;
-            file.read_exact(&mut area)?;
-            match verify::slot_capacity(&area) {
+            match verify::slot_word(&area, RegionHeader::OFF_CAPACITY) {
                 Some(c) if c >= size && c <= max_capacity => c,
                 _ => size,
             }
@@ -603,11 +554,15 @@ impl Region {
                 reason: "already open in this process",
             });
         }
+        if flen != size {
+            file.set_len(size)?;
+            flen = size;
+        }
 
         let size = size as usize;
         let reserved = Reserved::acquire(space, capacity as usize)?;
         let (base, capacity) = (reserved.base, reserved.capacity);
-        space.commit_range_file(base, size, &file, 0, shared)?;
+        space.commit_range_file(base, size, &file, 0, true)?;
         // Full corruption walk: primary metadata (roots, allocator free
         // lists) plus both checksummed slots. A damaged primary is
         // restored from the newest valid slot; if that still does not
@@ -676,20 +631,14 @@ impl Region {
         // SAFETY: the image is mapped read/write, its header was just
         // validated, and it is owned exclusively until the handle is
         // shared.
-        let alloc_state = unsafe { Self::recover_allocator(base, capacity, size) };
+        let ll = unsafe { Self::recover_allocator(base, capacity, size) };
         let backing = Backing::File {
             file,
             path: path.to_path_buf(),
-            shared,
+            shared: true,
         };
         Ok(Self::assemble(
-            space,
-            rid,
-            run,
-            size,
-            was_dirty,
-            backing,
-            alloc_state,
+            space, rid, run, size, was_dirty, backing, ll,
         ))
     }
 
@@ -739,9 +688,9 @@ impl Region {
     /// creation already covers [`Region::capacity`], so growth is pure
     /// commit + bookkeeping — the paper's translation tables are not
     /// touched. File-backed (shared) regions extend their image file
-    /// first; copy-on-write sessions commit anonymous memory, keeping the
-    /// file untouched. A `new_size` at or below the current size is a
-    /// no-op.
+    /// first; salvage's copy-on-write sessions commit anonymous memory,
+    /// keeping the file untouched. A `new_size` at or below the current
+    /// size is a no-op.
     ///
     /// # Errors
     ///
@@ -801,17 +750,23 @@ impl Region {
         // Memory is committed: publish the new size (Release pairs with
         // the Acquire loads in `len`), then extend the durable metadata.
         self.inner.size.store(new_size, Ordering::Release);
-        // SAFETY: lock held; region mapped while the handle exists.
-        let hdr = unsafe { self.header_mut() };
-        hdr.size = new_size as u64;
-        hdr.alloc.extend(new_size as u64);
         // A tracked region's shadow state must cover the new bytes before
         // any instrumented store lands there.
         shadow::grow_region(base, new_size);
-        // Persist the rewritten geometry words (size, allocator end) so a
-        // crash image captured after the grow reopens at the new length:
-        // growth is rare, so one coarse flush of the header snapshot area
-        // is fine.
+        // SAFETY: lock held; region mapped while the handle exists.
+        let hdr = unsafe { self.header_mut() };
+        // The size is durable before the allocator's end moves, so a crash
+        // leaves the end short of the size (the open re-derives it), never
+        // past it; a crash before this fence leaves the file longer than
+        // the size (the open rolls that growth back).
+        hdr.size = new_size as u64;
+        let size_addr = base + RegionHeader::OFF_SIZE;
+        shadow::track_store(size_addr, 8);
+        latency::clflush_range(size_addr, 8);
+        latency::wbarrier();
+        hdr.alloc.extend(new_size as u64);
+        // Growth is rare, so one coarse flush of the header snapshot area
+        // persists the end.
         let snap = RegionHeader::snapshot_len();
         shadow::track_store(base, snap);
         latency::clflush_range(base, snap);
@@ -836,7 +791,7 @@ impl Region {
     /// teardown sets the flag and then takes this lock before unmapping,
     /// so a holder that saw the region open keeps the mapping alive until
     /// the guard drops.
-    fn lock_open(&self) -> Result<MutexGuard<'_, FreeListStats>> {
+    fn lock_open(&self) -> Result<MutexGuard<'_, ()>> {
         let guard = self.inner.alloc_lock.lock();
         self.check_open()?;
         Ok(guard)
@@ -896,15 +851,14 @@ impl Region {
             "alignment beyond {} is not supported",
             crate::alloc::MIN_ALIGN
         );
-        let rounded = AllocHeader::rounded_size(size);
-        if let Some(class) = class_for(rounded) {
+        if let Some(class) = class_for(AllocHeader::rounded_size(size)) {
             if self.inner.lockfree.load(Ordering::Relaxed) {
                 if let Some(ll) = &self.inner.ll {
-                    return self.alloc_lockfree(ll, class, size, align, rounded);
+                    return self.alloc_lockfree(ll, class, size, align);
                 }
             }
         }
-        self.alloc_slow(size, align, rounded)
+        self.alloc_slow(size, align)
     }
 
     /// Lock-free fast path: CAS a bit in the thread's reserved subtree
@@ -912,14 +866,7 @@ impl Region {
     /// the bump frontier under the region lock; when the frontier is dry
     /// too, the free lists (blocks freed while the bitmap core was off
     /// or absent) are the last resort before out-of-memory.
-    fn alloc_lockfree(
-        &self,
-        ll: &LlState,
-        class: usize,
-        size: usize,
-        align: usize,
-        rounded: usize,
-    ) -> Result<u64> {
+    fn alloc_lockfree(&self, ll: &LlState, class: usize, size: usize, align: usize) -> Result<u64> {
         loop {
             if let Some(off) = ll.alloc(class) {
                 return Ok(off);
@@ -943,30 +890,24 @@ impl Region {
                     return Ok(off);
                 }
             }
-            return self.alloc_slow(size, align, rounded);
+            return self.alloc_slow(size, align);
         }
     }
 
     /// Locked path over the free lists: large sizes, and class sizes when
     /// the bitmap core is absent, switched off, or out of frontier.
-    fn alloc_slow(&self, size: usize, align: usize, rounded: usize) -> Result<u64> {
-        let mut stats = self.lock_open()?;
+    fn alloc_slow(&self, size: usize, align: usize) -> Result<u64> {
+        let _g = self.lock_open()?;
         // SAFETY: lock held; region mapped while the handle exists.
         let hdr = unsafe { self.header_mut() };
         // SAFETY: base is this region's base; see above.
-        match unsafe { hdr.alloc.alloc(self.inner.base, size, align) } {
-            Ok(off) => {
-                stats.live_bytes += rounded as i64;
-                stats.live_allocs += 1;
-                stats.alloc_calls += 1;
-                Ok(off)
-            }
-            Err(NvError::OutOfMemory { requested, .. }) => Err(NvError::OutOfMemory {
+        unsafe { hdr.alloc.alloc(self.inner.base, size, align) }.map_err(|e| match e {
+            NvError::OutOfMemory { requested, .. } => NvError::OutOfMemory {
                 region: self.inner.rid,
                 requested,
-            }),
-            Err(other) => Err(other),
-        }
+            },
+            other => other,
+        })
     }
 
     /// Returns a block to the allocator that served it: a bitmap-owned
@@ -997,13 +938,8 @@ impl Region {
                 return;
             }
         }
-        let rounded = AllocHeader::rounded_size(size);
-        let mut stats = self.inner.alloc_lock.lock();
-        let hdr = self.header_mut();
-        hdr.alloc.dealloc(self.inner.base, off, size);
-        stats.live_bytes -= rounded as i64;
-        stats.live_allocs -= 1;
-        stats.free_calls += 1;
+        let _g = self.inner.alloc_lock.lock();
+        self.header_mut().alloc.dealloc(self.inner.base, off, size);
     }
 
     /// Converts an absolute address inside this region to its offset.
@@ -1028,19 +964,20 @@ impl Region {
         self.inner.base + off as usize
     }
 
-    /// Allocator statistics: the free-list path's counters plus the
-    /// bitmap popcount and op counts, exact at any quiescent point.
+    /// Allocator statistics: one record per allocation path — the
+    /// free-list counters in the region header plus the bitmap popcount —
+    /// exact at any quiescent point. (Call counts are the process-wide
+    /// `region_allocs`/`region_frees` metrics.)
     pub fn stats(&self) -> AllocStats {
-        let free_list = self.inner.alloc_lock.lock();
-        let s = self.header().alloc.stats();
-        let (live_bytes, live_allocs, alloc_calls, free_calls) = self.inner.stat_totals(&free_list);
+        let s = {
+            let _g = self.inner.alloc_lock.lock();
+            self.header().alloc.stats()
+        };
+        let (ll_blocks, ll_bytes) = self.inner.ll.as_ref().map_or((0, 0), LlState::live);
         AllocStats {
-            live_bytes,
-            live_allocs,
-            alloc_calls,
-            free_calls,
-            bump: s.bump,
-            end: s.end,
+            live_bytes: s.live_bytes.saturating_add(ll_bytes),
+            live_allocs: s.live_allocs.saturating_add(ll_blocks),
+            ..s
         }
     }
 
@@ -1066,17 +1003,6 @@ impl Region {
     /// for legacy images without bitmap pages.
     pub fn llalloc_occupancy(&self) -> Option<[ClassOccupancy; NUM_CLASSES]> {
         self.inner.ll.as_ref().map(|ll| ll.occupancy())
-    }
-
-    /// An application-defined tag stored in the header (e.g. a schema id).
-    pub fn user_tag(&self) -> u64 {
-        self.header().user_tag
-    }
-
-    /// Sets the application-defined header tag.
-    pub fn set_user_tag(&self, tag: u64) {
-        // SAFETY: plain u64 store into the mapped header.
-        unsafe { self.header_mut().user_tag = tag }
     }
 
     // -- roots ---------------------------------------------------------------
@@ -1243,13 +1169,8 @@ impl Region {
     pub fn sync(&self) -> Result<()> {
         self.check_open()?;
         {
-            // Fold the volatile counters so the flushed image carries
-            // accurate statistics.
-            let free_list = self.inner.alloc_lock.lock();
+            let _g = self.inner.alloc_lock.lock();
             if !self.inner.closed.load(Ordering::Acquire) {
-                // SAFETY: lock held; region mapped while the handle exists.
-                let hdr = unsafe { self.header_mut() };
-                self.inner.fold_counters(&free_list, &mut hdr.alloc);
                 self.inner.write_meta_slot();
             }
         }
@@ -1369,10 +1290,7 @@ impl Region {
     /// [`NvError::RegionClosed`] after close.
     pub fn update_meta_slots(&self) -> Result<()> {
         {
-            let free_list = self.lock_open()?;
-            // SAFETY: lock held; region mapped while the handle exists.
-            let hdr = unsafe { self.header_mut() };
-            self.inner.fold_counters(&free_list, &mut hdr.alloc);
+            let _g = self.lock_open()?;
             self.inner.write_meta_slot();
         }
         // A slot flip is a durability point: ship it (outside the
@@ -1459,13 +1377,13 @@ impl Region {
         // frees still route correctly and allocation fails cleanly.
         // SAFETY: mapped copy-on-write, made structurally valid by the
         // salvage above, and owned exclusively.
-        let alloc_state = unsafe { Self::recover_allocator(base, capacity, size) };
+        let ll = unsafe { Self::recover_allocator(base, capacity, size) };
         let backing = Backing::File {
             file,
             path: path.to_path_buf(),
             shared: false,
         };
-        let region = Self::assemble(space, rid, run, size, true, backing, alloc_state);
+        let region = Self::assemble(space, rid, run, size, true, backing, ll);
         Ok((region, report))
     }
 }
@@ -1501,22 +1419,6 @@ impl Inner {
         self.size.load(Ordering::Acquire)
     }
 
-    /// Region totals `(live_bytes, live_allocs, alloc_calls, free_calls)`:
-    /// the free-list path's counters plus the bitmap core's popcount and
-    /// op counts. `t` is what `alloc_lock` guards.
-    fn stat_totals(&self, t: &FreeListStats) -> (u64, u64, u64, u64) {
-        let ((ll_blocks, ll_bytes), (ll_allocs, ll_frees)) = match &self.ll {
-            Some(ll) => (ll.live(), ll.op_counts()),
-            None => ((0, 0), (0, 0)),
-        };
-        (
-            (t.live_bytes + ll_bytes as i64).max(0) as u64,
-            (t.live_allocs + ll_blocks as i64).max(0) as u64,
-            t.alloc_calls + ll_allocs,
-            t.free_calls + ll_frees,
-        )
-    }
-
     /// Composes the current header snapshot and writes it — with the next
     /// sequence number and its CRC-64 — into the *inactive* metadata
     /// slot, making that slot the active one. The caller must exclude
@@ -1535,21 +1437,6 @@ impl Inner {
         }
     }
 
-    /// Writes the region totals into the persistent header.
-    /// `free_list` is what `alloc_lock` guards.
-    fn fold_counters(&self, free_list: &FreeListStats, alloc: &mut AllocHeader) {
-        let (live_bytes, live_allocs, alloc_calls, free_calls) = self.stat_totals(free_list);
-        alloc.set_stat_counters(live_bytes, live_allocs, alloc_calls, free_calls);
-        // Snapshot the bitmap popcount alongside, so the next open can
-        // back the fold-time bitmap contribution out of these counters
-        // and re-add the (authoritative) open-time popcount. Lock-free
-        // traffic can drift between the two reads; both are exact at
-        // quiescent points (sync with no concurrent allocs, close).
-        if let Some(ll) = &self.ll {
-            ll.record_fold();
-        }
-    }
-
     fn teardown(&self, clean: bool) -> Result<()> {
         if self.closed.swap(true, Ordering::AcqRel) {
             return Ok(());
@@ -1560,13 +1447,12 @@ impl Inner {
         }
         if clean {
             {
-                // Serialize with in-flight locked operations, then fold
-                // the counters before declaring the image clean.
-                let free_list = self.alloc_lock.lock();
+                // Serialize with in-flight locked operations before
+                // declaring the image clean.
+                let _g = self.alloc_lock.lock();
                 // SAFETY: still mapped; we are the unique closer and the
                 // lock excludes concurrent allocator access.
                 let hdr = unsafe { &mut *(self.base as *mut RegionHeader) };
-                self.fold_counters(&free_list, &mut hdr.alloc);
                 if let Some(ll) = &self.ll {
                     // SAFETY: lock held, unique closer: quiescent.
                     unsafe { ll.seal() };
@@ -1834,31 +1720,6 @@ mod tests {
     }
 
     #[test]
-    fn cow_open_does_not_touch_file() {
-        let path = tmpdir().join("cow.nvr");
-        {
-            let r = Region::create_file(&path, 1 << 20).unwrap();
-            let p = r.alloc(64, 8).unwrap();
-            unsafe { (p.as_ptr() as *mut u64).write(111) };
-            r.set_root("v", p.as_ptr() as usize).unwrap();
-            r.close().unwrap();
-        }
-        let before = std::fs::read(&path).unwrap();
-        {
-            let r = Region::open_file_cow(&path).unwrap();
-            let v = r.root("v").unwrap();
-            unsafe { (v as *mut u64).write(222) };
-            r.close().unwrap();
-        }
-        let after = std::fs::read(&path).unwrap();
-        assert_eq!(
-            before, after,
-            "MAP_PRIVATE session must not modify the image"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn closed_region_rejects_operations() {
         let r = Region::create(1 << 20).unwrap();
         let r2 = r.clone();
@@ -1909,24 +1770,8 @@ mod tests {
             let s = r.stats();
             assert_eq!(s.live_allocs, 0, "lockfree={lockfree}: nothing stranded");
             assert_eq!(s.live_bytes, 0);
-            assert_eq!(s.alloc_calls, 100);
-            assert_eq!(s.free_calls, 100);
             r.close().unwrap();
             std::fs::remove_file(&path).ok();
         }
-    }
-
-    #[test]
-    fn user_tag_roundtrips_through_file() {
-        let path = tmpdir().join("tag.nvr");
-        {
-            let r = Region::create_file(&path, 1 << 20).unwrap();
-            r.set_user_tag(0xC0FFEE);
-            r.close().unwrap();
-        }
-        let r = Region::open_file(&path).unwrap();
-        assert_eq!(r.user_tag(), 0xC0FFEE);
-        r.close().unwrap();
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -329,7 +329,6 @@ pub(crate) struct BootBlock {
     pub rid: u32,
     pub size: u64,
     pub flags: u64,
-    pub user_tag: u64,
     pub capacity: u64,
     /// Magic, version and size-vs-file-length problems: with any of
     /// these the primary cannot say how to map the image.
@@ -375,7 +374,6 @@ pub(crate) fn read_boot(head: &[u8], file_len: u64) -> std::result::Result<BootB
         rid: read_u32(head, RegionHeader::OFF_RID),
         size: read_u64(head, RegionHeader::OFF_SIZE),
         flags: read_u64(head, OFF_FLAGS),
-        user_tag: read_u64(head, RegionHeader::OFF_USER_TAG),
         capacity: read_u64(head, RegionHeader::OFF_CAPACITY),
         errors: Vec::new(),
     };
@@ -462,18 +460,13 @@ fn check_roots(bytes: &[u8], issues: &mut Vec<RootIssue>) {
     }
 }
 
-/// Structural allocator check: the managed range must end where the image
-/// does, and every free list must walk cleanly (see
-/// [`AllocHeader::check`]).
+/// Structural allocator check (see [`AllocHeader::check`]): the managed
+/// range may end short of the image (a crash inside `Region::grow`, which
+/// the open re-derives) but never past it, and every free list must walk
+/// cleanly.
 fn check_alloc(bytes: &[u8], errors: &mut Vec<String>) {
     let alloc = AllocHeader::from_bytes(&bytes[OFF_ALLOC..]);
-    let end = alloc.stats().end;
-    if end != bytes.len() as u64 {
-        errors.push(format!(
-            "allocator end {end} is not the image length {}",
-            bytes.len()
-        ));
-    } else if let Err(e) = alloc.check(bytes, RegionHeader::data_start()) {
+    if let Err(e) = alloc.check(bytes, RegionHeader::data_start()) {
         errors.push(e.to_string());
     }
 }
@@ -572,15 +565,13 @@ pub fn verify_file<P: AsRef<Path>>(path: P) -> Result<VerifyReport> {
     Ok(verify_bytes(&data))
 }
 
-/// The capacity word claimed by the newest valid metadata slot, for an
-/// open path whose primary capacity word is implausible. `bytes` must
-/// hold at least the full slot area (`RegionHeader::data_start()` bytes).
-pub(crate) fn slot_capacity(bytes: &[u8]) -> Option<u64> {
+/// The header word at `off` as the newest valid metadata slot holds it,
+/// for the pre-map checks of an open (the capacity of an implausible
+/// primary, the size of a crashed growth). `bytes` must hold at least the
+/// full slot area (`RegionHeader::data_start()` bytes).
+pub(crate) fn slot_word(bytes: &[u8], off: usize) -> Option<u64> {
     let (active, _) = newest_valid((0..META_SLOT_COUNT).map(|i| parse_slot(bytes, i)))?;
-    Some(read_u64(
-        bytes,
-        slot_off(active) + RegionHeader::OFF_CAPACITY,
-    ))
+    Some(read_u64(bytes, slot_off(active) + off))
 }
 
 /// Composes the current header snapshot into the *inactive* metadata slot

@@ -215,8 +215,6 @@ fn stats(path: &str) -> Outcome {
     println!("size:        {} bytes", region.size());
     println!("live_bytes:  {}", s.live_bytes);
     println!("live_allocs: {}", s.live_allocs);
-    println!("alloc_calls: {}", s.alloc_calls);
-    println!("free_calls:  {}", s.free_calls);
     println!("bump/end:    {}/{}", s.bump, s.end);
     match region.roots() {
         Ok(roots) if roots.is_empty() => println!("roots:       (none)"),

@@ -11,7 +11,9 @@
 //! Two single-threaded cells pin what the chain of bitmap pages itself
 //! must survive: a frontier word torn away from the descriptor it was
 //! flushed with, and a crash between chaining a page and its first
-//! descriptor.
+//! descriptor. One more crashes every durability point (`sync`,
+//! `update_meta_slots`, `grow`, a clean close) at every event with both
+//! allocation paths live, and a v3 image pins the header-version refusal.
 //!
 //! Seed, replay tag, serial lock and scratch directories come from the
 //! shared [`util::Matrix`] (`MATRIX_SEED`, `MATRIX_ARTIFACT_DIR`).
@@ -19,7 +21,7 @@
 use nvm_pi::nvmsim::alloc::AllocHeader;
 use nvm_pi::nvmsim::region::RegionHeader;
 use nvm_pi::nvmsim::{inspect, shadow};
-use nvm_pi::{CapturedCrash, FaultPlan, FaultPolicy, Region};
+use nvm_pi::{CapturedCrash, FaultPlan, FaultPolicy, NvError, Region};
 use std::ptr::NonNull;
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -323,4 +325,90 @@ fn chain_ending_in_an_empty_page_is_reused_by_the_next_grow() {
         "[{}] no crash point leaves 2 pages / 63 subtrees",
         M.tag()
     );
+}
+
+/// `Region::stats` is one record per allocation path — the free-list
+/// counters in the region header plus the bitmap popcount — and no
+/// durability point writes either, so every crash image of every
+/// durability point reopens with the live set exact. (Totals folded into
+/// the header at each durability point and backed out at open against a
+/// first-page snapshot flushed under a different fence once counted the
+/// bitmap blocks twice at a `sync`'s first crash points.)
+#[test]
+fn live_counts_are_exact_at_every_crash_point_of_every_durability_point() {
+    let _serial = M.lock();
+    const SMALL: usize = 64;
+    /// Above the largest size class: served by the free lists.
+    const LARGE: usize = 5_000;
+    let want = (
+        20,
+        17 * SMALL as u64 + 3 * AllocHeader::rounded_size(LARGE) as u64,
+    );
+    for policy in M.policies() {
+        let name = util::policy_name(policy);
+        let cell = M.cell(&format!("live-{name}"));
+        let region =
+            Region::create_file_with_capacity(cell.path("orig.nvr"), 1 << 20, 2 << 20).unwrap();
+        for _ in 0..3 {
+            region.alloc_off(LARGE, 8).unwrap();
+        }
+        let first: Vec<_> = (0..10).map(|_| region.alloc(SMALL, 8).unwrap()).collect();
+        region.sync().unwrap();
+        for _ in 0..10 {
+            region.alloc_off(SMALL, 8).unwrap();
+        }
+        for &p in &first[..3] {
+            // SAFETY: allocated above with this size, freed once.
+            unsafe { region.dealloc(p, SMALL) };
+        }
+        region.enable_shadow().unwrap();
+        let live = |r: &Region| (r.stats().live_allocs, r.stats().live_bytes);
+        assert_eq!(
+            live(&region),
+            want,
+            "[{name} {}] before the window",
+            M.tag()
+        );
+
+        let plan = FaultPlan::capture_all(&region, policy);
+        region.sync().unwrap();
+        region.update_meta_slots().unwrap();
+        region.grow(3 << 19).unwrap();
+        let mut prev = region.base();
+        region.close().unwrap();
+        let crashes = plan.disarm();
+        assert!(!crashes.is_empty(), "[{name} {}] no crash points", M.tag());
+        for c in &crashes {
+            let ctx = format!("live {name} event {} {}", c.event, M.tag());
+            let region = cell.recover(c, &mut prev, &ctx);
+            assert_eq!(live(&region), want, "[{ctx}] (live allocs, live bytes)");
+            region.crash();
+        }
+        eprintln!("[live {name}] {} crash points", crashes.len());
+    }
+}
+
+/// Header v4 moved every allocator word, so a v3 image is refused — by
+/// the open, typed and naming the version, and by `nvr_inspect verify`.
+#[test]
+fn v3_images_are_refused_by_open_and_verify() {
+    let _serial = M.lock();
+    let cell = M.cell("v3");
+    let path = cell.path("v3.nvr");
+    Region::create_file(&path, 1 << 20)
+        .unwrap()
+        .close()
+        .unwrap();
+    let mut img = std::fs::read(&path).unwrap();
+    img[RegionHeader::OFF_VERSION..][..4].copy_from_slice(&3u32.to_le_bytes());
+    std::fs::write(&path, &img).unwrap();
+    match Region::open_file(&path) {
+        Err(NvError::BadImage(why)) => assert!(why.contains("version 3"), "{why}"),
+        other => panic!("a v3 image must be refused as BadImage, got {other:?}"),
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_nvr_inspect"))
+        .args(["verify", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
 }

@@ -11,11 +11,12 @@
 //!    checksummed slot (`open_file` succeeds with the original roots) or
 //!    refused with a typed error — and only the boot block, whose
 //!    identity words are validated before mapping, is allowed to refuse.
-//!    `verify_bytes` and `open_file_salvage` must never panic, and
-//!    salvage must never write the backing file (it maps copy-on-write).
+//!    `verify_bytes`, the offline inspectors (printing included) and
+//!    `open_file_salvage` must never panic, and salvage must never write
+//!    the backing file (it maps copy-on-write).
 //! 2. A proptest sweep flipping random bits (and overwriting whole
 //!    random cache lines) anywhere in the image, including the data
-//!    area: `open_file` / `verify_bytes` / `open_file_salvage` never
+//!    area: `open_file` / the offline readers / `open_file_salvage` never
 //!    panic, and a salvaged region's surviving roots stay inside the
 //!    data area.
 //! 3. A torn A/B slot flip: `update_meta_slots` runs under the
@@ -42,7 +43,7 @@
 
 use nvm_pi::nvmsim::region::RegionHeader;
 use nvm_pi::nvmsim::undolog::STORE_ROOT;
-use nvm_pi::nvmsim::{shadow, verify};
+use nvm_pi::nvmsim::{inspect, shadow, verify};
 use nvm_pi::{FaultPlan, FaultPolicy, NvError, ObjectStore, Region, StoreError};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -97,6 +98,17 @@ fn rot_line(img: &mut [u8], line: usize, rng: &mut util::SplitMix) {
     }
 }
 
+/// The offline readers — the corruption walk and both inspectors, their
+/// reports printed — classify any image without panicking.
+fn offline_readers(img: &[u8], ctx: &str) -> verify::VerifyReport {
+    catch_unwind(AssertUnwindSafe(|| {
+        let _ = inspect::inspect_bytes(img).map(|r| r.to_string());
+        let _ = inspect::inspect_llalloc_bytes(img).map(|r| r.map(|r| r.to_string()));
+        verify::verify_bytes(img)
+    }))
+    .unwrap_or_else(|_| panic!("[{ctx}] an offline reader panicked"))
+}
+
 /// Salvage must neither panic nor write the backing file; a salvaged
 /// region's surviving roots must land inside the data area.
 fn check_salvage(img_path: &Path, ctx: &str) {
@@ -148,9 +160,7 @@ fn single_line_rot_sweep_over_metadata_recovers_or_fails_typed() {
         let mut img = base.to_vec();
         let mut rng = M.stream((line as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
         rot_line(&mut img, line, &mut rng);
-        // The offline walk must classify the damage without panicking.
-        let report = catch_unwind(AssertUnwindSafe(|| verify::verify_bytes(&img)))
-            .unwrap_or_else(|_| panic!("[{ctx}] verify_bytes panicked"));
+        let report = offline_readers(&img, &ctx);
         std::fs::write(&img_path, &img).unwrap();
         match catch_unwind(AssertUnwindSafe(|| Region::open_file(&img_path)))
             .unwrap_or_else(|_| panic!("[{ctx}] open_file panicked"))
@@ -590,8 +600,7 @@ proptest! {
                 *byte = rng.next() as u8;
             }
         }
-        catch_unwind(AssertUnwindSafe(|| verify::verify_bytes(&img)))
-            .unwrap_or_else(|_| panic!("[{ctx}] verify_bytes panicked"));
+        offline_readers(&img, &ctx);
         let img_path = cell.path("rot.nvr");
         std::fs::write(&img_path, &img).unwrap();
         // A typed refusal is always acceptable; whatever *does* open must

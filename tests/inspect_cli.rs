@@ -1,14 +1,16 @@
 //! `nvr_inspect` command line: the 0/1/2 exit-code contract.
 //!
 //! The binary's module doc promises: 0 = every check passed, 1 = damage
-//! found, 2 = usage/IO trouble. This file runs the binary over five image
+//! found, 2 = usage/IO trouble. This file runs the binary over six image
 //! kinds and pins the exit code of every (subcommand, image) cell — what
 //! the doc promises where it speaks, and what the binary has always
 //! exited with where the doc is silent (noted per row). Only the exit
 //! code and, where one is printed, the `verdict:` line are asserted, so
 //! message wording stays free to change.
 
+use nvm_pi::nvmsim::alloc::AllocHeader;
 use nvm_pi::nvmsim::llalloc::LL_PAGE_MAGIC;
+use nvm_pi::nvmsim::region::RegionHeader;
 use nvm_pi::Region;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -29,9 +31,16 @@ fn verdict(out: &Output) -> Option<String> {
         .map(|v| v.trim().to_string())
 }
 
-const IMAGES: [&str; 5] = ["clean", "crashed", "rotted", "zeros", "missing"];
+const IMAGES: [&str; 6] = [
+    "clean",
+    "crashed",
+    "rotted",
+    "bump-rotted",
+    "zeros",
+    "missing",
+];
 
-/// Builds the image kinds under `dir` (the fifth, `missing`, is a path
+/// Builds the image kinds under `dir` (the last, `missing`, is a path
 /// that is never created).
 fn build_images(dir: &Path) {
     let populate = |r: &Region| {
@@ -62,12 +71,19 @@ fn build_images(dir: &Path) {
     bytes[page + 64 + 8] = 0xff;
     std::fs::write(dir.join("rotted"), bytes).unwrap();
 
+    // A rotted frontier word on an otherwise clean image: nothing
+    // validates it before the summary prints it.
+    let mut bytes = std::fs::read(dir.join("clean")).unwrap();
+    let bump = RegionHeader::OFF_ALLOC + AllocHeader::OFF_BUMP;
+    bytes[bump..bump + 8].copy_from_slice(&(u64::MAX / 3).to_le_bytes());
+    std::fs::write(dir.join("bump-rotted"), bytes).unwrap();
+
     std::fs::write(dir.join("zeros"), [0u8; 64]).unwrap();
 }
 
 /// Expected `(exit code, verdict line)` per image kind, in [`IMAGES`]
 /// order.
-type Row = [(i32, Option<&'static str>); 5];
+type Row = [(i32, Option<&'static str>); 6];
 
 /// The contract. `verify`, `alloc` and the usage error are what the
 /// module doc promises; the rest is the behaviour of the binary as it
@@ -75,8 +91,19 @@ type Row = [(i32, Option<&'static str>); 5];
 const CONTRACT: [(&str, Row); 5] = [
     // Header summary. The doc is silent on exit codes: anything that is
     // not a readable region header — garbage and unreadable alike — is 1;
-    // bitmap rot does not show in a header summary.
-    ("", [(0, None), (0, None), (0, None), (1, None), (1, None)]),
+    // bitmap rot does not show in a header summary, and a rotted frontier
+    // is printed as lying outside the managed range.
+    (
+        "",
+        [
+            (0, None),
+            (0, None),
+            (0, None),
+            (0, None),
+            (1, None),
+            (1, None),
+        ],
+    ),
     // Doc: 0 = every check passed, 1 = damage found, 2 = usage/IO trouble.
     // A crashed image is dirty, not damaged.
     (
@@ -84,6 +111,7 @@ const CONTRACT: [(&str, Row); 5] = [
         [
             (0, Some("healthy")),
             (0, Some("healthy")),
+            (1, Some("damaged (recoverable)")),
             (1, Some("damaged (recoverable)")),
             (1, Some("damaged (unrecoverable)")),
             (2, None),
@@ -97,16 +125,25 @@ const CONTRACT: [(&str, Row); 5] = [
             (0, Some("consistent")),
             (0, Some("consistent")),
             (1, Some("INCONSISTENT")),
+            (0, Some("consistent")),
             (2, None),
             (2, None),
         ],
     ),
     // Doc silent: a region that opens is 0 (a rotted bitmap degrades the
-    // open to the free lists, it does not fail it); one that does not
-    // open, for whatever reason, is 1.
+    // open to the free lists, it does not fail it; a rotted frontier is
+    // restored from the metadata slots); one that does not open, for
+    // whatever reason, is 1.
     (
         "stats",
-        [(0, None), (0, None), (0, None), (1, None), (1, None)],
+        [
+            (0, None),
+            (0, None),
+            (0, None),
+            (0, None),
+            (1, None),
+            (1, None),
+        ],
     ),
     // Doc silent: scrub is verify (same codes, damaged images left
     // untouched and their report printed) plus a slot refresh of healthy
@@ -116,6 +153,7 @@ const CONTRACT: [(&str, Row); 5] = [
         [
             (0, None),
             (0, None),
+            (1, Some("damaged (recoverable)")),
             (1, Some("damaged (recoverable)")),
             (1, Some("damaged (unrecoverable)")),
             (2, None),

@@ -4,14 +4,16 @@
 
 mod util;
 
+use nvm_pi::nvmsim::metrics::{snapshot, Counter};
 use nvm_pi::pi_core::{FatPtr, PtrRepr};
 use nvm_pi::{NvSpace, Region};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 // These tests contend on the shared segment pool (one even exhausts it);
-// `M.lock()` serializes them so they cannot starve each other, and
-// `M.cell(..)` is the scratch directory of a file-backed one.
+// `M.lock()` serializes them so they cannot starve each other — and so a
+// test's `metrics` delta counts its own calls only — and `M.cell(..)` is
+// the scratch directory of a file-backed one.
 static M: util::Matrix = util::Matrix::new("stress", 0x5EED);
 
 #[test]
@@ -141,11 +143,13 @@ fn concurrent_churn_conserves_alloc_stats_and_never_double_serves() {
     // mix of size classes. Every live block is stamped with a unique tag;
     // if two threads were ever handed the same block (a double-serve from
     // a bitmap or free list), the stamp check fails. At the end the
-    // user-visible statistics must balance exactly.
+    // user-visible statistics must balance exactly, and the process-wide
+    // call counters must have seen every call.
     const THREADS: usize = 4;
     const OPS: usize = 2_000;
     const SIZES: [usize; 5] = [16, 48, 128, 384, 1024];
     let region = Region::create(32 << 20).unwrap();
+    let before = snapshot();
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let r = region.clone();
@@ -196,12 +200,21 @@ fn concurrent_churn_conserves_alloc_stats_and_never_double_serves() {
         total_allocs += a;
         total_frees += f;
     }
+    let calls = snapshot().delta(&before);
+    assert_eq!(
+        calls.get(Counter::RegionAllocs),
+        total_allocs,
+        "alloc calls conserved"
+    );
+    assert_eq!(
+        calls.get(Counter::RegionFrees),
+        total_frees,
+        "free calls conserved"
+    );
     let s = region.stats();
-    assert_eq!(s.alloc_calls, total_allocs, "alloc calls conserved");
-    assert_eq!(s.free_calls, total_frees, "free calls conserved");
     assert_eq!(s.live_allocs, 0, "no live blocks remain");
     assert_eq!(s.live_bytes, 0, "no live bytes remain");
-    // After a fold into the persistent header, the totals agree too.
+    // A durability point writes a metadata slot and nothing else.
     region.update_meta_slots().unwrap();
     let s = region.stats();
     assert_eq!(s.live_allocs, 0);
@@ -233,7 +246,7 @@ fn crash_on_the_free_list_path_strands_nothing_and_recovers() {
                 });
             }
         });
-        // Fold counters durably, then crash.
+        // Make the free lists and their counters durable, then crash.
         region.sync().unwrap();
         region.crash();
     }
@@ -260,6 +273,7 @@ fn mode_switch_mid_run_routes_every_free_home() {
     let path = cell.path("modeswitch.nvr");
     let region = Region::create_file(&path, 8 << 20).unwrap();
     assert!(region.lockfree_enabled());
+    let before = snapshot();
     let mut blocks: Vec<(std::ptr::NonNull<u8>, usize)> = Vec::new();
     // First half from the bitmap core, second half from the free lists.
     for lockfree in [true, false] {
@@ -271,7 +285,10 @@ fn mode_switch_mid_run_routes_every_free_home() {
     }
     let s = region.stats();
     assert_eq!(s.live_allocs, 2 * N as u64);
-    assert_eq!(s.alloc_calls, 2 * N as u64);
+    assert_eq!(
+        snapshot().delta(&before).get(Counter::RegionAllocs),
+        2 * N as u64
+    );
     // Free everything in shuffled order, flipping the switch as we go:
     // each block must find its own allocator whatever the mode says.
     let mut rng = M.seed();
@@ -286,7 +303,10 @@ fn mode_switch_mid_run_routes_every_free_home() {
     let s = region.stats();
     assert_eq!(s.live_allocs, 0, "every block went home");
     assert_eq!(s.live_bytes, 0);
-    assert_eq!(s.free_calls, 2 * N as u64);
+    assert_eq!(
+        snapshot().delta(&before).get(Counter::RegionFrees),
+        2 * N as u64
+    );
     let report = region.verify().unwrap();
     assert!(report.healthy(), "{}", report.damage_summary());
     let old_base = region.base();
