@@ -113,7 +113,7 @@ const SECTIONS: [(&str, &str, &str, Runner); 15] = [
     (
         "alloc",
         "ALLOCSCALE",
-        "Allocator scaling — locked free lists vs lock-free bitmaps (EXPERIMENTS.md)",
+        "Allocator scaling — the lock-free bitmap allocator, 1-16 threads (EXPERIMENTS.md)",
         |s| (experiments::alloc_scale(s.quick), Vec::new()),
     ),
     (

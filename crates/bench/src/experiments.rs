@@ -987,12 +987,11 @@ fn churn(region: &Region, ops: usize, seed: usize) -> usize {
 /// time themselves and the interval runs from the first start to the
 /// last finish: timing from the spawning thread undercounts on few-core
 /// hosts, where workers can finish before it is rescheduled.
-fn alloc_cell(workload: &str, threads: usize, ops: usize, lockfree: bool) -> (f64, u64) {
+fn alloc_cell(workload: &str, threads: usize, ops: usize) -> (f64, u64) {
     use std::sync::{mpsc, Barrier};
 
     let region = Region::create(64 << 20).expect("create bench region");
-    region.set_lockfree(lockfree);
-    // Pre-warm so both paths measure steady-state reuse, not first-touch
+    // Pre-warm so the cell measures steady-state reuse, not first-touch
     // carving.
     churn(&region, 2 * BURST * ALLOC_SIZES.len(), 0);
     let before = metrics::snapshot();
@@ -1052,34 +1051,30 @@ fn alloc_cell(workload: &str, threads: usize, ops: usize, lockfree: bool) -> (f6
     (total as f64 / (last - first).as_secs_f64(), cas_retries)
 }
 
-/// ALLOCSCALE — allocator throughput on one shared region (EXPERIMENTS.md
-/// `ALLOC-SCALING`) for the two allocator paths: `locked`
-/// (`set_lockfree(false)`: the region lock and the free lists, what
-/// `NodeArena::scatter`'s regions run) and `llalloc` (the default
-/// lock-free bitmap core). Workloads, the row's `structure`: `churn`
-/// (each thread alloc/frees bursts of mixed size classes) at 1–16
-/// threads and `prodcons` (producer/consumer pairs) at 2–16. `quick`
-/// runs 4 000 allocations per thread instead of 100 000.
+/// ALLOCSCALE — throughput of the region allocator (`llalloc`, the
+/// lock-free bitmap core) on one shared region (EXPERIMENTS.md
+/// `ALLOC-SCALING`). Workloads, the row's `structure`: `churn` (each
+/// thread alloc/frees bursts of mixed size classes) at 1–16 threads and
+/// `prodcons` (producer/consumer pairs) at 2–16. `quick` runs 4 000
+/// allocations per thread instead of 100 000.
 pub fn alloc_scale(quick: bool) -> Vec<Row> {
     let ops = alloc_ops(quick);
     let mut rows = Vec::new();
     for (workload, min_threads) in [("churn", 1), ("prodcons", 2)] {
         for threads in [1, 2, 4, 8, 16].into_iter().filter(|&t| t >= min_threads) {
-            for (repr, lockfree) in [("locked", false), ("llalloc", true)] {
-                let (ops_per_sec, cas_retries) = alloc_cell(workload, threads, ops, lockfree);
-                rows.push(Row::new(
-                    "ALLOCSCALE",
-                    workload,
-                    "alloc_free",
-                    repr,
-                    1e9 / ops_per_sec,
-                    format!(
-                        "threads={threads} ops_per_sec={ops_per_sec:.0} \
-                         per_thread_ops_per_sec={:.0} llalloc_cas_retries={cas_retries}",
-                        ops_per_sec / threads as f64
-                    ),
-                ));
-            }
+            let (ops_per_sec, cas_retries) = alloc_cell(workload, threads, ops);
+            rows.push(Row::new(
+                "ALLOCSCALE",
+                workload,
+                "alloc_free",
+                "llalloc",
+                1e9 / ops_per_sec,
+                format!(
+                    "threads={threads} ops_per_sec={ops_per_sec:.0} \
+                     per_thread_ops_per_sec={:.0} llalloc_cas_retries={cas_retries}",
+                    ops_per_sec / threads as f64
+                ),
+            ));
         }
     }
     rows

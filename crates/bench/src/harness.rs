@@ -9,7 +9,7 @@
 //!   between them, so frequency drift or background noise hits every
 //!   representation equally. Reported values are per-representation
 //!   medians.
-//! * Node placement is **scattered** (shuffled free lists, see
+//! * Node placement is **scattered** (freed blocks handed out shuffled, see
 //!   [`NodeArena::scatter`]) so traversals are memory-latency-bound the
 //!   way the paper's PMEP runs were, rather than stream-prefetched.
 

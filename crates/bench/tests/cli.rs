@@ -40,8 +40,8 @@ fn rows(out: &Output, id: &str) -> usize {
 fn alloc_sections_print_every_cell() {
     let out = paper_tables(&["alloc", "largeregion", "--quick"]);
     assert!(out.status.success(), "{out:?}");
-    // churn at 1/2/4/8/16 threads and prodcons at 2/4/8/16, x2 allocators.
-    assert_eq!(rows(&out, "ALLOCSCALE"), 18, "{out:?}");
+    // churn at 1/2/4/8/16 threads and prodcons at 2/4/8/16.
+    assert_eq!(rows(&out, "ALLOCSCALE"), 9, "{out:?}");
     // The two quick sizes, 16 and 64 MiB.
     assert_eq!(rows(&out, "LARGEREGION"), 2, "{out:?}");
 }

@@ -1,23 +1,23 @@
-//! Intra-region persistent-memory allocator.
+//! Size classes and the allocator words of the region header.
 //!
-//! Every piece of allocator state lives *inside the region it manages* and
-//! is expressed in **offsets from the region base**, never absolute
-//! addresses. A region image is therefore position independent by
-//! construction: it can be written to a file, reopened at any segment base,
-//! and the allocator resumes exactly where it left off.
+//! Every block of a region is served by the bitmap allocator of
+//! [`crate::llalloc`]. This module holds what that allocator shares with
+//! the rest of the crate: the size-class table, request rounding, and
+//! [`AllocHeader`] — the three words the region header keeps for the
+//! allocator, all *offsets from the region base*, so an image is
+//! position independent by construction and the allocator resumes at
+//! any segment base:
 //!
-//! The design is a conventional segregated-fit allocator:
+//! * `bump`, the frontier bitmap pages and block spans are carved from;
+//! * `end`, the end of the managed range;
+//! * `ll_dir`, the offset of the first bitmap page.
 //!
-//! * sizes up to [`MAX_CLASS_SIZE`] round up to one of [`CLASS_SIZES`] and
-//!   are served LIFO from per-class free lists (offset-linked);
-//! * larger sizes are served first-fit from a single large-block list, or
-//!   carved from the bump frontier;
-//! * the bump frontier is the fallback for empty free lists.
-//!
-//! Free-list links are stored in the first 8 bytes of each free block;
-//! large free blocks additionally store their size in the next 8 bytes.
+//! Sizes up to [`MAX_CLASS_SIZE`] round up to one of [`CLASS_SIZES`];
+//! larger sizes round up to whole granules ([`crate::llalloc::GRANULE`]),
+//! each block its own span.
 
 use crate::error::{NvError, Result};
+use crate::llalloc::GRANULE;
 use std::mem::offset_of;
 
 /// Allocation size classes in bytes. All are multiples of [`MIN_ALIGN`].
@@ -25,7 +25,8 @@ pub const CLASS_SIZES: [usize; 16] = [
     16, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096,
 ];
 
-/// Largest size served by a class free list.
+/// Largest size served from a size class; larger blocks are whole-granule
+/// spans of their own.
 pub const MAX_CLASS_SIZE: usize = 4096;
 
 /// Alignment of every allocation. Callers may not request more.
@@ -58,26 +59,16 @@ pub struct AllocStats {
     pub end: u64,
 }
 
-/// Allocator metadata embedded in a region header.
+/// Allocator words embedded in a region header.
 ///
-/// All fields are offsets or counters; the struct is `repr(C)` so the
-/// on-media layout is stable.
+/// All fields are offsets; the struct is `repr(C)` so the on-media layout
+/// is stable. Which blocks are live is recorded in the bitmap pages alone.
 #[repr(C)]
 #[derive(Debug)]
 pub struct AllocHeader {
     bump: u64,
     end: u64,
-    free_heads: [u64; NUM_CLASSES],
-    large_head: u64,
-    /// Live bytes and blocks served by the free lists: the free-list
-    /// path's one record, updated in place by [`AllocHeader::alloc`] and
-    /// [`AllocHeader::dealloc`] under the region lock. Bitmap-served
-    /// blocks are counted by their bitmaps, never here.
-    live_bytes: u64,
-    live_allocs: u64,
-    /// Offset of the first `llalloc` bitmap page (0 = none: the region
-    /// is too small to host one, or salvage detached a damaged chain, and
-    /// runs on the free lists alone).
+    /// Offset of the first `llalloc` bitmap page.
     ll_dir: u64,
 }
 
@@ -89,9 +80,6 @@ impl AllocHeader {
     pub const OFF_BUMP: usize = offset_of!(AllocHeader, bump);
     /// Offset of the end-of-range word.
     pub const OFF_END: usize = offset_of!(AllocHeader, end);
-    /// The free-list heads: one word per size class, then the large list.
-    pub const LISTS: std::ops::Range<usize> =
-        offset_of!(AllocHeader, free_heads)..offset_of!(AllocHeader, large_head) + 8;
     /// Offset of the bitmap-page directory word.
     pub const OFF_LL_DIR: usize = offset_of!(AllocHeader, ll_dir);
 
@@ -107,10 +95,6 @@ impl AllocHeader {
         AllocHeader {
             bump: word(Self::OFF_BUMP),
             end: word(Self::OFF_END),
-            free_heads: std::array::from_fn(|i| word(Self::LISTS.start + 8 * i)),
-            large_head: word(offset_of!(AllocHeader, large_head)),
-            live_bytes: word(offset_of!(AllocHeader, live_bytes)),
-            live_allocs: word(offset_of!(AllocHeader, live_allocs)),
             ll_dir: word(Self::OFF_LL_DIR),
         }
     }
@@ -123,17 +107,12 @@ impl AllocHeader {
         debug_assert!(data_start <= end);
         self.bump = data_start;
         self.end = end;
-        self.free_heads = [0; NUM_CLASSES];
-        self.large_head = 0;
-        self.live_bytes = 0;
-        self.live_allocs = 0;
         self.ll_dir = 0;
     }
 
     /// Extends the managed range to end at `new_end` (in-place region
-    /// growth): the bump frontier and free lists are untouched — the new
-    /// bytes are simply more frontier to carve. Shrinking is not
-    /// supported; a smaller `new_end` is ignored.
+    /// growth): the new bytes are simply more frontier to carve.
+    /// Shrinking is not supported; a smaller `new_end` is ignored.
     pub fn extend(&mut self, new_end: u64) {
         if new_end > self.end {
             self.end = new_end;
@@ -147,7 +126,17 @@ impl AllocHeader {
         Self::from_bytes(&[0; std::mem::size_of::<AllocHeader>()])
     }
 
-    /// Offset of the first `llalloc` bitmap page (0 = legacy-only).
+    /// Offset of the bump frontier.
+    pub(crate) fn bump(&self) -> u64 {
+        self.bump
+    }
+
+    /// End offset of the allocatable area.
+    pub(crate) fn end(&self) -> u64 {
+        self.end
+    }
+
+    /// Offset of the first `llalloc` bitmap page.
     pub(crate) fn ll_dir(&self) -> u64 {
         self.ll_dir
     }
@@ -181,9 +170,6 @@ impl AllocHeader {
 
     /// Carves `bytes` from the bump frontier at `align` alignment (for
     /// `llalloc` spans and bitmap pages; the alignment gap is discarded).
-    /// Statistics counters are not touched — the carved span is
-    /// allocator metadata or bitmap-managed capacity, not an application
-    /// block.
     pub(crate) fn carve_aligned(&mut self, bytes: u64, align: u64) -> Result<u64> {
         let off = self.bump.next_multiple_of(align);
         let next = off.checked_add(bytes).ok_or(NvError::OutOfMemory {
@@ -200,224 +186,29 @@ impl AllocHeader {
         Ok(off)
     }
 
-    /// Rounds a request up to its served size.
+    /// Rounds a request up to its served size: its size class, or whole
+    /// granules above [`MAX_CLASS_SIZE`].
     pub fn rounded_size(size: usize) -> usize {
-        let size = size.max(MIN_ALIGN);
         match class_for(size) {
             Some(c) => CLASS_SIZES[c],
-            None => (size + MIN_ALIGN - 1) & !(MIN_ALIGN - 1),
+            None => size.div_ceil(GRANULE as usize) * GRANULE as usize,
         }
     }
 
-    #[inline]
-    unsafe fn read_u64(base: usize, off: u64) -> u64 {
-        *((base + off as usize) as *const u64)
-    }
-
-    #[inline]
-    unsafe fn write_u64(base: usize, off: u64, v: u64) {
-        *((base + off as usize) as *mut u64) = v;
-    }
-
-    /// Allocates `size` bytes with alignment `align`, returning the offset
-    /// of the block from the region base.
+    /// Structural check of the header words of a region image of
+    /// `image_len` bytes: the managed range may end short of the image (a
+    /// crash inside `Region::grow`, which the open re-derives) but never
+    /// past it, and the frontier lies inside it.
     ///
     /// # Errors
     ///
-    /// [`NvError::OutOfMemory`] when neither a free block nor bump space is
-    /// available.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `align > MIN_ALIGN` or `size == 0`.
-    ///
-    /// # Safety
-    ///
-    /// `base` must be the base address of the mapped region whose header
-    /// contains `self`, and the region must stay mapped for the duration of
-    /// the call.
-    pub unsafe fn alloc(&mut self, base: usize, size: usize, align: usize) -> Result<u64> {
-        assert!(size > 0, "zero-size allocation");
-        assert!(
-            align <= MIN_ALIGN && MIN_ALIGN.is_multiple_of(align.max(1)),
-            "alignment beyond {MIN_ALIGN} is not supported"
-        );
-        let rounded = Self::rounded_size(size);
-        let off = if let Some(class) = class_for(rounded) {
-            let head = self.free_heads[class];
-            if head != 0 {
-                self.free_heads[class] = Self::read_u64(base, head);
-                head
-            } else {
-                self.bump_alloc(rounded)?
-            }
-        } else {
-            match self.large_fit(base, rounded) {
-                Some(off) => off,
-                None => self.bump_alloc(rounded)?,
-            }
-        };
-        // Saturating: the counters are media words nothing validates.
-        self.live_bytes = self.live_bytes.saturating_add(rounded as u64);
-        self.live_allocs = self.live_allocs.saturating_add(1);
-        Ok(off)
-    }
-
-    fn bump_alloc(&mut self, rounded: usize) -> Result<u64> {
-        let off = self.bump;
-        let next = off + rounded as u64;
-        if next > self.end {
-            return Err(NvError::OutOfMemory {
-                region: 0,
-                requested: rounded,
-            });
-        }
-        self.bump = next;
-        Ok(off)
-    }
-
-    /// First-fit scan of the large list; removes and returns a block of at
-    /// least `rounded` bytes whose waste is below half the request.
-    unsafe fn large_fit(&mut self, base: usize, rounded: usize) -> Option<u64> {
-        let mut prev: u64 = 0;
-        let mut cur = self.large_head;
-        while cur != 0 {
-            let next = Self::read_u64(base, cur);
-            let bsize = Self::read_u64(base, cur + 8) as usize;
-            if bsize >= rounded && bsize - rounded <= rounded / 2 {
-                if prev == 0 {
-                    self.large_head = next;
-                } else {
-                    Self::write_u64(base, prev, next);
-                }
-                return Some(cur);
-            }
-            prev = cur;
-            cur = next;
-        }
-        None
-    }
-
-    /// Returns the block at `off` (allocated with `size`) to the allocator.
-    ///
-    /// # Safety
-    ///
-    /// `base` must be the region base; `(off, size)` must exactly describe a
-    /// block previously returned by [`AllocHeader::alloc`] on this header
-    /// with the same (pre-rounding) `size`, not freed since.
-    pub unsafe fn dealloc(&mut self, base: usize, off: u64, size: usize) {
-        debug_assert!(off.is_multiple_of(MIN_ALIGN as u64));
-        let rounded = Self::rounded_size(size);
-        debug_assert!(off + rounded as u64 <= self.end);
-        self.live_bytes = self.live_bytes.saturating_sub(rounded as u64);
-        self.live_allocs = self.live_allocs.saturating_sub(1);
-        if let Some(class) = class_for(rounded) {
-            Self::write_u64(base, off, self.free_heads[class]);
-            self.free_heads[class] = off;
-        } else {
-            Self::write_u64(base, off, self.large_head);
-            Self::write_u64(base, off + 8, rounded as u64);
-            self.large_head = off;
-        }
-    }
-
-    /// Bytes still available at the bump frontier (free-list contents not
-    /// included).
-    pub fn remaining(&self) -> u64 {
-        self.end - self.bump
-    }
-
-    /// Current statistics of the free-list path (the region adds the
-    /// bitmap popcount on top).
-    pub fn stats(&self) -> AllocStats {
-        AllocStats {
-            live_bytes: self.live_bytes,
-            live_allocs: self.live_allocs,
-            bump: self.bump,
-            end: self.end,
-        }
-    }
-
-    /// Cheap structural sanity check of the free lists of `image` (offset
-    /// 0 = region base; used after reopening a persisted image). Walks
-    /// each list and verifies every link stays in bounds and 16-aligned.
-    /// Links are read by bounds-checked indexing of `image`: nothing the
-    /// image says is dereferenced.
-    ///
-    /// # Errors
-    ///
-    /// [`NvError::BadImage`] describing the first broken invariant found.
-    pub fn check(&self, image: &[u8], data_start: u64) -> Result<()> {
-        if self.end > image.len() as u64 || self.bump > self.end || self.bump < data_start {
+    /// [`NvError::BadImage`] describing the broken invariant.
+    pub fn check(&self, image_len: u64, data_start: u64) -> Result<()> {
+        if self.end > image_len || self.bump > self.end || self.bump < data_start {
             return Err(NvError::BadImage(format!(
-                "bump {} outside [{}, {}] (image of {} bytes)",
-                self.bump,
-                data_start,
-                self.end,
-                image.len()
+                "bump {} outside [{}, {}] (image of {image_len} bytes)",
+                self.bump, data_start, self.end
             )));
-        }
-        // `end - off >= 8`: the link word itself must lie inside the range.
-        let in_bounds = |off: u64| {
-            off >= data_start && off < self.end && self.end - off >= 8 && off.is_multiple_of(16)
-        };
-        // Structural cycle bound: a region of this size cannot hold more
-        // than `max_blocks` distinct blocks, whatever the op history.
-        let max_blocks = (self.end - data_start) / MIN_ALIGN as u64 + 1;
-        for (class, &head) in self.free_heads.iter().enumerate() {
-            Self::walk_list(
-                image,
-                head,
-                max_blocks,
-                &in_bounds,
-                &format!("class {class} free list"),
-            )?;
-        }
-        Self::walk_list(
-            image,
-            self.large_head,
-            max_blocks,
-            &in_bounds,
-            "large free list",
-        )?;
-        Ok(())
-    }
-
-    /// Walks one offset-linked free list, validating every link. Cycle
-    /// detection is Brent's algorithm — a corrupted next-pointer that
-    /// forms an in-range cycle is caught after O(cycle length) steps
-    /// instead of grinding through the worst-case block count of the
-    /// region — with the structural `max_blocks` bound kept as a
-    /// belt-and-braces limit.
-    fn walk_list(
-        image: &[u8],
-        head: u64,
-        max_blocks: u64,
-        in_bounds: &dyn Fn(u64) -> bool,
-        what: &str,
-    ) -> Result<()> {
-        let mut anchor = head;
-        let mut cur = head;
-        let mut steps = 0u64;
-        let mut next_teleport = 2u64;
-        while cur != 0 {
-            if !in_bounds(cur) {
-                return Err(NvError::BadImage(format!(
-                    "{what} link {cur:#x} out of bounds"
-                )));
-            }
-            cur = crate::read_u64(image, cur as usize);
-            steps += 1;
-            if cur != 0 && cur == anchor {
-                return Err(NvError::BadImage(format!("{what} cycle")));
-            }
-            if steps == next_teleport {
-                anchor = cur;
-                next_teleport = next_teleport.saturating_mul(2);
-            }
-            if steps > max_blocks {
-                return Err(NvError::BadImage(format!("{what} cycle")));
-            }
         }
         Ok(())
     }
@@ -426,32 +217,13 @@ impl AllocHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::region::Region;
 
-    /// A little arena standing in for a mapped region.
-    struct Arena {
-        mem: Vec<u8>,
-        hdr: AllocHeader,
-    }
-
-    impl Arena {
-        fn new(size: usize) -> Arena {
-            let mut a = Arena {
-                mem: vec![0u8; size],
-                hdr: AllocHeader::zeroed(),
-            };
-            a.hdr.init(16, size as u64);
-            a
-        }
-        fn base(&self) -> usize {
-            self.mem.as_ptr() as usize
-        }
-        fn alloc(&mut self, size: usize) -> Result<u64> {
-            unsafe { self.hdr.alloc(self.base(), size, 16) }
-        }
-        fn free(&mut self, off: u64, size: usize) {
-            let b = self.base();
-            unsafe { self.hdr.dealloc(b, off, size) }
-        }
+    /// A header managing `[16, size)` of a `size`-byte image.
+    fn header(size: u64) -> AllocHeader {
+        let mut hdr = AllocHeader::zeroed();
+        hdr.init(16, size);
+        hdr
     }
 
     #[test]
@@ -484,19 +256,22 @@ mod tests {
         assert_eq!(AllocHeader::rounded_size(1), 16);
         assert_eq!(AllocHeader::rounded_size(33), 48);
         assert_eq!(AllocHeader::rounded_size(4096), 4096);
-        assert_eq!(AllocHeader::rounded_size(5000), 5008);
+        assert_eq!(AllocHeader::rounded_size(4097), 5120);
+        assert_eq!(AllocHeader::rounded_size(5000), 5120);
+        assert_eq!(AllocHeader::rounded_size(10240), 10240);
     }
 
     #[test]
     fn bump_allocations_do_not_overlap() {
-        let mut a = Arena::new(1 << 16);
-        let mut offs = Vec::new();
-        for i in 1..=64 {
-            offs.push((a.alloc(i * 7 % 200 + 1).unwrap(), i * 7 % 200 + 1));
-        }
-        let mut spans: Vec<(u64, u64)> = offs
-            .iter()
-            .map(|&(o, s)| (o, o + AllocHeader::rounded_size(s) as u64))
+        // Carves of mixed sizes and alignments, as bitmap pages and spans
+        // take them from the frontier.
+        let mut hdr = header(1 << 20);
+        let mut spans: Vec<(u64, u64)> = (1..=64u64)
+            .map(|i| {
+                let bytes = i * 7 % 200 + 1;
+                let off = hdr.carve_aligned(bytes, 16 << (i % 4)).unwrap();
+                (off, off + bytes)
+            })
             .collect();
         spans.sort();
         for w in spans.windows(2) {
@@ -505,144 +280,124 @@ mod tests {
     }
 
     #[test]
-    fn free_then_alloc_reuses_block() {
-        let mut a = Arena::new(1 << 14);
-        let o1 = a.alloc(100).unwrap();
-        a.free(o1, 100);
-        let o2 = a.alloc(100).unwrap();
-        assert_eq!(o1, o2, "LIFO reuse of the same class block");
-    }
-
-    #[test]
-    fn different_classes_do_not_mix() {
-        let mut a = Arena::new(1 << 14);
-        let small = a.alloc(16).unwrap();
-        a.free(small, 16);
-        let big = a.alloc(1024).unwrap();
-        assert_ne!(small, big);
-    }
-
-    #[test]
-    fn large_blocks_roundtrip() {
-        let mut a = Arena::new(1 << 16);
-        let o1 = a.alloc(10_000).unwrap();
-        a.free(o1, 10_000);
-        let o2 = a.alloc(9_500).unwrap();
-        assert_eq!(o1, o2, "first fit reuses the large block");
-        // A much smaller request must not take the big block (waste cap).
-        a.free(o2, 10_000);
-        let o3 = a.alloc(4200).unwrap();
-        assert_ne!(o3, o1);
+    fn carve_aligned_respects_alignment_and_bounds() {
+        let mut hdr = header(1 << 14);
+        let off = hdr.carve_aligned(1024, 1024).unwrap();
+        assert_eq!(off % 1024, 0);
+        assert_eq!(hdr.bump(), off + 1024);
+        assert!(hdr.carve_aligned(1 << 20, 1024).is_err());
+        assert!(hdr.carve_aligned(u64::MAX, 16).is_err(), "no wraparound");
     }
 
     #[test]
     fn out_of_memory_is_reported() {
-        let mut a = Arena::new(4096);
+        let r = Region::create(64 << 10).unwrap();
         let mut n = 0;
         loop {
-            match a.alloc(4096) {
+            match r.alloc(4096, 8) {
                 Ok(_) => n += 1,
-                Err(NvError::OutOfMemory { .. }) => break,
+                Err(NvError::OutOfMemory { region, .. }) => {
+                    assert_eq!(region, r.rid());
+                    break;
+                }
                 Err(e) => panic!("unexpected: {e}"),
             }
             assert!(n < 100);
         }
+        assert!(matches!(
+            r.alloc(32 << 10, 8),
+            Err(NvError::OutOfMemory { .. })
+        ));
+        r.close().unwrap();
+    }
+
+    #[test]
+    fn free_then_alloc_reuses_block() {
+        let r = Region::create(1 << 20).unwrap();
+        let p1 = r.alloc(100, 8).unwrap();
+        unsafe { r.dealloc(p1, 100) };
+        assert_eq!(
+            r.alloc(100, 8).unwrap(),
+            p1,
+            "the freed bit is the lowest clear one"
+        );
+        r.close().unwrap();
+    }
+
+    #[test]
+    fn different_classes_do_not_mix() {
+        let r = Region::create(1 << 20).unwrap();
+        let small = r.alloc(16, 8).unwrap();
+        unsafe { r.dealloc(small, 16) };
+        let big = r.alloc(1024, 8).unwrap();
+        assert_ne!(small, big);
+        r.close().unwrap();
+    }
+
+    #[test]
+    fn large_blocks_roundtrip() {
+        let r = Region::create(1 << 20).unwrap();
+        let o1 = r.alloc(10_000, 8).unwrap();
+        unsafe { r.dealloc(o1, 10_000) };
+        let o2 = r.alloc(9_500, 8).unwrap();
+        assert_eq!(o1, o2, "first fit reuses the large block");
+        // A much smaller request must not take the big block (waste cap).
+        unsafe { r.dealloc(o2, 10_000) };
+        let o3 = r.alloc(4200, 8).unwrap();
+        assert_ne!(o3, o1);
+        r.close().unwrap();
     }
 
     #[test]
     fn stats_track_live_allocations() {
-        let mut a = Arena::new(1 << 14);
-        let o = a.alloc(64).unwrap();
-        let s = a.hdr.stats();
-        assert_eq!(s.live_allocs, 1);
-        assert_eq!(s.live_bytes, 64);
-        a.free(o, 64);
-        let s = a.hdr.stats();
-        assert_eq!(s.live_allocs, 0);
-        assert_eq!(s.live_bytes, 0);
-    }
-
-    #[test]
-    fn check_accepts_valid_and_rejects_corrupt_lists() {
-        let mut a = Arena::new(1 << 14);
-        let o = a.alloc(64).unwrap();
-        a.free(o, 64);
-        a.hdr.check(&a.mem, 16).unwrap();
-        // Corrupt the free head to point out of bounds.
-        a.hdr.free_heads[class_for(64).unwrap()] = (1 << 20) as u64;
-        assert!(a.hdr.check(&a.mem, 16).is_err());
-    }
-
-    #[test]
-    fn check_detects_in_range_free_list_cycle() {
-        // A corrupted next-pointer that stays in range and 16-aligned
-        // forms a cycle the bounds checks cannot see; Brent's walk must
-        // report it (and do so in O(cycle length), not O(region size)).
-        let mut a = Arena::new(1 << 14);
-        let class = class_for(64).unwrap();
-        let o1 = a.alloc(64).unwrap();
-        let o2 = a.alloc(64).unwrap();
-        let o3 = a.alloc(64).unwrap();
-        a.free(o1, 64);
-        a.free(o2, 64);
-        a.free(o3, 64);
-        let base = a.base();
-        // List is o3 -> o2 -> o1 -> 0; corrupt o1's link back to o3.
-        unsafe { *((base + o1 as usize) as *mut u64) = o3 };
-        let err = a.hdr.check(&a.mem, 16).unwrap_err();
-        assert!(
-            err.to_string().contains("cycle"),
-            "expected a cycle report, got: {err}"
-        );
-        assert_eq!(a.hdr.free_heads[class], o3);
-    }
-
-    #[test]
-    fn check_detects_large_list_self_cycle() {
-        let mut a = Arena::new(1 << 16);
-        let o = a.alloc(10_000).unwrap();
-        a.free(o, 10_000);
-        let base = a.base();
-        // Self-loop: the block's next pointer names itself.
-        unsafe { *((base + o as usize) as *mut u64) = o };
-        let err = a.hdr.check(&a.mem, 16).unwrap_err();
-        assert!(err.to_string().contains("large free list cycle"));
-    }
-
-    #[test]
-    fn carve_aligned_respects_alignment_and_bounds() {
-        let mut a = Arena::new(1 << 14);
-        let _ = a.alloc(16).unwrap(); // push bump off alignment
-        let off = a.hdr.carve_aligned(1024, 1024).unwrap();
-        assert_eq!(off % 1024, 0);
-        assert!(a.hdr.stats().bump == off + 1024);
-        assert!(a.hdr.carve_aligned(1 << 20, 1024).is_err());
+        let r = Region::create(1 << 20).unwrap();
+        let small = r.alloc(64, 8).unwrap();
+        let large = r.alloc(5000, 8).unwrap();
+        let s = r.stats();
+        assert_eq!((s.live_allocs, s.live_bytes), (2, 64 + 5120));
+        unsafe {
+            r.dealloc(small, 64);
+            r.dealloc(large, 5000);
+        }
+        let s = r.stats();
+        assert_eq!((s.live_allocs, s.live_bytes), (0, 0));
+        r.close().unwrap();
     }
 
     #[test]
     fn zero_size_alloc_panics() {
-        let mut a = Arena::new(4096);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.alloc(0)));
-        assert!(r.is_err());
+        let r = Region::create(1 << 20).unwrap();
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r.alloc(0, 8)));
+        assert!(res.is_err());
+        r.close().unwrap();
     }
 
     #[test]
     fn offsets_survive_memmove_of_the_arena() {
-        // Simulates remapping a region at a different address: the arena's
-        // bytes (including embedded free-list links) are copied verbatim and
-        // the allocator keeps functioning against the new base.
-        let mut a = Arena::new(1 << 14);
-        let o1 = a.alloc(64).unwrap();
-        let o2 = a.alloc(64).unwrap();
-        a.free(o1, 64);
-        let mut b = Arena::new(1 << 14); // fresh memory at a new address
-        b.mem.copy_from_slice(&a.mem);
-        b.hdr.bump = a.hdr.bump;
-        b.hdr.free_heads = a.hdr.free_heads;
-        b.hdr.large_head = a.hdr.large_head;
-        let o3 = b.alloc(64).unwrap();
-        assert_eq!(o3, o1, "free list link resolved against the new base");
-        let o4 = b.alloc(64).unwrap();
-        assert!(o4 != o2 && o4 != o3, "fresh bump block");
+        // A region image reopened at a different address: the allocator
+        // state is offsets only, so a freed block is served again at the
+        // same offset and a live one is never handed out.
+        let path =
+            std::env::temp_dir().join(format!("nvmsim-alloc-move-{}.nvr", std::process::id()));
+        let (old_base, freed, kept) = {
+            let r = Region::create_file(&path, 1 << 20).unwrap();
+            let a = r.alloc_off(64, 8).unwrap();
+            let b = r.alloc_off(64, 8).unwrap();
+            unsafe { r.dealloc(std::ptr::NonNull::new(r.ptr_at(a) as *mut u8).unwrap(), 64) };
+            let base = r.base();
+            r.close().unwrap();
+            (base, a, b)
+        };
+        let r = Region::open_file_avoiding(&path, old_base).unwrap();
+        assert_ne!(r.base(), old_base);
+        assert_eq!(
+            r.alloc_off(64, 8).unwrap(),
+            freed,
+            "resolved against the new base"
+        );
+        let fresh = r.alloc_off(64, 8).unwrap();
+        assert!(fresh != kept && fresh != freed, "a fresh block");
+        r.close().unwrap();
+        std::fs::remove_file(&path).ok();
     }
 }

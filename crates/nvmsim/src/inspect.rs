@@ -11,9 +11,9 @@
 //! allocator header by [`AllocHeader::from_bytes`], the bitmap pages by
 //! `llalloc::walk_chain`, the fault stamp by [`FaultStamp::parse`].
 
-use crate::alloc::{AllocHeader, CLASS_SIZES, NUM_CLASSES};
+use crate::alloc::{AllocHeader, CLASS_SIZES};
 use crate::error::{NvError, Result};
-use crate::llalloc::{self, ClassOccupancy, SubtreeInfo, Walked};
+use crate::llalloc::{self, ClassOccupancy, SubtreeInfo, Walked, LARGE};
 use crate::region::RegionHeader;
 use crate::shadow::FaultStamp;
 use crate::undolog::LogSummary;
@@ -53,9 +53,9 @@ pub struct ImageReport {
     pub bump: u64,
     /// End offset of the allocatable area.
     pub end: u64,
-    /// Bytes handed out and not freed: the free-list counters plus the
-    /// popcount of every bitmap subtree the chain walk accepts — what
-    /// `Region::stats` reports after an open.
+    /// Bytes handed out and not freed: the popcount of every bitmap
+    /// subtree the chain walk accepts — what `Region::stats` reports after
+    /// an open.
     pub live_bytes: u64,
     /// Number of live allocations, counted the same way.
     pub live_allocs: u64,
@@ -155,11 +155,12 @@ pub struct LlallocReport {
     pub pages: u64,
     /// Every subtree descriptor, in directory order.
     pub subtrees: Vec<SubtreeInfo>,
-    /// Occupancy summed per size class.
-    pub per_class: [ClassOccupancy; NUM_CLASSES],
-    /// Structural inconsistencies (bad magic, class, span, padding,
-    /// a looping chain). Nonempty means an open would degrade to the legacy
-    /// allocator.
+    /// Occupancy summed per size class, the large blocks last (index
+    /// [`LARGE`]).
+    pub per_class: [ClassOccupancy; LARGE + 1],
+    /// Structural inconsistencies (a missing directory, bad magic, class,
+    /// span, padding, a looping chain). Nonempty means the open refuses
+    /// the image and only salvage opens it.
     pub issues: Vec<String>,
     /// Descriptors whose advisory free counter disagrees with
     /// `capacity - popcount(bitmap)`. Expected on crashed images
@@ -189,10 +190,13 @@ impl fmt::Display for LlallocReport {
             if o.subtrees == 0 {
                 continue;
             }
+            let name = CLASS_SIZES
+                .get(class)
+                .map_or("large".to_string(), usize::to_string);
             writeln!(
                 f,
-                "  class {:>5}: {:>3} subtrees, {:>5}/{:<5} blocks allocated, free counters {}",
-                CLASS_SIZES[class], o.subtrees, o.allocated, o.capacity, o.free_counter
+                "  class {name:>5}: {:>3} subtrees, {:>5}/{:<5} blocks allocated, free counters {}",
+                o.subtrees, o.allocated, o.capacity, o.free_counter
             )?;
         }
         if self.stale_counters != 0 {
@@ -210,26 +214,22 @@ impl fmt::Display for LlallocReport {
 }
 
 /// Walks an image's `llalloc` bitmap-page chain offline (no mapping, no
-/// mutation) and reports per-class and per-subtree occupancy. Returns
-/// `Ok(None)` for legacy images without a bitmap directory. Structural
-/// damage is collected into [`LlallocReport::issues`] rather than
-/// aborting the walk, so a partially-rotted directory still dumps what
-/// it can.
+/// mutation) and reports per-class and per-subtree occupancy. Structural
+/// damage — a missing directory included — is collected into
+/// [`LlallocReport::issues`] rather than aborting the walk, so a
+/// partially-rotted directory still dumps what it can.
 ///
 /// # Errors
 ///
 /// [`NvError::BadImage`] when `bytes` is not a region image at all.
-pub fn inspect_llalloc_bytes(bytes: &[u8]) -> Result<Option<LlallocReport>> {
+pub fn inspect_llalloc_bytes(bytes: &[u8]) -> Result<LlallocReport> {
     let image = inspect_bytes(bytes)?;
     let ll_dir = AllocHeader::from_bytes(&bytes[RegionHeader::OFF_ALLOC..]).ll_dir();
-    if ll_dir == 0 {
-        return Ok(None);
-    }
     let mut report = LlallocReport {
         clean: image.clean,
         pages: 0,
         subtrees: Vec::new(),
-        per_class: [ClassOccupancy::default(); NUM_CLASSES],
+        per_class: [ClassOccupancy::default(); LARGE + 1],
         issues: Vec::new(),
         stale_counters: 0,
     };
@@ -246,7 +246,7 @@ pub fn inspect_llalloc_bytes(bytes: &[u8]) -> Result<Option<LlallocReport>> {
             report.subtrees.push(t);
         }
     });
-    Ok(Some(report))
+    Ok(report)
 }
 
 /// Parses and validates a region image file without opening it as a
@@ -271,13 +271,12 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<ImageReport> {
     if let Some(e) = boot.errors.first() {
         return Err(NvError::BadImage(e.clone()));
     }
-    let header = AllocHeader::from_bytes(&bytes[RegionHeader::OFF_ALLOC..]);
-    let alloc = header.stats();
-    let (mut ll_blocks, mut ll_bytes) = (0u64, 0u64);
-    llalloc::walk_chain(bytes, header.ll_dir(), |walked| {
+    let alloc = AllocHeader::from_bytes(&bytes[RegionHeader::OFF_ALLOC..]);
+    let (mut live_allocs, mut live_bytes) = (0u64, 0u64);
+    llalloc::walk_chain(bytes, alloc.ll_dir(), |walked| {
         if let Walked::Subtree(t) = walked {
-            ll_blocks += t.allocated as u64;
-            ll_bytes += t.allocated as u64 * t.class_size() as u64;
+            live_allocs += t.allocated as u64;
+            live_bytes += t.allocated as u64 * t.block_size;
         }
     });
     Ok(ImageReport {
@@ -293,10 +292,10 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<ImageReport> {
                 type_tag: r.type_tag,
             })
             .collect(),
-        bump: alloc.bump,
-        end: alloc.end,
-        live_bytes: alloc.live_bytes.saturating_add(ll_bytes),
-        live_allocs: alloc.live_allocs.saturating_add(ll_blocks),
+        bump: alloc.bump(),
+        end: alloc.end(),
+        live_bytes,
+        live_allocs,
         fault: FaultStamp::parse(&bytes[RegionHeader::OFF_FAULT..]),
         log: verify::image_log(bytes),
     })
@@ -367,9 +366,7 @@ mod tests {
             }
             r.close().unwrap();
         }
-        let report = inspect_llalloc_bytes(&std::fs::read(&path).unwrap())
-            .unwrap()
-            .expect("v2 image has bitmaps");
+        let report = inspect_llalloc_bytes(&std::fs::read(&path).unwrap()).unwrap();
         assert!(report.pages >= 1);
         let class = crate::alloc::class_for(64).unwrap();
         assert_eq!(report.per_class[class].allocated, 6);
@@ -383,9 +380,17 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         let ll_dir = AllocHeader::from_bytes(&bytes[RegionHeader::OFF_ALLOC..]).ll_dir() as usize;
         bytes[ll_dir + llalloc::DESC_SIZE + llalloc::D_META] = 0xff;
-        let damaged = inspect_llalloc_bytes(&bytes).unwrap().unwrap();
+        let damaged = inspect_llalloc_bytes(&bytes).unwrap();
         assert!(!damaged.consistent(false));
         assert!(damaged.to_string().contains("ISSUE"));
+        // An image without a directory is a finding too, not a mode.
+        let off = RegionHeader::OFF_ALLOC + AllocHeader::OFF_LL_DIR;
+        bytes[off..off + 8].fill(0);
+        let missing = inspect_llalloc_bytes(&bytes).unwrap();
+        assert_eq!(
+            missing.issues,
+            vec!["no bitmap allocator directory".to_string()]
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,12 +1,10 @@
-//! Two-level lock-free persistent allocator (the `llalloc` core).
+//! Two-level lock-free persistent allocator: every region's one
+//! allocator.
 //!
-//! This module serves class-sized blocks — in place of the
-//! free-list-under-a-mutex core of [`crate::alloc`], which keeps large
-//! sizes and regions without bitmap pages — with the design of LLFree
-//! ("Understanding and Optimizing Persistent Memory Allocation", see
-//! PAPERS.md): all *persistent* state is a set of atomic bitmap words,
-//! and all *volatile* state can be rebuilt by a bounded scan — no undo
-//! log, no recovery ambiguity.
+//! It follows the design of LLFree ("Understanding and Optimizing
+//! Persistent Memory Allocation", see PAPERS.md): all *persistent* state
+//! is a set of atomic bitmap words, and all *volatile* state can be
+//! rebuilt by a bounded scan — no undo log, no recovery ambiguity.
 //!
 //! # Lower level (on media)
 //!
@@ -29,6 +27,12 @@
 //! bit per block. `free` and `owner` are *advisory*: they are rebuilt
 //! (free) or cleared (owner) by the recovery scan, so torn or stale
 //! values can never corrupt state.
+//!
+//! A block above [`MAX_CLASS_SIZE`] is a descriptor of its own: class
+//! [`LARGE`], capacity 1, and a whole-granule span whose length `meta`
+//! carries in its granule count. It is carved like any subtree, freed by
+//! clearing its bit, and reused first-fit under the region lock when a
+//! later request wastes at most half of it.
 //!
 //! The persistence contract is a single word: an alloc CASes its bit to
 //! 1, then flushes the word and fences **before** the block is handed
@@ -63,19 +67,19 @@
 //! Opening an image walks the page chain once (bounded by the region
 //! size), validates every descriptor, rebuilds `free` from
 //! `capacity - popcount(bitmap)`, clears `owner`, and rebuilds the
-//! volatile granule map used to route frees. Structural damage degrades
-//! the region to the free-list allocator instead of failing the open;
-//! the corruption walk (`verify`) reports it.
+//! volatile granule map used to route frees. Structural damage fails the
+//! open; salvage opens such an image with an empty, frozen state whose
+//! allocations answer out-of-memory.
 //!
 //! # Statistics
 //!
-//! The bitmaps are this path's only statistics record: live blocks and
-//! bytes are their popcount (`LlState::live`), which `Region::stats`
-//! adds to the free-list counters in the region header. Nothing is
-//! counted on the alloc/free path and nothing is folded or snapshotted
-//! at a durability point, so no crash can leave two records disagreeing.
+//! The bitmaps are the only statistics record: live blocks and bytes are
+//! their popcount (`LlState::live`), which is what `Region::stats`
+//! reports. Nothing is counted on the alloc/free path and nothing is
+//! folded or snapshotted at a durability point, so no crash can leave two
+//! records disagreeing.
 
-use crate::alloc::{AllocHeader, CLASS_SIZES, NUM_CLASSES};
+use crate::alloc::{AllocHeader, CLASS_SIZES, MAX_CLASS_SIZE, NUM_CLASSES};
 use crate::crc::crc64_update;
 use crate::error::{NvError, Result};
 use crate::latency;
@@ -96,6 +100,10 @@ pub const BLOCKS_PER_SUBTREE: usize = 64;
 /// Alignment and granularity of subtree spans; also the unit of the
 /// volatile granule map that routes a free to its owning subtree.
 pub const GRANULE: u64 = 1024;
+/// Class index of a block above [`MAX_CLASS_SIZE`]: a capacity-1
+/// descriptor whose span is its block. Per-class tables carry one row
+/// for it after the size classes.
+pub const LARGE: usize = NUM_CLASSES;
 
 pub(crate) const DESC_SIZE: usize = 64;
 /// Reservation slots a thread keeps across regions before evicting the
@@ -135,6 +143,35 @@ fn block_mask(capacity: u32) -> u64 {
     }
 }
 
+/// A descriptor's `meta` word: class index, capacity, and — for a
+/// [`LARGE`] block — its span in granules.
+fn pack_meta(class: usize, capacity: u64, block_size: u64) -> u64 {
+    let granules = if class == LARGE {
+        block_size / GRANULE
+    } else {
+        0
+    };
+    class as u64 | capacity << 8 | granules << 16
+}
+
+/// The block size a `meta` word describes, or `None` when its class,
+/// capacity and granule count do not fit together.
+fn block_size(meta: u64) -> Option<u64> {
+    let (class, capacity, granules) = ((meta & 0xff) as usize, (meta >> 8) & 0xff, meta >> 16);
+    match class {
+        LARGE if capacity == 1 && granules * GRANULE > MAX_CLASS_SIZE as u64 => {
+            Some(granules * GRANULE)
+        }
+        c if c < NUM_CLASSES
+            && (1..=BLOCKS_PER_SUBTREE as u64).contains(&capacity)
+            && granules == 0 =>
+        {
+            Some(CLASS_SIZES[c] as u64)
+        }
+        _ => None,
+    }
+}
+
 /// One subtree descriptor that passed every structural check of the page
 /// walk, as persisted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,9 +180,11 @@ pub struct SubtreeInfo {
     pub page_off: u64,
     /// Index of the descriptor within its page.
     pub slot: usize,
-    /// Size-class index.
+    /// Size-class index ([`LARGE`] for a block above the classes).
     pub class: usize,
-    /// Blocks the subtree covers (≤ 64).
+    /// Block size in bytes: the size class, or a large block's span.
+    pub block_size: u64,
+    /// Blocks the subtree covers (≤ 64; 1 for a large block).
     pub capacity: u32,
     /// Offset of block 0 of the subtree's span.
     pub base: u64,
@@ -157,9 +196,9 @@ pub struct SubtreeInfo {
 }
 
 impl SubtreeInfo {
-    /// Block size in bytes (the size class).
-    pub fn class_size(&self) -> usize {
-        CLASS_SIZES[self.class]
+    /// End offset of the subtree's span.
+    pub fn end(&self) -> u64 {
+        self.base + self.capacity as u64 * self.block_size
     }
 
     /// The free counter a clean close seals: `capacity - allocated`.
@@ -175,10 +214,10 @@ pub(crate) enum Walked<'a> {
     Page { off: u64, bytes: &'a [u8] },
     /// A descriptor that passed every structural check.
     Subtree(SubtreeInfo),
-    /// Structural damage. A damaged chain or page header ends the walk
-    /// (nothing behind it can be trusted); a damaged descriptor is
-    /// skipped. Any issue means an open degrades to the free-list
-    /// allocator.
+    /// Structural damage. A missing directory, a damaged chain or page
+    /// header ends the walk (nothing behind it can be trusted); a damaged
+    /// descriptor is skipped. Any issue means the open refuses the image
+    /// and only salvage opens it.
     Issue(String),
 }
 
@@ -195,6 +234,9 @@ pub(crate) enum Walked<'a> {
 /// Every word is read by bounds-checked indexing of `image`; nothing the
 /// image says is dereferenced.
 pub(crate) fn walk_chain(image: &[u8], ll_dir: u64, mut visit: impl FnMut(Walked<'_>)) {
+    if ll_dir == 0 {
+        return visit(Walked::Issue("no bitmap allocator directory".to_string()));
+    }
     let len = image.len() as u64;
     let mut page_off = ll_dir;
     for _ in 0..max_pages(image.len()) {
@@ -241,12 +283,15 @@ pub(crate) fn walk_chain(image: &[u8], ll_dir: u64, mut visit: impl FnMut(Walked
             let class = (meta & 0xff) as usize;
             let capacity = ((meta >> 8) & 0xff) as u32;
             let bad = |what: &str| Walked::Issue(format!("subtree {slot}@{page_off:#x}: {what}"));
-            if class >= NUM_CLASSES || capacity == 0 || capacity as usize > BLOCKS_PER_SUBTREE {
-                visit(bad(&format!("bad class {class} / capacity {capacity}")));
+            let Some(block_size) = block_size(meta) else {
+                visit(bad(&format!(
+                    "bad class {class} / capacity {capacity} / {} granules",
+                    meta >> 16
+                )));
                 continue;
-            }
+            };
             let base = read_u64(desc, D_BASE);
-            let span = capacity as u64 * CLASS_SIZES[class] as u64;
+            let span = capacity as u64 * block_size;
             if !base.is_multiple_of(GRANULE) || base.checked_add(span).is_none_or(|end| end > len) {
                 visit(bad(&format!("span [{base:#x}, +{span}) out of bounds")));
                 continue;
@@ -263,6 +308,7 @@ pub(crate) fn walk_chain(image: &[u8], ll_dir: u64, mut visit: impl FnMut(Walked
                 page_off,
                 slot,
                 class,
+                block_size,
                 capacity,
                 base,
                 allocated: (bitmap & mask).count_ones(),
@@ -359,6 +405,16 @@ impl Desc {
     fn capacity(self) -> u32 {
         ((self.meta() >> 8) & 0xff) as u32
     }
+    /// Block size in bytes (a published descriptor's `meta` has passed
+    /// [`block_size`]).
+    #[inline]
+    fn block_size(self) -> u64 {
+        let meta = self.meta();
+        match (meta & 0xff) as usize {
+            LARGE => (meta >> 16) * GRANULE,
+            class => CLASS_SIZES[class] as u64,
+        }
+    }
     /// Bitmask of the bits that correspond to real blocks.
     #[inline]
     fn mask(self) -> u64 {
@@ -432,6 +488,19 @@ pub struct ClassOccupancy {
     pub free_counter: u64,
 }
 
+/// The words every free writes, with a cache line of padding on each
+/// side: sharing a line with the fields every allocation and free reads
+/// (`base`, the page and granule tables) makes each free a miss on every
+/// other thread. Padding, not `repr(align(64))`: an over-aligned region
+/// state (or an aligned box of the epochs) cost pibench `tx_mixed` 2.4 MiB
+/// of peak RSS.
+#[repr(C)]
+struct FreeEpochs {
+    _before: [u8; 64],
+    epochs: [AtomicU64; LARGE + 1],
+    _after: [u8; 64],
+}
+
 /// Volatile per-open-region state of the two-level allocator.
 ///
 /// Everything here is rebuilt by [`LlState::open`]'s bounded scan; the
@@ -439,8 +508,6 @@ pub struct ClassOccupancy {
 pub(crate) struct LlState {
     base: usize,
     instance: u64,
-    /// End offset of the allocatable area (from the region header).
-    end: u64,
     /// Offsets of bitmap pages in chain order (published, never mutated).
     page_offs: Box<[AtomicU64]>,
     num_subtrees: AtomicU32,
@@ -448,12 +515,13 @@ pub(crate) struct LlState {
     granules: Box<[AtomicU32]>,
     next_token: AtomicU64,
     /// Per class: frees since open (low 32 bits are the *free epoch*).
-    free_epoch: [AtomicU64; NUM_CLASSES],
+    free_epoch: FreeEpochs,
     /// Per class dry stamp, `epoch << 32 | subtrees`: a scan begun at
     /// free epoch `epoch` found no free block of the class in subtrees
     /// `0..subtrees`. Void as soon as the class's epoch moves on.
     dry: [AtomicU64; NUM_CLASSES],
-    /// Set when growth must stop (region closing); reads/frees continue.
+    /// Set when growth must stop (region closing, salvage of a damaged
+    /// chain); reads/frees continue.
     frozen: AtomicBool,
     /// Descriptors examined by `reserve` scans.
     #[cfg(test)]
@@ -464,13 +532,13 @@ impl std::fmt::Debug for LlState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LlState")
             .field("subtrees", &self.num_subtrees.load(Ordering::Relaxed))
-            .field("end", &self.end)
+            .field("frozen", &self.frozen.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl LlState {
-    fn new_empty(base: usize, size: usize, instance: u64, end: u64) -> LlState {
+    fn new_empty(base: usize, size: usize, instance: u64) -> LlState {
         let granules = (0..size.div_ceil(GRANULE as usize))
             .map(|_| AtomicU32::new(0))
             .collect::<Vec<_>>()
@@ -482,12 +550,15 @@ impl LlState {
         LlState {
             base,
             instance,
-            end,
             page_offs,
             num_subtrees: AtomicU32::new(0),
             granules,
             next_token: AtomicU64::new(2),
-            free_epoch: [const { AtomicU64::new(0) }; NUM_CLASSES],
+            free_epoch: FreeEpochs {
+                _before: [0; 64],
+                epochs: [const { AtomicU64::new(0) }; LARGE + 1],
+                _after: [0; 64],
+            },
             dry: [const { AtomicU64::new(0) }; NUM_CLASSES],
             frozen: AtomicBool::new(false),
             #[cfg(test)]
@@ -495,10 +566,23 @@ impl LlState {
         }
     }
 
+    /// A state that owns no block and grows none: every allocation
+    /// answers out-of-memory and every free is a no-op. Salvage gives it
+    /// to a session whose bitmap chain does not verify, so nothing it
+    /// says can be double-served.
+    pub(crate) fn frozen(base: usize, instance: u64) -> LlState {
+        let st = Self::new_empty(base, 0, instance);
+        st.freeze();
+        st
+    }
+
     /// Formats the first bitmap page of a fresh region and points
-    /// `ll_dir` at it. Returns `None` when the region is too small to
-    /// host even one page — the region then stays on the legacy
-    /// allocator for its lifetime.
+    /// `ll_dir` at it.
+    ///
+    /// # Errors
+    ///
+    /// [`NvError::OutOfMemory`] when the managed range cannot hold the
+    /// page.
     ///
     /// # Safety
     ///
@@ -509,27 +593,30 @@ impl LlState {
         size: usize,
         instance: u64,
         hdr: &mut AllocHeader,
-    ) -> Option<LlState> {
-        let st = Self::new_empty(base, size, instance, hdr.stats().end);
-        let page = st.format_page(hdr).ok()?;
+    ) -> Result<LlState> {
+        let st = Self::new_empty(base, size, instance);
+        let page = st.format_page(hdr)?;
         hdr.set_ll_dir(page);
-        Some(st)
+        Ok(st)
     }
 
     /// Rebuilds the volatile state from a persisted image by one bounded
     /// scan of the page chain: validates structure, rebuilds `free`
     /// counters from bitmap popcounts, clears stale `owner` reservations
-    /// and repopulates the granule map.
-    ///
-    /// Returns `Ok(None)` when the image has no bitmap directory
-    /// (legacy image). Structural damage returns `Err` — the caller is
-    /// expected to degrade to the legacy allocator, not fail the open.
+    /// and repopulates the granule map. On success the managed range is
+    /// extended to the committed size (`grow` fences the size before the
+    /// end, so a crash between leaves the end short).
     ///
     /// The bump frontier is *recovered*, not trusted: it is raised to the
     /// end of the furthest page and subtree span the walk saw, so a
     /// frontier word torn away from the descriptor it was flushed with
     /// (or a slot-restored header older than its descriptors) can never
     /// carve a second span over a live one.
+    ///
+    /// # Errors
+    ///
+    /// The first structural damage (a missing directory included), in
+    /// words; neither the image nor `hdr` is written then.
     ///
     /// # Safety
     ///
@@ -546,39 +633,28 @@ impl LlState {
         committed: usize,
         instance: u64,
         hdr: &mut AllocHeader,
-    ) -> Result<Option<LlState>> {
-        let ll_dir = hdr.ll_dir();
-        if ll_dir == 0 {
-            return Ok(None);
-        }
-        let st = Self::new_empty(base, size, instance, hdr.stats().end);
-        if st.end > committed as u64 {
-            return Err(NvError::BadImage(format!(
-                "allocator end {} beyond the committed size {committed}",
-                st.end
-            )));
-        }
-        // SAFETY: `end <= committed` bytes are mapped readable from
-        // `base`; nothing writes them until the walk has returned.
-        let image = std::slice::from_raw_parts(base as *const u8, st.end as usize);
+    ) -> std::result::Result<LlState, String> {
+        let st = Self::new_empty(base, size, instance);
+        // SAFETY: `committed` bytes are mapped readable from `base`;
+        // nothing writes them until the walk has returned.
+        let image = std::slice::from_raw_parts(base as *const u8, committed);
         let (mut pages, mut subtrees, mut frontier) = (0usize, 0u32, 0u64);
         let mut damage = None;
-        walk_chain(image, ll_dir, |walked| match walked {
+        walk_chain(image, hdr.ll_dir(), |walked| match walked {
             _ if damage.is_some() => {}
             Walked::Issue(issue) => damage = Some(issue),
             Walked::Page { off, .. } => {
-                // In range: the walk allows `max_pages(end)` pages and
-                // `page_offs` holds `max_pages(size)`, `size >= end`.
+                // In range: the walk allows `max_pages(committed)` pages
+                // and `page_offs` holds `max_pages(size)`.
                 st.page_offs[pages].store(off, Ordering::Relaxed);
                 pages += 1;
                 frontier = frontier.max(off + LL_PAGE_SIZE as u64);
             }
             Walked::Subtree(t) => {
                 // Claim the span in the granule map, refusing overlap.
-                let span = t.capacity as u64 * t.class_size() as u64;
-                frontier = frontier.max(t.base + span);
+                frontier = frontier.max(t.end());
                 let g0 = (t.base / GRANULE) as usize;
-                let g1 = (t.base + span).div_ceil(GRANULE) as usize;
+                let g1 = t.end().div_ceil(GRANULE) as usize;
                 for g in g0..g1 {
                     if st.granules[g].swap(subtrees + 1, Ordering::Relaxed) != 0 {
                         damage = Some(format!("subtree {subtrees}: span overlaps another subtree"));
@@ -587,10 +663,11 @@ impl LlState {
                 subtrees += 1;
             }
         });
-        hdr.raise_bump(frontier);
         if let Some(damage) = damage {
-            return Err(NvError::BadImage(damage));
+            return Err(damage);
         }
+        hdr.extend(committed as u64);
+        hdr.raise_bump(frontier);
         // Rebuild the advisory words from the persistent truth.
         for id in 0..subtrees {
             st.reset_advisory(id);
@@ -598,7 +675,7 @@ impl LlState {
         let lines = pages as u64 + subtrees as u64;
         metrics::add(Counter::LlallocRecoveryLines, lines);
         st.num_subtrees.store(subtrees, Ordering::Release);
-        Ok(Some(st))
+        Ok(st)
     }
 
     #[inline]
@@ -628,18 +705,17 @@ impl LlState {
         d.owner().store(0, Ordering::Relaxed);
     }
 
-    /// Whether `off` falls inside a bitmap-owned span (its frees must be
-    /// routed here, whatever the current allocation mode).
+    /// The subtree whose span holds `off`, by the granule map.
     #[inline]
-    pub(crate) fn owns(&self, off: u64) -> bool {
-        let g = (off / GRANULE) as usize;
-        g < self.granules.len() && self.granules[g].load(Ordering::Acquire) != 0
+    fn subtree_of(&self, off: u64) -> Option<u32> {
+        let id = self.granules.get((off / GRANULE) as usize)?;
+        id.load(Ordering::Acquire).checked_sub(1)
     }
 
     /// CAS-allocates one block of `class`, preferring this thread's
     /// reserved subtree. Returns the block offset, or `None` when no
     /// reachable subtree has a free block (the caller then grows one
-    /// under the region lock or falls back to the legacy allocator).
+    /// under the region lock).
     pub(crate) fn alloc(&self, class: usize) -> Option<u64> {
         // Fast path: the reserved subtree.
         if let Some(Some(off)) = with_slot(self.instance, |s| {
@@ -647,7 +723,7 @@ impl LlState {
             if id == 0 {
                 return None;
             }
-            match self.alloc_in(id - 1, class) {
+            match self.alloc_in(id - 1, None) {
                 Some(off) => Some(off),
                 None => {
                     // Reserved subtree is full: release the reservation.
@@ -670,7 +746,7 @@ impl LlState {
         loop {
             match self.reserve(class) {
                 Reserve::Reserved(id) => {
-                    if let Some(off) = self.alloc_in(id, class) {
+                    if let Some(off) = self.alloc_in(id, None) {
                         return Some(off);
                     }
                     // Raced empty between the scan and the CAS; rescan.
@@ -689,18 +765,38 @@ impl LlState {
         self.alloc(class)
     }
 
-    /// One CAS attempt loop on subtree `id`. `None` when it is full.
+    /// Claims exactly the free block at `off` when it starts a block of
+    /// `block_size` bytes (a size class, or a large block's whole span):
+    /// one CAS on its bit, flushed and fenced, as [`LlState::alloc`]
+    /// does for the lowest clear bit. `false` when `off` starts no such
+    /// block or the block is allocated.
+    pub(crate) fn alloc_at(&self, off: u64, block_size: u64) -> bool {
+        let Some(id) = self.subtree_of(off) else {
+            return false;
+        };
+        let d = self.desc(id);
+        let delta = off - d.base();
+        let bit = delta / block_size;
+        d.block_size() == block_size
+            && delta.is_multiple_of(block_size)
+            && bit < d.capacity() as u64
+            && self.alloc_in(id, Some(bit as u32)).is_some()
+    }
+
+    /// One CAS attempt loop on subtree `id`, for its lowest clear bit or
+    /// for `bit` alone. `None` when no such bit is clear.
     #[inline]
-    fn alloc_in(&self, id: u32, class: usize) -> Option<u64> {
+    fn alloc_in(&self, id: u32, bit: Option<u32>) -> Option<u64> {
         let d = self.desc(id);
         let mask = d.mask();
         let mut cur = d.bitmap().load(Ordering::Acquire);
         loop {
             let avail = !cur & mask;
-            if avail == 0 {
-                return None;
-            }
-            let bit = avail.trailing_zeros();
+            let bit = match bit {
+                None if avail != 0 => avail.trailing_zeros(),
+                Some(b) if avail >> b & 1 != 0 => b,
+                _ => return None,
+            };
             match d.bitmap().compare_exchange_weak(
                 cur,
                 cur | 1 << bit,
@@ -713,7 +809,7 @@ impl LlState {
                     // block possibly does.
                     persist_word(d.bitmap_addr());
                     d.free().fetch_sub(1, Ordering::Relaxed);
-                    return Some(d.base() + bit as u64 * CLASS_SIZES[class] as u64);
+                    return Some(d.base() + bit as u64 * d.block_size());
                 }
                 Err(seen) => {
                     metrics::incr(Counter::LlallocCasRetries);
@@ -732,7 +828,7 @@ impl LlState {
         let n = self.count();
         // Acquire pairs with `free_block`'s Release bump: a scan that
         // reads the bumped epoch also sees the freed block's counter.
-        let epoch = self.free_epoch[class].load(Ordering::Acquire) << 32;
+        let epoch = self.free_epoch.epochs[class].load(Ordering::Acquire) << 32;
         let dry = self.dry[class].load(Ordering::Relaxed);
         let first = if dry & !0xFFFF_FFFF == epoch {
             (dry as u32).min(n)
@@ -781,7 +877,7 @@ impl LlState {
                 }
                 // No TLS (thread teardown): allocate directly and leave
                 // the subtree unreserved for others.
-                let got = self.alloc_in(id, class);
+                let got = self.alloc_in(id, None);
                 let _ = d
                     .owner()
                     .compare_exchange(token, 0, Ordering::AcqRel, Ordering::Relaxed);
@@ -800,25 +896,17 @@ impl LlState {
     }
 
     /// Routes a free back into its bitmap. Returns the block's class, or
-    /// `None` when `off` is not bitmap-owned (free-list block).
+    /// `None` when no published span holds `off`.
     pub(crate) fn free_block(&self, off: u64) -> Option<usize> {
-        let g = (off / GRANULE) as usize;
-        if g >= self.granules.len() {
-            return None;
-        }
-        let id = self.granules[g].load(Ordering::Acquire);
-        if id == 0 {
-            return None;
-        }
-        let d = self.desc(id - 1);
+        let d = self.desc(self.subtree_of(off)?);
         let class = d.class();
         let delta = off.wrapping_sub(d.base());
-        let cs = CLASS_SIZES[class] as u64;
+        let bs = d.block_size();
         debug_assert!(
-            delta.is_multiple_of(cs),
+            delta.is_multiple_of(bs),
             "free of {off:#x} not on a block boundary"
         );
-        let bit = (delta / cs) as u32;
+        let bit = (delta / bs) as u32;
         debug_assert!(bit < d.capacity(), "free of {off:#x} beyond subtree span");
         let prev = d.bitmap().fetch_and(!(1u64 << bit), Ordering::AcqRel);
         debug_assert!(prev & (1 << bit) != 0, "double free of block {off:#x}");
@@ -829,33 +917,82 @@ impl LlState {
         persist_word(d.bitmap_addr());
         d.free().fetch_add(1, Ordering::Relaxed);
         // After the counter, so a scan that sees the new epoch sees it.
-        self.free_epoch[class].fetch_add(1, Ordering::Release);
+        self.free_epoch.epochs[class].fetch_add(1, Ordering::Release);
         Some(class)
     }
 
-    /// Grows one subtree of `class` (formatting a fresh bitmap page
-    /// first when the current one is full), carving its span from the
-    /// bump frontier. The caller must hold the region's `alloc_lock`.
+    /// Grows one subtree of up to 64 blocks of `class`. The caller must
+    /// hold the region's `alloc_lock`.
     ///
     /// # Safety
     ///
     /// `hdr` must be the allocator header of the region this state was
     /// built for, and the caller must exclude concurrent header access.
     pub(crate) unsafe fn grow(&self, hdr: &mut AllocHeader, class: usize) -> Result<()> {
+        let size = CLASS_SIZES[class] as u64;
+        self.add_subtree(hdr, class, size, BLOCKS_PER_SUBTREE as u64)
+            .map(drop)
+    }
+
+    /// Serves one block above [`MAX_CLASS_SIZE`], rounded up to whole
+    /// granules: first fit over the free large blocks, taking one only
+    /// when the request wastes at most half of it, else a fresh
+    /// capacity-1 descriptor whose span is carved from the frontier. The
+    /// caller must hold the region's `alloc_lock`, which serializes every
+    /// large allocation.
+    ///
+    /// # Safety
+    ///
+    /// As [`LlState::grow`].
+    pub(crate) unsafe fn alloc_large(&self, hdr: &mut AllocHeader, size: usize) -> Result<u64> {
+        let oom = || NvError::OutOfMemory {
+            region: 0,
+            requested: size,
+        };
+        let span = (size as u64)
+            .div_ceil(GRANULE)
+            .checked_mul(GRANULE)
+            .ok_or_else(oom)?;
+        for id in 0..self.count() {
+            let d = self.desc(id);
+            let block = d.block_size();
+            if d.class() == LARGE && block >= span && block - span <= span / 2 {
+                if let Some(off) = self.alloc_in(id, None) {
+                    return Ok(off);
+                }
+            }
+        }
+        let id = self.add_subtree(hdr, LARGE, span, 1)?;
+        self.alloc_in(id, None).ok_or_else(oom)
+    }
+
+    /// Places descriptor `count()` (formatting a fresh bitmap page first
+    /// when the current one is full) over up to `max_blocks` blocks of
+    /// `block_size` bytes, carving its span from the bump frontier, and
+    /// publishes it. Returns its id.
+    ///
+    /// # Safety
+    ///
+    /// As [`LlState::grow`].
+    unsafe fn add_subtree(
+        &self,
+        hdr: &mut AllocHeader,
+        class: usize,
+        block_size: u64,
+        max_blocks: u64,
+    ) -> Result<u32> {
+        let oom = |requested: u64| NvError::OutOfMemory {
+            region: 0,
+            requested: requested as usize,
+        };
         if self.frozen.load(Ordering::Acquire) {
-            return Err(NvError::OutOfMemory {
-                region: 0,
-                requested: CLASS_SIZES[class],
-            });
+            return Err(oom(block_size));
         }
         let n = self.count();
         let page_idx = n as usize / SUBTREES_PER_PAGE;
         let slot = n as usize % SUBTREES_PER_PAGE;
         if page_idx >= self.page_offs.len() {
-            return Err(NvError::OutOfMemory {
-                region: 0,
-                requested: LL_PAGE_SIZE,
-            });
+            return Err(oom(LL_PAGE_SIZE as u64));
         }
         if self.page_offs[page_idx].load(Ordering::Relaxed) == 0 {
             // Every chained page is full: chain a fresh one before
@@ -876,36 +1013,38 @@ impl LlState {
         }
         let page_off = self.page_offs[page_idx].load(Ordering::Relaxed);
 
-        // Carve the span: up to 64 blocks, clipped to what remains.
-        let cs = CLASS_SIZES[class] as u64;
+        // Carve the span: up to `max_blocks` blocks, clipped to what
+        // remains.
         let avail = hdr.remaining_aligned(GRANULE);
-        let cap = (avail / cs).min(BLOCKS_PER_SUBTREE as u64);
+        let cap = (avail / block_size).min(max_blocks);
         if cap == 0 {
-            return Err(NvError::OutOfMemory {
-                region: 0,
-                requested: CLASS_SIZES[class],
-            });
+            return Err(oom(block_size));
         }
-        let span = (cap * cs).next_multiple_of(GRANULE).min(avail);
+        let span = (cap * block_size).next_multiple_of(GRANULE).min(avail);
         let b = hdr.carve_aligned(span, GRANULE)?;
 
-        // Write the descriptor, then persist it, the page count and the
-        // frontier that keeps its span reserved in one fenced step: the
-        // descriptor only exists once `count` covers it, and all three
-        // lines are staged before the fence so a torn crash drops the
-        // whole creation (losing at most this span, never a block) or
-        // keeps a descriptor whose frontier `open` re-derives.
+        // Persist the descriptor, then the page count that publishes it
+        // together with the frontier that keeps its span reserved. The
+        // descriptor is fenced first because a crash tears unfenced lines
+        // word by word: under one fence, a count could reach media
+        // without the descriptor's base or meta. A crash between the two
+        // fences loses at most this span, never a block; one that keeps
+        // the count but tears away the frontier leaves a descriptor whose
+        // frontier `open` re-derives.
         let d = Desc {
             addr: self.base + page_off as usize + DESC_SIZE + slot * DESC_SIZE,
         };
         let daddr = d.addr as *mut u64;
         daddr.add(D_BASE / 8).write(b);
-        daddr.add(D_META / 8).write(class as u64 | (cap << 8));
+        daddr
+            .add(D_META / 8)
+            .write(pack_meta(class, cap, block_size));
         d.bitmap().store(!block_mask(cap as u32), Ordering::Relaxed);
         d.free().store(cap, Ordering::Relaxed);
         d.owner().store(0, Ordering::Relaxed);
         shadow::track_store(d.addr, DESC_SIZE);
         latency::clflush_range(d.addr, DESC_SIZE);
+        latency::wbarrier();
         page_u64_write(self.base, page_off, PAGE_COUNT, slot as u64 + 1);
         let count_addr = self.base + page_off as usize + PAGE_COUNT;
         shadow::track_store(count_addr, 8);
@@ -922,7 +1061,7 @@ impl LlState {
         }
         self.num_subtrees.store(n + 1, Ordering::Release);
         metrics::incr(Counter::LlallocSubtreesCreated);
-        Ok(())
+        Ok(n)
     }
 
     /// Carves and formats one empty bitmap page. Caller holds the
@@ -948,7 +1087,7 @@ impl LlState {
         self.frozen.store(true, Ordering::Release);
     }
 
-    /// Exact live blocks and bytes by bitmap popcount — the bitmap path's
+    /// Exact live blocks and bytes by bitmap popcount — the allocator's
     /// one statistics record (racy only against in-flight ops, exact at
     /// any quiescent point).
     pub(crate) fn live(&self) -> (u64, u64) {
@@ -958,14 +1097,15 @@ impl LlState {
             let d = self.desc(id);
             let used = (d.bitmap().load(Ordering::Relaxed) & d.mask()).count_ones() as u64;
             blocks += used;
-            bytes += used * CLASS_SIZES[d.class()] as u64;
+            bytes += used * d.block_size();
         }
         (blocks, bytes)
     }
 
-    /// Per-class occupancy summary (for stats, `verify`, `nvr_inspect`).
-    pub(crate) fn occupancy(&self) -> [ClassOccupancy; NUM_CLASSES] {
-        let mut out = [ClassOccupancy::default(); NUM_CLASSES];
+    /// Per-class occupancy summary, [`LARGE`] last (for stats, `verify`,
+    /// `nvr_inspect`).
+    pub(crate) fn occupancy(&self) -> [ClassOccupancy; LARGE + 1] {
+        let mut out = [ClassOccupancy::default(); LARGE + 1];
         for id in 0..self.count() {
             let d = self.desc(id);
             let o = &mut out[d.class()];
@@ -1125,7 +1265,7 @@ mod tests {
         // A free the stamp never hears of (epoch forced back): the
         // stamped scan misses the block, the rescan does not.
         assert_eq!(a.ll.free_block(offs[1]), Some(c));
-        a.ll.free_epoch[c].store(0, Ordering::Relaxed);
+        a.ll.free_epoch.epochs[c].store(0, Ordering::Relaxed);
         assert_eq!(a.ll.alloc(c), None, "false dry");
         assert_eq!(a.ll.alloc_rescan(c), Some(offs[1]));
     }
@@ -1135,11 +1275,56 @@ mod tests {
         let mut a = Arena::new(1 << 16);
         let c = crate::alloc::class_for(256).unwrap();
         let off = a.alloc(c);
-        assert!(a.ll.owns(off));
         // The region header area is never bitmap-owned.
-        assert!(!a.ll.owns(0));
         assert_eq!(a.ll.free_block(8), None);
+        assert_eq!(a.ll.free_block(1 << 40), None, "past the granule map");
         assert_eq!(a.ll.free_block(off), Some(c));
+    }
+
+    #[test]
+    fn large_blocks_are_spans_of_their_own_and_survive_recovery() {
+        let mut a = Arena::new(1 << 20);
+        let c = crate::alloc::class_for(64).unwrap();
+        let small = a.alloc(c);
+        let big = unsafe { a.ll.alloc_large(&mut a.hdr, 10_000) }.unwrap();
+        let huge = unsafe { a.ll.alloc_large(&mut a.hdr, 64 << 10) }.unwrap();
+        assert_eq!((big % GRANULE, huge % GRANULE), (0, 0), "granule-aligned");
+        assert!(
+            big + 10240 <= huge || huge + (64 << 10) <= big,
+            "disjoint spans"
+        );
+        assert_eq!(a.ll.live(), (3, 64 + 10240 + (64 << 10)));
+        assert_eq!(a.ll.occupancy()[LARGE].subtrees, 2);
+        // A freed large block is reused only by a request it fits within
+        // half: 4 200 B (5 120 B rounded) would waste more than half of it.
+        assert_eq!(a.ll.free_block(big), Some(LARGE));
+        let other = unsafe { a.ll.alloc_large(&mut a.hdr, 4200) }.unwrap();
+        assert_ne!(other, big);
+        assert_eq!(unsafe { a.ll.alloc_large(&mut a.hdr, 9500) }.unwrap(), big);
+        // The recovery scan routes and counts large blocks like any other.
+        let instance = TEST_INSTANCE.fetch_add(1, Ordering::Relaxed);
+        let ll2 =
+            unsafe { LlState::open(a.base(), a.mem.len(), a.mem.len(), instance, &mut a.hdr) }
+                .unwrap();
+        assert_eq!(ll2.live(), (4, 64 + 5120 + 10240 + (64 << 10)));
+        assert_eq!(ll2.free_block(huge), Some(LARGE));
+        assert_eq!(ll2.free_block(small), Some(c));
+        assert_eq!(ll2.live(), (2, 5120 + 10240));
+    }
+
+    #[test]
+    fn alloc_at_claims_exactly_the_named_free_block() {
+        let mut a = Arena::new(1 << 18);
+        let c = crate::alloc::class_for(64).unwrap();
+        let offs: Vec<u64> = (0..4).map(|_| a.alloc(c)).collect();
+        assert!(!a.ll.alloc_at(offs[2], 64), "allocated");
+        a.ll.free_block(offs[2]);
+        assert!(!a.ll.alloc_at(offs[2], 128), "another class");
+        assert!(!a.ll.alloc_at(offs[2] + 16, 64), "not a block start");
+        assert!(!a.ll.alloc_at(8, 64), "not bitmap-owned");
+        assert!(a.ll.alloc_at(offs[2], 64));
+        assert!(!a.ll.alloc_at(offs[2], 64), "claimed once");
+        assert_eq!(a.ll.live().0, 4);
     }
 
     #[test]
@@ -1154,8 +1339,7 @@ mod tests {
         let instance = TEST_INSTANCE.fetch_add(1, Ordering::Relaxed);
         let ll2 =
             unsafe { LlState::open(a.base(), a.mem.len(), a.mem.len(), instance, &mut a.hdr) }
-                .unwrap()
-                .expect("image has a bitmap directory");
+                .unwrap();
         let (blocks, bytes) = ll2.live();
         assert_eq!(blocks, 70);
         assert_eq!(bytes, 70 * 128);
@@ -1210,26 +1394,36 @@ mod tests {
 
     /// What the three consumers of [`walk_chain`] make of one image:
     /// `(verify's llalloc errors, inspect's report, the reopened region's
-    /// lock-free flag and occupancy)`.
+    /// occupancy or the open's refusal)`. An image the open refuses must
+    /// open through salvage, with allocation refused.
     fn consume(
         img: &[u8],
         path: &std::path::Path,
     ) -> (
         Vec<String>,
         crate::inspect::LlallocReport,
-        (bool, [ClassOccupancy; NUM_CLASSES]),
+        std::result::Result<[ClassOccupancy; LARGE + 1], String>,
     ) {
+        use crate::region::Region;
         let errors = crate::verify::verify_bytes(img).llalloc_errors;
-        let report = crate::inspect::inspect_llalloc_bytes(img)
-            .expect("a region image")
-            .expect("with a bitmap directory");
+        let report = crate::inspect::inspect_llalloc_bytes(img).expect("a region image");
         std::fs::write(path, img).unwrap();
-        let r = crate::region::Region::open_file(path).expect("bitmap damage never fails the open");
-        let opened = (
-            r.lockfree_enabled(),
-            r.llalloc_occupancy().unwrap_or_default(),
-        );
-        r.crash();
+        let opened = match Region::open_file(path) {
+            Ok(r) => {
+                let occupancy = r.llalloc_occupancy();
+                r.crash();
+                Ok(occupancy)
+            }
+            Err(refused) => {
+                let (r, _) = Region::open_file_salvage(path).expect("salvage opens it");
+                assert!(
+                    matches!(r.alloc(64, 8), Err(NvError::OutOfMemory { .. })),
+                    "a salvaged damaged chain serves nothing"
+                );
+                r.crash();
+                Err(refused.to_string())
+            }
+        };
         (errors, report, opened)
     }
 
@@ -1298,21 +1492,25 @@ mod tests {
         for dirty in [false, true] {
             let mut base = pristine.clone();
             base[RegionHeader::OFF_FLAGS] |= dirty as u8;
-            let (errors, report, (lockfree, _)) = consume(&base, &path);
+            let (errors, report, opened) = consume(&base, &path);
             assert!(errors.is_empty(), "undamaged, dirty={dirty}: {errors:?}");
             assert!(
                 report.consistent(!dirty),
                 "undamaged, dirty={dirty}: {report}"
             );
-            assert!(lockfree, "undamaged, dirty={dirty}");
+            assert!(opened.is_ok(), "undamaged, dirty={dirty}: {opened:?}");
             for (what, damage) in &structural {
                 let mut img = base.clone();
                 damage(&mut img);
-                let (errors, report, (lockfree, _)) = consume(&img, &path);
+                let (errors, report, opened) = consume(&img, &path);
                 let ctx = format!("{what}, dirty={dirty}: {errors:?} / {:?}", report.issues);
                 assert!(!errors.is_empty(), "verify misses {ctx}");
                 assert!(!report.issues.is_empty(), "inspect misses {ctx}");
-                assert!(!lockfree, "open does not degrade on {ctx}");
+                let refused = opened.expect_err(&format!("open does not refuse {ctx}"));
+                assert!(
+                    refused.contains(&report.issues[0]) && refused.contains("salvage"),
+                    "the refusal names the damage and salvage: {refused} ({ctx})"
+                );
                 // One decoder: verify adds nothing structural of its own.
                 assert!(
                     report.issues.iter().all(|i| errors.contains(i)),
@@ -1324,7 +1522,7 @@ mod tests {
         // Damage only a clean close's seal can show: verify flags it on a
         // clean image and not on a crashed one, inspect counts a stale
         // counter either way, and the open rebuilds the advisory words
-        // without degrading.
+        // instead of refusing.
         let sealed_only: Vec<(Damage, u64)> = vec![
             (("page CRC", Box::new(move |i| i[page + PAGE_SEQ] ^= 1)), 0),
             (
@@ -1338,13 +1536,12 @@ mod tests {
                 let mut img = pristine.clone();
                 img[RegionHeader::OFF_FLAGS] |= dirty as u8;
                 damage(&mut img);
-                let (errors, report, (lockfree, occupancy)) = consume(&img, &path);
+                let (errors, report, opened) = consume(&img, &path);
                 let ctx = format!("{what}, dirty={dirty}: {errors:?}");
                 assert_eq!(errors.is_empty(), dirty, "{ctx}");
                 assert!(report.issues.is_empty(), "{ctx}: {:?}", report.issues);
                 assert_eq!(report.stale_counters, *stale, "{ctx}");
-                assert!(lockfree, "{ctx}: the open must not degrade");
-                let o = occupancy[class];
+                let o = opened.expect("the open must not refuse")[class];
                 assert_eq!((o.capacity, o.allocated), (64, 3), "{ctx}");
                 assert_eq!(o.free_counter, 61, "{ctx}: advisory words rebuilt");
             }

@@ -103,7 +103,7 @@ counters! {
     RegionOpens => "region_opens",
     /// Regions unregistered (close, crash teardown, or drop).
     RegionCloses => "region_closes",
-    /// Region allocator allocations (bitmap and locked paths).
+    /// Region allocator allocations (class-sized and large blocks).
     RegionAllocs => "region_allocs",
     /// Region allocator frees.
     RegionFrees => "region_frees",

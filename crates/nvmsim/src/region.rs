@@ -15,10 +15,10 @@
 //! allocator's frontier is extended, and the translation tables never
 //! change — RIV values keep resolving across the growth.
 
-use crate::alloc::{class_for, AllocHeader, AllocStats, NUM_CLASSES};
+use crate::alloc::{class_for, AllocHeader, AllocStats};
 use crate::error::{NvError, Result};
 use crate::latency;
-use crate::llalloc::{ClassOccupancy, LlState};
+use crate::llalloc::{ClassOccupancy, LlState, GRANULE, LARGE, LL_PAGE_SIZE};
 use crate::mem::{align_up, page_size};
 use crate::nvspace::{ChunkRun, NvSpace};
 use crate::registry;
@@ -39,8 +39,9 @@ pub const REGION_MAGIC: u64 = u64::from_le_bytes(*b"NVPIRGN1");
 /// metadata slots between the header and the data area; v3 added the
 /// reserved capacity for in-place growth over a chunk run; v4 dropped the
 /// application tag and the allocator's call counters, which moves every
-/// allocator word after them).
-pub const HEADER_VERSION: u32 = 4;
+/// allocator word after them; v5 dropped the free lists and their live
+/// counters, leaving the allocator `{bump, end, ll_dir}`).
+pub const HEADER_VERSION: u32 = 5;
 /// Maximum number of named roots per region.
 pub const MAX_ROOTS: usize = 16;
 /// Maximum root name length in bytes (NUL-padded storage).
@@ -128,10 +129,10 @@ impl RegionHeader {
         Self::meta_slots_off() + (META_SLOT_COUNT * META_SLOT_SIZE) as u64
     }
 
-    /// Smallest file that can hold a region: the metadata and one cache
-    /// line of data.
+    /// Smallest file that can hold a region: the metadata, the first
+    /// bitmap page of the allocator and one granule for it to serve.
     pub fn min_image_len() -> u64 {
-        Self::data_start() + 64
+        Self::data_start().next_multiple_of(GRANULE) + LL_PAGE_SIZE as u64 + GRANULE
     }
 
     /// Bytes of the header covered by a metadata-slot snapshot: magic
@@ -238,17 +239,12 @@ pub(crate) struct Inner {
     capacity: usize,
     was_dirty: bool,
     backing: Backing,
-    /// The region lock: serializes header mutation (free lists and their
-    /// counters, roots, growth, metadata slots).
+    /// The region lock: serializes header mutation (the allocator
+    /// frontier, roots, growth, metadata slots) and large allocations.
     alloc_lock: Mutex<()>,
     closed: AtomicBool,
-    /// Whether class-sized allocations use the lock-free two-level
-    /// allocator (the default whenever `ll` is present).
-    lockfree: AtomicBool,
-    /// Volatile state of the two-level bitmap allocator; `None` for
-    /// legacy images (no bitmap directory), images whose bitmap pages
-    /// are damaged, and regions too small to host a bitmap page.
-    ll: Option<LlState>,
+    /// Volatile state of the region's one allocator, the bitmap core.
+    ll: LlState,
 }
 
 /// Handle to an open NVRegion.
@@ -363,7 +359,9 @@ impl Region {
         let capacity = capacity.max(size);
         if (size as u64) < RegionHeader::min_image_len() || capacity > layout.max_region_size() {
             return Err(NvError::BadImage(format!(
-                "region geometry size {size} / capacity {capacity} outside [{}, {}]",
+                "region geometry size {size} / capacity {capacity} outside [{}, {}]: \
+                 a region holds its metadata, the allocator's first bitmap page and \
+                 one granule",
                 RegionHeader::min_image_len(),
                 layout.max_region_size()
             )));
@@ -379,8 +377,6 @@ impl Region {
             }
             _ => space.commit_range_anon(base, size)?,
         }
-        space.bind(rid, reserved.run)?;
-        let run = reserved.keep();
         // SAFETY: the run is committed read/write for at least `size`
         // bytes; we own it exclusively until the handle is shared.
         unsafe {
@@ -399,16 +395,19 @@ impl Region {
             hdr.alloc.init(RegionHeader::data_start(), size as u64);
             hdr.fault = FaultStamp::default();
         }
-        // Format the first bitmap page of the two-level allocator before
-        // the slot-A seed below, so even the seed snapshot carries the
-        // directory offset. Volatile maps are sized for `capacity` so the
-        // allocator can follow in-place growth without reallocation.
+        // Format the first bitmap page of the allocator before the slot-A
+        // seed below, so even the seed snapshot carries the directory
+        // offset (the size floor above leaves room for it). Volatile maps
+        // are sized for `capacity` so the allocator can follow in-place
+        // growth without reallocation.
         // SAFETY: the region is still owned exclusively; `hdr.alloc` was
         // just initialized for this base/size.
         let ll = unsafe {
             let hdr = &mut *(base as *mut RegionHeader);
-            LlState::create(base, capacity, next_instance(), &mut hdr.alloc)
+            LlState::create(base, capacity, next_instance(), &mut hdr.alloc)?
         };
+        space.bind(rid, reserved.run)?;
+        let run = reserved.keep();
         let backing = backing.unwrap_or(Backing::Anonymous);
         let region = Self::assemble(space, rid, run, size, false, backing, ll);
         // Seed slot A so even a never-synced image has one valid
@@ -427,7 +426,7 @@ impl Region {
         size: usize,
         was_dirty: bool,
         backing: Backing,
-        ll: Option<LlState>,
+        ll: LlState,
     ) -> Region {
         let base = space.chunk_base(run.start);
         let inner = Inner {
@@ -441,7 +440,6 @@ impl Region {
             backing,
             alloc_lock: Mutex::new(()),
             closed: AtomicBool::new(false),
-            lockfree: AtomicBool::new(ll.is_some()),
             ll,
         };
         registry::register(rid, base, size);
@@ -451,21 +449,25 @@ impl Region {
     }
 
     /// Rebuilds the allocator of a reopened image whose header was just
-    /// validated. The managed range is re-derived from the size (`grow`
-    /// fences the size before the end, so a crash between leaves the end
-    /// short); one bounded pass over the bitmap pages rebuilds the free
-    /// counters and granule map. Structural damage degrades to the
-    /// free-list allocator — the open still succeeds, and `verify()`
-    /// reports what is wrong.
+    /// validated: one bounded pass over the bitmap pages rebuilds the
+    /// free counters and granule map (see [`LlState::open`]).
+    ///
+    /// # Errors
+    ///
+    /// The structural damage of the chain, in words; only
+    /// [`Region::open_file_salvage`] opens such an image.
     ///
     /// # Safety
     ///
     /// `base` must be the image's mapping, read/write for `size` bytes of
     /// a `capacity`-byte run, and owned exclusively by the caller.
-    unsafe fn recover_allocator(base: usize, capacity: usize, size: usize) -> Option<LlState> {
+    unsafe fn recover_allocator(
+        base: usize,
+        capacity: usize,
+        size: usize,
+    ) -> std::result::Result<LlState, String> {
         let alloc = &mut (*(base as *mut RegionHeader)).alloc;
-        alloc.extend(size as u64);
-        LlState::open(base, capacity, size, next_instance(), alloc).unwrap_or(None)
+        LlState::open(base, capacity, size, next_instance(), alloc)
     }
 
     /// Opens an existing region image, mapping it writably (`MAP_SHARED`)
@@ -617,6 +619,15 @@ impl Region {
                 hdr_now.capacity
             )));
         }
+        // SAFETY: the image is mapped read/write, its header was just
+        // validated, and it is owned exclusively until the handle is
+        // shared.
+        let ll = unsafe { Self::recover_allocator(base, capacity, size) }.map_err(|damage| {
+            NvError::BadImage(format!(
+                "bitmap allocator damaged: {damage}; open the image with \
+                 Region::open_file_salvage"
+            ))
+        })?;
         space.bind(rid, reserved.run)?;
         let run = reserved.keep();
         // A primary that had to be rebuilt from a slot counts as dirty:
@@ -628,10 +639,6 @@ impl Region {
         unsafe {
             (*(base as *mut RegionHeader)).flags |= FLAG_DIRTY;
         }
-        // SAFETY: the image is mapped read/write, its header was just
-        // validated, and it is owned exclusively until the handle is
-        // shared.
-        let ll = unsafe { Self::recover_allocator(base, capacity, size) };
         let backing = Backing::File {
             file,
             path: path.to_path_buf(),
@@ -822,11 +829,9 @@ impl Region {
 
     /// Like [`Region::alloc`] but returns the position-independent offset.
     ///
-    /// Class-sized requests are served lock-free by the bitmap core (see
-    /// [`crate::llalloc`]) when the region has one and
-    /// [`Region::set_lockfree`] has not turned it off; everything else —
-    /// large sizes, regions without a usable bitmap directory — goes
-    /// through the locked free-list allocator (see [`crate::alloc`]).
+    /// Every request is served by the bitmap allocator (see
+    /// [`crate::llalloc`]): class-sized ones lock-free, larger ones as
+    /// whole-granule spans under the region lock.
     ///
     /// # Errors
     ///
@@ -851,69 +856,66 @@ impl Region {
             "alignment beyond {} is not supported",
             crate::alloc::MIN_ALIGN
         );
-        if let Some(class) = class_for(AllocHeader::rounded_size(size)) {
-            if self.inner.lockfree.load(Ordering::Relaxed) {
-                if let Some(ll) = &self.inner.ll {
-                    return self.alloc_lockfree(ll, class, size, align);
-                }
-            }
-        }
-        self.alloc_slow(size, align)
-    }
-
-    /// Lock-free fast path: CAS a bit in the thread's reserved subtree
-    /// (see [`crate::llalloc`]). Exhaustion grows a fresh subtree from
-    /// the bump frontier under the region lock; when the frontier is dry
-    /// too, the free lists (blocks freed while the bitmap core was off
-    /// or absent) are the last resort before out-of-memory.
-    fn alloc_lockfree(&self, ll: &LlState, class: usize, size: usize, align: usize) -> Result<u64> {
+        let ll = &self.inner.ll;
+        let Some(class) = class_for(size) else {
+            let _g = self.lock_open()?;
+            // SAFETY: lock held; region mapped while the handle exists.
+            let hdr = unsafe { self.header_mut() };
+            // SAFETY: as above; `ll` belongs to this region.
+            return unsafe { ll.alloc_large(&mut hdr.alloc, size) }.map_err(|_| self.oom(size));
+        };
         loop {
+            // Lock-free fast path: CAS a bit in the thread's reserved
+            // subtree.
             if let Some(off) = ll.alloc(class) {
                 return Ok(off);
             }
-            {
-                let _g = self.lock_open()?;
-                // SAFETY: lock held; region mapped while the handle exists.
-                let hdr = unsafe { self.header_mut() };
-                // SAFETY: as above; `ll` belongs to this region.
-                if unsafe { ll.grow(&mut hdr.alloc, class) }.is_ok() {
-                    // Another thread may drain the new subtree before we
-                    // get a block out of it; loop until an allocation
-                    // lands or growth itself fails.
-                    continue;
-                }
-                // The frontier is dry. The class's dry stamp is advisory,
-                // so look at every subtree once more before giving up on
-                // the bitmaps: a false "dry" may cost a grow, never an
-                // out-of-memory.
-                if let Some(off) = ll.alloc_rescan(class) {
-                    return Ok(off);
-                }
+            let _g = self.lock_open()?;
+            // SAFETY: lock held; region mapped while the handle exists.
+            let hdr = unsafe { self.header_mut() };
+            // SAFETY: as above; `ll` belongs to this region.
+            if unsafe { ll.grow(&mut hdr.alloc, class) }.is_ok() {
+                // Another thread may drain the new subtree before we get a
+                // block out of it; loop until an allocation lands or
+                // growth itself fails.
+                continue;
             }
-            return self.alloc_slow(size, align);
+            // The frontier is dry. The class's dry stamp is advisory, so
+            // look at every subtree once more before giving up: a false
+            // "dry" may cost a grow, never an out-of-memory.
+            return ll.alloc_rescan(class).ok_or_else(|| self.oom(size));
         }
     }
 
-    /// Locked path over the free lists: large sizes, and class sizes when
-    /// the bitmap core is absent, switched off, or out of frontier.
-    fn alloc_slow(&self, size: usize, align: usize) -> Result<u64> {
-        let _g = self.lock_open()?;
-        // SAFETY: lock held; region mapped while the handle exists.
-        let hdr = unsafe { self.header_mut() };
-        // SAFETY: base is this region's base; see above.
-        unsafe { hdr.alloc.alloc(self.inner.base, size, align) }.map_err(|e| match e {
-            NvError::OutOfMemory { requested, .. } => NvError::OutOfMemory {
-                region: self.inner.rid,
-                requested,
-            },
-            other => other,
-        })
+    fn oom(&self, requested: usize) -> NvError {
+        NvError::OutOfMemory {
+            region: self.inner.rid,
+            requested,
+        }
     }
 
-    /// Returns a block to the allocator that served it: a bitmap-owned
-    /// block is cleared in place with one CAS + flush, whatever
-    /// [`Region::set_lockfree`] currently says; any other block goes back
-    /// on its free list under the region lock.
+    /// Allocates exactly the free block at offset `off`, when it starts a
+    /// free block of the size `size` is served at: one CAS on its bitmap
+    /// bit, flushed and fenced before return, as every allocation is.
+    /// `NodeArena::scatter` uses it to hand out blocks in an order of its
+    /// own. Returns whether the block is now the caller's.
+    ///
+    /// # Errors
+    ///
+    /// [`NvError::RegionClosed`] after close.
+    pub fn alloc_at(&self, off: u64, size: usize) -> Result<bool> {
+        self.check_open()?;
+        let block = AllocHeader::rounded_size(size) as u64;
+        // One uninterruptible scheduling step, like `alloc_off`.
+        let claimed = crate::sched::with_yields_suppressed(|| self.inner.ll.alloc_at(off, block));
+        if claimed {
+            crate::metrics::incr(crate::metrics::Counter::RegionAllocs);
+        }
+        Ok(claimed)
+    }
+
+    /// Returns a block to the allocator: its bitmap bit is cleared with
+    /// one CAS, flushed and fenced before return.
     ///
     /// # Safety
     ///
@@ -931,15 +933,13 @@ impl Region {
     unsafe fn dealloc_inner(&self, ptr: NonNull<u8>, size: usize) {
         crate::metrics::incr(crate::metrics::Counter::RegionFrees);
         let off = (ptr.as_ptr() as usize - self.inner.base) as u64;
-        // Bitmap spans never mix with free-list blocks, so routing by
-        // granule is exact.
-        if let Some(ll) = &self.inner.ll {
-            if ll.owns(off) && ll.free_block(off).is_some() {
-                return;
-            }
-        }
-        let _g = self.inner.alloc_lock.lock();
-        self.header_mut().alloc.dealloc(self.inner.base, off, size);
+        // Routed by the granule map. Only a salvaged session whose chain
+        // did not verify owns no span, and it frees nothing.
+        let freed = self.inner.ll.free_block(off);
+        debug_assert!(
+            freed.is_none_or(|class| class == class_for(size).unwrap_or(LARGE)),
+            "free of {off:#x} with the size of another class"
+        );
     }
 
     /// Converts an absolute address inside this region to its offset.
@@ -964,45 +964,28 @@ impl Region {
         self.inner.base + off as usize
     }
 
-    /// Allocator statistics: one record per allocation path — the
-    /// free-list counters in the region header plus the bitmap popcount —
-    /// exact at any quiescent point. (Call counts are the process-wide
-    /// `region_allocs`/`region_frees` metrics.)
+    /// Allocator statistics: the live set is the bitmap popcount, the
+    /// allocator's one record, exact at any quiescent point. (Call counts
+    /// are the process-wide `region_allocs`/`region_frees` metrics.)
     pub fn stats(&self) -> AllocStats {
-        let s = {
+        let (bump, end) = {
             let _g = self.inner.alloc_lock.lock();
-            self.header().alloc.stats()
+            let alloc = &self.header().alloc;
+            (alloc.bump(), alloc.end())
         };
-        let (ll_blocks, ll_bytes) = self.inner.ll.as_ref().map_or((0, 0), LlState::live);
+        let (live_allocs, live_bytes) = self.inner.ll.live();
         AllocStats {
-            live_bytes: s.live_bytes.saturating_add(ll_bytes),
-            live_allocs: s.live_allocs.saturating_add(ll_blocks),
-            ..s
+            live_bytes,
+            live_allocs,
+            bump,
+            end,
         }
     }
 
-    /// Switches class-sized allocation between the lock-free two-level
-    /// path (the default on regions that carry bitmap pages: zero crash
-    /// leak) and the locked free lists, which reuse blocks in free order
-    /// — what `NodeArena::scatter` needs for shuffled placement. Frees
-    /// of bitmap-owned blocks keep routing through the bitmaps regardless
-    /// of the mode. No-op on regions without bitmap pages.
-    pub fn set_lockfree(&self, enabled: bool) {
-        if self.inner.ll.is_some() {
-            self.inner.lockfree.store(enabled, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether class-sized allocations currently use the lock-free
-    /// two-level allocator.
-    pub fn lockfree_enabled(&self) -> bool {
-        self.inner.ll.is_some() && self.inner.lockfree.load(Ordering::Relaxed)
-    }
-
-    /// Per-class subtree occupancy of the two-level allocator; `None`
-    /// for legacy images without bitmap pages.
-    pub fn llalloc_occupancy(&self) -> Option<[ClassOccupancy; NUM_CLASSES]> {
-        self.inner.ll.as_ref().map(|ll| ll.occupancy())
+    /// Per-class subtree occupancy of the bitmap allocator, the large
+    /// blocks last (index [`LARGE`]).
+    pub fn llalloc_occupancy(&self) -> [ClassOccupancy; LARGE + 1] {
+        self.inner.ll.occupancy()
     }
 
     // -- roots ---------------------------------------------------------------
@@ -1301,7 +1284,7 @@ impl Region {
 
     /// Runs the full corruption walk over this region's mapped bytes:
     /// primary header (magic/version/geometry), root-directory decode and
-    /// bounds, allocator free-list sanity, both metadata slots' CRCs and
+    /// bounds, allocator frontier and bitmap chain, both metadata slots' CRCs and
     /// sequence numbers, and — when a `pstore` store is present — every
     /// undo-log entry checksum. Purely diagnostic: nothing is modified.
     ///
@@ -1322,8 +1305,9 @@ impl Region {
     /// copy-on-write (`MAP_PRIVATE`, the file itself is never written),
     /// the primary metadata is repaired from the newest valid slot where
     /// possible, unverifiable root entries are quarantined (dropped from
-    /// the directory, listed in the report), and an unrecoverable
-    /// allocator is frozen so further allocation fails cleanly instead of
+    /// the directory, listed in the report), and an allocator that does
+    /// not verify — a rotted frontier, or a bitmap chain the open refuses
+    /// — is frozen so further allocation fails cleanly instead of
     /// double-serving memory. The region reports [`Region::was_dirty`] so
     /// recovery layers run.
     ///
@@ -1372,12 +1356,17 @@ impl Region {
         rid_in_range(space, rid)?;
         space.bind(rid, reserved.run)?;
         let run = reserved.keep();
-        // Salvage keeps whatever bitmap pages still verify; unverifiable
-        // ones degrade the session to the (frozen) free-list allocator, so
-        // frees still route correctly and allocation fails cleanly.
-        // SAFETY: mapped copy-on-write, made structurally valid by the
-        // salvage above, and owned exclusively.
-        let ll = unsafe { Self::recover_allocator(base, capacity, size) };
+        // A chain that verifies keeps serving; any bitmap finding gives
+        // the session an empty, frozen allocator, which serves nothing and
+        // so can double-serve nothing.
+        let recovered = if report.llalloc_errors.is_empty() {
+            // SAFETY: mapped copy-on-write, made structurally valid by
+            // the salvage above, and owned exclusively.
+            unsafe { Self::recover_allocator(base, capacity, size) }.ok()
+        } else {
+            None
+        };
+        let ll = recovered.unwrap_or_else(|| LlState::frozen(base, next_instance()));
         let backing = Backing::File {
             file,
             path: path.to_path_buf(),
@@ -1442,9 +1431,7 @@ impl Inner {
             return Ok(());
         }
         let mut result = Ok(());
-        if let Some(ll) = &self.ll {
-            ll.freeze();
-        }
+        self.ll.freeze();
         if clean {
             {
                 // Serialize with in-flight locked operations before
@@ -1453,10 +1440,8 @@ impl Inner {
                 // SAFETY: still mapped; we are the unique closer and the
                 // lock excludes concurrent allocator access.
                 let hdr = unsafe { &mut *(self.base as *mut RegionHeader) };
-                if let Some(ll) = &self.ll {
-                    // SAFETY: lock held, unique closer: quiescent.
-                    unsafe { ll.seal() };
-                }
+                // SAFETY: lock held, unique closer: quiescent.
+                unsafe { self.ll.seal() };
                 hdr.flags &= !FLAG_DIRTY;
                 // Converge both slots onto the final snapshot: open-time
                 // rot repair relies on a cleanly-closed image having two
@@ -1748,30 +1733,43 @@ mod tests {
     }
 
     #[test]
-    fn closed_image_records_no_live_allocs_in_either_mode() {
-        for lockfree in [true, false] {
-            let path = tmpdir().join(format!("cleanclose-{lockfree}.nvr"));
-            {
-                let r = Region::create_file(&path, 1 << 20).unwrap();
-                r.set_lockfree(lockfree);
-                let ptrs: Vec<_> = (0..100).map(|_| r.alloc(64, 8).unwrap()).collect();
-                for p in ptrs {
-                    unsafe { r.dealloc(p, 64) };
-                }
-                let s = r.stats();
-                assert_eq!(s.live_allocs, 0, "lockfree={lockfree}: all freed");
-                assert_eq!(s.live_bytes, 0);
-                r.close().unwrap();
+    fn closed_image_records_no_live_allocs() {
+        let path = tmpdir().join("cleanclose.nvr");
+        {
+            let r = Region::create_file(&path, 1 << 20).unwrap();
+            let ptrs: Vec<_> = [64, 5000]
+                .iter()
+                .cycle()
+                .take(100)
+                .map(|&size| (r.alloc(size, 8).unwrap(), size))
+                .collect();
+            for (p, size) in ptrs {
+                unsafe { r.dealloc(p, size) };
             }
-            // The persisted image records no live blocks and validates
-            // cleanly on reopen.
-            let r = Region::open_file(&path).unwrap();
-            assert!(!r.was_dirty());
             let s = r.stats();
-            assert_eq!(s.live_allocs, 0, "lockfree={lockfree}: nothing stranded");
-            assert_eq!(s.live_bytes, 0);
+            assert_eq!((s.live_allocs, s.live_bytes), (0, 0), "all freed");
             r.close().unwrap();
-            std::fs::remove_file(&path).ok();
         }
+        // The persisted image records no live blocks and validates
+        // cleanly on reopen.
+        let r = Region::open_file(&path).unwrap();
+        assert!(!r.was_dirty());
+        let s = r.stats();
+        assert_eq!((s.live_allocs, s.live_bytes), (0, 0), "nothing stranded");
+        assert!(r.verify().unwrap().healthy());
+        r.close().unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_size_without_room_for_the_allocator_is_refused() {
+        let floor = RegionHeader::min_image_len() as usize;
+        assert!(matches!(
+            Region::create(floor - 1),
+            Err(NvError::BadImage(_))
+        ));
+        let r = Region::create(floor).unwrap();
+        r.alloc_off(GRANULE as usize, 16).unwrap();
+        r.close().unwrap();
     }
 }

@@ -12,10 +12,10 @@
 //!   seals both under a CRC-64. A torn slot write leaves the other slot
 //!   intact; the newest slot that checks out is the *active* one.
 //! * **[`verify_bytes`] — the corruption walk.** Checks the primary header
-//!   (boot words, root-directory decode and bounds, allocator free-list
-//!   sanity), both slots, and — when a `pstore` store is present — every
-//!   undo-log entry checksum. Purely diagnostic, never panics, works on a
-//!   mapped region and on a plain file alike.
+//!   (boot words, root-directory decode and bounds, allocator frontier),
+//!   the bitmap chain, both slots, and — when a `pstore` store is present
+//!   — every undo-log entry checksum. Purely diagnostic, never panics,
+//!   works on a mapped region and on a plain file alike.
 //! * **`salvage_in_place` — repair** (crate-internal, driven by
 //!   [`Region::open_file_salvage`](crate::Region::open_file_salvage)).
 //!   Restores a damaged primary from
@@ -126,14 +126,15 @@ pub struct VerifyReport {
     pub clean: bool,
     /// Boot-block problems: magic, version, declared size vs file length.
     pub boot_errors: Vec<String>,
-    /// Allocator-metadata problems: bump/end geometry, free-list links.
+    /// Allocator-metadata problems: bump/end geometry.
     pub alloc_errors: Vec<String>,
-    /// Bitmap-allocator problems: page-chain structure, descriptor
-    /// geometry, and (on clean images) page CRCs and free counters.
-    /// Empty for legacy images without a bitmap directory. A damaged
-    /// bitmap does not make the primary unusable — `Region::open`
-    /// degrades to the legacy allocator — so these count against
+    /// Bitmap-allocator problems: a missing directory, page-chain
+    /// structure, descriptor geometry, and (on clean images) page CRCs
+    /// and free counters. The bitmap pages live in the data area, so no
+    /// metadata slot can restore them: these count against
     /// [`healthy`](Self::healthy) but not [`primary_ok`](Self::primary_ok).
+    /// `Region::open_file` refuses structural damage and salvage opens it
+    /// with allocation frozen.
     pub llalloc_errors: Vec<String>,
     /// Root-directory entries that failed to decode or point out of
     /// bounds.
@@ -237,7 +238,7 @@ impl fmt::Display for VerifyReport {
             }
         }
         if self.llalloc_errors.is_empty() {
-            writeln!(f, "bitmap:     ok (or legacy image)")?;
+            writeln!(f, "bitmap:     ok")?;
         } else {
             writeln!(f, "bitmap:     DAMAGED")?;
             for e in &self.llalloc_errors {
@@ -460,13 +461,10 @@ fn check_roots(bytes: &[u8], issues: &mut Vec<RootIssue>) {
     }
 }
 
-/// Structural allocator check (see [`AllocHeader::check`]): the managed
-/// range may end short of the image (a crash inside `Region::grow`, which
-/// the open re-derives) but never past it, and every free list must walk
-/// cleanly.
+/// Structural allocator check (see [`AllocHeader::check`]).
 fn check_alloc(bytes: &[u8], errors: &mut Vec<String>) {
     let alloc = AllocHeader::from_bytes(&bytes[OFF_ALLOC..]);
-    if let Err(e) = alloc.check(bytes, RegionHeader::data_start()) {
+    if let Err(e) = alloc.check(bytes.len() as u64, RegionHeader::data_start()) {
         errors.push(e.to_string());
     }
 }
@@ -674,28 +672,21 @@ pub(crate) fn salvage_in_place(bytes: &mut [u8]) -> Result<VerifyReport> {
         ));
     }
     if !mid.alloc_ok() {
-        // Freeze: no free blocks, bump pinned to the end. Every further
-        // allocation fails with OutOfMemory instead of double-serving
-        // memory through a rotted free-list link.
+        // Freeze: bump pinned to the end, so nothing new is carved over
+        // whatever the rotted frontier no longer covers.
         let end = bytes.len() as u64;
         write_u64(bytes, OFF_ALLOC + AllocHeader::OFF_BUMP, end);
         write_u64(bytes, OFF_ALLOC + AllocHeader::OFF_END, end);
-        bytes[OFF_ALLOC..][AllocHeader::LISTS].fill(0);
         repairs.push(
-            "allocator metadata unverifiable: allocation frozen (free lists cleared, \
-             bump pinned to end)"
-                .to_string(),
+            "allocator frontier unverifiable: growth frozen (bump pinned to end)".to_string(),
         );
     }
     if !mid.llalloc_errors.is_empty() {
-        // Detaching the directory is safe: the carved spans stay behind
-        // `bump`, so the legacy allocator can never re-serve them, and
-        // live blocks freed later are simply recycled through the legacy
-        // free lists. Allocation continues without the bitmap fast path.
-        write_u64(bytes, OFF_ALLOC + AllocHeader::OFF_LL_DIR, 0);
+        // Nothing is written: the session gets an allocator that serves
+        // nothing (see `Region::open_file_salvage`), and the chain stays
+        // as found for whoever inspects the image next.
         repairs.push(format!(
-            "bitmap allocator unverifiable ({}): directory detached, region \
-             falls back to the legacy allocator",
+            "bitmap allocator unverifiable ({}): allocation frozen",
             mid.llalloc_errors.join("; ")
         ));
     }
@@ -721,8 +712,8 @@ mod tests {
     use std::path::PathBuf;
 
     const OFF_ROOTS: usize = RegionHeader::OFF_ROOTS;
+    const OFF_ALLOC_BUMP: usize = OFF_ALLOC + AllocHeader::OFF_BUMP;
     const OFF_ALLOC_END: usize = OFF_ALLOC + AllocHeader::OFF_END;
-    const OFF_ALLOC_LISTS: usize = OFF_ALLOC + AllocHeader::LISTS.start;
     const OFF_ALLOC_LL_DIR: usize = OFF_ALLOC + AllocHeader::OFF_LL_DIR;
 
     fn tmpfile(name: &str) -> PathBuf {
@@ -834,11 +825,11 @@ mod tests {
     #[test]
     fn salvage_freezes_unverifiable_allocator() {
         let (path, mut bytes) = build_image("freeze.nvr");
-        // Rot a free-list head in the primary AND both slots so the
-        // allocator state has no good copy anywhere.
-        let poison = 0x1337u64.to_le_bytes(); // unaligned, in-bounds-ish junk
+        // Rot the frontier in the primary AND both slots so the allocator
+        // state has no good copy anywhere.
+        let poison = 0x137u64.to_le_bytes(); // inside the header, below the data
         for base in std::iter::once(0).chain((0..META_SLOT_COUNT).map(slot_off)) {
-            let off = base + OFF_ALLOC_LISTS;
+            let off = base + OFF_ALLOC_BUMP;
             bytes[off..off + 8].copy_from_slice(&poison);
             if base != 0 {
                 let snap = RegionHeader::snapshot_len();
@@ -906,16 +897,42 @@ mod tests {
     }
 
     #[test]
-    fn salvage_detaches_unverifiable_bitmap_directory() {
-        let (path, mut bytes) = build_image("lldetach.nvr");
+    fn salvage_freezes_allocation_on_an_unverifiable_bitmap_chain() {
+        let (path, mut bytes) = build_image("llfreeze.nvr");
         let ll_dir = read_u64(&bytes, OFF_ALLOC_LL_DIR) as usize;
-        bytes[ll_dir + llalloc::DESC_SIZE + llalloc::D_BITMAP] ^= 0x01;
+        bytes[ll_dir + llalloc::DESC_SIZE + llalloc::D_META] = 0xff;
+        let before = bytes.clone();
         let rep = salvage_in_place(&mut bytes).unwrap();
-        assert!(rep.repairs.iter().any(|r| r.contains("detached")), "{rep}");
-        assert_eq!(read_u64(&bytes, OFF_ALLOC_LL_DIR), 0);
-        let after = verify_bytes(&bytes);
-        assert!(after.llalloc_errors.is_empty(), "{after}");
-        assert!(after.primary_ok());
+        assert!(rep.repairs.iter().any(|r| r.contains("frozen")), "{rep}");
+        assert!(rep.primary_ok(), "{rep}");
+        assert!(!rep.llalloc_errors.is_empty(), "the finding stays: {rep}");
+        assert_eq!(
+            bytes[RegionHeader::OFF_ROOTS..],
+            before[RegionHeader::OFF_ROOTS..],
+            "only the boot block's dirty flag is written"
+        );
+        // The session itself serves nothing.
+        std::fs::write(&path, &before).unwrap();
+        let (r, _) = Region::open_file_salvage(&path).unwrap();
+        assert!(matches!(r.alloc(64, 8), Err(NvError::OutOfMemory { .. })));
+        assert!(matches!(r.alloc(8192, 8), Err(NvError::OutOfMemory { .. })));
+        assert_eq!(r.stats().live_allocs, 0);
+        r.crash();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_image_without_a_directory_is_a_finding() {
+        let (path, mut bytes) = build_image("nodir.nvr");
+        write_u64(&mut bytes, OFF_ALLOC_LL_DIR, 0);
+        let rep = verify_bytes(&bytes);
+        assert!(
+            rep.llalloc_errors
+                .iter()
+                .any(|e| e.contains("no bitmap allocator directory")),
+            "{rep}"
+        );
+        assert!(!rep.healthy(), "{rep}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -18,6 +18,7 @@ use nvmsim::Region;
 use pstore::ObjectStore;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Object-store type number used for data-structure nodes.
 pub const NODE_TYPE: u32 = 0x4e4f4445; // "NODE"
@@ -41,20 +42,51 @@ enum Backend {
     Stores(Vec<ObjectStore>),
 }
 
+/// Free blocks [`NodeArena::scatter`] left behind, in the order `alloc`
+/// claims them.
+#[derive(Debug, Default)]
+struct Scattered {
+    /// The node size they were carved for; other sizes skip the queues.
+    size: usize,
+    /// Per region, block offsets divided by [`QUEUE_UNIT`], claimed from
+    /// the back. A queue gives its memory back as it drains, so what a
+    /// built structure keeps is about its spare blocks' entries.
+    queues: Vec<Vec<u32>>,
+}
+
+/// Queued offsets are kept in units of the allocator's alignment, so a
+/// `u32` entry covers regions up to 64 GiB; `scatter` stops queueing a
+/// region at the first block past that.
+const QUEUE_UNIT: u64 = nvmsim::alloc::MIN_ALIGN as u64;
+
 /// Allocation source for data-structure nodes. See the module docs.
 #[derive(Debug)]
 pub struct NodeArena {
     backend: Backend,
     next: AtomicUsize,
+    /// Blocks still queued in `scattered`: the one relaxed load an arena
+    /// that never scattered pays per allocation. It publishes nothing —
+    /// the queues are read under the lock — so a stale value only costs a
+    /// lock or a normal allocation.
+    queued: AtomicUsize,
+    /// Every update leaves it whole (a pop, or a replacement), so a
+    /// poisoned lock's data is still valid.
+    scattered: Mutex<Scattered>,
 }
 
 impl NodeArena {
+    fn new(backend: Backend) -> NodeArena {
+        NodeArena {
+            backend,
+            next: AtomicUsize::new(0),
+            queued: AtomicUsize::new(0),
+            scattered: Mutex::default(),
+        }
+    }
+
     /// Non-transactional placement in a single region.
     pub fn raw(region: Region) -> NodeArena {
-        NodeArena {
-            backend: Backend::Raw(vec![region]),
-            next: AtomicUsize::new(0),
-        }
+        Self::new(Backend::Raw(vec![region]))
     }
 
     /// Non-transactional placement round-robin across `regions`.
@@ -64,18 +96,12 @@ impl NodeArena {
     /// Panics if `regions` is empty.
     pub fn raw_round_robin(regions: Vec<Region>) -> NodeArena {
         assert!(!regions.is_empty(), "at least one region required");
-        NodeArena {
-            backend: Backend::Raw(regions),
-            next: AtomicUsize::new(0),
-        }
+        Self::new(Backend::Raw(regions))
     }
 
     /// Transactional placement in a single store.
     pub fn transactional(store: ObjectStore) -> NodeArena {
-        NodeArena {
-            backend: Backend::Stores(vec![store]),
-            next: AtomicUsize::new(0),
-        }
+        Self::new(Backend::Stores(vec![store]))
     }
 
     /// Transactional placement round-robin across `stores`.
@@ -85,10 +111,7 @@ impl NodeArena {
     /// Panics if `stores` is empty.
     pub fn transactional_round_robin(stores: Vec<ObjectStore>) -> NodeArena {
         assert!(!stores.is_empty(), "at least one store required");
-        NodeArena {
-            backend: Backend::Stores(stores),
-            next: AtomicUsize::new(0),
-        }
+        Self::new(Backend::Stores(stores))
     }
 
     /// Number of regions nodes are spread over.
@@ -121,17 +144,54 @@ impl NodeArena {
     }
 
     /// Allocates `size` bytes for a node, rotating over the configured
-    /// regions.
+    /// regions. A node of the size [`NodeArena::scatter`] carved for takes
+    /// the next block of its region's shuffled queue while one is left.
     ///
     /// # Errors
     ///
     /// Allocation failures from the region allocator or store.
     pub fn alloc(&self, size: usize) -> Result<NonNull<u8>> {
         let i = self.next.fetch_add(1, Ordering::Relaxed);
+        if self.queued.load(Ordering::Relaxed) != 0 {
+            if let Some(p) = self.claim_scattered(i, size)? {
+                return Ok(p);
+            }
+        }
         match &self.backend {
             Backend::Raw(regions) => Ok(regions[i % regions.len()].alloc(size, 16)?),
             Backend::Stores(stores) => Ok(stores[i % stores.len()].alloc(NODE_TYPE, size)?),
         }
+    }
+
+    /// Claims the next queued block of region `i % fan_out` for a node of
+    /// `size` bytes. `None` when none is queued for it, or when the block
+    /// was taken by another allocation since `scatter` freed it.
+    fn claim_scattered(&self, i: usize, size: usize) -> Result<Option<NonNull<u8>>> {
+        let off = {
+            let mut s = self.scattered.lock().unwrap_or_else(|e| e.into_inner());
+            if s.size != size {
+                return Ok(None);
+            }
+            let n = s.queues.len();
+            let queue = &mut s.queues[i % n];
+            let Some(unit) = queue.pop() else {
+                return Ok(None);
+            };
+            if queue.len() <= queue.capacity() / 2 {
+                queue.shrink_to_fit();
+            }
+            unit as u64 * QUEUE_UNIT
+        };
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+        Ok(match &self.backend {
+            Backend::Raw(regions) => {
+                let region = &regions[i % regions.len()];
+                region.alloc_at(off, size)?.then(|| {
+                    NonNull::new(region.ptr_at(off) as *mut u8).expect("inside the region")
+                })
+            }
+            Backend::Stores(stores) => stores[i % stores.len()].alloc_at(off, NODE_TYPE, size)?,
+        })
     }
 
     /// Allocates in the *home* region specifically (used for headers and
@@ -148,32 +208,26 @@ impl NodeArena {
     }
 
     /// Pre-scatters the placement of the next ~`count` allocations of
-    /// `node_size` bytes: carves that many blocks out of each region and
-    /// returns them to the free lists in *shuffled* order, so subsequent
-    /// node allocations land at randomized addresses.
+    /// `node_size` bytes: carves that many blocks out of each region,
+    /// frees them again, and queues their offsets in *shuffled* order, so
+    /// subsequent node allocations land at randomized addresses.
     ///
-    /// Sequential bump allocation would lay a freshly built structure out
+    /// Sequential allocation would lay a freshly built structure out
     /// contiguously, letting the CPU's stream prefetcher hide the memory
     /// latency that real (and PMEP-emulated) NVM pointer chasing pays.
     /// Scattering restores the latency-bound traversal regime the paper's
     /// measurements ran in (see DESIGN.md, substitution S2).
     ///
-    /// Shuffled placement is a property of the locked free lists (blocks
-    /// come back in reverse free order); the lock-free bitmap core hands
-    /// blocks back lowest-address-first, which would re-sequentialize
-    /// the layout. Scatter therefore switches its regions to the free
-    /// lists with [`Region::set_lockfree`] — a deliberate trade of the
-    /// bitmap core's crash contract for layout control, which is what
-    /// latency benches want.
+    /// The shuffle lives in the arena, not in the allocator: `alloc`
+    /// claims each queued block by its offset ([`Region::alloc_at`]), with
+    /// the same bitmap transition and crash contract as any allocation.
+    /// Queued blocks stay free until claimed.
     ///
     /// # Errors
     ///
-    /// Allocation failures (the blocks are all freed again before return).
+    /// Allocation failures.
     pub fn scatter(&self, count: usize, node_size: usize, seed: u64) -> Result<()> {
         let regions = self.regions();
-        for region in &regions {
-            region.set_lockfree(false);
-        }
         let effective = if self.is_transactional() {
             pstore::ObjHeader::footprint(node_size)
         } else {
@@ -181,10 +235,22 @@ impl NodeArena {
         };
         let per_region = count.div_ceil(regions.len());
         let mut rng = seed | 1;
+        let mut queues = Vec::with_capacity(regions.len());
         for region in &regions {
-            let mut blocks = Vec::with_capacity(per_region);
+            let free = |off: u64| {
+                let b = NonNull::new(region.ptr_at(off) as *mut u8).expect("inside the region");
+                // SAFETY: each block came from this region's alloc with
+                // the same size and is freed exactly once.
+                unsafe { region.dealloc(b, effective) };
+            };
+            let mut blocks: Vec<u32> = Vec::with_capacity(per_region);
             for _ in 0..per_region {
-                blocks.push(region.alloc(effective, 16)?);
+                let off = region.alloc_off(effective, 16)?;
+                let Ok(unit) = u32::try_from(off / QUEUE_UNIT) else {
+                    free(off);
+                    break;
+                };
+                blocks.push(unit);
             }
             // Fisher-Yates with an inline xorshift; deterministic per seed.
             for i in (1..blocks.len()).rev() {
@@ -193,12 +259,17 @@ impl NodeArena {
                 rng ^= rng << 17;
                 blocks.swap(i, (rng as usize) % (i + 1));
             }
-            for b in blocks {
-                // SAFETY: each block came from this region's alloc with
-                // the same size and is freed exactly once.
-                unsafe { region.dealloc(b, effective) };
+            for &unit in &blocks {
+                free(unit as u64 * QUEUE_UNIT);
             }
+            queues.push(blocks);
         }
+        let queued = queues.iter().map(Vec::len).sum();
+        *self.scattered.lock().unwrap_or_else(|e| e.into_inner()) = Scattered {
+            size: node_size,
+            queues,
+        };
+        self.queued.store(queued, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -276,6 +347,31 @@ mod tests {
         assert_eq!(sorted.len(), 256);
         assert!(addrs.iter().all(|&a| r.contains(a)));
         r.close().unwrap();
+    }
+
+    #[test]
+    fn scatter_spares_stay_free() {
+        const N: usize = 400;
+        for transactional in [false, true] {
+            let r = Region::create(4 << 20).unwrap();
+            let arena = if transactional {
+                NodeArena::transactional(ObjectStore::format(&r).unwrap())
+            } else {
+                NodeArena::raw(r.clone())
+            };
+            let before = r.stats().live_allocs;
+            arena.scatter(N + N / 4, 48, 11).unwrap();
+            assert_eq!(r.stats().live_allocs, before, "queued blocks are free");
+            for _ in 0..N {
+                arena.alloc(48).unwrap();
+            }
+            assert_eq!(
+                r.stats().live_allocs,
+                before + N as u64,
+                "transactional={transactional}: one block per node, spares free"
+            );
+            r.close().unwrap();
+        }
     }
 
     #[test]

@@ -157,18 +157,39 @@ impl ObjectStore {
         Ok(payload)
     }
 
+    /// [`ObjectStore::alloc`] into exactly the free block at region offset
+    /// `off` (see [`Region::alloc_at`]). `None` when that block is not a
+    /// free block of this object's footprint.
+    ///
+    /// # Errors
+    ///
+    /// [`NvError::RegionClosed`] after the region closed.
+    pub fn alloc_at(&self, off: u64, type_num: u32, size: usize) -> Result<Option<NonNull<u8>>> {
+        if !self.region.alloc_at(off, ObjHeader::footprint(size))? {
+            return Ok(None);
+        }
+        let payload = self.init_object(off, type_num, size);
+        latency::wbarrier();
+        Ok(Some(payload))
+    }
+
     /// Allocates a block and writes, tracks and flushes its header, not
     /// fenced: [`ObjectStore::alloc`] fences, or a commit fence covers it.
     pub(crate) fn new_object(&self, type_num: u32, size: usize) -> Result<NonNull<u8>> {
-        let hdr = self
-            .region
-            .ptr_at(self.region.alloc_off(ObjHeader::footprint(size), 16)?);
+        let off = self.region.alloc_off(ObjHeader::footprint(size), 16)?;
+        Ok(self.init_object(off, type_num, size))
+    }
+
+    /// Writes, tracks and flushes the header of the object whose block,
+    /// just allocated, starts at `off`; returns its payload address.
+    fn init_object(&self, off: u64, type_num: u32, size: usize) -> NonNull<u8> {
+        let hdr = self.region.ptr_at(off);
         // SAFETY: freshly allocated, exclusively owned block in the region.
         unsafe { (*(hdr as *mut ObjHeader)).init(type_num, size as u64) };
         shadow::track_store(hdr, OBJ_HEADER_SIZE);
         latency::clflush_range(hdr, OBJ_HEADER_SIZE);
         // SAFETY: nonzero address inside the region.
-        Ok(unsafe { NonNull::new_unchecked((hdr + OBJ_HEADER_SIZE) as *mut u8) })
+        unsafe { NonNull::new_unchecked((hdr + OBJ_HEADER_SIZE) as *mut u8) }
     }
 
     /// Frees a wrapped object by its payload address.
@@ -365,7 +386,6 @@ mod tests {
         // every survivor is a distinct block with its payload intact and
         // the allocator counts exactly the survivors.
         let region = Region::create(8 << 20).unwrap();
-        assert!(region.lockfree_enabled());
         let s = ObjectStore::format(&region).unwrap();
         let base = live(&region);
         let threads = 4;

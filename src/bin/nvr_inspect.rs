@@ -27,9 +27,9 @@
 //! damage was found (the report says what), 2 means usage/IO trouble.
 //! `repl` follows the same convention: 0 for a sealed intact stream, 1
 //! for a torn or unsealed one. `alloc` exits 0 when the bitmap structures
-//! are consistent (legacy images without a bitmap directory count as
-//! consistent), 1 when they are not; stale advisory counters only fail a
-//! *clean* image — a crashed one rebuilds them on the next open.
+//! are consistent, 1 when they are not (an image without a bitmap
+//! directory included); stale advisory counters only fail a *clean*
+//! image — a crashed one rebuilds them on the next open.
 //! `history` exits 0 when every file decodes (the CRC seal held), 1 when
 //! one is torn or corrupt, 2 on usage/IO trouble — so CI can triage the
 //! artifacts a failed concurrent-matrix cell uploads. `server` exits 0
@@ -179,14 +179,11 @@ fn index_one(path: &str, root_filter: Option<&str>) -> Outcome {
 /// crashed one only has to be structurally sound.
 fn alloc(path: &str) -> Outcome {
     let bytes = std::fs::read(path).map_err(trouble)?;
-    let Some(report) = nvmsim::inspect::inspect_llalloc_bytes(&bytes).map_err(trouble)? else {
-        println!("legacy image: no bitmap allocator directory");
-        return Ok(true);
-    };
+    let report = nvmsim::inspect::inspect_llalloc_bytes(&bytes).map_err(trouble)?;
     print!("{report}");
     let (blocks, live) = report.subtrees.iter().fold((0, 0), |(b, y), t| {
         let allocated = t.allocated as u64;
-        (b + allocated, y + allocated * t.class_size() as u64)
+        (b + allocated, y + allocated * t.block_size)
     });
     println!("allocated:    {blocks} blocks, {live} bytes");
     let state = if report.clean { "clean" } else { "dirty" };

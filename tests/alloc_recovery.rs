@@ -1,19 +1,19 @@
-//! Crash recovery of the lock-free two-level allocator.
+//! Crash recovery of the region allocator, the lock-free bitmap core.
 //!
 //! The contract under test: every `alloc`/`dealloc` that *returned*
 //! persisted its bitmap transition (CAS, flush, fence) before returning,
 //! so a crash — even a fault-injected one that drops or tears every
 //! unflushed line — loses nothing and strands nothing. After reopening
 //! (remapped), `Region::stats` must equal the application's surviving
-//! live set *exactly*: zero leaked blocks, zero lost blocks. (The locked
-//! free-list path's crash behaviour is pinned in `tests/stress.rs`.)
+//! live set *exactly*: zero leaked blocks, zero lost blocks.
 //!
 //! Two single-threaded cells pin what the chain of bitmap pages itself
 //! must survive: a frontier word torn away from the descriptor it was
 //! flushed with, and a crash between chaining a page and its first
 //! descriptor. One more crashes every durability point (`sync`,
-//! `update_meta_slots`, `grow`, a clean close) at every event with both
-//! allocation paths live, and a v3 image pins the header-version refusal.
+//! `update_meta_slots`, `grow`, a clean close) at every event with class
+//! and large blocks live, another every allocation and free of blocks
+//! above 4 KiB, and v3/v4 images pin the header-version refusal.
 //!
 //! Seed, replay tag, serial lock and scratch directories come from the
 //! shared [`util::Matrix`] (`MATRIX_SEED`, `MATRIX_ARTIFACT_DIR`).
@@ -49,10 +49,6 @@ fn churn_crash_audit(name: &str, policy: FaultPolicy) {
     let (report, mut prev);
     {
         let region = Region::create_file(&path, 32 << 20).unwrap();
-        assert!(
-            region.lockfree_enabled(),
-            "fresh regions default to the lock-free bitmap allocator"
-        );
         // Prelude: put traffic through the bitmap, then fold the
         // statistics durably. The open after the crash must back out
         // this fold-time bitmap contribution — not the crash-time one —
@@ -203,9 +199,9 @@ fn assert_disjoint(mut offs: Vec<u64>, size: u64, ctx: &str) {
     }
 }
 
-/// `grow` stages a subtree's descriptor, its page's count and the bump
-/// frontier under one fence, so a tear can keep the first two lines and
-/// lose the third. The open must then re-derive the frontier from the
+/// `grow` fences a subtree's descriptor, then stages its page's count and
+/// the bump frontier under one more fence, so a tear can keep the count
+/// and lose the frontier. The open must then re-derive the frontier from the
 /// chain: the next subtree may never be carved over the kept one.
 #[test]
 fn torn_frontier_is_rederived_from_the_chain_at_open() {
@@ -243,7 +239,7 @@ fn torn_frontier_is_rederived_from_the_chain_at_open() {
     let last = crashes.last().unwrap();
     let mut image = last.image.clone();
     image[BUMP..BUMP + 8].copy_from_slice(&lost.image[BUMP..BUMP + 8]);
-    let ll = inspect::inspect_llalloc_bytes(&image).unwrap().unwrap();
+    let ll = inspect::inspect_llalloc_bytes(&image).unwrap();
     assert_eq!(ll.subtrees.len(), 2, "[{ctx}] the descriptor is on media");
     let kept = ll.subtrees[1];
     assert!(
@@ -258,7 +254,7 @@ fn torn_frontier_is_rederived_from_the_chain_at_open() {
 
     let region = cell.recover(&torn, &mut prev, &ctx);
     assert!(
-        region.stats().bump >= kept.base + kept.capacity as u64 * kept.class_size() as u64,
+        region.stats().bump >= kept.end(),
         "[{ctx}] open must raise the frontier past the kept span"
     );
     // 64 blocks fill the kept subtree, the 65th grows the next one.
@@ -292,7 +288,7 @@ fn chain_ending_in_an_empty_page_is_reused_by_the_next_grow() {
 
     let mut windows = 0;
     for c in &crashes {
-        let ll = inspect::inspect_llalloc_bytes(&c.image).unwrap().unwrap();
+        let ll = inspect::inspect_llalloc_bytes(&c.image).unwrap();
         if (ll.pages, ll.subtrees.len()) != (2, 63) {
             continue;
         }
@@ -311,12 +307,7 @@ fn chain_ending_in_an_empty_page_is_reused_by_the_next_grow() {
             FULL_PAGE + 65,
             "[{ctx}] blocks served after the reopen survive the next one"
         );
-        let subtrees: u64 = region
-            .llalloc_occupancy()
-            .unwrap()
-            .iter()
-            .map(|o| o.subtrees)
-            .sum();
+        let subtrees: u64 = region.llalloc_occupancy().iter().map(|o| o.subtrees).sum();
         assert_eq!(subtrees, 65, "[{ctx}] and so do their two subtrees");
         region.close().unwrap();
     }
@@ -327,9 +318,8 @@ fn chain_ending_in_an_empty_page_is_reused_by_the_next_grow() {
     );
 }
 
-/// `Region::stats` is one record per allocation path — the free-list
-/// counters in the region header plus the bitmap popcount — and no
-/// durability point writes either, so every crash image of every
+/// `Region::stats` is the bitmap popcount, the allocator's one record, and
+/// no durability point writes it, so every crash image of every
 /// durability point reopens with the live set exact. (Totals folded into
 /// the header at each durability point and backed out at open against a
 /// first-page snapshot flushed under a different fence once counted the
@@ -338,7 +328,7 @@ fn chain_ending_in_an_empty_page_is_reused_by_the_next_grow() {
 fn live_counts_are_exact_at_every_crash_point_of_every_durability_point() {
     let _serial = M.lock();
     const SMALL: usize = 64;
-    /// Above the largest size class: served by the free lists.
+    /// Above the largest size class: a whole-granule span of its own.
     const LARGE: usize = 5_000;
     let want = (
         20,
@@ -388,27 +378,147 @@ fn live_counts_are_exact_at_every_crash_point_of_every_durability_point() {
     }
 }
 
-/// Header v4 moved every allocator word, so a v3 image is refused — by
-/// the open, typed and naming the version, and by `nvr_inspect verify`.
+/// Allocates `size` bytes of a region nothing else allocates in:
+/// `(offset, size, bytes served)`, the last read off the live-byte count.
+fn alloc_served(region: &Region, size: usize) -> (u64, usize, u64) {
+    let before = region.stats().live_bytes;
+    let off = region.alloc_off(size, 8).unwrap();
+    let served = region.stats().live_bytes - before;
+    assert!(served >= AllocHeader::rounded_size(size) as u64);
+    (off, size, served)
+}
+
+/// Blocks above 4 KiB are bitmap-owned spans like any other: every crash
+/// point of a window that carves, frees and reuses them reopens with the
+/// live set of the ops that returned, give or take the one op the crash
+/// interrupted — never a lost or a leaked block — and allocates without
+/// overlapping what survived.
+#[test]
+fn large_blocks_are_exact_at_every_crash_point() {
+    let _serial = M.lock();
+    /// `(size, None)` allocates, `(_, Some(i))` frees the `i`-th block
+    /// allocated so far (pre-window blocks first).
+    const WINDOW: [(usize, Option<usize>); 7] = [
+        (9_000, None),  // a fresh span
+        (0, Some(0)),   // free a 5 120-byte block...
+        (4_500, None),  // ...and reuse it
+        (64, None),     // a class-sized block in between
+        (0, Some(1)),   // free the 16 KiB block...
+        (12_000, None), // ...and reuse it (12 KiB wastes under half)
+        (20_000, None), // a fresh span again
+    ];
+    for policy in M.policies() {
+        let name = util::policy_name(policy);
+        let cell = M.cell(&format!("large-{name}"));
+        let region = Region::create_file(cell.path("orig.nvr"), 1 << 20).unwrap();
+        // (offset, size, bytes served): a reused span is served whole.
+        let mut blocks: Vec<(u64, usize, u64)> = [5_000, 16 << 10]
+            .iter()
+            .map(|&size| alloc_served(&region, size))
+            .collect();
+        let mut live: Vec<usize> = vec![0, 1];
+        region.sync().unwrap();
+        region.enable_shadow().unwrap();
+        shadow::reset_events_for(region.base());
+        // The live set (indices into `blocks`) after each op, with the
+        // event count at which the op had returned.
+        let mut states = vec![(0, live.clone())];
+        let plan = FaultPlan::capture_all(&region, policy);
+        for (size, free) in WINDOW {
+            match free {
+                Some(i) => {
+                    let p = NonNull::new(region.ptr_at(blocks[i].0) as *mut u8).unwrap();
+                    // SAFETY: allocated above with this size, freed once.
+                    unsafe { region.dealloc(p, blocks[i].1) };
+                    live.retain(|&j| j != i);
+                }
+                None => {
+                    blocks.push(alloc_served(&region, size));
+                    live.push(blocks.len() - 1);
+                }
+            }
+            states.push((shadow::event_count_for(region.base()), live.clone()));
+        }
+        let crashes = plan.disarm();
+        assert_eq!(blocks[3].0, blocks[0].0, "the freed 5 KiB span is reused");
+        assert_eq!(blocks[5].0, blocks[1].0, "the freed 16 KiB span is reused");
+        let mut prev = region.base();
+        region.crash();
+
+        let tally = |set: &[usize]| {
+            let bytes = set.iter().map(|&i| blocks[i].2);
+            (set.len() as u64, bytes.sum::<u64>())
+        };
+        for c in &crashes {
+            let ctx = format!("large {name} event {} {}", c.event, M.tag());
+            // The image holds every op that returned before the event; the
+            // op in flight may have reached media or not.
+            let k = states.iter().rposition(|&(at, _)| at < c.event).unwrap();
+            let (done, next) = (&states[k].1, &states[(k + 1).min(states.len() - 1)].1);
+            let region = cell.recover(c, &mut prev, &ctx);
+            let s = region.stats();
+            let got = (s.live_allocs, s.live_bytes);
+            assert!(
+                got == tally(done) || got == tally(next),
+                "[{ctx}] recovered {got:?}, want {:?} or {:?}",
+                tally(done),
+                tally(next)
+            );
+            // Blocks live on both sides of the interrupted op survive;
+            // nothing allocated now may overlap one.
+            let mut spans: Vec<(u64, u64)> = done
+                .iter()
+                .filter(|i| next.contains(i))
+                .map(|&i| (blocks[i].0, blocks[i].2))
+                .collect();
+            for size in [16 << 10, 5_000, 9_000].into_iter().chain([256; 65]) {
+                let (off, _, served) = alloc_served(&region, size);
+                spans.push((off, served));
+            }
+            spans.sort_unstable();
+            for w in spans.windows(2) {
+                assert!(
+                    w[0].0 + w[0].1 <= w[1].0,
+                    "[{ctx}] blocks {:#x}+{} and {:#x}+{} overlap",
+                    w[0].0,
+                    w[0].1,
+                    w[1].0,
+                    w[1].1
+                );
+            }
+            region.crash();
+        }
+        eprintln!("[large {name}] {} crash points", crashes.len());
+    }
+}
+
+/// Header v4 moved every allocator word and v5 dropped the free lists, so
+/// v3 and v4 images are refused — by the open, typed and naming the
+/// version, and by `nvr_inspect verify`.
 #[test]
 fn v3_images_are_refused_by_open_and_verify() {
     let _serial = M.lock();
-    let cell = M.cell("v3");
-    let path = cell.path("v3.nvr");
+    let cell = M.cell("old-versions");
+    let path = cell.path("old.nvr");
     Region::create_file(&path, 1 << 20)
         .unwrap()
         .close()
         .unwrap();
-    let mut img = std::fs::read(&path).unwrap();
-    img[RegionHeader::OFF_VERSION..][..4].copy_from_slice(&3u32.to_le_bytes());
-    std::fs::write(&path, &img).unwrap();
-    match Region::open_file(&path) {
-        Err(NvError::BadImage(why)) => assert!(why.contains("version 3"), "{why}"),
-        other => panic!("a v3 image must be refused as BadImage, got {other:?}"),
+    let image = std::fs::read(&path).unwrap();
+    for version in [3u32, 4] {
+        let mut img = image.clone();
+        img[RegionHeader::OFF_VERSION..][..4].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &img).unwrap();
+        match Region::open_file(&path) {
+            Err(NvError::BadImage(why)) => {
+                assert!(why.contains(&format!("version {version}")), "{why}")
+            }
+            other => panic!("a v{version} image must be refused as BadImage, got {other:?}"),
+        }
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nvr_inspect"))
+            .args(["verify", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "v{version}: {out:?}");
     }
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_nvr_inspect"))
-        .args(["verify", path.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
 }

@@ -103,7 +103,7 @@ fn rot_line(img: &mut [u8], line: usize, rng: &mut util::SplitMix) {
 fn offline_readers(img: &[u8], ctx: &str) -> verify::VerifyReport {
     catch_unwind(AssertUnwindSafe(|| {
         let _ = inspect::inspect_bytes(img).map(|r| r.to_string());
-        let _ = inspect::inspect_llalloc_bytes(img).map(|r| r.map(|r| r.to_string()));
+        let _ = inspect::inspect_llalloc_bytes(img).map(|r| r.to_string());
         verify::verify_bytes(img)
     }))
     .unwrap_or_else(|_| panic!("[{ctx}] an offline reader panicked"))

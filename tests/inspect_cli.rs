@@ -11,7 +11,7 @@
 use nvm_pi::nvmsim::alloc::AllocHeader;
 use nvm_pi::nvmsim::llalloc::LL_PAGE_MAGIC;
 use nvm_pi::nvmsim::region::RegionHeader;
-use nvm_pi::Region;
+use nvm_pi::{NvError, Region};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -130,16 +130,16 @@ const CONTRACT: [(&str, Row); 5] = [
             (2, None),
         ],
     ),
-    // Doc silent: a region that opens is 0 (a rotted bitmap degrades the
-    // open to the free lists, it does not fail it; a rotted frontier is
+    // Doc silent: a region that opens is 0 (a rotted frontier is
     // restored from the metadata slots); one that does not open, for
-    // whatever reason, is 1.
+    // whatever reason, is 1 — a rotted bitmap chain included, which the
+    // open refuses and only salvage opens.
     (
         "stats",
         [
             (0, None),
             (0, None),
-            (0, None),
+            (1, None),
             (0, None),
             (1, None),
             (1, None),
@@ -207,17 +207,20 @@ fn later_paths_are_still_examined_after_a_failing_one() {
 }
 
 #[test]
-fn alloc_on_a_region_without_a_bitmap_page_is_consistent() {
+fn a_region_without_room_for_a_bitmap_page_is_refused() {
     // 4 KiB holds the header and both metadata slots but leaves no room
-    // for a 4 KiB bitmap page: the region runs on the free lists alone,
-    // which the doc counts as consistent.
+    // for the allocator's first 4 KiB bitmap page: every region has one
+    // allocator, so such a region is refused, typed, and the file the
+    // attempt left is no region image to `alloc` either.
     let dir = tmpdir("small");
     let path = dir.join("small.nvr");
-    let r = Region::create_file(&path, 4096).unwrap();
-    assert!(!r.lockfree_enabled(), "no bitmap page fits");
-    r.close().unwrap();
+    assert!(RegionHeader::min_image_len() > 4096);
+    match Region::create_file(&path, 4096) {
+        Err(NvError::BadImage(why)) => assert!(why.contains("bitmap page"), "{why}"),
+        other => panic!("a 4 KiB region must be refused as BadImage, got {other:?}"),
+    }
     let out = nvr_inspect(&["alloc", path.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert_eq!(verdict(&out), None, "{out:?}");
     std::fs::remove_dir_all(&dir).ok();
 }

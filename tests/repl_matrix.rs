@@ -21,10 +21,10 @@
 //! shared [`util::Matrix`] (`MATRIX_SEED`, `MATRIX_ARTIFACT_DIR`).
 
 use nvm_pi::nvmsim::repl::{self, Replicator, ReplicatorConfig};
-use nvm_pi::nvmsim::{metrics, shadow, verify};
+use nvm_pi::nvmsim::{latency, metrics, shadow, verify};
 use nvm_pi::{
-    CrashPointReached, FaultPlan, FaultPolicy, NormalPtr, OffHolder, PBst, PHashSet, PList, PTrie,
-    Region, Riv,
+    CrashPointReached, FaultPlan, FaultPolicy, NormalPtr, ObjectStore, OffHolder, PBst, PHashSet,
+    PList, PTrie, Region, Riv,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use util::Op::{self, Insert, Remove};
@@ -296,6 +296,86 @@ fn repl_crash_mid_capture_is_atomic() {
         assert_eq!(r.epoch, 2, "cut at {cut} must drop epoch 3 entirely");
         assert!(r.tail_discarded || cut == last.offset);
     }
+}
+
+/// A block above 4 KiB is carved like any subtree: its descriptor and the
+/// frontier past it are tracked and fenced, so the delta of the committing
+/// transaction carries them. A transaction that allocates a 16 KiB object
+/// after the last sync and publishes it, then a crashed primary: the
+/// promoted replica must keep the object's bytes and serve neither its
+/// next 16 KiB object nor 65 class-sized blocks over it.
+#[test]
+fn repl_large_object_allocated_after_the_last_sync_survives_promotion() {
+    let _g = M.lock();
+    const OBJ: usize = 16 << 10;
+    let pattern = |i: usize| 0x4C41_5247_0000_0000 | i as u64;
+    let cell = M.cell("large-object");
+    let ctx = format!("large-object {}", M.tag());
+    let region = Region::create_file(cell.path("orig.nvr"), REGION_SIZE).unwrap();
+    let store = ObjectStore::format(&region).unwrap();
+    let anchor = store.alloc(1, 8).unwrap().as_ptr() as *mut u64;
+    // SAFETY: a fresh 8-byte object.
+    unsafe { anchor.write(0) };
+    region.set_root("anchor", anchor as usize).unwrap();
+    region.sync().unwrap();
+    region.enable_shadow().unwrap();
+    let repl = Replicator::attach(
+        &region,
+        cell.path("stream.nvd"),
+        ReplicatorConfig::default(),
+    )
+    .unwrap();
+    let primary_base = region.base();
+    let mut tx = store.begin();
+    let obj = tx.alloc(2, OBJ).unwrap().as_ptr() as *mut u64;
+    for i in 0..OBJ / 8 {
+        // SAFETY: inside the fresh 16 KiB object.
+        unsafe { obj.add(i).write(pattern(i)) };
+    }
+    shadow::track_store(obj as usize, OBJ);
+    latency::clflush_range(obj as usize, OBJ);
+    let obj_off = region.offset_of(obj as usize).unwrap();
+    // SAFETY: the anchor object is 8 bytes inside the store's region.
+    unsafe { tx.set(anchor, obj_off).unwrap() };
+    tx.commit();
+    drop(store);
+    region.crash();
+    repl.seal().unwrap();
+
+    let replica = repl::promote_avoiding(
+        cell.path("stream.nvd"),
+        cell.path("replica.nvr"),
+        primary_base,
+    )
+    .unwrap();
+    assert_ne!(replica.base(), primary_base, "[{ctx}] replica address");
+    let store = ObjectStore::attach(&replica).unwrap();
+    // SAFETY: the anchor root names an 8-byte object.
+    let published = unsafe { *(replica.root("anchor").unwrap() as *const u64) };
+    assert_eq!(published, obj_off, "[{ctx}] the commit reached the replica");
+    // The object and its 16-byte header: nothing may be served over them.
+    let (lo, hi) = (obj_off - 16, obj_off + OBJ as u64);
+    let mut fresh = vec![replica
+        .offset_of(store.alloc(2, OBJ).unwrap().as_ptr() as usize)
+        .unwrap()];
+    fresh.extend((0..65).map(|_| replica.alloc_off(64, 8).unwrap()));
+    for &off in &fresh {
+        assert!(
+            off + 64 <= lo || off >= hi,
+            "[{ctx}] block at {off:#x} served over the object [{lo:#x}, {hi:#x})"
+        );
+        // SAFETY: every fresh block is at least 64 bytes inside the replica.
+        unsafe { std::ptr::write_bytes(replica.ptr_at(off) as *mut u8, 0xEE, 64) };
+    }
+    let intact = (0..OBJ / 8)
+        // SAFETY: the object lies inside the replica.
+        .all(|i| unsafe { *(replica.ptr_at(obj_off + 8 * i as u64) as *const u64) } == pattern(i));
+    assert!(
+        intact,
+        "[{ctx}] the object's bytes survive promotion and reuse"
+    );
+    drop(store);
+    replica.close().unwrap();
 }
 
 /// A delta stream carries tracked, fenced lines — so the allocator

@@ -142,9 +142,9 @@ fn concurrent_churn_conserves_alloc_stats_and_never_double_serves() {
     // Four threads churn alloc/free cycles on one shared region across a
     // mix of size classes. Every live block is stamped with a unique tag;
     // if two threads were ever handed the same block (a double-serve from
-    // a bitmap or free list), the stamp check fails. At the end the
-    // user-visible statistics must balance exactly, and the process-wide
-    // call counters must have seen every call.
+    // a bitmap), the stamp check fails. At the end the user-visible
+    // statistics must balance exactly, and the process-wide call counters
+    // must have seen every call.
     const THREADS: usize = 4;
     const OPS: usize = 2_000;
     const SIZES: [usize; 5] = [16, 48, 128, 384, 1024];
@@ -223,113 +223,9 @@ fn concurrent_churn_conserves_alloc_stats_and_never_double_serves() {
 }
 
 #[test]
-fn crash_on_the_free_list_path_strands_nothing_and_recovers() {
-    let _serial = M.lock();
-    const THREADS: usize = 4;
-    let cell = M.cell("listcrash");
-    let path = cell.path("listcrash.nvr");
-    {
-        let region = Region::create_file(&path, 32 << 20).unwrap();
-        // The default lock-free bitmap path leaks zero blocks at a crash
-        // (see tests/alloc_recovery.rs). `NodeArena::scatter` runs its
-        // regions on the locked free lists instead; every free there is
-        // on the persistent list before `dealloc` returns, so a crash
-        // after a sync strands nothing either.
-        region.set_lockfree(false);
-        std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                s.spawn(|| {
-                    let ptrs: Vec<_> = (0..100).map(|_| region.alloc(64, 8).unwrap()).collect();
-                    for p in ptrs {
-                        unsafe { region.dealloc(p, 64) };
-                    }
-                });
-            }
-        });
-        // Make the free lists and their counters durable, then crash.
-        region.sync().unwrap();
-        region.crash();
-    }
-    let region = Region::open_file(&path).unwrap();
-    assert!(region.was_dirty(), "crash left the image dirty");
-    let s = region.stats();
-    assert_eq!(s.live_allocs, 0, "the crash stranded no block");
-    assert_eq!(s.live_bytes, 0);
-    // The recovered image is fully usable: allocate, free, close cleanly.
-    let p = region.alloc(64, 8).unwrap();
-    unsafe { region.dealloc(p, 64) };
-    region.close().unwrap();
-    let region = Region::open_file(&path).unwrap();
-    assert!(!region.was_dirty(), "clean close after recovery");
-    region.close().unwrap();
-}
-
-#[test]
-fn mode_switch_mid_run_routes_every_free_home() {
-    let _serial = M.lock();
-    const N: usize = 300;
-    const SIZES: [usize; 4] = [16, 64, 256, 1024];
-    let cell = M.cell("modeswitch");
-    let path = cell.path("modeswitch.nvr");
-    let region = Region::create_file(&path, 8 << 20).unwrap();
-    assert!(region.lockfree_enabled());
-    let before = snapshot();
-    let mut blocks: Vec<(std::ptr::NonNull<u8>, usize)> = Vec::new();
-    // First half from the bitmap core, second half from the free lists.
-    for lockfree in [true, false] {
-        region.set_lockfree(lockfree);
-        for i in 0..N {
-            let size = SIZES[i % SIZES.len()];
-            blocks.push((region.alloc(size, 8).unwrap(), size));
-        }
-    }
-    let s = region.stats();
-    assert_eq!(s.live_allocs, 2 * N as u64);
-    assert_eq!(
-        snapshot().delta(&before).get(Counter::RegionAllocs),
-        2 * N as u64
-    );
-    // Free everything in shuffled order, flipping the switch as we go:
-    // each block must find its own allocator whatever the mode says.
-    let mut rng = M.seed();
-    for i in (1..blocks.len()).rev() {
-        rng = util::splitmix64(rng);
-        blocks.swap(i, (rng as usize) % (i + 1));
-    }
-    for (i, (p, size)) in blocks.into_iter().enumerate() {
-        region.set_lockfree(i % 3 == 0);
-        unsafe { region.dealloc(p, size) };
-    }
-    let s = region.stats();
-    assert_eq!(s.live_allocs, 0, "every block went home");
-    assert_eq!(s.live_bytes, 0);
-    assert_eq!(
-        snapshot().delta(&before).get(Counter::RegionFrees),
-        2 * N as u64
-    );
-    let report = region.verify().unwrap();
-    assert!(report.healthy(), "{}", report.damage_summary());
-    let old_base = region.base();
-    region.close().unwrap();
-    let region = Region::open_file_avoiding(&path, old_base).unwrap();
-    assert_ne!(region.base(), old_base);
-    assert!(!region.was_dirty());
-    let s = region.stats();
-    assert_eq!(s.live_allocs, 0);
-    assert_eq!(s.live_bytes, 0);
-    region.close().unwrap();
-}
-
-#[test]
 fn fault_injected_crash_never_double_serves_blocks() {
-    let _serial = M.lock();
-    for lockfree in [true, false] {
-        fault_injected_crash_never_double_serves(lockfree);
-    }
-}
-
-fn fault_injected_crash_never_double_serves(lockfree: bool) {
     use nvm_pi::nvmsim::shadow;
+    let _serial = M.lock();
     const THREADS: usize = 4;
     const SIGNED: usize = 200;
     const BLOCK: usize = 64;
@@ -339,7 +235,6 @@ fn fault_injected_crash_never_double_serves(lockfree: bool) {
     let report;
     {
         let region = Region::create_file(&path, 32 << 20).unwrap();
-        region.set_lockfree(lockfree);
         // Long-lived signed blocks, made durable before the fault window
         // opens. Each is filled with a distinct byte pattern; any block
         // later double-served would smear it.
@@ -378,10 +273,7 @@ fn fault_injected_crash_never_double_serves(lockfree: bool) {
         "the unflushed churn writes must be dropped by the fault policy"
     );
     let region = Region::open_file(&path).unwrap();
-    assert!(
-        region.was_dirty(),
-        "lockfree={lockfree}: faulted crash left the image dirty"
-    );
+    assert!(region.was_dirty(), "faulted crash left the image dirty");
     let stamp = region.fault_stamp().expect("faulted image carries a stamp");
     assert_eq!(stamp.dropped_lines, report.dropped_lines);
     // Every signed block survived the faulted crash intact.
