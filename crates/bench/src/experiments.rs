@@ -97,8 +97,8 @@ pub fn tab1(cfg: &Config) -> Vec<Row> {
     rows
 }
 
-/// FIG13 — slowdowns of the transactional implementations (PMEM.IO-style
-/// wrapped objects), single region; traversal and random search.
+/// FIG13 — slowdowns of the transactional implementations (nodes placed
+/// through a `pstore` store), single region; traversal and random search.
 pub fn fig13(cfg: &Config) -> Vec<Row> {
     let kinds = [
         ReprKind::Normal,
@@ -956,7 +956,7 @@ mod block {
             // SAFETY: only `alloc` makes a block and `free` consumes it, so
             // `p` came from this region with this size and is freed once;
             // nothing keeps a reference into it.
-            unsafe { self.region.dealloc(p, self.size) };
+            unsafe { self.region.dealloc(p, self.size) }.expect("the block is this value's");
         }
     }
 }

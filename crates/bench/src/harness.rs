@@ -149,7 +149,7 @@ pub struct Env {
 
 impl Env {
     /// Creates `k` regions of `size` bytes; when `transactional`, each is
-    /// formatted with an object store and nodes are wrapped.
+    /// formatted with an object store and nodes are placed through it.
     ///
     /// # Panics
     ///

@@ -315,7 +315,7 @@ mod tests {
     fn free_then_alloc_reuses_block() {
         let r = Region::create(1 << 20).unwrap();
         let p1 = r.alloc(100, 8).unwrap();
-        unsafe { r.dealloc(p1, 100) };
+        unsafe { r.dealloc(p1, 100).unwrap() };
         assert_eq!(
             r.alloc(100, 8).unwrap(),
             p1,
@@ -328,7 +328,7 @@ mod tests {
     fn different_classes_do_not_mix() {
         let r = Region::create(1 << 20).unwrap();
         let small = r.alloc(16, 8).unwrap();
-        unsafe { r.dealloc(small, 16) };
+        unsafe { r.dealloc(small, 16).unwrap() };
         let big = r.alloc(1024, 8).unwrap();
         assert_ne!(small, big);
         r.close().unwrap();
@@ -338,11 +338,11 @@ mod tests {
     fn large_blocks_roundtrip() {
         let r = Region::create(1 << 20).unwrap();
         let o1 = r.alloc(10_000, 8).unwrap();
-        unsafe { r.dealloc(o1, 10_000) };
+        unsafe { r.dealloc(o1, 10_000).unwrap() };
         let o2 = r.alloc(9_500, 8).unwrap();
         assert_eq!(o1, o2, "first fit reuses the large block");
         // A much smaller request must not take the big block (waste cap).
-        unsafe { r.dealloc(o2, 10_000) };
+        unsafe { r.dealloc(o2, 10_000).unwrap() };
         let o3 = r.alloc(4200, 8).unwrap();
         assert_ne!(o3, o1);
         r.close().unwrap();
@@ -356,8 +356,8 @@ mod tests {
         let s = r.stats();
         assert_eq!((s.live_allocs, s.live_bytes), (2, 64 + 5120));
         unsafe {
-            r.dealloc(small, 64);
-            r.dealloc(large, 5000);
+            r.dealloc(small, 64).unwrap();
+            r.dealloc(large, 5000).unwrap();
         }
         let s = r.stats();
         assert_eq!((s.live_allocs, s.live_bytes), (0, 0));
@@ -383,7 +383,10 @@ mod tests {
             let r = Region::create_file(&path, 1 << 20).unwrap();
             let a = r.alloc_off(64, 8).unwrap();
             let b = r.alloc_off(64, 8).unwrap();
-            unsafe { r.dealloc(std::ptr::NonNull::new(r.ptr_at(a) as *mut u8).unwrap(), 64) };
+            unsafe {
+                r.dealloc(std::ptr::NonNull::new(r.ptr_at(a) as *mut u8).unwrap(), 64)
+                    .unwrap()
+            };
             let base = r.base();
             r.close().unwrap();
             (base, a, b)

@@ -66,6 +66,13 @@ pub enum NvError {
         /// The offending base address.
         base: usize,
     },
+    /// A free named no allocated block of its size: the block's bitmap
+    /// bit is already clear (a double free), or no block of that size
+    /// starts at the offset.
+    NotAllocated {
+        /// Region offset of the refused free.
+        off: u64,
+    },
     /// Underlying OS-level failure (mmap, msync, file I/O).
     Io(io::Error),
 }
@@ -94,6 +101,9 @@ impl fmt::Display for NvError {
             }
             NvError::RegionUnknown { base } => {
                 write!(f, "no open region mapped at {base:#x}")
+            }
+            NvError::NotAllocated { off } => {
+                write!(f, "no allocated block of that size at offset {off:#x}")
             }
             NvError::Io(e) => write!(f, "i/o error: {e}"),
         }
@@ -140,6 +150,7 @@ mod tests {
             NvError::RegionClosed { rid: 7 },
             NvError::ShadowNotEnabled { base: 0x7000_0000 },
             NvError::RegionUnknown { base: 0x7000_0000 },
+            NvError::NotAllocated { off: 0x4000 },
             NvError::Io(io::Error::other("boom")),
         ];
         for c in cases {

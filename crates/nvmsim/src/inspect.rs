@@ -362,7 +362,7 @@ mod tests {
             let r = Region::create_file(&path, 1 << 20).unwrap();
             let ptrs: Vec<_> = (0..10).map(|_| r.alloc(64, 8).unwrap()).collect();
             for p in &ptrs[..4] {
-                unsafe { r.dealloc(*p, 64) };
+                unsafe { r.dealloc(*p, 64).unwrap() };
             }
             r.close().unwrap();
         }

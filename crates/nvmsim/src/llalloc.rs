@@ -895,22 +895,25 @@ impl LlState {
         Reserve::Exhausted
     }
 
-    /// Routes a free back into its bitmap. Returns the block's class, or
-    /// `None` when no published span holds `off`.
-    pub(crate) fn free_block(&self, off: u64) -> Option<usize> {
-        let d = self.desc(self.subtree_of(off)?);
-        let class = d.class();
-        let delta = off.wrapping_sub(d.base());
-        let bs = d.block_size();
-        debug_assert!(
-            delta.is_multiple_of(bs),
-            "free of {off:#x} not on a block boundary"
-        );
-        let bit = (delta / bs) as u32;
-        debug_assert!(bit < d.capacity(), "free of {off:#x} beyond subtree span");
+    /// Routes a free of a `class` block back into its bitmap. `false`,
+    /// with nothing written, when `off` starts no allocated block of that
+    /// class: no published span holds it, the span serves another class,
+    /// `off` is not a block boundary, or the block's bit is already clear
+    /// (a double free — the bit is the one record of liveness).
+    pub(crate) fn free_block(&self, off: u64, class: usize) -> bool {
+        let Some(id) = self.subtree_of(off) else {
+            return false;
+        };
+        let d = self.desc(id);
+        let (delta, bs) = (off - d.base(), d.block_size());
+        let bit = delta / bs;
+        if d.class() != class || !delta.is_multiple_of(bs) || bit >= d.capacity() as u64 {
+            return false;
+        }
         let prev = d.bitmap().fetch_and(!(1u64 << bit), Ordering::AcqRel);
-        debug_assert!(prev & (1 << bit) != 0, "double free of block {off:#x}");
-        let _ = prev;
+        if prev & 1 << bit == 0 {
+            return false;
+        }
         // Durable-free before returning: the clear bit must hit media
         // before the application can durably reuse or republish the
         // space.
@@ -918,7 +921,7 @@ impl LlState {
         d.free().fetch_add(1, Ordering::Relaxed);
         // After the counter, so a scan that sees the new epoch sees it.
         self.free_epoch.epochs[class].fetch_add(1, Ordering::Release);
-        Some(class)
+        true
     }
 
     /// Grows one subtree of up to 64 blocks of `class`. The caller must
@@ -1206,7 +1209,7 @@ mod tests {
         }
         // Free half, reallocate, still distinct.
         for off in offs.drain(..100) {
-            assert_eq!(a.ll.free_block(off), Some(c));
+            assert!(a.ll.free_block(off, c));
         }
         for _ in 0..100 {
             offs.push(a.alloc(c));
@@ -1246,7 +1249,7 @@ mod tests {
         assert_eq!(a.ll.count(), 5);
         // One block left in the current (fifth) subtree; every older one
         // is full and stamped dry.
-        assert_eq!(a.ll.free_block(offs[3]), Some(c));
+        assert!(a.ll.free_block(offs[3], c));
         let last = a.alloc(c);
         assert!(last > offs[4 * BLOCKS_PER_SUBTREE], "current subtree first");
         assert_eq!(a.alloc(c), offs[3], "then the freed block, not a grow");
@@ -1264,7 +1267,7 @@ mod tests {
         assert_eq!(a.ll.alloc(c), None, "both subtrees full: stamped dry");
         // A free the stamp never hears of (epoch forced back): the
         // stamped scan misses the block, the rescan does not.
-        assert_eq!(a.ll.free_block(offs[1]), Some(c));
+        assert!(a.ll.free_block(offs[1], c));
         a.ll.free_epoch.epochs[c].store(0, Ordering::Relaxed);
         assert_eq!(a.ll.alloc(c), None, "false dry");
         assert_eq!(a.ll.alloc_rescan(c), Some(offs[1]));
@@ -1275,10 +1278,16 @@ mod tests {
         let mut a = Arena::new(1 << 16);
         let c = crate::alloc::class_for(256).unwrap();
         let off = a.alloc(c);
+        let other = a.alloc(c);
         // The region header area is never bitmap-owned.
-        assert_eq!(a.ll.free_block(8), None);
-        assert_eq!(a.ll.free_block(1 << 40), None, "past the granule map");
-        assert_eq!(a.ll.free_block(off), Some(c));
+        assert!(!a.ll.free_block(8, c));
+        assert!(!a.ll.free_block(1 << 40, c), "past the granule map");
+        assert!(!a.ll.free_block(off, c - 1), "another class");
+        assert!(!a.ll.free_block(off + 16, c), "not a block start");
+        assert!(a.ll.free_block(off, c));
+        assert!(!a.ll.free_block(off, c), "a double free is a clear bit");
+        assert_eq!(a.ll.live(), (1, 256), "and changes nothing");
+        assert!(a.ll.free_block(other, c));
     }
 
     #[test]
@@ -1297,7 +1306,7 @@ mod tests {
         assert_eq!(a.ll.occupancy()[LARGE].subtrees, 2);
         // A freed large block is reused only by a request it fits within
         // half: 4 200 B (5 120 B rounded) would waste more than half of it.
-        assert_eq!(a.ll.free_block(big), Some(LARGE));
+        assert!(a.ll.free_block(big, LARGE));
         let other = unsafe { a.ll.alloc_large(&mut a.hdr, 4200) }.unwrap();
         assert_ne!(other, big);
         assert_eq!(unsafe { a.ll.alloc_large(&mut a.hdr, 9500) }.unwrap(), big);
@@ -1307,8 +1316,8 @@ mod tests {
             unsafe { LlState::open(a.base(), a.mem.len(), a.mem.len(), instance, &mut a.hdr) }
                 .unwrap();
         assert_eq!(ll2.live(), (4, 64 + 5120 + 10240 + (64 << 10)));
-        assert_eq!(ll2.free_block(huge), Some(LARGE));
-        assert_eq!(ll2.free_block(small), Some(c));
+        assert!(ll2.free_block(huge, LARGE));
+        assert!(ll2.free_block(small, c));
         assert_eq!(ll2.live(), (2, 5120 + 10240));
     }
 
@@ -1318,7 +1327,7 @@ mod tests {
         let c = crate::alloc::class_for(64).unwrap();
         let offs: Vec<u64> = (0..4).map(|_| a.alloc(c)).collect();
         assert!(!a.ll.alloc_at(offs[2], 64), "allocated");
-        a.ll.free_block(offs[2]);
+        assert!(a.ll.free_block(offs[2], c));
         assert!(!a.ll.alloc_at(offs[2], 128), "another class");
         assert!(!a.ll.alloc_at(offs[2] + 16, 64), "not a block start");
         assert!(!a.ll.alloc_at(8, 64), "not bitmap-owned");
@@ -1333,7 +1342,7 @@ mod tests {
         let c = crate::alloc::class_for(128).unwrap();
         let offs: Vec<u64> = (0..77).map(|_| a.alloc(c)).collect();
         for &off in &offs[..7] {
-            a.ll.free_block(off);
+            assert!(a.ll.free_block(off, c));
         }
         // Simulated crash: rebuild volatile state from the media bytes.
         let instance = TEST_INSTANCE.fetch_add(1, Ordering::Relaxed);
@@ -1571,7 +1580,7 @@ mod tests {
                     for i in 0..OPS {
                         if i % 3 == 0 && !live.is_empty() {
                             let off = live.swap_remove((t + i) % live.len());
-                            assert_eq!(a.ll.free_block(off), Some(c));
+                            assert!(a.ll.free_block(off, c));
                         } else {
                             let off = a.ll.alloc(c).expect("pre-grown capacity");
                             // Stamp and verify: a double-served block
@@ -1588,7 +1597,7 @@ mod tests {
                         }
                     }
                     for off in live {
-                        a.ll.free_block(off);
+                        assert!(a.ll.free_block(off, c));
                     }
                 })
             })

@@ -914,32 +914,34 @@ impl Region {
         Ok(claimed)
     }
 
-    /// Returns a block to the allocator: its bitmap bit is cleared with
-    /// one CAS, flushed and fenced before return.
+    /// Returns the `size`-byte block at `ptr` to the allocator: its bitmap
+    /// bit is cleared with one atomic update, flushed and fenced before
+    /// return. The bit is the one record of the block's liveness, so a
+    /// free it cannot answer for changes nothing and is refused.
+    ///
+    /// # Errors
+    ///
+    /// [`NvError::NotAllocated`] when no allocated block of `size`'s class
+    /// starts at `ptr`: a double free (the bit is already clear), an
+    /// address inside a block or outside every span, or the size of
+    /// another class. A salvaged session whose chain did not verify owns
+    /// no span and refuses every free.
     ///
     /// # Safety
     ///
-    /// `ptr` must come from [`Region::alloc`] on this region with the same
-    /// `size`, must not have been freed already, and no live references into
-    /// the block may remain.
-    pub unsafe fn dealloc(&self, ptr: NonNull<u8>, size: usize) {
-        // One uninterruptible scheduling step, like `alloc_off`.
-        crate::sched::with_yields_suppressed(|| self.dealloc_inner(ptr, size))
-    }
-
-    /// # Safety
-    ///
-    /// As [`Region::dealloc`].
-    unsafe fn dealloc_inner(&self, ptr: NonNull<u8>, size: usize) {
+    /// No live references into the block may remain, and the block must
+    /// be the caller's to free: a block freed and served again since the
+    /// caller's own allocation is someone else's, and its bit is set.
+    pub unsafe fn dealloc(&self, ptr: NonNull<u8>, size: usize) -> Result<()> {
         crate::metrics::incr(crate::metrics::Counter::RegionFrees);
-        let off = (ptr.as_ptr() as usize - self.inner.base) as u64;
-        // Routed by the granule map. Only a salvaged session whose chain
-        // did not verify owns no span, and it frees nothing.
-        let freed = self.inner.ll.free_block(off);
-        debug_assert!(
-            freed.is_none_or(|class| class == class_for(size).unwrap_or(LARGE)),
-            "free of {off:#x} with the size of another class"
-        );
+        let off = (ptr.as_ptr() as usize).wrapping_sub(self.inner.base) as u64;
+        let class = class_for(size).unwrap_or(LARGE);
+        // One uninterruptible scheduling step, like `alloc_off`.
+        if crate::sched::with_yields_suppressed(|| self.inner.ll.free_block(off, class)) {
+            Ok(())
+        } else {
+            Err(NvError::NotAllocated { off })
+        }
     }
 
     /// Converts an absolute address inside this region to its offset.
@@ -1726,9 +1728,32 @@ mod tests {
     fn dealloc_recycles_memory() {
         let r = Region::create(1 << 20).unwrap();
         let p1 = r.alloc(256, 8).unwrap();
-        unsafe { r.dealloc(p1, 256) };
+        unsafe { r.dealloc(p1, 256).unwrap() };
         let p2 = r.alloc(256, 8).unwrap();
         assert_eq!(p1, p2);
+        r.close().unwrap();
+    }
+
+    #[test]
+    fn a_free_the_bitmap_cannot_answer_for_is_refused() {
+        let r = Region::create(1 << 20).unwrap();
+        let small = r.alloc(56, 16).unwrap();
+        let large = r.alloc(9000, 16).unwrap();
+        let inside = NonNull::new(small.as_ptr().wrapping_add(16)).unwrap();
+        let refused = |res: Result<()>| matches!(res, Err(NvError::NotAllocated { .. }));
+        unsafe {
+            assert!(refused(r.dealloc(small, 128)), "the size of another class");
+            assert!(refused(r.dealloc(inside, 56)), "inside a block");
+            assert!(
+                refused(r.dealloc(large, 64)),
+                "a large block as a small one"
+            );
+            r.dealloc(small, 56).unwrap();
+            r.dealloc(large, 9000).unwrap();
+            assert!(refused(r.dealloc(small, 56)), "double free");
+            assert!(refused(r.dealloc(large, 9000)), "double free");
+        }
+        assert_eq!(r.stats().live_allocs, 0);
         r.close().unwrap();
     }
 
@@ -1744,7 +1769,7 @@ mod tests {
                 .map(|&size| (r.alloc(size, 8).unwrap(), size))
                 .collect();
             for (p, size) in ptrs {
-                unsafe { r.dealloc(p, size) };
+                unsafe { r.dealloc(p, size).unwrap() };
             }
             let s = r.stats();
             assert_eq!((s.live_allocs, s.live_bytes), (0, 0), "all freed");

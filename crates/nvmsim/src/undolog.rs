@@ -8,7 +8,7 @@
 //! formats live here, below all three.
 //!
 //! ```text
-//! root "pstore.meta" → { magic "PSTOREV3", log_off, log_cap }   3 × u64
+//! root "pstore.meta" → { magic "PSTOREV4", log_off, log_cap }   3 × u64
 //!
 //! log area  [log_off, log_off + log_cap)
 //! +------------+-------+---------------------------------------+
@@ -35,11 +35,13 @@
 use crate::crc::crc64_update;
 use crate::read_u64;
 
-/// The `pstore` store magic. `PSTOREV3`: a v1 log kept a persistent
-/// `used` word where the generation now lives, and a v2 block kept two
-/// object-list words where the log geometry now lives, so either image
-/// must read as not formatted rather than be misparsed.
-pub const STORE_MAGIC: u64 = u64::from_le_bytes(*b"PSTOREV3");
+/// The `pstore` store magic. `PSTOREV4`: a v1 log kept a persistent
+/// `used` word where the generation now lives, a v2 block kept two
+/// object-list words where the log geometry now lives, and a v3 store put
+/// a 16-byte header in front of every object, so its published pointers
+/// name the byte after a block's start; each must read as not formatted
+/// rather than be misparsed.
+pub const STORE_MAGIC: u64 = u64::from_le_bytes(*b"PSTOREV4");
 /// The region root naming a store's metadata block.
 pub const STORE_ROOT: &str = "pstore.meta";
 /// Byte overhead of the log-area header (`generation` + padding).

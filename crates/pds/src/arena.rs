@@ -3,10 +3,11 @@
 //! The paper's evaluation varies two placement dimensions independently of
 //! the pointer representation:
 //!
-//! * **transactionality** — nodes come either straight from the region
-//!   allocator ("non-transactional", Section 6.2) or from a
-//!   [`pstore::ObjectStore`] where each node is wrapped with PMEM.IO-style
-//!   metadata ("transactional", Section 6.3);
+//! * **transactionality** — the structure is updated either in place
+//!   ("non-transactional", Section 6.2) or through a
+//!   [`pstore::ObjectStore`]'s undo-logged transactions ("transactional",
+//!   Section 6.3). Either way a node is one region block: a store object
+//!   carries no metadata of its own;
 //! * **region spread** — all nodes in one NVRegion, or placed round-robin
 //!   across `k` regions (the multi-region experiments of Figure 14).
 //!
@@ -20,9 +21,6 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Object-store type number used for data-structure nodes.
-pub const NODE_TYPE: u32 = 0x4e4f4445; // "NODE"
-
 /// Tracks and flushes `[addr, addr + len)`: the store half of the
 /// flush-on-write discipline the transactional structure operations
 /// follow. The write becomes durable at the next `wbarrier` (a log
@@ -31,15 +29,6 @@ pub const NODE_TYPE: u32 = 0x4e4f4445; // "NODE"
 pub fn persist_range(addr: usize, len: usize) {
     nvmsim::shadow::track_store(addr, len);
     nvmsim::latency::clflush_range(addr, len);
-}
-
-#[derive(Debug)]
-enum Backend {
-    /// Direct region allocation (non-transactional configuration).
-    Raw(Vec<Region>),
-    /// Wrapped allocation through object stores (transactional
-    /// configuration); one store per region.
-    Stores(Vec<ObjectStore>),
 }
 
 /// Free blocks [`NodeArena::scatter`] left behind, in the order `alloc`
@@ -62,7 +51,10 @@ const QUEUE_UNIT: u64 = nvmsim::alloc::MIN_ALIGN as u64;
 /// Allocation source for data-structure nodes. See the module docs.
 #[derive(Debug)]
 pub struct NodeArena {
-    backend: Backend,
+    /// The regions nodes are placed in, home region first.
+    regions: Vec<Region>,
+    /// Whether the structure is updated through a store's transactions.
+    transactional: bool,
     next: AtomicUsize,
     /// Blocks still queued in `scattered`: the one relaxed load an arena
     /// that never scattered pays per allocation. It publishes nothing —
@@ -75,9 +67,11 @@ pub struct NodeArena {
 }
 
 impl NodeArena {
-    fn new(backend: Backend) -> NodeArena {
+    fn new(regions: Vec<Region>, transactional: bool) -> NodeArena {
+        assert!(!regions.is_empty(), "at least one region required");
         NodeArena {
-            backend,
+            regions,
+            transactional,
             next: AtomicUsize::new(0),
             queued: AtomicUsize::new(0),
             scattered: Mutex::default(),
@@ -86,7 +80,7 @@ impl NodeArena {
 
     /// Non-transactional placement in a single region.
     pub fn raw(region: Region) -> NodeArena {
-        Self::new(Backend::Raw(vec![region]))
+        Self::new(vec![region], false)
     }
 
     /// Non-transactional placement round-robin across `regions`.
@@ -95,52 +89,42 @@ impl NodeArena {
     ///
     /// Panics if `regions` is empty.
     pub fn raw_round_robin(regions: Vec<Region>) -> NodeArena {
-        assert!(!regions.is_empty(), "at least one region required");
-        Self::new(Backend::Raw(regions))
+        Self::new(regions, false)
     }
 
-    /// Transactional placement in a single store.
+    /// Transactional placement in a single store's region.
     pub fn transactional(store: ObjectStore) -> NodeArena {
-        Self::new(Backend::Stores(vec![store]))
+        Self::transactional_round_robin(vec![store])
     }
 
-    /// Transactional placement round-robin across `stores`.
+    /// Transactional placement round-robin across the regions of
+    /// `stores`.
     ///
     /// # Panics
     ///
     /// Panics if `stores` is empty.
     pub fn transactional_round_robin(stores: Vec<ObjectStore>) -> NodeArena {
-        assert!(!stores.is_empty(), "at least one store required");
-        Self::new(Backend::Stores(stores))
+        Self::new(stores.iter().map(|s| s.region().clone()).collect(), true)
     }
 
     /// Number of regions nodes are spread over.
     pub fn fan_out(&self) -> usize {
-        match &self.backend {
-            Backend::Raw(r) => r.len(),
-            Backend::Stores(s) => s.len(),
-        }
+        self.regions.len()
     }
 
-    /// Whether nodes are wrapped through the transactional store.
+    /// Whether the structure is updated through a store's transactions.
     pub fn is_transactional(&self) -> bool {
-        matches!(self.backend, Backend::Stores(_))
+        self.transactional
     }
 
     /// The region that holds structure headers (the first one).
     pub fn home_region(&self) -> &Region {
-        match &self.backend {
-            Backend::Raw(r) => &r[0],
-            Backend::Stores(s) => s[0].region(),
-        }
+        &self.regions[0]
     }
 
     /// All regions in placement order.
     pub fn regions(&self) -> Vec<Region> {
-        match &self.backend {
-            Backend::Raw(r) => r.clone(),
-            Backend::Stores(s) => s.iter().map(|st| st.region().clone()).collect(),
-        }
+        self.regions.clone()
     }
 
     /// Allocates `size` bytes for a node, rotating over the configured
@@ -149,31 +133,28 @@ impl NodeArena {
     ///
     /// # Errors
     ///
-    /// Allocation failures from the region allocator or store.
+    /// Allocation failures from the region allocator.
     pub fn alloc(&self, size: usize) -> Result<NonNull<u8>> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        let r = self.next.fetch_add(1, Ordering::Relaxed) % self.regions.len();
         if self.queued.load(Ordering::Relaxed) != 0 {
-            if let Some(p) = self.claim_scattered(i, size)? {
+            if let Some(p) = self.claim_scattered(r, size)? {
                 return Ok(p);
             }
         }
-        match &self.backend {
-            Backend::Raw(regions) => Ok(regions[i % regions.len()].alloc(size, 16)?),
-            Backend::Stores(stores) => Ok(stores[i % stores.len()].alloc(NODE_TYPE, size)?),
-        }
+        Ok(self.regions[r].alloc(size, 16)?)
     }
 
-    /// Claims the next queued block of region `i % fan_out` for a node of
-    /// `size` bytes. `None` when none is queued for it, or when the block
-    /// was taken by another allocation since `scatter` freed it.
-    fn claim_scattered(&self, i: usize, size: usize) -> Result<Option<NonNull<u8>>> {
+    /// Claims the next queued block of region `r` for a node of `size`
+    /// bytes. `None` when none is queued for it, or when the block was
+    /// taken by another allocation since `scatter` freed it.
+    fn claim_scattered(&self, r: usize, size: usize) -> Result<Option<NonNull<u8>>> {
         let off = {
             let mut s = self.scattered.lock().unwrap_or_else(|e| e.into_inner());
             if s.size != size {
                 return Ok(None);
             }
-            let n = s.queues.len();
-            let queue = &mut s.queues[i % n];
+            // `scatter` queues every region, so a matching size has `r`'s.
+            let queue = &mut s.queues[r];
             let Some(unit) = queue.pop() else {
                 return Ok(None);
             };
@@ -183,15 +164,10 @@ impl NodeArena {
             unit as u64 * QUEUE_UNIT
         };
         self.queued.fetch_sub(1, Ordering::Relaxed);
-        Ok(match &self.backend {
-            Backend::Raw(regions) => {
-                let region = &regions[i % regions.len()];
-                region.alloc_at(off, size)?.then(|| {
-                    NonNull::new(region.ptr_at(off) as *mut u8).expect("inside the region")
-                })
-            }
-            Backend::Stores(stores) => stores[i % stores.len()].alloc_at(off, NODE_TYPE, size)?,
-        })
+        let region = &self.regions[r];
+        Ok(region
+            .alloc_at(off, size)?
+            .then(|| NonNull::new(region.ptr_at(off) as *mut u8).expect("inside the region")))
     }
 
     /// Allocates in the *home* region specifically (used for headers and
@@ -201,10 +177,7 @@ impl NodeArena {
     ///
     /// As [`NodeArena::alloc`].
     pub fn alloc_home(&self, size: usize) -> Result<NonNull<u8>> {
-        match &self.backend {
-            Backend::Raw(regions) => Ok(regions[0].alloc(size, 16)?),
-            Backend::Stores(stores) => Ok(stores[0].alloc(NODE_TYPE, size)?),
-        }
+        Ok(self.regions[0].alloc(size, 16)?)
     }
 
     /// Pre-scatters the placement of the next ~`count` allocations of
@@ -227,27 +200,21 @@ impl NodeArena {
     ///
     /// Allocation failures.
     pub fn scatter(&self, count: usize, node_size: usize, seed: u64) -> Result<()> {
-        let regions = self.regions();
-        let effective = if self.is_transactional() {
-            pstore::ObjHeader::footprint(node_size)
-        } else {
-            node_size
-        };
-        let per_region = count.div_ceil(regions.len());
+        let per_region = count.div_ceil(self.regions.len());
         let mut rng = seed | 1;
-        let mut queues = Vec::with_capacity(regions.len());
-        for region in &regions {
+        let mut queues = Vec::with_capacity(self.regions.len());
+        for region in &self.regions {
             let free = |off: u64| {
                 let b = NonNull::new(region.ptr_at(off) as *mut u8).expect("inside the region");
                 // SAFETY: each block came from this region's alloc with
                 // the same size and is freed exactly once.
-                unsafe { region.dealloc(b, effective) };
+                unsafe { region.dealloc(b, node_size) }
             };
             let mut blocks: Vec<u32> = Vec::with_capacity(per_region);
             for _ in 0..per_region {
-                let off = region.alloc_off(effective, 16)?;
+                let off = region.alloc_off(node_size, 16)?;
                 let Ok(unit) = u32::try_from(off / QUEUE_UNIT) else {
-                    free(off);
+                    free(off)?;
                     break;
                 };
                 blocks.push(unit);
@@ -260,7 +227,7 @@ impl NodeArena {
                 blocks.swap(i, (rng as usize) % (i + 1));
             }
             for &unit in &blocks {
-                free(unit as u64 * QUEUE_UNIT);
+                free(unit as u64 * QUEUE_UNIT)?;
             }
             queues.push(blocks);
         }
@@ -311,18 +278,22 @@ mod tests {
     }
 
     #[test]
-    fn transactional_allocations_are_wrapped() {
+    fn transactional_allocations_are_bare_blocks() {
         let r = Region::create(1 << 20).unwrap();
         let store = ObjectStore::format(&r).unwrap();
         let arena = NodeArena::transactional(store.clone());
         assert!(arena.is_transactional());
-        let before = r.stats().live_allocs;
-        let p = arena.alloc(32).unwrap().as_ptr() as usize;
-        assert_eq!(r.stats().live_allocs, before + 1);
-        // SAFETY: every store payload follows its header.
-        let hdr = unsafe { &*((p - pstore::OBJ_HEADER_SIZE) as *const pstore::ObjHeader) };
-        assert!(hdr.is_live());
-        assert_eq!((hdr.type_num, hdr.size), (NODE_TYPE, 32));
+        let before = r.stats();
+        let p = arena.alloc(56).unwrap();
+        let after = r.stats();
+        assert_eq!(after.live_allocs, before.live_allocs + 1);
+        assert_eq!(
+            after.live_bytes,
+            before.live_bytes + 64,
+            "a 56 B node, a 64 B block"
+        );
+        // SAFETY: the node was never published.
+        unsafe { r.dealloc(p, 56).unwrap() };
         r.close().unwrap();
     }
 

@@ -39,7 +39,7 @@
 //! byte 0 is the in-tree terminator branch that separates a key from its
 //! extensions ("car" vs "cart").
 
-use crate::arena::{persist_range, NodeArena, NODE_TYPE};
+use crate::arena::{persist_range, NodeArena};
 use crate::error::{PdsError, Result};
 use pi_core::PtrRepr;
 use pstore::{ObjectStore, Tx};
@@ -226,7 +226,7 @@ struct TxCtx<'a, 's> {
 
 impl Ctx for TxCtx<'_, '_> {
     fn alloc(&mut self, _arena: &NodeArena, size: usize) -> Result<*mut u8> {
-        Ok(self.tx.alloc(NODE_TYPE, size)?.as_ptr())
+        Ok(self.tx.alloc(0, size)?.as_ptr())
     }
     fn log(&mut self, addr: usize, len: usize) -> Result<()> {
         Ok(self.tx.log_range(addr, len)?)

@@ -5,7 +5,7 @@
 //! tree populated with random keys (expected O(log n) depth), which is
 //! also the shape `wordcount` uses in Section 6.3.
 
-use crate::arena::{persist_range, NodeArena, NODE_TYPE};
+use crate::arena::{persist_range, NodeArena};
 use crate::error::{PdsError, Result};
 use crate::list::fill_payload;
 use pi_core::{PtrRepr, SwizzledPtr};
@@ -333,9 +333,8 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
             let len_addr = std::ptr::addr_of_mut!((*self.header).len);
             tx.log_range(slot as usize, std::mem::size_of::<R>())?;
             tx.log_range(len_addr as usize, 8)?;
-            let node = tx
-                .alloc(NODE_TYPE, std::mem::size_of::<BstNode<R, P>>())?
-                .as_ptr() as *mut BstNode<R, P>;
+            let node =
+                tx.alloc(0, std::mem::size_of::<BstNode<R, P>>())?.as_ptr() as *mut BstNode<R, P>;
             tx.barrier();
             (*node).left = R::null();
             (*node).right = R::null();

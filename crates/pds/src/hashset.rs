@@ -29,7 +29,7 @@
 //! deliberately not `Sync`); [`PHashSet::recover`] prunes marked nodes and
 //! recomputes the length after a crash.
 
-use crate::arena::{persist_range, NodeArena, NODE_TYPE};
+use crate::arena::{persist_range, NodeArena};
 use crate::error::{PdsError, Result};
 use crate::list::fill_payload;
 use nvmsim::metrics::{self, Counter};
@@ -311,9 +311,8 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
             let len_addr = std::ptr::addr_of_mut!((*self.header).len);
             tx.log_range(slot as usize, std::mem::size_of::<R>())?;
             tx.log_range(len_addr as usize, 8)?;
-            let node = tx
-                .alloc(NODE_TYPE, std::mem::size_of::<HsNode<R, P>>())?
-                .as_ptr() as *mut HsNode<R, P>;
+            let node =
+                tx.alloc(0, std::mem::size_of::<HsNode<R, P>>())?.as_ptr() as *mut HsNode<R, P>;
             tx.barrier();
             (*node).next = R::null();
             (*node).key = key;
@@ -514,7 +513,9 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
         let size = std::mem::size_of::<HsNode<R, P>>();
         for region in self.arena.regions() {
             if region.contains(node as usize) {
-                region.dealloc(std::ptr::NonNull::new_unchecked(node as *mut u8), size);
+                region
+                    .dealloc(std::ptr::NonNull::new_unchecked(node as *mut u8), size)
+                    .expect("a spare node is an allocated block");
                 return;
             }
         }

@@ -40,7 +40,7 @@ pub mod list;
 pub mod trie;
 pub mod wordcount;
 
-pub use arena::{NodeArena, NODE_TYPE};
+pub use arena::NodeArena;
 pub use art::{inspect_index, ArtIndexReport, PArt, ART_KIND_NAMES, ART_ROOT_TAG, MAX_KEY};
 pub use bst::{BstNode, PBst, BST_ROOT_TAG};
 pub use error::{PdsError, Result};

@@ -9,7 +9,7 @@
 //! whole structure is recoverable after the region is reopened at a
 //! different address — for every position-independent representation.
 
-use crate::arena::{persist_range, NodeArena, NODE_TYPE};
+use crate::arena::{persist_range, NodeArena};
 use crate::error::{PdsError, Result};
 use pi_core::{PtrRepr, SwizzledPtr};
 use pstore::ObjectStore;
@@ -250,9 +250,8 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
         unsafe {
             // The header is the whole batch, fenced before the first store.
             tx.log_range(self.header as usize, std::mem::size_of::<ListHeader<R>>())?;
-            let node = tx
-                .alloc(NODE_TYPE, std::mem::size_of::<ListNode<R, P>>())?
-                .as_ptr() as *mut ListNode<R, P>;
+            let node =
+                tx.alloc(0, std::mem::size_of::<ListNode<R, P>>())?.as_ptr() as *mut ListNode<R, P>;
             tx.barrier();
             (*node).key = key;
             (*node).payload = fill_payload::<P>(key);

@@ -10,7 +10,7 @@
 //! same fixed payload as the other structures so per-node footprints are
 //! comparable.
 
-use crate::arena::{persist_range, NodeArena, NODE_TYPE};
+use crate::arena::{persist_range, NodeArena};
 use crate::error::{PdsError, Result};
 use pi_core::{PtrRepr, SwizzledPtr};
 use pstore::ObjectStore;
@@ -78,9 +78,7 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     /// A zeroed node allocated inside `tx`; unreachable (and not counted
     /// in the header) until the caller publishes it.
     unsafe fn fresh_node_tx(&self, tx: &mut pstore::Tx<'_>) -> Result<*mut TrieNode<R, P>> {
-        let n = tx
-            .alloc(NODE_TYPE, std::mem::size_of::<TrieNode<R, P>>())?
-            .as_ptr() as *mut TrieNode<R, P>;
+        let n = tx.alloc(0, std::mem::size_of::<TrieNode<R, P>>())?.as_ptr() as *mut TrieNode<R, P>;
         for j in 0..ALPHABET {
             (*n).children[j] = R::null();
         }

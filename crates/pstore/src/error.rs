@@ -21,11 +21,6 @@ pub enum StoreError {
         /// Size of the entry that did not fit.
         requested: u64,
     },
-    /// The address is not a live object allocated by this store.
-    NotAnObject {
-        /// The offending address.
-        addr: usize,
-    },
     /// Substrate-level failure.
     Nv(NvError),
 }
@@ -43,9 +38,6 @@ impl fmt::Display for StoreError {
                     f,
                     "undo log full (capacity {capacity}, entry of {requested} bytes)"
                 )
-            }
-            StoreError::NotAnObject { addr } => {
-                write!(f, "address {addr:#x} is not a live store object")
             }
             StoreError::Nv(e) => write!(f, "nvm error: {e}"),
         }
@@ -84,8 +76,5 @@ mod tests {
         assert!(e.source().is_some());
         assert!(!StoreError::NotFormatted.to_string().is_empty());
         assert!(!StoreError::AlreadyFormatted.to_string().is_empty());
-        assert!(StoreError::NotAnObject { addr: 16 }
-            .to_string()
-            .contains("0x10"));
     }
 }

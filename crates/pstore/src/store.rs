@@ -2,10 +2,10 @@
 //!
 //! [`ObjectStore`] layers PMEM.IO-style facilities over one NVRegion:
 //!
-//! * **wrapped allocation** — every object carries a 16-byte
-//!   [`crate::object::ObjHeader`] with its type number and size; which
-//!   blocks are live is the region allocator's record alone (find objects
-//!   again through named region roots);
+//! * **allocation** — an object is its region block and nothing else: the
+//!   block's bitmap bit is the one record that it is live, its size class
+//!   is the descriptor's, and the payload starts at the block (find
+//!   objects again through named region roots);
 //! * **transactions** — undo-logged mutations with commit/abort
 //!   ([`crate::Tx`]);
 //! * **recovery** — attaching to a region that was not cleanly closed
@@ -18,7 +18,6 @@
 
 use crate::error::{Result, StoreError};
 use crate::log::{RecoveryStats, UndoLog};
-use crate::object::{header_off, ObjHeader, OBJ_HEADER_SIZE};
 use crate::tx::Tx;
 use nvmsim::region::RegionHeader;
 use nvmsim::undolog::{StoreMeta, STORE_MAGIC, STORE_ROOT};
@@ -144,90 +143,17 @@ impl ObjectStore {
         &self.log
     }
 
-    /// Allocates a wrapped object of `size` payload bytes with the given
-    /// type number; its header is durable on return. Returns the payload
-    /// address.
+    /// Allocates an object of `size` bytes and returns its address: one
+    /// region block, whose allocated bit is durable on return
+    /// ([`Region::alloc`]). `_type_num` is PMEM.IO's type number; nothing
+    /// records it. Free the object with [`Region::dealloc`] and the same
+    /// size.
     ///
     /// # Errors
     ///
     /// Allocation failures from the region allocator.
-    pub fn alloc(&self, type_num: u32, size: usize) -> Result<NonNull<u8>> {
-        let payload = self.new_object(type_num, size)?;
-        latency::wbarrier();
-        Ok(payload)
-    }
-
-    /// [`ObjectStore::alloc`] into exactly the free block at region offset
-    /// `off` (see [`Region::alloc_at`]). `None` when that block is not a
-    /// free block of this object's footprint.
-    ///
-    /// # Errors
-    ///
-    /// [`NvError::RegionClosed`] after the region closed.
-    pub fn alloc_at(&self, off: u64, type_num: u32, size: usize) -> Result<Option<NonNull<u8>>> {
-        if !self.region.alloc_at(off, ObjHeader::footprint(size))? {
-            return Ok(None);
-        }
-        let payload = self.init_object(off, type_num, size);
-        latency::wbarrier();
-        Ok(Some(payload))
-    }
-
-    /// Allocates a block and writes, tracks and flushes its header, not
-    /// fenced: [`ObjectStore::alloc`] fences, or a commit fence covers it.
-    pub(crate) fn new_object(&self, type_num: u32, size: usize) -> Result<NonNull<u8>> {
-        let off = self.region.alloc_off(ObjHeader::footprint(size), 16)?;
-        Ok(self.init_object(off, type_num, size))
-    }
-
-    /// Writes, tracks and flushes the header of the object whose block,
-    /// just allocated, starts at `off`; returns its payload address.
-    fn init_object(&self, off: u64, type_num: u32, size: usize) -> NonNull<u8> {
-        let hdr = self.region.ptr_at(off);
-        // SAFETY: freshly allocated, exclusively owned block in the region.
-        unsafe { (*(hdr as *mut ObjHeader)).init(type_num, size as u64) };
-        shadow::track_store(hdr, OBJ_HEADER_SIZE);
-        latency::clflush_range(hdr, OBJ_HEADER_SIZE);
-        // SAFETY: nonzero address inside the region.
-        unsafe { NonNull::new_unchecked((hdr + OBJ_HEADER_SIZE) as *mut u8) }
-    }
-
-    /// Frees a wrapped object by its payload address.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotAnObject`] if `payload` was not allocated (live)
-    /// by this store.
-    ///
-    /// # Safety
-    ///
-    /// No live references into the object may remain, and no other
-    /// thread may free it concurrently.
-    pub unsafe fn free(&self, payload: NonNull<u8>) -> Result<()> {
-        let pay_off = self
-            .region
-            .offset_of(payload.as_ptr() as usize)
-            .map_err(StoreError::Nv)?;
-        let not_an_object = StoreError::NotAnObject {
-            addr: payload.as_ptr() as usize,
-        };
-        if pay_off < OBJ_HEADER_SIZE as u64 {
-            return Err(not_an_object);
-        }
-        let hdr = self.region.ptr_at(header_off(pay_off)) as *mut ObjHeader;
-        if !(*hdr).is_live() {
-            return Err(not_an_object);
-        }
-        let size = (*hdr).size as usize;
-        (*hdr).clear();
-        shadow::track_store(hdr as usize, OBJ_HEADER_SIZE);
-        latency::clflush_range(hdr as usize, OBJ_HEADER_SIZE);
-        latency::wbarrier();
-        self.region.dealloc(
-            NonNull::new_unchecked(hdr as *mut u8),
-            ObjHeader::footprint(size),
-        );
-        Ok(())
+    pub fn alloc(&self, _type_num: u32, size: usize) -> Result<NonNull<u8>> {
+        Ok(self.region.alloc(size, 16)?)
     }
 
     /// Begins a transaction. Only one transaction may be active per store
@@ -293,11 +219,15 @@ mod tests {
     fn v1_image_reads_as_not_formatted() {
         // A v1 store kept a persistent `used` word where the generation
         // now lives; a v2 block held the object-list words `obj_head` and
-        // `obj_count` where the log geometry now lives. Neither may be
-        // misread as a v3 store.
-        let v1 = u64::from_le_bytes(*b"PSTOREV1");
-        let v2 = u64::from_le_bytes(*b"PSTOREV2");
-        for block in [&[v1][..], &[v2, 0, 0, 1 << 16, 256][..]] {
+        // `obj_count` where the log geometry now lives; a v3 store's
+        // objects start 16 bytes into their blocks. None may be misread
+        // as a v4 store.
+        let magic = |v: &[u8; 8]| u64::from_le_bytes(*v);
+        for block in [
+            &[magic(b"PSTOREV1")][..],
+            &[magic(b"PSTOREV2"), 0, 0, 1 << 16, 256][..],
+            &[magic(b"PSTOREV3"), 1 << 16, 256][..],
+        ] {
             let region = Region::create(1 << 20).unwrap();
             let meta_off = region.alloc_off(40, 16).unwrap();
             put_words(&region, meta_off, block);
@@ -340,17 +270,34 @@ mod tests {
         let s = ObjectStore::format(&region).unwrap();
         let a = s.alloc(1, 32).unwrap();
         let b = s.alloc(1, 32).unwrap();
-        unsafe { s.free(a).unwrap() };
+        unsafe { region.dealloc(a, 32).unwrap() };
         assert_eq!(live(&region), 3);
         assert_ne!(a, b);
-        // Double free is rejected (header no longer live).
+        // A double free is a clear bit, refused without touching it.
         assert!(matches!(
-            unsafe { s.free(a) },
-            Err(StoreError::NotAnObject { .. })
+            unsafe { region.dealloc(a, 32) },
+            Err(NvError::NotAllocated { .. })
         ));
+        assert_eq!(live(&region), 3);
         // The block is recycled for an equal-size object.
         let c = s.alloc(1, 32).unwrap();
         assert_eq!(c, a);
+        region.close().unwrap();
+    }
+
+    #[test]
+    fn paper_footprint_for_32_byte_payload() {
+        // An object is its block: a bare 32-byte payload fills a 32-byte
+        // block, and the hashset/BST node that carries one (56 bytes) a
+        // 64-byte block, where PMEM.IO's item is 128 bytes.
+        let region = Region::create(1 << 20).unwrap();
+        let s = ObjectStore::format(&region).unwrap();
+        for (size, block) in [(32, 32), (56, 64)] {
+            let before = region.stats().live_bytes;
+            let p = s.alloc(1, size).unwrap();
+            assert_eq!(region.stats().live_bytes - before, block);
+            unsafe { region.dealloc(p, size).unwrap() };
+        }
         region.close().unwrap();
     }
 
@@ -371,10 +318,14 @@ mod tests {
         ObjectStore::attach(&region).unwrap();
         let p = region.root("obj").unwrap();
         assert_eq!(unsafe { *(p as *const u64) }, 0x1234);
-        let hdr = unsafe { &*((p - OBJ_HEADER_SIZE) as *const ObjHeader) };
-        assert!(hdr.is_live());
-        assert_eq!((hdr.type_num, hdr.size), (9, 32));
         assert_eq!(live(&region), 3);
+        // The object is still its block: freeing it clears its bit.
+        unsafe {
+            region
+                .dealloc(NonNull::new(p as *mut u8).unwrap(), 32)
+                .unwrap()
+        };
+        assert_eq!(live(&region), 2);
         region.close().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -403,7 +354,8 @@ mod tests {
                         live.push(p.as_ptr() as usize);
                         if i % 3 == 2 {
                             let victim = live.swap_remove(live.len() / 2);
-                            unsafe { s.free(NonNull::new(victim as *mut u8).unwrap()).unwrap() };
+                            let victim = NonNull::new(victim as *mut u8).unwrap();
+                            unsafe { s.region().dealloc(victim, 24).unwrap() };
                         }
                     }
                     live
@@ -426,7 +378,11 @@ mod tests {
             "a block served twice"
         );
         for addr in all {
-            unsafe { s.free(NonNull::new(addr as *mut u8).unwrap()).unwrap() };
+            unsafe {
+                region
+                    .dealloc(NonNull::new(addr as *mut u8).unwrap(), 24)
+                    .unwrap()
+            };
         }
         assert_eq!(live(&region), base);
         region.close().unwrap();

@@ -57,7 +57,7 @@ fn churn_crash_audit(name: &str, policy: FaultPolicy) {
         for i in 0..100 {
             let p = region.alloc(64, 8).unwrap();
             if i % 3 == 0 {
-                unsafe { region.dealloc(p, 64) };
+                unsafe { region.dealloc(p, 64).unwrap() };
             } else {
                 prelude.push(region.offset_of(p.as_ptr() as usize).unwrap());
             }
@@ -93,7 +93,7 @@ fn churn_crash_audit(name: &str, policy: FaultPolicy) {
                         } else {
                             let i = (rng.next() as usize) % live.len();
                             let (p, size) = live.swap_remove(i);
-                            unsafe { r.dealloc(p, size) };
+                            unsafe { r.dealloc(p, size).unwrap() };
                         }
                     }
                     let mut h = held.lock().unwrap();
@@ -156,10 +156,10 @@ fn churn_crash_audit(name: &str, policy: FaultPolicy) {
     // region must come back to exactly zero live.
     for &(off, size) in &held {
         let p = NonNull::new(region.ptr_at(off) as *mut u8).unwrap();
-        unsafe { region.dealloc(p, size) };
+        unsafe { region.dealloc(p, size).unwrap() };
     }
     for &(_, p) in &fresh {
-        unsafe { region.dealloc(p, 64) };
+        unsafe { region.dealloc(p, 64).unwrap() };
     }
     let s = region.stats();
     assert_eq!(s.live_allocs, 0, "[{name} {tag}] all blocks returned");
@@ -349,7 +349,7 @@ fn live_counts_are_exact_at_every_crash_point_of_every_durability_point() {
         }
         for &p in &first[..3] {
             // SAFETY: allocated above with this size, freed once.
-            unsafe { region.dealloc(p, SMALL) };
+            unsafe { region.dealloc(p, SMALL).unwrap() };
         }
         region.enable_shadow().unwrap();
         let live = |r: &Region| (r.stats().live_allocs, r.stats().live_bytes);
@@ -429,7 +429,7 @@ fn large_blocks_are_exact_at_every_crash_point() {
                 Some(i) => {
                     let p = NonNull::new(region.ptr_at(blocks[i].0) as *mut u8).unwrap();
                     // SAFETY: allocated above with this size, freed once.
-                    unsafe { region.dealloc(p, blocks[i].1) };
+                    unsafe { region.dealloc(p, blocks[i].1).unwrap() };
                     live.retain(|&j| j != i);
                 }
                 None => {

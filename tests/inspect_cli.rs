@@ -47,7 +47,7 @@ fn build_images(dir: &Path) {
         let ptrs: Vec<_> = (0..10).map(|_| r.alloc(64, 8).unwrap()).collect();
         r.set_root("head", ptrs[0].as_ptr() as usize).unwrap();
         // SAFETY: allocated above with this size, not yet freed.
-        unsafe { r.dealloc(ptrs[9], 64) };
+        unsafe { r.dealloc(ptrs[9], 64).unwrap() };
     };
     let clean = Region::create_file(dir.join("clean"), 1 << 20).unwrap();
     populate(&clean);

@@ -211,7 +211,7 @@ proptest! {
             if free_one && !live.is_empty() {
                 let (addr, sz) = live.swap_remove(live.len() / 2);
                 unsafe {
-                    region.dealloc(std::ptr::NonNull::new(addr as *mut u8).unwrap(), sz)
+                    region.dealloc(std::ptr::NonNull::new(addr as *mut u8).unwrap(), sz).unwrap()
                 };
             } else {
                 let p = region.alloc(size, 16).unwrap().as_ptr() as usize;

@@ -68,10 +68,13 @@ proptest! {
         let mut live = Vec::new();
         for (size, free_one) in ops {
             if free_one && !live.is_empty() {
-                let victim = live.swap_remove(live.len() / 2);
-                unsafe { store.free(victim).unwrap() };
+                let (victim, size) = live.swap_remove(live.len() / 2);
+                unsafe { region.dealloc(victim, size).unwrap() };
+                // The caller's size names the block; the bit refuses a
+                // second free of it.
+                prop_assert!(unsafe { region.dealloc(victim, size) }.is_err());
             } else {
-                live.push(store.alloc(7, size).unwrap());
+                live.push((store.alloc(7, size).unwrap(), size));
             }
             prop_assert_eq!(region.stats().live_allocs - base, live.len() as u64);
         }

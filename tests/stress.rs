@@ -166,7 +166,7 @@ fn concurrent_churn_conserves_alloc_stats_and_never_double_serves() {
                         // have been served this block while we held it.
                         let got = unsafe { (p.as_ptr() as *const u64).read() };
                         assert_eq!(got, tag, "block served to two owners");
-                        unsafe { r.dealloc(p, size) };
+                        unsafe { r.dealloc(p, size).unwrap() };
                         frees += 1;
                         bytes -= nvm_pi::nvmsim::alloc::AllocHeader::rounded_size(size) as u64;
                     } else {
@@ -183,7 +183,7 @@ fn concurrent_churn_conserves_alloc_stats_and_never_double_serves() {
                 for (p, size, tag) in live.drain(..) {
                     let got = unsafe { (p.as_ptr() as *const u64).read() };
                     assert_eq!(got, tag, "block served to two owners");
-                    unsafe { r.dealloc(p, size) };
+                    unsafe { r.dealloc(p, size).unwrap() };
                     frees += 1;
                     bytes -= nvm_pi::nvmsim::alloc::AllocHeader::rounded_size(size) as u64;
                 }
@@ -258,7 +258,7 @@ fn fault_injected_crash_never_double_serves_blocks() {
                         unsafe { (p.as_ptr() as *mut u64).write((t << 32) | i) };
                         shadow::track_store(p.as_ptr() as usize, 8);
                         if i % 2 == 0 {
-                            unsafe { r.dealloc(p, BLOCK) };
+                            unsafe { r.dealloc(p, BLOCK).unwrap() };
                         }
                     }
                 });
