@@ -1,10 +1,10 @@
 //! Server-level fault injection, modeled on `nvmsim`'s `FaultPlan`.
 //!
 //! A [`ServerFaultPlan`] is armed by the test harness before (or during)
-//! a run and consulted by shard workers at well-defined points:
+//! a run and consulted while a shard is served, at well-defined points:
 //!
-//! - **Shard stalls** — the worker sleeps before executing its N-th
-//!   dequeue, expiring queued deadlines behind it.
+//! - **Shard stalls** — whichever thread is serving the shard sleeps
+//!   before its N-th dequeue, expiring queued deadlines behind it.
 //! - **Tenant crashes** — the N-th write against a tenant first turns
 //!   the tenant's region into a fault-injected crash image
 //!   ([`nvmsim::Region::crash_with_faults`]), then either recovers it in
@@ -18,8 +18,8 @@
 //!   ladder until the sink is revived and the tenant healed.
 //!
 //! All injections are one-shot (or counted) and consumed atomically, so
-//! a plan drives a deterministic scenario even with several shard
-//! workers consulting it concurrently.
+//! a plan drives a deterministic scenario even with several shards
+//! consulting it concurrently.
 
 use nvmsim::repl::ReplSink;
 use nvmsim::shadow::FaultPolicy;
@@ -28,15 +28,15 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// One-shot shard stall: before executing its `at_dequeue`-th dequeue
-/// (1-based), the shard worker sleeps for `stall`.
+/// One-shot shard stall: before the shard's `at_dequeue`-th dequeue
+/// (1-based), whichever thread is serving it sleeps for `stall`.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardStall {
     /// Shard index the stall applies to.
     pub shard: usize,
     /// Dequeue ordinal (1-based) that triggers the stall.
     pub at_dequeue: u64,
-    /// How long the worker sleeps.
+    /// How long the serving thread sleeps.
     pub stall: Duration,
 }
 
@@ -135,7 +135,7 @@ impl ServerFaultPlan {
         self.lock().dead_sinks.remove(&tenant);
     }
 
-    // -- worker-side consults -------------------------------------------------
+    // -- serving-side consults ------------------------------------------------
 
     /// Consumes and returns the stall armed for this shard at (or
     /// before) the `nth` dequeue, if any.

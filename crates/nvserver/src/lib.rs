@@ -1,8 +1,8 @@
 //! # nvserver — fault-tolerant multi-tenant region server
 //!
-//! A sharded, thread-per-shard front end that serves get/put/delete and
-//! batched transactional requests against many [`nvmsim::Region`]
-//! tenants. Requests and responses travel through a versioned CRC-framed
+//! A sharded front end that serves get/put/delete and batched
+//! transactional requests against many [`nvmsim::Region`] tenants, each
+//! request on the thread that submitted it (the server starts no threads). Requests and responses travel through a versioned CRC-framed
 //! codec ([`codec`], magic `NVPISRV1` — the serving sibling of `repl`'s
 //! `NVPIRPL1` stream format) over an in-process [`Transport`] (loopback
 //! now, a socket later).

@@ -11,13 +11,15 @@ use nvmsim::{dlin, repl};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Server tuning.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Number of shards (worker threads); tenant `id % shards` routes.
+    /// Number of shards; tenant `id % shards` routes. A shard is served
+    /// by whichever submitting thread holds its lock.
     pub shards: usize,
     /// Directory holding tenant region files and replication streams.
     pub data_dir: PathBuf,
@@ -57,36 +59,23 @@ impl ServerConfig {
     }
 }
 
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 // -- response slots -----------------------------------------------------------
 
-#[derive(Debug, Default)]
+/// Where a request's response lands, and the thread waiting for it.
+#[derive(Debug)]
 struct Slot {
     resp: Mutex<Option<Response>>,
-    cv: Condvar,
+    waiter: Thread,
 }
 
 impl Slot {
     fn fill(&self, r: Response) {
-        let mut g = self.resp.lock().unwrap_or_else(|e| e.into_inner());
-        if g.is_none() {
-            *g = Some(r);
-        }
-        self.cv.notify_all();
-    }
-
-    fn wait(&self, limit: Duration) -> Option<Response> {
-        let deadline = Instant::now() + limit;
-        let mut g = self.resp.lock().unwrap_or_else(|e| e.into_inner());
-        while g.is_none() {
-            let now = Instant::now();
-            let left = deadline.checked_duration_since(now)?;
-            let (ng, _) = self
-                .cv
-                .wait_timeout(g, left)
-                .unwrap_or_else(|e| e.into_inner());
-            g = ng;
-        }
-        g.take()
+        lock(&self.resp).get_or_insert(r);
+        self.waiter.unpark();
     }
 }
 
@@ -96,6 +85,18 @@ struct Entry {
     slot: Arc<Slot>,
 }
 
+/// When `req` expires, and when its caller stops waiting: 60 s past the
+/// request's own deadline, a backstop against a wedged shard.
+fn deadline_and_backstop(req: &Request, default: Duration, now: Instant) -> (Instant, Instant) {
+    let deadline = now
+        + if req.deadline_micros == 0 {
+            default
+        } else {
+            Duration::from_micros(req.deadline_micros)
+        };
+    (deadline, deadline + Duration::from_secs(60))
+}
+
 struct ShardQueue {
     entries: VecDeque<Entry>,
     /// Cleared by the final shutdown drain; submissions racing past the
@@ -103,10 +104,26 @@ struct ShardQueue {
     accepting: bool,
 }
 
+/// What executing a request touches. Whichever thread holds the shard
+/// lock serves the shard.
+#[derive(Default)]
+struct ShardState {
+    tenants: HashMap<u32, Tenant>,
+    /// Entries executed so far: the LRU clock and the stall ordinal.
+    tick: u64,
+}
+
+// SAFETY: `tick` is a plain counter; `tenants` hold raw pointers into their
+// mapped regions, which makes them `!Send`. Tenant state is touched only
+// under the shard lock, and no tenant pointer outlives the request that
+// derived it, so the threads taking turns at a shard never share it. No
+// product code reads a thread id, and the thread-locals a request touches
+// (metrics shards, llalloc's reservations, `dlin`'s stamp) accept any thread.
+unsafe impl Send for ShardState {}
+
 struct Shard {
     q: Mutex<ShardQueue>,
-    work: Condvar,
-    dequeued: AtomicU64,
+    state: Mutex<ShardState>,
 }
 
 impl Shard {
@@ -116,8 +133,7 @@ impl Shard {
                 entries: VecDeque::new(),
                 accepting: true,
             }),
-            work: Condvar::new(),
-            dequeued: AtomicU64::new(0),
+            state: Mutex::default(),
         }
     }
 }
@@ -129,7 +145,9 @@ struct Core {
     shards: Vec<Shard>,
     shutdown: AtomicBool,
     tmetrics: HashMap<u32, Arc<TenantMetrics>>,
-    reports: Mutex<Vec<TenantReport>>,
+    /// How long a waiter spins before parking: 20 µs when another CPU can
+    /// release the shard lock meanwhile, zero on one CPU.
+    spin: Duration,
 }
 
 /// Final state of one tenant at shutdown.
@@ -212,15 +230,14 @@ impl ServerHandle {
         };
         let shard_idx = req.tenant as usize % core.shards.len();
         let shard = &core.shards[shard_idx];
-        let deadline = Instant::now()
-            + if req.deadline_micros == 0 {
-                core.cfg.default_deadline
-            } else {
-                Duration::from_micros(req.deadline_micros)
-            };
-        let slot = Arc::new(Slot::default());
+        let arrival = Instant::now();
+        let (deadline, backstop) = deadline_and_backstop(&req, core.cfg.default_deadline, arrival);
+        let slot = Arc::new(Slot {
+            resp: Mutex::new(None),
+            waiter: std::thread::current(),
+        });
         {
-            let mut q = shard.q.lock().unwrap_or_else(|e| e.into_inner());
+            let mut q = lock(&shard.q);
             if !q.accepting {
                 return Response::rejection(id, Status::Shutdown, "server is shutting down");
             }
@@ -263,14 +280,37 @@ impl ServerHandle {
                 slot: slot.clone(),
             });
         }
-        shard.work.notify_all();
-        // Workers answer every dequeued request and the shutdown drain
-        // answers the rest; the long stop here is a backstop against a
-        // wedged worker, not a code path requests are expected to take.
-        slot.wait(core.cfg.default_deadline + Duration::from_secs(60))
-            .unwrap_or_else(|| {
-                Response::rejection(id, Status::Failed, "response slot wait timed out")
-            })
+        // Serve the shard if nobody is; otherwise wait for whoever is to
+        // answer, or to hand the shard lock to this caller.
+        let spin_until = arrival + core.spin;
+        loop {
+            if let Some(r) = lock(&slot.resp).take() {
+                return r;
+            }
+            let st = match shard.state.try_lock() {
+                Ok(st) => Some(st),
+                Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+                Err(TryLockError::WouldBlock) => None,
+            };
+            if let Some(mut st) = st {
+                serve(core, shard_idx, &mut st, Some(&slot));
+                drop(st);
+                // The waiter at the queue head takes the shard over.
+                if let Some(e) = lock(&shard.q).entries.front() {
+                    e.slot.waiter.unpark();
+                }
+                continue;
+            }
+            let now = Instant::now();
+            if now >= backstop {
+                return Response::rejection(id, Status::Failed, "response slot wait timed out");
+            }
+            if now < spin_until {
+                std::hint::spin_loop();
+            } else {
+                std::thread::park_timeout(backstop - now);
+            }
+        }
     }
 
     /// Live metrics handle for a tenant.
@@ -379,17 +419,16 @@ impl Client {
 /// [`Server::client`]; stop with [`Server::shutdown`].
 pub struct Server {
     core: Arc<Core>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Starts a server with the given tenants. Creates `data_dir` (and
-    /// the shard workers) immediately; tenant regions are created lazily
-    /// on first request.
+    /// Starts a server with the given tenants. Creates `data_dir`
+    /// immediately; tenant regions are created lazily on first request.
+    /// Starts no thread: a request runs on the thread that submits it.
     ///
     /// # Errors
     ///
-    /// I/O creating the data directory or spawning workers.
+    /// I/O creating the data directory.
     pub fn start(
         cfg: ServerConfig,
         tenants: Vec<TenantSpec>,
@@ -405,6 +444,7 @@ impl Server {
             specs.insert(t.id, t);
         }
         let shards = (0..cfg.shards).map(|_| Shard::new()).collect();
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         let core = Arc::new(Core {
             cfg,
             specs,
@@ -412,18 +452,9 @@ impl Server {
             shards,
             shutdown: AtomicBool::new(false),
             tmetrics,
-            reports: Mutex::new(Vec::new()),
+            spin: Duration::from_micros(if cpus > 1 { 20 } else { 0 }),
         });
-        let mut workers = Vec::new();
-        for shard_idx in 0..core.shards.len() {
-            let core = core.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("nvsrv-shard-{shard_idx}"))
-                    .spawn(move || worker(core, shard_idx))?,
-            );
-        }
-        Ok(Server { core, workers })
+        Ok(Server { core })
     }
 
     /// A cheap submission handle (also the loopback [`Transport`]).
@@ -438,41 +469,65 @@ impl Server {
         Client::new(Arc::new(self.handle()))
     }
 
-    /// Stops the server: workers finish every queued request, close
-    /// their tenants cleanly (sealing replication streams), and report
-    /// final per-tenant state. Requests arriving during shutdown answer
-    /// `Shutdown`.
+    /// Stops the server: each shard finishes every queued request,
+    /// closes its tenants cleanly (sealing replication streams), and
+    /// reports final per-tenant state. Requests arriving during shutdown
+    /// answer `Shutdown`.
     pub fn shutdown(self) -> ServerReport {
-        self.core.shutdown.store(true, Ordering::Release);
-        for s in &self.core.shards {
-            s.work.notify_all();
-        }
-        for w in self.workers {
-            let _ = w.join();
-        }
-        // Refuse and drain anything that raced past the shutdown flag.
-        for s in &self.core.shards {
-            let mut q = s.q.lock().unwrap_or_else(|e| e.into_inner());
+        let core = &self.core;
+        core.shutdown.store(true, Ordering::Release);
+        let mut reports = Vec::new();
+        for (shard_idx, shard) in core.shards.iter().enumerate() {
+            let mut st = lock(&shard.state);
+            serve(core, shard_idx, &mut st, None);
+            // Refuse anything that raced past the shutdown flag.
+            let mut q = lock(&shard.q);
             q.accepting = false;
-            while let Some(e) = q.entries.pop_front() {
+            for e in q.entries.drain(..) {
                 e.slot.fill(Response::rejection(
                     e.req.id,
                     Status::Shutdown,
                     "server stopped before execution",
                 ));
             }
+            drop(q);
+            // Close every tenant cleanly and report its final state. A
+            // tenant sitting evicted is reopened first so the report still
+            // carries its final keys (one more remap audit for free).
+            for (_, mut t) in st.tenants.drain() {
+                if !t.is_open() && !t.bases.is_empty() {
+                    if let Err(e) = t.ensure_open(&core.plan) {
+                        eprintln!("nvserver: tenant {} reopen at shutdown: {e}", t.spec.id);
+                    }
+                }
+                // Checked before anything walks the set: a tenant that fails
+                // closes itself and is reported with no keys.
+                if let Err(e) = t.audit("at shutdown") {
+                    eprintln!("nvserver: tenant {}: {e}", t.spec.id);
+                }
+                let keys = if t.is_open() { t.keys() } else { Vec::new() };
+                if let Err(e) = t.shutdown() {
+                    // Keep the report; the failure is visible in the metrics.
+                    eprintln!("nvserver: tenant {} shutdown: {e}", t.spec.id);
+                }
+                reports.push(TenantReport {
+                    id: t.spec.id,
+                    state: t.state(),
+                    bases: t.bases.clone(),
+                    keys,
+                    snapshot: t.metrics.snapshot(),
+                });
+            }
         }
-        let mut reports =
-            std::mem::take(&mut *self.core.reports.lock().unwrap_or_else(|e| e.into_inner()));
         // Tenants that never opened still get a report row.
-        for id in self.core.specs.keys() {
+        for id in core.specs.keys() {
             if !reports.iter().any(|r| r.id == *id) {
                 reports.push(TenantReport {
                     id: *id,
                     state: TenantState::Closed,
                     bases: Vec::new(),
                     keys: Vec::new(),
-                    snapshot: self.core.tmetrics[id].snapshot(),
+                    snapshot: core.tmetrics[id].snapshot(),
                 });
             }
         }
@@ -481,68 +536,32 @@ impl Server {
     }
 }
 
-// -- shard worker -------------------------------------------------------------
+// -- serving a shard ----------------------------------------------------------
 
-fn worker(core: Arc<Core>, shard_idx: usize) {
+/// Runs queued entries in FIFO order under the shard lock: until the
+/// queue is empty, or — for a caller waiting on `own` — `queue_depth`
+/// entries past its own, which bounds the extra work a caller does.
+fn serve(core: &Core, shard_idx: usize, st: &mut ShardState, own: Option<&Slot>) {
     let shard = &core.shards[shard_idx];
-    let mut tenants: HashMap<u32, Tenant> = HashMap::new();
-    let mut tick = 0u64;
+    let mut budget = core.cfg.queue_depth;
     loop {
-        let entry = {
-            let mut q = shard.q.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(e) = q.entries.pop_front() {
-                    break Some(e);
-                }
-                if core.shutdown.load(Ordering::Acquire) {
-                    break None;
-                }
-                q = shard.work.wait(q).unwrap_or_else(|e| e.into_inner());
+        if own.is_some_and(|s| lock(&s.resp).is_some()) {
+            if budget == 0 {
+                return;
             }
+            budget -= 1;
+        }
+        let Some(entry) = lock(&shard.q).entries.pop_front() else {
+            return;
         };
-        let Some(entry) = entry else { break };
-        tick += 1;
-        let nth = shard.dequeued.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(stall) = core.plan.take_stall(shard_idx, nth) {
+        st.tick += 1;
+        if let Some(stall) = core.plan.take_stall(shard_idx, st.tick) {
             std::thread::sleep(stall);
         }
-        let resp = handle_entry(&core, &mut tenants, &entry, tick);
-        record_terminal(&core, entry.req.tenant, &resp);
+        let resp = handle_entry(core, &mut st.tenants, &entry, st.tick);
+        record_terminal(core, entry.req.tenant, &resp);
         entry.slot.fill(resp);
     }
-    // Shutdown: close every tenant cleanly and report final state. A
-    // tenant sitting evicted when the server stops is reopened first so
-    // the report still carries its final keys (and the reopen is one
-    // more remap audit for free).
-    let mut reports = Vec::new();
-    for (_, mut t) in tenants.drain() {
-        if !t.is_open() && !t.bases.is_empty() {
-            if let Err(e) = t.ensure_open(&core.plan) {
-                eprintln!("nvserver: tenant {} reopen at shutdown: {e}", t.spec.id);
-            }
-        }
-        // Checked before anything walks the set: a tenant that fails
-        // closes itself and is reported with no keys.
-        if let Err(e) = t.audit("at shutdown") {
-            eprintln!("nvserver: tenant {}: {e}", t.spec.id);
-        }
-        let keys = if t.is_open() { t.keys() } else { Vec::new() };
-        if let Err(e) = t.shutdown() {
-            // Keep the report; the failure is visible in the metrics.
-            eprintln!("nvserver: tenant {} shutdown: {e}", t.spec.id);
-        }
-        reports.push(TenantReport {
-            id: t.spec.id,
-            state: t.state(),
-            bases: t.bases.clone(),
-            keys,
-            snapshot: t.metrics.snapshot(),
-        });
-    }
-    core.reports
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .extend(reports);
 }
 
 fn record_terminal(core: &Core, tenant: u32, resp: &Response) {
@@ -575,7 +594,6 @@ fn handle_entry(
     if Instant::now() > entry.deadline {
         return Response::rejection(req.id, Status::DeadlineExceeded, "expired in queue");
     }
-    let spec = core.specs[&req.tenant].clone();
     // LRU pressure: opening this tenant must not exceed the per-shard
     // ceiling, so evict the coldest open tenant first.
     let needs_open = !tenants.get(&req.tenant).is_some_and(Tenant::is_open);
@@ -584,17 +602,21 @@ fn handle_entry(
             return Response::rejection(req.id, Status::Failed, e);
         }
     }
-    let tuning = TenantTuning {
-        max_retries: core.cfg.max_retries,
-        retry_backoff: core.cfg.retry_backoff,
-        retry_backoff_max: core.cfg.retry_backoff_max,
-        degraded_window: core.cfg.degraded_window,
-    };
-    let metrics_arc = core.tmetrics[&req.tenant].clone();
-    let data_dir = core.cfg.data_dir.clone();
-    let tenant = tenants
-        .entry(req.tenant)
-        .or_insert_with(|| Tenant::new(spec, &data_dir, metrics_arc, tuning));
+    let tenant = tenants.entry(req.tenant).or_insert_with(|| {
+        let tuning = TenantTuning {
+            max_retries: core.cfg.max_retries,
+            retry_backoff: core.cfg.retry_backoff,
+            retry_backoff_max: core.cfg.retry_backoff_max,
+            degraded_window: core.cfg.degraded_window,
+        };
+        let spec = core.specs[&req.tenant].clone();
+        Tenant::new(
+            spec,
+            &core.cfg.data_dir,
+            core.tmetrics[&req.tenant].clone(),
+            tuning,
+        )
+    });
     tenant.last_used = tick;
 
     // Eviction works even on an open tenant and needs no reopen.
@@ -867,5 +889,32 @@ fn batch_path(core: &Core, tenant: &mut Tenant, entry: &Entry, ops: &[BatchOp]) 
         stamp: last_stamp,
         batch,
         detail: String::new(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backstop_is_measured_from_the_request_deadline() {
+        let now = Instant::now();
+        let default = Duration::from_secs(2);
+        let mut req = Request {
+            id: 1,
+            tenant: 0,
+            priority: Priority::Normal,
+            deadline_micros: 0,
+            op: ReqOp::Get { key: 0 },
+        };
+        let (deadline, backstop) = deadline_and_backstop(&req, default, now);
+        let grace = Duration::from_secs(60);
+        assert_eq!((deadline - now, backstop - now), (default, default + grace));
+        // A deadline longer than the default and the grace together must
+        // still be waited out, not abandoned while the entry is queued.
+        req.deadline_micros = 300_000_000;
+        let (deadline, backstop) = deadline_and_backstop(&req, default, now);
+        assert_eq!(deadline - now, Duration::from_secs(300));
+        assert_eq!(backstop - deadline, grace);
     }
 }

@@ -2,10 +2,10 @@
 //! per tenant, a degradation-ladder state machine, and per-tenant
 //! metrics.
 //!
-//! A tenant lives entirely inside its shard's worker thread (the
-//! persistent structures hold raw mapped pointers and are not `Send`);
-//! only the [`TenantSpec`], [`TenantMetrics`], and snapshots cross
-//! threads.
+//! A tenant lives inside its shard's state and is touched only by the
+//! thread holding the shard lock (the persistent structures hold raw
+//! mapped pointers and are not `Send`); only the [`TenantSpec`],
+//! [`TenantMetrics`], and snapshots are shared between threads.
 //!
 //! ## Degradation ladder
 //!
@@ -203,8 +203,8 @@ impl TenantState {
     }
 }
 
-/// Per-tenant counters, shared between the shard worker (increments)
-/// and observers (snapshots). All relaxed: these are statistics, not
+/// Per-tenant counters, shared between serving threads (increments) and
+/// observers (snapshots). All relaxed: these are statistics, not
 /// synchronization.
 #[derive(Debug, Default)]
 pub struct TenantMetrics {
@@ -455,7 +455,7 @@ pub(crate) struct TenantTuning {
     pub degraded_window: u64,
 }
 
-/// One live tenant, owned by its shard worker thread.
+/// One live tenant, owned by its shard's state.
 pub(crate) struct Tenant {
     pub spec: TenantSpec,
     pub metrics: Arc<TenantMetrics>,

@@ -220,7 +220,7 @@ fn admission_sheds_lowest_priority_past_high_water() {
     cfg.shards = 1;
     cfg.queue_depth = 2;
     let plan = ServerFaultPlan::none();
-    // Stall the worker on its first dequeue so the queue backs up
+    // Stall the shard on its first dequeue so the queue backs up
     // deterministically behind it.
     plan.stall_shard(0, 1, Duration::from_millis(800));
     let server = Server::start(cfg, vec![TenantSpec::new(0, ReprKind::OffHolder)], plan).unwrap();
@@ -229,8 +229,8 @@ fn admission_sheds_lowest_priority_past_high_water() {
         let c = server.client();
         std::thread::spawn(move || c.put(0, 1))
     };
-    // Wait for the worker to be inside the stall (its dequeue counter
-    // moves before the sleep).
+    // Wait for the first caller to be inside the stall, serving its own
+    // request with the shard lock held.
     std::thread::sleep(Duration::from_millis(200));
 
     // Four low-priority requests: two fit the depth-2 queue, two are
@@ -703,14 +703,20 @@ fn tenant_failing_invariants_is_refused_not_served() {
 
 // -- the full chaos sweep -----------------------------------------------------
 
-/// One chaos round: 6 tenants across 2 shards, every fault class armed,
-/// 3 client threads of seeded traffic. Returns nothing; asserts
-/// everything.
-fn chaos_round(label: &str, s: u64) {
+/// One chaos round: 6 tenants across 2 shards with `queue_depth`-deep
+/// queues, every fault class armed, `threads` client threads of seeded
+/// traffic. Returns the status tally; asserts everything else.
+fn chaos_round(
+    label: &str,
+    s: u64,
+    threads: u64,
+    queue_depth: usize,
+) -> std::collections::HashMap<&'static str, u64> {
     let cell = M.cell(label);
     let plan = ServerFaultPlan::none();
     let mut cfg = test_config(&cell);
     cfg.shards = 2;
+    cfg.queue_depth = queue_depth;
     cfg.degraded_window = 12;
     let tenants = vec![
         TenantSpec::new(0, ReprKind::OffHolder),
@@ -732,7 +738,7 @@ fn chaos_round(label: &str, s: u64) {
 
     let histories: Arc<Mutex<Vec<Vec<OpRecord>>>> = Arc::new(Mutex::new(vec![Vec::new(); 6]));
     let status_tally = Arc::new(Mutex::new(std::collections::HashMap::new()));
-    let threads: Vec<_> = (0..3u64)
+    let threads: Vec<_> = (0..threads)
         .map(|tid| {
             let c = server.client();
             let histories = histories.clone();
@@ -872,12 +878,104 @@ fn chaos_round(label: &str, s: u64) {
         check_tenant_history(label, ops, &tr.keys);
         assert_consecutive_bases_differ(label, &report, tenant as u32);
     }
+    tally
 }
 
 #[test]
 fn chaos_matrix_sweep() {
     let _g = M.lock();
     let s = M.seed();
-    chaos_round("chaos-a", s);
-    chaos_round("chaos-b", util::splitmix64(s));
+    chaos_round("chaos-a", s, 3, 64);
+    chaos_round("chaos-b", util::splitmix64(s), 3, 64);
+    // More callers than a shard queue holds: arrivals are refused while
+    // the shard lock passes between callers under a full queue.
+    let seed_c = util::splitmix64(util::splitmix64(s));
+    let tally = chaos_round("chaos-c", seed_c, 8, 4);
+    assert!(
+        tally.get("overloaded").copied().unwrap_or(0) > 0,
+        "[chaos-c {}] the queue never filled: {tally:?}",
+        M.tag()
+    );
+}
+
+// -- shutdown under traffic ---------------------------------------------------
+
+/// Clients keep submitting while `shutdown()` runs: each request is
+/// answered exactly once, `Ok` (executed) or `Shutdown` (never applied),
+/// and the report holds exactly the puts acked `Ok`.
+#[test]
+fn shutdown_under_traffic_answers_every_request_once() {
+    let _g = M.lock();
+    let cell = M.cell("shutdown-race");
+    let tenants: Vec<TenantSpec> = one_of_each_repr()
+        .into_iter()
+        .map(|mut t| {
+            t.region_size = 4 << 20;
+            t
+        })
+        .collect();
+    let server = Server::start(test_config(&cell), tenants, ServerFaultPlan::none()).unwrap();
+    const THREADS: u64 = 4;
+    const PUTS: u64 = 300;
+    let acked = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let clients: Vec<_> = (0..THREADS)
+        .map(|tid| {
+            let c = server.client();
+            let acked = acked.clone();
+            std::thread::spawn(move || {
+                // Puts of fresh keys, then gets, until shutdown answers.
+                let (mut puts, mut oks) = (Vec::new(), 0u64);
+                let mut i = 0u64;
+                let mut refused = 0;
+                while refused < 3 {
+                    let (tenant, key) = ((i % 3) as u32, tid * 1_000_000 + i);
+                    let r = if i < PUTS {
+                        c.put(tenant, key)
+                    } else {
+                        c.get(tenant, tid)
+                    };
+                    match r.status {
+                        Status::Ok => {
+                            assert_eq!(refused, 0, "[{}] served after a refusal: {r:?}", M.tag());
+                            oks += 1;
+                            if i < PUTS {
+                                assert_eq!(r.found, Some(true), "fresh key {key}: {r:?}");
+                                puts.push((tenant, key));
+                                acked.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            }
+                        }
+                        Status::Shutdown => refused += 1,
+                        s => panic!("[{}] unexpected {s:?}: {r:?}", M.tag()),
+                    }
+                    i += 1;
+                }
+                (puts, oks)
+            })
+        })
+        .collect();
+    while acked.load(std::sync::atomic::Ordering::Relaxed) < 100 {
+        std::thread::yield_now();
+    }
+    let report = server.shutdown();
+    let mut want: Vec<Vec<u64>> = vec![Vec::new(); 3];
+    let mut oks = 0;
+    for c in clients {
+        let (puts, n) = c.join().unwrap();
+        oks += n;
+        for (tenant, key) in puts {
+            want[tenant as usize].push(key);
+        }
+    }
+    let served: u64 = report.tenants.iter().map(|t| t.snapshot.ok).sum();
+    assert_eq!(served, oks, "[{}] one Ok counted per Ok answered", M.tag());
+    for (tenant, keys) in want.iter().enumerate() {
+        let tr = report.tenant(tenant as u32).unwrap();
+        assert_eq!(
+            sorted(&tr.keys),
+            sorted(keys),
+            "[{}] tenant {tenant}: the report must hold exactly the acked puts",
+            M.tag()
+        );
+        assert_eq!(tr.snapshot.invariant_failures, 0);
+    }
 }
