@@ -7,8 +7,11 @@
 //! typed [`CodecError`], never garbage handed to the server. The codec
 //! is deliberately dependency-free and byte-oriented (no alignment
 //! assumptions) so the same bytes can later travel a socket unchanged.
+//! An encoder writes the payload after the header's room in one buffer
+//! and seals the header in place; the CRC streams over both halves, so
+//! neither side copies a frame to checksum it.
 
-use nvmsim::crc::crc64;
+use nvmsim::crc::crc64_update;
 
 /// Frame magic: `NVPISRV1`.
 pub const FRAME_MAGIC: u64 = u64::from_le_bytes(*b"NVPISRV1");
@@ -246,6 +249,19 @@ impl Response {
             detail: detail.into(),
         }
     }
+
+    /// An `Ok` answer after one attempt that drew no stamp.
+    pub(crate) fn ok(id: u64, found: Option<bool>, detail: String) -> Response {
+        Response {
+            id,
+            status: Status::Ok,
+            found,
+            attempts: 1,
+            stamp: 0,
+            batch: Vec::new(),
+            detail,
+        }
+    }
 }
 
 /// Decode failure. Every malformed frame is one of these — the codec
@@ -330,17 +346,30 @@ impl<'a> Cursor<'a> {
 
 // -- framing ------------------------------------------------------------------
 
-fn frame(kind: u32, payload: &[u8]) -> Vec<u8> {
-    let mut pre = Vec::with_capacity(HEADER_BYTES + payload.len());
-    pre.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    pre.extend_from_slice(&CODEC_VERSION.to_le_bytes());
-    pre.extend_from_slice(&kind.to_le_bytes());
-    pre.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    let mut crc_input = pre.clone();
-    crc_input.extend_from_slice(payload);
-    pre.extend_from_slice(&crc64(&crc_input).to_le_bytes());
-    pre.extend_from_slice(payload);
-    pre
+/// A frame buffer with `HEADER_BYTES` of header room; the payload is
+/// appended after it and [`seal`] fills the header in place.
+fn frame_buf(payload_len: usize) -> Vec<u8> {
+    let mut f = Vec::with_capacity(HEADER_BYTES + payload_len);
+    f.resize(HEADER_BYTES, 0);
+    f
+}
+
+/// CRC-64/XZ over the pre-CRC header words, then the payload.
+fn frame_crc(pre_crc: &[u8], payload: &[u8]) -> u64 {
+    crc64_update(crc64_update(!0, pre_crc), payload) ^ !0
+}
+
+/// Writes the header of a [`frame_buf`] whose payload is complete.
+fn seal(mut f: Vec<u8>, kind: u32) -> Vec<u8> {
+    let payload_len = (f.len() - HEADER_BYTES) as u64;
+    f[..8].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+    f[8..12].copy_from_slice(&CODEC_VERSION.to_le_bytes());
+    f[12..16].copy_from_slice(&kind.to_le_bytes());
+    f[16..24].copy_from_slice(&payload_len.to_le_bytes());
+    let (head, payload) = f.split_at(HEADER_BYTES);
+    let crc = frame_crc(&head[..HEADER_BYTES - 8], payload);
+    f[HEADER_BYTES - 8..HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+    f
 }
 
 fn deframe(buf: &[u8], want_kind: u32) -> Result<&[u8], CodecError> {
@@ -360,10 +389,7 @@ fn deframe(buf: &[u8], want_kind: u32) -> Result<&[u8], CodecError> {
     let stored_crc = c.u64()?;
     let payload = c.take(payload_len)?;
     c.done()?;
-    // CRC over everything before the CRC word, plus the payload.
-    let mut crc_input = buf[..HEADER_BYTES - 8].to_vec();
-    crc_input.extend_from_slice(payload);
-    if crc64(&crc_input) != stored_crc {
+    if frame_crc(&buf[..HEADER_BYTES - 8], payload) != stored_crc {
         return Err(CodecError::BadCrc);
     }
     Ok(payload)
@@ -371,35 +397,34 @@ fn deframe(buf: &[u8], want_kind: u32) -> Result<&[u8], CodecError> {
 
 // -- request ------------------------------------------------------------------
 
-/// Encodes a request into one frame.
+/// Encodes a request into one frame, built and sealed in one buffer.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut p = Vec::with_capacity(48);
+    let (key, ops, prefix): (u64, &[BatchOp], Option<&str>) = match &req.op {
+        ReqOp::Get { key } | ReqOp::Put { key } | ReqOp::Delete { key } => (*key, &[], None),
+        ReqOp::Batch { ops } => (0, ops, None),
+        ReqOp::PrefixQuery { prefix } => (0, &[], Some(prefix)),
+        ReqOp::Evict | ReqOp::Heal => (0, &[], None),
+    };
+    // 36 fixed bytes, 9 per batch entry, a length-prefixed prefix: the
+    // exact size, so the frame never grows.
+    let mut p = frame_buf(36 + 9 * ops.len() + prefix.map_or(0, |s| 2 + s.len()));
     p.extend_from_slice(&req.id.to_le_bytes());
     p.extend_from_slice(&req.tenant.to_le_bytes());
     p.push(req.priority.code());
     p.push(req.op.code());
     p.extend_from_slice(&0u16.to_le_bytes());
     p.extend_from_slice(&req.deadline_micros.to_le_bytes());
-    let key = match &req.op {
-        ReqOp::Get { key } | ReqOp::Put { key } | ReqOp::Delete { key } => *key,
-        _ => 0,
-    };
     p.extend_from_slice(&key.to_le_bytes());
-    let empty = Vec::new();
-    let ops = match &req.op {
-        ReqOp::Batch { ops } => ops,
-        _ => &empty,
-    };
     p.extend_from_slice(&(ops.len() as u32).to_le_bytes());
     for op in ops {
         p.push(u8::from(op.put));
         p.extend_from_slice(&op.key.to_le_bytes());
     }
-    if let ReqOp::PrefixQuery { prefix } = &req.op {
+    if let Some(prefix) = prefix {
         p.extend_from_slice(&(prefix.len() as u16).to_le_bytes());
         p.extend_from_slice(prefix.as_bytes());
     }
-    frame(KIND_REQUEST, &p)
+    seal(p, KIND_REQUEST)
 }
 
 /// Decodes a request frame.
@@ -465,9 +490,10 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, CodecError> {
 
 // -- response -----------------------------------------------------------------
 
-/// Encodes a response into one frame.
+/// Encodes a response into one frame, built and sealed in one buffer.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut p = Vec::with_capacity(48 + resp.detail.len());
+    // 32 fixed bytes, 9 per batch result, the detail: the exact size.
+    let mut p = frame_buf(32 + 9 * resp.batch.len() + resp.detail.len());
     p.extend_from_slice(&resp.id.to_le_bytes());
     p.push(resp.status.code());
     p.push(match resp.found {
@@ -485,7 +511,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         p.extend_from_slice(&b.stamp.to_le_bytes());
     }
     p.extend_from_slice(resp.detail.as_bytes());
-    frame(KIND_RESPONSE, &p)
+    seal(p, KIND_RESPONSE)
 }
 
 /// Decodes a response frame.
@@ -653,6 +679,49 @@ mod tests {
         ]
     }
 
+    /// The wire bytes of each `sample_requests()` frame, in order: every op
+    /// code, a batch and both prefix shapes.
+    const GOLDEN_REQUESTS: [&str; 8] = [
+        "4e56504953525631020000000100000024000000000000005d68f7e0afe145860100000000000000070000000000000000000000000000002a0000000000000000000000",
+        "4e5650495352563102000000010000002400000000000000739c573d7d6a6a2b0200000000000000000000000101000040420f0000000000ffffffffffffffff00000000",
+        "4e5650495352563102000000010000002400000000000000b9ec50a5cecab7e2030000000000000009000000020200000500000000000000000000000000000000000000",
+        "4e5650495352563102000000010000003f00000000000000494f57516ccbf10d040000000000000003000000020300000000000000000000000000000000000003000000010100000000000000000200000000000000010300000000000000",
+        "4e56504953525631020000000100000024000000000000002d74861a0aaa437c050000000000000001000000010400000000000000000000000000000000000000000000",
+        "4e56504953525631020000000100000024000000000000006f7ccfbdad09f76f060000000000000001000000010500000000000000000000000000000000000000000000",
+        "4e5650495352563102000000010000002900000000000000851f278a639ca23f07000000000000000200000001060000fa000000000000000000000000000000000000000300636172",
+        "4e5650495352563102000000010000002600000000000000a7e7e29d9c030c090800000000000000020000000006000000000000000000000000000000000000000000000000",
+    ];
+
+    /// The wire bytes of each `sample_responses()` frame, in order: a plain
+    /// result, a detail, a batch and two rejections.
+    const GOLDEN_RESPONSES: [&str; 5] = [
+        "4e565049535256310200000002000000200000000000000080fa9b9f41cfb25d0100000000000000000200000100000063000000000000000000000000000000",
+        "4e565049535256310200000002000000380000000000000050810439a6eef49c0200000000000000030000000000000000000000000000000000000018000000726561642d6f6e6c79206166746572206661696c6f766572",
+        "4e5650495352563102000000020000003200000000000000c897a0faf23d1d3f0300000000000000000000000200000068000000000000000200000000000000016700000000000000006800000000000000",
+        "4e5650495352563102000000020000002a00000000000000c09ed4f104d4dec4040000000000000001000000000000000000000000000000000000000a00000071756575652066756c6c",
+        "4e56504953525631020000000200000032000000000000004df733557188302405000000000000000700000000000000000000000000000000000000120000006672616d6520435243206d69736d61746368",
+    ];
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn frames_match_the_committed_wire_bytes() {
+        for (req, want) in sample_requests().iter().zip(GOLDEN_REQUESTS) {
+            let bytes = encode_request(req);
+            assert_eq!(hex(&bytes), want, "{req:?}");
+            assert_eq!(&decode_request(&bytes).unwrap(), req);
+        }
+        for (resp, want) in sample_responses().iter().zip(GOLDEN_RESPONSES) {
+            let bytes = encode_response(resp);
+            assert_eq!(hex(&bytes), want, "{resp:?}");
+            assert_eq!(&decode_response(&bytes).unwrap(), resp);
+        }
+        assert_eq!(sample_requests().len(), GOLDEN_REQUESTS.len());
+        assert_eq!(sample_responses().len(), GOLDEN_RESPONSES.len());
+    }
+
     #[test]
     fn request_roundtrip() {
         for req in sample_requests() {
@@ -730,10 +799,8 @@ mod tests {
         let mut bytes = encode_request(&sample_requests()[0]);
         let op_off = HEADER_BYTES + 8 + 4 + 1;
         bytes[op_off] = 7;
-        let payload = bytes[HEADER_BYTES..].to_vec();
-        let resealed = frame(KIND_REQUEST, &payload);
         assert_eq!(
-            decode_request(&resealed).unwrap_err(),
+            decode_request(&seal(bytes, KIND_REQUEST)).unwrap_err(),
             CodecError::BadField("op code")
         );
     }
@@ -761,14 +828,13 @@ mod tests {
             },
             ..long
         };
-        let bytes = encode_request(&ok);
+        let mut bytes = encode_request(&ok);
         // Smash the first prefix byte to a lone UTF-8 continuation byte
         // and re-seal, so only the string check can object.
-        let mut payload = bytes[HEADER_BYTES..].to_vec();
-        let plen = payload.len();
-        payload[plen - 2] = 0xFF;
+        let n = bytes.len();
+        bytes[n - 2] = 0xFF;
         assert_eq!(
-            decode_request(&frame(KIND_REQUEST, &payload)).unwrap_err(),
+            decode_request(&seal(bytes, KIND_REQUEST)).unwrap_err(),
             CodecError::BadField("prefix utf-8")
         );
     }

@@ -19,12 +19,14 @@
 //!
 //! All injections are one-shot (or counted) and consumed atomically, so
 //! a plan drives a deterministic scenario even with several shards
-//! consulting it concurrently.
+//! consulting it concurrently. Until the first stall, crash or transient
+//! is armed, a consult is one atomic load and takes no lock.
 
 use nvmsim::repl::ReplSink;
 use nvmsim::shadow::FaultPolicy;
 use std::collections::HashSet;
 use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -79,11 +81,19 @@ struct PlanState {
     dead_sinks: HashSet<u32>,
 }
 
+#[derive(Debug, Default)]
+struct Plan {
+    /// Set by the first stall, crash or transient armed; until then the
+    /// per-request consults return without taking the lock.
+    armed: AtomicBool,
+    state: Mutex<PlanState>,
+}
+
 /// Shared, thread-safe fault schedule for one server run. Cheap to
 /// clone; all clones see the same state.
 #[derive(Debug, Clone, Default)]
 pub struct ServerFaultPlan {
-    inner: Arc<Mutex<PlanState>>,
+    inner: Arc<Plan>,
 }
 
 impl ServerFaultPlan {
@@ -93,12 +103,28 @@ impl ServerFaultPlan {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, PlanState> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+        self.inner.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The plan state for arming a serving-side injection.
+    fn arm(&self) -> std::sync::MutexGuard<'_, PlanState> {
+        let st = self.lock();
+        self.inner.armed.store(true, Ordering::Release);
+        st
+    }
+
+    /// The plan state for a serving-side consult; `None` until something
+    /// was armed.
+    fn consult(&self) -> Option<std::sync::MutexGuard<'_, PlanState>> {
+        self.inner
+            .armed
+            .load(Ordering::Acquire)
+            .then(|| self.lock())
     }
 
     /// Arms a one-shot shard stall.
     pub fn stall_shard(&self, shard: usize, at_dequeue: u64, stall: Duration) {
-        self.lock().stalls.push(ShardStall {
+        self.arm().stalls.push(ShardStall {
             shard,
             at_dequeue,
             stall,
@@ -107,7 +133,7 @@ impl ServerFaultPlan {
 
     /// Arms a one-shot tenant crash (see [`TenantCrash`]).
     pub fn crash_tenant(&self, tenant: u32, at_write: u64, policy: FaultPolicy, failover: bool) {
-        self.lock().crashes.push(TenantCrash {
+        self.arm().crashes.push(TenantCrash {
             tenant,
             at_write,
             policy,
@@ -117,7 +143,7 @@ impl ServerFaultPlan {
 
     /// Arms a counted transient write fault (see [`TransientFault`]).
     pub fn transient(&self, tenant: u32, at_write: u64, failures: u32) {
-        self.lock().transients.push(TransientFault {
+        self.arm().transients.push(TransientFault {
             tenant,
             at_write,
             failures,
@@ -140,7 +166,7 @@ impl ServerFaultPlan {
     /// Consumes and returns the stall armed for this shard at (or
     /// before) the `nth` dequeue, if any.
     pub fn take_stall(&self, shard: usize, nth: u64) -> Option<Duration> {
-        let mut st = self.lock();
+        let mut st = self.consult()?;
         let idx = st
             .stalls
             .iter()
@@ -151,7 +177,7 @@ impl ServerFaultPlan {
     /// Consumes and returns the crash armed for this tenant at (or
     /// before) its `write_nth` write, if any.
     pub fn take_crash(&self, tenant: u32, write_nth: u64) -> Option<TenantCrash> {
-        let mut st = self.lock();
+        let mut st = self.consult()?;
         let idx = st
             .crashes
             .iter()
@@ -162,7 +188,9 @@ impl ServerFaultPlan {
     /// Consumes one transient-failure token for this tenant's
     /// `write_nth` write. Returns `true` if the attempt must fail.
     pub fn take_transient_failure(&self, tenant: u32, write_nth: u64) -> bool {
-        let mut st = self.lock();
+        let Some(mut st) = self.consult() else {
+            return false;
+        };
         let Some(idx) = st
             .transients
             .iter()
@@ -247,6 +275,16 @@ mod tests {
         assert!(plan.take_transient_failure(3, 2));
         assert!(plan.take_transient_failure(3, 3));
         assert!(!plan.take_transient_failure(3, 4), "tokens exhausted");
+    }
+
+    #[test]
+    fn a_clone_taken_before_arming_sees_the_injection() {
+        let plan = ServerFaultPlan::none();
+        let serving = plan.clone();
+        assert!(!serving.take_transient_failure(4, 1), "nothing armed");
+        plan.transient(4, 1, 1);
+        assert!(serving.take_transient_failure(4, 1));
+        assert!(!plan.take_transient_failure(4, 2), "consumed");
     }
 
     #[test]

@@ -2,10 +2,18 @@
 //!
 //! A sharded front end that serves get/put/delete and batched
 //! transactional requests against many [`nvmsim::Region`] tenants, each
-//! request on the thread that submitted it (the server starts no threads). Requests and responses travel through a versioned CRC-framed
-//! codec ([`codec`], magic `NVPISRV1` — the serving sibling of `repl`'s
-//! `NVPIRPL1` stream format) over an in-process [`Transport`] (loopback
-//! now, a socket later).
+//! request on the thread that submitted it (the server starts no
+//! threads). Requests and responses travel through a versioned
+//! CRC-framed codec ([`codec`], magic `NVPISRV1` — the serving sibling
+//! of `repl`'s `NVPIRPL1` stream format) over an in-process
+//! [`Transport`] (loopback now, a socket later).
+//!
+//! The serving path costs little beyond its structure op. A frame is
+//! built and sealed in one buffer and checked without a copy; a request
+//! that finds its shard idle runs at once, with no queue entry, response
+//! slot or wake-up; a request finds its tenant with one hash lookup; a
+//! prefix reply is written straight from the ART's in-order walk. A
+//! Get, Put or Delete on an open tenant allocates only its two frames.
 //!
 //! Robustness is the headline, not throughput:
 //!

@@ -5,10 +5,13 @@
 
 use crate::codec::{self, BatchOp, BatchResult, Priority, ReqOp, Request, Response, Status};
 use crate::fault::ServerFaultPlan;
-use crate::tenant::{Tenant, TenantMetrics, TenantSnapshot, TenantSpec, TenantState, TenantTuning};
+use crate::tenant::{
+    Tenant, TenantMetrics, TenantSnapshot, TenantSpec, TenantState, TenantTuning, IDX_WORD_LEN,
+};
 use nvmsim::metrics::{self, Counter};
 use nvmsim::{dlin, repl};
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
@@ -79,9 +82,13 @@ impl Slot {
     }
 }
 
+/// A request waiting in its shard's queue. A request that finds its
+/// shard idle runs at once and never becomes one.
 struct Entry {
     req: Request,
     deadline: Instant,
+    /// The tenant's index in its shard's state.
+    index: usize,
     slot: Arc<Slot>,
 }
 
@@ -108,8 +115,10 @@ struct ShardQueue {
 /// lock serves the shard.
 #[derive(Default)]
 struct ShardState {
-    tenants: HashMap<u32, Tenant>,
-    /// Entries executed so far: the LRU clock and the stall ordinal.
+    /// The shard's tenants, each at its [`Route::index`]; created closed
+    /// at start and opened by their first request.
+    tenants: Vec<Tenant>,
+    /// Requests executed so far: the LRU clock and the stall ordinal.
     tick: u64,
 }
 
@@ -127,24 +136,49 @@ struct Shard {
 }
 
 impl Shard {
-    fn new() -> Shard {
+    fn new(state: ShardState) -> Shard {
         Shard {
             q: Mutex::new(ShardQueue {
                 entries: VecDeque::new(),
                 accepting: true,
             }),
-            state: Mutex::default(),
+            state: Mutex::new(state),
+        }
+    }
+
+    /// The shard lock, if nobody holds it.
+    fn try_state(&self) -> Option<MutexGuard<'_, ShardState>> {
+        match self.state.try_lock() {
+            Ok(st) => Some(st),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
+    /// Releases the shard lock; the waiter at the queue head takes the
+    /// shard over.
+    fn release(&self, st: MutexGuard<'_, ShardState>) {
+        drop(st);
+        if let Some(e) = lock(&self.q).entries.front() {
+            e.slot.waiter.unpark();
         }
     }
 }
 
+/// Where a tenant is served: the one lookup a request makes.
+struct Route {
+    shard: usize,
+    /// Index of the tenant in its shard's state.
+    index: usize,
+    metrics: Arc<TenantMetrics>,
+}
+
 struct Core {
     cfg: ServerConfig,
-    specs: HashMap<u32, TenantSpec>,
     plan: ServerFaultPlan,
     shards: Vec<Shard>,
     shutdown: AtomicBool,
-    tmetrics: HashMap<u32, Arc<TenantMetrics>>,
+    routes: HashMap<u32, Route>,
     /// How long a waiter spins before parking: 20 µs when another CPU can
     /// release the shard lock meanwhile, zero on one CPU.
     spin: Duration,
@@ -221,65 +255,79 @@ impl ServerHandle {
         if core.shutdown.load(Ordering::Acquire) {
             return Response::rejection(id, Status::Shutdown, "server is shutting down");
         }
-        let Some(tm) = core.tmetrics.get(&req.tenant) else {
+        let Some(route) = core.routes.get(&req.tenant) else {
             return Response::rejection(
                 id,
                 Status::NoSuchTenant,
                 format!("tenant {} not configured", req.tenant),
             );
         };
-        let shard_idx = req.tenant as usize % core.shards.len();
-        let shard = &core.shards[shard_idx];
+        let tm = &route.metrics;
+        let shard = &core.shards[route.shard];
         let arrival = Instant::now();
         let (deadline, backstop) = deadline_and_backstop(&req, core.cfg.default_deadline, arrival);
+        let mut q = lock(&shard.q);
+        if !q.accepting {
+            return Response::rejection(id, Status::Shutdown, "server is shutting down");
+        }
+        // Nobody queued and nobody serving: run it on the spot, then
+        // serve whatever arrived meanwhile under the usual budget.
+        if q.entries.is_empty() {
+            if let Some(mut st) = shard.try_state() {
+                drop(q);
+                metrics::incr(Counter::SrvRequests);
+                tm.requests.fetch_add(1, Ordering::Relaxed);
+                let resp = run_one(core, route.shard, &mut st, route.index, &req, deadline);
+                serve(core, route.shard, &mut st, None, core.cfg.queue_depth);
+                shard.release(st);
+                return resp;
+            }
+        }
+        if q.entries.len() >= core.cfg.queue_depth {
+            // Past the high-water mark: shed the lowest-priority queued
+            // request if it ranks strictly below the arrival, otherwise
+            // reject the arrival itself.
+            let min_idx = q
+                .entries
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.req.priority)
+                .map(|(i, _)| i);
+            match min_idx {
+                Some(i) if q.entries[i].req.priority < req.priority => {
+                    let shed = q.entries.remove(i).expect("index in range");
+                    metrics::incr(Counter::SrvShed);
+                    core.routes[&shed.req.tenant]
+                        .metrics
+                        .overloaded
+                        .fetch_add(1, Ordering::Relaxed);
+                    shed.slot.fill(Response::rejection(
+                        shed.req.id,
+                        Status::Overloaded,
+                        "shed for a higher-priority arrival",
+                    ));
+                }
+                _ => {
+                    drop(q);
+                    metrics::incr(Counter::SrvShed);
+                    tm.overloaded.fetch_add(1, Ordering::Relaxed);
+                    return Response::rejection(id, Status::Overloaded, "shard queue full");
+                }
+            }
+        }
+        metrics::incr(Counter::SrvRequests);
+        tm.requests.fetch_add(1, Ordering::Relaxed);
         let slot = Arc::new(Slot {
             resp: Mutex::new(None),
             waiter: std::thread::current(),
         });
-        {
-            let mut q = lock(&shard.q);
-            if !q.accepting {
-                return Response::rejection(id, Status::Shutdown, "server is shutting down");
-            }
-            if q.entries.len() >= core.cfg.queue_depth {
-                // Past the high-water mark: shed the lowest-priority
-                // queued request if it ranks strictly below the arrival,
-                // otherwise reject the arrival itself.
-                let min_idx = q
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.req.priority)
-                    .map(|(i, _)| i);
-                match min_idx {
-                    Some(i) if q.entries[i].req.priority < req.priority => {
-                        let shed = q.entries.remove(i).expect("index in range");
-                        metrics::incr(Counter::SrvShed);
-                        if let Some(m) = core.tmetrics.get(&shed.req.tenant) {
-                            m.overloaded.fetch_add(1, Ordering::Relaxed);
-                        }
-                        shed.slot.fill(Response::rejection(
-                            shed.req.id,
-                            Status::Overloaded,
-                            "shed for a higher-priority arrival",
-                        ));
-                    }
-                    _ => {
-                        drop(q);
-                        metrics::incr(Counter::SrvShed);
-                        tm.overloaded.fetch_add(1, Ordering::Relaxed);
-                        return Response::rejection(id, Status::Overloaded, "shard queue full");
-                    }
-                }
-            }
-            metrics::incr(Counter::SrvRequests);
-            tm.requests.fetch_add(1, Ordering::Relaxed);
-            q.entries.push_back(Entry {
-                req,
-                deadline,
-                slot: slot.clone(),
-            });
-        }
+        q.entries.push_back(Entry {
+            req,
+            deadline,
+            index: route.index,
+            slot: slot.clone(),
+        });
+        drop(q);
         // Serve the shard if nobody is; otherwise wait for whoever is to
         // answer, or to hand the shard lock to this caller.
         let spin_until = arrival + core.spin;
@@ -287,18 +335,15 @@ impl ServerHandle {
             if let Some(r) = lock(&slot.resp).take() {
                 return r;
             }
-            let st = match shard.state.try_lock() {
-                Ok(st) => Some(st),
-                Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
-                Err(TryLockError::WouldBlock) => None,
-            };
-            if let Some(mut st) = st {
-                serve(core, shard_idx, &mut st, Some(&slot));
-                drop(st);
-                // The waiter at the queue head takes the shard over.
-                if let Some(e) = lock(&shard.q).entries.front() {
-                    e.slot.waiter.unpark();
-                }
+            if let Some(mut st) = shard.try_state() {
+                serve(
+                    core,
+                    route.shard,
+                    &mut st,
+                    Some(&slot),
+                    core.cfg.queue_depth,
+                );
+                shard.release(st);
                 continue;
             }
             let now = Instant::now();
@@ -315,7 +360,7 @@ impl ServerHandle {
 
     /// Live metrics handle for a tenant.
     pub fn tenant_metrics(&self, tenant: u32) -> Option<Arc<TenantMetrics>> {
-        self.core.tmetrics.get(&tenant).cloned()
+        self.core.routes.get(&tenant).map(|r| r.metrics.clone())
     }
 }
 
@@ -437,21 +482,37 @@ impl Server {
         assert!(cfg.shards > 0, "at least one shard");
         assert!(cfg.queue_depth > 0, "queue depth must be positive");
         std::fs::create_dir_all(&cfg.data_dir)?;
-        let mut specs = HashMap::new();
-        let mut tmetrics = HashMap::new();
-        for t in tenants {
-            tmetrics.insert(t.id, Arc::new(TenantMetrics::default()));
-            specs.insert(t.id, t);
+        let tuning = TenantTuning {
+            max_retries: cfg.max_retries,
+            retry_backoff: cfg.retry_backoff,
+            retry_backoff_max: cfg.retry_backoff_max,
+            degraded_window: cfg.degraded_window,
+        };
+        let mut states: Vec<ShardState> = (0..cfg.shards).map(|_| ShardState::default()).collect();
+        let mut routes = HashMap::new();
+        for spec in tenants {
+            let (id, shard) = (spec.id, spec.id as usize % cfg.shards);
+            let metrics = Arc::new(TenantMetrics::default());
+            let tenants = &mut states[shard].tenants;
+            let route = Route {
+                shard,
+                index: tenants.len(),
+                metrics: metrics.clone(),
+            };
+            assert!(
+                routes.insert(id, route).is_none(),
+                "tenant {id} configured twice"
+            );
+            tenants.push(Tenant::new(spec, &cfg.data_dir, metrics, tuning.clone()));
         }
-        let shards = (0..cfg.shards).map(|_| Shard::new()).collect();
+        let shards = states.into_iter().map(Shard::new).collect();
         let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         let core = Arc::new(Core {
             cfg,
-            specs,
             plan,
             shards,
             shutdown: AtomicBool::new(false),
-            tmetrics,
+            routes,
             spin: Duration::from_micros(if cpus > 1 { 20 } else { 0 }),
         });
         Ok(Server { core })
@@ -479,7 +540,7 @@ impl Server {
         let mut reports = Vec::new();
         for (shard_idx, shard) in core.shards.iter().enumerate() {
             let mut st = lock(&shard.state);
-            serve(core, shard_idx, &mut st, None);
+            serve(core, shard_idx, &mut st, None, usize::MAX);
             // Refuse anything that raced past the shutdown flag.
             let mut q = lock(&shard.q);
             q.accepting = false;
@@ -493,8 +554,9 @@ impl Server {
             drop(q);
             // Close every tenant cleanly and report its final state. A
             // tenant sitting evicted is reopened first so the report still
-            // carries its final keys (one more remap audit for free).
-            for (_, mut t) in st.tenants.drain() {
+            // carries its final keys (one more remap audit for free); one
+            // that never opened reports `Closed` with no bases or keys.
+            for mut t in st.tenants.drain(..) {
                 if !t.is_open() && !t.bases.is_empty() {
                     if let Err(e) = t.ensure_open(&core.plan) {
                         eprintln!("nvserver: tenant {} reopen at shutdown: {e}", t.spec.id);
@@ -519,18 +581,6 @@ impl Server {
                 });
             }
         }
-        // Tenants that never opened still get a report row.
-        for id in core.specs.keys() {
-            if !reports.iter().any(|r| r.id == *id) {
-                reports.push(TenantReport {
-                    id: *id,
-                    state: TenantState::Closed,
-                    bases: Vec::new(),
-                    keys: Vec::new(),
-                    snapshot: core.tmetrics[id].snapshot(),
-                });
-            }
-        }
         reports.sort_by_key(|r| r.id);
         ServerReport { tenants: reports }
     }
@@ -539,35 +589,52 @@ impl Server {
 // -- serving a shard ----------------------------------------------------------
 
 /// Runs queued entries in FIFO order under the shard lock: until the
-/// queue is empty, or — for a caller waiting on `own` — `queue_depth`
-/// entries past its own, which bounds the extra work a caller does.
-fn serve(core: &Core, shard_idx: usize, st: &mut ShardState, own: Option<&Slot>) {
+/// queue is empty, or until `budget` more have run once the caller's own
+/// request is answered (its `own` slot filled, or at once when it has
+/// none), which bounds the extra work a caller does.
+fn serve(
+    core: &Core,
+    shard_idx: usize,
+    st: &mut ShardState,
+    own: Option<&Slot>,
+    mut budget: usize,
+) {
     let shard = &core.shards[shard_idx];
-    let mut budget = core.cfg.queue_depth;
     loop {
-        if own.is_some_and(|s| lock(&s.resp).is_some()) {
+        if own.is_none_or(|s| lock(&s.resp).is_some()) {
             if budget == 0 {
                 return;
             }
             budget -= 1;
         }
-        let Some(entry) = lock(&shard.q).entries.pop_front() else {
+        let Some(e) = lock(&shard.q).entries.pop_front() else {
             return;
         };
-        st.tick += 1;
-        if let Some(stall) = core.plan.take_stall(shard_idx, st.tick) {
-            std::thread::sleep(stall);
-        }
-        let resp = handle_entry(core, &mut st.tenants, &entry, st.tick);
-        record_terminal(core, entry.req.tenant, &resp);
-        entry.slot.fill(resp);
+        let resp = run_one(core, shard_idx, st, e.index, &e.req, e.deadline);
+        e.slot.fill(resp);
     }
 }
 
-fn record_terminal(core: &Core, tenant: u32, resp: &Response) {
-    let Some(m) = core.tmetrics.get(&tenant) else {
-        return;
-    };
+/// Executes one request under the shard lock: the tick, the armed stall,
+/// the request itself, and its terminal counter.
+fn run_one(
+    core: &Core,
+    shard_idx: usize,
+    st: &mut ShardState,
+    index: usize,
+    req: &Request,
+    deadline: Instant,
+) -> Response {
+    st.tick += 1;
+    if let Some(stall) = core.plan.take_stall(shard_idx, st.tick) {
+        std::thread::sleep(stall);
+    }
+    let resp = handle_entry(core, &mut st.tenants, index, req, deadline, st.tick);
+    record_terminal(&st.tenants[index].metrics, &resp);
+    resp
+}
+
+fn record_terminal(m: &TenantMetrics, resp: &Response) {
     let c = match resp.status {
         Status::Ok => &m.ok,
         Status::Overloaded => &m.overloaded,
@@ -586,51 +653,29 @@ fn record_terminal(core: &Core, tenant: u32, resp: &Response) {
 
 fn handle_entry(
     core: &Core,
-    tenants: &mut HashMap<u32, Tenant>,
-    entry: &Entry,
+    tenants: &mut [Tenant],
+    index: usize,
+    req: &Request,
+    deadline: Instant,
     tick: u64,
 ) -> Response {
-    let req = &entry.req;
-    if Instant::now() > entry.deadline {
+    if Instant::now() > deadline {
         return Response::rejection(req.id, Status::DeadlineExceeded, "expired in queue");
     }
     // LRU pressure: opening this tenant must not exceed the per-shard
     // ceiling, so evict the coldest open tenant first.
-    let needs_open = !tenants.get(&req.tenant).is_some_and(Tenant::is_open);
-    if needs_open {
+    if !tenants[index].is_open() {
         if let Err(e) = evict_coldest(tenants, core.cfg.max_open_per_shard) {
             return Response::rejection(req.id, Status::Failed, e);
         }
     }
-    let tenant = tenants.entry(req.tenant).or_insert_with(|| {
-        let tuning = TenantTuning {
-            max_retries: core.cfg.max_retries,
-            retry_backoff: core.cfg.retry_backoff,
-            retry_backoff_max: core.cfg.retry_backoff_max,
-            degraded_window: core.cfg.degraded_window,
-        };
-        let spec = core.specs[&req.tenant].clone();
-        Tenant::new(
-            spec,
-            &core.cfg.data_dir,
-            core.tmetrics[&req.tenant].clone(),
-            tuning,
-        )
-    });
+    let tenant = &mut tenants[index];
     tenant.last_used = tick;
 
     // Eviction works even on an open tenant and needs no reopen.
     if matches!(req.op, ReqOp::Evict) {
         return match tenant.evict() {
-            Ok(()) => Response {
-                id: req.id,
-                status: Status::Ok,
-                found: None,
-                attempts: 1,
-                stamp: 0,
-                batch: Vec::new(),
-                detail: "evicted".to_string(),
-            },
+            Ok(()) => Response::ok(req.id, None, "evicted".to_string()),
             Err(e) => Response::rejection(req.id, Status::Failed, e),
         };
     }
@@ -651,57 +696,38 @@ fn handle_entry(
 
     match &req.op {
         ReqOp::Heal => match tenant.heal(&core.plan) {
-            Ok(()) => Response {
-                id: req.id,
-                status: Status::Ok,
-                found: None,
-                attempts: 1,
-                stamp: 0,
-                batch: Vec::new(),
-                detail: tenant.state().name().to_string(),
-            },
+            Ok(()) => Response::ok(req.id, None, tenant.state().name().to_string()),
             Err(e) => Response::rejection(req.id, Status::Failed, e),
         },
         ReqOp::Get { key } => {
-            let found = tenant.contains(*key);
-            Response {
-                id: req.id,
-                status: Status::Ok,
-                found: Some(found),
-                attempts: 1,
-                stamp: 0,
-                batch: Vec::new(),
-                detail: if tenant.state().read_only() {
-                    tenant.state().name().to_string()
-                } else {
-                    String::new()
-                },
+            Response::ok(req.id, Some(tenant.contains(*key)), degraded_note(tenant))
+        }
+        ReqOp::PrefixQuery { prefix } => {
+            // Reads serve in every open state, degraded included.
+            let mut detail = String::with_capacity(PREFIX_REPLY_BYTES);
+            let mut shown = 0;
+            let scan = tenant.prefix_scan_each(prefix, |word| {
+                if shown < MAX_PREFIX_MATCHES {
+                    if shown > 0 {
+                        detail.push('\n');
+                    }
+                    detail.push_str(word);
+                    shown += 1;
+                }
+            });
+            match scan {
+                Ok(total) => {
+                    if total > shown {
+                        let _ = write!(detail, "\n… {} more", total - shown);
+                    }
+                    Response::ok(req.id, Some(total > 0), detail)
+                }
+                Err(e) => Response::rejection(req.id, Status::Failed, e),
             }
         }
-        ReqOp::PrefixQuery { prefix } => match tenant.prefix_scan(prefix) {
-            Ok(matches) => {
-                // Reads serve in every open state, degraded included.
-                let total = matches.len();
-                let capped: Vec<String> = matches.into_iter().take(MAX_PREFIX_MATCHES).collect();
-                Response {
-                    id: req.id,
-                    status: Status::Ok,
-                    found: Some(total > 0),
-                    attempts: 1,
-                    stamp: 0,
-                    batch: Vec::new(),
-                    detail: if total > capped.len() {
-                        format!("{}\n… {} more", capped.join("\n"), total - capped.len())
-                    } else {
-                        capped.join("\n")
-                    },
-                }
-            }
-            Err(e) => Response::rejection(req.id, Status::Failed, e),
-        },
-        ReqOp::Put { key } => write_path(core, tenant, entry, true, *key),
-        ReqOp::Delete { key } => write_path(core, tenant, entry, false, *key),
-        ReqOp::Batch { ops } => batch_path(core, tenant, entry, ops),
+        ReqOp::Put { key } => write_path(core, tenant, req, deadline, true, *key),
+        ReqOp::Delete { key } => write_path(core, tenant, req, deadline, false, *key),
+        ReqOp::Batch { ops } => batch_path(core, tenant, req, deadline, ops),
         ReqOp::Evict => unreachable!("handled before reopen"),
     }
 }
@@ -710,23 +736,20 @@ fn handle_entry(
 /// in the detail's final line.
 const MAX_PREFIX_MATCHES: usize = 16;
 
-fn evict_coldest(tenants: &mut HashMap<u32, Tenant>, max_open: usize) -> Result<(), String> {
-    loop {
-        let open: Vec<(u32, u64)> = tenants
-            .iter()
-            .filter(|(_, t)| t.is_open())
-            .map(|(id, t)| (*id, t.last_used))
-            .collect();
-        if open.len() < max_open {
-            return Ok(());
-        }
-        let coldest = open
-            .iter()
-            .min_by_key(|(_, used)| *used)
-            .map(|(id, _)| *id)
-            .expect("open set non-empty");
-        tenants.get_mut(&coldest).expect("tenant present").evict()?;
+/// A full prefix reply: the shown words and their separators, then the
+/// `\n… N more` line (at most 30 bytes).
+const PREFIX_REPLY_BYTES: usize = MAX_PREFIX_MATCHES * (IDX_WORD_LEN + 1) + 30;
+
+fn evict_coldest(tenants: &mut [Tenant], max_open: usize) -> Result<(), String> {
+    while tenants.iter().filter(|t| t.is_open()).count() >= max_open {
+        tenants
+            .iter_mut()
+            .filter(|t| t.is_open())
+            .min_by_key(|t| t.last_used)
+            .expect("open set non-empty")
+            .evict()?;
     }
+    Ok(())
 }
 
 /// Outcome of one write attempt, before terminal-response shaping.
@@ -740,14 +763,15 @@ enum WriteOutcome {
 fn write_once(
     core: &Core,
     tenant: &mut Tenant,
-    entry: &Entry,
+    req: &Request,
+    deadline: Instant,
     put: bool,
     key: u64,
     attempts: &mut u32,
 ) -> WriteOutcome {
-    let req_id = entry.req.id;
+    let req_id = req.id;
     loop {
-        if Instant::now() > entry.deadline {
+        if Instant::now() > deadline {
             return WriteOutcome::Terminal(Response::rejection(
                 req_id,
                 Status::DeadlineExceeded,
@@ -809,7 +833,7 @@ fn write_once(
                 core.cfg.retry_backoff_max,
                 *attempts - 1,
             );
-            let left = entry.deadline.saturating_duration_since(Instant::now());
+            let left = deadline.saturating_duration_since(Instant::now());
             std::thread::sleep(wait.min(left));
             continue;
         }
@@ -833,21 +857,20 @@ fn write_once(
     }
 }
 
-fn write_path(core: &Core, tenant: &mut Tenant, entry: &Entry, put: bool, key: u64) -> Response {
+fn write_path(
+    core: &Core,
+    tenant: &mut Tenant,
+    req: &Request,
+    deadline: Instant,
+    put: bool,
+    key: u64,
+) -> Response {
     let mut attempts = 0;
-    match write_once(core, tenant, entry, put, key, &mut attempts) {
+    match write_once(core, tenant, req, deadline, put, key, &mut attempts) {
         WriteOutcome::Committed { applied, stamp } => Response {
-            id: entry.req.id,
-            status: Status::Ok,
-            found: Some(applied),
             attempts,
             stamp,
-            batch: Vec::new(),
-            detail: if tenant.state().read_only() {
-                tenant.state().name().to_string()
-            } else {
-                String::new()
-            },
+            ..Response::ok(req.id, Some(applied), degraded_note(tenant))
         },
         WriteOutcome::Terminal(mut r) => {
             r.attempts = attempts;
@@ -856,12 +879,18 @@ fn write_path(core: &Core, tenant: &mut Tenant, entry: &Entry, put: bool, key: u
     }
 }
 
-fn batch_path(core: &Core, tenant: &mut Tenant, entry: &Entry, ops: &[BatchOp]) -> Response {
+fn batch_path(
+    core: &Core,
+    tenant: &mut Tenant,
+    req: &Request,
+    deadline: Instant,
+    ops: &[BatchOp],
+) -> Response {
     let mut attempts = 0;
     let mut batch = Vec::with_capacity(ops.len());
     let mut last_stamp = 0;
     for op in ops {
-        match write_once(core, tenant, entry, op.put, op.key, &mut attempts) {
+        match write_once(core, tenant, req, deadline, op.put, op.key, &mut attempts) {
             WriteOutcome::Committed { applied, stamp } => {
                 batch.push(BatchResult { applied, stamp });
                 last_stamp = stamp;
@@ -882,19 +911,67 @@ fn batch_path(core: &Core, tenant: &mut Tenant, entry: &Entry, ops: &[BatchOp]) 
         }
     }
     Response {
-        id: entry.req.id,
-        status: Status::Ok,
-        found: None,
         attempts,
         stamp: last_stamp,
         batch,
-        detail: String::new(),
+        ..Response::ok(req.id, None, String::new())
+    }
+}
+
+/// The detail of an `Ok` answer: the ladder state when the tenant is
+/// degraded, otherwise empty.
+fn degraded_note(tenant: &Tenant) -> String {
+    if tenant.state().read_only() {
+        tenant.state().name().to_string()
+    } else {
+        String::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tenant::{index_word, ReprKind};
+
+    #[test]
+    fn prefix_replies_show_sixteen_words_then_count_the_rest() {
+        let dir = std::env::temp_dir().join(format!("nvserver-prefix-{}", std::process::id()));
+        let tenants = [ReprKind::OffHolder, ReprKind::Riv, ReprKind::FatCached]
+            .into_iter()
+            .enumerate()
+            .map(|(id, repr)| TenantSpec::new(id as u32, repr))
+            .collect();
+        let server =
+            Server::start(ServerConfig::new(&dir), tenants, ServerFaultPlan::none()).unwrap();
+        let client = server.client();
+        // Keys 0..26 are the words "aaaaaaaaaaaaaa" ..= "aaaaaaaaaaaaaz":
+        // the 13-letter prefix matches exactly the keys put so far.
+        let prefix = &index_word(0)[..13];
+        let words = |n: u64| (0..n).map(index_word).collect::<Vec<_>>().join("\n");
+        for tenant in 0..3 {
+            let reply = client.prefix(tenant, prefix);
+            assert_eq!((reply.status, reply.found), (Status::Ok, Some(false)));
+            assert_eq!(reply.detail, "");
+            // Inserted in descending order, so no node holds them sorted.
+            for key in (0..16).rev() {
+                assert_eq!(client.put(tenant, key).found, Some(true));
+            }
+            let reply = client.prefix(tenant, prefix);
+            assert_eq!(reply.found, Some(true));
+            assert_eq!(reply.detail, words(16), "tenant {tenant}: exactly 16");
+            assert_eq!(client.put(tenant, 16).found, Some(true));
+            let reply = client.prefix(tenant, prefix);
+            assert_eq!(reply.detail, format!("{}\n… 1 more", words(16)));
+            for key in 17..26 {
+                client.put(tenant, key);
+            }
+            let reply = client.prefix(tenant, prefix);
+            assert_eq!(reply.detail, format!("{}\n… 10 more", words(16)));
+            assert_eq!(client.prefix(tenant, "b").detail, "");
+        }
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn backstop_is_measured_from_the_request_deadline() {

@@ -45,19 +45,24 @@ const IDX_ROOT: &str = "srv.idx";
 
 /// Width of [`index_word`]: 26^14 > 2^64, so every `u64` key has a
 /// distinct fixed-width word.
-const IDX_WORD_LEN: usize = 14;
+pub(crate) const IDX_WORD_LEN: usize = 14;
 
 /// The ART word a `u64` key is indexed under: fixed-width base-26,
 /// most-significant digit first, so numerically close keys share long
 /// prefixes (the shape prefix queries exploit).
 pub fn index_word(key: u64) -> String {
+    String::from_utf8(index_word_bytes(key).to_vec()).expect("ascii")
+}
+
+/// [`index_word`] on the stack.
+fn index_word_bytes(key: u64) -> [u8; IDX_WORD_LEN] {
     let mut buf = [b'a'; IDX_WORD_LEN];
     let mut rem = key;
     for slot in buf.iter_mut().rev() {
         *slot = b'a' + (rem % 26) as u8;
         rem /= 26;
     }
-    String::from_utf8(buf.to_vec()).expect("ascii")
+    buf
 }
 
 /// Pointer representation a tenant's persistent set uses. Mixing
@@ -424,11 +429,11 @@ impl TenantIndex {
         }
     }
 
-    fn prefix_scan(&self, prefix: &str) -> Result<Vec<String>, String> {
+    fn prefix_scan_each(&self, prefix: &str, visit: impl FnMut(&str)) -> Result<usize, String> {
         match self {
-            TenantIndex::Off(a) => a.prefix_scan(prefix).map_err(err),
-            TenantIndex::Riv(a) => a.prefix_scan(prefix).map_err(err),
-            TenantIndex::Fat(a) => a.prefix_scan(prefix).map_err(err),
+            TenantIndex::Off(a) => a.prefix_scan_each(prefix, visit).map_err(err),
+            TenantIndex::Riv(a) => a.prefix_scan_each(prefix, visit).map_err(err),
+            TenantIndex::Fat(a) => a.prefix_scan_each(prefix, visit).map_err(err),
         }
     }
 
@@ -796,17 +801,18 @@ impl Tenant {
     /// (its own transaction; [`Tenant::reconcile_index`] repairs the
     /// between-transactions crash window on recovery).
     pub(crate) fn insert(&mut self, key: u64) -> Result<bool, String> {
-        let store = self.store.clone().expect("open tenant");
+        let store = self.store.as_ref().expect("open tenant");
         let applied = self
             .set
             .as_mut()
             .expect("open tenant")
-            .insert_tx(&store, key)?;
+            .insert_tx(store, key)?;
         if applied {
+            let word = index_word_bytes(key);
             self.idx
                 .as_mut()
                 .expect("open tenant")
-                .insert_tx(&store, &index_word(key))?;
+                .insert_tx(store, std::str::from_utf8(&word).expect("ascii"))?;
         }
         Ok(applied)
     }
@@ -814,25 +820,33 @@ impl Tenant {
     /// Transactional remove; `Ok(applied)` once committed. An applied
     /// remove also unindexes the key's [`index_word`].
     pub(crate) fn remove(&mut self, key: u64) -> Result<bool, String> {
-        let store = self.store.clone().expect("open tenant");
+        let store = self.store.as_ref().expect("open tenant");
         let applied = self
             .set
             .as_mut()
             .expect("open tenant")
-            .remove_tx(&store, key)?;
+            .remove_tx(store, key)?;
         if applied {
+            let word = index_word_bytes(key);
             self.idx
                 .as_mut()
                 .expect("open tenant")
-                .remove_tx(&store, &index_word(key))?;
+                .remove_tx(store, std::str::from_utf8(&word).expect("ascii"))?;
         }
         Ok(applied)
     }
 
-    /// Suggestion lookup: every indexed word starting with `prefix`,
-    /// sorted.
-    pub(crate) fn prefix_scan(&self, prefix: &str) -> Result<Vec<String>, String> {
-        self.idx.as_ref().expect("open tenant").prefix_scan(prefix)
+    /// Suggestion lookup: calls `visit` with every indexed word starting
+    /// with `prefix`, in sorted order; returns how many there were.
+    pub(crate) fn prefix_scan_each(
+        &self,
+        prefix: &str,
+        visit: impl FnMut(&str),
+    ) -> Result<usize, String> {
+        self.idx
+            .as_ref()
+            .expect("open tenant")
+            .prefix_scan_each(prefix, visit)
     }
 
     /// Re-derives the suggestion index from the authoritative set after
@@ -844,7 +858,9 @@ impl Tenant {
         let idx = self.idx.as_mut().expect("open tenant");
         let want: std::collections::BTreeSet<String> =
             keys.iter().map(|&k| index_word(k)).collect();
-        for word in idx.prefix_scan("")? {
+        let mut have = Vec::new();
+        idx.prefix_scan_each("", |w| have.push(w.to_string()))?;
+        for word in have {
             if !want.contains(&word) {
                 idx.remove_tx(&store, &word)?;
             }

@@ -312,28 +312,30 @@ impl<R: PtrRepr> PArt<R> {
         })
     }
 
+    fn head(&self) -> &ArtHeader<R> {
+        // SAFETY: header mapped while regions are open; every write to it
+        // goes through `&mut self`.
+        unsafe { &*self.header }
+    }
+
     /// Distinct keys currently present.
     pub fn key_count(&self) -> u64 {
-        // SAFETY: header mapped while regions are open.
-        unsafe { (*self.header).keys }
+        self.head().keys
     }
 
     /// Live node count.
     pub fn node_count(&self) -> u64 {
-        // SAFETY: header mapped while regions are open.
-        unsafe { (*self.header).nodes }
+        self.head().nodes
     }
 
     /// Live node bytes (headers and retired predecessors excluded).
     pub fn live_bytes(&self) -> u64 {
-        // SAFETY: header mapped while regions are open.
-        unsafe { (*self.header).bytes }
+        self.head().bytes
     }
 
     /// Live node count per kind, indexed like [`ART_KIND_NAMES`].
     pub fn kind_counts(&self) -> [u64; 5] {
-        // SAFETY: header mapped while regions are open.
-        unsafe { (*self.header).kinds }
+        self.head().kinds
     }
 
     /// The arena nodes are placed in.
@@ -809,6 +811,20 @@ impl<R: PtrRepr> PArt<R> {
     /// Every present key starting with `prefix`, sorted. An empty prefix
     /// scans the whole tree.
     ///
+    /// # Errors
+    ///
+    /// As [`PArt::prefix_scan_each`].
+    pub fn prefix_scan(&self, prefix: &str) -> Result<Vec<String>> {
+        let mut out = Vec::new();
+        self.prefix_scan_each(prefix, |k| out.push(k.to_string()))?;
+        Ok(out)
+    }
+
+    /// Calls `visit` with every present key starting with `prefix`, in
+    /// sorted order, and returns how many there were. An empty prefix
+    /// scans the whole tree. Allocates nothing: the walk is in order, so
+    /// no key is copied and nothing is sorted afterwards.
+    ///
     /// The descent skips whole subtrees whose compressed prefix diverges
     /// from the query — the destination-flush discipline's read twin:
     /// only nodes on the query path and the matching subtree are touched.
@@ -817,7 +833,7 @@ impl<R: PtrRepr> PArt<R> {
     ///
     /// [`PdsError::WordTooLong`] / [`PdsError::BadCharacter`] for
     /// over-long or NUL-carrying prefixes.
-    pub fn prefix_scan(&self, prefix: &str) -> Result<Vec<String>> {
+    pub fn prefix_scan_each(&self, prefix: &str, mut visit: impl FnMut(&str)) -> Result<usize> {
         let p = prefix.as_bytes();
         if p.len() > MAX_KEY {
             return Err(PdsError::WordTooLong(prefix.to_string()));
@@ -825,34 +841,36 @@ impl<R: PtrRepr> PArt<R> {
         if p.contains(&0) {
             return Err(PdsError::BadCharacter('\0'));
         }
-        let mut out = Vec::new();
-        // SAFETY: as in count.
-        unsafe {
-            let root = (*self.header).root.load() as *const NodeHead;
-            if !root.is_null() {
-                self.scan_node(root, 0, p, &mut out);
-            }
+        let mut n = 0;
+        let root = self.head().root.load() as *const NodeHead;
+        if !root.is_null() {
+            // SAFETY: as in count.
+            unsafe {
+                self.scan_node(root, 0, p, &mut |k| {
+                    n += 1;
+                    visit(k)
+                })
+            };
         }
-        out.sort_unstable();
-        Ok(out)
+        Ok(n)
     }
 
-    /// Recursive scan helper: `depth` bytes of `prefix` are already
-    /// matched above `n`.
+    /// Recursive in-order scan helper: `depth` bytes of `prefix` are
+    /// already matched above `n`.
     unsafe fn scan_node(
         &self,
         n: *const NodeHead,
         depth: usize,
         prefix: &[u8],
-        out: &mut Vec<String>,
+        visit: &mut dyn FnMut(&str),
     ) {
         if (*n).kind == KIND_LEAF {
             let leaf = n as *const Leaf;
             let llen = (*leaf).head.klen as usize;
             let lk = &(&(*leaf).head.kbytes)[..llen];
-            if (*leaf).count > 0 && lk.len() >= prefix.len() && &lk[..prefix.len()] == prefix {
+            if (*leaf).count > 0 && lk.starts_with(prefix) {
                 if let Ok(s) = std::str::from_utf8(lk) {
-                    out.push(s.to_string());
+                    visit(s);
                 }
             }
             return;
@@ -866,9 +884,9 @@ impl<R: PtrRepr> PArt<R> {
             if &node_prefix[..want.len()] != want {
                 return;
             }
-            for (_, target) in Self::children_loaded(n) {
-                self.scan_node(target as *const NodeHead, depth + plen + 1, prefix, out);
-            }
+            Self::for_each_child(n, |target| {
+                self.scan_node(target as *const NodeHead, depth + plen + 1, prefix, visit)
+            });
             return;
         }
         if node_prefix != &want[..plen] {
@@ -877,47 +895,45 @@ impl<R: PtrRepr> PArt<R> {
         let d = depth + plen;
         let b = prefix[d];
         if let Some(slot) = Self::find_child(n as *mut NodeHead, b) {
-            self.scan_node((*slot).load() as *const NodeHead, d + 1, prefix, out);
+            self.scan_node((*slot).load() as *const NodeHead, d + 1, prefix, visit);
         }
     }
 
-    /// Every `(branch byte, child target)` pair, decoded through `load`
-    /// (the read-path view).
-    unsafe fn children_loaded(n: *const NodeHead) -> Vec<(u8, usize)> {
-        let mut out = Vec::with_capacity((*n).nkeys as usize);
-        match (*n).kind {
-            KIND_NODE4 => {
-                let p = n as *const Node4<R>;
-                for i in 0..(*n).nkeys as usize {
-                    out.push(((*p).keys[i], (*p).children[i].load()));
-                }
-            }
-            KIND_NODE16 => {
-                let p = n as *const Node16<R>;
-                for i in 0..(*n).nkeys as usize {
-                    out.push(((*p).keys[i], (*p).children[i].load()));
-                }
-            }
+    /// Calls `visit` with the target of every child of inner node `n`, in
+    /// ascending branch-byte order, decoded through `load` (the read-path
+    /// view). Node4/Node16 bytes sit in insertion order, so their slots
+    /// are sorted in a stack array first; Node48/Node256 go byte by byte.
+    unsafe fn for_each_child(n: *const NodeHead, mut visit: impl FnMut(usize)) {
+        let (keys, children): (&[u8], &[R]) = match (*n).kind {
+            KIND_NODE4 => (
+                &(*(n as *const Node4<R>)).keys,
+                &(*(n as *const Node4<R>)).children,
+            ),
+            KIND_NODE16 => (
+                &(*(n as *const Node16<R>)).keys,
+                &(*(n as *const Node16<R>)).children,
+            ),
             KIND_NODE48 => {
                 let p = n as *const Node48<R>;
-                for b in 0..256 {
-                    let i = (*p).index[b];
-                    if i != EMPTY48 {
-                        out.push((b as u8, (*p).children[i as usize].load()));
-                    }
+                for &i in (*p).index.iter().filter(|&&i| i != EMPTY48) {
+                    visit((*p).children[i as usize].load());
                 }
+                return;
             }
             _ => {
                 let p = n as *const Node256<R>;
-                for b in 0..256 {
-                    let c = (*p).children[b].load();
-                    if c != 0 {
-                        out.push((b as u8, c));
-                    }
+                for c in (*p).children.iter().map(R::load).filter(|&c| c != 0) {
+                    visit(c);
                 }
+                return;
             }
+        };
+        let len = ((*n).nkeys as usize).min(keys.len());
+        let mut order: [u8; 16] = std::array::from_fn(|i| i as u8);
+        order[..len].sort_unstable_by_key(|&i| keys[i as usize]);
+        for &i in &order[..len] {
+            visit(children[i as usize].load());
         }
-        out
     }
 
     /// Full walk computing live statistics: `(keys, nodes, bytes,
@@ -984,19 +1000,20 @@ impl<R: PtrRepr> PArt<R> {
                         ART_KIND_NAMES[kind as usize]
                     ));
                 }
-                let children = Self::children_loaded(n);
-                if children.len() != nkeys {
-                    return Err(format!(
-                        "node {addr:#x} slot walk found {} children, header says {nkeys}",
-                        children.len()
-                    ));
-                }
                 let plen = (*n).klen as usize;
-                for (_, target) in children {
-                    if target == 0 {
-                        return Err(format!("node {addr:#x} links a null child"));
-                    }
+                let (mut found, mut null) = (0, false);
+                Self::for_each_child(n, |target| {
+                    null |= target == 0;
                     stack.push((target, depth + plen + 1, hops + 1));
+                    found += 1;
+                });
+                if null {
+                    return Err(format!("node {addr:#x} links a null child"));
+                }
+                if found != nkeys {
+                    return Err(format!(
+                        "node {addr:#x} slot walk found {found} children, header says {nkeys}"
+                    ));
                 }
             }
         }
@@ -1012,15 +1029,8 @@ impl<R: PtrRepr> PArt<R> {
     /// A description of the first violation found.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         let stats = self.walk_stats()?;
-        // SAFETY: header mapped while regions are open.
-        let (keys, nodes, bytes, kinds) = unsafe {
-            (
-                (*self.header).keys,
-                (*self.header).nodes,
-                (*self.header).bytes,
-                (*self.header).kinds,
-            )
-        };
+        let h = self.head();
+        let (keys, nodes, bytes, kinds) = (h.keys, h.nodes, h.bytes, h.kinds);
         if stats.keys != keys {
             return Err(format!("header keys {keys} but walk found {}", stats.keys));
         }
@@ -1228,6 +1238,55 @@ mod tests {
         basic::<OffHolder>();
         basic::<Riv>();
         basic::<FatPtr>();
+    }
+
+    /// Visits every key the tree holds after each insert, for the
+    /// prefixes `""`, `"q"` and `"car"`, and compares the visit with the
+    /// inserted words sorted independently.
+    fn sorted_visit<R: PtrRepr>() {
+        let region = Region::create(16 << 20).unwrap();
+        let mut t: PArt<R> = PArt::new(NodeArena::raw(region.clone())).unwrap();
+        // The node under "q" gets its branch bytes in descending order, so
+        // it is unsorted as a Node4, a Node16 and a Node48 before it grows
+        // into a Node256. "card" arrives before "car", whose terminator
+        // byte must still come first.
+        let mut words: Vec<String> = (0..60u8)
+            .rev()
+            .map(|i| format!("q{}x", (b'A' + i) as char))
+            .collect();
+        words.extend(["card", "car", "care", "ca"].map(String::from));
+        let mut inserted = Vec::new();
+        for w in &words {
+            t.insert(w).unwrap();
+            inserted.push(w.clone());
+            inserted.sort();
+            for prefix in ["", "q", "car"] {
+                let mut seen = Vec::new();
+                let n = t
+                    .prefix_scan_each(prefix, |k| seen.push(k.to_string()))
+                    .unwrap();
+                let want: Vec<String> = inserted
+                    .iter()
+                    .filter(|k| k.starts_with(prefix))
+                    .cloned()
+                    .collect();
+                assert_eq!(seen, want, "{} after {w}, prefix {prefix:?}", R::NAME);
+                assert_eq!(n, want.len());
+                assert_eq!(t.prefix_scan(prefix).unwrap(), seen);
+            }
+        }
+        assert_eq!(t.kind_counts()[KIND_NODE256 as usize], 1);
+        assert_eq!(t.prefix_scan("car").unwrap(), ["car", "card", "care"]);
+        region.close().unwrap();
+    }
+
+    #[test]
+    fn prefix_scan_each_visits_in_sorted_order_for_every_repr() {
+        sorted_visit::<NormalPtr>();
+        sorted_visit::<OffHolder>();
+        sorted_visit::<Riv>();
+        sorted_visit::<FatPtr>();
+        sorted_visit::<pi_core::FatPtrCached>();
     }
 
     #[test]

@@ -293,6 +293,29 @@ fn deadlines_expire_behind_a_stalled_shard() {
     assert_eq!(report.tenant(0).unwrap().snapshot.deadline_exceeded, 1);
 }
 
+#[test]
+fn deadlines_expire_during_execution_on_an_idle_shard() {
+    let _g = M.lock();
+    let cell = M.cell("deadline-exec");
+    let mut cfg = test_config(&cell);
+    cfg.retry_backoff = Duration::from_millis(5);
+    cfg.retry_backoff_max = Duration::from_millis(20);
+    let plan = ServerFaultPlan::none();
+    let server = Server::start(cfg, vec![TenantSpec::new(0, ReprKind::Riv)], plan.clone()).unwrap();
+    let client = server.client();
+    assert_eq!(client.put(0, 1).status, Status::Ok, "tenant opened");
+    // Nothing is queued, so the write runs on the calling thread. Three
+    // failures within three retries would succeed on the fourth attempt,
+    // 35 ms in; the 3 ms deadline passes in the first backoff instead.
+    plan.transient(0, 2, 3);
+    let short = server.client().with_deadline(Duration::from_millis(3));
+    let r = short.put(0, 2);
+    assert_eq!(r.status, Status::DeadlineExceeded, "{r:?}");
+    assert_eq!(client.get(0, 2).found, Some(false), "expired write applied");
+    let report = server.shutdown();
+    assert_eq!(report.tenant(0).unwrap().snapshot.deadline_exceeded, 1);
+}
+
 // -- transient faults and retry ----------------------------------------------
 
 #[test]
