@@ -634,19 +634,20 @@ impl LlState {
         instance: u64,
         hdr: &mut AllocHeader,
     ) -> std::result::Result<LlState, String> {
-        let st = Self::new_empty(base, size, instance);
+        let mut st = Self::new_empty(base, size, instance);
         // SAFETY: `committed` bytes are mapped readable from `base`;
         // nothing writes them until the walk has returned.
         let image = std::slice::from_raw_parts(base as *const u8, committed);
         let (mut pages, mut subtrees, mut frontier) = (0usize, 0u32, 0u64);
         let mut damage = None;
+        // `st` is not shared until it returns: fill its maps through `&mut`.
         walk_chain(image, hdr.ll_dir(), |walked| match walked {
             _ if damage.is_some() => {}
             Walked::Issue(issue) => damage = Some(issue),
             Walked::Page { off, .. } => {
                 // In range: the walk allows `max_pages(committed)` pages
                 // and `page_offs` holds `max_pages(size)`.
-                st.page_offs[pages].store(off, Ordering::Relaxed);
+                *st.page_offs[pages].get_mut() = off;
                 pages += 1;
                 frontier = frontier.max(off + LL_PAGE_SIZE as u64);
             }
@@ -655,8 +656,8 @@ impl LlState {
                 frontier = frontier.max(t.end());
                 let g0 = (t.base / GRANULE) as usize;
                 let g1 = t.end().div_ceil(GRANULE) as usize;
-                for g in g0..g1 {
-                    if st.granules[g].swap(subtrees + 1, Ordering::Relaxed) != 0 {
+                for g in &mut st.granules[g0..g1] {
+                    if std::mem::replace(g.get_mut(), subtrees + 1) != 0 {
                         damage = Some(format!("subtree {subtrees}: span overlaps another subtree"));
                     }
                 }
@@ -695,14 +696,19 @@ impl LlState {
     }
 
     /// Recomputes subtree `id`'s advisory words from its bitmap: `free`
-    /// from the popcount, `owner` cleared. Caller excludes allocation
-    /// traffic (open, clean close).
+    /// from the popcount, `owner` cleared, each stored only where it
+    /// differs (on a shared file mapping an unchanged store still dirties
+    /// the page). Caller excludes allocation traffic (open, clean close).
     fn reset_advisory(&self, id: u32) {
         let d = self.desc(id);
         let used = (d.bitmap().load(Ordering::Relaxed) & d.mask()).count_ones() as u64;
-        d.free()
-            .store(d.capacity() as u64 - used, Ordering::Relaxed);
-        d.owner().store(0, Ordering::Relaxed);
+        let free = d.capacity() as u64 - used;
+        if d.free().load(Ordering::Relaxed) != free {
+            d.free().store(free, Ordering::Relaxed);
+        }
+        if d.owner().load(Ordering::Relaxed) != 0 {
+            d.owner().store(0, Ordering::Relaxed);
+        }
     }
 
     /// The subtree whose span holds `off`, by the granule map.
@@ -1555,6 +1561,30 @@ mod tests {
                 assert_eq!(o.free_counter, 61, "{ctx}: advisory words rebuilt");
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn overlapping_subtree_spans_are_refused_at_open() {
+        let dir = std::env::temp_dir().join(format!("nvmsim-lloverlap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (mut img, page) = two_subtree_image(&dir);
+        let (d0, d1) = (page + DESC_SIZE, page + 2 * DESC_SIZE);
+        // Every descriptor is well formed on its own; only the granule
+        // map sees that the second span starts inside the first. Reseal
+        // the page so the clean image verifies bit for bit.
+        let inside = read_u64(&img[d0..], D_BASE) + GRANULE;
+        img[d1 + D_BASE..][..8].copy_from_slice(&inside.to_le_bytes());
+        let crc = page_crc(&img[page..page + LL_PAGE_SIZE]);
+        img[page + PAGE_CRC..][..8].copy_from_slice(&crc.to_le_bytes());
+        let (errors, _, opened) = consume(&img, &dir.join("overlap.nvr"));
+        assert!(errors.is_empty(), "verify sees no damage: {errors:?}");
+        let refused = opened.expect_err("an overlapping span must be refused");
+        assert!(
+            refused.contains("subtree 1: span overlaps another subtree")
+                && refused.contains("salvage"),
+            "{refused}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
