@@ -6,7 +6,7 @@
 //!              [--latency paper|off] [--json FILE]
 //! paper_tables --validate FILE
 //!
-//! Experiments: fig12 pay256 tab1 fig13 fig14 regs fig15 rivbrk abl repl conc srv suggest
+//! Experiments: fig12 pay256 tab1 fig13 fig14 regs fig15 rivbrk abl conc srv suggest
 //!              alloc largeregion all
 //! ```
 //!
@@ -37,7 +37,7 @@ struct Scale {
 type Runner = fn(&Scale) -> (Vec<Row>, Vec<(String, f64)>);
 
 /// Every section, in report order: command-line id, report id, title, runner.
-const SECTIONS: [(&str, &str, &str, Runner); 15] = [
+const SECTIONS: [(&str, &str, &str, Runner); 14] = [
     (
         "fig12",
         "FIG12",
@@ -86,12 +86,6 @@ const SECTIONS: [(&str, &str, &str, Runner); 15] = [
     ("abl", "ABL", "Ablations (DESIGN.md)", |s| {
         (experiments::ablations(&s.cfg), Vec::new())
     }),
-    (
-        "repl",
-        "REPLLAG",
-        "Replication lag — backpressure policies (EXPERIMENTS.md)",
-        |s| (experiments::repl_lag(&s.cfg), Vec::new()),
-    ),
     (
         "conc",
         "CONC",

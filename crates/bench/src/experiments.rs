@@ -370,113 +370,6 @@ pub fn ablations(cfg: &Config) -> Vec<Row> {
     rows
 }
 
-/// REPLLAG — replication lag under the two backpressure policies.
-///
-/// A region runs a fixed sync-per-epoch dirty-line workload with a
-/// [`nvmsim::repl::Replicator`] attached to a deliberately slow sink and
-/// a shallow queue, once per policy. `Stall` keeps every epoch at the
-/// cost of writer time at the durability point; `Coalesce` keeps the
-/// writer fast and merges queued epochs. Rows report the writer-side
-/// epoch time; the notes carry the shipped/coalesced delta counts and
-/// bytes from the run's metrics (the full counters land in the section's
-/// JSON metrics block).
-pub fn repl_lag(cfg: &Config) -> Vec<Row> {
-    use nvmsim::repl::{Backpressure, MemorySink, ReplSink, Replicator, ReplicatorConfig};
-    use std::time::Duration;
-
-    /// A sink whose every append costs a fixed delay — a stand-in for a
-    /// slow replication link, so the bounded queue actually fills.
-    struct SlowSink {
-        inner: MemorySink,
-        delay: Duration,
-    }
-    impl ReplSink for SlowSink {
-        fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-            std::thread::sleep(self.delay);
-            self.inner.append(bytes)
-        }
-    }
-
-    let epochs = (cfg.reps.max(2) * 8).max(16);
-    let lines = 16usize;
-    let mut rows = Vec::new();
-    for (pname, policy) in [
-        ("stall", Backpressure::Stall),
-        ("coalesce", Backpressure::Coalesce),
-    ] {
-        let before = metrics::snapshot();
-        // Small region: sync's shadow scan must be cheap next to the slow
-        // sink, or the writer is sink-bound under either policy.
-        let region = Region::create(1 << 20).expect("region");
-        region.enable_shadow().expect("shadow");
-        let mut buf = Block::alloc(&region, lines * 64, 0);
-        let (sink, _bytes) = MemorySink::new();
-        let repl = Replicator::attach_sink(
-            &region,
-            Box::new(SlowSink {
-                inner: sink,
-                delay: Duration::from_millis(3),
-            }),
-            ReplicatorConfig {
-                queue_depth: 2,
-                backpressure: policy,
-                ..ReplicatorConfig::default()
-            },
-        )
-        .expect("attach replicator");
-
-        let t = Instant::now();
-        for e in 0..epochs {
-            // Dirty every line, make it durable, hit the durability point.
-            for l in 0..lines {
-                buf.write(l * 8, (e * lines + l) as u64);
-            }
-            nvmsim::latency::clflush_range(buf.addr(), lines * 64);
-            nvmsim::latency::wbarrier();
-            region.sync().expect("sync");
-        }
-        let writer_ns = t.elapsed().as_nanos() as f64 / epochs as f64;
-        let final_epoch = repl.seal().expect("seal");
-        region.close().expect("close");
-
-        let delta = metrics::snapshot().delta(&before);
-        let get = |name: &str| {
-            delta
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, v)| v)
-                .unwrap_or(0)
-        };
-        rows.push(Row::new(
-            "REPLLAG",
-            "sync-epoch",
-            "write+sync",
-            pname,
-            writer_ns,
-            format!(
-                "epochs={final_epoch}, shipped={}, coalesced={}, lag(int)={}, {} bytes",
-                get("repl_deltas_shipped"),
-                get("repl_deltas_coalesced"),
-                get("repl_lag_epochs"),
-                get("repl_bytes_shipped"),
-            ),
-        ));
-    }
-    // normalize() keys on the note, which here differs per row (it
-    // carries the counters) — set the coalesce-relative slowdowns by hand.
-    if let Some(base) = rows
-        .iter()
-        .find(|r| r.repr == "coalesce")
-        .map(|r| r.nanos)
-        .filter(|&b| b > 0.0)
-    {
-        for r in &mut rows {
-            r.slowdown = Some(r.nanos / base);
-        }
-    }
-    rows
-}
-
 /// CONC — concurrent lock-free hashset throughput (the EXPERIMENTS.md
 /// `CONC-MATRIX` companion: the concurrent crash matrix proves the
 /// link-and-persist protocol durable-linearizable; this measures what it
@@ -1295,25 +1188,6 @@ mod tests {
             .map(|r| r.note.split('%').next().unwrap().parse::<f64>().unwrap())
             .sum();
         assert!((pct - 100.0).abs() < 2.0, "steps sum to {pct}%");
-    }
-
-    #[test]
-    fn repl_lag_reports_both_policies() {
-        let rows = repl_lag(&tiny());
-        assert_eq!(rows.len(), 2);
-        let reprs: Vec<&str> = rows.iter().map(|r| r.repr.as_str()).collect();
-        assert_eq!(reprs, vec!["stall", "coalesce"]);
-        for r in &rows {
-            assert!(r.nanos > 0.0, "writer time must be positive");
-            assert!(
-                r.note.contains("shipped="),
-                "note carries counters: {}",
-                r.note
-            );
-        }
-        // Both rows normalize against the coalesce baseline; the ordering
-        // itself is timing-dependent and not asserted here.
-        assert!(rows.iter().all(|r| r.slowdown.is_some()));
     }
 
     #[test]

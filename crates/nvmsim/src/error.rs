@@ -53,9 +53,8 @@ pub enum NvError {
         /// ID of the closed region.
         rid: u32,
     },
-    /// Shadow persistence tracking was required (fault injection,
-    /// replication capture) but `enable_shadow` was never called on the
-    /// region.
+    /// Shadow persistence tracking was required (fault injection) but
+    /// `enable_shadow` was never called on the region.
     ShadowNotEnabled {
         /// Base address of the untracked region.
         base: usize,

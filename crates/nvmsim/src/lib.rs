@@ -55,7 +55,6 @@ pub mod metrics;
 pub mod nvspace;
 pub mod region;
 pub mod registry;
-pub mod repl;
 pub mod sched;
 pub mod shadow;
 pub mod undolog;
@@ -75,10 +74,6 @@ pub use layout::{ExactLayout, Layout};
 pub use nvspace::NvSpace;
 pub use region::Region;
 pub use registry::RegionInfo;
-pub use repl::{
-    ApplyReport, Backpressure, Delta, DeltaLine, ReplError, ReplSink, ReplSource, Replicator,
-    ReplicatorConfig,
-};
 pub use sched::{SchedEvent, ScheduleAborted, Scheduler};
 pub use shadow::{
     CapturedCrash, CrashPointReached, FaultPlan, FaultPolicy, FaultReport, FaultStamp, ShadowError,

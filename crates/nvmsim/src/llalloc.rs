@@ -467,8 +467,8 @@ fn persist_word(addr: usize) {
 
 /// Stages the bump-frontier word for the caller's next fence. The
 /// frontier is as durable as what it guards: tracked and flushed with the
-/// page or descriptor just carved, so a replica's delta stream carries it
-/// and the fault injector can drop or tear it like any other store.
+/// page or descriptor just carved, so the fault injector can drop or tear
+/// it like any other store.
 #[inline]
 fn stage_frontier(hdr: &AllocHeader) {
     shadow::track_store(hdr.bump_addr(), 8);

@@ -115,26 +115,6 @@ counters! {
     TxAborts => "tx_aborts",
     /// Undo-log entries appended.
     UndoEntries => "undo_entries",
-    /// Replication deltas captured at durability points and enqueued.
-    ReplDeltasEmitted => "repl_deltas_emitted",
-    /// Replication deltas merged into a queued delta under coalescing
-    /// backpressure.
-    ReplDeltasCoalesced => "repl_deltas_coalesced",
-    /// Replication deltas appended to the delta stream by the
-    /// replicator worker.
-    ReplDeltasShipped => "repl_deltas_shipped",
-    /// Bytes of encoded stream records appended to replication sinks.
-    ReplBytesShipped => "repl_bytes_shipped",
-    /// Sum over emitted deltas of the epochs the replica was behind at
-    /// enqueue time (integrated replica lag).
-    ReplLagEpochs => "repl_lag_epochs",
-    /// Replication deltas replayed into a replica image.
-    ReplDeltasApplied => "repl_deltas_applied",
-    /// Delta-stream decode or replay failures (torn stream, CRC or
-    /// epoch-chain violations).
-    ReplApplyFailures => "repl_apply_failures",
-    /// Transient replication-sink I/O errors retried with backoff.
-    ReplRetries => "repl_retries",
     /// Failed bitmap-word CAS attempts in the two-level allocator
     /// (contention on a shared subtree; see [`crate::llalloc`]).
     LlallocCasRetries => "llalloc_cas_retries",
@@ -166,18 +146,13 @@ counters! {
     /// before execution).
     SrvDeadlineExceeded => "srv_deadline_exceeded",
     /// Region-server retries after transient tenant faults (capped
-    /// exponential backoff, same policy as `repl_retries`).
+    /// exponential backoff).
     SrvRetries => "srv_retries",
     /// Tenants evicted (closed cleanly) by hot/cold LRU pressure.
     SrvEvictions => "srv_evictions",
     /// Tenant regions reopened at a different base after eviction or
     /// crash — each one is a live position-independence exercise.
     SrvRemapReopens => "srv_remap_reopens",
-    /// Primary→replica failovers via `repl::promote_avoiding`.
-    SrvFailovers => "srv_failovers",
-    /// Responses answered `Degraded` (read-only after failover, or
-    /// replication lost after a permanent sink failure).
-    SrvDegradedResponses => "srv_degraded_responses",
     /// Chunks released back to the NV-space pool that were already free —
     /// a chunk-accounting bug. Counted just before the pool panics so the
     /// leak is visible in metrics snapshots even from crash handlers.
@@ -418,7 +393,7 @@ mod tests {
 
     #[test]
     fn exiting_threads_lose_nothing_while_snapshots_stay_monotone() {
-        const C: Counter = Counter::SrvFailovers;
+        const C: Counter = Counter::SrvRetries;
         const THREADS: usize = 8;
         const BUMPS: u64 = 10_000;
         let before = snapshot();

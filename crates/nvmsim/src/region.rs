@@ -482,8 +482,8 @@ impl Region {
     }
 
     /// [`Region::open_file`], but guarantees the mapping lands at a base
-    /// address different from `avoid`. The region server's eviction-remap
-    /// and failover paths use this so every reopen actually exercises
+    /// address different from `avoid`. The region server's eviction and
+    /// crash-recovery reopens use this so every reopen actually exercises
     /// position independence rather than accidentally landing back at the
     /// old base.
     ///
@@ -702,8 +702,6 @@ impl Region {
     /// # Errors
     ///
     /// [`NvError::OutOfMemory`] past [`Region::capacity`],
-    /// [`NvError::BadImage`] while a replication source is attached (the
-    /// stream format pins the region size per session),
     /// [`NvError::RegionClosed`] after close, plus commit/file I/O errors.
     pub fn grow(&self, new_size: usize) -> Result<usize> {
         let _g = self.lock_open()?;
@@ -716,11 +714,6 @@ impl Region {
                 region: self.inner.rid,
                 requested: new_size,
             });
-        }
-        if shadow::repl_attached(self.inner.base) {
-            return Err(NvError::BadImage(
-                "cannot grow a region while a replication source is attached".to_string(),
-            ));
         }
         let base = self.inner.base;
         let page = page_size();
@@ -1167,9 +1160,6 @@ impl Region {
         // A full-image sync is a durability point: every line is now
         // persisted as far as the shadow tracker is concerned.
         shadow::checkpoint(self.inner.base);
-        // Let an attached replication source ship the lines this
-        // durability point made durable.
-        crate::repl::on_durability_point(self.inner.base);
         Ok(())
     }
 
@@ -1274,13 +1264,8 @@ impl Region {
     ///
     /// [`NvError::RegionClosed`] after close.
     pub fn update_meta_slots(&self) -> Result<()> {
-        {
-            let _g = self.lock_open()?;
-            self.inner.write_meta_slot();
-        }
-        // A slot flip is a durability point: ship it (outside the
-        // allocator lock — capture takes the shadow and repl locks).
-        crate::repl::on_durability_point(self.inner.base);
+        let _g = self.lock_open()?;
+        self.inner.write_meta_slot();
         Ok(())
     }
 
@@ -1455,12 +1440,6 @@ impl Inner {
                 result = self.space.sync_range(self.base, self.len());
             }
         }
-        // A clean close is the final durability point: converge an
-        // attached replication source on the closed image (including the
-        // cleared dirty flag) before the tracker disappears. A crash
-        // detaches without capturing — the replica keeps lagging, which
-        // is exactly what a dead primary looks like.
-        crate::repl::on_region_close(self.base, clean);
         shadow::unregister_rid(self.rid);
         registry::unregister(self.rid);
         self.space.unbind(self.rid, self.run);

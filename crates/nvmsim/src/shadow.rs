@@ -311,10 +311,6 @@ struct TrackState {
     pending: Vec<u32>,
     /// The durable view: what the device would hold after a power cut.
     persisted: Vec<u8>,
-    /// Per-line "durable bytes changed since the last replication
-    /// capture" flags, maintained only while a [`crate::repl`] source is
-    /// attached (`None` otherwise, keeping the hot path unchanged).
-    repl_dirty: Option<Vec<bool>>,
 }
 
 #[derive(Debug)]
@@ -390,7 +386,6 @@ pub(crate) fn register(rid: u32, base: usize, size: usize, stamp_off: usize) {
             staged: HashMap::new(),
             pending: Vec::new(),
             persisted,
-            repl_dirty: None,
         }),
     });
     let mut trackers = lock(&TRACKERS);
@@ -425,30 +420,7 @@ pub(crate) fn checkpoint(base: usize) {
     s.pending.clear();
     // SAFETY: the region is mapped while registered.
     let mem = unsafe { std::slice::from_raw_parts(t.base as *const u8, t.size) };
-    let TrackState {
-        persisted,
-        repl_dirty,
-        ..
-    } = &mut *s;
-    if let Some(dirty) = repl_dirty.as_mut() {
-        // A checkpoint is the one durability point where *untracked*
-        // stores become durable, so the replication dirty set must pick
-        // up every line whose durable bytes change here.
-        for (line, d) in dirty.iter_mut().enumerate() {
-            let off = line * SHADOW_LINE;
-            let end = (off + SHADOW_LINE).min(t.size);
-            if persisted[off..end] != mem[off..end] {
-                *d = true;
-            }
-        }
-    }
-    persisted.copy_from_slice(mem);
-}
-
-/// Whether a replication source is attached to the region at `base`
-/// (its stream format pins the region size, so growth must be refused).
-pub(crate) fn repl_attached(base: usize) -> bool {
-    tracker_for_base(base).is_some_and(|t| lock(&t.state).repl_dirty.is_some())
+    s.persisted.copy_from_slice(mem);
 }
 
 /// Extends the tracker of the region at `base` to cover `new_size` bytes
@@ -477,11 +449,6 @@ pub(crate) fn grow_region(base: usize, new_size: usize) {
     let tail =
         unsafe { std::slice::from_raw_parts((base + old.size) as *const u8, new_size - old.size) };
     persisted.extend_from_slice(tail);
-    let repl_dirty = s.repl_dirty.as_ref().map(|d| {
-        let mut d = d.clone();
-        d.resize(nlines, false);
-        d
-    });
     let replacement = Arc::new(Tracker {
         rid: old.rid,
         base,
@@ -493,7 +460,6 @@ pub(crate) fn grow_region(base: usize, new_size: usize) {
             staged: s.staged.clone(),
             pending: s.pending.clone(),
             persisted,
-            repl_dirty,
         }),
     });
     drop(s);
@@ -597,7 +563,6 @@ pub(crate) fn on_fence() {
             lines,
             staged,
             persisted,
-            repl_dirty,
             ..
         } = &mut *s;
         for line in pending {
@@ -610,11 +575,6 @@ pub(crate) fn on_fence() {
             if let Some(bytes) = staged.remove(&line) {
                 let off = idx * SHADOW_LINE;
                 let take = SHADOW_LINE.min(t.size - off);
-                if let Some(dirty) = repl_dirty.as_mut() {
-                    if persisted[off..off + take] != bytes[..take] {
-                        dirty[idx] = true;
-                    }
-                }
                 persisted[off..off + take].copy_from_slice(&bytes[..take]);
             }
             lines[idx] = CLEAN;
@@ -639,57 +599,6 @@ pub fn reset_events_for(base: usize) {
     if let Some(t) = tracker_for_base(base) {
         t.events.store(0, Ordering::Relaxed);
     }
-}
-
-// -- replication support (see `crate::repl`) ---------------------------------
-
-/// Starts maintaining the replication dirty-line set for the region
-/// mapped at `base`.
-///
-/// # Errors
-///
-/// [`ShadowError`] when the region is unknown or not shadow-tracked.
-pub(crate) fn repl_attach(base: usize) -> Result<(), ShadowError> {
-    let t = tracker_for_base(base).ok_or_else(|| not_tracked(base))?;
-    let mut s = lock(&t.state);
-    let nlines = s.lines.len();
-    s.repl_dirty = Some(vec![false; nlines]);
-    Ok(())
-}
-
-/// Stops maintaining the replication dirty-line set for `base`.
-pub(crate) fn repl_detach(base: usize) {
-    if let Some(t) = tracker_for_base(base) {
-        lock(&t.state).repl_dirty = None;
-    }
-}
-
-/// Drains the replication dirty-line set: every line whose *durable*
-/// bytes changed since the previous drain is returned with its persisted
-/// contents, and its flag is cleared — writers are only blocked for the
-/// duration of this copy. Returns `None` when no repl source is attached.
-pub(crate) fn repl_drain(base: usize) -> Option<Vec<(u32, [u8; SHADOW_LINE])>> {
-    let t = tracker_for_base(base)?;
-    let mut s = lock(&t.state);
-    let TrackState {
-        persisted,
-        repl_dirty,
-        ..
-    } = &mut *s;
-    let dirty = repl_dirty.as_mut()?;
-    let mut out = Vec::new();
-    for (line, d) in dirty.iter_mut().enumerate() {
-        if !*d {
-            continue;
-        }
-        *d = false;
-        let off = line * SHADOW_LINE;
-        let take = SHADOW_LINE.min(t.size - off);
-        let mut bytes = [0u8; SHADOW_LINE];
-        bytes[..take].copy_from_slice(&persisted[off..off + take]);
-        out.push((line as u32, bytes));
-    }
-    Some(out)
 }
 
 /// A copy of the persisted (durable) view of the region mapped at `base`,
@@ -1198,52 +1107,6 @@ mod tests {
         );
         a.close().unwrap();
         b.close().unwrap();
-    }
-
-    #[test]
-    fn repl_drain_returns_durably_changed_lines_once() {
-        let r = Region::create(1 << 20).unwrap();
-        r.enable_shadow().unwrap();
-        repl_attach(r.base()).unwrap();
-        let p = r.alloc(64, 16).unwrap().as_ptr() as *mut u64;
-        unsafe { p.write(42) };
-        track_store(p as usize, 8);
-        latency::clflush_range(p as usize, 8);
-        latency::wbarrier();
-        let lines = repl_drain(r.base()).unwrap();
-        let line = (p as usize - r.base()) / SHADOW_LINE;
-        assert!(
-            lines
-                .iter()
-                .any(|(l, bytes)| *l as usize == line && bytes[..8] == 42u64.to_le_bytes()),
-            "fenced store must appear in the drained delta"
-        );
-        assert!(
-            repl_drain(r.base()).unwrap().is_empty(),
-            "drain clears the dirty set"
-        );
-        repl_detach(r.base());
-        assert!(repl_drain(r.base()).is_none(), "detached: no repl set");
-        r.close().unwrap();
-    }
-
-    #[test]
-    fn checkpoint_feeds_untracked_stores_into_repl_set() {
-        let r = Region::create(1 << 20).unwrap();
-        r.enable_shadow().unwrap();
-        repl_attach(r.base()).unwrap();
-        let _ = repl_drain(r.base()); // discard registration noise
-        let p = r.alloc(64, 16).unwrap().as_ptr() as *mut u64;
-        unsafe { p.write(7) }; // untracked, unflushed
-        checkpoint(r.base());
-        let lines = repl_drain(r.base()).unwrap();
-        let line = (p as usize - r.base()) / SHADOW_LINE;
-        assert!(
-            lines.iter().any(|(l, _)| *l as usize == line),
-            "checkpoint must mark durably-changed untracked lines"
-        );
-        repl_detach(r.base());
-        r.close().unwrap();
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! Every frame is `magic | version | kind | payload_len | crc64 |
 //! payload`, little-endian, with the CRC-64/XZ taken over the pre-CRC
-//! header words plus the payload — the same sealing discipline as the
-//! `NVPIRPL1` replication stream, so a torn or bit-rotted frame is a
+//! header words plus the payload, so a torn or bit-rotted frame is a
 //! typed [`CodecError`], never garbage handed to the server. The codec
 //! is deliberately dependency-free and byte-oriented (no alignment
 //! assumptions) so the same bytes can later travel a socket unchanged.
@@ -95,9 +94,6 @@ pub enum ReqOp {
     /// Force-evict the tenant (close its region cleanly; the next
     /// request reopens it remapped at a different base).
     Evict,
-    /// Force a degraded tenant to heal now instead of waiting out the
-    /// degraded window.
-    Heal,
     /// Suggestion lookup: all indexed keys starting with `prefix`,
     /// served from the tenant's persistent ART (codec v2+).
     PrefixQuery {
@@ -108,6 +104,8 @@ pub enum ReqOp {
 }
 
 impl ReqOp {
+    /// The op's wire code. Code 5 (the retired `Heal`) is never reused: a
+    /// frame carrying it is refused as an unknown op.
     fn code(&self) -> u8 {
         match self {
             ReqOp::Get { .. } => 0,
@@ -115,7 +113,6 @@ impl ReqOp {
             ReqOp::Delete { .. } => 2,
             ReqOp::Batch { .. } => 3,
             ReqOp::Evict => 4,
-            ReqOp::Heal => 5,
             ReqOp::PrefixQuery { .. } => 6,
         }
     }
@@ -147,8 +144,6 @@ pub enum Status {
     Overloaded,
     /// The deadline passed before execution finished; not applied.
     DeadlineExceeded,
-    /// The tenant is degraded (read-only); the write was not applied.
-    Degraded,
     /// The tenant id is not configured on this server.
     NoSuchTenant,
     /// The server is shutting down; not executed.
@@ -161,12 +156,13 @@ pub enum Status {
 }
 
 impl Status {
+    /// The status's wire code. Code 3 (the retired `Degraded`) is never
+    /// reused: a frame carrying it is refused as an unknown status.
     fn code(self) -> u8 {
         match self {
             Status::Ok => 0,
             Status::Overloaded => 1,
             Status::DeadlineExceeded => 2,
-            Status::Degraded => 3,
             Status::NoSuchTenant => 4,
             Status::Shutdown => 5,
             Status::Failed => 6,
@@ -179,7 +175,6 @@ impl Status {
             0 => Some(Status::Ok),
             1 => Some(Status::Overloaded),
             2 => Some(Status::DeadlineExceeded),
-            3 => Some(Status::Degraded),
             4 => Some(Status::NoSuchTenant),
             5 => Some(Status::Shutdown),
             6 => Some(Status::Failed),
@@ -194,7 +189,6 @@ impl Status {
             Status::Ok => "ok",
             Status::Overloaded => "overloaded",
             Status::DeadlineExceeded => "deadline_exceeded",
-            Status::Degraded => "degraded",
             Status::NoSuchTenant => "no_such_tenant",
             Status::Shutdown => "shutdown",
             Status::Failed => "failed",
@@ -230,8 +224,8 @@ pub struct Response {
     pub stamp: u64,
     /// Per-entry results for `Batch` requests.
     pub batch: Vec<BatchResult>,
-    /// Human-readable context for non-`Ok` statuses (and degradation
-    /// notes on reads).
+    /// Human-readable context for non-`Ok` statuses, and the matched
+    /// words of a prefix query.
     pub detail: String,
 }
 
@@ -403,7 +397,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         ReqOp::Get { key } | ReqOp::Put { key } | ReqOp::Delete { key } => (*key, &[], None),
         ReqOp::Batch { ops } => (0, ops, None),
         ReqOp::PrefixQuery { prefix } => (0, &[], Some(prefix)),
-        ReqOp::Evict | ReqOp::Heal => (0, &[], None),
+        ReqOp::Evict => (0, &[], None),
     };
     // 36 fixed bytes, 9 per batch entry, a length-prefixed prefix: the
     // exact size, so the frame never grows.
@@ -463,7 +457,6 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, CodecError> {
             ReqOp::Batch { ops }
         }
         4 => ReqOp::Evict,
-        5 => ReqOp::Heal,
         6 => {
             let plen = c.u16()? as usize;
             if plen > MAX_PREFIX {
@@ -609,13 +602,6 @@ mod tests {
                 op: ReqOp::Evict,
             },
             Request {
-                id: 6,
-                tenant: 1,
-                priority: Priority::Normal,
-                deadline_micros: 0,
-                op: ReqOp::Heal,
-            },
-            Request {
                 id: 7,
                 tenant: 2,
                 priority: Priority::Normal,
@@ -648,15 +634,6 @@ mod tests {
                 detail: String::new(),
             },
             Response {
-                id: 2,
-                status: Status::Degraded,
-                found: None,
-                attempts: 0,
-                stamp: 0,
-                batch: Vec::new(),
-                detail: "read-only after failover".to_string(),
-            },
-            Response {
                 id: 3,
                 status: Status::Ok,
                 found: None,
@@ -681,22 +658,20 @@ mod tests {
 
     /// The wire bytes of each `sample_requests()` frame, in order: every op
     /// code, a batch and both prefix shapes.
-    const GOLDEN_REQUESTS: [&str; 8] = [
+    const GOLDEN_REQUESTS: [&str; 7] = [
         "4e56504953525631020000000100000024000000000000005d68f7e0afe145860100000000000000070000000000000000000000000000002a0000000000000000000000",
         "4e5650495352563102000000010000002400000000000000739c573d7d6a6a2b0200000000000000000000000101000040420f0000000000ffffffffffffffff00000000",
         "4e5650495352563102000000010000002400000000000000b9ec50a5cecab7e2030000000000000009000000020200000500000000000000000000000000000000000000",
         "4e5650495352563102000000010000003f00000000000000494f57516ccbf10d040000000000000003000000020300000000000000000000000000000000000003000000010100000000000000000200000000000000010300000000000000",
         "4e56504953525631020000000100000024000000000000002d74861a0aaa437c050000000000000001000000010400000000000000000000000000000000000000000000",
-        "4e56504953525631020000000100000024000000000000006f7ccfbdad09f76f060000000000000001000000010500000000000000000000000000000000000000000000",
         "4e5650495352563102000000010000002900000000000000851f278a639ca23f07000000000000000200000001060000fa000000000000000000000000000000000000000300636172",
         "4e5650495352563102000000010000002600000000000000a7e7e29d9c030c090800000000000000020000000006000000000000000000000000000000000000000000000000",
     ];
 
     /// The wire bytes of each `sample_responses()` frame, in order: a plain
-    /// result, a detail, a batch and two rejections.
-    const GOLDEN_RESPONSES: [&str; 5] = [
+    /// result, a batch and two rejections.
+    const GOLDEN_RESPONSES: [&str; 4] = [
         "4e565049535256310200000002000000200000000000000080fa9b9f41cfb25d0100000000000000000200000100000063000000000000000000000000000000",
-        "4e565049535256310200000002000000380000000000000050810439a6eef49c0200000000000000030000000000000000000000000000000000000018000000726561642d6f6e6c79206166746572206661696c6f766572",
         "4e5650495352563102000000020000003200000000000000c897a0faf23d1d3f0300000000000000000000000200000068000000000000000200000000000000016700000000000000006800000000000000",
         "4e5650495352563102000000020000002a00000000000000c09ed4f104d4dec4040000000000000001000000000000000000000000000000000000000a00000071756575652066756c6c",
         "4e56504953525631020000000200000032000000000000004df733557188302405000000000000000700000000000000000000000000000000000000120000006672616d6520435243206d69736d61746368",
@@ -741,7 +716,7 @@ mod tests {
     #[test]
     fn truncation_at_every_length_is_a_clean_error() {
         // Both variable-length request shapes: a batch and a prefix query.
-        for req in [&sample_requests()[3], &sample_requests()[6]] {
+        for req in [&sample_requests()[3], &sample_requests()[5]] {
             let bytes = encode_request(req);
             for n in 0..bytes.len() {
                 let err = decode_request(&bytes[..n]).unwrap_err();
@@ -751,7 +726,7 @@ mod tests {
                 );
             }
         }
-        let resp = &sample_responses()[2];
+        let resp = &sample_responses()[1];
         let bytes = encode_response(resp);
         for n in 0..bytes.len() {
             decode_response(&bytes[..n]).unwrap_err();
@@ -794,15 +769,30 @@ mod tests {
 
     #[test]
     fn unknown_codes_rejected() {
-        // Op code 7 does not exist: corrupt the encoded op byte and
-        // re-seal the frame so only the field check can object.
-        let mut bytes = encode_request(&sample_requests()[0]);
-        let op_off = HEADER_BYTES + 8 + 4 + 1;
-        bytes[op_off] = 7;
-        assert_eq!(
-            decode_request(&seal(bytes, KIND_REQUEST)).unwrap_err(),
-            CodecError::BadField("op code")
-        );
+        // Op code 7 does not exist and op code 5 (a stale `Heal`) is
+        // retired: corrupt the encoded op byte and re-seal the frame so
+        // only the field check can object.
+        for op in [5, 7] {
+            let mut bytes = encode_request(&sample_requests()[0]);
+            let op_off = HEADER_BYTES + 8 + 4 + 1;
+            bytes[op_off] = op;
+            assert_eq!(
+                decode_request(&seal(bytes, KIND_REQUEST)).unwrap_err(),
+                CodecError::BadField("op code"),
+                "op code {op}"
+            );
+        }
+        // Status code 3 (a stale `Degraded`) is retired and 8 never
+        // existed: the same corruption on the status byte.
+        for status in [3, 8] {
+            let mut bytes = encode_response(&sample_responses()[0]);
+            bytes[HEADER_BYTES + 8] = status;
+            assert_eq!(
+                decode_response(&seal(bytes, KIND_RESPONSE)).unwrap_err(),
+                CodecError::BadField("status"),
+                "status code {status}"
+            );
+        }
     }
 
     #[test]

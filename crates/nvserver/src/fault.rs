@@ -7,25 +7,18 @@
 //!   before its N-th dequeue, expiring queued deadlines behind it.
 //! - **Tenant crashes** — the N-th write against a tenant first turns
 //!   the tenant's region into a fault-injected crash image
-//!   ([`nvmsim::Region::crash_with_faults`]), then either recovers it in
-//!   place (reopened **at a different base**) or fails over to a replica
-//!   promoted from the tenant's replication stream.
+//!   ([`nvmsim::Region::crash_with_faults`]), then recovers it in place,
+//!   reopened **at a different base**.
 //! - **Transient write faults** — the write path reports a retryable
 //!   failure a bounded number of times, exercising the capped-backoff
 //!   retry ladder.
-//! - **Dead replication sinks** — the tenant's [`ReplSink`] starts
-//!   failing permanently, pushing the tenant down the degradation
-//!   ladder until the sink is revived and the tenant healed.
 //!
 //! All injections are one-shot (or counted) and consumed atomically, so
 //! a plan drives a deterministic scenario even with several shards
 //! consulting it concurrently. Until the first stall, crash or transient
 //! is armed, a consult is one atomic load and takes no lock.
 
-use nvmsim::repl::ReplSink;
 use nvmsim::shadow::FaultPolicy;
-use std::collections::HashSet;
-use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -44,8 +37,9 @@ pub struct ShardStall {
 
 /// One-shot tenant crash: the `at_write`-th write (1-based, counted per
 /// tenant across retries) crashes the tenant's region under `policy`
-/// before the write commits — the triggering write is never acked
-/// out of a crash it did not survive.
+/// before the write commits, then recovers the crash image in place
+/// (reopened remapped) and retries the write — the triggering write is
+/// never acked out of a crash it did not survive.
 #[derive(Debug, Clone, Copy)]
 pub struct TenantCrash {
     /// Tenant the crash applies to.
@@ -54,10 +48,6 @@ pub struct TenantCrash {
     pub at_write: u64,
     /// Fault policy for the crash image (drop/tear/rot unflushed lines).
     pub policy: FaultPolicy,
-    /// `false`: recover the crash image in place (reopen remapped).
-    /// `true`: fail over to a replica promoted from the replication
-    /// stream; the tenant comes back `Degraded` (read-only).
-    pub failover: bool,
 }
 
 /// Counted transient write fault: starting at the `at_write`-th write
@@ -78,7 +68,6 @@ struct PlanState {
     stalls: Vec<ShardStall>,
     crashes: Vec<TenantCrash>,
     transients: Vec<TransientFault>,
-    dead_sinks: HashSet<u32>,
 }
 
 #[derive(Debug, Default)]
@@ -132,12 +121,11 @@ impl ServerFaultPlan {
     }
 
     /// Arms a one-shot tenant crash (see [`TenantCrash`]).
-    pub fn crash_tenant(&self, tenant: u32, at_write: u64, policy: FaultPolicy, failover: bool) {
+    pub fn crash_tenant(&self, tenant: u32, at_write: u64, policy: FaultPolicy) {
         self.arm().crashes.push(TenantCrash {
             tenant,
             at_write,
             policy,
-            failover,
         });
     }
 
@@ -148,17 +136,6 @@ impl ServerFaultPlan {
             at_write,
             failures,
         });
-    }
-
-    /// Marks the tenant's replication sink permanently failed: every
-    /// subsequent append errors until [`ServerFaultPlan::revive_sink`].
-    pub fn kill_sink(&self, tenant: u32) {
-        self.lock().dead_sinks.insert(tenant);
-    }
-
-    /// Clears a sink kill so a heal can re-attach replication.
-    pub fn revive_sink(&self, tenant: u32) {
-        self.lock().dead_sinks.remove(&tenant);
     }
 
     // -- serving-side consults ------------------------------------------------
@@ -204,47 +181,6 @@ impl ServerFaultPlan {
         }
         true
     }
-
-    /// Whether the tenant's replication sink is currently dead.
-    pub fn sink_dead(&self, tenant: u32) -> bool {
-        self.lock().dead_sinks.contains(&tenant)
-    }
-}
-
-/// File-backed replication sink that consults the fault plan on every
-/// append: once the tenant's sink is killed, appends fail permanently
-/// (until revived), driving the replicator's retry ladder and then the
-/// tenant's `Degraded` transition.
-#[derive(Debug)]
-pub(crate) struct PlannedSink {
-    file: std::fs::File,
-    tenant: u32,
-    plan: ServerFaultPlan,
-}
-
-impl PlannedSink {
-    /// Creates (truncating) the stream file at `path`.
-    pub(crate) fn create(
-        path: &std::path::Path,
-        tenant: u32,
-        plan: ServerFaultPlan,
-    ) -> std::io::Result<PlannedSink> {
-        Ok(PlannedSink {
-            file: std::fs::File::create(path)?,
-            tenant,
-            plan,
-        })
-    }
-}
-
-impl ReplSink for PlannedSink {
-    fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        if self.plan.sink_dead(self.tenant) {
-            return Err(std::io::Error::other("sink killed by fault plan"));
-        }
-        self.file.write_all(bytes)?;
-        self.file.flush()
-    }
 }
 
 #[cfg(test)]
@@ -260,10 +196,10 @@ mod tests {
         assert_eq!(plan.take_stall(1, 3), Some(Duration::from_millis(5)));
         assert!(plan.take_stall(1, 4).is_none(), "consumed");
 
-        plan.crash_tenant(7, 2, FaultPolicy::DropUnflushed, true);
+        plan.crash_tenant(7, 2, FaultPolicy::DropUnflushed);
         assert!(plan.take_crash(7, 1).is_none());
         let c = plan.take_crash(7, 2).unwrap();
-        assert!(c.failover);
+        assert_eq!(c.policy, FaultPolicy::DropUnflushed);
         assert!(plan.take_crash(7, 3).is_none(), "consumed");
     }
 
@@ -285,15 +221,5 @@ mod tests {
         plan.transient(4, 1, 1);
         assert!(serving.take_transient_failure(4, 1));
         assert!(!plan.take_transient_failure(4, 2), "consumed");
-    }
-
-    #[test]
-    fn sink_kill_and_revive() {
-        let plan = ServerFaultPlan::none();
-        assert!(!plan.sink_dead(5));
-        plan.kill_sink(5);
-        assert!(plan.sink_dead(5));
-        plan.revive_sink(5);
-        assert!(!plan.sink_dead(5));
     }
 }

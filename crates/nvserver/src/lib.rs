@@ -4,8 +4,7 @@
 //! transactional requests against many [`nvmsim::Region`] tenants, each
 //! request on the thread that submitted it (the server starts no
 //! threads). Requests and responses travel through a versioned
-//! CRC-framed codec ([`codec`], magic `NVPISRV1` — the serving sibling
-//! of `repl`'s `NVPIRPL1` stream format) over an in-process
+//! CRC-framed codec ([`codec`], magic `NVPISRV1`) over an in-process
 //! [`Transport`] (loopback now, a socket later).
 //!
 //! The serving path costs little beyond its structure op. A frame is
@@ -24,27 +23,24 @@
 //! - **Deadlines** — every request carries one (or inherits the server
 //!   default) and expires to a terminal `DeadlineExceeded` rather than
 //!   waiting forever behind a stalled shard.
-//! - **Retries** — transient tenant faults retry with the same capped
-//!   exponential backoff policy as the replicator
-//!   ([`nvmsim::repl::capped_backoff`]).
+//! - **Retries** — transient tenant faults retry with capped
+//!   exponential backoff.
 //! - **Eviction & remap** — hot/cold LRU eviction closes a tenant's
 //!   region and later reopens it **at a different base address**
 //!   ([`nvmsim::Region::open_file_avoiding`]): every eviction is a live
 //!   position-independence exercise for the paper's pointer formats.
-//! - **Degradation ladder** — a tenant is `Healthy`, `Recovered` (came
-//!   back from a crash image), or `Degraded` (read-only after a
-//!   primary→replica failover via [`nvmsim::repl::promote_avoiding`], or
-//!   replication lost after a permanent sink failure), and heals back to
-//!   `Recovered` after a configurable window. Writes against a degraded
-//!   tenant answer `Degraded`; reads keep serving.
+//! - **Crash recovery** — a tenant is `Closed`, `Healthy`, or
+//!   `Recovered` (came back from a crash image). A crash is recovered in
+//!   place: undo recovery runs on the crash image, reopened at a
+//!   different base like every other reopen, and the tenant keeps
+//!   serving reads and writes.
 //!
 //! A [`ServerFaultPlan`] (modeled on `nvmsim`'s `FaultPlan`) injects
-//! shard stalls, tenant crash images mid-request, transient write
-//! faults, and permanently failing replication sinks; the
-//! `server_matrix` integration test sweeps tenants × faults × seeds and
-//! asserts that every request gets a terminal response, acked commits
-//! survive crash+reopen and failover, and eviction never violates
-//! structure invariants.
+//! shard stalls, tenant crash images mid-request, and transient write
+//! faults; the `server_matrix` integration test sweeps tenants × faults
+//! × seeds and asserts that every request gets a terminal response,
+//! acked commits survive crash and remapped reopen, and eviction never
+//! violates structure invariants.
 
 #![warn(missing_docs)]
 

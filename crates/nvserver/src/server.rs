@@ -1,15 +1,13 @@
 //! The sharded region server: bounded per-shard queues with admission
 //! control, deadline enforcement, capped-backoff retries, LRU tenant
-//! eviction with remapped reopen, and the crash/failover paths of the
-//! degradation ladder. See the crate docs for the policy overview.
+//! eviction with remapped reopen, and in-place crash recovery. See the
+//! crate docs for the policy overview.
 
 use crate::codec::{self, BatchOp, BatchResult, Priority, ReqOp, Request, Response, Status};
 use crate::fault::ServerFaultPlan;
-use crate::tenant::{
-    Tenant, TenantMetrics, TenantSnapshot, TenantSpec, TenantState, TenantTuning, IDX_WORD_LEN,
-};
+use crate::tenant::{Tenant, TenantMetrics, TenantSnapshot, TenantSpec, TenantState, IDX_WORD_LEN};
+use nvmsim::dlin;
 use nvmsim::metrics::{self, Counter};
-use nvmsim::{dlin, repl};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write;
 use std::path::PathBuf;
@@ -24,7 +22,7 @@ pub struct ServerConfig {
     /// Number of shards; tenant `id % shards` routes. A shard is served
     /// by whichever submitting thread holds its lock.
     pub shards: usize,
-    /// Directory holding tenant region files and replication streams.
+    /// Directory holding tenant region files.
     pub data_dir: PathBuf,
     /// Per-shard queue high-water mark; arrivals past it are shed.
     pub queue_depth: usize,
@@ -39,14 +37,12 @@ pub struct ServerConfig {
     /// Open-tenant ceiling per shard; past it the coldest open tenant
     /// is evicted (closed; its next request reopens it remapped).
     pub max_open_per_shard: usize,
-    /// Requests a degraded tenant serves before healing automatically.
-    pub degraded_window: u64,
 }
 
 impl ServerConfig {
     /// Defaults rooted at `data_dir`: 2 shards, depth-64 queues, 2 s
     /// default deadline, 3 retries from 1 ms capped at 20 ms, no
-    /// open-tenant ceiling, 16-request degraded window.
+    /// open-tenant ceiling.
     pub fn new(data_dir: impl Into<PathBuf>) -> ServerConfig {
         ServerConfig {
             shards: 2,
@@ -57,9 +53,15 @@ impl ServerConfig {
             retry_backoff: Duration::from_millis(1),
             retry_backoff_max: Duration::from_millis(20),
             max_open_per_shard: usize::MAX,
-            degraded_window: 16,
         }
     }
+}
+
+/// The capped exponential backoff before a retry: `base * 2^attempt`,
+/// saturating at `max` (attempt 0 is the wait before the first retry).
+fn capped_backoff(base: Duration, max: Duration, attempt: u32) -> Duration {
+    let factor = 1u32.checked_shl(attempt.min(31)).unwrap_or(u32::MAX);
+    base.saturating_mul(factor).min(max)
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -189,7 +191,7 @@ struct Core {
 pub struct TenantReport {
     /// Tenant id.
     pub id: u32,
-    /// Ladder position when the server stopped.
+    /// Lifecycle state when the server stopped.
     pub state: TenantState,
     /// Every base address the tenant's region was mapped at, in order.
     /// More than one entry means the tenant demonstrably served through
@@ -451,11 +453,6 @@ impl Client {
             },
         )
     }
-
-    /// Force-heal a degraded tenant.
-    pub fn heal(&self, tenant: u32) -> Response {
-        self.request(tenant, ReqOp::Heal)
-    }
 }
 
 // -- the server ---------------------------------------------------------------
@@ -482,12 +479,6 @@ impl Server {
         assert!(cfg.shards > 0, "at least one shard");
         assert!(cfg.queue_depth > 0, "queue depth must be positive");
         std::fs::create_dir_all(&cfg.data_dir)?;
-        let tuning = TenantTuning {
-            max_retries: cfg.max_retries,
-            retry_backoff: cfg.retry_backoff,
-            retry_backoff_max: cfg.retry_backoff_max,
-            degraded_window: cfg.degraded_window,
-        };
         let mut states: Vec<ShardState> = (0..cfg.shards).map(|_| ShardState::default()).collect();
         let mut routes = HashMap::new();
         for spec in tenants {
@@ -503,7 +494,7 @@ impl Server {
                 routes.insert(id, route).is_none(),
                 "tenant {id} configured twice"
             );
-            tenants.push(Tenant::new(spec, &cfg.data_dir, metrics, tuning.clone()));
+            tenants.push(Tenant::new(spec, &cfg.data_dir, metrics));
         }
         let shards = states.into_iter().map(Shard::new).collect();
         let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -531,9 +522,8 @@ impl Server {
     }
 
     /// Stops the server: each shard finishes every queued request,
-    /// closes its tenants cleanly (sealing replication streams), and
-    /// reports final per-tenant state. Requests arriving during shutdown
-    /// answer `Shutdown`.
+    /// closes its tenants cleanly, and reports final per-tenant state.
+    /// Requests arriving during shutdown answer `Shutdown`.
     pub fn shutdown(self) -> ServerReport {
         let core = &self.core;
         core.shutdown.store(true, Ordering::Release);
@@ -558,7 +548,7 @@ impl Server {
             // that never opened reports `Closed` with no bases or keys.
             for mut t in st.tenants.drain(..) {
                 if !t.is_open() && !t.bases.is_empty() {
-                    if let Err(e) = t.ensure_open(&core.plan) {
+                    if let Err(e) = t.ensure_open() {
                         eprintln!("nvserver: tenant {} reopen at shutdown: {e}", t.spec.id);
                     }
                 }
@@ -642,10 +632,6 @@ fn record_terminal(m: &TenantMetrics, resp: &Response) {
             metrics::incr(Counter::SrvDeadlineExceeded);
             &m.deadline_exceeded
         }
-        Status::Degraded => {
-            metrics::incr(Counter::SrvDegradedResponses);
-            &m.degraded
-        }
         _ => &m.failed,
     };
     c.fetch_add(1, Ordering::Relaxed);
@@ -680,30 +666,13 @@ fn handle_entry(
         };
     }
 
-    if let Err(e) = tenant.ensure_open(&core.plan) {
-        // A degraded-but-serving tenant (e.g. replication attach failed)
-        // still answers; a tenant that could not open at all fails.
-        if !tenant.is_open() {
-            return Response::rejection(req.id, Status::Failed, e);
-        }
-    }
-
-    // Degraded-window bookkeeping: every request against a degraded
-    // tenant brings it one step closer to the automatic heal.
-    if tenant.tick_degraded() {
-        let _ = tenant.heal(&core.plan);
+    if let Err(e) = tenant.ensure_open() {
+        return Response::rejection(req.id, Status::Failed, e);
     }
 
     match &req.op {
-        ReqOp::Heal => match tenant.heal(&core.plan) {
-            Ok(()) => Response::ok(req.id, None, tenant.state().name().to_string()),
-            Err(e) => Response::rejection(req.id, Status::Failed, e),
-        },
-        ReqOp::Get { key } => {
-            Response::ok(req.id, Some(tenant.contains(*key)), degraded_note(tenant))
-        }
+        ReqOp::Get { key } => Response::ok(req.id, Some(tenant.contains(*key)), String::new()),
         ReqOp::PrefixQuery { prefix } => {
-            // Reads serve in every open state, degraded included.
             let mut detail = String::with_capacity(PREFIX_REPLY_BYTES);
             let mut shown = 0;
             let scan = tenant.prefix_scan_each(prefix, |word| {
@@ -758,8 +727,8 @@ enum WriteOutcome {
     Terminal(Response),
 }
 
-/// Runs one write (insert or remove) through the fault plan, the crash
-/// paths, and the capped-backoff retry ladder.
+/// Runs one write (insert or remove) through the fault plan, in-place
+/// crash recovery, and the capped-backoff retry ladder.
 fn write_once(
     core: &Core,
     tenant: &mut Tenant,
@@ -785,37 +754,15 @@ fn write_once(
         if let Some(crash) = core.plan.take_crash(tenant.spec.id, ordinal) {
             // The crash lands before this write's transaction begins:
             // the triggering write is never acked out of a crash it did
-            // not survive.
-            let outcome = if crash.failover {
-                tenant.crash_and_failover(crash.policy, &core.plan)
-            } else {
-                tenant.crash_and_recover(crash.policy, &core.plan)
-            };
-            match outcome {
-                Ok(()) if tenant.state().read_only() => {
-                    return WriteOutcome::Terminal(Response::rejection(
-                        req_id,
-                        Status::Degraded,
-                        format!("write refused: {}", tenant.state().name()),
-                    ));
-                }
-                Ok(()) => continue, // recovered in place; retry the write
-                Err(e) => {
-                    return WriteOutcome::Terminal(Response::rejection(
-                        req_id,
-                        Status::Failed,
-                        format!("crash handling failed: {e}"),
-                    ))
-                }
+            // not survive. Recovered in place, the write is retried.
+            if let Err(e) = tenant.crash_and_recover(crash.policy) {
+                return WriteOutcome::Terminal(Response::rejection(
+                    req_id,
+                    Status::Failed,
+                    format!("crash handling failed: {e}"),
+                ));
             }
-        }
-
-        if tenant.state().read_only() {
-            return WriteOutcome::Terminal(Response::rejection(
-                req_id,
-                Status::Degraded,
-                format!("write refused: {}", tenant.state().name()),
-            ));
+            continue;
         }
 
         if core.plan.take_transient_failure(tenant.spec.id, ordinal) {
@@ -828,7 +775,7 @@ fn write_once(
             }
             tenant.metrics.retries.fetch_add(1, Ordering::Relaxed);
             metrics::incr(Counter::SrvRetries);
-            let wait = repl::capped_backoff(
+            let wait = capped_backoff(
                 core.cfg.retry_backoff,
                 core.cfg.retry_backoff_max,
                 *attempts - 1,
@@ -845,11 +792,9 @@ fn write_once(
         };
         return match result {
             Ok(applied) => {
-                // The commit was a durability point (flushed, fenced,
-                // and captured into the replication stream) before this
-                // stamp is drawn — the dlin ack discipline.
+                // The commit was a durability point (flushed and fenced)
+                // before this stamp is drawn — the dlin ack discipline.
                 let stamp = dlin::next_stamp();
-                tenant.check_repl_health();
                 WriteOutcome::Committed { applied, stamp }
             }
             Err(e) => WriteOutcome::Terminal(Response::rejection(req_id, Status::Failed, e)),
@@ -870,7 +815,7 @@ fn write_path(
         WriteOutcome::Committed { applied, stamp } => Response {
             attempts,
             stamp,
-            ..Response::ok(req.id, Some(applied), degraded_note(tenant))
+            ..Response::ok(req.id, Some(applied), String::new())
         },
         WriteOutcome::Terminal(mut r) => {
             r.attempts = attempts;
@@ -918,16 +863,6 @@ fn batch_path(
     }
 }
 
-/// The detail of an `Ok` answer: the ladder state when the tenant is
-/// degraded, otherwise empty.
-fn degraded_note(tenant: &Tenant) -> String {
-    if tenant.state().read_only() {
-        tenant.state().name().to_string()
-    } else {
-        String::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -971,6 +906,17 @@ mod tests {
         }
         server.shutdown();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn backoff_caps_at_configured_max() {
+        let base = Duration::from_millis(10);
+        let max = Duration::from_millis(100);
+        assert_eq!(capped_backoff(base, max, 0), Duration::from_millis(10));
+        assert_eq!(capped_backoff(base, max, 1), Duration::from_millis(20));
+        assert_eq!(capped_backoff(base, max, 3), Duration::from_millis(80));
+        assert_eq!(capped_backoff(base, max, 4), max);
+        assert_eq!(capped_backoff(base, max, 63), max);
     }
 
     #[test]

@@ -1,32 +1,25 @@
 //! Per-tenant state: one region + object store + persistent hash set
-//! per tenant, a degradation-ladder state machine, and per-tenant
-//! metrics.
+//! per tenant, a three-state lifecycle, and per-tenant metrics.
 //!
 //! A tenant lives inside its shard's state and is touched only by the
 //! thread holding the shard lock (the persistent structures hold raw
 //! mapped pointers and are not `Send`); only the [`TenantSpec`],
 //! [`TenantMetrics`], and snapshots are shared between threads.
 //!
-//! ## Degradation ladder
+//! ## Lifecycle
 //!
 //! ```text
-//! Closed ──open──▶ Healthy ──evict──▶ Closed (reopen remaps the base)
-//!   Healthy ──crash+recover──▶ Recovered
-//!   Healthy ──crash+failover──▶ DegradedReadOnly ──heal──▶ Recovered
-//!   Healthy ──repl sink dies──▶ DegradedReplLost ──heal──▶ Recovered
+//! Closed ──open──▶ Healthy ──crash+recover──▶ Recovered
+//! Healthy / Recovered ──evict──▶ Closed ──reopen──▶ Healthy
 //! ```
 //!
-//! `Recovered` serves exactly like `Healthy` (it exists so operators —
-//! and the chaos matrix — can see that a tenant came back from a crash
-//! rather than never having faulted). Both `Degraded` states are
-//! read-only: writes answer `Degraded` until the tenant heals, either
-//! via an explicit `Heal` request or automatically after the configured
-//! degraded window of requests.
+//! Every reopen — after an eviction or a crash — maps the image at a new
+//! base. `Recovered` serves exactly like `Healthy` (it exists so
+//! operators — and the chaos matrix — can see that a tenant came back
+//! from a crash image rather than never having faulted).
 
 use crate::codec::Priority;
-use crate::fault::{PlannedSink, ServerFaultPlan};
 use nvmsim::metrics::{self, Counter};
-use nvmsim::repl::{self, Replicator, ReplicatorConfig};
 use nvmsim::shadow::FaultPolicy;
 use nvmsim::Region;
 use pds::{NodeArena, PArt, PHashSet};
@@ -98,11 +91,8 @@ pub struct TenantSpec {
     pub repr: ReprKind,
     /// Default priority for admission decisions involving this tenant.
     pub priority: Priority,
-    /// Whether a replicator ships the tenant's durability points to a
-    /// stream (required for failover crashes).
-    pub replicate: bool,
     /// Whether shadow cache-line tracking is enabled (required for
-    /// crash injection; implied by `replicate`).
+    /// crash injection).
     pub shadowed: bool,
     /// Hash set bucket count.
     pub nbuckets: u64,
@@ -114,13 +104,12 @@ pub struct TenantSpec {
 
 impl TenantSpec {
     /// A spec with serving defaults: normal priority, 512 KiB region,
-    /// 32 KiB log, 64 buckets, no replication, no shadow.
+    /// 32 KiB log, 64 buckets, no shadow.
     pub fn new(id: u32, repr: ReprKind) -> TenantSpec {
         TenantSpec {
             id,
             repr,
             priority: Priority::Normal,
-            replicate: false,
             shadowed: false,
             nbuckets: 64,
             region_size: 512 << 10,
@@ -128,15 +117,7 @@ impl TenantSpec {
         }
     }
 
-    /// Enables replication (and with it shadow tracking).
-    pub fn replicated(mut self) -> TenantSpec {
-        self.replicate = true;
-        self.shadowed = true;
-        self
-    }
-
-    /// Enables shadow tracking without replication (crash-injectable,
-    /// recover-in-place only).
+    /// Enables shadow tracking, which makes the tenant crash-injectable.
     pub fn crashable(mut self) -> TenantSpec {
         self.shadowed = true;
         self
@@ -149,19 +130,15 @@ impl TenantSpec {
     }
 }
 
-/// Where a tenant sits on the degradation ladder.
+/// Where a tenant is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TenantState {
     /// Not currently open (never opened, or evicted).
     Closed,
     /// Serving normally.
     Healthy,
-    /// Serving normally after coming back from a crash image or a heal.
+    /// Serving normally after coming back from a crash image.
     Recovered,
-    /// Read-only: serving a replica promoted after a primary crash.
-    DegradedReadOnly,
-    /// Read-only: local region fine but replication permanently failed.
-    DegradedReplLost,
 }
 
 impl TenantState {
@@ -171,8 +148,6 @@ impl TenantState {
             TenantState::Closed => 0,
             TenantState::Healthy => 1,
             TenantState::Recovered => 2,
-            TenantState::DegradedReadOnly => 3,
-            TenantState::DegradedReplLost => 4,
         }
     }
 
@@ -182,8 +157,6 @@ impl TenantState {
             0 => Some(TenantState::Closed),
             1 => Some(TenantState::Healthy),
             2 => Some(TenantState::Recovered),
-            3 => Some(TenantState::DegradedReadOnly),
-            4 => Some(TenantState::DegradedReplLost),
             _ => None,
         }
     }
@@ -194,17 +167,7 @@ impl TenantState {
             TenantState::Closed => "closed",
             TenantState::Healthy => "healthy",
             TenantState::Recovered => "recovered",
-            TenantState::DegradedReadOnly => "degraded_readonly",
-            TenantState::DegradedReplLost => "degraded_repllost",
         }
-    }
-
-    /// Whether writes are refused in this state.
-    pub fn read_only(self) -> bool {
-        matches!(
-            self,
-            TenantState::DegradedReadOnly | TenantState::DegradedReplLost
-        )
     }
 }
 
@@ -221,8 +184,6 @@ pub struct TenantMetrics {
     pub overloaded: AtomicU64,
     /// Requests answered `DeadlineExceeded`.
     pub deadline_exceeded: AtomicU64,
-    /// Requests answered `Degraded`.
-    pub degraded: AtomicU64,
     /// Requests answered `Failed`.
     pub failed: AtomicU64,
     /// Write attempts retried after transient faults.
@@ -233,12 +194,6 @@ pub struct TenantMetrics {
     pub remaps: AtomicU64,
     /// Crash images injected against this tenant.
     pub crashes: AtomicU64,
-    /// Primary→replica failovers.
-    pub failovers: AtomicU64,
-    /// Permanent replication-sink failures observed.
-    pub repl_lost: AtomicU64,
-    /// Transitions out of a degraded state.
-    pub heals: AtomicU64,
     /// `check_invariants` failures (must stay 0).
     pub invariant_failures: AtomicU64,
     /// Current [`TenantState::code`].
@@ -256,8 +211,6 @@ pub struct TenantSnapshot {
     pub overloaded: u64,
     /// `DeadlineExceeded` responses.
     pub deadline_exceeded: u64,
-    /// `Degraded` responses.
-    pub degraded: u64,
     /// `Failed` responses.
     pub failed: u64,
     /// Retried write attempts.
@@ -268,12 +221,6 @@ pub struct TenantSnapshot {
     pub remaps: u64,
     /// Injected crashes.
     pub crashes: u64,
-    /// Failovers.
-    pub failovers: u64,
-    /// Permanent replication losses.
-    pub repl_lost: u64,
-    /// Heals.
-    pub heals: u64,
     /// Invariant-check failures.
     pub invariant_failures: u64,
     /// State at snapshot time.
@@ -288,15 +235,11 @@ impl TenantMetrics {
             ok: self.ok.load(Ordering::Relaxed),
             overloaded: self.overloaded.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             remaps: self.remaps.load(Ordering::Relaxed),
             crashes: self.crashes.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            repl_lost: self.repl_lost.load(Ordering::Relaxed),
-            heals: self.heals.load(Ordering::Relaxed),
             invariant_failures: self.invariant_failures.load(Ordering::Relaxed),
             state: TenantState::from_code(self.state.load(Ordering::Relaxed))
                 .unwrap_or(TenantState::Closed),
@@ -450,27 +393,15 @@ fn err(e: impl std::fmt::Display) -> String {
     e.to_string()
 }
 
-/// Replicator tuning shared by every tenant of a server (mirrors the
-/// server's retry policy onto the shipping path).
-#[derive(Debug, Clone)]
-pub(crate) struct TenantTuning {
-    pub max_retries: u32,
-    pub retry_backoff: std::time::Duration,
-    pub retry_backoff_max: std::time::Duration,
-    pub degraded_window: u64,
-}
-
 /// One live tenant, owned by its shard's state.
 pub(crate) struct Tenant {
     pub spec: TenantSpec,
     pub metrics: Arc<TenantMetrics>,
     path: PathBuf,
-    stream: PathBuf,
     region: Option<Region>,
     store: Option<ObjectStore>,
     set: Option<TenantSet>,
     idx: Option<TenantIndex>,
-    repl: Option<Replicator>,
     state: TenantState,
     /// Every base the tenant's region was ever mapped at, in order.
     pub bases: Vec<usize>,
@@ -478,36 +409,23 @@ pub(crate) struct Tenant {
     pub last_used: u64,
     /// Writes attempted against this tenant (fault-plan ordinal).
     pub writes: u64,
-    /// Requests remaining before an automatic heal while degraded.
-    degraded_left: u64,
-    tuning: TenantTuning,
 }
 
 impl Tenant {
-    pub(crate) fn new(
-        spec: TenantSpec,
-        dir: &Path,
-        metrics: Arc<TenantMetrics>,
-        tuning: TenantTuning,
-    ) -> Tenant {
+    pub(crate) fn new(spec: TenantSpec, dir: &Path, metrics: Arc<TenantMetrics>) -> Tenant {
         let path = dir.join(format!("tenant-{}.nvr", spec.id));
-        let stream = dir.join(format!("tenant-{}.nvd", spec.id));
         Tenant {
             spec,
             metrics,
             path,
-            stream,
             region: None,
             store: None,
             set: None,
             idx: None,
-            repl: None,
             state: TenantState::Closed,
             bases: Vec::new(),
             last_used: 0,
             writes: 0,
-            degraded_left: 0,
-            tuning,
         }
     }
 
@@ -524,36 +442,12 @@ impl Tenant {
         self.metrics.state.store(s.code(), Ordering::Relaxed);
     }
 
-    fn repl_config(&self) -> ReplicatorConfig {
-        ReplicatorConfig {
-            max_retries: self.tuning.max_retries,
-            retry_backoff: self.tuning.retry_backoff,
-            retry_backoff_max: self.tuning.retry_backoff_max,
-            ..ReplicatorConfig::default()
-        }
-    }
-
-    /// Attaches shadow tracking and (when configured) a fresh
-    /// replication stream to the open region.
-    fn attach_instrumentation(&mut self, plan: &ServerFaultPlan) -> Result<(), String> {
-        let region = self.region.as_ref().expect("open region");
+    /// Attaches shadow tracking to the open region when the spec asks
+    /// for it.
+    fn attach_shadow(&self) -> Result<(), String> {
         if self.spec.shadowed {
+            let region = self.region.as_ref().expect("open region");
             region.enable_shadow().map_err(err)?;
-        }
-        if self.spec.replicate {
-            let sink =
-                PlannedSink::create(&self.stream, self.spec.id, plan.clone()).map_err(err)?;
-            match Replicator::attach_sink(region, Box::new(sink), self.repl_config()) {
-                Ok(r) => self.repl = Some(r),
-                Err(e) => {
-                    // The opening append failed permanently (dead sink):
-                    // the tenant serves, but replication is lost.
-                    self.metrics.repl_lost.fetch_add(1, Ordering::Relaxed);
-                    self.set_state(TenantState::DegradedReplLost);
-                    self.degraded_left = self.tuning.degraded_window;
-                    return Err(format!("replication attach failed: {e}"));
-                }
-            }
         }
         Ok(())
     }
@@ -561,18 +455,18 @@ impl Tenant {
     /// Opens the tenant: formats a fresh region on first open, otherwise
     /// reopens the backing file **avoiding the previous base** so every
     /// reopen is a remap. No-op when already open.
-    pub(crate) fn ensure_open(&mut self, plan: &ServerFaultPlan) -> Result<(), String> {
+    pub(crate) fn ensure_open(&mut self) -> Result<(), String> {
         if self.is_open() {
             return Ok(());
         }
         if self.path.exists() {
-            self.reopen(plan)
+            self.reopen()
         } else {
-            self.format(plan)
+            self.format()
         }
     }
 
-    fn format(&mut self, plan: &ServerFaultPlan) -> Result<(), String> {
+    fn format(&mut self) -> Result<(), String> {
         let region = Region::create_file(&self.path, self.spec.region_size).map_err(err)?;
         let store = ObjectStore::format_with_log(&region, self.spec.log_cap).map_err(err)?;
         let set = TenantSet::create(
@@ -588,12 +482,11 @@ impl Tenant {
         self.set = Some(set);
         self.idx = Some(idx);
         self.set_state(TenantState::Healthy);
-        let r = self.attach_instrumentation(plan);
         metrics::incr(Counter::RegionOpens);
-        r
+        self.attach_shadow()
     }
 
-    fn reopen(&mut self, plan: &ServerFaultPlan) -> Result<(), String> {
+    fn reopen(&mut self) -> Result<(), String> {
         let avoid = self.bases.last().copied().unwrap_or(0);
         let region = Region::open_file_avoiding(&self.path, avoid).map_err(err)?;
         let store = ObjectStore::attach(&region).map_err(err)?;
@@ -622,12 +515,11 @@ impl Tenant {
         } else {
             TenantState::Healthy
         });
-        self.attach_instrumentation(plan)
+        self.attach_shadow()
     }
 
-    /// Closes the tenant cleanly (eviction): invariant check, seal the
-    /// replication stream, clean region close. The next `ensure_open`
-    /// remaps.
+    /// Closes the tenant cleanly (eviction): invariant check, clean
+    /// region close. The next `ensure_open` remaps.
     pub(crate) fn evict(&mut self) -> Result<(), String> {
         if !self.is_open() {
             return Ok(());
@@ -636,14 +528,8 @@ impl Tenant {
         self.set = None;
         self.idx = None;
         self.store = None;
-        let repl = self.repl.take();
         let region = self.region.take().expect("open region");
         region.close().map_err(err)?;
-        if let Some(r) = repl {
-            // Clean close already shipped the final delta; a seal error
-            // here means the sink died, which the next open re-detects.
-            let _ = r.seal();
-        }
         self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
         metrics::incr(Counter::SrvEvictions);
         metrics::incr(Counter::RegionCloses);
@@ -654,136 +540,18 @@ impl Tenant {
     /// Injects a crash image under `policy` and recovers in place: the
     /// faulted image is reopened (remapped), undo recovery runs, and
     /// the tenant comes back `Recovered`.
-    pub(crate) fn crash_and_recover(
-        &mut self,
-        policy: FaultPolicy,
-        plan: &ServerFaultPlan,
-    ) -> Result<(), String> {
-        self.crash_image(policy)?;
-        self.reopen(plan)
-    }
-
-    /// Injects a crash image and fails over: the replication stream is
-    /// sealed and a replica promoted **at a different base** becomes the
-    /// new primary; the tenant degrades to read-only. Falls back to
-    /// in-place recovery (`DegradedReplLost`) when the stream cannot be
-    /// sealed (dead sink).
-    pub(crate) fn crash_and_failover(
-        &mut self,
-        policy: FaultPolicy,
-        plan: &ServerFaultPlan,
-    ) -> Result<(), String> {
-        if !self.spec.replicate {
-            return Err("failover crash on a non-replicated tenant".to_string());
-        }
-        let old_base = self.bases.last().copied().unwrap_or(0);
-        let repl = self.crash_image(policy)?;
-        let sealed = match repl {
-            Some(r) => r.seal().is_ok(),
-            None => false,
-        };
-        if !sealed {
-            // No sealed stream to promote from: recover the crashed
-            // primary image instead and mark replication lost.
-            self.metrics.repl_lost.fetch_add(1, Ordering::Relaxed);
-            self.reopen_without_repl(plan)?;
-            self.set_state(TenantState::DegradedReplLost);
-            self.degraded_left = self.tuning.degraded_window;
-            return Ok(());
-        }
-        // Promote the replica over the tenant's backing file so future
-        // reopens keep using the single canonical path.
-        let region = repl::promote_avoiding(&self.stream, &self.path, old_base).map_err(err)?;
-        let store = ObjectStore::attach(&region).map_err(err)?;
-        let set = TenantSet::attach(NodeArena::transactional(store.clone()), self.spec.repr)?;
-        let idx = TenantIndex::attach(NodeArena::transactional(store.clone()), self.spec.repr)?;
-        let base = region.base();
-        assert_ne!(base, old_base, "promotion must remap");
-        self.region = Some(region);
-        self.store = Some(store);
-        self.set = Some(set);
-        self.idx = Some(idx);
-        self.audit("after failover")?;
-        self.bases.push(base);
-        self.metrics.remaps.fetch_add(1, Ordering::Relaxed);
-        self.metrics.failovers.fetch_add(1, Ordering::Relaxed);
-        metrics::incr(Counter::SrvRemapReopens);
-        metrics::incr(Counter::SrvFailovers);
-        self.reconcile_index()?;
-        self.set_state(TenantState::DegradedReadOnly);
-        self.degraded_left = self.tuning.degraded_window;
-        Ok(())
-    }
-
-    /// Tears down to a fault-injected crash image on disk. Returns the
-    /// detached replicator (if any) so the caller decides whether to
-    /// seal it.
-    fn crash_image(&mut self, policy: FaultPolicy) -> Result<Option<Replicator>, String> {
+    pub(crate) fn crash_and_recover(&mut self, policy: FaultPolicy) -> Result<(), String> {
         if !self.spec.shadowed {
             return Err("crash injection on an unshadowed tenant".to_string());
         }
         self.set = None;
         self.idx = None;
         self.store = None;
-        let repl = self.repl.take();
         let region = self.region.take().expect("open region");
         region.crash_with_faults(policy).map_err(err)?;
         self.metrics.crashes.fetch_add(1, Ordering::Relaxed);
         self.set_state(TenantState::Closed);
-        Ok(repl)
-    }
-
-    /// Reopens after a crash without re-attaching replication (used on
-    /// the replication-lost path so a dead sink is not immediately
-    /// re-probed).
-    fn reopen_without_repl(&mut self, plan: &ServerFaultPlan) -> Result<(), String> {
-        let replicate = self.spec.replicate;
-        self.spec.replicate = false;
-        let r = self.reopen(plan);
-        self.spec.replicate = replicate;
-        r
-    }
-
-    /// One step of the degraded window; returns `true` if the tenant
-    /// should auto-heal now.
-    pub(crate) fn tick_degraded(&mut self) -> bool {
-        if !self.state.read_only() {
-            return false;
-        }
-        self.degraded_left = self.degraded_left.saturating_sub(1);
-        self.degraded_left == 0
-    }
-
-    /// Heals a degraded tenant: re-attaches replication when it was
-    /// lost (and the sink revived), then returns to `Recovered`.
-    pub(crate) fn heal(&mut self, plan: &ServerFaultPlan) -> Result<(), String> {
-        match self.state {
-            TenantState::DegradedReadOnly => {}
-            TenantState::DegradedReplLost => {
-                if self.spec.replicate && self.repl.is_none() {
-                    self.attach_instrumentation(plan)?;
-                }
-            }
-            _ => return Ok(()),
-        }
-        self.metrics.heals.fetch_add(1, Ordering::Relaxed);
-        self.set_state(TenantState::Recovered);
-        Ok(())
-    }
-
-    /// Detects a permanent replication-sink failure after a write and
-    /// degrades the tenant. Returns `true` when degradation happened.
-    pub(crate) fn check_repl_health(&mut self) -> bool {
-        let failed = self.repl.as_ref().is_some_and(|r| r.failure().is_some());
-        if failed {
-            // Dropping the dead replicator is prompt even mid-backoff
-            // (its retry wait observes the abort flag).
-            self.repl = None;
-            self.metrics.repl_lost.fetch_add(1, Ordering::Relaxed);
-            self.set_state(TenantState::DegradedReplLost);
-            self.degraded_left = self.tuning.degraded_window;
-        }
-        failed
+        self.reopen()
     }
 
     /// Membership probe.
@@ -888,7 +656,7 @@ impl Tenant {
         self.metrics
             .invariant_failures
             .fetch_add(1, Ordering::Relaxed);
-        (self.set, self.idx, self.store, self.repl) = (None, None, None, None);
+        (self.set, self.idx, self.store) = (None, None, None);
         self.region.take().expect("open region").crash();
         self.set_state(TenantState::Closed);
         Err(format!("invariants violated {when}: {e}"))

@@ -112,9 +112,6 @@ impl<'s> Tx<'s> {
         self.store.log().truncate();
         self.committed = true;
         nvmsim::metrics::incr(nvmsim::metrics::Counter::TxCommits);
-        // A committed transaction is a durability point: hand the fenced
-        // lines to an attached replicator (no-op otherwise).
-        nvmsim::repl::on_durability_point(self.store.region().base());
     }
 
     /// Aborts explicitly, rolling back every snapshotted range.

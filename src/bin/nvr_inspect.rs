@@ -8,36 +8,32 @@
 //!                                          # metadata slot of healthy images
 //! nvr_inspect stats <image.nvr> [...]      # allocator counters, roots, and
 //!                                          # the nvmsim::metrics delta of the open
-//! nvr_inspect repl <stream.nvd> [...]      # dump a replication delta stream:
-//!                                          # header, records, epochs, seal, lag
 //! nvr_inspect alloc <image.nvr> [...]      # walk the bitmap allocator: per-class
 //!                                          # subtree occupancy and free counters
 //! nvr_inspect history <file.his> [...]     # dump an NVPIHIS1 concurrent-run
 //!                                          # history: crash event, per-op records
 //! nvr_inspect server <dir> [...]           # triage a region-server data dir:
-//!                                          # verify every tenant-*.nvr image and
-//!                                          # summarize every tenant-*.nvd stream
+//!                                          # verify every tenant-*.nvr image
 //! nvr_inspect index [--root NAME] <image.nvr> [...]
 //!                                          # decode persistent ART indexes offline:
 //!                                          # repr, key count, node-kind histogram,
 //!                                          # leaf depth distribution, invariants
 //! ```
 //!
-//! `verify` is scriptable: exit code 0 means every check passed, 1 means
-//! damage was found (the report says what), 2 means usage/IO trouble.
-//! `repl` follows the same convention: 0 for a sealed intact stream, 1
-//! for a torn or unsealed one. `alloc` exits 0 when the bitmap structures
-//! are consistent, 1 when they are not (an image without a bitmap
-//! directory included); stale advisory counters only fail a *clean*
-//! image — a crashed one rebuilds them on the next open.
+//! Every subcommand exits 0 when every check passed, 1 when damage was
+//! found (the report says what), and 2 on usage or I/O trouble — a
+//! missing file, or a first argument that is neither a subcommand nor a
+//! path. `verify` is the full corruption walk. `alloc` exits 0 when the
+//! bitmap structures are consistent, 1 when they are not (an image
+//! without a bitmap directory included); stale advisory counters only
+//! fail a *clean* image — a crashed one rebuilds them on the next open.
 //! `history` exits 0 when every file decodes (the CRC seal held), 1 when
-//! one is torn or corrupt, 2 on usage/IO trouble — so CI can triage the
-//! artifacts a failed concurrent-matrix cell uploads. `server` exits 0
-//! when every tenant image in the directory passes the corruption walk
-//! and no delta stream is torn (an unsealed-but-intact stream is
-//! reported, not failed — a crashed primary legitimately leaves one), 1
-//! otherwise — the one-command triage for a failed server-matrix cell's
-//! artifact directory. `index` walks every adaptive-radix-tree root in
+//! one is torn or corrupt — so CI can triage the artifacts a failed
+//! concurrent-matrix cell uploads. `server` exits 0 when every
+//! `tenant-*.nvr` image in the directory passes the corruption walk, 1
+//! when one is damaged (named on stdout), 2 when one cannot be read;
+//! other files are ignored — the one-command triage for a failed
+//! server-matrix cell's artifact directory. `index` walks every adaptive-radix-tree root in
 //! the image (or just `--root NAME`) without needing to know its pointer
 //! representation — the root fingerprint identifies it — and exits 0
 //! when every decoded index passes `check_invariants`, 1 on any
@@ -49,7 +45,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: nvr_inspect [verify|scrub|stats|repl|alloc|history|server|index] <file|dir> [...]"
+        "usage: nvr_inspect [verify|scrub|stats|alloc|history|server|index] <file|dir> [...]"
     );
     ExitCode::from(2)
 }
@@ -261,55 +257,6 @@ fn scrub(path: &str) -> Outcome {
     Ok(true)
 }
 
-/// Dumps a replication delta stream: identity header, one line per
-/// record (kind, epoch range, lines, payload size), whether the stream is
-/// sealed, and the replica lag a promotion from this stream would carry.
-fn repl(path: &str) -> Outcome {
-    let bytes = std::fs::read(path).map_err(trouble)?;
-    let dump = nvmsim::repl::inspect_stream(&bytes);
-    match dump.meta {
-        Some(meta) => {
-            println!("stream:      v{} for rid {}", meta.version, meta.rid);
-            println!("region_size: {} bytes", meta.region_size);
-        }
-        None => println!("stream:      (header unreadable)"),
-    }
-    println!("bytes:       {}", dump.total_bytes);
-    for r in &dump.records {
-        match r.kind {
-            "base" => println!(
-                "  base   epoch 0            {:>8} bytes  @{}",
-                r.payload_bytes, r.offset
-            ),
-            "delta" => println!(
-                "  delta  epoch {:>3} <- {:<3} {:>5} lines ({} bytes)  @{}",
-                r.epoch, r.prev_epoch, r.lines, r.payload_bytes, r.offset
-            ),
-            _ => println!("  seal   epoch {:>3}  @{}", r.epoch, r.offset),
-        }
-    }
-    let deltas = dump.records.iter().filter(|r| r.kind == "delta").count();
-    println!("deltas:      {deltas}");
-    println!("last_epoch:  {}", dump.last_epoch);
-    println!("sealed:      {}", dump.sealed);
-    if let Some(p) = &dump.problem {
-        println!("problem:     {p}");
-    }
-    // Lag of a replica promoted from this stream, in epochs: zero for
-    // a sealed stream, unknowable-but-nonzero otherwise (the primary
-    // was still emitting when the stream stopped).
-    let promotable = dump.sealed && dump.problem.is_none();
-    if promotable {
-        println!("lag:         0 epochs (sealed, promotable)");
-    } else {
-        println!(
-            "lag:         >= 1 epoch (unsealed; replica stops at {})",
-            dump.last_epoch
-        );
-    }
-    Ok(promotable)
-}
-
 /// Dumps an `NVPIHIS1` history file saved by a failed concurrent
 /// matrix cell: the crash event it was checked against, the initial
 /// membership, and one line per op record (thread, op, key, result,
@@ -366,10 +313,8 @@ fn history(path: &str) -> Outcome {
 }
 
 /// Triages a region-server data directory: every `tenant-*.nvr` image
-/// goes through the full corruption walk and every `tenant-*.nvd`
-/// replication stream is decoded and summarized. Damaged images and torn
-/// streams fail the run; an unsealed-but-intact stream (a crashed
-/// primary's leftovers) is reported but does not.
+/// goes through the full corruption walk, and a damaged one fails the
+/// run. Other files are ignored.
 fn server(dir: &str) -> Outcome {
     let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| trouble(format!("{dir}: {e}")))?
@@ -377,15 +322,10 @@ fn server(dir: &str) -> Outcome {
         .map(|e| e.path())
         .collect();
     entries.sort();
-    let (mut images, mut streams, mut damaged, mut torn, mut unsealed) = (0, 0, 0, 0, 0);
-    let mut unreadable = 0;
+    let (mut images, mut damaged, mut unreadable) = (0, 0, 0);
     for path in entries {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if !name.starts_with("tenant-") {
-            continue;
-        }
-        let is_image = name.ends_with(".nvr");
-        if !is_image && !name.ends_with(".nvd") {
+        if !(name.starts_with("tenant-") && name.ends_with(".nvr")) {
             continue;
         }
         let bytes = match std::fs::read(&path) {
@@ -396,55 +336,27 @@ fn server(dir: &str) -> Outcome {
                 continue;
             }
         };
-        if is_image {
-            images += 1;
-            let report = nvmsim::verify::verify_bytes(&bytes);
-            if report.healthy() {
-                println!(
-                    "  {name}: image {} (rid {})",
-                    if report.clean { "clean" } else { "dirty" },
-                    report.rid.map_or("?".to_string(), |r| r.to_string())
-                );
-            } else {
-                damaged += 1;
-                println!("  {name}: DAMAGED");
-                for line in format!("{report}").lines() {
-                    println!("    {line}");
-                }
-            }
+        images += 1;
+        let report = nvmsim::verify::verify_bytes(&bytes);
+        if report.healthy() {
+            println!(
+                "  {name}: image {} (rid {})",
+                if report.clean { "clean" } else { "dirty" },
+                report.rid.map_or("?".to_string(), |r| r.to_string())
+            );
         } else {
-            streams += 1;
-            let dump = nvmsim::repl::inspect_stream(&bytes);
-            let deltas = dump.records.iter().filter(|r| r.kind == "delta").count();
-            match &dump.problem {
-                Some(p) => {
-                    torn += 1;
-                    println!("  {name}: TORN — {p}");
-                }
-                None if dump.sealed => {
-                    println!(
-                        "  {name}: sealed, {deltas} deltas, last epoch {}",
-                        dump.last_epoch
-                    );
-                }
-                None => {
-                    unsealed += 1;
-                    println!(
-                        "  {name}: unsealed (promotion stops at epoch {}), {deltas} deltas",
-                        dump.last_epoch
-                    );
-                }
+            damaged += 1;
+            println!("  {name}: DAMAGED");
+            for line in format!("{report}").lines() {
+                println!("    {line}");
             }
         }
     }
-    println!(
-        "summary:     {images} images ({damaged} damaged), {streams} streams \
-         ({torn} torn, {unsealed} unsealed)"
-    );
-    if damaged > 0 || torn > 0 {
+    println!("summary:     {images} images ({damaged} damaged)");
+    if damaged > 0 {
         Ok(false)
     } else if unreadable > 0 {
-        Err(trouble(format!("{unreadable} unreadable tenant file(s)")))
+        Err(trouble(format!("{unreadable} unreadable tenant image(s)")))
     } else {
         Ok(true)
     }
@@ -456,11 +368,13 @@ fn main() -> ExitCode {
         Some("verify") => verify,
         Some("scrub") => scrub,
         Some("stats") => stats,
-        Some("repl") => repl,
         Some("alloc") => alloc,
         Some("history") => history,
         Some("server") => server,
         Some("index") => return index(&args[1..]),
+        // A bare word that names no file is a mistyped (or retired)
+        // subcommand, not an image path.
+        Some(a) if !a.contains(['/', '.']) && !std::path::Path::new(a).exists() => return usage(),
         // No subcommand: every argument is an image to summarize.
         _ => return each_path(&args, summary),
     };

@@ -304,26 +304,6 @@ fn acceptance_256_regions_plus_multi_gb_region() {
     big.close().unwrap();
 }
 
-/// The replication stream format pins the region size per session, so
-/// `grow` must be refused while a source is attached — and work again
-/// once the stream is sealed.
-#[test]
-fn growth_is_refused_while_a_replication_source_is_attached() {
-    use nvm_pi::nvmsim::repl::{Replicator, ReplicatorConfig};
-    let _serial = M.lock();
-    let cell = M.cell("grow-repl");
-    let r = Region::create_file_with_capacity(cell.path("src.nvr"), 1 << 20, 8 << 20).unwrap();
-    r.enable_shadow().unwrap();
-    let repl = Replicator::attach(&r, cell.path("src.nvrs"), ReplicatorConfig::default()).unwrap();
-    match r.grow(2 << 20) {
-        Err(NvError::BadImage(msg)) => assert!(msg.contains("replication"), "{msg}"),
-        other => panic!("grow under replication must be BadImage, got {other:?}"),
-    }
-    repl.seal().unwrap();
-    assert_eq!(r.grow(2 << 20).unwrap(), 2 << 20);
-    r.close().unwrap();
-}
-
 /// Placement is randomized by default (reopen lands somewhere new, like
 /// ASLR) but fully reproducible under a pinned seed — the property the
 /// matrix harnesses and the CI chunk-geometry job rely on.

@@ -225,9 +225,57 @@ fn a_region_without_room_for_a_bitmap_page_is_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `server <dir>` verifies every `tenant-*.nvr` image in a data
+/// directory: 0 while they all pass, 1 naming the one that does not.
+/// Other files — a stray `.nvd` included — are not examined.
+#[test]
+fn server_dir_triage_names_the_damaged_tenant_image() {
+    let dir = tmpdir("server");
+    build_images(&dir);
+    let data = dir.join("data");
+    std::fs::create_dir_all(&data).unwrap();
+    std::fs::copy(dir.join("clean"), data.join("tenant-0.nvr")).unwrap();
+    let run = || nvr_inspect(&["server", data.to_str().unwrap()]);
+    let out = run();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+
+    std::fs::copy(dir.join("rotted"), data.join("tenant-1.nvr")).unwrap();
+    let out = run();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.contains("tenant-1.nvr") && l.contains("DAMAGED")),
+        "{out:?}"
+    );
+    assert!(
+        !stdout
+            .lines()
+            .any(|l| l.contains("tenant-0.nvr") && l.contains("DAMAGED")),
+        "{out:?}"
+    );
+
+    std::fs::remove_file(data.join("tenant-1.nvr")).unwrap();
+    std::fs::write(data.join("tenant-2.nvd"), b"not a region image").unwrap();
+    let out = run();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(
+        !String::from_utf8_lossy(&out.stdout).contains("tenant-2.nvd"),
+        "{out:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn usage_errors_exit_2() {
-    for args in [&[][..], &["verify"], &["alloc"], &["index", "--root"]] {
+    for args in [
+        &[][..],
+        &["verify"],
+        &["alloc"],
+        &["index", "--root"],
+        &["repl", "x"],
+    ] {
         let out = nvr_inspect(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         assert!(out.stdout.is_empty(), "{args:?}: {out:?}");

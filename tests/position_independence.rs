@@ -210,3 +210,50 @@ fn swizzled_structure_roundtrips_through_at_rest_image() {
     region.close().unwrap();
     std::fs::remove_file(&path).ok();
 }
+
+/// Control: the same close and remapped reopen under raw volatile
+/// pointers. The image itself reopens intact — but the list head is an
+/// absolute address into the *old* mapping, so the structure is broken
+/// at the new base. This is the failure position independence exists to
+/// prevent. The head word is read raw and never dereferenced (it
+/// dangles).
+#[test]
+fn volatile_pointer_control_breaks_at_a_new_base() {
+    use nvm_pi::nvmsim::verify;
+    use nvm_pi::pi_core::NormalPtr;
+    const SIZE: usize = 512 << 10;
+    let path = tmp("control-normalptr.nvr");
+    let old_base = {
+        let region = Region::create_file(&path, SIZE).unwrap();
+        let mut list: PList<NormalPtr, 32> =
+            PList::create_rooted(NodeArena::raw(region.clone()), "l").unwrap();
+        for key in [10, 20, 30] {
+            list.push_front(key).unwrap();
+        }
+        assert_eq!(list.keys(), vec![30, 20, 10], "the list is fine in place");
+        let b = region.base();
+        region.close().unwrap();
+        b
+    };
+    let region = reopen_elsewhere(&path, old_base);
+    let base = region.base();
+    // The image reopens byte-for-byte intact...
+    assert!(verify::verify_file(&path).unwrap().healthy());
+    // ...but its list head is an absolute pointer into the old mapping.
+    let header = region.root("l").expect("root survives the reopen");
+    // SAFETY: `header` is inside the mapped region; only the head WORD is
+    // read — the dangling address it holds is never dereferenced.
+    let head = unsafe { std::ptr::read(header as *const usize) };
+    assert_ne!(head, 0, "three inserts left a non-empty list");
+    assert!(
+        !(base..base + SIZE).contains(&head),
+        "volatile head {head:#x} would need to point into the new mapping \
+         [{base:#x}, +{SIZE:#x}) to be usable — position dependence must break it"
+    );
+    assert!(
+        (old_base..old_base + SIZE).contains(&head),
+        "volatile head {head:#x} still points into the old mapping at {old_base:#x}"
+    );
+    region.close().unwrap();
+    std::fs::remove_file(&path).ok();
+}

@@ -1,29 +1,28 @@
 //! Server chaos matrix: the multi-tenant region server under injected
-//! shard stalls, transient write faults, tenant crash images, failover,
-//! dead replication sinks, and live eviction — the `nvserver`
-//! acceptance suite.
+//! shard stalls, transient write faults, tenant crash images recovered
+//! in place, and live eviction — the `nvserver` acceptance suite.
 //!
 //! Invariants asserted across every cell:
 //!
 //! 1. **No request is silently dropped** — every submission returns a
 //!    terminal status (`Ok` / `Overloaded` / `DeadlineExceeded` /
-//!    `Degraded` / `Failed` / `Shutdown`).
+//!    `Failed` / `Shutdown`).
 //! 2. **Acked commits survive** — every write acked `Ok` carries a
 //!    linearization stamp, and the per-tenant stamp-ordered history
-//!    must explain the keys present after crash+reopen and after
-//!    failover (`nvmsim::dlin` discipline, crash at the end of time).
-//! 3. **Eviction and failover never violate invariants** — per-tenant
-//!    `invariant_failures` stays 0 and every reopen lands at a
-//!    different base than the mapping before it (position independence
-//!    under fire).
+//!    must explain the keys present after crash and remapped reopen
+//!    (`nvmsim::dlin` discipline, crash at the end of time).
+//! 3. **Eviction and crash recovery never violate invariants** —
+//!    per-tenant `invariant_failures` stays 0 and every reopen lands at
+//!    a different base than the mapping before it (position
+//!    independence under fire).
 //!
 //! 4. **A tenant that fails its invariants is not served** — it answers
 //!    `Failed`, is counted, and does not take its shard down with it.
 //!
 //! Seed, replay tag, serial lock and scratch directories come from the
 //! shared [`util::Matrix`] (`MATRIX_SEED`, `MATRIX_ARTIFACT_DIR`): a
-//! failing cell keeps its tenant images and streams (`nvr_inspect server
-//! <dir>` triages a whole cell at once).
+//! failing cell keeps its tenant images (`nvr_inspect server <dir>`
+//! triages a whole cell at once).
 
 use nvm_pi::nvmsim::dlin;
 use nvm_pi::nvserver::{index_word, BatchOp, Response, Status, TenantState};
@@ -366,8 +365,8 @@ fn acked_commits_survive_crash_and_remapped_reopen() {
     let s = M.seed();
     let plan = ServerFaultPlan::none();
     // Two crashes mid-run: a torn-word image and a dropped-line image.
-    plan.crash_tenant(0, 12, FaultPolicy::TearWords { seed: s }, false);
-    plan.crash_tenant(0, 24, FaultPolicy::DropUnflushed, false);
+    plan.crash_tenant(0, 12, FaultPolicy::TearWords { seed: s });
+    plan.crash_tenant(0, 24, FaultPolicy::DropUnflushed);
     let server = Server::start(
         test_config(&cell),
         vec![TenantSpec::new(0, ReprKind::Riv).crashable()],
@@ -399,6 +398,7 @@ fn acked_commits_survive_crash_and_remapped_reopen() {
     let report = server.shutdown();
     let tr = report.tenant(0).unwrap();
     assert_eq!(tr.snapshot.crashes, 2, "both crashes fired");
+    assert_eq!(tr.state, TenantState::Recovered, "came back from a crash");
     assert!(
         tr.bases.len() >= 3,
         "two crash-reopens remap: bases {:?}",
@@ -423,119 +423,6 @@ fn acked_commits_survive_crash_and_remapped_reopen() {
     drop(set);
     drop(store);
     region.close().unwrap();
-}
-
-// -- failover -----------------------------------------------------------------
-
-#[test]
-fn failover_promotes_replica_and_walks_the_ladder() {
-    let _g = M.lock();
-    let cell = M.cell("failover");
-    let plan = ServerFaultPlan::none();
-    let mut cfg = test_config(&cell);
-    cfg.degraded_window = 1000; // heal explicitly, not by window
-    let server = Server::start(
-        cfg,
-        vec![TenantSpec::new(0, ReprKind::OffHolder).replicated()],
-        plan.clone(),
-    )
-    .unwrap();
-    let client = server.client();
-    let mut history = Vec::new();
-    for k in 0..10u64 {
-        let r = client.put(0, k);
-        assert_eq!(r.status, Status::Ok, "{r:?}");
-        history.push(acked(SetOp::Insert, k, &r));
-    }
-    // The 11th write crashes the primary; the server promotes the
-    // replica and answers Degraded — the write is NOT acked.
-    plan.crash_tenant(0, 11, FaultPolicy::TearWords { seed: M.seed() }, true);
-    let r = client.put(0, 100);
-    assert_eq!(r.status, Status::Degraded, "{r:?}");
-    assert_eq!(r.stamp, 0, "refused write carries no stamp");
-
-    // Reads keep serving — from the replica, at a new base — and every
-    // acked commit is present; the refused write is not.
-    for k in 0..10u64 {
-        let g = client.get(0, k);
-        assert_eq!(
-            (g.status, g.found),
-            (Status::Ok, Some(true)),
-            "[{}] acked key {k} after failover: {g:?}",
-            M.tag()
-        );
-    }
-    assert_eq!(
-        client.get(0, 100).found,
-        Some(false),
-        "unacked write absent"
-    );
-    assert_eq!(client.delete(0, 3).status, Status::Degraded, "read-only");
-
-    // Heal: writes flow again and the state ladder records the walk.
-    assert_eq!(client.heal(0).status, Status::Ok);
-    let r = client.put(0, 200);
-    assert_eq!(r.status, Status::Ok, "post-heal write: {r:?}");
-    history.push(acked(SetOp::Insert, 200, &r));
-
-    let report = server.shutdown();
-    let tr = report.tenant(0).unwrap();
-    assert_eq!(tr.state, TenantState::Recovered, "healed ladder end-state");
-    assert_eq!(tr.snapshot.failovers, 1, "{:?}", tr.snapshot);
-    assert_eq!(tr.snapshot.crashes, 1);
-    assert!(tr.snapshot.degraded >= 2, "{:?}", tr.snapshot);
-    assert!(tr.snapshot.heals >= 1);
-    assert_eq!(tr.snapshot.invariant_failures, 0);
-    assert!(tr.bases.len() >= 2, "promotion remapped: {:?}", tr.bases);
-    assert_consecutive_bases_differ("failover", &report, 0);
-    check_tenant_history("failover", history, &tr.keys);
-}
-
-#[test]
-fn dead_sink_walks_repl_lost_ladder() {
-    let _g = M.lock();
-    let cell = M.cell("dead-sink");
-    let plan = ServerFaultPlan::none();
-    let mut cfg = test_config(&cell);
-    cfg.degraded_window = 1000;
-    let server = Server::start(
-        cfg,
-        vec![TenantSpec::new(0, ReprKind::FatCached).replicated()],
-        plan.clone(),
-    )
-    .unwrap();
-    let client = server.client();
-    for k in 0..5u64 {
-        assert_eq!(client.put(0, k).status, Status::Ok);
-    }
-    // Kill the sink: the replicator's retry ladder exhausts in the
-    // background and the next commits notice the permanent failure.
-    plan.kill_sink(0);
-    let mut degraded_seen = false;
-    for k in 10..60u64 {
-        let r = client.put(0, k);
-        match r.status {
-            Status::Ok => std::thread::sleep(Duration::from_millis(5)),
-            Status::Degraded => {
-                degraded_seen = true;
-                break;
-            }
-            s => panic!("[{}] unexpected status {s:?}", M.tag()),
-        }
-    }
-    assert!(degraded_seen, "permanent sink failure must degrade writes");
-    // Healing while the sink is still dead fails (typed, terminal)...
-    assert_eq!(client.heal(0).status, Status::Failed);
-    // ...and succeeds once the sink is revived.
-    plan.revive_sink(0);
-    assert_eq!(client.heal(0).status, Status::Ok);
-    let r = client.put(0, 999);
-    assert_eq!(r.status, Status::Ok, "writes flow after heal: {r:?}");
-    let report = server.shutdown();
-    let snap = report.tenant(0).unwrap().snapshot;
-    assert!(snap.repl_lost >= 1, "{snap:?}");
-    assert!(snap.heals >= 1, "{snap:?}");
-    assert_eq!(snap.invariant_failures, 0);
 }
 
 // -- eviction-remap under concurrent traffic (PR 4 regression net) -----------
@@ -729,6 +616,9 @@ fn tenant_failing_invariants_is_refused_not_served() {
 /// One chaos round: 6 tenants across 2 shards with `queue_depth`-deep
 /// queues, every fault class armed, `threads` client threads of seeded
 /// traffic. Returns the status tally; asserts everything else.
+///
+/// Tenants 2–5 are crashable, and each crashes once, recovering in place
+/// at a new base.
 fn chaos_round(
     label: &str,
     s: u64,
@@ -740,23 +630,24 @@ fn chaos_round(
     let mut cfg = test_config(&cell);
     cfg.shards = 2;
     cfg.queue_depth = queue_depth;
-    cfg.degraded_window = 12;
     let tenants = vec![
         TenantSpec::new(0, ReprKind::OffHolder),
         TenantSpec::new(1, ReprKind::Riv).with_priority(Priority::Low),
         TenantSpec::new(2, ReprKind::FatCached).crashable(),
-        TenantSpec::new(3, ReprKind::OffHolder).replicated(),
-        TenantSpec::new(4, ReprKind::Riv).replicated(),
+        TenantSpec::new(3, ReprKind::OffHolder).crashable(),
+        TenantSpec::new(4, ReprKind::Riv).crashable(),
         TenantSpec::new(5, ReprKind::FatCached).crashable(),
     ];
-    // Every fault class in one run:
+    // Every fault class in one run: a stall on each shard, transients on
+    // two tenants, and in-place crashes under both policies.
     plan.stall_shard(0, 9, Duration::from_millis(40));
     plan.stall_shard(1, 7, Duration::from_millis(40));
     plan.transient(0, 4, 2);
     plan.transient(5, 6, 1);
-    plan.crash_tenant(2, 8, FaultPolicy::TearWords { seed: s }, false);
-    plan.crash_tenant(5, 11, FaultPolicy::DropUnflushed, false);
-    plan.crash_tenant(3, 6, FaultPolicy::TearWords { seed: s ^ 0xABCD }, true);
+    plan.crash_tenant(2, 8, FaultPolicy::TearWords { seed: s });
+    plan.crash_tenant(5, 11, FaultPolicy::DropUnflushed);
+    plan.crash_tenant(3, 6, FaultPolicy::TearWords { seed: s ^ 0xABCD });
+    plan.crash_tenant(4, 9, FaultPolicy::DropUnflushed);
     let server = Server::start(cfg, tenants, plan.clone()).unwrap();
 
     let histories: Arc<Mutex<Vec<Vec<OpRecord>>>> = Arc::new(Mutex::new(vec![Vec::new(); 6]));
@@ -766,7 +657,6 @@ fn chaos_round(
             let c = server.client();
             let histories = histories.clone();
             let tally = status_tally.clone();
-            let plan = plan.clone();
             std::thread::spawn(move || {
                 let mut rng = s ^ (tid.wrapping_mul(0x9E37_79B9));
                 for step in 0..40u64 {
@@ -775,11 +665,6 @@ fn chaos_round(
                     let tenant = (v % 6) as u32;
                     let key = (v >> 8) % 24;
                     let roll = (v >> 16) % 10;
-                    // Thread 0 kills tenant 4's sink a third of the way
-                    // in (the dead-sink fault class, mid-traffic).
-                    if tid == 0 && step == 13 {
-                        plan.kill_sink(4);
-                    }
                     let r = if roll < 6 {
                         c.put(tenant, key)
                     } else if roll < 8 {
@@ -791,10 +676,7 @@ fn chaos_round(
                     assert!(
                         matches!(
                             r.status,
-                            Status::Ok
-                                | Status::Overloaded
-                                | Status::DeadlineExceeded
-                                | Status::Degraded
+                            Status::Ok | Status::Overloaded | Status::DeadlineExceeded
                         ),
                         "[{} round seed {s:#x}] tenant {tenant} step {step}: {r:?}",
                         M.tag()
@@ -818,63 +700,46 @@ fn chaos_round(
     }
     // Deterministic tails: the seeded traffic split may leave an armed
     // crash ordinal unreached, so drive each crash tenant until its
-    // fault fires. Acked writes join the history; the failover tenant's
-    // triggering write is refused (`Degraded`) and is not recorded.
+    // fault fires. The triggering write is retried after the in-place
+    // recovery, so every tail write acks and joins the history.
     {
         let c = server.client();
-        for (tenant, key_base) in [(2u32, 300u64), (5, 400), (3, 500)] {
+        for (tenant, key_base) in [(2u32, 300u64), (5, 400), (3, 500), (4, 600)] {
             let m = server.handle().tenant_metrics(tenant).unwrap();
             let mut i = 0u64;
             while m.snapshot().crashes == 0 {
                 assert!(i < 100, "[{label}] tenant {tenant} crash never fired");
                 let r = c.put(tenant, key_base + i);
-                match r.status {
-                    Status::Ok => histories.lock().unwrap()[tenant as usize].push(acked(
-                        SetOp::Insert,
-                        key_base + i,
-                        &r,
-                    )),
-                    Status::Degraded => {}
-                    s => panic!("[{label}] crash tail tenant {tenant}: unexpected {s:?}"),
-                }
+                assert_eq!(
+                    r.status,
+                    Status::Ok,
+                    "[{label}] crash tail tenant {tenant}: {r:?}"
+                );
+                histories.lock().unwrap()[tenant as usize].push(acked(
+                    SetOp::Insert,
+                    key_base + i,
+                    &r,
+                ));
                 i += 1;
             }
         }
-    }
-    // Deterministic tail for the dead-sink ladder: tenant 4's sink died
-    // mid-traffic; keep writing until a commit notices the parked
-    // replication failure and the ladder answers `Degraded`. Acked tail
-    // writes join the history like any other.
-    {
-        let c = server.client();
-        let mut noticed = false;
-        for i in 0..60u64 {
-            let r = c.put(4, 200 + i);
-            match r.status {
-                Status::Ok => {
-                    histories.lock().unwrap()[4].push(acked(SetOp::Insert, 200 + i, &r));
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Status::Degraded => {
-                    noticed = true;
-                    break;
-                }
-                s => panic!("[{label}] dead-sink tail: unexpected {s:?}"),
-            }
-        }
-        assert!(noticed, "[{label}] dead sink never degraded tenant 4");
     }
     let report = server.shutdown();
     let tally = status_tally.lock().unwrap().clone();
     let histories = std::mem::take(&mut *histories.lock().unwrap());
 
-    // Every armed crash fired and remapped its tenant.
-    for (tenant, expect_crashes) in [(2u32, 1u64), (5, 1), (3, 1)] {
+    // Every armed crash fired, recovered in place and remapped its tenant.
+    for tenant in 2..6u32 {
         let tr = report.tenant(tenant).unwrap();
-        assert!(
-            tr.snapshot.crashes >= expect_crashes,
+        assert_eq!(
+            tr.snapshot.crashes, 1,
             "[{label}] tenant {tenant} crashes: {:?} (tally {tally:?})",
             tr.snapshot
+        );
+        assert_eq!(
+            tr.state,
+            TenantState::Recovered,
+            "[{label}] tenant {tenant}"
         );
         assert!(
             tr.bases.len() >= 2,
@@ -882,14 +747,6 @@ fn chaos_round(
             tr.bases
         );
     }
-    let t3 = report.tenant(3).unwrap();
-    assert_eq!(t3.snapshot.failovers, 1, "[{label}] {:?}", t3.snapshot);
-    let t4 = report.tenant(4).unwrap();
-    assert!(
-        t4.snapshot.repl_lost >= 1,
-        "[{label}] dead sink recorded on the ladder: {:?}",
-        t4.snapshot
-    );
     // Invariant 2: per-tenant acked histories explain the final keys.
     for (tenant, ops) in histories.into_iter().enumerate() {
         let tr = report.tenant(tenant as u32).unwrap();

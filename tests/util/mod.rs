@@ -1,13 +1,13 @@
 //! The one matrix harness: what every matrix binary (`crash_matrix`,
-//! `art_matrix`, `repl_matrix`, `concurrent_matrix`, `alloc_recovery`,
+//! `art_matrix`, `concurrent_matrix`, `alloc_recovery`,
 //! `corruption_matrix`, `server_matrix`, `chunk_geometry`) shares.
 //!
 //! * One [`Matrix`] value per binary owns the seed (`MATRIX_SEED`,
 //!   decimal or `0x`-hex, with the binary's fixed default so default runs
 //!   are deterministic), the copy-pastable replay command embedded in
 //!   every failure context ([`Matrix::tag`]), the serial lock (the shadow
-//!   tracker, chunk pool and replication registry are process-global), the
-//!   two fault policies and the seeded random streams.
+//!   tracker and chunk pool are process-global), the two fault policies
+//!   and the seeded random streams.
 //! * A [`Cell`] is one cell's scratch directory: removed when the cell
 //!   passes, **kept with its path and the replay command printed when the
 //!   cell panics**. `MATRIX_ARTIFACT_DIR` only chooses where it lives (CI
@@ -28,9 +28,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 mod subject;
 #[allow(unused_imports)] // no binary uses every item
-pub use subject::{
-    apply_checked, enumerate, invariants, keys_of, Op, RawLog, Subject, Tx, BST_OPS, TRIE_OPS,
-};
+pub use subject::{enumerate, invariants, Op, RawLog, Subject, Tx, BST_OPS, TRIE_OPS};
 
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 

@@ -1,5 +1,5 @@
-//! Subjects of the crash and replication matrices, and the one
-//! committed-prefix enumeration that drives them.
+//! Subjects of the crash matrices, and the one committed-prefix
+//! enumeration that drives them.
 //!
 //! A [`Subject`] is the test-side mirror of `bench::harness::Subject`: a
 //! durable structure that can be created in a region, recovered from a
@@ -7,8 +7,8 @@
 //! canonical content vector (after its own `check_invariants`), and
 //! modelled by a volatile oracle computed from the op list. It is
 //! implemented once per structure, generic over the pointer
-//! representation, and once for the raw undo log; `crash_matrix`,
-//! `art_matrix` and `repl_matrix` all consume these impls.
+//! representation, and once for the raw undo log; `crash_matrix` and
+//! `art_matrix` consume these impls.
 
 use super::Matrix;
 use nvm_pi::nvmsim::{dlin, latency, shadow};
@@ -36,7 +36,7 @@ impl<K: Copy> Op<K> {
 
 /// The distinct keys of `ops` in order of first use: the index space of
 /// count-vector contents and of the dlin history.
-pub fn keys_of<K: Copy + PartialEq>(ops: &[Op<K>]) -> Vec<K> {
+fn keys_of<K: Copy + PartialEq>(ops: &[Op<K>]) -> Vec<K> {
     let mut keys = Vec::new();
     for op in ops {
         if !keys.contains(&op.key()) {
@@ -81,7 +81,7 @@ pub trait Subject: Sized {
 
 /// Applies `ops[k]` and checks what the structure reported against the
 /// oracle's view of the workload so far.
-pub fn apply_checked<S: Subject>(s: &mut S, ops: &[Op<S::Key>], k: usize, ctx: &str) -> u64 {
+fn apply_checked<S: Subject>(s: &mut S, ops: &[Op<S::Key>], k: usize, ctx: &str) -> u64 {
     let got = s.apply(ops[k]);
     let expected = match ops[k] {
         Op::Insert(key) => occurrences(&ops[..=k], key),
