@@ -8,7 +8,7 @@
 //! formats live here, below all three.
 //!
 //! ```text
-//! root "pstore.meta" → { magic "PSTOREV4", log_off, log_cap }   3 × u64
+//! root "pstore.meta" → { magic "PSTOREV5", log_off, log_cap }   3 × u64
 //!
 //! log area  [log_off, log_off + log_cap)
 //! +------------+-------+---------------------------------------+
@@ -16,6 +16,14 @@
 //! +------------+-------+---------------------------------------+
 //!    u64          u64    each: { off, len, crc64, generation, bytes…, pad to 16 }
 //! ```
+//!
+//! A range entry snapshots `len` bytes at region offset `off`. An
+//! **allocator entry** is a header alone (32 bytes): `off` is a block's
+//! offset and `len` carries [`BLOCK_TAG`], the block's size class and
+//! whether the transaction allocated or freed it ([`BlockEntry`]). The
+//! block's bitmap bit changes only after its entry is durable, so
+//! rollback — which sets the bit back for a free and clears it for an
+//! allocation — always restores the bit the transaction found.
 //!
 //! There is no persistent entry count. An entry is its own commit record:
 //! it belongs to the log iff it carries the log's current generation and
@@ -32,16 +40,19 @@
 //! generation word already tells the two apart; the seed makes a rotted
 //! or torn generation word harmless as well.)
 
+use crate::alloc::{CLASS_SIZES, MIN_ALIGN};
 use crate::crc::crc64_update;
+use crate::llalloc::{GRANULE, LARGE};
 use crate::read_u64;
 
-/// The `pstore` store magic. `PSTOREV4`: a v1 log kept a persistent
+/// The `pstore` store magic. `PSTOREV5`: a v1 log kept a persistent
 /// `used` word where the generation now lives, a v2 block kept two
-/// object-list words where the log geometry now lives, and a v3 store put
+/// object-list words where the log geometry now lives, a v3 store put
 /// a 16-byte header in front of every object, so its published pointers
-/// name the byte after a block's start; each must read as not formatted
-/// rather than be misparsed.
-pub const STORE_MAGIC: u64 = u64::from_le_bytes(*b"PSTOREV4");
+/// name the byte after a block's start, and a v4 log holds no allocator
+/// entries, so a v4 reader would end a v5 log at the first one; each must
+/// read as not formatted rather than be misparsed.
+pub const STORE_MAGIC: u64 = u64::from_le_bytes(*b"PSTOREV5");
 /// The region root naming a store's metadata block.
 pub const STORE_ROOT: &str = "pstore.meta";
 /// Byte overhead of the log-area header (`generation` + padding).
@@ -49,6 +60,70 @@ pub const LOG_HEADER_SIZE: u64 = 16;
 /// Byte overhead of one entry's header (`off`, `len`, `crc64`,
 /// `generation`).
 pub const ENTRY_HEADER_SIZE: u64 = 32;
+/// The bit of an entry's `len` word that makes it an allocator entry.
+pub const BLOCK_TAG: u64 = 1 << 63;
+const BLOCK_FREE: u64 = 1 << 8;
+
+/// What a transaction did to the block an allocator entry names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlockOp {
+    /// Allocated it: rollback clears its bitmap bit.
+    Alloc,
+    /// Freed it: rollback sets its bitmap bit.
+    Free,
+}
+
+/// The decoded `len` word of an allocator entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockEntry {
+    /// Whether the block was allocated or freed.
+    pub op: BlockOp,
+    /// Its size class ([`LARGE`] for a block above the classes).
+    pub class: usize,
+}
+
+impl BlockEntry {
+    /// The entry for `op` on a block served for a `size`-byte request.
+    pub fn for_size(op: BlockOp, size: usize) -> BlockEntry {
+        let class = crate::alloc::class_for(size).unwrap_or(LARGE);
+        BlockEntry { op, class }
+    }
+
+    /// The `len` word that encodes this entry.
+    pub fn word(self) -> u64 {
+        let free = if self.op == BlockOp::Free {
+            BLOCK_FREE
+        } else {
+            0
+        };
+        BLOCK_TAG | free | self.class as u64
+    }
+
+    /// The entry an entry's `len` word encodes: `None` for a range
+    /// entry's word, and for a tagged word with an unknown class or
+    /// stray bits.
+    pub fn decode(word: u64) -> Option<BlockEntry> {
+        let class = (word & 0xff) as usize;
+        let op = if word & BLOCK_FREE != 0 {
+            BlockOp::Free
+        } else {
+            BlockOp::Alloc
+        };
+        (word & !(BLOCK_FREE | 0xff) == BLOCK_TAG && class <= LARGE)
+            .then_some(BlockEntry { op, class })
+    }
+
+    /// Whether a block of this class can start at `off` in a region of
+    /// `region_len` bytes: on the class's block alignment, with room for
+    /// its smallest block.
+    fn fits(self, off: u64, region_len: u64) -> bool {
+        let (align, size) = match self.class {
+            LARGE => (GRANULE, GRANULE),
+            c => (MIN_ALIGN as u64, CLASS_SIZES[c] as u64),
+        };
+        off.is_multiple_of(align) && off.checked_add(size).is_some_and(|end| end <= region_len)
+    }
+}
 
 /// The store metadata block [`STORE_ROOT`] points at, as `pstore` writes
 /// it: three little-endian words.
@@ -122,6 +197,8 @@ pub struct LogSummary {
     /// the next attach would roll back. (A damaged *entry* is not
     /// reported: it ends the log exactly like the torn tail of a crash.)
     pub entries: u64,
+    /// How many of those entries are allocator entries.
+    pub allocator_entries: u64,
     /// Bytes of the area those entries occupy.
     pub used: u64,
     /// Whether the log area fails [`StoreMeta::log_in_bounds`], so
@@ -133,9 +210,10 @@ impl std::fmt::Display for LogSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "generation {}, {} entries in {} bytes of {} at {:#x}{}",
+            "generation {}, {} entries ({} allocator) in {} bytes of {} at {:#x}{}",
             self.generation,
             self.entries,
+            self.allocator_entries,
             self.used,
             self.log_cap,
             self.log_off,
@@ -168,6 +246,9 @@ pub fn scan_image(image: &[u8], meta_off: u64, data_start: u64) -> Option<LogSum
         log_cap,
         generation: scan.as_ref().map_or(0, |s| s.generation),
         entries: scan.as_ref().map_or(0, |s| s.entries.len() as u64),
+        allocator_entries: scan.as_ref().map_or(0, |s| {
+            s.entries.iter().filter(|e| e.block.is_some()).count() as u64
+        }),
         used: scan.as_ref().map_or(0, |s| s.bytes),
         out_of_bounds: scan.is_none(),
     })
@@ -181,7 +262,8 @@ pub fn entry_span(len: u64) -> Option<u64> {
 
 /// CRC-64 sealing one entry of a log at `generation`: covers the `off`
 /// and `len` header words and the payload, with the generation as the
-/// register's seed rather than as eight more bytes.
+/// register's seed rather than as eight more bytes. `len` is the header
+/// word as stored: an allocator entry's tagged word, with no payload.
 pub fn entry_crc(generation: u64, data_off: u64, len: u64, payload: &[u8]) -> u64 {
     let mut head = [0u8; 16];
     head[..8].copy_from_slice(&data_off.to_le_bytes());
@@ -194,10 +276,14 @@ pub fn entry_crc(generation: u64, data_off: u64, len: u64, payload: &[u8]) -> u6
 pub struct LogEntry {
     /// Offset of the entry's payload within the log area.
     pub payload: u64,
-    /// Region offset of the range the payload snapshots.
+    /// Region offset of the range the payload snapshots, or of an
+    /// allocator entry's block.
     pub data_off: u64,
-    /// Length of that range (and of the payload) in bytes.
+    /// Length of that range (and of the payload) in bytes; 0 for an
+    /// allocator entry.
     pub len: u64,
+    /// What an allocator entry records; `None` for a range entry.
+    pub block: Option<BlockEntry>,
 }
 
 /// What [`scan`] found in a log area.
@@ -213,10 +299,11 @@ pub struct LogScan {
 
 /// Walks the log in `area` (the whole area, header included): every entry
 /// from the start that carries the area's generation, stays inside the
-/// area, targets a range inside `[0, region_len)` and passes its seeded
-/// CRC. The first entry that fails any of these ends the log — after a
-/// crash that is the torn or never-written tail; mid-log rot looks the
-/// same and costs the entries behind it, never a replay of damaged bytes.
+/// area, targets a range inside `[0, region_len)` — for an allocator
+/// entry, a block boundary of a known class — and passes its seeded CRC.
+/// The first entry that fails any of these ends the log — after a crash
+/// that is the torn or never-written tail; mid-log rot looks the same and
+/// costs the entries behind it, never a replay of damaged bytes.
 pub fn scan(area: &[u8], region_len: u64) -> LogScan {
     let mut out = LogScan {
         generation: 0,
@@ -230,8 +317,16 @@ pub fn scan(area: &[u8], region_len: u64) -> LogScan {
     let mut pos = LOG_HEADER_SIZE;
     while pos + ENTRY_HEADER_SIZE <= area.len() as u64 {
         let at = pos as usize;
-        let (data_off, len) = (read_u64(area, at), read_u64(area, at + 8));
+        let (data_off, word) = (read_u64(area, at), read_u64(area, at + 8));
         let payload = pos + ENTRY_HEADER_SIZE;
+        let (len, block) = if word & BLOCK_TAG == 0 {
+            (word, None)
+        } else {
+            match BlockEntry::decode(word).filter(|b| b.fits(data_off, region_len)) {
+                Some(b) => (0, Some(b)),
+                None => break,
+            }
+        };
         let fits = read_u64(area, at + 24) == out.generation
             && entry_span(len).is_some_and(|span| span <= area.len() as u64 - pos)
             && data_off
@@ -241,13 +336,14 @@ pub fn scan(area: &[u8], region_len: u64) -> LogScan {
             break;
         }
         let bytes = &area[payload as usize..(payload + len) as usize];
-        if entry_crc(out.generation, data_off, len, bytes) != read_u64(area, at + 16) {
+        if entry_crc(out.generation, data_off, word, bytes) != read_u64(area, at + 16) {
             break;
         }
         out.entries.push(LogEntry {
             payload,
             data_off,
             len,
+            block,
         });
         pos += entry_span(len).expect("checked above");
     }
@@ -268,6 +364,16 @@ mod tests {
         area[pos + 24..pos + 32].copy_from_slice(&generation.to_le_bytes());
         area[pos + 32..pos + 32 + payload.len()].copy_from_slice(payload);
         pos + entry_span(len).unwrap() as usize
+    }
+
+    /// Writes an allocator entry whose `len` word is `word` at `pos`.
+    fn put_block(area: &mut [u8], pos: usize, generation: u64, off: u64, word: u64) -> usize {
+        area[pos..pos + 8].copy_from_slice(&off.to_le_bytes());
+        area[pos + 8..pos + 16].copy_from_slice(&word.to_le_bytes());
+        let crc = entry_crc(generation, off, word, &[]);
+        area[pos + 16..pos + 24].copy_from_slice(&crc.to_le_bytes());
+        area[pos + 24..pos + 32].copy_from_slice(&generation.to_le_bytes());
+        pos + ENTRY_HEADER_SIZE as usize
     }
 
     fn area_at(generation: u64) -> Vec<u8> {
@@ -294,6 +400,49 @@ mod tests {
         let s = scan(&area, 1 << 20);
         assert_eq!(s.entries.len(), 1);
         assert_eq!(s.bytes, 48);
+    }
+
+    #[test]
+    fn allocator_entries_are_headers_validated_against_the_region() {
+        let alloc64 = BlockEntry {
+            op: BlockOp::Alloc,
+            class: crate::alloc::class_for(64).unwrap(),
+        };
+        let free_large = BlockEntry {
+            op: BlockOp::Free,
+            class: LARGE,
+        };
+        let mut area = area_at(4);
+        let p1 = put(&mut area, 16, 4, 1000, &[1; 8]);
+        let p2 = put_block(&mut area, p1, 4, 4096, alloc64.word());
+        put_block(&mut area, p2, 4, 8192, free_large.word());
+        let s = scan(&area, 1 << 20);
+        assert_eq!(s.entries.len(), 3);
+        assert_eq!(s.bytes, 48 + 32 + 32, "an allocator entry is its header");
+        assert_eq!(s.entries[0].block, None);
+        assert_eq!(
+            (s.entries[1].data_off, s.entries[1].len, s.entries[1].block),
+            (4096, 0, Some(alloc64))
+        );
+        assert_eq!(s.entries[2].block, Some(free_large));
+        // Each of these ends the log at the allocator entry, whose CRC is
+        // otherwise valid: an offset off the class's block alignment, a
+        // block that leaves the region, an unknown class, stray bits.
+        for (off, word) in [
+            (4104, alloc64.word()),
+            (4096 + 512, free_large.word()),
+            ((1 << 20) - 32, alloc64.word()),
+            (u64::MAX - 15, alloc64.word()),
+            (4096, BLOCK_TAG | (LARGE as u64 + 1)),
+            (4096, alloc64.word() | 1 << 20),
+        ] {
+            let mut area = area_at(4);
+            let p1 = put(&mut area, 16, 4, 1000, &[1; 8]);
+            put_block(&mut area, p1, 4, off, word);
+            let s = scan(&area, 1 << 20);
+            assert_eq!(s.entries.len(), 1, "{off:#x} / {word:#x}");
+            assert_eq!(s.bytes, 48);
+        }
     }
 
     #[test]
@@ -350,9 +499,16 @@ mod tests {
             StoreMeta::decode(&img, 8, 0),
             Some(StoreMeta::new(512, 256))
         );
+        let word = BlockEntry {
+            op: BlockOp::Free,
+            class: 0,
+        }
+        .word();
+        put_block(&mut img[512..768], 64, 3, 128, word);
         let log = scan_image(&img, 8, 0).unwrap();
         assert_eq!((log.log_off, log.log_cap), (512, 256));
-        assert_eq!((log.generation, log.entries, log.used), (3, 1, 48));
+        assert_eq!((log.generation, log.entries, log.used), (3, 2, 80));
+        assert_eq!(log.allocator_entries, 1);
         assert!(!log.out_of_bounds);
         // No store at these offsets: no magic, or a block that runs past
         // the end of the image.

@@ -170,6 +170,28 @@ impl NodeArena {
             .then(|| NonNull::new(region.ptr_at(off) as *mut u8).expect("inside the region")))
     }
 
+    /// Returns a node of `size` bytes to the region that holds it,
+    /// outside any transaction ([`Region::dealloc`]).
+    ///
+    /// # Errors
+    ///
+    /// [`nvmsim::NvError::AddressOutOfRange`] when no region of the arena
+    /// holds `node`; [`nvmsim::NvError::NotAllocated`] as
+    /// [`Region::dealloc`].
+    ///
+    /// # Safety
+    ///
+    /// As [`Region::dealloc`]: the node is unreachable and the caller's.
+    pub unsafe fn dealloc(&self, node: NonNull<u8>, size: usize) -> Result<()> {
+        let addr = node.as_ptr() as usize;
+        let region = self
+            .regions
+            .iter()
+            .find(|r| r.contains(addr))
+            .ok_or(nvmsim::NvError::AddressOutOfRange { addr })?;
+        Ok(region.dealloc(node, size)?)
+    }
+
     /// Allocates in the *home* region specifically (used for headers and
     /// bucket arrays that must share a region with the structure root).
     ///

@@ -30,10 +30,14 @@
 //!
 //! A grown node (Node4 → Node16 → Node48 → Node256) is replaced, not
 //! edited: the successor is built beside it, persisted, and published by
-//! the single parent-slot store; the predecessor block leaks until the
-//! region is reformatted (the same trade early PMDK made for aborted
-//! allocations). Header accounting (`keys`/`nodes`/`bytes`/per-kind
-//! counts) is snapshotted in one range per transaction.
+//! the single parent-slot store, and the predecessor is freed — in a
+//! transaction by [`pstore::Tx::free`] in the operation's one batch, so
+//! the free rides its fence and a crash can neither leak the block nor
+//! serve it twice; in raw mode by `Region::dealloc` after the publish.
+//! Nodes never shrink: a removal decrements a leaf counter, and no
+//! Node48 collapses back into a Node16. Header accounting
+//! (`keys`/`nodes`/`bytes`/per-kind counts) is snapshotted in one range
+//! per transaction.
 //!
 //! Keys are non-empty strings of at most [`MAX_KEY`] bytes with no NUL —
 //! byte 0 is the in-tree terminator branch that separates a key from its
@@ -194,24 +198,55 @@ fn key_bytes(key: &str) -> Result<&[u8]> {
 // -- allocation context: raw arena vs undo-logged transaction -----------------
 
 /// The two mutation modes share one insertion body; the context supplies
-/// allocation, undo logging, and the flush half of the destination-flush
-/// discipline (raw mode skips both log and flush, like `PTrie::insert`).
+/// allocation, freeing, undo logging, and the flush half of the
+/// destination-flush discipline (raw mode skips both log and flush, like
+/// `PTrie::insert`).
 ///
 /// Logging is batched: `log` snapshots a range without making the
 /// snapshot durable, and `fence` must run before the first store to any
-/// range logged so far. `alloc` neither logs nor fences.
+/// range logged so far. `alloc` and `free` join the batch in a
+/// transaction (allocator entries), so an operation allocates and frees
+/// everything before its one `fence`.
 trait Ctx {
     fn alloc(&mut self, arena: &NodeArena, size: usize) -> Result<*mut u8>;
+    /// Frees `node`, which the operation unlinks by its publish.
+    ///
+    /// # Safety
+    ///
+    /// `node` is a `size`-byte node of the tree, unreachable after the
+    /// operation's publish.
+    unsafe fn free(&mut self, node: *mut u8, size: usize) -> Result<()>;
     fn log(&mut self, addr: usize, len: usize) -> Result<()>;
     fn fence(&mut self);
     fn persist(&self, addr: usize, len: usize);
 }
 
-struct RawCtx;
+/// Raw mode keeps the node an operation frees until [`RawCtx::finish`],
+/// which runs after the publish: the block goes back to its region only
+/// once nothing points at it.
+#[derive(Default)]
+struct RawCtx {
+    freed: Option<(*mut u8, usize)>,
+}
+
+impl RawCtx {
+    fn finish(self, arena: &NodeArena) -> Result<()> {
+        if let Some((node, size)) = self.freed {
+            // SAFETY: `Ctx::free`'s contract; the publish is done.
+            unsafe { arena.dealloc(std::ptr::NonNull::new_unchecked(node), size)? };
+        }
+        Ok(())
+    }
+}
 
 impl Ctx for RawCtx {
     fn alloc(&mut self, arena: &NodeArena, size: usize) -> Result<*mut u8> {
         Ok(arena.alloc(size)?.as_ptr())
+    }
+    unsafe fn free(&mut self, node: *mut u8, size: usize) -> Result<()> {
+        debug_assert!(self.freed.is_none(), "one node freed per operation");
+        self.freed = Some((node, size));
+        Ok(())
     }
     fn log(&mut self, _addr: usize, _len: usize) -> Result<()> {
         Ok(())
@@ -227,6 +262,9 @@ struct TxCtx<'a, 's> {
 impl Ctx for TxCtx<'_, '_> {
     fn alloc(&mut self, _arena: &NodeArena, size: usize) -> Result<*mut u8> {
         Ok(self.tx.alloc(0, size)?.as_ptr())
+    }
+    unsafe fn free(&mut self, node: *mut u8, size: usize) -> Result<()> {
+        Ok(self.tx.free(std::ptr::NonNull::new_unchecked(node), size)?)
     }
     fn log(&mut self, addr: usize, len: usize) -> Result<()> {
         Ok(self.tx.log_range(addr, len)?)
@@ -355,11 +393,11 @@ impl<R: PtrRepr> PArt<R> {
         (start, end - start)
     }
 
-    /// Allocates and fully initializes a leaf for `key` with occurrence
-    /// count 1; flushed before the caller publishes it.
-    unsafe fn new_leaf<C: Ctx>(&mut self, ctx: &mut C, key: &[u8]) -> Result<*mut Leaf> {
+    /// Fully initializes the fresh block `block` as a leaf for `key` with
+    /// occurrence count 1; flushed before the caller publishes it.
+    unsafe fn new_leaf<C: Ctx>(&mut self, ctx: &C, block: *mut u8, key: &[u8]) -> *mut Leaf {
         let size = std::mem::size_of::<Leaf>();
-        let leaf = ctx.alloc(&self.arena, size)? as *mut Leaf;
+        let leaf = block as *mut Leaf;
         (*leaf).head.kind = KIND_LEAF;
         (*leaf).head.klen = key.len() as u8;
         (*leaf).head.nkeys = 0;
@@ -371,19 +409,15 @@ impl<R: PtrRepr> PArt<R> {
         (*self.header).nodes += 1;
         (*self.header).bytes += size as u64;
         (*self.header).kinds[KIND_LEAF as usize] += 1;
-        Ok(leaf)
+        leaf
     }
 
-    /// Allocates an empty inner node of `kind` carrying `prefix`; the
-    /// caller adds children and flushes before publishing.
-    unsafe fn new_inner<C: Ctx>(
-        &mut self,
-        ctx: &mut C,
-        kind: u8,
-        prefix: &[u8],
-    ) -> Result<*mut NodeHead> {
+    /// Initializes the fresh block `block` as an empty inner node of
+    /// `kind` carrying `prefix`; the caller adds children and flushes
+    /// before publishing.
+    unsafe fn new_inner(&mut self, block: *mut u8, kind: u8, prefix: &[u8]) -> *mut NodeHead {
         let size = node_size::<R>(kind);
-        let n = ctx.alloc(&self.arena, size)? as *mut NodeHead;
+        let n = block as *mut NodeHead;
         (*n).kind = kind;
         (*n).klen = prefix.len() as u8;
         (*n).nkeys = 0;
@@ -415,7 +449,7 @@ impl<R: PtrRepr> PArt<R> {
         (*self.header).nodes += 1;
         (*self.header).bytes += size as u64;
         (*self.header).kinds[kind as usize] += 1;
-        Ok(n)
+        n
     }
 
     /// Adds `b -> target` to a node with spare capacity. The caller has
@@ -515,30 +549,37 @@ impl<R: PtrRepr> PArt<R> {
         out
     }
 
-    /// Grows a full node into the next kind: the successor is built
-    /// beside it (unpublished, so no logging of its bytes), carries the
-    /// same prefix and children, and the caller publishes it through the
-    /// parent slot. The predecessor is retired from the accounting.
-    unsafe fn grow<C: Ctx>(&mut self, ctx: &mut C, n: *mut NodeHead) -> Result<*mut NodeHead> {
+    /// The two blocks of a split: a Node4, then a leaf.
+    unsafe fn alloc_split<C: Ctx>(&mut self, ctx: &mut C) -> Result<(*mut u8, *mut u8)> {
+        let split = ctx.alloc(&self.arena, node_size::<R>(KIND_NODE4))?;
+        Ok((split, ctx.alloc(&self.arena, std::mem::size_of::<Leaf>())?))
+    }
+
+    /// Grows the full node `n` into the next kind in the fresh block
+    /// `block`: the successor is built beside it (unpublished, so no
+    /// logging of its bytes), carries the same prefix and children, and
+    /// the caller publishes it through the parent slot. The predecessor
+    /// is retired from the accounting; the caller frees it.
+    unsafe fn grow(&mut self, block: *mut u8, n: *mut NodeHead) -> *mut NodeHead {
         let old_kind = (*n).kind;
         let new_kind = old_kind + 1;
         let prefix_len = (*n).klen as usize;
         let prefix: Vec<u8> = (&(*n).kbytes)[..prefix_len].to_vec();
-        let g = self.new_inner(ctx, new_kind, &prefix)?;
+        let g = self.new_inner(block, new_kind, &prefix);
         for (b, target) in Self::children_at_rest(n) {
             Self::add_child_raw(g, b, target);
         }
         (*self.header).nodes -= 1;
         (*self.header).bytes -= node_size::<R>(old_kind) as u64;
         (*self.header).kinds[old_kind as usize] -= 1;
-        Ok(g)
+        g
     }
 
     /// Shared insertion body; see the module docs for the crash steps.
     /// Read-only descent first; each terminal case then logs every range
-    /// it will edit — the header counters included — and fences once
-    /// before it allocates, since building fresh nodes already bumps the
-    /// counters.
+    /// it will edit — the header counters included — allocates (and
+    /// frees) its nodes, and fences once before the first store, since
+    /// building fresh nodes already bumps the counters.
     unsafe fn insert_inner<C: Ctx>(&mut self, ctx: &mut C, key: &[u8]) -> Result<u64> {
         let (counters, clen) = self.counters_span();
         let mut parent: *mut R = std::ptr::addr_of_mut!((*self.header).root);
@@ -550,8 +591,9 @@ impl<R: PtrRepr> PArt<R> {
                 // Empty slot (only ever the root): publish a fresh leaf.
                 ctx.log(counters, clen)?;
                 ctx.log(parent as usize, rsize)?;
+                let block = ctx.alloc(&self.arena, std::mem::size_of::<Leaf>())?;
                 ctx.fence();
-                let leaf = self.new_leaf(ctx, key)?;
+                let leaf = self.new_leaf(ctx, block, key);
                 (*parent).store(leaf as usize);
                 ctx.persist(parent as usize, rsize);
                 (*self.header).keys += 1;
@@ -581,9 +623,10 @@ impl<R: PtrRepr> PArt<R> {
                 let m = lcp(&lk[depth..], &key[depth..]);
                 ctx.log(counters, clen)?;
                 ctx.log(parent as usize, rsize)?;
+                let (split, fresh) = self.alloc_split(ctx)?;
                 ctx.fence();
-                let split = self.new_inner(ctx, KIND_NODE4, &key[depth..depth + m])?;
-                let fresh = self.new_leaf(ctx, key)?;
+                let split = self.new_inner(split, KIND_NODE4, &key[depth..depth + m]);
+                let fresh = self.new_leaf(ctx, fresh, key);
                 Self::add_child_raw(split, branch_byte(&lk, depth + m), cur as usize);
                 Self::add_child_raw(split, branch_byte(key, depth + m), fresh as usize);
                 ctx.persist(split as usize, node_size::<R>(KIND_NODE4));
@@ -604,9 +647,10 @@ impl<R: PtrRepr> PArt<R> {
                 ctx.log(counters, clen)?;
                 ctx.log(cur as usize, std::mem::size_of::<NodeHead>())?;
                 ctx.log(parent as usize, rsize)?;
+                let (split, fresh) = self.alloc_split(ctx)?;
                 ctx.fence();
-                let split = self.new_inner(ctx, KIND_NODE4, &prefix[..m])?;
-                let fresh = self.new_leaf(ctx, key)?;
+                let split = self.new_inner(split, KIND_NODE4, &prefix[..m]);
+                let fresh = self.new_leaf(ctx, fresh, key);
                 Self::add_child_raw(split, prefix[m], cur as usize);
                 Self::add_child_raw(split, branch_byte(key, depth + m), fresh as usize);
                 ctx.persist(split as usize, node_size::<R>(KIND_NODE4));
@@ -631,17 +675,25 @@ impl<R: PtrRepr> PArt<R> {
                 }
                 None => {
                     ctx.log(counters, clen)?;
-                    if ((*cur).nkeys as usize) < node_capacity((*cur).kind) {
-                        ctx.log(cur as usize, node_size::<R>((*cur).kind))?;
+                    let kind = (*cur).kind;
+                    if ((*cur).nkeys as usize) < node_capacity(kind) {
+                        ctx.log(cur as usize, node_size::<R>(kind))?;
+                        let leaf = ctx.alloc(&self.arena, std::mem::size_of::<Leaf>())?;
                         ctx.fence();
-                        let fresh = self.new_leaf(ctx, key)?;
+                        let fresh = self.new_leaf(ctx, leaf, key);
                         Self::add_child_raw(cur, b, fresh as usize);
-                        ctx.persist(cur as usize, node_size::<R>((*cur).kind));
+                        ctx.persist(cur as usize, node_size::<R>(kind));
                     } else {
+                        // The outgrown node is freed in the same batch:
+                        // unreachable once the parent slot names its
+                        // successor.
                         ctx.log(parent as usize, rsize)?;
+                        let leaf = ctx.alloc(&self.arena, std::mem::size_of::<Leaf>())?;
+                        let block = ctx.alloc(&self.arena, node_size::<R>(kind + 1))?;
+                        ctx.free(cur as *mut u8, node_size::<R>(kind))?;
                         ctx.fence();
-                        let fresh = self.new_leaf(ctx, key)?;
-                        let grown = self.grow(ctx, cur)?;
+                        let fresh = self.new_leaf(ctx, leaf, key);
+                        let grown = self.grow(block, cur);
                         Self::add_child_raw(grown, b, fresh as usize);
                         ctx.persist(grown as usize, node_size::<R>((*grown).kind));
                         (*parent).store(grown as usize);
@@ -665,8 +717,11 @@ impl<R: PtrRepr> PArt<R> {
     /// [`PdsError::BadCharacter`] for NUL bytes; allocation failures.
     pub fn insert(&mut self, key: &str) -> Result<u64> {
         let k = key_bytes(key)?;
+        let mut ctx = RawCtx::default();
         // SAFETY: see insert_inner; single-threaded mutation.
-        unsafe { self.insert_inner(&mut RawCtx, k) }
+        let n = unsafe { self.insert_inner(&mut ctx, k) }?;
+        ctx.finish(&self.arena)?;
+        Ok(n)
     }
 
     /// Inserts every key from an iterator.
@@ -897,6 +952,28 @@ impl<R: PtrRepr> PArt<R> {
         if let Some(slot) = Self::find_child(n as *mut NodeHead, b) {
             self.scan_node((*slot).load() as *const NodeHead, d + 1, prefix, visit);
         }
+    }
+
+    /// The address of every block the tree holds: its header and every
+    /// node reachable from its root. The crash matrices' leak oracle
+    /// compares them with the region's allocated blocks.
+    pub fn blocks(&self) -> Vec<usize> {
+        let mut out = vec![self.header as usize];
+        // SAFETY: the root and every child slot resolve to live nodes
+        // while the regions are open, which the borrow of self keeps.
+        unsafe {
+            let mut stack = vec![self.head().root.load()];
+            while let Some(n) = stack.pop() {
+                if n == 0 {
+                    continue;
+                }
+                out.push(n);
+                if (*(n as *const NodeHead)).kind != KIND_LEAF {
+                    Self::for_each_child(n as *const NodeHead, |c| stack.push(c));
+                }
+            }
+        }
+        out
     }
 
     /// Calls `visit` with the target of every child of inner node `n`, in

@@ -282,6 +282,25 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
         sum
     }
 
+    /// The address of every block the tree holds: its header and every
+    /// node reachable from it. The crash matrices' leak oracle compares
+    /// them with the region's allocated blocks.
+    pub fn blocks(&self) -> Vec<usize> {
+        let mut out = vec![self.header as usize];
+        // SAFETY: as in contains.
+        unsafe {
+            let mut stack = vec![(*self.header).root.load() as *const BstNode<R, P>];
+            while let Some(n) = stack.pop() {
+                if !n.is_null() {
+                    out.push(n as usize);
+                    stack.push((*n).left.load() as *const BstNode<R, P>);
+                    stack.push((*n).right.load() as *const BstNode<R, P>);
+                }
+            }
+        }
+        out
+    }
+
     /// Iterates over keys in ascending (in-order) sequence.
     pub fn iter(&self) -> Iter<'_, R, P> {
         let mut it = Iter {
@@ -352,13 +371,14 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
 
     /// Transactional BST delete. Two-children nodes are handled by copying
     /// the in-order successor's key and payload into place and unlinking
-    /// the successor. Returns whether the key was present; an absent key
-    /// begins no transaction. The removed node's block is not reclaimed
-    /// (see [`crate::PList::remove_tx`]).
+    /// the successor. The unlinked node — the key's own or the successor —
+    /// is freed in the same batch as the unlinking writes
+    /// ([`pstore::Tx::free`]). Returns whether the key was present; an
+    /// absent key begins no transaction.
     ///
     /// # Errors
     ///
-    /// Logging failures.
+    /// Logging failures; a node outside the store's region.
     pub fn remove_tx(&mut self, store: &ObjectStore, key: u64) -> Result<bool> {
         // SAFETY: slots navigated in place; every mutated range is
         // undo-logged (one batch, one fence) before the first write and
@@ -382,12 +402,14 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
             let l = (*cur).left.load_at_rest();
             let r = (*cur).right.load_at_rest();
             let len_addr = std::ptr::addr_of_mut!((*self.header).len);
+            let node_size = std::mem::size_of::<BstNode<R, P>>();
             let mut tx = store.begin();
             tx.log_range(len_addr as usize, 8)?;
             if l == 0 || r == 0 {
                 // At most one child: splice it into the parent slot.
                 let child = if l == 0 { r } else { l };
                 tx.log_range(slot as usize, std::mem::size_of::<R>())?;
+                tx.free(std::ptr::NonNull::new_unchecked(cur as *mut u8), node_size)?;
                 tx.barrier();
                 (*slot).store(child);
                 persist_range(slot as usize, std::mem::size_of::<R>());
@@ -407,6 +429,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
                 let key_addr = std::ptr::addr_of_mut!((*cur).key);
                 tx.log_range(key_addr as usize, 8 + P)?;
                 tx.log_range(succ_slot as usize, std::mem::size_of::<R>())?;
+                tx.free(std::ptr::NonNull::new_unchecked(succ as *mut u8), node_size)?;
                 tx.barrier();
                 (*cur).key = (*succ).key;
                 (*cur).payload = (*succ).payload;

@@ -263,6 +263,25 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
         sum
     }
 
+    /// The address of every block the set holds: its header, its bucket
+    /// array and every node reachable from the buckets. The crash
+    /// matrices' leak oracle compares them with the region's allocated
+    /// blocks.
+    pub fn blocks(&self) -> Vec<usize> {
+        let mut out = vec![self.header as usize, self.buckets as usize];
+        // SAFETY: as in contains.
+        unsafe {
+            for b in 0..(*self.header).nbuckets as usize {
+                let mut cur = (*self.buckets.add(b)).load() as *const HsNode<R, P>;
+                while !cur.is_null() {
+                    out.push(cur as usize);
+                    cur = (*cur).next.load() as *const HsNode<R, P>;
+                }
+            }
+        }
+        out
+    }
+
     /// All live keys (bucket order, marked nodes skipped; testing helper).
     pub fn keys(&self) -> Vec<u64> {
         let mut out = Vec::new();
@@ -328,13 +347,14 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
         Ok(true)
     }
 
-    /// Transactionally unlinks `key` from its bucket chain. Returns
-    /// whether it was present; an absent key begins no transaction. The
-    /// node's block is not reclaimed (see [`crate::PList::remove_tx`]).
+    /// Transactionally unlinks `key` from its bucket chain and frees its
+    /// node ([`pstore::Tx::free`], in the same batch as the unlinking
+    /// writes, so the free rides their fence). Returns whether it was
+    /// present; an absent key begins no transaction.
     ///
     /// # Errors
     ///
-    /// Logging failures.
+    /// Logging failures; a node outside the store's region.
     pub fn remove_tx(&mut self, store: &ObjectStore, key: u64) -> Result<bool> {
         // SAFETY: slots navigated in place; mutations undo-logged (one
         // batch, one fence) before the writes and flushed after them.
@@ -352,6 +372,10 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
                     let mut tx = store.begin();
                     tx.log_range(slot as usize, std::mem::size_of::<R>())?;
                     tx.log_range(len_addr as usize, 8)?;
+                    tx.free(
+                        std::ptr::NonNull::new_unchecked(cur as *mut u8),
+                        std::mem::size_of::<HsNode<R, P>>(),
+                    )?;
                     tx.barrier();
                     (*slot).store(next);
                     persist_range(slot as usize, std::mem::size_of::<R>());
@@ -511,14 +535,9 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     /// `node` must have come from `self.arena` and be unreachable.
     unsafe fn release_node(&self, node: *mut HsNode<R, P>) {
         let size = std::mem::size_of::<HsNode<R, P>>();
-        for region in self.arena.regions() {
-            if region.contains(node as usize) {
-                region
-                    .dealloc(std::ptr::NonNull::new_unchecked(node as *mut u8), size)
-                    .expect("a spare node is an allocated block");
-                return;
-            }
-        }
+        self.arena
+            .dealloc(std::ptr::NonNull::new_unchecked(node as *mut u8), size)
+            .expect("a spare node is an allocated block");
     }
 
     /// Marks the (never flushed, always shadow-dirty) header length as

@@ -230,6 +230,15 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
         }
     }
 
+    /// The address of every block the list holds: its header and every
+    /// node reachable from it. The crash matrices' leak oracle compares
+    /// them with the region's allocated blocks.
+    pub fn blocks(&self) -> Vec<usize> {
+        std::iter::once(self.header as usize)
+            .chain(self.iter().map(|n| n as *const ListNode<R, P> as usize))
+            .collect()
+    }
+
     /// All keys in traversal order (testing/verification helper).
     pub fn keys(&self) -> Vec<u64> {
         self.iter().map(|n| n.key()).collect()
@@ -267,15 +276,15 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
         Ok(())
     }
 
-    /// Transactionally unlinks the first node with `key`. Returns whether
-    /// a node was removed; an absent key begins no transaction. The
-    /// node's block is *not* reclaimed (freeing is not undo-logged, so
-    /// reclamation inside a transaction could double-serve the block
-    /// after a crash); it leaks like an aborted [`pstore::Tx::alloc`].
+    /// Transactionally unlinks the first node with `key` and frees it
+    /// ([`pstore::Tx::free`], in the same batch as the unlinking writes,
+    /// so the free rides their fence and a crash can neither leak the
+    /// block nor serve it twice). Returns whether a node was removed; an
+    /// absent key begins no transaction.
     ///
     /// # Errors
     ///
-    /// Logging failures.
+    /// Logging failures; a node outside the store's region.
     pub fn remove_tx(&mut self, store: &ObjectStore, key: u64) -> Result<bool> {
         // SAFETY: slots navigated in place (`&mut self` excludes other
         // writers of the structure); mutations are undo-logged (one
@@ -293,6 +302,10 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
                     let mut tx = store.begin();
                     tx.log_range(slot as usize, std::mem::size_of::<R>())?;
                     tx.log_range(len_addr as usize, 8)?;
+                    tx.free(
+                        std::ptr::NonNull::new_unchecked(cur as *mut u8),
+                        std::mem::size_of::<ListNode<R, P>>(),
+                    )?;
                     tx.barrier();
                     (*slot).store(next);
                     persist_range(slot as usize, std::mem::size_of::<R>());

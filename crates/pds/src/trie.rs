@@ -285,6 +285,27 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         }
     }
 
+    /// The address of every block the trie holds: its header and every
+    /// node reachable from it. The crash matrices' leak oracle compares
+    /// them with the region's allocated blocks.
+    pub fn blocks(&self) -> Vec<usize> {
+        let mut out = vec![self.header as usize];
+        // SAFETY: as in count.
+        unsafe {
+            let mut stack = vec![(*self.header).root.load() as *const TrieNode<R, P>];
+            while let Some(n) = stack.pop() {
+                out.push(n as usize);
+                for i in 0..ALPHABET {
+                    let c = (*n).children[i].load() as *const TrieNode<R, P>;
+                    if !c.is_null() {
+                        stack.push(c);
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// Full depth-first traversal; returns a checksum over terminal counts
     /// and structure shape.
     pub fn traverse(&self) -> u64 {

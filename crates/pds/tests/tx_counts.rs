@@ -50,25 +50,33 @@ fn tx_ops_cost_one_batch_fence_and_noops_cost_nothing() {
     art.insert_tx(&store, "ab").unwrap();
     art.insert_tx(&store, "ac").unwrap();
 
-    // hashset/bst insert: the bitmap bit, the one batch (slot and len —
-    // the allocation logs nothing), the commit fence, the truncate.
+    // hashset/bst insert: the one batch (slot, len and the allocator
+    // entry — the allocation flushes and fences nothing of its own), the
+    // commit fence, the truncate.
     let d = delta(|| assert!(set.insert_tx(&store, 10).unwrap()));
     assert_eq!(d.get(Counter::TxBegins), 1);
-    assert_eq!(d.get(Counter::UndoEntries), 2);
-    assert_eq!(d.get(Counter::WbarrierCalls), 4);
-    // bitmap word, batch span, node, slot, len, generation: an object is
-    // its block, so nothing is written in front of the node.
-    assert_eq!(d.get(Counter::ClflushCalls), 6);
-    let d = delta(|| assert!(bst.insert_tx(&store, 10).unwrap()));
-    assert_eq!(d.get(Counter::UndoEntries), 2);
-    assert_eq!(d.get(Counter::WbarrierCalls), 4);
-    assert_eq!(d.get(Counter::ClflushCalls), 6);
-
-    // remove: batch (slot, len), commit, truncate. Parent: 2 × 2 + 2.
-    let d = delta(|| assert!(set.remove_tx(&store, 10).unwrap()));
-    assert_eq!(d.get(Counter::UndoEntries), 2);
+    assert_eq!(d.get(Counter::UndoEntries), 3);
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
-    assert_eq!(d.get(Counter::ClflushCalls), 4);
+    // batch span, node, slot, len, bitmap word (at commit), generation:
+    // an object is its block, so nothing is written in front of the node.
+    assert_eq!(d.get(Counter::ClflushCalls), 6);
+    // The batch is 48 + 48 + 32 bytes from byte 16 of the area: three
+    // lines, one more than without the allocator entry.
+    assert_eq!(d.get(Counter::ClflushLines), 8);
+    let d = delta(|| assert!(bst.insert_tx(&store, 10).unwrap()));
+    assert_eq!(d.get(Counter::UndoEntries), 3);
+    assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    assert_eq!(d.get(Counter::ClflushCalls), 6);
+    assert_eq!(d.get(Counter::ClflushLines), 8);
+
+    // remove: batch (slot, len, the freed node's allocator entry),
+    // commit, truncate; the free adds its bitmap word to the commit and
+    // a third batch line. Parent: 2 × 2 + 2 calls, 5 lines.
+    let d = delta(|| assert!(set.remove_tx(&store, 10).unwrap()));
+    assert_eq!(d.get(Counter::UndoEntries), 3);
+    assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    assert_eq!(d.get(Counter::ClflushCalls), 5);
+    assert_eq!(d.get(Counter::ClflushLines), 7);
     let d = delta(|| assert!(bst.remove_tx(&store, 10).unwrap()));
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
     let d = delta(|| assert!(list.remove_tx(&store, 2).unwrap()));
@@ -76,14 +84,27 @@ fn tx_ops_cost_one_batch_fence_and_noops_cost_nothing() {
     let d = delta(|| assert!(trie.remove_tx(&store, "ab").unwrap()));
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
 
-    // ART: an occurrence bump and a removal are one batch each; a new
-    // key under a node with room is one batch, then one allocation.
+    // ART: an occurrence bump and a removal are one batch each, and so
+    // is a new key under a node with room, allocation included.
     let d = delta(|| assert_eq!(art.insert_tx(&store, "ab").unwrap(), 2));
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
     let d = delta(|| assert!(art.remove_tx(&store, "ab").unwrap()));
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
     let d = delta(|| assert_eq!(art.insert_tx(&store, "ad").unwrap(), 1));
-    assert_eq!(d.get(Counter::WbarrierCalls), 4);
+    assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    // A fifth child outgrows the Node4: two ranges (counters, parent
+    // slot) and three allocator entries (the leaf, the Node16, the
+    // outgrown Node4's free) in the same batch.
+    art.insert_tx(&store, "ae").unwrap();
+    let live = region.stats().live_allocs;
+    let d = delta(|| assert_eq!(art.insert_tx(&store, "af").unwrap(), 1));
+    assert_eq!(d.get(Counter::UndoEntries), 5);
+    assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    assert_eq!(
+        region.stats().live_allocs,
+        live + 1,
+        "leaf and Node16 in, Node4 out"
+    );
 
     // Nothing to change: no lock, no begin, no abort, no traffic.
     assert_untouched(

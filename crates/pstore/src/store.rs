@@ -79,7 +79,9 @@ impl ObjectStore {
     }
 
     /// Attaches to the store in `region`, running crash recovery if the
-    /// previous session did not close cleanly.
+    /// previous session did not close cleanly. Attach before anything
+    /// else allocates in a reopened region: rolling back an interrupted
+    /// [`Tx::free`] allocates its block again.
     ///
     /// # Errors
     ///
@@ -138,6 +140,13 @@ impl ObjectStore {
         &self.region
     }
 
+    /// Region offsets of the store's own two blocks: its metadata block
+    /// and its undo-log area.
+    pub fn own_blocks(&self) -> [u64; 2] {
+        let meta = self.region.root_off(STORE_ROOT).expect("a store is rooted");
+        [meta, self.log.area_off()]
+    }
+
     /// The store's undo log (exposed for tests and diagnostics).
     pub fn log(&self) -> &UndoLog {
         &self.log
@@ -147,7 +156,7 @@ impl ObjectStore {
     /// region block, whose allocated bit is durable on return
     /// ([`Region::alloc`]). `_type_num` is PMEM.IO's type number; nothing
     /// records it. Free the object with [`Region::dealloc`] and the same
-    /// size.
+    /// size, or inside a transaction with [`Tx::free`].
     ///
     /// # Errors
     ///
@@ -220,13 +229,15 @@ mod tests {
         // A v1 store kept a persistent `used` word where the generation
         // now lives; a v2 block held the object-list words `obj_head` and
         // `obj_count` where the log geometry now lives; a v3 store's
-        // objects start 16 bytes into their blocks. None may be misread
-        // as a v4 store.
+        // objects start 16 bytes into their blocks; a v4 reader ends a log
+        // at its first allocator entry. None may be misread as a v5
+        // store.
         let magic = |v: &[u8; 8]| u64::from_le_bytes(*v);
         for block in [
             &[magic(b"PSTOREV1")][..],
             &[magic(b"PSTOREV2"), 0, 0, 1 << 16, 256][..],
             &[magic(b"PSTOREV3"), 1 << 16, 256][..],
+            &[magic(b"PSTOREV4"), 1 << 16, 256][..],
         ] {
             let region = Region::create(1 << 20).unwrap();
             let meta_off = region.alloc_off(40, 16).unwrap();

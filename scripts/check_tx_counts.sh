@@ -3,12 +3,16 @@
 # on a fixed seed with tracing on and fails unless the per-operation
 # persistence counts are the ones the log protocol promises (DESIGN.md
 # "Fault model", EXPERIMENTS.md TX-FLOOR):
-#   * hashset/bst insert_tx   <= 4.1 fences, <= 7.1 flushed lines
-#     (4 + 7 exactly, plus one subtree grow per 64 allocations; the
-#     56-byte node is its own 64-byte block, one line),
-#   * hashset/bst remove_tx   <= 3 fences,   <= 5 flushed lines,
+#   * hashset/bst insert_tx   <= 3.1 fences, <= 8.1 flushed lines
+#     (3 + 8 exactly, plus one subtree grow per 64 allocations; the
+#     allocation is an allocator entry in the one batch, whose third
+#     entry ends at byte 144 of the log area, and its bitmap bit is set
+#     at commit under the commit fence; the 56-byte node is its own
+#     64-byte block, one line),
+#   * hashset/bst remove_tx   <= 3 fences,   <= 7 flushed lines
+#     (the free: one more batch line and its bitmap word at commit),
 #   * ART insert_tx/remove_tx <= 4 fences,   <= 7 flushed lines,
-#   * fences_per_op           <= 1.0 over the whole 25/25/50 mix,
+#   * fences_per_op           <= 0.77 over the whole 25/25/50 mix,
 #   * fail_share              == 0 (every oracle check passed).
 # The op stream is generated from the seed and the counters are exact, so
 # this is a deterministic gate, not a timing one; timings in the same
@@ -37,17 +41,17 @@ function at_most(name, bound,    v) {
 {
     n = split("hashset bst", s, " ")
     for (i = 1; i <= n; i++) {
-        at_most("pds." s[i] ".insert_tx.fences", 4.1)
-        at_most("pds." s[i] ".insert_tx.flushed_lines", 7.1)
+        at_most("pds." s[i] ".insert_tx.fences", 3.1)
+        at_most("pds." s[i] ".insert_tx.flushed_lines", 8.1)
         at_most("pds." s[i] ".remove_tx.fences", 3)
-        at_most("pds." s[i] ".remove_tx.flushed_lines", 5)
+        at_most("pds." s[i] ".remove_tx.flushed_lines", 7)
     }
     n = split("insert_tx remove_tx", o, " ")
     for (i = 1; i <= n; i++) {
         at_most("pds.art." o[i] ".fences", 4)
         at_most("pds.art." o[i] ".flushed_lines", 7)
     }
-    at_most("fences_per_op", 1.0)
+    at_most("fences_per_op", 0.77)
     at_most("fail_share", 0)
 }
 END { exit failed }'

@@ -11,7 +11,7 @@
 use nvm_pi::nvmsim::alloc::AllocHeader;
 use nvm_pi::nvmsim::llalloc::LL_PAGE_MAGIC;
 use nvm_pi::nvmsim::region::RegionHeader;
-use nvm_pi::{NvError, Region};
+use nvm_pi::{NvError, ObjectStore, Region};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -203,6 +203,36 @@ fn later_paths_are_still_examined_after_a_failing_one() {
     let out = nvr_inspect(&["verify", zeros.to_str().unwrap(), clean.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     assert_eq!(verdict(&out).as_deref(), Some("healthy"), "{out:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `verify` on an image whose transaction was interrupted after its
+/// batch was durable: the log summary counts the allocator entries the
+/// next attach rolls back (an allocation and a free), and a dirty image
+/// is not damaged.
+#[test]
+fn verify_counts_the_allocator_entries_of_a_pending_transaction() {
+    let dir = tmpdir("pending");
+    let path = dir.join("pending.nvr");
+    let region = Region::create_file(&path, 1 << 20).unwrap();
+    let store = ObjectStore::format(&region).unwrap();
+    let (slot, old) = (store.alloc(1, 8).unwrap(), store.alloc(1, 32).unwrap());
+    let mut tx = store.begin();
+    tx.log_range(slot.as_ptr() as usize, 8).unwrap();
+    tx.alloc(1, 32).unwrap();
+    // SAFETY: `old` is this test's block and nothing points at it.
+    unsafe { tx.free(old, 32).unwrap() };
+    tx.barrier();
+    std::mem::forget(tx);
+    drop(store);
+    region.crash();
+    let out = nvr_inspect(&["verify", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("3 entries (2 allocator)") && stdout.contains("recovery pending"),
+        "{stdout}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -9,6 +9,11 @@
 //! implemented once per structure, generic over the pointer
 //! representation, and once for the raw undo log; `crash_matrix` and
 //! `art_matrix` consume these impls.
+//!
+//! Every subject also names the blocks it reaches, so [`enumerate`] runs
+//! a leak oracle on every image: the region's allocated blocks are
+//! exactly those — no block a crash left allocated and unreachable, none
+//! reachable and free.
 
 use super::Matrix;
 use nvm_pi::nvmsim::{dlin, latency, shadow};
@@ -77,6 +82,34 @@ pub trait Subject: Sized {
     /// The oracle: [`Subject::contents`] after exactly `ops`. Workloads
     /// insert a key twice only into counting subjects (trie, ART).
     fn model(keys: &[Self::Key], ops: &[Op<Self::Key>]) -> Vec<u64>;
+    /// Region offsets of every block the subject reaches: the
+    /// structure's header, bucket array and nodes, and the blocks of the
+    /// log it runs on.
+    fn reachable_blocks(&self) -> Vec<u64>;
+}
+
+/// The leak oracle: `region`'s allocated blocks are exactly the blocks
+/// `s` reaches.
+fn check_no_leak<S: Subject>(s: &S, region: &Region, ctx: &str) {
+    let mut reachable = s.reachable_blocks();
+    reachable.sort_unstable();
+    let mut live: Vec<u64> = region
+        .live_blocks()
+        .into_iter()
+        .map(|(off, _)| off)
+        .collect();
+    live.sort_unstable();
+    let missing = |from: &[u64], other: &[u64]| -> Vec<u64> {
+        from.iter()
+            .filter(|o| other.binary_search(o).is_err())
+            .copied()
+            .collect()
+    };
+    let (leaked, dangling) = (missing(&live, &reachable), missing(&reachable, &live));
+    assert!(
+        leaked.is_empty() && dangling.is_empty(),
+        "[{ctx}] leak oracle: allocated and unreachable {leaked:#x?}, reachable and free {dangling:#x?}"
+    );
 }
 
 /// Applies `ops[k]` and checks what the structure reported against the
@@ -100,6 +133,14 @@ pub struct Tx<S> {
 
 impl<S> Tx<S> {
     const LOG_CAP: u64 = 32 << 10;
+
+    /// `blocks` (addresses of the structure's blocks) as region offsets,
+    /// with the store's metadata block and log area.
+    fn with_store(&self, blocks: Vec<usize>) -> Vec<u64> {
+        let region = self.store.region();
+        let offsets = blocks.into_iter().map(|a| region.offset_of(a).unwrap());
+        offsets.chain(self.store.own_blocks()).collect()
+    }
 
     fn format(region: &Region, make: impl FnOnce(NodeArena) -> S) -> Tx<S> {
         let store = ObjectStore::format_with_log(region, Self::LOG_CAP).unwrap();
@@ -160,6 +201,9 @@ impl<R: PtrRepr> Subject for Tx<PList<R, 32>> {
         }
         list
     }
+    fn reachable_blocks(&self) -> Vec<u64> {
+        self.with_store(self.s.blocks())
+    }
 }
 
 impl<R: PtrRepr> Subject for Tx<PBst<R, 32>> {
@@ -182,6 +226,9 @@ impl<R: PtrRepr> Subject for Tx<PBst<R, 32>> {
     }
     fn model(_: &[u64], ops: &[Op<u64>]) -> Vec<u64> {
         set_model(ops)
+    }
+    fn reachable_blocks(&self) -> Vec<u64> {
+        self.with_store(self.s.blocks())
     }
 }
 
@@ -207,6 +254,9 @@ impl<R: PtrRepr> Subject for Tx<PHashSet<R, 32>> {
     }
     fn model(_: &[u64], ops: &[Op<u64>]) -> Vec<u64> {
         set_model(ops)
+    }
+    fn reachable_blocks(&self) -> Vec<u64> {
+        self.with_store(self.s.blocks())
     }
 }
 
@@ -235,6 +285,9 @@ impl<R: PtrRepr> Subject for Tx<PTrie<R, 32>> {
         let mut counts = count_model(keys, ops);
         counts.push(counts.iter().sum());
         counts
+    }
+    fn reachable_blocks(&self) -> Vec<u64> {
+        self.with_store(self.s.blocks())
     }
 }
 
@@ -277,6 +330,9 @@ impl<R: PtrRepr> Subject for Tx<PArt<R>> {
         let mut counts = count_model(keys, ops);
         counts.push(counts.iter().filter(|&&c| c > 0).count() as u64);
         counts
+    }
+    fn reachable_blocks(&self) -> Vec<u64> {
+        self.with_store(self.s.blocks())
     }
 }
 
@@ -354,6 +410,9 @@ impl Subject for RawLog {
             cells[(op.key() % Self::CELLS) as usize] = 1000 + op.key();
         }
         cells
+    }
+    fn reachable_blocks(&self) -> Vec<u64> {
+        vec![self.log_off, self.cells_off]
     }
 }
 
@@ -450,6 +509,7 @@ pub fn enumerate<S: Subject>(
         S::model(&keys, &ops),
         "[{live_ctx}] final uncrashed contents"
     );
+    check_no_leak(&s, &region, &live_ctx);
     assert!(
         history.ops.windows(2).all(|w| w[0].stamp < w[1].stamp),
         "[{live_ctx}] linearization stamps must be strictly increasing"
@@ -481,6 +541,7 @@ pub fn enumerate<S: Subject>(
         let s2 = S::attach(&r2);
         let committed = commit_events.iter().filter(|&&e| e < c.event).count();
         let got = s2.contents(&keys, &ctx);
+        check_no_leak(&s2, &r2, &ctx);
         let p = (committed..=n_ops)
             .find(|&p| S::model(&keys, &ops[..skip + p]) == got)
             .unwrap_or_else(|| {
