@@ -13,16 +13,19 @@
 //! descriptor. One more crashes every durability point (`sync`,
 //! `update_meta_slots`, `grow`, a clean close) at every event with class
 //! and large blocks live, another every allocation and free of blocks
-//! above 4 KiB, and v3/v4 images pin the header-version refusal.
+//! above 4 KiB, and v3/v4 images pin the header-version refusal. A
+//! scheduled two-thread cell races a plain allocation against an
+//! aborting transaction's given-back block.
 //!
 //! Seed, replay tag, serial lock and scratch directories come from the
 //! shared [`util::Matrix`] (`MATRIX_SEED`, `MATRIX_ARTIFACT_DIR`).
 
 use nvm_pi::nvmsim::alloc::AllocHeader;
 use nvm_pi::nvmsim::region::RegionHeader;
-use nvm_pi::nvmsim::{inspect, shadow};
-use nvm_pi::{CapturedCrash, FaultPlan, FaultPolicy, NvError, Region};
+use nvm_pi::nvmsim::{inspect, latency, sched, shadow};
+use nvm_pi::{CapturedCrash, FaultPlan, FaultPolicy, NvError, ObjectStore, Region, Scheduler};
 use std::ptr::NonNull;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 mod util;
@@ -490,6 +493,99 @@ fn large_blocks_are_exact_at_every_crash_point() {
         }
         eprintln!("[large {name}] {} crash points", crashes.len());
     }
+}
+
+/// An aborted transaction's allocation is served to another thread only
+/// once the abort's truncate is durable. Thread 0 aborts a transaction
+/// that allocated block `x` and published it; thread 1 keeps claiming
+/// exactly `x` with a plain allocation and links it durably once it has
+/// it. At every crash point of every seeded schedule, a linked `x` must
+/// recover allocated: had the hold ended before the truncate, a crash
+/// between the two would replay the allocation's entry and free a
+/// reachable block.
+#[test]
+fn an_aborted_allocation_is_served_again_only_after_its_truncate() {
+    let _serial = M.lock();
+    const SCHEDULES: u64 = 12;
+    const SIZE: usize = 32;
+    let mut linked = 0;
+    for policy in M.policies() {
+        let name = util::policy_name(policy);
+        for schedule in 0..SCHEDULES {
+            let cell = M.cell(&format!("abort-{name}-{schedule}"));
+            let region = Region::create_file(cell.path("orig.nvr"), 1 << 20).unwrap();
+            let store = ObjectStore::format(&region).unwrap();
+            // Addresses of two 8-byte objects: the slot thread 0's
+            // transaction publishes `x` in, and the link thread 1 does.
+            let [slot, link] = [0, 0].map(|_| {
+                let p = store.alloc(1, 8).unwrap().as_ptr() as *mut u64;
+                // SAFETY: a fresh 8-byte object.
+                unsafe { p.write(0) };
+                p as usize
+            });
+            region.set_root("link", link).unwrap();
+            region.sync().unwrap();
+            region.enable_shadow().unwrap();
+            let x = AtomicU64::new(0);
+            let sched = Scheduler::new(M.seed() ^ schedule, 2);
+            let plan = FaultPlan::capture_all(&region, policy);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    sched.run(0, || {
+                        let mut tx = store.begin();
+                        let p = tx.alloc(1, SIZE).unwrap();
+                        let off = region.offset_of(p.as_ptr() as usize).unwrap();
+                        x.store(off, Ordering::Release);
+                        // SAFETY: the slot is a live 8-byte object.
+                        unsafe { tx.set(slot as *mut u64, off).unwrap() };
+                        tx.abort();
+                    })
+                });
+                s.spawn(|| {
+                    sched.run(1, || loop {
+                        let off = x.load(Ordering::Acquire);
+                        if off != 0 && region.alloc_at(off, SIZE).unwrap() {
+                            // SAFETY: the link is a live 8-byte object.
+                            unsafe { (link as *mut u64).write(off) };
+                            shadow::track_store(link, 8);
+                            latency::clflush_range(link, 8);
+                            latency::wbarrier();
+                            return;
+                        }
+                        sched::yield_point();
+                    })
+                });
+            });
+            // One more crash point, after the link is durable.
+            latency::wbarrier();
+            let crashes = plan.disarm();
+            let x = x.into_inner();
+            let mut prev = region.base();
+            drop(store);
+            region.crash();
+            for c in &crashes {
+                let ctx = format!(
+                    "abort {name} schedule {schedule} event {} {}",
+                    c.event,
+                    M.tag()
+                );
+                let region = cell.recover(c, &mut prev, &ctx);
+                ObjectStore::attach(&region).unwrap();
+                // SAFETY: the root names the 8-byte link object.
+                let got = unsafe { *(region.root("link").unwrap() as *const u64) };
+                if got != 0 {
+                    assert_eq!(got, x, "[{ctx}] the link holds x or nothing");
+                    assert!(
+                        region.live_blocks().contains(&(x, SIZE as u64)),
+                        "[{ctx}] x at {x:#x} is linked but free after recovery"
+                    );
+                    linked += 1;
+                }
+                region.crash();
+            }
+        }
+    }
+    assert!(linked > 0, "[{}] no crash image linked x", M.tag());
 }
 
 /// Header v4 moved every allocator word and v5 dropped the free lists, so
