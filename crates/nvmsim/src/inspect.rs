@@ -162,19 +162,19 @@ pub struct LlallocReport {
     /// span, padding, a looping chain). Nonempty means the open refuses
     /// the image and only salvage opens it.
     pub issues: Vec<String>,
-    /// Descriptors whose advisory free counter disagrees with
-    /// `capacity - popcount(bitmap)`. Expected on crashed images
-    /// (counters are advisory and rebuilt on open); on a clean image it
-    /// indicates rot.
-    pub stale_counters: u64,
+    /// Bitmap pages that do not carry the seal of a clean close
+    /// (`llalloc::page_sealed`). Expected on crashed images (a running
+    /// region mutates its pages without resealing them); on a clean
+    /// image it indicates rot.
+    pub unsealed_pages: u64,
 }
 
 impl LlallocReport {
     /// Whether the bitmap structures are internally consistent. `strict`
-    /// additionally requires every advisory counter to match its bitmap
-    /// (the state a clean close seals).
+    /// additionally requires every page to carry its seal (the state a
+    /// clean close leaves).
     pub fn consistent(&self, strict: bool) -> bool {
-        self.issues.is_empty() && (!strict || self.stale_counters == 0)
+        self.issues.is_empty() && (!strict || self.unsealed_pages == 0)
     }
 }
 
@@ -195,15 +195,15 @@ impl fmt::Display for LlallocReport {
                 .map_or("large".to_string(), usize::to_string);
             writeln!(
                 f,
-                "  class {name:>5}: {:>3} subtrees, {:>5}/{:<5} blocks allocated, free counters {}",
-                o.subtrees, o.allocated, o.capacity, o.free_counter
+                "  class {name:>5}: {:>3} subtrees, {:>5}/{:<5} blocks allocated",
+                o.subtrees, o.allocated, o.capacity
             )?;
         }
-        if self.stale_counters != 0 {
+        if self.unsealed_pages != 0 {
             writeln!(
                 f,
-                "  {} stale free counter(s) (rebuilt on next open)",
-                self.stale_counters
+                "  {} page(s) without a clean close's seal",
+                self.unsealed_pages
             )?;
         }
         for issue in &self.issues {
@@ -231,18 +231,19 @@ pub fn inspect_llalloc_bytes(bytes: &[u8]) -> Result<LlallocReport> {
         subtrees: Vec::new(),
         per_class: [ClassOccupancy::default(); LARGE + 1],
         issues: Vec::new(),
-        stale_counters: 0,
+        unsealed_pages: 0,
     };
     llalloc::walk_chain(bytes, ll_dir, |walked| match walked {
-        Walked::Page { .. } => report.pages += 1,
+        Walked::Page { bytes, .. } => {
+            report.pages += 1;
+            report.unsealed_pages += !llalloc::page_sealed(bytes) as u64;
+        }
         Walked::Issue(issue) => report.issues.push(issue),
         Walked::Subtree(t) => {
-            report.stale_counters += (t.free_counter != t.sealed_free()) as u64;
             let o = &mut report.per_class[t.class];
             o.subtrees += 1;
             o.capacity += t.capacity as u64;
             o.allocated += t.allocated as u64;
-            o.free_counter += t.free_counter;
             report.subtrees.push(t);
         }
     });
@@ -371,16 +372,15 @@ mod tests {
         let class = crate::alloc::class_for(64).unwrap();
         assert_eq!(report.per_class[class].allocated, 6);
         assert!(report.per_class[class].capacity >= 10);
-        assert!(
-            report.consistent(true),
-            "clean close seals exact free counters: {report}"
-        );
+        assert_eq!(report.unsealed_pages, 0, "a clean close seals every page");
+        assert!(report.consistent(true), "{report}");
         // Corrupt a descriptor's class byte: the walk flags it instead
         // of panicking or running out of the image.
         let mut bytes = std::fs::read(&path).unwrap();
         let ll_dir = AllocHeader::from_bytes(&bytes[RegionHeader::OFF_ALLOC..]).ll_dir() as usize;
         bytes[ll_dir + llalloc::DESC_SIZE + llalloc::D_META] = 0xff;
         let damaged = inspect_llalloc_bytes(&bytes).unwrap();
+        assert_eq!(damaged.unsealed_pages, 1, "the rot breaks its page's seal");
         assert!(!damaged.consistent(false));
         assert!(damaged.to_string().contains("ISSUE"));
         // An image without a directory is a finding too, not a mode.

@@ -16,17 +16,17 @@
 //! +--------------------+----------------+----------------+-- ~ --+
 //! | page header (64 B) | subtree 0 (64B)| subtree 1 (64B)|  ...  |   63 subtrees
 //! | magic next count   | base | meta    |                |       |
-//! | seq crc            | bitmap | free  |                |       |
-//! |                    | owner | held   |                |       |
+//! | seq crc            | bitmap | pad   |                |       |
+//! |                    | owner | taken  |                |       |
 //! +--------------------+----------------+----------------+-- ~ --+
 //! ```
 //!
 //! Each **subtree descriptor** covers up to 64 blocks of one size class:
 //! `base` is the offset of block 0, `meta` packs the class index and the
 //! block capacity, and one persistent `bitmap` word holds the allocated
-//! bit per block. `free`, `owner` and `held` are *advisory*: they are
-//! rebuilt (free) or cleared (owner, held) by the recovery scan, so torn
-//! or stale values can never corrupt state.
+//! bit per block. `owner` and `taken` are volatile words that live in the
+//! descriptor: the recovery scan clears `owner` and rebuilds `taken` from
+//! the bitmap, so torn or stale values can never corrupt state.
 //!
 //! A block above [`MAX_CLASS_SIZE`] is a descriptor of its own: class
 //! [`LARGE`], capacity 1, and a whole-granule span whose length `meta`
@@ -34,51 +34,42 @@
 //! clearing its bit, and reused first-fit under the region lock when a
 //! later request wastes at most half of it.
 //!
-//! The persistence contract is a single word: a plain alloc CASes its
-//! bit to 1, then flushes the word and fences **before** the block is
+//! # Claims
+//!
+//! `taken` is the bitmap plus every block a claim or an uncommitted
+//! transaction has taken. Every allocation claims its block with one CAS
+//! on `taken`, and a bitmap bit is set only while its `taken` bit is and
+//! cleared before it: the bitmap is always a subset of `taken`, so a claim
+//! never races a bitmap transition and never backs off.
+//!
+//! The persistence contract is a single word: a plain allocation claims,
+//! sets its bit, then flushes the word and fences **before** the block is
 //! handed out, so no pointer to the block can become durable before the
-//! block's allocated bit is. A plain dealloc CASes the bit to 0 and
-//! flushes/fences before returning. Fault injection tears at 8-byte
-//! granularity ([`crate::shadow::FaultPolicy::TearWords`]), so a bitmap
-//! word is atomic under any injected crash: recovery sees the bit either
-//! set or clear, and either state is consistent.
+//! block's allocated bit is. A plain dealloc clears the bit and
+//! flushes/fences before it clears the `taken` bit that lets the block be
+//! served again. Fault injection tears at 8-byte granularity
+//! ([`crate::shadow::FaultPolicy::TearWords`]), so a bitmap word is atomic
+//! under any injected crash: recovery sees the bit either set or clear,
+//! and either state is consistent.
 //!
 //! # Held blocks (transactions)
 //!
 //! An undo-logged transaction changes a bit only after an allocator
 //! entry naming the block is durable in its log (see
-//! [`crate::undolog`]), so until its commit point the block is **held**
-//! in the descriptor's volatile `held` word instead: a transaction's
-//! allocation claims a free block there (`Claim::Hold`) and its free
-//! marks an allocated one. A held block is served by no allocation on
-//! any thread. At commit the bit flips, flushed but not fenced — the
-//! commit fence orders it — and once the truncate is durable the hold
-//! goes, which is when a freed block becomes servable. Rollback, at the
-//! next attach, puts the bit back to what the transaction found; an
-//! abort in the session never changed it, and ends its holds only once
-//! its own truncate is durable, since until then a crash would replay
-//! the entry over whatever allocation took the block. A crash loses
-//! every hold with the rest of the volatile state, so a hold never
-//! outlives its session.
-//!
-//! A plain claim CASes the bitmap and a transaction's claim CASes
-//! `held`; each re-reads the other word after its CAS, both sequentially
-//! consistent, so of two claims racing for one block at least one sees
-//! the other and backs off by clearing its bit again. The commit of a
-//! held allocation waits for such a backing-off bit to clear instead of
-//! setting over it, so a back-off never clears a committed bit.
-//!
-//! The backing-off plain claim is the one window of the crash contract.
-//! It never flushes its bit, but a neighbour's flush of the same bitmap
-//! word (another claim, a free, a commit) can write the bit back before
-//! the back-off clears it. If the machine then crashes before the
-//! holding transaction's allocator entry is durable, the image keeps a
-//! set bit nobody owns: a leak, never a double serve. It is bounded by
-//! one block per thread in a plain claim that lost such a race at the
-//! crash, and needs a transaction and plain allocations of one class
-//! racing in one subtree; once the entry is durable, recovery clears the
-//! bit. The crash matrices run one mutator per store, so their leak
-//! oracle cannot see it.
+//! [`crate::undolog`]), so until its commit point the block is **held**:
+//! a transaction's allocation has taken the block without setting its
+//! bit, and a block it frees keeps its bit, and with it its `taken` bit.
+//! Either way no allocation on any thread serves it. At commit the bit
+//! flips — nothing else can own it, so a plain `fetch_or` sets it —
+//! flushed but not fenced: the commit fence orders it. Once the truncate
+//! that settles the transaction is durable, on commit as on abort,
+//! `LlState::end_hold` runs on every allocator entry and gives back
+//! exactly the blocks whose bit is clear (a committed free, an aborted
+//! allocation): until then a crash would replay the entry over whatever
+//! allocation took the block. Rollback, at the next attach, puts the bit
+//! back to what the transaction found; an abort in the session never
+//! changed it. A crash loses every hold with the rest of the volatile
+//! state, so a hold never outlives its session.
 //!
 //! # Upper level (volatile)
 //!
@@ -91,26 +82,29 @@
 //! growing a new subtree under the region lock (rare, amortized over 64
 //! blocks). Reservations and spares are the only per-thread state and
 //! they hold no blocks: a block is marked allocated only when actually
-//! handed to the application, so a crash leaks **zero** blocks (but for
-//! the back-off window above).
+//! handed to the application, so a crash leaks **zero** blocks.
 //!
 //! Exhaustion is O(1): a scan that finds no subtree of a class with a
 //! free block leaves a per-class **dry stamp** — the class's free epoch
-//! (bumped by every `free_block` of that class) and the subtree count it
-//! covered, in one atomic word. While the epoch still matches, the next
-//! scan looks only at subtrees grown since, so a grow-only workload never
-//! rescans. The stamp is volatile and advisory: a stale or false "dry"
-//! costs one grow, never an out-of-memory — `LlState::alloc_rescan`
-//! ignores it, and the region calls that before leaving the bitmaps.
+//! (bumped by every block given back to that class) and the subtree
+//! count it covered, in one atomic word. While the epoch still matches,
+//! the next scan looks only at subtrees grown since, so a grow-only
+//! workload never rescans. The stamp is volatile and advisory: a stale or
+//! false "dry" costs one grow, never an out-of-memory —
+//! `LlState::alloc_rescan` ignores it, and the region calls that before
+//! leaving the bitmaps.
 //!
 //! # Recovery
 //!
 //! Opening an image walks the page chain once (bounded by the region
-//! size), validates every descriptor, rebuilds `free` from
-//! `capacity - popcount(bitmap)`, clears `owner`, and rebuilds the
-//! volatile granule map used to route frees. Structural damage fails the
-//! open; salvage opens such an image with an empty, frozen state whose
-//! allocations answer out-of-memory.
+//! size), validates every descriptor, rebuilds `taken` from the bitmap,
+//! clears `owner`, and rebuilds the volatile granule map used to route
+//! frees. Each word is stored only where it differs, and a clean close
+//! seals them to exactly those values, so a clean open stores nothing
+//! into a bitmap page; an image whose `taken` words read zero (as every
+//! image written before they existed does) is repaired by its first
+//! open. Structural damage fails the open; salvage opens such an image
+//! with an empty, frozen state whose allocations answer out-of-memory.
 //!
 //! # Statistics
 //!
@@ -118,7 +112,8 @@
 //! their popcount (`LlState::live`), which is what `Region::stats`
 //! reports. Nothing is counted on the alloc/free path and nothing is
 //! folded or snapshotted at a durability point, so no crash can leave two
-//! records disagreeing.
+//! records disagreeing. A clean close seals each page with a CRC, which
+//! is what `verify` checks a clean image's pages against.
 
 use crate::alloc::{AllocHeader, CLASS_SIZES, MAX_CLASS_SIZE, NUM_CLASSES};
 use crate::crc::crc64_update;
@@ -164,9 +159,10 @@ const PAGE_CRC: usize = 32;
 const D_BASE: usize = 0;
 pub(crate) const D_META: usize = 8;
 pub(crate) const D_BITMAP: usize = 16;
-const D_FREE: usize = 24;
+// Bytes 24..32 of a descriptor are padding (an older image keeps a free
+// counter there that nothing reads; the page CRC seals it).
 const D_OWNER: usize = 32;
-const D_HELD: usize = 40;
+const D_TAKEN: usize = 40;
 // Bytes 48..64 of a descriptor are padding.
 
 /// Subtrees a thread remembers, per class, as having had a block given
@@ -188,17 +184,6 @@ const DIV_CLASS: [u64; NUM_CLASSES] = {
     }
     r
 };
-
-/// How an allocation claims its block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Claim {
-    /// Sets the bitmap bit and makes it durable before returning: a
-    /// plain allocation.
-    Bit,
-    /// Holds the block for a transaction and leaves its bit alone (see
-    /// the module docs).
-    Hold,
-}
 
 /// Upper bound on the bitmap pages a region of `bytes` bytes can chain:
 /// every subtree but the last spans at least one granule, and a page is
@@ -265,20 +250,12 @@ pub struct SubtreeInfo {
     pub base: u64,
     /// Allocated blocks (bitmap popcount — the persistent truth).
     pub allocated: u32,
-    /// The advisory free counter as persisted. May lag the bitmap on a
-    /// crashed image; the recovery scan rebuilds it on open.
-    pub free_counter: u64,
 }
 
 impl SubtreeInfo {
     /// End offset of the subtree's span.
     pub fn end(&self) -> u64 {
         self.base + self.capacity as u64 * self.block_size
-    }
-
-    /// The free counter a clean close seals: `capacity - allocated`.
-    pub fn sealed_free(&self) -> u64 {
-        (self.capacity - self.allocated) as u64
     }
 }
 
@@ -387,7 +364,6 @@ pub(crate) fn walk_chain(image: &[u8], ll_dir: u64, mut visit: impl FnMut(Walked
                 capacity,
                 base,
                 allocated: (bitmap & mask).count_ones(),
-                free_counter: read_u64(desc, D_FREE),
             }));
         }
         page_off = next;
@@ -526,19 +502,16 @@ impl Desc {
         unsafe { &*((self.addr + D_BITMAP) as *const AtomicU64) }
     }
     #[inline]
-    fn free(self) -> &'static AtomicU64 {
-        // SAFETY: as `bitmap`.
-        unsafe { &*((self.addr + D_FREE) as *const AtomicU64) }
-    }
-    #[inline]
     fn owner(self) -> &'static AtomicU64 {
         // SAFETY: as `bitmap`.
         unsafe { &*((self.addr + D_OWNER) as *const AtomicU64) }
     }
+    /// The bitmap plus every block a claim or an uncommitted
+    /// transaction has taken (see the module docs).
     #[inline]
-    fn held(self) -> &'static AtomicU64 {
+    fn taken(self) -> &'static AtomicU64 {
         // SAFETY: as `bitmap`.
-        unsafe { &*((self.addr + D_HELD) as *const AtomicU64) }
+        unsafe { &*((self.addr + D_TAKEN) as *const AtomicU64) }
     }
     #[inline]
     fn bitmap_addr(self) -> usize {
@@ -569,7 +542,8 @@ fn persist_word(addr: usize) {
 }
 
 /// Tracks and flushes one bitmap word without a fence: a held block's
-/// transition, which its transaction's next fence orders.
+/// transition, which its transaction's next fence orders (a plain
+/// allocation fences it itself).
 #[inline]
 fn flush_word(addr: usize) {
     shadow::track_store(addr, 8);
@@ -595,8 +569,6 @@ pub struct ClassOccupancy {
     pub capacity: u64,
     /// Currently allocated blocks (bitmap popcount).
     pub allocated: u64,
-    /// Sum of the advisory free counters.
-    pub free_counter: u64,
 }
 
 /// The words every free writes, with a cache line of padding on each
@@ -712,9 +684,9 @@ impl LlState {
     }
 
     /// Rebuilds the volatile state from a persisted image by one bounded
-    /// scan of the page chain: validates structure, rebuilds `free`
-    /// counters from bitmap popcounts, clears stale `owner` reservations
-    /// and repopulates the granule map. On success the managed range is
+    /// scan of the page chain: validates structure, rebuilds `taken` from
+    /// the bitmaps, clears stale `owner` reservations and repopulates the
+    /// granule map. On success the managed range is
     /// extended to the committed size (`grow` fences the size before the
     /// end, so a crash between leaves the end short).
     ///
@@ -780,9 +752,9 @@ impl LlState {
         }
         hdr.extend(committed as u64);
         hdr.raise_bump(frontier);
-        // Rebuild the advisory words from the persistent truth.
+        // Rebuild the volatile words from the persistent truth.
         for id in 0..subtrees {
-            st.reset_advisory(id);
+            st.reset_volatile(id);
         }
         let lines = pages as u64 + subtrees as u64;
         metrics::add(Counter::LlallocRecoveryLines, lines);
@@ -806,21 +778,16 @@ impl LlState {
         }
     }
 
-    /// Recomputes subtree `id`'s advisory words from its bitmap: `free`
-    /// from the popcount, `owner` and `held` cleared, each stored only
-    /// where it differs (on a shared file mapping an unchanged store still
-    /// dirties the page). Caller excludes allocation traffic (open, clean
-    /// close).
-    fn reset_advisory(&self, id: u32) {
+    /// Resets subtree `id`'s volatile words from its bitmap: `taken` to
+    /// the bitmap, `owner` cleared, each stored only where it differs (on
+    /// a shared file mapping an unchanged store still dirties the page).
+    /// Caller excludes allocation traffic (open, clean close).
+    fn reset_volatile(&self, id: u32) {
         let d = self.desc(id);
-        let used = (d.bitmap().load(Ordering::Relaxed) & d.mask()).count_ones() as u64;
-        let free = d.capacity() as u64 - used;
-        if d.free().load(Ordering::Relaxed) != free {
-            d.free().store(free, Ordering::Relaxed);
-        }
-        for word in [d.owner(), d.held()] {
-            if word.load(Ordering::Relaxed) != 0 {
-                word.store(0, Ordering::Relaxed);
+        let bitmap = d.bitmap().load(Ordering::Relaxed);
+        for (word, v) in [(d.taken(), bitmap), (d.owner(), 0)] {
+            if word.load(Ordering::Relaxed) != v {
+                word.store(v, Ordering::Relaxed);
             }
         }
     }
@@ -832,23 +799,25 @@ impl LlState {
         id.load(Ordering::Acquire).checked_sub(1)
     }
 
-    /// Allocates one block of `class`, preferring this thread's reserved
-    /// subtree, then the subtrees it last gave blocks back to, then a
-    /// scan for another reservation. Returns the block offset, or `None` when no reachable
-    /// subtree has a free block (the caller then grows one under the
-    /// region lock).
-    pub(crate) fn alloc(&self, class: usize, claim: Claim) -> Option<u64> {
+    /// Claims one block of `class` in `taken`, preferring this thread's
+    /// reserved subtree, then the subtrees it last gave blocks back to,
+    /// then a scan for another reservation. The block's bit is left
+    /// alone: [`LlState::persist_held`] sets it, at once for a plain
+    /// allocation, at commit for a transaction's. Returns the block
+    /// offset, or `None` when no reachable subtree has a free block (the
+    /// caller then grows one under the region lock).
+    pub(crate) fn alloc(&self, class: usize) -> Option<u64> {
         // Fast path: the reserved subtree, else a spare one.
         if let Some(Some(off)) = with_slot(self.instance, |s| {
             let reserved = s.ids[class].checked_sub(1);
-            if let Some(off) = reserved.and_then(|id| self.alloc_in(id, None, claim)) {
+            if let Some(off) = reserved.and_then(|id| self.alloc_in(id, None)) {
                 return Some(off);
             }
             // A spare is served reserved or not: a reservation only
             // keeps threads apart, and this thread just gave the block
             // back. A full one is dropped.
             while let Some(id) = s.last_spare(class) {
-                if let Some(off) = self.alloc_in(id, None, claim) {
+                if let Some(off) = self.alloc_in(id, None) {
                     return Some(off);
                 }
                 s.pop_spare(class);
@@ -870,9 +839,9 @@ impl LlState {
         // Reserve (or steal) a subtree with free blocks, then retry; a
         // thread without TLS CASes unreserved directly.
         loop {
-            match self.reserve(class, claim) {
+            match self.reserve(class) {
                 Reserve::Reserved(id) => {
-                    if let Some(off) = self.alloc_in(id, None, claim) {
+                    if let Some(off) = self.alloc_in(id, None) {
                         return Some(off);
                     }
                     // Raced empty between the scan and the CAS; rescan.
@@ -886,68 +855,48 @@ impl LlState {
     /// [`LlState::alloc`] with the class's dry stamp voided first, so
     /// every subtree is looked at again: the last resort before the
     /// caller gives up on the bitmaps.
-    pub(crate) fn alloc_rescan(&self, class: usize, claim: Claim) -> Option<u64> {
+    pub(crate) fn alloc_rescan(&self, class: usize) -> Option<u64> {
         self.dry[class].store(0, Ordering::Relaxed);
-        self.alloc(class, claim)
+        self.alloc(class)
     }
 
     /// Claims exactly the free block at `off` when it starts a block of
-    /// `block_size` bytes (a size class, or a large block's whole span):
-    /// one CAS on its bit, flushed and fenced, as [`LlState::alloc`]
-    /// does for the lowest clear bit. `false` when `off` starts no such
-    /// block or the block is allocated or held.
-    pub(crate) fn alloc_at(&self, off: u64, block_size: u64) -> bool {
-        let Some(id) = self.subtree_of(off) else {
+    /// `class` and `block_size` bytes (a size class, or a large block's
+    /// whole span): one CAS on `taken`, as [`LlState::alloc`] does for
+    /// the lowest free bit. `false` when `off` starts no such block or
+    /// the block is taken.
+    pub(crate) fn alloc_at(&self, off: u64, class: usize, block_size: u64) -> bool {
+        let Some((id, d, b)) = self.locate(off, class) else {
             return false;
         };
-        let d = self.desc(id);
-        let delta = off - d.base();
-        let bit = delta / block_size;
-        d.block_size() == block_size
-            && delta.is_multiple_of(block_size)
-            && bit < d.capacity() as u64
-            && self.alloc_in(id, Some(bit as u32), Claim::Bit).is_some()
+        d.block_size() == block_size && self.alloc_in(id, Some(b.trailing_zeros())).is_some()
     }
 
-    /// One CAS attempt loop on subtree `id`, for its lowest free bit or
-    /// for `bit` alone. A bit is free when it is clear in both the bitmap
-    /// and `held`. `None` when no such bit is free.
+    /// One CAS attempt loop on subtree `id`'s `taken` word, for its
+    /// lowest free bit or for `bit` alone. `None` when no such bit is
+    /// free.
     #[inline]
-    fn alloc_in(&self, id: u32, bit: Option<u32>, claim: Claim) -> Option<u64> {
+    fn alloc_in(&self, id: u32, bit: Option<u32>) -> Option<u64> {
         let d = self.desc(id);
         let mask = d.mask();
-        let (word, other) = match claim {
-            Claim::Bit => (d.bitmap(), d.held()),
-            Claim::Hold => (d.held(), d.bitmap()),
-        };
-        let mut cur = word.load(Ordering::Acquire);
+        let mut cur = d.taken().load(Ordering::Acquire);
         loop {
-            let avail = !(cur | other.load(Ordering::Acquire)) & mask;
+            let avail = !cur & mask;
             let bit = match bit {
                 None if avail != 0 => avail.trailing_zeros(),
                 Some(b) if avail >> b & 1 != 0 => b,
                 _ => return None,
             };
-            let b = 1u64 << bit;
-            match word.compare_exchange_weak(cur, cur | b, Ordering::SeqCst, Ordering::Acquire) {
-                Ok(_) => {
-                    // The other kind of claim may have taken the block
-                    // between our load of its word and our CAS: look
-                    // again, and back off if so (see the module docs).
-                    if other.load(Ordering::SeqCst) & b != 0 {
-                        cur = word.fetch_and(!b, Ordering::AcqRel) & !b;
-                        metrics::incr(Counter::LlallocCasRetries);
-                        continue;
-                    }
-                    if claim == Claim::Bit {
-                        // Durable-allocate before the block can escape:
-                        // the set bit must hit media before any pointer
-                        // to the block possibly does.
-                        persist_word(d.bitmap_addr());
-                    }
-                    d.free().fetch_sub(1, Ordering::Relaxed);
-                    return Some(d.base() + bit as u64 * d.block_size());
-                }
+            // Acquire pairs with `give_back`'s Release: a claim that
+            // finds a bit clear also finds the block's bitmap bit clear.
+            // No other word is read, so nothing needs SeqCst.
+            match d.taken().compare_exchange_weak(
+                cur,
+                cur | 1 << bit,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return Some(d.base() + bit as u64 * d.block_size()),
                 Err(seen) => {
                     metrics::incr(Counter::LlallocCasRetries);
                     cur = seen;
@@ -961,10 +910,10 @@ impl LlState {
     /// their reserving thread when nothing unreserved remains. Subtrees
     /// the class's dry stamp covers are not looked at; a scan that sees
     /// no free block at all extends the stamp to the current count.
-    fn reserve(&self, class: usize, claim: Claim) -> Reserve {
+    fn reserve(&self, class: usize) -> Reserve {
         let n = self.count();
-        // Acquire pairs with `free_block`'s Release bump: a scan that
-        // reads the bumped epoch also sees the freed block's counter.
+        // Acquire pairs with `give_back`'s Release bump: a scan that
+        // reads the bumped epoch also sees the given-back `taken` bit.
         let epoch = self.free_epoch.epochs[class].load(Ordering::Acquire) << 32;
         let dry = self.dry[class].load(Ordering::Relaxed);
         let first = if dry & !0xFFFF_FFFF == epoch {
@@ -987,7 +936,7 @@ impl LlState {
                 let d = self.desc(id);
                 #[cfg(test)]
                 self.visits.fetch_add(1, Ordering::Relaxed);
-                if d.class() != class || d.free().load(Ordering::Relaxed) == 0 {
+                if d.class() != class || !d.taken().load(Ordering::Relaxed) & d.mask() == 0 {
                     continue;
                 }
                 saw_free = true;
@@ -999,6 +948,13 @@ impl LlState {
                     .compare_exchange(cur, token, Ordering::AcqRel, Ordering::Relaxed)
                     .is_err()
                 {
+                    // Another thread reserved it first. A reservation
+                    // only keeps threads apart: take a block without one
+                    // rather than answer "exhausted" (and make the region
+                    // grow) while the subtree has free blocks.
+                    if let Some(off) = self.alloc_in(id, None) {
+                        return Reserve::Direct(off);
+                    }
                     continue;
                 }
                 if steal {
@@ -1014,7 +970,7 @@ impl LlState {
                 }
                 // No TLS (thread teardown): allocate directly and leave
                 // the subtree unreserved for others.
-                let got = self.alloc_in(id, None, claim);
+                let got = self.alloc_in(id, None);
                 let _ = d
                     .owner()
                     .compare_exchange(token, 0, Ordering::AcqRel, Ordering::Relaxed);
@@ -1071,135 +1027,96 @@ impl LlState {
         // before the application can durably reuse or republish the
         // space.
         persist_word(d.bitmap_addr());
-        self.give_back(id, d, class);
+        self.give_back(id, d, b, class);
         true
     }
 
-    /// Makes a block of subtree `id` servable again: its free counter,
-    /// the class's free epoch, and this thread's spares.
-    fn give_back(&self, id: u32, d: Desc, class: usize) {
-        d.free().fetch_add(1, Ordering::Relaxed);
-        // After the counter, so a scan that sees the new epoch sees it.
+    /// Makes block `b` of subtree `id`, whose bit is clear, servable
+    /// again: its `taken` bit, the class's free epoch, and this thread's
+    /// spares.
+    fn give_back(&self, id: u32, d: Desc, b: u64, class: usize) {
+        d.taken().fetch_and(!b, Ordering::Release);
+        // After `taken`, so a scan that sees the new epoch sees the block.
         self.free_epoch.epochs[class].fetch_add(1, Ordering::Release);
         if class < NUM_CLASSES {
             with_slot(self.instance, |s| s.push_spare(class, id));
         }
     }
 
-    /// Holds the allocated `class` block at `off` for a transaction that
-    /// frees it (see the module docs). `false`, with nothing written,
-    /// when `off` starts no allocated block of that class or the block is
-    /// already held.
-    pub(crate) fn hold_free(&self, off: u64, class: usize) -> bool {
-        let Some((_, d, b)) = self.locate(off, class) else {
-            return false;
-        };
-        d.bitmap().load(Ordering::Acquire) & b != 0
-            && d.held().fetch_or(b, Ordering::AcqRel) & b == 0
+    /// Sets block `b`'s bit, tracked and flushed, not fenced. The block
+    /// must be taken: that is what keeps every other claim off it.
+    fn set_bit(d: Desc, b: u64) {
+        d.bitmap().fetch_or(b, Ordering::AcqRel);
+        debug_assert_ne!(
+            d.taken().load(Ordering::Relaxed) & b,
+            0,
+            "a bitmap bit set without its taken bit"
+        );
+        flush_word(d.bitmap_addr());
     }
 
-    /// The commit-time bit transition of a held block: set for `Alloc`,
-    /// cleared for `Free`, tracked and flushed but not fenced. An
-    /// allocated block's hold ends here — its set bit now keeps every
-    /// claim off it, and only its transaction holds a pointer to it — a
-    /// freed block's only at [`LlState::release`].
+    /// Whether an allocated `class` block starts at `off`: what a
+    /// transaction that frees it checks. Nothing is written: the block
+    /// keeps its bit, and with it its `taken` bit, until the commit.
+    pub(crate) fn is_allocated(&self, off: u64, class: usize) -> bool {
+        self.locate(off, class)
+            .is_some_and(|(_, d, b)| d.bitmap().load(Ordering::Acquire) & b != 0)
+    }
+
+    /// The bit transition of a claimed or held block: set for `Alloc`,
+    /// cleared for `Free`, tracked and flushed but not fenced — the
+    /// caller's next fence orders it (a plain allocation's own, a
+    /// transaction's commit fence). Only the block's claimer sets its
+    /// bit, so neither transition waits for anyone.
     pub(crate) fn persist_held(&self, off: u64, class: usize, op: BlockOp) {
         let Some((_, d, b)) = self.locate(off, class) else {
             debug_assert!(false, "no {class} block at {off:#x}");
             return;
         };
-        debug_assert_ne!(
-            d.held().load(Ordering::Relaxed) & b,
-            0,
-            "{off:#x} is not held"
-        );
         match op {
-            BlockOp::Alloc => {
-                // A plain claim may have set the bit for an instant before
-                // it saw the hold; it backs off by clearing the bit again
-                // (see `alloc_in`), so wait for that, never overwrite it.
-                // Yield now and then: the claim may sit preempted on this
-                // CPU.
-                let (mut cur, mut spins) = (d.bitmap().load(Ordering::Acquire), 0u32);
-                loop {
-                    if cur & b != 0 {
-                        spins += 1;
-                        if spins.is_multiple_of(64) {
-                            std::thread::yield_now();
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                        cur = d.bitmap().load(Ordering::Acquire);
-                        continue;
-                    }
-                    match d.bitmap().compare_exchange_weak(
-                        cur,
-                        cur | b,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => break,
-                        Err(seen) => cur = seen,
-                    }
-                }
-                d.held().fetch_and(!b, Ordering::AcqRel);
-            }
+            BlockOp::Alloc => Self::set_bit(d, b),
             BlockOp::Free => {
                 let prev = d.bitmap().fetch_and(!b, Ordering::AcqRel);
                 debug_assert_ne!(prev & b, 0, "a held free of {off:#x} found its bit clear");
+                flush_word(d.bitmap_addr());
             }
         }
-        flush_word(d.bitmap_addr());
     }
 
     /// Ends a transaction's hold on the `class` block at `off`, once the
-    /// truncate that settles the transaction is durable: the commit of a
-    /// free, or the rollback of an allocation or a free (or the append
-    /// that failed to log one). When `freed` — a committed free, a
-    /// rolled-back allocation — the block is free and becomes servable.
-    /// `false`, with nothing written, when the block is not held: a
-    /// transaction recovered at attach holds nothing.
-    pub(crate) fn release(&self, off: u64, class: usize, freed: bool) -> bool {
-        let Some((id, d, b)) = self.locate(off, class) else {
-            return false;
-        };
-        if d.held().fetch_and(!b, Ordering::AcqRel) & b == 0 {
-            return false;
+    /// truncate that settles the transaction is durable (or for an
+    /// allocation whose entry was never logged): a block whose bit is
+    /// clear — a committed free, a rolled-back allocation — is given
+    /// back; one whose bit is set stays allocated.
+    pub(crate) fn end_hold(&self, off: u64, class: usize) {
+        if let Some((id, d, b)) = self.locate(off, class) {
+            if d.bitmap().load(Ordering::Acquire) & b == 0 {
+                self.give_back(id, d, b, class);
+            }
         }
-        if freed {
-            self.give_back(id, d, class);
-        }
-        true
     }
 
     /// Rolls a block's bit back to what its transaction found: for
     /// `Alloc` clear, for `Free` set. A transaction rolled back in this
-    /// session still holds the block and never changed its bit, so
-    /// nothing is written: the hold ends at [`LlState::release`], after
-    /// the rollback's truncate, since until then a crash would replay
-    /// the entry over whatever allocation took the block. One recovered
-    /// at attach holds nothing, and its bit may have reached media: a bit
-    /// that differs is put back, tracked and flushed for the rollback's
-    /// fence. (Recovery runs before anything allocates, so no claim races
-    /// it.)
+    /// session never changed its bit, so nothing is written. One
+    /// recovered at attach may have had its bit reach media: a bit that
+    /// differs is put back, tracked and flushed for the rollback's fence,
+    /// and a bit set back is taken first. (Recovery runs before anything
+    /// allocates, so no claim races it.) The hold ends at
+    /// [`LlState::end_hold`], after the rollback's truncate.
     pub(crate) fn undo(&self, off: u64, class: usize, op: BlockOp) {
-        let Some((id, d, b)) = self.locate(off, class) else {
+        let Some((_, d, b)) = self.locate(off, class) else {
             return;
         };
-        if d.held().load(Ordering::Acquire) & b != 0 {
-            return;
-        }
         let set = d.bitmap().load(Ordering::Acquire) & b != 0;
         match op {
             BlockOp::Alloc if set => {
                 d.bitmap().fetch_and(!b, Ordering::AcqRel);
                 flush_word(d.bitmap_addr());
-                self.give_back(id, d, class);
             }
             BlockOp::Free if !set => {
-                d.bitmap().fetch_or(b, Ordering::AcqRel);
-                flush_word(d.bitmap_addr());
-                d.free().fetch_sub(1, Ordering::Relaxed);
+                d.taken().fetch_or(b, Ordering::AcqRel);
+                Self::set_bit(d, b);
             }
             _ => {}
         }
@@ -1228,12 +1145,7 @@ impl LlState {
     /// # Safety
     ///
     /// As [`LlState::grow`].
-    pub(crate) unsafe fn alloc_large(
-        &self,
-        hdr: &mut AllocHeader,
-        size: usize,
-        claim: Claim,
-    ) -> Result<u64> {
+    pub(crate) unsafe fn alloc_large(&self, hdr: &mut AllocHeader, size: usize) -> Result<u64> {
         let oom = || NvError::OutOfMemory {
             region: 0,
             requested: size,
@@ -1246,13 +1158,13 @@ impl LlState {
             let d = self.desc(id);
             let block = d.block_size();
             if d.class() == LARGE && block >= span && block - span <= span / 2 {
-                if let Some(off) = self.alloc_in(id, None, claim) {
+                if let Some(off) = self.alloc_in(id, None) {
                     return Ok(off);
                 }
             }
         }
         let id = self.add_subtree(hdr, LARGE, span, 1)?;
-        self.alloc_in(id, None, claim).ok_or_else(oom)
+        self.alloc_in(id, None).ok_or_else(oom)
     }
 
     /// Places descriptor `count()` (formatting a fresh bitmap page first
@@ -1329,9 +1241,8 @@ impl LlState {
             .add(D_META / 8)
             .write(pack_meta(class, cap, block_size));
         d.bitmap().store(!block_mask(cap as u32), Ordering::Relaxed);
-        d.free().store(cap, Ordering::Relaxed);
         d.owner().store(0, Ordering::Relaxed);
-        d.held().store(0, Ordering::Relaxed);
+        d.taken().store(!block_mask(cap as u32), Ordering::Relaxed);
         shadow::track_store(d.addr, DESC_SIZE);
         latency::clflush_range(d.addr, DESC_SIZE);
         latency::wbarrier();
@@ -1418,13 +1329,12 @@ impl LlState {
             o.subtrees += 1;
             o.capacity += d.capacity() as u64;
             o.allocated += (d.bitmap().load(Ordering::Relaxed) & d.mask()).count_ones() as u64;
-            o.free_counter += d.free().load(Ordering::Relaxed);
         }
         out
     }
 
-    /// Quiesced clean-close maintenance: recomputes every free counter
-    /// from its bitmap, clears reservations, and seals each page with a
+    /// Quiesced clean-close maintenance: resets every `taken` word to its
+    /// bitmap, clears reservations, and seals each page with a
     /// fresh sequence number and CRC so the corruption walk can verify
     /// cleanly-closed bitmap pages bit-for-bit. Caller must hold the
     /// region lock with no allocation traffic remaining.
@@ -1434,7 +1344,7 @@ impl LlState {
     /// The region must be mapped and quiescent.
     pub(crate) unsafe fn seal(&self) {
         for id in 0..self.count() {
-            self.reset_advisory(id);
+            self.reset_volatile(id);
         }
         for page in self.page_offs.iter() {
             let off = page.load(Ordering::Relaxed);
@@ -1454,7 +1364,8 @@ impl LlState {
 enum Reserve {
     /// Reserved subtree id remembered in TLS.
     Reserved(u32),
-    /// No TLS available; one block was allocated directly.
+    /// One block claimed without a reservation: no TLS, or another
+    /// thread reserved the subtree first.
     Direct(u64),
     /// No subtree of this class has free blocks.
     Exhausted,
@@ -1490,12 +1401,53 @@ mod tests {
         }
         fn alloc(&mut self, class: usize) -> u64 {
             loop {
-                if let Some(off) = self.ll.alloc(class, Claim::Bit) {
+                if let Some(off) = plain(&self.ll, class) {
                     return off;
                 }
                 unsafe { self.ll.grow(&mut self.hdr, class) }.unwrap();
             }
         }
+        /// A large block, as a plain allocation serves it.
+        fn large(&mut self, size: usize) -> u64 {
+            let off = unsafe { self.ll.alloc_large(&mut self.hdr, size) }.unwrap();
+            self.ll.persist_held(off, LARGE, BlockOp::Alloc);
+            off
+        }
+        /// Rebuilds the allocator from the arena's bytes, as a reopen
+        /// does.
+        fn reopen(&mut self) -> LlState {
+            let instance = TEST_INSTANCE.fetch_add(1, Ordering::Relaxed);
+            let (base, len) = (self.base(), self.mem.len());
+            unsafe { LlState::open(base, len, len, instance, &mut self.hdr) }.unwrap()
+        }
+    }
+
+    /// A plain allocation of a `class` block: claimed, then its bit set
+    /// (the region fences it before handing the block out).
+    fn plain(ll: &LlState, class: usize) -> Option<u64> {
+        let off = ll.alloc(class)?;
+        ll.persist_held(off, class, BlockOp::Alloc);
+        Some(off)
+    }
+
+    /// [`LlState::alloc_at`] for a `size`-byte class block, as a plain
+    /// allocation serves it.
+    fn at(ll: &LlState, off: u64, size: usize) -> bool {
+        let class = crate::alloc::class_for(size).unwrap();
+        let claimed = ll.alloc_at(off, class, CLASS_SIZES[class] as u64);
+        if claimed {
+            ll.persist_held(off, class, BlockOp::Alloc);
+        }
+        claimed
+    }
+
+    /// Whether every subtree's `taken` word equals its bitmap: what the
+    /// open rebuilds and a clean close seals.
+    fn taken_is_bitmap(ll: &LlState) -> bool {
+        (0..ll.count()).all(|id| {
+            let d = ll.desc(id);
+            d.taken().load(Ordering::Relaxed) == d.bitmap().load(Ordering::Relaxed)
+        })
     }
 
     #[test]
@@ -1567,11 +1519,7 @@ mod tests {
         let c = crate::alloc::class_for(64).unwrap();
         let mut a = Arena::new(1 << 20);
         let offs: Vec<u64> = (0..2 * BLOCKS_PER_SUBTREE).map(|_| a.alloc(c)).collect();
-        assert_eq!(
-            a.ll.alloc(c, Claim::Bit),
-            None,
-            "both subtrees full: stamped dry"
-        );
+        assert_eq!(a.ll.alloc(c), None, "both subtrees full: stamped dry");
         // A free the stamp never hears of (epoch forced back), on another
         // thread so that no spare of this one names its subtree: the
         // stamped scan misses the block, the rescan does not.
@@ -1580,8 +1528,8 @@ mod tests {
             s.spawn(move || assert!(ll.free_block(off, c)));
         });
         a.ll.free_epoch.epochs[c].store(0, Ordering::Relaxed);
-        assert_eq!(a.ll.alloc(c, Claim::Bit), None, "false dry");
-        assert_eq!(a.ll.alloc_rescan(c, Claim::Bit), Some(offs[1]));
+        assert_eq!(a.ll.alloc(c), None, "false dry");
+        assert_eq!(a.ll.alloc_rescan(c), Some(offs[1]));
     }
 
     #[test]
@@ -1606,8 +1554,8 @@ mod tests {
         let mut a = Arena::new(1 << 20);
         let c = crate::alloc::class_for(64).unwrap();
         let small = a.alloc(c);
-        let big = unsafe { a.ll.alloc_large(&mut a.hdr, 10_000, Claim::Bit) }.unwrap();
-        let huge = unsafe { a.ll.alloc_large(&mut a.hdr, 64 << 10, Claim::Bit) }.unwrap();
+        let big = a.large(10_000);
+        let huge = a.large(64 << 10);
         assert_eq!((big % GRANULE, huge % GRANULE), (0, 0), "granule-aligned");
         assert!(
             big + 10240 <= huge || huge + (64 << 10) <= big,
@@ -1618,17 +1566,11 @@ mod tests {
         // A freed large block is reused only by a request it fits within
         // half: 4 200 B (5 120 B rounded) would waste more than half of it.
         assert!(a.ll.free_block(big, LARGE));
-        let other = unsafe { a.ll.alloc_large(&mut a.hdr, 4200, Claim::Bit) }.unwrap();
+        let other = a.large(4200);
         assert_ne!(other, big);
-        assert_eq!(
-            unsafe { a.ll.alloc_large(&mut a.hdr, 9500, Claim::Bit) }.unwrap(),
-            big
-        );
+        assert_eq!(a.large(9500), big);
         // The recovery scan routes and counts large blocks like any other.
-        let instance = TEST_INSTANCE.fetch_add(1, Ordering::Relaxed);
-        let ll2 =
-            unsafe { LlState::open(a.base(), a.mem.len(), a.mem.len(), instance, &mut a.hdr) }
-                .unwrap();
+        let ll2 = a.reopen();
         assert_eq!(ll2.live(), (4, 64 + 5120 + 10240 + (64 << 10)));
         assert!(ll2.free_block(huge, LARGE));
         assert!(ll2.free_block(small, c));
@@ -1640,13 +1582,13 @@ mod tests {
         let mut a = Arena::new(1 << 18);
         let c = crate::alloc::class_for(64).unwrap();
         let offs: Vec<u64> = (0..4).map(|_| a.alloc(c)).collect();
-        assert!(!a.ll.alloc_at(offs[2], 64), "allocated");
+        assert!(!at(&a.ll, offs[2], 64), "allocated");
         assert!(a.ll.free_block(offs[2], c));
-        assert!(!a.ll.alloc_at(offs[2], 128), "another class");
-        assert!(!a.ll.alloc_at(offs[2] + 16, 64), "not a block start");
-        assert!(!a.ll.alloc_at(8, 64), "not bitmap-owned");
-        assert!(a.ll.alloc_at(offs[2], 64));
-        assert!(!a.ll.alloc_at(offs[2], 64), "claimed once");
+        assert!(!at(&a.ll, offs[2], 128), "another class");
+        assert!(!at(&a.ll, offs[2] + 16, 64), "not a block start");
+        assert!(!at(&a.ll, 8, 64), "not bitmap-owned");
+        assert!(at(&a.ll, offs[2], 64));
+        assert!(!at(&a.ll, offs[2], 64), "claimed once");
         assert_eq!(a.ll.live().0, 4);
     }
 
@@ -1658,23 +1600,25 @@ mod tests {
         for &off in &offs[..7] {
             assert!(a.ll.free_block(off, c));
         }
-        // Simulated crash: rebuild volatile state from the media bytes.
-        let instance = TEST_INSTANCE.fetch_add(1, Ordering::Relaxed);
-        let ll2 =
-            unsafe { LlState::open(a.base(), a.mem.len(), a.mem.len(), instance, &mut a.hdr) }
-                .unwrap();
+        // Simulated crash, with a claim in flight and a reservation held:
+        // rebuild volatile state from the media bytes.
+        let claimed = a.ll.alloc(c).unwrap();
+        let owners = |ll: &LlState| {
+            (0..ll.count()).any(|id| ll.desc(id).owner().load(Ordering::Relaxed) != 0)
+        };
+        assert!(owners(&a.ll), "a reservation is held");
+        let ll2 = a.reopen();
         let (blocks, bytes) = ll2.live();
         assert_eq!(blocks, 70);
         assert_eq!(bytes, 70 * 128);
         let occ = ll2.occupancy();
         assert_eq!(occ[c].allocated, 70);
-        assert_eq!(
-            occ[c].free_counter,
-            occ[c].capacity - 70,
-            "free counters rebuilt from popcounts"
-        );
+        assert!(taken_is_bitmap(&ll2), "taken rebuilt from the bitmaps");
+        assert!(!owners(&ll2), "owners cleared");
+        assert!(at(&ll2, claimed, 128), "the in-flight claim is gone");
+        assert!(ll2.free_block(claimed, c));
         // Post-recovery allocation never double-serves a live block.
-        let fresh: Vec<u64> = (0..7).map(|_| ll2.alloc(c, Claim::Bit).unwrap()).collect();
+        let fresh: Vec<u64> = (0..7).map(|_| plain(&ll2, c).unwrap()).collect();
         for f in &fresh {
             assert!(!offs[7..].contains(f), "live block double-served");
         }
@@ -1842,19 +1786,19 @@ mod tests {
             }
         }
 
-        // Damage only a clean close's seal can show: verify flags it on a
-        // clean image and not on a crashed one, inspect counts a stale
-        // counter either way, and the open rebuilds the advisory words
-        // instead of refusing.
-        let sealed_only: Vec<(Damage, u64)> = vec![
-            (("page CRC", Box::new(move |i| i[page + PAGE_SEQ] ^= 1)), 0),
+        // Damage only a clean close's seal can show: verify and inspect
+        // flag it on a clean image and not on a crashed one (whose pages
+        // a running region mutated without resealing), and the open
+        // accepts it.
+        let sealed_only: Vec<Damage> = vec![
+            ("page CRC", Box::new(move |i| i[page + PAGE_SEQ] ^= 1)),
             (
-                ("stale free counter", Box::new(move |i| i[d0 + D_FREE] ^= 1)),
-                1,
+                "descriptor padding bytes 24..32",
+                Box::new(move |i| i[d0 + 24..d0 + 32].fill(0x5a)),
             ),
         ];
         let class = crate::alloc::class_for(64).unwrap();
-        for ((what, damage), stale) in &sealed_only {
+        for (what, damage) in &sealed_only {
             for dirty in [false, true] {
                 let mut img = pristine.clone();
                 img[RegionHeader::OFF_FLAGS] |= dirty as u8;
@@ -1863,10 +1807,10 @@ mod tests {
                 let ctx = format!("{what}, dirty={dirty}: {errors:?}");
                 assert_eq!(errors.is_empty(), dirty, "{ctx}");
                 assert!(report.issues.is_empty(), "{ctx}: {:?}", report.issues);
-                assert_eq!(report.stale_counters, *stale, "{ctx}");
+                assert_eq!(report.unsealed_pages, 1, "{ctx}");
+                assert_eq!(report.consistent(!dirty), dirty, "{ctx}");
                 let o = opened.expect("the open must not refuse")[class];
                 assert_eq!((o.capacity, o.allocated), (64, 3), "{ctx}");
-                assert_eq!(o.free_counter, 61, "{ctx}: advisory words rebuilt");
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -1911,53 +1855,53 @@ mod tests {
         let mut a = Arena::new(1 << 18);
         let c = crate::alloc::class_for(64).unwrap();
         let kept = a.alloc(c);
-        let fresh = a.ll.alloc(c, Claim::Hold).unwrap();
+        // A transaction's allocation: taken, its bit still clear.
+        let fresh = a.ll.alloc(c).unwrap();
         assert_eq!(a.ll.live(), (1, 64), "a held allocation has no bit yet");
-        assert!(a.ll.hold_free(kept, c));
-        assert!(!a.ll.hold_free(kept, c), "held twice");
-        assert!(!a.ll.hold_free(fresh, c), "not allocated");
-        // Commit: both bits flip, the holds stay until released.
+        assert!(a.ll.is_allocated(kept, c));
+        assert!(!a.ll.is_allocated(fresh, c), "not allocated");
+        assert!(!at(&a.ll, fresh, 64), "a held allocation is taken");
+        // Commit: both bits flip, the holds stay until they end.
         a.ll.persist_held(fresh, c, BlockOp::Alloc);
         a.ll.persist_held(kept, c, BlockOp::Free);
         assert_eq!(a.ll.live(), (1, 64));
         assert!(
-            !a.ll.alloc_at(kept, 64),
-            "a committed free is held until released"
+            !at(&a.ll, kept, 64),
+            "a committed free is held until its hold ends"
         );
-        assert!(a.ll.release(kept, c, true));
-        assert!(a.ll.alloc_at(kept, 64), "released: served again");
+        a.ll.end_hold(fresh, c);
+        a.ll.end_hold(kept, c);
+        assert!(
+            !at(&a.ll, fresh, 64),
+            "a committed allocation stays allocated"
+        );
+        assert!(at(&a.ll, kept, 64), "ended: served again");
         // Abort in the session: nothing was flipped, the holds go.
-        let fresh2 = a.ll.alloc(c, Claim::Hold).unwrap();
-        assert!(a.ll.hold_free(fresh, c));
+        let fresh2 = a.ll.alloc(c).unwrap();
         a.ll.undo(fresh2, c, BlockOp::Alloc);
         a.ll.undo(fresh, c, BlockOp::Free);
-        assert!(
-            !a.ll.alloc_at(fresh2, 64),
-            "held until the rollback's truncate"
-        );
-        assert!(a.ll.release(fresh2, c, true));
-        assert!(a.ll.release(fresh, c, false));
+        assert!(!at(&a.ll, fresh2, 64), "held until the rollback's truncate");
+        a.ll.end_hold(fresh2, c);
+        a.ll.end_hold(fresh, c);
         assert_eq!(a.ll.live(), (2, 128));
-        assert!(a.ll.alloc_at(fresh2, 64), "an aborted allocation is free");
+        assert!(at(&a.ll, fresh2, 64), "an aborted allocation is free");
         assert!(
             a.ll.free_block(fresh, c),
             "an aborted free is still allocated"
         );
         // Recovery: the bits reached media, the holds did not survive.
-        let (fresh3, freed) = (a.ll.alloc(c, Claim::Hold).unwrap(), fresh2);
-        assert!(a.ll.hold_free(freed, c));
+        let (fresh3, freed) = (a.ll.alloc(c).unwrap(), fresh2);
         a.ll.persist_held(fresh3, c, BlockOp::Alloc);
         a.ll.persist_held(freed, c, BlockOp::Free);
-        let instance = TEST_INSTANCE.fetch_add(1, Ordering::Relaxed);
-        let ll2 =
-            unsafe { LlState::open(a.base(), a.mem.len(), a.mem.len(), instance, &mut a.hdr) }
-                .unwrap();
+        let ll2 = a.reopen();
+        assert!(taken_is_bitmap(&ll2), "nothing is held at attach");
         ll2.undo(fresh3, c, BlockOp::Alloc);
         ll2.undo(freed, c, BlockOp::Free);
-        assert!(!ll2.release(fresh3, c, true), "nothing is held at attach");
+        ll2.end_hold(fresh3, c);
+        ll2.end_hold(freed, c);
         assert_eq!(ll2.live(), (2, 128), "kept and the rolled-back free");
-        assert_eq!(ll2.occupancy()[c].free_counter, 62);
-        assert!(ll2.alloc_at(fresh3, 64));
+        assert!(taken_is_bitmap(&ll2), "the rollback leaves no hold");
+        assert!(at(&ll2, fresh3, 64));
         assert!(ll2.free_block(freed, c));
     }
 
@@ -1966,26 +1910,17 @@ mod tests {
         let mut a = Arena::new(1 << 18);
         let c = crate::alloc::class_for(64).unwrap();
         let allocated = a.alloc(c);
-        let held = a.ll.alloc(c, Claim::Hold).unwrap();
-        assert!(a.ll.hold_free(allocated, c));
-        assert!(!a.ll.alloc_at(held, 64));
-        let instance = TEST_INSTANCE.fetch_add(1, Ordering::Relaxed);
-        let ll2 =
-            unsafe { LlState::open(a.base(), a.mem.len(), a.mem.len(), instance, &mut a.hdr) }
-                .unwrap();
-        assert_eq!(
-            ll2.desc(0).held().load(Ordering::Relaxed),
-            0,
-            "held word reset"
-        );
-        assert_eq!(ll2.occupancy()[c].free_counter, 63);
-        assert!(ll2.alloc_at(held, 64), "the held allocation is free again");
+        let held = a.ll.alloc(c).unwrap();
+        assert!(!at(&a.ll, held, 64));
+        let ll2 = a.reopen();
+        assert!(taken_is_bitmap(&ll2), "taken reset to the bitmap");
+        assert_eq!(ll2.live(), (1, 64));
+        assert!(at(&ll2, held, 64), "the held allocation is free again");
         assert!(
-            ll2.hold_free(allocated, c),
-            "the held free can be held anew"
+            ll2.is_allocated(allocated, c),
+            "a held free is still allocated"
         );
-        assert!(ll2.release(allocated, c, false));
-        assert!(ll2.free_block(allocated, c), "and is still allocated");
+        assert!(ll2.free_block(allocated, c));
     }
 
     #[test]
@@ -1994,11 +1929,13 @@ mod tests {
         const OPS: usize = 3000;
         let mut a = Arena::new(1 << 18);
         let c = crate::alloc::class_for(64).unwrap();
-        // One subtree, reserved by this thread through the hold: every
-        // other thread's first allocation steals it, and they go on
-        // stealing it from one another.
+        // One subtree, reserved by this thread through a transaction's
+        // allocation (`held`) and a plain one another transaction frees
+        // (`freeing`): every other thread's first allocation steals it,
+        // and they go on stealing it from one another.
         unsafe { a.ll.grow(&mut a.hdr, c) }.unwrap();
-        let held = a.ll.alloc(c, Claim::Hold).unwrap();
+        let held = a.ll.alloc(c).unwrap();
+        let freeing = plain(&a.ll, c).unwrap();
         assert_eq!(a.ll.count(), 1);
         let steals = metrics::snapshot().get(Counter::LlallocSubtreeSteals);
         let a = Arc::new(a);
@@ -2008,27 +1945,46 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut live: Vec<u64> = Vec::new();
                     for i in 0..OPS {
-                        assert!(!a.ll.alloc_at(held, 64), "alloc_at served a held block");
+                        assert!(!at(&a.ll, held, 64), "alloc_at served a held block");
+                        assert!(!at(&a.ll, freeing, 64), "alloc_at served a held free");
                         if live.len() >= 12 || (i % 3 == 0 && !live.is_empty()) {
                             let off = live.swap_remove((t + i) % live.len());
-                            assert!(a.ll.free_block(off, c));
-                        } else {
-                            let claim = if i % 5 == 0 { Claim::Hold } else { Claim::Bit };
-                            let off = a.ll.alloc(c, claim).expect("room for every thread");
-                            assert_ne!(off, held, "{claim:?} served a held block");
-                            match claim {
-                                // An aborted transaction's allocation.
-                                Claim::Hold if i % 2 == 0 => {
-                                    a.ll.undo(off, c, BlockOp::Alloc);
-                                    assert!(a.ll.release(off, c, true));
-                                }
-                                // A committed one: its bit races the
-                                // plain claims' instants.
-                                Claim::Hold => {
-                                    a.ll.persist_held(off, c, BlockOp::Alloc);
-                                    live.push(off);
-                                }
-                                Claim::Bit => live.push(off),
+                            if i % 4 == 0 {
+                                // A transaction's free, aborted: the block
+                                // stays allocated.
+                                assert!(a.ll.is_allocated(off, c));
+                                a.ll.undo(off, c, BlockOp::Free);
+                                a.ll.end_hold(off, c);
+                            }
+                            if i % 2 == 0 {
+                                // A transaction's free, committed.
+                                assert!(a.ll.is_allocated(off, c));
+                                a.ll.persist_held(off, c, BlockOp::Free);
+                                a.ll.end_hold(off, c);
+                            } else {
+                                assert!(a.ll.free_block(off, c));
+                            }
+                            continue;
+                        }
+                        let off = a.ll.alloc(c).expect("room for every thread");
+                        assert!(off != held && off != freeing, "served a held block");
+                        match i % 5 {
+                            // A transaction's allocation, aborted.
+                            0 => {
+                                a.ll.undo(off, c, BlockOp::Alloc);
+                                a.ll.end_hold(off, c);
+                            }
+                            // One committed: its bit is set with other
+                            // threads' claims in flight in its word.
+                            1 => {
+                                a.ll.persist_held(off, c, BlockOp::Alloc);
+                                a.ll.end_hold(off, c);
+                                live.push(off);
+                            }
+                            // A plain allocation.
+                            _ => {
+                                a.ll.persist_held(off, c, BlockOp::Alloc);
+                                live.push(off);
                             }
                         }
                     }
@@ -2039,8 +1995,11 @@ mod tests {
             })
             .collect();
         for i in 0..OPS {
-            let off = a.ll.alloc(c, Claim::Bit).expect("room");
-            assert_ne!(off, held, "this thread served its own held block");
+            let off = plain(&a.ll, c).expect("room");
+            assert!(
+                off != held && off != freeing,
+                "this thread served its own held block"
+            );
             assert!(a.ll.free_block(off, c));
             if i % 7 == 0 {
                 std::thread::yield_now();
@@ -2053,9 +2012,70 @@ mod tests {
             metrics::snapshot().get(Counter::LlallocSubtreeSteals) > steals,
             "no steal ran"
         );
+        assert_eq!(a.ll.live(), (1, 64), "only the held free's block");
+        // The holds end: the aborted allocation's and the committed free's
+        // blocks are served again.
+        a.ll.end_hold(held, c);
+        a.ll.persist_held(freeing, c, BlockOp::Free);
+        a.ll.end_hold(freeing, c);
         assert_eq!(a.ll.live(), (0, 0));
-        assert!(a.ll.release(held, c, true));
-        assert!(a.ll.alloc_at(held, 64), "served once the hold ends");
+        assert!(taken_is_bitmap(&a.ll), "no claim is left");
+        assert!(at(&a.ll, held, 64), "served once the hold ends");
+        assert!(at(&a.ll, freeing, 64), "served once the free commits");
+    }
+
+    #[test]
+    fn an_image_with_zero_taken_words_is_repaired_once() {
+        let mut a = Arena::new(1 << 18);
+        let c = crate::alloc::class_for(64).unwrap();
+        let offs: Vec<u64> = (0..150).map(|_| a.alloc(c)).collect();
+        for &off in offs.iter().step_by(3) {
+            assert!(a.ll.free_block(off, c));
+        }
+        let live: Vec<u64> = offs
+            .iter()
+            .skip(1)
+            .step_by(3)
+            .chain(offs.iter().skip(2).step_by(3))
+            .copied()
+            .collect();
+        // The word every image written before `taken` existed carries.
+        for id in 0..a.ll.count() {
+            a.ll.desc(id).taken().store(0, Ordering::Relaxed);
+        }
+        let ll2 = a.reopen();
+        assert!(taken_is_bitmap(&ll2), "taken rebuilt from the bitmaps");
+        assert_eq!(ll2.live(), (live.len() as u64, live.len() as u64 * 64));
+        // Every block still free is served once, and no live one.
+        let mut fresh = Vec::new();
+        while let Some(off) = plain(&ll2, c) {
+            assert!(!live.contains(&off), "{off:#x} is allocated already");
+            fresh.push(off);
+        }
+        let capacity = ll2.occupancy()[c].capacity;
+        assert_eq!(ll2.live().0, capacity, "every block served");
+        assert_eq!(live.len() + fresh.len(), capacity as usize, "and each once");
+        // A clean close seals `taken` to the bitmap: the next open finds
+        // nothing to repair and stores nothing.
+        unsafe { ll2.seal() };
+        let sealed = a.mem.clone();
+        let ll3 = a.reopen();
+        assert!(
+            a.mem == sealed,
+            "a second clean open stored into a bitmap page"
+        );
+        assert_eq!(ll3.live().0, capacity);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a bitmap bit set without its taken bit")]
+    fn a_bit_is_never_set_without_its_taken_bit() {
+        let mut a = Arena::new(1 << 16);
+        let c = crate::alloc::class_for(64).unwrap();
+        let off = a.alloc(c);
+        assert!(a.ll.free_block(off, c));
+        a.ll.persist_held(off, c, BlockOp::Alloc);
     }
 
     #[test]
@@ -2082,7 +2102,7 @@ mod tests {
                             let off = live.swap_remove((t + i) % live.len());
                             assert!(a.ll.free_block(off, c));
                         } else {
-                            let off = a.ll.alloc(c, Claim::Bit).expect("pre-grown capacity");
+                            let off = plain(&a.ll, c).expect("pre-grown capacity");
                             // Stamp and verify: a double-served block
                             // would be stamped by two threads at once.
                             let p = (a.base() + off as usize) as *mut u64;

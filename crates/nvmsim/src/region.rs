@@ -18,12 +18,12 @@
 use crate::alloc::{class_for, AllocHeader, AllocStats};
 use crate::error::{NvError, Result};
 use crate::latency;
-use crate::llalloc::{Claim, ClassOccupancy, LlState, GRANULE, LARGE, LL_PAGE_SIZE};
+use crate::llalloc::{ClassOccupancy, LlState, GRANULE, LARGE, LL_PAGE_SIZE};
 use crate::mem::{align_up, page_size};
 use crate::nvspace::{ChunkRun, NvSpace};
 use crate::registry;
 use crate::shadow::{self, FaultPolicy, FaultReport, FaultStamp};
-use crate::undolog::BlockEntry;
+use crate::undolog::{BlockEntry, BlockOp};
 use crate::verify::{self, VerifyReport};
 use parking_lot::{Mutex, MutexGuard};
 use std::fs::{File, OpenOptions};
@@ -451,7 +451,7 @@ impl Region {
 
     /// Rebuilds the allocator of a reopened image whose header was just
     /// validated: one bounded pass over the bitmap pages rebuilds the
-    /// free counters and granule map (see [`LlState::open`]).
+    /// `taken` words and granule map (see [`LlState::open`]).
     ///
     /// # Errors
     ///
@@ -837,10 +837,21 @@ impl Region {
         // token passing, so the whole allocation is one uninterruptible
         // scheduling step — its flushes still count as shadow events.
         // See `crate::sched`.
-        crate::sched::with_yields_suppressed(|| self.alloc_off_inner(size, align, Claim::Bit))
+        crate::sched::with_yields_suppressed(|| {
+            let off = self.claim(size, align)?;
+            // Durable-allocate before the block can escape: the set bit
+            // must hit media before any pointer to the block possibly
+            // does.
+            let class = class_for(size).unwrap_or(LARGE);
+            self.inner.ll.persist_held(off, class, BlockOp::Alloc);
+            latency::wbarrier();
+            Ok(off)
+        })
     }
 
-    fn alloc_off_inner(&self, size: usize, align: usize, claim: Claim) -> Result<u64> {
+    /// Claims a free block for `size` bytes in its subtree's `taken`
+    /// word, without setting its bit (see [`crate::llalloc`]).
+    fn claim(&self, size: usize, align: usize) -> Result<u64> {
         self.check_open()?;
         crate::metrics::incr(crate::metrics::Counter::RegionAllocs);
         assert!(size > 0, "zero-size allocation");
@@ -856,13 +867,12 @@ impl Region {
             // SAFETY: lock held; region mapped while the handle exists.
             let hdr = unsafe { self.header_mut() };
             // SAFETY: as above; `ll` belongs to this region.
-            return unsafe { ll.alloc_large(&mut hdr.alloc, size, claim) }
-                .map_err(|_| self.oom(size));
+            return unsafe { ll.alloc_large(&mut hdr.alloc, size) }.map_err(|_| self.oom(size));
         };
         loop {
-            // Lock-free fast path: CAS a bit in the thread's reserved
-            // subtree.
-            if let Some(off) = ll.alloc(class, claim) {
+            // Lock-free fast path: CAS a `taken` bit in the thread's
+            // reserved subtree.
+            if let Some(off) = ll.alloc(class) {
                 return Ok(off);
             }
             let _g = self.lock_open()?;
@@ -878,7 +888,7 @@ impl Region {
             // The frontier is dry. The class's dry stamp is advisory, so
             // look at every subtree once more before giving up: a false
             // "dry" may cost a grow, never an out-of-memory.
-            return ll.alloc_rescan(class, claim).ok_or_else(|| self.oom(size));
+            return ll.alloc_rescan(class).ok_or_else(|| self.oom(size));
         }
     }
 
@@ -890,8 +900,8 @@ impl Region {
     }
 
     /// Allocates exactly the free block at offset `off`, when it starts a
-    /// free block of the size `size` is served at: one CAS on its bitmap
-    /// bit, flushed and fenced before return, as every allocation is.
+    /// free block of the size `size` is served at: claimed, its bit set,
+    /// flushed and fenced before return, as every allocation is.
     /// `NodeArena::scatter` uses it to hand out blocks in an order of its
     /// own. Returns whether the block is now the caller's.
     ///
@@ -901,8 +911,17 @@ impl Region {
     pub fn alloc_at(&self, off: u64, size: usize) -> Result<bool> {
         self.check_open()?;
         let block = AllocHeader::rounded_size(size) as u64;
+        let class = class_for(size).unwrap_or(LARGE);
+        let ll = &self.inner.ll;
         // One uninterruptible scheduling step, like `alloc_off`.
-        let claimed = crate::sched::with_yields_suppressed(|| self.inner.ll.alloc_at(off, block));
+        let claimed = crate::sched::with_yields_suppressed(|| {
+            let claimed = ll.alloc_at(off, class, block);
+            if claimed {
+                ll.persist_held(off, class, BlockOp::Alloc);
+                latency::wbarrier();
+            }
+            claimed
+        });
         if claimed {
             crate::metrics::incr(crate::metrics::Counter::RegionAllocs);
         }
@@ -953,23 +972,21 @@ impl Region {
     ///
     /// As [`Region::alloc`].
     pub fn alloc_held(&self, size: usize) -> Result<u64> {
-        crate::sched::with_yields_suppressed(|| {
-            self.alloc_off_inner(size, crate::alloc::MIN_ALIGN, Claim::Hold)
-        })
+        crate::sched::with_yields_suppressed(|| self.claim(size, crate::alloc::MIN_ALIGN))
     }
 
-    /// Holds the allocated `size`-byte block at `off` for a transaction
-    /// that frees it. Nothing is written: the block stays allocated, and
-    /// is served again only after [`Region::release_held`].
+    /// Checks that an allocated `size`-byte block starts at `off`, for a
+    /// transaction that frees it. Nothing is written: the block keeps its
+    /// bit, so no allocation serves it before [`Region::end_hold`] after
+    /// the commit.
     ///
     /// # Errors
     ///
-    /// [`NvError::NotAllocated`] as [`Region::dealloc`], and when a
-    /// transaction already holds the block.
-    pub fn hold_free(&self, off: u64, size: usize) -> Result<()> {
+    /// [`NvError::NotAllocated`] as [`Region::dealloc`].
+    pub fn check_free(&self, off: u64, size: usize) -> Result<()> {
         self.check_open()?;
         let class = class_for(size).unwrap_or(LARGE);
-        if crate::sched::with_yields_suppressed(|| self.inner.ll.hold_free(off, class)) {
+        if self.inner.ll.is_allocated(off, class) {
             crate::metrics::incr(crate::metrics::Counter::RegionFrees);
             Ok(())
         } else {
@@ -979,9 +996,7 @@ impl Region {
 
     /// The commit-time bit change of the held block at `off`: set for an
     /// allocation, cleared for a free, tracked and flushed but not
-    /// fenced — the commit fence orders it. A freed block stays held
-    /// until [`Region::release_held`]; an allocated one is the
-    /// transaction's from here on.
+    /// fenced — the commit fence orders it.
     ///
     /// # Safety
     ///
@@ -993,26 +1008,11 @@ impl Region {
         });
     }
 
-    /// Ends the hold on a block a committed transaction freed, once its
-    /// commit point is durable: the block can be served again.
-    ///
-    /// # Safety
-    ///
-    /// As [`Region::persist_held`] for a `Free` entry, after
-    /// [`Region::persist_held`] and a durable commit point.
-    pub unsafe fn release_held(&self, off: u64, entry: BlockEntry) {
-        debug_assert_eq!(entry.op, crate::undolog::BlockOp::Free);
-        let held =
-            crate::sched::with_yields_suppressed(|| self.inner.ll.release(off, entry.class, true));
-        debug_assert!(held, "{off:#x} was not held");
-    }
-
     /// Puts the bit of the block at `off` back the way its transaction
     /// found it: an allocated block's is cleared, a freed one's set. A
     /// changed bit is tracked and flushed for the rollback's fence. A
     /// block this session's transaction holds never had its bit changed,
-    /// so nothing is written and it stays held until
-    /// [`Region::end_hold`].
+    /// so nothing is written.
     ///
     /// # Safety
     ///
@@ -1023,11 +1023,11 @@ impl Region {
         crate::sched::with_yields_suppressed(|| self.inner.ll.undo(off, entry.class, entry.op));
     }
 
-    /// Ends this session's hold on a block whose transaction was rolled
-    /// back, once the rollback's truncate is durable, or whose entry was
-    /// never logged: an allocation's block is free again, a freed one
-    /// stays allocated. Does nothing when the block is not held (a
-    /// transaction recovered at attach holds nothing).
+    /// Ends the hold on a block a transaction allocated or freed, once
+    /// the truncate that settles the transaction is durable, or whose
+    /// allocation entry was never logged: a block whose bit is clear (a
+    /// committed free, an aborted allocation) can be served again, one
+    /// whose bit is set stays allocated.
     ///
     /// # Safety
     ///
@@ -1036,8 +1036,7 @@ impl Region {
     /// durable a crash replays the entry, over whatever allocation took
     /// the block in the meantime.
     pub unsafe fn end_hold(&self, off: u64, entry: BlockEntry) {
-        let freed = entry.op == crate::undolog::BlockOp::Alloc;
-        crate::sched::with_yields_suppressed(|| self.inner.ll.release(off, entry.class, freed));
+        crate::sched::with_yields_suppressed(|| self.inner.ll.end_hold(off, entry.class));
     }
 
     /// Converts an absolute address inside this region to its offset.

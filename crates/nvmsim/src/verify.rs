@@ -129,8 +129,8 @@ pub struct VerifyReport {
     /// Allocator-metadata problems: bump/end geometry.
     pub alloc_errors: Vec<String>,
     /// Bitmap-allocator problems: a missing directory, page-chain
-    /// structure, descriptor geometry, and (on clean images) page CRCs
-    /// and free counters. The bitmap pages live in the data area, so no
+    /// structure, descriptor geometry, and (on clean images) page CRCs.
+    /// The bitmap pages live in the data area, so no
     /// metadata slot can restore them: these count against
     /// [`healthy`](Self::healthy) but not [`primary_ok`](Self::primary_ok).
     /// `Region::open_file` refuses structural damage and salvage opens it
@@ -472,7 +472,7 @@ fn check_alloc(bytes: &[u8], errors: &mut Vec<String>) {
 /// Corruption walk over the two-level bitmap allocator's on-media pages:
 /// the structural findings of [`llalloc::walk_chain`], plus — on clean
 /// images only, because only a clean close seals them — each page's
-/// CRC-64 and the `free == capacity - popcount(bitmap)` cross-check.
+/// CRC-64.
 fn check_llalloc(bytes: &[u8], clean: bool, errors: &mut Vec<String>) {
     let ll_dir = AllocHeader::from_bytes(&bytes[OFF_ALLOC..]).ll_dir();
     llalloc::walk_chain(bytes, ll_dir, |walked| match walked {
@@ -480,15 +480,6 @@ fn check_llalloc(bytes: &[u8], clean: bool, errors: &mut Vec<String>) {
         Walked::Page { off, bytes } if clean && !llalloc::page_sealed(bytes) => {
             errors.push(format!(
                 "bitmap page at {off:#x} fails its CRC (clean image)"
-            ));
-        }
-        Walked::Subtree(t) if clean && t.free_counter != t.sealed_free() => {
-            errors.push(format!(
-                "subtree {}@{:#x}: free counter {} != {} on a clean image",
-                t.slot,
-                t.page_off,
-                t.free_counter,
-                t.sealed_free()
             ));
         }
         Walked::Page { .. } | Walked::Subtree(_) => {}

@@ -1,8 +1,8 @@
 //! A clean image's open writes back only its header page.
 //!
-//! Recovery rebuilds every bitmap descriptor's advisory `free`/`owner`
+//! Recovery rebuilds every bitmap descriptor's volatile `taken`/`owner`
 //! words, but a clean close sealed them with exactly the values recovery
-//! computes, so the open stores nothing into a bitmap page and the only
+//! computes (`taken` equal to the bitmap, `owner` zero), so the open stores nothing into a bitmap page and the only
 //! page it dirties is the header (`FLAG_DIRTY`). On a `MAP_SHARED` file
 //! mapping a store of an unchanged value still costs a write fault and a
 //! dirty page to write back: a recovery that rewrote every descriptor

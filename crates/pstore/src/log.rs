@@ -18,14 +18,17 @@
 //! | [`UndoLog::barrier`] | the batch's span flushed once, one fence | every entry appended so far; their ranges may now be written |
 //! | [`UndoLog::commit`]: bits, then the commit fence | each allocator entry's bitmap word flushed, one fence | every flushed store of the transaction, and its blocks' bits |
 //! | [`UndoLog::truncate`] | generation line flushed, one fence | the commit: no entry validates any more |
+//! | commit, rollback: holds end | none (a load per allocator entry) | nothing more; each named block whose bit is clear becomes servable |
 //!
 //! An allocator entry ([`UndoLog::append_block`]) names a block the
-//! transaction holds (see `nvmsim::llalloc`): one it allocated, whose
-//! bit is still clear, or one it frees, whose bit is still set. The bit
-//! changes only at commit, after the entry is durable; rollback puts the
-//! bit back. On commit and on abort alike the hold ends only after the
-//! truncate. The transaction's allocator bookkeeping is its log: commit
-//! and rollback find the entries by walking it.
+//! transaction holds (see `nvmsim::llalloc`): one it allocated, taken
+//! but with its bit still clear, or one it frees, whose bit is still
+//! set. The bit changes only at commit, after the entry is durable;
+//! rollback puts the bit back. On commit and on abort alike the hold
+//! ends only after the truncate, and gives back exactly the blocks whose
+//! bit is then clear. The transaction's allocator bookkeeping is its
+//! log: commit, rollback and a second free of one block find the
+//! entries by walking it.
 //!
 //! Recovery never trusts a count. It takes the longest run of entries
 //! from the start of the area that carry the current generation and pass
@@ -280,8 +283,8 @@ impl UndoLog {
     /// open durable, sets or clears the bit of every block an allocator
     /// entry names (flushed, not fenced), fences once — the commit fence,
     /// after which every flushed store of the transaction is durable —
-    /// truncates, and only then ends the freed blocks' holds, so a freed
-    /// block is served again only once the commit point is durable.
+    /// truncates, and only then ends the blocks' holds, so a freed block
+    /// is served again only once the commit point is durable.
     pub fn commit(&self) {
         self.barrier();
         let (from, to) = (
@@ -295,13 +298,21 @@ impl UndoLog {
         });
         latency::wbarrier();
         self.truncate();
-        self.each_block(from, to, |off, e| {
-            if e.op == BlockOp::Free {
-                // SAFETY: as above, and the truncate made the commit
-                // durable.
-                unsafe { self.region.release_held(off, e) }
-            }
+        // SAFETY: as above, and the truncate made the commit durable.
+        self.each_block(from, to, |off, e| unsafe { self.region.end_hold(off, e) });
+    }
+
+    /// Whether an allocator entry appended since the last truncation
+    /// frees the block at `off`. A block keeps its bit until its free
+    /// commits, so this walk is what refuses a second free of it in one
+    /// transaction.
+    pub fn frees(&self, off: u64) -> bool {
+        let mut found = false;
+        let from = self.cursors.first_block.load(Ordering::Relaxed);
+        self.each_block(from, self.used(), |o, e| {
+            found |= o == off && e.op == BlockOp::Free;
         });
+        found
     }
 
     /// Applies all valid entries in reverse order (newest first, so the

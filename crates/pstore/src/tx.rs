@@ -142,13 +142,12 @@ impl<'s> Tx<'s> {
     pub unsafe fn free(&mut self, ptr: NonNull<u8>, size: usize) -> Result<()> {
         let region = self.store.region();
         let off = region.offset_of(ptr.as_ptr() as usize)?;
-        region.hold_free(off, size)?;
-        let entry = BlockEntry::for_size(BlockOp::Free, size);
-        if let Err(e) = self.store.log().append_block(off, entry) {
-            region.end_hold(off, entry);
-            return Err(e);
+        region.check_free(off, size)?;
+        let log = self.store.log();
+        if log.frees(off) {
+            return Err(nvmsim::NvError::NotAllocated { off }.into());
         }
-        Ok(())
+        log.append_block(off, BlockEntry::for_size(BlockOp::Free, size))
     }
 
     /// Commits: all mutations since `begin` become permanent, the blocks
@@ -459,6 +458,24 @@ mod tx_alloc_tests {
             "an allocation of this transaction has no bit to free yet"
         );
         tx.abort();
+        // A second free of one block in one transaction: the block keeps
+        // its bit until commit, so the transaction's own log refuses it.
+        let before = region.stats().live_allocs;
+        let mut tx = store.begin();
+        unsafe { tx.free(obj, 32).unwrap() };
+        assert!(
+            matches!(
+                unsafe { tx.free(obj, 32) },
+                Err(crate::StoreError::Nv(NvError::NotAllocated { .. }))
+            ),
+            "freed twice in one transaction"
+        );
+        tx.commit();
+        assert_eq!(region.stats().live_allocs, before - 1, "freed once");
+        let off = region.offset_of(obj.as_ptr() as usize).unwrap();
+        assert!(region.alloc_at(off, 32).unwrap(), "and free to serve");
+        assert!(!region.alloc_at(off, 32).unwrap(), "once");
+        assert_eq!(region.stats().live_allocs, before);
         region.close().unwrap();
     }
 

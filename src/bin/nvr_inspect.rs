@@ -9,7 +9,7 @@
 //! nvr_inspect stats <image.nvr> [...]      # allocator counters, roots, and
 //!                                          # the nvmsim::metrics delta of the open
 //! nvr_inspect alloc <image.nvr> [...]      # walk the bitmap allocator: per-class
-//!                                          # subtree occupancy and free counters
+//!                                          # subtree occupancy and page seals
 //! nvr_inspect history <file.his> [...]     # dump an NVPIHIS1 concurrent-run
 //!                                          # history: crash event, per-op records
 //! nvr_inspect server <dir> [...]           # triage a region-server data dir:
@@ -25,8 +25,8 @@
 //! missing file, or a first argument that is neither a subcommand nor a
 //! path. `verify` is the full corruption walk. `alloc` exits 0 when the
 //! bitmap structures are consistent, 1 when they are not (an image
-//! without a bitmap directory included); stale advisory counters only
-//! fail a *clean* image — a crashed one rebuilds them on the next open.
+//! without a bitmap directory included); a page without its clean-close
+//! seal only fails a *clean* image — a crashed one was never sealed.
 //! `history` exits 0 when every file decodes (the CRC seal held), 1 when
 //! one is torn or corrupt — so CI can triage the artifacts a failed
 //! concurrent-matrix cell uploads. `server` exits 0 when every
@@ -170,9 +170,9 @@ fn index_one(path: &str, root_filter: Option<&str>) -> Outcome {
 
 /// Walks the image's two-level bitmap allocator offline and dumps
 /// per-class and per-subtree occupancy. Consistency is judged against
-/// the image's dirty flag: a cleanly closed image must also have every
-/// advisory free counter sealed to its bitmap (`consistent(true)`), a
-/// crashed one only has to be structurally sound.
+/// the image's dirty flag: every page of a cleanly closed image must
+/// also carry the seal its close wrote (`consistent(true)`), the one
+/// `verify` checks; a crashed one only has to be structurally sound.
 fn alloc(path: &str) -> Outcome {
     let bytes = std::fs::read(path).map_err(trouble)?;
     let report = nvmsim::inspect::inspect_llalloc_bytes(&bytes).map_err(trouble)?;
