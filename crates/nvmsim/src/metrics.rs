@@ -398,20 +398,26 @@ mod tests {
         const BUMPS: u64 = 10_000;
         let before = snapshot();
         let go = Arc::new(Barrier::new(THREADS + 1));
+        // Workers pause halfway until the watcher's first snapshot is
+        // taken, so at least one lands while the bumps are running.
+        let first = Arc::new(Barrier::new(THREADS + 1));
         let done = Arc::new(AtomicBool::new(false));
         let workers: Vec<_> = (0..THREADS)
             .map(|_| {
-                let go = Arc::clone(&go);
+                let (go, first) = (Arc::clone(&go), Arc::clone(&first));
                 std::thread::spawn(move || {
                     go.wait();
-                    for _ in 0..BUMPS {
+                    for i in 0..BUMPS {
+                        if i == BUMPS / 2 {
+                            first.wait();
+                        }
                         incr(C);
                     }
                 })
             })
             .collect();
         let watcher = {
-            let go = Arc::clone(&go);
+            let (go, first) = (Arc::clone(&go), Arc::clone(&first));
             let done = Arc::clone(&done);
             std::thread::spawn(move || {
                 let mut prev = snapshot();
@@ -425,6 +431,9 @@ mod tests {
                     }
                     prev = now;
                     taken += 1;
+                    if taken == 1 {
+                        first.wait();
+                    }
                 }
                 taken
             })

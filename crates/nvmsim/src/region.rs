@@ -1151,7 +1151,9 @@ impl Region {
         let tag = self.root_tag(name).unwrap_or(0);
         if tag != expected_tag {
             return Err(NvError::BadImage(format!(
-                "root {name:?} has type tag {tag:#x}, expected {expected_tag:#x}"
+                "root {name:?} has type tag {}, expected {}",
+                tag_name(tag),
+                tag_name(expected_tag)
             )));
         }
         Ok(addr)
@@ -1488,6 +1490,17 @@ pub(crate) fn decode_root_name(
         .position(|&b| b == 0)
         .ok_or("root name is not NUL-terminated within its field")?;
     std::str::from_utf8(&name[..len]).map_err(|_| "root name is not valid UTF-8")
+}
+
+/// A root type tag as text: its eight bytes when all are printable
+/// (`"PDSART02"`), else hex.
+fn tag_name(tag: u64) -> String {
+    let bytes = tag.to_le_bytes();
+    if bytes.iter().all(u8::is_ascii_graphic) {
+        format!("{:?}", String::from_utf8_lossy(&bytes))
+    } else {
+        format!("{tag:#x}")
+    }
 }
 
 /// Whether a (used) entry decodes cleanly to `name`. Corrupt entries

@@ -464,8 +464,10 @@ mod tests {
     fn cached_lookup_hits_after_first_miss() {
         register(R + 2, 0x4000, 64);
         // Any region open/close in the process invalidates the cache (the
-        // generation scheme is global), so re-run the measurement window
-        // if a concurrently running test churned the table mid-sequence.
+        // generation scheme is global), and the one cache entry and its
+        // counters are shared with every thread, so re-run the
+        // measurement window if a concurrently running test churned the
+        // table or counted a lookup of its own mid-sequence.
         let (hits, misses) = loop {
             let gen = table_generation();
             reset_cache();
@@ -474,8 +476,9 @@ mod tests {
             assert_eq!(fat_lookup_cached(R + 2), Some(0x4000));
             assert_eq!(fat_lookup_cached(R + 2), Some(0x4000));
             set_cache_counting(false);
-            if table_generation() == gen {
-                break cache_stats();
+            let (hits, misses) = cache_stats();
+            if table_generation() == gen && hits + misses == 3 {
+                break (hits, misses);
             }
         };
         assert_eq!(misses, 1);

@@ -10,6 +10,11 @@
 //! make the paper's representations diverge: a Node256 is 97% pointer
 //! slots, so bytes-per-key tracks `R::SIZE_BYTES` almost directly.
 //!
+//! Inner nodes carry a fixed 64-byte prefix array; a leaf is its kind,
+//! key length and occurrence count, then exactly its key, allocated at
+//! `leaf_size` bytes, so a key of up to 16 bytes is one 32-byte block
+//! on one cache line. A leaf's key never changes, nor does its block.
+//!
 //! # Crash discipline
 //!
 //! Mutations follow the same PMEM.IO undo-log pattern as the other pds
@@ -50,7 +55,7 @@ use pstore::{ObjectStore, Tx};
 use std::marker::PhantomData;
 
 /// Root type tag recorded by `create_rooted` and validated by `attach`.
-pub const ART_ROOT_TAG: u64 = u64::from_le_bytes(*b"PDSART01");
+pub const ART_ROOT_TAG: u64 = u64::from_le_bytes(*b"PDSART02");
 
 /// Maximum key length in bytes (also bounds an inner node's compressed
 /// prefix, so prefixes never need the optimistic-path machinery).
@@ -94,24 +99,39 @@ pub struct ArtHeader<R: PtrRepr> {
     repr_fp: u64,
 }
 
-/// Common first fields of every node; `kbytes` holds the full key for a
-/// leaf and the compressed prefix for an inner node.
+/// First fields of every inner node; `kind` is also a leaf's first
+/// byte, so any node's kind reads through either.
 #[repr(C)]
 #[derive(Debug)]
 struct NodeHead {
     kind: u8,
-    /// Leaf: key length; inner: compressed-prefix length.
+    /// Compressed-prefix length.
     klen: u8,
-    /// Inner: child count; leaf: 0.
+    /// Child count.
     nkeys: u16,
     _pad: u32,
     kbytes: [u8; MAX_KEY],
 }
 
+/// A leaf's fixed fields; its `klen` key bytes follow them.
 #[repr(C)]
 struct Leaf {
-    head: NodeHead,
+    kind: u8,
+    klen: u8,
+    _pad: [u8; 6],
     count: u64,
+}
+
+/// Bytes a leaf for a `klen`-byte key occupies.
+fn leaf_size(klen: usize) -> usize {
+    std::mem::size_of::<Leaf>() + klen
+}
+
+impl Leaf {
+    /// The key stored after `leaf`'s fixed fields.
+    unsafe fn key<'a>(leaf: *const Leaf) -> &'a [u8] {
+        std::slice::from_raw_parts(leaf.add(1) as *const u8, (*leaf).klen as usize)
+    }
 }
 
 #[repr(C)]
@@ -142,13 +162,13 @@ struct Node256<R: PtrRepr> {
     children: [R; 256],
 }
 
+/// Bytes an inner node of `kind` occupies.
 fn node_size<R: PtrRepr>(kind: u8) -> usize {
     match kind {
         KIND_NODE4 => std::mem::size_of::<Node4<R>>(),
         KIND_NODE16 => std::mem::size_of::<Node16<R>>(),
         KIND_NODE48 => std::mem::size_of::<Node48<R>>(),
-        KIND_NODE256 => std::mem::size_of::<Node256<R>>(),
-        _ => std::mem::size_of::<Leaf>(),
+        _ => std::mem::size_of::<Node256<R>>(),
     }
 }
 
@@ -331,13 +351,12 @@ impl<R: PtrRepr> PArt<R> {
     ///
     /// # Errors
     ///
-    /// [`PdsError::RootMissing`] when the root is absent or the
-    /// representation fingerprint does not match `R`.
+    /// The region's error when the root is absent or carries another
+    /// type tag (an index of another format);
+    /// [`PdsError::RootMissing`] when the representation fingerprint does
+    /// not match `R`.
     pub fn attach(arena: NodeArena, root: &str) -> Result<PArt<R>> {
-        let addr = arena
-            .home_region()
-            .root_checked(root, ART_ROOT_TAG)
-            .map_err(|_| PdsError::RootMissing("art header"))?;
+        let addr = arena.home_region().root_checked(root, ART_ROOT_TAG)?;
         let header = addr as *mut ArtHeader<R>;
         // SAFETY: tagged root addresses point at a mapped header.
         if unsafe { (*header).repr_fp } != fnv1a64(R::NAME) {
@@ -396,15 +415,15 @@ impl<R: PtrRepr> PArt<R> {
     /// Fully initializes the fresh block `block` as a leaf for `key` with
     /// occurrence count 1; flushed before the caller publishes it.
     unsafe fn new_leaf<C: Ctx>(&mut self, ctx: &C, block: *mut u8, key: &[u8]) -> *mut Leaf {
-        let size = std::mem::size_of::<Leaf>();
+        let size = leaf_size(key.len());
         let leaf = block as *mut Leaf;
-        (*leaf).head.kind = KIND_LEAF;
-        (*leaf).head.klen = key.len() as u8;
-        (*leaf).head.nkeys = 0;
-        (*leaf).head._pad = 0;
-        (*leaf).head.kbytes = [0; MAX_KEY];
-        (&mut (*leaf).head.kbytes)[..key.len()].copy_from_slice(key);
-        (*leaf).count = 1;
+        leaf.write(Leaf {
+            kind: KIND_LEAF,
+            klen: key.len() as u8,
+            _pad: [0; 6],
+            count: 1,
+        });
+        std::ptr::copy_nonoverlapping(key.as_ptr(), leaf.add(1) as *mut u8, key.len());
         ctx.persist(leaf as usize, size);
         (*self.header).nodes += 1;
         (*self.header).bytes += size as u64;
@@ -549,10 +568,11 @@ impl<R: PtrRepr> PArt<R> {
         out
     }
 
-    /// The two blocks of a split: a Node4, then a leaf.
-    unsafe fn alloc_split<C: Ctx>(&mut self, ctx: &mut C) -> Result<(*mut u8, *mut u8)> {
+    /// The two blocks of a split: a Node4, then a leaf for a `klen`-byte
+    /// key.
+    fn alloc_split<C: Ctx>(&self, ctx: &mut C, klen: usize) -> Result<(*mut u8, *mut u8)> {
         let split = ctx.alloc(&self.arena, node_size::<R>(KIND_NODE4))?;
-        Ok((split, ctx.alloc(&self.arena, std::mem::size_of::<Leaf>())?))
+        Ok((split, ctx.alloc(&self.arena, leaf_size(klen))?))
     }
 
     /// Grows the full node `n` into the next kind in the fresh block
@@ -591,7 +611,7 @@ impl<R: PtrRepr> PArt<R> {
                 // Empty slot (only ever the root): publish a fresh leaf.
                 ctx.log(counters, clen)?;
                 ctx.log(parent as usize, rsize)?;
-                let block = ctx.alloc(&self.arena, std::mem::size_of::<Leaf>())?;
+                let block = ctx.alloc(&self.arena, leaf_size(key.len()))?;
                 ctx.fence();
                 let leaf = self.new_leaf(ctx, block, key);
                 (*parent).store(leaf as usize);
@@ -602,8 +622,8 @@ impl<R: PtrRepr> PArt<R> {
             }
             if (*cur).kind == KIND_LEAF {
                 let leaf = cur as *mut Leaf;
-                let llen = (*leaf).head.klen as usize;
-                let lk: Vec<u8> = (&(*leaf).head.kbytes)[..llen].to_vec();
+                // The leaf is never edited by this operation.
+                let lk = Leaf::key(leaf);
                 if lk == key {
                     // Lazy-expanded hit: bump the occurrence count.
                     let caddr = std::ptr::addr_of_mut!((*leaf).count);
@@ -623,11 +643,11 @@ impl<R: PtrRepr> PArt<R> {
                 let m = lcp(&lk[depth..], &key[depth..]);
                 ctx.log(counters, clen)?;
                 ctx.log(parent as usize, rsize)?;
-                let (split, fresh) = self.alloc_split(ctx)?;
+                let (split, fresh) = self.alloc_split(ctx, key.len())?;
                 ctx.fence();
                 let split = self.new_inner(split, KIND_NODE4, &key[depth..depth + m]);
                 let fresh = self.new_leaf(ctx, fresh, key);
-                Self::add_child_raw(split, branch_byte(&lk, depth + m), cur as usize);
+                Self::add_child_raw(split, branch_byte(lk, depth + m), cur as usize);
                 Self::add_child_raw(split, branch_byte(key, depth + m), fresh as usize);
                 ctx.persist(split as usize, node_size::<R>(KIND_NODE4));
                 (*parent).store(split as usize);
@@ -647,7 +667,7 @@ impl<R: PtrRepr> PArt<R> {
                 ctx.log(counters, clen)?;
                 ctx.log(cur as usize, std::mem::size_of::<NodeHead>())?;
                 ctx.log(parent as usize, rsize)?;
-                let (split, fresh) = self.alloc_split(ctx)?;
+                let (split, fresh) = self.alloc_split(ctx, key.len())?;
                 ctx.fence();
                 let split = self.new_inner(split, KIND_NODE4, &prefix[..m]);
                 let fresh = self.new_leaf(ctx, fresh, key);
@@ -678,7 +698,7 @@ impl<R: PtrRepr> PArt<R> {
                     let kind = (*cur).kind;
                     if ((*cur).nkeys as usize) < node_capacity(kind) {
                         ctx.log(cur as usize, node_size::<R>(kind))?;
-                        let leaf = ctx.alloc(&self.arena, std::mem::size_of::<Leaf>())?;
+                        let leaf = ctx.alloc(&self.arena, leaf_size(key.len()))?;
                         ctx.fence();
                         let fresh = self.new_leaf(ctx, leaf, key);
                         Self::add_child_raw(cur, b, fresh as usize);
@@ -688,7 +708,7 @@ impl<R: PtrRepr> PArt<R> {
                         // unreachable once the parent slot names its
                         // successor.
                         ctx.log(parent as usize, rsize)?;
-                        let leaf = ctx.alloc(&self.arena, std::mem::size_of::<Leaf>())?;
+                        let leaf = ctx.alloc(&self.arena, leaf_size(key.len()))?;
                         let block = ctx.alloc(&self.arena, node_size::<R>(kind + 1))?;
                         ctx.free(cur as *mut u8, node_size::<R>(kind))?;
                         ctx.fence();
@@ -801,8 +821,7 @@ impl<R: PtrRepr> PArt<R> {
         while !cur.is_null() {
             if (*cur).kind == KIND_LEAF {
                 let leaf = cur as *mut Leaf;
-                let llen = (*leaf).head.klen as usize;
-                return ((&(*leaf).head.kbytes)[..llen] == *key).then_some(leaf);
+                return (Leaf::key(leaf) == key).then_some(leaf);
             }
             let plen = (*cur).klen as usize;
             if key.len() < depth
@@ -833,8 +852,7 @@ impl<R: PtrRepr> PArt<R> {
             while !cur.is_null() {
                 if (*cur).kind == KIND_LEAF {
                     let leaf = cur as *const Leaf;
-                    let llen = (*leaf).head.klen as usize;
-                    return if (&(*leaf).head.kbytes)[..llen] == *k {
+                    return if Leaf::key(leaf) == k {
                         (*leaf).count
                     } else {
                         0
@@ -921,8 +939,7 @@ impl<R: PtrRepr> PArt<R> {
     ) {
         if (*n).kind == KIND_LEAF {
             let leaf = n as *const Leaf;
-            let llen = (*leaf).head.klen as usize;
-            let lk = &(&(*leaf).head.kbytes)[..llen];
+            let lk = Leaf::key(leaf);
             if (*leaf).count > 0 && lk.starts_with(prefix) {
                 if let Ok(s) = std::str::from_utf8(lk) {
                     visit(s);
@@ -1045,14 +1062,14 @@ impl<R: PtrRepr> PArt<R> {
                     return Err(format!("node {addr:#x} has invalid kind {kind}"));
                 }
                 stats.nodes += 1;
-                stats.bytes += node_size::<R>(kind) as u64;
                 stats.kinds[kind as usize] += 1;
                 if kind == KIND_LEAF {
                     let leaf = n as *const Leaf;
-                    let llen = (*leaf).head.klen as usize;
+                    let llen = (*leaf).klen as usize;
                     if llen == 0 || llen > MAX_KEY {
                         return Err(format!("leaf {addr:#x} key length {llen} out of range"));
                     }
+                    stats.bytes += leaf_size(llen) as u64;
                     if llen < depth.saturating_sub(1) {
                         return Err(format!(
                             "leaf {addr:#x} key length {llen} shorter than its path depth {depth}"
@@ -1067,6 +1084,7 @@ impl<R: PtrRepr> PArt<R> {
                     stats.depth_hist[hops] += 1;
                     continue;
                 }
+                stats.bytes += node_size::<R>(kind) as u64;
                 let nkeys = (*n).nkeys as usize;
                 if nkeys < 2 {
                     return Err(format!("inner node {addr:#x} has {nkeys} children (< 2)"));
@@ -1241,16 +1259,18 @@ fn report_for<R: PtrRepr>(arena: NodeArena, root: &str) -> Result<ArtIndexReport
 ///
 /// # Errors
 ///
-/// [`PdsError::RootMissing`] when the root is absent or the fingerprint
-/// matches no known representation.
+/// [`PdsError::RootMissing`] when the root is absent, is no ART, or its
+/// fingerprint matches no known representation; the region's error
+/// naming the tag when it is an ART of another format.
 pub fn inspect_index(region: &nvmsim::Region, root: &str) -> Result<ArtIndexReport> {
-    let addr = region
-        .root_checked(root, ART_ROOT_TAG)
-        .map_err(|_| PdsError::RootMissing("art header"))?;
-    // The fingerprint sits after root + 8*(3 + 5) bytes; read it via the
-    // only repr-independent field layout we have: attach generically per
-    // candidate and let the fingerprint check arbitrate.
-    let _ = addr;
+    // Every ART format's tag opens with `PDSART`; its last two bytes are
+    // the format's version.
+    let family = |tag: u64| tag & 0xFFFF_FFFF_FFFF;
+    if region.root_tag(root).map(family) != Some(family(ART_ROOT_TAG)) {
+        return Err(PdsError::RootMissing("art header"));
+    }
+    // `attach` refuses another version by its tag; the fingerprint check
+    // picks the representation among the candidates.
     let candidates: [fn(NodeArena, &str) -> Result<ArtIndexReport>; 5] = [
         report_for::<pi_core::OffHolder>,
         report_for::<pi_core::Riv>,
@@ -1456,6 +1476,82 @@ mod tests {
         assert_eq!(report.repr, "off-holder");
         assert_eq!(report.keys, KEYS.len() as u64);
         assert!(report.consistent(), "{:?}", report.problem);
+        // An index of the previous format is refused by its tag.
+        let old = u64::from_le_bytes(*b"PDSART01");
+        region.set_root_tagged("art", t.header_addr(), old).unwrap();
+        let attached = PArt::<OffHolder>::attach(NodeArena::raw(region.clone()), "art");
+        for e in [
+            attached.unwrap_err(),
+            inspect_index(&region, "art").unwrap_err(),
+        ] {
+            assert!(
+                matches!(e, PdsError::Nv(nvmsim::NvError::BadImage(_))),
+                "{e}"
+            );
+            assert!(e.to_string().contains("\"PDSART01\""), "{e}");
+        }
+        region.close().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Bytes the region's allocator serves a `size`-byte request with.
+    fn class_of(size: usize) -> u64 {
+        nvmsim::alloc::CLASS_SIZES[nvmsim::alloc::class_for(size).unwrap()] as u64
+    }
+
+    /// A `len`-byte key under a branch byte of its own (`0x3f + len`).
+    fn key_of_len(len: usize) -> String {
+        format!("{}{}", (0x3f + len as u8) as char, "x".repeat(len - 1))
+    }
+
+    #[test]
+    fn a_leaf_is_sized_to_its_key_at_every_length() {
+        for (len, block) in [(16, 32), (17, 48), (32, 48), (33, 64), (48, 64), (49, 96)] {
+            assert_eq!(class_of(leaf_size(len)), block, "class edge at {len} bytes");
+        }
+        let dir = std::env::temp_dir().join(format!("pds-art-len-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("art.nvr");
+        let region = Region::create_file(&path, 8 << 20).unwrap();
+        let store = pstore::ObjectStore::format(&region).unwrap();
+        let arena = NodeArena::transactional(store.clone());
+        let mut t: PArt<OffHolder> = PArt::create_rooted(arena, "art").unwrap();
+        // 49 one-byte keys under control bytes make the root a Node256,
+        // so each key below allocates its leaf and nothing else.
+        for b in 1..=49u8 {
+            t.insert_tx(&store, std::str::from_utf8(&[b]).unwrap())
+                .unwrap();
+        }
+        assert_eq!(t.kind_counts()[KIND_NODE256 as usize], 1);
+        let keys: Vec<String> = (1..=MAX_KEY).map(key_of_len).collect();
+        for k in &keys {
+            let before = region.stats().live_bytes;
+            assert_eq!(t.insert_tx(&store, k).unwrap(), 1);
+            let grown = region.stats().live_bytes - before;
+            assert_eq!(grown, class_of(16 + k.len()), "{}-byte key", k.len());
+            assert_eq!(t.count(k), 1);
+            assert_eq!(t.prefix_scan(k).unwrap(), [k.as_str()]);
+            t.check_invariants().unwrap();
+        }
+        // Keys of odd length lose their occurrence.
+        for k in keys.iter().step_by(2) {
+            assert!(t.remove_tx(&store, k).unwrap());
+        }
+        t.check_invariants().unwrap();
+        let base = region.base();
+        region.close().unwrap();
+        let region = Region::open_file_avoiding(&path, base).unwrap();
+        assert_ne!(region.base(), base);
+        let store = pstore::ObjectStore::attach(&region).unwrap();
+        let t: PArt<OffHolder> = PArt::attach(NodeArena::transactional(store), "art").unwrap();
+        t.check_invariants().unwrap();
+        for k in &keys {
+            assert_eq!(t.count(k), 1 - k.len() as u64 % 2, "{}-byte key", k.len());
+        }
+        // The test keys sort by their first byte, so by length, after the
+        // 49 control-byte keys.
+        let even: Vec<&str> = keys.iter().skip(1).step_by(2).map(String::as_str).collect();
+        assert_eq!(t.prefix_scan("").unwrap()[49..], even);
         region.close().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }

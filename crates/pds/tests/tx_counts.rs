@@ -92,6 +92,8 @@ fn tx_ops_cost_one_batch_fence_and_noops_cost_nothing() {
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
     let d = delta(|| assert_eq!(art.insert_tx(&store, "ad").unwrap(), 1));
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    // Of these lines the two-byte key's leaf is one: a 32-byte block.
+    assert_eq!(d.get(Counter::ClflushLines), 12);
     // A fifth child outgrows the Node4: two ranges (counters, parent
     // slot) and three allocator entries (the leaf, the Node16, the
     // outgrown Node4's free) in the same batch.

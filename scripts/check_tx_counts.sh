@@ -11,7 +11,10 @@
 #     64-byte block, one line),
 #   * hashset/bst remove_tx   <= 3 fences,   <= 7 flushed lines
 #     (the free: one more batch line and its bitmap word at commit),
-#   * ART insert_tx/remove_tx <= 4 fences,   <= 7 flushed lines,
+#   * ART insert_tx/remove_tx <= 4 fences,   <= 7 flushed lines
+#     (every probe key has a leaf by then, so insert_tx is an
+#     occurrence bump; a new leaf's lines are pinned by
+#     crates/pds/tests/tx_counts.rs),
 #   * fences_per_op           <= 0.77 over the whole 25/25/50 mix,
 #   * fail_share              == 0 (every oracle check passed).
 # The op stream is generated from the seed and the counters are exact, so

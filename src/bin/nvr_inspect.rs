@@ -37,8 +37,8 @@
 //! the image (or just `--root NAME`) without needing to know its pointer
 //! representation — the root fingerprint identifies it — and exits 0
 //! when every decoded index passes `check_invariants`, 1 on any
-//! violation (or when an explicitly named root is absent), 2 on
-//! usage/IO trouble.
+//! violation (or when an explicitly named root is absent, or an index
+//! carries another format's tag), 2 on usage/IO trouble.
 
 use std::fmt::Display;
 use std::process::ExitCode;
@@ -99,7 +99,8 @@ fn summary(path: &str) -> Outcome {
 /// Decodes persistent adaptive-radix-tree indexes offline. Every named
 /// root in the image is probed (the ART root tag plus the representation
 /// fingerprint arbitrate, so no repr flag is needed); `--root NAME`
-/// restricts the walk to one root and fails when it is not an ART.
+/// restricts the walk to one root and fails when it is not an ART. An
+/// ART of another format (its tag's version) fails either way.
 fn index(args: &[String]) -> ExitCode {
     let mut root_filter: Option<&str> = None;
     let mut paths: Vec<String> = Vec::new();
@@ -129,8 +130,9 @@ fn index_one(path: &str, root_filter: Option<&str>) -> Outcome {
         let report = match pds::inspect_index(&region, root) {
             Ok(r) => r,
             // An unfiltered walk skips non-ART roots silently; an
-            // explicitly named root must decode.
-            Err(_) if root_filter.is_none() => continue,
+            // explicitly named root, and an ART of another format, must
+            // decode.
+            Err(pds::PdsError::RootMissing(_)) if root_filter.is_none() => continue,
             Err(e) => {
                 eprintln!("error: root {root}: {e}");
                 sound = false;

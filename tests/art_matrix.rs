@@ -42,13 +42,16 @@ const ADAPTIVE_OPS: [Op<&str>; 6] = [
 /// Path-compression workload: leaf split with a terminator branch
 /// ("roman" vs "romans"), an occurrence-count bump and partial removal,
 /// and a compressed-prefix split that trims an inner node in place
-/// ("rubicon" against the "roman" spine).
-const DEEP_OPS: [Op<&str>; 6] = [
+/// ("rubicon" against the "roman" spine). A 17-byte and a 64-byte key
+/// put leaves in the 48- and 96-byte classes beside the 32-byte ones.
+const DEEP_OPS: [Op<&str>; 8] = [
     Insert("roman"),
     Insert("romans"),
     Insert("roman"),
     Remove("roman"),
     Insert("rubicon"),
+    Insert("romanesquearchway"),
+    Insert("rubiconcrossedatdawnthedieiscastsaidcaesarandthelegionsmarchedon"),
     Remove("romans"),
 ];
 

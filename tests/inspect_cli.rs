@@ -11,7 +11,7 @@
 use nvm_pi::nvmsim::alloc::AllocHeader;
 use nvm_pi::nvmsim::llalloc::LL_PAGE_MAGIC;
 use nvm_pi::nvmsim::region::RegionHeader;
-use nvm_pi::{NvError, ObjectStore, Region};
+use nvm_pi::{NodeArena, NvError, ObjectStore, OffHolder, PArt, Region};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -233,6 +233,39 @@ fn verify_counts_the_allocator_entries_of_a_pending_transaction() {
         stdout.contains("3 entries (2 allocator)") && stdout.contains("recovery pending"),
         "{stdout}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `index` over an image holding an ART of the current format and one
+/// whose root carries the previous format's tag: the old index is named
+/// and refused, walked or asked for, and the current one still decodes.
+#[test]
+fn index_refuses_an_art_of_the_previous_format_by_its_tag() {
+    let dir = tmpdir("old-art");
+    let path = dir.join("art.nvr");
+    let region = Region::create_file(&path, 1 << 20).unwrap();
+    for root in ["new", "old"] {
+        let mut art: PArt<OffHolder> =
+            PArt::create_rooted(NodeArena::raw(region.clone()), root).unwrap();
+        art.extend(["car", "cart", "carter"]).unwrap();
+    }
+    let old_header = region.root("old").unwrap();
+    let old_tag = u64::from_le_bytes(*b"PDSART01");
+    region.set_root_tagged("old", old_header, old_tag).unwrap();
+    region.close().unwrap();
+    let path = path.to_str().unwrap();
+    for args in [&["index", path][..], &["index", "--root", "old", path]] {
+        let out = nvr_inspect(args);
+        let ctx = format!("{args:?}: {out:?}");
+        assert_eq!(out.status.code(), Some(1), "{ctx}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("\"PDSART01\""),
+            "{ctx}"
+        );
+    }
+    let out = nvr_inspect(&["index", "--root", "new", path]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(verdict(&out).as_deref(), Some("consistent"), "{out:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
