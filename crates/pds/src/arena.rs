@@ -4,9 +4,11 @@
 //! the pointer representation:
 //!
 //! * **transactionality** — the structure is updated either in place
-//!   ("non-transactional", Section 6.2) or through a
+//!   ("non-transactional", Section 6.2: the transaction's stores in the
+//!   same order, with no log, no flush and no crash atomicity) or through a
 //!   [`pstore::ObjectStore`]'s undo-logged transactions ("transactional",
-//!   Section 6.3). Either way a node is one region block: a store object
+//!   Section 6.3), by the same insertion body (crate docs, "One write
+//!   path"). Either way a node is one region block: a store object
 //!   carries no metadata of its own;
 //! * **region spread** — all nodes in one NVRegion, or placed round-robin
 //!   across `k` regions (the multi-region experiments of Figure 14).

@@ -49,9 +49,10 @@
 //! extensions ("car" vs "cart").
 
 use crate::arena::{persist_range, NodeArena};
+use crate::ctx::{Ctx, RawCtx, TxCtx};
 use crate::error::{PdsError, Result};
 use pi_core::PtrRepr;
-use pstore::{ObjectStore, Tx};
+use pstore::ObjectStore;
 use std::marker::PhantomData;
 
 /// Root type tag recorded by `create_rooted` and validated by `attach`.
@@ -213,88 +214,6 @@ fn key_bytes(key: &str) -> Result<&[u8]> {
         return Err(PdsError::BadCharacter('\0'));
     }
     Ok(b)
-}
-
-// -- allocation context: raw arena vs undo-logged transaction -----------------
-
-/// The two mutation modes share one insertion body; the context supplies
-/// allocation, freeing, undo logging, and the flush half of the
-/// destination-flush discipline (raw mode skips both log and flush, like
-/// `PTrie::insert`).
-///
-/// Logging is batched: `log` snapshots a range without making the
-/// snapshot durable, and `fence` must run before the first store to any
-/// range logged so far. `alloc` and `free` join the batch in a
-/// transaction (allocator entries), so an operation allocates and frees
-/// everything before its one `fence`.
-trait Ctx {
-    fn alloc(&mut self, arena: &NodeArena, size: usize) -> Result<*mut u8>;
-    /// Frees `node`, which the operation unlinks by its publish.
-    ///
-    /// # Safety
-    ///
-    /// `node` is a `size`-byte node of the tree, unreachable after the
-    /// operation's publish.
-    unsafe fn free(&mut self, node: *mut u8, size: usize) -> Result<()>;
-    fn log(&mut self, addr: usize, len: usize) -> Result<()>;
-    fn fence(&mut self);
-    fn persist(&self, addr: usize, len: usize);
-}
-
-/// Raw mode keeps the node an operation frees until [`RawCtx::finish`],
-/// which runs after the publish: the block goes back to its region only
-/// once nothing points at it.
-#[derive(Default)]
-struct RawCtx {
-    freed: Option<(*mut u8, usize)>,
-}
-
-impl RawCtx {
-    fn finish(self, arena: &NodeArena) -> Result<()> {
-        if let Some((node, size)) = self.freed {
-            // SAFETY: `Ctx::free`'s contract; the publish is done.
-            unsafe { arena.dealloc(std::ptr::NonNull::new_unchecked(node), size)? };
-        }
-        Ok(())
-    }
-}
-
-impl Ctx for RawCtx {
-    fn alloc(&mut self, arena: &NodeArena, size: usize) -> Result<*mut u8> {
-        Ok(arena.alloc(size)?.as_ptr())
-    }
-    unsafe fn free(&mut self, node: *mut u8, size: usize) -> Result<()> {
-        debug_assert!(self.freed.is_none(), "one node freed per operation");
-        self.freed = Some((node, size));
-        Ok(())
-    }
-    fn log(&mut self, _addr: usize, _len: usize) -> Result<()> {
-        Ok(())
-    }
-    fn fence(&mut self) {}
-    fn persist(&self, _addr: usize, _len: usize) {}
-}
-
-struct TxCtx<'a, 's> {
-    tx: &'a mut Tx<'s>,
-}
-
-impl Ctx for TxCtx<'_, '_> {
-    fn alloc(&mut self, _arena: &NodeArena, size: usize) -> Result<*mut u8> {
-        Ok(self.tx.alloc(0, size)?.as_ptr())
-    }
-    unsafe fn free(&mut self, node: *mut u8, size: usize) -> Result<()> {
-        Ok(self.tx.free(std::ptr::NonNull::new_unchecked(node), size)?)
-    }
-    fn log(&mut self, addr: usize, len: usize) -> Result<()> {
-        Ok(self.tx.log_range(addr, len)?)
-    }
-    fn fence(&mut self) {
-        self.tx.barrier();
-    }
-    fn persist(&self, addr: usize, len: usize) {
-        persist_range(addr, len);
-    }
 }
 
 // -- the tree -----------------------------------------------------------------
@@ -727,9 +646,10 @@ impl<R: PtrRepr> PArt<R> {
         }
     }
 
-    /// Inserts `key` non-transactionally (bench path — no undo log, no
-    /// per-store flushes, like [`crate::PTrie::insert`]). Returns the
-    /// key's new occurrence count.
+    /// Inserts `key` non-transactionally: the body of
+    /// [`PArt::insert_tx`], making the same stores in the same order with
+    /// no undo log, no flush and no crash atomicity. Returns the key's
+    /// new occurrence count.
     ///
     /// # Errors
     ///
@@ -765,10 +685,10 @@ impl<R: PtrRepr> PArt<R> {
     /// As [`PArt::insert`], plus logging failures.
     pub fn insert_tx(&mut self, store: &ObjectStore, key: &str) -> Result<u64> {
         let k = key_bytes(key)?;
-        let mut tx = store.begin();
+        let mut ctx = TxCtx::begin(store);
         // SAFETY: see insert_inner; `&mut self` serializes mutation.
-        let n = unsafe { self.insert_inner(&mut TxCtx { tx: &mut tx }, k) }?;
-        tx.commit();
+        let n = unsafe { self.insert_inner(&mut ctx, k) }?;
+        ctx.finish(&self.arena)?;
         Ok(n)
     }
 

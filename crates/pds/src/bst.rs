@@ -6,6 +6,7 @@
 //! also the shape `wordcount` uses in Section 6.3.
 
 use crate::arena::{persist_range, NodeArena};
+use crate::ctx::{link_fresh, Ctx, RawCtx, TxCtx};
 use crate::error::{PdsError, Result};
 use crate::list::fill_payload;
 use pi_core::{PtrRepr, SwizzledPtr};
@@ -114,43 +115,60 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
         self.header as usize
     }
 
-    /// Inserts `key` (payload derived deterministically). Returns whether
-    /// the key was new.
+    /// Inserts `key` (payload derived deterministically): the body of
+    /// [`PBst::insert_tx`], making the same stores in the same order with
+    /// no undo log, no flush and no crash atomicity. Returns whether the
+    /// key was new.
     ///
     /// # Errors
     ///
     /// Allocation failures.
     pub fn insert(&mut self, key: u64) -> Result<bool> {
-        // SAFETY: slots are navigated in place via load_at_rest and
-        // written in place via store; nodes stay fixed once allocated.
+        self.insert_with(key, RawCtx::default)
+    }
+
+    /// The one insertion body: `begin` opens the context only once the
+    /// search finds the key absent.
+    fn insert_with<C: Ctx>(&mut self, key: u64, begin: impl FnOnce() -> C) -> Result<bool> {
+        // SAFETY: slots navigated in place (`&mut self` excludes other
+        // writers of the structure); the fresh node is unreachable until
+        // `link_fresh` publishes it.
         unsafe {
-            // Find the slot that should point at the new node.
-            let mut slot: *mut R = &mut (*self.header).root;
-            loop {
-                let cur = (*slot).load_at_rest() as *mut BstNode<R, P>;
-                if cur.is_null() {
-                    break;
-                }
-                if key == (*cur).key {
-                    return Ok(false);
-                }
-                slot = if key < (*cur).key {
-                    &mut (*cur).left
-                } else {
-                    &mut (*cur).right
-                };
+            let (slot, cur) = self.find_slot(key);
+            if !cur.is_null() {
+                return Ok(false);
             }
-            let node = self
-                .arena
-                .alloc(std::mem::size_of::<BstNode<R, P>>())?
-                .as_ptr() as *mut BstNode<R, P>;
-            (*node).left = R::null();
-            (*node).right = R::null();
-            (*node).key = key;
-            (*node).payload = fill_payload::<P>(key);
-            (*slot).store(node as usize);
-            (*self.header).len += 1;
-            Ok(true)
+            let len = std::ptr::addr_of_mut!((*self.header).len);
+            let size = std::mem::size_of::<BstNode<R, P>>();
+            link_fresh(begin(), &self.arena, slot, len, size, |n| {
+                Self::init_node(n as *mut BstNode<R, P>, key)
+            })?;
+        }
+        Ok(true)
+    }
+
+    /// Writes every field of the fresh node `n`, a leaf holding `key`.
+    unsafe fn init_node(n: *mut BstNode<R, P>, key: u64) {
+        (*n).left = R::null();
+        (*n).right = R::null();
+        (*n).key = key;
+        (*n).payload = fill_payload::<P>(key);
+    }
+
+    /// The slot on `key`'s search path that holds `key`'s node, and that
+    /// node — or the empty slot the key belongs in, and null.
+    unsafe fn find_slot(&mut self, key: u64) -> (*mut R, *mut BstNode<R, P>) {
+        let mut slot: *mut R = &mut (*self.header).root;
+        loop {
+            let cur = (*slot).load_at_rest() as *mut BstNode<R, P>;
+            if cur.is_null() || key == (*cur).key {
+                return (slot, cur);
+            }
+            slot = if key < (*cur).key {
+                &mut (*cur).left
+            } else {
+                &mut (*cur).right
+            };
         }
     }
 
@@ -204,10 +222,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
             .arena
             .alloc(std::mem::size_of::<BstNode<R, P>>())?
             .as_ptr() as *mut BstNode<R, P>;
-        (*node).left = R::null();
-        (*node).right = R::null();
-        (*node).key = key;
-        (*node).payload = fill_payload::<P>(key);
+        Self::init_node(node, key);
         if mid > 0 {
             let l = self.build_range(&sorted[..mid])?;
             (*node).left.store(l as usize);
@@ -287,18 +302,30 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
     /// them with the region's allocated blocks.
     pub fn blocks(&self) -> Vec<usize> {
         let mut out = vec![self.header as usize];
+        self.walk(|n| {
+            out.push(n as *const BstNode<R, P> as usize);
+            true
+        });
+        out
+    }
+
+    /// Visits every node reachable from the root, depth-first, until
+    /// `visit` returns false.
+    fn walk<'a>(&'a self, mut visit: impl FnMut(&'a BstNode<R, P>) -> bool) {
         // SAFETY: as in contains.
         unsafe {
             let mut stack = vec![(*self.header).root.load() as *const BstNode<R, P>];
             while let Some(n) = stack.pop() {
-                if !n.is_null() {
-                    out.push(n as usize);
-                    stack.push((*n).left.load() as *const BstNode<R, P>);
-                    stack.push((*n).right.load() as *const BstNode<R, P>);
+                if n.is_null() {
+                    continue;
                 }
+                if !visit(&*n) {
+                    return;
+                }
+                stack.push((*n).left.load() as *const BstNode<R, P>);
+                stack.push((*n).right.load() as *const BstNode<R, P>);
             }
         }
-        out
     }
 
     /// Iterates over keys in ascending (in-order) sequence.
@@ -327,46 +354,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
     ///
     /// Allocation or logging failures.
     pub fn insert_tx(&mut self, store: &ObjectStore, key: u64) -> Result<bool> {
-        // SAFETY: slots navigated in place (`&mut self` excludes other
-        // writers of the structure); the fresh node is unreachable until
-        // the slot publish, which is undo-logged.
-        unsafe {
-            let mut slot: *mut R = &mut (*self.header).root;
-            loop {
-                let cur = (*slot).load_at_rest() as *mut BstNode<R, P>;
-                if cur.is_null() {
-                    break;
-                }
-                if key == (*cur).key {
-                    return Ok(false);
-                }
-                slot = if key < (*cur).key {
-                    &mut (*cur).left
-                } else {
-                    &mut (*cur).right
-                };
-            }
-            // The whole write set is one batch, fenced once before the
-            // first store; the fresh node is unreachable until then.
-            let mut tx = store.begin();
-            let len_addr = std::ptr::addr_of_mut!((*self.header).len);
-            tx.log_range(slot as usize, std::mem::size_of::<R>())?;
-            tx.log_range(len_addr as usize, 8)?;
-            let node =
-                tx.alloc(0, std::mem::size_of::<BstNode<R, P>>())?.as_ptr() as *mut BstNode<R, P>;
-            tx.barrier();
-            (*node).left = R::null();
-            (*node).right = R::null();
-            (*node).key = key;
-            (*node).payload = fill_payload::<P>(key);
-            persist_range(node as usize, std::mem::size_of::<BstNode<R, P>>());
-            (*slot).store(node as usize);
-            persist_range(slot as usize, std::mem::size_of::<R>());
-            *len_addr += 1;
-            persist_range(len_addr as usize, 8);
-            tx.commit();
-        }
-        Ok(true)
+        self.insert_with(key, || TxCtx::begin(store))
     }
 
     /// Transactional BST delete. Two-children nodes are handled by copying
@@ -384,21 +372,10 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
         // undo-logged (one batch, one fence) before the first write and
         // flushed after its own.
         unsafe {
-            let mut slot: *mut R = &mut (*self.header).root;
-            let cur = loop {
-                let cur = (*slot).load_at_rest() as *mut BstNode<R, P>;
-                if cur.is_null() {
-                    return Ok(false);
-                }
-                if key == (*cur).key {
-                    break cur;
-                }
-                slot = if key < (*cur).key {
-                    &mut (*cur).left
-                } else {
-                    &mut (*cur).right
-                };
-            };
+            let (slot, cur) = self.find_slot(key);
+            if cur.is_null() {
+                return Ok(false);
+            }
             let l = (*cur).left.load_at_rest();
             let r = (*cur).right.load_at_rest();
             let len_addr = std::ptr::addr_of_mut!((*self.header).len);
@@ -465,69 +442,27 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
         if !keys.windows(2).all(|w| w[0] < w[1]) {
             return Err("in-order keys not strictly ascending".to_string());
         }
-        let mut checked = 0usize;
-        let mut stack: Vec<*const BstNode<R, P>> = Vec::new();
-        // SAFETY: as in contains; the walk is bounded by `len`.
-        unsafe {
-            let root = (*self.header).root.load() as *const BstNode<R, P>;
-            if !root.is_null() {
-                stack.push(root);
-            }
-            while let Some(n) = stack.pop() {
-                if checked >= len {
-                    return Err("node walk exceeds header len (cycle?)".to_string());
-                }
-                if (*n).payload != fill_payload::<P>((*n).key) {
-                    return Err(format!("payload corrupt at key {}", (*n).key));
-                }
-                checked += 1;
-                let l = (*n).left.load() as *const BstNode<R, P>;
-                let r = (*n).right.load() as *const BstNode<R, P>;
-                if !l.is_null() {
-                    stack.push(l);
-                }
-                if !r.is_null() {
-                    stack.push(r);
-                }
-            }
-        }
-        Ok(())
+        let mut seen = 0usize;
+        let mut checked = Ok(());
+        // The walk is bounded by `len`.
+        self.walk(|n| {
+            checked = if seen >= len {
+                Err("node walk exceeds header len (cycle?)".to_string())
+            } else if n.payload != fill_payload::<P>(n.key) {
+                Err(format!("payload corrupt at key {}", n.key))
+            } else {
+                seen += 1;
+                Ok(())
+            };
+            checked.is_ok()
+        });
+        checked
     }
 
-    /// Verifies the BST ordering invariant and payload integrity.
+    /// Verifies the BST ordering invariant and payload integrity
+    /// ([`PBst::check_invariants`] without the description).
     pub fn verify(&self) -> bool {
-        let keys = self.keys_in_order();
-        if keys.len() as u64 != self.len() {
-            return false;
-        }
-        if !keys.windows(2).all(|w| w[0] < w[1]) {
-            return false;
-        }
-        // Payload spot check via full traversal.
-        let mut ok = true;
-        let mut stack: Vec<*const BstNode<R, P>> = Vec::new();
-        // SAFETY: as in contains.
-        unsafe {
-            let root = (*self.header).root.load() as *const BstNode<R, P>;
-            if !root.is_null() {
-                stack.push(root);
-            }
-            while let Some(n) = stack.pop() {
-                if (*n).payload != fill_payload::<P>((*n).key) {
-                    ok = false;
-                    break;
-                }
-                let l = (*n).left.load() as *const BstNode<R, P>;
-                let r = (*n).right.load() as *const BstNode<R, P>;
-                if !l.is_null() {
-                    stack.push(l);
-                }
-                if !r.is_null() {
-                    stack.push(r);
-                }
-            }
-        }
-        ok
+        self.check_invariants().is_ok()
     }
 }
 
@@ -559,39 +494,28 @@ impl<R: PtrRepr, const P: usize> Iterator for Iter<'_, R, P> {
 impl<const P: usize> PBst<SwizzledPtr, P> {
     /// Load-time swizzle pass over every pointer slot (depth-first).
     pub fn swizzle(&mut self) {
-        let mut stack: Vec<*mut BstNode<SwizzledPtr, P>> = Vec::new();
-        // SAFETY: at-rest links resolve within the region; each slot
-        // visited once.
-        unsafe {
-            let root = (*self.header).root.swizzle_in_place() as *mut BstNode<SwizzledPtr, P>;
-            if !root.is_null() {
-                stack.push(root);
-            }
-            while let Some(n) = stack.pop() {
-                let l = (*n).left.swizzle_in_place() as *mut BstNode<SwizzledPtr, P>;
-                let r = (*n).right.swizzle_in_place() as *mut BstNode<SwizzledPtr, P>;
-                if !l.is_null() {
-                    stack.push(l);
-                }
-                if !r.is_null() {
-                    stack.push(r);
-                }
-            }
-        }
+        self.convert(SwizzledPtr::swizzle_in_place);
     }
 
     /// Store-time unswizzle pass (reverse of [`PBst::swizzle`]).
     pub fn unswizzle(&mut self) {
+        self.convert(SwizzledPtr::unswizzle_in_place);
+    }
+
+    /// The one slot pass of both directions: `each` converts a slot in
+    /// place and returns its absolute target.
+    fn convert(&mut self, each: impl Fn(&mut SwizzledPtr) -> usize) {
         let mut stack: Vec<*mut BstNode<SwizzledPtr, P>> = Vec::new();
-        // SAFETY: absolute links valid while the region is open.
+        // SAFETY: every link resolves to a live node of the region in
+        // either form while it is open; each slot is visited once.
         unsafe {
-            let root = (*self.header).root.unswizzle_in_place() as *mut BstNode<SwizzledPtr, P>;
+            let root = each(&mut (*self.header).root) as *mut BstNode<SwizzledPtr, P>;
             if !root.is_null() {
                 stack.push(root);
             }
             while let Some(n) = stack.pop() {
-                let l = (*n).left.unswizzle_in_place() as *mut BstNode<SwizzledPtr, P>;
-                let r = (*n).right.unswizzle_in_place() as *mut BstNode<SwizzledPtr, P>;
+                let l = each(&mut (*n).left) as *mut BstNode<SwizzledPtr, P>;
+                let r = each(&mut (*n).right) as *mut BstNode<SwizzledPtr, P>;
                 if !l.is_null() {
                     stack.push(l);
                 }

@@ -30,6 +30,7 @@
 //! recomputes the length after a crash.
 
 use crate::arena::{persist_range, NodeArena};
+use crate::ctx::{link_fresh, Ctx, RawCtx, TxCtx};
 use crate::error::{PdsError, Result};
 use crate::list::fill_payload;
 use nvmsim::metrics::{self, Counter};
@@ -180,38 +181,52 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     }
 
     /// Inserts `key`, appending to the end of its bucket's chain (as the
-    /// paper specifies). Returns whether the key was new.
+    /// paper specifies): the body of [`PHashSet::insert_tx`], making the
+    /// same stores in the same order with no undo log, no flush and no
+    /// crash atomicity. Returns whether the key was new.
     ///
     /// # Errors
     ///
     /// Allocation failures.
     pub fn insert(&mut self, key: u64) -> Result<bool> {
-        // SAFETY: slots navigated in place (load_at_rest) and written in
-        // place (store); nodes are fixed once allocated.
+        self.insert_with(key, RawCtx::default)
+    }
+
+    /// The one insertion body: `begin` opens the context only once the
+    /// search finds the key absent.
+    fn insert_with<C: Ctx>(&mut self, key: u64, begin: impl FnOnce() -> C) -> Result<bool> {
+        // SAFETY: slots navigated in place (`&mut self` excludes other
+        // writers of the structure); the fresh node is unreachable until
+        // `link_fresh` publishes it.
         unsafe {
-            let b = bucket_of(key, (*self.header).nbuckets) as usize;
-            let mut slot: *mut R = self.buckets.add(b);
-            loop {
-                let cur = (*slot).load_at_rest() as *mut HsNode<R, P>;
-                if cur.is_null() {
-                    break;
-                }
-                if (*cur).key == key {
-                    return Ok(false);
-                }
-                slot = &mut (*cur).next;
+            let (slot, cur) = self.find_slot(key);
+            if !cur.is_null() {
+                return Ok(false);
             }
-            let node = self
-                .arena
-                .alloc(std::mem::size_of::<HsNode<R, P>>())?
-                .as_ptr() as *mut HsNode<R, P>;
-            (*node).next = R::null();
-            (*node).key = key;
-            (*node).mark = 0;
-            (*node).payload = fill_payload::<P>(key);
-            (*slot).store(node as usize);
-            (*self.header).len += 1;
-            Ok(true)
+            let len = std::ptr::addr_of_mut!((*self.header).len);
+            let size = std::mem::size_of::<HsNode<R, P>>();
+            link_fresh(begin(), &self.arena, slot, len, size, |n| {
+                let n = n as *mut HsNode<R, P>;
+                (*n).next = R::null();
+                (*n).key = key;
+                (*n).mark = 0;
+                (*n).payload = fill_payload::<P>(key);
+            })?;
+        }
+        Ok(true)
+    }
+
+    /// The slot in `key`'s bucket chain that holds `key`'s node, and that
+    /// node — or the chain's final (empty) slot, and null.
+    unsafe fn find_slot(&mut self, key: u64) -> (*mut R, *mut HsNode<R, P>) {
+        let b = bucket_of(key, (*self.header).nbuckets) as usize;
+        let mut slot: *mut R = self.buckets.add(b);
+        loop {
+            let cur = (*slot).load_at_rest() as *mut HsNode<R, P>;
+            if cur.is_null() || (*cur).key == key {
+                return (slot, cur);
+            }
+            slot = &mut (*cur).next;
         }
     }
 
@@ -269,35 +284,40 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     /// blocks.
     pub fn blocks(&self) -> Vec<usize> {
         let mut out = vec![self.header as usize, self.buckets as usize];
-        // SAFETY: as in contains.
-        unsafe {
-            for b in 0..(*self.header).nbuckets as usize {
-                let mut cur = (*self.buckets.add(b)).load() as *const HsNode<R, P>;
-                while !cur.is_null() {
-                    out.push(cur as usize);
-                    cur = (*cur).next.load() as *const HsNode<R, P>;
-                }
-            }
-        }
+        self.walk(|_, n| {
+            out.push(n as *const HsNode<R, P> as usize);
+            true
+        });
         out
     }
 
     /// All live keys (bucket order, marked nodes skipped; testing helper).
     pub fn keys(&self) -> Vec<u64> {
         let mut out = Vec::new();
+        self.walk(|_, n| {
+            if n.mark == 0 {
+                out.push(n.key);
+            }
+            true
+        });
+        out
+    }
+
+    /// Visits every chained node with its bucket, bucket by bucket,
+    /// until `visit` returns false.
+    fn walk<'a>(&'a self, mut visit: impl FnMut(usize, &'a HsNode<R, P>) -> bool) {
         // SAFETY: as in contains.
         unsafe {
             for b in 0..(*self.header).nbuckets as usize {
                 let mut cur = (*self.buckets.add(b)).load() as *const HsNode<R, P>;
                 while !cur.is_null() {
-                    if (*cur).mark == 0 {
-                        out.push((*cur).key);
+                    if !visit(b, &*cur) {
+                        return;
                     }
                     cur = (*cur).next.load() as *const HsNode<R, P>;
                 }
             }
         }
-        out
     }
 
     /// Transactional insert through `store`'s undo log (tail append, as
@@ -308,43 +328,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     ///
     /// Allocation or logging failures.
     pub fn insert_tx(&mut self, store: &ObjectStore, key: u64) -> Result<bool> {
-        // SAFETY: slots navigated in place (`&mut self` excludes other
-        // writers of the structure); the fresh node is unreachable until
-        // the slot publish, which is undo-logged.
-        unsafe {
-            let b = bucket_of(key, (*self.header).nbuckets) as usize;
-            let mut slot: *mut R = self.buckets.add(b);
-            loop {
-                let cur = (*slot).load_at_rest() as *mut HsNode<R, P>;
-                if cur.is_null() {
-                    break;
-                }
-                if (*cur).key == key {
-                    return Ok(false);
-                }
-                slot = &mut (*cur).next;
-            }
-            // The whole write set is one batch, fenced once before the
-            // first store; the fresh node is unreachable until then.
-            let mut tx = store.begin();
-            let len_addr = std::ptr::addr_of_mut!((*self.header).len);
-            tx.log_range(slot as usize, std::mem::size_of::<R>())?;
-            tx.log_range(len_addr as usize, 8)?;
-            let node =
-                tx.alloc(0, std::mem::size_of::<HsNode<R, P>>())?.as_ptr() as *mut HsNode<R, P>;
-            tx.barrier();
-            (*node).next = R::null();
-            (*node).key = key;
-            (*node).mark = 0;
-            (*node).payload = fill_payload::<P>(key);
-            persist_range(node as usize, std::mem::size_of::<HsNode<R, P>>());
-            (*slot).store(node as usize);
-            persist_range(slot as usize, std::mem::size_of::<R>());
-            *len_addr += 1;
-            persist_range(len_addr as usize, 8);
-            tx.commit();
-        }
-        Ok(true)
+        self.insert_with(key, || TxCtx::begin(store))
     }
 
     /// Transactionally unlinks `key` from its bucket chain and frees its
@@ -359,34 +343,27 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
         // SAFETY: slots navigated in place; mutations undo-logged (one
         // batch, one fence) before the writes and flushed after them.
         unsafe {
-            let b = bucket_of(key, (*self.header).nbuckets) as usize;
-            let mut slot: *mut R = self.buckets.add(b);
-            loop {
-                let cur = (*slot).load_at_rest() as *mut HsNode<R, P>;
-                if cur.is_null() {
-                    return Ok(false);
-                }
-                if (*cur).key == key {
-                    let next = (*cur).next.load_at_rest();
-                    let len_addr = std::ptr::addr_of_mut!((*self.header).len);
-                    let mut tx = store.begin();
-                    tx.log_range(slot as usize, std::mem::size_of::<R>())?;
-                    tx.log_range(len_addr as usize, 8)?;
-                    tx.free(
-                        std::ptr::NonNull::new_unchecked(cur as *mut u8),
-                        std::mem::size_of::<HsNode<R, P>>(),
-                    )?;
-                    tx.barrier();
-                    (*slot).store(next);
-                    persist_range(slot as usize, std::mem::size_of::<R>());
-                    *len_addr -= 1;
-                    persist_range(len_addr as usize, 8);
-                    tx.commit();
-                    return Ok(true);
-                }
-                slot = &mut (*cur).next;
+            let (slot, cur) = self.find_slot(key);
+            if cur.is_null() {
+                return Ok(false);
             }
+            let next = (*cur).next.load_at_rest();
+            let len_addr = std::ptr::addr_of_mut!((*self.header).len);
+            let mut tx = store.begin();
+            tx.log_range(slot as usize, std::mem::size_of::<R>())?;
+            tx.log_range(len_addr as usize, 8)?;
+            tx.free(
+                std::ptr::NonNull::new_unchecked(cur as *mut u8),
+                std::mem::size_of::<HsNode<R, P>>(),
+            )?;
+            tx.barrier();
+            (*slot).store(next);
+            persist_range(slot as usize, std::mem::size_of::<R>());
+            *len_addr -= 1;
+            persist_range(len_addr as usize, 8);
+            tx.commit();
         }
+        Ok(true)
     }
 
     /// Structural invariant check for recovery tests: every node must
@@ -397,37 +374,31 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     ///
     /// A description of the first violation found.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
-        let len = self.len();
+        let (len, nbuckets) = (self.len(), self.bucket_count());
         let mut seen = 0u64;
         let mut keys = Vec::new();
-        // SAFETY: as in contains; the walk is bounded by `len`.
-        unsafe {
-            let nbuckets = (*self.header).nbuckets;
-            for b in 0..nbuckets as usize {
-                let mut cur = (*self.buckets.add(b)).load() as *const HsNode<R, P>;
-                while !cur.is_null() {
-                    if (*cur).mark != 0 {
-                        return Err(format!(
-                            "marked (logically deleted) node at key {}; run recover() first",
-                            (*cur).key
-                        ));
-                    }
-                    if seen >= len {
-                        return Err(format!("chain walk exceeds header len {len} (cycle?)"));
-                    }
-                    let key = (*cur).key;
-                    if bucket_of(key, nbuckets) as usize != b {
-                        return Err(format!("key {key} found in wrong bucket {b}"));
-                    }
-                    if (*cur).payload != fill_payload::<P>(key) {
-                        return Err(format!("payload corrupt at key {key}"));
-                    }
-                    keys.push(key);
-                    seen += 1;
-                    cur = (*cur).next.load() as *const HsNode<R, P>;
-                }
-            }
-        }
+        let mut checked = Ok(());
+        // The walk is bounded by `len`.
+        self.walk(|b, n| {
+            let key = n.key;
+            checked = if n.mark != 0 {
+                Err(format!(
+                    "marked (logically deleted) node at key {key}; run recover() first"
+                ))
+            } else if seen >= len {
+                Err(format!("chain walk exceeds header len {len} (cycle?)"))
+            } else if bucket_of(key, nbuckets) as usize != b {
+                Err(format!("key {key} found in wrong bucket {b}"))
+            } else if n.payload != fill_payload::<P>(key) {
+                Err(format!("payload corrupt at key {key}"))
+            } else {
+                keys.push(key);
+                seen += 1;
+                Ok(())
+            };
+            checked.is_ok()
+        });
+        checked?;
         if seen != len {
             return Err(format!("header len {len} but walk found {seen} nodes"));
         }
@@ -440,19 +411,12 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
 
     /// Verifies payload integrity of every node.
     pub fn verify_payloads(&self) -> bool {
-        // SAFETY: as in contains.
-        unsafe {
-            for b in 0..(*self.header).nbuckets as usize {
-                let mut cur = (*self.buckets.add(b)).load() as *const HsNode<R, P>;
-                while !cur.is_null() {
-                    if (*cur).payload != fill_payload::<P>((*cur).key) {
-                        return false;
-                    }
-                    cur = (*cur).next.load() as *const HsNode<R, P>;
-                }
-            }
-        }
-        true
+        let mut ok = true;
+        self.walk(|_, n| {
+            ok = n.payload == fill_payload::<P>(n.key);
+            ok
+        });
+        ok
     }
 }
 
@@ -822,27 +786,24 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
 impl<const P: usize> PHashSet<SwizzledPtr, P> {
     /// Load-time swizzle pass over the bucket array and all chains.
     pub fn swizzle(&mut self) {
-        // SAFETY: at-rest links resolve within the region.
-        unsafe {
-            for b in 0..(*self.header).nbuckets as usize {
-                let mut cur =
-                    (*self.buckets.add(b)).swizzle_in_place() as *mut HsNode<SwizzledPtr, P>;
-                while !cur.is_null() {
-                    cur = (*cur).next.swizzle_in_place() as *mut HsNode<SwizzledPtr, P>;
-                }
-            }
-        }
+        self.convert(SwizzledPtr::swizzle_in_place);
     }
 
     /// Store-time unswizzle pass.
     pub fn unswizzle(&mut self) {
-        // SAFETY: absolute links valid while the region is open.
+        self.convert(SwizzledPtr::unswizzle_in_place);
+    }
+
+    /// The one slot pass of both directions: `each` converts a slot in
+    /// place and returns its absolute target.
+    fn convert(&mut self, each: impl Fn(&mut SwizzledPtr) -> usize) {
+        // SAFETY: every link resolves to a live node of the region in
+        // either form while it is open; each slot is visited once.
         unsafe {
             for b in 0..(*self.header).nbuckets as usize {
-                let mut cur =
-                    (*self.buckets.add(b)).unswizzle_in_place() as *mut HsNode<SwizzledPtr, P>;
+                let mut cur = each(&mut *self.buckets.add(b)) as *mut HsNode<SwizzledPtr, P>;
                 while !cur.is_null() {
-                    cur = (*cur).next.unswizzle_in_place() as *mut HsNode<SwizzledPtr, P>;
+                    cur = each(&mut (*cur).next) as *mut HsNode<SwizzledPtr, P>;
                 }
             }
         }

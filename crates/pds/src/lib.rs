@@ -12,6 +12,17 @@
 //! allocation; single-region vs. round-robin multi-region) are captured by
 //! [`NodeArena`].
 //!
+//! # One write path
+//!
+//! Each structure has one insertion body, generic over a crate-private
+//! write context; the raw entry points (`insert`, `push_front`, `extend`)
+//! and the transactional ones (`insert_tx`, `push_front_tx`) only choose
+//! the context. In a transaction the body logs its write set and its
+//! allocations as one undo batch, fences once, and flushes each fresh
+//! node before the one link store that publishes it. Raw mode makes the
+//! same stores and allocates the same blocks in the same order, with no
+//! log, no flush and no crash atomicity.
+//!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! use nvmsim::Region;
@@ -34,6 +45,7 @@
 pub mod arena;
 pub mod art;
 pub mod bst;
+mod ctx;
 pub mod error;
 pub mod hashset;
 pub mod list;

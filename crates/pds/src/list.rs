@@ -10,6 +10,7 @@
 //! different address — for every position-independent representation.
 
 use crate::arena::{persist_range, NodeArena};
+use crate::ctx::{Ctx, RawCtx, TxCtx};
 use crate::error::{PdsError, Result};
 use pi_core::{PtrRepr, SwizzledPtr};
 use pstore::ObjectStore;
@@ -145,28 +146,40 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
         self.header as usize
     }
 
-    /// Pushes a node with `key` and a deterministic payload to the front.
+    /// Pushes a node with `key` and a deterministic payload to the front:
+    /// the body of [`PList::push_front_tx`], making the same stores in the
+    /// same order with no undo log, no flush and no crash atomicity.
     ///
     /// # Errors
     ///
     /// Allocation failures.
     pub fn push_front(&mut self, key: u64) -> Result<()> {
-        let node = self
-            .arena
-            .alloc(std::mem::size_of::<ListNode<R, P>>())?
-            .as_ptr() as *mut ListNode<R, P>;
-        // SAFETY: node freshly allocated; header mapped; representation
-        // stores happen in place (slots at their final addresses).
+        self.push_front_in(RawCtx::default(), key)
+    }
+
+    /// The one front-insertion body: the header is the whole logged batch
+    /// and the fresh node is flushed before the head store publishes it.
+    fn push_front_in<C: Ctx>(&mut self, mut ctx: C, key: u64) -> Result<()> {
+        let size = std::mem::size_of::<ListNode<R, P>>();
+        let header_size = std::mem::size_of::<ListHeader<R>>();
+        // SAFETY: node is fresh (unreachable until the header publish,
+        // which the context logs); header mapped while regions open;
+        // representation stores happen in place.
         unsafe {
+            ctx.log(self.header as usize, header_size)?;
+            let node = ctx.alloc(&self.arena, size)? as *mut ListNode<R, P>;
+            ctx.fence();
             (*node).key = key;
             (*node).payload = fill_payload::<P>(key);
             (*node).next = R::null();
             let old_head = (*self.header).head.load_at_rest();
             (*node).next.store(old_head);
+            ctx.persist(node as usize, size);
             (*self.header).head.store(node as usize);
             (*self.header).len += 1;
+            ctx.persist(self.header as usize, header_size);
         }
-        Ok(())
+        ctx.finish(&self.arena)
     }
 
     /// Populates the list with `keys` (front-insertion: traversal visits
@@ -246,34 +259,13 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
 
     /// Transactionally pushes a node to the front through `store`'s undo
     /// log: a crash at any point either keeps the whole insertion or
-    /// reverts it entirely at the next attach. The arena must place nodes
-    /// in `store` (single-region transactional placement).
+    /// reverts it entirely at the next attach.
     ///
     /// # Errors
     ///
     /// Allocation or logging failures.
     pub fn push_front_tx(&mut self, store: &ObjectStore, key: u64) -> Result<()> {
-        let mut tx = store.begin();
-        // SAFETY: node is fresh (unreachable until the header publish,
-        // which the undo log covers); header mapped while regions open.
-        unsafe {
-            // The header is the whole batch, fenced before the first store.
-            tx.log_range(self.header as usize, std::mem::size_of::<ListHeader<R>>())?;
-            let node =
-                tx.alloc(0, std::mem::size_of::<ListNode<R, P>>())?.as_ptr() as *mut ListNode<R, P>;
-            tx.barrier();
-            (*node).key = key;
-            (*node).payload = fill_payload::<P>(key);
-            (*node).next = R::null();
-            let old_head = (*self.header).head.load_at_rest();
-            (*node).next.store(old_head);
-            persist_range(node as usize, std::mem::size_of::<ListNode<R, P>>());
-            (*self.header).head.store(node as usize);
-            (*self.header).len += 1;
-            persist_range(self.header as usize, std::mem::size_of::<ListHeader<R>>());
-        }
-        tx.commit();
-        Ok(())
+        self.push_front_in(TxCtx::begin(store), key)
     }
 
     /// Transactionally unlinks the first node with `key` and frees it
@@ -290,32 +282,39 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
         // writers of the structure); mutations are undo-logged (one
         // batch, one fence) before the writes and flushed after them.
         unsafe {
-            let mut slot: *mut R = &mut (*self.header).head;
-            loop {
-                let cur = (*slot).load_at_rest() as *mut ListNode<R, P>;
-                if cur.is_null() {
-                    return Ok(false);
-                }
-                if (*cur).key == key {
-                    let next = (*cur).next.load_at_rest();
-                    let len_addr = std::ptr::addr_of_mut!((*self.header).len);
-                    let mut tx = store.begin();
-                    tx.log_range(slot as usize, std::mem::size_of::<R>())?;
-                    tx.log_range(len_addr as usize, 8)?;
-                    tx.free(
-                        std::ptr::NonNull::new_unchecked(cur as *mut u8),
-                        std::mem::size_of::<ListNode<R, P>>(),
-                    )?;
-                    tx.barrier();
-                    (*slot).store(next);
-                    persist_range(slot as usize, std::mem::size_of::<R>());
-                    *len_addr -= 1;
-                    persist_range(len_addr as usize, 8);
-                    tx.commit();
-                    return Ok(true);
-                }
-                slot = &mut (*cur).next;
+            let (slot, cur) = self.find_slot(key);
+            if cur.is_null() {
+                return Ok(false);
             }
+            let next = (*cur).next.load_at_rest();
+            let len_addr = std::ptr::addr_of_mut!((*self.header).len);
+            let mut tx = store.begin();
+            tx.log_range(slot as usize, std::mem::size_of::<R>())?;
+            tx.log_range(len_addr as usize, 8)?;
+            tx.free(
+                std::ptr::NonNull::new_unchecked(cur as *mut u8),
+                std::mem::size_of::<ListNode<R, P>>(),
+            )?;
+            tx.barrier();
+            (*slot).store(next);
+            persist_range(slot as usize, std::mem::size_of::<R>());
+            *len_addr -= 1;
+            persist_range(len_addr as usize, 8);
+            tx.commit();
+        }
+        Ok(true)
+    }
+
+    /// The slot holding the first node with `key`, and that node — or
+    /// the chain's final (empty) slot and null — walked at rest.
+    unsafe fn find_slot(&mut self, key: u64) -> (*mut R, *mut ListNode<R, P>) {
+        let mut slot: *mut R = &mut (*self.header).head;
+        loop {
+            let cur = (*slot).load_at_rest() as *mut ListNode<R, P>;
+            if cur.is_null() || (*cur).key == key {
+                return (slot, cur);
+            }
+            slot = &mut (*cur).next;
         }
     }
 
@@ -329,19 +328,14 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         let len = self.len();
         let mut seen = 0u64;
-        // SAFETY: as in traverse; the walk is bounded by `len`.
-        unsafe {
-            let mut cur = (*self.header).head.load() as *const ListNode<R, P>;
-            while !cur.is_null() {
-                if seen >= len {
-                    return Err(format!("list walk exceeds header len {len} (cycle?)"));
-                }
-                if (*cur).payload != fill_payload::<P>((*cur).key) {
-                    return Err(format!("payload corrupt at key {}", (*cur).key));
-                }
-                seen += 1;
-                cur = (*cur).next.load() as *const ListNode<R, P>;
+        for n in self.iter() {
+            if seen >= len {
+                return Err(format!("list walk exceeds header len {len} (cycle?)"));
             }
+            if n.payload != fill_payload::<P>(n.key) {
+                return Err(format!("payload corrupt at key {}", n.key));
+            }
+            seen += 1;
         }
         if seen != len {
             return Err(format!("header len {len} but walk found {seen} nodes"));
@@ -351,17 +345,7 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
 
     /// Verifies every node's payload matches its key's deterministic fill.
     pub fn verify_payloads(&self) -> bool {
-        // SAFETY: as in traverse.
-        unsafe {
-            let mut cur = (*self.header).head.load() as *const ListNode<R, P>;
-            while !cur.is_null() {
-                if (*cur).payload != fill_payload::<P>((*cur).key) {
-                    return false;
-                }
-                cur = (*cur).next.load() as *const ListNode<R, P>;
-            }
-        }
-        true
+        self.iter().all(|n| n.payload == fill_payload::<P>(n.key))
     }
 }
 
@@ -393,24 +377,24 @@ impl<const P: usize> PList<SwizzledPtr, P> {
     /// The load-time swizzle pass: converts every pointer (header included)
     /// from its at-rest offset form to a direct absolute pointer. O(n).
     pub fn swizzle(&mut self) {
-        // SAFETY: at-rest links resolve within the home region; each slot
-        // is visited exactly once.
-        unsafe {
-            let mut cur = (*self.header).head.swizzle_in_place() as *mut ListNode<SwizzledPtr, P>;
-            while !cur.is_null() {
-                cur = (*cur).next.swizzle_in_place() as *mut ListNode<SwizzledPtr, P>;
-            }
-        }
+        self.convert(SwizzledPtr::swizzle_in_place);
     }
 
     /// The store-time unswizzle pass: converts every pointer back to the
     /// position-independent at-rest form. O(n).
     pub fn unswizzle(&mut self) {
-        // SAFETY: absolute links are valid while the region is open.
+        self.convert(SwizzledPtr::unswizzle_in_place);
+    }
+
+    /// The one slot pass of both directions: `each` converts a slot in
+    /// place and returns its absolute target.
+    fn convert(&mut self, each: impl Fn(&mut SwizzledPtr) -> usize) {
+        // SAFETY: every link resolves to a live node of the home region
+        // in either form while it is open; each slot is visited once.
         unsafe {
-            let mut cur = (*self.header).head.unswizzle_in_place() as *mut ListNode<SwizzledPtr, P>;
+            let mut cur = each(&mut (*self.header).head) as *mut ListNode<SwizzledPtr, P>;
             while !cur.is_null() {
-                cur = (*cur).next.unswizzle_in_place() as *mut ListNode<SwizzledPtr, P>;
+                cur = each(&mut (*cur).next) as *mut ListNode<SwizzledPtr, P>;
             }
         }
     }

@@ -11,6 +11,7 @@
 //! comparable.
 
 use crate::arena::{persist_range, NodeArena};
+use crate::ctx::{Ctx, RawCtx, TxCtx};
 use crate::error::{PdsError, Result};
 use pi_core::{PtrRepr, SwizzledPtr};
 use pstore::ObjectStore;
@@ -58,32 +59,19 @@ pub struct PTrie<R: PtrRepr, const P: usize = 32> {
 }
 
 impl<R: PtrRepr, const P: usize> PTrie<R, P> {
-    fn alloc_node(&self) -> Result<*mut TrieNode<R, P>> {
-        let node = self
-            .arena
-            .alloc(std::mem::size_of::<TrieNode<R, P>>())?
-            .as_ptr() as *mut TrieNode<R, P>;
+    /// A zeroed node allocated through `ctx`; unreachable (and not
+    /// counted in the header) until the caller publishes it.
+    fn fresh_node<C: Ctx>(&self, ctx: &mut C) -> Result<*mut TrieNode<R, P>> {
+        let n =
+            ctx.alloc(&self.arena, std::mem::size_of::<TrieNode<R, P>>())? as *mut TrieNode<R, P>;
         // SAFETY: freshly allocated, exclusively owned.
         unsafe {
-            for i in 0..ALPHABET {
-                (*node).children[i] = R::null();
+            for j in 0..ALPHABET {
+                (*n).children[j] = R::null();
             }
-            (*node).count = 0;
-            (*node).payload = [0; P];
-            (*self.header).nodes += 1;
+            (*n).count = 0;
+            (*n).payload = [0; P];
         }
-        Ok(node)
-    }
-
-    /// A zeroed node allocated inside `tx`; unreachable (and not counted
-    /// in the header) until the caller publishes it.
-    unsafe fn fresh_node_tx(&self, tx: &mut pstore::Tx<'_>) -> Result<*mut TrieNode<R, P>> {
-        let n = tx.alloc(0, std::mem::size_of::<TrieNode<R, P>>())?.as_ptr() as *mut TrieNode<R, P>;
-        for j in 0..ALPHABET {
-            (*n).children[j] = R::null();
-        }
-        (*n).count = 0;
-        (*n).payload = [0; P];
         Ok(n)
     }
 
@@ -109,9 +97,12 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         };
         // Allocate the root eagerly so insertion never mutates the header
         // pointer afterwards.
-        let root = trie.alloc_node()?;
+        let root = trie.fresh_node(&mut RawCtx::default())?;
         // SAFETY: header slot written in place.
-        unsafe { (*trie.header).root.store(root as usize) };
+        unsafe {
+            (*trie.header).root.store(root as usize);
+            (*trie.header).nodes = 1;
+        }
         Ok(trie)
     }
 
@@ -167,36 +158,88 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         self.header as usize
     }
 
-    /// Inserts a lowercase word, creating nodes along its path. Returns
-    /// the word's new occurrence count.
+    /// Inserts a lowercase word, creating nodes along its path: the body
+    /// of [`PTrie::insert_tx`], making the same stores in the same order
+    /// with no undo log, no flush and no crash atomicity. Returns the
+    /// word's new occurrence count; a rejected word changes nothing.
     ///
     /// # Errors
     ///
     /// [`PdsError::BadCharacter`] for characters outside `a-z`;
     /// allocation failures.
     pub fn insert(&mut self, word: &str) -> Result<u64> {
+        self.insert_with(word, RawCtx::default)
+    }
+
+    /// The one insertion body. The whole word is validated before
+    /// anything is allocated; the missing tail of its path is built beside
+    /// the trie and published by one store into the deepest existing node,
+    /// so the write set — the counters and that slot, or the terminal
+    /// count when the whole path exists — is logged before the first
+    /// store.
+    fn insert_with<C: Ctx>(&mut self, word: &str, begin: impl FnOnce() -> C) -> Result<u64> {
         if word.is_empty() {
             return Err(PdsError::WordTooLong(String::new()));
         }
-        // SAFETY: navigation uses load_at_rest (mutation path); stores are
-        // in place; nodes fixed once allocated.
+        let path = word.as_bytes();
+        for &c in path {
+            index_of(c)?;
+        }
+        let slot_of = |c: u8| (c - b'a') as usize;
+        // SAFETY: slots navigated in place (`&mut self` excludes other
+        // writers of the structure); fresh path nodes are unreachable
+        // until the one slot publish, which the context logs; counters
+        // logged before mutation.
         unsafe {
             let mut cur = (*self.header).root.load_at_rest() as *mut TrieNode<R, P>;
-            for &c in word.as_bytes() {
-                let i = index_of(c)?;
-                let slot: *mut R = &mut (*cur).children[i];
-                let next = (*slot).load_at_rest() as *mut TrieNode<R, P>;
-                cur = if next.is_null() {
-                    let n = self.alloc_node()?;
-                    (*slot).store(n as usize);
-                    n
-                } else {
-                    next
-                };
+            let mut depth = 0;
+            while depth < path.len() {
+                let next = (*cur).children[slot_of(path[depth])].load_at_rest();
+                if next == 0 {
+                    break;
+                }
+                cur = next as *mut TrieNode<R, P>;
+                depth += 1;
             }
-            (*cur).count += 1;
+            let mut ctx = begin();
+            // words and nodes are adjacent header fields: one snapshot
+            // covers every counter this insert touches.
+            let counters = std::ptr::addr_of_mut!((*self.header).words);
+            ctx.log(counters as usize, 16)?;
+            let new_count = if depth == path.len() {
+                let count_addr = std::ptr::addr_of_mut!((*cur).count);
+                ctx.log(count_addr as usize, 8)?;
+                ctx.fence();
+                *count_addr += 1;
+                ctx.persist(count_addr as usize, 8);
+                *count_addr
+            } else {
+                let slot: *mut R = &mut (*cur).children[slot_of(path[depth])];
+                ctx.log(slot as usize, std::mem::size_of::<R>())?;
+                // Each fresh node is linked into its (still unreachable)
+                // parent, which is then persisted; the last one is the
+                // word's terminal.
+                let node_size = std::mem::size_of::<TrieNode<R, P>>();
+                let first = self.fresh_node(&mut ctx)?;
+                let mut last = first;
+                for &c in &path[depth + 1..] {
+                    let n = self.fresh_node(&mut ctx)?;
+                    (*last).children[slot_of(c)].store(n as usize);
+                    ctx.persist(last as usize, node_size);
+                    last = n;
+                }
+                (*last).count = 1;
+                ctx.persist(last as usize, node_size);
+                ctx.fence();
+                (*slot).store(first as usize);
+                ctx.persist(slot as usize, std::mem::size_of::<R>());
+                (*self.header).nodes += (path.len() - depth) as u64;
+                1
+            };
             (*self.header).words += 1;
-            Ok((*cur).count)
+            ctx.persist(counters as usize, 16);
+            ctx.finish(&self.arena)?;
+            Ok(new_count)
         }
     }
 
@@ -290,11 +333,23 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     /// them with the region's allocated blocks.
     pub fn blocks(&self) -> Vec<usize> {
         let mut out = vec![self.header as usize];
+        self.walk(|n| {
+            out.push(n as usize);
+            true
+        });
+        out
+    }
+
+    /// Visits every node reachable from the root, depth-first, until
+    /// `visit` returns false.
+    fn walk(&self, mut visit: impl FnMut(*const TrieNode<R, P>) -> bool) {
         // SAFETY: as in count.
         unsafe {
             let mut stack = vec![(*self.header).root.load() as *const TrieNode<R, P>];
             while let Some(n) = stack.pop() {
-                out.push(n as usize);
+                if !visit(n) {
+                    return;
+                }
                 for i in 0..ALPHABET {
                     let c = (*n).children[i].load() as *const TrieNode<R, P>;
                     if !c.is_null() {
@@ -303,7 +358,6 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
                 }
             }
         }
-        out
     }
 
     /// Full depth-first traversal; returns a checksum over terminal counts
@@ -330,76 +384,14 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
 
     /// Transactional insert through `store`'s undo log: a crash either
     /// keeps the whole insertion (new path nodes, counters) or reverts it
-    /// at the next attach. Returns the word's new occurrence count.
-    ///
-    /// The missing tail of the word's path is built beside the trie and
-    /// published by one store into the deepest existing node, so the
-    /// write set — the counters and that slot, or the terminal count when
-    /// the whole path exists — is logged before the first store.
+    /// at the next attach. Returns the word's new occurrence count; a
+    /// rejected word begins no transaction.
     ///
     /// # Errors
     ///
     /// [`PdsError::BadCharacter`], allocation or logging failures.
     pub fn insert_tx(&mut self, store: &ObjectStore, word: &str) -> Result<u64> {
-        if word.is_empty() {
-            return Err(PdsError::WordTooLong(String::new()));
-        }
-        let path = word.bytes().map(index_of).collect::<Result<Vec<usize>>>()?;
-        // SAFETY: slots navigated in place (`&mut self` excludes other
-        // writers of the structure); fresh path nodes are unreachable
-        // until the one slot publish, which is undo-logged; counters
-        // snapshotted before mutation.
-        unsafe {
-            let mut cur = (*self.header).root.load_at_rest() as *mut TrieNode<R, P>;
-            let mut depth = 0;
-            while depth < path.len() {
-                let next = (*cur).children[path[depth]].load_at_rest() as *mut TrieNode<R, P>;
-                if next.is_null() {
-                    break;
-                }
-                cur = next;
-                depth += 1;
-            }
-            let mut tx = store.begin();
-            // words and nodes are adjacent header fields: one snapshot
-            // covers every counter this insert touches.
-            let counters = std::ptr::addr_of_mut!((*self.header).words);
-            tx.log_range(counters as usize, 16)?;
-            let new_count = if depth == path.len() {
-                let count_addr = std::ptr::addr_of_mut!((*cur).count);
-                tx.log_range(count_addr as usize, 8)?;
-                tx.barrier();
-                *count_addr += 1;
-                persist_range(count_addr as usize, 8);
-                *count_addr
-            } else {
-                let slot: *mut R = &mut (*cur).children[path[depth]];
-                tx.log_range(slot as usize, std::mem::size_of::<R>())?;
-                // Each fresh node is linked into its (still unreachable)
-                // parent, which is then persisted; the last one is the
-                // word's terminal.
-                let node_size = std::mem::size_of::<TrieNode<R, P>>();
-                let first = self.fresh_node_tx(&mut tx)?;
-                let mut last = first;
-                for &i in &path[depth + 1..] {
-                    let n = self.fresh_node_tx(&mut tx)?;
-                    (*last).children[i].store(n as usize);
-                    persist_range(last as usize, node_size);
-                    last = n;
-                }
-                (*last).count = 1;
-                persist_range(last as usize, node_size);
-                tx.barrier();
-                (*slot).store(first as usize);
-                persist_range(slot as usize, std::mem::size_of::<R>());
-                (*self.header).nodes += (path.len() - depth) as u64;
-                1
-            };
-            (*self.header).words += 1;
-            persist_range(counters as usize, 16);
-            tx.commit();
-            Ok(new_count)
-        }
+        self.insert_with(word, || TxCtx::begin(store))
     }
 
     /// Transactionally removes one occurrence of `word` (decrements its
@@ -452,25 +444,16 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         let nodes = self.node_count();
         let words = self.word_count();
-        let mut visited = 0u64;
-        let mut counted = 0u64;
-        let mut stack: Vec<*const TrieNode<R, P>> = Vec::new();
-        // SAFETY: as in count; the walk is bounded by `nodes`.
-        unsafe {
-            stack.push((*self.header).root.load() as *const TrieNode<R, P>);
-            while let Some(n) = stack.pop() {
-                if visited >= nodes {
-                    return Err(format!("node walk exceeds header count {nodes} (cycle?)"));
-                }
-                visited += 1;
-                counted += (*n).count;
-                for i in 0..ALPHABET {
-                    let c = (*n).children[i].load() as *const TrieNode<R, P>;
-                    if !c.is_null() {
-                        stack.push(c);
-                    }
-                }
-            }
+        let (mut visited, mut counted) = (0u64, 0u64);
+        // The walk is bounded by `nodes`: one visit more is a cycle.
+        self.walk(|n| {
+            visited += 1;
+            // SAFETY: a live node while regions are open.
+            counted += unsafe { (*n).count };
+            visited <= nodes
+        });
+        if visited > nodes {
+            return Err(format!("node walk exceeds header count {nodes} (cycle?)"));
         }
         if visited != nodes {
             return Err(format!("header nodes {nodes} but walk found {visited}"));
@@ -486,22 +469,11 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     /// Number of distinct words stored (depth-first count of terminals).
     pub fn distinct_words(&self) -> u64 {
         let mut n = 0u64;
-        let mut stack: Vec<*const TrieNode<R, P>> = Vec::new();
-        // SAFETY: as in count.
-        unsafe {
-            stack.push((*self.header).root.load() as *const TrieNode<R, P>);
-            while let Some(node) = stack.pop() {
-                if (*node).count > 0 {
-                    n += 1;
-                }
-                for i in 0..ALPHABET {
-                    let c = (*node).children[i].load() as *const TrieNode<R, P>;
-                    if !c.is_null() {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
+        self.walk(|node| {
+            // SAFETY: a live node while regions are open.
+            n += unsafe { (*node).count > 0 } as u64;
+            true
+        });
         n
     }
 }
@@ -509,30 +481,25 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
 impl<const P: usize> PTrie<SwizzledPtr, P> {
     /// Load-time swizzle pass over every child slot.
     pub fn swizzle(&mut self) {
-        let mut stack: Vec<*mut TrieNode<SwizzledPtr, P>> = Vec::new();
-        // SAFETY: at-rest links resolve within the region.
-        unsafe {
-            stack.push((*self.header).root.swizzle_in_place() as *mut TrieNode<SwizzledPtr, P>);
-            while let Some(n) = stack.pop() {
-                for i in 0..ALPHABET {
-                    let c = (*n).children[i].swizzle_in_place() as *mut TrieNode<SwizzledPtr, P>;
-                    if !c.is_null() {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
+        self.convert(SwizzledPtr::swizzle_in_place);
     }
 
     /// Store-time unswizzle pass.
     pub fn unswizzle(&mut self) {
+        self.convert(SwizzledPtr::unswizzle_in_place);
+    }
+
+    /// The one slot pass of both directions: `each` converts a slot in
+    /// place and returns its absolute target.
+    fn convert(&mut self, each: impl Fn(&mut SwizzledPtr) -> usize) {
         let mut stack: Vec<*mut TrieNode<SwizzledPtr, P>> = Vec::new();
-        // SAFETY: absolute links valid while the region is open.
+        // SAFETY: every link resolves to a live node of the region in
+        // either form while it is open; each slot is visited once.
         unsafe {
-            stack.push((*self.header).root.unswizzle_in_place() as *mut TrieNode<SwizzledPtr, P>);
+            stack.push(each(&mut (*self.header).root) as *mut TrieNode<SwizzledPtr, P>);
             while let Some(n) = stack.pop() {
                 for i in 0..ALPHABET {
-                    let c = (*n).children[i].unswizzle_in_place() as *mut TrieNode<SwizzledPtr, P>;
+                    let c = each(&mut (*n).children[i]) as *mut TrieNode<SwizzledPtr, P>;
                     if !c.is_null() {
                         stack.push(c);
                     }
@@ -601,10 +568,19 @@ mod tests {
     fn rejects_non_alphabet_characters() {
         let region = Region::create(1 << 20).unwrap();
         let mut t: PTrie<Riv, 32> = PTrie::new(NodeArena::raw(region.clone())).unwrap();
-        assert!(matches!(t.insert("Bad"), Err(PdsError::BadCharacter('B'))));
-        assert!(matches!(t.insert("a b"), Err(PdsError::BadCharacter(' '))));
+        let (nodes, blocks) = (t.node_count(), t.blocks());
+        // A rejected word links, allocates and counts nothing, even when
+        // its bad character follows a valid prefix.
+        for (word, bad) in [("Bad", 'B'), ("a b", ' '), ("abc!", '!'), ("zz9", '9')] {
+            assert!(matches!(t.insert(word), Err(PdsError::BadCharacter(c)) if c == bad));
+            assert_eq!(t.node_count(), nodes, "{word:?} changed the node count");
+            assert_eq!(t.blocks(), blocks, "{word:?} changed the blocks");
+        }
         assert!(t.insert("").is_err());
+        assert_eq!(t.node_count(), nodes);
+        assert_eq!(t.word_count(), 0);
         assert_eq!(t.count("no!such"), 0);
+        t.check_invariants().unwrap();
         region.close().unwrap();
     }
 

@@ -142,6 +142,31 @@ fn tx_ops_cost_one_batch_fence_and_noops_cost_nothing() {
         &delta(|| assert!(!art.remove_tx(&store, "zz").unwrap())),
     );
 
+    // list push: the header is the whole batch (one range) plus the
+    // allocator entry; node and header flushed, then commit and truncate.
+    let d = delta(|| list.push_front_tx(&store, 20).unwrap());
+    assert_eq!(d.get(Counter::TxBegins), 1);
+    assert_eq!(d.get(Counter::UndoEntries), 2);
+    assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    assert_eq!(d.get(Counter::ClflushCalls), 5);
+    assert_eq!(d.get(Counter::ClflushLines), 7);
+    // trie new path ("ab" exists, "c" and "d" do not): counters, the
+    // publishing slot and two allocator entries in one batch; each fresh
+    // node is flushed whole before the one slot store.
+    let d = delta(|| assert_eq!(trie.insert_tx(&store, "abcd").unwrap(), 1));
+    assert_eq!(d.get(Counter::TxBegins), 1);
+    assert_eq!(d.get(Counter::UndoEntries), 4);
+    assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    assert_eq!(d.get(Counter::ClflushCalls), 8);
+    assert_eq!(d.get(Counter::ClflushLines), 16);
+    // trie existing word: counters and the terminal count, no allocation.
+    let d = delta(|| assert_eq!(trie.insert_tx(&store, "abcd").unwrap(), 2));
+    assert_eq!(d.get(Counter::TxBegins), 1);
+    assert_eq!(d.get(Counter::UndoEntries), 2);
+    assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    assert_eq!(d.get(Counter::ClflushCalls), 4);
+    assert_eq!(d.get(Counter::ClflushLines), 5);
+
     for (what, ok) in [
         ("hashset", set.check_invariants()),
         ("bst", bst.check_invariants()),

@@ -5,7 +5,8 @@
 #   scripts/product_size.sh
 #
 # Prints the non-test lines, how many of them mention `unsafe`, and the
-# number of files. Works from any directory.
+# number of files, then the non-test lines of each crate (`src` is the
+# root crate). Works from any directory.
 set -euo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -19,3 +20,10 @@ awk '/^#\[cfg\(test\)\]/ { nextfile }
          printf "unsafe mentions: %d\n", unsafe_lines
      }' $files
 printf "files:           %d\n" "$(echo "$files" | wc -l)"
+echo "non-test lines per crate:"
+for dir in crates/*/src src; do
+    # shellcheck disable=SC2046 # one argument per file
+    awk -v dir="$dir" '/^#\[cfg\(test\)\]/ { nextfile }
+         { lines++ }
+         END { printf "  %-20s %d\n", dir, lines }' $(find "$dir" -name '*.rs' | sort)
+done

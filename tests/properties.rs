@@ -3,11 +3,13 @@
 
 use nvm_pi::nvmsim::layout::{Area, ExactLayout};
 use nvm_pi::pi_core::{FatPtrCached, OffHolder, PtrRepr, Riv};
-use nvm_pi::{NodeArena, ObjectStore, PArt, PList, Region};
+use nvm_pi::{NodeArena, ObjectStore, PArt, PBst, PHashSet, PList, PTrie, Region};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 mod util;
+
+use util::Subject;
 
 // `M.cell(..)` is the scratch directory of the file-backed properties.
 static M: util::Matrix = util::Matrix::new("properties", 0x5EED);
@@ -231,6 +233,21 @@ proptest! {
     }
 
     #[test]
+    fn raw_and_tx_builds_agree_offholder(keys in key_stream()) {
+        raw_and_tx_builds_agree::<OffHolder>(&keys);
+    }
+
+    #[test]
+    fn raw_and_tx_builds_agree_riv(keys in key_stream()) {
+        raw_and_tx_builds_agree::<Riv>(&keys);
+    }
+
+    #[test]
+    fn raw_and_tx_builds_agree_fat_cached(keys in key_stream()) {
+        raw_and_tx_builds_agree::<FatPtrCached>(&keys);
+    }
+
+    #[test]
     fn art_tx_schedule_matches_model_offholder(ops in tx_schedule()) {
         art_tx_matches_model::<OffHolder>(&ops);
     }
@@ -244,6 +261,100 @@ proptest! {
     fn art_tx_schedule_matches_model_fat_cached(ops in tx_schedule()) {
         art_tx_matches_model::<FatPtrCached>(&ops);
     }
+}
+
+/// Keys from a small range, so a stream repeats some of them.
+fn key_stream() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(0u64..96, 0..80)
+}
+
+/// A word of 1-3 letters from a 4-letter alphabet for `key`, so words
+/// share prefixes and extend one another.
+fn word_of(key: u64) -> String {
+    (0..1 + key % 3)
+        .map(|i| (b'a' + (key >> (2 * i + 2) & 3) as u8) as char)
+        .collect()
+}
+
+/// A structure's raw and transactional inserts share one body, so one key
+/// stream through raw `extend` and through `insert_tx`/`push_front_tx`
+/// builds the same structure, and the transactional build holds every
+/// block it allocated and no other (the crash matrices' leak oracle).
+fn raw_and_tx_builds_agree<R: PtrRepr>(keys: &[u64]) {
+    let words: Vec<String> = keys.iter().map(|&k| word_of(k)).collect();
+    let raw = Region::create(4 << 20).unwrap();
+    let arena = || NodeArena::raw(raw.clone());
+    let ok = |what: &str, checked: Result<(), String>| {
+        checked.unwrap_or_else(|e| panic!("{what} ({}): {e}", R::NAME))
+    };
+
+    let mut list: PList<R, 32> = PList::new(arena()).unwrap();
+    list.extend(keys.iter().copied()).unwrap();
+    let region = Region::create(1 << 20).unwrap();
+    let mut tx = util::Tx::<PList<R, 32>>::create(&region);
+    for &k in keys {
+        tx.s.push_front_tx(&tx.store, k).unwrap();
+    }
+    ok("raw list", list.check_invariants());
+    ok("tx list", tx.s.check_invariants());
+    assert_eq!((tx.s.keys(), tx.s.len()), (list.keys(), list.len()));
+    util::check_no_leak(&tx, &region, "tx list");
+    drop(tx);
+    region.close().unwrap();
+
+    let mut bst: PBst<R, 32> = PBst::new(arena()).unwrap();
+    bst.extend(keys.iter().copied()).unwrap();
+    let region = Region::create(1 << 20).unwrap();
+    let mut tx = util::Tx::<PBst<R, 32>>::create(&region);
+    for &k in keys {
+        tx.s.insert_tx(&tx.store, k).unwrap();
+    }
+    ok("raw bst", bst.check_invariants());
+    ok("tx bst", tx.s.check_invariants());
+    assert_eq!(
+        (tx.s.keys_in_order(), tx.s.len()),
+        (bst.keys_in_order(), bst.len())
+    );
+    util::check_no_leak(&tx, &region, "tx bst");
+    drop(tx);
+    region.close().unwrap();
+
+    // Eight buckets, as the transactional subject formats its set.
+    let mut set: PHashSet<R, 32> = PHashSet::new(arena(), 8).unwrap();
+    set.extend(keys.iter().copied()).unwrap();
+    let region = Region::create(1 << 20).unwrap();
+    let mut tx = util::Tx::<PHashSet<R, 32>>::create(&region);
+    for &k in keys {
+        tx.s.insert_tx(&tx.store, k).unwrap();
+    }
+    ok("raw hashset", set.check_invariants());
+    ok("tx hashset", tx.s.check_invariants());
+    assert_eq!((tx.s.keys(), tx.s.len()), (set.keys(), set.len()));
+    util::check_no_leak(&tx, &region, "tx hashset");
+    drop(tx);
+    region.close().unwrap();
+
+    let mut trie: PTrie<R, 32> = PTrie::new(arena()).unwrap();
+    trie.extend(words.iter().map(String::as_str)).unwrap();
+    let region = Region::create(1 << 20).unwrap();
+    let mut tx = util::Tx::<PTrie<R, 32>>::create(&region);
+    for w in &words {
+        tx.s.insert_tx(&tx.store, w).unwrap();
+    }
+    ok("raw trie", trie.check_invariants());
+    ok("tx trie", tx.s.check_invariants());
+    assert_eq!(tx.s.prefix_scan("").unwrap(), trie.prefix_scan("").unwrap());
+    assert_eq!(
+        (tx.s.node_count(), tx.s.word_count()),
+        (trie.node_count(), trie.word_count())
+    );
+    for w in &words {
+        assert_eq!(tx.s.count(w), trie.count(w), "count of {w}");
+    }
+    util::check_no_leak(&tx, &region, "tx trie");
+    drop(tx);
+    region.close().unwrap();
+    raw.close().unwrap();
 }
 
 /// Insert (`true`) or remove one occurrence of a key of 1-3 letters from

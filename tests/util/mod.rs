@@ -28,7 +28,9 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 mod subject;
 #[allow(unused_imports)] // no binary uses every item
-pub use subject::{enumerate, invariants, Op, RawLog, Subject, Tx, BST_OPS, TRIE_OPS};
+pub use subject::{
+    check_no_leak, enumerate, invariants, Op, RawLog, Subject, Tx, BST_OPS, TRIE_OPS,
+};
 
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 

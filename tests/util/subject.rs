@@ -90,7 +90,7 @@ pub trait Subject: Sized {
 
 /// The leak oracle: `region`'s allocated blocks are exactly the blocks
 /// `s` reaches.
-fn check_no_leak<S: Subject>(s: &S, region: &Region, ctx: &str) {
+pub fn check_no_leak<S: Subject>(s: &S, region: &Region, ctx: &str) {
     let mut reachable = s.reachable_blocks();
     reachable.sort_unstable();
     let mut live: Vec<u64> = region
