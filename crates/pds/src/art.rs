@@ -18,7 +18,7 @@
 //! # Crash discipline
 //!
 //! Mutations follow the same PMEM.IO undo-log pattern as the other pds
-//! structures (`insert_tx`/`remove_tx` through [`pstore::ObjectStore`]),
+//! structures (`insert_tx`/`remove_tx` in a [`pstore::ObjectStore`]),
 //! with the NVTraverse-style destination-flush rule on top:
 //!
 //! 1. fresh nodes (leaves, split nodes, grown nodes) are fully
@@ -28,15 +28,15 @@
 //!    flushed after the write;
 //! 3. in-place node edits (adding a child to a non-full node, trimming a
 //!    prefix during a split, bumping a leaf counter) snapshot the node
-//!    via [`pstore::Tx::log_range`] first — every range of the operation
-//!    in one batch, fenced once before the first edit — so a crash at
+//!    in the undo log first — every range of the operation in one
+//!    batch, fenced once before the first edit — so a crash at
 //!    any shadow-tracked point either replays the commit or rolls the
 //!    node back byte-exact.
 //!
 //! A grown node (Node4 → Node16 → Node48 → Node256) is replaced, not
 //! edited: the successor is built beside it, persisted, and published by
 //! the single parent-slot store, and the predecessor is freed — in a
-//! transaction by [`pstore::Tx::free`] in the operation's one batch, so
+//! transaction by an allocator entry in the operation's one batch, so
 //! the free rides its fence and a crash can neither leak the block nor
 //! serve it twice; in raw mode by `Region::dealloc` after the publish.
 //! Nodes never shrink: a removal decrements a leaf counter, and no
@@ -693,9 +693,9 @@ impl<R: PtrRepr> PArt<R> {
     }
 
     /// Transactionally removes one occurrence of `key` (decrements its
-    /// leaf counter; structure nodes stay allocated — the tree never
-    /// prunes, like the letter trie). Returns whether an occurrence was
-    /// removed; a key with no occurrence begins no transaction.
+    /// leaf counter, and for the last one the header's key count). The
+    /// tree never prunes, like the letter trie. Returns whether an
+    /// occurrence was removed; a key with none begins no transaction.
     ///
     /// # Errors
     ///
@@ -717,19 +717,19 @@ impl<R: PtrRepr> PArt<R> {
             let caddr = std::ptr::addr_of_mut!((*leaf).count);
             let (counters, clen) = self.counters_span();
             let last = *caddr == 1;
-            let mut tx = store.begin();
-            tx.log_range(caddr as usize, 8)?;
+            let mut ctx = TxCtx::begin(store);
+            ctx.log(caddr as usize, 8)?;
             if last {
-                tx.log_range(counters, clen)?;
+                ctx.log(counters, clen)?;
             }
-            tx.barrier();
+            ctx.fence();
             *caddr -= 1;
-            persist_range(caddr as usize, 8);
+            ctx.persist(caddr as usize, 8);
             if last {
                 (*self.header).keys -= 1;
-                persist_range(counters, clen);
+                ctx.persist(counters, clen);
             }
-            tx.commit();
+            ctx.finish(&self.arena)?;
         }
         Ok(true)
     }

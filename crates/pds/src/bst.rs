@@ -5,8 +5,8 @@
 //! tree populated with random keys (expected O(log n) depth), which is
 //! also the shape `wordcount` uses in Section 6.3.
 
-use crate::arena::{persist_range, NodeArena};
-use crate::ctx::{link_fresh, Ctx, RawCtx, TxCtx};
+use crate::arena::NodeArena;
+use crate::ctx::{link_fresh, unlink_free, Ctx, RawCtx, TxCtx};
 use crate::error::{PdsError, Result};
 use crate::list::fill_payload;
 use pi_core::{PtrRepr, SwizzledPtr};
@@ -360,9 +360,8 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
     /// Transactional BST delete. Two-children nodes are handled by copying
     /// the in-order successor's key and payload into place and unlinking
     /// the successor. The unlinked node — the key's own or the successor —
-    /// is freed in the same batch as the unlinking writes
-    /// ([`pstore::Tx::free`]). Returns whether the key was present; an
-    /// absent key begins no transaction.
+    /// is freed in the same undo batch as the unlinking writes. Returns
+    /// whether the key was present; an absent key begins no transaction.
     ///
     /// # Errors
     ///
@@ -376,48 +375,27 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
             if cur.is_null() {
                 return Ok(false);
             }
-            let l = (*cur).left.load_at_rest();
-            let r = (*cur).right.load_at_rest();
-            let len_addr = std::ptr::addr_of_mut!((*self.header).len);
-            let node_size = std::mem::size_of::<BstNode<R, P>>();
-            let mut tx = store.begin();
-            tx.log_range(len_addr as usize, 8)?;
-            if l == 0 || r == 0 {
+            let len = std::ptr::addr_of_mut!((*self.header).len);
+            let (l, r) = ((*cur).left.load_at_rest(), (*cur).right.load_at_rest());
+            let (slot, node, next, refill) = if l == 0 || r == 0 {
                 // At most one child: splice it into the parent slot.
-                let child = if l == 0 { r } else { l };
-                tx.log_range(slot as usize, std::mem::size_of::<R>())?;
-                tx.free(std::ptr::NonNull::new_unchecked(cur as *mut u8), node_size)?;
-                tx.barrier();
-                (*slot).store(child);
-                persist_range(slot as usize, std::mem::size_of::<R>());
+                (slot, cur, if l == 0 { r } else { l }, None)
             } else {
                 // Two children: the in-order successor (leftmost of the
-                // right subtree) replaces cur's key/payload, then is
-                // unlinked — it has no left child by construction.
+                // right subtree, so no left child) is unlinked instead.
                 let mut succ_slot: *mut R = &mut (*cur).right;
-                loop {
-                    let s = (*succ_slot).load_at_rest() as *mut BstNode<R, P>;
-                    if (*s).left.load_at_rest() == 0 {
-                        break;
-                    }
-                    succ_slot = &mut (*s).left;
+                let mut succ = (*succ_slot).load_at_rest() as *mut BstNode<R, P>;
+                while (*succ).left.load_at_rest() != 0 {
+                    succ_slot = &mut (*succ).left;
+                    succ = (*succ_slot).load_at_rest() as *mut BstNode<R, P>;
                 }
-                let succ = (*succ_slot).load_at_rest() as *mut BstNode<R, P>;
-                let key_addr = std::ptr::addr_of_mut!((*cur).key);
-                tx.log_range(key_addr as usize, 8 + P)?;
-                tx.log_range(succ_slot as usize, std::mem::size_of::<R>())?;
-                tx.free(std::ptr::NonNull::new_unchecked(succ as *mut u8), node_size)?;
-                tx.barrier();
-                (*cur).key = (*succ).key;
-                (*cur).payload = (*succ).payload;
-                persist_range(key_addr as usize, 8 + P);
-                let succ_right = (*succ).right.load_at_rest();
-                (*succ_slot).store(succ_right);
-                persist_range(succ_slot as usize, std::mem::size_of::<R>());
-            }
-            *len_addr -= 1;
-            persist_range(len_addr as usize, 8);
-            tx.commit();
+                let dst = std::ptr::addr_of_mut!((*cur).key) as *mut u8;
+                let src = std::ptr::addr_of!((*succ).key) as *const u8;
+                let next = (*succ).right.load_at_rest();
+                (succ_slot, succ, next, Some((dst, src, 8 + P)))
+            };
+            let ctx = TxCtx::begin(store);
+            unlink_free(ctx, &self.arena, slot, len, node, next, refill)?;
         }
         Ok(true)
     }

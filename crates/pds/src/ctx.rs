@@ -1,7 +1,8 @@
 //! The write context each structure's one insertion body is generic
-//! over (see the crate docs, "One write path"): [`TxCtx`] runs the body
-//! in a [`pstore::Tx`]; [`RawCtx`] runs the same stores and allocations
-//! in the same order, and its `log`, `fence` and `persist` compile away.
+//! over (see the crate docs, "One write path"): [`TxCtx`] runs the body,
+//! and every `remove_tx`, in a [`pstore::Tx`]; [`RawCtx`] runs the same
+//! stores and allocations in the same order, and its `log`, `fence` and
+//! `persist` compile away.
 
 use crate::arena::{persist_range, NodeArena};
 use crate::error::Result;
@@ -9,7 +10,7 @@ use pi_core::PtrRepr;
 use pstore::{ObjectStore, Tx};
 
 /// Allocation, freeing, undo logging and the flush half of the
-/// destination-flush discipline for one mutation.
+/// destination-flush discipline for one insert or `remove_tx`.
 ///
 /// Logging is batched: `log` snapshots a range without making the
 /// snapshot durable, and `fence` must run before the first store to any
@@ -123,6 +124,43 @@ pub(crate) unsafe fn link_fresh<C: Ctx, R: PtrRepr>(
     (*slot).store(node as usize);
     ctx.persist(slot as usize, std::mem::size_of::<R>());
     *len += 1;
+    ctx.persist(len as usize, 8);
+    ctx.finish(arena)
+}
+
+/// The tail of a remove, the mirror of [`link_fresh`]: `slot`, `len` and
+/// the free of `node` are the batch; after the fence `slot` takes `next`,
+/// then `len` drops, each flushed. A `refill` copy `(dst, src, n)` (a bst
+/// node taking its successor's key and payload) joins the batch and is
+/// flushed before the store into `slot`.
+///
+/// # Safety
+///
+/// `slot` holds `node`, unreachable once `slot` holds `next`; `slot`,
+/// `len` and `refill`'s two disjoint ranges are written by nobody else.
+pub(crate) unsafe fn unlink_free<C: Ctx, R: PtrRepr, N>(
+    mut ctx: C,
+    arena: &NodeArena,
+    slot: *mut R,
+    len: *mut u64,
+    node: *mut N,
+    next: usize,
+    refill: Option<(*mut u8, *const u8, usize)>,
+) -> Result<()> {
+    if let Some((dst, _, n)) = refill {
+        ctx.log(dst as usize, n)?;
+    }
+    ctx.log(slot as usize, std::mem::size_of::<R>())?;
+    ctx.log(len as usize, 8)?;
+    ctx.free(node as *mut u8, std::mem::size_of::<N>())?;
+    ctx.fence();
+    if let Some((dst, src, n)) = refill {
+        std::ptr::copy_nonoverlapping(src, dst, n);
+        ctx.persist(dst as usize, n);
+    }
+    (*slot).store(next);
+    ctx.persist(slot as usize, std::mem::size_of::<R>());
+    *len -= 1;
     ctx.persist(len as usize, 8);
     ctx.finish(arena)
 }

@@ -30,7 +30,7 @@
 //! recomputes the length after a crash.
 
 use crate::arena::{persist_range, NodeArena};
-use crate::ctx::{link_fresh, Ctx, RawCtx, TxCtx};
+use crate::ctx::{link_fresh, unlink_free, Ctx, RawCtx, TxCtx};
 use crate::error::{PdsError, Result};
 use crate::list::fill_payload;
 use nvmsim::metrics::{self, Counter};
@@ -332,9 +332,9 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     }
 
     /// Transactionally unlinks `key` from its bucket chain and frees its
-    /// node ([`pstore::Tx::free`], in the same batch as the unlinking
-    /// writes, so the free rides their fence). Returns whether it was
-    /// present; an absent key begins no transaction.
+    /// node in the same undo batch as the unlinking writes, so the free
+    /// rides their fence. Returns whether it was present; an absent key
+    /// begins no transaction.
     ///
     /// # Errors
     ///
@@ -347,21 +347,9 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
             if cur.is_null() {
                 return Ok(false);
             }
+            let len = std::ptr::addr_of_mut!((*self.header).len);
             let next = (*cur).next.load_at_rest();
-            let len_addr = std::ptr::addr_of_mut!((*self.header).len);
-            let mut tx = store.begin();
-            tx.log_range(slot as usize, std::mem::size_of::<R>())?;
-            tx.log_range(len_addr as usize, 8)?;
-            tx.free(
-                std::ptr::NonNull::new_unchecked(cur as *mut u8),
-                std::mem::size_of::<HsNode<R, P>>(),
-            )?;
-            tx.barrier();
-            (*slot).store(next);
-            persist_range(slot as usize, std::mem::size_of::<R>());
-            *len_addr -= 1;
-            persist_range(len_addr as usize, 8);
-            tx.commit();
+            unlink_free(TxCtx::begin(store), &self.arena, slot, len, cur, next, None)?;
         }
         Ok(true)
     }
@@ -492,7 +480,8 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
         nvmsim::latency::wbarrier();
     }
 
-    /// Returns a never-published spare node to its region.
+    /// Returns an unreachable node — a never-published spare, or a node
+    /// [`Self::recover`] pruned — to its region.
     ///
     /// # Safety
     ///
@@ -501,7 +490,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
         let size = std::mem::size_of::<HsNode<R, P>>();
         self.arena
             .dealloc(std::ptr::NonNull::new_unchecked(node as *mut u8), size)
-            .expect("a spare node is an allocated block");
+            .expect("an unreachable node is an allocated block");
     }
 
     /// Marks the (never flushed, always shadow-dirty) header length as
@@ -745,12 +734,13 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     }
 
     /// Post-crash (or post-run) recovery for the lock-free protocol:
-    /// physically unlinks every marked node and recomputes the header
-    /// length from the surviving chains (the length is never flushed
-    /// during lock-free operation, so crash images drop it). Returns the
-    /// number of nodes pruned. Requires exclusive access.
+    /// physically unlinks every marked node, frees it once every unlink
+    /// is durable, and recomputes the header length from the surviving
+    /// chains (the length is never flushed during lock-free operation, so
+    /// crash images drop it). Returns the number of nodes pruned.
+    /// Requires exclusive access.
     pub fn recover(&mut self) -> u64 {
-        let mut pruned = 0u64;
+        let mut pruned = Vec::new();
         let mut live = 0u64;
         // SAFETY: exclusive access (`&mut self`); at-rest chain surgery
         // exactly as in the single-owner mutators.
@@ -763,10 +753,9 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
                         break;
                     }
                     if (*cur).mark != 0 {
-                        let next = (*cur).next.load_at_rest();
-                        (*slot).store(next);
+                        (*slot).store((*cur).next.load_at_rest());
                         persist_range(slot as usize, std::mem::size_of::<R>());
-                        pruned += 1;
+                        pruned.push(cur);
                         // Re-examine the same slot: the new target may be
                         // marked too.
                         continue;
@@ -777,9 +766,13 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
             }
             (*self.header).len = live;
             persist_range(std::ptr::addr_of!((*self.header).len) as usize, 8);
+            nvmsim::latency::wbarrier();
+            // No durable slot points at a pruned node any more.
+            for &n in &pruned {
+                self.release_node(n);
+            }
         }
-        nvmsim::latency::wbarrier();
-        pruned
+        pruned.len() as u64
     }
 }
 
@@ -957,15 +950,20 @@ mod tests {
         // nodes never survive through the public API; plant one directly,
         // as a lost unlink (or a crash between mark and unlink) would.
         // SAFETY: single bucket, head node live.
-        unsafe {
+        let head = unsafe {
             let head = (*s.buckets).load() as *mut HsNode<Riv, 32>;
             (*head).mark = 1;
-        }
+            head
+        };
         let err = s.check_invariants().unwrap_err();
         assert!(err.contains("marked"), "got: {err}");
         assert!(!s.contains(2), "marked head is logically absent");
         assert_eq!(s.keys(), vec![1]);
+        let planted = region.offset_of(head as usize).unwrap();
+        let live = region.live_blocks().len();
         assert_eq!(s.recover(), 1, "exactly the planted node pruned");
+        assert_eq!(region.live_blocks().len(), live - 1, "pruned node freed");
+        assert!(region.live_blocks().iter().all(|&(off, _)| off != planted));
         s.check_invariants().unwrap();
         assert_eq!(s.len(), 1);
         assert!(s.contains(1) && !s.contains(2));

@@ -22,6 +22,8 @@
 //! node before the one link store that publishes it. Raw mode makes the
 //! same stores and allocates the same blocks in the same order, with no
 //! log, no flush and no crash atomicity.
+//! Every `remove_tx` logs its slot and counters and frees what it unlinks
+//! in one batch too; bst, hashset and list share one unlink tail.
 //!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -9,8 +9,8 @@
 //! whole structure is recoverable after the region is reopened at a
 //! different address — for every position-independent representation.
 
-use crate::arena::{persist_range, NodeArena};
-use crate::ctx::{Ctx, RawCtx, TxCtx};
+use crate::arena::NodeArena;
+use crate::ctx::{unlink_free, Ctx, RawCtx, TxCtx};
 use crate::error::{PdsError, Result};
 use pi_core::{PtrRepr, SwizzledPtr};
 use pstore::ObjectStore;
@@ -268,11 +268,11 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
         self.push_front_in(TxCtx::begin(store), key)
     }
 
-    /// Transactionally unlinks the first node with `key` and frees it
-    /// ([`pstore::Tx::free`], in the same batch as the unlinking writes,
-    /// so the free rides their fence and a crash can neither leak the
-    /// block nor serve it twice). Returns whether a node was removed; an
-    /// absent key begins no transaction.
+    /// Transactionally unlinks the first node with `key` and frees it in
+    /// the same undo batch as the unlinking writes, so the free rides
+    /// their fence and a crash can neither leak the block nor serve it
+    /// twice. Returns whether a node was removed; an absent key begins no
+    /// transaction.
     ///
     /// # Errors
     ///
@@ -286,21 +286,9 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
             if cur.is_null() {
                 return Ok(false);
             }
+            let len = std::ptr::addr_of_mut!((*self.header).len);
             let next = (*cur).next.load_at_rest();
-            let len_addr = std::ptr::addr_of_mut!((*self.header).len);
-            let mut tx = store.begin();
-            tx.log_range(slot as usize, std::mem::size_of::<R>())?;
-            tx.log_range(len_addr as usize, 8)?;
-            tx.free(
-                std::ptr::NonNull::new_unchecked(cur as *mut u8),
-                std::mem::size_of::<ListNode<R, P>>(),
-            )?;
-            tx.barrier();
-            (*slot).store(next);
-            persist_range(slot as usize, std::mem::size_of::<R>());
-            *len_addr -= 1;
-            persist_range(len_addr as usize, 8);
-            tx.commit();
+            unlink_free(TxCtx::begin(store), &self.arena, slot, len, cur, next, None)?;
         }
         Ok(true)
     }

@@ -10,7 +10,7 @@
 //! same fixed payload as the other structures so per-node footprints are
 //! comparable.
 
-use crate::arena::{persist_range, NodeArena};
+use crate::arena::NodeArena;
 use crate::ctx::{Ctx, RawCtx, TxCtx};
 use crate::error::{PdsError, Result};
 use pi_core::{PtrRepr, SwizzledPtr};
@@ -395,9 +395,9 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     }
 
     /// Transactionally removes one occurrence of `word` (decrements its
-    /// terminal counter and the word total). Path nodes stay allocated —
-    /// the trie never prunes. Returns whether an occurrence was removed;
-    /// a word that is not present begins no transaction.
+    /// terminal counter and the word total). The trie never prunes.
+    /// Returns whether an occurrence was removed; a word that is not
+    /// present begins no transaction.
     ///
     /// # Errors
     ///
@@ -421,15 +421,15 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
             }
             let count_addr = std::ptr::addr_of_mut!((*cur).count);
             let words_addr = std::ptr::addr_of_mut!((*self.header).words);
-            let mut tx = store.begin();
-            tx.log_range(count_addr as usize, 8)?;
-            tx.log_range(words_addr as usize, 8)?;
-            tx.barrier();
+            let mut ctx = TxCtx::begin(store);
+            ctx.log(count_addr as usize, 8)?;
+            ctx.log(words_addr as usize, 8)?;
+            ctx.fence();
             *count_addr -= 1;
-            persist_range(count_addr as usize, 8);
+            ctx.persist(count_addr as usize, 8);
             *words_addr -= 1;
-            persist_range(words_addr as usize, 8);
-            tx.commit();
+            ctx.persist(words_addr as usize, 8);
+            ctx.finish(&self.arena)?;
         }
         Ok(true)
     }

@@ -15,6 +15,19 @@ fn delta(f: impl FnOnce()) -> Snapshot {
     metrics::snapshot().delta(&before)
 }
 
+/// The full persistence count of one operation: transactions begun, undo
+/// entries, fences, flush calls and flushed lines.
+fn counts(d: &Snapshot) -> [u64; 5] {
+    [
+        Counter::TxBegins,
+        Counter::UndoEntries,
+        Counter::WbarrierCalls,
+        Counter::ClflushCalls,
+        Counter::ClflushLines,
+    ]
+    .map(|c| d.get(c))
+}
+
 /// An operation that changes nothing begins no transaction and causes no
 /// persistence traffic at all.
 fn assert_untouched(what: &str, d: &Snapshot) {
@@ -77,12 +90,27 @@ fn tx_ops_cost_one_batch_fence_and_noops_cost_nothing() {
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
     assert_eq!(d.get(Counter::ClflushCalls), 5);
     assert_eq!(d.get(Counter::ClflushLines), 7);
+    // bst, one child (11): the child is spliced into 10's slot.
+    bst.insert_tx(&store, 11).unwrap();
     let d = delta(|| assert!(bst.remove_tx(&store, 10).unwrap()));
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    assert_eq!(counts(&d), [1, 3, 3, 5, 7], "bst remove, one child");
+    // bst, two children (15 and 25 under 20): one more range, 20's key
+    // and payload, takes its successor's before 25's slot is unlinked.
+    for k in [20, 15, 25] {
+        bst.insert_tx(&store, k).unwrap();
+    }
+    let d = delta(|| assert!(bst.remove_tx(&store, 20).unwrap()));
+    // The batch gains an entry and a line, the key range its own flush
+    // call and line.
+    assert_eq!(counts(&d), [1, 4, 3, 6, 9], "bst remove, two children");
     let d = delta(|| assert!(list.remove_tx(&store, 2).unwrap()));
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    assert_eq!(counts(&d), [1, 3, 3, 5, 7], "list remove");
     let d = delta(|| assert!(trie.remove_tx(&store, "ab").unwrap()));
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    // trie: the terminal count and the word total, nothing freed.
+    assert_eq!(counts(&d), [1, 2, 3, 4, 5], "trie remove");
 
     // ART: an occurrence bump and a removal are one batch each, and so
     // is a new key under a node with room, allocation included.
@@ -90,6 +118,8 @@ fn tx_ops_cost_one_batch_fence_and_noops_cost_nothing() {
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
     let d = delta(|| assert!(art.remove_tx(&store, "ab").unwrap()));
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    // Not the last occurrence: the leaf counter is the whole batch.
+    assert_eq!(counts(&d), [1, 1, 3, 3, 3], "art remove, not last");
     let d = delta(|| assert_eq!(art.insert_tx(&store, "ad").unwrap(), 1));
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
     // Of these lines the two-byte key's leaf is one: a 32-byte block.
@@ -107,6 +137,10 @@ fn tx_ops_cost_one_batch_fence_and_noops_cost_nothing() {
         live + 1,
         "leaf and Node16 in, Node4 out"
     );
+    let d = delta(|| assert!(art.remove_tx(&store, "af").unwrap()));
+    // The last occurrence also takes the header's key count: its counter
+    // span is one more range.
+    assert_eq!(counts(&d), [1, 2, 3, 4, 7], "art remove, last");
 
     // Nothing to change: no lock, no begin, no abort, no traffic.
     assert_untouched(

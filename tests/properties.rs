@@ -5,7 +5,7 @@ use nvm_pi::nvmsim::layout::{Area, ExactLayout};
 use nvm_pi::pi_core::{FatPtrCached, OffHolder, PtrRepr, Riv};
 use nvm_pi::{NodeArena, ObjectStore, PArt, PBst, PHashSet, PList, PTrie, Region};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 mod util;
 
@@ -280,6 +280,9 @@ fn word_of(key: u64) -> String {
 /// stream through raw `extend` and through `insert_tx`/`push_front_tx`
 /// builds the same structure, and the transactional build holds every
 /// block it allocated and no other (the crash matrices' leak oracle).
+/// Removing every other key from the transactional build then leaves the
+/// other keys and, as every `remove_tx` frees what it unlinks, still no
+/// leak.
 fn raw_and_tx_builds_agree<R: PtrRepr>(keys: &[u64]) {
     let words: Vec<String> = keys.iter().map(|&k| word_of(k)).collect();
     let raw = Region::create(4 << 20).unwrap();
@@ -299,6 +302,12 @@ fn raw_and_tx_builds_agree<R: PtrRepr>(keys: &[u64]) {
     ok("tx list", tx.s.check_invariants());
     assert_eq!((tx.s.keys(), tx.s.len()), (list.keys(), list.len()));
     util::check_no_leak(&tx, &region, "tx list");
+    let kept = remove_every_other(keys, |&k| tx.s.remove_tx(&tx.store, k).unwrap());
+    ok("tx list after removes", tx.s.check_invariants());
+    assert_eq!(tx.s.keys().into_iter().collect::<BTreeSet<_>>(), kept);
+    let survivors = keys.iter().filter(|k| kept.contains(k)).count();
+    assert_eq!(tx.s.len() as usize, survivors);
+    util::check_no_leak(&tx, &region, "tx list after removes");
     drop(tx);
     region.close().unwrap();
 
@@ -316,6 +325,10 @@ fn raw_and_tx_builds_agree<R: PtrRepr>(keys: &[u64]) {
         (bst.keys_in_order(), bst.len())
     );
     util::check_no_leak(&tx, &region, "tx bst");
+    let kept = remove_every_other(keys, |&k| tx.s.remove_tx(&tx.store, k).unwrap());
+    ok("tx bst after removes", tx.s.check_invariants());
+    assert_eq!(tx.s.keys_in_order(), Vec::from_iter(kept));
+    util::check_no_leak(&tx, &region, "tx bst after removes");
     drop(tx);
     region.close().unwrap();
 
@@ -331,6 +344,10 @@ fn raw_and_tx_builds_agree<R: PtrRepr>(keys: &[u64]) {
     ok("tx hashset", tx.s.check_invariants());
     assert_eq!((tx.s.keys(), tx.s.len()), (set.keys(), set.len()));
     util::check_no_leak(&tx, &region, "tx hashset");
+    let kept = remove_every_other(keys, |&k| tx.s.remove_tx(&tx.store, k).unwrap());
+    ok("tx hashset after removes", tx.s.check_invariants());
+    assert_eq!(BTreeSet::from_iter(tx.s.keys()), kept);
+    util::check_no_leak(&tx, &region, "tx hashset after removes");
     drop(tx);
     region.close().unwrap();
 
@@ -352,9 +369,32 @@ fn raw_and_tx_builds_agree<R: PtrRepr>(keys: &[u64]) {
         assert_eq!(tx.s.count(w), trie.count(w), "count of {w}");
     }
     util::check_no_leak(&tx, &region, "tx trie");
+    let kept = remove_every_other(&words, |w| tx.s.remove_tx(&tx.store, w).unwrap());
+    ok("tx trie after removes", tx.s.check_invariants());
+    assert_eq!(BTreeSet::from_iter(tx.s.prefix_scan("").unwrap()), kept);
+    util::check_no_leak(&tx, &region, "tx trie after removes");
     drop(tx);
     region.close().unwrap();
     raw.close().unwrap();
+}
+
+/// Removes every other distinct key of `keys` through `remove`, each
+/// until `remove` finds nothing left, and returns the keys that survive.
+fn remove_every_other<K: Ord + Clone>(
+    keys: &[K],
+    mut remove: impl FnMut(&K) -> bool,
+) -> BTreeSet<K> {
+    let all = BTreeSet::from_iter(keys.iter().cloned());
+    let mut kept = BTreeSet::new();
+    for (i, k) in all.into_iter().enumerate() {
+        if i % 2 == 0 {
+            assert!(remove(&k), "a present key is removed");
+            while remove(&k) {}
+        } else {
+            kept.insert(k);
+        }
+    }
+    kept
 }
 
 /// Insert (`true`) or remove one occurrence of a key of 1-3 letters from
