@@ -7,6 +7,11 @@
 //! CRC-framed codec ([`codec`], magic `NVPISRV1`) over an in-process
 //! [`Transport`] (loopback now, a socket later).
 //!
+//! A tenant keeps its keys in one structure, a persistent adaptive radix
+//! tree ([`pds::PArt`]) over [`index_word`]s: a Get is one lookup, an
+//! applied Put or Delete is one undo transaction, and a prefix query
+//! walks the same tree.
+//!
 //! The serving path costs little beyond its structure op. A frame is
 //! built and sealed in one buffer and checked without a copy; a request
 //! that finds its shard idle runs at once, with no queue entry, response
@@ -57,4 +62,6 @@ pub use fault::{ServerFaultPlan, ShardStall, TenantCrash, TransientFault};
 pub use server::{
     Client, Server, ServerConfig, ServerHandle, ServerReport, TenantReport, Transport,
 };
-pub use tenant::{index_word, ReprKind, TenantMetrics, TenantSnapshot, TenantSpec, TenantState};
+pub use tenant::{
+    index_word, key_of_word, ReprKind, TenantMetrics, TenantSnapshot, TenantSpec, TenantState,
+};

@@ -1,5 +1,10 @@
-//! Per-tenant state: one region + object store + persistent hash set
-//! per tenant, a three-state lifecycle, and per-tenant metrics.
+//! Per-tenant state: one region + object store + persistent ART per
+//! tenant, a three-state lifecycle, and per-tenant metrics.
+//!
+//! The ART is the tenant's key set: a key is present exactly when the
+//! leaf of its [`index_word`] has a non-zero count, which a Put keeps at
+//! most 1. A Get is one [`PArt::contains`], an applied Put or Delete is
+//! one undo transaction, and a prefix query walks the same tree.
 //!
 //! A tenant lives inside its shard's state and is touched only by the
 //! thread holding the shard lock (the persistent structures hold raw
@@ -22,18 +27,14 @@ use crate::codec::Priority;
 use nvmsim::metrics::{self, Counter};
 use nvmsim::shadow::FaultPolicy;
 use nvmsim::Region;
-use pds::{NodeArena, PArt, PHashSet};
+use pds::{NodeArena, PArt};
 use pi_core::{FatPtrCached, OffHolder, Riv};
 use pstore::ObjectStore;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Root name under which every tenant's hash set is registered.
-const SET_ROOT: &str = "srv.set";
-
-/// Root name under which every tenant's suggestion index (ART) is
-/// registered.
+/// Root name under which every tenant's key set (an ART) is registered.
 const IDX_ROOT: &str = "srv.idx";
 
 /// Width of [`index_word`]: 26^14 > 2^64, so every `u64` key has a
@@ -44,7 +45,7 @@ pub(crate) const IDX_WORD_LEN: usize = 14;
 /// most-significant digit first, so numerically close keys share long
 /// prefixes (the shape prefix queries exploit).
 pub fn index_word(key: u64) -> String {
-    String::from_utf8(index_word_bytes(key).to_vec()).expect("ascii")
+    word_str(&index_word_bytes(key)).to_string()
 }
 
 /// [`index_word`] on the stack.
@@ -58,7 +59,25 @@ fn index_word_bytes(key: u64) -> [u8; IDX_WORD_LEN] {
     buf
 }
 
-/// Pointer representation a tenant's persistent set uses. Mixing
+/// An [`index_word_bytes`] buffer as the `&str` the ART takes.
+fn word_str(word: &[u8; IDX_WORD_LEN]) -> &str {
+    std::str::from_utf8(word).expect("ascii")
+}
+
+/// The key whose [`index_word`] is `word`, its inverse: `None` unless
+/// `word` is 14 letters `a`–`z` whose base-26 value fits a `u64`.
+pub fn key_of_word(word: &str) -> Option<u64> {
+    let bytes = word.as_bytes();
+    if bytes.len() != IDX_WORD_LEN {
+        return None;
+    }
+    bytes.iter().try_fold(0u64, |key, &c| {
+        let digit = c.checked_sub(b'a').filter(|&d| d < 26)?;
+        key.checked_mul(26)?.checked_add(digit as u64)
+    })
+}
+
+/// Pointer representation a tenant's persistent key set uses. Mixing
 /// representations across tenants means one server run exercises every
 /// paper format under remap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,14 +106,16 @@ impl ReprKind {
 pub struct TenantSpec {
     /// Tenant id (routes to shard `id % nshards`).
     pub id: u32,
-    /// Pointer representation for the tenant's set.
+    /// Pointer representation for the tenant's key set (its ART).
     pub repr: ReprKind,
     /// Default priority for admission decisions involving this tenant.
     pub priority: Priority,
     /// Whether shadow cache-line tracking is enabled (required for
     /// crash injection).
     pub shadowed: bool,
-    /// Hash set bucket count.
+    /// Unused: a tenant keeps no hash set, so nothing has buckets. The
+    /// field stays only because the pinned benchmark harness still sets
+    /// it; it goes with that harness's next change.
     pub nbuckets: u64,
     /// Region size in bytes.
     pub region_size: usize,
@@ -104,7 +125,7 @@ pub struct TenantSpec {
 
 impl TenantSpec {
     /// A spec with serving defaults: normal priority, 512 KiB region,
-    /// 32 KiB log, 64 buckets, no shadow.
+    /// 32 KiB log, no shadow.
     pub fn new(id: u32, repr: ReprKind) -> TenantSpec {
         TenantSpec {
             id,
@@ -247,84 +268,23 @@ impl TenantMetrics {
     }
 }
 
-/// The tenant's persistent set, dispatching over the pointer
-/// representation chosen in its spec.
-enum TenantSet {
-    Off(PHashSet<OffHolder, 32>),
-    Riv(PHashSet<Riv, 32>),
-    Fat(PHashSet<FatPtrCached, 32>),
-}
-
-impl TenantSet {
-    fn create(arena: NodeArena, nbuckets: u64, kind: ReprKind) -> Result<TenantSet, String> {
-        Ok(match kind {
-            ReprKind::OffHolder => {
-                TenantSet::Off(PHashSet::create_rooted(arena, nbuckets, SET_ROOT).map_err(err)?)
-            }
-            ReprKind::Riv => {
-                TenantSet::Riv(PHashSet::create_rooted(arena, nbuckets, SET_ROOT).map_err(err)?)
-            }
-            ReprKind::FatCached => {
-                TenantSet::Fat(PHashSet::create_rooted(arena, nbuckets, SET_ROOT).map_err(err)?)
-            }
-        })
-    }
-
-    fn attach(arena: NodeArena, kind: ReprKind) -> Result<TenantSet, String> {
-        Ok(match kind {
-            ReprKind::OffHolder => TenantSet::Off(PHashSet::attach(arena, SET_ROOT).map_err(err)?),
-            ReprKind::Riv => TenantSet::Riv(PHashSet::attach(arena, SET_ROOT).map_err(err)?),
-            ReprKind::FatCached => TenantSet::Fat(PHashSet::attach(arena, SET_ROOT).map_err(err)?),
-        })
-    }
-
-    fn insert_tx(&mut self, store: &ObjectStore, key: u64) -> Result<bool, String> {
-        match self {
-            TenantSet::Off(s) => s.insert_tx(store, key).map_err(err),
-            TenantSet::Riv(s) => s.insert_tx(store, key).map_err(err),
-            TenantSet::Fat(s) => s.insert_tx(store, key).map_err(err),
-        }
-    }
-
-    fn remove_tx(&mut self, store: &ObjectStore, key: u64) -> Result<bool, String> {
-        match self {
-            TenantSet::Off(s) => s.remove_tx(store, key).map_err(err),
-            TenantSet::Riv(s) => s.remove_tx(store, key).map_err(err),
-            TenantSet::Fat(s) => s.remove_tx(store, key).map_err(err),
-        }
-    }
-
-    fn contains(&self, key: u64) -> bool {
-        match self {
-            TenantSet::Off(s) => s.contains(key),
-            TenantSet::Riv(s) => s.contains(key),
-            TenantSet::Fat(s) => s.contains(key),
-        }
-    }
-
-    fn keys(&self) -> Vec<u64> {
-        match self {
-            TenantSet::Off(s) => s.keys(),
-            TenantSet::Riv(s) => s.keys(),
-            TenantSet::Fat(s) => s.keys(),
-        }
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        match self {
-            TenantSet::Off(s) => s.check_invariants(),
-            TenantSet::Riv(s) => s.check_invariants(),
-            TenantSet::Fat(s) => s.check_invariants(),
-        }
-    }
-}
-
-/// The tenant's suggestion index: a persistent ART over the same
-/// representation as its set, holding [`index_word`] of every member.
+/// The tenant's key set: a persistent ART over the representation its
+/// spec names, holding [`index_word`] of every member.
 enum TenantIndex {
     Off(PArt<OffHolder>),
     Riv(PArt<Riv>),
     Fat(PArt<FatPtrCached>),
+}
+
+/// Runs `$body` with `$a` bound to the ART whatever its representation.
+macro_rules! with_art {
+    ($idx:expr, $a:ident => $body:expr) => {
+        match $idx {
+            TenantIndex::Off($a) => $body,
+            TenantIndex::Riv($a) => $body,
+            TenantIndex::Fat($a) => $body,
+        }
+    };
 }
 
 impl TenantIndex {
@@ -348,44 +308,24 @@ impl TenantIndex {
         })
     }
 
-    fn insert_tx(&mut self, store: &ObjectStore, word: &str) -> Result<(), String> {
-        match self {
-            TenantIndex::Off(a) => a.insert_tx(store, word).map(|_| ()).map_err(err),
-            TenantIndex::Riv(a) => a.insert_tx(store, word).map(|_| ()).map_err(err),
-            TenantIndex::Fat(a) => a.insert_tx(store, word).map(|_| ()).map_err(err),
-        }
+    fn insert_tx(&mut self, store: &ObjectStore, word: &str) -> Result<u64, String> {
+        with_art!(self, a => a.insert_tx(store, word).map_err(err))
     }
 
-    fn remove_tx(&mut self, store: &ObjectStore, word: &str) -> Result<(), String> {
-        match self {
-            TenantIndex::Off(a) => a.remove_tx(store, word).map(|_| ()).map_err(err),
-            TenantIndex::Riv(a) => a.remove_tx(store, word).map(|_| ()).map_err(err),
-            TenantIndex::Fat(a) => a.remove_tx(store, word).map(|_| ()).map_err(err),
-        }
+    fn remove_tx(&mut self, store: &ObjectStore, word: &str) -> Result<bool, String> {
+        with_art!(self, a => a.remove_tx(store, word).map_err(err))
     }
 
     fn contains(&self, word: &str) -> bool {
-        match self {
-            TenantIndex::Off(a) => a.contains(word),
-            TenantIndex::Riv(a) => a.contains(word),
-            TenantIndex::Fat(a) => a.contains(word),
-        }
+        with_art!(self, a => a.contains(word))
     }
 
     fn prefix_scan_each(&self, prefix: &str, visit: impl FnMut(&str)) -> Result<usize, String> {
-        match self {
-            TenantIndex::Off(a) => a.prefix_scan_each(prefix, visit).map_err(err),
-            TenantIndex::Riv(a) => a.prefix_scan_each(prefix, visit).map_err(err),
-            TenantIndex::Fat(a) => a.prefix_scan_each(prefix, visit).map_err(err),
-        }
+        with_art!(self, a => a.prefix_scan_each(prefix, visit).map_err(err))
     }
 
     fn check_invariants(&self) -> Result<(), String> {
-        match self {
-            TenantIndex::Off(a) => a.check_invariants(),
-            TenantIndex::Riv(a) => a.check_invariants(),
-            TenantIndex::Fat(a) => a.check_invariants(),
-        }
+        with_art!(self, a => a.check_invariants())
     }
 }
 
@@ -400,7 +340,6 @@ pub(crate) struct Tenant {
     path: PathBuf,
     region: Option<Region>,
     store: Option<ObjectStore>,
-    set: Option<TenantSet>,
     idx: Option<TenantIndex>,
     state: TenantState,
     /// Every base the tenant's region was ever mapped at, in order.
@@ -420,7 +359,6 @@ impl Tenant {
             path,
             region: None,
             store: None,
-            set: None,
             idx: None,
             state: TenantState::Closed,
             bases: Vec::new(),
@@ -469,17 +407,11 @@ impl Tenant {
     fn format(&mut self) -> Result<(), String> {
         let region = Region::create_file(&self.path, self.spec.region_size).map_err(err)?;
         let store = ObjectStore::format_with_log(&region, self.spec.log_cap).map_err(err)?;
-        let set = TenantSet::create(
-            NodeArena::transactional(store.clone()),
-            self.spec.nbuckets,
-            self.spec.repr,
-        )?;
         let idx = TenantIndex::create(NodeArena::transactional(store.clone()), self.spec.repr)?;
         region.sync().map_err(err)?;
         self.bases.push(region.base());
         self.region = Some(region);
         self.store = Some(store);
-        self.set = Some(set);
         self.idx = Some(idx);
         self.set_state(TenantState::Healthy);
         metrics::incr(Counter::RegionOpens);
@@ -491,12 +423,10 @@ impl Tenant {
         let region = Region::open_file_avoiding(&self.path, avoid).map_err(err)?;
         let store = ObjectStore::attach(&region).map_err(err)?;
         let rolled_back = store.recovered();
-        let set = TenantSet::attach(NodeArena::transactional(store.clone()), self.spec.repr)?;
         let idx = TenantIndex::attach(NodeArena::transactional(store.clone()), self.spec.repr)?;
         let (base, was_dirty) = (region.base(), region.was_dirty());
         self.region = Some(region);
         self.store = Some(store);
-        self.set = Some(set);
         self.idx = Some(idx);
         self.audit("after reopen")?;
         if base != avoid {
@@ -505,9 +435,6 @@ impl Tenant {
         }
         let came_from_crash = was_dirty || rolled_back;
         self.bases.push(base);
-        if came_from_crash {
-            self.reconcile_index()?;
-        }
         // A dirty image (crash teardown) or an actual rollback marks the
         // tenant `Recovered`; a clean eviction reopen stays `Healthy`.
         self.set_state(if came_from_crash {
@@ -525,7 +452,6 @@ impl Tenant {
             return Ok(());
         }
         self.audit("at eviction")?;
-        self.set = None;
         self.idx = None;
         self.store = None;
         let region = self.region.take().expect("open region");
@@ -544,7 +470,6 @@ impl Tenant {
         if !self.spec.shadowed {
             return Err("crash injection on an unshadowed tenant".to_string());
         }
-        self.set = None;
         self.idx = None;
         self.store = None;
         let region = self.region.take().expect("open region");
@@ -554,54 +479,47 @@ impl Tenant {
         self.reopen()
     }
 
+    fn idx(&self) -> &TenantIndex {
+        self.idx.as_ref().expect("open tenant")
+    }
+
     /// Membership probe.
     pub(crate) fn contains(&self, key: u64) -> bool {
-        self.set.as_ref().expect("open tenant").contains(key)
+        self.idx().contains(word_str(&index_word_bytes(key)))
     }
 
-    /// All keys (snapshot; used by reports and tests).
+    /// All keys in ascending order (snapshot; used by reports and
+    /// tests). A word no key encodes to — only a damaged image holds
+    /// one — is left out.
     pub(crate) fn keys(&self) -> Vec<u64> {
-        self.set.as_ref().expect("open tenant").keys()
+        let mut keys = Vec::new();
+        self.idx()
+            .prefix_scan_each("", |w| keys.extend(key_of_word(w)))
+            .expect("an empty prefix is valid");
+        keys
     }
 
-    /// Transactional insert; `Ok(applied)` once committed. An applied
-    /// insert also indexes the key's [`index_word`] in the tenant's ART
-    /// (its own transaction; [`Tenant::reconcile_index`] repairs the
-    /// between-transactions crash window on recovery).
+    /// Transactional insert; `Ok(applied)` once committed. A present key
+    /// begins no transaction, so every leaf's count stays at most 1.
     pub(crate) fn insert(&mut self, key: u64) -> Result<bool, String> {
-        let store = self.store.as_ref().expect("open tenant");
-        let applied = self
-            .set
-            .as_mut()
-            .expect("open tenant")
-            .insert_tx(store, key)?;
-        if applied {
-            let word = index_word_bytes(key);
-            self.idx
-                .as_mut()
-                .expect("open tenant")
-                .insert_tx(store, std::str::from_utf8(&word).expect("ascii"))?;
+        let word = index_word_bytes(key);
+        let word = word_str(&word);
+        if self.idx().contains(word) {
+            return Ok(false);
         }
-        Ok(applied)
+        let store = self.store.as_ref().expect("open tenant");
+        let idx = self.idx.as_mut().expect("open tenant");
+        let count = idx.insert_tx(store, word)?;
+        debug_assert_eq!(count, 1, "a Put inserts only an absent key");
+        Ok(true)
     }
 
-    /// Transactional remove; `Ok(applied)` once committed. An applied
-    /// remove also unindexes the key's [`index_word`].
+    /// Transactional remove; `Ok(applied)` once committed. An absent key
+    /// begins no transaction.
     pub(crate) fn remove(&mut self, key: u64) -> Result<bool, String> {
         let store = self.store.as_ref().expect("open tenant");
-        let applied = self
-            .set
-            .as_mut()
-            .expect("open tenant")
-            .remove_tx(store, key)?;
-        if applied {
-            let word = index_word_bytes(key);
-            self.idx
-                .as_mut()
-                .expect("open tenant")
-                .remove_tx(store, std::str::from_utf8(&word).expect("ascii"))?;
-        }
-        Ok(applied)
+        let idx = self.idx.as_mut().expect("open tenant");
+        idx.remove_tx(store, word_str(&index_word_bytes(key)))
     }
 
     /// Suggestion lookup: calls `visit` with every indexed word starting
@@ -611,52 +529,22 @@ impl Tenant {
         prefix: &str,
         visit: impl FnMut(&str),
     ) -> Result<usize, String> {
-        self.idx
-            .as_ref()
-            .expect("open tenant")
-            .prefix_scan_each(prefix, visit)
+        self.idx().prefix_scan_each(prefix, visit)
     }
 
-    /// Re-derives the suggestion index from the authoritative set after
-    /// a crash: the set and index commit in separate transactions, so a
-    /// crash between them leaves exactly one word missing or stale.
-    fn reconcile_index(&mut self) -> Result<(), String> {
-        let store = self.store.clone().expect("open tenant");
-        let keys = self.set.as_ref().expect("open tenant").keys();
-        let idx = self.idx.as_mut().expect("open tenant");
-        let want: std::collections::BTreeSet<String> =
-            keys.iter().map(|&k| index_word(k)).collect();
-        let mut have = Vec::new();
-        idx.prefix_scan_each("", |w| have.push(w.to_string()))?;
-        for word in have {
-            if !want.contains(&word) {
-                idx.remove_tx(&store, &word)?;
-            }
-        }
-        for word in &want {
-            if !idx.contains(word) {
-                idx.insert_tx(&store, word)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Structure invariants of the open set and suggestion index. A
-    /// tenant that fails them does not stay open: the failure is counted
-    /// and the handles are dropped without a clean close (the image file
-    /// is the post-mortem), so nothing serves or walks the structure
-    /// again — the next request reopens, re-checks and answers `Failed`.
+    /// Structure invariants of the open key set. A tenant that fails them
+    /// does not stay open: the failure is counted and the handles are
+    /// dropped without a clean close (the image file is the post-mortem),
+    /// so nothing serves or walks the structure again — the next request
+    /// reopens, re-checks and answers `Failed`.
     pub(crate) fn audit(&mut self, when: &str) -> Result<(), String> {
-        let (Some(set), Some(idx)) = (&self.set, &self.idx) else {
-            return Ok(());
-        };
-        let Err(e) = set.check_invariants().and_then(|()| idx.check_invariants()) else {
+        let Some(Err(e)) = self.idx.as_ref().map(TenantIndex::check_invariants) else {
             return Ok(());
         };
         self.metrics
             .invariant_failures
             .fetch_add(1, Ordering::Relaxed);
-        (self.set, self.idx, self.store) = (None, None, None);
+        (self.idx, self.store) = (None, None);
         self.region.take().expect("open region").crash();
         self.set_state(TenantState::Closed);
         Err(format!("invariants violated {when}: {e}"))
@@ -671,5 +559,41 @@ impl Tenant {
         self.metrics.state.store(prior.code(), Ordering::Relaxed);
         self.state = prior;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn key_of_word_inverts_index_word_and_rejects_other_words() {
+        let mut seeded = Vec::with_capacity(1000);
+        let mut x = 0x5EED_0001u64;
+        for _ in 0..1000 {
+            // splitmix64
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            seeded.push(z ^ (z >> 31));
+        }
+        for key in [0, 25, 26, u64::MAX].into_iter().chain(seeded) {
+            assert_eq!(key_of_word(&index_word(key)), Some(key), "key {key}");
+        }
+        assert_eq!(index_word(25), "aaaaaaaaaaaaaz");
+        assert_eq!(index_word(26), "aaaaaaaaaaaaba");
+        let over = |word: &str| key_of_word(word).is_none();
+        assert!(over(""), "empty");
+        assert!(over("aaaaaaaaaaaaa"), "13 letters");
+        assert!(over("aaaaaaaaaaaaaaa"), "15 letters");
+        assert!(over("aaaaaaaaaaaaaA"), "upper case");
+        assert!(over("aaaaaaaaaaaaa{"), "the byte after z");
+        assert!(over("aaaaaaaaaaaaa`"), "the byte before a");
+        assert!(over("aaaaaaaaaaaa\u{e9}"), "two-byte character");
+        assert!(over("zzzzzzzzzzzzzz"), "26^14 - 1 does not fit a u64");
+        let max = index_word(u64::MAX);
+        let past_max = format!("{}{}", &max[..13], (max.as_bytes()[13] + 1) as char);
+        assert!(over(&past_max), "u64::MAX + 1");
     }
 }

@@ -708,7 +708,7 @@ impl<R: PtrRepr> PArt<R> {
         // writers of the structure); counter edits undo-logged as one
         // batch before the first of them.
         unsafe {
-            let Some(leaf) = self.find_leaf_at_rest(k) else {
+            let Some(leaf) = self.find_leaf(k, R::load_at_rest) else {
                 return Ok(false);
             };
             if (*leaf).count == 0 {
@@ -734,9 +734,18 @@ impl<R: PtrRepr> PArt<R> {
         Ok(true)
     }
 
-    /// Descends to the leaf holding exactly `key`, at-rest view.
-    unsafe fn find_leaf_at_rest(&self, key: &[u8]) -> Option<*mut Leaf> {
-        let mut cur = (*self.header).root.load_at_rest() as *mut NodeHead;
+    /// Descends to the leaf holding exactly `key`, decoding every link
+    /// with `load`: [`PtrRepr::load`] on the read path,
+    /// [`PtrRepr::load_at_rest`] on a mutation's.
+    ///
+    /// # Safety
+    ///
+    /// The tree's regions are open and no other thread writes it, and
+    /// `load` decodes a link of this tree to its target's mapped address
+    /// (0 for null) in the tree's current state.
+    #[inline]
+    unsafe fn find_leaf(&self, key: &[u8], load: impl Fn(&R) -> usize) -> Option<*mut Leaf> {
+        let mut cur = load(&(*self.header).root) as *mut NodeHead;
         let mut depth = 0usize;
         while !cur.is_null() {
             if (*cur).kind == KIND_LEAF {
@@ -744,20 +753,12 @@ impl<R: PtrRepr> PArt<R> {
                 return (Leaf::key(leaf) == key).then_some(leaf);
             }
             let plen = (*cur).klen as usize;
-            if key.len() < depth
-                || lcp(&(&(*cur).kbytes)[..plen], &key[depth.min(key.len())..]) < plen
-            {
+            if lcp(&(&(*cur).kbytes)[..plen], &key[depth.min(key.len())..]) < plen {
                 return None;
             }
             depth += plen;
-            let b = branch_byte(key, depth);
-            match Self::find_child(cur, b) {
-                Some(slot) => {
-                    cur = (*slot).load_at_rest() as *mut NodeHead;
-                    depth += 1;
-                }
-                None => return None,
-            }
+            cur = load(&*Self::find_child(cur, branch_byte(key, depth))?) as *mut NodeHead;
+            depth += 1;
         }
         None
     }
@@ -766,34 +767,7 @@ impl<R: PtrRepr> PArt<R> {
     pub fn count(&self, key: &str) -> u64 {
         let Ok(k) = key_bytes(key) else { return 0 };
         // SAFETY: links resolve to live nodes while regions are open.
-        unsafe {
-            let mut cur = (*self.header).root.load() as *mut NodeHead;
-            let mut depth = 0usize;
-            while !cur.is_null() {
-                if (*cur).kind == KIND_LEAF {
-                    let leaf = cur as *const Leaf;
-                    return if Leaf::key(leaf) == k {
-                        (*leaf).count
-                    } else {
-                        0
-                    };
-                }
-                let plen = (*cur).klen as usize;
-                if lcp(&(&(*cur).kbytes)[..plen], &k[depth.min(k.len())..]) < plen {
-                    return 0;
-                }
-                depth += plen;
-                let b = branch_byte(k, depth);
-                match Self::find_child(cur, b) {
-                    Some(slot) => {
-                        cur = (*slot).load() as *mut NodeHead;
-                        depth += 1;
-                    }
-                    None => return 0,
-                }
-            }
-            0
-        }
+        unsafe { self.find_leaf(k, R::load).map_or(0, |leaf| (*leaf).count) }
     }
 
     /// Whether `key` is present (occurrence count > 0).

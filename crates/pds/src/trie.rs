@@ -255,20 +255,34 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         Ok(())
     }
 
+    /// The node `word` ends at, decoding every link with `load`:
+    /// [`PtrRepr::load`] on the read path, [`PtrRepr::load_at_rest`] on
+    /// a mutation's. `None` when the path is missing or leaves `a`–`z`.
+    ///
+    /// # Safety
+    ///
+    /// The trie's regions are open and no other thread writes it, and
+    /// `load` decodes a link of this trie to its target's mapped address
+    /// (0 for null) in the trie's current state.
+    unsafe fn find_node(
+        &self,
+        word: &str,
+        load: impl Fn(&R) -> usize,
+    ) -> Option<*mut TrieNode<R, P>> {
+        let mut cur = load(&(*self.header).root) as *mut TrieNode<R, P>;
+        for &c in word.as_bytes() {
+            cur = load(&(*cur).children[index_of(c).ok()?]) as *mut TrieNode<R, P>;
+            if cur.is_null() {
+                return None;
+            }
+        }
+        Some(cur)
+    }
+
     /// Number of times `word` was inserted (0 if absent).
     pub fn count(&self, word: &str) -> u64 {
         // SAFETY: links resolve to live nodes while regions are open.
-        unsafe {
-            let mut cur = (*self.header).root.load() as *const TrieNode<R, P>;
-            for &c in word.as_bytes() {
-                let Ok(i) = index_of(c) else { return 0 };
-                cur = (*cur).children[i].load() as *const TrieNode<R, P>;
-                if cur.is_null() {
-                    return 0;
-                }
-            }
-            (*cur).count
-        }
+        unsafe { self.find_node(word, R::load).map_or(0, |n| (*n).count) }
     }
 
     /// Whether `word` was inserted at least once.
@@ -284,23 +298,15 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     ///
     /// [`PdsError::BadCharacter`] for prefixes outside `a..=z`.
     pub fn prefix_scan(&self, prefix: &str) -> Result<Vec<String>> {
-        let steps: Vec<usize> = prefix
-            .as_bytes()
-            .iter()
-            .map(|&c| index_of(c))
-            .collect::<Result<_>>()?;
+        for &c in prefix.as_bytes() {
+            index_of(c)?;
+        }
         let mut out = Vec::new();
         // SAFETY: as in count.
         unsafe {
-            let mut cur = (*self.header).root.load() as *const TrieNode<R, P>;
-            for i in steps {
-                cur = (*cur).children[i].load() as *const TrieNode<R, P>;
-                if cur.is_null() {
-                    return Ok(out);
-                }
+            if let Some(n) = self.find_node(prefix, R::load) {
+                self.collect_words(n, &mut prefix.to_string(), &mut out);
             }
-            let mut word = prefix.to_string();
-            self.collect_words(cur, &mut word, &mut out);
         }
         // Pre-order over sorted children already yields lexicographic
         // order; keep the sort as a guard so callers can rely on it.
@@ -406,16 +412,9 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         // SAFETY: navigation as in count; counters snapshotted (one
         // batch, one fence) before mutation and flushed after.
         unsafe {
-            let mut cur = (*self.header).root.load_at_rest() as *mut TrieNode<R, P>;
-            for &c in word.as_bytes() {
-                let Ok(i) = index_of(c) else {
-                    return Ok(false);
-                };
-                cur = (*cur).children[i].load_at_rest() as *mut TrieNode<R, P>;
-                if cur.is_null() {
-                    return Ok(false);
-                }
-            }
+            let Some(cur) = self.find_node(word, R::load_at_rest) else {
+                return Ok(false);
+            };
             if (*cur).count == 0 {
                 return Ok(false);
             }

@@ -25,10 +25,10 @@
 //! triages a whole cell at once).
 
 use nvm_pi::nvmsim::dlin;
-use nvm_pi::nvserver::{index_word, BatchOp, Response, Status, TenantState};
+use nvm_pi::nvserver::{index_word, key_of_word, BatchOp, Response, Status, TenantState};
 use nvm_pi::pstore::ObjectStore;
 use nvm_pi::{
-    History, NodeArena, OpRecord, PHashSet, Priority, Region, ReprKind, Riv, Server, ServerConfig,
+    History, NodeArena, OpRecord, PArt, Priority, Region, ReprKind, Riv, Server, ServerConfig,
     ServerFaultPlan, ServerReport, SetOp, TenantSpec,
 };
 use nvmsim::shadow::FaultPolicy;
@@ -412,10 +412,15 @@ fn acked_commits_survive_crash_and_remapped_reopen() {
     // report (offline audit of the same bytes a failure would upload).
     let region = Region::open_file(cell.path("tenant-0.nvr")).unwrap();
     let store = ObjectStore::attach(&region).unwrap();
-    let set: PHashSet<Riv, 32> =
-        PHashSet::attach(NodeArena::transactional(store.clone()), "srv.set").unwrap();
+    let set: PArt<Riv> = PArt::attach(NodeArena::transactional(store.clone()), "srv.idx").unwrap();
+    let on_disk: Vec<u64> = set
+        .prefix_scan("")
+        .unwrap()
+        .iter()
+        .map(|w| key_of_word(w).unwrap_or_else(|| panic!("{w:?} is no key's word")))
+        .collect();
     assert_eq!(
-        sorted(&set.keys()),
+        sorted(&on_disk),
         sorted(&tr.keys),
         "on-disk set == reported set"
     );
@@ -557,8 +562,8 @@ fn lru_pressure_evicts_and_remaps_cold_tenants() {
 
 // -- a tenant that fails its invariants ---------------------------------------
 
-/// Out-of-band damage no checksum covers — the set header's `len` word
-/// disagreeing with its chains — is caught by the invariant check at
+/// Out-of-band damage no checksum covers — the ART header's `keys` word
+/// disagreeing with its leaves — is caught by the invariant check at
 /// reopen. The tenant must then not stay open: requests answer `Failed`,
 /// the failure is counted, a neighbour on the same shard keeps serving,
 /// and shutdown reports the tenant without walking its set.
@@ -582,9 +587,10 @@ fn tenant_failing_invariants_is_refused_not_served() {
     assert_eq!(client.evict(0).status, Status::Ok);
     {
         let region = Region::open_file(cell.path("tenant-0.nvr")).unwrap();
-        let header = region.root("srv.set").expect("the tenant's set root");
-        // SAFETY: the root is the set header; `len` is its third word.
-        unsafe { *((header + 16) as *mut u64) += 1 };
+        let header = region.root("srv.idx").expect("the tenant's key set root");
+        // SAFETY: the root is the ART header; after the 8-byte off-holder
+        // root slot, `keys` is its second word.
+        unsafe { *((header + 8) as *mut u64) += 1 };
         region.close().unwrap();
     }
     let r = client.get(0, 1);
