@@ -3,8 +3,8 @@
 //!
 //! It follows the design of LLFree ("Understanding and Optimizing
 //! Persistent Memory Allocation", see PAPERS.md): all *persistent* state
-//! is a set of atomic bitmap words, and all *volatile* state can be
-//! rebuilt by a bounded scan — no undo log, no recovery ambiguity.
+//! is a set of atomic bitmap words, and all *volatile* state lives in
+//! DRAM, rebuilt by a bounded scan — no undo log, no recovery ambiguity.
 //!
 //! # Lower level (on media)
 //!
@@ -17,16 +17,16 @@
 //! | page header (64 B) | subtree 0 (64B)| subtree 1 (64B)|  ...  |   63 subtrees
 //! | magic next count   | base | meta    |                |       |
 //! | seq crc            | bitmap | pad   |                |       |
-//! |                    | owner | taken  |                |       |
 //! +--------------------+----------------+----------------+-- ~ --+
 //! ```
 //!
 //! Each **subtree descriptor** covers up to 64 blocks of one size class:
 //! `base` is the offset of block 0, `meta` packs the class index and the
 //! block capacity, and one persistent `bitmap` word holds the allocated
-//! bit per block. `owner` and `taken` are volatile words that live in the
-//! descriptor: the recovery scan clears `owner` and rebuilds `taken` from
-//! the bitmap, so torn or stale values can never corrupt state.
+//! bit per block. Bytes 24–63 are padding (an older image keeps stale
+//! words there, sealed by the page CRC). Each subtree's volatile words,
+//! `owner` (a reservation) and `taken`, live in DRAM on a line of their
+//! own, allocated as its page is chained or walked.
 //!
 //! A block above [`MAX_CLASS_SIZE`] is a descriptor of its own: class
 //! [`LARGE`], capacity 1, and a whole-granule span whose length `meta`
@@ -43,9 +43,10 @@
 //! never races a bitmap transition and never backs off.
 //!
 //! The persistence contract is a single word: a plain allocation claims,
-//! sets its bit, then flushes the word and fences **before** the block is
-//! handed out, so no pointer to the block can become durable before the
-//! block's allocated bit is. A plain dealloc clears the bit and
+//! sets its bit (the claim hands its subtree and bit to that step, so the
+//! block is found once), then flushes the word and fences **before** the
+//! block is handed out, so no pointer to the block can become durable
+//! before the block's allocated bit is. A plain dealloc clears the bit and
 //! flushes/fences before it clears the `taken` bit that lets the block be
 //! served again. Fault injection tears at 8-byte granularity
 //! ([`crate::shadow::FaultPolicy::TearWords`]), so a bitmap word is atomic
@@ -73,8 +74,8 @@
 //!
 //! # Upper level (volatile)
 //!
-//! Each thread holds a **reserved subtree** per class (a 64-byte-aligned
-//! descriptor it CASes without contention). When it is full the thread
+//! Each thread holds a **reserved subtree** per class (a subtree whose
+//! `taken` line it CASes without contention). When it is full the thread
 //! first takes a block from its **spares** — the last few subtrees it
 //! gave a block back to, reserved or not — so a freed block is reused
 //! without a descriptor scan; after that, exhaustion is handled by
@@ -97,14 +98,12 @@
 //! # Recovery
 //!
 //! Opening an image walks the page chain once (bounded by the region
-//! size), validates every descriptor, rebuilds `taken` from the bitmap,
-//! clears `owner`, and rebuilds the volatile granule map used to route
-//! frees. Each word is stored only where it differs, and a clean close
-//! seals them to exactly those values, so a clean open stores nothing
-//! into a bitmap page; an image whose `taken` words read zero (as every
-//! image written before they existed does) is repaired by its first
-//! open. Structural damage fails the open; salvage opens such an image
-//! with an empty, frozen state whose allocations answer out-of-memory.
+//! size), validates every descriptor, and fills the volatile page table,
+//! the granule map used to route frees, and each subtree's DRAM words:
+//! `taken` equal to the bitmap, no `owner`. The walk only reads the
+//! bitmap pages, so no open, clean or after a crash, stores into one.
+//! Structural damage fails the open; salvage opens such an image with an
+//! empty, frozen state whose allocations answer out-of-memory.
 //!
 //! # Statistics
 //!
@@ -125,6 +124,7 @@ use crate::shadow;
 use crate::undolog::BlockOp;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Magic number identifying a bitmap page ("NVPILLP1").
 pub const LL_PAGE_MAGIC: u64 = u64::from_le_bytes(*b"NVPILLP1");
@@ -159,11 +159,9 @@ const PAGE_CRC: usize = 32;
 const D_BASE: usize = 0;
 pub(crate) const D_META: usize = 8;
 pub(crate) const D_BITMAP: usize = 16;
-// Bytes 24..32 of a descriptor are padding (an older image keeps a free
-// counter there that nothing reads; the page CRC seals it).
-const D_OWNER: usize = 32;
-const D_TAKEN: usize = 40;
-// Bytes 48..64 of a descriptor are padding.
+// Bytes 24..64 of a descriptor are padding that nothing reads or writes
+// (older images keep a free counter at 24 and the volatile words, now in
+// DRAM, at 32 and 40; the page CRC seals them like any other byte).
 
 /// Subtrees a thread remembers, per class, as having had a block given
 /// back by it.
@@ -454,13 +452,41 @@ fn with_slot<R>(instance: u64, f: impl FnOnce(&mut TlsSlot) -> R) -> Option<R> {
         .ok()
 }
 
-/// A view of one 64 B on-media subtree descriptor.
-#[derive(Clone, Copy)]
-struct Desc {
-    addr: usize,
+/// A subtree's volatile words, on a cache line of their own (as its
+/// descriptor is on media) so that claims on two subtrees never share one.
+#[derive(Default)]
+#[repr(align(64))]
+struct Vol {
+    /// The reservation: its thread's token, 0 when none.
+    owner: AtomicU64,
+    /// The bitmap plus every block a claim or a transaction has taken.
+    taken: AtomicU64,
 }
 
-impl Desc {
+/// One chained bitmap page: its offset, and the volatile words of its
+/// descriptors, allocated when the page is chained or walked.
+struct Page {
+    off: u64,
+    vol: Box<[Vol]>,
+}
+
+impl Page {
+    fn new(off: u64) -> Page {
+        Page {
+            off,
+            vol: (0..SUBTREES_PER_PAGE).map(|_| Vol::default()).collect(),
+        }
+    }
+}
+
+/// One subtree: its 64 B on-media descriptor and its volatile words.
+#[derive(Clone, Copy)]
+struct Desc<'a> {
+    addr: usize,
+    vol: &'a Vol,
+}
+
+impl Desc<'_> {
     #[inline]
     fn base(self) -> u64 {
         // SAFETY: callers obtain `Desc` only for descriptors inside the
@@ -500,18 +526,6 @@ impl Desc {
         // SAFETY: the mapped word is 8-aligned (descriptors are 64 B
         // aligned) and lives as long as the region mapping.
         unsafe { &*((self.addr + D_BITMAP) as *const AtomicU64) }
-    }
-    #[inline]
-    fn owner(self) -> &'static AtomicU64 {
-        // SAFETY: as `bitmap`.
-        unsafe { &*((self.addr + D_OWNER) as *const AtomicU64) }
-    }
-    /// The bitmap plus every block a claim or an uncommitted
-    /// transaction has taken (see the module docs).
-    #[inline]
-    fn taken(self) -> &'static AtomicU64 {
-        // SAFETY: as `bitmap`.
-        unsafe { &*((self.addr + D_TAKEN) as *const AtomicU64) }
     }
     #[inline]
     fn bitmap_addr(self) -> usize {
@@ -591,8 +605,9 @@ struct FreeEpochs {
 pub(crate) struct LlState {
     base: usize,
     instance: u64,
-    /// Offsets of bitmap pages in chain order (published, never mutated).
-    page_offs: Box<[AtomicU64]>,
+    /// Bitmap pages in chain order (published, never mutated), each with
+    /// the volatile words of its descriptors.
+    pages: Box<[OnceLock<Page>]>,
     num_subtrees: AtomicU32,
     /// Granule map: offset >> 10 -> subtree id + 1 (0 = not bitmap-owned).
     granules: Box<[AtomicU32]>,
@@ -626,14 +641,11 @@ impl LlState {
             .map(|_| AtomicU32::new(0))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        let page_offs = (0..max_pages(size))
-            .map(|_| AtomicU64::new(0))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let pages = (0..max_pages(size)).map(|_| OnceLock::new()).collect();
         LlState {
             base,
             instance,
-            page_offs,
+            pages,
             num_subtrees: AtomicU32::new(0),
             granules,
             next_token: AtomicU64::new(2),
@@ -678,17 +690,17 @@ impl LlState {
         hdr: &mut AllocHeader,
     ) -> Result<LlState> {
         let st = Self::new_empty(base, size, instance);
-        let page = st.format_page(hdr)?;
+        let page = st.format_page(hdr, 0)?;
         hdr.set_ll_dir(page);
         Ok(st)
     }
 
     /// Rebuilds the volatile state from a persisted image by one bounded
-    /// scan of the page chain: validates structure, rebuilds `taken` from
-    /// the bitmaps, clears stale `owner` reservations and repopulates the
-    /// granule map. On success the managed range is
-    /// extended to the committed size (`grow` fences the size before the
-    /// end, so a crash between leaves the end short).
+    /// scan of the page chain, which it only reads: validates structure,
+    /// fills the page table, the granule map and each subtree's DRAM
+    /// words (`taken` the bitmap, no `owner`). On success the managed
+    /// range is extended to the committed size (`grow` fences the size
+    /// before the end, so a crash between leaves the end short).
     ///
     /// The bump frontier is *recovered*, not trusted: it is raised to the
     /// end of the furthest page and subtree span the walk saw, so a
@@ -729,12 +741,16 @@ impl LlState {
             Walked::Issue(issue) => damage = Some(issue),
             Walked::Page { off, .. } => {
                 // In range: the walk allows `max_pages(committed)` pages
-                // and `page_offs` holds `max_pages(size)`.
-                *st.page_offs[pages].get_mut() = off;
+                // and `pages` holds `max_pages(size)`.
+                st.pages[pages] = OnceLock::from(Page::new(off));
                 pages += 1;
                 frontier = frontier.max(off + LL_PAGE_SIZE as u64);
             }
             Walked::Subtree(t) => {
+                // Nothing is held or reserved yet: `taken` is the bitmap.
+                let page = st.pages[pages - 1].get_mut().expect("walked first");
+                let word = t.page_off as usize + DESC_SIZE * (t.slot + 1) + D_BITMAP;
+                *page.vol[t.slot].taken.get_mut() = read_u64(image, word);
                 // Claim the span in the granule map, refusing overlap.
                 frontier = frontier.max(t.end());
                 let g0 = (t.base / GRANULE) as usize;
@@ -752,10 +768,6 @@ impl LlState {
         }
         hdr.extend(committed as u64);
         hdr.raise_bump(frontier);
-        // Rebuild the volatile words from the persistent truth.
-        for id in 0..subtrees {
-            st.reset_volatile(id);
-        }
         let lines = pages as u64 + subtrees as u64;
         metrics::add(Counter::LlallocRecoveryLines, lines);
         st.num_subtrees.store(subtrees, Ordering::Release);
@@ -768,27 +780,14 @@ impl LlState {
     }
 
     #[inline]
-    fn desc(&self, id: u32) -> Desc {
-        let page = self.page_offs[id as usize / SUBTREES_PER_PAGE].load(Ordering::Relaxed);
+    fn desc(&self, id: u32) -> Desc<'_> {
+        let page = self.pages[id as usize / SUBTREES_PER_PAGE]
+            .get()
+            .expect("a published subtree's page is chained");
+        let slot = id as usize % SUBTREES_PER_PAGE;
         Desc {
-            addr: self.base
-                + page as usize
-                + DESC_SIZE
-                + (id as usize % SUBTREES_PER_PAGE) * DESC_SIZE,
-        }
-    }
-
-    /// Resets subtree `id`'s volatile words from its bitmap: `taken` to
-    /// the bitmap, `owner` cleared, each stored only where it differs (on
-    /// a shared file mapping an unchanged store still dirties the page).
-    /// Caller excludes allocation traffic (open, clean close).
-    fn reset_volatile(&self, id: u32) {
-        let d = self.desc(id);
-        let bitmap = d.bitmap().load(Ordering::Relaxed);
-        for (word, v) in [(d.taken(), bitmap), (d.owner(), 0)] {
-            if word.load(Ordering::Relaxed) != v {
-                word.store(v, Ordering::Relaxed);
-            }
+            addr: self.base + page.off as usize + DESC_SIZE + slot * DESC_SIZE,
+            vol: &page.vol[slot],
         }
     }
 
@@ -801,30 +800,31 @@ impl LlState {
 
     /// Claims one block of `class` in `taken`, preferring this thread's
     /// reserved subtree, then the subtrees it last gave blocks back to,
-    /// then a scan for another reservation. The block's bit is left
-    /// alone: [`LlState::persist_held`] sets it, at once for a plain
-    /// allocation, at commit for a transaction's. Returns the block
-    /// offset, or `None` when no reachable subtree has a free block (the
-    /// caller then grows one under the region lock).
-    pub(crate) fn alloc(&self, class: usize) -> Option<u64> {
+    /// then a scan for another reservation. A `plain` allocation's claim
+    /// sets the block's bit at once, through the subtree and bit it just
+    /// claimed (see [`LlState::alloc_in`]); a transaction's leaves the bit
+    /// to [`LlState::persist_held`] at commit. Returns the block offset,
+    /// or `None` when no reachable subtree has a free block (the caller
+    /// then grows one under the region lock).
+    pub(crate) fn alloc(&self, class: usize, plain: bool) -> Option<u64> {
         // Fast path: the reserved subtree, else a spare one.
         if let Some(Some(off)) = with_slot(self.instance, |s| {
             let reserved = s.ids[class].checked_sub(1);
-            if let Some(off) = reserved.and_then(|id| self.alloc_in(id, None)) {
+            if let Some(off) = reserved.and_then(|id| self.alloc_in(id, None, plain)) {
                 return Some(off);
             }
             // A spare is served reserved or not: a reservation only
             // keeps threads apart, and this thread just gave the block
             // back. A full one is dropped.
             while let Some(id) = s.last_spare(class) {
-                if let Some(off) = self.alloc_in(id, None) {
+                if let Some(off) = self.alloc_in(id, None, plain) {
                     return Some(off);
                 }
                 s.pop_spare(class);
             }
             if let Some(id) = reserved {
                 // Reserved subtree is full: release the reservation.
-                let _ = self.desc(id).owner().compare_exchange(
+                let _ = self.desc(id).vol.owner.compare_exchange(
                     s.tokens[class],
                     0,
                     Ordering::AcqRel,
@@ -839,9 +839,9 @@ impl LlState {
         // Reserve (or steal) a subtree with free blocks, then retry; a
         // thread without TLS CASes unreserved directly.
         loop {
-            match self.reserve(class) {
+            match self.reserve(class, plain) {
                 Reserve::Reserved(id) => {
-                    if let Some(off) = self.alloc_in(id, None) {
+                    if let Some(off) = self.alloc_in(id, None, plain) {
                         return Some(off);
                     }
                     // Raced empty between the scan and the CAS; rescan.
@@ -855,31 +855,32 @@ impl LlState {
     /// [`LlState::alloc`] with the class's dry stamp voided first, so
     /// every subtree is looked at again: the last resort before the
     /// caller gives up on the bitmaps.
-    pub(crate) fn alloc_rescan(&self, class: usize) -> Option<u64> {
+    pub(crate) fn alloc_rescan(&self, class: usize, plain: bool) -> Option<u64> {
         self.dry[class].store(0, Ordering::Relaxed);
-        self.alloc(class)
+        self.alloc(class, plain)
     }
 
     /// Claims exactly the free block at `off` when it starts a block of
     /// `class` and `block_size` bytes (a size class, or a large block's
-    /// whole span): one CAS on `taken`, as [`LlState::alloc`] does for
-    /// the lowest free bit. `false` when `off` starts no such block or
-    /// the block is taken.
+    /// whole span), and sets its bit: one CAS on `taken`, as a plain
+    /// [`LlState::alloc`] does for the lowest free bit. `false` when
+    /// `off` starts no such block or the block is taken.
     pub(crate) fn alloc_at(&self, off: u64, class: usize, block_size: u64) -> bool {
         let Some((id, d, b)) = self.locate(off, class) else {
             return false;
         };
-        d.block_size() == block_size && self.alloc_in(id, Some(b.trailing_zeros())).is_some()
+        d.block_size() == block_size && self.alloc_in(id, Some(b.trailing_zeros()), true).is_some()
     }
 
     /// One CAS attempt loop on subtree `id`'s `taken` word, for its
-    /// lowest free bit or for `bit` alone. `None` when no such bit is
-    /// free.
+    /// lowest free bit or for `bit` alone; a `plain` claim then sets the
+    /// block's bit, not fenced (the region fences it before it hands the
+    /// block out). `None` when no such bit is free.
     #[inline]
-    fn alloc_in(&self, id: u32, bit: Option<u32>) -> Option<u64> {
+    fn alloc_in(&self, id: u32, bit: Option<u32>, plain: bool) -> Option<u64> {
         let d = self.desc(id);
         let mask = d.mask();
-        let mut cur = d.taken().load(Ordering::Acquire);
+        let mut cur = d.vol.taken.load(Ordering::Acquire);
         loop {
             let avail = !cur & mask;
             let bit = match bit {
@@ -890,13 +891,18 @@ impl LlState {
             // Acquire pairs with `give_back`'s Release: a claim that
             // finds a bit clear also finds the block's bitmap bit clear.
             // No other word is read, so nothing needs SeqCst.
-            match d.taken().compare_exchange_weak(
+            match d.vol.taken.compare_exchange_weak(
                 cur,
                 cur | 1 << bit,
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => return Some(d.base() + bit as u64 * d.block_size()),
+                Ok(_) => {
+                    if plain {
+                        Self::set_bit(d, 1 << bit);
+                    }
+                    return Some(d.base() + bit as u64 * d.block_size());
+                }
                 Err(seen) => {
                     metrics::incr(Counter::LlallocCasRetries);
                     cur = seen;
@@ -910,7 +916,7 @@ impl LlState {
     /// their reserving thread when nothing unreserved remains. Subtrees
     /// the class's dry stamp covers are not looked at; a scan that sees
     /// no free block at all extends the stamp to the current count.
-    fn reserve(&self, class: usize) -> Reserve {
+    fn reserve(&self, class: usize, plain: bool) -> Reserve {
         let n = self.count();
         // Acquire pairs with `give_back`'s Release bump: a scan that
         // reads the bumped epoch also sees the given-back `taken` bit.
@@ -936,15 +942,16 @@ impl LlState {
                 let d = self.desc(id);
                 #[cfg(test)]
                 self.visits.fetch_add(1, Ordering::Relaxed);
-                if d.class() != class || !d.taken().load(Ordering::Relaxed) & d.mask() == 0 {
+                if d.class() != class || !d.vol.taken.load(Ordering::Relaxed) & d.mask() == 0 {
                     continue;
                 }
                 saw_free = true;
-                let cur = d.owner().load(Ordering::Relaxed);
+                let cur = d.vol.owner.load(Ordering::Relaxed);
                 if (cur != 0) != steal {
                     continue;
                 }
-                if d.owner()
+                if d.vol
+                    .owner
                     .compare_exchange(cur, token, Ordering::AcqRel, Ordering::Relaxed)
                     .is_err()
                 {
@@ -952,7 +959,7 @@ impl LlState {
                     // only keeps threads apart: take a block without one
                     // rather than answer "exhausted" (and make the region
                     // grow) while the subtree has free blocks.
-                    if let Some(off) = self.alloc_in(id, None) {
+                    if let Some(off) = self.alloc_in(id, None, plain) {
                         return Reserve::Direct(off);
                     }
                     continue;
@@ -970,9 +977,10 @@ impl LlState {
                 }
                 // No TLS (thread teardown): allocate directly and leave
                 // the subtree unreserved for others.
-                let got = self.alloc_in(id, None);
+                let got = self.alloc_in(id, None, plain);
                 let _ = d
-                    .owner()
+                    .vol
+                    .owner
                     .compare_exchange(token, 0, Ordering::AcqRel, Ordering::Relaxed);
                 if let Some(off) = got {
                     return Reserve::Direct(off);
@@ -991,7 +999,7 @@ impl LlState {
     /// The subtree, descriptor and bit mask of the `class` block that
     /// starts at `off`; `None` when no published span holds `off`, the
     /// span serves another class, or `off` is not a block boundary.
-    fn locate(&self, off: u64, class: usize) -> Option<(u32, Desc, u64)> {
+    fn locate(&self, off: u64, class: usize) -> Option<(u32, Desc<'_>, u64)> {
         let id = self.subtree_of(off)?;
         let d = self.desc(id);
         if d.class() != class {
@@ -1034,8 +1042,8 @@ impl LlState {
     /// Makes block `b` of subtree `id`, whose bit is clear, servable
     /// again: its `taken` bit, the class's free epoch, and this thread's
     /// spares.
-    fn give_back(&self, id: u32, d: Desc, b: u64, class: usize) {
-        d.taken().fetch_and(!b, Ordering::Release);
+    fn give_back(&self, id: u32, d: Desc<'_>, b: u64, class: usize) {
+        d.vol.taken.fetch_and(!b, Ordering::Release);
         // After `taken`, so a scan that sees the new epoch sees the block.
         self.free_epoch.epochs[class].fetch_add(1, Ordering::Release);
         if class < NUM_CLASSES {
@@ -1045,10 +1053,10 @@ impl LlState {
 
     /// Sets block `b`'s bit, tracked and flushed, not fenced. The block
     /// must be taken: that is what keeps every other claim off it.
-    fn set_bit(d: Desc, b: u64) {
+    fn set_bit(d: Desc<'_>, b: u64) {
         d.bitmap().fetch_or(b, Ordering::AcqRel);
         debug_assert_ne!(
-            d.taken().load(Ordering::Relaxed) & b,
+            d.vol.taken.load(Ordering::Relaxed) & b,
             0,
             "a bitmap bit set without its taken bit"
         );
@@ -1063,11 +1071,10 @@ impl LlState {
             .is_some_and(|(_, d, b)| d.bitmap().load(Ordering::Acquire) & b != 0)
     }
 
-    /// The bit transition of a claimed or held block: set for `Alloc`,
+    /// The commit-time bit transition of a held block: set for `Alloc`,
     /// cleared for `Free`, tracked and flushed but not fenced — the
-    /// caller's next fence orders it (a plain allocation's own, a
-    /// transaction's commit fence). Only the block's claimer sets its
-    /// bit, so neither transition waits for anyone.
+    /// transaction's commit fence orders it. Only the block's holder
+    /// changes its bit, so neither transition waits for anyone.
     pub(crate) fn persist_held(&self, off: u64, class: usize, op: BlockOp) {
         let Some((_, d, b)) = self.locate(off, class) else {
             debug_assert!(false, "no {class} block at {off:#x}");
@@ -1115,7 +1122,7 @@ impl LlState {
                 flush_word(d.bitmap_addr());
             }
             BlockOp::Free if !set => {
-                d.taken().fetch_or(b, Ordering::AcqRel);
+                d.vol.taken.fetch_or(b, Ordering::AcqRel);
                 Self::set_bit(d, b);
             }
             _ => {}
@@ -1145,7 +1152,12 @@ impl LlState {
     /// # Safety
     ///
     /// As [`LlState::grow`].
-    pub(crate) unsafe fn alloc_large(&self, hdr: &mut AllocHeader, size: usize) -> Result<u64> {
+    pub(crate) unsafe fn alloc_large(
+        &self,
+        hdr: &mut AllocHeader,
+        size: usize,
+        plain: bool,
+    ) -> Result<u64> {
         let oom = || NvError::OutOfMemory {
             region: 0,
             requested: size,
@@ -1158,13 +1170,13 @@ impl LlState {
             let d = self.desc(id);
             let block = d.block_size();
             if d.class() == LARGE && block >= span && block - span <= span / 2 {
-                if let Some(off) = self.alloc_in(id, None) {
+                if let Some(off) = self.alloc_in(id, None, plain) {
                     return Ok(off);
                 }
             }
         }
         let id = self.add_subtree(hdr, LARGE, span, 1)?;
-        self.alloc_in(id, None).ok_or_else(oom)
+        self.alloc_in(id, None, plain).ok_or_else(oom)
     }
 
     /// Places descriptor `count()` (formatting a fresh bitmap page first
@@ -1192,17 +1204,17 @@ impl LlState {
         let n = self.count();
         let page_idx = n as usize / SUBTREES_PER_PAGE;
         let slot = n as usize % SUBTREES_PER_PAGE;
-        if page_idx >= self.page_offs.len() {
+        if page_idx >= self.pages.len() {
             return Err(oom(LL_PAGE_SIZE as u64));
         }
-        if self.page_offs[page_idx].load(Ordering::Relaxed) == 0 {
+        if self.pages[page_idx].get().is_none() {
             // Every chained page is full: chain a fresh one before
             // placing the descriptor. A chain that already ends in an
             // empty page (a crash between the link below and that page's
             // first descriptor) reuses it instead of relinking past it.
-            let off = self.format_page(hdr)?;
+            let off = self.format_page(hdr, page_idx)?;
             if page_idx > 0 {
-                let prev = self.page_offs[page_idx - 1].load(Ordering::Relaxed);
+                let prev = self.pages[page_idx - 1].get().expect("full").off;
                 page_u64_write(self.base, prev, PAGE_NEXT, off);
                 let next_addr = self.base + prev as usize + PAGE_NEXT;
                 shadow::track_store(next_addr, 8);
@@ -1212,7 +1224,7 @@ impl LlState {
             }
             latency::wbarrier();
         }
-        let page_off = self.page_offs[page_idx].load(Ordering::Relaxed);
+        let page_off = self.pages[page_idx].get().expect("chained").off;
 
         // Carve the span: up to `max_blocks` blocks, clipped to what
         // remains.
@@ -1232,17 +1244,15 @@ impl LlState {
         // fences loses at most this span, never a block; one that keeps
         // the count but tears away the frontier leaves a descriptor whose
         // frontier `open` re-derives.
-        let d = Desc {
-            addr: self.base + page_off as usize + DESC_SIZE + slot * DESC_SIZE,
-        };
+        let d = self.desc(n);
         let daddr = d.addr as *mut u64;
         daddr.add(D_BASE / 8).write(b);
         daddr
             .add(D_META / 8)
             .write(pack_meta(class, cap, block_size));
-        d.bitmap().store(!block_mask(cap as u32), Ordering::Relaxed);
-        d.owner().store(0, Ordering::Relaxed);
-        d.taken().store(!block_mask(cap as u32), Ordering::Relaxed);
+        let padding = !block_mask(cap as u32);
+        d.bitmap().store(padding, Ordering::Relaxed);
+        d.vol.taken.store(padding, Ordering::Relaxed);
         shadow::track_store(d.addr, DESC_SIZE);
         latency::clflush_range(d.addr, DESC_SIZE);
         latency::wbarrier();
@@ -1265,9 +1275,9 @@ impl LlState {
         Ok(n)
     }
 
-    /// Carves and formats one empty bitmap page. Caller holds the
-    /// region lock (or owns the region exclusively).
-    unsafe fn format_page(&self, hdr: &mut AllocHeader) -> Result<u64> {
+    /// Carves and formats one empty bitmap page, page `idx` of the chain.
+    /// Caller holds the region lock (or owns the region exclusively).
+    unsafe fn format_page(&self, hdr: &mut AllocHeader, idx: usize) -> Result<u64> {
         let off = hdr.carve_aligned(LL_PAGE_SIZE as u64, GRANULE)?;
         let addr = self.base + off as usize;
         std::ptr::write_bytes(addr as *mut u8, 0, LL_PAGE_SIZE);
@@ -1276,10 +1286,7 @@ impl LlState {
         latency::clflush_range(addr, 64);
         stage_frontier(hdr);
         latency::wbarrier();
-        let idx = (0..self.page_offs.len())
-            .find(|&i| self.page_offs[i].load(Ordering::Relaxed) == 0)
-            .expect("page_offs sized for the region");
-        self.page_offs[idx].store(off, Ordering::Relaxed);
+        self.pages[idx].get_or_init(|| Page::new(off));
         Ok(off)
     }
 
@@ -1333,8 +1340,7 @@ impl LlState {
         out
     }
 
-    /// Quiesced clean-close maintenance: resets every `taken` word to its
-    /// bitmap, clears reservations, and seals each page with a
+    /// Quiesced clean-close maintenance: stamps each bitmap page with a
     /// fresh sequence number and CRC so the corruption walk can verify
     /// cleanly-closed bitmap pages bit-for-bit. Caller must hold the
     /// region lock with no allocation traffic remaining.
@@ -1343,14 +1349,7 @@ impl LlState {
     ///
     /// The region must be mapped and quiescent.
     pub(crate) unsafe fn seal(&self) {
-        for id in 0..self.count() {
-            self.reset_volatile(id);
-        }
-        for page in self.page_offs.iter() {
-            let off = page.load(Ordering::Relaxed);
-            if off == 0 {
-                break;
-            }
+        for &Page { off, .. } in self.pages.iter().map_while(OnceLock::get) {
             let seq = page_u64(self.base, off, PAGE_SEQ) + 1;
             page_u64_write(self.base, off, PAGE_SEQ, seq);
             let bytes =
@@ -1409,9 +1408,7 @@ mod tests {
         }
         /// A large block, as a plain allocation serves it.
         fn large(&mut self, size: usize) -> u64 {
-            let off = unsafe { self.ll.alloc_large(&mut self.hdr, size) }.unwrap();
-            self.ll.persist_held(off, LARGE, BlockOp::Alloc);
-            off
+            unsafe { self.ll.alloc_large(&mut self.hdr, size, true) }.unwrap()
         }
         /// Rebuilds the allocator from the arena's bytes, as a reopen
         /// does.
@@ -1425,28 +1422,27 @@ mod tests {
     /// A plain allocation of a `class` block: claimed, then its bit set
     /// (the region fences it before handing the block out).
     fn plain(ll: &LlState, class: usize) -> Option<u64> {
-        let off = ll.alloc(class)?;
-        ll.persist_held(off, class, BlockOp::Alloc);
-        Some(off)
+        ll.alloc(class, true)
     }
 
-    /// [`LlState::alloc_at`] for a `size`-byte class block, as a plain
-    /// allocation serves it.
+    /// A transaction's allocation of a `class` block: claimed, its bit
+    /// left clear.
+    fn tx_alloc(ll: &LlState, class: usize) -> Option<u64> {
+        ll.alloc(class, false)
+    }
+
+    /// [`LlState::alloc_at`] for a `size`-byte class block.
     fn at(ll: &LlState, off: u64, size: usize) -> bool {
         let class = crate::alloc::class_for(size).unwrap();
-        let claimed = ll.alloc_at(off, class, CLASS_SIZES[class] as u64);
-        if claimed {
-            ll.persist_held(off, class, BlockOp::Alloc);
-        }
-        claimed
+        ll.alloc_at(off, class, CLASS_SIZES[class] as u64)
     }
 
     /// Whether every subtree's `taken` word equals its bitmap: what the
-    /// open rebuilds and a clean close seals.
+    /// open starts from.
     fn taken_is_bitmap(ll: &LlState) -> bool {
         (0..ll.count()).all(|id| {
             let d = ll.desc(id);
-            d.taken().load(Ordering::Relaxed) == d.bitmap().load(Ordering::Relaxed)
+            d.vol.taken.load(Ordering::Relaxed) == d.bitmap().load(Ordering::Relaxed)
         })
     }
 
@@ -1519,7 +1515,7 @@ mod tests {
         let c = crate::alloc::class_for(64).unwrap();
         let mut a = Arena::new(1 << 20);
         let offs: Vec<u64> = (0..2 * BLOCKS_PER_SUBTREE).map(|_| a.alloc(c)).collect();
-        assert_eq!(a.ll.alloc(c), None, "both subtrees full: stamped dry");
+        assert_eq!(tx_alloc(&a.ll, c), None, "both subtrees full: stamped dry");
         // A free the stamp never hears of (epoch forced back), on another
         // thread so that no spare of this one names its subtree: the
         // stamped scan misses the block, the rescan does not.
@@ -1528,8 +1524,8 @@ mod tests {
             s.spawn(move || assert!(ll.free_block(off, c)));
         });
         a.ll.free_epoch.epochs[c].store(0, Ordering::Relaxed);
-        assert_eq!(a.ll.alloc(c), None, "false dry");
-        assert_eq!(a.ll.alloc_rescan(c), Some(offs[1]));
+        assert_eq!(tx_alloc(&a.ll, c), None, "false dry");
+        assert_eq!(a.ll.alloc_rescan(c, false), Some(offs[1]));
     }
 
     #[test]
@@ -1601,13 +1597,16 @@ mod tests {
             assert!(a.ll.free_block(off, c));
         }
         // Simulated crash, with a claim in flight and a reservation held:
-        // rebuild volatile state from the media bytes.
-        let claimed = a.ll.alloc(c).unwrap();
+        // rebuild volatile state from the media bytes, which the open
+        // only reads.
+        let claimed = tx_alloc(&a.ll, c).unwrap();
         let owners = |ll: &LlState| {
-            (0..ll.count()).any(|id| ll.desc(id).owner().load(Ordering::Relaxed) != 0)
+            (0..ll.count()).any(|id| ll.desc(id).vol.owner.load(Ordering::Relaxed) != 0)
         };
         assert!(owners(&a.ll), "a reservation is held");
+        let image = a.mem.clone();
         let ll2 = a.reopen();
+        assert!(a.mem == image, "a crash open stored into the image");
         let (blocks, bytes) = ll2.live();
         assert_eq!(blocks, 70);
         assert_eq!(bytes, 70 * 128);
@@ -1793,8 +1792,8 @@ mod tests {
         let sealed_only: Vec<Damage> = vec![
             ("page CRC", Box::new(move |i| i[page + PAGE_SEQ] ^= 1)),
             (
-                "descriptor padding bytes 24..32",
-                Box::new(move |i| i[d0 + 24..d0 + 32].fill(0x5a)),
+                "descriptor padding bytes 24..64",
+                Box::new(move |i| i[d0 + 24..d0 + DESC_SIZE].fill(0x5a)),
             ),
         ];
         let class = crate::alloc::class_for(64).unwrap();
@@ -1856,7 +1855,7 @@ mod tests {
         let c = crate::alloc::class_for(64).unwrap();
         let kept = a.alloc(c);
         // A transaction's allocation: taken, its bit still clear.
-        let fresh = a.ll.alloc(c).unwrap();
+        let fresh = tx_alloc(&a.ll, c).unwrap();
         assert_eq!(a.ll.live(), (1, 64), "a held allocation has no bit yet");
         assert!(a.ll.is_allocated(kept, c));
         assert!(!a.ll.is_allocated(fresh, c), "not allocated");
@@ -1877,7 +1876,7 @@ mod tests {
         );
         assert!(at(&a.ll, kept, 64), "ended: served again");
         // Abort in the session: nothing was flipped, the holds go.
-        let fresh2 = a.ll.alloc(c).unwrap();
+        let fresh2 = tx_alloc(&a.ll, c).unwrap();
         a.ll.undo(fresh2, c, BlockOp::Alloc);
         a.ll.undo(fresh, c, BlockOp::Free);
         assert!(!at(&a.ll, fresh2, 64), "held until the rollback's truncate");
@@ -1890,7 +1889,7 @@ mod tests {
             "an aborted free is still allocated"
         );
         // Recovery: the bits reached media, the holds did not survive.
-        let (fresh3, freed) = (a.ll.alloc(c).unwrap(), fresh2);
+        let (fresh3, freed) = (tx_alloc(&a.ll, c).unwrap(), fresh2);
         a.ll.persist_held(fresh3, c, BlockOp::Alloc);
         a.ll.persist_held(freed, c, BlockOp::Free);
         let ll2 = a.reopen();
@@ -1910,7 +1909,7 @@ mod tests {
         let mut a = Arena::new(1 << 18);
         let c = crate::alloc::class_for(64).unwrap();
         let allocated = a.alloc(c);
-        let held = a.ll.alloc(c).unwrap();
+        let held = tx_alloc(&a.ll, c).unwrap();
         assert!(!at(&a.ll, held, 64));
         let ll2 = a.reopen();
         assert!(taken_is_bitmap(&ll2), "taken reset to the bitmap");
@@ -1934,7 +1933,7 @@ mod tests {
         // (`freeing`): every other thread's first allocation steals it,
         // and they go on stealing it from one another.
         unsafe { a.ll.grow(&mut a.hdr, c) }.unwrap();
-        let held = a.ll.alloc(c).unwrap();
+        let held = tx_alloc(&a.ll, c).unwrap();
         let freeing = plain(&a.ll, c).unwrap();
         assert_eq!(a.ll.count(), 1);
         let steals = metrics::snapshot().get(Counter::LlallocSubtreeSteals);
@@ -1966,7 +1965,7 @@ mod tests {
                             }
                             continue;
                         }
-                        let off = a.ll.alloc(c).expect("room for every thread");
+                        let off = tx_alloc(&a.ll, c).expect("room for every thread");
                         assert!(off != held && off != freeing, "served a held block");
                         match i % 5 {
                             // A transaction's allocation, aborted.
@@ -2025,7 +2024,7 @@ mod tests {
     }
 
     #[test]
-    fn an_image_with_zero_taken_words_is_repaired_once() {
+    fn descriptor_bytes_24_to_63_are_ignored() {
         let mut a = Arena::new(1 << 18);
         let c = crate::alloc::class_for(64).unwrap();
         let offs: Vec<u64> = (0..150).map(|_| a.alloc(c)).collect();
@@ -2039,32 +2038,40 @@ mod tests {
             .chain(offs.iter().skip(2).step_by(3))
             .copied()
             .collect();
-        // The word every image written before `taken` existed carries.
-        for id in 0..a.ll.count() {
-            a.ll.desc(id).taken().store(0, Ordering::Relaxed);
+        let page = a.hdr.ll_dir() as usize;
+        let subtrees = a.ll.count() as usize;
+        assert!(subtrees <= SUBTREES_PER_PAGE, "one bitmap page");
+        // Zeros, and what an older image may keep there: a free counter
+        // and the volatile words the descriptor used to carry.
+        for fill in [0x00, 0xff] {
+            for slot in 0..subtrees {
+                let d = page + DESC_SIZE * (slot + 1);
+                a.mem[d + 24..d + DESC_SIZE].fill(fill);
+            }
+            // Sealed as a clean close leaves it.
+            let crc = page_crc(&a.mem[page..page + LL_PAGE_SIZE]);
+            a.mem[page + PAGE_CRC..][..8].copy_from_slice(&crc.to_le_bytes());
+            let image = a.mem.clone();
+            let ll = a.reopen();
+            assert!(
+                a.mem == image,
+                "fill {fill:#x}: the open stored into the image"
+            );
+            assert!(taken_is_bitmap(&ll), "fill {fill:#x}");
+            assert_eq!(ll.live(), (live.len() as u64, live.len() as u64 * 64));
+            // Every block still free is served once, and no live one.
+            let mut fresh = Vec::new();
+            while let Some(off) = plain(&ll, c) {
+                assert!(!live.contains(&off), "{off:#x} is allocated already");
+                fresh.push(off);
+            }
+            let capacity = ll.occupancy()[c].capacity;
+            assert_eq!(ll.live().0, capacity, "every block served");
+            assert_eq!(live.len() + fresh.len(), capacity as usize, "and each once");
+            for off in fresh {
+                assert!(ll.free_block(off, c));
+            }
         }
-        let ll2 = a.reopen();
-        assert!(taken_is_bitmap(&ll2), "taken rebuilt from the bitmaps");
-        assert_eq!(ll2.live(), (live.len() as u64, live.len() as u64 * 64));
-        // Every block still free is served once, and no live one.
-        let mut fresh = Vec::new();
-        while let Some(off) = plain(&ll2, c) {
-            assert!(!live.contains(&off), "{off:#x} is allocated already");
-            fresh.push(off);
-        }
-        let capacity = ll2.occupancy()[c].capacity;
-        assert_eq!(ll2.live().0, capacity, "every block served");
-        assert_eq!(live.len() + fresh.len(), capacity as usize, "and each once");
-        // A clean close seals `taken` to the bitmap: the next open finds
-        // nothing to repair and stores nothing.
-        unsafe { ll2.seal() };
-        let sealed = a.mem.clone();
-        let ll3 = a.reopen();
-        assert!(
-            a.mem == sealed,
-            "a second clean open stored into a bitmap page"
-        );
-        assert_eq!(ll3.live().0, capacity);
     }
 
     #[cfg(debug_assertions)]

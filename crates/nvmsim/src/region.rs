@@ -23,7 +23,7 @@ use crate::mem::{align_up, page_size};
 use crate::nvspace::{ChunkRun, NvSpace};
 use crate::registry;
 use crate::shadow::{self, FaultPolicy, FaultReport, FaultStamp};
-use crate::undolog::{BlockEntry, BlockOp};
+use crate::undolog::BlockEntry;
 use crate::verify::{self, VerifyReport};
 use parking_lot::{Mutex, MutexGuard};
 use std::fs::{File, OpenOptions};
@@ -450,8 +450,8 @@ impl Region {
     }
 
     /// Rebuilds the allocator of a reopened image whose header was just
-    /// validated: one bounded pass over the bitmap pages rebuilds the
-    /// `taken` words and granule map (see [`LlState::open`]).
+    /// validated: one bounded pass that only reads the bitmap pages fills
+    /// the granule map and the DRAM `taken` words (see [`LlState::open`]).
     ///
     /// # Errors
     ///
@@ -838,20 +838,18 @@ impl Region {
         // scheduling step — its flushes still count as shadow events.
         // See `crate::sched`.
         crate::sched::with_yields_suppressed(|| {
-            let off = self.claim(size, align)?;
+            let off = self.claim(size, align, true)?;
             // Durable-allocate before the block can escape: the set bit
             // must hit media before any pointer to the block possibly
             // does.
-            let class = class_for(size).unwrap_or(LARGE);
-            self.inner.ll.persist_held(off, class, BlockOp::Alloc);
             latency::wbarrier();
             Ok(off)
         })
     }
 
     /// Claims a free block for `size` bytes in its subtree's `taken`
-    /// word, without setting its bit (see [`crate::llalloc`]).
-    fn claim(&self, size: usize, align: usize) -> Result<u64> {
+    /// word; a `plain` claim also sets its bit (see [`crate::llalloc`]).
+    fn claim(&self, size: usize, align: usize, plain: bool) -> Result<u64> {
         self.check_open()?;
         crate::metrics::incr(crate::metrics::Counter::RegionAllocs);
         assert!(size > 0, "zero-size allocation");
@@ -867,12 +865,13 @@ impl Region {
             // SAFETY: lock held; region mapped while the handle exists.
             let hdr = unsafe { self.header_mut() };
             // SAFETY: as above; `ll` belongs to this region.
-            return unsafe { ll.alloc_large(&mut hdr.alloc, size) }.map_err(|_| self.oom(size));
+            return unsafe { ll.alloc_large(&mut hdr.alloc, size, plain) }
+                .map_err(|_| self.oom(size));
         };
         loop {
             // Lock-free fast path: CAS a `taken` bit in the thread's
             // reserved subtree.
-            if let Some(off) = ll.alloc(class) {
+            if let Some(off) = ll.alloc(class, plain) {
                 return Ok(off);
             }
             let _g = self.lock_open()?;
@@ -888,7 +887,7 @@ impl Region {
             // The frontier is dry. The class's dry stamp is advisory, so
             // look at every subtree once more before giving up: a false
             // "dry" may cost a grow, never an out-of-memory.
-            return ll.alloc_rescan(class).ok_or_else(|| self.oom(size));
+            return ll.alloc_rescan(class, plain).ok_or_else(|| self.oom(size));
         }
     }
 
@@ -917,7 +916,6 @@ impl Region {
         let claimed = crate::sched::with_yields_suppressed(|| {
             let claimed = ll.alloc_at(off, class, block);
             if claimed {
-                ll.persist_held(off, class, BlockOp::Alloc);
                 latency::wbarrier();
             }
             claimed
@@ -972,7 +970,7 @@ impl Region {
     ///
     /// As [`Region::alloc`].
     pub fn alloc_held(&self, size: usize) -> Result<u64> {
-        crate::sched::with_yields_suppressed(|| self.claim(size, crate::alloc::MIN_ALIGN))
+        crate::sched::with_yields_suppressed(|| self.claim(size, crate::alloc::MIN_ALIGN, false))
     }
 
     /// Checks that an allocated `size`-byte block starts at `off`, for a
