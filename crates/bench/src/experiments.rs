@@ -668,8 +668,11 @@ pub fn suggest(cfg: &Config) -> (Vec<Row>, Vec<(String, f64)>) {
 
             let t = Instant::now();
             for batch in corpus.chunks(BATCH) {
+                // The ART counts its bytes only by walking, so its room
+                // is sized from the region's allocated bytes, an upper
+                // bound on them.
                 let live = match (&art, &trie) {
-                    (Some(a), _) => a.live_bytes() as usize,
+                    (Some(_), _) => region.stats().live_bytes as usize,
                     (_, Some(tr)) => {
                         tr.node_count() as usize * trie_node + std::mem::size_of::<TrieHeader<R>>()
                     }
@@ -705,7 +708,10 @@ pub fn suggest(cfg: &Config) -> (Vec<Row>, Vec<(String, f64)>) {
             lat.sort_unstable();
 
             let (bytes, distinct) = match (&art, &trie) {
-                (Some(a), _) => (a.live_bytes() as f64, a.key_count() as f64),
+                (Some(a), _) => (
+                    a.stats().expect("art walk").bytes as f64,
+                    a.key_count() as f64,
+                ),
                 (_, Some(tr)) => (
                     (tr.node_count() as usize * trie_node + std::mem::size_of::<TrieHeader<R>>())
                         as f64,

@@ -103,8 +103,6 @@ impl Riv {
     /// Debug-asserts the address lies in an open region's segment.
     #[inline]
     pub fn p2x(addr: usize) -> Riv {
-        #[cfg(feature = "riv-metrics")]
-        nvmsim::metrics::incr(nvmsim::metrics::Counter::RivP2x);
         if addr == 0 {
             return Riv(0);
         }
@@ -120,8 +118,6 @@ impl Riv {
     /// offset.
     #[inline]
     pub fn x2p(self) -> usize {
-        #[cfg(feature = "riv-metrics")]
-        nvmsim::metrics::incr(nvmsim::metrics::Counter::RivX2p);
         if self.0 == 0 {
             return 0;
         }
@@ -280,21 +276,5 @@ mod tests {
         assert_eq!(Riv::SIZE_BYTES, 8);
         assert!(Riv::POSITION_INDEPENDENT);
         assert!(!Riv::NEEDS_SWIZZLE);
-    }
-
-    #[cfg(feature = "riv-metrics")]
-    #[test]
-    fn translations_are_counted_when_gated_in() {
-        use nvmsim::metrics::{snapshot, Counter};
-        let r = Region::create(1 << 20).unwrap();
-        let p = r.alloc(64, 8).unwrap().as_ptr() as usize;
-        let before = snapshot();
-        let x = Riv::p2x(p);
-        assert_eq!(x.x2p(), p);
-        assert_eq!(x.x2p(), p);
-        let d = snapshot().delta(&before);
-        assert!(d.get(Counter::RivP2x) >= 1);
-        assert!(d.get(Counter::RivX2p) >= 2);
-        r.close().unwrap();
     }
 }

@@ -190,6 +190,17 @@ fn lines_covering(addr: usize, len: usize) -> u64 {
     ((last - first) / 64 + 1) as u64
 }
 
+/// Persists a store to `[addr, addr+len)`: tracks it for the shadow
+/// tracker ([`crate::shadow::track_store`]), then flushes its lines. It
+/// becomes durable at the next [`wbarrier`]; under fault injection, a
+/// store that skips this call stays volatile and is lost at the crash
+/// image.
+#[inline]
+pub fn persist(addr: usize, len: usize) {
+    crate::shadow::track_store(addr, len);
+    clflush_range(addr, len);
+}
+
 /// Emulates flushing the cache lines covering `[addr, addr+len)` to the
 /// device: pays the configured per-line flush latency.
 #[inline]

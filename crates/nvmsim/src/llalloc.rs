@@ -120,7 +120,6 @@ use crate::error::{NvError, Result};
 use crate::latency;
 use crate::metrics::{self, Counter};
 use crate::read_u64;
-use crate::shadow;
 use crate::undolog::BlockOp;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -560,8 +559,7 @@ fn persist_word(addr: usize) {
 /// allocation fences it itself).
 #[inline]
 fn flush_word(addr: usize) {
-    shadow::track_store(addr, 8);
-    latency::clflush_range(addr, 8);
+    latency::persist(addr, 8);
 }
 
 /// Stages the bump-frontier word for the caller's next fence. The
@@ -570,8 +568,7 @@ fn flush_word(addr: usize) {
 /// it like any other store.
 #[inline]
 fn stage_frontier(hdr: &AllocHeader) {
-    shadow::track_store(hdr.bump_addr(), 8);
-    latency::clflush_range(hdr.bump_addr(), 8);
+    latency::persist(hdr.bump_addr(), 8);
 }
 
 /// Point-in-time summary of one size class across all its subtrees.
@@ -1217,8 +1214,7 @@ impl LlState {
                 let prev = self.pages[page_idx - 1].get().expect("full").off;
                 page_u64_write(self.base, prev, PAGE_NEXT, off);
                 let next_addr = self.base + prev as usize + PAGE_NEXT;
-                shadow::track_store(next_addr, 8);
-                latency::clflush_range(next_addr, 8);
+                latency::persist(next_addr, 8);
             } else {
                 hdr.set_ll_dir(off);
             }
@@ -1253,13 +1249,11 @@ impl LlState {
         let padding = !block_mask(cap as u32);
         d.bitmap().store(padding, Ordering::Relaxed);
         d.vol.taken.store(padding, Ordering::Relaxed);
-        shadow::track_store(d.addr, DESC_SIZE);
-        latency::clflush_range(d.addr, DESC_SIZE);
+        latency::persist(d.addr, DESC_SIZE);
         latency::wbarrier();
         page_u64_write(self.base, page_off, PAGE_COUNT, slot as u64 + 1);
         let count_addr = self.base + page_off as usize + PAGE_COUNT;
-        shadow::track_store(count_addr, 8);
-        latency::clflush_range(count_addr, 8);
+        latency::persist(count_addr, 8);
         stage_frontier(hdr);
         latency::wbarrier();
 
@@ -1282,8 +1276,7 @@ impl LlState {
         let addr = self.base + off as usize;
         std::ptr::write_bytes(addr as *mut u8, 0, LL_PAGE_SIZE);
         page_u64_write(self.base, off, PAGE_MAGIC, LL_PAGE_MAGIC);
-        shadow::track_store(addr, 64);
-        latency::clflush_range(addr, 64);
+        latency::persist(addr, 64);
         stage_frontier(hdr);
         latency::wbarrier();
         self.pages[idx].get_or_init(|| Page::new(off));

@@ -36,10 +36,9 @@
 //! `HOOK-FAST`). Counters still ride only paths that cross a call or lock
 //! boundary: persistence points, the fat-pointer hashtable (modeled as a
 //! library call per the paper), region allocator calls, region and
-//! transaction lifecycle edges. The RIV `x2p`/`p2x` hot path is
-//! a handful of inline instructions and stays **branch-free by default**:
-//! its counters only exist under the `pi-core` crate's `riv-metrics`
-//! feature. See DESIGN.md "Observability".
+//! transaction lifecycle edges. The RIV `x2p`/`p2x` hot path is a
+//! handful of inline instructions and has no counter. See DESIGN.md
+//! "Observability".
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,10 +94,6 @@ counters! {
     FatCacheHits => "fat_cache_hits",
     /// `lastID`/`lastAddr` cache misses (fell through to the hashtable).
     FatCacheMisses => "fat_cache_misses",
-    /// RIV `x2p` translations (zero unless `pi-core/riv-metrics` is on).
-    RivX2p => "riv_x2p",
-    /// RIV `p2x` translations (zero unless `pi-core/riv-metrics` is on).
-    RivP2x => "riv_p2x",
     /// Regions registered (create or open).
     RegionOpens => "region_opens",
     /// Regions unregistered (close, crash teardown, or drop).

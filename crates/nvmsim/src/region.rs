@@ -762,15 +762,13 @@ impl Region {
         // the size (the open rolls that growth back).
         hdr.size = new_size as u64;
         let size_addr = base + RegionHeader::OFF_SIZE;
-        shadow::track_store(size_addr, 8);
-        latency::clflush_range(size_addr, 8);
+        latency::persist(size_addr, 8);
         latency::wbarrier();
         hdr.alloc.extend(new_size as u64);
         // Growth is rare, so one coarse flush of the header snapshot area
         // persists the end.
         let snap = RegionHeader::snapshot_len();
-        shadow::track_store(base, snap);
-        latency::clflush_range(base, snap);
+        latency::persist(base, snap);
         latency::wbarrier();
         // The geometry words changed durably: reseal a metadata slot.
         self.inner.write_meta_slot();
@@ -1528,8 +1526,7 @@ impl Inner {
         let bytes = unsafe { std::slice::from_raw_parts_mut(self.base as *mut u8, self.len()) };
         if let Some((slot_off, len)) = verify::stage_next_slot(bytes) {
             let addr = self.base + slot_off;
-            shadow::track_store(addr, len);
-            latency::clflush_range(addr, len);
+            latency::persist(addr, len);
             latency::wbarrier();
         }
     }

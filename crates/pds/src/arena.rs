@@ -23,16 +23,6 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Tracks and flushes `[addr, addr + len)`: the store half of the
-/// flush-on-write discipline the transactional structure operations
-/// follow. The write becomes durable at the next `wbarrier` (a log
-/// append or the transaction commit); under fault injection, a store
-/// that skips this call stays volatile and is lost at the crash image.
-pub fn persist_range(addr: usize, len: usize) {
-    nvmsim::shadow::track_store(addr, len);
-    nvmsim::latency::clflush_range(addr, len);
-}
-
 /// Free blocks [`NodeArena::scatter`] left behind, in the order `alloc`
 /// claims them.
 #[derive(Debug, Default)]

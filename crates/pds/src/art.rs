@@ -40,15 +40,20 @@
 //! the free rides its fence and a crash can neither leak the block nor
 //! serve it twice; in raw mode by `Region::dealloc` after the publish.
 //! Nodes never shrink: a removal decrements a leaf counter, and no
-//! Node48 collapses back into a Node16. Header accounting
-//! (`keys`/`nodes`/`bytes`/per-kind counts) is snapshotted in one range
-//! per transaction.
+//! Node48 collapses back into a Node16. The header persists one counter,
+//! `keys`, which an operation logs as its own 8-byte range only when the
+//! key count changes (a new key, a first occurrence on a count-0 leaf,
+//! the last removal); a count bump or a removal that is not the last logs
+//! the leaf's count alone. Node, byte and per-kind counts are not
+//! persisted: [`PArt::stats`] counts them in the same cycle-guarded walk
+//! that `check_invariants`, `recover`, `blocks` and `nvr_inspect index`
+//! run.
 //!
 //! Keys are non-empty strings of at most [`MAX_KEY`] bytes with no NUL —
 //! byte 0 is the in-tree terminator branch that separates a key from its
 //! extensions ("car" vs "cart").
 
-use crate::arena::{persist_range, NodeArena};
+use crate::arena::NodeArena;
 use crate::ctx::{Ctx, RawCtx, TxCtx};
 use crate::error::{PdsError, Result};
 use pi_core::PtrRepr;
@@ -80,22 +85,19 @@ const EMPTY48: u8 = 0xFF;
 
 /// Persistent ART header (lives in the home region).
 ///
-/// Everything after `root` is counter state snapshotted as a single undo
-/// range per transaction; `repr_fp` fingerprints the pointer
-/// representation so offline tooling (`nvr_inspect index`) can dispatch
-/// the walk without being told the type.
+/// `keys` is the one persistent counter; `repr_fp` fingerprints the
+/// pointer representation so offline tooling (`nvr_inspect index`) can
+/// dispatch the walk without being told the type.
 #[repr(C)]
 #[derive(Debug)]
 pub struct ArtHeader<R: PtrRepr> {
     root: R,
     /// Distinct keys currently present (occurrence count > 0).
     keys: u64,
-    /// Live nodes (a grown-and-replaced node leaves this unchanged).
-    nodes: u64,
-    /// Live node bytes (retired predecessors excluded).
-    bytes: u64,
-    /// Live node count per kind code.
-    kinds: [u64; 5],
+    /// Padding that nothing reads or writes. Images written before the
+    /// walk took over counting nodes, bytes and kinds hold stale counters
+    /// here, so the layout, and the format tag, stay as they were.
+    _retired: [u64; 7],
     /// FNV-1a of `R::NAME`.
     repr_fp: u64,
 }
@@ -240,9 +242,6 @@ impl<R: PtrRepr> PArt<R> {
         unsafe {
             (*header).root = R::null();
             (*header).keys = 0;
-            (*header).nodes = 0;
-            (*header).bytes = 0;
-            (*header).kinds = [0; 5];
             (*header).repr_fp = fnv1a64(R::NAME);
         }
         Ok(PArt {
@@ -299,21 +298,6 @@ impl<R: PtrRepr> PArt<R> {
         self.head().keys
     }
 
-    /// Live node count.
-    pub fn node_count(&self) -> u64 {
-        self.head().nodes
-    }
-
-    /// Live node bytes (headers and retired predecessors excluded).
-    pub fn live_bytes(&self) -> u64 {
-        self.head().bytes
-    }
-
-    /// Live node count per kind, indexed like [`ART_KIND_NAMES`].
-    pub fn kind_counts(&self) -> [u64; 5] {
-        self.head().kinds
-    }
-
     /// The arena nodes are placed in.
     pub fn arena(&self) -> &NodeArena {
         &self.arena
@@ -324,17 +308,16 @@ impl<R: PtrRepr> PArt<R> {
         self.header as usize
     }
 
-    fn counters_span(&self) -> (usize, usize) {
+    /// Address of the persistent key count, the one header word a write
+    /// logs.
+    fn keys_addr(&self) -> usize {
         // SAFETY: field projection on a mapped header; no dereference.
-        let start = unsafe { std::ptr::addr_of_mut!((*self.header).keys) } as usize;
-        let end = self.header as usize + std::mem::size_of::<ArtHeader<R>>();
-        (start, end - start)
+        unsafe { std::ptr::addr_of_mut!((*self.header).keys) as usize }
     }
 
     /// Fully initializes the fresh block `block` as a leaf for `key` with
     /// occurrence count 1; flushed before the caller publishes it.
-    unsafe fn new_leaf<C: Ctx>(&mut self, ctx: &C, block: *mut u8, key: &[u8]) -> *mut Leaf {
-        let size = leaf_size(key.len());
+    unsafe fn new_leaf<C: Ctx>(ctx: &C, block: *mut u8, key: &[u8]) -> *mut Leaf {
         let leaf = block as *mut Leaf;
         leaf.write(Leaf {
             kind: KIND_LEAF,
@@ -343,18 +326,14 @@ impl<R: PtrRepr> PArt<R> {
             count: 1,
         });
         std::ptr::copy_nonoverlapping(key.as_ptr(), leaf.add(1) as *mut u8, key.len());
-        ctx.persist(leaf as usize, size);
-        (*self.header).nodes += 1;
-        (*self.header).bytes += size as u64;
-        (*self.header).kinds[KIND_LEAF as usize] += 1;
+        ctx.persist(leaf as usize, leaf_size(key.len()));
         leaf
     }
 
     /// Initializes the fresh block `block` as an empty inner node of
     /// `kind` carrying `prefix`; the caller adds children and flushes
     /// before publishing.
-    unsafe fn new_inner(&mut self, block: *mut u8, kind: u8, prefix: &[u8]) -> *mut NodeHead {
-        let size = node_size::<R>(kind);
+    unsafe fn new_inner(block: *mut u8, kind: u8, prefix: &[u8]) -> *mut NodeHead {
         let n = block as *mut NodeHead;
         (*n).kind = kind;
         (*n).klen = prefix.len() as u8;
@@ -384,9 +363,6 @@ impl<R: PtrRepr> PArt<R> {
                 (*p).children = [R::null(); 256];
             }
         }
-        (*self.header).nodes += 1;
-        (*self.header).bytes += size as u64;
-        (*self.header).kinds[kind as usize] += 1;
         n
     }
 
@@ -448,45 +424,6 @@ impl<R: PtrRepr> PArt<R> {
         }
     }
 
-    /// Every `(branch byte, child target)` pair of an inner node, decoded
-    /// at rest (the mutation-path view).
-    unsafe fn children_at_rest(n: *const NodeHead) -> Vec<(u8, usize)> {
-        let mut out = Vec::with_capacity((*n).nkeys as usize);
-        match (*n).kind {
-            KIND_NODE4 => {
-                let p = n as *const Node4<R>;
-                for i in 0..(*n).nkeys as usize {
-                    out.push(((*p).keys[i], (*p).children[i].load_at_rest()));
-                }
-            }
-            KIND_NODE16 => {
-                let p = n as *const Node16<R>;
-                for i in 0..(*n).nkeys as usize {
-                    out.push(((*p).keys[i], (*p).children[i].load_at_rest()));
-                }
-            }
-            KIND_NODE48 => {
-                let p = n as *const Node48<R>;
-                for b in 0..256 {
-                    let i = (*p).index[b];
-                    if i != EMPTY48 {
-                        out.push((b as u8, (*p).children[i as usize].load_at_rest()));
-                    }
-                }
-            }
-            _ => {
-                let p = n as *const Node256<R>;
-                for b in 0..256 {
-                    let c = (*p).children[b].load_at_rest();
-                    if c != 0 {
-                        out.push((b as u8, c));
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// The two blocks of a split: a Node4, then a leaf for a `klen`-byte
     /// key.
     fn alloc_split<C: Ctx>(&self, ctx: &mut C, klen: usize) -> Result<(*mut u8, *mut u8)> {
@@ -497,30 +434,23 @@ impl<R: PtrRepr> PArt<R> {
     /// Grows the full node `n` into the next kind in the fresh block
     /// `block`: the successor is built beside it (unpublished, so no
     /// logging of its bytes), carries the same prefix and children, and
-    /// the caller publishes it through the parent slot. The predecessor
-    /// is retired from the accounting; the caller frees it.
-    unsafe fn grow(&mut self, block: *mut u8, n: *mut NodeHead) -> *mut NodeHead {
-        let old_kind = (*n).kind;
-        let new_kind = old_kind + 1;
-        let prefix_len = (*n).klen as usize;
-        let prefix: Vec<u8> = (&(*n).kbytes)[..prefix_len].to_vec();
-        let g = self.new_inner(block, new_kind, &prefix);
-        for (b, target) in Self::children_at_rest(n) {
-            Self::add_child_raw(g, b, target);
-        }
-        (*self.header).nodes -= 1;
-        (*self.header).bytes -= node_size::<R>(old_kind) as u64;
-        (*self.header).kinds[old_kind as usize] -= 1;
+    /// the caller publishes it through the parent slot and frees the
+    /// predecessor.
+    unsafe fn grow(block: *mut u8, n: *mut NodeHead) -> *mut NodeHead {
+        let prefix = &(&(*n).kbytes)[..(*n).klen as usize];
+        let g = Self::new_inner(block, (*n).kind + 1, prefix);
+        Self::for_each_child(n, R::load_at_rest, |b, target| {
+            Self::add_child_raw(g, b, target)
+        });
         g
     }
 
     /// Shared insertion body; see the module docs for the crash steps.
     /// Read-only descent first; each terminal case then logs every range
-    /// it will edit — the header counters included — allocates (and
-    /// frees) its nodes, and fences once before the first store, since
-    /// building fresh nodes already bumps the counters.
+    /// it will edit — the key count only when it changes — allocates (and
+    /// frees) its nodes, and fences once before the first store.
     unsafe fn insert_inner<C: Ctx>(&mut self, ctx: &mut C, key: &[u8]) -> Result<u64> {
-        let (counters, clen) = self.counters_span();
+        let keys = self.keys_addr();
         let mut parent: *mut R = std::ptr::addr_of_mut!((*self.header).root);
         let mut depth = 0usize;
         let rsize = std::mem::size_of::<R>();
@@ -528,16 +458,14 @@ impl<R: PtrRepr> PArt<R> {
             let cur = (*parent).load_at_rest() as *mut NodeHead;
             if cur.is_null() {
                 // Empty slot (only ever the root): publish a fresh leaf.
-                ctx.log(counters, clen)?;
+                ctx.log(keys, 8)?;
                 ctx.log(parent as usize, rsize)?;
                 let block = ctx.alloc(&self.arena, leaf_size(key.len()))?;
                 ctx.fence();
-                let leaf = self.new_leaf(ctx, block, key);
+                let leaf = Self::new_leaf(ctx, block, key);
                 (*parent).store(leaf as usize);
                 ctx.persist(parent as usize, rsize);
-                (*self.header).keys += 1;
-                ctx.persist(counters, clen);
-                return Ok(1);
+                break;
             }
             if (*cur).kind == KIND_LEAF {
                 let leaf = cur as *mut Leaf;
@@ -546,34 +474,34 @@ impl<R: PtrRepr> PArt<R> {
                 if lk == key {
                     // Lazy-expanded hit: bump the occurrence count.
                     let caddr = std::ptr::addr_of_mut!((*leaf).count);
-                    ctx.log(counters, clen)?;
+                    let first = *caddr == 0;
+                    if first {
+                        ctx.log(keys, 8)?;
+                    }
                     ctx.log(caddr as usize, 8)?;
                     ctx.fence();
-                    if *caddr == 0 {
-                        (*self.header).keys += 1;
-                    }
                     *caddr += 1;
                     ctx.persist(caddr as usize, 8);
-                    ctx.persist(counters, clen);
-                    return Ok(*caddr);
+                    if !first {
+                        return Ok(*caddr);
+                    }
+                    break;
                 }
                 // Leaf split: a Node4 over the diverging byte, the old
                 // leaf untouched (it already stores its full key).
                 let m = lcp(&lk[depth..], &key[depth..]);
-                ctx.log(counters, clen)?;
+                ctx.log(keys, 8)?;
                 ctx.log(parent as usize, rsize)?;
                 let (split, fresh) = self.alloc_split(ctx, key.len())?;
                 ctx.fence();
-                let split = self.new_inner(split, KIND_NODE4, &key[depth..depth + m]);
-                let fresh = self.new_leaf(ctx, fresh, key);
+                let split = Self::new_inner(split, KIND_NODE4, &key[depth..depth + m]);
+                let fresh = Self::new_leaf(ctx, fresh, key);
                 Self::add_child_raw(split, branch_byte(lk, depth + m), cur as usize);
                 Self::add_child_raw(split, branch_byte(key, depth + m), fresh as usize);
                 ctx.persist(split as usize, node_size::<R>(KIND_NODE4));
                 (*parent).store(split as usize);
                 ctx.persist(parent as usize, rsize);
-                (*self.header).keys += 1;
-                ctx.persist(counters, clen);
-                return Ok(1);
+                break;
             }
             // Inner node: match its compressed prefix.
             let plen = (*cur).klen as usize;
@@ -583,13 +511,13 @@ impl<R: PtrRepr> PArt<R> {
                 // Prefix split: new Node4 over the shared head; the
                 // existing node keeps its tail (trimmed in place, undo
                 // logged) and is re-linked under its diverging byte.
-                ctx.log(counters, clen)?;
+                ctx.log(keys, 8)?;
                 ctx.log(cur as usize, std::mem::size_of::<NodeHead>())?;
                 ctx.log(parent as usize, rsize)?;
                 let (split, fresh) = self.alloc_split(ctx, key.len())?;
                 ctx.fence();
-                let split = self.new_inner(split, KIND_NODE4, &prefix[..m]);
-                let fresh = self.new_leaf(ctx, fresh, key);
+                let split = Self::new_inner(split, KIND_NODE4, &prefix[..m]);
+                let fresh = Self::new_leaf(ctx, fresh, key);
                 Self::add_child_raw(split, prefix[m], cur as usize);
                 Self::add_child_raw(split, branch_byte(key, depth + m), fresh as usize);
                 ctx.persist(split as usize, node_size::<R>(KIND_NODE4));
@@ -601,9 +529,7 @@ impl<R: PtrRepr> PArt<R> {
                 ctx.persist(cur as usize, std::mem::size_of::<NodeHead>());
                 (*parent).store(split as usize);
                 ctx.persist(parent as usize, rsize);
-                (*self.header).keys += 1;
-                ctx.persist(counters, clen);
-                return Ok(1);
+                break;
             }
             depth += plen;
             let b = branch_byte(key, depth);
@@ -613,13 +539,13 @@ impl<R: PtrRepr> PArt<R> {
                     depth += 1;
                 }
                 None => {
-                    ctx.log(counters, clen)?;
+                    ctx.log(keys, 8)?;
                     let kind = (*cur).kind;
                     if ((*cur).nkeys as usize) < node_capacity(kind) {
                         ctx.log(cur as usize, node_size::<R>(kind))?;
                         let leaf = ctx.alloc(&self.arena, leaf_size(key.len()))?;
                         ctx.fence();
-                        let fresh = self.new_leaf(ctx, leaf, key);
+                        let fresh = Self::new_leaf(ctx, leaf, key);
                         Self::add_child_raw(cur, b, fresh as usize);
                         ctx.persist(cur as usize, node_size::<R>(kind));
                     } else {
@@ -631,19 +557,21 @@ impl<R: PtrRepr> PArt<R> {
                         let block = ctx.alloc(&self.arena, node_size::<R>(kind + 1))?;
                         ctx.free(cur as *mut u8, node_size::<R>(kind))?;
                         ctx.fence();
-                        let fresh = self.new_leaf(ctx, leaf, key);
-                        let grown = self.grow(block, cur);
+                        let fresh = Self::new_leaf(ctx, leaf, key);
+                        let grown = Self::grow(block, cur);
                         Self::add_child_raw(grown, b, fresh as usize);
                         ctx.persist(grown as usize, node_size::<R>((*grown).kind));
                         (*parent).store(grown as usize);
                         ctx.persist(parent as usize, rsize);
                     }
-                    (*self.header).keys += 1;
-                    ctx.persist(counters, clen);
-                    return Ok(1);
+                    break;
                 }
             }
         }
+        // A new key, or a first occurrence on a count-0 leaf.
+        (*self.header).keys += 1;
+        ctx.persist(keys, 8);
+        Ok(1)
     }
 
     /// Inserts `key` non-transactionally: the body of
@@ -677,7 +605,7 @@ impl<R: PtrRepr> PArt<R> {
     }
 
     /// Transactional insert through `store`'s undo log: a crash either
-    /// keeps the whole insertion (fresh nodes, link store, counters) or
+    /// keeps the whole insertion (fresh nodes, link store, key count) or
     /// reverts it at the next attach. Returns the new occurrence count.
     ///
     /// # Errors
@@ -715,19 +643,19 @@ impl<R: PtrRepr> PArt<R> {
                 return Ok(false);
             }
             let caddr = std::ptr::addr_of_mut!((*leaf).count);
-            let (counters, clen) = self.counters_span();
+            let keys = self.keys_addr();
             let last = *caddr == 1;
             let mut ctx = TxCtx::begin(store);
             ctx.log(caddr as usize, 8)?;
             if last {
-                ctx.log(counters, clen)?;
+                ctx.log(keys, 8)?;
             }
             ctx.fence();
             *caddr -= 1;
             ctx.persist(caddr as usize, 8);
             if last {
                 (*self.header).keys -= 1;
-                ctx.persist(counters, clen);
+                ctx.persist(keys, 8);
             }
             ctx.finish(&self.arena)?;
         }
@@ -850,7 +778,7 @@ impl<R: PtrRepr> PArt<R> {
             if &node_prefix[..want.len()] != want {
                 return;
             }
-            Self::for_each_child(n, |target| {
+            Self::for_each_child(n, R::load, |_, target| {
                 self.scan_node(target as *const NodeHead, depth + plen + 1, prefix, visit)
             });
             return;
@@ -866,32 +794,26 @@ impl<R: PtrRepr> PArt<R> {
     }
 
     /// The address of every block the tree holds: its header and every
-    /// node reachable from its root. The crash matrices' leak oracle
-    /// compares them with the region's allocated blocks.
+    /// node reachable from its root, in the order [`PArt::stats`] walks
+    /// them. The crash matrices' leak oracle compares them with the
+    /// region's allocated blocks. The walk stops at a structural fault,
+    /// which [`PArt::check_invariants`] names.
     pub fn blocks(&self) -> Vec<usize> {
         let mut out = vec![self.header as usize];
-        // SAFETY: the root and every child slot resolve to live nodes
-        // while the regions are open, which the borrow of self keeps.
-        unsafe {
-            let mut stack = vec![self.head().root.load()];
-            while let Some(n) = stack.pop() {
-                if n == 0 {
-                    continue;
-                }
-                out.push(n);
-                if (*(n as *const NodeHead)).kind != KIND_LEAF {
-                    Self::for_each_child(n as *const NodeHead, |c| stack.push(c));
-                }
-            }
-        }
+        self.walk(|n| out.push(n)).ok();
         out
     }
 
-    /// Calls `visit` with the target of every child of inner node `n`, in
-    /// ascending branch-byte order, decoded through `load` (the read-path
-    /// view). Node4/Node16 bytes sit in insertion order, so their slots
-    /// are sorted in a stack array first; Node48/Node256 go byte by byte.
-    unsafe fn for_each_child(n: *const NodeHead, mut visit: impl FnMut(usize)) {
+    /// Calls `visit` with the branch byte and target of every child of
+    /// inner node `n`, in ascending branch-byte order, decoding each link
+    /// with `load` as [`PArt::find_leaf`] does. Node4/Node16 bytes sit in
+    /// insertion order, so their slots are sorted in a stack array first;
+    /// Node48/Node256 go byte by byte.
+    unsafe fn for_each_child(
+        n: *const NodeHead,
+        load: impl Fn(&R) -> usize,
+        mut visit: impl FnMut(u8, usize),
+    ) {
         let (keys, children): (&[u8], &[R]) = match (*n).kind {
             KIND_NODE4 => (
                 &(*(n as *const Node4<R>)).keys,
@@ -903,15 +825,20 @@ impl<R: PtrRepr> PArt<R> {
             ),
             KIND_NODE48 => {
                 let p = n as *const Node48<R>;
-                for &i in (*p).index.iter().filter(|&&i| i != EMPTY48) {
-                    visit((*p).children[i as usize].load());
+                for (b, &i) in (*p).index.iter().enumerate() {
+                    if i != EMPTY48 {
+                        visit(b as u8, load(&(*p).children[i as usize]));
+                    }
                 }
                 return;
             }
             _ => {
                 let p = n as *const Node256<R>;
-                for c in (*p).children.iter().map(R::load).filter(|&c| c != 0) {
-                    visit(c);
+                for (b, slot) in (*p).children.iter().enumerate() {
+                    let c = load(slot);
+                    if c != 0 {
+                        visit(b as u8, c);
+                    }
                 }
                 return;
             }
@@ -920,19 +847,21 @@ impl<R: PtrRepr> PArt<R> {
         let mut order: [u8; 16] = std::array::from_fn(|i| i as u8);
         order[..len].sort_unstable_by_key(|&i| keys[i as usize]);
         for &i in &order[..len] {
-            visit(children[i as usize].load());
+            visit(keys[i as usize], load(&children[i as usize]));
         }
     }
 
-    /// Full walk computing live statistics: `(keys, nodes, bytes,
-    /// per-kind counts, leaf node-hop depth histogram)`. Cycle-guarded by
-    /// a visited set, so it is safe on an image the header mislabels.
-    fn walk_stats(&self) -> std::result::Result<WalkStats, String> {
-        let mut stats = WalkStats::default();
+    /// The tree's one full walk: calls `visit` with the address of every
+    /// node reachable from the root and counts what it passes.
+    /// Cycle-guarded by a visited set, and every node is checked before
+    /// its children are followed, so it is safe on a damaged image.
+    fn walk(&self, mut visit: impl FnMut(usize)) -> std::result::Result<ArtStats, String> {
+        let mut stats = ArtStats::default();
         let mut seen = std::collections::HashSet::new();
-        let mut stack: Vec<(usize, usize, usize)> = Vec::new(); // (node, byte depth, hops)
-                                                                // SAFETY: as in count; every visited address is checked against
-                                                                // the visited set before dereference recursion.
+        // (node, byte depth, hops)
+        let mut stack: Vec<(usize, usize, usize)> = Vec::new();
+        // SAFETY: as in count; every address is checked against the
+        // visited set before it is dereferenced.
         unsafe {
             let root = (*self.header).root.load();
             if root != 0 {
@@ -955,6 +884,7 @@ impl<R: PtrRepr> PArt<R> {
                 if kind > KIND_LEAF {
                     return Err(format!("node {addr:#x} has invalid kind {kind}"));
                 }
+                visit(addr);
                 stats.nodes += 1;
                 stats.kinds[kind as usize] += 1;
                 if kind == KIND_LEAF {
@@ -991,7 +921,7 @@ impl<R: PtrRepr> PArt<R> {
                 }
                 let plen = (*n).klen as usize;
                 let (mut found, mut null) = (0, false);
-                Self::for_each_child(n, |target| {
+                Self::for_each_child(n, R::load, |_, target| {
                     null |= target == 0;
                     stack.push((target, depth + plen + 1, hops + 1));
                     found += 1;
@@ -1009,97 +939,74 @@ impl<R: PtrRepr> PArt<R> {
         Ok(stats)
     }
 
+    /// Counts the tree in one walk. Of these counts only `keys` is
+    /// persisted (in the header); nodes, bytes, kinds and depths exist
+    /// only here.
+    ///
+    /// # Errors
+    ///
+    /// As [`PArt::check_invariants`] for structural faults.
+    pub fn stats(&self) -> std::result::Result<ArtStats, String> {
+        self.walk(|_| ())
+    }
+
+    /// Fails unless the walk counted the header's number of keys.
+    fn keys_agree(&self, stats: &ArtStats) -> std::result::Result<(), String> {
+        let keys = self.key_count();
+        if stats.keys != keys {
+            return Err(format!("header keys {keys} but walk found {}", stats.keys));
+        }
+        Ok(())
+    }
+
     /// Structural invariant check for recovery tests: the cycle-guarded
-    /// walk must agree with every header counter, every inner node must
-    /// hold 2..=capacity children, and every leaf a plausible key.
+    /// walk must cross the whole tree, every inner node must hold
+    /// 2..=capacity children, every leaf a plausible key, and the walk's
+    /// key count must be the header's.
     ///
     /// # Errors
     ///
     /// A description of the first violation found.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
-        let stats = self.walk_stats()?;
-        let h = self.head();
-        let (keys, nodes, bytes, kinds) = (h.keys, h.nodes, h.bytes, h.kinds);
-        if stats.keys != keys {
-            return Err(format!("header keys {keys} but walk found {}", stats.keys));
-        }
-        if stats.nodes != nodes {
-            return Err(format!(
-                "header nodes {nodes} but walk found {}",
-                stats.nodes
-            ));
-        }
-        if stats.bytes != bytes {
-            return Err(format!(
-                "header bytes {bytes} but walk summed {}",
-                stats.bytes
-            ));
-        }
-        if stats.kinds != kinds {
-            return Err(format!(
-                "header kind counts {kinds:?} but walk found {:?}",
-                stats.kinds
-            ));
-        }
-        Ok(())
+        self.keys_agree(&self.stats()?)
     }
 
-    /// Recovery pass: recomputes every header counter from the live walk
-    /// and persists the corrected header. The link structure itself is
-    /// already crash-consistent (single-link publishes under the undo
-    /// log); this repairs counter drift, e.g. after salvage of a damaged
-    /// image. Returns the number of header fields corrected.
+    /// Recovery pass: recomputes the header's key count from the walk and
+    /// persists it. The link structure itself is already crash-consistent
+    /// (single-link publishes under the undo log); this repairs a count
+    /// that drifted, e.g. after salvage of a damaged image. Returns the
+    /// number of header fields corrected (0 or 1).
     ///
     /// # Errors
     ///
     /// A description of a structural fault the walk cannot cross.
     pub fn recover(&mut self) -> std::result::Result<u64, String> {
-        let stats = self.walk_stats()?;
-        let mut fixed = 0u64;
+        let stats = self.stats()?;
+        if self.keys_agree(&stats).is_ok() {
+            return Ok(0);
+        }
         // SAFETY: header mapped; single-threaded recovery.
-        unsafe {
-            if (*self.header).keys != stats.keys {
-                (*self.header).keys = stats.keys;
-                fixed += 1;
-            }
-            if (*self.header).nodes != stats.nodes {
-                (*self.header).nodes = stats.nodes;
-                fixed += 1;
-            }
-            if (*self.header).bytes != stats.bytes {
-                (*self.header).bytes = stats.bytes;
-                fixed += 1;
-            }
-            if (*self.header).kinds != stats.kinds {
-                (*self.header).kinds = stats.kinds;
-                fixed += 1;
-            }
-        }
-        if fixed > 0 {
-            let (counters, clen) = self.counters_span();
-            persist_range(counters, clen);
-        }
-        Ok(fixed)
-    }
-
-    /// Leaf node-hop depth histogram (`hist[d]` = leaves `d` links below
-    /// the root) — the path-compression win `nvr_inspect index` reports.
-    ///
-    /// # Errors
-    ///
-    /// As [`PArt::check_invariants`] for structural faults.
-    pub fn depth_histogram(&self) -> std::result::Result<Vec<u64>, String> {
-        Ok(self.walk_stats()?.depth_hist)
+        unsafe { (*self.header).keys = stats.keys };
+        nvmsim::latency::persist(self.keys_addr(), 8);
+        Ok(1)
     }
 }
 
-#[derive(Default)]
-struct WalkStats {
-    keys: u64,
-    nodes: u64,
-    bytes: u64,
-    kinds: [u64; 5],
-    depth_hist: Vec<u64>,
+/// What one walk of a [`PArt`] counts ([`PArt::stats`]).
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct ArtStats {
+    /// Distinct present keys (leaves with an occurrence count > 0).
+    pub keys: u64,
+    /// Reachable nodes.
+    pub nodes: u64,
+    /// Bytes of the reachable nodes (the header excluded).
+    pub bytes: u64,
+    /// Reachable nodes per kind, indexed like [`ART_KIND_NAMES`].
+    pub kinds: [u64; 5],
+    /// Leaf node-hop depth histogram (`depth_hist[d]` = leaves `d` links
+    /// below the root): the path-compression win `nvr_inspect index`
+    /// reports.
+    pub depth_hist: Vec<u64>,
 }
 
 // -- offline inspection --------------------------------------------------------
@@ -1110,22 +1017,16 @@ struct WalkStats {
 pub struct ArtIndexReport {
     /// Pointer representation the index was built with.
     pub repr: &'static str,
-    /// Distinct present keys.
+    /// The header's persistent key count.
     pub keys: u64,
-    /// Live nodes.
-    pub nodes: u64,
-    /// Live node bytes.
-    pub bytes: u64,
-    /// Live node count per kind, indexed like [`ART_KIND_NAMES`].
-    pub kinds: [u64; 5],
-    /// Leaf node-hop depth histogram.
-    pub depth_hist: Vec<u64>,
+    /// What the walk counted (all zero when it stopped at a fault).
+    pub stats: ArtStats,
     /// `check_invariants` outcome (`None` = clean).
     pub problem: Option<String>,
 }
 
 impl ArtIndexReport {
-    /// Whether the walk and every header counter agreed.
+    /// Whether the walk crossed the tree and agreed with the header.
     pub fn consistent(&self) -> bool {
         self.problem.is_none()
     }
@@ -1133,17 +1034,17 @@ impl ArtIndexReport {
 
 fn report_for<R: PtrRepr>(arena: NodeArena, root: &str) -> Result<ArtIndexReport> {
     let art: PArt<R> = PArt::attach(arena, root)?;
-    let (depth_hist, problem) = match art.depth_histogram() {
-        Ok(h) => (h, art.check_invariants().err()),
-        Err(e) => (Vec::new(), Some(e)),
+    let (stats, problem) = match art.stats() {
+        Ok(s) => {
+            let problem = art.keys_agree(&s).err();
+            (s, problem)
+        }
+        Err(e) => (ArtStats::default(), Some(e)),
     };
     Ok(ArtIndexReport {
         repr: R::NAME,
         keys: art.key_count(),
-        nodes: art.node_count(),
-        bytes: art.live_bytes(),
-        kinds: art.kind_counts(),
-        depth_hist,
+        stats,
         problem,
     })
 }
@@ -1266,7 +1167,7 @@ mod tests {
                 assert_eq!(t.prefix_scan(prefix).unwrap(), seen);
             }
         }
-        assert_eq!(t.kind_counts()[KIND_NODE256 as usize], 1);
+        assert_eq!(t.stats().unwrap().kinds[KIND_NODE256 as usize], 1);
         assert_eq!(t.prefix_scan("car").unwrap(), ["car", "card", "care"]);
         region.close().unwrap();
     }
@@ -1292,14 +1193,14 @@ mod tests {
         }
         for (i, w) in words.iter().enumerate() {
             t.insert(w).unwrap();
-            let kinds = t.kind_counts();
+            let kinds = t.stats().unwrap().kinds;
             match i + 1 {
                 0..=4 => assert_eq!(kinds[KIND_NODE16 as usize], 0),
                 5..=16 => assert!(kinds[KIND_NODE16 as usize] <= 1),
                 _ => {}
             }
         }
-        let kinds = t.kind_counts();
+        let kinds = t.stats().unwrap().kinds;
         assert_eq!(kinds[KIND_NODE256 as usize], 1, "{kinds:?}");
         assert_eq!(kinds[KIND_LEAF as usize], 60);
         t.check_invariants().unwrap();
@@ -1318,9 +1219,9 @@ mod tests {
             .unwrap();
         t.insert("pneumonia").unwrap();
         // Two leaves under one Node4: 3 nodes total, depth 1.
-        assert_eq!(t.node_count(), 3);
-        let hist = t.depth_histogram().unwrap();
-        assert_eq!(hist, vec![0, 2]);
+        let stats = t.stats().unwrap();
+        assert_eq!(stats.nodes, 3);
+        assert_eq!(stats.depth_hist, vec![0, 2]);
         t.check_invariants().unwrap();
         region.close().unwrap();
     }
@@ -1416,7 +1317,7 @@ mod tests {
             t.insert_tx(&store, std::str::from_utf8(&[b]).unwrap())
                 .unwrap();
         }
-        assert_eq!(t.kind_counts()[KIND_NODE256 as usize], 1);
+        assert_eq!(t.stats().unwrap().kinds[KIND_NODE256 as usize], 1);
         let keys: Vec<String> = (1..=MAX_KEY).map(key_of_len).collect();
         for k in &keys {
             let before = region.stats().live_bytes;
@@ -1467,6 +1368,44 @@ mod tests {
         assert!(!t.contains("car") && t.contains("cart"));
         t.check_invariants().unwrap();
         assert_eq!(t.recover().unwrap(), 0, "clean header needs no repair");
+        region.close().unwrap();
+    }
+
+    /// The header words between `keys` and `repr_fp` held node, byte and
+    /// kind counters in images written before the walk counted them.
+    /// Whatever they hold, nothing reads them and no write stores to them.
+    #[test]
+    fn retired_header_words_are_ignored() {
+        let region = Region::create(8 << 20).unwrap();
+        let store = pstore::ObjectStore::format(&region).unwrap();
+        let arena = || NodeArena::transactional(store.clone());
+        let mut t: PArt<OffHolder> = PArt::create_rooted(arena(), "art").unwrap();
+        for k in KEYS {
+            t.insert_tx(&store, k).unwrap();
+        }
+        let rsize = std::mem::size_of::<OffHolder>();
+        let start = t.header_addr() + rsize + 8;
+        let len = std::mem::size_of::<ArtHeader<OffHolder>>() - rsize - 16;
+        assert_eq!(len, 7 * 8);
+        // SAFETY: test-only access to the mapped header's padding.
+        let retired = || unsafe { std::slice::from_raw_parts_mut(start as *mut u8, len) };
+        for fill in [0x00, 0xFF] {
+            retired().fill(fill);
+            let walk = t.stats().unwrap();
+            let attached: PArt<OffHolder> = PArt::attach(arena(), "art").unwrap();
+            attached.check_invariants().unwrap();
+            assert_eq!(attached.stats().unwrap(), walk);
+            let report = inspect_index(&region, "art").unwrap();
+            assert!(report.consistent(), "{fill:#x}: {:?}", report.problem);
+            assert_eq!((report.keys, &report.stats), (walk.keys, &walk));
+            assert_eq!(t.insert_tx(&store, "retired").unwrap(), 1);
+            assert!(t.remove_tx(&store, "retired").unwrap());
+            assert!(
+                retired().iter().all(|&b| b == fill),
+                "{fill:#x}: a write stored into a retired word"
+            );
+        }
+        t.check_invariants().unwrap();
         region.close().unwrap();
     }
 

@@ -4,7 +4,7 @@
 //! stores and allocations in the same order, and its `log`, `fence` and
 //! `persist` compile away.
 
-use crate::arena::{persist_range, NodeArena};
+use crate::arena::NodeArena;
 use crate::error::Result;
 use pi_core::PtrRepr;
 use pstore::{ObjectStore, Tx};
@@ -90,7 +90,7 @@ impl Ctx for TxCtx<'_> {
         self.tx.barrier();
     }
     fn persist(&self, addr: usize, len: usize) {
-        persist_range(addr, len);
+        nvmsim::latency::persist(addr, len);
     }
     fn finish(self, _arena: &NodeArena) -> Result<()> {
         self.tx.commit();

@@ -29,10 +29,11 @@
 //! deliberately not `Sync`); [`PHashSet::recover`] prunes marked nodes and
 //! recomputes the length after a crash.
 
-use crate::arena::{persist_range, NodeArena};
+use crate::arena::NodeArena;
 use crate::ctx::{link_fresh, unlink_free, Ctx, RawCtx, TxCtx};
 use crate::error::{PdsError, Result};
 use crate::list::fill_payload;
+use nvmsim::latency::persist;
 use nvmsim::metrics::{self, Counter};
 use pi_core::{AtomicPPtr, PtrRepr, SwizzledPtr};
 use pstore::ObjectStore;
@@ -473,9 +474,9 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     /// `b` in range; `decisive`, when present, a live node.
     unsafe fn persist_read(&self, b: usize, decisive: Option<*mut HsNode<R, P>>) {
         metrics::incr(Counter::PdsDestinationFlushes);
-        persist_range(self.buckets.add(b) as usize, std::mem::size_of::<R>());
+        persist(self.buckets.add(b) as usize, std::mem::size_of::<R>());
         if let Some(n) = decisive {
-            persist_range(std::ptr::addr_of!((*n).mark) as usize, 8);
+            persist(std::ptr::addr_of!((*n).mark) as usize, 8);
         }
         nvmsim::latency::wbarrier();
     }
@@ -578,13 +579,13 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
                 // must be durable before it can become reachable.
                 Self::anext(spare).store(head, Ordering::Relaxed);
                 metrics::incr(Counter::PdsLinkPersists);
-                persist_range(spare as usize, size);
+                persist(spare as usize, size);
                 if let Some(d) = dead {
                     // The key counts as absent because of this mark, and
                     // its remover may not have flushed it yet: make it
                     // durable under the same fence, or a crash could keep
                     // the new link and lose the removal it depends on.
-                    persist_range(std::ptr::addr_of!((*d).mark) as usize, 8);
+                    persist(std::ptr::addr_of!((*d).mark) as usize, 8);
                 }
                 nvmsim::latency::wbarrier();
                 match slot.compare_exchange(head, spare, Ordering::AcqRel, Ordering::Acquire) {
@@ -595,7 +596,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
                             // made the insert visible, then fence — the
                             // operation's durability point.
                             metrics::incr(Counter::PdsDestinationFlushes);
-                            persist_range(self.buckets.add(b) as usize, std::mem::size_of::<R>());
+                            persist(self.buckets.add(b) as usize, std::mem::size_of::<R>());
                         }
                         nvmsim::latency::wbarrier();
                         self.track_len_store();
@@ -645,7 +646,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
                                 // Flush-on-destination: the durable mark
                                 // is the removal's durability point.
                                 metrics::incr(Counter::PdsDestinationFlushes);
-                                persist_range(std::ptr::addr_of!((*cur).mark) as usize, 8);
+                                persist(std::ptr::addr_of!((*cur).mark) as usize, 8);
                                 nvmsim::latency::wbarrier();
                                 self.track_len_store();
                                 self.alen().fetch_sub(1, Ordering::Relaxed);
@@ -661,10 +662,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
                                     )
                                     .is_ok()
                                 {
-                                    persist_range(
-                                        pred as *const _ as usize,
-                                        std::mem::size_of::<R>(),
-                                    );
+                                    persist(pred as *const _ as usize, std::mem::size_of::<R>());
                                     nvmsim::latency::wbarrier();
                                 }
                                 return (true, stamp);
@@ -754,7 +752,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
                     }
                     if (*cur).mark != 0 {
                         (*slot).store((*cur).next.load_at_rest());
-                        persist_range(slot as usize, std::mem::size_of::<R>());
+                        persist(slot as usize, std::mem::size_of::<R>());
                         pruned.push(cur);
                         // Re-examine the same slot: the new target may be
                         // marked too.
@@ -765,7 +763,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
                 }
             }
             (*self.header).len = live;
-            persist_range(std::ptr::addr_of!((*self.header).len) as usize, 8);
+            persist(std::ptr::addr_of!((*self.header).len) as usize, 8);
             nvmsim::latency::wbarrier();
             // No durable slot points at a pruned node any more.
             for &n in &pruned {

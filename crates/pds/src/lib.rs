@@ -55,7 +55,9 @@ pub mod trie;
 pub mod wordcount;
 
 pub use arena::NodeArena;
-pub use art::{inspect_index, ArtIndexReport, PArt, ART_KIND_NAMES, ART_ROOT_TAG, MAX_KEY};
+pub use art::{
+    inspect_index, ArtIndexReport, ArtStats, PArt, ART_KIND_NAMES, ART_ROOT_TAG, MAX_KEY,
+};
 pub use bst::{BstNode, PBst, BST_ROOT_TAG};
 pub use error::{PdsError, Result};
 pub use hashset::{HsNode, PHashSet, HASHSET_ROOT_TAG};

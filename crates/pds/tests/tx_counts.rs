@@ -113,9 +113,11 @@ fn tx_ops_cost_one_batch_fence_and_noops_cost_nothing() {
     assert_eq!(counts(&d), [1, 2, 3, 4, 5], "trie remove");
 
     // ART: an occurrence bump and a removal are one batch each, and so
-    // is a new key under a node with room, allocation included.
+    // is a new key under a node with room, allocation included. The
+    // header's key count is logged only when it changes.
     let d = delta(|| assert_eq!(art.insert_tx(&store, "ab").unwrap(), 2));
-    assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    // A present key: the leaf counter is the whole batch.
+    assert_eq!(counts(&d), [1, 1, 3, 3, 3], "art count bump");
     let d = delta(|| assert!(art.remove_tx(&store, "ab").unwrap()));
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
     // Not the last occurrence: the leaf counter is the whole batch.
@@ -123,24 +125,23 @@ fn tx_ops_cost_one_batch_fence_and_noops_cost_nothing() {
     let d = delta(|| assert_eq!(art.insert_tx(&store, "ad").unwrap(), 1));
     assert_eq!(d.get(Counter::WbarrierCalls), 3);
     // Of these lines the two-byte key's leaf is one: a 32-byte block.
-    assert_eq!(d.get(Counter::ClflushLines), 12);
-    // A fifth child outgrows the Node4: two ranges (counters, parent
+    assert_eq!(d.get(Counter::ClflushLines), 10);
+    // A fifth child outgrows the Node4: two ranges (key count, parent
     // slot) and three allocator entries (the leaf, the Node16, the
     // outgrown Node4's free) in the same batch.
     art.insert_tx(&store, "ae").unwrap();
     let live = region.stats().live_allocs;
     let d = delta(|| assert_eq!(art.insert_tx(&store, "af").unwrap(), 1));
-    assert_eq!(d.get(Counter::UndoEntries), 5);
-    assert_eq!(d.get(Counter::WbarrierCalls), 3);
+    assert_eq!(counts(&d), [1, 5, 3, 9, 15], "art grow");
     assert_eq!(
         region.stats().live_allocs,
         live + 1,
         "leaf and Node16 in, Node4 out"
     );
     let d = delta(|| assert!(art.remove_tx(&store, "af").unwrap()));
-    // The last occurrence also takes the header's key count: its counter
-    // span is one more range.
-    assert_eq!(counts(&d), [1, 2, 3, 4, 7], "art remove, last");
+    // The last occurrence also takes the header's key count: one more
+    // 8-byte range, flushed as one line.
+    assert_eq!(counts(&d), [1, 2, 3, 4, 5], "art remove, last");
 
     // Nothing to change: no lock, no begin, no abort, no traffic.
     assert_untouched(

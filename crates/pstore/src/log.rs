@@ -167,8 +167,7 @@ impl UndoLog {
             head.write(1);
         }
         self.reset_cursors();
-        shadow::track_store(head as usize, bytes);
-        latency::clflush_range(head as usize, bytes);
+        latency::persist(head as usize, bytes);
         latency::wbarrier();
     }
 
@@ -341,8 +340,7 @@ impl UndoLog {
                     e.len as usize,
                 );
             }
-            shadow::track_store(target, e.len as usize);
-            latency::clflush_range(target, e.len as usize);
+            latency::persist(target, e.len as usize);
         }
         if !scan.entries.is_empty() {
             latency::wbarrier();
@@ -385,8 +383,7 @@ impl UndoLog {
         // SAFETY: generation word is inside the mapped region.
         unsafe { generation.write(generation.read().wrapping_add(1)) };
         self.reset_cursors();
-        shadow::track_store(generation as usize, 8);
-        latency::clflush_range(generation as usize, 8);
+        latency::persist(generation as usize, 8);
         latency::wbarrier();
     }
 

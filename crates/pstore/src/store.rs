@@ -21,7 +21,7 @@ use crate::log::{RecoveryStats, UndoLog};
 use crate::tx::Tx;
 use nvmsim::region::RegionHeader;
 use nvmsim::undolog::{StoreMeta, STORE_MAGIC, STORE_ROOT};
-use nvmsim::{latency, shadow, NvError, Region};
+use nvmsim::{latency, NvError, Region};
 use parking_lot::Mutex;
 use std::ptr::NonNull;
 use std::sync::Arc;
@@ -64,8 +64,7 @@ impl ObjectStore {
         let meta = region.ptr_at(meta_off);
         // SAFETY: freshly allocated, exclusively owned block in the region.
         unsafe { (meta as *mut StoreMeta).write(StoreMeta::new(log_off, log_cap)) };
-        shadow::track_store(meta, StoreMeta::SIZE as usize);
-        latency::clflush_range(meta, StoreMeta::SIZE as usize);
+        latency::persist(meta, StoreMeta::SIZE as usize);
         latency::wbarrier();
         region.set_root_off(STORE_ROOT, meta_off)?;
         let log = UndoLog::new(region.clone(), log_off, log_cap);

@@ -17,7 +17,6 @@
 use crate::error::Result;
 use crate::store::ObjectStore;
 use nvmsim::latency;
-use nvmsim::shadow;
 use nvmsim::undolog::{BlockEntry, BlockOp};
 use parking_lot::MutexGuard;
 use std::ptr::NonNull;
@@ -88,8 +87,7 @@ impl<'s> Tx<'s> {
     pub unsafe fn set<T: Copy>(&mut self, ptr: *mut T, value: T) -> Result<()> {
         self.add_range(ptr as usize, std::mem::size_of::<T>())?;
         ptr.write(value);
-        shadow::track_store(ptr as usize, std::mem::size_of::<T>());
-        latency::clflush_range(ptr as usize, std::mem::size_of::<T>());
+        latency::persist(ptr as usize, std::mem::size_of::<T>());
         Ok(())
     }
 

@@ -143,11 +143,12 @@ fn index_one(path: &str, root_filter: Option<&str>) -> Outcome {
         println!("root:        {root}");
         println!("repr:        {}", report.repr);
         println!("keys:        {}", report.keys);
-        println!("nodes:       {} ({} bytes)", report.nodes, report.bytes);
-        for (kind, count) in pds::ART_KIND_NAMES.iter().zip(report.kinds.iter()) {
+        let walk = &report.stats;
+        println!("nodes:       {} ({} bytes)", walk.nodes, walk.bytes);
+        for (kind, count) in pds::ART_KIND_NAMES.iter().zip(walk.kinds.iter()) {
             println!("  {kind:<8} {count}");
         }
-        let hist: Vec<String> = report
+        let hist: Vec<String> = walk
             .depth_hist
             .iter()
             .enumerate()

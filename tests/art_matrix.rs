@@ -107,9 +107,17 @@ fn art_matrix_node48_growth_edge() {
     for &op in &ops[..16] {
         t.apply(op);
     }
-    assert_eq!(t.s.kind_counts()[1], 1, "16 two-byte keys fill one Node16");
+    assert_eq!(
+        t.s.stats().unwrap().kinds[1],
+        1,
+        "16 two-byte keys fill one Node16"
+    );
     t.apply(ops[16]);
-    assert_eq!(t.s.kind_counts()[2], 1, "17th branch byte grows to Node48");
+    assert_eq!(
+        t.s.stats().unwrap().kinds[2],
+        1,
+        "17th branch byte grows to Node48"
+    );
     drop(t);
     region.close().unwrap();
     // Every image holds the 16 prelude keys and, exactly from the commit
