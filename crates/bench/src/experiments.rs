@@ -301,10 +301,10 @@ pub fn ablations(cfg: &Config) -> Vec<Row> {
     // ABL-CACHE: fat-with-cache hit rate vs number of regions.
     for k in [1usize, 2, 4, 10] {
         registry::reset_cache();
-        let was = registry::set_cache_counting(true);
+        let before = metrics::snapshot();
         let t = structure_times("list", ReprKind::FatCached, 32, cfg, k, false);
-        registry::set_cache_counting(was);
-        let (hits, misses) = registry::cache_stats();
+        let d = metrics::snapshot().delta(&before);
+        let (hits, misses) = (d.get(Counter::FatCacheHits), d.get(Counter::FatCacheMisses));
         let rate = if hits + misses > 0 {
             100.0 * hits as f64 / (hits + misses) as f64
         } else {

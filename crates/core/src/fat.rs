@@ -193,13 +193,13 @@ mod tests {
         // Simulate a remap by rebinding the live rid 1 MiB away, then
         // restore it before closing.
         let shifted = r.base() + (1 << 20);
-        registry::rebind_for_tests(r.rid(), shifted, r.size());
+        registry::rebind_for_tests(r.rid(), shifted);
         assert_eq!(
             f.load(),
             shifted + (p - r.base()),
             "load must resolve against the rebound base, not a cached one"
         );
-        registry::rebind_for_tests(r.rid(), r.base(), r.size());
+        registry::rebind_for_tests(r.rid(), r.base());
         assert_eq!(f.load(), p);
         r.close().unwrap();
     }

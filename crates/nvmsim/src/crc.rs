@@ -4,8 +4,7 @@
 //! `Region::verify`) needs a fast, dependency-free integrity check. This
 //! module provides CRC-64/XZ (ECMA-182 polynomial, reflected, init/xorout
 //! all-ones) — the same parametrisation as the `crc64fast` family — as a
-//! slice-by-8 kernel over compile-time-built lookup tables, plus a
-//! CRC-32/ISO-HDLC for callers that only have 4 bytes to spend.
+//! slice-by-8 kernel over compile-time-built lookup tables.
 //!
 //! Slice-by-8 folds eight input bytes per step: table `k` holds the CRC of
 //! a byte followed by `k` zero bytes, so the eight lookups of one step are
@@ -21,13 +20,11 @@
 //! 4 KiB bitmap-page seal costs 0.13 µs instead of 2.05); shorter
 //! buffers, other targets and older CPUs keep the tables.
 //!
-//! Neither CRC is cryptographic: the threat model is media bit-rot and
+//! The CRC is not cryptographic: the threat model is media bit-rot and
 //! torn writes, not an adversary.
 
 /// Reflected ECMA-182 polynomial used by CRC-64/XZ.
 const POLY64: u64 = 0xC96C_5795_D787_0F42;
-/// Reflected ISO-HDLC polynomial used by CRC-32.
-const POLY32: u32 = 0xEDB8_8320;
 
 /// `tables[0]` is the classic byte table; `tables[k][i]` is `tables[0][i]`
 /// advanced over `k` further zero bytes.
@@ -61,28 +58,7 @@ const fn build_tables64() -> [[u64; 256]; 8] {
     tables
 }
 
-const fn build_table32() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ POLY32
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
 static TABLES64: [[u64; 256]; 8] = build_tables64();
-static TABLE32: [u32; 256] = build_table32();
 
 /// CRC-64/XZ of `bytes`.
 pub fn crc64(bytes: &[u8]) -> u64 {
@@ -186,14 +162,6 @@ mod clmul {
         let halves = [acc, hi].map(|h| _mm_cvtsi128_si64(h).to_le_bytes());
         update_tables(update_tables(0, halves.as_flattened()), tail)
     }
-}
-
-/// CRC-32/ISO-HDLC (zlib's `crc32`) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let state = bytes.iter().fold(!0u32, |state, &b| {
-        TABLE32[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8)
-    });
-    state ^ !0
 }
 
 #[cfg(test)]
@@ -321,13 +289,6 @@ mod tests {
         // CRC-64/XZ check value for "123456789".
         assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
         assert_eq!(crc64(b""), 0);
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        // CRC-32/ISO-HDLC check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

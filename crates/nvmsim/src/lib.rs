@@ -73,7 +73,6 @@ pub use latency::LatencyModel;
 pub use layout::{ExactLayout, Layout};
 pub use nvspace::NvSpace;
 pub use region::Region;
-pub use registry::RegionInfo;
 pub use sched::{SchedEvent, ScheduleAborted, Scheduler};
 pub use shadow::{
     CapturedCrash, CrashPointReached, FaultPlan, FaultPolicy, FaultReport, FaultStamp, ShadowError,

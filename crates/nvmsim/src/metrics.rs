@@ -3,11 +3,11 @@
 //!
 //! The paper's argument is quantitative, so every claim a PR makes about
 //! being faster needs counters that can be snapshotted, diffed across
-//! timed sections, and serialized into the benchmark reports. Before this
-//! module, each subsystem grew its own one-off counters
-//! ([`crate::registry::cache_stats`], [`crate::shadow::event_count_for`],
-//! per-region allocator stats); this registry unifies them behind one
-//! dependency-free API:
+//! timed sections, and serialized into the benchmark reports. Every
+//! subsystem counts here, behind one dependency-free API (the fat-pointer
+//! cache's hits and misses are [`Counter::FatCacheHits`] and
+//! [`Counter::FatCacheMisses`]; [`crate::shadow::event_count_for`] stays
+//! a per-region query of the shadow tracker):
 //!
 //! * a fixed inventory of named counters ([`Counter`]);
 //! * **owner-written** storage — every thread bumps a counter block that
@@ -94,9 +94,11 @@ counters! {
     FatCacheHits => "fat_cache_hits",
     /// `lastID`/`lastAddr` cache misses (fell through to the hashtable).
     FatCacheMisses => "fat_cache_misses",
-    /// Regions registered (create or open).
+    /// Regions mapped into the fat-pointer table (create or open; a
+    /// grow keeps its base and counts `region_grows` instead).
     RegionOpens => "region_opens",
-    /// Regions unregistered (close, crash teardown, or drop).
+    /// Regions removed from the fat-pointer table (close, crash
+    /// teardown, or drop).
     RegionCloses => "region_closes",
     /// Region allocator allocations (class-sized and large blocks).
     RegionAllocs => "region_allocs",
@@ -140,8 +142,9 @@ counters! {
     /// Requests answered `DeadlineExceeded` (expired while queued or
     /// before execution).
     SrvDeadlineExceeded => "srv_deadline_exceeded",
-    /// Region-server retries after transient tenant faults (capped
-    /// exponential backoff).
+    /// Region-server writes run again after a crash the fault plan
+    /// injected before them was recovered in place (the only re-run the
+    /// server makes; every write error answers `Failed` at once).
     SrvRetries => "srv_retries",
     /// Tenants evicted (closed cleanly) by hot/cold LRU pressure.
     SrvEvictions => "srv_evictions",

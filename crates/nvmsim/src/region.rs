@@ -443,7 +443,7 @@ impl Region {
             closed: AtomicBool::new(false),
             ll,
         };
-        registry::register(rid, base, size);
+        registry::register(rid, base);
         Region {
             inner: Arc::new(inner),
         }
@@ -772,7 +772,6 @@ impl Region {
         latency::wbarrier();
         // The geometry words changed durably: reseal a metadata slot.
         self.inner.write_meta_slot();
-        registry::register(self.inner.rid, base, new_size);
         crate::metrics::incr(crate::metrics::Counter::RegionGrows);
         Ok(new_size)
     }

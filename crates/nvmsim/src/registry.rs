@@ -1,5 +1,5 @@
-//! Process-global registry of open regions, plus the runtime structures the
-//! *baseline* pointer representations depend on:
+//! Process-global runtime structures the *baseline* pointer
+//! representations depend on:
 //!
 //! * a **hashtable** mapping region ID → base address — the lookup a fat
 //!   pointer performs on every dereference (Section 5, "Fat Pointer");
@@ -13,8 +13,8 @@
 //! pointers. Lookups are lock-free; mutations take a mutex.
 
 use crate::metrics::{self, Counter};
-use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use parking_lot::Mutex;
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// Number of slots in the fat-pointer cuckoo table (power of two).
 const FAT_SLOTS: usize = 1024;
@@ -243,10 +243,6 @@ static LAST: LastCache = LastCache {
     base: AtomicUsize::new(0),
 };
 
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static COUNT_CACHE: AtomicBool = AtomicBool::new(false);
-
 /// Best-effort publish of a freshly looked-up `(rid, base)` pair read
 /// under table generation `gen`. Losing the seqlock CAS just skips the
 /// update — the cache is an optimization, not a source of truth.
@@ -305,16 +301,10 @@ pub fn fat_lookup_cached(rid: u32) -> Option<usize> {
             && TABLE_GEN.load(Ordering::SeqCst) == cgen
         {
             metrics::incr(Counter::FatCacheHits);
-            if COUNT_CACHE.load(Ordering::Relaxed) {
-                CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            }
             return Some(cbase);
         }
     }
     metrics::incr(Counter::FatCacheMisses);
-    if COUNT_CACHE.load(Ordering::Relaxed) {
-        CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    }
     metrics::incr(Counter::FatLookups);
     // lookup_with_gen only returns results validated under an even,
     // unmoved generation; stamping the entry with it means any later
@@ -335,68 +325,35 @@ pub fn table_generation() -> u64 {
 /// Rebinds `rid` in the fat table, exactly as a remap-at-new-address
 /// reopen would (test hook for cache-invalidation regression tests).
 #[doc(hidden)]
-pub fn rebind_for_tests(rid: u32, base: usize, size: usize) {
-    register(rid, base, size);
+pub fn rebind_for_tests(rid: u32, base: usize) {
+    register(rid, base);
 }
 
-/// Enables or disables cache hit/miss counting (for the ABL-CACHE
-/// ablation). Returns the previous setting.
-pub fn set_cache_counting(on: bool) -> bool {
-    COUNT_CACHE.swap(on, Ordering::Relaxed)
-}
-
-/// Returns `(hits, misses)` accumulated while counting was enabled.
-pub fn cache_stats() -> (u64, u64) {
-    (
-        CACHE_HITS.load(Ordering::Relaxed),
-        CACHE_MISSES.load(Ordering::Relaxed),
-    )
-}
-
-/// Resets cache statistics and invalidates the cache entry.
+/// Invalidates the cache entry, so the next cached lookup misses. Hits
+/// and misses are counted by `Counter::FatCacheHits`/`FatCacheMisses`.
 pub fn reset_cache() {
-    CACHE_HITS.store(0, Ordering::Relaxed);
-    CACHE_MISSES.store(0, Ordering::Relaxed);
     invalidate_last();
 }
 
-// -- open-region registry ----------------------------------------------------
+// -- region open/close -------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-/// Summary of an open region, as recorded in the registry.
-pub struct RegionInfo {
-    /// Region ID.
-    pub rid: u32,
-    /// Current base address.
-    pub base: usize,
-    /// Region size in bytes.
-    pub size: usize,
-}
-
-// Read-mostly: mutated only at region open/close, read by every
-// `open_regions` query, so readers share the lock.
-static OPEN: RwLock<Vec<RegionInfo>> = RwLock::new(Vec::new());
 static NEXT_RID: AtomicU32 = AtomicU32::new(1);
 
-/// Records an open region and publishes it to the fat-pointer table.
-/// Rebinding a live rid (same id, new base) advances the table generation,
-/// which invalidates any last-region cache entry for the old base.
-pub(crate) fn register(rid: u32, base: usize, size: usize) {
+/// Publishes an opened region to the fat-pointer table. Rebinding a live
+/// rid (same id, new base) advances the table generation, which
+/// invalidates any last-region cache entry for the old base.
+pub(crate) fn register(rid: u32, base: usize) {
     metrics::incr(Counter::RegionOpens);
     FAT.insert(rid, base);
-    let mut open = OPEN.write();
-    open.retain(|r| r.rid != rid);
-    open.push(RegionInfo { rid, base, size });
 }
 
-/// Removes a region from the registry and the fat-pointer table. The
-/// generation bump inside [`FatTable::remove`] invalidates any last-region
-/// cache entry pointing at it — without the check-then-act race the old
+/// Removes a closed region from the fat-pointer table. The generation
+/// bump inside [`FatTable::remove`] invalidates any last-region cache
+/// entry pointing at it — without the check-then-act race the old
 /// explicit invalidation had.
 pub(crate) fn unregister(rid: u32) {
     metrics::incr(Counter::RegionCloses);
     FAT.remove(rid);
-    OPEN.write().retain(|r| r.rid != rid);
 }
 
 /// Allocates a fresh region ID, never reusing one handed out before in this
@@ -413,11 +370,6 @@ pub fn alloc_rid(max_rid: u32, avoid: impl Fn(u32) -> bool) -> Option<u32> {
     }
 }
 
-/// Snapshot of the regions currently open in this process.
-pub fn open_regions() -> Vec<RegionInfo> {
-    OPEN.read().clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,7 +380,7 @@ mod tests {
 
     #[test]
     fn fat_table_insert_lookup_remove() {
-        register(R, 0x1000, 64);
+        register(R, 0x1000);
         assert_eq!(fat_lookup(R), Some(0x1000));
         unregister(R);
         assert_eq!(fat_lookup(R), None);
@@ -436,8 +388,8 @@ mod tests {
 
     #[test]
     fn fat_table_rebind_updates_base() {
-        register(R + 1, 0x2000, 64);
-        register(R + 1, 0x3000, 64);
+        register(R + 1, 0x2000);
+        register(R + 1, 0x3000);
         assert_eq!(fat_lookup(R + 1), Some(0x3000));
         unregister(R + 1);
     }
@@ -447,7 +399,7 @@ mod tests {
         // Enough keys that cuckoo kicks are exercised, all must resolve.
         let rids: Vec<u32> = (0..200).map(|i| R + 100 + i * 7).collect();
         for (i, &rid) in rids.iter().enumerate() {
-            register(rid, 0x1_0000 + i * 16, 64);
+            register(rid, 0x1_0000 + i * 16);
         }
         for (i, &rid) in rids.iter().enumerate() {
             assert_eq!(fat_lookup(rid), Some(0x1_0000 + i * 16), "rid {rid}");
@@ -462,21 +414,21 @@ mod tests {
 
     #[test]
     fn cached_lookup_hits_after_first_miss() {
-        register(R + 2, 0x4000, 64);
+        register(R + 2, 0x4000);
         // Any region open/close in the process invalidates the cache (the
-        // generation scheme is global), and the one cache entry and its
+        // generation scheme is global), and the one cache entry and the
         // counters are shared with every thread, so re-run the
         // measurement window if a concurrently running test churned the
         // table or counted a lookup of its own mid-sequence.
         let (hits, misses) = loop {
             let gen = table_generation();
             reset_cache();
-            set_cache_counting(true);
+            let before = metrics::snapshot();
             assert_eq!(fat_lookup_cached(R + 2), Some(0x4000));
             assert_eq!(fat_lookup_cached(R + 2), Some(0x4000));
             assert_eq!(fat_lookup_cached(R + 2), Some(0x4000));
-            set_cache_counting(false);
-            let (hits, misses) = cache_stats();
+            let d = metrics::snapshot().delta(&before);
+            let (hits, misses) = (d.get(Counter::FatCacheHits), d.get(Counter::FatCacheMisses));
             if table_generation() == gen && hits + misses == 3 {
                 break (hits, misses);
             }
@@ -493,13 +445,13 @@ mod tests {
 
     #[test]
     fn rebind_invalidates_cached_base() {
-        register(R + 10, 0x7000, 64);
+        register(R + 10, 0x7000);
         reset_cache();
         // Warm the cache with the old base.
         assert_eq!(fat_lookup_cached(R + 10), Some(0x7000));
         // Rebind the live rid at a different base, as a
         // remap-at-different-address reopen does.
-        register(R + 10, 0x8000, 64);
+        register(R + 10, 0x8000);
         assert_eq!(
             fat_lookup_cached(R + 10),
             Some(0x8000),
@@ -514,8 +466,8 @@ mod tests {
         // lookups so the cache is refilled under heavy contention. Any
         // torn (id, base) pairing returns the wrong region's base.
         let (ra, rb) = (R + 20, R + 21);
-        register(ra, 0xA000, 64);
-        register(rb, 0xB000, 64);
+        register(ra, 0xA000);
+        register(rb, 0xB000);
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 std::thread::spawn(move || {
@@ -542,21 +494,5 @@ mod tests {
         let a = alloc_rid(u32::MAX, |_| false).unwrap();
         let b = alloc_rid(u32::MAX, |r| r == a + 1).unwrap();
         assert!(b > a && b != a + 1);
-    }
-
-    #[test]
-    fn open_regions_lists_registered() {
-        let find = || open_regions().into_iter().find(|r| r.rid == R + 3);
-        register(R + 3, 0x5000, 128);
-        assert_eq!(
-            find(),
-            Some(RegionInfo {
-                rid: R + 3,
-                base: 0x5000,
-                size: 128
-            })
-        );
-        unregister(R + 3);
-        assert!(find().is_none());
     }
 }

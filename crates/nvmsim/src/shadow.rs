@@ -90,11 +90,13 @@ impl From<ShadowError> for crate::NvError {
 }
 
 /// Classifies why `base` has no tracker: known-but-untracked region vs.
-/// no region at all.
+/// no region at all. A region is known when the NV-space tables map
+/// `base` to a region id whose base it is.
 fn not_tracked(base: usize) -> ShadowError {
-    if crate::registry::open_regions()
-        .iter()
-        .any(|r| r.base == base)
+    let space = crate::NvSpace::global();
+    if space
+        .try_rid_of_addr(base)
+        .is_some_and(|rid| space.base_of_rid(rid) == base)
     {
         ShadowError::ShadowNotEnabled { base }
     } else {

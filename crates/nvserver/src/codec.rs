@@ -142,14 +142,15 @@ pub enum Status {
     Ok,
     /// Shed by admission control; never executed.
     Overloaded,
-    /// The deadline passed before execution finished; not applied.
+    /// The deadline passed before execution started; not applied.
     DeadlineExceeded,
     /// The tenant id is not configured on this server.
     NoSuchTenant,
     /// The server is shutting down; not executed.
     Shutdown,
-    /// Execution failed (retries exhausted or an internal error);
-    /// `detail` says why.
+    /// Execution failed (a write error such as a full region or log, a
+    /// tenant that failed to open or its audit, or a failed crash
+    /// recovery); `detail` says why.
     Failed,
     /// The frame failed to decode; `detail` carries the codec error.
     Malformed,
@@ -217,7 +218,8 @@ pub struct Response {
     /// Get: membership. Put/Delete: whether the write changed the set.
     /// `None` for ops without a boolean result or non-`Ok` statuses.
     pub found: Option<bool>,
-    /// Execution attempts (1 + retries); 0 when never executed.
+    /// Execution runs: 1, plus one per crash injected before a write
+    /// (which then runs again); 0 when never executed.
     pub attempts: u32,
     /// Linearization stamp drawn after a committed write (`dlin`
     /// discipline); 0 for reads and unexecuted requests.

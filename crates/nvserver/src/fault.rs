@@ -9,14 +9,11 @@
 //!   the tenant's region into a fault-injected crash image
 //!   ([`nvmsim::Region::crash_with_faults`]), then recovers it in place,
 //!   reopened **at a different base**.
-//! - **Transient write faults** — the write path reports a retryable
-//!   failure a bounded number of times, exercising the capped-backoff
-//!   retry ladder.
 //!
-//! All injections are one-shot (or counted) and consumed atomically, so
-//! a plan drives a deterministic scenario even with several shards
-//! consulting it concurrently. Until the first stall, crash or transient
-//! is armed, a consult is one atomic load and takes no lock.
+//! All injections are one-shot and consumed atomically, so a plan drives
+//! a deterministic scenario even with several shards consulting it
+//! concurrently. Until the first stall or crash is armed, a consult is
+//! one atomic load and takes no lock.
 
 use nvmsim::shadow::FaultPolicy;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,10 +33,10 @@ pub struct ShardStall {
 }
 
 /// One-shot tenant crash: the `at_write`-th write (1-based, counted per
-/// tenant across retries) crashes the tenant's region under `policy`
+/// tenant, a re-run included) crashes the tenant's region under `policy`
 /// before the write commits, then recovers the crash image in place
-/// (reopened remapped) and retries the write — the triggering write is
-/// never acked out of a crash it did not survive.
+/// (reopened remapped) and runs the write again — the triggering write
+/// is never acked out of a crash it did not survive.
 #[derive(Debug, Clone, Copy)]
 pub struct TenantCrash {
     /// Tenant the crash applies to.
@@ -50,29 +47,15 @@ pub struct TenantCrash {
     pub policy: FaultPolicy,
 }
 
-/// Counted transient write fault: starting at the `at_write`-th write
-/// (1-based), the next `failures` write attempts against the tenant
-/// report a retryable failure.
-#[derive(Debug, Clone, Copy)]
-pub struct TransientFault {
-    /// Tenant the fault applies to.
-    pub tenant: u32,
-    /// First write ordinal (1-based) affected.
-    pub at_write: u64,
-    /// How many attempts fail before the fault clears.
-    pub failures: u32,
-}
-
 #[derive(Debug, Default)]
 struct PlanState {
     stalls: Vec<ShardStall>,
     crashes: Vec<TenantCrash>,
-    transients: Vec<TransientFault>,
 }
 
 #[derive(Debug, Default)]
 struct Plan {
-    /// Set by the first stall, crash or transient armed; until then the
+    /// Set by the first stall or crash armed; until then the
     /// per-request consults return without taking the lock.
     armed: AtomicBool,
     state: Mutex<PlanState>,
@@ -129,15 +112,6 @@ impl ServerFaultPlan {
         });
     }
 
-    /// Arms a counted transient write fault (see [`TransientFault`]).
-    pub fn transient(&self, tenant: u32, at_write: u64, failures: u32) {
-        self.arm().transients.push(TransientFault {
-            tenant,
-            at_write,
-            failures,
-        });
-    }
-
     // -- serving-side consults ------------------------------------------------
 
     /// Consumes and returns the stall armed for this shard at (or
@@ -160,26 +134,6 @@ impl ServerFaultPlan {
             .iter()
             .position(|c| c.tenant == tenant && write_nth >= c.at_write)?;
         Some(st.crashes.swap_remove(idx))
-    }
-
-    /// Consumes one transient-failure token for this tenant's
-    /// `write_nth` write. Returns `true` if the attempt must fail.
-    pub fn take_transient_failure(&self, tenant: u32, write_nth: u64) -> bool {
-        let Some(mut st) = self.consult() else {
-            return false;
-        };
-        let Some(idx) = st
-            .transients
-            .iter()
-            .position(|t| t.tenant == tenant && write_nth >= t.at_write && t.failures > 0)
-        else {
-            return false;
-        };
-        st.transients[idx].failures -= 1;
-        if st.transients[idx].failures == 0 {
-            st.transients.swap_remove(idx);
-        }
-        true
     }
 }
 
@@ -204,22 +158,12 @@ mod tests {
     }
 
     #[test]
-    fn transient_tokens_count_down() {
-        let plan = ServerFaultPlan::none();
-        plan.transient(3, 2, 2);
-        assert!(!plan.take_transient_failure(3, 1));
-        assert!(plan.take_transient_failure(3, 2));
-        assert!(plan.take_transient_failure(3, 3));
-        assert!(!plan.take_transient_failure(3, 4), "tokens exhausted");
-    }
-
-    #[test]
     fn a_clone_taken_before_arming_sees_the_injection() {
         let plan = ServerFaultPlan::none();
         let serving = plan.clone();
-        assert!(!serving.take_transient_failure(4, 1), "nothing armed");
-        plan.transient(4, 1, 1);
-        assert!(serving.take_transient_failure(4, 1));
-        assert!(!plan.take_transient_failure(4, 2), "consumed");
+        assert!(serving.take_crash(4, 1).is_none(), "nothing armed");
+        plan.crash_tenant(4, 1, FaultPolicy::DropUnflushed);
+        assert!(serving.take_crash(4, 1).is_some());
+        assert!(plan.take_crash(4, 2).is_none(), "consumed");
     }
 }

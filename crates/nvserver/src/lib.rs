@@ -27,9 +27,8 @@
 //!   arrival itself.
 //! - **Deadlines** — every request carries one (or inherits the server
 //!   default) and expires to a terminal `DeadlineExceeded` rather than
-//!   waiting forever behind a stalled shard.
-//! - **Retries** — transient tenant faults retry with capped
-//!   exponential backoff.
+//!   waiting forever behind a stalled shard. It is checked once, just
+//!   before the request executes; execution itself never waits.
 //! - **Eviction & remap** — hot/cold LRU eviction closes a tenant's
 //!   region and later reopens it **at a different base address**
 //!   ([`nvmsim::Region::open_file_avoiding`]): every eviction is a live
@@ -38,14 +37,16 @@
 //!   `Recovered` (came back from a crash image). A crash is recovered in
 //!   place: undo recovery runs on the crash image, reopened at a
 //!   different base like every other reopen, and the tenant keeps
-//!   serving reads and writes.
+//!   serving reads and writes. The write the crash interrupted runs
+//!   again; it is the only write that ever runs twice, since every write
+//!   error is deterministic and answered `Failed` at once.
 //!
 //! A [`ServerFaultPlan`] (modeled on `nvmsim`'s `FaultPlan`) injects
-//! shard stalls, tenant crash images mid-request, and transient write
-//! faults; the `server_matrix` integration test sweeps tenants × faults
-//! × seeds and asserts that every request gets a terminal response,
-//! acked commits survive crash and remapped reopen, and eviction never
-//! violates structure invariants.
+//! shard stalls and tenant crash images mid-request; the `server_matrix`
+//! integration test sweeps tenants × faults × seeds and asserts that
+//! every request gets a terminal response, acked commits survive crash
+//! and remapped reopen, and eviction never violates structure
+//! invariants.
 
 #![warn(missing_docs)]
 
@@ -58,7 +59,7 @@ pub use codec::{
     BatchOp, BatchResult, CodecError, Priority, ReqOp, Request, Response, Status, CODEC_VERSION,
     FRAME_MAGIC, MAX_PREFIX,
 };
-pub use fault::{ServerFaultPlan, ShardStall, TenantCrash, TransientFault};
+pub use fault::{ServerFaultPlan, ShardStall, TenantCrash};
 pub use server::{
     Client, Server, ServerConfig, ServerHandle, ServerReport, TenantReport, Transport,
 };

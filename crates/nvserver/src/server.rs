@@ -1,7 +1,7 @@
 //! The sharded region server: bounded per-shard queues with admission
-//! control, deadline enforcement, capped-backoff retries, LRU tenant
-//! eviction with remapped reopen, and in-place crash recovery. See the
-//! crate docs for the policy overview.
+//! control, deadline enforcement, LRU tenant eviction with remapped
+//! reopen, and in-place crash recovery. See the crate docs for the
+//! policy overview.
 
 use crate::codec::{self, BatchOp, BatchResult, Priority, ReqOp, Request, Response, Status};
 use crate::fault::ServerFaultPlan;
@@ -28,12 +28,6 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Deadline applied to requests that do not carry one.
     pub default_deadline: Duration,
-    /// Retries per write after transient tenant faults.
-    pub max_retries: u32,
-    /// Backoff before the first retry (doubled per retry, capped).
-    pub retry_backoff: Duration,
-    /// Ceiling on the exponential retry backoff.
-    pub retry_backoff_max: Duration,
     /// Open-tenant ceiling per shard; past it the coldest open tenant
     /// is evicted (closed; its next request reopens it remapped).
     pub max_open_per_shard: usize,
@@ -41,27 +35,16 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Defaults rooted at `data_dir`: 2 shards, depth-64 queues, 2 s
-    /// default deadline, 3 retries from 1 ms capped at 20 ms, no
-    /// open-tenant ceiling.
+    /// default deadline, no open-tenant ceiling.
     pub fn new(data_dir: impl Into<PathBuf>) -> ServerConfig {
         ServerConfig {
             shards: 2,
             data_dir: data_dir.into(),
             queue_depth: 64,
             default_deadline: Duration::from_secs(2),
-            max_retries: 3,
-            retry_backoff: Duration::from_millis(1),
-            retry_backoff_max: Duration::from_millis(20),
             max_open_per_shard: usize::MAX,
         }
     }
-}
-
-/// The capped exponential backoff before a retry: `base * 2^attempt`,
-/// saturating at `max` (attempt 0 is the wait before the first retry).
-fn capped_backoff(base: Duration, max: Duration, attempt: u32) -> Duration {
-    let factor = 1u32.checked_shl(attempt.min(31)).unwrap_or(u32::MAX);
-    base.saturating_mul(factor).min(max)
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -694,9 +677,9 @@ fn handle_entry(
                 Err(e) => Response::rejection(req.id, Status::Failed, e),
             }
         }
-        ReqOp::Put { key } => write_path(core, tenant, req, deadline, true, *key),
-        ReqOp::Delete { key } => write_path(core, tenant, req, deadline, false, *key),
-        ReqOp::Batch { ops } => batch_path(core, tenant, req, deadline, ops),
+        ReqOp::Put { key } => write_path(core, tenant, req.id, true, *key),
+        ReqOp::Delete { key } => write_path(core, tenant, req.id, false, *key),
+        ReqOp::Batch { ops } => batch_path(core, tenant, req.id, ops),
         ReqOp::Evict => unreachable!("handled before reopen"),
     }
 }
@@ -721,145 +704,78 @@ fn evict_coldest(tenants: &mut [Tenant], max_open: usize) -> Result<(), String> 
     Ok(())
 }
 
-/// Outcome of one write attempt, before terminal-response shaping.
-enum WriteOutcome {
-    Committed { applied: bool, stamp: u64 },
-    Terminal(Response),
-}
-
-/// Runs one write (insert or remove) through the fault plan, in-place
-/// crash recovery, and the capped-backoff retry ladder.
+/// Runs one write (insert or remove): `Ok((applied, stamp))` once it
+/// committed. A crash the fault plan injects before the write is
+/// recovered in place, at a new base, and the write runs again; every
+/// run counts one in `attempts`.
 fn write_once(
     core: &Core,
     tenant: &mut Tenant,
-    req: &Request,
-    deadline: Instant,
     put: bool,
     key: u64,
     attempts: &mut u32,
-) -> WriteOutcome {
-    let req_id = req.id;
+) -> Result<(bool, u64), String> {
     loop {
-        if Instant::now() > deadline {
-            return WriteOutcome::Terminal(Response::rejection(
-                req_id,
-                Status::DeadlineExceeded,
-                "deadline passed during execution",
-            ));
-        }
         *attempts += 1;
         tenant.writes += 1;
-        let ordinal = tenant.writes;
-
-        if let Some(crash) = core.plan.take_crash(tenant.spec.id, ordinal) {
-            // The crash lands before this write's transaction begins:
-            // the triggering write is never acked out of a crash it did
-            // not survive. Recovered in place, the write is retried.
-            if let Err(e) = tenant.crash_and_recover(crash.policy) {
-                return WriteOutcome::Terminal(Response::rejection(
-                    req_id,
-                    Status::Failed,
-                    format!("crash handling failed: {e}"),
-                ));
-            }
-            continue;
-        }
-
-        if core.plan.take_transient_failure(tenant.spec.id, ordinal) {
-            if *attempts > core.cfg.max_retries {
-                return WriteOutcome::Terminal(Response::rejection(
-                    req_id,
-                    Status::Failed,
-                    "transient fault: retries exhausted",
-                ));
-            }
-            tenant.metrics.retries.fetch_add(1, Ordering::Relaxed);
-            metrics::incr(Counter::SrvRetries);
-            let wait = capped_backoff(
-                core.cfg.retry_backoff,
-                core.cfg.retry_backoff_max,
-                *attempts - 1,
-            );
-            let left = deadline.saturating_duration_since(Instant::now());
-            std::thread::sleep(wait.min(left));
-            continue;
-        }
-
-        let result = if put {
-            tenant.insert(key)
-        } else {
-            tenant.remove(key)
+        let Some(crash) = core.plan.take_crash(tenant.spec.id, tenant.writes) else {
+            break;
         };
-        return match result {
-            Ok(applied) => {
-                // The commit was a durability point (flushed and fenced)
-                // before this stamp is drawn — the dlin ack discipline.
-                let stamp = dlin::next_stamp();
-                WriteOutcome::Committed { applied, stamp }
-            }
-            Err(e) => WriteOutcome::Terminal(Response::rejection(req_id, Status::Failed, e)),
-        };
+        // The crash lands before this write's transaction begins: the
+        // triggering write is never acked out of a crash it did not
+        // survive.
+        tenant
+            .crash_and_recover(crash.policy)
+            .map_err(|e| format!("crash handling failed: {e}"))?;
+        metrics::incr(Counter::SrvRetries);
     }
+    let applied = if put {
+        tenant.insert(key)
+    } else {
+        tenant.remove(key)
+    }?;
+    // The commit was a durability point (flushed and fenced) before this
+    // stamp is drawn — the dlin ack discipline.
+    Ok((applied, dlin::next_stamp()))
 }
 
-fn write_path(
-    core: &Core,
-    tenant: &mut Tenant,
-    req: &Request,
-    deadline: Instant,
-    put: bool,
-    key: u64,
-) -> Response {
+fn write_path(core: &Core, tenant: &mut Tenant, id: u64, put: bool, key: u64) -> Response {
     let mut attempts = 0;
-    match write_once(core, tenant, req, deadline, put, key, &mut attempts) {
-        WriteOutcome::Committed { applied, stamp } => Response {
-            attempts,
+    let mut resp = match write_once(core, tenant, put, key, &mut attempts) {
+        Ok((applied, stamp)) => Response {
             stamp,
-            ..Response::ok(req.id, Some(applied), String::new())
+            ..Response::ok(id, Some(applied), String::new())
         },
-        WriteOutcome::Terminal(mut r) => {
-            r.attempts = attempts;
-            r
-        }
-    }
+        Err(e) => Response::rejection(id, Status::Failed, e),
+    };
+    resp.attempts = attempts;
+    resp
 }
 
-fn batch_path(
-    core: &Core,
-    tenant: &mut Tenant,
-    req: &Request,
-    deadline: Instant,
-    ops: &[BatchOp],
-) -> Response {
+fn batch_path(core: &Core, tenant: &mut Tenant, id: u64, ops: &[BatchOp]) -> Response {
     let mut attempts = 0;
     let mut batch = Vec::with_capacity(ops.len());
-    let mut last_stamp = 0;
     for op in ops {
-        match write_once(core, tenant, req, deadline, op.put, op.key, &mut attempts) {
-            WriteOutcome::Committed { applied, stamp } => {
-                batch.push(BatchResult { applied, stamp });
-                last_stamp = stamp;
-            }
-            WriteOutcome::Terminal(mut r) => {
-                // Entries committed before the fault stay committed (and
+        match write_once(core, tenant, op.put, op.key, &mut attempts) {
+            Ok((applied, stamp)) => batch.push(BatchResult { applied, stamp }),
+            Err(e) => {
+                // Entries committed before the failure stay committed (and
                 // acked in the partial batch) — the response says where
                 // the batch stopped.
-                r.attempts = attempts;
-                r.batch = batch;
-                r.detail = format!(
-                    "batch stopped after {} entries: {}",
-                    r.batch.len(),
-                    r.detail
-                );
-                return r;
+                let detail = format!("batch stopped after {} entries: {e}", batch.len());
+                return Response {
+                    attempts,
+                    batch,
+                    ..Response::rejection(id, Status::Failed, detail)
+                };
             }
         }
     }
     Response {
         attempts,
-        stamp: last_stamp,
+        stamp: batch.last().map_or(0, |r| r.stamp),
         batch,
-        ..Response::ok(req.id, None, String::new())
+        ..Response::ok(id, None, String::new())
     }
 }
 
@@ -906,17 +822,6 @@ mod tests {
         }
         server.shutdown();
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn backoff_caps_at_configured_max() {
-        let base = Duration::from_millis(10);
-        let max = Duration::from_millis(100);
-        assert_eq!(capped_backoff(base, max, 0), Duration::from_millis(10));
-        assert_eq!(capped_backoff(base, max, 1), Duration::from_millis(20));
-        assert_eq!(capped_backoff(base, max, 3), Duration::from_millis(80));
-        assert_eq!(capped_backoff(base, max, 4), max);
-        assert_eq!(capped_backoff(base, max, 63), max);
     }
 
     #[test]

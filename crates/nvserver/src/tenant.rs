@@ -207,13 +207,12 @@ pub struct TenantMetrics {
     pub deadline_exceeded: AtomicU64,
     /// Requests answered `Failed`.
     pub failed: AtomicU64,
-    /// Write attempts retried after transient faults.
-    pub retries: AtomicU64,
     /// Times the tenant was evicted (closed by LRU pressure or request).
     pub evictions: AtomicU64,
     /// Reopens that mapped the region at a different base address.
     pub remaps: AtomicU64,
-    /// Crash images injected against this tenant.
+    /// Crash images injected against this tenant (each one recovered
+    /// re-ran the write it interrupted).
     pub crashes: AtomicU64,
     /// `check_invariants` failures (must stay 0).
     pub invariant_failures: AtomicU64,
@@ -234,8 +233,6 @@ pub struct TenantSnapshot {
     pub deadline_exceeded: u64,
     /// `Failed` responses.
     pub failed: u64,
-    /// Retried write attempts.
-    pub retries: u64,
     /// Evictions.
     pub evictions: u64,
     /// Remapped reopens.
@@ -257,7 +254,6 @@ impl TenantMetrics {
             overloaded: self.overloaded.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             remaps: self.remaps.load(Ordering::Relaxed),
             crashes: self.crashes.load(Ordering::Relaxed),
@@ -414,7 +410,6 @@ impl Tenant {
         self.store = Some(store);
         self.idx = Some(idx);
         self.set_state(TenantState::Healthy);
-        metrics::incr(Counter::RegionOpens);
         self.attach_shadow()
     }
 
@@ -458,7 +453,6 @@ impl Tenant {
         region.close().map_err(err)?;
         self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
         metrics::incr(Counter::SrvEvictions);
-        metrics::incr(Counter::RegionCloses);
         self.set_state(TenantState::Closed);
         Ok(())
     }

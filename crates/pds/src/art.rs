@@ -505,8 +505,8 @@ impl<R: PtrRepr> PArt<R> {
             }
             // Inner node: match its compressed prefix.
             let plen = (*cur).klen as usize;
-            let prefix: Vec<u8> = (&(*cur).kbytes)[..plen].to_vec();
-            let m = lcp(&prefix, &key[depth..]);
+            let prefix = &(&(*cur).kbytes)[..plen];
+            let m = lcp(prefix, &key[depth..]);
             if m < plen {
                 // Prefix split: new Node4 over the shared head; the
                 // existing node keeps its tail (trimmed in place, undo
@@ -521,11 +521,10 @@ impl<R: PtrRepr> PArt<R> {
                 Self::add_child_raw(split, prefix[m], cur as usize);
                 Self::add_child_raw(split, branch_byte(key, depth + m), fresh as usize);
                 ctx.persist(split as usize, node_size::<R>(KIND_NODE4));
-                let rest = plen - m - 1;
-                for i in 0..rest {
-                    (*cur).kbytes[i] = prefix[m + 1 + i];
-                }
-                (*cur).klen = rest as u8;
+                // The node keeps the bytes after its diverging one; the
+                // split already copied those before it.
+                (*cur).kbytes.copy_within(m + 1..plen, 0);
+                (*cur).klen = (plen - m - 1) as u8;
                 ctx.persist(cur as usize, std::mem::size_of::<NodeHead>());
                 (*parent).store(split as usize);
                 ctx.persist(parent as usize, rsize);

@@ -86,9 +86,9 @@ fn cached_fat_loads_never_tear_across_region_churn() {
                 }
                 // Rebind the live rid elsewhere and back: readers must
                 // never see the in-flight base for *their* rids.
-                let (rid, base, size) = (r.rid(), r.base(), r.size());
-                nvmsim::registry::rebind_for_tests(rid, base + (1 << 16), size);
-                nvmsim::registry::rebind_for_tests(rid, base, size);
+                let (rid, base) = (r.rid(), r.base());
+                nvmsim::registry::rebind_for_tests(rid, base + (1 << 16));
+                nvmsim::registry::rebind_for_tests(rid, base);
                 r.close().expect("churn close");
             }
         })

@@ -142,9 +142,14 @@ fn a_resident_request_allocates_only_its_two_frames() {
             "{repr} prefix query: {allocs} allocations per round trip"
         );
 
+        // A new key descends through inner nodes with compressed
+        // prefixes and allocates its leaf in the region, not on the heap.
         let (resp, allocs) = round_trip(&handle, tenant, ReqOp::Put { key: 1000 });
         assert_eq!(resp.found, Some(true));
-        println!("{repr}: put of a new key made {allocs} allocations");
+        assert_eq!(
+            allocs, 2,
+            "{repr} put of a new key: allocations per round trip"
+        );
     }
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();

@@ -1,6 +1,6 @@
 //! Server chaos matrix: the multi-tenant region server under injected
-//! shard stalls, transient write faults, tenant crash images recovered
-//! in place, and live eviction — the `nvserver` acceptance suite.
+//! shard stalls, tenant crash images recovered in place, and live
+//! eviction — the `nvserver` acceptance suite.
 //!
 //! Invariants asserted across every cell:
 //!
@@ -25,6 +25,7 @@
 //! triages a whole cell at once).
 
 use nvm_pi::nvmsim::dlin;
+use nvm_pi::nvmsim::metrics::{self, Counter};
 use nvm_pi::nvserver::{index_word, key_of_word, BatchOp, Response, Status, TenantState};
 use nvm_pi::pstore::ObjectStore;
 use nvm_pi::{
@@ -39,12 +40,10 @@ mod util;
 
 static M: util::Matrix = util::Matrix::new("server_matrix", 0x5EED_5E21);
 
-/// A config tuned for tests: tight retry backoff, generous deadline.
+/// A config tuned for tests: a generous deadline.
 fn test_config(cell: &util::Cell) -> ServerConfig {
     let mut cfg = ServerConfig::new(cell.dir().to_path_buf());
     cfg.default_deadline = Duration::from_secs(30);
-    cfg.retry_backoff = Duration::from_micros(200);
-    cfg.retry_backoff_max = Duration::from_millis(2);
     cfg
 }
 
@@ -292,70 +291,6 @@ fn deadlines_expire_behind_a_stalled_shard() {
     assert_eq!(report.tenant(0).unwrap().snapshot.deadline_exceeded, 1);
 }
 
-#[test]
-fn deadlines_expire_during_execution_on_an_idle_shard() {
-    let _g = M.lock();
-    let cell = M.cell("deadline-exec");
-    let mut cfg = test_config(&cell);
-    cfg.retry_backoff = Duration::from_millis(5);
-    cfg.retry_backoff_max = Duration::from_millis(20);
-    let plan = ServerFaultPlan::none();
-    let server = Server::start(cfg, vec![TenantSpec::new(0, ReprKind::Riv)], plan.clone()).unwrap();
-    let client = server.client();
-    assert_eq!(client.put(0, 1).status, Status::Ok, "tenant opened");
-    // Nothing is queued, so the write runs on the calling thread. Three
-    // failures within three retries would succeed on the fourth attempt,
-    // 35 ms in; the 3 ms deadline passes in the first backoff instead.
-    plan.transient(0, 2, 3);
-    let short = server.client().with_deadline(Duration::from_millis(3));
-    let r = short.put(0, 2);
-    assert_eq!(r.status, Status::DeadlineExceeded, "{r:?}");
-    assert_eq!(client.get(0, 2).found, Some(false), "expired write applied");
-    let report = server.shutdown();
-    assert_eq!(report.tenant(0).unwrap().snapshot.deadline_exceeded, 1);
-}
-
-// -- transient faults and retry ----------------------------------------------
-
-#[test]
-fn transient_faults_retry_with_capped_backoff() {
-    let _g = M.lock();
-    let cell = M.cell("transient");
-    let plan = ServerFaultPlan::none();
-    let server = Server::start(
-        test_config(&cell),
-        vec![TenantSpec::new(0, ReprKind::OffHolder)],
-        plan.clone(),
-    )
-    .unwrap();
-    let client = server.client();
-    assert_eq!(client.put(0, 1).status, Status::Ok);
-
-    // Two transient failures, three retries configured: succeeds on the
-    // third attempt.
-    plan.transient(0, 2, 2);
-    let r = client.put(0, 2);
-    assert_eq!((r.status, r.found), (Status::Ok, Some(true)), "{r:?}");
-    assert_eq!(r.attempts, 3, "two failed attempts + one success");
-
-    // More failures than retries: a terminal Failed, not a hang. (The
-    // per-tenant write ordinal counts attempts, so arm from ordinal 1 —
-    // `take` fires on any ordinal at or past the arm point.)
-    plan.transient(0, 1, 50);
-    let r = client.put(0, 3);
-    assert_eq!(r.status, Status::Failed, "{r:?}");
-    assert_eq!(
-        client.get(0, 3).found,
-        Some(false),
-        "failed write not applied"
-    );
-
-    let report = server.shutdown();
-    let snap = report.tenant(0).unwrap().snapshot;
-    assert_eq!(snap.retries, 2 + 3, "{snap:?}");
-    assert_eq!(snap.failed, 1);
-}
-
 // -- crash + recover in place -------------------------------------------------
 
 #[test]
@@ -375,8 +310,10 @@ fn acked_commits_survive_crash_and_remapped_reopen() {
     .unwrap();
     let client = server.client();
     let mut history = Vec::new();
+    let mut reruns = Vec::new();
+    let before = metrics::snapshot();
     let mut rng = s;
-    for _ in 0..40 {
+    for n in 1..=40 {
         let v = util::splitmix64(rng);
         rng = v;
         let key = v % 16;
@@ -392,9 +329,23 @@ fn acked_commits_survive_crash_and_remapped_reopen() {
             "[{}] every write acks: {r:?}",
             M.tag()
         );
+        if r.attempts != 1 {
+            reruns.push((n, r.attempts));
+        }
         let op = if put { SetOp::Insert } else { SetOp::Remove };
         history.push(acked(op, key, &r));
     }
+    // A crashed write runs once more and nothing else runs twice. The
+    // first crash's write takes ordinals 12 and 13, so ordinal 24 is the
+    // 23rd write.
+    assert_eq!(reruns, [(12, 2), (23, 2)], "[{}] writes run twice", M.tag());
+    let reran = metrics::snapshot().delta(&before).get(Counter::SrvRetries);
+    assert_eq!(
+        reran,
+        2,
+        "[{}] srv_retries counts the crash re-runs",
+        M.tag()
+    );
     let report = server.shutdown();
     let tr = report.tenant(0).unwrap();
     assert_eq!(tr.snapshot.crashes, 2, "both crashes fired");
@@ -644,12 +595,10 @@ fn chaos_round(
         TenantSpec::new(4, ReprKind::Riv).crashable(),
         TenantSpec::new(5, ReprKind::FatCached).crashable(),
     ];
-    // Every fault class in one run: a stall on each shard, transients on
-    // two tenants, and in-place crashes under both policies.
+    // Every fault class in one run: a stall on each shard and in-place
+    // crashes under both policies.
     plan.stall_shard(0, 9, Duration::from_millis(40));
     plan.stall_shard(1, 7, Duration::from_millis(40));
-    plan.transient(0, 4, 2);
-    plan.transient(5, 6, 1);
     plan.crash_tenant(2, 8, FaultPolicy::TearWords { seed: s });
     plan.crash_tenant(5, 11, FaultPolicy::DropUnflushed);
     plan.crash_tenant(3, 6, FaultPolicy::TearWords { seed: s ^ 0xABCD });
@@ -706,7 +655,7 @@ fn chaos_round(
     }
     // Deterministic tails: the seeded traffic split may leave an armed
     // crash ordinal unreached, so drive each crash tenant until its
-    // fault fires. The triggering write is retried after the in-place
+    // fault fires. The triggering write runs again after the in-place
     // recovery, so every tail write acks and joins the history.
     {
         let c = server.client();
