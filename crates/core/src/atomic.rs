@@ -43,6 +43,14 @@ impl<T, R: PtrRepr> AtomicPPtr<T, R> {
         }
     }
 
+    /// The slot whose word is `word`: how an atomic view of persistent
+    /// memory (`nvmsim::NvRef::atomic`) becomes a pointer slot. `R` must
+    /// be a single-word representation.
+    pub fn from_word(word: &AtomicU64) -> &AtomicPPtr<T, R> {
+        // SAFETY: `AtomicPPtr` is a `repr(transparent)` `AtomicU64`.
+        unsafe { &*(word as *const AtomicU64).cast::<AtomicPPtr<T, R>>() }
+    }
+
     fn to_bits(r: R) -> u64 {
         // SAFETY: R is exactly 8 bytes (checked by SIZE_OK) and plain data.
         unsafe { std::mem::transmute_copy::<R, u64>(&r) }

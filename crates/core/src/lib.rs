@@ -48,7 +48,6 @@
 pub mod atomic;
 pub mod based;
 pub mod fat;
-pub mod nvref;
 pub mod off_holder;
 pub mod ptr;
 pub mod repr;
@@ -59,7 +58,10 @@ pub mod swizzle;
 pub use atomic::AtomicPPtr;
 pub use based::BasedPtr;
 pub use fat::{FatPtr, FatPtrCached};
-pub use nvref::{is_persistent, NvRef};
+/// The paper's §4.4 `persistent` modifier for volatile pointers, which
+/// `nvmsim` also uses as its accessor for raw region memory;
+/// [`Riv::from`] makes one position independent.
+pub use nvmsim::nvref::{is_persistent, NvRef};
 pub use off_holder::OffHolder;
 pub use ptr::{PPtr, PersistentI, PersistentX};
 pub use repr::{NormalPtr, PtrRepr};

@@ -26,7 +26,7 @@
 //! live in different NVRegions.
 
 use crate::repr::PtrRepr;
-use nvmsim::{Layout, NvSpace};
+use nvmsim::{Layout, NvRef, NvSpace};
 
 /// Flag bit marking a value as an NV pointer (the paper's leading 1s).
 pub const RIV_FLAG: u64 = 1 << 63;
@@ -145,6 +145,14 @@ impl Riv {
     }
 }
 
+/// A `persistent` volatile pointer made position independent for
+/// persisting: `p2x` of its address.
+impl<T> From<NvRef<T>> for Riv {
+    fn from(r: NvRef<T>) -> Riv {
+        Riv::p2x(r.addr())
+    }
+}
+
 // SAFETY: store/load are exact inverses through the NV-space tables while
 // the target region is open (tests cover remapped reopen); Default is 0 =
 // null; repr(transparent) over u64.
@@ -181,6 +189,15 @@ mod tests {
         assert_eq!(x.rid(), r.rid());
         assert_eq!(x.offset(), (p - r.base()) as u64);
         assert_ne!(x.raw() & RIV_FLAG, 0, "NV flag set");
+        r.close().unwrap();
+    }
+
+    #[test]
+    fn from_a_persistent_volatile_pointer() {
+        let r = Region::create(1 << 20).unwrap();
+        let p = r.alloc(8, 8).unwrap().as_ptr() as *mut u64;
+        let x = Riv::from(NvRef::new(p).unwrap());
+        assert_eq!(x.x2p(), p as usize);
         r.close().unwrap();
     }
 

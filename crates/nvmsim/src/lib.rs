@@ -52,6 +52,7 @@ pub mod layout;
 pub mod llalloc;
 pub mod mem;
 pub mod metrics;
+pub mod nvref;
 pub mod nvspace;
 pub mod region;
 pub mod registry;
@@ -70,7 +71,8 @@ pub(crate) fn read_u64(bytes: &[u8], off: usize) -> u64 {
 pub use dlin::{CheckReport, History, OpRecord, Recorder, SetOp, Violation};
 pub use error::{NvError, Result};
 pub use latency::LatencyModel;
-pub use layout::{ExactLayout, Layout};
+pub use layout::Layout;
+pub use nvref::{is_persistent, NvRef};
 pub use nvspace::NvSpace;
 pub use region::Region;
 pub use sched::{SchedEvent, ScheduleAborted, Scheduler};

@@ -19,7 +19,6 @@ use crate::error::{NvError, Result};
 use std::fs::File;
 use std::io;
 use std::os::unix::io::AsRawFd;
-use std::ptr;
 
 /// A reserved — but not committed — contiguous range of virtual addresses.
 ///
@@ -31,10 +30,38 @@ pub struct Reservation {
     len: usize,
 }
 
-// The reservation is plain address space; moving the handle between threads
-// is safe. Interior memory is managed by the owners of committed sub-ranges.
+// SAFETY: the reservation is plain address space; moving the handle
+// between threads is safe. Interior memory is managed by the owners of
+// committed sub-ranges.
 unsafe impl Send for Reservation {}
+// SAFETY: as for `Send`; `&Reservation` only reads `base` and `len`.
 unsafe impl Sync for Reservation {}
+
+/// `mmap` of `len` bytes with `prot`/`flags` over `fd` at `offset` (-1:
+/// anonymous): at `addr` with `MAP_FIXED`, else wherever the kernel puts
+/// it. Returns the mapping's address.
+fn map(addr: usize, len: usize, prot: i32, flags: i32, fd: i32, offset: u64) -> Result<usize> {
+    // SAFETY: a fixed mapping replaces pages of a reservation the caller
+    // owns and range-checked (`Reservation::check_range`); any other takes
+    // fresh address space the kernel picks.
+    let p = unsafe {
+        libc::mmap(
+            addr as *mut libc::c_void,
+            len,
+            prot,
+            flags,
+            fd,
+            offset as libc::off_t,
+        )
+    };
+    if p == libc::MAP_FAILED {
+        return Err(NvError::Io(io::Error::last_os_error()));
+    }
+    Ok(p as usize)
+}
+
+/// Flags of a private, lazily backed anonymous mapping.
+const ANON: i32 = libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_NORESERVE;
 
 impl Reservation {
     /// Reserves `len` bytes of virtual address space.
@@ -47,23 +74,8 @@ impl Reservation {
     ///
     /// Returns [`NvError::Io`] if the kernel refuses the mapping.
     pub fn new(len: usize) -> Result<Reservation> {
-        let addr = unsafe {
-            libc::mmap(
-                ptr::null_mut(),
-                len,
-                libc::PROT_NONE,
-                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_NORESERVE,
-                -1,
-                0,
-            )
-        };
-        if addr == libc::MAP_FAILED {
-            return Err(NvError::Io(io::Error::last_os_error()));
-        }
-        Ok(Reservation {
-            base: addr as usize,
-            len,
-        })
+        let base = map(0, len, libc::PROT_NONE, ANON, -1, 0)?;
+        Ok(Reservation { base, len })
     }
 
     /// Base address of the reservation.
@@ -110,27 +122,15 @@ impl Reservation {
     /// [`NvError::Io`] on kernel failure.
     pub fn commit_anon(&self, addr: usize, len: usize) -> Result<()> {
         self.check_range(addr, len)?;
-        let p = unsafe {
-            libc::mmap(
-                addr as *mut libc::c_void,
-                len,
-                libc::PROT_READ | libc::PROT_WRITE,
-                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_NORESERVE | libc::MAP_FIXED,
-                -1,
-                0,
-            )
-        };
-        if p == libc::MAP_FAILED {
-            return Err(NvError::Io(io::Error::last_os_error()));
-        }
+        let rw = libc::PROT_READ | libc::PROT_WRITE;
+        map(addr, len, rw, ANON | libc::MAP_FIXED, -1, 0)?;
         // Pin page-size behaviour: opportunistic transparent-huge-page
         // grants would make otherwise-identical region instances perform
         // bimodally (a THP-backed instance pays far fewer TLB misses), so
         // benchmarks comparing instances need every region on the same
         // footing. Advisory only; failure is fine.
-        unsafe {
-            libc::madvise(addr as *mut libc::c_void, len, libc::MADV_NOHUGEPAGE);
-        }
+        // SAFETY: advice on the range just mapped changes no contents.
+        unsafe { libc::madvise(addr as *mut libc::c_void, len, libc::MADV_NOHUGEPAGE) };
         Ok(())
     }
 
@@ -158,20 +158,8 @@ impl Reservation {
         } else {
             libc::MAP_PRIVATE
         } | libc::MAP_FIXED;
-        let p = unsafe {
-            libc::mmap(
-                addr as *mut libc::c_void,
-                len,
-                libc::PROT_READ | libc::PROT_WRITE,
-                flags,
-                file.as_raw_fd(),
-                offset as libc::off_t,
-            )
-        };
-        if p == libc::MAP_FAILED {
-            return Err(NvError::Io(io::Error::last_os_error()));
-        }
-        Ok(())
+        let rw = libc::PROT_READ | libc::PROT_WRITE;
+        map(addr, len, rw, flags, file.as_raw_fd(), offset).map(drop)
     }
 
     /// Returns `[addr, addr+len)` to the reserved (inaccessible) state,
@@ -183,20 +171,7 @@ impl Reservation {
     /// [`NvError::Io`] on kernel failure.
     pub fn decommit(&self, addr: usize, len: usize) -> Result<()> {
         self.check_range(addr, len)?;
-        let p = unsafe {
-            libc::mmap(
-                addr as *mut libc::c_void,
-                len,
-                libc::PROT_NONE,
-                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_NORESERVE | libc::MAP_FIXED,
-                -1,
-                0,
-            )
-        };
-        if p == libc::MAP_FAILED {
-            return Err(NvError::Io(io::Error::last_os_error()));
-        }
-        Ok(())
+        map(addr, len, libc::PROT_NONE, ANON | libc::MAP_FIXED, -1, 0).map(drop)
     }
 
     /// Flushes a file-backed committed range to its backing file.
@@ -210,6 +185,7 @@ impl Reservation {
     /// [`NvError::Io`] on kernel failure.
     pub fn sync(&self, addr: usize, len: usize) -> Result<()> {
         self.check_range(addr, len)?;
+        // SAFETY: `msync` only writes back the checked range's pages.
         let rc = unsafe { libc::msync(addr as *mut libc::c_void, len, libc::MS_SYNC) };
         if rc != 0 {
             return Err(NvError::Io(io::Error::last_os_error()));
@@ -222,9 +198,9 @@ impl Drop for Reservation {
     fn drop(&mut self) {
         // Failure here is unreportable; the address space dies with the
         // process anyway.
-        unsafe {
-            libc::munmap(self.base as *mut libc::c_void, self.len);
-        }
+        // SAFETY: the reservation is this handle's; nothing maps into it
+        // once the handle drops.
+        unsafe { libc::munmap(self.base as *mut libc::c_void, self.len) };
     }
 }
 
@@ -243,6 +219,7 @@ pub fn align_up(n: usize, align: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ptr;
 
     #[test]
     fn reserve_commit_write_decommit() {

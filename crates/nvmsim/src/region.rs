@@ -20,6 +20,7 @@ use crate::error::{NvError, Result};
 use crate::latency;
 use crate::llalloc::{ClassOccupancy, LlState, GRANULE, LARGE, LL_PAGE_SIZE};
 use crate::mem::{align_up, page_size};
+use crate::nvref::{self, NvRef};
 use crate::nvspace::{ChunkRun, NvSpace};
 use crate::registry;
 use crate::shadow::{self, FaultPolicy, FaultReport, FaultStamp};
@@ -29,6 +30,7 @@ use parking_lot::{Mutex, MutexGuard};
 use std::fs::{File, OpenOptions};
 use std::io::Read;
 use std::mem::offset_of;
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -173,6 +175,33 @@ impl Reserved {
             base: space.chunk_base(run.start),
             capacity: chunks as usize * layout.chunk_size(),
         })
+    }
+
+    /// Commits the first `len` bytes of the run — from `file` (shared, or
+    /// copy-on-write), else anonymous zeroes — and returns their header.
+    fn commit(&self, len: usize, file: Option<(&File, bool)>) -> Result<NvRef<RegionHeader>> {
+        let (space, base) = (self.space, self.base);
+        match file {
+            Some((file, shared)) => space.commit_range_file(base, len, file, 0, shared)?,
+            None => space.commit_range_anon(base, len)?,
+        }
+        // `len` bytes at `base` are now mapped read/write, and the run is
+        // this guard's alone until `keep`.
+        Ok(NvRef::mapped(base as *mut RegionHeader, len))
+    }
+
+    /// Rebuilds the allocator of the `size` committed bytes, once their
+    /// header (`alloc` its allocator word) is validated, from the bitmap
+    /// pages ([`LlState::open`]); an error names the chain's damage, which
+    /// only salvage opens past.
+    fn open_allocator(
+        &self,
+        size: usize,
+        alloc: &mut AllocHeader,
+    ) -> std::result::Result<LlState, String> {
+        // SAFETY: the run is this guard's alone until `keep`, and its
+        // callers committed the `size` bytes `alloc` lies in.
+        unsafe { LlState::open(self.base, self.capacity, size, next_instance(), alloc) }
     }
 
     /// The open succeeded: the run now belongs to the region.
@@ -372,16 +401,18 @@ impl Region {
         // chunk granularity so the header never promises less than the
         // address space actually held.
         let (base, capacity) = (reserved.base, reserved.capacity);
-        match &backing {
-            Some(Backing::File { file, .. }) => {
-                space.commit_range_file(base, size, file, 0, true)?
-            }
-            _ => space.commit_range_anon(base, size)?,
-        }
-        // SAFETY: the run is committed read/write for at least `size`
-        // bytes; we own it exclusively until the handle is shared.
-        unsafe {
-            let hdr = &mut *(base as *mut RegionHeader);
+        let file = match &backing {
+            Some(Backing::File { file, .. }) => Some((file, true)),
+            _ => None,
+        };
+        let hdr = reserved.commit(size, file)?;
+        // The header, then the allocator's first bitmap page (its volatile
+        // maps sized for `capacity`, for in-place growth), before the
+        // slot-A seed below, so even the seed carries the directory offset.
+        // SAFETY: `size` bytes committed and still the guard's alone;
+        // `hdr.alloc` is initialized before the allocator formats it.
+        let ll = unsafe {
+            let hdr = hdr.as_mut();
             hdr.magic = REGION_MAGIC;
             hdr.version = HEADER_VERSION;
             hdr.rid = rid;
@@ -395,16 +426,6 @@ impl Region {
             }; MAX_ROOTS];
             hdr.alloc.init(RegionHeader::data_start(), size as u64);
             hdr.fault = FaultStamp::default();
-        }
-        // Format the first bitmap page of the allocator before the slot-A
-        // seed below, so even the seed snapshot carries the directory
-        // offset (the size floor above leaves room for it). Volatile maps
-        // are sized for `capacity` so the allocator can follow in-place
-        // growth without reallocation.
-        // SAFETY: the region is still owned exclusively; `hdr.alloc` was
-        // just initialized for this base/size.
-        let ll = unsafe {
-            let hdr = &mut *(base as *mut RegionHeader);
             LlState::create(base, capacity, next_instance(), &mut hdr.alloc)?
         };
         space.bind(rid, reserved.run)?;
@@ -444,31 +465,10 @@ impl Region {
             ll,
         };
         registry::register(rid, base);
+        nvref::set_committed(base, Some(size));
         Region {
             inner: Arc::new(inner),
         }
-    }
-
-    /// Rebuilds the allocator of a reopened image whose header was just
-    /// validated: one bounded pass that only reads the bitmap pages fills
-    /// the granule map and the DRAM `taken` words (see [`LlState::open`]).
-    ///
-    /// # Errors
-    ///
-    /// The structural damage of the chain, in words; only
-    /// [`Region::open_file_salvage`] opens such an image.
-    ///
-    /// # Safety
-    ///
-    /// `base` must be the image's mapping, read/write for `size` bytes of
-    /// a `capacity`-byte run, and owned exclusively by the caller.
-    unsafe fn recover_allocator(
-        base: usize,
-        capacity: usize,
-        size: usize,
-    ) -> std::result::Result<LlState, String> {
-        let alloc = &mut (*(base as *mut RegionHeader)).alloc;
-        LlState::open(base, capacity, size, next_instance(), alloc)
     }
 
     /// Opens an existing region image, mapping it writably (`MAP_SHARED`)
@@ -564,14 +564,14 @@ impl Region {
 
         let size = size as usize;
         let reserved = Reserved::acquire(space, capacity as usize)?;
-        let (base, capacity) = (reserved.base, reserved.capacity);
-        space.commit_range_file(base, size, &file, 0, true)?;
+        let capacity = reserved.capacity;
+        let hdr = reserved.commit(size, Some((&file, true)))?;
         // Full corruption walk: primary metadata (roots, allocator free
         // lists) plus both checksummed slots. A damaged primary is
         // restored from the newest valid slot; if that still does not
         // verify, the open fails with a typed error.
-        // SAFETY: the image is mapped read/write and `size` bytes long.
-        let bytes = unsafe { std::slice::from_raw_parts_mut(base as *mut u8, size) };
+        // SAFETY: `size` bytes committed and the guard's alone until `keep`.
+        let bytes = unsafe { hdr.field::<u8>(0).slice(size) };
         let report = verify::verify_bytes(bytes);
         let primary_was_ok = report.primary_ok();
         // Clean close converges both slots onto the final snapshot, so
@@ -598,32 +598,30 @@ impl Region {
         }
         // A slot restore rewrites the identity words; re-check them
         // against what was validated pre-map.
-        // SAFETY: header is mapped read/write and still owned exclusively.
-        let hdr_now = unsafe { &mut *(base as *mut RegionHeader) };
-        if hdr_now.rid != rid || hdr_now.size != flen {
+        // SAFETY: as for `bytes`, which is dead from here on.
+        let h = unsafe { hdr.as_mut() };
+        if h.rid != rid || h.size != flen {
             return Err(NvError::BadImage(format!(
                 "metadata slot disagrees with the boot block (rid {} vs {rid}, size {} vs {flen})",
-                hdr_now.rid, hdr_now.size
+                h.rid, h.size
             )));
         }
-        if hdr_now.capacity < flen || hdr_now.capacity as usize > layout.max_region_size() {
+        if h.capacity < flen || h.capacity as usize > layout.max_region_size() {
             // The capacity word is still rot (a dirty image keeps its
             // primary even when a slot exists): pin it to the run that was
             // actually reserved from the sanitized pre-map value.
-            hdr_now.capacity = capacity as u64;
+            h.capacity = capacity as u64;
         }
-        if hdr_now.capacity as usize > capacity {
+        if h.capacity as usize > capacity {
             // A restored slot must not promise more growth room than the
             // run acquired from the boot block actually reserves.
             return Err(NvError::BadImage(format!(
                 "metadata slot claims capacity {} beyond the reserved run ({capacity})",
-                hdr_now.capacity
+                h.capacity
             )));
         }
-        // SAFETY: the image is mapped read/write, its header was just
-        // validated, and it is owned exclusively until the handle is
-        // shared.
-        let ll = unsafe { Self::recover_allocator(base, capacity, size) }.map_err(|damage| {
+        let opened = reserved.open_allocator(size, &mut h.alloc);
+        let ll = opened.map_err(|damage| {
             NvError::BadImage(format!(
                 "bitmap allocator damaged: {damage}; open the image with \
                  Region::open_file_salvage"
@@ -634,12 +632,9 @@ impl Region {
         // A primary that had to be rebuilt from a slot counts as dirty:
         // the snapshot may predate the damage, so recovery layers must
         // run regardless of what the restored flags claim.
-        let was_dirty = hdr_now.flags & FLAG_DIRTY != 0 || !primary_was_ok;
+        let was_dirty = h.flags & FLAG_DIRTY != 0 || !primary_was_ok;
         // Mark dirty for the duration of this writable session.
-        // SAFETY: header is mapped read/write.
-        unsafe {
-            (*(base as *mut RegionHeader)).flags |= FLAG_DIRTY;
-        }
+        h.flags |= FLAG_DIRTY;
         let backing = Backing::File {
             file,
             path: path.to_path_buf(),
@@ -705,7 +700,7 @@ impl Region {
     /// [`NvError::OutOfMemory`] past [`Region::capacity`],
     /// [`NvError::RegionClosed`] after close, plus commit/file I/O errors.
     pub fn grow(&self, new_size: usize) -> Result<usize> {
-        let _g = self.lock_open()?;
+        let mut hdr = self.lock_open()?;
         let old = self.inner.len();
         if new_size <= old {
             return Ok(old);
@@ -751,16 +746,15 @@ impl Region {
         // Memory is committed: publish the new size (Release pairs with
         // the Acquire loads in `len`), then extend the durable metadata.
         self.inner.size.store(new_size, Ordering::Release);
-        // A tracked region's shadow state must cover the new bytes before
-        // any instrumented store lands there.
-        shadow::grow_region(base, new_size);
-        // SAFETY: lock held; region mapped while the handle exists.
-        let hdr = unsafe { self.header_mut() };
+        nvref::set_committed(base, Some(new_size));
         // The size is durable before the allocator's end moves, so a crash
         // leaves the end short of the size (the open re-derives it), never
         // past it; a crash before this fence leaves the file longer than
         // the size (the open rolls that growth back).
         hdr.size = new_size as u64;
+        // A tracked region's shadow state must cover the new bytes (read
+        // below the size word) before any instrumented store lands there.
+        shadow::grow_region(base, new_size);
         let size_addr = base + RegionHeader::OFF_SIZE;
         latency::persist(size_addr, 8);
         latency::wbarrier();
@@ -788,21 +782,11 @@ impl Region {
     /// Takes the region lock and re-checks `closed` under it: a clean
     /// teardown sets the flag and then takes this lock before unmapping,
     /// so a holder that saw the region open keeps the mapping alive until
-    /// the guard drops.
-    fn lock_open(&self) -> Result<MutexGuard<'_, ()>> {
-        let guard = self.inner.alloc_lock.lock();
+    /// the guard drops. The guard is the one way to the header.
+    fn lock_open(&self) -> Result<HeaderGuard<'_>> {
+        let lock = self.inner.alloc_lock.lock();
         self.check_open()?;
-        Ok(guard)
-    }
-
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn header_mut(&self) -> &mut RegionHeader {
-        &mut *(self.inner.base as *mut RegionHeader)
-    }
-
-    fn header(&self) -> &RegionHeader {
-        // SAFETY: the header is mapped for the lifetime of the handle.
-        unsafe { &*(self.inner.base as *const RegionHeader) }
+        Ok(self.inner.guard(lock))
     }
 
     /// Allocates `size` bytes (alignment `align`, at most 16) inside the
@@ -858,10 +842,9 @@ impl Region {
         );
         let ll = &self.inner.ll;
         let Some(class) = class_for(size) else {
-            let _g = self.lock_open()?;
-            // SAFETY: lock held; region mapped while the handle exists.
-            let hdr = unsafe { self.header_mut() };
-            // SAFETY: as above; `ll` belongs to this region.
+            let mut hdr = self.lock_open()?;
+            // SAFETY: the guard excludes other header access; `ll` belongs
+            // to this region.
             return unsafe { ll.alloc_large(&mut hdr.alloc, size, plain) }
                 .map_err(|_| self.oom(size));
         };
@@ -871,10 +854,8 @@ impl Region {
             if let Some(off) = ll.alloc(class, plain) {
                 return Ok(off);
             }
-            let _g = self.lock_open()?;
-            // SAFETY: lock held; region mapped while the handle exists.
-            let hdr = unsafe { self.header_mut() };
-            // SAFETY: as above; `ll` belongs to this region.
+            let mut hdr = self.lock_open()?;
+            // SAFETY: as above.
             if unsafe { ll.grow(&mut hdr.alloc, class) }.is_ok() {
                 // Another thread may drain the new subtree before we get a
                 // block out of it; loop until an allocation lands or
@@ -1061,9 +1042,8 @@ impl Region {
     /// are the process-wide `region_allocs`/`region_frees` metrics.)
     pub fn stats(&self) -> AllocStats {
         let (bump, end) = {
-            let _g = self.inner.alloc_lock.lock();
-            let alloc = &self.header().alloc;
-            (alloc.bump(), alloc.end())
+            let hdr = self.inner.guard(self.inner.alloc_lock.lock());
+            (hdr.alloc.bump(), hdr.alloc.end())
         };
         let (live_allocs, live_bytes) = self.inner.ll.live();
         AllocStats {
@@ -1109,27 +1089,12 @@ impl Region {
     ///
     /// As [`Region::set_root`].
     pub fn set_root_tagged(&self, name: &str, addr: usize, type_tag: u64) -> Result<()> {
-        let off = self.offset_of(addr)?;
-        self.set_root_off(name, off)?;
-        let _g = self.inner.alloc_lock.lock();
-        // SAFETY: header mapped; serialized by alloc_lock.
-        let hdr = unsafe { self.header_mut() };
-        for entry in hdr.roots.iter_mut() {
-            if entry_matches(entry, name) {
-                entry.type_tag = type_tag;
-                break;
-            }
-        }
-        Ok(())
+        self.set_root_entry(name, self.offset_of(addr)?, Some(type_tag))
     }
 
     /// The type tag recorded for a named root (0 if untagged).
     pub fn root_tag(&self, name: &str) -> Option<u64> {
-        self.header()
-            .roots
-            .iter()
-            .find(|e| entry_matches(e, name))
-            .map(|e| e.type_tag)
+        self.root_entry(name).map(|e| e.type_tag)
     }
 
     /// Looks up a root and validates its type tag, returning the absolute
@@ -1140,18 +1105,18 @@ impl Region {
     /// [`NvError::RootNotFound`] when absent; [`NvError::BadImage`] when
     /// the tag differs from `expected_tag`.
     pub fn root_checked(&self, name: &str, expected_tag: u64) -> Result<usize> {
-        let addr = self
-            .root(name)
+        let entry = self
+            .root_entry(name)
+            .filter(|e| self.in_data(e.offset))
             .ok_or_else(|| NvError::RootNotFound(name.to_string()))?;
-        let tag = self.root_tag(name).unwrap_or(0);
-        if tag != expected_tag {
+        if entry.type_tag != expected_tag {
             return Err(NvError::BadImage(format!(
                 "root {name:?} has type tag {}, expected {}",
-                tag_name(tag),
+                tag_name(entry.type_tag),
                 tag_name(expected_tag)
             )));
         }
-        Ok(addr)
+        Ok(self.inner.base + entry.offset as usize)
     }
 
     /// Registers (or updates) a named root by offset.
@@ -1160,34 +1125,42 @@ impl Region {
     ///
     /// As [`Region::set_root`].
     pub fn set_root_off(&self, name: &str, off: u64) -> Result<()> {
-        self.check_open()?;
+        self.set_root_entry(name, off, None)
+    }
+
+    /// Points the root `name` at `off`, a new entry in the first free
+    /// slot; `type_tag` replaces its tag (a new entry starts untagged).
+    fn set_root_entry(&self, name: &str, off: u64, type_tag: Option<u64>) -> Result<()> {
         if name.len() > ROOT_NAME_CAP || name.is_empty() {
             return Err(NvError::RootNameTooLong(name.to_string()));
         }
-        let _g = self.inner.alloc_lock.lock();
-        // SAFETY: header is mapped; mutation serialized by alloc_lock.
-        let hdr = unsafe { self.header_mut() };
-        let mut free_slot = None;
+        let mut hdr = self.lock_open()?;
+        let mut slot = None;
         for (i, entry) in hdr.roots.iter().enumerate() {
             if entry.name[0] == 0 {
-                free_slot.get_or_insert(i);
-            } else {
-                // A corrupt entry must not be silently shadowed or
-                // clobbered: surface the damage instead.
-                let existing =
-                    decode_root_name(&entry.name).map_err(|why| NvError::BadImage(why.into()))?;
-                if existing == name {
-                    hdr.roots[i].offset = off;
-                    return Ok(());
-                }
+                slot = slot.or(Some((i, false)));
+                continue;
+            }
+            // A corrupt entry must not be silently shadowed or clobbered:
+            // surface the damage instead.
+            let existing =
+                decode_root_name(&entry.name).map_err(|why| NvError::BadImage(why.into()))?;
+            if existing == name {
+                slot = Some((i, true));
+                break;
             }
         }
-        let slot = free_slot.ok_or(NvError::RootDirectoryFull)?;
-        let entry = &mut hdr.roots[slot];
-        entry.name = [0; ROOT_NAME_CAP + 1];
-        entry.name[..name.len()].copy_from_slice(name.as_bytes());
+        let (i, existing) = slot.ok_or(NvError::RootDirectoryFull)?;
+        let entry = &mut hdr.roots[i];
+        if !existing {
+            entry.name = [0; ROOT_NAME_CAP + 1];
+            entry.name[..name.len()].copy_from_slice(name.as_bytes());
+            entry.type_tag = 0;
+        }
         entry.offset = off;
-        entry.type_tag = 0;
+        if let Some(tag) = type_tag {
+            entry.type_tag = tag;
+        }
         Ok(())
     }
 
@@ -1201,19 +1174,28 @@ impl Region {
     /// (undecodable name, offset outside the data area) match nothing;
     /// use [`Region::verify`] to surface them.
     pub fn root_off(&self, name: &str) -> Option<u64> {
-        let hdr = self.header();
-        hdr.roots
-            .iter()
-            .find(|e| entry_matches(e, name))
+        self.root_entry(name)
             .map(|e| e.offset)
-            .filter(|&off| off >= RegionHeader::data_start() && off < self.inner.len() as u64)
+            .filter(|&off| self.in_data(off))
+    }
+
+    /// Whether `off` lies in the committed data area.
+    fn in_data(&self, off: u64) -> bool {
+        off >= RegionHeader::data_start() && off < self.inner.len() as u64
+    }
+
+    /// The directory entry that decodes to `name`, copied out under the
+    /// lock; `None` after close.
+    fn root_entry(&self, name: &str) -> Option<RootEntry> {
+        let hdr = self.lock_open().ok()?;
+        hdr.roots.iter().find(|e| entry_matches(e, name)).copied()
     }
 
     /// Removes a named root. Returns whether it existed.
     pub fn remove_root(&self, name: &str) -> bool {
-        let _g = self.inner.alloc_lock.lock();
-        // SAFETY: serialized mutation of the mapped header.
-        let hdr = unsafe { self.header_mut() };
+        let Ok(mut hdr) = self.lock_open() else {
+            return false;
+        };
         for entry in hdr.roots.iter_mut() {
             if entry_matches(entry, name) {
                 entry.name = [0; ROOT_NAME_CAP + 1];
@@ -1230,9 +1212,9 @@ impl Region {
     ///
     /// [`NvError::BadImage`] if any used directory entry fails to decode
     /// (corrupt name bytes) — the directory can then only be read through
-    /// [`Region::verify`] / salvage.
+    /// [`Region::verify`] / salvage; [`NvError::RegionClosed`] after close.
     pub fn roots(&self) -> Result<Vec<String>> {
-        self.header()
+        self.lock_open()?
             .roots
             .iter()
             .filter(|e| e.name[0] != 0)
@@ -1326,7 +1308,7 @@ impl Region {
     /// The fault stamp left by the last injected crash, if this image
     /// carries one.
     pub fn fault_stamp(&self) -> Option<FaultStamp> {
-        let stamp = self.header().fault;
+        let stamp = self.lock_open().ok()?.fault;
         (stamp.magic == crate::shadow::FAULT_STAMP_MAGIC).then_some(stamp)
     }
 
@@ -1386,12 +1368,11 @@ impl Region {
     ///
     /// [`NvError::RegionClosed`] after close.
     pub fn verify(&self) -> Result<VerifyReport> {
-        self.check_open()?;
-        let _g = self.inner.alloc_lock.lock();
-        // SAFETY: mapped while the handle exists; lock excludes header
-        // mutation during the walk.
-        let bytes =
-            unsafe { std::slice::from_raw_parts(self.inner.base as *const u8, self.inner.len()) };
+        // The guard excludes header mutation during the walk.
+        let _hdr = self.lock_open()?;
+        // SAFETY: the lock keeps the committed image mapped; the walk only
+        // reads it.
+        let bytes = unsafe { self.inner.header().field::<u8>(0).slice(self.inner.len()) };
         Ok(verify::verify_bytes(bytes))
     }
 
@@ -1439,28 +1420,27 @@ impl Region {
         // from the file, so a salvaged session simply cannot grow.
         let size = flen as usize;
         let reserved = Reserved::acquire(space, size)?;
-        let (base, capacity) = (reserved.base, reserved.capacity);
-        space.commit_range_file(base, size, &file, 0, false)?;
-        // SAFETY: mapped copy-on-write and `size` bytes long; repairs land
-        // in the private mapping only.
-        let bytes = unsafe { std::slice::from_raw_parts_mut(base as *mut u8, size) };
-        let report = verify::salvage_in_place(bytes)?;
-        // SAFETY: header is mapped; salvage made it structurally valid.
-        let rid = unsafe { (*(base as *const RegionHeader)).rid };
+        // Mapped copy-on-write: repairs land in the private mapping only.
+        let hdr = reserved.commit(size, Some((&file, false)))?;
+        // SAFETY: `size` bytes committed and the guard's alone until `keep`.
+        let (report, h) = unsafe {
+            let report = verify::salvage_in_place(hdr.field::<u8>(0).slice(size))?;
+            // Salvage made the header structurally valid.
+            (report, hdr.as_mut())
+        };
+        let rid = h.rid;
         rid_in_range(space, rid)?;
-        space.bind(rid, reserved.run)?;
-        let run = reserved.keep();
         // A chain that verifies keeps serving; any bitmap finding gives
         // the session an empty, frozen allocator, which serves nothing and
         // so can double-serve nothing.
         let recovered = if report.llalloc_errors.is_empty() {
-            // SAFETY: mapped copy-on-write, made structurally valid by
-            // the salvage above, and owned exclusively.
-            unsafe { Self::recover_allocator(base, capacity, size) }.ok()
+            reserved.open_allocator(size, &mut h.alloc).ok()
         } else {
             None
         };
-        let ll = recovered.unwrap_or_else(|| LlState::frozen(base, next_instance()));
+        let ll = recovered.unwrap_or_else(|| LlState::frozen(reserved.base, next_instance()));
+        space.bind(rid, reserved.run)?;
+        let run = reserved.keep();
         let backing = Backing::File {
             file,
             path: path.to_path_buf(),
@@ -1504,7 +1484,44 @@ fn entry_matches(entry: &RootEntry, name: &str) -> bool {
     entry.name[0] != 0 && decode_root_name(&entry.name) == Ok(name)
 }
 
+/// The region lock, and with it the one way to the mapped header.
+struct HeaderGuard<'a> {
+    hdr: NvRef<RegionHeader>,
+    _lock: MutexGuard<'a, ()>,
+}
+
+impl Deref for HeaderGuard<'_> {
+    type Target = RegionHeader;
+
+    fn deref(&self) -> &RegionHeader {
+        // SAFETY: the header stays mapped until teardown, which takes the
+        // lock this guard holds; only lock holders write it.
+        unsafe { self.hdr.as_ref() }
+    }
+}
+
+impl DerefMut for HeaderGuard<'_> {
+    fn deref_mut(&mut self) -> &mut RegionHeader {
+        // SAFETY: as in `deref`; the borrow of `self` makes this the one
+        // view of the header while it lasts.
+        unsafe { self.hdr.as_mut() }
+    }
+}
+
 impl Inner {
+    /// The header at `base` (bound until teardown wrote its last slot).
+    fn header(&self) -> NvRef<RegionHeader> {
+        NvRef::new(self.base as *mut RegionHeader).expect("an open region's run is bound")
+    }
+
+    /// The header's guard, for the holder of the region lock.
+    fn guard<'a>(&'a self, lock: MutexGuard<'a, ()>) -> HeaderGuard<'a> {
+        HeaderGuard {
+            hdr: self.header(),
+            _lock: lock,
+        }
+    }
+
     /// Current committed size. `Acquire` pairs with the `Release` store
     /// in [`Region::grow`]: a thread that observes a grown size also
     /// observes the newly committed memory behind it.
@@ -1521,8 +1538,9 @@ impl Inner {
     /// flushed, and fenced, so a [`crate::shadow::FaultPlan`] can tear
     /// the flip itself.
     fn write_meta_slot(&self) {
-        // SAFETY: the region is mapped read/write while `Inner` exists.
-        let bytes = unsafe { std::slice::from_raw_parts_mut(self.base as *mut u8, self.len()) };
+        // SAFETY: the caller excludes header mutation as said above, and
+        // the staging writes only the inactive slot.
+        let bytes = unsafe { self.header().field::<u8>(0).slice(self.len()) };
         if let Some((slot_off, len)) = verify::stage_next_slot(bytes) {
             let addr = self.base + slot_off;
             latency::persist(addr, len);
@@ -1540,10 +1558,7 @@ impl Inner {
             {
                 // Serialize with in-flight locked operations before
                 // declaring the image clean.
-                let _g = self.alloc_lock.lock();
-                // SAFETY: still mapped; we are the unique closer and the
-                // lock excludes concurrent allocator access.
-                let hdr = unsafe { &mut *(self.base as *mut RegionHeader) };
+                let mut hdr = self.guard(self.alloc_lock.lock());
                 // SAFETY: lock held, unique closer: quiescent.
                 unsafe { self.ll.seal() };
                 hdr.flags &= !FLAG_DIRTY;
@@ -1559,6 +1574,7 @@ impl Inner {
         }
         shadow::unregister_rid(self.rid);
         registry::unregister(self.rid);
+        nvref::set_committed(self.base, None);
         self.space.unbind(self.rid, self.run);
         // Decommit the whole reserved run (the uncommitted tail is
         // already PROT_NONE; re-decommitting it is harmless and keeps the

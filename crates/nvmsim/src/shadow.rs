@@ -40,6 +40,7 @@
 //! what was done to them, which `nvr_inspect` reports.
 
 use crate::latency::ARMED_SHADOW;
+use crate::nvref::NvRef;
 use crate::region::Region;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -367,6 +368,15 @@ fn tracker_for_base(base: usize) -> Option<Arc<Tracker>> {
     lock(&TRACKERS).iter().find(|t| t.base == base).cloned()
 }
 
+/// The `len` bytes at `addr` of a tracked region, which stays open (and
+/// its grown bytes committed) while registered.
+fn region_bytes<'a>(addr: usize, len: usize) -> &'a [u8] {
+    let bytes = NvRef::new(addr as *mut u8).expect("a tracked region is open");
+    // SAFETY: teardown unregisters the tracker before it unmaps the
+    // region, and the tracker's callers pass committed bytes.
+    unsafe { bytes.slice(len) }
+}
+
 /// Registers a tracker for `[base, base+size)` and checkpoints it (the
 /// current memory contents count as persisted). Idempotent per base.
 pub(crate) fn register(rid: u32, base: usize, size: usize, stamp_off: usize) {
@@ -375,8 +385,7 @@ pub(crate) fn register(rid: u32, base: usize, size: usize, stamp_off: usize) {
         return;
     }
     let nlines = size.div_ceil(SHADOW_LINE);
-    // SAFETY: the caller (Region) guarantees `[base, base+size)` is mapped.
-    let persisted = unsafe { std::slice::from_raw_parts(base as *const u8, size) }.to_vec();
+    let persisted = region_bytes(base, size).to_vec();
     let tracker = Arc::new(Tracker {
         rid,
         base,
@@ -420,9 +429,7 @@ pub(crate) fn checkpoint(base: usize) {
     s.lines.fill(CLEAN);
     s.staged.clear();
     s.pending.clear();
-    // SAFETY: the region is mapped while registered.
-    let mem = unsafe { std::slice::from_raw_parts(t.base as *const u8, t.size) };
-    s.persisted.copy_from_slice(mem);
+    s.persisted.copy_from_slice(region_bytes(t.base, t.size));
 }
 
 /// Extends the tracker of the region at `base` to cover `new_size` bytes
@@ -447,10 +454,7 @@ pub(crate) fn grow_region(base: usize, new_size: usize) {
     let mut lines = s.lines.clone();
     lines.resize(nlines, CLEAN);
     let mut persisted = s.persisted.clone();
-    // SAFETY: the caller (Region::grow) has committed `[base, base+new_size)`.
-    let tail =
-        unsafe { std::slice::from_raw_parts((base + old.size) as *const u8, new_size - old.size) };
-    persisted.extend_from_slice(tail);
+    persisted.extend_from_slice(region_bytes(base + old.size, new_size - old.size));
     let replacement = Arc::new(Tracker {
         rid: old.rid,
         base,
@@ -525,11 +529,7 @@ pub(crate) fn on_flush(addr: usize, len: usize) {
         let off = line * SHADOW_LINE;
         let take = SHADOW_LINE.min(t.size - off);
         let mut bytes = [0u8; SHADOW_LINE];
-        // SAFETY: the region is mapped while registered; `off + take`
-        // stays inside it.
-        unsafe {
-            std::ptr::copy_nonoverlapping((t.base + off) as *const u8, bytes.as_mut_ptr(), take);
-        }
+        bytes[..take].copy_from_slice(region_bytes(t.base + off, take));
         if s.lines[line] == DIRTY {
             s.pending.push(line as u32);
             s.lines[line] = PENDING;
@@ -694,8 +694,7 @@ fn capture_at_event(
 ) -> Result<(Vec<u8>, FaultReport), ShadowError> {
     let t = tracker_for_base(base).ok_or_else(|| not_tracked(base))?;
     let s = lock(&t.state);
-    // SAFETY: the region is mapped while registered.
-    let mut image = unsafe { std::slice::from_raw_parts(t.base as *const u8, t.size) }.to_vec();
+    let mut image = region_bytes(t.base, t.size).to_vec();
     let mut report = FaultReport {
         event,
         mode: policy.mode(),

@@ -16,8 +16,8 @@
 //! [`NodeArena`] encapsulates both choices behind one `alloc` call so the
 //! data structures stay oblivious to placement.
 
-use crate::error::Result;
-use nvmsim::Region;
+use crate::error::{PdsError, Result};
+use nvmsim::{NvRef, Region};
 use pstore::ObjectStore;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -192,6 +192,42 @@ impl NodeArena {
     /// As [`NodeArena::alloc`].
     pub fn alloc_home(&self, size: usize) -> Result<NonNull<u8>> {
         Ok(self.regions[0].alloc(size, 16)?)
+    }
+
+    /// An empty structure's header in the home region: written as
+    /// `H::default()` (links null, counts 0), finished by `fill`, then
+    /// published under a `(root name, type tag)` when given one.
+    pub(crate) fn new_header<H: Default>(
+        &self,
+        root: Option<(&str, u64)>,
+        fill: impl FnOnce(NvRef<H>) -> Result<()>,
+    ) -> Result<NvRef<H>> {
+        let block = self.alloc_home(std::mem::size_of::<H>())?.as_ptr();
+        let header = NvRef::new(block.cast()).expect("the home region is open");
+        // SAFETY: a fresh home block of `size_of::<H>()` bytes, aligned to
+        // 16 and this call's alone.
+        unsafe { header.write(H::default()) };
+        fill(header)?;
+        if let Some((name, tag)) = root {
+            self.home_region()
+                .set_root_tagged(name, header.addr(), tag)?;
+        }
+        Ok(header)
+    }
+
+    /// The header published as the root `name` with type tag `tag`, else
+    /// [`PdsError::RootMissing`] naming `what` (also for a header that
+    /// would run past the region).
+    pub(crate) fn root_header<H>(
+        &self,
+        name: &str,
+        tag: u64,
+        what: &'static str,
+    ) -> Result<NvRef<H>> {
+        let addr = self.home_region().root_checked(name, tag).ok();
+        addr.and_then(|a| NvRef::new(a as *mut H))
+            .filter(|h| h.fits(1))
+            .ok_or(PdsError::RootMissing(what))
     }
 
     /// Pre-scatters the placement of the next ~`count` allocations of

@@ -7,18 +7,18 @@
 
 use crate::arena::NodeArena;
 use crate::ctx::{link_fresh, unlink_free, Ctx, RawCtx, TxCtx};
-use crate::error::{PdsError, Result};
+use crate::error::Result;
 use crate::list::fill_payload;
+use nvmsim::NvRef;
 use pi_core::{PtrRepr, SwizzledPtr};
 use pstore::ObjectStore;
-use std::marker::PhantomData;
 
 /// Root type tag recorded by `create_rooted` and validated by `attach`.
 pub const BST_ROOT_TAG: u64 = u64::from_le_bytes(*b"PDSBST01");
 
 /// Persistent tree header (lives in the home region).
 #[repr(C)]
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BstHeader<R: PtrRepr> {
     root: R,
     len: u64,
@@ -38,8 +38,7 @@ pub struct BstNode<R: PtrRepr, const P: usize> {
 #[derive(Debug)]
 pub struct PBst<R: PtrRepr, const P: usize = 32> {
     arena: NodeArena,
-    header: *mut BstHeader<R>,
-    _marker: PhantomData<R>,
+    header: NvRef<BstHeader<R>>,
 }
 
 impl<R: PtrRepr, const P: usize> PBst<R, P> {
@@ -49,19 +48,8 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
     ///
     /// Allocation failures.
     pub fn new(arena: NodeArena) -> Result<PBst<R, P>> {
-        let header = arena
-            .alloc_home(std::mem::size_of::<BstHeader<R>>())?
-            .as_ptr() as *mut BstHeader<R>;
-        // SAFETY: freshly allocated, exclusively owned.
-        unsafe {
-            (*header).root = R::null();
-            (*header).len = 0;
-        }
-        Ok(PBst {
-            arena,
-            header,
-            _marker: PhantomData,
-        })
+        let header = arena.new_header(None, |_| Ok(()))?;
+        Ok(PBst { arena, header })
     }
 
     /// Creates an empty tree published as a named root.
@@ -70,34 +58,24 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
     ///
     /// Allocation or root-registration failures.
     pub fn create_rooted(arena: NodeArena, root: &str) -> Result<PBst<R, P>> {
-        let t = Self::new(arena)?;
-        t.arena
-            .home_region()
-            .set_root_tagged(root, t.header as usize, BST_ROOT_TAG)?;
-        Ok(t)
+        let header = arena.new_header(Some((root, BST_ROOT_TAG)), |_| Ok(()))?;
+        Ok(PBst { arena, header })
     }
 
     /// Attaches to a previously persisted tree by root name.
     ///
     /// # Errors
     ///
-    /// [`PdsError::RootMissing`] when the root is absent.
+    /// [`crate::PdsError::RootMissing`] when the root is absent.
     pub fn attach(arena: NodeArena, root: &str) -> Result<PBst<R, P>> {
-        let addr = arena
-            .home_region()
-            .root_checked(root, BST_ROOT_TAG)
-            .map_err(|_| PdsError::RootMissing("bst header"))?;
-        Ok(PBst {
-            arena,
-            header: addr as *mut BstHeader<R>,
-            _marker: PhantomData,
-        })
+        let header = arena.root_header(root, BST_ROOT_TAG, "bst header")?;
+        Ok(PBst { arena, header })
     }
 
     /// Number of keys in the tree.
     pub fn len(&self) -> u64 {
-        // SAFETY: header mapped while regions are open.
-        unsafe { (*self.header).len }
+        // SAFETY: header is mapped while the arena's regions are open.
+        unsafe { self.header.as_ref() }.len
     }
 
     /// Whether the tree is empty.
@@ -112,7 +90,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
 
     /// Address of the persistent header.
     pub fn header_addr(&self) -> usize {
-        self.header as usize
+        self.header.addr()
     }
 
     /// Inserts `key` (payload derived deterministically): the body of
@@ -138,7 +116,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
             if !cur.is_null() {
                 return Ok(false);
             }
-            let len = std::ptr::addr_of_mut!((*self.header).len);
+            let len = &mut self.header.as_mut().len as *mut u64;
             let size = std::mem::size_of::<BstNode<R, P>>();
             link_fresh(begin(), &self.arena, slot, len, size, |n| {
                 Self::init_node(n as *mut BstNode<R, P>, key)
@@ -158,7 +136,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
     /// The slot on `key`'s search path that holds `key`'s node, and that
     /// node — or the empty slot the key belongs in, and null.
     unsafe fn find_slot(&mut self, key: u64) -> (*mut R, *mut BstNode<R, P>) {
-        let mut slot: *mut R = &mut (*self.header).root;
+        let mut slot: *mut R = &mut self.header.as_mut().root;
         loop {
             let cur = (*slot).load_at_rest() as *mut BstNode<R, P>;
             if cur.is_null() || key == (*cur).key {
@@ -209,8 +187,8 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
         // SAFETY: the header's root slot is written in place exactly once.
         unsafe {
             let root = self.build_range(sorted)?;
-            (*self.header).root.store(root as usize);
-            (*self.header).len = sorted.len() as u64;
+            self.header.as_mut().root.store(root as usize);
+            self.header.as_mut().len = sorted.len() as u64;
         }
         Ok(())
     }
@@ -247,14 +225,14 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
             }
         }
         // SAFETY: header mapped.
-        go::<R, P>(unsafe { (*self.header).root.load() as *const BstNode<R, P> })
+        go::<R, P>(unsafe { self.header.as_ref().root.load() as *const BstNode<R, P> })
     }
 
     /// BST lookup for `key` (the paper's random-search workload).
     pub fn contains(&self, key: u64) -> bool {
         // SAFETY: links resolve to live nodes while regions are open.
         unsafe {
-            let mut cur = (*self.header).root.load() as *const BstNode<R, P>;
+            let mut cur = self.header.as_ref().root.load() as *const BstNode<R, P>;
             while !cur.is_null() {
                 if key == (*cur).key {
                     return true;
@@ -276,7 +254,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
         let mut stack: Vec<*const BstNode<R, P>> = Vec::with_capacity(64);
         // SAFETY: as in contains.
         unsafe {
-            let root = (*self.header).root.load() as *const BstNode<R, P>;
+            let root = self.header.as_ref().root.load() as *const BstNode<R, P>;
             if !root.is_null() {
                 stack.push(root);
             }
@@ -301,7 +279,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
     /// node reachable from it. The crash matrices' leak oracle compares
     /// them with the region's allocated blocks.
     pub fn blocks(&self) -> Vec<usize> {
-        let mut out = vec![self.header as usize];
+        let mut out = vec![self.header.addr()];
         self.walk(|n| {
             out.push(n as *const BstNode<R, P> as usize);
             true
@@ -314,7 +292,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
     fn walk<'a>(&'a self, mut visit: impl FnMut(&'a BstNode<R, P>) -> bool) {
         // SAFETY: as in contains.
         unsafe {
-            let mut stack = vec![(*self.header).root.load() as *const BstNode<R, P>];
+            let mut stack = vec![self.header.as_ref().root.load() as *const BstNode<R, P>];
             while let Some(n) = stack.pop() {
                 if n.is_null() {
                     continue;
@@ -336,7 +314,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
             _bst: std::marker::PhantomData,
         };
         // SAFETY: root resolves while the borrow keeps regions mapped.
-        it.cur = unsafe { (*self.header).root.load() as *const BstNode<R, P> };
+        it.cur = unsafe { self.header.as_ref().root.load() as *const BstNode<R, P> };
         it
     }
 
@@ -375,7 +353,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
             if cur.is_null() {
                 return Ok(false);
             }
-            let len = std::ptr::addr_of_mut!((*self.header).len);
+            let len = &mut self.header.as_mut().len as *mut u64;
             let (l, r) = ((*cur).left.load_at_rest(), (*cur).right.load_at_rest());
             let (slot, node, next, refill) = if l == 0 || r == 0 {
                 // At most one child: splice it into the parent slot.
@@ -487,7 +465,7 @@ impl<const P: usize> PBst<SwizzledPtr, P> {
         // SAFETY: every link resolves to a live node of the region in
         // either form while it is open; each slot is visited once.
         unsafe {
-            let root = each(&mut (*self.header).root) as *mut BstNode<SwizzledPtr, P>;
+            let root = each(&mut self.header.as_mut().root) as *mut BstNode<SwizzledPtr, P>;
             if !root.is_null() {
                 stack.push(root);
             }

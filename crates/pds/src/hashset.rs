@@ -35,22 +35,26 @@ use crate::error::{PdsError, Result};
 use crate::list::fill_payload;
 use nvmsim::latency::persist;
 use nvmsim::metrics::{self, Counter};
+use nvmsim::{NvError, NvRef};
 use pi_core::{AtomicPPtr, PtrRepr, SwizzledPtr};
 use pstore::ObjectStore;
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::mem::{offset_of, size_of};
+use std::sync::atomic::Ordering;
 
 /// Root type tag recorded by `create_rooted` and validated by `attach`.
 pub const HASHSET_ROOT_TAG: u64 = u64::from_le_bytes(*b"PDSHSET1");
 
 /// Persistent hash-set header (lives in the home region).
 #[repr(C)]
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HashSetHeader {
     buckets_off: u64,
     nbuckets: u64,
     len: u64,
 }
+
+/// Offset of the header's length word.
+const LEN: usize = offset_of!(HashSetHeader, len);
 
 /// A chain node: next pointer, key, logical-deletion mark, payload.
 ///
@@ -72,13 +76,18 @@ fn bucket_of(key: u64, nbuckets: u64) -> u64 {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % nbuckets
 }
 
+/// A chain link as the lock-free operations load and CAS it.
+type Link<R, const P: usize> = AtomicPPtr<HsNode<R, P>, R>;
+
 /// Chained-bucket persistent hash set. See the module docs.
 #[derive(Debug)]
 pub struct PHashSet<R: PtrRepr, const P: usize = 32> {
     arena: NodeArena,
-    header: *mut HashSetHeader,
-    buckets: *mut R,
-    _marker: PhantomData<R>,
+    header: NvRef<HashSetHeader>,
+    /// The first of the header's `nbuckets` slots.
+    buckets: NvRef<R>,
+    /// The header's bucket count, as `attach` checked it.
+    nbuckets: u64,
 }
 
 impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
@@ -93,30 +102,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     ///
     /// Panics if `nbuckets == 0`.
     pub fn new(arena: NodeArena, nbuckets: u64) -> Result<PHashSet<R, P>> {
-        assert!(nbuckets > 0);
-        let header = arena
-            .alloc_home(std::mem::size_of::<HashSetHeader>())?
-            .as_ptr() as *mut HashSetHeader;
-        let buckets_ptr = arena
-            .alloc_home(std::mem::size_of::<R>() * nbuckets as usize)?
-            .as_ptr() as *mut R;
-        let home = arena.home_region();
-        let buckets_off = home.offset_of(buckets_ptr as usize)?;
-        // SAFETY: freshly allocated, exclusively owned ranges.
-        unsafe {
-            (*header).buckets_off = buckets_off;
-            (*header).nbuckets = nbuckets;
-            (*header).len = 0;
-            for i in 0..nbuckets as usize {
-                buckets_ptr.add(i).write(R::null());
-            }
-        }
-        Ok(PHashSet {
-            arena,
-            header,
-            buckets: buckets_ptr,
-            _marker: PhantomData,
-        })
+        Self::create(arena, nbuckets, None)
     }
 
     /// Creates an empty set published as a named root.
@@ -125,39 +111,77 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     ///
     /// Allocation or root-registration failures.
     pub fn create_rooted(arena: NodeArena, nbuckets: u64, root: &str) -> Result<PHashSet<R, P>> {
-        let s = Self::new(arena, nbuckets)?;
-        s.arena
-            .home_region()
-            .set_root_tagged(root, s.header as usize, HASHSET_ROOT_TAG)?;
-        Ok(s)
+        Self::create(arena, nbuckets, Some((root, HASHSET_ROOT_TAG)))
+    }
+
+    fn create(
+        arena: NodeArena,
+        nbuckets: u64,
+        root: Option<(&str, u64)>,
+    ) -> Result<PHashSet<R, P>> {
+        assert!(nbuckets > 0);
+        let header = arena.new_header(root, |h| {
+            let slots = arena
+                .alloc_home(size_of::<R>() * nbuckets as usize)?
+                .as_ptr();
+            let buckets_off = arena.home_region().offset_of(slots as usize)?;
+            let slots = NvRef::new(slots.cast::<R>()).expect("the home region is open");
+            // SAFETY: both blocks are fresh and this call's alone.
+            unsafe {
+                h.write(HashSetHeader {
+                    buckets_off,
+                    nbuckets,
+                    len: 0,
+                });
+                slots.slice(nbuckets as usize).fill(R::null());
+            }
+            Ok(())
+        })?;
+        Self::with_header(arena, header)
     }
 
     /// Attaches to a previously persisted set by root name.
     ///
     /// # Errors
     ///
-    /// [`PdsError::RootMissing`] when the root is absent.
+    /// [`PdsError::RootMissing`] when the root is absent;
+    /// [`NvError::BadImage`] when the header names no bucket, or a bucket
+    /// array that does not lie inside the home region.
     pub fn attach(arena: NodeArena, root: &str) -> Result<PHashSet<R, P>> {
-        let addr = arena
-            .home_region()
-            .root_checked(root, HASHSET_ROOT_TAG)
-            .map_err(|_| PdsError::RootMissing("hashset header"))?;
-        let header = addr as *mut HashSetHeader;
-        // SAFETY: the header was written by new(); buckets_off is a
-        // region offset valid in the current mapping.
-        let buckets = unsafe { arena.home_region().ptr_at((*header).buckets_off) as *mut R };
+        let header = arena.root_header(root, HASHSET_ROOT_TAG, "hashset header")?;
+        Self::with_header(arena, header)
+    }
+
+    /// The set `header` describes, once its bucket array is checked to
+    /// lie inside the home region.
+    fn with_header(arena: NodeArena, header: NvRef<HashSetHeader>) -> Result<PHashSet<R, P>> {
+        // SAFETY: a fresh header, or a rooted one that fits the region.
+        let HashSetHeader {
+            buckets_off: off,
+            nbuckets: n,
+            ..
+        } = unsafe { header.read() };
+        let home = arena.home_region();
+        let buckets = NvRef::new(home.base().wrapping_add(off as usize) as *mut R)
+            .filter(|b| n >= 1 && home.contains(b.addr()))
+            .filter(|b| b.fits(n as usize))
+            .ok_or_else(|| {
+                let why = format!("hashset header: {n} buckets at {off:#x} leave the region");
+                PdsError::Nv(NvError::BadImage(why))
+            })?;
         Ok(PHashSet {
             arena,
             header,
             buckets,
-            _marker: PhantomData,
+            nbuckets: n,
         })
     }
 
     /// Number of keys stored.
     pub fn len(&self) -> u64 {
-        // SAFETY: header mapped while regions are open.
-        unsafe { (*self.header).len }
+        // SAFETY: the header lives while the set does; lock-free writers
+        // of the word use its atomic view too.
+        unsafe { self.header.field::<u64>(LEN).atomic() }.load(Ordering::Relaxed)
     }
 
     /// Whether the set is empty.
@@ -167,8 +191,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
 
     /// Number of buckets.
     pub fn bucket_count(&self) -> u64 {
-        // SAFETY: header mapped while regions are open.
-        unsafe { (*self.header).nbuckets }
+        self.nbuckets
     }
 
     /// The arena nodes are placed in.
@@ -178,7 +201,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
 
     /// Address of the persistent header.
     pub fn header_addr(&self) -> usize {
-        self.header as usize
+        self.header.addr()
     }
 
     /// Inserts `key`, appending to the end of its bucket's chain (as the
@@ -204,7 +227,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
             if !cur.is_null() {
                 return Ok(false);
             }
-            let len = std::ptr::addr_of_mut!((*self.header).len);
+            let len = self.header.field::<u64>(LEN).as_ptr();
             let size = std::mem::size_of::<HsNode<R, P>>();
             link_fresh(begin(), &self.arena, slot, len, size, |n| {
                 let n = n as *mut HsNode<R, P>;
@@ -220,8 +243,8 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     /// The slot in `key`'s bucket chain that holds `key`'s node, and that
     /// node — or the chain's final (empty) slot, and null.
     unsafe fn find_slot(&mut self, key: u64) -> (*mut R, *mut HsNode<R, P>) {
-        let b = bucket_of(key, (*self.header).nbuckets) as usize;
-        let mut slot: *mut R = self.buckets.add(b);
+        let b = bucket_of(key, self.bucket_count()) as usize;
+        let mut slot: *mut R = self.buckets.as_ptr().add(b);
         loop {
             let cur = (*slot).load_at_rest() as *mut HsNode<R, P>;
             if cur.is_null() || (*cur).key == key {
@@ -249,8 +272,8 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     pub fn contains(&self, key: u64) -> bool {
         // SAFETY: links resolve to live nodes while regions are open.
         unsafe {
-            let b = bucket_of(key, (*self.header).nbuckets) as usize;
-            let mut cur = (*self.buckets.add(b)).load() as *const HsNode<R, P>;
+            let b = bucket_of(key, self.bucket_count()) as usize;
+            let mut cur = (*self.buckets.as_ptr().add(b)).load() as *const HsNode<R, P>;
             while !cur.is_null() {
                 if (*cur).key == key {
                     return (*cur).mark == 0;
@@ -264,18 +287,12 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     /// Full traversal over every bucket chain; returns a checksum.
     pub fn traverse(&self) -> u64 {
         let mut sum = 0u64;
-        // SAFETY: as in contains.
-        unsafe {
-            for b in 0..(*self.header).nbuckets as usize {
-                let mut cur = (*self.buckets.add(b)).load() as *const HsNode<R, P>;
-                while !cur.is_null() {
-                    sum = sum
-                        .wrapping_mul(31)
-                        .wrapping_add((*cur).key ^ (*cur).payload[0] as u64);
-                    cur = (*cur).next.load() as *const HsNode<R, P>;
-                }
-            }
-        }
+        self.walk(|_, n| {
+            sum = sum
+                .wrapping_mul(31)
+                .wrapping_add(n.key ^ n.payload[0] as u64);
+            true
+        });
         sum
     }
 
@@ -284,7 +301,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     /// matrices' leak oracle compares them with the region's allocated
     /// blocks.
     pub fn blocks(&self) -> Vec<usize> {
-        let mut out = vec![self.header as usize, self.buckets as usize];
+        let mut out = vec![self.header.addr(), self.buckets.addr()];
         self.walk(|_, n| {
             out.push(n as *const HsNode<R, P> as usize);
             true
@@ -309,8 +326,8 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     fn walk<'a>(&'a self, mut visit: impl FnMut(usize, &'a HsNode<R, P>) -> bool) {
         // SAFETY: as in contains.
         unsafe {
-            for b in 0..(*self.header).nbuckets as usize {
-                let mut cur = (*self.buckets.add(b)).load() as *const HsNode<R, P>;
+            for b in 0..self.bucket_count() as usize {
+                let mut cur = (*self.buckets.as_ptr().add(b)).load() as *const HsNode<R, P>;
                 while !cur.is_null() {
                     if !visit(b, &*cur) {
                         return;
@@ -348,7 +365,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
             if cur.is_null() {
                 return Ok(false);
             }
-            let len = std::ptr::addr_of_mut!((*self.header).len);
+            let len = self.header.field::<u64>(LEN).as_ptr();
             let next = (*cur).next.load_at_rest();
             unlink_free(TxCtx::begin(store), &self.arena, slot, len, cur, next, None)?;
         }
@@ -410,8 +427,13 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
 }
 
 /// Lock-free (link-and-persist) shared-mutable operations. See the module
-/// docs for the protocol and its crash-consistency argument.
+/// docs for the protocol and its crash-consistency argument. Every word
+/// two threads share — a link, a mark, the length — is reached through
+/// the accessor's atomic view.
 impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
+    const KEY: usize = offset_of!(HsNode<R, P>, key);
+    const MARK: usize = offset_of!(HsNode<R, P>, mark);
+
     /// Runtime preconditions of the lock-free operations: the slot CAS
     /// needs a single-word representation, and undo logging would not be
     /// crash-atomic against concurrent mutators.
@@ -426,57 +448,18 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
         );
     }
 
-    /// Atomic view of bucket slot `b`.
-    ///
-    /// # Safety
-    ///
-    /// `b` must be in range and `R` must be 8 bytes (checked by
-    /// [`Self::assert_lock_free_capable`]).
-    unsafe fn aslot(&self, b: usize) -> &AtomicPPtr<HsNode<R, P>, R> {
-        &*(self.buckets.add(b) as *const AtomicPPtr<HsNode<R, P>, R>)
-    }
-
-    /// Atomic view of a node's `next` link.
-    ///
-    /// # Safety
-    ///
-    /// `node` must point at a live node and `R` must be 8 bytes.
-    unsafe fn anext<'a>(node: *mut HsNode<R, P>) -> &'a AtomicPPtr<HsNode<R, P>, R> {
-        &*(std::ptr::addr_of!((*node).next) as *const AtomicPPtr<HsNode<R, P>, R>)
-    }
-
-    /// Atomic view of a node's mark word.
-    ///
-    /// # Safety
-    ///
-    /// `node` must point at a live node.
-    unsafe fn amark<'a>(node: *mut HsNode<R, P>) -> &'a AtomicU64 {
-        &*(std::ptr::addr_of!((*node).mark) as *const AtomicU64)
-    }
-
-    /// Atomic view of the header length.
-    ///
-    /// # Safety
-    ///
-    /// The header must be mapped (true while regions are open).
-    unsafe fn alen(&self) -> &AtomicU64 {
-        &*(std::ptr::addr_of!((*self.header).len) as *const AtomicU64)
-    }
-
     /// NVTraverse-style destination flush on the read side: before a
     /// response is returned, flush the bucket slot (the only link on the
     /// path that may still be unflushed — interior links are persisted
     /// before their node is published) plus the decisive node's mark
     /// word, then fence. Every response then refers to durable state.
-    ///
-    /// # Safety
-    ///
-    /// `b` in range; `decisive`, when present, a live node.
-    unsafe fn persist_read(&self, b: usize, decisive: Option<*mut HsNode<R, P>>) {
+    fn persist_read(&self, b: usize, decisive: Option<NvRef<HsNode<R, P>>>) {
         metrics::incr(Counter::PdsDestinationFlushes);
-        persist(self.buckets.add(b) as usize, std::mem::size_of::<R>());
+        self.buckets
+            .field::<R>(b * size_of::<R>())
+            .persist(size_of::<R>());
         if let Some(n) = decisive {
-            persist(std::ptr::addr_of!((*n).mark) as usize, 8);
+            n.field::<u64>(Self::MARK).persist(8);
         }
         nvmsim::latency::wbarrier();
     }
@@ -488,7 +471,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     ///
     /// `node` must have come from `self.arena` and be unreachable.
     unsafe fn release_node(&self, node: *mut HsNode<R, P>) {
-        let size = std::mem::size_of::<HsNode<R, P>>();
+        let size = size_of::<HsNode<R, P>>();
         self.arena
             .dealloc(std::ptr::NonNull::new_unchecked(node as *mut u8), size)
             .expect("an unreachable node is an allocated block");
@@ -498,11 +481,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     /// stored so crash images drop it honestly; [`Self::recover`]
     /// recomputes it from the chains.
     fn track_len_store(&self) {
-        nvmsim::shadow::track_store(
-            // SAFETY: header mapped while regions are open.
-            unsafe { std::ptr::addr_of!((*self.header).len) } as usize,
-            8,
-        );
+        nvmsim::shadow::track_store(self.header.field::<u64>(LEN).addr(), 8);
     }
 
     /// Lock-free insert at the bucket head. Returns whether the key was
@@ -537,70 +516,88 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
 
     fn insert_lf_inner(&self, key: u64, flush_destination: bool) -> Result<(bool, u64)> {
         self.assert_lock_free_capable();
-        let size = std::mem::size_of::<HsNode<R, P>>();
-        // SAFETY: slots and published nodes are accessed only through
-        // their atomic views; a fresh node is private until the
-        // publishing CAS succeeds.
+        let size = size_of::<HsNode<R, P>>();
+        let b = bucket_of(key, self.bucket_count()) as usize;
+        let slot = self.buckets.field::<u64>(b * size_of::<R>());
+        let mut spare: Option<NvRef<HsNode<R, P>>> = None;
+        // SAFETY: shared words (links, marks, the length) are reached as
+        // atomics; only `recover` (`&mut self`) frees nodes; a spare is
+        // private until its CAS publishes it.
         unsafe {
-            let b = bucket_of(key, (*self.header).nbuckets) as usize;
-            let slot = self.aslot(b);
-            let mut spare: *mut HsNode<R, P> = std::ptr::null_mut();
             loop {
-                let head = slot.load(Ordering::Acquire);
+                let head = Link::<R, P>::from_word(slot.atomic()).load(Ordering::Acquire);
                 // First node with the key decides membership (module docs).
                 let mut cur = head;
                 let (mut live, mut dead) = (None, None);
-                while !cur.is_null() {
-                    if (*cur).key == key {
-                        if Self::amark(cur).load(Ordering::Acquire) == 0 {
-                            live = Some(cur);
+                while let Some(n) = NvRef::link(cur) {
+                    if n.field::<u64>(Self::KEY).read() == key {
+                        if n.field::<u64>(Self::MARK).atomic().load(Ordering::Acquire) == 0 {
+                            live = Some(n);
                         } else {
-                            dead = Some(cur);
+                            dead = Some(n);
                         }
                         break;
                     }
-                    cur = Self::anext(cur).load(Ordering::Acquire);
+                    cur = Link::from_word(n.field::<u64>(0).atomic()).load(Ordering::Acquire);
                 }
                 if let Some(n) = live {
-                    if !spare.is_null() {
-                        self.release_node(spare);
+                    if let Some(spare) = spare {
+                        // The spare was never published.
+                        self.release_node(spare.as_ptr());
                     }
                     let stamp = nvmsim::dlin::next_stamp();
                     self.persist_read(b, Some(n));
                     return Ok((false, stamp));
                 }
-                if spare.is_null() {
-                    spare = self.arena.alloc(size)?.as_ptr() as *mut HsNode<R, P>;
-                    (*spare).key = key;
-                    (*spare).mark = 0;
-                    (*spare).payload = fill_payload::<P>(key);
-                }
-                // Link-and-persist: the node, including its head link,
-                // must be durable before it can become reachable.
-                Self::anext(spare).store(head, Ordering::Relaxed);
+                // A fresh node is private until the publishing CAS succeeds.
+                let node = match spare {
+                    Some(node) => node,
+                    None => {
+                        let block = self.arena.alloc(size)?.as_ptr();
+                        let node =
+                            NvRef::new(block.cast()).expect("arena blocks lie in open regions");
+                        node.write(HsNode {
+                            next: R::null(),
+                            key,
+                            mark: 0,
+                            payload: fill_payload::<P>(key),
+                        });
+                        *spare.insert(node)
+                    }
+                };
+                // Link-and-persist: the node, including its head link, must be
+                // durable before it can become reachable.
+                Link::from_word(node.field::<u64>(0).atomic()).store(head, Ordering::Relaxed);
                 metrics::incr(Counter::PdsLinkPersists);
-                persist(spare as usize, size);
+                node.persist(size);
                 if let Some(d) = dead {
-                    // The key counts as absent because of this mark, and
-                    // its remover may not have flushed it yet: make it
-                    // durable under the same fence, or a crash could keep
-                    // the new link and lose the removal it depends on.
-                    persist(std::ptr::addr_of!((*d).mark) as usize, 8);
+                    // The key counts as absent because of this mark, and its
+                    // remover may not have flushed it yet: make it durable
+                    // under the same fence, or a crash could keep the new link
+                    // and lose the removal it depends on.
+                    d.field::<u64>(Self::MARK).persist(8);
                 }
                 nvmsim::latency::wbarrier();
-                match slot.compare_exchange(head, spare, Ordering::AcqRel, Ordering::Acquire) {
+                let published = Link::from_word(slot.atomic()).compare_exchange(
+                    head,
+                    node.as_ptr(),
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                );
+                match published {
                     Ok(_) => {
                         let stamp = nvmsim::dlin::next_stamp();
                         if flush_destination {
-                            // Flush-on-destination: persist the link that
-                            // made the insert visible, then fence — the
-                            // operation's durability point.
+                            // Flush-on-destination: persist the link that made
+                            // the insert visible, then fence — the operation's
+                            // durability point.
                             metrics::incr(Counter::PdsDestinationFlushes);
-                            persist(self.buckets.add(b) as usize, std::mem::size_of::<R>());
+                            slot.persist(size_of::<R>());
                         }
                         nvmsim::latency::wbarrier();
                         self.track_len_store();
-                        self.alen().fetch_add(1, Ordering::Relaxed);
+                        let len = self.header.field::<u64>(LEN).atomic();
+                        len.fetch_add(1, Ordering::Relaxed);
                         return Ok((true, stamp));
                     }
                     Err(_) => metrics::incr(Counter::PdsCasRetries),
@@ -619,62 +616,61 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     /// See `assert_lock_free_capable` for the representation preconditions.
     pub fn remove_lf_stamped(&self, key: u64) -> (bool, u64) {
         self.assert_lock_free_capable();
-        // SAFETY: as in `insert_lf_stamped`.
+        let b = bucket_of(key, self.bucket_count()) as usize;
+        // SAFETY: as in `insert_lf_inner`.
         unsafe {
-            let b = bucket_of(key, (*self.header).nbuckets) as usize;
             'retry: loop {
-                let slot = self.aslot(b);
-                let mut pred: &AtomicPPtr<HsNode<R, P>, R> = slot;
-                let mut cur = pred.load(Ordering::Acquire);
-                while !cur.is_null() {
-                    let next = Self::anext(cur).load(Ordering::Acquire);
-                    if (*cur).key == key {
-                        if Self::amark(cur).load(Ordering::Acquire) != 0 {
+                // The word holding the link to `cur`: the bucket slot, then
+                // each passed node's `next`.
+                let mut pred = self.buckets.field::<u64>(b * size_of::<R>());
+                let mut cur = Link::<R, P>::from_word(pred.atomic()).load(Ordering::Acquire);
+                while let Some(n) = NvRef::link(cur) {
+                    let next_word = n.field::<u64>(0);
+                    let next = Link::<R, P>::from_word(next_word.atomic()).load(Ordering::Acquire);
+                    if n.field::<u64>(Self::KEY).read() == key {
+                        let mark = n.field::<u64>(Self::MARK);
+                        if mark.atomic().load(Ordering::Acquire) != 0 {
                             // First match is logically deleted: absent.
                             let stamp = nvmsim::dlin::next_stamp();
-                            self.persist_read(b, Some(cur));
+                            self.persist_read(b, Some(n));
                             return (false, stamp);
                         }
-                        match Self::amark(cur).compare_exchange(
+                        let marked = mark.atomic().compare_exchange(
                             0,
                             1,
                             Ordering::AcqRel,
                             Ordering::Acquire,
-                        ) {
-                            Ok(_) => {
-                                let stamp = nvmsim::dlin::next_stamp();
-                                // Flush-on-destination: the durable mark
-                                // is the removal's durability point.
-                                metrics::incr(Counter::PdsDestinationFlushes);
-                                persist(std::ptr::addr_of!((*cur).mark) as usize, 8);
-                                nvmsim::latency::wbarrier();
-                                self.track_len_store();
-                                self.alen().fetch_sub(1, Ordering::Relaxed);
-                                // Best-effort physical unlink; losing the
-                                // race (or resurrecting a marked
-                                // successor) is harmless — marks decide.
-                                if pred
-                                    .compare_exchange(
-                                        cur,
-                                        next,
-                                        Ordering::AcqRel,
-                                        Ordering::Acquire,
-                                    )
-                                    .is_ok()
-                                {
-                                    persist(pred as *const _ as usize, std::mem::size_of::<R>());
-                                    nvmsim::latency::wbarrier();
-                                }
-                                return (true, stamp);
-                            }
-                            Err(_) => {
-                                // Lost the mark race: rescan.
-                                metrics::incr(Counter::PdsCasRetries);
-                                continue 'retry;
-                            }
+                        );
+                        if marked.is_err() {
+                            // Lost the mark race: rescan.
+                            metrics::incr(Counter::PdsCasRetries);
+                            continue 'retry;
                         }
+                        let stamp = nvmsim::dlin::next_stamp();
+                        // Flush-on-destination: the durable mark is the
+                        // removal's durability point.
+                        metrics::incr(Counter::PdsDestinationFlushes);
+                        mark.persist(8);
+                        nvmsim::latency::wbarrier();
+                        self.track_len_store();
+                        let len = self.header.field::<u64>(LEN).atomic();
+                        len.fetch_sub(1, Ordering::Relaxed);
+                        // Best-effort physical unlink; losing the race (or
+                        // resurrecting a marked successor) is harmless — marks
+                        // decide.
+                        let unlinked = Link::<R, P>::from_word(pred.atomic()).compare_exchange(
+                            cur,
+                            next,
+                            Ordering::AcqRel,
+                            Ordering::Acquire,
+                        );
+                        if unlinked.is_ok() {
+                            pred.persist(size_of::<R>());
+                            nvmsim::latency::wbarrier();
+                        }
+                        return (true, stamp);
                     }
-                    pred = Self::anext(cur);
+                    pred = next_word;
                     cur = next;
                 }
                 let stamp = nvmsim::dlin::next_stamp();
@@ -693,23 +689,24 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     /// See `assert_lock_free_capable` for the representation preconditions.
     pub fn contains_lf_stamped(&self, key: u64) -> (bool, u64) {
         self.assert_lock_free_capable();
-        // SAFETY: as in `insert_lf_stamped`.
+        let b = bucket_of(key, self.bucket_count()) as usize;
+        let slot = self.buckets.field::<u64>(b * size_of::<R>());
+        // SAFETY: as in `insert_lf_inner`.
         unsafe {
-            let b = bucket_of(key, (*self.header).nbuckets) as usize;
-            let mut cur = self.aslot(b).load(Ordering::Acquire);
-            while !cur.is_null() {
-                if (*cur).key == key {
-                    let alive = Self::amark(cur).load(Ordering::Acquire) == 0;
+            let mut cur = Link::<R, P>::from_word(slot.atomic()).load(Ordering::Acquire);
+            while let Some(n) = NvRef::link(cur) {
+                if n.field::<u64>(Self::KEY).read() == key {
+                    let alive = n.field::<u64>(Self::MARK).atomic().load(Ordering::Acquire) == 0;
                     let stamp = nvmsim::dlin::next_stamp();
-                    self.persist_read(b, Some(cur));
+                    self.persist_read(b, Some(n));
                     return (alive, stamp);
                 }
-                cur = Self::anext(cur).load(Ordering::Acquire);
+                cur = Link::from_word(n.field::<u64>(0).atomic()).load(Ordering::Acquire);
             }
-            let stamp = nvmsim::dlin::next_stamp();
-            self.persist_read(b, None);
-            (false, stamp)
         }
+        let stamp = nvmsim::dlin::next_stamp();
+        self.persist_read(b, None);
+        (false, stamp)
     }
 
     /// [`Self::insert_lf_stamped`] without the stamp.
@@ -743,8 +740,8 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
         // SAFETY: exclusive access (`&mut self`); at-rest chain surgery
         // exactly as in the single-owner mutators.
         unsafe {
-            for b in 0..(*self.header).nbuckets as usize {
-                let mut slot: *mut R = self.buckets.add(b);
+            for b in 0..self.bucket_count() as usize {
+                let mut slot: *mut R = self.buckets.as_ptr().add(b);
                 loop {
                     let cur = (*slot).load_at_rest() as *mut HsNode<R, P>;
                     if cur.is_null() {
@@ -762,8 +759,9 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
                     slot = &mut (*cur).next;
                 }
             }
-            (*self.header).len = live;
-            persist(std::ptr::addr_of!((*self.header).len) as usize, 8);
+            let len = self.header.field::<u64>(LEN);
+            len.write(live);
+            len.persist(8);
             nvmsim::latency::wbarrier();
             // No durable slot points at a pruned node any more.
             for &n in &pruned {
@@ -791,8 +789,9 @@ impl<const P: usize> PHashSet<SwizzledPtr, P> {
         // SAFETY: every link resolves to a live node of the region in
         // either form while it is open; each slot is visited once.
         unsafe {
-            for b in 0..(*self.header).nbuckets as usize {
-                let mut cur = each(&mut *self.buckets.add(b)) as *mut HsNode<SwizzledPtr, P>;
+            for b in 0..self.bucket_count() as usize {
+                let mut cur =
+                    each(&mut *self.buckets.as_ptr().add(b)) as *mut HsNode<SwizzledPtr, P>;
                 while !cur.is_null() {
                     cur = each(&mut (*cur).next) as *mut HsNode<SwizzledPtr, P>;
                 }
@@ -820,6 +819,43 @@ mod tests {
         assert_eq!(keys, (0..500).map(|i| i * 3).collect::<Vec<_>>());
         assert!(s.verify_payloads());
         assert_eq!(s.traverse(), s.traverse());
+        region.close().unwrap();
+    }
+
+    #[test]
+    fn attach_refuses_bucket_words_that_leave_the_region() {
+        let region = Region::create(1 << 20).unwrap();
+        let arena = || NodeArena::raw(region.clone());
+        let set = PHashSet::<Riv, 32>::create_rooted(arena(), 8, "hs").unwrap();
+        let header = NvRef::new(set.header_addr() as *mut HashSetHeader).unwrap();
+        let good = unsafe { header.read() };
+        let size = region.size() as u64;
+        let at = offset_of!(HashSetHeader, buckets_off);
+        let n = offset_of!(HashSetHeader, nbuckets);
+        let rot = [
+            (n, 0),
+            (n, size / 8),
+            (n, u64::MAX),
+            (at, size),
+            (at, size - 8),
+        ];
+        for (word, value) in rot
+            .into_iter()
+            .chain([(at, good.buckets_off + 1), (at, u64::MAX)])
+        {
+            unsafe {
+                header.write(good);
+                header.field::<u64>(word).write(value);
+            }
+            let attached = PHashSet::<Riv, 32>::attach(arena(), "hs");
+            assert!(
+                matches!(attached, Err(PdsError::Nv(NvError::BadImage(_)))),
+                "header word {word} = {value:#x} attached"
+            );
+        }
+        unsafe { header.write(good) };
+        let attached = PHashSet::<Riv, 32>::attach(arena(), "hs").unwrap();
+        assert_eq!(attached.bucket_count(), 8);
         region.close().unwrap();
     }
 
@@ -949,7 +985,7 @@ mod tests {
         // as a lost unlink (or a crash between mark and unlink) would.
         // SAFETY: single bucket, head node live.
         let head = unsafe {
-            let head = (*s.buckets).load() as *mut HsNode<Riv, 32>;
+            let head = (*s.buckets.as_ptr()).load() as *mut HsNode<Riv, 32>;
             (*head).mark = 1;
             head
         };

@@ -11,17 +11,17 @@
 
 use crate::arena::NodeArena;
 use crate::ctx::{unlink_free, Ctx, RawCtx, TxCtx};
-use crate::error::{PdsError, Result};
+use crate::error::Result;
+use nvmsim::NvRef;
 use pi_core::{PtrRepr, SwizzledPtr};
 use pstore::ObjectStore;
-use std::marker::PhantomData;
 
 /// Root type tag recorded by `create_rooted` and validated by `attach`.
 pub const LIST_ROOT_TAG: u64 = u64::from_le_bytes(*b"PDSLIST1");
 
 /// Persistent list header (lives in the home region).
 #[repr(C)]
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ListHeader<R: PtrRepr> {
     head: R,
     len: u64,
@@ -66,8 +66,7 @@ pub fn fill_payload<const P: usize>(key: u64) -> [u8; P] {
 #[derive(Debug)]
 pub struct PList<R: PtrRepr, const P: usize = 32> {
     arena: NodeArena,
-    header: *mut ListHeader<R>,
-    _marker: PhantomData<R>,
+    header: NvRef<ListHeader<R>>,
 }
 
 impl<R: PtrRepr, const P: usize> PList<R, P> {
@@ -77,19 +76,8 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
     ///
     /// Allocation failures.
     pub fn new(arena: NodeArena) -> Result<PList<R, P>> {
-        let header = arena
-            .alloc_home(std::mem::size_of::<ListHeader<R>>())?
-            .as_ptr() as *mut ListHeader<R>;
-        // SAFETY: freshly allocated, exclusively owned.
-        unsafe {
-            (*header).head = R::null();
-            (*header).len = 0;
-        }
-        Ok(PList {
-            arena,
-            header,
-            _marker: PhantomData,
-        })
+        let header = arena.new_header(None, |_| Ok(()))?;
+        Ok(PList { arena, header })
     }
 
     /// Creates an empty list and publishes its header as a named root of
@@ -99,11 +87,8 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
     ///
     /// Allocation or root-registration failures.
     pub fn create_rooted(arena: NodeArena, root: &str) -> Result<PList<R, P>> {
-        let list = Self::new(arena)?;
-        list.arena
-            .home_region()
-            .set_root_tagged(root, list.header as usize, LIST_ROOT_TAG)?;
-        Ok(list)
+        let header = arena.new_header(Some((root, LIST_ROOT_TAG)), |_| Ok(()))?;
+        Ok(PList { arena, header })
     }
 
     /// Attaches to a previously persisted list by its root name. The
@@ -112,23 +97,16 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
     ///
     /// # Errors
     ///
-    /// [`PdsError::RootMissing`] when the root is absent.
+    /// [`crate::PdsError::RootMissing`] when the root is absent.
     pub fn attach(arena: NodeArena, root: &str) -> Result<PList<R, P>> {
-        let addr = arena
-            .home_region()
-            .root_checked(root, LIST_ROOT_TAG)
-            .map_err(|_| PdsError::RootMissing("list header"))?;
-        Ok(PList {
-            arena,
-            header: addr as *mut ListHeader<R>,
-            _marker: PhantomData,
-        })
+        let header = arena.root_header(root, LIST_ROOT_TAG, "list header")?;
+        Ok(PList { arena, header })
     }
 
     /// Number of nodes.
     pub fn len(&self) -> u64 {
         // SAFETY: header is mapped while the arena's regions are open.
-        unsafe { (*self.header).len }
+        unsafe { self.header.as_ref() }.len
     }
 
     /// Whether the list is empty.
@@ -143,7 +121,7 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
 
     /// Address of the persistent header (for roots and diagnostics).
     pub fn header_addr(&self) -> usize {
-        self.header as usize
+        self.header.addr()
     }
 
     /// Pushes a node with `key` and a deterministic payload to the front:
@@ -166,18 +144,19 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
         // which the context logs); header mapped while regions open;
         // representation stores happen in place.
         unsafe {
-            ctx.log(self.header as usize, header_size)?;
+            ctx.log(self.header.addr(), header_size)?;
             let node = ctx.alloc(&self.arena, size)? as *mut ListNode<R, P>;
             ctx.fence();
             (*node).key = key;
             (*node).payload = fill_payload::<P>(key);
             (*node).next = R::null();
-            let old_head = (*self.header).head.load_at_rest();
+            let header = self.header.as_mut();
+            let old_head = header.head.load_at_rest();
             (*node).next.store(old_head);
             ctx.persist(node as usize, size);
-            (*self.header).head.store(node as usize);
-            (*self.header).len += 1;
-            ctx.persist(self.header as usize, header_size);
+            header.head.store(node as usize);
+            header.len += 1;
+            ctx.persist(self.header.addr(), header_size);
         }
         ctx.finish(&self.arena)
     }
@@ -203,7 +182,7 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
         // SAFETY: links were stored by push_front and resolve to live
         // nodes while the regions are open.
         unsafe {
-            let mut cur = (*self.header).head.load() as *const ListNode<R, P>;
+            let mut cur = self.header.as_ref().head.load() as *const ListNode<R, P>;
             while !cur.is_null() {
                 sum = sum
                     .wrapping_mul(31)
@@ -218,7 +197,7 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
     pub fn contains(&self, key: u64) -> bool {
         // SAFETY: as in traverse.
         unsafe {
-            let mut cur = (*self.header).head.load() as *const ListNode<R, P>;
+            let mut cur = self.header.as_ref().head.load() as *const ListNode<R, P>;
             while !cur.is_null() {
                 if (*cur).key == key {
                     return true;
@@ -236,7 +215,7 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
     pub fn iter(&self) -> Iter<'_, R, P> {
         // SAFETY: head resolves to a live node (or null) while the regions
         // are open, which the borrow of self guarantees.
-        let first = unsafe { (*self.header).head.load() as *const ListNode<R, P> };
+        let first = unsafe { self.header.as_ref().head.load() as *const ListNode<R, P> };
         Iter {
             cur: first,
             _list: std::marker::PhantomData,
@@ -247,7 +226,7 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
     /// node reachable from it. The crash matrices' leak oracle compares
     /// them with the region's allocated blocks.
     pub fn blocks(&self) -> Vec<usize> {
-        std::iter::once(self.header as usize)
+        std::iter::once(self.header.addr())
             .chain(self.iter().map(|n| n as *const ListNode<R, P> as usize))
             .collect()
     }
@@ -286,7 +265,7 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
             if cur.is_null() {
                 return Ok(false);
             }
-            let len = std::ptr::addr_of_mut!((*self.header).len);
+            let len = &mut self.header.as_mut().len as *mut u64;
             let next = (*cur).next.load_at_rest();
             unlink_free(TxCtx::begin(store), &self.arena, slot, len, cur, next, None)?;
         }
@@ -296,7 +275,7 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
     /// The slot holding the first node with `key`, and that node — or
     /// the chain's final (empty) slot and null — walked at rest.
     unsafe fn find_slot(&mut self, key: u64) -> (*mut R, *mut ListNode<R, P>) {
-        let mut slot: *mut R = &mut (*self.header).head;
+        let mut slot: *mut R = &mut self.header.as_mut().head;
         loop {
             let cur = (*slot).load_at_rest() as *mut ListNode<R, P>;
             if cur.is_null() || (*cur).key == key {
@@ -380,7 +359,7 @@ impl<const P: usize> PList<SwizzledPtr, P> {
         // SAFETY: every link resolves to a live node of the home region
         // in either form while it is open; each slot is visited once.
         unsafe {
-            let mut cur = each(&mut (*self.header).head) as *mut ListNode<SwizzledPtr, P>;
+            let mut cur = each(&mut self.header.as_mut().head) as *mut ListNode<SwizzledPtr, P>;
             while !cur.is_null() {
                 cur = each(&mut (*cur).next) as *mut ListNode<SwizzledPtr, P>;
             }
@@ -391,6 +370,7 @@ impl<const P: usize> PList<SwizzledPtr, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PdsError;
     use nvmsim::Region;
     use pi_core::{FatPtr, NormalPtr, OffHolder, Riv};
 

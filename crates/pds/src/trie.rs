@@ -13,9 +13,9 @@
 use crate::arena::NodeArena;
 use crate::ctx::{Ctx, RawCtx, TxCtx};
 use crate::error::{PdsError, Result};
+use nvmsim::NvRef;
 use pi_core::{PtrRepr, SwizzledPtr};
 use pstore::ObjectStore;
-use std::marker::PhantomData;
 
 /// Root type tag recorded by `create_rooted` and validated by `attach`.
 pub const TRIE_ROOT_TAG: u64 = u64::from_le_bytes(*b"PDSTRIE1");
@@ -25,7 +25,7 @@ pub const ALPHABET: usize = 26;
 
 /// Persistent trie header (lives in the home region).
 #[repr(C)]
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TrieHeader<R: PtrRepr> {
     root: R,
     words: u64,
@@ -54,16 +54,14 @@ fn index_of(c: u8) -> Result<usize> {
 #[derive(Debug)]
 pub struct PTrie<R: PtrRepr, const P: usize = 32> {
     arena: NodeArena,
-    header: *mut TrieHeader<R>,
-    _marker: PhantomData<R>,
+    header: NvRef<TrieHeader<R>>,
 }
 
 impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     /// A zeroed node allocated through `ctx`; unreachable (and not
     /// counted in the header) until the caller publishes it.
-    fn fresh_node<C: Ctx>(&self, ctx: &mut C) -> Result<*mut TrieNode<R, P>> {
-        let n =
-            ctx.alloc(&self.arena, std::mem::size_of::<TrieNode<R, P>>())? as *mut TrieNode<R, P>;
+    fn fresh_node<C: Ctx>(arena: &NodeArena, ctx: &mut C) -> Result<*mut TrieNode<R, P>> {
+        let n = ctx.alloc(arena, std::mem::size_of::<TrieNode<R, P>>())? as *mut TrieNode<R, P>;
         // SAFETY: freshly allocated, exclusively owned.
         unsafe {
             for j in 0..ALPHABET {
@@ -81,29 +79,7 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     ///
     /// Allocation failures.
     pub fn new(arena: NodeArena) -> Result<PTrie<R, P>> {
-        let header = arena
-            .alloc_home(std::mem::size_of::<TrieHeader<R>>())?
-            .as_ptr() as *mut TrieHeader<R>;
-        // SAFETY: freshly allocated, exclusively owned.
-        unsafe {
-            (*header).root = R::null();
-            (*header).words = 0;
-            (*header).nodes = 0;
-        }
-        let trie = PTrie {
-            arena,
-            header,
-            _marker: PhantomData,
-        };
-        // Allocate the root eagerly so insertion never mutates the header
-        // pointer afterwards.
-        let root = trie.fresh_node(&mut RawCtx::default())?;
-        // SAFETY: header slot written in place.
-        unsafe {
-            (*trie.header).root.store(root as usize);
-            (*trie.header).nodes = 1;
-        }
-        Ok(trie)
+        Self::create(arena, None)
     }
 
     /// Creates an empty trie published as a named root.
@@ -112,11 +88,21 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     ///
     /// Allocation or root-registration failures.
     pub fn create_rooted(arena: NodeArena, root: &str) -> Result<PTrie<R, P>> {
-        let t = Self::new(arena)?;
-        t.arena
-            .home_region()
-            .set_root_tagged(root, t.header as usize, TRIE_ROOT_TAG)?;
-        Ok(t)
+        Self::create(arena, Some((root, TRIE_ROOT_TAG)))
+    }
+
+    fn create(arena: NodeArena, root: Option<(&str, u64)>) -> Result<PTrie<R, P>> {
+        let header = arena.new_header(root, |h: NvRef<TrieHeader<R>>| {
+            // Allocate the root eagerly so insertion never mutates the
+            // header pointer afterwards.
+            let root = Self::fresh_node(&arena, &mut RawCtx::default())?;
+            // SAFETY: the fresh header is this call's alone.
+            let h = unsafe { h.as_mut() };
+            h.root.store(root as usize);
+            h.nodes = 1;
+            Ok(())
+        })?;
+        Ok(PTrie { arena, header })
     }
 
     /// Attaches to a previously persisted trie by root name.
@@ -125,27 +111,20 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     ///
     /// [`PdsError::RootMissing`] when the root is absent.
     pub fn attach(arena: NodeArena, root: &str) -> Result<PTrie<R, P>> {
-        let addr = arena
-            .home_region()
-            .root_checked(root, TRIE_ROOT_TAG)
-            .map_err(|_| PdsError::RootMissing("trie header"))?;
-        Ok(PTrie {
-            arena,
-            header: addr as *mut TrieHeader<R>,
-            _marker: PhantomData,
-        })
+        let header = arena.root_header(root, TRIE_ROOT_TAG, "trie header")?;
+        Ok(PTrie { arena, header })
     }
 
     /// Total insertions (words, counting repeats).
     pub fn word_count(&self) -> u64 {
-        // SAFETY: header mapped while regions are open.
-        unsafe { (*self.header).words }
+        // SAFETY: header is mapped while the arena's regions are open.
+        unsafe { self.header.as_ref() }.words
     }
 
     /// Number of trie nodes allocated.
     pub fn node_count(&self) -> u64 {
-        // SAFETY: header mapped while regions are open.
-        unsafe { (*self.header).nodes }
+        // SAFETY: as in `word_count`.
+        unsafe { self.header.as_ref() }.nodes
     }
 
     /// The arena nodes are placed in.
@@ -155,7 +134,7 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
 
     /// Address of the persistent header.
     pub fn header_addr(&self) -> usize {
-        self.header as usize
+        self.header.addr()
     }
 
     /// Inserts a lowercase word, creating nodes along its path: the body
@@ -191,7 +170,7 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         // until the one slot publish, which the context logs; counters
         // logged before mutation.
         unsafe {
-            let mut cur = (*self.header).root.load_at_rest() as *mut TrieNode<R, P>;
+            let mut cur = self.header.as_ref().root.load_at_rest() as *mut TrieNode<R, P>;
             let mut depth = 0;
             while depth < path.len() {
                 let next = (*cur).children[slot_of(path[depth])].load_at_rest();
@@ -204,7 +183,7 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
             let mut ctx = begin();
             // words and nodes are adjacent header fields: one snapshot
             // covers every counter this insert touches.
-            let counters = std::ptr::addr_of_mut!((*self.header).words);
+            let counters = &mut self.header.as_mut().words as *mut u64;
             ctx.log(counters as usize, 16)?;
             let new_count = if depth == path.len() {
                 let count_addr = std::ptr::addr_of_mut!((*cur).count);
@@ -220,10 +199,10 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
                 // parent, which is then persisted; the last one is the
                 // word's terminal.
                 let node_size = std::mem::size_of::<TrieNode<R, P>>();
-                let first = self.fresh_node(&mut ctx)?;
+                let first = Self::fresh_node(&self.arena, &mut ctx)?;
                 let mut last = first;
                 for &c in &path[depth + 1..] {
-                    let n = self.fresh_node(&mut ctx)?;
+                    let n = Self::fresh_node(&self.arena, &mut ctx)?;
                     (*last).children[slot_of(c)].store(n as usize);
                     ctx.persist(last as usize, node_size);
                     last = n;
@@ -233,10 +212,10 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
                 ctx.fence();
                 (*slot).store(first as usize);
                 ctx.persist(slot as usize, std::mem::size_of::<R>());
-                (*self.header).nodes += (path.len() - depth) as u64;
+                self.header.as_mut().nodes += (path.len() - depth) as u64;
                 1
             };
-            (*self.header).words += 1;
+            self.header.as_mut().words += 1;
             ctx.persist(counters as usize, 16);
             ctx.finish(&self.arena)?;
             Ok(new_count)
@@ -269,7 +248,7 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         word: &str,
         load: impl Fn(&R) -> usize,
     ) -> Option<*mut TrieNode<R, P>> {
-        let mut cur = load(&(*self.header).root) as *mut TrieNode<R, P>;
+        let mut cur = load(&self.header.as_ref().root) as *mut TrieNode<R, P>;
         for &c in word.as_bytes() {
             cur = load(&(*cur).children[index_of(c).ok()?]) as *mut TrieNode<R, P>;
             if cur.is_null() {
@@ -338,7 +317,7 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     /// node reachable from it. The crash matrices' leak oracle compares
     /// them with the region's allocated blocks.
     pub fn blocks(&self) -> Vec<usize> {
-        let mut out = vec![self.header as usize];
+        let mut out = vec![self.header.addr()];
         self.walk(|n| {
             out.push(n as usize);
             true
@@ -351,7 +330,7 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     fn walk(&self, mut visit: impl FnMut(*const TrieNode<R, P>) -> bool) {
         // SAFETY: as in count.
         unsafe {
-            let mut stack = vec![(*self.header).root.load() as *const TrieNode<R, P>];
+            let mut stack = vec![self.header.as_ref().root.load() as *const TrieNode<R, P>];
             while let Some(n) = stack.pop() {
                 if !visit(n) {
                     return;
@@ -373,7 +352,7 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         let mut stack: Vec<*const TrieNode<R, P>> = Vec::with_capacity(64);
         // SAFETY: as in count.
         unsafe {
-            stack.push((*self.header).root.load() as *const TrieNode<R, P>);
+            stack.push(self.header.as_ref().root.load() as *const TrieNode<R, P>);
             while let Some(n) = stack.pop() {
                 sum = sum.wrapping_mul(131).wrapping_add((*n).count);
                 for i in 0..ALPHABET {
@@ -419,7 +398,7 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
                 return Ok(false);
             }
             let count_addr = std::ptr::addr_of_mut!((*cur).count);
-            let words_addr = std::ptr::addr_of_mut!((*self.header).words);
+            let words_addr = &mut self.header.as_mut().words as *mut u64;
             let mut ctx = TxCtx::begin(store);
             ctx.log(count_addr as usize, 8)?;
             ctx.log(words_addr as usize, 8)?;
@@ -495,7 +474,7 @@ impl<const P: usize> PTrie<SwizzledPtr, P> {
         // SAFETY: every link resolves to a live node of the region in
         // either form while it is open; each slot is visited once.
         unsafe {
-            stack.push(each(&mut (*self.header).root) as *mut TrieNode<SwizzledPtr, P>);
+            stack.push(each(&mut self.header.as_mut().root) as *mut TrieNode<SwizzledPtr, P>);
             while let Some(n) = stack.pop() {
                 for i in 0..ALPHABET {
                     let c = each(&mut (*n).children[i]) as *mut TrieNode<SwizzledPtr, P>;

@@ -11,9 +11,9 @@
 
 use crate::arena::NodeArena;
 use crate::error::{PdsError, Result};
+use nvmsim::NvRef;
 use pi_core::PtrRepr;
 use std::cmp::Ordering;
-use std::marker::PhantomData;
 
 /// Root type tag recorded by `create_rooted` and validated by `attach`.
 pub const WORDCOUNT_ROOT_TAG: u64 = u64::from_le_bytes(*b"PDSWCNT1");
@@ -23,7 +23,7 @@ pub const MAX_WORD: usize = 30;
 
 /// Persistent wordcount header.
 #[repr(C)]
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WcHeader<R: PtrRepr> {
     root: R,
     distinct: u64,
@@ -51,8 +51,7 @@ impl<R: PtrRepr> WcNode<R> {
 #[derive(Debug)]
 pub struct WordCount<R: PtrRepr> {
     arena: NodeArena,
-    header: *mut WcHeader<R>,
-    _marker: PhantomData<R>,
+    header: NvRef<WcHeader<R>>,
 }
 
 impl<R: PtrRepr> WordCount<R> {
@@ -62,20 +61,8 @@ impl<R: PtrRepr> WordCount<R> {
     ///
     /// Allocation failures.
     pub fn new(arena: NodeArena) -> Result<WordCount<R>> {
-        let header = arena
-            .alloc_home(std::mem::size_of::<WcHeader<R>>())?
-            .as_ptr() as *mut WcHeader<R>;
-        // SAFETY: freshly allocated, exclusively owned.
-        unsafe {
-            (*header).root = R::null();
-            (*header).distinct = 0;
-            (*header).total = 0;
-        }
-        Ok(WordCount {
-            arena,
-            header,
-            _marker: PhantomData,
-        })
+        let header = arena.new_header(None, |_| Ok(()))?;
+        Ok(WordCount { arena, header })
     }
 
     /// Creates an empty counter published as a named root.
@@ -84,11 +71,8 @@ impl<R: PtrRepr> WordCount<R> {
     ///
     /// Allocation or root-registration failures.
     pub fn create_rooted(arena: NodeArena, root: &str) -> Result<WordCount<R>> {
-        let wc = Self::new(arena)?;
-        wc.arena
-            .home_region()
-            .set_root_tagged(root, wc.header as usize, WORDCOUNT_ROOT_TAG)?;
-        Ok(wc)
+        let header = arena.new_header(Some((root, WORDCOUNT_ROOT_TAG)), |_| Ok(()))?;
+        Ok(WordCount { arena, header })
     }
 
     /// Attaches to a previously persisted counter by root name.
@@ -97,27 +81,20 @@ impl<R: PtrRepr> WordCount<R> {
     ///
     /// [`PdsError::RootMissing`] when the root is absent.
     pub fn attach(arena: NodeArena, root: &str) -> Result<WordCount<R>> {
-        let addr = arena
-            .home_region()
-            .root_checked(root, WORDCOUNT_ROOT_TAG)
-            .map_err(|_| PdsError::RootMissing("wordcount header"))?;
-        Ok(WordCount {
-            arena,
-            header: addr as *mut WcHeader<R>,
-            _marker: PhantomData,
-        })
+        let header = arena.root_header(root, WORDCOUNT_ROOT_TAG, "wordcount header")?;
+        Ok(WordCount { arena, header })
     }
 
     /// Total words counted (including repeats).
     pub fn total(&self) -> u64 {
-        // SAFETY: header mapped while regions are open.
-        unsafe { (*self.header).total }
+        // SAFETY: header is mapped while the arena's regions are open.
+        unsafe { self.header.as_ref() }.total
     }
 
     /// Number of distinct words.
     pub fn distinct(&self) -> u64 {
-        // SAFETY: header mapped while regions are open.
-        unsafe { (*self.header).distinct }
+        // SAFETY: as in `total`.
+        unsafe { self.header.as_ref() }.distinct
     }
 
     /// The arena nodes are placed in.
@@ -141,7 +118,7 @@ impl<R: PtrRepr> WordCount<R> {
         // SAFETY: navigation via load_at_rest (mutation path); in-place
         // stores; nodes fixed once allocated.
         unsafe {
-            let mut slot: *mut R = &mut (*self.header).root;
+            let mut slot: *mut R = &mut self.header.as_mut().root;
             loop {
                 let cur = (*slot).load_at_rest() as *mut WcNode<R>;
                 if cur.is_null() {
@@ -150,7 +127,7 @@ impl<R: PtrRepr> WordCount<R> {
                 match bytes.cmp((*cur).word()) {
                     Ordering::Equal => {
                         (*cur).count += 1;
-                        (*self.header).total += 1;
+                        self.header.as_mut().total += 1;
                         return Ok((*cur).count);
                     }
                     Ordering::Less => slot = &mut (*cur).left,
@@ -166,8 +143,8 @@ impl<R: PtrRepr> WordCount<R> {
             (*node).word = [0; MAX_WORD + 1];
             (&mut (*node).word)[..bytes.len()].copy_from_slice(bytes);
             (*slot).store(node as usize);
-            (*self.header).distinct += 1;
-            (*self.header).total += 1;
+            self.header.as_mut().distinct += 1;
+            self.header.as_mut().total += 1;
             Ok(1)
         }
     }
@@ -189,7 +166,7 @@ impl<R: PtrRepr> WordCount<R> {
         let bytes = word.as_bytes();
         // SAFETY: links resolve to live nodes while regions are open.
         unsafe {
-            let mut cur = (*self.header).root.load() as *const WcNode<R>;
+            let mut cur = self.header.as_ref().root.load() as *const WcNode<R>;
             while !cur.is_null() {
                 match bytes.cmp((*cur).word()) {
                     Ordering::Equal => return (*cur).count,
@@ -215,7 +192,7 @@ impl<R: PtrRepr> WordCount<R> {
         let mut stack: Vec<*const WcNode<R>> = Vec::new();
         // SAFETY: as in count.
         unsafe {
-            let mut cur = (*self.header).root.load() as *const WcNode<R>;
+            let mut cur = self.header.as_ref().root.load() as *const WcNode<R>;
             loop {
                 while !cur.is_null() {
                     stack.push(cur);

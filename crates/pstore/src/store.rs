@@ -21,7 +21,7 @@ use crate::log::{RecoveryStats, UndoLog};
 use crate::tx::Tx;
 use nvmsim::region::RegionHeader;
 use nvmsim::undolog::{StoreMeta, STORE_MAGIC, STORE_ROOT};
-use nvmsim::{latency, NvError, Region};
+use nvmsim::{latency, NvError, NvRef, Region};
 use parking_lot::Mutex;
 use std::ptr::NonNull;
 use std::sync::Arc;
@@ -61,10 +61,11 @@ impl ObjectStore {
         }
         let meta_off = region.alloc_off(StoreMeta::SIZE as usize, 16)?;
         let log_off = region.alloc_off(log_cap as usize, 16)?;
-        let meta = region.ptr_at(meta_off);
+        let meta =
+            NvRef::new(region.ptr_at(meta_off) as *mut StoreMeta).expect("the region is open");
         // SAFETY: freshly allocated, exclusively owned block in the region.
-        unsafe { (meta as *mut StoreMeta).write(StoreMeta::new(log_off, log_cap)) };
-        latency::persist(meta, StoreMeta::SIZE as usize);
+        unsafe { meta.write(StoreMeta::new(log_off, log_cap)) };
+        meta.persist(StoreMeta::SIZE as usize);
         latency::wbarrier();
         region.set_root_off(STORE_ROOT, meta_off)?;
         let log = UndoLog::new(region.clone(), log_off, log_cap);
@@ -92,10 +93,10 @@ impl ObjectStore {
         let meta_off = region
             .root_off(STORE_ROOT)
             .ok_or(StoreError::NotFormatted)?;
-        // SAFETY: a region's committed size is mapped readable from its
-        // base; the slice lives only for the decode.
-        let image =
-            unsafe { std::slice::from_raw_parts(region.base() as *const u8, region.size()) };
+        let base = NvRef::new(region.base() as *mut u8).expect("the region is open");
+        // SAFETY: a region's committed size is mapped from its base; the
+        // slice is only read, while `region` keeps it open.
+        let image: &[u8] = unsafe { base.slice(region.size()) };
         let data_start = RegionHeader::data_start();
         let bad = |why: String| StoreError::Nv(NvError::BadImage(why));
         let meta = StoreMeta::decode(image, meta_off, data_start)

@@ -35,16 +35,17 @@
 //! scratch directories come from the shared [`util::Matrix`]
 //! (`MATRIX_SEED`, `MATRIX_ARTIFACT_DIR`).
 
-use nvm_pi::nvmsim::layout::Area;
 use nvm_pi::nvmsim::mem::page_size;
 use nvm_pi::nvmsim::metrics::{snapshot, Counter};
 use nvm_pi::nvmsim::nvspace::ChunkRun;
-use nvm_pi::{ExactLayout, Layout, NvError, NvSpace, Region};
+use nvm_pi::{Layout, NvError, NvSpace, Region};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 mod util;
+
+use util::exact_layout::{Area, ExactLayout};
 
 // The global chunk pool (and registry) is process-wide; `M.lock()`
 // serializes the tests that touch it so placement and rid assertions

@@ -1,7 +1,6 @@
 //! Property-based tests of the core invariants (see DESIGN.md,
 //! "Invariants").
 
-use nvm_pi::nvmsim::layout::{Area, ExactLayout};
 use nvm_pi::pi_core::{FatPtrCached, OffHolder, PtrRepr, Riv};
 use nvm_pi::{NodeArena, ObjectStore, PArt, PBst, PHashSet, PList, PTrie, Region};
 use proptest::prelude::*;
@@ -9,6 +8,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 mod util;
 
+use util::exact_layout::{Area, ExactLayout};
 use util::Subject;
 
 // `M.cell(..)` is the scratch directory of the file-backed properties.

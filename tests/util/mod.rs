@@ -26,6 +26,7 @@ use nvm_pi::{CapturedCrash, FaultPolicy, FaultReport, NvError, NvSpace, Region};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
+pub mod exact_layout;
 mod subject;
 #[allow(unused_imports)] // no binary uses every item
 pub use subject::{
