@@ -566,13 +566,13 @@ impl Region {
         let reserved = Reserved::acquire(space, capacity as usize)?;
         let capacity = reserved.capacity;
         let hdr = reserved.commit(size, Some((&file, true)))?;
-        // Full corruption walk: primary metadata (roots, allocator free
-        // lists) plus both checksummed slots. A damaged primary is
-        // restored from the newest valid slot; if that still does not
-        // verify, the open fails with a typed error.
+        // Corruption walk of the primary metadata (roots, allocator words)
+        // and both checksummed slots. A damaged primary is restored from
+        // the newest valid slot; if that still does not verify, the open
+        // fails with a typed error. The allocator's open walks the chain.
         // SAFETY: `size` bytes committed and the guard's alone until `keep`.
         let bytes = unsafe { hdr.field::<u8>(0).slice(size) };
-        let report = verify::verify_bytes(bytes);
+        let report = verify::walk(bytes, false);
         let primary_was_ok = report.primary_ok();
         // Clean close converges both slots onto the final snapshot, so
         // agreeing slots that differ from a clean, structurally-valid
@@ -588,7 +588,7 @@ impl Region {
             .filter(|_| !primary_was_ok || rotted_after_close)
         {
             verify::restore_slot(bytes, s);
-            usable = verify::verify_bytes(bytes).primary_ok();
+            usable = verify::walk(bytes, false).primary_ok();
         }
         if !usable {
             return Err(NvError::BadImage(format!(
@@ -1298,11 +1298,6 @@ impl Region {
             RegionHeader::OFF_FAULT,
         );
         Ok(())
-    }
-
-    /// Whether shadow tracking is enabled for this region.
-    pub fn shadow_enabled(&self) -> bool {
-        shadow::is_tracked(self.inner.base)
     }
 
     /// The fault stamp left by the last injected crash, if this image

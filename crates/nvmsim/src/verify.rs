@@ -15,7 +15,8 @@
 //!   (boot words, root-directory decode and bounds, allocator frontier),
 //!   the bitmap chain, both slots, and — when a `pstore` store is present
 //!   — every undo-log entry checksum. Purely diagnostic, never panics,
-//!   works on a mapped region and on a plain file alike.
+//!   works on a mapped region and on a plain file alike. An open runs
+//!   it without the bitmap chain and the undo log.
 //! * **`salvage_in_place` — repair** (crate-internal, driven by
 //!   [`Region::open_file_salvage`](crate::Region::open_file_salvage)).
 //!   Restores a damaged primary from
@@ -498,6 +499,11 @@ pub(crate) fn image_log(bytes: &[u8]) -> Option<LogSummary> {
 /// Runs the full corruption walk over a region image. Never panics and
 /// never modifies `bytes`; every problem lands in the returned report.
 pub fn verify_bytes(bytes: &[u8]) -> VerifyReport {
+    walk(bytes, true)
+}
+
+/// The corruption walk; without `full`, the part an open decides by.
+pub(crate) fn walk(bytes: &[u8], full: bool) -> VerifyReport {
     let mut report = VerifyReport {
         file_len: bytes.len() as u64,
         ..VerifyReport::default()
@@ -516,7 +522,10 @@ pub fn verify_bytes(bytes: &[u8]) -> VerifyReport {
     report.boot_errors.extend(capacity_error);
     check_roots(bytes, &mut report.root_errors);
     check_alloc(bytes, &mut report.alloc_errors);
-    check_llalloc(bytes, report.clean, &mut report.llalloc_errors);
+    if full {
+        check_llalloc(bytes, report.clean, &mut report.llalloc_errors);
+        report.undo_log = image_log(bytes);
+    }
 
     let primary = normalized_primary(bytes);
     let snap = RegionHeader::snapshot_len();
@@ -539,7 +548,6 @@ pub fn verify_bytes(bytes: &[u8]) -> VerifyReport {
             bytes[a..a + snap] == bytes[b..b + snap]
         };
     report.primary_matches_active = report.active_slot.map(|i| report.slots[i].matches_primary);
-    report.undo_log = image_log(bytes);
     report
 }
 

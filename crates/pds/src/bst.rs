@@ -9,6 +9,7 @@ use crate::arena::NodeArena;
 use crate::ctx::{link_fresh, unlink_free, Ctx, RawCtx, TxCtx};
 use crate::error::Result;
 use crate::list::fill_payload;
+use crate::walk::{self, expect_sound, Checked, Follow, Walked};
 use nvmsim::NvRef;
 use pi_core::{PtrRepr, SwizzledPtr};
 use pstore::ObjectStore;
@@ -28,8 +29,8 @@ pub struct BstHeader<R: PtrRepr> {
 #[repr(C)]
 #[derive(Debug)]
 pub struct BstNode<R: PtrRepr, const P: usize> {
-    left: R,
-    right: R,
+    pub(crate) left: R,
+    pub(crate) right: R,
     key: u64,
     payload: [u8; P],
 }
@@ -213,19 +214,14 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
     }
 
     /// Height of the tree (0 for empty) — diagnostic for balance.
+    /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn height(&self) -> usize {
-        fn go<R: PtrRepr, const P: usize>(n: *const BstNode<R, P>) -> usize {
-            if n.is_null() {
-                return 0;
-            }
-            // SAFETY: live node while regions are open.
-            unsafe {
-                1 + go::<R, P>((*n).left.load() as *const BstNode<R, P>)
-                    .max(go::<R, P>((*n).right.load() as *const BstNode<R, P>))
-            }
-        }
-        // SAFETY: header mapped.
-        go::<R, P>(unsafe { self.header.as_ref().root.load() as *const BstNode<R, P> })
+        let mut height = 0;
+        expect_sound(self.walk(Checked, 1, |_, depth| {
+            height = height.max(depth);
+            Ok([depth + 1; 2])
+        }));
+        height
     }
 
     /// BST lookup for `key` (the paper's random-search workload).
@@ -275,52 +271,42 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
         sum
     }
 
+    /// The one node walk (crate docs, "One read path"): [`walk::tree`]
+    /// from the root, every link read by `follow`.
+    fn walk<'a, C: Copy>(
+        &'a self,
+        mut follow: impl Follow<R>,
+        c0: C,
+        visit: impl FnMut(&'a BstNode<R, P>, C) -> std::result::Result<[C; 2], String>,
+    ) -> Walked {
+        // SAFETY: the header lies in the home region (`attach` checked
+        // it); `follow` vouches for every link it passes.
+        unsafe { walk::tree(&mut follow, &mut self.header.as_mut().root, c0, visit) }
+    }
+
     /// The address of every block the tree holds: its header and every
     /// node reachable from it. The crash matrices' leak oracle compares
     /// them with the region's allocated blocks.
+    /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn blocks(&self) -> Vec<usize> {
         let mut out = vec![self.header.addr()];
-        self.walk(|n| {
+        expect_sound(self.walk(Checked, (), |n, ()| {
             out.push(n as *const BstNode<R, P> as usize);
-            true
-        });
+            Ok([(); 2])
+        }));
         out
     }
 
-    /// Visits every node reachable from the root, depth-first, until
-    /// `visit` returns false.
-    fn walk<'a>(&'a self, mut visit: impl FnMut(&'a BstNode<R, P>) -> bool) {
-        // SAFETY: as in contains.
-        unsafe {
-            let mut stack = vec![self.header.as_ref().root.load() as *const BstNode<R, P>];
-            while let Some(n) = stack.pop() {
-                if n.is_null() {
-                    continue;
-                }
-                if !visit(&*n) {
-                    return;
-                }
-                stack.push((*n).left.load() as *const BstNode<R, P>);
-                stack.push((*n).right.load() as *const BstNode<R, P>);
-            }
-        }
-    }
-
-    /// Iterates over keys in ascending (in-order) sequence.
-    pub fn iter(&self) -> Iter<'_, R, P> {
-        let mut it = Iter {
-            stack: Vec::new(),
-            cur: std::ptr::null(),
-            _bst: std::marker::PhantomData,
-        };
-        // SAFETY: root resolves while the borrow keeps regions mapped.
-        it.cur = unsafe { self.header.as_ref().root.load() as *const BstNode<R, P> };
-        it
-    }
-
-    /// In-order key sequence (testing/verification helper).
+    /// Ascending key sequence (testing/verification helper).
+    /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn keys_in_order(&self) -> Vec<u64> {
-        self.iter().collect()
+        let mut out = Vec::new();
+        expect_sound(self.walk(Checked, (), |n, ()| {
+            out.push(n.key);
+            Ok([(); 2])
+        }));
+        out.sort_unstable();
+        out
     }
 
     /// Transactional insert through `store`'s undo log: a crash either
@@ -378,108 +364,42 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
         Ok(true)
     }
 
-    /// Structural invariant check for recovery tests: the in-order walk
-    /// must yield exactly `len` strictly ascending keys and every payload
-    /// must match its key's deterministic fill.
+    /// Structural invariant check for recovery tests: every link must
+    /// point inside an open region, the walk must reach exactly `len`
+    /// nodes, each key must lie strictly between the keys its ancestors
+    /// bound it by (so the in-order keys ascend strictly), and every
+    /// payload must match its key's deterministic fill.
     ///
     /// # Errors
     ///
     /// A description of the first violation found.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
-        let len = self.len() as usize;
-        // Bound the walk so a corrupted (cyclic) tree cannot hang it.
-        let keys: Vec<u64> = self.iter().take(len + 1).collect();
-        if keys.len() != len {
-            return Err(format!(
-                "header len {len} but in-order walk found {} keys",
-                keys.len()
-            ));
-        }
-        if !keys.windows(2).all(|w| w[0] < w[1]) {
-            return Err("in-order keys not strictly ascending".to_string());
-        }
-        let mut seen = 0usize;
-        let mut checked = Ok(());
-        // The walk is bounded by `len`.
-        self.walk(|n| {
-            checked = if seen >= len {
-                Err("node walk exceeds header len (cycle?)".to_string())
-            } else if n.payload != fill_payload::<P>(n.key) {
-                Err(format!("payload corrupt at key {}", n.key))
-            } else {
-                seen += 1;
-                Ok(())
-            };
-            checked.is_ok()
-        });
-        checked
-    }
-
-    /// Verifies the BST ordering invariant and payload integrity
-    /// ([`PBst::check_invariants`] without the description).
-    pub fn verify(&self) -> bool {
-        self.check_invariants().is_ok()
-    }
-}
-
-/// In-order key iterator over a [`PBst`]. Created by [`PBst::iter`].
-#[derive(Debug)]
-pub struct Iter<'a, R: PtrRepr, const P: usize> {
-    stack: Vec<*const BstNode<R, P>>,
-    cur: *const BstNode<R, P>,
-    _bst: std::marker::PhantomData<&'a PBst<R, P>>,
-}
-
-impl<R: PtrRepr, const P: usize> Iterator for Iter<'_, R, P> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        // SAFETY: nodes stay live and unmodified for the borrow's lifetime.
-        unsafe {
-            while !self.cur.is_null() {
-                self.stack.push(self.cur);
-                self.cur = (*self.cur).left.load() as *const BstNode<R, P>;
+        let len = self.len();
+        let mut seen = 0u64;
+        // The order check ends any cycle.
+        self.walk(Checked, (None, None), |n, bounds| {
+            if n.payload != fill_payload::<P>(n.key) {
+                return Err(format!("payload corrupt at key {}", n.key));
             }
-            let n = self.stack.pop()?;
-            self.cur = (*n).right.load() as *const BstNode<R, P>;
-            Some((*n).key)
+            seen += 1;
+            walk::ordered(n.key, bounds)
+        })?;
+        if seen != len {
+            return Err(format!("header len {len} but the walk found {seen} nodes"));
         }
+        Ok(())
     }
 }
 
 impl<const P: usize> PBst<SwizzledPtr, P> {
     /// Load-time swizzle pass over every pointer slot (depth-first).
     pub fn swizzle(&mut self) {
-        self.convert(SwizzledPtr::swizzle_in_place);
+        expect_sound(self.walk(SwizzledPtr::swizzle_in_place, (), |_, ()| Ok([(); 2])));
     }
 
     /// Store-time unswizzle pass (reverse of [`PBst::swizzle`]).
     pub fn unswizzle(&mut self) {
-        self.convert(SwizzledPtr::unswizzle_in_place);
-    }
-
-    /// The one slot pass of both directions: `each` converts a slot in
-    /// place and returns its absolute target.
-    fn convert(&mut self, each: impl Fn(&mut SwizzledPtr) -> usize) {
-        let mut stack: Vec<*mut BstNode<SwizzledPtr, P>> = Vec::new();
-        // SAFETY: every link resolves to a live node of the region in
-        // either form while it is open; each slot is visited once.
-        unsafe {
-            let root = each(&mut self.header.as_mut().root) as *mut BstNode<SwizzledPtr, P>;
-            if !root.is_null() {
-                stack.push(root);
-            }
-            while let Some(n) = stack.pop() {
-                let l = each(&mut (*n).left) as *mut BstNode<SwizzledPtr, P>;
-                let r = each(&mut (*n).right) as *mut BstNode<SwizzledPtr, P>;
-                if !l.is_null() {
-                    stack.push(l);
-                }
-                if !r.is_null() {
-                    stack.push(r);
-                }
-            }
-        }
+        expect_sound(self.walk(SwizzledPtr::unswizzle_in_place, (), |_, ()| Ok([(); 2])));
     }
 }
 
@@ -506,7 +426,7 @@ mod tests {
         unique.dedup();
         assert_eq!(t.len(), unique.len() as u64);
         assert_eq!(t.keys_in_order(), unique);
-        assert!(t.verify());
+        t.check_invariants().unwrap();
         for &k in keys.iter().take(50) {
             assert!(t.contains(k));
         }
@@ -530,7 +450,7 @@ mod tests {
         t.build_balanced(&keys).unwrap();
         assert_eq!(t.len(), 1023);
         assert_eq!(t.height(), 10, "perfectly balanced: 2^10 - 1 nodes");
-        assert!(t.verify());
+        t.check_invariants().unwrap();
         assert!(t.contains(0) && t.contains(512) && t.contains(1022));
         // Sequential insert of the same keys would have height 1023.
         let mut degenerate: PBst<OffHolder, 32> =
@@ -557,13 +477,12 @@ mod tests {
     }
 
     #[test]
-    fn iterator_is_sorted_and_lazy() {
+    fn keys_in_order_ascend() {
         let region = Region::create(4 << 20).unwrap();
         let mut t: PBst<Riv, 32> = PBst::new(NodeArena::raw(region.clone())).unwrap();
         t.extend([5, 1, 9, 3, 7]).unwrap();
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec![1, 3, 5, 7, 9]);
-        assert_eq!(t.iter().take(2).collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(t.iter().next(), Some(1));
+        assert_eq!(t.keys_in_order(), vec![1, 3, 5, 7, 9]);
+        assert_eq!(t.height(), 3);
         region.close().unwrap();
     }
 
@@ -583,7 +502,7 @@ mod tests {
         let mut t: PBst<SwizzledPtr, 32> = PBst::new(NodeArena::raw(region.clone())).unwrap();
         t.extend(shuffled_keys(300)).unwrap();
         t.swizzle();
-        assert!(t.verify());
+        t.check_invariants().unwrap();
         let c = t.traverse();
         t.unswizzle();
         t.swizzle();
@@ -611,7 +530,7 @@ mod tests {
         let t: PBst<Riv, 32> = PBst::attach(NodeArena::raw(region.clone()), "bst").unwrap();
         assert_eq!(t.len(), count);
         assert_eq!(t.traverse(), checksum);
-        assert!(t.verify());
+        t.check_invariants().unwrap();
         region.close().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -621,7 +540,7 @@ mod tests {
         let regions: Vec<Region> = (0..4).map(|_| Region::create(2 << 20).unwrap()).collect();
         let mut t: PBst<Riv, 32> = PBst::new(NodeArena::raw_round_robin(regions.clone())).unwrap();
         t.extend(shuffled_keys(200)).unwrap();
-        assert!(t.verify());
+        t.check_invariants().unwrap();
         for r in regions {
             r.close().unwrap();
         }

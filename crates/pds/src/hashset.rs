@@ -33,6 +33,7 @@ use crate::arena::NodeArena;
 use crate::ctx::{link_fresh, unlink_free, Ctx, RawCtx, TxCtx};
 use crate::error::{PdsError, Result};
 use crate::list::fill_payload;
+use crate::walk::{self, expect_sound, Checked, Follow, Walked};
 use nvmsim::latency::persist;
 use nvmsim::metrics::{self, Counter};
 use nvmsim::{NvError, NvRef};
@@ -64,7 +65,7 @@ const LEN: usize = offset_of!(HashSetHeader, len);
 #[repr(C)]
 #[derive(Debug)]
 pub struct HsNode<R: PtrRepr, const P: usize> {
-    next: R,
+    pub(crate) next: R,
     key: u64,
     mark: u64,
     payload: [u8; P],
@@ -287,12 +288,12 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     /// Full traversal over every bucket chain; returns a checksum.
     pub fn traverse(&self) -> u64 {
         let mut sum = 0u64;
-        self.walk(|_, n| {
+        expect_sound(self.walk(walk::load, |_, n| {
             sum = sum
                 .wrapping_mul(31)
                 .wrapping_add(n.key ^ n.payload[0] as u64);
-            true
-        });
+            Ok(())
+        }));
         sum
     }
 
@@ -300,42 +301,43 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     /// array and every node reachable from the buckets. The crash
     /// matrices' leak oracle compares them with the region's allocated
     /// blocks.
+    /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn blocks(&self) -> Vec<usize> {
         let mut out = vec![self.header.addr(), self.buckets.addr()];
-        self.walk(|_, n| {
+        expect_sound(self.walk(Checked, |_, n| {
             out.push(n as *const HsNode<R, P> as usize);
-            true
-        });
+            Ok(())
+        }));
         out
     }
 
     /// All live keys (bucket order, marked nodes skipped; testing helper).
+    /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn keys(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        self.walk(|_, n| {
+        expect_sound(self.walk(Checked, |_, n| {
             if n.mark == 0 {
                 out.push(n.key);
             }
-            true
-        });
+            Ok(())
+        }));
         out
     }
 
-    /// Visits every chained node with its bucket, bucket by bucket,
-    /// until `visit` returns false.
-    fn walk<'a>(&'a self, mut visit: impl FnMut(usize, &'a HsNode<R, P>) -> bool) {
-        // SAFETY: as in contains.
-        unsafe {
-            for b in 0..self.bucket_count() as usize {
-                let mut cur = (*self.buckets.as_ptr().add(b)).load() as *const HsNode<R, P>;
-                while !cur.is_null() {
-                    if !visit(b, &*cur) {
-                        return;
-                    }
-                    cur = (*cur).next.load() as *const HsNode<R, P>;
-                }
-            }
+    /// The one node walk (crate docs, "One read path"): [`walk::chain`]
+    /// from each bucket in turn, every link read by `follow`.
+    fn walk<'a>(
+        &'a self,
+        mut follow: impl Follow<R>,
+        mut visit: impl FnMut(usize, &'a HsNode<R, P>) -> Walked,
+    ) -> Walked {
+        for b in 0..self.bucket_count() as usize {
+            let slot = self.buckets.as_ptr().wrapping_add(b);
+            // SAFETY: the bucket array lies in the home region (`attach`
+            // checked it); `follow` vouches for every link it passes.
+            unsafe { walk::chain(&mut follow, slot, |n| visit(b, n))? };
         }
+        Ok(())
     }
 
     /// Transactional insert through `store`'s undo log (tail append, as
@@ -372,40 +374,39 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
         Ok(true)
     }
 
-    /// Structural invariant check for recovery tests: every node must
-    /// hash to the bucket holding it, keys must be unique, the total node
-    /// count must match `len`, and payloads must match their keys.
+    /// Structural invariant check for recovery tests: every link must
+    /// point inside an open region, every node must hash to the bucket
+    /// holding it, keys must be unique, the total node count must match
+    /// `len`, and payloads must match their keys.
     ///
     /// # Errors
     ///
     /// A description of the first violation found.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         let (len, nbuckets) = (self.len(), self.bucket_count());
-        let mut seen = 0u64;
         let mut keys = Vec::new();
-        let mut checked = Ok(());
         // The walk is bounded by `len`.
-        self.walk(|b, n| {
+        self.walk(Checked, |b, n| {
             let key = n.key;
-            checked = if n.mark != 0 {
-                Err(format!(
+            if n.mark != 0 {
+                return Err(format!(
                     "marked (logically deleted) node at key {key}; run recover() first"
-                ))
-            } else if seen >= len {
-                Err(format!("chain walk exceeds header len {len} (cycle?)"))
-            } else if bucket_of(key, nbuckets) as usize != b {
-                Err(format!("key {key} found in wrong bucket {b}"))
-            } else if n.payload != fill_payload::<P>(key) {
-                Err(format!("payload corrupt at key {key}"))
-            } else {
-                keys.push(key);
-                seen += 1;
-                Ok(())
-            };
-            checked.is_ok()
-        });
-        checked?;
-        if seen != len {
+                ));
+            }
+            if keys.len() as u64 >= len {
+                return Err(format!("chain walk exceeds header len {len} (cycle?)"));
+            }
+            if bucket_of(key, nbuckets) as usize != b {
+                return Err(format!("key {key} found in wrong bucket {b}"));
+            }
+            if n.payload != fill_payload::<P>(key) {
+                return Err(format!("payload corrupt at key {key}"));
+            }
+            keys.push(key);
+            Ok(())
+        })?;
+        if keys.len() as u64 != len {
+            let seen = keys.len();
             return Err(format!("header len {len} but walk found {seen} nodes"));
         }
         keys.sort_unstable();
@@ -413,16 +414,6 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
             return Err("duplicate key across chains".to_string());
         }
         Ok(())
-    }
-
-    /// Verifies payload integrity of every node.
-    pub fn verify_payloads(&self) -> bool {
-        let mut ok = true;
-        self.walk(|_, n| {
-            ok = n.payload == fill_payload::<P>(n.key);
-            ok
-        });
-        ok
     }
 }
 
@@ -775,28 +766,12 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
 impl<const P: usize> PHashSet<SwizzledPtr, P> {
     /// Load-time swizzle pass over the bucket array and all chains.
     pub fn swizzle(&mut self) {
-        self.convert(SwizzledPtr::swizzle_in_place);
+        expect_sound(self.walk(SwizzledPtr::swizzle_in_place, |_, _| Ok(())));
     }
 
     /// Store-time unswizzle pass.
     pub fn unswizzle(&mut self) {
-        self.convert(SwizzledPtr::unswizzle_in_place);
-    }
-
-    /// The one slot pass of both directions: `each` converts a slot in
-    /// place and returns its absolute target.
-    fn convert(&mut self, each: impl Fn(&mut SwizzledPtr) -> usize) {
-        // SAFETY: every link resolves to a live node of the region in
-        // either form while it is open; each slot is visited once.
-        unsafe {
-            for b in 0..self.bucket_count() as usize {
-                let mut cur =
-                    each(&mut *self.buckets.as_ptr().add(b)) as *mut HsNode<SwizzledPtr, P>;
-                while !cur.is_null() {
-                    cur = each(&mut (*cur).next) as *mut HsNode<SwizzledPtr, P>;
-                }
-            }
-        }
+        expect_sound(self.walk(SwizzledPtr::unswizzle_in_place, |_, _| Ok(())));
     }
 }
 
@@ -817,7 +792,7 @@ mod tests {
         let mut keys = s.keys();
         keys.sort_unstable();
         assert_eq!(keys, (0..500).map(|i| i * 3).collect::<Vec<_>>());
-        assert!(s.verify_payloads());
+        s.check_invariants().unwrap();
         assert_eq!(s.traverse(), s.traverse());
         region.close().unwrap();
     }

@@ -12,6 +12,7 @@
 use crate::arena::NodeArena;
 use crate::ctx::{unlink_free, Ctx, RawCtx, TxCtx};
 use crate::error::Result;
+use crate::walk::{self, expect_sound, Checked, Follow, Walked};
 use nvmsim::NvRef;
 use pi_core::{PtrRepr, SwizzledPtr};
 use pstore::ObjectStore;
@@ -31,21 +32,9 @@ pub struct ListHeader<R: PtrRepr> {
 #[repr(C)]
 #[derive(Debug)]
 pub struct ListNode<R: PtrRepr, const P: usize> {
-    next: R,
+    pub(crate) next: R,
     key: u64,
     payload: [u8; P],
-}
-
-impl<R: PtrRepr, const P: usize> ListNode<R, P> {
-    /// The node's key.
-    pub fn key(&self) -> u64 {
-        self.key
-    }
-
-    /// The node's payload.
-    pub fn payload(&self) -> &[u8; P] {
-        &self.payload
-    }
 }
 
 /// Deterministic payload contents derived from a key, so integrity can be
@@ -208,32 +197,40 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
         false
     }
 
-    /// Iterates over the nodes in traversal order.
-    ///
-    /// The iterator borrows the list: nodes stay mapped and unmodified for
-    /// its lifetime.
-    pub fn iter(&self) -> Iter<'_, R, P> {
-        // SAFETY: head resolves to a live node (or null) while the regions
-        // are open, which the borrow of self guarantees.
-        let first = unsafe { self.header.as_ref().head.load() as *const ListNode<R, P> };
-        Iter {
-            cur: first,
-            _list: std::marker::PhantomData,
-        }
+    /// The one node walk (crate docs, "One read path"): [`walk::chain`]
+    /// from the head, every link read by `follow`.
+    fn walk<'a>(
+        &'a self,
+        mut follow: impl Follow<R>,
+        visit: impl FnMut(&'a ListNode<R, P>) -> Walked,
+    ) -> Walked {
+        // SAFETY: the header lies in the home region (`attach` checked
+        // it); `follow` vouches for every link it passes.
+        unsafe { walk::chain(&mut follow, &mut self.header.as_mut().head, visit) }
     }
 
     /// The address of every block the list holds: its header and every
     /// node reachable from it. The crash matrices' leak oracle compares
     /// them with the region's allocated blocks.
+    /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn blocks(&self) -> Vec<usize> {
-        std::iter::once(self.header.addr())
-            .chain(self.iter().map(|n| n as *const ListNode<R, P> as usize))
-            .collect()
+        let mut out = vec![self.header.addr()];
+        expect_sound(self.walk(Checked, |n| {
+            out.push(n as *const ListNode<R, P> as usize);
+            Ok(())
+        }));
+        out
     }
 
     /// All keys in traversal order (testing/verification helper).
+    /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn keys(&self) -> Vec<u64> {
-        self.iter().map(|n| n.key()).collect()
+        let mut out = Vec::new();
+        expect_sound(self.walk(Checked, |n| {
+            out.push(n.key);
+            Ok(())
+        }));
+        out
     }
 
     /// Transactionally pushes a node to the front through `store`'s undo
@@ -285,9 +282,10 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
         }
     }
 
-    /// Structural invariant check for recovery tests: the walk from the
-    /// head must visit exactly `len` nodes (no cycle, no truncation) and
-    /// every payload must match its key's deterministic fill.
+    /// Structural invariant check for recovery tests: every link must
+    /// point inside an open region, the walk from the head must visit
+    /// exactly `len` nodes (no cycle, no truncation) and every payload
+    /// must match its key's deterministic fill.
     ///
     /// # Errors
     ///
@@ -295,7 +293,7 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         let len = self.len();
         let mut seen = 0u64;
-        for n in self.iter() {
+        self.walk(Checked, |n| {
             if seen >= len {
                 return Err(format!("list walk exceeds header len {len} (cycle?)"));
             }
@@ -303,40 +301,12 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
                 return Err(format!("payload corrupt at key {}", n.key));
             }
             seen += 1;
-        }
+            Ok(())
+        })?;
         if seen != len {
             return Err(format!("header len {len} but walk found {seen} nodes"));
         }
         Ok(())
-    }
-
-    /// Verifies every node's payload matches its key's deterministic fill.
-    pub fn verify_payloads(&self) -> bool {
-        self.iter().all(|n| n.payload == fill_payload::<P>(n.key))
-    }
-}
-
-/// Iterator over a [`PList`]'s nodes. Created by [`PList::iter`].
-#[derive(Debug)]
-pub struct Iter<'a, R: PtrRepr, const P: usize> {
-    cur: *const ListNode<R, P>,
-    _list: std::marker::PhantomData<&'a PList<R, P>>,
-}
-
-impl<'a, R: PtrRepr, const P: usize> Iterator for Iter<'a, R, P> {
-    type Item = &'a ListNode<R, P>;
-
-    fn next(&mut self) -> Option<&'a ListNode<R, P>> {
-        if self.cur.is_null() {
-            return None;
-        }
-        // SAFETY: cur is a live node; the borrow on the list keeps the
-        // region mapped and the structure unmodified.
-        unsafe {
-            let node = &*self.cur;
-            self.cur = node.next.load() as *const ListNode<R, P>;
-            Some(node)
-        }
     }
 }
 
@@ -344,26 +314,13 @@ impl<const P: usize> PList<SwizzledPtr, P> {
     /// The load-time swizzle pass: converts every pointer (header included)
     /// from its at-rest offset form to a direct absolute pointer. O(n).
     pub fn swizzle(&mut self) {
-        self.convert(SwizzledPtr::swizzle_in_place);
+        expect_sound(self.walk(SwizzledPtr::swizzle_in_place, |_| Ok(())));
     }
 
     /// The store-time unswizzle pass: converts every pointer back to the
     /// position-independent at-rest form. O(n).
     pub fn unswizzle(&mut self) {
-        self.convert(SwizzledPtr::unswizzle_in_place);
-    }
-
-    /// The one slot pass of both directions: `each` converts a slot in
-    /// place and returns its absolute target.
-    fn convert(&mut self, each: impl Fn(&mut SwizzledPtr) -> usize) {
-        // SAFETY: every link resolves to a live node of the home region
-        // in either form while it is open; each slot is visited once.
-        unsafe {
-            let mut cur = each(&mut self.header.as_mut().head) as *mut ListNode<SwizzledPtr, P>;
-            while !cur.is_null() {
-                cur = each(&mut (*cur).next) as *mut ListNode<SwizzledPtr, P>;
-            }
-        }
+        expect_sound(self.walk(SwizzledPtr::unswizzle_in_place, |_| Ok(())));
     }
 }
 
@@ -387,7 +344,7 @@ mod tests {
         assert_eq!(list.len(), 100);
         assert_eq!(list.keys(), (0..100).rev().collect::<Vec<_>>());
         assert!(list.contains(0) && list.contains(99) && !list.contains(100));
-        assert!(list.verify_payloads());
+        list.check_invariants().unwrap();
         let c1 = list.traverse();
         let c2 = list.traverse();
         assert_eq!(c1, c2);
@@ -436,7 +393,7 @@ mod tests {
             PList::attach(NodeArena::raw(region.clone()), "list").unwrap();
         assert_eq!(list.len(), 1000);
         assert_eq!(list.traverse(), checksum);
-        assert!(list.verify_payloads());
+        list.check_invariants().unwrap();
         region.close().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -479,23 +436,24 @@ mod tests {
         list.extend(0..30).unwrap();
         assert_eq!(list.len(), 30);
         assert_eq!(list.keys().len(), 30);
-        assert!(list.verify_payloads());
+        list.check_invariants().unwrap();
         for r in regions {
             r.close().unwrap();
         }
     }
 
     #[test]
-    fn iter_yields_nodes_with_keys_and_payloads() {
+    fn keys_follow_the_chain_from_the_head() {
         let (r, arena) = arena();
         let mut list: PList<Riv, 32> = PList::new(arena).unwrap();
         list.extend([10, 20, 30]).unwrap();
-        let collected: Vec<u64> = list.iter().map(|n| n.key()).collect();
-        assert_eq!(collected, vec![30, 20, 10]);
-        for node in list.iter() {
-            assert_eq!(*node.payload(), fill_payload::<32>(node.key()));
-        }
-        assert_eq!(list.iter().count() as u64, list.len());
+        assert_eq!(list.keys(), vec![30, 20, 10]);
+        assert_eq!(
+            list.blocks().len() as u64,
+            list.len() + 1,
+            "header and nodes"
+        );
+        list.check_invariants().unwrap();
         r.close().unwrap();
     }
 

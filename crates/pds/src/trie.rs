@@ -13,6 +13,7 @@
 use crate::arena::NodeArena;
 use crate::ctx::{Ctx, RawCtx, TxCtx};
 use crate::error::{PdsError, Result};
+use crate::walk::{self, expect_sound, Checked, Follow, Walked};
 use nvmsim::NvRef;
 use pi_core::{PtrRepr, SwizzledPtr};
 use pstore::ObjectStore;
@@ -36,7 +37,7 @@ pub struct TrieHeader<R: PtrRepr> {
 #[repr(C)]
 #[derive(Debug)]
 pub struct TrieNode<R: PtrRepr, const P: usize> {
-    children: [R; ALPHABET],
+    pub(crate) children: [R; ALPHABET],
     /// Number of times a word ending at this node was inserted.
     count: u64,
     payload: [u8; P],
@@ -271,7 +272,8 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
 
     /// Every present word starting with `prefix`, sorted. An empty prefix
     /// scans the whole trie — the like-for-like comparison point for
-    /// [`crate::PArt::prefix_scan`] in the SUGGEST bench.
+    /// [`crate::PArt::prefix_scan`] in the SUGGEST bench, so it reads
+    /// links with the same plain load.
     ///
     /// # Errors
     ///
@@ -281,68 +283,64 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
             index_of(c)?;
         }
         let mut out = Vec::new();
-        // SAFETY: as in count.
-        unsafe {
-            if let Some(n) = self.find_node(prefix, R::load) {
-                self.collect_words(n, &mut prefix.to_string(), &mut out);
+        // The link to the prefix's node: the root, or its parent's child
+        // slot (a node starts with its children).
+        let root = match prefix.as_bytes().split_last() {
+            None => None,
+            // SAFETY: as in count.
+            Some((&c, up)) => match unsafe { self.find_node(&prefix[..up.len()], R::load) } {
+                Some(n) => Some(n.cast::<R>().wrapping_add(index_of(c)?)),
+                None => return Ok(out),
+            },
+        };
+        // Depth first, so the word of the node `depth` below the prefix's
+        // is that of the last one visited above it, plus its letter.
+        let mut word = prefix.to_string();
+        // A node's context is its depth times 32 plus its letter's index.
+        expect_sound(self.walk(walk::load, root, 0, |n, at: usize| {
+            if at >= 32 {
+                word.truncate(prefix.len() + at / 32 - 1);
+                word.push((b'a' + (at % 32) as u8) as char);
             }
-        }
-        // Pre-order over sorted children already yields lexicographic
-        // order; keep the sort as a guard so callers can rely on it.
+            if n.count > 0 {
+                out.push(word.clone());
+            }
+            Ok(std::array::from_fn(|i| (at / 32 + 1) * 32 + i))
+        }));
         out.sort_unstable();
         Ok(out)
     }
 
-    /// Recursive collector under `n`, whose path spells `word`.
-    unsafe fn collect_words(
-        &self,
-        n: *const TrieNode<R, P>,
-        word: &mut String,
-        out: &mut Vec<String>,
-    ) {
-        if (*n).count > 0 {
-            out.push(word.clone());
-        }
-        for i in 0..ALPHABET {
-            let c = (*n).children[i].load() as *const TrieNode<R, P>;
-            if !c.is_null() {
-                word.push((b'a' + i as u8) as char);
-                self.collect_words(c, word, out);
-                word.pop();
-            }
+    /// The one node walk (crate docs, "One read path"): [`walk::tree`]
+    /// from the link `root` (`None`: the header's), every link read by
+    /// `follow`.
+    fn walk<'a, C: Copy>(
+        &'a self,
+        mut follow: impl Follow<R>,
+        root: Option<*mut R>,
+        c0: C,
+        visit: impl FnMut(&'a TrieNode<R, P>, C) -> std::result::Result<[C; ALPHABET], String>,
+    ) -> Walked {
+        // SAFETY: the header lies in the home region (`attach` checked
+        // it), and `root` is a link of a node `follow`'s load found;
+        // `follow` vouches for every link it passes.
+        unsafe {
+            let root = root.unwrap_or_else(|| &mut self.header.as_mut().root);
+            walk::tree(&mut follow, root, c0, visit)
         }
     }
 
     /// The address of every block the trie holds: its header and every
     /// node reachable from it. The crash matrices' leak oracle compares
     /// them with the region's allocated blocks.
+    /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn blocks(&self) -> Vec<usize> {
         let mut out = vec![self.header.addr()];
-        self.walk(|n| {
-            out.push(n as usize);
-            true
-        });
+        expect_sound(self.walk(Checked, None, (), |n, ()| {
+            out.push(n as *const TrieNode<R, P> as usize);
+            Ok([(); ALPHABET])
+        }));
         out
-    }
-
-    /// Visits every node reachable from the root, depth-first, until
-    /// `visit` returns false.
-    fn walk(&self, mut visit: impl FnMut(*const TrieNode<R, P>) -> bool) {
-        // SAFETY: as in count.
-        unsafe {
-            let mut stack = vec![self.header.as_ref().root.load() as *const TrieNode<R, P>];
-            while let Some(n) = stack.pop() {
-                if !visit(n) {
-                    return;
-                }
-                for i in 0..ALPHABET {
-                    let c = (*n).children[i].load() as *const TrieNode<R, P>;
-                    if !c.is_null() {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
     }
 
     /// Full depth-first traversal; returns a checksum over terminal counts
@@ -412,9 +410,10 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         Ok(true)
     }
 
-    /// Structural invariant check for recovery tests: the node walk must
-    /// reach exactly `nodes` nodes (no cycle, no orphan) and terminal
-    /// counters must sum to `words`.
+    /// Structural invariant check for recovery tests: every link must
+    /// point inside an open region, the node walk must reach exactly
+    /// `nodes` nodes (no cycle, no orphan) and terminal counters must sum
+    /// to `words`.
     ///
     /// # Errors
     ///
@@ -424,15 +423,14 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         let words = self.word_count();
         let (mut visited, mut counted) = (0u64, 0u64);
         // The walk is bounded by `nodes`: one visit more is a cycle.
-        self.walk(|n| {
+        self.walk(Checked, None, (), |n, ()| {
+            if visited == nodes {
+                return Err(format!("node walk exceeds header count {nodes} (cycle?)"));
+            }
             visited += 1;
-            // SAFETY: a live node while regions are open.
-            counted += unsafe { (*n).count };
-            visited <= nodes
-        });
-        if visited > nodes {
-            return Err(format!("node walk exceeds header count {nodes} (cycle?)"));
-        }
+            counted += n.count;
+            Ok([(); ALPHABET])
+        })?;
         if visited != nodes {
             return Err(format!("header nodes {nodes} but walk found {visited}"));
         }
@@ -445,13 +443,13 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     }
 
     /// Number of distinct words stored (depth-first count of terminals).
+    /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn distinct_words(&self) -> u64 {
         let mut n = 0u64;
-        self.walk(|node| {
-            // SAFETY: a live node while regions are open.
-            n += unsafe { (*node).count > 0 } as u64;
-            true
-        });
+        expect_sound(self.walk(Checked, None, (), |node, ()| {
+            n += (node.count > 0) as u64;
+            Ok([(); ALPHABET])
+        }));
         n
     }
 }
@@ -459,31 +457,18 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
 impl<const P: usize> PTrie<SwizzledPtr, P> {
     /// Load-time swizzle pass over every child slot.
     pub fn swizzle(&mut self) {
-        self.convert(SwizzledPtr::swizzle_in_place);
+        expect_sound(self.walk(SwizzledPtr::swizzle_in_place, None, (), |_, ()| {
+            Ok([(); ALPHABET])
+        }));
     }
 
     /// Store-time unswizzle pass.
     pub fn unswizzle(&mut self) {
-        self.convert(SwizzledPtr::unswizzle_in_place);
-    }
-
-    /// The one slot pass of both directions: `each` converts a slot in
-    /// place and returns its absolute target.
-    fn convert(&mut self, each: impl Fn(&mut SwizzledPtr) -> usize) {
-        let mut stack: Vec<*mut TrieNode<SwizzledPtr, P>> = Vec::new();
-        // SAFETY: every link resolves to a live node of the region in
-        // either form while it is open; each slot is visited once.
-        unsafe {
-            stack.push(each(&mut self.header.as_mut().root) as *mut TrieNode<SwizzledPtr, P>);
-            while let Some(n) = stack.pop() {
-                for i in 0..ALPHABET {
-                    let c = each(&mut (*n).children[i]) as *mut TrieNode<SwizzledPtr, P>;
-                    if !c.is_null() {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
+        expect_sound(
+            self.walk(SwizzledPtr::unswizzle_in_place, None, (), |_, ()| {
+                Ok([(); ALPHABET])
+            }),
+        );
     }
 }
 

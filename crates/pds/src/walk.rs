@@ -1,0 +1,146 @@
+//! The one read path (crate docs): the link readers and the two walks.
+
+use nvmsim::NvRef;
+use pi_core::PtrRepr;
+use std::fmt::Debug;
+
+/// A walk's outcome: `Err` names where it stopped.
+pub(crate) type Walked = Result<(), String>;
+
+/// How a walk reads a link.
+pub(crate) trait Follow<R> {
+    /// The `N` the link in `slot` points at (null: none), or why the walk
+    /// may not follow it.
+    ///
+    /// # Safety
+    ///
+    /// `slot` is a link of a structure whose regions are open, and no
+    /// other thread writes the structure meanwhile.
+    unsafe fn follow<N>(&mut self, slot: *mut R) -> Result<*mut N, String>;
+}
+
+/// The checked resolve of the whole-structure reads: a link must point at
+/// a whole node inside an open region, below its committed end.
+pub(crate) struct Checked;
+
+impl<R: PtrRepr> Follow<R> for Checked {
+    unsafe fn follow<N>(&mut self, slot: *mut R) -> Result<*mut N, String> {
+        let addr = (*slot).load();
+        if addr == 0 {
+            return Ok(std::ptr::null_mut());
+        }
+        let node = NvRef::new(addr as *mut N).filter(|n| n.fits(1));
+        node.map(|n| n.as_ptr()).ok_or_else(|| {
+            format!("the link at {slot:p} points to {addr:#x}, outside every open region's committed bytes")
+        })
+    }
+}
+
+/// A plain slot reader: [`load`], or a swizzle pass's
+/// `SwizzledPtr::swizzle_in_place` or its inverse (no check).
+impl<R, F: FnMut(&mut R) -> usize> Follow<R> for F {
+    #[inline(always)]
+    unsafe fn follow<N>(&mut self, slot: *mut R) -> Result<*mut N, String> {
+        Ok(self(&mut *slot) as *mut N)
+    }
+}
+
+/// The plain load of `traverse` and the lookups.
+pub(crate) fn load<R: PtrRepr>(slot: &mut R) -> usize {
+    slot.load()
+}
+
+/// Visits each node of the chain `slot` heads, in chain order. Every node
+/// type is `repr(C)` and starts with its links: a chain node with its
+/// `next`, a tree node with its `K` children.
+///
+/// # Safety
+///
+/// As [`Follow::follow`], for `slot` and every link `follow` passes.
+#[inline(always)]
+pub(crate) unsafe fn chain<'a, R, N: 'a>(
+    follow: &mut impl Follow<R>,
+    slot: *mut R,
+    mut visit: impl FnMut(&'a N) -> Walked,
+) -> Walked {
+    let mut n: *mut N = follow.follow(slot)?;
+    while !n.is_null() {
+        visit(&*n)?;
+        n = follow.follow(n.cast())?;
+    }
+    Ok(())
+}
+
+/// Visits each node of the tree `root` links to depth first, a node
+/// before its children and its last child's subtree first. `visit` gets
+/// each node with the context its parent handed down (`c0` for the root)
+/// and returns the contexts of its `K` children.
+///
+/// # Safety
+///
+/// As [`Follow::follow`], for `root` and every link `follow` passes.
+pub(crate) unsafe fn tree<'a, R, N: 'a, C: Copy, const K: usize>(
+    follow: &mut impl Follow<R>,
+    root: *mut R,
+    c0: C,
+    mut visit: impl FnMut(&'a N, C) -> Result<[C; K], String>,
+) -> Walked {
+    let mut stack: Vec<(*mut N, C)> = vec![(follow.follow(root)?, c0)];
+    while let Some((n, c)) = stack.pop().filter(|&(n, _)| !n.is_null()) {
+        for (i, c) in visit(&*n, c)?.into_iter().enumerate() {
+            let kid: *mut N = follow.follow(n.cast::<R>().wrapping_add(i))?;
+            if !kid.is_null() {
+                stack.push((kid, c));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The exclusive key bounds a search tree's walk hands down.
+pub(crate) type Bounds<K> = (Option<K>, Option<K>);
+
+/// A search tree's order, checked along its walk: `key` must lie strictly
+/// between the bounds its ancestors set, so the in-order keys ascend
+/// strictly (and no node is reached twice). Returns its children's
+/// bounds, left first.
+pub(crate) fn ordered<K: Copy + PartialOrd + Debug>(
+    key: K,
+    (lo, hi): Bounds<K>,
+) -> Result<[Bounds<K>; 2], String> {
+    let within = lo.is_none_or(|lo| key > lo) && hi.is_none_or(|hi| key < hi);
+    let down = within.then_some([(lo, Some(key)), (Some(key), hi)]);
+    down.ok_or_else(|| format!("key {key:?} outside ({lo:?}, {hi:?}): keys out of order"))
+}
+
+/// A walk's result for a read with no error to return: a refused link is
+/// a panic naming it, where `check_invariants` returns it.
+pub(crate) fn expect_sound<T>(walked: Result<T, String>) -> T {
+    walked.unwrap_or_else(|e| panic!("{e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{BstNode, HsNode, ListNode, TrieNode, WcNode};
+    use pi_core::{FatPtr, OffHolder, PtrRepr};
+    use std::mem::{offset_of, size_of};
+
+    /// The walks find a node's links at its start: `next`, or the `K`
+    /// children in order.
+    fn links_come_first<R: PtrRepr>() {
+        let r = size_of::<R>();
+        assert_eq!(offset_of!(ListNode<R, 32>, next), 0);
+        assert_eq!(offset_of!(HsNode<R, 32>, next), 0);
+        assert_eq!(offset_of!(BstNode<R, 32>, left), 0);
+        assert_eq!(offset_of!(BstNode<R, 32>, right), r);
+        assert_eq!(offset_of!(WcNode<R>, left), 0);
+        assert_eq!(offset_of!(WcNode<R>, right), r);
+        assert_eq!(offset_of!(TrieNode<R, 32>, children), 0);
+    }
+
+    #[test]
+    fn every_node_starts_with_its_links() {
+        links_come_first::<OffHolder>();
+        links_come_first::<FatPtr>();
+    }
+}

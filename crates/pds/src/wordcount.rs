@@ -11,6 +11,7 @@
 
 use crate::arena::NodeArena;
 use crate::error::{PdsError, Result};
+use crate::walk::{self, expect_sound, Checked, Walked};
 use nvmsim::NvRef;
 use pi_core::PtrRepr;
 use std::cmp::Ordering;
@@ -34,8 +35,8 @@ pub struct WcHeader<R: PtrRepr> {
 #[repr(C)]
 #[derive(Debug)]
 pub struct WcNode<R: PtrRepr> {
-    left: R,
-    right: R,
+    pub(crate) left: R,
+    pub(crate) right: R,
     count: u64,
     len: u8,
     word: [u8; MAX_WORD + 1],
@@ -187,34 +188,53 @@ impl<R: PtrRepr> WordCount<R> {
     }
 
     /// All `(word, count)` pairs in alphabetical order.
+    /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn entries(&self) -> Vec<(String, u64)> {
         let mut out = Vec::new();
-        let mut stack: Vec<*const WcNode<R>> = Vec::new();
-        // SAFETY: as in count.
-        unsafe {
-            let mut cur = self.header.as_ref().root.load() as *const WcNode<R>;
-            loop {
-                while !cur.is_null() {
-                    stack.push(cur);
-                    cur = (*cur).left.load() as *const WcNode<R>;
-                }
-                let Some(n) = stack.pop() else { break };
-                out.push((
-                    String::from_utf8_lossy((*n).word()).into_owned(),
-                    (*n).count,
-                ));
-                cur = (*n).right.load() as *const WcNode<R>;
-            }
-        }
+        expect_sound(self.walk((), |n, ()| {
+            out.push((String::from_utf8_lossy(n.word()).into_owned(), n.count));
+            Ok([(); 2])
+        }));
+        out.sort_unstable();
         out
     }
 
-    /// Consistency check: header counters match a full traversal.
-    pub fn verify(&self) -> bool {
-        let entries = self.entries();
-        entries.len() as u64 == self.distinct()
-            && entries.iter().map(|e| e.1).sum::<u64>() == self.total()
-            && entries.windows(2).all(|w| w[0].0 < w[1].0)
+    /// The one node walk (crate docs, "One read path"): [`walk::tree`]
+    /// from the root, every link checked.
+    fn walk<'a, C: Copy>(
+        &'a self,
+        c0: C,
+        visit: impl FnMut(&'a WcNode<R>, C) -> std::result::Result<[C; 2], String>,
+    ) -> Walked {
+        // SAFETY: the header lies in the home region (`attach` checked
+        // it); the checked resolve vouches for every link it passes.
+        unsafe { walk::tree(&mut Checked, &mut self.header.as_mut().root, c0, visit) }
+    }
+
+    /// Consistency check: every link points inside an open region, the
+    /// walk finds `distinct` nodes whose counts sum to `total`, and each
+    /// word lies strictly between the words its ancestors bound it by (so
+    /// the in-order words ascend strictly).
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violation found.
+    pub fn check_invariants(&self) -> std::result::Result<(), String> {
+        let (distinct, total) = (self.distinct(), self.total());
+        let (mut seen, mut counted) = (0u64, 0u64);
+        // The order check ends any cycle.
+        self.walk((None, None), |n, bounds| {
+            seen += 1;
+            counted += n.count;
+            walk::ordered(n.word(), bounds)
+        })?;
+        if seen != distinct {
+            return Err(format!("header distinct {distinct} but walk found {seen}"));
+        }
+        if counted != total {
+            return Err(format!("header total {total} but counts sum to {counted}"));
+        }
+        Ok(())
     }
 }
 
@@ -235,7 +255,7 @@ mod tests {
         assert_eq!(wc.count("the"), 3);
         assert_eq!(wc.count("fox"), 2);
         assert_eq!(wc.count("cat"), 0);
-        assert!(wc.verify());
+        wc.check_invariants().unwrap();
         let top = wc.top_k(2);
         assert_eq!(top[0], ("the".to_string(), 3));
         assert_eq!(top[1], ("fox".to_string(), 2));
@@ -299,7 +319,7 @@ mod tests {
         let wc: WordCount<Riv> = WordCount::attach(NodeArena::raw(region.clone()), "wc").unwrap();
         assert_eq!(wc.count("the"), 3);
         assert_eq!(wc.distinct(), 8);
-        assert!(wc.verify());
+        wc.check_invariants().unwrap();
         region.close().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trees[1].len(),
         trees[1].height()
     );
-    assert!(trees[1].verify());
+    trees[1].check_invariants()?;
     assert_eq!(
         {
             let t = &trees[1];

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let list: PList<Riv, 32> = PList::attach(NodeArena::raw(region.clone()), "numbers")?;
     assert_eq!(list.len(), 1000);
     assert!(list.contains(999 * 999));
-    assert!(list.verify_payloads());
+    list.check_invariants()?;
     println!(
         "list intact: {} nodes, checksum {:#x}",
         list.len(),

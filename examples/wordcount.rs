@@ -94,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Second run: the counts are already there; no recount needed.
     let region = Region::open_file(&path)?;
     let wc: WordCount<OffHolder> = WordCount::attach(NodeArena::raw(region.clone()), "wordcount")?;
-    assert!(wc.verify());
+    wc.check_invariants()?;
     println!(
         "reopened at {:#x}: {} totals intact, count(\"the\") = {}",
         region.base(),

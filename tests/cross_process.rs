@@ -114,7 +114,7 @@ fn cross_process_reuse() {
         list_sum,
         "list checksum matches across processes"
     );
-    assert!(list.verify_payloads());
+    list.check_invariants().unwrap();
 
     let bst: PBst<Riv, 32> = PBst::attach(NodeArena::raw(region.clone()), "bst").unwrap();
     assert_eq!(
@@ -122,7 +122,7 @@ fn cross_process_reuse() {
         bst_sum,
         "bst checksum matches across processes"
     );
-    assert!(bst.verify());
+    bst.check_invariants().unwrap();
 
     let wc: WordCount<OffHolder> = WordCount::attach(NodeArena::raw(region.clone()), "wc").unwrap();
     assert_eq!(wc.total(), wc_total);

@@ -43,7 +43,7 @@ fn riv_list_spans_regions_and_survives_reopen_in_shuffled_order() {
         PList::attach(NodeArena::raw_round_robin(arena_regions), "l").unwrap();
     assert_eq!(list.len(), 900);
     assert_eq!(list.traverse(), checksum);
-    assert!(list.verify_payloads());
+    list.check_invariants().unwrap();
     for r in reopened {
         r.close().unwrap();
     }
@@ -138,7 +138,7 @@ fn bst_across_ten_regions_matches_single_region_contents() {
     b.extend(keys.iter().copied()).unwrap();
 
     assert_eq!(a.keys_in_order(), b.keys_in_order());
-    assert!(b.verify());
+    b.check_invariants().unwrap();
     single.close().unwrap();
     for r in many {
         r.close().unwrap();

@@ -45,7 +45,7 @@ fn list_roundtrip<R: PtrRepr>(tag: &str) {
         let list: PList<R, 32> = PList::attach(NodeArena::raw(region.clone()), "l").unwrap();
         assert_eq!(list.len(), 2000);
         assert_eq!(list.traverse(), checksum);
-        assert!(list.verify_payloads());
+        list.check_invariants().unwrap();
         region.close().unwrap();
     }
     std::fs::remove_file(&path).ok();
@@ -85,7 +85,7 @@ fn bst_survives_remap_and_supports_updates_after_reopen() {
     {
         let region = Region::open_file(&path).unwrap();
         let mut t: PBst<Riv, 32> = PBst::attach(NodeArena::raw(region.clone()), "t").unwrap();
-        assert!(t.verify());
+        t.check_invariants().unwrap();
         assert!(t.contains(42 * 3));
         t.extend((0..500).map(|i| i * 3 + 1)).unwrap();
         assert_eq!(t.len(), 2000);
@@ -96,7 +96,7 @@ fn bst_survives_remap_and_supports_updates_after_reopen() {
         let region = Region::open_file(&path).unwrap();
         let t: PBst<Riv, 32> = PBst::attach(NodeArena::raw(region.clone()), "t").unwrap();
         assert_eq!(t.len(), 2000);
-        assert!(t.verify());
+        t.check_invariants().unwrap();
         assert!(t.contains(100 * 3) && t.contains(100 * 3 + 1));
         region.close().unwrap();
     }
@@ -174,7 +174,7 @@ fn wordcount_resumes_counting_after_reopen() {
         assert_eq!(wc.count("alpha"), 2);
         wc.add_all(["alpha", "gamma"]).unwrap();
         assert_eq!(wc.count("alpha"), 3);
-        assert!(wc.verify());
+        wc.check_invariants().unwrap();
         region.close().unwrap();
     }
     let region = Region::open_file(&path).unwrap();
@@ -255,5 +255,118 @@ fn volatile_pointer_control_breaks_at_a_new_base() {
         "volatile head {head:#x} still points into the old mapping at {old_base:#x}"
     );
     region.close().unwrap();
+    std::fs::remove_file(&path).ok();
+}
+
+/// The structures a rotted link is planted in.
+#[derive(Debug, Clone, Copy)]
+enum Rotted {
+    List,
+    Bst,
+    Trie,
+    HashSet,
+    WordCount,
+}
+
+impl Rotted {
+    /// Builds the structure rooted as "s" and returns the address of its
+    /// header's first link (the hash set's: its first bucket).
+    fn build(self, region: &Region) -> usize {
+        let arena = NodeArena::raw(region.clone());
+        match self {
+            Rotted::List => {
+                let mut l: PList<OffHolder, 32> = PList::create_rooted(arena, "s").unwrap();
+                l.extend(0..16).unwrap();
+            }
+            Rotted::Bst => {
+                let mut t: PBst<OffHolder, 32> = PBst::create_rooted(arena, "s").unwrap();
+                t.extend([50, 20, 70, 10, 30, 60, 80]).unwrap();
+            }
+            Rotted::Trie => {
+                let mut t: PTrie<OffHolder, 32> = PTrie::create_rooted(arena, "s").unwrap();
+                t.extend(["ab", "abc", "b", "ca"]).unwrap();
+            }
+            Rotted::HashSet => {
+                let mut s: PHashSet<OffHolder, 32> =
+                    PHashSet::create_rooted(arena, 4, "s").unwrap();
+                s.extend(0..64).unwrap();
+                // The header's first word is the bucket array's offset.
+                // SAFETY: the header is live and the region open.
+                let buckets = unsafe { *(s.header_addr() as *const u64) };
+                return region.base() + buckets as usize;
+            }
+            Rotted::WordCount => {
+                let mut wc: WordCount<OffHolder> = WordCount::create_rooted(arena, "s").unwrap();
+                wc.add_all(["m", "c", "x", "a", "e"]).unwrap();
+            }
+        }
+        region.root("s").unwrap()
+    }
+
+    fn check(self, region: &Region) -> Result<(), String> {
+        let arena = NodeArena::raw(region.clone());
+        match self {
+            Rotted::List => PList::<OffHolder, 32>::attach(arena, "s")
+                .unwrap()
+                .check_invariants(),
+            Rotted::Bst => PBst::<OffHolder, 32>::attach(arena, "s")
+                .unwrap()
+                .check_invariants(),
+            Rotted::Trie => PTrie::<OffHolder, 32>::attach(arena, "s")
+                .unwrap()
+                .check_invariants(),
+            Rotted::HashSet => PHashSet::<OffHolder, 32>::attach(arena, "s")
+                .unwrap()
+                .check_invariants(),
+            Rotted::WordCount => WordCount::<OffHolder>::attach(arena, "s")
+                .unwrap()
+                .check_invariants(),
+        }
+    }
+}
+
+/// A rotted link — one far outside every region, or one into its region
+/// but past the committed end — in a structure's header or inside it is
+/// an `Err` from `check_invariants` after a remapped reopen, not a fault.
+#[test]
+fn check_invariants_refuses_rotted_links_after_reopen() {
+    let path = tmp("rotted.nvr");
+    for kind in [
+        Rotted::List,
+        Rotted::Bst,
+        Rotted::Trie,
+        Rotted::HashSet,
+        Rotted::WordCount,
+    ] {
+        for interior in [false, true] {
+            for far in [true, false] {
+                let ctx = format!("{kind:?}, interior {interior}, far {far}");
+                let region = Region::create_file_with_capacity(&path, 1 << 20, 4 << 20).unwrap();
+                let mut slot = kind.build(&region) as *mut OffHolder;
+                // SAFETY: `slot` is a link of the live structure; each
+                // node's first field is one of its links.
+                unsafe {
+                    if interior {
+                        slot = (*slot).load() as *mut OffHolder;
+                        assert!(!slot.is_null(), "[{ctx}] an interior node");
+                    }
+                    if far {
+                        *(slot as *mut u64) = 1 << 40;
+                    } else {
+                        (*slot).store(region.base() + region.size() + 4096);
+                    }
+                }
+                let base = region.base();
+                region.close().unwrap();
+                let region = reopen_elsewhere(&path, base);
+                let checked = kind.check(&region);
+                assert!(
+                    matches!(&checked, Err(e) if e.contains("link")),
+                    "[{ctx}] a rotted link: {checked:?}"
+                );
+                region.close().unwrap();
+            }
+        }
+    }
     std::fs::remove_file(&path).ok();
 }

@@ -42,7 +42,7 @@ fn committed_structure_survives_crash() {
     assert!(!store.recovered(), "empty log: nothing to roll back");
     let t: PBst<Riv, 32> = PBst::attach(NodeArena::transactional(store), "bst").unwrap();
     assert_eq!(t.len(), 800);
-    assert!(t.verify());
+    t.check_invariants().unwrap();
     region.close().unwrap();
 }
 
