@@ -70,12 +70,17 @@ unsafe impl PtrRepr for FatPtr {
 
     #[inline]
     fn load(&self) -> usize {
+        self.try_load().expect("fat pointer to a closed region")
+    }
+
+    #[inline]
+    fn try_load(&self) -> Option<usize> {
         if self.rid == 0 {
-            return 0;
+            return Some(0);
         }
-        // The per-dereference hashtable lookup that the paper measures.
-        let base = registry::fat_lookup(self.rid).expect("fat pointer to a closed region");
-        base + self.off as usize
+        // The per-dereference hashtable lookup that the paper measures. A
+        // rotted offset wraps: the checked walks refuse the address.
+        Some(registry::fat_lookup(self.rid)?.wrapping_add(self.off as usize))
     }
 }
 
@@ -116,11 +121,15 @@ unsafe impl PtrRepr for FatPtrCached {
 
     #[inline]
     fn load(&self) -> usize {
+        self.try_load().expect("fat pointer to a closed region")
+    }
+
+    #[inline]
+    fn try_load(&self) -> Option<usize> {
         if self.0.rid == 0 {
-            return 0;
+            return Some(0);
         }
-        let base = registry::fat_lookup_cached(self.0.rid).expect("fat pointer to a closed region");
-        base + self.0.off as usize
+        Some(registry::fat_lookup_cached(self.0.rid)?.wrapping_add(self.0.off as usize))
     }
 }
 
@@ -177,6 +186,24 @@ mod tests {
         let mut f = FatPtr::default();
         f.store(p);
         assert_eq!(f, FatPtr::from_parts(r.rid(), (p - r.base()) as u64));
+        r.close().unwrap();
+    }
+
+    #[test]
+    fn try_load_refuses_a_region_that_is_not_open() {
+        let r = Region::create(1 << 20).unwrap();
+        let p = r.alloc(64, 8).unwrap().as_ptr() as usize;
+        let mut f = FatPtr::default();
+        assert_eq!(f.try_load(), Some(0));
+        f.store(p);
+        assert_eq!(
+            (f.try_load(), FatPtrCached(f).try_load()),
+            (Some(p), Some(p))
+        );
+        // IDs count up from 1, so no region of a test has the largest.
+        let rotted = FatPtr::from_parts(nvmsim::Layout::DEFAULT.max_rid(), 0);
+        let loads = (rotted.try_load(), FatPtrCached(rotted).try_load());
+        assert_eq!(loads, (None, None));
         r.close().unwrap();
     }
 

@@ -79,6 +79,14 @@ pub unsafe trait PtrRepr: Copy + Default + std::fmt::Debug + 'static {
     fn load_at_rest(&self) -> usize {
         self.load()
     }
+
+    /// [`PtrRepr::load`] for a value that may be rotted: `None` where
+    /// `load` would panic (a fat pointer naming a region that is not
+    /// open). The checked walks in `pds` decode through it.
+    #[inline]
+    fn try_load(&self) -> Option<usize> {
+        Some(self.load())
+    }
 }
 
 /// An ordinary absolute pointer — the paper's *normal (volatile) pointer*

@@ -217,14 +217,18 @@ impl NodeArena {
 
     /// The header published as the root `name` with type tag `tag`, else
     /// [`PdsError::RootMissing`] naming `what` (also for a header that
-    /// would run past the region).
+    /// would run past the region); a root of another type tag is the
+    /// region's error naming both tags.
     pub(crate) fn root_header<H>(
         &self,
         name: &str,
         tag: u64,
         what: &'static str,
     ) -> Result<NvRef<H>> {
-        let addr = self.home_region().root_checked(name, tag).ok();
+        let addr = match self.home_region().root_checked(name, tag) {
+            Err(e @ nvmsim::NvError::BadImage(_)) => return Err(e.into()),
+            found => found.ok(),
+        };
         addr.and_then(|a| NvRef::new(a as *mut H))
             .filter(|h| h.fits(1))
             .ok_or(PdsError::RootMissing(what))

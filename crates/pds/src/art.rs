@@ -56,9 +56,11 @@
 use crate::arena::NodeArena;
 use crate::ctx::{Ctx, RawCtx, TxCtx};
 use crate::error::{PdsError, Result};
+use crate::walk::{self, expect_sound, Checked, Walked};
+use nvmsim::NvRef;
 use pi_core::PtrRepr;
 use pstore::ObjectStore;
-use std::marker::PhantomData;
+use std::mem::offset_of;
 
 /// Root type tag recorded by `create_rooted` and validated by `attach`.
 pub const ART_ROOT_TAG: u64 = u64::from_le_bytes(*b"PDSART02");
@@ -89,7 +91,7 @@ const EMPTY48: u8 = 0xFF;
 /// pointer representation so offline tooling (`nvr_inspect index`) can
 /// dispatch the walk without being told the type.
 #[repr(C)]
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ArtHeader<R: PtrRepr> {
     root: R,
     /// Distinct keys currently present (occurrence count > 0).
@@ -116,7 +118,9 @@ struct NodeHead {
     kbytes: [u8; MAX_KEY],
 }
 
-/// A leaf's fixed fields; its `klen` key bytes follow them.
+/// A leaf's fixed fields; its `klen` key bytes follow them. Its `kind`
+/// and `klen` are also an inner node's first bytes, so the walk reads any
+/// node's through it.
 #[repr(C)]
 struct Leaf {
     kind: u8,
@@ -224,8 +228,7 @@ fn key_bytes(key: &str) -> Result<&[u8]> {
 #[derive(Debug)]
 pub struct PArt<R: PtrRepr> {
     arena: NodeArena,
-    header: *mut ArtHeader<R>,
-    _marker: PhantomData<R>,
+    header: NvRef<ArtHeader<R>>,
 }
 
 impl<R: PtrRepr> PArt<R> {
@@ -235,20 +238,7 @@ impl<R: PtrRepr> PArt<R> {
     ///
     /// Allocation failures.
     pub fn new(arena: NodeArena) -> Result<PArt<R>> {
-        let header = arena
-            .alloc_home(std::mem::size_of::<ArtHeader<R>>())?
-            .as_ptr() as *mut ArtHeader<R>;
-        // SAFETY: freshly allocated, exclusively owned.
-        unsafe {
-            (*header).root = R::null();
-            (*header).keys = 0;
-            (*header).repr_fp = fnv1a64(R::NAME);
-        }
-        Ok(PArt {
-            arena,
-            header,
-            _marker: PhantomData,
-        })
+        Self::create(arena, None)
     }
 
     /// Creates an empty tree published as a named root.
@@ -257,11 +247,16 @@ impl<R: PtrRepr> PArt<R> {
     ///
     /// Allocation or root-registration failures.
     pub fn create_rooted(arena: NodeArena, root: &str) -> Result<PArt<R>> {
-        let t = Self::new(arena)?;
-        t.arena
-            .home_region()
-            .set_root_tagged(root, t.header as usize, ART_ROOT_TAG)?;
-        Ok(t)
+        Self::create(arena, Some((root, ART_ROOT_TAG)))
+    }
+
+    fn create(arena: NodeArena, root: Option<(&str, u64)>) -> Result<PArt<R>> {
+        let header = arena.new_header(root, |h: NvRef<ArtHeader<R>>| {
+            // SAFETY: the fresh header is this call's alone.
+            unsafe { h.as_mut() }.repr_fp = fnv1a64(R::NAME);
+            Ok(())
+        })?;
+        Ok(PArt { arena, header })
     }
 
     /// Attaches to a previously persisted tree by root name, rejecting a
@@ -269,33 +264,23 @@ impl<R: PtrRepr> PArt<R> {
     ///
     /// # Errors
     ///
-    /// The region's error when the root is absent or carries another
-    /// type tag (an index of another format);
-    /// [`PdsError::RootMissing`] when the representation fingerprint does
-    /// not match `R`.
+    /// [`PdsError::RootMissing`] when the root is absent or the
+    /// representation fingerprint does not match `R`; the region's error
+    /// naming the tag when the root carries another type tag (an index of
+    /// another format).
     pub fn attach(arena: NodeArena, root: &str) -> Result<PArt<R>> {
-        let addr = arena.home_region().root_checked(root, ART_ROOT_TAG)?;
-        let header = addr as *mut ArtHeader<R>;
-        // SAFETY: tagged root addresses point at a mapped header.
-        if unsafe { (*header).repr_fp } != fnv1a64(R::NAME) {
+        let header: NvRef<ArtHeader<R>> = arena.root_header(root, ART_ROOT_TAG, "art header")?;
+        // SAFETY: `root_header` checked the header lies in the home region.
+        if unsafe { header.as_ref() }.repr_fp != fnv1a64(R::NAME) {
             return Err(PdsError::RootMissing("art header (repr mismatch)"));
         }
-        Ok(PArt {
-            arena,
-            header,
-            _marker: PhantomData,
-        })
-    }
-
-    fn head(&self) -> &ArtHeader<R> {
-        // SAFETY: header mapped while regions are open; every write to it
-        // goes through `&mut self`.
-        unsafe { &*self.header }
+        Ok(PArt { arena, header })
     }
 
     /// Distinct keys currently present.
     pub fn key_count(&self) -> u64 {
-        self.head().keys
+        // SAFETY: header is mapped while the arena's regions are open.
+        unsafe { self.keys().read() }
     }
 
     /// The arena nodes are placed in.
@@ -305,14 +290,12 @@ impl<R: PtrRepr> PArt<R> {
 
     /// Address of the persistent header.
     pub fn header_addr(&self) -> usize {
-        self.header as usize
+        self.header.addr()
     }
 
-    /// Address of the persistent key count, the one header word a write
-    /// logs.
-    fn keys_addr(&self) -> usize {
-        // SAFETY: field projection on a mapped header; no dereference.
-        unsafe { std::ptr::addr_of_mut!((*self.header).keys) as usize }
+    /// The persistent key count, the one header word a write logs.
+    fn keys(&self) -> NvRef<u64> {
+        self.header.field(offset_of!(ArtHeader<R>, keys))
     }
 
     /// Fully initializes the fresh block `block` as a leaf for `key` with
@@ -439,8 +422,8 @@ impl<R: PtrRepr> PArt<R> {
     unsafe fn grow(block: *mut u8, n: *mut NodeHead) -> *mut NodeHead {
         let prefix = &(&(*n).kbytes)[..(*n).klen as usize];
         let g = Self::new_inner(block, (*n).kind + 1, prefix);
-        Self::for_each_child(n, R::load_at_rest, |b, target| {
-            Self::add_child_raw(g, b, target)
+        Self::for_each_child(n, |b, slot| {
+            Self::add_child_raw(g, b, (*slot).load_at_rest())
         });
         g
     }
@@ -450,15 +433,15 @@ impl<R: PtrRepr> PArt<R> {
     /// it will edit — the key count only when it changes — allocates (and
     /// frees) its nodes, and fences once before the first store.
     unsafe fn insert_inner<C: Ctx>(&mut self, ctx: &mut C, key: &[u8]) -> Result<u64> {
-        let keys = self.keys_addr();
-        let mut parent: *mut R = std::ptr::addr_of_mut!((*self.header).root);
+        let keys = self.keys();
+        let mut parent: *mut R = &mut self.header.as_mut().root;
         let mut depth = 0usize;
         let rsize = std::mem::size_of::<R>();
         loop {
             let cur = (*parent).load_at_rest() as *mut NodeHead;
             if cur.is_null() {
                 // Empty slot (only ever the root): publish a fresh leaf.
-                ctx.log(keys, 8)?;
+                ctx.log(keys.addr(), 8)?;
                 ctx.log(parent as usize, rsize)?;
                 let block = ctx.alloc(&self.arena, leaf_size(key.len()))?;
                 ctx.fence();
@@ -476,7 +459,7 @@ impl<R: PtrRepr> PArt<R> {
                     let caddr = std::ptr::addr_of_mut!((*leaf).count);
                     let first = *caddr == 0;
                     if first {
-                        ctx.log(keys, 8)?;
+                        ctx.log(keys.addr(), 8)?;
                     }
                     ctx.log(caddr as usize, 8)?;
                     ctx.fence();
@@ -490,7 +473,7 @@ impl<R: PtrRepr> PArt<R> {
                 // Leaf split: a Node4 over the diverging byte, the old
                 // leaf untouched (it already stores its full key).
                 let m = lcp(&lk[depth..], &key[depth..]);
-                ctx.log(keys, 8)?;
+                ctx.log(keys.addr(), 8)?;
                 ctx.log(parent as usize, rsize)?;
                 let (split, fresh) = self.alloc_split(ctx, key.len())?;
                 ctx.fence();
@@ -511,7 +494,7 @@ impl<R: PtrRepr> PArt<R> {
                 // Prefix split: new Node4 over the shared head; the
                 // existing node keeps its tail (trimmed in place, undo
                 // logged) and is re-linked under its diverging byte.
-                ctx.log(keys, 8)?;
+                ctx.log(keys.addr(), 8)?;
                 ctx.log(cur as usize, std::mem::size_of::<NodeHead>())?;
                 ctx.log(parent as usize, rsize)?;
                 let (split, fresh) = self.alloc_split(ctx, key.len())?;
@@ -538,7 +521,7 @@ impl<R: PtrRepr> PArt<R> {
                     depth += 1;
                 }
                 None => {
-                    ctx.log(keys, 8)?;
+                    ctx.log(keys.addr(), 8)?;
                     let kind = (*cur).kind;
                     if ((*cur).nkeys as usize) < node_capacity(kind) {
                         ctx.log(cur as usize, node_size::<R>(kind))?;
@@ -568,8 +551,8 @@ impl<R: PtrRepr> PArt<R> {
             }
         }
         // A new key, or a first occurrence on a count-0 leaf.
-        (*self.header).keys += 1;
-        ctx.persist(keys, 8);
+        keys.write(keys.read() + 1);
+        ctx.persist(keys.addr(), 8);
         Ok(1)
     }
 
@@ -583,9 +566,15 @@ impl<R: PtrRepr> PArt<R> {
     /// [`PdsError::WordTooLong`] for empty or over-[`MAX_KEY`] keys,
     /// [`PdsError::BadCharacter`] for NUL bytes; allocation failures.
     pub fn insert(&mut self, key: &str) -> Result<u64> {
+        self.insert_with(key, RawCtx::default)
+    }
+
+    /// The insertion body's entry: `begin` opens the context once the key
+    /// is known valid.
+    fn insert_with<C: Ctx>(&mut self, key: &str, begin: impl FnOnce() -> C) -> Result<u64> {
         let k = key_bytes(key)?;
-        let mut ctx = RawCtx::default();
-        // SAFETY: see insert_inner; single-threaded mutation.
+        let mut ctx = begin();
+        // SAFETY: see insert_inner; `&mut self` serializes mutation.
         let n = unsafe { self.insert_inner(&mut ctx, k) }?;
         ctx.finish(&self.arena)?;
         Ok(n)
@@ -611,12 +600,7 @@ impl<R: PtrRepr> PArt<R> {
     ///
     /// As [`PArt::insert`], plus logging failures.
     pub fn insert_tx(&mut self, store: &ObjectStore, key: &str) -> Result<u64> {
-        let k = key_bytes(key)?;
-        let mut ctx = TxCtx::begin(store);
-        // SAFETY: see insert_inner; `&mut self` serializes mutation.
-        let n = unsafe { self.insert_inner(&mut ctx, k) }?;
-        ctx.finish(&self.arena)?;
-        Ok(n)
+        self.insert_with(key, || TxCtx::begin(store))
     }
 
     /// Transactionally removes one occurrence of `key` (decrements its
@@ -642,19 +626,19 @@ impl<R: PtrRepr> PArt<R> {
                 return Ok(false);
             }
             let caddr = std::ptr::addr_of_mut!((*leaf).count);
-            let keys = self.keys_addr();
+            let keys = self.keys();
             let last = *caddr == 1;
             let mut ctx = TxCtx::begin(store);
             ctx.log(caddr as usize, 8)?;
             if last {
-                ctx.log(keys, 8)?;
+                ctx.log(keys.addr(), 8)?;
             }
             ctx.fence();
             *caddr -= 1;
             ctx.persist(caddr as usize, 8);
             if last {
-                (*self.header).keys -= 1;
-                ctx.persist(keys, 8);
+                keys.write(keys.read() - 1);
+                ctx.persist(keys.addr(), 8);
             }
             ctx.finish(&self.arena)?;
         }
@@ -672,7 +656,7 @@ impl<R: PtrRepr> PArt<R> {
     /// (0 for null) in the tree's current state.
     #[inline]
     unsafe fn find_leaf(&self, key: &[u8], load: impl Fn(&R) -> usize) -> Option<*mut Leaf> {
-        let mut cur = load(&(*self.header).root) as *mut NodeHead;
+        let mut cur = load(&self.header.as_ref().root) as *mut NodeHead;
         let mut depth = 0usize;
         while !cur.is_null() {
             if (*cur).kind == KIND_LEAF {
@@ -736,15 +720,15 @@ impl<R: PtrRepr> PArt<R> {
             return Err(PdsError::BadCharacter('\0'));
         }
         let mut n = 0;
-        let root = self.head().root.load() as *const NodeHead;
-        if !root.is_null() {
-            // SAFETY: as in count.
-            unsafe {
+        // SAFETY: as in count.
+        unsafe {
+            let root = self.header.as_ref().root.load() as *const NodeHead;
+            if !root.is_null() {
                 self.scan_node(root, 0, p, &mut |k| {
                     n += 1;
                     visit(k)
-                })
-            };
+                });
+            }
         }
         Ok(n)
     }
@@ -777,8 +761,9 @@ impl<R: PtrRepr> PArt<R> {
             if &node_prefix[..want.len()] != want {
                 return;
             }
-            Self::for_each_child(n, R::load, |_, target| {
-                self.scan_node(target as *const NodeHead, depth + plen + 1, prefix, visit)
+            Self::for_each_child(n as *mut NodeHead, |_, slot| {
+                let target = (*slot).load() as *const NodeHead;
+                self.scan_node(target, depth + plen + 1, prefix, visit)
             });
             return;
         }
@@ -795,48 +780,43 @@ impl<R: PtrRepr> PArt<R> {
     /// The address of every block the tree holds: its header and every
     /// node reachable from its root, in the order [`PArt::stats`] walks
     /// them. The crash matrices' leak oracle compares them with the
-    /// region's allocated blocks. The walk stops at a structural fault,
-    /// which [`PArt::check_invariants`] names.
+    /// region's allocated blocks.
+    /// Panics on a fault [`check_invariants`](Self::check_invariants) names.
     pub fn blocks(&self) -> Vec<usize> {
-        let mut out = vec![self.header as usize];
-        self.walk(|n| out.push(n)).ok();
+        let mut out = vec![self.header.addr()];
+        expect_sound(self.walk(|n| out.push(n)));
         out
     }
 
-    /// Calls `visit` with the branch byte and target of every child of
-    /// inner node `n`, in ascending branch-byte order, decoding each link
-    /// with `load` as [`PArt::find_leaf`] does. Node4/Node16 bytes sit in
+    /// Calls `visit` with the branch byte and slot of every child of inner
+    /// node `n`, in ascending branch-byte order. Node4/Node16 bytes sit in
     /// insertion order, so their slots are sorted in a stack array first;
     /// Node48/Node256 go byte by byte.
-    unsafe fn for_each_child(
-        n: *const NodeHead,
-        load: impl Fn(&R) -> usize,
-        mut visit: impl FnMut(u8, usize),
-    ) {
-        let (keys, children): (&[u8], &[R]) = match (*n).kind {
-            KIND_NODE4 => (
-                &(*(n as *const Node4<R>)).keys,
-                &(*(n as *const Node4<R>)).children,
-            ),
-            KIND_NODE16 => (
-                &(*(n as *const Node16<R>)).keys,
-                &(*(n as *const Node16<R>)).children,
-            ),
+    unsafe fn for_each_child(n: *mut NodeHead, mut visit: impl FnMut(u8, *mut R)) {
+        let (keys, children): (&[u8], *mut R) = match (*n).kind {
+            KIND_NODE4 => {
+                let p = n as *mut Node4<R>;
+                (&(*p).keys, (*p).children.as_mut_ptr())
+            }
+            KIND_NODE16 => {
+                let p = n as *mut Node16<R>;
+                (&(*p).keys, (*p).children.as_mut_ptr())
+            }
             KIND_NODE48 => {
-                let p = n as *const Node48<R>;
+                // `EMPTY48`, and a rotted index past the slots, name none.
+                let p = n as *mut Node48<R>;
                 for (b, &i) in (*p).index.iter().enumerate() {
-                    if i != EMPTY48 {
-                        visit(b as u8, load(&(*p).children[i as usize]));
+                    if let Some(slot) = (*p).children.get_mut(i as usize) {
+                        visit(b as u8, slot);
                     }
                 }
                 return;
             }
             _ => {
-                let p = n as *const Node256<R>;
-                for (b, slot) in (*p).children.iter().enumerate() {
-                    let c = load(slot);
-                    if c != 0 {
-                        visit(b as u8, c);
+                let p = n as *mut Node256<R>;
+                for (b, slot) in (*p).children.iter_mut().enumerate() {
+                    if !slot.is_null() {
+                        visit(b as u8, slot);
                     }
                 }
                 return;
@@ -846,96 +826,92 @@ impl<R: PtrRepr> PArt<R> {
         let mut order: [u8; 16] = std::array::from_fn(|i| i as u8);
         order[..len].sort_unstable_by_key(|&i| keys[i as usize]);
         for &i in &order[..len] {
-            visit(keys[i as usize], load(&children[i as usize]));
+            visit(keys[i as usize], children.add(i as usize));
         }
     }
 
-    /// The tree's one full walk: calls `visit` with the address of every
-    /// node reachable from the root and counts what it passes.
-    /// Cycle-guarded by a visited set, and every node is checked before
-    /// its children are followed, so it is safe on a damaged image.
+    /// The tree's one full walk ([`walk::tree`] under [`Checked`]): calls
+    /// `visit` with the address of every node reachable from the root
+    /// and counts what it passes. Cycle-guarded by a visited set, and
+    /// every node is checked before its children are followed, so it is
+    /// safe on a damaged image.
     fn walk(&self, mut visit: impl FnMut(usize)) -> std::result::Result<ArtStats, String> {
-        let mut stats = ArtStats::default();
-        let mut seen = std::collections::HashSet::new();
-        // (node, byte depth, hops)
-        let mut stack: Vec<(usize, usize, usize)> = Vec::new();
-        // SAFETY: as in count; every address is checked against the
-        // visited set before it is dereferenced.
+        let (mut stats, mut seen) = (ArtStats::default(), std::collections::HashSet::new());
+        // SAFETY: the header lies in the home region (`attach` checked
+        // it); `Checked` vouches for every link, and `node` for the rest.
         unsafe {
-            let root = (*self.header).root.load();
-            if root != 0 {
-                stack.push((root, 0, 0));
-            }
-            while let Some((addr, depth, hops)) = stack.pop() {
-                if !seen.insert(addr) {
-                    return Err(format!(
-                        "node {addr:#x} reached twice (cycle or shared link)"
-                    ));
-                }
-                if depth > MAX_KEY + 1 {
-                    return Err(format!(
-                        "node {addr:#x} at byte depth {depth} > {}",
-                        MAX_KEY + 1
-                    ));
-                }
-                let n = addr as *const NodeHead;
-                let kind = (*n).kind;
-                if kind > KIND_LEAF {
-                    return Err(format!("node {addr:#x} has invalid kind {kind}"));
-                }
+            let root = &mut self.header.as_mut().root;
+            // A node's context: its byte depth, and its hops below the root.
+            walk::tree(Checked, root, (0, 0), |n: *mut Leaf, at, links| {
+                let addr = n as usize;
                 visit(addr);
-                stats.nodes += 1;
-                stats.kinds[kind as usize] += 1;
-                if kind == KIND_LEAF {
-                    let leaf = n as *const Leaf;
-                    let llen = (*leaf).klen as usize;
-                    if llen == 0 || llen > MAX_KEY {
-                        return Err(format!("leaf {addr:#x} key length {llen} out of range"));
-                    }
-                    stats.bytes += leaf_size(llen) as u64;
-                    if llen < depth.saturating_sub(1) {
-                        return Err(format!(
-                            "leaf {addr:#x} key length {llen} shorter than its path depth {depth}"
-                        ));
-                    }
-                    if (*leaf).count > 0 {
-                        stats.keys += 1;
-                    }
-                    if stats.depth_hist.len() <= hops {
-                        stats.depth_hist.resize(hops + 1, 0);
-                    }
-                    stats.depth_hist[hops] += 1;
-                    continue;
-                }
-                stats.bytes += node_size::<R>(kind) as u64;
-                let nkeys = (*n).nkeys as usize;
-                if nkeys < 2 {
-                    return Err(format!("inner node {addr:#x} has {nkeys} children (< 2)"));
-                }
-                if nkeys > node_capacity(kind) {
-                    return Err(format!(
-                        "{} {addr:#x} holds {nkeys} children (> capacity)",
-                        ART_KIND_NAMES[kind as usize]
-                    ));
-                }
-                let plen = (*n).klen as usize;
-                let (mut found, mut null) = (0, false);
-                Self::for_each_child(n, R::load, |_, target| {
-                    null |= target == 0;
-                    stack.push((target, depth + plen + 1, hops + 1));
-                    found += 1;
-                });
-                if null {
-                    return Err(format!("node {addr:#x} links a null child"));
-                }
-                if found != nkeys {
-                    return Err(format!(
-                        "node {addr:#x} slot walk found {found} children, header says {nkeys}"
-                    ));
-                }
-            }
+                let checked = match seen.insert(addr) {
+                    true => Self::node(n, at, links, &mut stats),
+                    false => Err("reached twice (cycle or shared link)".into()),
+                };
+                checked.map_err(|e| format!("node {addr:#x}: {e}"))
+            })?;
         }
         Ok(stats)
+    }
+
+    /// Checks and counts node `n`, which the walk reached at byte depth
+    /// `depth`, `hops` links below the root, and pushes its child links. The
+    /// node's whole extent must fit its region before any field past its
+    /// kind and key length is read.
+    ///
+    /// # Safety
+    ///
+    /// A leaf's fixed fields at `n` lie in an open region, and no other
+    /// thread writes the tree.
+    unsafe fn node(
+        n: *mut Leaf,
+        (depth, hops): (usize, usize),
+        links: &mut Vec<(*mut R, (usize, usize))>,
+        stats: &mut ArtStats,
+    ) -> Walked {
+        let (kind, klen) = ((*n).kind, (*n).klen as usize);
+        if depth > MAX_KEY + 1 {
+            return Err(format!("byte depth {depth} > {}", MAX_KEY + 1));
+        }
+        let Some(name) = ART_KIND_NAMES.get(kind as usize) else {
+            return Err(format!("invalid kind {kind}"));
+        };
+        let size = match kind {
+            KIND_LEAF => leaf_size(klen),
+            _ => node_size::<R>(kind),
+        };
+        if !NvRef::new(n.cast::<u8>()).is_some_and(|b| b.fits(size)) {
+            return Err(format!("a {name} of {size} bytes past the committed end"));
+        }
+        stats.nodes += 1;
+        stats.kinds[kind as usize] += 1;
+        stats.bytes += size as u64;
+        if kind == KIND_LEAF {
+            if !(depth.saturating_sub(1).max(1)..=MAX_KEY).contains(&klen) {
+                return Err(format!("a leaf of key length {klen} at path depth {depth}"));
+            }
+            stats.keys += ((*n).count > 0) as u64;
+            let hist = &mut stats.depth_hist;
+            hist.resize(hist.len().max(hops + 1), 0);
+            hist[hops] += 1;
+            return Ok(());
+        }
+        let nkeys = (*n.cast::<NodeHead>()).nkeys as usize;
+        if !(2..=node_capacity(kind)).contains(&nkeys) {
+            return Err(format!("a {name} holding {nkeys} children"));
+        }
+        let (mut found, mut null) = (0, false);
+        Self::for_each_child(n.cast(), |_, slot| {
+            found += 1;
+            null |= (*slot).is_null();
+            links.push((slot, (depth + klen + 1, hops + 1)));
+        });
+        match (null, found == nkeys) {
+            (true, _) => Err("links a null child".into()),
+            (_, false) => Err(format!("{found} children in slots, {nkeys} in head")),
+            _ => Ok(()),
+        }
     }
 
     /// Counts the tree in one walk. Of these counts only `keys` is
@@ -984,9 +960,9 @@ impl<R: PtrRepr> PArt<R> {
         if self.keys_agree(&stats).is_ok() {
             return Ok(0);
         }
-        // SAFETY: header mapped; single-threaded recovery.
-        unsafe { (*self.header).keys = stats.keys };
-        nvmsim::latency::persist(self.keys_addr(), 8);
+        // SAFETY: header mapped; `&mut self` excludes other writers.
+        unsafe { self.keys().write(stats.keys) };
+        self.keys().persist(8);
         Ok(1)
     }
 }
@@ -1024,26 +1000,16 @@ pub struct ArtIndexReport {
     pub problem: Option<String>,
 }
 
-impl ArtIndexReport {
-    /// Whether the walk crossed the tree and agreed with the header.
-    pub fn consistent(&self) -> bool {
-        self.problem.is_none()
-    }
-}
-
 fn report_for<R: PtrRepr>(arena: NodeArena, root: &str) -> Result<ArtIndexReport> {
     let art: PArt<R> = PArt::attach(arena, root)?;
-    let (stats, problem) = match art.stats() {
-        Ok(s) => {
-            let problem = art.keys_agree(&s).err();
-            (s, problem)
-        }
-        Err(e) => (ArtStats::default(), Some(e)),
-    };
+    let walked = art.stats();
+    let problem = walked
+        .as_ref()
+        .map_or_else(|e| Some(e.clone()), |s| art.keys_agree(s).err());
     Ok(ArtIndexReport {
         repr: R::NAME,
         keys: art.key_count(),
-        stats,
+        stats: walked.unwrap_or_default(),
         problem,
     })
 }
@@ -1269,7 +1235,7 @@ mod tests {
         let report = inspect_index(&region, "art").unwrap();
         assert_eq!(report.repr, "off-holder");
         assert_eq!(report.keys, KEYS.len() as u64);
-        assert!(report.consistent(), "{:?}", report.problem);
+        assert!(report.problem.is_none(), "{:?}", report.problem);
         // An index of the previous format is refused by its tag.
         let old = u64::from_le_bytes(*b"PDSART01");
         region.set_root_tagged("art", t.header_addr(), old).unwrap();
@@ -1395,7 +1361,7 @@ mod tests {
             attached.check_invariants().unwrap();
             assert_eq!(attached.stats().unwrap(), walk);
             let report = inspect_index(&region, "art").unwrap();
-            assert!(report.consistent(), "{fill:#x}: {:?}", report.problem);
+            assert!(report.problem.is_none(), "{fill:#x}: {:?}", report.problem);
             assert_eq!((report.keys, &report.stats), (walk.keys, &walk));
             assert_eq!(t.insert_tx(&store, "retired").unwrap(), 1);
             assert!(t.remove_tx(&store, "retired").unwrap());
@@ -1408,13 +1374,43 @@ mod tests {
         region.close().unwrap();
     }
 
+    /// A Node48 index byte rotted past the 48 slots names no child: the
+    /// walk counts fewer children than the node's head and refuses it,
+    /// where indexing the slots with it would panic.
+    #[test]
+    fn a_rotted_node48_index_is_an_err() {
+        let region = Region::create(8 << 20).unwrap();
+        let mut t: PArt<OffHolder> =
+            PArt::create_rooted(NodeArena::raw(region.clone()), "art").unwrap();
+        for i in 0..20u8 {
+            t.insert(&format!("q{}x", (b'A' + i) as char)).unwrap();
+        }
+        // SAFETY (both): test-only reads and one write of mapped nodes.
+        let kind = |a: &usize| unsafe { *(*a as *const u8) };
+        let node48 = t
+            .blocks()
+            .into_iter()
+            .skip(1)
+            .find(|a| kind(a) == KIND_NODE48);
+        let index = (node48.expect("a Node48") + std::mem::size_of::<NodeHead>()) as *mut u8;
+        unsafe { *index.add(b'A' as usize) = 200 };
+        let checked = t.check_invariants();
+        assert!(
+            matches!(&checked, Err(e) if e.contains("in slots")),
+            "{checked:?}"
+        );
+        let report = inspect_index(&region, "art").unwrap();
+        assert!(report.problem.is_some_and(|p| p.contains("in slots")));
+        region.close().unwrap();
+    }
+
     #[test]
     fn recover_repairs_counter_drift() {
         let region = Region::create(4 << 20).unwrap();
         let mut t: PArt<OffHolder> = PArt::new(NodeArena::raw(region.clone())).unwrap();
         t.extend(["alpha", "beta", "gamma"]).unwrap();
         // SAFETY: test-only corruption of the mapped header.
-        unsafe { (*t.header).keys = 99 };
+        unsafe { t.keys().write(99) };
         assert!(t.check_invariants().is_err());
         assert_eq!(t.recover().unwrap(), 1);
         t.check_invariants().unwrap();

@@ -273,15 +273,22 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
 
     /// The one node walk (crate docs, "One read path"): [`walk::tree`]
     /// from the root, every link read by `follow`.
-    fn walk<'a, C: Copy>(
+    fn walk<'a, C>(
         &'a self,
-        mut follow: impl Follow<R>,
+        follow: impl Follow<R>,
         c0: C,
-        visit: impl FnMut(&'a BstNode<R, P>, C) -> std::result::Result<[C; 2], String>,
+        mut visit: impl FnMut(&'a BstNode<R, P>, C) -> std::result::Result<[C; 2], String>,
     ) -> Walked {
         // SAFETY: the header lies in the home region (`attach` checked
         // it); `follow` vouches for every link it passes.
-        unsafe { walk::tree(&mut follow, &mut self.header.as_mut().root, c0, visit) }
+        unsafe {
+            let root = &mut self.header.as_mut().root;
+            walk::tree(follow, root, c0, |n: *mut BstNode<R, P>, c, links| {
+                let [l, r] = visit(&*n, c)?;
+                links.extend([(&mut (*n).left as *mut R, l), (&mut (*n).right, r)]);
+                Ok(())
+            })
+        }
     }
 
     /// The address of every block the tree holds: its header and every

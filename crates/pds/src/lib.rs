@@ -45,12 +45,12 @@
 //!
 //! Each structure has one node walk, generic over how it reads a link:
 //! along a chain (list, hash set) or depth first down a tree (bst,
-//! wordcount, trie). `check_invariants` and the other whole-structure
-//! reads (`blocks`, `keys`, `height`, ...) resolve each link checked: a
-//! link must point at a whole node below the committed end of an open
-//! region, or the walk stops with an `Err` naming it: a rotted image is an
-//! error, not a fault. The swizzle passes convert each link as they follow it.
-//! The timed reads — the lookups and `traverse` — load links plainly.
+//! wordcount, trie, ART). `check_invariants` and the other whole-structure
+//! reads (`blocks`, `keys`, `height`, `stats`, ...) resolve each link
+//! checked: it must decode and point at a whole node below the committed
+//! end of an open region, or the walk stops with an `Err` naming it: a
+//! rotted image is an error, not a fault. The swizzle passes convert each
+//! link as they follow it. The timed lookups and scans load links plainly.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -314,19 +314,28 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     /// The one node walk (crate docs, "One read path"): [`walk::tree`]
     /// from the link `root` (`None`: the header's), every link read by
     /// `follow`.
-    fn walk<'a, C: Copy>(
+    fn walk<'a, C>(
         &'a self,
-        mut follow: impl Follow<R>,
+        follow: impl Follow<R>,
         root: Option<*mut R>,
         c0: C,
-        visit: impl FnMut(&'a TrieNode<R, P>, C) -> std::result::Result<[C; ALPHABET], String>,
+        mut visit: impl FnMut(&'a TrieNode<R, P>, C) -> std::result::Result<[C; ALPHABET], String>,
     ) -> Walked {
         // SAFETY: the header lies in the home region (`attach` checked
         // it), and `root` is a link of a node `follow`'s load found;
         // `follow` vouches for every link it passes.
         unsafe {
             let root = root.unwrap_or_else(|| &mut self.header.as_mut().root);
-            walk::tree(&mut follow, root, c0, visit)
+            walk::tree(follow, root, c0, |n: *mut TrieNode<R, P>, c, links| {
+                // Most slots are null; pushing them too halves the scan.
+                for (i, c) in visit(&*n, c)?.into_iter().enumerate() {
+                    let slot = &mut (*n).children[i];
+                    if !slot.is_null() {
+                        links.push((slot, c));
+                    }
+                }
+                Ok(())
+            })
         }
     }
 

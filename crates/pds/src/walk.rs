@@ -19,13 +19,16 @@ pub(crate) trait Follow<R> {
     unsafe fn follow<N>(&mut self, slot: *mut R) -> Result<*mut N, String>;
 }
 
-/// The checked resolve of the whole-structure reads: a link must point at
-/// a whole node inside an open region, below its committed end.
+/// The checked resolve of the whole-structure reads: a link must decode
+/// ([`PtrRepr::try_load`]) and point at a whole node inside an open
+/// region, below its committed end.
 pub(crate) struct Checked;
 
 impl<R: PtrRepr> Follow<R> for Checked {
     unsafe fn follow<N>(&mut self, slot: *mut R) -> Result<*mut N, String> {
-        let addr = (*slot).load();
+        let addr = (*slot)
+            .try_load()
+            .ok_or_else(|| format!("the link at {slot:p} names a region that is not open"))?;
         if addr == 0 {
             return Ok(std::ptr::null_mut());
         }
@@ -50,9 +53,8 @@ pub(crate) fn load<R: PtrRepr>(slot: &mut R) -> usize {
     slot.load()
 }
 
-/// Visits each node of the chain `slot` heads, in chain order. Every node
-/// type is `repr(C)` and starts with its links: a chain node with its
-/// `next`, a tree node with its `K` children.
+/// Visits each node of the chain `slot` heads, in chain order. A chain
+/// node is `repr(C)` and starts with its `next`.
 ///
 /// # Safety
 ///
@@ -72,29 +74,33 @@ pub(crate) unsafe fn chain<'a, R, N: 'a>(
 }
 
 /// Visits each node of the tree `root` links to depth first, a node
-/// before its children and its last child's subtree first. `visit` gets
+/// before its children and its first link's subtree first. `visit` gets
 /// each node with the context its parent handed down (`c0` for the root)
-/// and returns the contexts of its `K` children.
+/// and pushes its child links, each with its child's context; the walk
+/// follows them as soon as `visit` returns, while the node is still hot.
 ///
 /// # Safety
 ///
-/// As [`Follow::follow`], for `root` and every link `follow` passes.
-pub(crate) unsafe fn tree<'a, R, N: 'a, C: Copy, const K: usize>(
-    follow: &mut impl Follow<R>,
+/// As [`Follow::follow`], for `root` and every link `visit` pushes.
+pub(crate) unsafe fn tree<R, N, C>(
+    mut follow: impl Follow<R>,
     root: *mut R,
     c0: C,
-    mut visit: impl FnMut(&'a N, C) -> Result<[C; K], String>,
+    mut visit: impl FnMut(*mut N, C, &mut Vec<(*mut R, C)>) -> Walked,
 ) -> Walked {
-    let mut stack: Vec<(*mut N, C)> = vec![(follow.follow(root)?, c0)];
-    while let Some((n, c)) = stack.pop().filter(|&(n, _)| !n.is_null()) {
-        for (i, c) in visit(&*n, c)?.into_iter().enumerate() {
-            let kid: *mut N = follow.follow(n.cast::<R>().wrapping_add(i))?;
-            if !kid.is_null() {
-                stack.push((kid, c));
+    let (mut links, mut nodes) = (vec![(root, c0)], Vec::new());
+    loop {
+        while let Some((slot, c)) = links.pop() {
+            let n: *mut N = follow.follow(slot)?;
+            if !n.is_null() {
+                nodes.push((n, c));
             }
         }
+        let Some((n, c)) = nodes.pop() else {
+            return Ok(());
+        };
+        visit(n, c, &mut links)?;
     }
-    Ok(())
 }
 
 /// The exclusive key bounds a search tree's walk hands down.
@@ -125,8 +131,9 @@ mod tests {
     use pi_core::{FatPtr, OffHolder, PtrRepr};
     use std::mem::{offset_of, size_of};
 
-    /// The walks find a node's links at its start: `next`, or the `K`
-    /// children in order.
+    /// The chain walk finds `next` at a node's start, and trie
+    /// `prefix_scan` a node's children; the tree nodes keep their links
+    /// first too.
     fn links_come_first<R: PtrRepr>() {
         let r = size_of::<R>();
         assert_eq!(offset_of!(ListNode<R, 32>, next), 0);

@@ -201,14 +201,21 @@ impl<R: PtrRepr> WordCount<R> {
 
     /// The one node walk (crate docs, "One read path"): [`walk::tree`]
     /// from the root, every link checked.
-    fn walk<'a, C: Copy>(
+    fn walk<'a, C>(
         &'a self,
         c0: C,
-        visit: impl FnMut(&'a WcNode<R>, C) -> std::result::Result<[C; 2], String>,
+        mut visit: impl FnMut(&'a WcNode<R>, C) -> std::result::Result<[C; 2], String>,
     ) -> Walked {
         // SAFETY: the header lies in the home region (`attach` checked
         // it); the checked resolve vouches for every link it passes.
-        unsafe { walk::tree(&mut Checked, &mut self.header.as_mut().root, c0, visit) }
+        unsafe {
+            let root = &mut self.header.as_mut().root;
+            walk::tree(Checked, root, c0, |n: *mut WcNode<R>, c, links| {
+                let [l, r] = visit(&*n, c)?;
+                links.extend([(&mut (*n).left as *mut R, l), (&mut (*n).right, r)]);
+                Ok(())
+            })
+        }
     }
 
     /// Consistency check: every link points inside an open region, the

@@ -38,7 +38,8 @@
 //! representation — the root fingerprint identifies it — and exits 0
 //! when every decoded index passes `check_invariants`, 1 on any
 //! violation (or when an explicitly named root is absent, or an index
-//! carries another format's tag), 2 on usage/IO trouble.
+//! carries another format's tag), 2 on usage/IO trouble. A rotted link
+//! is such a violation: the verdict names it; the walk never follows it.
 
 use std::fmt::Display;
 use std::process::ExitCode;

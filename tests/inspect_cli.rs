@@ -269,6 +269,30 @@ fn index_refuses_an_art_of_the_previous_format_by_its_tag() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `index` over an ART whose root link rotted to far outside every
+/// region: the walk refuses the link instead of following it, so the
+/// binary exits 1 and its verdict names the link.
+#[test]
+fn index_refuses_a_rotted_root_link() {
+    let dir = tmpdir("rotted-art");
+    let path = dir.join("art.nvr");
+    let region = Region::create_file(&path, 1 << 20).unwrap();
+    let mut art: PArt<OffHolder> =
+        PArt::create_rooted(NodeArena::raw(region.clone()), "idx").unwrap();
+    art.extend(["car", "cart", "carter"]).unwrap();
+    // SAFETY: the header is mapped; its first word is the root link.
+    unsafe { *(art.header_addr() as *mut u64) = 1 << 40 };
+    region.close().unwrap();
+    let out = nvr_inspect(&["index", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let verdict = verdict(&out).unwrap_or_default();
+    assert!(
+        verdict.starts_with("INCONSISTENT") && verdict.contains("link"),
+        "{out:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn a_region_without_room_for_a_bitmap_page_is_refused() {
     // 4 KiB holds the header and both metadata slots but leaves no room

@@ -3,7 +3,7 @@
 //! close/reopen cycles that remap the region at different addresses.
 
 use nvm_pi::pi_core::{FatPtr, FatPtrCached, OffHolder, PtrRepr, Riv};
-use nvm_pi::{NodeArena, PBst, PHashSet, PList, PTrie, Region, WordCount};
+use nvm_pi::{NodeArena, PArt, PBst, PHashSet, PList, PTrie, Region, WordCount};
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
@@ -258,7 +258,8 @@ fn volatile_pointer_control_breaks_at_a_new_base() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The structures a rotted link is planted in.
+/// The structures a rotted link is planted in: off-holder ones, and a
+/// list of each fat representation.
 #[derive(Debug, Clone, Copy)]
 enum Rotted {
     List,
@@ -266,46 +267,95 @@ enum Rotted {
     Trie,
     HashSet,
     WordCount,
+    Art,
+    FatList,
+    FatCachedList,
+}
+
+/// The target of the link at `slot`.
+///
+/// # Safety
+///
+/// `slot` holds an `R` in an open region.
+unsafe fn target<R: PtrRepr>(slot: usize) -> usize {
+    (*(slot as *const R)).load()
 }
 
 impl Rotted {
-    /// Builds the structure rooted as "s" and returns the address of its
-    /// header's first link (the hash set's: its first bucket).
-    fn build(self, region: &Region) -> usize {
-        let arena = NodeArena::raw(region.clone());
-        match self {
-            Rotted::List => {
-                let mut l: PList<OffHolder, 32> = PList::create_rooted(arena, "s").unwrap();
-                l.extend(0..16).unwrap();
-            }
-            Rotted::Bst => {
-                let mut t: PBst<OffHolder, 32> = PBst::create_rooted(arena, "s").unwrap();
-                t.extend([50, 20, 70, 10, 30, 60, 80]).unwrap();
-            }
-            Rotted::Trie => {
-                let mut t: PTrie<OffHolder, 32> = PTrie::create_rooted(arena, "s").unwrap();
-                t.extend(["ab", "abc", "b", "ca"]).unwrap();
-            }
-            Rotted::HashSet => {
-                let mut s: PHashSet<OffHolder, 32> =
-                    PHashSet::create_rooted(arena, 4, "s").unwrap();
-                s.extend(0..64).unwrap();
-                // The header's first word is the bucket array's offset.
-                // SAFETY: the header is live and the region open.
-                let buckets = unsafe { *(s.header_addr() as *const u64) };
-                return region.base() + buckets as usize;
-            }
-            Rotted::WordCount => {
-                let mut wc: WordCount<OffHolder> = WordCount::create_rooted(arena, "s").unwrap();
-                wc.add_all(["m", "c", "x", "a", "e"]).unwrap();
-            }
-        }
-        region.root("s").unwrap()
+    /// Whether its links are fat pointers, rotted by naming a region that
+    /// is not open.
+    fn fat(self) -> bool {
+        matches!(self, Rotted::FatList | Rotted::FatCachedList)
     }
 
-    fn check(self, region: &Region) -> Result<(), String> {
+    /// Builds the structure rooted as "s" and returns the address of its
+    /// header's first link (the hash set's: its first bucket) and of a
+    /// link inside one of its nodes.
+    fn build(self, region: &Region) -> (usize, usize) {
         let arena = NodeArena::raw(region.clone());
-        match self {
+        let header = |region: &Region| region.root("s").unwrap();
+        // SAFETY (every `target` call): the structure is live, its region
+        // open, and the address read is one of its links. A node of all
+        // but the ART starts with one of its links.
+        unsafe {
+            match self {
+                Rotted::List => {
+                    let mut l: PList<OffHolder, 32> = PList::create_rooted(arena, "s").unwrap();
+                    l.extend(0..16).unwrap();
+                }
+                Rotted::Bst => {
+                    let mut t: PBst<OffHolder, 32> = PBst::create_rooted(arena, "s").unwrap();
+                    t.extend([50, 20, 70, 10, 30, 60, 80]).unwrap();
+                }
+                Rotted::Trie => {
+                    let mut t: PTrie<OffHolder, 32> = PTrie::create_rooted(arena, "s").unwrap();
+                    t.extend(["ab", "abc", "b", "ca"]).unwrap();
+                }
+                Rotted::HashSet => {
+                    let mut s: PHashSet<OffHolder, 32> =
+                        PHashSet::create_rooted(arena, 4, "s").unwrap();
+                    s.extend(0..64).unwrap();
+                    // The header's first word is the bucket array's offset.
+                    let bucket = region.base() + *(s.header_addr() as *const usize);
+                    return (bucket, target::<OffHolder>(bucket));
+                }
+                Rotted::WordCount => {
+                    let mut wc: WordCount<OffHolder> =
+                        WordCount::create_rooted(arena, "s").unwrap();
+                    wc.add_all(["m", "c", "x", "a", "e"]).unwrap();
+                }
+                Rotted::Art => {
+                    let mut t: PArt<OffHolder> = PArt::create_rooted(arena, "s").unwrap();
+                    t.extend(["apple", "apply", "banana", "cherry"]).unwrap();
+                    // The root is a Node4 (112 bytes); its child links are
+                    // the words in it that point at another node.
+                    let blocks = t.blocks();
+                    let kid = (blocks[1]..blocks[1] + 112)
+                        .step_by(8)
+                        .find(|&w| blocks[2..].contains(&target::<OffHolder>(w)))
+                        .expect("a child link in the root node");
+                    return (blocks[0], kid);
+                }
+                Rotted::FatList => {
+                    let mut l: PList<FatPtr, 32> = PList::create_rooted(arena, "s").unwrap();
+                    l.extend(0..16).unwrap();
+                    return (header(region), target::<FatPtr>(header(region)));
+                }
+                Rotted::FatCachedList => {
+                    let mut l: PList<FatPtrCached, 32> = PList::create_rooted(arena, "s").unwrap();
+                    l.extend(0..16).unwrap();
+                    return (header(region), target::<FatPtrCached>(header(region)));
+                }
+            }
+            (header(region), target::<OffHolder>(header(region)))
+        }
+    }
+
+    /// `check_invariants` after an attach, and for the ART also the
+    /// verdict of `inspect_index` (`nvr_inspect index`).
+    fn check(self, region: &Region) -> Vec<Result<(), String>> {
+        let arena = NodeArena::raw(region.clone());
+        vec![match self {
             Rotted::List => PList::<OffHolder, 32>::attach(arena, "s")
                 .unwrap()
                 .check_invariants(),
@@ -321,13 +371,29 @@ impl Rotted {
             Rotted::WordCount => WordCount::<OffHolder>::attach(arena, "s")
                 .unwrap()
                 .check_invariants(),
-        }
+            Rotted::Art => {
+                let report = nvm_pi::pds::inspect_index(region, "s").unwrap();
+                let inspected = report.problem.map_or(Ok(()), Err);
+                let checked = PArt::<OffHolder>::attach(arena, "s")
+                    .unwrap()
+                    .check_invariants();
+                return vec![checked, inspected];
+            }
+            Rotted::FatList => PList::<FatPtr, 32>::attach(arena, "s")
+                .unwrap()
+                .check_invariants(),
+            Rotted::FatCachedList => PList::<FatPtrCached, 32>::attach(arena, "s")
+                .unwrap()
+                .check_invariants(),
+        }]
     }
 }
 
-/// A rotted link — one far outside every region, or one into its region
-/// but past the committed end — in a structure's header or inside it is
-/// an `Err` from `check_invariants` after a remapped reopen, not a fault.
+/// A rotted link — one far outside every region, one into its region but
+/// past the committed end, or a fat link naming a region that is not
+/// open — in a structure's header or inside it is an `Err` naming the
+/// link from `check_invariants` (and from `inspect_index` for the ART)
+/// after a remapped reopen, not a fault or a panic.
 #[test]
 fn check_invariants_refuses_rotted_links_after_reopen() {
     let path = tmp("rotted.nvr");
@@ -337,33 +403,41 @@ fn check_invariants_refuses_rotted_links_after_reopen() {
         Rotted::Trie,
         Rotted::HashSet,
         Rotted::WordCount,
+        Rotted::Art,
+        Rotted::FatList,
+        Rotted::FatCachedList,
     ] {
         for interior in [false, true] {
-            for far in [true, false] {
+            // A fat link rots one way: to region ID 4000, which no region
+            // of this test has.
+            for far in [true, false]
+                .into_iter()
+                .take(if kind.fat() { 1 } else { 2 })
+            {
                 let ctx = format!("{kind:?}, interior {interior}, far {far}");
                 let region = Region::create_file_with_capacity(&path, 1 << 20, 4 << 20).unwrap();
-                let mut slot = kind.build(&region) as *mut OffHolder;
-                // SAFETY: `slot` is a link of the live structure; each
-                // node's first field is one of its links.
+                let (head, inside) = kind.build(&region);
+                let slot = if interior { inside } else { head };
+                assert_ne!(slot, 0, "[{ctx}] an interior node");
+                // SAFETY: `slot` is a link of the live structure.
                 unsafe {
-                    if interior {
-                        slot = (*slot).load() as *mut OffHolder;
-                        assert!(!slot.is_null(), "[{ctx}] an interior node");
-                    }
-                    if far {
+                    if kind.fat() {
+                        *(slot as *mut u32) = 4000;
+                    } else if far {
                         *(slot as *mut u64) = 1 << 40;
                     } else {
-                        (*slot).store(region.base() + region.size() + 4096);
+                        (*(slot as *mut OffHolder)).store(region.base() + region.size() + 4096);
                     }
                 }
                 let base = region.base();
                 region.close().unwrap();
                 let region = reopen_elsewhere(&path, base);
-                let checked = kind.check(&region);
-                assert!(
-                    matches!(&checked, Err(e) if e.contains("link")),
-                    "[{ctx}] a rotted link: {checked:?}"
-                );
+                for checked in kind.check(&region) {
+                    assert!(
+                        matches!(&checked, Err(e) if e.contains("link")),
+                        "[{ctx}] a rotted link: {checked:?}"
+                    );
+                }
                 region.close().unwrap();
             }
         }

@@ -521,51 +521,61 @@ fn lru_pressure_evicts_and_remaps_cold_tenants() {
 #[test]
 fn tenant_failing_invariants_is_refused_not_served() {
     let _g = M.lock();
-    let cell = M.cell("bad-tenant");
-    let mut cfg = test_config(&cell);
-    cfg.shards = 1;
-    let tenants = vec![
-        TenantSpec::new(0, ReprKind::OffHolder),
-        TenantSpec::new(1, ReprKind::Riv),
-    ];
-    let server = Server::start(cfg, tenants, ServerFaultPlan::none()).unwrap();
-    let client = server.client();
-    for t in 0..2u32 {
-        for k in 0..4u64 {
-            assert_eq!(client.put(t, k).status, Status::Ok);
+    // Two damages to the tenant's ART header after an evict: its key
+    // count, and its root link rotted far outside every region.
+    for (label, rot_root) in [("bad-tenant", false), ("bad-tenant-root", true)] {
+        let cell = M.cell(label);
+        let mut cfg = test_config(&cell);
+        cfg.shards = 1;
+        let tenants = vec![
+            TenantSpec::new(0, ReprKind::OffHolder),
+            TenantSpec::new(1, ReprKind::Riv),
+        ];
+        let server = Server::start(cfg, tenants, ServerFaultPlan::none()).unwrap();
+        let client = server.client();
+        for t in 0..2u32 {
+            for k in 0..4u64 {
+                assert_eq!(client.put(t, k).status, Status::Ok);
+            }
         }
-    }
-    assert_eq!(client.evict(0).status, Status::Ok);
-    {
-        let region = Region::open_file(cell.path("tenant-0.nvr")).unwrap();
-        let header = region.root("srv.idx").expect("the tenant's key set root");
-        // SAFETY: the root is the ART header; after the 8-byte off-holder
-        // root slot, `keys` is its second word.
-        unsafe { *((header + 8) as *mut u64) += 1 };
-        region.close().unwrap();
-    }
-    let r = client.get(0, 1);
-    assert_eq!(
-        r.status,
-        Status::Failed,
-        "[{}] a tenant that failed its invariants must not be served: {r:?}",
-        M.tag()
-    );
-    assert_eq!(client.put(0, 9).status, Status::Failed);
-    let g = client.get(1, 1);
-    assert_eq!(
-        (g.status, g.found),
-        (Status::Ok, Some(true)),
-        "the neighbour tenant keeps serving: {g:?}"
-    );
+        assert_eq!(client.evict(0).status, Status::Ok);
+        {
+            let region = Region::open_file(cell.path("tenant-0.nvr")).unwrap();
+            let header = region.root("srv.idx").expect("the tenant's key set root") as *mut u64;
+            // SAFETY: the root is the mapped ART header: the 8-byte
+            // off-holder root slot, then `keys`.
+            unsafe {
+                if rot_root {
+                    *header = 1 << 40;
+                } else {
+                    *header.add(1) += 1;
+                }
+            }
+            region.close().unwrap();
+        }
+        let r = client.get(0, 1);
+        assert_eq!(
+            r.status,
+            Status::Failed,
+            "[{} {label}] a tenant that failed its invariants must not be served: {r:?}",
+            M.tag()
+        );
+        assert_eq!(client.put(0, 9).status, Status::Failed);
+        let g = client.get(1, 1);
+        assert_eq!(
+            (g.status, g.found),
+            (Status::Ok, Some(true)),
+            "[{label}] the neighbour tenant keeps serving: {g:?}"
+        );
 
-    let report = server.shutdown();
-    let bad = report.tenant(0).unwrap();
-    assert!(bad.snapshot.invariant_failures >= 1, "{:?}", bad.snapshot);
-    assert!(bad.keys.is_empty(), "a failed tenant reports no keys");
-    let good = report.tenant(1).unwrap();
-    assert_eq!(good.snapshot.invariant_failures, 0);
-    assert_eq!(sorted(&good.keys), vec![0, 1, 2, 3]);
+        let report = server.shutdown();
+        let bad = report.tenant(0).unwrap();
+        assert!(bad.snapshot.invariant_failures >= 1, "{:?}", bad.snapshot);
+        assert!(bad.keys.is_empty(), "a failed tenant reports no keys");
+        let good = report.tenant(1).unwrap();
+        assert_eq!(good.snapshot.invariant_failures, 0);
+        assert_eq!(sorted(&good.keys), vec![0, 1, 2, 3]);
+    }
 }
 
 // -- the full chaos sweep -----------------------------------------------------
