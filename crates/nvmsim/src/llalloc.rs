@@ -4,7 +4,8 @@
 //! It follows the design of LLFree ("Understanding and Optimizing
 //! Persistent Memory Allocation", see PAPERS.md): all *persistent* state
 //! is a set of atomic bitmap words, and all *volatile* state lives in
-//! DRAM, rebuilt by a bounded scan — no undo log, no recovery ambiguity.
+//! DRAM, rebuilt from the bitmaps page by page after one bounded scan — no
+//! undo log, no recovery ambiguity.
 //!
 //! # Lower level (on media)
 //!
@@ -26,7 +27,9 @@
 //! bit per block. Bytes 24–63 are padding (an older image keeps stale
 //! words there, sealed by the page CRC). Each subtree's volatile words,
 //! `owner` (a reservation) and `taken`, live in DRAM on a line of their
-//! own, allocated as its page is chained or walked.
+//! own, allocated page by page: when a page is chained, or, for a page
+//! an open walked, at the first claim, free, commit, undo or reservation
+//! that reaches it (see "Recovery").
 //!
 //! A block above [`MAX_CLASS_SIZE`] is a descriptor of its own: class
 //! [`LARGE`], capacity 1, and a whole-granule span whose length `meta`
@@ -98,12 +101,27 @@
 //! # Recovery
 //!
 //! Opening an image walks the page chain once (bounded by the region
-//! size), validates every descriptor, and fills the volatile page table,
-//! the granule map used to route frees, and each subtree's DRAM words:
-//! `taken` equal to the bitmap, no `owner`. The walk only reads the
-//! bitmap pages, so no open, clean or after a crash, stores into one.
-//! Structural damage fails the open; salvage opens such an image with an
-//! empty, frozen state whose allocations answer out-of-memory.
+//! size) and validates every descriptor, refusing overlapping spans
+//! through a one-bit-per-granule bitset. It builds nothing else: it
+//! records each page's offset and the granules its spans cover, and the
+//! subtree count. A walked page is **filled** once, at its first use:
+//! its DRAM words (`taken` equal to the bitmap, no `owner`) and its
+//! spans' entries in the granule map that routes frees. Nothing changes
+//! a bit of a page before its fill, so `taken` starts from what the open
+//! saw. A granule the map does not route yet falls to a cold
+//! path that fills every page whose spans cover it, then routes it
+//! again; the hot path stays one load. A reservation scan reads each
+//! descriptor's class on media and fills only the pages of its class's
+//! subtrees. The statistics (`live`, `live_blocks`, `occupancy`) and
+//! `seal` read the bitmaps and fill nothing: a clean open fills no page,
+//! and a crash open's rollback only the pages its allocator entries name.
+//! `Counter::LlallocRecoveryLines` counts the lines the fills write, one
+//! per page and one per walked descriptor.
+//!
+//! Neither the walk nor a fill stores into a bitmap page, so no open,
+//! clean or after a crash, stores into one. Structural damage fails the
+//! open; salvage opens such an image with an empty, frozen state whose
+//! allocations answer out-of-memory.
 //!
 //! # Statistics
 //!
@@ -122,6 +140,7 @@ use crate::metrics::{self, Counter};
 use crate::read_u64;
 use crate::undolog::BlockOp;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -463,7 +482,7 @@ struct Vol {
 }
 
 /// One chained bitmap page: its offset, and the volatile words of its
-/// descriptors, allocated when the page is chained or walked.
+/// descriptors.
 struct Page {
     off: u64,
     vol: Box<[Vol]>,
@@ -478,24 +497,38 @@ impl Page {
     }
 }
 
-/// One subtree: its 64 B on-media descriptor and its volatile words.
-#[derive(Clone, Copy)]
-struct Desc<'a> {
-    addr: usize,
-    vol: &'a Vol,
+/// A bitmap page an open walked, until its first use fills it.
+struct WalkedPage {
+    off: u64,
+    /// Granules the spans of its descriptors cover (empty when it has
+    /// none): where a granule the map does not route yet finds its page.
+    covers: Range<usize>,
 }
 
-impl Desc<'_> {
+/// A word of the mapped region, at absolute address `addr`.
+#[inline]
+fn mapped_u64(addr: usize) -> u64 {
+    // SAFETY: callers pass words of validated pages and published
+    // descriptors inside the mapped region; the pages' headers, `base` and
+    // `meta` are written before they are published.
+    unsafe { *(addr as *const u64) }
+}
+
+/// One subtree's 64 B on-media descriptor. Its volatile words are
+/// [`LlState::subtree`]'s to hand out.
+#[derive(Clone, Copy)]
+struct Desc {
+    addr: usize,
+}
+
+impl Desc {
     #[inline]
     fn base(self) -> u64 {
-        // SAFETY: callers obtain `Desc` only for descriptors inside the
-        // mapped region; base/meta are written once before publication.
-        unsafe { *((self.addr + D_BASE) as *const u64) }
+        mapped_u64(self.addr + D_BASE)
     }
     #[inline]
     fn meta(self) -> u64 {
-        // SAFETY: as `base`.
-        unsafe { *((self.addr + D_META) as *const u64) }
+        mapped_u64(self.addr + D_META)
     }
     #[inline]
     fn class(self) -> usize {
@@ -530,13 +563,39 @@ impl Desc<'_> {
     fn bitmap_addr(self) -> usize {
         self.addr + D_BITMAP
     }
+    /// The granules its span covers.
+    fn granules(self) -> Range<usize> {
+        let end = self.base() + self.capacity() as u64 * self.block_size();
+        (self.base() / GRANULE) as usize..end.div_ceil(GRANULE) as usize
+    }
 }
 
 #[inline]
 fn page_u64(base: usize, page_off: u64, field: usize) -> u64 {
-    // SAFETY: callers pass page offsets validated to lie inside the
-    // mapped region.
-    unsafe { *((base + page_off as usize + field) as *const u64) }
+    mapped_u64(base + page_off as usize + field)
+}
+
+/// Sets bits `bits[g]` for every `g` in `span`, a word at a time; whether
+/// any of them was set already.
+fn claim_bits(bits: &mut [u64], span: Range<usize>) -> bool {
+    let (mut g, mut overlap) = (span.start, false);
+    while g < span.end {
+        let n = (span.end - g).min(64 - g % 64);
+        let mask = (!0u64 >> (64 - n)) << (g % 64);
+        overlap |= bits[g / 64] & mask != 0;
+        bits[g / 64] |= mask;
+        g += n;
+    }
+    overlap
+}
+
+/// `n` zeroed atomics, from zeroed memory rather than written one by one.
+fn zeroed_atomics(n: usize) -> Box<[AtomicU32]> {
+    const _: () = assert!(std::mem::align_of::<AtomicU32>() == std::mem::align_of::<u32>());
+    let zeros = Box::into_raw(vec![0u32; n].into_boxed_slice());
+    // SAFETY: `AtomicU32` has the size and bit validity of `u32` and, as
+    // asserted above, its alignment, so the allocation's layout holds.
+    unsafe { Box::from_raw(zeros as *mut [AtomicU32]) }
 }
 
 #[inline]
@@ -597,17 +656,27 @@ struct FreeEpochs {
 
 /// Volatile per-open-region state of the two-level allocator.
 ///
-/// Everything here is rebuilt by [`LlState::open`]'s bounded scan; the
-/// persistent truth is only the bitmap pages.
+/// Everything here is rebuilt from the bitmap pages, the only persistent
+/// truth: [`LlState::open`] records the chain, and each walked page is
+/// filled at its first use ([`LlState::fill`]).
 pub(crate) struct LlState {
     base: usize,
     instance: u64,
-    /// Bitmap pages in chain order (published, never mutated), each with
-    /// the volatile words of its descriptors.
+    /// Bitmap pages in chain order with their volatile words (published,
+    /// never mutated): a page chained in this session from its chaining,
+    /// a page the open walked from its first use ([`LlState::fill`]).
     pages: Box<[OnceLock<Page>]>,
+    /// The pages the open walked, in chain order; they hold its first
+    /// `opened` subtrees.
+    walked: Box<[WalkedPage]>,
+    opened: u32,
     num_subtrees: AtomicU32,
-    /// Granule map: offset >> 10 -> subtree id + 1 (0 = not bitmap-owned).
-    granules: Box<[AtomicU32]>,
+    /// Granule map: offset >> 10 -> subtree id + 1. 0: not bitmap-owned,
+    /// or owned by a walked page not filled yet. Allocated, zeroed, by the
+    /// first fill or grow ([`LlState::map`]): an open allocates none.
+    granules: OnceLock<Box<[AtomicU32]>>,
+    /// Entries the granule map holds: one per granule of the capacity.
+    map_len: usize,
     next_token: AtomicU64,
     /// Per class: frees since open (low 32 bits are the *free epoch*).
     free_epoch: FreeEpochs,
@@ -634,17 +703,16 @@ impl std::fmt::Debug for LlState {
 
 impl LlState {
     fn new_empty(base: usize, size: usize, instance: u64) -> LlState {
-        let granules = (0..size.div_ceil(GRANULE as usize))
-            .map(|_| AtomicU32::new(0))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         let pages = (0..max_pages(size)).map(|_| OnceLock::new()).collect();
         LlState {
             base,
             instance,
             pages,
+            walked: Box::default(),
+            opened: 0,
             num_subtrees: AtomicU32::new(0),
-            granules,
+            granules: OnceLock::new(),
+            map_len: size.div_ceil(GRANULE as usize),
             next_token: AtomicU64::new(2),
             free_epoch: FreeEpochs {
                 _before: [0; 64],
@@ -692,12 +760,14 @@ impl LlState {
         Ok(st)
     }
 
-    /// Rebuilds the volatile state from a persisted image by one bounded
-    /// scan of the page chain, which it only reads: validates structure,
-    /// fills the page table, the granule map and each subtree's DRAM
-    /// words (`taken` the bitmap, no `owner`). On success the managed
-    /// range is extended to the committed size (`grow` fences the size
-    /// before the end, so a crash between leaves the end short).
+    /// Opens the allocator of a persisted image by one bounded scan of
+    /// the page chain, which it only reads: validates structure, refuses
+    /// overlapping spans, and records each page's offset and the granules
+    /// its spans cover, and the subtree count. Each page's DRAM words and
+    /// granule-map entries wait for its first use ([`LlState::fill`]). On
+    /// success the managed range is extended to the committed size
+    /// (`grow` fences the size before the end, so a crash between leaves
+    /// the end short).
     ///
     /// The bump frontier is *recovered*, not trusted: it is raised to the
     /// end of the furthest page and subtree span the walk saw, so a
@@ -726,36 +796,30 @@ impl LlState {
         instance: u64,
         hdr: &mut AllocHeader,
     ) -> std::result::Result<LlState, String> {
-        let mut st = Self::new_empty(base, size, instance);
         // SAFETY: `committed` bytes are mapped readable from `base`;
         // nothing writes them until the walk has returned.
         let image = std::slice::from_raw_parts(base as *const u8, committed);
-        let (mut pages, mut subtrees, mut frontier) = (0usize, 0u32, 0u64);
+        let (mut walked, mut subtrees, mut frontier) = (Vec::new(), 0u32, 0u64);
+        // One bit per granule of the image: the spans walked so far.
+        let mut claimed = vec![0u64; committed.div_ceil(GRANULE as usize).div_ceil(64)];
         let mut damage = None;
-        // `st` is not shared until it returns: fill its maps through `&mut`.
-        walk_chain(image, hdr.ll_dir(), |walked| match walked {
+        walk_chain(image, hdr.ll_dir(), |item| match item {
             _ if damage.is_some() => {}
             Walked::Issue(issue) => damage = Some(issue),
             Walked::Page { off, .. } => {
-                // In range: the walk allows `max_pages(committed)` pages
-                // and `pages` holds `max_pages(size)`.
-                st.pages[pages] = OnceLock::from(Page::new(off));
-                pages += 1;
+                walked.push(WalkedPage { off, covers: 0..0 });
                 frontier = frontier.max(off + LL_PAGE_SIZE as u64);
             }
             Walked::Subtree(t) => {
-                // Nothing is held or reserved yet: `taken` is the bitmap.
-                let page = st.pages[pages - 1].get_mut().expect("walked first");
-                let word = t.page_off as usize + DESC_SIZE * (t.slot + 1) + D_BITMAP;
-                *page.vol[t.slot].taken.get_mut() = read_u64(image, word);
-                // Claim the span in the granule map, refusing overlap.
+                let page = walked.last_mut().expect("walked first");
+                let span = (t.base / GRANULE) as usize..t.end().div_ceil(GRANULE) as usize;
+                page.covers = match t.slot {
+                    0 => span.clone(),
+                    _ => page.covers.start.min(span.start)..page.covers.end.max(span.end),
+                };
                 frontier = frontier.max(t.end());
-                let g0 = (t.base / GRANULE) as usize;
-                let g1 = t.end().div_ceil(GRANULE) as usize;
-                for g in &mut st.granules[g0..g1] {
-                    if std::mem::replace(g.get_mut(), subtrees + 1) != 0 {
-                        damage = Some(format!("subtree {subtrees}: span overlaps another subtree"));
-                    }
+                if claim_bits(&mut claimed, span) {
+                    damage = Some(format!("subtree {subtrees}: span overlaps another subtree"));
                 }
                 subtrees += 1;
             }
@@ -765,8 +829,11 @@ impl LlState {
         }
         hdr.extend(committed as u64);
         hdr.raise_bump(frontier);
-        let lines = pages as u64 + subtrees as u64;
-        metrics::add(Counter::LlallocRecoveryLines, lines);
+        let mut st = Self::new_empty(base, size, instance);
+        // In range: the walk allows `max_pages(committed)` pages and
+        // `pages` holds `max_pages(size)`.
+        st.walked = walked.into_boxed_slice();
+        st.opened = subtrees;
         st.num_subtrees.store(subtrees, Ordering::Release);
         Ok(st)
     }
@@ -776,22 +843,96 @@ impl LlState {
         self.num_subtrees.load(Ordering::Acquire)
     }
 
+    /// The offset of chained page `idx`; `None` past the chain.
     #[inline]
-    fn desc(&self, id: u32) -> Desc<'_> {
-        let page = self.pages[id as usize / SUBTREES_PER_PAGE]
-            .get()
-            .expect("a published subtree's page is chained");
-        let slot = id as usize % SUBTREES_PER_PAGE;
-        Desc {
-            addr: self.base + page.off as usize + DESC_SIZE + slot * DESC_SIZE,
-            vol: &page.vol[slot],
+    fn page_off(&self, idx: usize) -> Option<u64> {
+        match self.walked.get(idx) {
+            Some(page) => Some(page.off),
+            None => self.pages.get(idx)?.get().map(|page| page.off),
         }
     }
 
-    /// The subtree whose span holds `off`, by the granule map.
+    /// Subtree `id`'s descriptor on media: all a read needs, so its page
+    /// is not filled.
+    #[inline]
+    fn desc(&self, id: u32) -> Desc {
+        let off = self.page_off(id as usize / SUBTREES_PER_PAGE);
+        self.desc_at(off.expect("a published subtree's page is chained"), id)
+    }
+
+    /// Subtree `id`'s descriptor, on the page at `page_off`.
+    #[inline]
+    fn desc_at(&self, page_off: u64, id: u32) -> Desc {
+        let slot = id as usize % SUBTREES_PER_PAGE;
+        Desc {
+            addr: self.base + page_off as usize + DESC_SIZE * (slot + 1),
+        }
+    }
+
+    /// Page `idx` with its volatile words, filled first if this is the
+    /// first use of a page the open walked.
+    #[inline]
+    fn page(&self, idx: usize) -> &Page {
+        self.pages[idx].get_or_init(|| self.fill(idx))
+    }
+
+    /// Subtree `id`'s descriptor and volatile words (see [`LlState::page`]).
+    #[inline]
+    fn subtree(&self, id: u32) -> (Desc, &Vol) {
+        let page = self.page(id as usize / SUBTREES_PER_PAGE);
+        let vol = &page.vol[id as usize % SUBTREES_PER_PAGE];
+        (self.desc_at(page.off, id), vol)
+    }
+
+    /// The first use of walked page `idx`: its volatile words, `taken` the
+    /// bitmap and no `owner` (nothing has claimed, freed or held a block
+    /// of the page before), and its spans' granule-map entries, published
+    /// before the words are (a thread that routes through an entry waits
+    /// for them in `get_or_init`).
+    #[cold]
+    fn fill(&self, idx: usize) -> Page {
+        let mut page = Page::new(self.walked[idx].off);
+        let first = idx * SUBTREES_PER_PAGE;
+        let held = (self.opened as usize - first).min(SUBTREES_PER_PAGE);
+        for (slot, v) in page.vol[..held].iter_mut().enumerate() {
+            let id = (first + slot) as u32;
+            let d = self.desc_at(page.off, id);
+            *v.taken.get_mut() = d.bitmap().load(Ordering::Acquire);
+            for g in &self.map()[d.granules()] {
+                g.store(id + 1, Ordering::Release);
+            }
+        }
+        metrics::add(Counter::LlallocRecoveryLines, 1 + held as u64);
+        page
+    }
+
+    /// The granule map, allocated at its first use.
+    fn map(&self) -> &[AtomicU32] {
+        self.granules.get_or_init(|| zeroed_atomics(self.map_len))
+    }
+
+    /// The subtree whose span holds `off`, by the granule map; an entry
+    /// not routed yet fills the pages that may own it first.
     #[inline]
     fn subtree_of(&self, off: u64) -> Option<u32> {
-        let id = self.granules.get((off / GRANULE) as usize)?;
+        let g = (off / GRANULE) as usize;
+        let entry = self.granules.get().and_then(|map| map.get(g));
+        match entry.map_or(0, |id| id.load(Ordering::Acquire)) {
+            0 => self.route_cold(g),
+            id => Some(id - 1),
+        }
+    }
+
+    /// Granule `g` has no entry: fills every walked page whose spans
+    /// cover it, then reads the entry again (still 0: not bitmap-owned).
+    #[cold]
+    fn route_cold(&self, g: usize) -> Option<u32> {
+        for (idx, page) in self.walked.iter().enumerate() {
+            if page.covers.contains(&g) {
+                self.page(idx);
+            }
+        }
+        let id = self.granules.get()?.get(g)?;
         id.load(Ordering::Acquire).checked_sub(1)
     }
 
@@ -821,7 +962,7 @@ impl LlState {
             }
             if let Some(id) = reserved {
                 // Reserved subtree is full: release the reservation.
-                let _ = self.desc(id).vol.owner.compare_exchange(
+                let _ = self.subtree(id).1.owner.compare_exchange(
                     s.tokens[class],
                     0,
                     Ordering::AcqRel,
@@ -863,7 +1004,7 @@ impl LlState {
     /// [`LlState::alloc`] does for the lowest free bit. `false` when
     /// `off` starts no such block or the block is taken.
     pub(crate) fn alloc_at(&self, off: u64, class: usize, block_size: u64) -> bool {
-        let Some((id, d, b)) = self.locate(off, class) else {
+        let Some((id, d, _, b)) = self.locate(off, class) else {
             return false;
         };
         d.block_size() == block_size && self.alloc_in(id, Some(b.trailing_zeros()), true).is_some()
@@ -875,9 +1016,9 @@ impl LlState {
     /// block out). `None` when no such bit is free.
     #[inline]
     fn alloc_in(&self, id: u32, bit: Option<u32>, plain: bool) -> Option<u64> {
-        let d = self.desc(id);
+        let (d, vol) = self.subtree(id);
         let mask = d.mask();
-        let mut cur = d.vol.taken.load(Ordering::Acquire);
+        let mut cur = vol.taken.load(Ordering::Acquire);
         loop {
             let avail = !cur & mask;
             let bit = match bit {
@@ -888,7 +1029,7 @@ impl LlState {
             // Acquire pairs with `give_back`'s Release: a claim that
             // finds a bit clear also finds the block's bitmap bit clear.
             // No other word is read, so nothing needs SeqCst.
-            match d.vol.taken.compare_exchange_weak(
+            match vol.taken.compare_exchange_weak(
                 cur,
                 cur | 1 << bit,
                 Ordering::AcqRel,
@@ -896,7 +1037,7 @@ impl LlState {
             ) {
                 Ok(_) => {
                     if plain {
-                        Self::set_bit(d, 1 << bit);
+                        Self::set_bit(d, vol, 1 << bit);
                     }
                     return Some(d.base() + bit as u64 * d.block_size());
                 }
@@ -912,7 +1053,9 @@ impl LlState {
     /// for this thread (owner CAS). Crowded subtrees are stolen from
     /// their reserving thread when nothing unreserved remains. Subtrees
     /// the class's dry stamp covers are not looked at; a scan that sees
-    /// no free block at all extends the stamp to the current count.
+    /// no free block at all extends the stamp to the current count. A
+    /// subtree of another class is read on media, so its page is not
+    /// filled.
     fn reserve(&self, class: usize, plain: bool) -> Reserve {
         let n = self.count();
         // Acquire pairs with `give_back`'s Release bump: a scan that
@@ -936,18 +1079,21 @@ impl LlState {
         for steal in [false, true] {
             for i in 0..span {
                 let id = first + (start + i) % span;
-                let d = self.desc(id);
                 #[cfg(test)]
                 self.visits.fetch_add(1, Ordering::Relaxed);
-                if d.class() != class || !d.vol.taken.load(Ordering::Relaxed) & d.mask() == 0 {
+                if self.desc(id).class() != class {
+                    continue;
+                }
+                let (d, vol) = self.subtree(id);
+                if !vol.taken.load(Ordering::Relaxed) & d.mask() == 0 {
                     continue;
                 }
                 saw_free = true;
-                let cur = d.vol.owner.load(Ordering::Relaxed);
+                let cur = vol.owner.load(Ordering::Relaxed);
                 if (cur != 0) != steal {
                     continue;
                 }
-                if d.vol
+                if vol
                     .owner
                     .compare_exchange(cur, token, Ordering::AcqRel, Ordering::Relaxed)
                     .is_err()
@@ -975,8 +1121,7 @@ impl LlState {
                 // No TLS (thread teardown): allocate directly and leave
                 // the subtree unreserved for others.
                 let got = self.alloc_in(id, None, plain);
-                let _ = d
-                    .vol
+                let _ = vol
                     .owner
                     .compare_exchange(token, 0, Ordering::AcqRel, Ordering::Relaxed);
                 if let Some(off) = got {
@@ -993,12 +1138,13 @@ impl LlState {
         Reserve::Exhausted
     }
 
-    /// The subtree, descriptor and bit mask of the `class` block that
-    /// starts at `off`; `None` when no published span holds `off`, the
-    /// span serves another class, or `off` is not a block boundary.
-    fn locate(&self, off: u64, class: usize) -> Option<(u32, Desc<'_>, u64)> {
+    /// The subtree, its descriptor and volatile words, and the bit mask of
+    /// the `class` block that starts at `off`; `None` when no published
+    /// span holds `off`, the span serves another class, or `off` is not a
+    /// block boundary.
+    fn locate(&self, off: u64, class: usize) -> Option<(u32, Desc, &Vol, u64)> {
         let id = self.subtree_of(off)?;
-        let d = self.desc(id);
+        let (d, vol) = self.subtree(id);
         if d.class() != class {
             return None;
         }
@@ -1012,7 +1158,7 @@ impl LlState {
             _ => (delta * DIV_CLASS[class]) >> 32,
         };
         let found = bit * d.block_size() == delta && bit < d.capacity() as u64;
-        found.then_some((id, d, 1 << bit))
+        found.then_some((id, d, vol, 1 << bit))
     }
 
     /// Routes a free of a `class` block back into its bitmap. `false`,
@@ -1021,7 +1167,7 @@ impl LlState {
     /// `off` is not a block boundary, or the block's bit is already clear
     /// (a double free — the bit is the one record of liveness).
     pub(crate) fn free_block(&self, off: u64, class: usize) -> bool {
-        let Some((id, d, b)) = self.locate(off, class) else {
+        let Some((id, d, vol, b)) = self.locate(off, class) else {
             return false;
         };
         let prev = d.bitmap().fetch_and(!b, Ordering::AcqRel);
@@ -1032,15 +1178,15 @@ impl LlState {
         // before the application can durably reuse or republish the
         // space.
         persist_word(d.bitmap_addr());
-        self.give_back(id, d, b, class);
+        self.give_back(id, vol, b, class);
         true
     }
 
     /// Makes block `b` of subtree `id`, whose bit is clear, servable
     /// again: its `taken` bit, the class's free epoch, and this thread's
     /// spares.
-    fn give_back(&self, id: u32, d: Desc<'_>, b: u64, class: usize) {
-        d.vol.taken.fetch_and(!b, Ordering::Release);
+    fn give_back(&self, id: u32, vol: &Vol, b: u64, class: usize) {
+        vol.taken.fetch_and(!b, Ordering::Release);
         // After `taken`, so a scan that sees the new epoch sees the block.
         self.free_epoch.epochs[class].fetch_add(1, Ordering::Release);
         if class < NUM_CLASSES {
@@ -1050,10 +1196,10 @@ impl LlState {
 
     /// Sets block `b`'s bit, tracked and flushed, not fenced. The block
     /// must be taken: that is what keeps every other claim off it.
-    fn set_bit(d: Desc<'_>, b: u64) {
+    fn set_bit(d: Desc, vol: &Vol, b: u64) {
         d.bitmap().fetch_or(b, Ordering::AcqRel);
         debug_assert_ne!(
-            d.vol.taken.load(Ordering::Relaxed) & b,
+            vol.taken.load(Ordering::Relaxed) & b,
             0,
             "a bitmap bit set without its taken bit"
         );
@@ -1065,7 +1211,7 @@ impl LlState {
     /// keeps its bit, and with it its `taken` bit, until the commit.
     pub(crate) fn is_allocated(&self, off: u64, class: usize) -> bool {
         self.locate(off, class)
-            .is_some_and(|(_, d, b)| d.bitmap().load(Ordering::Acquire) & b != 0)
+            .is_some_and(|(_, d, _, b)| d.bitmap().load(Ordering::Acquire) & b != 0)
     }
 
     /// The commit-time bit transition of a held block: set for `Alloc`,
@@ -1073,12 +1219,12 @@ impl LlState {
     /// transaction's commit fence orders it. Only the block's holder
     /// changes its bit, so neither transition waits for anyone.
     pub(crate) fn persist_held(&self, off: u64, class: usize, op: BlockOp) {
-        let Some((_, d, b)) = self.locate(off, class) else {
+        let Some((_, d, vol, b)) = self.locate(off, class) else {
             debug_assert!(false, "no {class} block at {off:#x}");
             return;
         };
         match op {
-            BlockOp::Alloc => Self::set_bit(d, b),
+            BlockOp::Alloc => Self::set_bit(d, vol, b),
             BlockOp::Free => {
                 let prev = d.bitmap().fetch_and(!b, Ordering::AcqRel);
                 debug_assert_ne!(prev & b, 0, "a held free of {off:#x} found its bit clear");
@@ -1093,9 +1239,9 @@ impl LlState {
     /// clear — a committed free, a rolled-back allocation — is given
     /// back; one whose bit is set stays allocated.
     pub(crate) fn end_hold(&self, off: u64, class: usize) {
-        if let Some((id, d, b)) = self.locate(off, class) {
+        if let Some((id, d, vol, b)) = self.locate(off, class) {
             if d.bitmap().load(Ordering::Acquire) & b == 0 {
-                self.give_back(id, d, b, class);
+                self.give_back(id, vol, b, class);
             }
         }
     }
@@ -1109,7 +1255,7 @@ impl LlState {
     /// allocates, so no claim races it.) The hold ends at
     /// [`LlState::end_hold`], after the rollback's truncate.
     pub(crate) fn undo(&self, off: u64, class: usize, op: BlockOp) {
-        let Some((_, d, b)) = self.locate(off, class) else {
+        let Some((_, d, vol, b)) = self.locate(off, class) else {
             return;
         };
         let set = d.bitmap().load(Ordering::Acquire) & b != 0;
@@ -1119,8 +1265,8 @@ impl LlState {
                 flush_word(d.bitmap_addr());
             }
             BlockOp::Free if !set => {
-                d.vol.taken.fetch_or(b, Ordering::AcqRel);
-                Self::set_bit(d, b);
+                vol.taken.fetch_or(b, Ordering::AcqRel);
+                Self::set_bit(d, vol, b);
             }
             _ => {}
         }
@@ -1204,14 +1350,14 @@ impl LlState {
         if page_idx >= self.pages.len() {
             return Err(oom(LL_PAGE_SIZE as u64));
         }
-        if self.pages[page_idx].get().is_none() {
+        if self.page_off(page_idx).is_none() {
             // Every chained page is full: chain a fresh one before
             // placing the descriptor. A chain that already ends in an
             // empty page (a crash between the link below and that page's
             // first descriptor) reuses it instead of relinking past it.
             let off = self.format_page(hdr, page_idx)?;
             if page_idx > 0 {
-                let prev = self.pages[page_idx - 1].get().expect("full").off;
+                let prev = self.page_off(page_idx - 1).expect("full");
                 page_u64_write(self.base, prev, PAGE_NEXT, off);
                 let next_addr = self.base + prev as usize + PAGE_NEXT;
                 latency::persist(next_addr, 8);
@@ -1220,7 +1366,7 @@ impl LlState {
             }
             latency::wbarrier();
         }
-        let page_off = self.pages[page_idx].get().expect("chained").off;
+        let page_off = self.page_off(page_idx).expect("chained");
 
         // Carve the span: up to `max_blocks` blocks, clipped to what
         // remains.
@@ -1240,7 +1386,7 @@ impl LlState {
         // fences loses at most this span, never a block; one that keeps
         // the count but tears away the frontier leaves a descriptor whose
         // frontier `open` re-derives.
-        let d = self.desc(n);
+        let (d, vol) = self.subtree(n);
         let daddr = d.addr as *mut u64;
         daddr.add(D_BASE / 8).write(b);
         daddr
@@ -1248,7 +1394,7 @@ impl LlState {
             .write(pack_meta(class, cap, block_size));
         let padding = !block_mask(cap as u32);
         d.bitmap().store(padding, Ordering::Relaxed);
-        d.vol.taken.store(padding, Ordering::Relaxed);
+        vol.taken.store(padding, Ordering::Relaxed);
         latency::persist(d.addr, DESC_SIZE);
         latency::wbarrier();
         page_u64_write(self.base, page_off, PAGE_COUNT, slot as u64 + 1);
@@ -1261,8 +1407,8 @@ impl LlState {
         // so a scan that sees the new id also sees its descriptor.
         let g0 = (b / GRANULE) as usize;
         let g1 = ((b + span) as usize).div_ceil(GRANULE as usize);
-        for g in g0..g1 {
-            self.granules[g].store(n + 1, Ordering::Release);
+        for g in &self.map()[g0..g1] {
+            g.store(n + 1, Ordering::Release);
         }
         self.num_subtrees.store(n + 1, Ordering::Release);
         metrics::incr(Counter::LlallocSubtreesCreated);
@@ -1342,7 +1488,7 @@ impl LlState {
     ///
     /// The region must be mapped and quiescent.
     pub(crate) unsafe fn seal(&self) {
-        for &Page { off, .. } in self.pages.iter().map_while(OnceLock::get) {
+        for off in (0..).map_while(|idx| self.page_off(idx)) {
             let seq = page_u64(self.base, off, PAGE_SEQ) + 1;
             page_u64_write(self.base, off, PAGE_SEQ, seq);
             let bytes =
@@ -1430,12 +1576,12 @@ mod tests {
         ll.alloc_at(off, class, CLASS_SIZES[class] as u64)
     }
 
-    /// Whether every subtree's `taken` word equals its bitmap: what the
-    /// open starts from.
+    /// Whether every subtree's `taken` word equals its bitmap: what a
+    /// page's fill starts from.
     fn taken_is_bitmap(ll: &LlState) -> bool {
         (0..ll.count()).all(|id| {
-            let d = ll.desc(id);
-            d.vol.taken.load(Ordering::Relaxed) == d.bitmap().load(Ordering::Relaxed)
+            let (d, vol) = ll.subtree(id);
+            vol.taken.load(Ordering::Relaxed) == d.bitmap().load(Ordering::Relaxed)
         })
     }
 
@@ -1594,7 +1740,7 @@ mod tests {
         // only reads.
         let claimed = tx_alloc(&a.ll, c).unwrap();
         let owners = |ll: &LlState| {
-            (0..ll.count()).any(|id| ll.desc(id).vol.owner.load(Ordering::Relaxed) != 0)
+            (0..ll.count()).any(|id| ll.subtree(id).1.owner.load(Ordering::Relaxed) != 0)
         };
         assert!(owners(&a.ll), "a reservation is held");
         let image = a.mem.clone();
@@ -2014,6 +2160,70 @@ mod tests {
         assert!(taken_is_bitmap(&a.ll), "no claim is left");
         assert!(at(&a.ll, held, 64), "served once the hold ends");
         assert!(at(&a.ll, freeing, 64), "served once the free commits");
+    }
+
+    #[test]
+    fn first_claims_and_frees_race_to_fill_one_page() {
+        const THREADS: usize = 4;
+        const FREES: usize = 32;
+        const CLAIMS: usize = 48;
+        let mut a = Arena::new(1 << 18);
+        let c = crate::alloc::class_for(64).unwrap();
+        // Eight subtrees on one page, every other block allocated.
+        let offs: Vec<u64> = (0..8 * BLOCKS_PER_SUBTREE).map(|_| a.alloc(c)).collect();
+        let live: Vec<u64> = offs.iter().copied().step_by(2).collect();
+        for &off in offs.iter().skip(1).step_by(2) {
+            assert!(a.ll.free_block(off, c));
+        }
+        let ll = a.reopen();
+        assert!(ll.pages[0].get().is_none(), "filled at open");
+        let start = std::sync::Barrier::new(THREADS);
+        let (ll, start) = (&ll, &start);
+        let served: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let threads: Vec<_> = live
+                .chunks(FREES)
+                .take(THREADS)
+                .enumerate()
+                .map(|(t, frees)| {
+                    s.spawn(move || {
+                        let free = |i: usize| {
+                            if let Some(&off) = frees.get(i) {
+                                assert!(ll.free_block(off, c), "{off:#x} freed twice");
+                            }
+                        };
+                        start.wait();
+                        let mut got = Vec::new();
+                        for i in 0..CLAIMS {
+                            // Even threads free first, odd ones claim first.
+                            if t % 2 == 0 {
+                                free(i);
+                            }
+                            got.push(plain(ll, c).expect("room without a grow"));
+                            if t % 2 == 1 {
+                                free(i);
+                            }
+                        }
+                        got
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let kept = &live[THREADS * FREES..];
+        let mut served: Vec<u64> = served.concat();
+        served.sort_unstable();
+        served.dedup();
+        assert_eq!(served.len(), THREADS * CLAIMS, "a block served twice");
+        assert!(
+            served.iter().all(|off| !kept.contains(off)),
+            "a live block served"
+        );
+        let mut expect: Vec<u64> = kept.iter().chain(&served).copied().collect();
+        expect.sort_unstable();
+        let mut now: Vec<u64> = ll.live_blocks().iter().map(|&(off, _)| off).collect();
+        now.sort_unstable();
+        assert_eq!(now, expect, "the bitmaps hold what was kept and served");
+        assert!(taken_is_bitmap(ll), "a claim or a free left `taken` behind");
     }
 
     #[test]

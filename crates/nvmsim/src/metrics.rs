@@ -120,7 +120,9 @@ counters! {
     LlallocSubtreeSteals => "llalloc_subtree_steals",
     /// Subtrees carved from the bump frontier (locked slow path).
     LlallocSubtreesCreated => "llalloc_subtrees_created",
-    /// Bitmap-page and descriptor lines visited by recovery/open scans.
+    /// DRAM lines a bitmap page's first use after an open fills: one for
+    /// the page and one per descriptor it held at open (the open itself
+    /// fills none).
     LlallocRecoveryLines => "llalloc_recovery_lines",
     /// Failed link CASes retried by lock-free persistent data structures
     /// (bucket-slot contention in pds-style link-and-persist sets).

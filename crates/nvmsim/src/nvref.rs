@@ -24,6 +24,7 @@ use crate::nvspace::NvSpace;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::mem::{align_of, size_of};
+use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 
 /// Whether `addr` points into an open NVRegion: the runtime check the
@@ -48,12 +49,19 @@ pub(crate) fn set_committed(base: usize, size: Option<usize>) {
     };
 }
 
-/// One past the last committed byte of the open region holding `addr`.
-fn committed_end(addr: usize) -> Option<usize> {
+/// The committed bytes of the open region holding `addr`, from its base.
+/// Growth only raises the end, so a caller may keep the range for as long
+/// as the region stays open and be no more than conservative.
+pub fn committed_range(addr: usize) -> Option<Range<usize>> {
     let space = NvSpace::global();
     space.try_rid_of_addr(addr)?;
     let base = space.base_of_addr(addr);
-    base.checked_add(*COMMITTED.read().get(&base)?)
+    Some(base..base.checked_add(*COMMITTED.read().get(&base)?)?)
+}
+
+/// One past the last committed byte of the open region holding `addr`.
+fn committed_end(addr: usize) -> Option<usize> {
+    committed_range(addr).map(|r| r.end)
 }
 
 /// A volatile pointer statically marked as pointing into persistent

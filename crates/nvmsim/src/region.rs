@@ -190,10 +190,11 @@ impl Reserved {
         Ok(NvRef::mapped(base as *mut RegionHeader, len))
     }
 
-    /// Rebuilds the allocator of the `size` committed bytes, once their
-    /// header (`alloc` its allocator word) is validated, from the bitmap
-    /// pages ([`LlState::open`]); an error names the chain's damage, which
-    /// only salvage opens past.
+    /// Opens the allocator of the `size` committed bytes, once their
+    /// header (`alloc` its allocator word) is validated, by checking the
+    /// bitmap pages' chain ([`LlState::open`]; each page is filled at its
+    /// first use); an error names the chain's damage, which only salvage
+    /// opens past.
     fn open_allocator(
         &self,
         size: usize,

@@ -837,16 +837,17 @@ impl<R: PtrRepr> PArt<R> {
     /// safe on a damaged image.
     fn walk(&self, mut visit: impl FnMut(usize)) -> std::result::Result<ArtStats, String> {
         let (mut stats, mut seen) = (ArtStats::default(), std::collections::HashSet::new());
+        let (follow, mut extent) = (Checked::default(), Checked::default());
         // SAFETY: the header lies in the home region (`attach` checked
         // it); `Checked` vouches for every link, and `node` for the rest.
         unsafe {
             let root = &mut self.header.as_mut().root;
             // A node's context: its byte depth, and its hops below the root.
-            walk::tree(Checked, root, (0, 0), |n: *mut Leaf, at, links| {
+            walk::tree(follow, root, (0, 0), |n: *mut Leaf, at, links| {
                 let addr = n as usize;
                 visit(addr);
                 let checked = match seen.insert(addr) {
-                    true => Self::node(n, at, links, &mut stats),
+                    true => Self::node(n, at, links, &mut stats, &mut extent),
                     false => Err("reached twice (cycle or shared link)".into()),
                 };
                 checked.map_err(|e| format!("node {addr:#x}: {e}"))
@@ -869,6 +870,7 @@ impl<R: PtrRepr> PArt<R> {
         (depth, hops): (usize, usize),
         links: &mut Vec<(*mut R, (usize, usize))>,
         stats: &mut ArtStats,
+        extent: &mut Checked,
     ) -> Walked {
         let (kind, klen) = ((*n).kind, (*n).klen as usize);
         if depth > MAX_KEY + 1 {
@@ -881,7 +883,7 @@ impl<R: PtrRepr> PArt<R> {
             KIND_LEAF => leaf_size(klen),
             _ => node_size::<R>(kind),
         };
-        if !NvRef::new(n.cast::<u8>()).is_some_and(|b| b.fits(size)) {
+        if !extent.fits(n as usize, size, 1) {
             return Err(format!("a {name} of {size} bytes past the committed end"));
         }
         stats.nodes += 1;

@@ -217,7 +217,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
     /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn height(&self) -> usize {
         let mut height = 0;
-        expect_sound(self.walk(Checked, 1, |_, depth| {
+        expect_sound(self.walk(Checked::default(), 1, |_, depth| {
             height = height.max(depth);
             Ok([depth + 1; 2])
         }));
@@ -297,7 +297,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
     /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn blocks(&self) -> Vec<usize> {
         let mut out = vec![self.header.addr()];
-        expect_sound(self.walk(Checked, (), |n, ()| {
+        expect_sound(self.walk(Checked::default(), (), |n, ()| {
             out.push(n as *const BstNode<R, P> as usize);
             Ok([(); 2])
         }));
@@ -308,7 +308,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
     /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn keys_in_order(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        expect_sound(self.walk(Checked, (), |n, ()| {
+        expect_sound(self.walk(Checked::default(), (), |n, ()| {
             out.push(n.key);
             Ok([(); 2])
         }));
@@ -384,7 +384,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
         let len = self.len();
         let mut seen = 0u64;
         // The order check ends any cycle.
-        self.walk(Checked, (None, None), |n, bounds| {
+        self.walk(Checked::default(), (None, None), |n, bounds| {
             if n.payload != fill_payload::<P>(n.key) {
                 return Err(format!("payload corrupt at key {}", n.key));
             }

@@ -304,7 +304,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn blocks(&self) -> Vec<usize> {
         let mut out = vec![self.header.addr(), self.buckets.addr()];
-        expect_sound(self.walk(Checked, |_, n| {
+        expect_sound(self.walk(Checked::default(), |_, n| {
             out.push(n as *const HsNode<R, P> as usize);
             Ok(())
         }));
@@ -315,7 +315,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn keys(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        expect_sound(self.walk(Checked, |_, n| {
+        expect_sound(self.walk(Checked::default(), |_, n| {
             if n.mark == 0 {
                 out.push(n.key);
             }
@@ -386,7 +386,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
         let (len, nbuckets) = (self.len(), self.bucket_count());
         let mut keys = Vec::new();
         // The walk is bounded by `len`.
-        self.walk(Checked, |b, n| {
+        self.walk(Checked::default(), |b, n| {
             let key = n.key;
             if n.mark != 0 {
                 return Err(format!(

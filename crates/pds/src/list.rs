@@ -215,7 +215,7 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
     /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn blocks(&self) -> Vec<usize> {
         let mut out = vec![self.header.addr()];
-        expect_sound(self.walk(Checked, |n| {
+        expect_sound(self.walk(Checked::default(), |n| {
             out.push(n as *const ListNode<R, P> as usize);
             Ok(())
         }));
@@ -226,7 +226,7 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
     /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn keys(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        expect_sound(self.walk(Checked, |n| {
+        expect_sound(self.walk(Checked::default(), |n| {
             out.push(n.key);
             Ok(())
         }));
@@ -293,7 +293,7 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         let len = self.len();
         let mut seen = 0u64;
-        self.walk(Checked, |n| {
+        self.walk(Checked::default(), |n| {
             if seen >= len {
                 return Err(format!("list walk exceeds header len {len} (cycle?)"));
             }

@@ -345,7 +345,7 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn blocks(&self) -> Vec<usize> {
         let mut out = vec![self.header.addr()];
-        expect_sound(self.walk(Checked, None, (), |n, ()| {
+        expect_sound(self.walk(Checked::default(), None, (), |n, ()| {
             out.push(n as *const TrieNode<R, P> as usize);
             Ok([(); ALPHABET])
         }));
@@ -432,7 +432,7 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         let words = self.word_count();
         let (mut visited, mut counted) = (0u64, 0u64);
         // The walk is bounded by `nodes`: one visit more is a cycle.
-        self.walk(Checked, None, (), |n, ()| {
+        self.walk(Checked::default(), None, (), |n, ()| {
             if visited == nodes {
                 return Err(format!("node walk exceeds header count {nodes} (cycle?)"));
             }
@@ -455,7 +455,7 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
     /// Panics on a link [`check_invariants`](Self::check_invariants) refuses.
     pub fn distinct_words(&self) -> u64 {
         let mut n = 0u64;
-        expect_sound(self.walk(Checked, None, (), |node, ()| {
+        expect_sound(self.walk(Checked::default(), None, (), |node, ()| {
             n += (node.count > 0) as u64;
             Ok([(); ALPHABET])
         }));

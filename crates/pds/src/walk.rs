@@ -1,8 +1,10 @@
 //! The one read path (crate docs): the link readers and the two walks.
 
-use nvmsim::NvRef;
+use nvmsim::nvref::committed_range;
 use pi_core::PtrRepr;
 use std::fmt::Debug;
+use std::mem::{align_of, size_of};
+use std::ops::Range;
 
 /// A walk's outcome: `Err` names where it stopped.
 pub(crate) type Walked = Result<(), String>;
@@ -21,21 +23,42 @@ pub(crate) trait Follow<R> {
 
 /// The checked resolve of the whole-structure reads: a link must decode
 /// ([`PtrRepr::try_load`]) and point at a whole node inside an open
-/// region, below its committed end.
-pub(crate) struct Checked;
+/// region, below its committed end. It keeps the committed bytes of the
+/// last region a link led into, so a link that stays inside them costs
+/// two compares; one that leaves them looks its region up.
+#[derive(Default)]
+pub(crate) struct Checked {
+    last: Range<usize>,
+}
+
+impl Checked {
+    /// Whether the `len` bytes at `addr` are `align`ed and lie in an open
+    /// region's committed bytes.
+    pub(crate) fn fits(&mut self, addr: usize, len: usize, align: usize) -> bool {
+        let Some(end) = addr.checked_add(len) else {
+            return false;
+        };
+        if !(self.last.start <= addr && end <= self.last.end) {
+            match committed_range(addr) {
+                Some(committed) => self.last = committed,
+                None => return false,
+            }
+        }
+        end <= self.last.end && addr.is_multiple_of(align)
+    }
+}
 
 impl<R: PtrRepr> Follow<R> for Checked {
     unsafe fn follow<N>(&mut self, slot: *mut R) -> Result<*mut N, String> {
         let addr = (*slot)
             .try_load()
             .ok_or_else(|| format!("the link at {slot:p} names a region that is not open"))?;
-        if addr == 0 {
-            return Ok(std::ptr::null_mut());
+        if addr == 0 || self.fits(addr, size_of::<N>(), align_of::<N>()) {
+            return Ok(addr as *mut N);
         }
-        let node = NvRef::new(addr as *mut N).filter(|n| n.fits(1));
-        node.map(|n| n.as_ptr()).ok_or_else(|| {
-            format!("the link at {slot:p} points to {addr:#x}, outside every open region's committed bytes")
-        })
+        Err(format!(
+            "the link at {slot:p} points to {addr:#x}, outside every open region's committed bytes"
+        ))
     }
 }
 

@@ -206,11 +206,12 @@ impl<R: PtrRepr> WordCount<R> {
         c0: C,
         mut visit: impl FnMut(&'a WcNode<R>, C) -> std::result::Result<[C; 2], String>,
     ) -> Walked {
+        let follow = Checked::default();
         // SAFETY: the header lies in the home region (`attach` checked
         // it); the checked resolve vouches for every link it passes.
         unsafe {
             let root = &mut self.header.as_mut().root;
-            walk::tree(Checked, root, c0, |n: *mut WcNode<R>, c, links| {
+            walk::tree(follow, root, c0, |n: *mut WcNode<R>, c, links| {
                 let [l, r] = visit(&*n, c)?;
                 links.extend([(&mut (*n).left as *mut R, l), (&mut (*n).right, r)]);
                 Ok(())
