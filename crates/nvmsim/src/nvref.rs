@@ -317,7 +317,7 @@ mod tests {
     /// The header of a fresh region, and the offset of its last
     /// committed byte.
     fn region_and_last(size: usize) -> (Region, NvRef<u8>, usize) {
-        let region = Region::create_with_capacity(size, 4 * size).unwrap();
+        let region = Region::create_with_capacity(size, 4 * size, None).unwrap();
         let base = NvRef::new(region.base() as *mut u8).unwrap();
         (region, base, size - 1)
     }

@@ -9,16 +9,19 @@
 //! position independence: every reopen lands the data somewhere new, exactly
 //! like address-space randomization would.
 //!
-//! Regions are created with a *capacity* (virtually reserved, defaulting to
-//! the size) and can grow in place up to it via [`Region::grow`]: new chunks
-//! of the already-acquired run are committed on demand, the embedded
-//! allocator's frontier is extended, and the translation tables never
-//! change — RIV values keep resolving across the growth.
+//! Regions are created — each picking its own region ID — with a
+//! *capacity* (virtually reserved, defaulting to the size;
+//! [`Region::create_with_capacity`] sets it, for an anonymous region or,
+//! given a path, a file-backed one) and can grow in place up to it via
+//! [`Region::grow`]: new chunks of the already-acquired run are committed
+//! on demand, the embedded allocator's frontier is extended, and the
+//! translation tables never change — RIV values keep resolving across the
+//! growth. The header format and the named roots live in `header.rs`.
 
 use crate::alloc::{class_for, AllocHeader, AllocStats};
 use crate::error::{NvError, Result};
 use crate::latency;
-use crate::llalloc::{ClassOccupancy, LlState, GRANULE, LARGE, LL_PAGE_SIZE};
+use crate::llalloc::{ClassOccupancy, LlState, LARGE};
 use crate::mem::{align_up, page_size};
 use crate::nvref::{self, NvRef};
 use crate::nvspace::{ChunkRun, NvSpace};
@@ -29,130 +32,24 @@ use crate::verify::{self, VerifyReport};
 use parking_lot::{Mutex, MutexGuard};
 use std::fs::{File, OpenOptions};
 use std::io::Read;
-use std::mem::offset_of;
 use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Magic number identifying a region image ("NVPIRGN1").
-pub const REGION_MAGIC: u64 = u64::from_le_bytes(*b"NVPIRGN1");
-/// Current on-media format version (v2 added the checksummed A/B
-/// metadata slots between the header and the data area; v3 added the
-/// reserved capacity for in-place growth over a chunk run; v4 dropped the
-/// application tag and the allocator's call counters, which moves every
-/// allocator word after them; v5 dropped the free lists and their live
-/// counters, leaving the allocator `{bump, end, ll_dir}`).
-pub const HEADER_VERSION: u32 = 5;
-/// Maximum number of named roots per region.
-pub const MAX_ROOTS: usize = 16;
-/// Maximum root name length in bytes (NUL-padded storage).
-pub const ROOT_NAME_CAP: usize = 31;
-/// Number of checksummed metadata slots trailing the header (A/B pair).
-pub const META_SLOT_COUNT: usize = 2;
-/// Bytes reserved per metadata slot: the header snapshot plus a sequence
-/// number and a CRC-64, padded for alignment.
-pub const META_SLOT_SIZE: usize = 1024;
+mod header;
 
-const FLAG_DIRTY: u64 = 1;
-
-#[repr(C)]
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RootEntry {
-    pub(crate) name: [u8; ROOT_NAME_CAP + 1],
-    pub(crate) offset: u64,
-    pub(crate) type_tag: u64,
-}
-
-/// On-media region header. Lives at offset 0 of the mapped segment.
-#[repr(C)]
-#[derive(Debug)]
-pub struct RegionHeader {
-    pub(crate) magic: u64,
-    pub(crate) version: u32,
-    pub(crate) rid: u32,
-    pub(crate) size: u64,
-    pub(crate) flags: u64,
-    /// Reserved (virtual) size in bytes: the region may [`Region::grow`]
-    /// in place up to this without remapping. Always a whole number of
-    /// chunks, and at least `size`.
-    pub(crate) capacity: u64,
-    pub(crate) roots: [RootEntry; MAX_ROOTS],
-    pub(crate) alloc: AllocHeader,
-    /// Record of the last injected crash (see [`crate::shadow`]); all
-    /// zeroes until a fault-injected crash image stamps it.
-    pub(crate) fault: FaultStamp,
-}
-
-/// Byte offsets of the on-media fields — the one table every reader that
-/// works on image bytes rather than a mapped header takes them from (the
-/// boot-block check, the corruption walk and salvage in
-/// [`crate::verify`], offline inspection, the corruption tests).
-impl RegionHeader {
-    /// Offset of the magic word.
-    pub const OFF_MAGIC: usize = offset_of!(RegionHeader, magic);
-    /// Offset of the format version (`u32`).
-    pub const OFF_VERSION: usize = offset_of!(RegionHeader, version);
-    /// Offset of the region id (`u32`).
-    pub const OFF_RID: usize = offset_of!(RegionHeader, rid);
-    /// Offset of the size word.
-    pub const OFF_SIZE: usize = offset_of!(RegionHeader, size);
-    /// Offset of the flags word (bit 0 = dirty).
-    pub const OFF_FLAGS: usize = offset_of!(RegionHeader, flags);
-    /// Offset of the reserved-capacity word.
-    pub const OFF_CAPACITY: usize = offset_of!(RegionHeader, capacity);
-    /// Offset of the root directory; everything before it is the boot
-    /// block.
-    pub const OFF_ROOTS: usize = offset_of!(RegionHeader, roots);
-    /// Bytes per root-directory entry.
-    pub const ROOT_ENTRY_SIZE: usize = std::mem::size_of::<RootEntry>();
-    /// Offset of the target offset within a root entry (the name field
-    /// comes first).
-    pub const ROOT_OFF_OFFSET: usize = offset_of!(RootEntry, offset);
-    /// Offset of the type tag within a root entry.
-    pub const ROOT_OFF_TAG: usize = offset_of!(RootEntry, type_tag);
-    /// Offset of the embedded [`AllocHeader`] (which has its own table).
-    pub const OFF_ALLOC: usize = offset_of!(RegionHeader, alloc);
-    /// Offset of the [`FaultStamp`] (the header's last field).
-    pub const OFF_FAULT: usize = offset_of!(RegionHeader, fault);
-}
-
-impl RegionHeader {
-    /// Offset of the first A/B metadata slot (just past the header,
-    /// cache-line aligned). Slot `i` lives at
-    /// `meta_slots_off() + i * META_SLOT_SIZE`.
-    pub fn meta_slots_off() -> u64 {
-        align_up(std::mem::size_of::<RegionHeader>(), 64) as u64
-    }
-
-    /// Offset of the first allocatable byte in a region (past the header
-    /// and the metadata slots).
-    pub fn data_start() -> u64 {
-        Self::meta_slots_off() + (META_SLOT_COUNT * META_SLOT_SIZE) as u64
-    }
-
-    /// Smallest file that can hold a region: the metadata, the first
-    /// bitmap page of the allocator and one granule for it to serve.
-    pub fn min_image_len() -> u64 {
-        Self::data_start().next_multiple_of(GRANULE) + LL_PAGE_SIZE as u64 + GRANULE
-    }
-
-    /// Bytes of the header covered by a metadata-slot snapshot: magic
-    /// through allocator state. The trailing [`FaultStamp`] is diagnostic
-    /// only and deliberately excluded, so this equals
-    /// [`RegionHeader::OFF_FAULT`].
-    pub fn snapshot_len() -> usize {
-        Self::OFF_FAULT
-    }
-}
-
-// A slot must hold the snapshot plus its trailing {seq, crc} pair.
-const _: () = assert!(RegionHeader::OFF_FAULT + 16 <= META_SLOT_SIZE);
+pub(crate) use header::decode_root_name;
+use header::FLAG_DIRTY;
+pub use header::{
+    RegionHeader, HEADER_VERSION, MAX_ROOTS, META_SLOT_COUNT, META_SLOT_SIZE, REGION_MAGIC,
+    ROOT_NAME_CAP,
+};
 
 /// A chunk run reserved for a region being created or opened, given back
 /// (decommitted and released) on drop unless the open completes with
-/// [`Reserved::keep`]. Error paths just return: the guard is dropped after
+/// [`Reserved::publish`]. Error paths just return: the guard is dropped after
 /// the error value is built, so no message can be formatted out of a
 /// header that was already unmapped.
 struct Reserved {
@@ -186,7 +83,7 @@ impl Reserved {
             None => space.commit_range_anon(base, len)?,
         }
         // `len` bytes at `base` are now mapped read/write, and the run is
-        // this guard's alone until `keep`.
+        // this guard's alone until `publish`.
         Ok(NvRef::mapped(base as *mut RegionHeader, len))
     }
 
@@ -200,16 +97,43 @@ impl Reserved {
         size: usize,
         alloc: &mut AllocHeader,
     ) -> std::result::Result<LlState, String> {
-        // SAFETY: the run is this guard's alone until `keep`, and its
+        // SAFETY: the run is this guard's alone until `publish`, and its
         // callers committed the `size` bytes `alloc` lies in.
         unsafe { LlState::open(self.base, self.capacity, size, next_instance(), alloc) }
     }
 
-    /// The open succeeded: the run now belongs to the region.
-    fn keep(self) -> ChunkRun {
-        let run = self.run;
+    /// The one publish tail of create, open and salvage: the run is
+    /// committed and holds a valid header; binding `rid` to it makes it
+    /// the region's, and this puts the region's [`Inner`] together.
+    fn publish(
+        self,
+        rid: u32,
+        size: usize,
+        was_dirty: bool,
+        backing: Backing,
+        ll: LlState,
+    ) -> Result<Region> {
+        let (space, run, base, capacity) = (self.space, self.run, self.base, self.capacity);
+        space.bind(rid, run)?;
         std::mem::forget(self);
-        run
+        let inner = Inner {
+            space,
+            rid,
+            run,
+            base,
+            size: AtomicUsize::new(size),
+            capacity,
+            was_dirty,
+            backing,
+            alloc_lock: Mutex::new(()),
+            closed: AtomicBool::new(false),
+            ll,
+        };
+        registry::register(rid, base);
+        nvref::set_committed(base, Some(size));
+        Ok(Region {
+            inner: Arc::new(inner),
+        })
     }
 }
 
@@ -311,32 +235,7 @@ impl Region {
     /// Fails if no chunk run or region ID is available, or `size` exceeds
     /// the maximum region size.
     pub fn create(size: usize) -> Result<Region> {
-        Self::create_with_capacity(size, size)
-    }
-
-    /// Creates an anonymous region of `size` bytes that can [`Region::grow`]
-    /// in place up to `capacity` bytes: a chunk run covering `capacity` is
-    /// reserved (virtual address space only), but just `size` bytes are
-    /// committed.
-    ///
-    /// # Errors
-    ///
-    /// As [`Region::create`]; additionally if `capacity` exceeds the
-    /// layout's maximum region size.
-    pub fn create_with_capacity(size: usize, capacity: usize) -> Result<Region> {
-        let space = NvSpace::global();
-        let rid = auto_rid(space)?;
-        Self::build(space, rid, size, capacity, None)
-    }
-
-    /// Creates an anonymous region with an explicit region ID.
-    ///
-    /// # Errors
-    ///
-    /// As [`Region::create`]; additionally [`NvError::InvalidRid`] if `rid`
-    /// is out of range or already open.
-    pub fn create_with_rid(rid: u32, size: usize) -> Result<Region> {
-        Self::build(NvSpace::global(), rid, size, size, None)
+        Self::build(size, size, None)
     }
 
     /// Creates a durable, file-backed region of `size` bytes at `path`.
@@ -346,47 +245,31 @@ impl Region {
     ///
     /// As [`Region::create`], plus I/O errors creating the file.
     pub fn create_file<P: AsRef<Path>>(path: P, size: usize) -> Result<Region> {
-        Self::create_file_with_capacity(path, size, size)
+        Self::build(size, size, Some(path.as_ref()))
     }
 
-    /// Creates a durable, file-backed region of `size` bytes growable in
-    /// place up to `capacity` (see [`Region::create_with_capacity`]; the
-    /// file holds only the committed `size` bytes and is extended as the
-    /// region grows).
+    /// Creates a region of `size` bytes that can [`Region::grow`] in
+    /// place up to `capacity` bytes: a chunk run covering `capacity` is
+    /// reserved (virtual address space only), but just `size` bytes are
+    /// committed. Anonymous without a `path`; with one, file-backed as by
+    /// [`Region::create_file`], the file holding only the committed bytes
+    /// and extended as the region grows.
     ///
     /// # Errors
     ///
-    /// As [`Region::create_file`].
-    pub fn create_file_with_capacity<P: AsRef<Path>>(
-        path: P,
+    /// As [`Region::create_file`]; additionally if `capacity` exceeds the
+    /// layout's maximum region size.
+    pub fn create_with_capacity(
         size: usize,
         capacity: usize,
+        path: Option<&Path>,
     ) -> Result<Region> {
+        Self::build(size, capacity, path)
+    }
+
+    fn build(size: usize, capacity: usize, path: Option<&Path>) -> Result<Region> {
         let space = NvSpace::global();
-        let rid = auto_rid(space)?;
-        let backing = Backing::create(path.as_ref(), size)?;
-        Self::build(space, rid, size, capacity, Some(backing))
-    }
-
-    /// Creates a durable, file-backed region with an explicit region ID.
-    ///
-    /// # Errors
-    ///
-    /// As [`Region::create_file`].
-    pub fn create_file_with_rid<P: AsRef<Path>>(path: P, rid: u32, size: usize) -> Result<Region> {
-        let backing = Backing::create(path.as_ref(), size)?;
-        Self::build(NvSpace::global(), rid, size, size, Some(backing))
-    }
-
-    fn build(
-        space: &'static NvSpace,
-        rid: u32,
-        size: usize,
-        capacity: usize,
-        backing: Option<Backing>,
-    ) -> Result<Region> {
         let layout = space.layout();
-        rid_in_range(space, rid)?;
         let capacity = capacity.max(size);
         if (size as u64) < RegionHeader::min_image_len() || capacity > layout.max_region_size() {
             return Err(NvError::BadImage(format!(
@@ -397,14 +280,21 @@ impl Region {
                 layout.max_region_size()
             )));
         }
+        // Only a geometry that fits creates (and so truncates) the file.
+        let rid = registry::alloc_rid(layout.max_rid(), |rid| space.is_bound(rid))
+            .ok_or(NvError::NoFreeSegment)?;
+        let backing = match path {
+            Some(path) => Backing::create(path, size)?,
+            None => Backing::Anonymous,
+        };
         let reserved = Reserved::acquire(space, capacity)?;
         // The reserved ceiling is the whole run: capacity rounds up to
         // chunk granularity so the header never promises less than the
         // address space actually held.
         let (base, capacity) = (reserved.base, reserved.capacity);
         let file = match &backing {
-            Some(Backing::File { file, .. }) => Some((file, true)),
-            _ => None,
+            Backing::File { file, .. } => Some((file, true)),
+            Backing::Anonymous => None,
         };
         let hdr = reserved.commit(size, file)?;
         // The header, then the allocator's first bitmap page (its volatile
@@ -414,62 +304,14 @@ impl Region {
         // `hdr.alloc` is initialized before the allocator formats it.
         let ll = unsafe {
             let hdr = hdr.as_mut();
-            hdr.magic = REGION_MAGIC;
-            hdr.version = HEADER_VERSION;
-            hdr.rid = rid;
-            hdr.size = size as u64;
-            hdr.flags = FLAG_DIRTY;
-            hdr.capacity = capacity as u64;
-            hdr.roots = [RootEntry {
-                name: [0; ROOT_NAME_CAP + 1],
-                offset: 0,
-                type_tag: 0,
-            }; MAX_ROOTS];
-            hdr.alloc.init(RegionHeader::data_start(), size as u64);
-            hdr.fault = FaultStamp::default();
+            hdr.format(rid, size, capacity);
             LlState::create(base, capacity, next_instance(), &mut hdr.alloc)?
         };
-        space.bind(rid, reserved.run)?;
-        let run = reserved.keep();
-        let backing = backing.unwrap_or(Backing::Anonymous);
-        let region = Self::assemble(space, rid, run, size, false, backing, ll);
+        let region = reserved.publish(rid, size, false, backing, ll)?;
         // Seed slot A so even a never-synced image has one valid
         // checksummed snapshot to recover from.
         region.inner.write_meta_slot();
         Ok(region)
-    }
-
-    /// The one place an [`Inner`] is put together — shared tail of
-    /// create, open and salvage: the run is committed, bound and holds a
-    /// valid header; this publishes it.
-    fn assemble(
-        space: &'static NvSpace,
-        rid: u32,
-        run: ChunkRun,
-        size: usize,
-        was_dirty: bool,
-        backing: Backing,
-        ll: LlState,
-    ) -> Region {
-        let base = space.chunk_base(run.start);
-        let inner = Inner {
-            space,
-            rid,
-            run,
-            base,
-            size: AtomicUsize::new(size),
-            capacity: run.count as usize * space.layout().chunk_size(),
-            was_dirty,
-            backing,
-            alloc_lock: Mutex::new(()),
-            closed: AtomicBool::new(false),
-            ll,
-        };
-        registry::register(rid, base);
-        nvref::set_committed(base, Some(size));
-        Region {
-            inner: Arc::new(inner),
-        }
     }
 
     /// Opens an existing region image, mapping it writably (`MAP_SHARED`)
@@ -571,7 +413,7 @@ impl Region {
         // and both checksummed slots. A damaged primary is restored from
         // the newest valid slot; if that still does not verify, the open
         // fails with a typed error. The allocator's open walks the chain.
-        // SAFETY: `size` bytes committed and the guard's alone until `keep`.
+        // SAFETY: `size` bytes committed and the guard's alone until `publish`.
         let bytes = unsafe { hdr.field::<u8>(0).slice(size) };
         let report = verify::walk(bytes, false);
         let primary_was_ok = report.primary_ok();
@@ -628,22 +470,20 @@ impl Region {
                  Region::open_file_salvage"
             ))
         })?;
-        space.bind(rid, reserved.run)?;
-        let run = reserved.keep();
         // A primary that had to be rebuilt from a slot counts as dirty:
         // the snapshot may predate the damage, so recovery layers must
         // run regardless of what the restored flags claim.
         let was_dirty = h.flags & FLAG_DIRTY != 0 || !primary_was_ok;
-        // Mark dirty for the duration of this writable session.
-        h.flags |= FLAG_DIRTY;
         let backing = Backing::File {
             file,
             path: path.to_path_buf(),
             shared: true,
         };
-        Ok(Self::assemble(
-            space, rid, run, size, was_dirty, backing, ll,
-        ))
+        let region = reserved.publish(rid, size, was_dirty, backing, ll)?;
+        // Mark dirty for the duration of this writable session, once the
+        // open can no longer fail.
+        h.flags |= FLAG_DIRTY;
+        Ok(region)
     }
 
     /// This region's ID.
@@ -1069,163 +909,6 @@ impl Region {
         self.inner.ll.occupancy()
     }
 
-    // -- roots ---------------------------------------------------------------
-
-    /// Registers (or updates) a named root pointing at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// [`NvError::RootNameTooLong`], [`NvError::RootDirectoryFull`], or
-    /// [`NvError::AddressOutOfRange`] if `addr` is outside the region.
-    pub fn set_root(&self, name: &str, addr: usize) -> Result<()> {
-        let off = self.offset_of(addr)?;
-        self.set_root_off(name, off)
-    }
-
-    /// Registers (or updates) a named root with an application-defined
-    /// type tag, letting consumers validate what kind of structure the
-    /// root leads before dereferencing it.
-    ///
-    /// # Errors
-    ///
-    /// As [`Region::set_root`].
-    pub fn set_root_tagged(&self, name: &str, addr: usize, type_tag: u64) -> Result<()> {
-        self.set_root_entry(name, self.offset_of(addr)?, Some(type_tag))
-    }
-
-    /// The type tag recorded for a named root (0 if untagged).
-    pub fn root_tag(&self, name: &str) -> Option<u64> {
-        self.root_entry(name).map(|e| e.type_tag)
-    }
-
-    /// Looks up a root and validates its type tag, returning the absolute
-    /// address only when the tag matches.
-    ///
-    /// # Errors
-    ///
-    /// [`NvError::RootNotFound`] when absent; [`NvError::BadImage`] when
-    /// the tag differs from `expected_tag`.
-    pub fn root_checked(&self, name: &str, expected_tag: u64) -> Result<usize> {
-        let entry = self
-            .root_entry(name)
-            .filter(|e| self.in_data(e.offset))
-            .ok_or_else(|| NvError::RootNotFound(name.to_string()))?;
-        if entry.type_tag != expected_tag {
-            return Err(NvError::BadImage(format!(
-                "root {name:?} has type tag {}, expected {}",
-                tag_name(entry.type_tag),
-                tag_name(expected_tag)
-            )));
-        }
-        Ok(self.inner.base + entry.offset as usize)
-    }
-
-    /// Registers (or updates) a named root by offset.
-    ///
-    /// # Errors
-    ///
-    /// As [`Region::set_root`].
-    pub fn set_root_off(&self, name: &str, off: u64) -> Result<()> {
-        self.set_root_entry(name, off, None)
-    }
-
-    /// Points the root `name` at `off`, a new entry in the first free
-    /// slot; `type_tag` replaces its tag (a new entry starts untagged).
-    fn set_root_entry(&self, name: &str, off: u64, type_tag: Option<u64>) -> Result<()> {
-        if name.len() > ROOT_NAME_CAP || name.is_empty() {
-            return Err(NvError::RootNameTooLong(name.to_string()));
-        }
-        let mut hdr = self.lock_open()?;
-        let mut slot = None;
-        for (i, entry) in hdr.roots.iter().enumerate() {
-            if entry.name[0] == 0 {
-                slot = slot.or(Some((i, false)));
-                continue;
-            }
-            // A corrupt entry must not be silently shadowed or clobbered:
-            // surface the damage instead.
-            let existing =
-                decode_root_name(&entry.name).map_err(|why| NvError::BadImage(why.into()))?;
-            if existing == name {
-                slot = Some((i, true));
-                break;
-            }
-        }
-        let (i, existing) = slot.ok_or(NvError::RootDirectoryFull)?;
-        let entry = &mut hdr.roots[i];
-        if !existing {
-            entry.name = [0; ROOT_NAME_CAP + 1];
-            entry.name[..name.len()].copy_from_slice(name.as_bytes());
-            entry.type_tag = 0;
-        }
-        entry.offset = off;
-        if let Some(tag) = type_tag {
-            entry.type_tag = tag;
-        }
-        Ok(())
-    }
-
-    /// Absolute address of the named root in this session, if present.
-    pub fn root(&self, name: &str) -> Option<usize> {
-        self.root_off(name)
-            .map(|off| self.inner.base + off as usize)
-    }
-
-    /// Offset of the named root, if present. Corrupt directory entries
-    /// (undecodable name, offset outside the data area) match nothing;
-    /// use [`Region::verify`] to surface them.
-    pub fn root_off(&self, name: &str) -> Option<u64> {
-        self.root_entry(name)
-            .map(|e| e.offset)
-            .filter(|&off| self.in_data(off))
-    }
-
-    /// Whether `off` lies in the committed data area.
-    fn in_data(&self, off: u64) -> bool {
-        off >= RegionHeader::data_start() && off < self.inner.len() as u64
-    }
-
-    /// The directory entry that decodes to `name`, copied out under the
-    /// lock; `None` after close.
-    fn root_entry(&self, name: &str) -> Option<RootEntry> {
-        let hdr = self.lock_open().ok()?;
-        hdr.roots.iter().find(|e| entry_matches(e, name)).copied()
-    }
-
-    /// Removes a named root. Returns whether it existed.
-    pub fn remove_root(&self, name: &str) -> bool {
-        let Ok(mut hdr) = self.lock_open() else {
-            return false;
-        };
-        for entry in hdr.roots.iter_mut() {
-            if entry_matches(entry, name) {
-                entry.name = [0; ROOT_NAME_CAP + 1];
-                entry.offset = 0;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Names of all registered roots.
-    ///
-    /// # Errors
-    ///
-    /// [`NvError::BadImage`] if any used directory entry fails to decode
-    /// (corrupt name bytes) — the directory can then only be read through
-    /// [`Region::verify`] / salvage; [`NvError::RegionClosed`] after close.
-    pub fn roots(&self) -> Result<Vec<String>> {
-        self.lock_open()?
-            .roots
-            .iter()
-            .filter(|e| e.name[0] != 0)
-            .map(|e| match decode_root_name(&e.name) {
-                Ok(name) => Ok(name.to_string()),
-                Err(why) => Err(NvError::BadImage(why.into())),
-            })
-            .collect()
-    }
-
     // -- durability ----------------------------------------------------------
 
     /// Flushes a file-backed region's bytes to its image file. No-op for
@@ -1418,7 +1101,7 @@ impl Region {
         let reserved = Reserved::acquire(space, size)?;
         // Mapped copy-on-write: repairs land in the private mapping only.
         let hdr = reserved.commit(size, Some((&file, false)))?;
-        // SAFETY: `size` bytes committed and the guard's alone until `keep`.
+        // SAFETY: `size` bytes committed and the guard's alone until `publish`.
         let (report, h) = unsafe {
             let report = verify::salvage_in_place(hdr.field::<u8>(0).slice(size))?;
             // Salvage made the header structurally valid.
@@ -1435,49 +1118,14 @@ impl Region {
             None
         };
         let ll = recovered.unwrap_or_else(|| LlState::frozen(reserved.base, next_instance()));
-        space.bind(rid, reserved.run)?;
-        let run = reserved.keep();
         let backing = Backing::File {
             file,
             path: path.to_path_buf(),
             shared: false,
         };
-        let region = Self::assemble(space, rid, run, size, true, backing, ll);
+        let region = reserved.publish(rid, size, true, backing, ll)?;
         Ok((region, report))
     }
-}
-
-/// Decodes a root entry's name field with bounded, error-returning
-/// parsing — the one decoder behind the mapped directory and the
-/// byte-level walk in [`crate::verify`] alike. A name without a NUL
-/// terminator inside the fixed-size field, or one that is not valid
-/// UTF-8, is a corrupt directory entry: the error says which — never a
-/// panic, never a silently-empty name.
-pub(crate) fn decode_root_name(
-    name: &[u8; ROOT_NAME_CAP + 1],
-) -> std::result::Result<&str, &'static str> {
-    let len = name
-        .iter()
-        .position(|&b| b == 0)
-        .ok_or("root name is not NUL-terminated within its field")?;
-    std::str::from_utf8(&name[..len]).map_err(|_| "root name is not valid UTF-8")
-}
-
-/// A root type tag as text: its eight bytes when all are printable
-/// (`"PDSART02"`), else hex.
-fn tag_name(tag: u64) -> String {
-    let bytes = tag.to_le_bytes();
-    if bytes.iter().all(u8::is_ascii_graphic) {
-        format!("{:?}", String::from_utf8_lossy(&bytes))
-    } else {
-        format!("{tag:#x}")
-    }
-}
-
-/// Whether a (used) entry decodes cleanly to `name`. Corrupt entries
-/// match nothing.
-fn entry_matches(entry: &RootEntry, name: &str) -> bool {
-    entry.name[0] != 0 && decode_root_name(&entry.name) == Ok(name)
 }
 
 /// The region lock, and with it the one way to the mapped header.
@@ -1601,14 +1249,10 @@ fn next_instance() -> u64 {
     NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed)
 }
 
-fn auto_rid(space: &NvSpace) -> Result<u32> {
-    registry::alloc_rid(space.layout().max_rid(), |rid| space.is_bound(rid))
-        .ok_or(NvError::NoFreeSegment)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::llalloc::GRANULE;
 
     fn tmpdir() -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -1653,8 +1297,29 @@ mod tests {
         assert_eq!(r.root("head"), Some(b));
         assert_eq!(r.root("tail"), None);
         assert_eq!(r.roots().unwrap(), vec!["head".to_string()]);
-        assert!(r.remove_root("head"));
-        assert!(!r.remove_root("head"));
+        r.close().unwrap();
+    }
+
+    #[test]
+    fn a_root_outside_the_data_area_is_refused() {
+        // The lookups read back only targets in the data area, so the
+        // setters refuse any other address and keep the old entry.
+        let r = Region::create(1 << 20).unwrap();
+        let a = r.alloc(64, 8).unwrap().as_ptr() as usize;
+        r.set_root_tagged("keep", a, 7).unwrap();
+        let header = r.base() + 8;
+        let slots = r.base() + RegionHeader::data_start() as usize - 1;
+        let past = r.base() + r.size();
+        let refused = |res: Result<()>| matches!(res, Err(NvError::AddressOutOfRange { .. }));
+        for addr in [header, slots, past, 1 << 40, 0] {
+            assert!(refused(r.set_root("bad", addr)), "{addr:#x}");
+            assert!(refused(r.set_root_tagged("keep", addr, 9)), "{addr:#x}");
+        }
+        assert_eq!(r.roots().unwrap(), vec!["keep".to_string()]);
+        assert_eq!(r.root_checked("keep", 7).unwrap(), a);
+        let first = r.base() + RegionHeader::data_start() as usize;
+        r.set_root("first", first).unwrap();
+        assert_eq!(r.root("first"), Some(first));
         r.close().unwrap();
     }
 
@@ -1901,6 +1566,16 @@ mod tests {
             Region::create(floor - 1),
             Err(NvError::BadImage(_))
         ));
+        // A refused file-backed create leaves a file already at the path
+        // as it was.
+        let path = tmpdir().join("refused.nvr");
+        std::fs::write(&path, [7u8; 3 * 4096]).unwrap();
+        assert!(matches!(
+            Region::create_file(&path, floor - 1),
+            Err(NvError::BadImage(_))
+        ));
+        assert_eq!(std::fs::read(&path).unwrap(), [7u8; 3 * 4096]);
+        std::fs::remove_file(&path).ok();
         let r = Region::create(floor).unwrap();
         r.alloc_off(GRANULE as usize, 16).unwrap();
         r.close().unwrap();

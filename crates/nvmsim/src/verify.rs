@@ -448,7 +448,7 @@ fn check_roots(bytes: &[u8], issues: &mut Vec<RootIssue>) {
     for root in root_entries(bytes) {
         let reason = match root.name() {
             Err(why) => why.to_string(),
-            Ok(_) if root.offset < data_start || root.offset >= file_len => format!(
+            Ok(_) if !RegionHeader::in_data(root.offset, file_len) => format!(
                 "offset {} outside the data area [{data_start}, {file_len})",
                 root.offset
             ),

@@ -67,7 +67,7 @@ impl ObjectStore {
         unsafe { meta.write(StoreMeta::new(log_off, log_cap)) };
         meta.persist(StoreMeta::SIZE as usize);
         latency::wbarrier();
-        region.set_root_off(STORE_ROOT, meta_off)?;
+        region.set_root(STORE_ROOT, region.ptr_at(meta_off))?;
         let log = UndoLog::new(region.clone(), log_off, log_cap);
         log.format();
         Ok(ObjectStore {
@@ -242,7 +242,9 @@ mod tests {
             let region = Region::create(1 << 20).unwrap();
             let meta_off = region.alloc_off(40, 16).unwrap();
             put_words(&region, meta_off, block);
-            region.set_root_off(STORE_ROOT, meta_off).unwrap();
+            region
+                .set_root(STORE_ROOT, region.ptr_at(meta_off))
+                .unwrap();
             assert!(matches!(
                 ObjectStore::attach(&region),
                 Err(StoreError::NotFormatted)
@@ -266,7 +268,7 @@ mod tests {
             "log out of bounds: {err}"
         );
         put_words(&region, end - 8, &[STORE_MAGIC]);
-        region.set_root_off(STORE_ROOT, end - 8).unwrap();
+        region.set_root(STORE_ROOT, region.ptr_at(end - 8)).unwrap();
         let err = ObjectStore::attach(&region).unwrap_err();
         assert!(
             matches!(err, StoreError::Nv(NvError::BadImage(_))),

@@ -341,7 +341,7 @@ fn live_counts_are_exact_at_every_crash_point_of_every_durability_point() {
         let name = util::policy_name(policy);
         let cell = M.cell(&format!("live-{name}"));
         let region =
-            Region::create_file_with_capacity(cell.path("orig.nvr"), 1 << 20, 2 << 20).unwrap();
+            Region::create_with_capacity(1 << 20, 2 << 20, Some(&cell.path("orig.nvr"))).unwrap();
         for _ in 0..3 {
             region.alloc_off(LARGE, 8).unwrap();
         }

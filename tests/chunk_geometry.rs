@@ -171,7 +171,7 @@ fn growth_commits_in_place_and_translation_spans_chunks() {
     let _serial = M.lock();
     let space = NvSpace::global();
     let chunk = space.layout().chunk_size();
-    let r = Region::create_with_capacity(1 << 20, 2 * chunk + (1 << 20)).unwrap();
+    let r = Region::create_with_capacity(1 << 20, 2 * chunk + (1 << 20), None).unwrap();
     let (base, rid) = (r.base(), r.rid());
     // Capacity is the whole reserved run, rounded up to chunk granularity.
     assert_eq!(r.capacity(), 3 * chunk);
@@ -217,7 +217,7 @@ fn file_backed_growth_persists_across_remapped_reopen() {
     let chunk = space.layout().chunk_size();
     let pattern = 0x5EA7_BE17_0000_0000u64;
 
-    let r = Region::create_file_with_capacity(&path, 1 << 20, 2 * chunk).unwrap();
+    let r = Region::create_with_capacity(1 << 20, 2 * chunk, Some(&path)).unwrap();
     let mut prev = r.base();
     r.grow(chunk + (1 << 20)).unwrap();
     // Write a recognizable run straddling the chunk seam.
@@ -261,7 +261,7 @@ fn acceptance_256_regions_plus_multi_gb_region() {
     // growth headroom is virtual address space, not memory. Acquired
     // first, while the pool still has a contiguous gap that long.
     let path = cell.path("big.nvr");
-    let big = Region::create_file_with_capacity(&path, 8 << 20, 3 << 30).unwrap();
+    let big = Region::create_with_capacity(8 << 20, 3 << 30, Some(&path)).unwrap();
     assert_eq!(big.capacity(), 3 << 30);
     assert_eq!(big.chunk_run().count as usize, (3 << 30) / chunk);
     let small: Vec<Region> = (0..256).map(|_| Region::create(1 << 20).unwrap()).collect();

@@ -70,8 +70,8 @@ fn build_pristine_locked(dir: &Path) -> Vec<u8> {
     let region = Region::create_file(&path, IMG_SIZE).unwrap();
     let a = region.alloc_off(256, 16).unwrap();
     let b = region.alloc_off(64, 16).unwrap();
-    region.set_root_off("alpha", a).unwrap();
-    region.set_root_off("beta", b).unwrap();
+    region.set_root("alpha", region.ptr_at(a)).unwrap();
+    region.set_root("beta", region.ptr_at(b)).unwrap();
     for i in 0..32u64 {
         // SAFETY: a is a fresh 256-byte allocation inside the region.
         unsafe { (region.ptr_at(a + i * 8) as *mut u64).write(0xA5A5_0000 + i) };
@@ -263,10 +263,10 @@ fn torn_slot_flip_always_opens_a_consistent_snapshot() {
         let cell = M.cell("torn");
         let region = Region::create_file(cell.path("orig.nvr"), IMG_SIZE).unwrap();
         let a = region.alloc_off(128, 16).unwrap();
-        region.set_root_off("alpha", a).unwrap();
+        region.set_root("alpha", region.ptr_at(a)).unwrap();
         region.sync().unwrap(); // slots now hold the {alpha} snapshot
         let b = region.alloc_off(64, 16).unwrap();
-        region.set_root_off("beta", b).unwrap(); // primary-only until the flip
+        region.set_root("beta", region.ptr_at(b)).unwrap(); // primary-only until the flip
         region.enable_shadow().unwrap();
         shadow::reset_events_for(region.base());
         let plan = FaultPlan::capture_all(&region, policy);
@@ -337,7 +337,7 @@ fn bit_rot_policy_composes_with_crash_reopen_and_salvage() {
         let ctx = format!("bitrot round {round} round-seed {rseed:#x} {}", M.tag());
         let region = Region::create_file(&path, IMG_SIZE).unwrap();
         let a = region.alloc_off(256, 16).unwrap();
-        region.set_root_off("alpha", a).unwrap();
+        region.set_root("alpha", region.ptr_at(a)).unwrap();
         region.sync().unwrap();
         region.enable_shadow().unwrap();
         let report = region

@@ -13,13 +13,12 @@ static M: util::Matrix = util::Matrix::new("multi_region", 0x5EED);
 #[test]
 fn riv_list_spans_regions_and_survives_reopen_in_shuffled_order() {
     let scratch = M.cell("shuffle");
-    let rids = [30_001u32, 30_002, 30_003];
-    let path = |rid: u32| scratch.path(&format!("region_{rid}.nvr"));
-    let checksum = {
-        let regions: Vec<Region> = rids
-            .iter()
-            .map(|&rid| Region::create_file_with_rid(path(rid), rid, 4 << 20).unwrap())
+    let path = |i: usize| scratch.path(&format!("region_{i}.nvr"));
+    let (rids, checksum) = {
+        let regions: Vec<Region> = (0..3)
+            .map(|i| Region::create_file(path(i), 4 << 20).unwrap())
             .collect();
+        let rids: Vec<u32> = regions.iter().map(Region::rid).collect();
         let mut list: PList<Riv, 32> =
             PList::create_rooted(NodeArena::raw_round_robin(regions.clone()), "l").unwrap();
         list.extend(0..900).unwrap();
@@ -27,18 +26,19 @@ fn riv_list_spans_regions_and_survives_reopen_in_shuffled_order() {
         for r in regions {
             r.close().unwrap();
         }
-        c
+        (rids, c)
     };
     // Reopen in a *different* order: RIV values name regions by ID, so the
     // mapping order (and the fresh random addresses) must not matter.
-    let reopened: Vec<Region> = [rids[2], rids[0], rids[1]]
+    let reopened: Vec<Region> = [2, 0, 1]
         .iter()
-        .map(|&rid| Region::open_file(path(rid)).unwrap())
+        .map(|&i| Region::open_file(path(i)).unwrap())
         .collect();
     // The arena must present the home region (the one holding the header,
-    // rid 30_001) first.
+    // `rids[0]`) first; the image at `path(i)` keeps the rid it was
+    // created with.
     let mut arena_regions = reopened.clone();
-    arena_regions.sort_by_key(|r| r.rid());
+    arena_regions.sort_by_key(|r| rids.iter().position(|&rid| rid == r.rid()));
     let list: PList<Riv, 32> =
         PList::attach(NodeArena::raw_round_robin(arena_regions), "l").unwrap();
     assert_eq!(list.len(), 900);
@@ -73,9 +73,8 @@ fn nodes_really_are_spread_across_regions() {
 fn riv_values_resolve_against_whichever_segment_the_region_occupies() {
     let scratch = M.cell("riv-segments");
     let path = scratch.path("region.nvr");
-    let rid = 30_010;
     let raw = {
-        let r = Region::create_file_with_rid(&path, rid, 1 << 20).unwrap();
+        let r = Region::create_file(&path, 1 << 20).unwrap();
         let cell = r.alloc(8, 8).unwrap().as_ptr() as *mut u64;
         unsafe { cell.write(777) };
         r.set_root("cell", cell as usize).unwrap();
@@ -150,9 +149,8 @@ fn fat_pointers_follow_region_remaps_through_the_registry() {
     use nvm_pi::pi_core::FatPtr;
     let scratch = M.cell("fat-remap");
     let path = scratch.path("region.nvr");
-    let rid = 30_020;
     let (fat_rid, fat_off) = {
-        let r = Region::create_file_with_rid(&path, rid, 1 << 20).unwrap();
+        let r = Region::create_file(&path, 1 << 20).unwrap();
         let cell = r.alloc(8, 8).unwrap().as_ptr() as *mut u64;
         unsafe { cell.write(99) };
         let mut f = FatPtr::default();

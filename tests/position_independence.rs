@@ -415,7 +415,7 @@ fn check_invariants_refuses_rotted_links_after_reopen() {
                 .take(if kind.fat() { 1 } else { 2 })
             {
                 let ctx = format!("{kind:?}, interior {interior}, far {far}");
-                let region = Region::create_file_with_capacity(&path, 1 << 20, 4 << 20).unwrap();
+                let region = Region::create_with_capacity(1 << 20, 4 << 20, Some(&path)).unwrap();
                 let (head, inside) = kind.build(&region);
                 let slot = if interior { inside } else { head };
                 assert_ne!(slot, 0, "[{ctx}] an interior node");

@@ -49,7 +49,7 @@ fn a_format_opens_once_an_evict_closes_once_and_a_grow_opens_none() {
     assert_eq!(report.tenant(0).unwrap().bases.len(), 2, "{report:?}");
     std::fs::remove_dir_all(&dir).ok();
 
-    let region = Region::create_with_capacity(64 << 10, 1 << 20).unwrap();
+    let region = Region::create_with_capacity(64 << 10, 1 << 20, None).unwrap();
     let base = region.base();
     let (n, grown) = counts(|| region.grow(256 << 10).unwrap());
     assert_eq!((grown, n), (256 << 10, [0, 0, 1]), "grow");

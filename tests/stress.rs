@@ -64,14 +64,31 @@ fn fat_lookups_race_region_lifecycles_safely() {
     // Readers hammer fat-pointer lookups while a writer opens and closes
     // regions. Lookups may miss (region closed) but must never return a
     // stale base for a *live* pointer created after open.
+    // Ten images, each reopened three times: a reopen keeps the image's
+    // rid, so every rid is registered again at a new base.
+    let scratch = M.cell("fat-race");
+    let paths: Vec<_> = (0..10)
+        .map(|i| scratch.path(&format!("r{i}.nvr")))
+        .collect();
+    let rids: Arc<Vec<u32>> = Arc::new(
+        paths
+            .iter()
+            .map(|path| {
+                let r = Region::create_file(path, 1 << 20).unwrap();
+                let rid = r.rid();
+                r.close().unwrap();
+                rid
+            })
+            .collect(),
+    );
     let stop = Arc::new(AtomicBool::new(false));
     let readers: Vec<_> = (0..2)
         .map(|_| {
-            let stop = stop.clone();
+            let (stop, rids) = (stop.clone(), rids.clone());
             std::thread::spawn(move || {
                 let mut hits = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    for rid in 50_000..50_010u32 {
+                    for &rid in rids.iter() {
                         if let Some(base) = nvm_pi::nvmsim::registry::fat_lookup(rid) {
                             assert!(base != 0);
                             hits += 1;
@@ -84,8 +101,7 @@ fn fat_lookups_race_region_lifecycles_safely() {
         .collect();
 
     for round in 0..30 {
-        let rid = 50_000 + (round % 10) as u32;
-        if let Ok(r) = Region::create_with_rid(rid, 1 << 20) {
+        if let Ok(r) = Region::open_file(&paths[round % 10]) {
             let p = r.alloc(64, 8).unwrap().as_ptr() as usize;
             let mut f = FatPtr::default();
             f.store(p);
@@ -330,7 +346,7 @@ fn region_out_of_chunk_runs_reports_cleanly() {
     let ceiling = NvSpace::global().layout().data_area_size() / CAP + 2;
     let mut held = Vec::new();
     loop {
-        match Region::create_with_capacity(1 << 20, CAP) {
+        match Region::create_with_capacity(1 << 20, CAP, None) {
             Ok(r) => held.push(r),
             Err(nvm_pi::NvError::NoFreeSegment) => break,
             Err(e) => panic!("unexpected error: {e}"),
@@ -348,6 +364,6 @@ fn region_out_of_chunk_runs_reports_cleanly() {
     for r in held.drain(..) {
         r.close().unwrap();
     }
-    let r = Region::create_with_capacity(1 << 20, CAP).unwrap();
+    let r = Region::create_with_capacity(1 << 20, CAP, None).unwrap();
     r.close().unwrap();
 }

@@ -25,9 +25,8 @@ fn structure_nodes_are_live_store_allocations() {
 fn committed_structure_survives_crash() {
     let cell = M.cell("committed");
     let path = cell.path("region.nvr");
-    let rid = 31_001;
     {
-        let region = Region::create_file_with_rid(&path, rid, 8 << 20).unwrap();
+        let region = Region::create_file(&path, 8 << 20).unwrap();
         let store = ObjectStore::format(&region).unwrap();
         let mut t: PBst<Riv, 32> =
             PBst::create_rooted(NodeArena::transactional(store.clone()), "bst").unwrap();
@@ -50,9 +49,8 @@ fn committed_structure_survives_crash() {
 fn torn_update_is_rolled_back_but_structure_stays_consistent() {
     let cell = M.cell("torn");
     let path = cell.path("region.nvr");
-    let rid = 31_002;
     {
-        let region = Region::create_file_with_rid(&path, rid, 8 << 20).unwrap();
+        let region = Region::create_file(&path, 8 << 20).unwrap();
         let store = ObjectStore::format(&region).unwrap();
         // One committed object...
         let obj = store.alloc(1, 64).unwrap().as_ptr() as *mut u64;
@@ -95,9 +93,8 @@ fn torn_update_is_rolled_back_but_structure_stays_consistent() {
 fn repeated_crashes_converge_to_last_committed_state() {
     let cell = M.cell("repeat");
     let path = cell.path("region.nvr");
-    let rid = 31_003;
     {
-        let region = Region::create_file_with_rid(&path, rid, 4 << 20).unwrap();
+        let region = Region::create_file(&path, 4 << 20).unwrap();
         let store = ObjectStore::format(&region).unwrap();
         let obj = store.alloc(1, 8).unwrap().as_ptr() as *mut u64;
         region.set_root("obj", obj as usize).unwrap();

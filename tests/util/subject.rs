@@ -360,8 +360,10 @@ impl Subject for RawLog {
     fn create(region: &Region) -> Self {
         let log_off = region.alloc_off(Self::LOG_CAP as usize, 16).unwrap();
         let cells_off = region.alloc_off(Self::CELLS as usize * 8, 16).unwrap();
-        region.set_root_off("raw.log", log_off).unwrap();
-        region.set_root_off("raw.cells", cells_off).unwrap();
+        region.set_root("raw.log", region.ptr_at(log_off)).unwrap();
+        region
+            .set_root("raw.cells", region.ptr_at(cells_off))
+            .unwrap();
         let raw = RawLog {
             region: region.clone(),
             log_off,
