@@ -17,7 +17,7 @@
 //! +--------------------+----------------+----------------+-- ~ --+
 //! | page header (64 B) | subtree 0 (64B)| subtree 1 (64B)|  ...  |   63 subtrees
 //! | magic next count   | base | meta    |                |       |
-//! | seq crc            | bitmap | pad   |                |       |
+//! | pad crc pad        | bitmap | pad   |                |       |
 //! +--------------------+----------------+----------------+-- ~ --+
 //! ```
 //!
@@ -129,8 +129,9 @@
 //! their popcount (`LlState::live`), which is what `Region::stats`
 //! reports. Nothing is counted on the alloc/free path and nothing is
 //! folded or snapshotted at a durability point, so no crash can leave two
-//! records disagreeing. A clean close seals each page with a CRC, which
-//! is what `verify` checks a clean image's pages against.
+//! records disagreeing. A clean close stores each page's CRC where it no
+//! longer matches, which is what `verify` checks a clean image's pages
+//! against: a page nothing changed since its last seal is not written.
 
 use crate::alloc::{AllocHeader, CLASS_SIZES, MAX_CLASS_SIZE, NUM_CLASSES};
 use crate::crc::crc64_update;
@@ -169,9 +170,9 @@ const TLS_REGIONS: usize = 8;
 const PAGE_MAGIC: usize = 0;
 const PAGE_NEXT: usize = 8;
 const PAGE_COUNT: usize = 16;
-const PAGE_SEQ: usize = 24;
 const PAGE_CRC: usize = 32;
-// Bytes 40..64 of the page header are padding.
+// Bytes 24..32 and 40..64 of the page header are padding (an older image
+// keeps a sequence number at 24; the page CRC seals it like any byte).
 
 // Descriptor field offsets.
 const D_BASE: usize = 0;
@@ -568,11 +569,6 @@ impl Desc {
         let end = self.base() + self.capacity() as u64 * self.block_size();
         (self.base() / GRANULE) as usize..end.div_ceil(GRANULE) as usize
     }
-}
-
-#[inline]
-fn page_u64(base: usize, page_off: u64, field: usize) -> u64 {
-    mapped_u64(base + page_off as usize + field)
 }
 
 /// Sets bits `bits[g]` for every `g` in `span`, a word at a time; whether
@@ -1479,22 +1475,22 @@ impl LlState {
         out
     }
 
-    /// Quiesced clean-close maintenance: stamps each bitmap page with a
-    /// fresh sequence number and CRC so the corruption walk can verify
-    /// cleanly-closed bitmap pages bit-for-bit. Caller must hold the
-    /// region lock with no allocation traffic remaining.
+    /// Quiesced clean-close maintenance: stores the CRC of each bitmap page
+    /// whose stored one no longer matches (an unchanged page is not
+    /// written), so the corruption walk can verify cleanly-closed pages
+    /// bit-for-bit. Caller must hold the region lock, no allocation left.
     ///
     /// # Safety
     ///
     /// The region must be mapped and quiescent.
     pub(crate) unsafe fn seal(&self) {
         for off in (0..).map_while(|idx| self.page_off(idx)) {
-            let seq = page_u64(self.base, off, PAGE_SEQ) + 1;
-            page_u64_write(self.base, off, PAGE_SEQ, seq);
             let bytes =
                 std::slice::from_raw_parts((self.base + off as usize) as *const u8, LL_PAGE_SIZE);
             let crc = page_crc(bytes);
-            page_u64_write(self.base, off, PAGE_CRC, crc);
+            if crc != read_u64(bytes, PAGE_CRC) {
+                page_u64_write(self.base, off, PAGE_CRC, crc);
+            }
         }
     }
 }
@@ -1929,7 +1925,8 @@ mod tests {
         // a running region mutated without resealing), and the open
         // accepts it.
         let sealed_only: Vec<Damage> = vec![
-            ("page CRC", Box::new(move |i| i[page + PAGE_SEQ] ^= 1)),
+            // A padding byte of the page header, which only the CRC covers.
+            ("page CRC", Box::new(move |i| i[page + 24] ^= 1)),
             (
                 "descriptor padding bytes 24..64",
                 Box::new(move |i| i[d0 + 24..d0 + DESC_SIZE].fill(0x5a)),

@@ -40,8 +40,7 @@ use std::sync::Arc;
 
 mod header;
 
-pub(crate) use header::decode_root_name;
-use header::FLAG_DIRTY;
+pub(crate) use header::{decode_root_name, FLAG_DIRTY};
 pub use header::{
     RegionHeader, HEADER_VERSION, MAX_ROOTS, META_SLOT_COUNT, META_SLOT_SIZE, REGION_MAGIC,
     ROOT_NAME_CAP,
@@ -975,12 +974,7 @@ impl Region {
     /// [`NvError::RegionClosed`] after close.
     pub fn enable_shadow(&self) -> Result<()> {
         self.check_open()?;
-        shadow::register(
-            self.inner.rid,
-            self.inner.base,
-            self.inner.len(),
-            RegionHeader::OFF_FAULT,
-        );
+        shadow::register(self.inner.rid, self.inner.base, self.inner.len());
         Ok(())
     }
 
@@ -991,31 +985,26 @@ impl Region {
         (stamp.magic == crate::shadow::FAULT_STAMP_MAGIC).then_some(stamp)
     }
 
-    /// Simulates a crash *with persistence faults*: a crash image is
-    /// captured under `policy` — unflushed cache lines dropped or torn per
-    /// the shadow tracker — the mapping is torn down as by
-    /// [`Region::crash`], and the faulted image replaces the backing file.
-    /// A subsequent [`Region::open_file`] sees exactly what a power cut
-    /// would have left on the device.
+    /// Simulates a crash *with persistence faults*: `policy` is applied
+    /// to the mapped image in place (unflushed cache lines dropped or torn
+    /// per the shadow tracker, or lines rotted; the image marked dirty and
+    /// stamped) and the mapping is torn down as by [`Region::crash`]. The
+    /// file then holds what [`shadow::capture_crash_image`] returns: what
+    /// a power cut would have left on the device.
     ///
     /// # Errors
     ///
-    /// [`NvError::BadImage`] unless the region is file-backed (shared) and
-    /// [`Region::enable_shadow`] was called; I/O errors writing the image.
+    /// [`NvError::BadImage`] unless the region is file-backed (shared),
+    /// [`NvError::ShadowNotEnabled`] unless [`Region::enable_shadow`] was
+    /// called.
     pub fn crash_with_faults(self, policy: FaultPolicy) -> Result<FaultReport> {
-        let path = match &self.inner.backing {
-            Backing::File {
-                path, shared: true, ..
-            } => path.clone(),
-            _ => {
-                return Err(NvError::BadImage(
-                    "crash_with_faults requires a shared file-backed region".to_string(),
-                ))
-            }
-        };
-        let (image, report) = shadow::capture_crash_image(self.inner.base, policy)?;
+        if !matches!(self.inner.backing, Backing::File { shared: true, .. }) {
+            return Err(NvError::BadImage(
+                "crash_with_faults requires a shared file-backed region".to_string(),
+            ));
+        }
+        let report = shadow::fault_in_place(self.inner.base, policy)?;
         self.crash();
-        std::fs::write(&path, &image)?;
         Ok(report)
     }
 

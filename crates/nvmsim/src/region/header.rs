@@ -29,7 +29,7 @@ pub const META_SLOT_COUNT: usize = 2;
 /// number and a CRC-64, padded for alignment.
 pub const META_SLOT_SIZE: usize = 1024;
 
-pub(super) const FLAG_DIRTY: u64 = 1;
+pub(crate) const FLAG_DIRTY: u64 = 1;
 
 #[repr(C)]
 #[derive(Clone, Copy, Debug)]

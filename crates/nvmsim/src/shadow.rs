@@ -24,11 +24,11 @@
 //!
 //! On top of the tracker sit two fault-injection facilities:
 //!
-//! * [`capture_crash_image`] / [`crate::Region::crash_with_faults`]
-//!   materialize a crash image where every non-clean line is **dropped**
-//!   (reverted to its last-persisted bytes) or **torn** (each 8-byte word
-//!   independently keeps either the old or the new value, decided by a
-//!   seeded deterministic hash) — [`FaultPolicy`];
+//! * [`capture_crash_image`] returns a crash image where every non-clean
+//!   line is **dropped** (reverted to its last-persisted bytes) or **torn**
+//!   (each 8-byte word keeps its old or new value by a seeded hash) —
+//!   [`FaultPolicy`]; [`crate::Region::crash_with_faults`] turns the
+//!   mapping itself into that image, writing only what the policy changes;
 //! * [`FaultPlan`] is a deterministic crash-point scheduler: flushes and
 //!   fences are numbered as *events*, and a plan captures a faulted image
 //!   at the n-th event ([`FaultPlan::crash_at_nth_event`]), aborts the run
@@ -41,7 +41,7 @@
 
 use crate::latency::ARMED_SHADOW;
 use crate::nvref::NvRef;
-use crate::region::Region;
+use crate::region::{Region, RegionHeader, FLAG_DIRTY};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -161,9 +161,9 @@ pub struct FaultReport {
     /// The event number at which the image was captured (0 when the image
     /// was taken outside a [`FaultPlan`]).
     pub event: u64,
-    /// Policy discriminant: 1 = drop, 2 = tear.
+    /// Policy discriminant: 1 = drop, 2 = tear, 3 = bit-rot.
     pub mode: u64,
-    /// The tear seed (0 for drop).
+    /// The tear or rot seed (0 for drop).
     pub seed: u64,
     /// Lines fully reverted to their last-persisted bytes.
     pub dropped_lines: u64,
@@ -185,9 +185,9 @@ pub struct FaultReport {
 pub struct FaultStamp {
     /// [`FAULT_STAMP_MAGIC`] when the stamp is valid.
     pub magic: u64,
-    /// Policy discriminant: 0 = none, 1 = drop, 2 = tear.
+    /// Policy discriminant: 0 = none, 1 = drop, 2 = tear, 3 = bit-rot.
     pub mode: u64,
-    /// The tear seed (0 for drop).
+    /// The tear or rot seed (0 for drop).
     pub seed: u64,
     /// The event number of the captured crash point.
     pub event: u64,
@@ -321,7 +321,6 @@ struct Tracker {
     rid: u32,
     base: usize,
     size: usize,
-    stamp_off: usize,
     /// Persistence events (flushes of this region + fences) observed for
     /// this region, relative to the last [`reset_events_for`].
     events: AtomicU64,
@@ -368,18 +367,19 @@ fn tracker_for_base(base: usize) -> Option<Arc<Tracker>> {
     lock(&TRACKERS).iter().find(|t| t.base == base).cloned()
 }
 
-/// The `len` bytes at `addr` of a tracked region, which stays open (and
-/// its grown bytes committed) while registered.
-fn region_bytes<'a>(addr: usize, len: usize) -> &'a [u8] {
+/// The `len` bytes at `addr` of a tracked region, open and committed
+/// while registered; only [`fault_in_place`] writes them.
+fn region_bytes<'a>(addr: usize, len: usize) -> &'a mut [u8] {
     let bytes = NvRef::new(addr as *mut u8).expect("a tracked region is open");
     // SAFETY: teardown unregisters the tracker before it unmaps the
-    // region, and the tracker's callers pass committed bytes.
+    // region, and the tracker's callers pass committed bytes. The one
+    // writer holds the region by value and tears it down next.
     unsafe { bytes.slice(len) }
 }
 
 /// Registers a tracker for `[base, base+size)` and checkpoints it (the
 /// current memory contents count as persisted). Idempotent per base.
-pub(crate) fn register(rid: u32, base: usize, size: usize, stamp_off: usize) {
+pub(crate) fn register(rid: u32, base: usize, size: usize) {
     if tracker_for_base(base).is_some() {
         checkpoint(base);
         return;
@@ -390,7 +390,6 @@ pub(crate) fn register(rid: u32, base: usize, size: usize, stamp_off: usize) {
         rid,
         base,
         size,
-        stamp_off,
         events: AtomicU64::new(0),
         state: Mutex::new(TrackState {
             lines: vec![CLEAN; nlines],
@@ -459,7 +458,6 @@ pub(crate) fn grow_region(base: usize, new_size: usize) {
         rid: old.rid,
         base,
         size: new_size,
-        stamp_off: old.stamp_off,
         events: AtomicU64::new(old.events.load(Ordering::Relaxed)),
         state: Mutex::new(TrackState {
             lines,
@@ -695,6 +693,23 @@ fn capture_at_event(
     let t = tracker_for_base(base).ok_or_else(|| not_tracked(base))?;
     let s = lock(&t.state);
     let mut image = region_bytes(t.base, t.size).to_vec();
+    let report = apply_faults(&mut image, &s, policy, event);
+    Ok((image, report))
+}
+
+/// Turns the mapped region at `base` itself into the image
+/// [`capture_crash_image`] returns, writing only the bytes `policy`
+/// changes (what [`crate::Region::crash_with_faults`] leaves behind).
+pub(crate) fn fault_in_place(base: usize, policy: FaultPolicy) -> Result<FaultReport, ShadowError> {
+    let t = tracker_for_base(base).ok_or_else(|| not_tracked(base))?;
+    let s = lock(&t.state);
+    Ok(apply_faults(region_bytes(t.base, t.size), &s, policy, 0))
+}
+
+/// Applies `policy` to `image`, the tracked region's current bytes: drops
+/// or tears every non-clean line against the persisted view (bit-rot
+/// rots chosen lines instead), then marks the image dirty and stamps it.
+fn apply_faults(image: &mut [u8], s: &TrackState, policy: FaultPolicy, event: u64) -> FaultReport {
     let mut report = FaultReport {
         event,
         mode: policy.mode(),
@@ -706,7 +721,7 @@ fn capture_at_event(
             continue;
         }
         let off = line * SHADOW_LINE;
-        let take = SHADOW_LINE.min(t.size - off);
+        let take = SHADOW_LINE.min(image.len() - off);
         match policy {
             FaultPolicy::DropUnflushed => {
                 image[off..off + take].copy_from_slice(&s.persisted[off..off + take]);
@@ -716,8 +731,7 @@ fn capture_at_event(
                 let words = take / 8;
                 let mut reverted = 0u64;
                 for w in 0..words {
-                    let coin = splitmix64(seed ^ ((line as u64) << 3 | w as u64));
-                    if coin & 1 == 0 {
+                    if splitmix64(seed ^ ((line as u64) << 3 | w as u64)) & 1 == 0 {
                         let wo = off + w * 8;
                         image[wo..wo + 8].copy_from_slice(&s.persisted[wo..wo + 8]);
                         reverted += 1;
@@ -736,15 +750,15 @@ fn capture_at_event(
         }
     }
     if let FaultPolicy::BitRot { lines, seed } = policy {
-        let (rotted, bits) = corrupt_lines(&mut image, lines, seed);
+        let (rotted, bits) = corrupt_lines(image, lines, seed);
         report.rotted_lines = rotted;
         report.flipped_bits = bits;
     }
-    // A crash image is dirty by definition (header flags, offset 24).
-    image[24] |= 1;
-    let stamp = FaultStamp::from_report(&report);
-    stamp.write_to(&mut image[t.stamp_off..t.stamp_off + std::mem::size_of::<FaultStamp>()]);
-    Ok((image, report))
+    // A crash image is dirty by definition (the flag is the word's low byte).
+    image[RegionHeader::OFF_FLAGS] |= FLAG_DIRTY as u8;
+    let stamp = &mut image[RegionHeader::OFF_FAULT..][..std::mem::size_of::<FaultStamp>()];
+    FaultStamp::from_report(&report).write_to(stamp);
+    report
 }
 
 fn run_plan(base: usize, n: u64) {
@@ -888,10 +902,6 @@ mod tests {
     // those properties. Dirty-line behaviour is immune: only a flush of
     // the tracked address range can move a dirty line onward.
 
-    fn stamp_off() -> usize {
-        crate::region::RegionHeader::OFF_FAULT
-    }
-
     #[test]
     fn untracked_stores_persist_silently() {
         let r = Region::create(1 << 20).unwrap();
@@ -920,11 +930,11 @@ mod tests {
         assert_eq!(got, 1, "unflushed tracked store must revert");
         assert!(report.dropped_lines >= 1);
         // The stamp is embedded and parses back.
-        let stamp = FaultStamp::parse(&image[stamp_off()..]).unwrap();
+        let stamp = FaultStamp::parse(&image[RegionHeader::OFF_FAULT..]).unwrap();
         assert_eq!(stamp.mode, 1);
         assert_eq!(stamp.dropped_lines, report.dropped_lines);
         // The image is marked dirty.
-        assert_eq!(image[24] & 1, 1);
+        assert_eq!(image[RegionHeader::OFF_FLAGS] & FLAG_DIRTY as u8, 1);
         r.close().unwrap();
     }
 
@@ -1065,7 +1075,7 @@ mod tests {
         assert_eq!(rep1.rotted_lines, 3);
         assert!((3..=9).contains(&rep1.flipped_bits));
         assert_eq!(rep1.dropped_lines, 0, "bit-rot never drops stores");
-        let stamp = FaultStamp::parse(&img1[stamp_off()..]).unwrap();
+        let stamp = FaultStamp::parse(&img1[RegionHeader::OFF_FAULT..]).unwrap();
         assert_eq!(stamp.mode, 3);
         assert_eq!(stamp.rotted_lines, rep1.rotted_lines);
         assert_eq!(stamp.flipped_bits, rep1.flipped_bits);
