@@ -8,7 +8,8 @@
 //! respectively — those runners follow suit).
 
 use crate::harness::{
-    group_times, structure_times, tab1_point, time_avg, wordcount_time, Config, OpTimes, ReprKind,
+    group_times, structure_times, tab1_point, time_median, wordcount_time, Config, OpTimes,
+    ReprKind,
 };
 use crate::report::{normalize, Row};
 use crate::workloads::{self, mix};
@@ -206,7 +207,7 @@ pub fn riv_breakdown(cfg: &Config) -> Vec<Row> {
     let reps = cfg.reps.max(3) * 10;
 
     // Step 1 only: field extraction.
-    let t1 = time_avg(
+    let t1 = time_median(
         || {
             let mut acc = 0u64;
             for v in &values {
@@ -218,7 +219,7 @@ pub fn riv_breakdown(cfg: &Config) -> Vec<Row> {
         reps,
     );
     // Steps 1+2: extraction + base-table translation.
-    let t12 = time_avg(
+    let t12 = time_median(
         || {
             let mut acc = 0u64;
             for v in &values {
@@ -231,7 +232,7 @@ pub fn riv_breakdown(cfg: &Config) -> Vec<Row> {
         reps,
     );
     // Steps 1+2+3: the full dereference (x2p + target read).
-    let t123 = time_avg(
+    let t123 = time_median(
         || {
             let mut acc = 0u64;
             for v in &values {
@@ -331,7 +332,7 @@ pub fn ablations(cfg: &Config) -> Vec<Row> {
             .map(|&h| OffHolder::encode_at(h as usize, (h + 64) as usize))
             .collect();
         let reps = cfg.reps * 10;
-        let with_sentinels = time_avg(
+        let with_sentinels = time_median(
             || {
                 let mut acc = 0u64;
                 for (e, &h) in encoded.iter().zip(&holders) {
@@ -341,7 +342,7 @@ pub fn ablations(cfg: &Config) -> Vec<Row> {
             },
             reps,
         );
-        let raw_add = time_avg(
+        let raw_add = time_median(
             || {
                 let mut acc = 0u64;
                 for (e, &h) in encoded.iter().zip(&holders) {

@@ -192,7 +192,7 @@ impl Drop for Env {
 /// Times `f` over `reps` repetitions (after one warmup) and returns the
 /// **median** nanoseconds per call. The returned checksums are black-boxed
 /// so the measured work cannot be optimized away.
-pub fn time_avg<F: FnMut() -> u64>(mut f: F, reps: usize) -> f64 {
+pub fn time_median<F: FnMut() -> u64>(mut f: F, reps: usize) -> f64 {
     let mut sink = f(); // warmup
     let mut samples = Vec::with_capacity(reps.max(1));
     for _ in 0..reps.max(1) {
@@ -438,7 +438,7 @@ pub fn tab1_point(structure: &str, cfg: &Config, k: usize) -> (f64, f64) {
 
 fn wordcount_impl<R: PtrRepr>(words: &[&str], reps: usize) -> f64 {
     let _based_guard = BASED_LOCK.lock();
-    time_avg(
+    time_median(
         || {
             let env = Env::new(1, 32 << 20, false);
             if R::NAME == BasedPtr::NAME {

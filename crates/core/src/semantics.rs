@@ -104,17 +104,6 @@ pub fn assign_i_from_p<T>(i: &mut PersistentI<T>, p: *mut T) -> Result<(), TypeE
     Ok(())
 }
 
-/// `i = p` without the dynamic check — what the paper's compiler emits
-/// when the user opts out of safety checks.
-///
-/// # Safety
-///
-/// The caller must guarantee `p` is null or within the holder's NVRegion;
-/// otherwise the stored offset is meaningless after a remap.
-pub unsafe fn assign_i_from_p_unchecked<T>(i: &mut PersistentI<T>, p: *mut T) {
-    i.set(p);
-}
-
 /// `x = p`: stores a normal pointer into a `persistentX` slot
 /// (`$$ .val = p2x(S1.val)`).
 ///

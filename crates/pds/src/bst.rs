@@ -113,7 +113,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
         // writers of the structure); the fresh node is unreachable until
         // `link_fresh` publishes it.
         unsafe {
-            let (slot, cur) = self.find_slot(key);
+            let (slot, cur) = self.find_slot(key, R::load_at_rest);
             if !cur.is_null() {
                 return Ok(false);
             }
@@ -135,11 +135,22 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
     }
 
     /// The slot on `key`'s search path that holds `key`'s node, and that
-    /// node — or the empty slot the key belongs in, and null.
-    unsafe fn find_slot(&mut self, key: u64) -> (*mut R, *mut BstNode<R, P>) {
+    /// node — or the empty slot the key belongs in, and null. `load`
+    /// decodes each link: [`PtrRepr::load`] for a lookup,
+    /// [`PtrRepr::load_at_rest`] for a mutator.
+    ///
+    /// # Safety
+    ///
+    /// The tree's regions are open, no other thread writes it, and `load`
+    /// decodes its links to mapped addresses (0 for null).
+    unsafe fn find_slot(
+        &self,
+        key: u64,
+        load: impl Fn(&R) -> usize,
+    ) -> (*mut R, *mut BstNode<R, P>) {
         let mut slot: *mut R = &mut self.header.as_mut().root;
         loop {
-            let cur = (*slot).load_at_rest() as *mut BstNode<R, P>;
+            let cur = load(&*slot) as *mut BstNode<R, P>;
             if cur.is_null() || key == (*cur).key {
                 return (slot, cur);
             }
@@ -227,20 +238,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
     /// BST lookup for `key` (the paper's random-search workload).
     pub fn contains(&self, key: u64) -> bool {
         // SAFETY: links resolve to live nodes while regions are open.
-        unsafe {
-            let mut cur = self.header.as_ref().root.load() as *const BstNode<R, P>;
-            while !cur.is_null() {
-                if key == (*cur).key {
-                    return true;
-                }
-                cur = if key < (*cur).key {
-                    (*cur).left.load() as *const BstNode<R, P>
-                } else {
-                    (*cur).right.load() as *const BstNode<R, P>
-                };
-            }
-        }
-        false
+        unsafe { !self.find_slot(key, R::load).1.is_null() }
     }
 
     /// Full traversal (iterative depth-first); returns a checksum of keys
@@ -248,7 +246,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
     pub fn traverse(&self) -> u64 {
         let mut sum = 0u64;
         let mut stack: Vec<*const BstNode<R, P>> = Vec::with_capacity(64);
-        // SAFETY: as in contains.
+        // SAFETY: links resolve to live nodes while regions are open.
         unsafe {
             let root = self.header.as_ref().root.load() as *const BstNode<R, P>;
             if !root.is_null() {
@@ -342,7 +340,7 @@ impl<R: PtrRepr, const P: usize> PBst<R, P> {
         // undo-logged (one batch, one fence) before the first write and
         // flushed after its own.
         unsafe {
-            let (slot, cur) = self.find_slot(key);
+            let (slot, cur) = self.find_slot(key, R::load_at_rest);
             if cur.is_null() {
                 return Ok(false);
             }
@@ -507,9 +505,12 @@ mod tests {
     fn swizzled_bst_protocol() {
         let region = Region::create(8 << 20).unwrap();
         let mut t: PBst<SwizzledPtr, 32> = PBst::new(NodeArena::raw(region.clone())).unwrap();
-        t.extend(shuffled_keys(300)).unwrap();
+        let keys = shuffled_keys(300);
+        t.extend(keys.iter().copied()).unwrap();
         t.swizzle();
         t.check_invariants().unwrap();
+        // Keys lie below 300 * 8.
+        assert!(keys.iter().all(|&k| t.contains(k)) && !t.contains(2400));
         let c = t.traverse();
         t.unswizzle();
         t.swizzle();

@@ -224,7 +224,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
         // writers of the structure); the fresh node is unreachable until
         // `link_fresh` publishes it.
         unsafe {
-            let (slot, cur) = self.find_slot(key);
+            let (slot, cur) = self.find_slot(key, R::load_at_rest);
             if !cur.is_null() {
                 return Ok(false);
             }
@@ -241,13 +241,24 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
         Ok(true)
     }
 
-    /// The slot in `key`'s bucket chain that holds `key`'s node, and that
-    /// node — or the chain's final (empty) slot, and null.
-    unsafe fn find_slot(&mut self, key: u64) -> (*mut R, *mut HsNode<R, P>) {
+    /// The slot in `key`'s bucket chain that holds the first node with
+    /// `key`, and that node — or the chain's final (empty) slot, and
+    /// null. `load` decodes each link: [`PtrRepr::load`] for a lookup,
+    /// [`PtrRepr::load_at_rest`] for a mutator.
+    ///
+    /// # Safety
+    ///
+    /// The set's regions are open, no other thread writes it, and `load`
+    /// decodes its links to mapped addresses (0 for null).
+    unsafe fn find_slot(
+        &self,
+        key: u64,
+        load: impl Fn(&R) -> usize,
+    ) -> (*mut R, *mut HsNode<R, P>) {
         let b = bucket_of(key, self.bucket_count()) as usize;
         let mut slot: *mut R = self.buckets.as_ptr().add(b);
         loop {
-            let cur = (*slot).load_at_rest() as *mut HsNode<R, P>;
+            let cur = load(&*slot) as *mut HsNode<R, P>;
             if cur.is_null() || (*cur).key == key {
                 return (slot, cur);
             }
@@ -272,17 +283,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     /// logically deleted (see the module docs).
     pub fn contains(&self, key: u64) -> bool {
         // SAFETY: links resolve to live nodes while regions are open.
-        unsafe {
-            let b = bucket_of(key, self.bucket_count()) as usize;
-            let mut cur = (*self.buckets.as_ptr().add(b)).load() as *const HsNode<R, P>;
-            while !cur.is_null() {
-                if (*cur).key == key {
-                    return (*cur).mark == 0;
-                }
-                cur = (*cur).next.load() as *const HsNode<R, P>;
-            }
-        }
-        false
+        unsafe { self.find_slot(key, R::load).1.as_ref() }.is_some_and(|n| n.mark == 0)
     }
 
     /// Full traversal over every bucket chain; returns a checksum.
@@ -363,7 +364,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
         // SAFETY: slots navigated in place; mutations undo-logged (one
         // batch, one fence) before the writes and flushed after them.
         unsafe {
-            let (slot, cur) = self.find_slot(key);
+            let (slot, cur) = self.find_slot(key, R::load_at_rest);
             if cur.is_null() {
                 return Ok(false);
             }

@@ -50,7 +50,9 @@
 //! checked: it must decode and point at a whole node below the committed
 //! end of an open region, or the walk stops with an `Err` naming it: a
 //! rotted image is an error, not a fault. The swizzle passes convert each
-//! link as they follow it. The timed lookups and scans load links plainly.
+//! link as they follow it. List and hash-set `traverse` walk with the plain
+//! load, and a lookup runs the key descent its mutators run, loading each
+//! link plainly where they load it at rest.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

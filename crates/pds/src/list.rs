@@ -168,33 +168,19 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
     /// one payload touch per node.
     pub fn traverse(&self) -> u64 {
         let mut sum = 0u64;
-        // SAFETY: links were stored by push_front and resolve to live
-        // nodes while the regions are open.
-        unsafe {
-            let mut cur = self.header.as_ref().head.load() as *const ListNode<R, P>;
-            while !cur.is_null() {
-                sum = sum
-                    .wrapping_mul(31)
-                    .wrapping_add((*cur).key ^ (*cur).payload[0] as u64);
-                cur = (*cur).next.load() as *const ListNode<R, P>;
-            }
-        }
+        expect_sound(self.walk(walk::load, |n| {
+            sum = sum
+                .wrapping_mul(31)
+                .wrapping_add(n.key ^ n.payload[0] as u64);
+            Ok(())
+        }));
         sum
     }
 
     /// Linear search for `key`.
     pub fn contains(&self, key: u64) -> bool {
-        // SAFETY: as in traverse.
-        unsafe {
-            let mut cur = self.header.as_ref().head.load() as *const ListNode<R, P>;
-            while !cur.is_null() {
-                if (*cur).key == key {
-                    return true;
-                }
-                cur = (*cur).next.load() as *const ListNode<R, P>;
-            }
-        }
-        false
+        // SAFETY: links resolve to live nodes while regions are open.
+        unsafe { !self.find_slot(key, R::load).1.is_null() }
     }
 
     /// The one node walk (crate docs, "One read path"): [`walk::chain`]
@@ -258,7 +244,7 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
         // writers of the structure); mutations are undo-logged (one
         // batch, one fence) before the writes and flushed after them.
         unsafe {
-            let (slot, cur) = self.find_slot(key);
+            let (slot, cur) = self.find_slot(key, R::load_at_rest);
             if cur.is_null() {
                 return Ok(false);
             }
@@ -270,11 +256,22 @@ impl<R: PtrRepr, const P: usize> PList<R, P> {
     }
 
     /// The slot holding the first node with `key`, and that node — or
-    /// the chain's final (empty) slot and null — walked at rest.
-    unsafe fn find_slot(&mut self, key: u64) -> (*mut R, *mut ListNode<R, P>) {
+    /// the chain's final (empty) slot and null. `load` decodes each link:
+    /// [`PtrRepr::load`] for a lookup, [`PtrRepr::load_at_rest`] for a
+    /// mutator.
+    ///
+    /// # Safety
+    ///
+    /// The list's regions are open, no other thread writes it, and `load`
+    /// decodes its links to mapped addresses (0 for null).
+    unsafe fn find_slot(
+        &self,
+        key: u64,
+        load: impl Fn(&R) -> usize,
+    ) -> (*mut R, *mut ListNode<R, P>) {
         let mut slot: *mut R = &mut self.header.as_mut().head;
         loop {
-            let cur = (*slot).load_at_rest() as *mut ListNode<R, P>;
+            let cur = load(&*slot) as *mut ListNode<R, P>;
             if cur.is_null() || (*cur).key == key {
                 return (slot, cur);
             }
@@ -367,6 +364,7 @@ mod tests {
         list.extend(0..50).unwrap();
         list.swizzle();
         assert_eq!(list.keys(), (0..50).rev().collect::<Vec<_>>());
+        assert!((0..50).all(|k| list.contains(k)) && !list.contains(50));
         let c = list.traverse();
         list.unswizzle();
         list.swizzle();

@@ -171,16 +171,7 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         // until the one slot publish, which the context logs; counters
         // logged before mutation.
         unsafe {
-            let mut cur = self.header.as_ref().root.load_at_rest() as *mut TrieNode<R, P>;
-            let mut depth = 0;
-            while depth < path.len() {
-                let next = (*cur).children[slot_of(path[depth])].load_at_rest();
-                if next == 0 {
-                    break;
-                }
-                cur = next as *mut TrieNode<R, P>;
-                depth += 1;
-            }
+            let (cur, depth) = self.find_node(path, R::load_at_rest);
             let mut ctx = begin();
             // words and nodes are adjacent header fields: one snapshot
             // covers every counter this insert touches.
@@ -235,34 +226,43 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         Ok(())
     }
 
-    /// The node `word` ends at, decoding every link with `load`:
-    /// [`PtrRepr::load`] on the read path, [`PtrRepr::load_at_rest`] on
-    /// a mutation's. `None` when the path is missing or leaves `a`–`z`.
+    /// The deepest node on `word`'s path and its depth, `word.len()` when
+    /// the whole path exists: the descent stops at a missing link or a
+    /// byte outside `a`–`z`. `load` decodes each link: [`PtrRepr::load`]
+    /// for a lookup, [`PtrRepr::load_at_rest`] for a mutator.
     ///
     /// # Safety
     ///
-    /// The trie's regions are open and no other thread writes it, and
-    /// `load` decodes a link of this trie to its target's mapped address
-    /// (0 for null) in the trie's current state.
+    /// The trie's regions are open, no other thread writes it, and `load`
+    /// decodes its links to mapped addresses (0 for null).
     unsafe fn find_node(
         &self,
-        word: &str,
+        word: &[u8],
         load: impl Fn(&R) -> usize,
-    ) -> Option<*mut TrieNode<R, P>> {
+    ) -> (*mut TrieNode<R, P>, usize) {
         let mut cur = load(&self.header.as_ref().root) as *mut TrieNode<R, P>;
-        for &c in word.as_bytes() {
-            cur = load(&(*cur).children[index_of(c).ok()?]) as *mut TrieNode<R, P>;
-            if cur.is_null() {
-                return None;
+        let mut depth = 0;
+        while let Some(i) = word.get(depth).and_then(|&c| index_of(c).ok()) {
+            let next = load(&(*cur).children[i]) as *mut TrieNode<R, P>;
+            if next.is_null() {
+                break;
             }
+            (cur, depth) = (next, depth + 1);
         }
-        Some(cur)
+        (cur, depth)
     }
 
     /// Number of times `word` was inserted (0 if absent).
     pub fn count(&self, word: &str) -> u64 {
         // SAFETY: links resolve to live nodes while regions are open.
-        unsafe { self.find_node(word, R::load).map_or(0, |n| (*n).count) }
+        unsafe {
+            let (n, depth) = self.find_node(word.as_bytes(), R::load);
+            if depth < word.len() {
+                0
+            } else {
+                (*n).count
+            }
+        }
     }
 
     /// Whether `word` was inserted at least once.
@@ -288,9 +288,9 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         let root = match prefix.as_bytes().split_last() {
             None => None,
             // SAFETY: as in count.
-            Some((&c, up)) => match unsafe { self.find_node(&prefix[..up.len()], R::load) } {
-                Some(n) => Some(n.cast::<R>().wrapping_add(index_of(c)?)),
-                None => return Ok(out),
+            Some((&c, up)) => match unsafe { self.find_node(up, R::load) } {
+                (n, depth) if depth == up.len() => Some(n.cast::<R>().wrapping_add(index_of(c)?)),
+                _ => return Ok(out),
             },
         };
         // Depth first, so the word of the node `depth` below the prefix's
@@ -398,10 +398,8 @@ impl<R: PtrRepr, const P: usize> PTrie<R, P> {
         // SAFETY: navigation as in count; counters snapshotted (one
         // batch, one fence) before mutation and flushed after.
         unsafe {
-            let Some(cur) = self.find_node(word, R::load_at_rest) else {
-                return Ok(false);
-            };
-            if (*cur).count == 0 {
+            let (cur, depth) = self.find_node(word.as_bytes(), R::load_at_rest);
+            if depth < word.len() || (*cur).count == 0 {
                 return Ok(false);
             }
             let count_addr = std::ptr::addr_of_mut!((*cur).count);
@@ -563,6 +561,7 @@ mod tests {
         t.extend(WORDS.iter().copied()).unwrap();
         t.swizzle();
         assert_eq!(t.count("apple"), 1);
+        assert!(WORDS.iter().all(|w| t.contains(w)) && !t.contains("cards"));
         let c = t.traverse();
         t.unswizzle();
         t.swizzle();

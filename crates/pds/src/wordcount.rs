@@ -119,21 +119,11 @@ impl<R: PtrRepr> WordCount<R> {
         // SAFETY: navigation via load_at_rest (mutation path); in-place
         // stores; nodes fixed once allocated.
         unsafe {
-            let mut slot: *mut R = &mut self.header.as_mut().root;
-            loop {
-                let cur = (*slot).load_at_rest() as *mut WcNode<R>;
-                if cur.is_null() {
-                    break;
-                }
-                match bytes.cmp((*cur).word()) {
-                    Ordering::Equal => {
-                        (*cur).count += 1;
-                        self.header.as_mut().total += 1;
-                        return Ok((*cur).count);
-                    }
-                    Ordering::Less => slot = &mut (*cur).left,
-                    Ordering::Greater => slot = &mut (*cur).right,
-                }
+            let (slot, cur) = self.find_slot(bytes, R::load_at_rest);
+            if !cur.is_null() {
+                (*cur).count += 1;
+                self.header.as_mut().total += 1;
+                return Ok((*cur).count);
             }
             let node =
                 self.arena.alloc(std::mem::size_of::<WcNode<R>>())?.as_ptr() as *mut WcNode<R>;
@@ -147,6 +137,34 @@ impl<R: PtrRepr> WordCount<R> {
             self.header.as_mut().distinct += 1;
             self.header.as_mut().total += 1;
             Ok(1)
+        }
+    }
+
+    /// The slot on `word`'s search path that holds `word`'s node, and
+    /// that node — or the empty slot the word belongs in, and null.
+    /// `load` decodes each link: [`PtrRepr::load`] for a lookup,
+    /// [`PtrRepr::load_at_rest`] for a mutator.
+    ///
+    /// # Safety
+    ///
+    /// The tree's regions are open, no other thread writes it, and `load`
+    /// decodes its links to mapped addresses (0 for null).
+    unsafe fn find_slot(
+        &self,
+        word: &[u8],
+        load: impl Fn(&R) -> usize,
+    ) -> (*mut R, *mut WcNode<R>) {
+        let mut slot: *mut R = &mut self.header.as_mut().root;
+        loop {
+            let cur = load(&*slot) as *mut WcNode<R>;
+            if cur.is_null() {
+                return (slot, cur);
+            }
+            slot = match word.cmp((*cur).word()) {
+                Ordering::Equal => return (slot, cur),
+                Ordering::Less => &mut (*cur).left,
+                Ordering::Greater => &mut (*cur).right,
+            };
         }
     }
 
@@ -164,19 +182,8 @@ impl<R: PtrRepr> WordCount<R> {
 
     /// The count of `word` (0 if never seen).
     pub fn count(&self, word: &str) -> u64 {
-        let bytes = word.as_bytes();
         // SAFETY: links resolve to live nodes while regions are open.
-        unsafe {
-            let mut cur = self.header.as_ref().root.load() as *const WcNode<R>;
-            while !cur.is_null() {
-                match bytes.cmp((*cur).word()) {
-                    Ordering::Equal => return (*cur).count,
-                    Ordering::Less => cur = (*cur).left.load() as *const WcNode<R>,
-                    Ordering::Greater => cur = (*cur).right.load() as *const WcNode<R>,
-                }
-            }
-        }
-        0
+        unsafe { self.find_slot(word.as_bytes(), R::load).1.as_ref() }.map_or(0, |n| n.count)
     }
 
     /// The `k` most frequent words (count-descending, then alphabetical).

@@ -263,9 +263,12 @@ proptest! {
     }
 }
 
+/// The range streamed keys come from.
+const KEY_RANGE: std::ops::Range<u64> = 0..96;
+
 /// Keys from a small range, so a stream repeats some of them.
 fn key_stream() -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(0u64..96, 0..80)
+    prop::collection::vec(KEY_RANGE, 0..80)
 }
 
 /// A word of 1-3 letters from a 4-letter alphabet for `key`, so words
@@ -282,13 +285,21 @@ fn word_of(key: u64) -> String {
 /// block it allocated and no other (the crash matrices' leak oracle).
 /// Removing every other key from the transactional build then leaves the
 /// other keys and, as every `remove_tx` frees what it unlinks, still no
-/// leak.
+/// leak. Each lookup answers for every key of the range as the model
+/// does, after the inserts and after the removes.
 fn raw_and_tx_builds_agree<R: PtrRepr>(keys: &[u64]) {
     let words: Vec<String> = keys.iter().map(|&k| word_of(k)).collect();
     let raw = Region::create(4 << 20).unwrap();
     let arena = || NodeArena::raw(raw.clone());
     let ok = |what: &str, checked: Result<(), String>| {
         checked.unwrap_or_else(|e| panic!("{what} ({}): {e}", R::NAME))
+    };
+    let inserted = BTreeSet::from_iter(keys.iter().copied());
+    let finds = |what: &str, contains: &dyn Fn(u64) -> bool, model: &BTreeSet<u64>| {
+        for k in KEY_RANGE {
+            let want = model.contains(&k);
+            assert_eq!(contains(k), want, "{what} ({}) contains {k}", R::NAME);
+        }
     };
 
     let mut list: PList<R, 32> = PList::new(arena()).unwrap();
@@ -301,9 +312,12 @@ fn raw_and_tx_builds_agree<R: PtrRepr>(keys: &[u64]) {
     ok("raw list", list.check_invariants());
     ok("tx list", tx.s.check_invariants());
     assert_eq!((tx.s.keys(), tx.s.len()), (list.keys(), list.len()));
+    finds("raw list", &|k| list.contains(k), &inserted);
+    finds("tx list", &|k| tx.s.contains(k), &inserted);
     util::check_no_leak(&tx, &region, "tx list");
     let kept = remove_every_other(keys, |&k| tx.s.remove_tx(&tx.store, k).unwrap());
     ok("tx list after removes", tx.s.check_invariants());
+    finds("tx list after removes", &|k| tx.s.contains(k), &kept);
     assert_eq!(tx.s.keys().into_iter().collect::<BTreeSet<_>>(), kept);
     let survivors = keys.iter().filter(|k| kept.contains(k)).count();
     assert_eq!(tx.s.len() as usize, survivors);
@@ -324,9 +338,12 @@ fn raw_and_tx_builds_agree<R: PtrRepr>(keys: &[u64]) {
         (tx.s.keys_in_order(), tx.s.len()),
         (bst.keys_in_order(), bst.len())
     );
+    finds("raw bst", &|k| bst.contains(k), &inserted);
+    finds("tx bst", &|k| tx.s.contains(k), &inserted);
     util::check_no_leak(&tx, &region, "tx bst");
     let kept = remove_every_other(keys, |&k| tx.s.remove_tx(&tx.store, k).unwrap());
     ok("tx bst after removes", tx.s.check_invariants());
+    finds("tx bst after removes", &|k| tx.s.contains(k), &kept);
     assert_eq!(tx.s.keys_in_order(), Vec::from_iter(kept));
     util::check_no_leak(&tx, &region, "tx bst after removes");
     drop(tx);
@@ -343,9 +360,12 @@ fn raw_and_tx_builds_agree<R: PtrRepr>(keys: &[u64]) {
     ok("raw hashset", set.check_invariants());
     ok("tx hashset", tx.s.check_invariants());
     assert_eq!((tx.s.keys(), tx.s.len()), (set.keys(), set.len()));
+    finds("raw hashset", &|k| set.contains(k), &inserted);
+    finds("tx hashset", &|k| tx.s.contains(k), &inserted);
     util::check_no_leak(&tx, &region, "tx hashset");
     let kept = remove_every_other(keys, |&k| tx.s.remove_tx(&tx.store, k).unwrap());
     ok("tx hashset after removes", tx.s.check_invariants());
+    finds("tx hashset after removes", &|k| tx.s.contains(k), &kept);
     assert_eq!(BTreeSet::from_iter(tx.s.keys()), kept);
     util::check_no_leak(&tx, &region, "tx hashset after removes");
     drop(tx);
@@ -371,6 +391,10 @@ fn raw_and_tx_builds_agree<R: PtrRepr>(keys: &[u64]) {
     util::check_no_leak(&tx, &region, "tx trie");
     let kept = remove_every_other(&words, |w| tx.s.remove_tx(&tx.store, w).unwrap());
     ok("tx trie after removes", tx.s.check_invariants());
+    for w in &words {
+        let want = if kept.contains(w) { trie.count(w) } else { 0 };
+        assert_eq!(tx.s.count(w), want, "count of {w} after removes");
+    }
     assert_eq!(BTreeSet::from_iter(tx.s.prefix_scan("").unwrap()), kept);
     util::check_no_leak(&tx, &region, "tx trie after removes");
     drop(tx);
